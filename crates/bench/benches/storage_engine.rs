@@ -1,6 +1,9 @@
 //! Storage-substrate microbenchmarks: the primitive operations whose costs
 //! determine every workload's throughput envelope. Plain `fn main()`
 //! harness (hermetic build — no criterion).
+//!
+//! `BENCH_SMOKE=1` shrinks the measurement budget for CI smoke runs; the
+//! text-versus-prepared bound is asserted in both modes.
 
 use std::hint::black_box;
 
@@ -99,13 +102,29 @@ fn bench_sql_layer(b: &mut Bencher) {
         )
     });
 
+    const POINT: &str = "SELECT data FROM t WHERE id = ?";
     let mut conn = Connection::open(&db);
-    let stmt = conn.prepare("SELECT data FROM t WHERE id = ?").unwrap();
+    let stmt = conn.prepare(POINT).unwrap();
     let mut i = 0i64;
-    b.bench("prepared_point_select", || {
-        i = (i + 3) % 10_000;
-        black_box(conn.query_prepared(&stmt, &[Value::Int(i)]).unwrap())
-    });
+    let prepared = b
+        .bench("prepared_point_select", || {
+            i = (i + 3) % 10_000;
+            black_box(conn.query_prepared(&stmt, &[Value::Int(i)]).unwrap())
+        })
+        .best_ns;
+    // The same statement as text: every execution after the first finds it
+    // in the connection's statement cache, so all it may cost on top of the
+    // prepared path is that lookup.
+    let text = b
+        .bench("text_point_select", || {
+            i = (i + 3) % 10_000;
+            black_box(conn.query(POINT, &[Value::Int(i)]).unwrap())
+        })
+        .best_ns;
+    assert!(
+        text <= 1.15 * prepared,
+        "text path {text:.0} ns exceeds 1.15x the prepared path {prepared:.0} ns"
+    );
 
     let mut conn = Connection::open(&db);
     let stmt = conn
@@ -129,6 +148,10 @@ fn bench_dialect_rendering(b: &mut Bencher) {
 
 fn main() {
     let mut b = Bencher::new();
+    if std::env::var("BENCH_SMOKE").is_ok() {
+        b.budget = std::time::Duration::from_millis(60);
+        b.warmup = std::time::Duration::from_millis(15);
+    }
     bench_point_ops(&mut b);
     bench_index_scans(&mut b);
     bench_sql_layer(&mut b);

@@ -455,6 +455,8 @@ fn worker_loop(ctx: WorkerCtx) {
     } = ctx;
     let mut conn = Connection::open(&db);
     let mut rng = Rng::new(seed);
+    // The gate is waited on in steps of a few µs to a few ms.
+    bp_util::clock::exact_timers();
 
     loop {
         // Stop wins over pause: a paused worker must still exit (a worker

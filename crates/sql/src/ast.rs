@@ -17,6 +17,17 @@ pub enum Statement {
     Rollback,
 }
 
+impl Statement {
+    /// INSERT, SELECT, UPDATE or DELETE: the statements that run inside a
+    /// transaction and are worth planning.
+    pub fn is_dml(&self) -> bool {
+        matches!(
+            self,
+            Statement::Insert(_) | Statement::Select(_) | Statement::Update(_) | Statement::Delete(_)
+        )
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
     pub name: String,
@@ -158,6 +169,10 @@ pub enum Expr {
     Param(usize),
     /// Column reference, optionally qualified.
     Column { table: Option<String>, name: String },
+    /// A column reference (or lifted aggregate) resolved to its position in
+    /// the row the expression is evaluated against. Produced by the binder
+    /// ([`crate::plan`]), never by the parser.
+    Slot(usize),
     Binary { op: BinOp, left: Box<Expr>, right: Box<Expr> },
     Neg(Box<Expr>),
     Not(Box<Expr>),
@@ -208,55 +223,83 @@ impl Expr {
         max.map_or(0, |m| m + 1)
     }
 
-    pub fn visit_params(&self, f: &mut impl FnMut(usize)) {
+    /// Call `f` on each direct sub-expression, in source order.
+    fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         match self {
-            Expr::Param(i) => f(*i),
-            Expr::Lit(_) | Expr::Column { .. } => {}
+            Expr::Lit(_) | Expr::Param(_) | Expr::Column { .. } | Expr::Slot(_) => {}
             Expr::Binary { left, right, .. } => {
-                left.visit_params(f);
-                right.visit_params(f);
+                f(left);
+                f(right);
             }
-            Expr::Neg(e) | Expr::Not(e) => e.visit_params(f),
-            Expr::IsNull { expr, .. } => expr.visit_params(f),
+            Expr::Neg(e) | Expr::Not(e) | Expr::IsNull { expr: e, .. } => f(e),
             Expr::InList { expr, list, .. } => {
-                expr.visit_params(f);
-                for e in list {
-                    e.visit_params(f);
-                }
+                f(expr);
+                list.iter().for_each(f);
             }
             Expr::Between { expr, low, high, .. } => {
-                expr.visit_params(f);
-                low.visit_params(f);
-                high.visit_params(f);
+                f(expr);
+                f(low);
+                f(high);
             }
-            Expr::Agg { arg, .. } => {
-                if let Some(a) = arg {
-                    a.visit_params(f);
-                }
-            }
-            Expr::Func { args, .. } => {
-                for a in args {
-                    a.visit_params(f);
-                }
-            }
+            Expr::Agg { arg, .. } => arg.iter().for_each(|a| f(a)),
+            Expr::Func { args, .. } => args.iter().for_each(f),
         }
+    }
+
+    /// True if `pred` holds for this node or any node below it.
+    pub fn any(&self, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
+        let mut found = pred(self);
+        self.for_each_child(&mut |c| found = found || c.any(pred));
+        found
+    }
+
+    pub fn visit_params(&self, f: &mut impl FnMut(usize)) {
+        self.any(&mut |e| {
+            if let Expr::Param(i) = e {
+                f(*i);
+            }
+            false
+        });
     }
 
     /// Does the expression contain any aggregate call?
     pub fn has_aggregate(&self) -> bool {
+        self.any(&mut |e| matches!(e, Expr::Agg { .. }))
+    }
+
+    /// A copy of the tree in which every node `f` returns a replacement for
+    /// is replaced by it (without descending into it); all other nodes are
+    /// rebuilt over their rewritten children.
+    pub fn rewrite(&self, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Expr {
+        if let Some(replacement) = f(self) {
+            return replacement;
+        }
+        let mut sub = |e: &Expr| Box::new(e.rewrite(f));
         match self {
-            Expr::Agg { .. } => true,
-            Expr::Lit(_) | Expr::Param(_) | Expr::Column { .. } => false,
-            Expr::Binary { left, right, .. } => left.has_aggregate() || right.has_aggregate(),
-            Expr::Neg(e) | Expr::Not(e) => e.has_aggregate(),
-            Expr::IsNull { expr, .. } => expr.has_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.has_aggregate() || list.iter().any(Expr::has_aggregate)
+            Expr::Lit(_) | Expr::Param(_) | Expr::Column { .. } | Expr::Slot(_) => self.clone(),
+            Expr::Binary { op, left, right } => {
+                Expr::Binary { op: *op, left: sub(left), right: sub(right) }
             }
-            Expr::Between { expr, low, high, .. } => {
-                expr.has_aggregate() || low.has_aggregate() || high.has_aggregate()
+            Expr::Neg(e) => Expr::Neg(sub(e)),
+            Expr::Not(e) => Expr::Not(sub(e)),
+            Expr::IsNull { expr, negated } => Expr::IsNull { expr: sub(expr), negated: *negated },
+            Expr::InList { expr, list, negated } => Expr::InList {
+                expr: sub(expr),
+                list: list.iter().map(|e| *sub(e)).collect(),
+                negated: *negated,
+            },
+            Expr::Between { expr, low, high, negated } => Expr::Between {
+                expr: sub(expr),
+                low: sub(low),
+                high: sub(high),
+                negated: *negated,
+            },
+            Expr::Agg { func, arg, distinct } => {
+                Expr::Agg { func: *func, arg: arg.as_deref().map(sub), distinct: *distinct }
             }
-            Expr::Func { args, .. } => args.iter().any(Expr::has_aggregate),
+            Expr::Func { name, args } => {
+                Expr::Func { name: name.clone(), args: args.iter().map(|e| *sub(e)).collect() }
+            }
         }
     }
 }

@@ -276,6 +276,7 @@ impl Dialect {
                 Some(t) => format!("{}.{}", self.quote(t), self.quote(name)),
                 None => self.quote(name),
             },
+            Expr::Slot(i) => format!("${i}"),
             Expr::Binary { op, left, right } => {
                 format!("({} {} {})", self.render_expr(left), render_op(*op), self.render_expr(right))
             }

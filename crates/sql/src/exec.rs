@@ -1,21 +1,22 @@
-//! Statement execution: a lightweight planner plus a row-at-a-time executor
-//! over the storage engine.
+//! Statement execution: a row-at-a-time executor that replays a bound
+//! [`Plan`] over the storage engine.
 //!
-//! Access-path selection mirrors what a simple OLTP engine does: full
-//! primary-key equality → point lookup; equality prefix over the PK or a
-//! secondary index → prefix/range scan; otherwise a full table scan. The
-//! residual predicate is always re-applied to fetched rows, so plans are
-//! purely an optimization.
+//! What is left to do per execution is what depends on the parameters or the
+//! data: evaluating the access path's key expressions, fetching the
+//! candidate rows, re-applying the residual predicate, and projecting,
+//! grouping and sorting what survives. Everything else was decided when the
+//! statement was bound ([`crate::plan`]).
 
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use bp_storage::{Column, RowId, Row, Session, Table, TableSchema, Value};
+use bp_storage::{Column, Row, RowId, Session, TableSchema, Value};
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
 use crate::expr::{eval, eval_filter, EvalScope};
+use crate::plan::{AccessPath, AggCall, InsertPlan, Plan, PlanKind, SelectPlan, SortKey, TableAccess, WritePlan};
 
 /// The result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +47,8 @@ impl StatementResult {
 /// A materialized query result.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResultSet {
-    pub columns: Vec<String>,
+    /// Output column names, shared with the statement's plan.
+    pub columns: Arc<[String]>,
     pub rows: Vec<Row>,
 }
 
@@ -82,11 +84,9 @@ impl ResultSet {
     }
 }
 
-/// Execute a parsed statement on a session with bound parameters.
-///
-/// DML/queries require an active transaction; `autocommit` wrapping is the
-/// connection layer's job.
-pub fn execute(session: &mut Session, stmt: &Statement, params: &[Value]) -> Result<StatementResult> {
+/// Execute a DDL or transaction-control statement. These are interpreted as
+/// they stand: nothing about them is worth binding.
+pub(crate) fn execute_unplanned(session: &mut Session, stmt: &Statement) -> Result<StatementResult> {
     match stmt {
         Statement::CreateTable(ct) => {
             let schema = build_schema(ct)?;
@@ -107,10 +107,6 @@ pub fn execute(session: &mut Session, stmt: &Statement, params: &[Value]) -> Res
                 Err(e) => Err(e.into()),
             }
         }
-        Statement::Insert(ins) => exec_insert(session, ins, params),
-        Statement::Select(sel) => Ok(StatementResult::Rows(exec_select(session, sel, params)?)),
-        Statement::Update(u) => exec_update(session, u, params),
-        Statement::Delete(d) => exec_delete(session, d, params),
         Statement::Begin => {
             session.begin()?;
             Ok(StatementResult::TxnControl)
@@ -123,6 +119,19 @@ pub fn execute(session: &mut Session, stmt: &Statement, params: &[Value]) -> Res
             session.rollback()?;
             Ok(StatementResult::TxnControl)
         }
+        dml => Err(SqlError::Unsupported(format!("{dml:?} needs a plan"))),
+    }
+}
+
+/// Execute a bound statement on a session with its parameters.
+///
+/// Requires an active transaction; `autocommit` wrapping is the connection
+/// layer's job.
+pub(crate) fn execute(session: &mut Session, plan: &Plan, params: &[Value]) -> Result<StatementResult> {
+    match &plan.kind {
+        PlanKind::Insert(ins) => exec_insert(session, ins, params),
+        PlanKind::Select(sel) => Ok(StatementResult::Rows(exec_select(session, sel, params)?)),
+        PlanKind::Write(w) => exec_write(session, w, params),
     }
 }
 
@@ -140,228 +149,87 @@ fn build_schema(ct: &CreateTable) -> Result<TableSchema> {
     TableSchema::new(&ct.name, columns, &pk_refs).map_err(Into::into)
 }
 
-fn exec_insert(session: &mut Session, ins: &Insert, params: &[Value]) -> Result<StatementResult> {
-    let table = session.database().table(&ins.table)?;
-    let schema = &table.schema;
-    // Map provided column order to schema positions.
-    let positions: Vec<usize> = if ins.columns.is_empty() {
-        (0..schema.arity()).collect()
-    } else {
-        ins.columns
-            .iter()
-            .map(|c| schema.column_index(c).map_err(SqlError::from))
-            .collect::<Result<_>>()?
-    };
+fn exec_insert(session: &mut Session, ins: &InsertPlan, params: &[Value]) -> Result<StatementResult> {
     let scope = EvalScope::empty(params);
-    let mut count = 0u64;
     for value_row in &ins.rows {
-        if value_row.len() != positions.len() {
-            return Err(SqlError::Eval(format!(
-                "INSERT has {} values for {} columns",
-                value_row.len(),
-                positions.len()
-            )));
-        }
-        let mut row = vec![Value::Null; schema.arity()];
-        for (expr, &pos) in value_row.iter().zip(&positions) {
+        let mut row = vec![Value::Null; ins.table.schema.arity()];
+        for (expr, &pos) in value_row.iter().zip(&ins.positions) {
             row[pos] = eval(expr, &scope)?;
         }
-        session.insert(&table, row)?;
-        count += 1;
+        session.insert(&ins.table, row)?;
     }
-    Ok(StatementResult::Affected(count))
+    Ok(StatementResult::Affected(ins.rows.len() as u64))
 }
 
-// ---- Access-path planning ----
+// ---- Fetching candidates ----
 
-/// A single-binding predicate analysis: equality and range constraints on
-/// columns of one table, extracted from the WHERE conjunction.
-struct PredicateInfo {
-    /// column position -> constant value (equality)
-    eq: HashMap<usize, Value>,
-    /// column position -> (lower bound, upper bound)
-    ranges: HashMap<usize, (Bound<Value>, Bound<Value>)>,
-}
-
-fn analyze_predicates(
-    where_clause: Option<&Expr>,
-    binding: &str,
-    schema: &TableSchema,
-    params: &[Value],
-) -> Result<PredicateInfo> {
-    let mut info = PredicateInfo { eq: HashMap::new(), ranges: HashMap::new() };
-    let Some(w) = where_clause else { return Ok(info) };
+/// Evaluate the key expressions of an access path. `None` when one of them
+/// is NULL: the residual predicate compares the key column with it, which
+/// no row satisfies, so there is nothing to fetch.
+fn key_values(exprs: &[Expr], params: &[Value]) -> Result<Option<Vec<Value>>> {
     let scope = EvalScope::empty(params);
-    for conjunct in w.conjuncts() {
-        let Expr::Binary { op, left, right } = conjunct else { continue };
-        if !op.is_comparison() {
-            continue;
-        }
-        // col OP const  or  const OP col
-        let (col, value, op) = match (column_of(left, binding, schema), column_of(right, binding, schema)) {
-            (Some(c), None) if is_const(right) => (c, eval(right, &scope)?, *op),
-            (None, Some(c)) if is_const(left) => (c, eval(left, &scope)?, flip(*op)),
-            _ => continue,
-        };
-        if value.is_null() {
-            continue;
-        }
-        match op {
-            BinOp::Eq => {
-                info.eq.insert(col, value);
-            }
-            BinOp::Lt => {
-                set_upper(&mut info, col, Bound::Excluded(value));
-            }
-            BinOp::LtEq => {
-                set_upper(&mut info, col, Bound::Included(value));
-            }
-            BinOp::Gt => {
-                set_lower(&mut info, col, Bound::Excluded(value));
-            }
-            BinOp::GtEq => {
-                set_lower(&mut info, col, Bound::Included(value));
-            }
-            _ => {}
+    let mut key = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        match eval(e, &scope)? {
+            Value::Null => return Ok(None),
+            v => key.push(v),
         }
     }
-    Ok(info)
+    Ok(Some(key))
 }
 
-fn set_lower(info: &mut PredicateInfo, col: usize, b: Bound<Value>) {
-    let entry = info.ranges.entry(col).or_insert((Bound::Unbounded, Bound::Unbounded));
-    entry.0 = b;
+/// Evaluate a range bound into a one-column key bound; `None` as above.
+fn key_bound(b: &Bound<Expr>, params: &[Value]) -> Result<Option<Bound<Vec<Value>>>> {
+    Ok(match b {
+        Bound::Unbounded => Some(Bound::Unbounded),
+        Bound::Included(e) => key_values(std::slice::from_ref(e), params)?.map(Bound::Included),
+        Bound::Excluded(e) => key_values(std::slice::from_ref(e), params)?.map(Bound::Excluded),
+    })
 }
 
-fn set_upper(info: &mut PredicateInfo, col: usize, b: Bound<Value>) {
-    let entry = info.ranges.entry(col).or_insert((Bound::Unbounded, Bound::Unbounded));
-    entry.1 = b;
-}
-
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other,
-    }
-}
-
-/// If `e` is a column of this binding, return its position.
-fn column_of(e: &Expr, binding: &str, schema: &TableSchema) -> Option<usize> {
-    match e {
-        Expr::Column { table, name } => {
-            if let Some(t) = table {
-                if !t.eq_ignore_ascii_case(binding) {
-                    return None;
-                }
-            }
-            schema.column_index(name).ok()
-        }
-        _ => None,
-    }
-}
-
-/// Constant in the planning sense: literals and parameters only.
-fn is_const(e: &Expr) -> bool {
-    match e {
-        Expr::Lit(_) | Expr::Param(_) => true,
-        Expr::Neg(inner) => is_const(inner),
-        _ => false,
-    }
-}
-
-/// Fetch candidate `(rowid, row)` pairs for one table using the best access
+/// Fetch candidate `(rowid, row)` pairs for one table along its access
 /// path, honoring `for_update` locking.
-fn fetch_candidates(
+fn fetch(
     session: &mut Session,
-    table: &Arc<Table>,
-    info: &PredicateInfo,
+    access: &TableAccess,
+    params: &[Value],
     for_update: bool,
 ) -> Result<Vec<(RowId, Row)>> {
-    let schema = &table.schema;
     const NO_LIMIT: usize = usize::MAX;
-
-    // 1. Full PK equality -> point lookup.
-    if schema.has_primary_key() && schema.primary_key.iter().all(|c| info.eq.contains_key(c)) {
-        let key: Vec<Value> = schema.primary_key.iter().map(|c| info.eq[c].clone()).collect();
-        return Ok(session.read_pk(table, &key, for_update)?.into_iter().collect());
+    fn slice(b: &Bound<Vec<Value>>) -> Bound<&[Value]> {
+        b.as_ref().map(Vec::as_slice)
     }
-
-    // 2. Longest equality prefix over PK or a secondary index.
-    let mut best: Option<(AccessPath, usize)> = None;
-    if schema.has_primary_key() {
-        let plen = eq_prefix_len(&schema.primary_key, &info.eq);
-        if plen > 0 {
-            best = Some((AccessPath::PkPrefix(plen), plen));
+    let table = &access.table;
+    let range = |lo: &Bound<Expr>, hi: &Bound<Expr>| {
+        Ok::<_, SqlError>(key_bound(lo, params)?.zip(key_bound(hi, params)?))
+    };
+    let rowids: Option<Vec<RowId>> = match &access.path {
+        AccessPath::PkPoint(key) => {
+            return Ok(match key_values(key, params)? {
+                Some(key) => session.read_pk(table, &key, for_update)?.into_iter().collect(),
+                None => Vec::new(),
+            })
         }
-    }
-    for def in table.index_defs() {
-        let plen = eq_prefix_len(&def.key_columns, &info.eq);
-        if plen > 0 && best.as_ref().is_none_or(|(_, b)| plen > *b) {
-            best = Some((AccessPath::IndexPrefix(def.name.clone(), def.key_columns.clone(), plen), plen));
+        AccessPath::PkPrefix(key) => key_values(key, params)?.map(|k| table.pk_prefix(&k, NO_LIMIT)),
+        AccessPath::IndexPrefix { index, key } => key_values(key, params)?
+            .map(|k| table.index_prefix(index, &k, NO_LIMIT))
+            .transpose()?,
+        AccessPath::PkRange(lo, hi) => {
+            range(lo, hi)?.map(|(lo, hi)| table.pk_range(slice(&lo), slice(&hi), NO_LIMIT))
         }
-    }
-
-    let rowids: Vec<RowId> = match best {
-        Some((AccessPath::PkPrefix(plen), _)) => {
-            let prefix: Vec<Value> = schema.primary_key[..plen]
-                .iter()
-                .map(|c| info.eq[c].clone())
-                .collect();
-            table.pk_prefix(&prefix, NO_LIMIT)
-        }
-        Some((AccessPath::IndexPrefix(name, cols, plen), _)) => {
-            let prefix: Vec<Value> = cols[..plen].iter().map(|c| info.eq[c].clone()).collect();
-            table.index_prefix(&name, &prefix, NO_LIMIT)?
-        }
-        None => {
-            // 3. Range on the first PK or index column.
-            let mut range_ids: Option<Vec<RowId>> = None;
-            if schema.has_primary_key() {
-                if let Some((lo, hi)) = info.ranges.get(&schema.primary_key[0]) {
-                    let lo_k = bound_key(lo);
-                    let hi_k = bound_key(hi);
-                    range_ids = Some(table.pk_range(as_ref_bound(&lo_k), as_ref_bound(&hi_k), NO_LIMIT));
-                }
+        AccessPath::IndexRange { index, lo, hi } => range(lo, hi)?
+            .map(|(lo, hi)| table.index_range(index, slice(&lo), slice(&hi), NO_LIMIT))
+            .transpose()?,
+        AccessPath::Scan => {
+            let rows = session.scan(table)?;
+            if !for_update {
+                return Ok(rows);
             }
-            if range_ids.is_none() {
-                for def in table.index_defs() {
-                    if let Some((lo, hi)) = info.ranges.get(&def.key_columns[0]) {
-                        let lo_k = bound_key(lo);
-                        let hi_k = bound_key(hi);
-                        range_ids = Some(table.index_range(
-                            &def.name,
-                            as_ref_bound(&lo_k),
-                            as_ref_bound(&hi_k),
-                            NO_LIMIT,
-                        )?);
-                        break;
-                    }
-                }
-            }
-            match range_ids {
-                Some(ids) => ids,
-                None => {
-                    // 4. Full scan.
-                    let rows = session.scan(table)?;
-                    if for_update {
-                        // Re-lock each row exclusively.
-                        let mut out = Vec::with_capacity(rows.len());
-                        for (rid, _) in rows {
-                            if let Some(row) = session.get_row(table, rid, true)? {
-                                out.push((rid, row));
-                            }
-                        }
-                        return Ok(out);
-                    }
-                    return Ok(rows);
-                }
-            }
+            // Re-lock each row exclusively.
+            Some(rows.into_iter().map(|(rid, _)| rid).collect())
         }
     };
-
+    let rowids = rowids.unwrap_or_default();
     let mut out = Vec::with_capacity(rowids.len());
     for rid in rowids {
         if let Some(row) = session.get_row(table, rid, for_update)? {
@@ -371,277 +239,108 @@ fn fetch_candidates(
     Ok(out)
 }
 
-enum AccessPath {
-    PkPrefix(usize),
-    IndexPrefix(String, Vec<usize>, usize),
-}
-
-fn eq_prefix_len(key_cols: &[usize], eq: &HashMap<usize, Value>) -> usize {
-    key_cols.iter().take_while(|c| eq.contains_key(c)).count()
-}
-
-fn bound_key(b: &Bound<Value>) -> Bound<Vec<Value>> {
-    match b {
-        Bound::Included(v) => Bound::Included(vec![v.clone()]),
-        Bound::Excluded(v) => Bound::Excluded(vec![v.clone()]),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
-fn as_ref_bound(b: &Bound<Vec<Value>>) -> Bound<&[Value]> {
-    match b {
-        Bound::Included(v) => Bound::Included(v.as_slice()),
-        Bound::Excluded(v) => Bound::Excluded(v.as_slice()),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
 // ---- SELECT ----
 
-struct BoundTable {
-    binding: String,
-    table: Arc<Table>,
-}
-
-fn exec_select(session: &mut Session, sel: &Select, params: &[Value]) -> Result<ResultSet> {
-    let Some(from) = &sel.from else {
-        // SELECT without FROM: evaluate items once against an empty scope.
-        let scope = EvalScope::empty(params);
-        let mut columns = Vec::new();
-        let mut row = Vec::new();
-        for (i, item) in sel.items.iter().enumerate() {
-            match item {
-                SelectItem::Wildcard => return Err(SqlError::Unsupported("* without FROM".into())),
-                SelectItem::Expr { expr, alias } => {
-                    columns.push(alias.clone().unwrap_or_else(|| format!("col{}", i + 1)));
-                    row.push(eval(expr, &scope)?);
-                }
-            }
-        }
-        return Ok(ResultSet { columns, rows: vec![row] });
+fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Result<ResultSet> {
+    // Fetch the driving table (without FROM: one empty tuple), then join
+    // each further table on.
+    let mut tuples: Vec<Row> = match sel.tables.first() {
+        Some(first) => fetch(session, first, params, sel.for_update)?.into_iter().map(|(_, r)| r).collect(),
+        None => vec![Vec::new()],
     };
-
-    // Bind tables.
-    let mut bound: Vec<BoundTable> = Vec::new();
-    let t0 = session.database().table(&from.name)?;
-    bound.push(BoundTable { binding: from.binding().to_ascii_lowercase(), table: t0 });
-    for j in &sel.joins {
-        let t = session.database().table(&j.table.name)?;
-        bound.push(BoundTable { binding: j.table.binding().to_ascii_lowercase(), table: t });
+    for (access, equi) in sel.tables.iter().skip(1).zip(&sel.joins) {
+        let right = fetch(session, access, params, false)?;
+        tuples = join(&tuples, &right, equi);
     }
 
-    // Fetch the driving table with its single-table predicates.
-    let info0 = analyze_predicates(
-        sel.where_clause.as_ref(),
-        &bound[0].binding,
-        &bound[0].table.schema,
-        params,
-    )?;
-    let first = fetch_candidates(session, &bound[0].table, &info0, sel.for_update && bound.len() == 1)?;
-
-    // Working set: one combined row-vector per result tuple.
-    let mut tuples: Vec<Vec<Row>> = first.into_iter().map(|(_, r)| vec![r]).collect();
-
-    // Join remaining tables with hash joins over the ON + WHERE equi-conds.
-    for (jidx, join) in sel.joins.iter().enumerate() {
-        let right = &bound[jidx + 1];
-        let left_bindings = &bound[..jidx + 1];
-        let equi = find_equi_conditions(join, sel.where_clause.as_ref(), left_bindings, right);
-
-        // Fetch right side (single-table preds considered).
-        let mut on_and_where = vec![&join.on];
-        if let Some(w) = &sel.where_clause {
-            on_and_where.push(w);
+    // Re-apply every ON condition and the full WHERE.
+    let mut kept = Vec::with_capacity(tuples.len());
+    'tuples: for t in tuples {
+        let scope = EvalScope::new(&t, params);
+        for f in &sel.filter {
+            if !eval_filter(f, &scope)? {
+                continue 'tuples;
+            }
         }
-        let info_r = analyze_predicates(Some(&join.on), &right.binding, &right.table.schema, params)
-            .and_then(|mut i| {
-                let extra = analyze_predicates(
-                    sel.where_clause.as_ref(),
-                    &right.binding,
-                    &right.table.schema,
-                    params,
-                )?;
-                i.eq.extend(extra.eq);
-                i.ranges.extend(extra.ranges);
-                Ok(i)
-            })?;
-        let right_rows = fetch_candidates(session, &right.table, &info_r, false)?;
+        kept.push(t);
+    }
+    if sel.grouped {
+        kept = aggregate(sel, kept, params)?;
+    }
 
-        if equi.is_empty() {
-            // Cartesian: only sensible for small inputs (comma joins).
-            let mut next = Vec::new();
-            for t in &tuples {
-                for (_, rr) in &right_rows {
-                    let mut combined = t.clone();
-                    combined.push(rr.clone());
-                    next.push(combined);
+    // Project, collecting sort keys on the way: an ORDER BY expression may
+    // need the row the output was computed from.
+    let star_only = matches!(sel.items.as_slice(), [None]);
+    let mut rows = Vec::with_capacity(kept.len());
+    let mut keys = Vec::new();
+    for t in kept {
+        let scope = EvalScope::new(&t, params);
+        let mut out = Vec::with_capacity(if star_only { 0 } else { sel.columns.len() });
+        if !star_only {
+            for item in &sel.items {
+                match item {
+                    None => out.extend_from_slice(&t[..sel.width]),
+                    Some(expr) => out.push(eval(expr, &scope)?),
                 }
             }
-            tuples = next;
-        } else {
-            // Build hash table on the right side.
-            let mut table_map: HashMap<Vec<Value>, Vec<&Row>> = HashMap::new();
-            for (_, rr) in &right_rows {
-                let key: Vec<Value> = equi.iter().map(|(_, _, rc)| rr[*rc].clone()).collect();
-                table_map.entry(key).or_default().push(rr);
-            }
-            let mut next = Vec::new();
-            for t in &tuples {
-                let key: Vec<Value> = equi
+        }
+        if !sel.order_by.is_empty() {
+            let shown = if star_only { &t } else { &out };
+            keys.push(
+                sel.order_by
                     .iter()
-                    .map(|(bi, lc, _)| t[*bi][*lc].clone())
-                    .collect();
-                if let Some(matches) = table_map.get(&key) {
-                    for rr in matches {
-                        let mut combined = t.clone();
-                        combined.push((*rr).clone());
-                        next.push(combined);
-                    }
-                }
-            }
-            tuples = next;
+                    .map(|(key, _)| match key {
+                        SortKey::Output(i) => Ok(shown[*i].clone()),
+                        SortKey::Row(expr) => eval(expr, &scope),
+                    })
+                    .collect::<Result<Vec<Value>>>()?,
+            );
         }
+        rows.push(if star_only { t } else { out });
     }
 
-    // Apply full WHERE + (non-equi parts of) ON.
-    let bindings: Vec<(String, &TableSchema)> = bound
-        .iter()
-        .map(|b| (b.binding.clone(), &b.table.schema))
-        .collect();
-    let mut filtered: Vec<Vec<Row>> = Vec::with_capacity(tuples.len());
-    for t in tuples {
-        let rows: Vec<&Row> = t.iter().collect();
-        let scope = EvalScope::multi(bindings.clone(), rows, params);
-        let mut keep = true;
-        for join in &sel.joins {
-            if !eval_filter(&join.on, &scope)? {
-                keep = false;
-                break;
-            }
-        }
-        if keep {
-            if let Some(w) = &sel.where_clause {
-                keep = eval_filter(w, &scope)?;
-            }
-        }
-        if keep {
-            filtered.push(t);
-        }
-    }
-
-    // Aggregation?
-    let has_agg = sel
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.has_aggregate()))
-        || !sel.group_by.is_empty();
-
-    let (columns, mut rows) = if has_agg {
-        aggregate(sel, &bindings, &filtered, params)?
-    } else {
-        project(sel, &bound, &bindings, &filtered, params)?
-    };
-
-    // ORDER BY: prefer output columns (aliases), else evaluate per tuple.
     if !sel.order_by.is_empty() {
-        sort_rows(sel, &columns, &mut rows, &bindings, &filtered, has_agg, params)?;
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&a, &b| {
+            let by_key = keys[a].iter().zip(&keys[b]).zip(&sel.order_by);
+            by_key
+                .map(|((va, vb), (_, desc))| if *desc { vb.cmp(va) } else { va.cmp(vb) })
+                .find(|ord| ord.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        rows = order.into_iter().map(|i| std::mem::take(&mut rows[i])).collect();
     }
 
-    // LIMIT.
     if let Some(limit_expr) = &sel.limit {
-        let scope = EvalScope::empty(params);
-        let n = eval(limit_expr, &scope)?
+        let n = eval(limit_expr, &EvalScope::empty(params))?
             .as_int()
             .ok_or_else(|| SqlError::Eval("LIMIT must be an integer".into()))?;
         rows.truncate(n.max(0) as usize);
     }
 
-    Ok(ResultSet { columns, rows })
+    Ok(ResultSet { columns: sel.columns.clone(), rows })
 }
 
-/// Equi-join conditions `(left_binding_index, left_col, right_col)` between
-/// the already-joined bindings and the incoming right table.
-fn find_equi_conditions(
-    join: &Join,
-    where_clause: Option<&Expr>,
-    left_bindings: &[BoundTable],
-    right: &BoundTable,
-) -> Vec<(usize, usize, usize)> {
-    let mut out = Vec::new();
-    let mut sources: Vec<&Expr> = join.on.conjuncts();
-    if let Some(w) = where_clause {
-        sources.extend(w.conjuncts());
+/// Join each tuple with the matching rows of the next table: a hash join on
+/// the `(tuple slot, right column)` pairs, or the cross product without any
+/// (comma joins; only sensible for small inputs).
+fn join(left: &[Row], right: &[(RowId, Row)], equi: &[(usize, usize)]) -> Vec<Row> {
+    let concat = |l: &Row, r: &Row| l.iter().chain(r).cloned().collect::<Row>();
+    if equi.is_empty() {
+        return left.iter().flat_map(|l| right.iter().map(move |(_, r)| concat(l, r))).collect();
     }
-    for e in sources {
-        let Expr::Binary { op: BinOp::Eq, left, right: r } = e else { continue };
-        for (a, b) in [(left, r), (r, left)] {
-            let Some(rc) = column_of(a, &right.binding, &right.table.schema) else { continue };
-            // Qualified reference required to bind to the right table when
-            // ambiguity is possible; column_of handles unqualified too, so
-            // check the other side binds to some left table.
-            for (bi, lb) in left_bindings.iter().enumerate() {
-                if let Some(lc) = column_of(b, &lb.binding, &lb.table.schema) {
-                    // Avoid self-binding when both sides resolve to right.
-                    if let Expr::Column { table: Some(t), .. } = &**b {
-                        if t.eq_ignore_ascii_case(&right.binding) {
-                            continue;
-                        }
-                    }
-                    out.push((bi, lc, rc));
-                    break;
-                }
-            }
-            break;
+    let mut built: HashMap<Vec<&Value>, Vec<&Row>> = HashMap::new();
+    for (_, r) in right {
+        built.entry(equi.iter().map(|(_, rc)| &r[*rc]).collect()).or_default().push(r);
+    }
+    let mut out = Vec::new();
+    for l in left {
+        let key: Vec<&Value> = equi.iter().map(|(slot, _)| &l[*slot]).collect();
+        for &r in built.get(&key).into_iter().flatten() {
+            out.push(concat(l, r));
         }
     }
     out
-}
-
-fn project(
-    sel: &Select,
-    bound: &[BoundTable],
-    bindings: &[(String, &TableSchema)],
-    tuples: &[Vec<Row>],
-    params: &[Value],
-) -> Result<(Vec<String>, Vec<Row>)> {
-    // Column headers.
-    let mut columns = Vec::new();
-    for (i, item) in sel.items.iter().enumerate() {
-        match item {
-            SelectItem::Wildcard => {
-                for b in bound {
-                    for c in &b.table.schema.columns {
-                        columns.push(c.name.clone());
-                    }
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column { name, .. } => name.clone(),
-                    _ => format!("col{}", i + 1),
-                });
-                columns.push(name);
-            }
-        }
-    }
-    let mut rows = Vec::with_capacity(tuples.len());
-    for t in tuples {
-        let trows: Vec<&Row> = t.iter().collect();
-        let scope = EvalScope::multi(bindings.to_vec(), trows, params);
-        let mut out = Vec::with_capacity(columns.len());
-        for item in &sel.items {
-            match item {
-                SelectItem::Wildcard => {
-                    for r in t {
-                        out.extend(r.iter().cloned());
-                    }
-                }
-                SelectItem::Expr { expr, .. } => out.push(eval(expr, &scope)?),
-            }
-        }
-        rows.push(out);
-    }
-    Ok((columns, rows))
 }
 
 // ---- Aggregation ----
@@ -724,291 +423,68 @@ impl Accumulator {
     }
 }
 
-/// Collect all aggregate sub-expressions of an expression.
-fn collect_aggs<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match e {
-        Expr::Agg { .. } => out.push(e),
-        Expr::Binary { left, right, .. } => {
-            collect_aggs(left, out);
-            collect_aggs(right, out);
-        }
-        Expr::Neg(x) | Expr::Not(x) => collect_aggs(x, out),
-        Expr::IsNull { expr, .. } => collect_aggs(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_aggs(expr, out);
-            for x in list {
-                collect_aggs(x, out);
-            }
-        }
-        Expr::Between { expr, low, high, .. } => {
-            collect_aggs(expr, out);
-            collect_aggs(low, out);
-            collect_aggs(high, out);
-        }
-        Expr::Func { args, .. } => {
-            for x in args {
-                collect_aggs(x, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Substitute computed aggregate values into an expression, then evaluate.
-fn eval_with_aggs(
-    e: &Expr,
-    agg_values: &HashMap<String, Value>,
-    group_scope: &EvalScope<'_>,
-) -> Result<Value> {
-    match e {
-        Expr::Agg { .. } => {
-            let key = format!("{e:?}");
-            agg_values
-                .get(&key)
-                .cloned()
-                .ok_or_else(|| SqlError::Eval("aggregate not computed".into()))
-        }
-        Expr::Binary { op, left, right } => {
-            // Rebuild as literals and reuse scalar eval for operator logic.
-            let l = eval_with_aggs(left, agg_values, group_scope)?;
-            let r = eval_with_aggs(right, agg_values, group_scope)?;
-            let rebuilt = Expr::Binary {
-                op: *op,
-                left: Box::new(Expr::Lit(l)),
-                right: Box::new(Expr::Lit(r)),
-            };
-            eval(&rebuilt, group_scope)
-        }
-        Expr::Neg(x) => {
-            let v = eval_with_aggs(x, agg_values, group_scope)?;
-            eval(&Expr::Neg(Box::new(Expr::Lit(v))), group_scope)
-        }
-        Expr::Func { name, args } => {
-            let vals = args
-                .iter()
-                .map(|a| eval_with_aggs(a, agg_values, group_scope).map(Expr::Lit))
-                .collect::<Result<Vec<_>>>()?;
-            eval(&Expr::Func { name: name.clone(), args: vals }, group_scope)
-        }
-        other => eval(other, group_scope),
-    }
-}
-
-fn aggregate(
-    sel: &Select,
-    bindings: &[(String, &TableSchema)],
-    tuples: &[Vec<Row>],
-    params: &[Value],
-) -> Result<(Vec<String>, Vec<Row>)> {
-    // Gather all aggregate expressions used anywhere in items/order-by.
-    let mut agg_exprs: Vec<&Expr> = Vec::new();
-    for item in &sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_aggs(expr, &mut agg_exprs);
-        }
-    }
-    for o in &sel.order_by {
-        collect_aggs(&o.expr, &mut agg_exprs);
-    }
-    // Deduplicate by structure.
-    let mut seen = std::collections::HashSet::new();
-    agg_exprs.retain(|e| seen.insert(format!("{e:?}")));
-
-    // Group tuples.
-    type GroupKey = Vec<Value>;
-    let mut groups: Vec<(GroupKey, Vec<Accumulator>, Vec<Row>)> = Vec::new();
-    let mut group_index: HashMap<GroupKey, usize> = HashMap::new();
-
+/// Group the tuples and return one row per group: the group's first tuple
+/// followed by the result of each of the plan's aggregate calls — the row
+/// the select list of a grouped query was bound against.
+fn aggregate(sel: &SelectPlan, tuples: Vec<Row>, params: &[Value]) -> Result<Vec<Row>> {
+    let accumulators =
+        || sel.aggs.iter().map(|a: &AggCall| Accumulator::new(a.distinct)).collect::<Vec<_>>();
+    let mut groups: Vec<(Row, Vec<Accumulator>)> = Vec::new();
+    let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
     for t in tuples {
-        let trows: Vec<&Row> = t.iter().collect();
-        let scope = EvalScope::multi(bindings.to_vec(), trows, params);
-        let key: GroupKey = sel
-            .group_by
-            .iter()
-            .map(|g| eval(g, &scope))
-            .collect::<Result<_>>()?;
-        let gi = *group_index.entry(key.clone()).or_insert_with(|| {
-            groups.push((
-                key.clone(),
-                agg_exprs
-                    .iter()
-                    .map(|e| match e {
-                        Expr::Agg { distinct, .. } => Accumulator::new(*distinct),
-                        _ => Accumulator::new(false),
-                    })
-                    .collect(),
-                t.clone(),
-            ));
-            groups.len() - 1
-        });
-        for (ai, aexpr) in agg_exprs.iter().enumerate() {
-            let Expr::Agg { arg, .. } = aexpr else { continue };
-            let v = match arg {
-                None => Value::Int(1), // COUNT(*)
-                Some(a) => eval(a, &scope)?,
-            };
-            groups[gi].1[ai].add(&v);
+        let scope = EvalScope::new(&t, params);
+        let key = sel.group_by.iter().map(|g| eval(g, &scope)).collect::<Result<Vec<_>>>()?;
+        let next = groups.len();
+        let gi = *group_index.entry(key).or_insert(next);
+        if gi == next {
+            groups.push((Vec::new(), accumulators()));
+        }
+        for (acc, call) in groups[gi].1.iter_mut().zip(&sel.aggs) {
+            match &call.arg {
+                None => acc.add(&Value::Int(1)), // COUNT(*)
+                Some(arg) => acc.add(&eval(arg, &scope)?),
+            }
+        }
+        if gi == next {
+            groups[gi].0 = t;
         }
     }
-
-    // Global aggregate over an empty input still yields one row.
+    // A global aggregate over an empty input still yields one row.
     if groups.is_empty() && sel.group_by.is_empty() {
-        groups.push((
-            Vec::new(),
-            agg_exprs
-                .iter()
-                .map(|e| match e {
-                    Expr::Agg { distinct, .. } => Accumulator::new(*distinct),
-                    _ => Accumulator::new(false),
-                })
-                .collect(),
-            Vec::new(),
-        ));
+        groups.push((vec![Value::Null; sel.width], accumulators()));
     }
-
-    // Headers.
-    let mut columns = Vec::new();
-    for (i, item) in sel.items.iter().enumerate() {
-        match item {
-            SelectItem::Wildcard => {
-                return Err(SqlError::Unsupported("* with GROUP BY".into()));
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column { name, .. } => name.clone(),
-                    _ => format!("col{}", i + 1),
-                });
-                columns.push(name);
-            }
-        }
-    }
-
-    // Emit one row per group.
-    let empty_rows: Vec<Row> = bindings.iter().map(|(_, s)| vec![Value::Null; s.arity()]).collect();
-    let mut rows = Vec::with_capacity(groups.len());
-    for (_, accs, representative) in &groups {
-        let rep: &Vec<Row> = if representative.is_empty() { &empty_rows } else { representative };
-        let trows: Vec<&Row> = rep.iter().collect();
-        let scope = EvalScope::multi(bindings.to_vec(), trows, params);
-        let mut agg_values = HashMap::new();
-        for (ai, aexpr) in agg_exprs.iter().enumerate() {
-            let Expr::Agg { func, .. } = aexpr else { continue };
-            agg_values.insert(format!("{aexpr:?}"), accs[ai].result(*func));
-        }
-        let mut out = Vec::with_capacity(sel.items.len());
-        for item in &sel.items {
-            let SelectItem::Expr { expr, .. } = item else { unreachable!() };
-            out.push(eval_with_aggs(expr, &agg_values, &scope)?);
-        }
-        rows.push(out);
-    }
-    Ok((columns, rows))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sort_rows(
-    sel: &Select,
-    columns: &[String],
-    rows: &mut [Row],
-    bindings: &[(String, &TableSchema)],
-    tuples: &[Vec<Row>],
-    has_agg: bool,
-    params: &[Value],
-) -> Result<()> {
-    // Build sort keys per output row.
-    let mut keys: Vec<Vec<(Value, bool)>> = Vec::with_capacity(rows.len());
-    for (ri, row) in rows.iter().enumerate() {
-        let mut key = Vec::with_capacity(sel.order_by.len());
-        for ob in &sel.order_by {
-            // 1. Output column by name/alias (qualification is dropped for
-            //    the lookup: in aggregate queries the output is the only
-            //    scope the sort can see).
-            let v = if let Expr::Column { name, .. } = &ob.expr {
-                columns
-                    .iter()
-                    .position(|c| c.eq_ignore_ascii_case(name))
-                    .map(|ci| row[ci].clone())
-            } else {
-                None
-            };
-            let v = match v {
-                Some(v) => v,
-                None if !has_agg && ri < tuples.len() => {
-                    let trows: Vec<&Row> = tuples[ri].iter().collect();
-                    let scope = EvalScope::multi(bindings.to_vec(), trows, params);
-                    eval(&ob.expr, &scope)?
-                }
-                None => {
-                    return Err(SqlError::Unsupported(
-                        "ORDER BY must reference output columns in aggregate queries".into(),
-                    ))
-                }
-            };
-            key.push((v, ob.desc));
-        }
-        keys.push(key);
-    }
-    // Sort rows by keys (stable).
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by(|&a, &b| {
-        for ((va, desc), (vb, _)) in keys[a].iter().zip(&keys[b]) {
-            let ord = va.cmp(vb);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    let sorted: Vec<Row> = order.iter().map(|&i| rows[i].clone()).collect();
-    rows.clone_from_slice(&sorted);
-    Ok(())
+    Ok(groups
+        .into_iter()
+        .map(|(mut row, accs)| {
+            row.extend(accs.iter().zip(&sel.aggs).map(|(acc, call)| acc.result(call.func)));
+            row
+        })
+        .collect())
 }
 
 // ---- UPDATE / DELETE ----
 
-fn exec_update(session: &mut Session, u: &Update, params: &[Value]) -> Result<StatementResult> {
-    let table = session.database().table(&u.table)?;
-    let info = analyze_predicates(u.where_clause.as_ref(), &u.table, &table.schema, params)?;
-    let candidates = fetch_candidates(session, &table, &info, true)?;
-    let set_positions: Vec<(usize, &Expr)> = u
-        .sets
-        .iter()
-        .map(|(c, e)| table.schema.column_index(c).map(|i| (i, e)).map_err(SqlError::from))
-        .collect::<Result<_>>()?;
-    let binding = u.table.to_ascii_lowercase();
+fn exec_write(session: &mut Session, w: &WritePlan, params: &[Value]) -> Result<StatementResult> {
+    let table = &w.access.table;
     let mut count = 0u64;
-    for (rid, row) in candidates {
-        let scope = EvalScope::single(&binding, &table.schema, &row, params);
-        if let Some(w) = &u.where_clause {
-            if !eval_filter(w, &scope)? {
+    for (rid, mut row) in fetch(session, &w.access, params, true)? {
+        let scope = EvalScope::new(&row, params);
+        if let Some(filter) = &w.filter {
+            if !eval_filter(filter, &scope)? {
                 continue;
             }
         }
-        let mut new_row = row.clone();
-        for (pos, expr) in &set_positions {
-            new_row[*pos] = eval(expr, &scope)?;
-        }
-        session.update(&table, rid, new_row)?;
-        count += 1;
-    }
-    Ok(StatementResult::Affected(count))
-}
-
-fn exec_delete(session: &mut Session, d: &Delete, params: &[Value]) -> Result<StatementResult> {
-    let table = session.database().table(&d.table)?;
-    let info = analyze_predicates(d.where_clause.as_ref(), &d.table, &table.schema, params)?;
-    let candidates = fetch_candidates(session, &table, &info, true)?;
-    let binding = d.table.to_ascii_lowercase();
-    let mut count = 0u64;
-    for (rid, row) in candidates {
-        let scope = EvalScope::single(&binding, &table.schema, &row, params);
-        if let Some(w) = &d.where_clause {
-            if !eval_filter(w, &scope)? {
-                continue;
+        match &w.sets {
+            Some(sets) => {
+                // Every new value sees the row as it was.
+                let values = sets.iter().map(|(_, e)| eval(e, &scope)).collect::<Result<Vec<_>>>()?;
+                for ((pos, _), v) in sets.iter().zip(values) {
+                    row[*pos] = v;
+                }
+                session.update(table, rid, row)?;
             }
+            None => session.delete(table, rid)?,
         }
-        session.delete(&table, rid)?;
         count += 1;
     }
     Ok(StatementResult::Affected(count))
@@ -1255,7 +731,7 @@ mod tests {
     fn wildcard_projection() {
         let mut c = conn();
         let rs = c.query("SELECT * FROM item WHERE i_id = 1", &[]).unwrap();
-        assert_eq!(rs.columns, vec!["i_id", "i_name", "i_price", "i_cat"]);
+        assert_eq!(*rs.columns, ["i_id", "i_name", "i_price", "i_cat"]);
         assert_eq!(rs.rows[0].len(), 4);
     }
 

@@ -5,70 +5,28 @@
 //! matches what the bundled benchmarks require (they never rely on
 //! three-valued edge cases).
 
-use bp_storage::{Row, TableSchema, Value};
+use bp_storage::Value;
 
 use crate::ast::{BinOp, Expr};
 use crate::error::{Result, SqlError};
 
-/// Name-resolution and row context for evaluation. Supports multiple bound
-/// tables (for joins); bindings are matched case-insensitively.
+/// What an expression is evaluated against: the current row — the joined
+/// tuple, or a group's representative followed by its aggregate results —
+/// and the statement parameters. Column references were resolved to
+/// positions in that row when the statement was bound ([`crate::plan`]).
 pub struct EvalScope<'a> {
-    bindings: Vec<(String, &'a TableSchema)>,
-    rows: Vec<&'a Row>,
+    row: &'a [Value],
     params: &'a [Value],
 }
 
 impl<'a> EvalScope<'a> {
+    pub fn new(row: &'a [Value], params: &'a [Value]) -> EvalScope<'a> {
+        EvalScope { row, params }
+    }
+
+    /// No row: literals and parameters only.
     pub fn empty(params: &'a [Value]) -> EvalScope<'a> {
-        EvalScope { bindings: Vec::new(), rows: Vec::new(), params }
-    }
-
-    pub fn single(
-        binding: &str,
-        schema: &'a TableSchema,
-        row: &'a Row,
-        params: &'a [Value],
-    ) -> EvalScope<'a> {
-        EvalScope {
-            bindings: vec![(binding.to_ascii_lowercase(), schema)],
-            rows: vec![row],
-            params,
-        }
-    }
-
-    pub fn multi(
-        bindings: Vec<(String, &'a TableSchema)>,
-        rows: Vec<&'a Row>,
-        params: &'a [Value],
-    ) -> EvalScope<'a> {
-        debug_assert_eq!(bindings.len(), rows.len());
-        EvalScope { bindings, rows, params }
-    }
-
-    /// Resolve a column reference to its current value.
-    pub fn column(&self, table: Option<&str>, name: &str) -> Result<Value> {
-        match table {
-            Some(t) => {
-                let t = t.to_ascii_lowercase();
-                for (i, (binding, schema)) in self.bindings.iter().enumerate() {
-                    if *binding == t {
-                        let idx = schema
-                            .column_index(name)
-                            .map_err(|_| SqlError::Binding(format!("{t}.{name}")))?;
-                        return Ok(self.rows[i][idx].clone());
-                    }
-                }
-                Err(SqlError::Binding(format!("{t}.{name}")))
-            }
-            None => {
-                for (i, (_, schema)) in self.bindings.iter().enumerate() {
-                    if let Ok(idx) = schema.column_index(name) {
-                        return Ok(self.rows[i][idx].clone());
-                    }
-                }
-                Err(SqlError::Binding(name.to_string()))
-            }
-        }
+        EvalScope { row: &[], params }
     }
 
     pub fn param(&self, i: usize) -> Result<Value> {
@@ -85,7 +43,13 @@ pub fn eval(expr: &Expr, scope: &EvalScope<'_>) -> Result<Value> {
     match expr {
         Expr::Lit(v) => Ok(v.clone()),
         Expr::Param(i) => scope.param(*i),
-        Expr::Column { table, name } => scope.column(table.as_deref(), name),
+        Expr::Slot(i) => Ok(scope.row[*i].clone()),
+        // A reference the binder could not resolve against the statement's
+        // tables fails when (and only when) a row reaches it.
+        Expr::Column { table: Some(t), name } => {
+            Err(SqlError::Binding(format!("{}.{name}", t.to_ascii_lowercase())))
+        }
+        Expr::Column { table: None, name } => Err(SqlError::Binding(name.clone())),
         Expr::Neg(e) => match eval(e, scope)? {
             Value::Int(i) => Ok(Value::Int(-i)),
             Value::Float(f) => Ok(Value::Float(-f)),
@@ -452,23 +416,6 @@ mod tests {
         assert_eq!(eval_str("SUBSTR('hello', 2, 3)", &[]).unwrap(), Value::Str("ell".into()));
         assert_eq!(eval_str("MOD(10, 3)", &[]).unwrap(), Value::Int(1));
         assert_eq!(eval_str("'a' || 'b' || 1", &[]).unwrap(), Value::Str("ab1".into()));
-    }
-
-    #[test]
-    fn column_resolution() {
-        use bp_storage::{Column, DataType, TableSchema};
-        let schema = TableSchema::new(
-            "t",
-            vec![Column::new("a", DataType::Int), Column::new("b", DataType::Str)],
-            &["a"],
-        )
-        .unwrap();
-        let row = vec![Value::Int(1), Value::Str("x".into())];
-        let scope = EvalScope::single("t", &schema, &row, &[]);
-        assert_eq!(scope.column(None, "a").unwrap(), Value::Int(1));
-        assert_eq!(scope.column(Some("T"), "B").unwrap(), Value::Str("x".into()));
-        assert!(scope.column(Some("z"), "a").is_err());
-        assert!(scope.column(None, "nope").is_err());
     }
 
     #[test]

@@ -13,6 +13,7 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod parser;
+mod plan;
 pub mod token;
 
 pub use connection::{Connection, Prepared};

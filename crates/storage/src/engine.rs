@@ -26,7 +26,7 @@ use crate::metrics::ServerMetrics;
 use crate::personality::{apply_delay, Personality};
 use crate::recovery::{
     encode_row, CheckpointStats, CrashPoint, RecoveryReport, RecoveryStats, RecoveryStatus,
-    RedoOp, RedoRecord,
+    RedoOp,
 };
 use crate::schema::{IndexDef, TableSchema};
 use crate::table::{RowId, Table};
@@ -59,8 +59,15 @@ pub struct Database {
     /// Bumped by every recovery; transactions begun under an older
     /// generation are stale and must not apply their undo.
     generation: AtomicU64,
+    /// Stamp of the current catalog shape; see [`Database::schema_version`].
+    schema_version: AtomicU64,
     recovery: Arc<RecoveryStats>,
 }
+
+/// Source of schema-version stamps. Process-wide, so no two databases (and
+/// no two catalog shapes of one database) ever share a stamp: a plan bound
+/// against one database can never pass for valid on another.
+static NEXT_SCHEMA_VERSION: AtomicU64 = AtomicU64::new(1);
 
 impl Database {
     pub fn new(personality: Personality) -> Arc<Database> {
@@ -92,8 +99,25 @@ impl Database {
             seed: AtomicU64::new(0x9E3779B97F4A7C15),
             crashed: AtomicBool::new(false),
             generation: AtomicU64::new(1),
+            schema_version: AtomicU64::new(NEXT_SCHEMA_VERSION.fetch_add(1, Ordering::Relaxed)),
             recovery: Arc::new(RecoveryStats::new()),
         })
+    }
+
+    /// Stamp identifying this database's current set of tables and indexes.
+    /// `create_table`, `create_index`, `drop_table` and `reset_schema`
+    /// replace it *after* the catalog changed, so anything derived from the
+    /// catalog (a bound statement plan) that read the stamp first and still
+    /// finds it unchanged is current. `recover()` and `truncate_all()`
+    /// rebuild tables in place and leave it alone.
+    pub fn schema_version(&self) -> u64 {
+        // Pairs with the Release store in `bump_schema_version`.
+        self.schema_version.load(Ordering::Acquire)
+    }
+
+    fn bump_schema_version(&self) {
+        self.schema_version
+            .store(NEXT_SCHEMA_VERSION.fetch_add(1, Ordering::Relaxed), Ordering::Release);
     }
 
     pub fn personality(&self) -> &Personality {
@@ -134,6 +158,7 @@ impl Database {
         let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
         cat.order.push(key.clone());
         cat.by_name.insert(key, Arc::new(Table::new(id, schema)));
+        self.bump_schema_version();
         Ok(())
     }
 
@@ -148,7 +173,9 @@ impl Database {
             table: t.schema.name.clone(),
             key_columns,
             unique,
-        })
+        })?;
+        self.bump_schema_version();
+        Ok(())
     }
 
     pub fn drop_table(&self, name: &str) -> Result<()> {
@@ -158,6 +185,7 @@ impl Database {
             .remove(&key)
             .ok_or_else(|| StorageError::NoSuchTable(name.to_string()))?;
         cat.order.retain(|n| *n != key);
+        self.bump_schema_version();
         Ok(())
     }
 
@@ -203,6 +231,7 @@ impl Database {
         let mut cat = self.catalog.write();
         cat.by_name.clear();
         cat.order.clear();
+        self.bump_schema_version();
         self.pool.clear();
         self.wal.reset_full();
         self.recovery.reset();
@@ -449,9 +478,8 @@ impl Session {
             let (lsn, wal_cost) = self.db.wal.commit(txn.wal_bytes, &self.db.metrics);
             cost += wal_cost;
             if !txn.redo.is_empty() {
-                let record = RedoRecord { lsn, txn: txn.id, ops: txn.redo.clone() }.encode();
                 let torn = crashpoint == Some(CrashPoint::AfterAppendBeforeFsync);
-                self.db.wal.append_redo(lsn, &record, torn);
+                self.db.wal.append_redo(lsn, txn.id, &txn.redo, torn);
                 if !torn {
                     self.db.recovery.note_durable(lsn);
                 }

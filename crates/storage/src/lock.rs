@@ -149,7 +149,8 @@ impl LockManager {
 
     /// Record a finished lock wait: the engine-wide counters plus the
     /// per-request span stage accumulator (drained by the worker loop).
-    fn note_wait(&self, wait_start: std::time::Instant) {
+    fn note_wait(&self, wait_start: Option<std::time::Instant>) {
+        let Some(wait_start) = wait_start else { return };
         let waited = wait_start.elapsed();
         self.metrics.record_lock_wait(waited);
         bp_obs::add_lock_wait_us(waited.as_micros() as u64);
@@ -176,8 +177,8 @@ impl LockManager {
         }
         let entry = self.entry(target);
         let mut state = entry.state.lock();
-        let mut waited = false;
-        let wait_start = std::time::Instant::now();
+        // Set when the first wait begins: an uncontended grant reads no clock.
+        let mut wait_start = None;
         loop {
             // Already hold something?
             if let Some(pos) = state.granted.iter().position(|(t, _)| *t == txn) {
@@ -192,18 +193,14 @@ impl LockManager {
                     .all(|(t, m)| *t == txn || mode.compatible(*m));
                 if others_ok {
                     state.granted[pos].1 = upgrade_result(held, mode);
-                    if waited {
-                        self.note_wait(wait_start);
-                    }
+                    self.note_wait(wait_start);
                     return Ok(true);
                 }
             } else {
                 let all_ok = state.granted.iter().all(|(_, m)| mode.compatible(*m));
                 if all_ok {
                     state.granted.push((txn, mode));
-                    if waited {
-                        self.note_wait(wait_start);
-                    }
+                    self.note_wait(wait_start);
                     return Ok(true);
                 }
             }
@@ -219,15 +216,13 @@ impl LockManager {
                 if holder < txn {
                     self.metrics.inc_deadlocks();
                     self.note_victim(txn, holder);
-                    if waited {
-                        self.note_wait(wait_start);
-                    }
+                    self.note_wait(wait_start);
                     return Err(StorageError::Deadlock { waiting_for: holder });
                 }
             }
 
             // Older than all conflicting holders: wait.
-            waited = true;
+            wait_start.get_or_insert_with(std::time::Instant::now);
             state.waiters += 1;
             let timed_out = entry
                 .cond

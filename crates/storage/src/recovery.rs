@@ -78,31 +78,51 @@ pub struct RedoRecord {
 
 // ---- binary codec ----
 //
-// Record layout: [len: u32][payload], where `len` counts the payload bytes
-// and the payload ends with an FNV-1a checksum over everything before it:
-//   payload = [lsn u64][txn u64][nops u32] op* [crc u32]
-//   op      = [tag u8][table u32][rowid u64] (row for insert/update)
-//   row     = [ncols u32] value*
+// Record layout: [len][payload], where `len` counts the payload bytes and
+// the payload ends with an FNV-1a checksum over everything before it:
+//   payload = [lsn][txn][nops] op* [crc u32]
+//   op      = [tag u8][table][rowid] (row for insert/update)
+//   row     = [ncols] value*
 //   value   = [tag u8] ...
-// All integers little-endian. A record whose bytes run out mid-payload or
-// whose checksum mismatches is *torn* and recovery truncates it.
+// Lengths, ids and counts are LEB128 varints, `Int` values zigzag varints;
+// the checksum and floats are fixed-width little-endian. A record whose
+// bytes run out mid-payload or whose checksum mismatches is *torn* and
+// recovery truncates it.
 
 const OP_INSERT: u8 = 1;
 const OP_UPDATE: u8 = 2;
 const OP_DELETE: u8 = 3;
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Smallest possible payload: one byte each of lsn, txn and op count, plus
+/// the checksum.
+const MIN_PAYLOAD: usize = 3 + 4;
+
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+fn get_varint(buf: &[u8], at: &mut usize) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = *buf.get(*at)?;
+        *at += 1;
+        v |= ((b & 0x7F) as u64) << shift;
+        if b & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
 }
 
-fn get_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
-    let b = buf.get(*at..*at + 4)?;
-    *at += 4;
-    Some(u32::from_le_bytes(b.try_into().ok()?))
+fn get_bytes<'a>(buf: &'a [u8], at: &mut usize) -> Option<&'a [u8]> {
+    let n = usize::try_from(get_varint(buf, at)?).ok()?;
+    let bytes = buf.get(*at..(*at).checked_add(n)?)?;
+    *at += n;
+    Some(bytes)
 }
 
 fn get_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
@@ -129,20 +149,20 @@ fn encode_value(buf: &mut Vec<u8>, v: &Value) {
         }
         Value::Int(i) => {
             buf.push(2);
-            put_u64(buf, *i as u64);
+            put_varint(buf, ((*i << 1) ^ (*i >> 63)) as u64);
         }
         Value::Float(f) => {
             buf.push(3);
-            put_u64(buf, f.to_bits());
+            buf.extend_from_slice(&f.to_bits().to_le_bytes());
         }
         Value::Str(s) => {
             buf.push(4);
-            put_u32(buf, s.len() as u32);
+            put_varint(buf, s.len() as u64);
             buf.extend_from_slice(s.as_bytes());
         }
         Value::Bytes(b) => {
             buf.push(5);
-            put_u32(buf, b.len() as u32);
+            put_varint(buf, b.len() as u64);
             buf.extend_from_slice(b);
         }
     }
@@ -158,73 +178,80 @@ fn decode_value(buf: &[u8], at: &mut usize) -> Option<Value> {
             *at += 1;
             Value::Bool(b != 0)
         }
-        2 => Value::Int(get_u64(buf, at)? as i64),
+        2 => {
+            let z = get_varint(buf, at)?;
+            Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
+        }
         3 => Value::Float(f64::from_bits(get_u64(buf, at)?)),
-        4 => {
-            let n = get_u32(buf, at)? as usize;
-            let bytes = buf.get(*at..*at + n)?;
-            *at += n;
-            Value::Str(String::from_utf8(bytes.to_vec()).ok()?)
-        }
-        5 => {
-            let n = get_u32(buf, at)? as usize;
-            let bytes = buf.get(*at..*at + n)?;
-            *at += n;
-            Value::Bytes(bytes.to_vec())
-        }
+        4 => Value::Str(String::from_utf8(get_bytes(buf, at)?.to_vec()).ok()?),
+        5 => Value::Bytes(get_bytes(buf, at)?.to_vec()),
         _ => return None,
     })
 }
 
 /// Canonically encode one row (also used by [`crate::Database::state_digest`]).
 pub fn encode_row(buf: &mut Vec<u8>, row: &Row) {
-    put_u32(buf, row.len() as u32);
+    put_varint(buf, row.len() as u64);
     for v in row {
         encode_value(buf, v);
     }
 }
 
 fn decode_row(buf: &[u8], at: &mut usize) -> Option<Row> {
-    let n = get_u32(buf, at)? as usize;
-    let mut row = Vec::with_capacity(n);
+    let n = get_varint(buf, at)?;
+    // Every value takes at least its tag byte, so a count the remaining
+    // bytes cannot hold is a torn record, not an allocation size.
+    if n > (buf.len() - *at) as u64 {
+        return None;
+    }
+    let mut row = Vec::with_capacity(n as usize);
     for _ in 0..n {
         row.push(decode_value(buf, at)?);
     }
     Some(row)
 }
 
+/// Append one commit's redo record to `buf` and return its encoded length.
+/// The engine encodes straight from the transaction's op list into the open
+/// log segment; nothing is copied on the way.
+pub fn encode_record(buf: &mut Vec<u8>, lsn: u64, txn: u64, ops: &[RedoOp]) -> usize {
+    let start = buf.len();
+    // The length prefix is a varint too; one byte covers payloads under
+    // 128 B, which is every short transaction.
+    buf.push(0);
+    put_varint(buf, lsn);
+    put_varint(buf, txn);
+    put_varint(buf, ops.len() as u64);
+    for op in ops {
+        let (tag, table, rowid, row) = match op {
+            RedoOp::Insert { table, rowid, row } => (OP_INSERT, table, rowid, Some(row)),
+            RedoOp::Update { table, rowid, row } => (OP_UPDATE, table, rowid, Some(row)),
+            RedoOp::Delete { table, rowid } => (OP_DELETE, table, rowid, None),
+        };
+        buf.push(tag);
+        put_varint(buf, *table as u64);
+        put_varint(buf, *rowid);
+        if let Some(row) = row {
+            encode_row(buf, row);
+        }
+    }
+    let crc = fnv1a(&buf[start + 1..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    let len = buf.len() - start - 1;
+    if len < 0x80 {
+        buf[start] = len as u8;
+    } else {
+        let mut prefix = Vec::new();
+        put_varint(&mut prefix, len as u64);
+        buf.splice(start..=start, prefix);
+    }
+    buf.len() - start
+}
+
 impl RedoRecord {
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64);
-        put_u64(&mut payload, self.lsn);
-        put_u64(&mut payload, self.txn);
-        put_u32(&mut payload, self.ops.len() as u32);
-        for op in &self.ops {
-            match op {
-                RedoOp::Insert { table, rowid, row } => {
-                    payload.push(OP_INSERT);
-                    put_u32(&mut payload, *table);
-                    put_u64(&mut payload, *rowid);
-                    encode_row(&mut payload, row);
-                }
-                RedoOp::Update { table, rowid, row } => {
-                    payload.push(OP_UPDATE);
-                    put_u32(&mut payload, *table);
-                    put_u64(&mut payload, *rowid);
-                    encode_row(&mut payload, row);
-                }
-                RedoOp::Delete { table, rowid } => {
-                    payload.push(OP_DELETE);
-                    put_u32(&mut payload, *table);
-                    put_u64(&mut payload, *rowid);
-                }
-            }
-        }
-        let crc = fnv1a(&payload);
-        put_u32(&mut payload, crc);
-        let mut out = Vec::with_capacity(4 + payload.len());
-        put_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(&payload);
+        let mut out = Vec::with_capacity(64);
+        encode_record(&mut out, self.lsn, self.txn, &self.ops);
         out
     }
 }
@@ -240,54 +267,38 @@ pub enum Decoded {
 /// Decode the record starting at `at`. Returns [`Decoded::Torn`] when the
 /// remaining bytes cannot hold a complete, checksum-valid record.
 pub fn decode_record(buf: &[u8], at: usize) -> Decoded {
+    decode_complete(buf, at).map_or(Decoded::Torn, |(rec, used)| Decoded::Record(rec, used))
+}
+
+fn decode_complete(buf: &[u8], at: usize) -> Option<(RedoRecord, usize)> {
     let mut pos = at;
-    let Some(len) = get_u32(buf, &mut pos) else {
-        return Decoded::Torn;
-    };
-    let len = len as usize;
-    if buf.len() < pos + len || len < 24 {
-        return Decoded::Torn;
+    let payload = get_bytes(buf, &mut pos)?;
+    let len = payload.len();
+    if len < MIN_PAYLOAD {
+        return None;
     }
-    let payload = &buf[pos..pos + len];
-    let stored_crc = u32::from_le_bytes(payload[len - 4..].try_into().unwrap());
-    if fnv1a(&payload[..len - 4]) != stored_crc {
-        return Decoded::Torn;
+    let (body, crc) = payload.split_at(len - 4);
+    if fnv1a(body).to_le_bytes() != crc {
+        return None;
     }
     let mut p = 0usize;
-    let (Some(lsn), Some(txn), Some(nops)) = (
-        get_u64(payload, &mut p),
-        get_u64(payload, &mut p),
-        get_u32(payload, &mut p),
-    ) else {
-        return Decoded::Torn;
-    };
-    let mut ops = Vec::with_capacity(nops as usize);
+    let lsn = get_varint(body, &mut p)?;
+    let txn = get_varint(body, &mut p)?;
+    let nops = get_varint(body, &mut p)?;
+    let mut ops = Vec::new();
     for _ in 0..nops {
-        let Some(&tag) = payload.get(p) else {
-            return Decoded::Torn;
-        };
+        let tag = *body.get(p)?;
         p += 1;
-        let (Some(table), Some(rowid)) = (get_u32(payload, &mut p), get_u64(payload, &mut p))
-        else {
-            return Decoded::Torn;
-        };
-        let op = match tag {
-            OP_INSERT | OP_UPDATE => {
-                let Some(row) = decode_row(payload, &mut p) else {
-                    return Decoded::Torn;
-                };
-                if tag == OP_INSERT {
-                    RedoOp::Insert { table, rowid, row }
-                } else {
-                    RedoOp::Update { table, rowid, row }
-                }
-            }
+        let table = u32::try_from(get_varint(body, &mut p)?).ok()?;
+        let rowid = get_varint(body, &mut p)?;
+        ops.push(match tag {
+            OP_INSERT => RedoOp::Insert { table, rowid, row: decode_row(body, &mut p)? },
+            OP_UPDATE => RedoOp::Update { table, rowid, row: decode_row(body, &mut p)? },
             OP_DELETE => RedoOp::Delete { table, rowid },
-            _ => return Decoded::Torn,
-        };
-        ops.push(op);
+            _ => return None,
+        });
     }
-    Decoded::Record(RedoRecord { lsn, txn, ops }, 4 + len)
+    Some((RedoRecord { lsn, txn, ops }, pos - at))
 }
 
 /// A materialized table image: committed rows keyed by `(table id, rowid)`.
@@ -506,6 +517,44 @@ mod tests {
             }
             Decoded::Torn => panic!("complete record decoded as torn"),
         }
+    }
+
+    #[test]
+    fn varint_edges_and_long_records_round_trip() {
+        let ints = [0, 1, -1, 63, -64, 64, i64::MAX, i64::MIN];
+        let rec = RedoRecord {
+            lsn: u64::MAX,
+            txn: 1 << 40,
+            ops: vec![
+                RedoOp::Insert { table: u32::MAX, rowid: u64::MAX, row: ints.map(Value::Int).to_vec() },
+                // Pushes the payload past one and two length-prefix bytes.
+                RedoOp::Update { table: 1, rowid: 2, row: vec![Value::Bytes(vec![7; 20_000])] },
+            ],
+        };
+        let mut buf = vec![0xAA; 3];
+        let len = encode_record(&mut buf, rec.lsn, rec.txn, &rec.ops);
+        assert_eq!(buf.len(), 3 + len);
+        match decode_record(&buf, 3) {
+            Decoded::Record(got, consumed) => {
+                assert_eq!(got, rec);
+                assert_eq!(consumed, len);
+            }
+            Decoded::Torn => panic!("complete record decoded as torn"),
+        }
+    }
+
+    #[test]
+    fn short_transaction_record_is_compact() {
+        // One update of a two-column row (a smallbank balance change) after
+        // a million commits: the fixed-width form took 63 bytes.
+        let ops = [RedoOp::Update {
+            table: 3,
+            rowid: 250_000,
+            row: vec![Value::Int(250_000), Value::Float(1234.5)],
+        }];
+        let mut buf = Vec::new();
+        let len = encode_record(&mut buf, 1_000_000, 1_000_123, &ops);
+        assert!(len <= 33, "{len} bytes");
     }
 
     #[test]

@@ -259,10 +259,9 @@ impl Table {
 
     /// Primary-key range scan (over pk order).
     pub fn pk_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, limit: usize) -> Vec<RowId> {
+        let Some(range) = key_range(lo, hi) else { return Vec::new() };
         let d = self.data.read();
-        let lo = map_bound(lo);
-        let hi = map_bound(hi);
-        d.pk.range((lo, hi)).take(limit).map(|(_, r)| *r).collect()
+        d.pk.range(range).take(limit).map(|(_, r)| *r).collect()
     }
 
     /// Rows whose primary key starts with `prefix` (composite-PK prefix).
@@ -303,10 +302,9 @@ impl Table {
     ) -> Result<Vec<RowId>> {
         let d = self.data.read();
         let pos = Self::index_pos(&d, index)?;
-        let lo = map_bound(lo);
-        let hi = map_bound(hi);
         let mut out = Vec::new();
-        for (_, rowids) in d.indexes[pos].map.range((lo, hi)) {
+        let Some(range) = key_range(lo, hi) else { return Ok(out) };
+        for (_, rowids) in d.indexes[pos].map.range(range) {
             for r in rowids {
                 if out.len() >= limit {
                     return Ok(out);
@@ -415,12 +413,19 @@ impl Table {
     }
 }
 
-fn map_bound(b: KeyBound<'_>) -> Bound<Vec<Value>> {
-    match b {
-        Bound::Included(k) => Bound::Included(k.to_vec()),
-        Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
-        Bound::Unbounded => Bound::Unbounded,
-    }
+type OwnedKeyBound = Bound<Vec<Value>>;
+
+/// The owned range to hand to `BTreeMap::range`, or `None` for bounds that
+/// select nothing because they are the wrong way round (`k >= 9 AND k < 3`
+/// with caller-supplied values) — which `BTreeMap::range` panics on.
+fn key_range(lo: KeyBound<'_>, hi: KeyBound<'_>) -> Option<(OwnedKeyBound, OwnedKeyBound)> {
+    let inverted = match (lo, hi) {
+        (Bound::Excluded(a), Bound::Excluded(b)) => a >= b,
+        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => a > b,
+        _ => false,
+    };
+    let owned = |b: KeyBound<'_>| b.map(<[Value]>::to_vec);
+    (!inverted).then(|| (owned(lo), owned(hi)))
 }
 
 #[cfg(test)]
@@ -449,6 +454,30 @@ mod tests {
         })
         .unwrap();
         t
+    }
+
+    #[test]
+    fn inverted_ranges_are_empty() {
+        let t = table();
+        for id in 0..10 {
+            t.insert(row(id, id % 2, "x")).unwrap();
+        }
+        t.add_index(IndexDef { name: "by_grp".into(), table: "t".into(), key_columns: vec![1], unique: false })
+            .unwrap();
+        let (three, nine) = ([Value::Int(3)], [Value::Int(9)]);
+        fn inc(k: &[Value; 1]) -> KeyBound<'_> {
+            Bound::Included(k)
+        }
+        fn exc(k: &[Value; 1]) -> KeyBound<'_> {
+            Bound::Excluded(k)
+        }
+        assert_eq!(t.pk_range(inc(&three), exc(&nine), usize::MAX).len(), 6);
+        for (lo, hi) in [(inc(&nine), exc(&three)), (inc(&nine), inc(&three)), (exc(&three), exc(&three))] {
+            assert!(t.pk_range(lo, hi, usize::MAX).is_empty());
+            assert!(t.index_range("by_grp", lo, hi, usize::MAX).unwrap().is_empty());
+        }
+        assert_eq!(t.pk_range(inc(&three), inc(&three), usize::MAX).len(), 1);
+        assert!(t.pk_range(inc(&three), exc(&three), usize::MAX).is_empty());
     }
 
     fn row(id: i64, grp: i64, name: &str) -> Row {

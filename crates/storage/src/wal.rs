@@ -15,7 +15,8 @@ use bp_util::sync::Mutex;
 
 use crate::metrics::ServerMetrics;
 use crate::recovery::{
-    apply_record, decode_record, Checkpoint, CheckpointStats, Decoded, TableImage,
+    apply_record, decode_record, encode_record, Checkpoint, CheckpointStats, Decoded, RedoOp,
+    TableImage,
 };
 
 /// Default log-segment size; crossing it rotates to a new segment and
@@ -166,26 +167,28 @@ impl Wal {
         self.next_lsn.load(Ordering::Relaxed)
     }
 
-    /// Append one encoded redo record for `lsn`. With `torn` the record is
-    /// cut mid-payload — the shape a crash between append and fsync leaves
-    /// behind — and the durable watermark does not advance.
-    pub fn append_redo(&self, lsn: u64, record: &[u8], torn: bool) {
+    /// Encode one commit's redo record for `lsn` straight into the open
+    /// segment. With `torn` the record is cut mid-payload — the shape a
+    /// crash between append and fsync leaves behind — and the durable
+    /// watermark does not advance.
+    pub fn append_redo(&self, lsn: u64, txn: u64, ops: &[RedoOp], torn: bool) {
         let mut redo = self.redo.lock();
-        let open_new = match redo.segments.last() {
-            None => true,
-            Some(seg) => {
-                !seg.bytes.is_empty()
-                    && (seg.bytes.len() + record.len()) as u64 > self.segment_limit
-            }
-        };
-        if open_new {
+        if redo.segments.is_empty() {
             redo.segments.push(RedoSegment { base_lsn: lsn, bytes: Vec::new() });
         }
         let seg = redo.segments.last_mut().expect("segment just ensured");
+        let start = seg.bytes.len();
+        let len = encode_record(&mut seg.bytes, lsn, txn, ops);
         if torn {
-            seg.bytes.extend_from_slice(&record[..record.len() / 2]);
-        } else {
-            seg.bytes.extend_from_slice(record);
+            seg.bytes.truncate(start + len / 2);
+        }
+        // A record that would overflow a segment already holding others
+        // opens the next one instead.
+        if start > 0 && (start + len) as u64 > self.segment_limit {
+            let bytes = seg.bytes.split_off(start);
+            redo.segments.push(RedoSegment { base_lsn: lsn, bytes });
+        }
+        if !torn {
             redo.durable_lsn = lsn;
         }
     }
@@ -438,7 +441,7 @@ mod tests {
         }
         assert!(wal.current_lsn() > 1);
         assert!(wal.segments_rotated() > 0);
-        wal.append_redo(1, &[1, 2, 3, 4], false);
+        wal.append_redo(1, 1, &[RedoOp::Delete { table: 1, rowid: 0 }], false);
         wal.reset_full();
         assert_eq!(wal.current_lsn(), 1, "LSN counter rewound");
         assert_eq!(wal.segments_rotated(), 0, "rotation counter rewound");
@@ -449,18 +452,13 @@ mod tests {
 
     #[test]
     fn redo_append_checkpoint_and_recovery_round_trip() {
-        use crate::recovery::{RedoOp, RedoRecord};
         use crate::value::Value;
         let m = ServerMetrics::new();
         let wal = Wal::new(0, 0.0, 0.0);
         for i in 0..4u64 {
             let (lsn, _) = wal.commit(32, &m);
-            let rec = RedoRecord {
-                lsn,
-                txn: i,
-                ops: vec![RedoOp::Insert { table: 1, rowid: i, row: vec![Value::Int(i as i64)] }],
-            };
-            wal.append_redo(lsn, &rec.encode(), false);
+            let ops = [RedoOp::Insert { table: 1, rowid: i, row: vec![Value::Int(i as i64)] }];
+            wal.append_redo(lsn, i, &ops, false);
         }
         let cp = wal.take_checkpoint();
         assert_eq!(cp.records_applied, 4);
@@ -468,19 +466,9 @@ mod tests {
         assert_eq!(cp.lsn, 4);
         // Two more commits after the checkpoint, the last one torn.
         let (lsn, _) = wal.commit(32, &m);
-        let rec = RedoRecord {
-            lsn,
-            txn: 10,
-            ops: vec![RedoOp::Delete { table: 1, rowid: 0 }],
-        };
-        wal.append_redo(lsn, &rec.encode(), false);
+        wal.append_redo(lsn, 10, &[RedoOp::Delete { table: 1, rowid: 0 }], false);
         let (lsn2, _) = wal.commit(32, &m);
-        let rec2 = RedoRecord {
-            lsn: lsn2,
-            txn: 11,
-            ops: vec![RedoOp::Delete { table: 1, rowid: 1 }],
-        };
-        wal.append_redo(lsn2, &rec2.encode(), true);
+        wal.append_redo(lsn2, 11, &[RedoOp::Delete { table: 1, rowid: 1 }], true);
         let image = wal.recovered_image();
         assert_eq!(image.checkpoint_lsn, 4);
         assert_eq!(image.replayed_records, 1, "only the complete tail record replays");
@@ -494,22 +482,13 @@ mod tests {
 
     #[test]
     fn redo_segments_rotate_by_size() {
-        use crate::recovery::{RedoOp, RedoRecord};
         use crate::value::Value;
         let m = ServerMetrics::new();
         let wal = Wal::new(0, 0.0, 0.0).with_segment_bytes(128);
         for i in 0..8u64 {
             let (lsn, _) = wal.commit(64, &m);
-            let rec = RedoRecord {
-                lsn,
-                txn: i,
-                ops: vec![RedoOp::Insert {
-                    table: 1,
-                    rowid: i,
-                    row: vec![Value::Str("x".repeat(40))],
-                }],
-            };
-            wal.append_redo(lsn, &rec.encode(), false);
+            let ops = [RedoOp::Insert { table: 1, rowid: i, row: vec![Value::Str("x".repeat(40))] }];
+            wal.append_redo(lsn, i, &ops, false);
         }
         {
             let redo = wal.redo.lock();

@@ -114,6 +114,29 @@ pub fn sim_clock() -> (Arc<SimClock>, SharedClock) {
     (c.clone(), c as SharedClock)
 }
 
+/// Ask the kernel to end the calling thread's timed waits when they are due.
+///
+/// Linux rounds every sleep and timed condvar wait of a normal thread up by
+/// its *timer slack*, 50 µs unless changed, so that nearby expiries share
+/// one interrupt. A terminal waiting on the rate gate sleeps for tens of µs
+/// at a time; with the slack, two terminals waiting for the same dispatch
+/// slot wake together and a whole spacing late, find two requests due and
+/// run them at once. The slack is a per-thread setting in procfs; where the
+/// file is missing (another OS, a locked-down `/proc`) this does nothing.
+pub fn exact_timers() {
+    if let Some(file) = timer_slack_file() {
+        let _ = std::fs::write(file, "1");
+    }
+}
+
+/// The calling thread's timer-slack setting in procfs, if there is a procfs.
+/// "/proc/thread-self" links to "<pid>/task/<tid>"; the setting itself lives
+/// under "/proc/<tid>", which resolves for any thread.
+fn timer_slack_file() -> Option<std::path::PathBuf> {
+    let link = std::fs::read_link("/proc/thread-self").ok()?;
+    Some(std::path::Path::new("/proc").join(link.file_name()?).join("timerslack_ns"))
+}
+
 /// Format a microsecond duration as a human-readable string.
 pub fn fmt_micros(us: Micros) -> String {
     if us >= MICROS_PER_SEC {
@@ -167,6 +190,18 @@ mod tests {
         assert_eq!(clock.now(), 100);
         clock.sleep_until(250);
         assert_eq!(clock.now(), 250);
+    }
+
+    #[test]
+    fn exact_timers_sets_the_calling_thread_only() {
+        let slack = || timer_slack_file().and_then(|f| std::fs::read_to_string(f).ok());
+        let Some(before) = slack() else { return }; // no procfs: nothing to set
+        let inside = std::thread::spawn(move || {
+            exact_timers();
+            slack()
+        });
+        assert_eq!(inside.join().unwrap().as_deref().map(str::trim), Some("1"));
+        assert_eq!(slack(), Some(before), "the spawning thread keeps its own setting");
     }
 
     #[test]

@@ -129,11 +129,16 @@ mod tests {
                 .setup(&mut conn, 0.1, &mut rng)
                 .unwrap_or_else(|e| panic!("{} setup failed: {e}", w.name()));
             assert!(summary.rows > 0, "{} loaded no rows", w.name());
-            for idx in 0..w.transaction_types().len() {
-                for _ in 0..3 {
-                    w.execute(idx, &mut conn, &mut rng)
-                        .unwrap_or_else(|e| panic!("{} txn {idx} failed: {e}", w.name()));
-                    assert!(!conn.in_transaction(), "{} txn {idx} left txn open", w.name());
+            // Two passes on one connection: in the second, every statement
+            // is replayed from the connection's statement cache.
+            for pass in 0..2 {
+                for idx in 0..w.transaction_types().len() {
+                    for _ in 0..3 {
+                        w.execute(idx, &mut conn, &mut rng).unwrap_or_else(|e| {
+                            panic!("{} txn {idx} failed in pass {pass}: {e}", w.name())
+                        });
+                        assert!(!conn.in_transaction(), "{} txn {idx} left txn open", w.name());
+                    }
                 }
             }
         }

@@ -26,6 +26,9 @@ BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench span_overhead
 echo "== chaos gate bench (smoke: asserts <5ns disarmed probe) =="
 BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench chaos_gate
 
+echo "== sql bench (smoke: asserts statement text costs <= 1.15x the prepared path) =="
+BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench storage_engine
+
 echo "== resilience: fault injection + breaker dip-and-recovery over HTTP =="
 cargo test -q --offline --test resilience
 cargo run -q --release --offline -p bp-bench --bin harness resilience
@@ -55,6 +58,10 @@ cargo run -q --release --offline -p bp-bench --bin harness cluster
 echo "== trace: tail sampling retention + exemplar → /cluster/trace resolution =="
 cargo test -q --offline -p bp-obs span
 cargo run -q --release --offline -p bp-bench --bin harness trace
+
+echo "== repo benchmark: perf/ builds against the crates, its tests and output checks pass =="
+cargo test -q --release --offline --manifest-path perf/Cargo.toml
+cargo run -q --release --offline --manifest-path perf/Cargo.toml -- check
 
 if command -v cargo-clippy >/dev/null 2>&1 || cargo clippy --version >/dev/null 2>&1; then
     echo "== cargo clippy --all-targets -- -D warnings =="

@@ -26,54 +26,71 @@ fn concurrent_transfers_conserve_total() {
     }
     let expected_total = ACCOUNTS * 1000;
 
-    let handles: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                let mut conn = Connection::open(&db);
-                let mut rng = Rng::new(t as u64 + 1);
-                let mut done = 0;
-                while done < TRANSFERS {
-                    let a = rng.int_range(0, ACCOUNTS - 1);
-                    let b = rng.int_range(0, ACCOUNTS - 1);
-                    if a == b {
-                        continue;
-                    }
-                    let amount = rng.int_range(1, 50);
-                    let result = (|| -> benchpress::sql::Result<()> {
-                        conn.begin()?;
-                        let bal = conn
-                            .query("SELECT bal FROM acct WHERE id = ? FOR UPDATE", &[Value::Int(a)])?
-                            .get_int(0, "bal")
-                            .unwrap_or(0);
-                        if bal >= amount {
-                            conn.execute(
-                                "UPDATE acct SET bal = bal - ? WHERE id = ?",
-                                &[Value::Int(amount), Value::Int(a)],
-                            )?;
-                            conn.execute(
-                                "UPDATE acct SET bal = bal + ? WHERE id = ?",
-                                &[Value::Int(amount), Value::Int(b)],
-                            )?;
+    // A transfer takes microseconds, so a fixed number of them can finish
+    // without two threads ever meeting on a row. The test is only
+    // meaningful under real contention: start each round's threads together
+    // and run rounds until the lock manager has seen some.
+    let contended = || {
+        let m = db.metrics().snapshot();
+        m.deadlocks > 0 || m.lock_waits > 0
+    };
+    for round in 0u64.. {
+        assert!(round < 200, "no contention observed");
+        let start = std::sync::Arc::new(std::sync::Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let db = db.clone();
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    let mut conn = Connection::open(&db);
+                    let mut rng = Rng::new(round * THREADS as u64 + t as u64 + 1);
+                    start.wait();
+                    let mut done = 0;
+                    while done < TRANSFERS {
+                        let a = rng.int_range(0, ACCOUNTS - 1);
+                        let b = rng.int_range(0, ACCOUNTS - 1);
+                        if a == b {
+                            continue;
                         }
-                        conn.commit()?;
-                        Ok(())
-                    })();
-                    match result {
-                        Ok(()) => done += 1,
-                        Err(e) if e.is_retryable() => {
-                            if conn.in_transaction() {
-                                let _ = conn.rollback();
+                        let amount = rng.int_range(1, 50);
+                        let result = (|| -> benchpress::sql::Result<()> {
+                            conn.begin()?;
+                            let bal = conn
+                                .query("SELECT bal FROM acct WHERE id = ? FOR UPDATE", &[Value::Int(a)])?
+                                .get_int(0, "bal")
+                                .unwrap_or(0);
+                            if bal >= amount {
+                                conn.execute(
+                                    "UPDATE acct SET bal = bal - ? WHERE id = ?",
+                                    &[Value::Int(amount), Value::Int(a)],
+                                )?;
+                                conn.execute(
+                                    "UPDATE acct SET bal = bal + ? WHERE id = ?",
+                                    &[Value::Int(amount), Value::Int(b)],
+                                )?;
                             }
+                            conn.commit()?;
+                            Ok(())
+                        })();
+                        match result {
+                            Ok(()) => done += 1,
+                            Err(e) if e.is_retryable() => {
+                                if conn.in_transaction() {
+                                    let _ = conn.rollback();
+                                }
+                            }
+                            Err(e) => panic!("thread {t}: {e}"),
                         }
-                        Err(e) => panic!("thread {t}: {e}"),
                     }
-                }
+                })
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        if contended() {
+            break;
+        }
     }
 
     let total = setup
@@ -86,9 +103,6 @@ fn concurrent_transfers_conserve_total() {
         .query("SELECT COUNT(*) AS n FROM acct WHERE bal < 0", &[])
         .unwrap();
     assert_eq!(negative.get_int(0, "n"), Some(0));
-    // Aborts happened (the test is only meaningful under real contention).
-    let m = db.metrics().snapshot();
-    assert!(m.deadlocks > 0 || m.lock_waits > 0, "no contention observed");
 }
 
 /// Index consistency after concurrent insert/update/delete chaos: every
@@ -113,44 +127,44 @@ fn secondary_index_consistent_after_chaos() {
     }
 
     let handles: Vec<_> = (0..4usize)
-        .map(|t| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                let mut conn = Connection::open(&db);
-                let mut rng = Rng::new(100 + t as u64);
-                let mut next_id = 1_000 + (t as i64) * 10_000;
-                for _ in 0..200 {
-                    let op = rng.int_range(0, 2);
-                    let r = match op {
-                        0 => {
-                            next_id += 1;
-                            conn.execute(
-                                "INSERT INTO t VALUES (?, ?, 0)",
-                                &[Value::Int(next_id), Value::Int(rng.int_range(0, 9))],
-                            )
-                        }
-                        1 => conn.execute(
-                            "UPDATE t SET grp = ? WHERE id = ?",
-                            &[Value::Int(rng.int_range(0, 9)), Value::Int(rng.int_range(0, 199))],
-                        ),
-                        _ => conn.execute(
-                            "DELETE FROM t WHERE id = ?",
-                            &[Value::Int(rng.int_range(0, 199))],
-                        ),
-                    };
-                    match r {
-                        Ok(_) => {}
-                        Err(e) if e.is_retryable() => {
-                            if conn.in_transaction() {
-                                let _ = conn.rollback();
+            .map(|t| {
+                let db = db.clone();
+                std::thread::spawn(move || {
+                    let mut conn = Connection::open(&db);
+                    let mut rng = Rng::new(100 + t as u64);
+                    let mut next_id = 1_000 + (t as i64) * 10_000;
+                    for _ in 0..200 {
+                        let op = rng.int_range(0, 2);
+                        let r = match op {
+                            0 => {
+                                next_id += 1;
+                                conn.execute(
+                                    "INSERT INTO t VALUES (?, ?, 0)",
+                                    &[Value::Int(next_id), Value::Int(rng.int_range(0, 9))],
+                                )
                             }
+                            1 => conn.execute(
+                                "UPDATE t SET grp = ? WHERE id = ?",
+                                &[Value::Int(rng.int_range(0, 9)), Value::Int(rng.int_range(0, 199))],
+                            ),
+                            _ => conn.execute(
+                                "DELETE FROM t WHERE id = ?",
+                                &[Value::Int(rng.int_range(0, 199))],
+                            ),
+                        };
+                        match r {
+                            Ok(_) => {}
+                            Err(e) if e.is_retryable() => {
+                                if conn.in_transaction() {
+                                    let _ = conn.rollback();
+                                }
+                            }
+                            Err(e) => panic!("{e}"),
                         }
-                        Err(e) => panic!("{e}"),
                     }
-                }
+                })
             })
-        })
-        .collect();
+            .collect();
     for h in handles {
         h.join().unwrap();
     }
