@@ -1,6 +1,7 @@
 //! The API router: endpoints, request/response model and handlers.
 
 use std::collections::HashMap;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use bp_util::sync::RwLock;
@@ -173,7 +174,7 @@ fn status_json(st: &StatusSnapshot) -> Json {
 
 /// Look up a `key=value` pair in a raw query string (no percent-decoding —
 /// the API's parameters are all simple tokens).
-fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
+pub fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     query
         .split('&')
         .filter_map(|kv| kv.split_once('='))
@@ -181,17 +182,18 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
         .map(|(_, v)| v)
 }
 
-/// Strict `?last=N` parsing: absent falls back to `default`; present but
-/// non-numeric, negative, or overflowing is a 400 (not a silent default —
-/// a typo'd `last=1e4` silently returning 100 events is a debugging trap).
-fn parse_last(query: &str, default: usize) -> Result<usize, Response> {
-    match query_param(query, "last") {
-        None => Ok(default),
-        Some(v) => v.parse::<usize>().map_err(|_| {
-            Response::error(400, &format!("invalid last={v}: must be a non-negative integer"))
-        }),
-    }
+/// Strict query parameter: absent is `Ok(None)`; present but not a valid `T`
+/// is a 400 whose message ends in `expects` (not a silent default — a
+/// typo'd `last=1e4` silently returning 100 events is a debugging trap).
+fn param<T: FromStr>(query: &str, key: &str, expects: &str) -> Result<Option<T>, Response> {
+    query_param(query, key)
+        .map(|v| {
+            v.parse().map_err(|_| Response::error(400, &format!("invalid {key}={v}{expects}")))
+        })
+        .transpose()
 }
+
+const EXPECTS_COUNT: &str = ": must be a non-negative integer";
 
 /// Optional `/trace/spans` filters; each absent field means "no filter".
 struct SpanFilters {
@@ -205,46 +207,6 @@ impl SpanFilters {
         self.outcome.is_none_or(|o| s.outcome == o)
             && self.tenant.is_none_or(|t| s.tenant == t)
             && self.min_us.is_none_or(|us| s.total_us() >= us)
-    }
-}
-
-/// Strict parsing of the `/trace/spans` filters (`outcome=`, `tenant=`,
-/// `min_us=`): absent falls through, present but unparseable is a 400.
-fn parse_span_filters(query: &str) -> Result<SpanFilters, Response> {
-    let outcome = match query_param(query, "outcome") {
-        None => None,
-        Some(v) => Some(bp_obs::SpanOutcome::parse(v).ok_or_else(|| {
-            Response::error(
-                400,
-                &format!("invalid outcome={v}; known: committed, user_aborted, failed, shed"),
-            )
-        })?),
-    };
-    let tenant = match query_param(query, "tenant") {
-        None => None,
-        Some(v) => Some(v.parse::<u16>().map_err(|_| {
-            Response::error(400, &format!("invalid tenant={v}: must be an integer in 0..=65535"))
-        })?),
-    };
-    let min_us = match query_param(query, "min_us") {
-        None => None,
-        Some(v) => Some(v.parse::<u64>().map_err(|_| {
-            Response::error(400, &format!("invalid min_us={v}: must be a non-negative integer"))
-        })?),
-    };
-    Ok(SpanFilters { outcome, tenant, min_us })
-}
-
-/// Strict `?severity=` parsing: absent means everything (debug and up).
-fn parse_severity(query: &str) -> Result<Severity, Response> {
-    match query_param(query, "severity") {
-        None => Ok(Severity::Debug),
-        Some(v) => Severity::parse(v).ok_or_else(|| {
-            Response::error(
-                400,
-                &format!("invalid severity={v}; known: debug, info, warn, error"),
-            )
-        }),
     }
 }
 
@@ -508,13 +470,18 @@ impl ApiServer {
 
     /// Route and handle a request.
     pub fn handle(&self, req: &Request) -> Response {
+        self.route(req).unwrap_or_else(|refusal| refusal)
+    }
+
+    /// `Err` is the 4xx a handler's `?` refused the request with.
+    fn route(&self, req: &Request) -> Result<Response, Response> {
         let (path, query) = match req.path.split_once('?') {
             Some((p, q)) => (p, q),
             None => (req.path.as_str(), ""),
         };
         let path = path.trim_matches('/');
         let parts: Vec<&str> = if path.is_empty() { Vec::new() } else { path.split('/').collect() };
-        match (req.method, parts.as_slice()) {
+        Ok(match (req.method, parts.as_slice()) {
             (Method::Get, ["status"]) | (Method::Get, []) => self.all_status(),
             (Method::Get, ["workloads"]) => Response::ok(
                 Json::Arr(self.workload_ids().into_iter().map(Json::Str).collect()),
@@ -535,18 +502,18 @@ impl ApiServer {
             (Method::Get, ["chaos", "status"]) => self.chaos_status(),
             (Method::Get, ["healthz"]) => healthz(),
             (Method::Get, ["readyz"]) => self.readyz(),
-            (Method::Post, ["recovery"]) => self.recovery_arm(req, query),
-            (Method::Delete, ["recovery"]) => self.recovery_disarm(req, query),
-            (Method::Get, ["recovery", "status"]) => self.recovery_status(req, query),
-            (Method::Post, ["slo"]) => self.slo_arm(req, query),
-            (Method::Delete, ["slo"]) => self.slo_disarm(req, query),
-            (Method::Get, ["slo", "status"]) => self.slo_status(req, query),
-            (Method::Get, ["trace", "spans"]) => self.trace_spans(query),
+            (Method::Post, ["recovery"]) => self.recovery_arm(req, query)?,
+            (Method::Delete, ["recovery"]) => self.recovery_disarm(req, query)?,
+            (Method::Get, ["recovery", "status"]) => self.recovery_status(req, query)?,
+            (Method::Post, ["slo"]) => self.slo_arm(req, query)?,
+            (Method::Delete, ["slo"]) => self.slo_disarm(req, query)?,
+            (Method::Get, ["slo", "status"]) => self.slo_status(req, query)?,
+            (Method::Get, ["trace", "spans"]) => self.trace_spans(query)?,
             (Method::Get, ["trace", "summary"]) => self.trace_summary(),
             (Method::Get, ["trace", id]) => self.trace_detail(id),
-            (Method::Get, ["events"]) => self.events(query),
-            (Method::Get, ["report"]) => self.report(query),
-            (Method::Get, ["doctor"]) => self.doctor(query),
+            (Method::Get, ["events"]) => self.events(query)?,
+            (Method::Get, ["report"]) => self.report(req, query)?,
+            (Method::Get, ["doctor"]) => self.doctor(req, query)?,
             (Method::Get, ["workloads", id]) => self.workload_status(id),
             (Method::Post, ["workloads", id, action]) => self.workload_action(id, action, req),
             _ => {
@@ -556,7 +523,7 @@ impl ApiServer {
                     None => Response::error(404, &format!("no route for {}", req.path)),
                 }
             }
-        }
+        })
     }
 
     /// POST /replay — start replaying a captured artifact. Body:
@@ -691,12 +658,19 @@ impl ApiServer {
         Response::ok(chaos.status_json())
     }
 
-    /// The workload an `/slo` request addresses: the `workload` field of
-    /// the body (or query parameter), falling back to the first registered
-    /// workload id — the same convention the `/chaos` endpoints use.
-    fn slo_workload(&self, body: &Json, query: &str) -> Result<(String, Controller), Response> {
-        let explicit = body
-            .get("workload")
+    /// The workload a `/slo`, `/recovery`, `/report` or `/doctor` request
+    /// addresses: the `workload` field of the body (or query parameter),
+    /// falling back to the first registered workload id — the same
+    /// convention the `/chaos` endpoints use.
+    fn addressed_workload(
+        &self,
+        req: &Request,
+        query: &str,
+    ) -> Result<(String, Controller), Response> {
+        let explicit = req
+            .body
+            .as_ref()
+            .and_then(|b| b.get("workload"))
             .and_then(Json::as_str)
             .or_else(|| query_param(query, "workload"));
         let map = self.workloads.read();
@@ -722,45 +696,31 @@ impl ApiServer {
     /// "min_rate": 10, "max_rate": 5000, "initial_rate": 100, "step": 50,
     /// "backoff": 0.7, "breaker_backoff": 0.5, "min_samples": 20,
     /// "kp": .., "ki": .., "kd": .., "workload": "<id>"}`.
-    fn slo_arm(&self, req: &Request, query: &str) -> Response {
+    fn slo_arm(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (id, c) = self.addressed_workload(req, query)?;
         let body = req.body.clone().unwrap_or(Json::Null);
-        let (id, c) = match self.slo_workload(&body, query) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        let cfg = match slo_config_from_json(&body) {
-            Ok(cfg) => cfg,
-            Err(e) => return Response::error(400, &e),
-        };
+        let cfg = slo_config_from_json(&body).map_err(|e| Response::error(400, &e))?;
         c.start_slo(cfg);
         if let Some(reg) = &self.registry {
             // Arc-pointer dedupe in the registry makes re-arming a no-op.
             reg.register(&format!("slo:{id}"), c.slo().clone());
         }
-        Response::ok(slo_status_json(&id, &c))
+        Ok(Response::ok(slo_status_json(&id, &c)))
     }
 
     /// DELETE /slo — disarm the SLO loop; the last commanded rate sticks
     /// (operators use POST /workloads/{id}/rate to change it afterwards).
-    fn slo_disarm(&self, req: &Request, query: &str) -> Response {
-        let body = req.body.clone().unwrap_or(Json::Null);
-        let (id, c) = match self.slo_workload(&body, query) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
+    fn slo_disarm(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (id, c) = self.addressed_workload(req, query)?;
         c.stop_slo();
-        Response::ok(slo_status_json(&id, &c))
+        Ok(Response::ok(slo_status_json(&id, &c)))
     }
 
     /// GET /slo/status — the controller's live state: target, commanded
     /// rate, windowed observation and per-adjustment counters.
-    fn slo_status(&self, req: &Request, query: &str) -> Response {
-        let body = req.body.clone().unwrap_or(Json::Null);
-        let (id, c) = match self.slo_workload(&body, query) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        Response::ok(slo_status_json(&id, &c))
+    fn slo_status(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (id, c) = self.addressed_workload(req, query)?;
+        Ok(Response::ok(slo_status_json(&id, &c)))
     }
 
     /// GET /readyz — readiness probe: 200 once at least one workload is
@@ -797,16 +757,13 @@ impl ApiServer {
     /// checkpointer) on a workload. Body (all optional): `{"poll_ms": 5,
     /// "checkpoint_ms": 2000, "workload": "<id>"}`. `checkpoint_ms: 0`
     /// disables periodic checkpoints.
-    fn recovery_arm(&self, req: &Request, query: &str) -> Response {
+    fn recovery_arm(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (id, c) = self.addressed_workload(req, query)?;
         let body = req.body.clone().unwrap_or(Json::Null);
-        let (id, c) = match self.slo_workload(&body, query) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
         let mut cfg = RecoveryConfig::default();
         if let Some(v) = body.get("poll_ms").and_then(Json::as_u64) {
             if v == 0 {
-                return Response::error(400, "poll_ms must be > 0");
+                return Err(Response::error(400, "poll_ms must be > 0"));
             }
             cfg.poll_interval_us = v * 1_000;
         }
@@ -814,30 +771,22 @@ impl ApiServer {
             cfg.checkpoint_interval_us = v * 1_000;
         }
         c.start_recovery(cfg);
-        Response::ok(recovery_status_json(&id, &c))
+        Ok(Response::ok(recovery_status_json(&id, &c)))
     }
 
     /// DELETE /recovery — disarm the supervisor. A crashed engine then
     /// stays down until re-armed or recovered manually.
-    fn recovery_disarm(&self, req: &Request, query: &str) -> Response {
-        let body = req.body.clone().unwrap_or(Json::Null);
-        let (id, c) = match self.slo_workload(&body, query) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
+    fn recovery_disarm(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (id, c) = self.addressed_workload(req, query)?;
         c.stop_recovery();
-        Response::ok(recovery_status_json(&id, &c))
+        Ok(Response::ok(recovery_status_json(&id, &c)))
     }
 
     /// GET /recovery/status — engine crash/recovery counters and the
     /// supervisor's state.
-    fn recovery_status(&self, req: &Request, query: &str) -> Response {
-        let body = req.body.clone().unwrap_or(Json::Null);
-        let (id, c) = match self.slo_workload(&body, query) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        Response::ok(recovery_status_json(&id, &c))
+    fn recovery_status(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (id, c) = self.addressed_workload(req, query)?;
+        Ok(Response::ok(recovery_status_json(&id, &c)))
     }
 
     /// Every distinct event journal across the registered workloads
@@ -859,15 +808,10 @@ impl ApiServer {
 
     /// GET /events?last=N&severity=S — the merged event journal across all
     /// workloads, oldest first, newest N kept (default 100).
-    fn events(&self, query: &str) -> Response {
-        let last = match parse_last(query, 100) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let min = match parse_severity(query) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
+    fn events(&self, query: &str) -> Result<Response, Response> {
+        let last = param(query, "last", EXPECTS_COUNT)?.unwrap_or(100);
+        let min = param(query, "severity", "; known: debug, info, warn, error")?
+            .unwrap_or(Severity::Debug);
         let mut events: Vec<Event> = Vec::new();
         for j in self.journals() {
             events.extend(j.recent(usize::MAX, min));
@@ -877,26 +821,23 @@ impl ApiServer {
             let cut = events.len() - last;
             events.drain(..cut);
         }
-        Response::ok(
+        Ok(Response::ok(
             Json::obj()
                 .set("count", events.len() as u64)
                 .set("events", Json::Arr(events.iter().map(Event::to_json).collect())),
-        )
+        ))
     }
 
-    /// The workload a `/report` or `/doctor` request addresses (same
-    /// convention as `/slo`: `?workload=` or the first registered id), plus
-    /// its telemetry recorder.
+    /// The workload a `/report` or `/doctor` request addresses, plus its
+    /// telemetry recorder.
     fn recorder_workload(
         &self,
+        req: &Request,
         query: &str,
     ) -> Result<(String, Controller, Arc<bp_obs::TelemetryRecorder>), Response> {
-        let (id, c) = self.slo_workload(&Json::Null, query)?;
-        match c.recorder() {
-            Some(r) => {
-                let r = r.clone();
-                Ok((id, c, r))
-            }
+        let (id, c) = self.addressed_workload(req, query)?;
+        match c.recorder().cloned() {
+            Some(r) => Ok((id, c, r)),
             None => Err(Response::error(
                 404,
                 &format!("workload {id} has no telemetry recorder wired"),
@@ -906,35 +847,24 @@ impl ApiServer {
 
     /// GET /report — the `#bp-report v1` flight-recorder artifact: the
     /// telemetry sample timeline plus the event journal, as text.
-    fn report(&self, query: &str) -> Response {
-        match self.recorder_workload(query) {
-            Ok((_, c, recorder)) => {
-                Response::text(ARTIFACT_CONTENT_TYPE, recorder.report(c.journal()).to_text())
-            }
-            Err(r) => r,
-        }
+    fn report(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (_, c, recorder) = self.recorder_workload(req, query)?;
+        Ok(Response::text(ARTIFACT_CONTENT_TYPE, recorder.report(c.journal()).to_text()))
     }
 
     /// GET /doctor — ranked bottleneck findings from `bp_obs::diagnose`
     /// over the current report, as JSON.
-    fn doctor(&self, query: &str) -> Response {
-        match self.recorder_workload(query) {
-            Ok((id, c, recorder)) => {
-                let report = recorder.report(c.journal());
-                let findings = bp_obs::diagnose(&report);
-                Response::ok(
-                    Json::obj()
-                        .set("workload", id.as_str())
-                        .set("samples", report.samples.len() as u64)
-                        .set("events", report.events.len() as u64)
-                        .set(
-                            "findings",
-                            Json::Arr(findings.iter().map(|f| f.to_json()).collect()),
-                        ),
-                )
-            }
-            Err(r) => r,
-        }
+    fn doctor(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (id, c, recorder) = self.recorder_workload(req, query)?;
+        let report = recorder.report(c.journal());
+        let findings = bp_obs::diagnose(&report);
+        Ok(Response::ok(
+            Json::obj()
+                .set("workload", id.as_str())
+                .set("samples", report.samples.len() as u64)
+                .set("events", report.events.len() as u64)
+                .set("findings", Json::Arr(findings.iter().map(|f| f.to_json()).collect())),
+        ))
     }
 
     /// GET /metrics — Prometheus text when a registry is attached, the
@@ -953,14 +883,12 @@ impl ApiServer {
     /// workload's flight recorder, oldest first, one JSON object per line.
     /// Optional filters: `outcome=` (committed/user_aborted/failed/shed),
     /// `tenant=` and `min_us=` (end-to-end latency floor).
-    fn trace_spans(&self, query: &str) -> Response {
-        let last = match parse_last(query, 100) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let filters = match parse_span_filters(query) {
-            Ok(f) => f,
-            Err(r) => return r,
+    fn trace_spans(&self, query: &str) -> Result<Response, Response> {
+        let last = param(query, "last", EXPECTS_COUNT)?.unwrap_or(100);
+        let filters = SpanFilters {
+            outcome: param(query, "outcome", "; known: committed, user_aborted, failed, shed")?,
+            tenant: param(query, "tenant", ": must be an integer in 0..=65535")?,
+            min_us: param(query, "min_us", EXPECTS_COUNT)?,
         };
         let mut spans: Vec<(String, bp_obs::Span)> = Vec::new();
         {
@@ -986,7 +914,7 @@ impl ApiServer {
         for (id, s) in &spans {
             let _ = writeln!(out, "{}", s.to_json().set("workload", id.as_str()));
         }
-        Response::text(JSONL_CONTENT_TYPE, out)
+        Ok(Response::text(JSONL_CONTENT_TYPE, out))
     }
 
     /// GET /trace/summary — per-workload per-stage latency summaries plus
@@ -1980,6 +1908,33 @@ mod tests {
         });
         assert!(r.is_ok());
         assert_eq!(r.body.get("active").unwrap().as_bool(), Some(false));
+    }
+
+    /// `controller()` runs on a `SimClock`, whose `sleep` returns at once: a
+    /// loop paced by the injected clock spins there (thousands of ticks in
+    /// 100 ms). `Periodic` waits out wall time whatever clock the run has,
+    /// and a disarm returns only once the thread — and with it the tick's
+    /// clone of the controller, counted here by its `Arc` — is gone.
+    #[test]
+    fn slo_and_recovery_loops_neither_spin_nor_outlive_disarm() {
+        let s = server();
+        let c = s.controller("demo").unwrap();
+        let delete = |path: &str| Request { method: Method::Delete, path: path.into(), body: None };
+        let (slo_refs, recovery_refs) = (Arc::strong_count(c.slo()), Arc::strong_count(c.recovery()));
+
+        assert!(s.handle(&Request::post("/slo", Json::obj())).is_ok());
+        let r = s.handle(&Request::post("/recovery", Json::obj().set("poll_ms", 60_000u64)));
+        assert!(r.is_ok(), "{r:?}");
+        assert!(Arc::strong_count(c.slo()) > slo_refs, "bp-slo thread holds the controller");
+        assert!(Arc::strong_count(c.recovery()) > recovery_refs);
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(c.slo().ticks() <= 2, "{} SLO ticks in 100 ms at a 200 ms tick", c.slo().ticks());
+        assert!(c.recovery().ticks() <= 2, "{} polls in 100 ms", c.recovery().ticks());
+
+        assert!(s.handle(&delete("/slo")).is_ok());
+        assert_eq!(Arc::strong_count(c.slo()), slo_refs, "bp-slo thread left behind");
+        assert!(s.handle(&delete("/recovery")).is_ok());
+        assert_eq!(Arc::strong_count(c.recovery()), recovery_refs, "bp-recovery thread left behind");
     }
 
     #[test]

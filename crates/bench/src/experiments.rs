@@ -1497,7 +1497,7 @@ pub fn run_cluster() -> ClusterReport {
     struct Node {
         handle: bp_core::RunHandle,
         _http: bp_api::http::HttpServerGuard,
-        _agent: bp_cluster::AgentGuard,
+        _agent: bp_util::Periodic,
     }
     let nodes: Vec<(String, Node)> = ["n1", "n2", "n3"]
         .iter()
@@ -1804,7 +1804,7 @@ pub fn run_trace() -> TraceReport {
     struct Node {
         handle: bp_core::RunHandle,
         http: bp_api::http::HttpServerGuard,
-        _agent: bp_cluster::AgentGuard,
+        _agent: bp_util::Periodic,
     }
     let nodes: Vec<(String, Node)> = ["n1", "n2"]
         .iter()

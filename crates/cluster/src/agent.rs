@@ -18,7 +18,6 @@
 //! needed.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,6 +27,7 @@ use bp_api::{ApiServer, Method, Request, Response};
 use bp_core::{Controller, Rate};
 use bp_obs::{MetricsRegistry, Severity};
 use bp_util::json::Json;
+use bp_util::Periodic;
 
 use crate::coordinator::FANOUT_TIMEOUT;
 
@@ -87,32 +87,11 @@ impl RouteExtension for AgentRoutes {
     }
 }
 
-/// Stops the heartbeat thread on drop.
-pub struct AgentGuard {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-    heartbeats_sent: Arc<AtomicU64>,
-}
-
-impl AgentGuard {
-    /// Heartbeats successfully delivered (2xx from the coordinator).
-    pub fn heartbeats_sent(&self) -> u64 {
-        self.heartbeats_sent.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for AgentGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Wire a node into the fleet: mount the snapshot route on its API server,
-/// join the coordinator, and start heartbeating. The returned guard owns
-/// the heartbeat thread.
+/// Wire a node into the fleet: mount the snapshot route on its API server
+/// and start the agent thread, which every heartbeat period tries to join
+/// the coordinator until that succeeds (the coordinator may come up after
+/// its agents) and from then on reports a heartbeat. The returned handle
+/// owns the thread.
 ///
 /// The `controller` must be registered on `api` under `cfg.node` — that's
 /// the path (`/workloads/<node>/rate`) the coordinator pushes rate shares
@@ -122,97 +101,77 @@ pub fn start_agent(
     controller: Controller,
     api: &Arc<ApiServer>,
     registry: Arc<MetricsRegistry>,
-) -> AgentGuard {
+) -> Periodic {
     api.set_extension(Arc::new(AgentRoutes { node: cfg.node.clone(), registry }));
-    let stop = Arc::new(AtomicBool::new(false));
-    let heartbeats_sent = Arc::new(AtomicU64::new(0));
-    let flag = stop.clone();
-    let sent = heartbeats_sent.clone();
-    let thread = std::thread::Builder::new()
-        .name(format!("bp-agent-{}", cfg.node))
-        .spawn(move || heartbeat_loop(cfg, controller, flag, sent))
-        .expect("spawn agent heartbeat thread");
-    AgentGuard { stop, thread: Some(thread), heartbeats_sent }
+    let mut joined = false;
+    let period_us = cfg.heartbeat.as_micros() as u64;
+    Periodic::spawn(format!("bp-agent-{}", cfg.node), period_us, move || {
+        if joined {
+            heartbeat_once(&cfg, &controller);
+        } else {
+            joined = join_once(&cfg, &controller);
+        }
+        true
+    })
 }
 
-fn heartbeat_loop(
-    cfg: AgentConfig,
-    controller: Controller,
-    stop: Arc<AtomicBool>,
-    sent: Arc<AtomicU64>,
-) {
-    let journal = controller.journal().clone();
-    // Join with retry: the coordinator may come up after its agents.
-    let join_body = Json::obj()
+/// One join attempt; `true` once the coordinator has admitted this node.
+fn join_once(cfg: &AgentConfig, controller: &Controller) -> bool {
+    let body = Json::obj()
         .set("node", cfg.node.as_str())
         .set("addr", cfg.advertise.to_string().as_str());
-    let mut joined = false;
-    while !stop.load(Ordering::Relaxed) && !joined {
-        match http_request_timeout(
-            cfg.coordinator,
-            "POST",
-            "/cluster/join",
-            Some(&join_body),
-            FANOUT_TIMEOUT,
-        ) {
-            Ok((200, resp)) => {
-                joined = true;
-                apply_assigned_rate(&controller, &resp);
-                journal.emit_with(Severity::Info, "cluster", "node_join", || {
-                    (
-                        format!("joined coordinator {} as {}", cfg.coordinator, cfg.node),
-                        vec![("node", cfg.node.clone())],
-                    )
-                });
-            }
-            _ => std::thread::sleep(cfg.heartbeat),
-        }
+    let Ok((200, resp)) =
+        http_request_timeout(cfg.coordinator, "POST", "/cluster/join", Some(&body), FANOUT_TIMEOUT)
+    else {
+        return false;
+    };
+    apply_assigned_rate(controller, &resp);
+    controller.journal().emit_with(Severity::Info, "cluster", "node_join", || {
+        (
+            format!("joined coordinator {} as {}", cfg.coordinator, cfg.node),
+            vec![("node", cfg.node.clone())],
+        )
+    });
+    true
+}
+
+/// Report this node's latency window to the coordinator and apply the rate
+/// share it answers with.
+fn heartbeat_once(cfg: &AgentConfig, controller: &Controller) {
+    // A crashed engine cannot serve its share of the fleet's load; going
+    // silent is how this node tells the coordinator so.
+    if controller.database().is_crashed() {
+        return;
     }
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(cfg.heartbeat);
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        // A crashed engine cannot serve its share of the fleet's load;
-        // going silent is how this node tells the coordinator so.
-        if controller.database().is_crashed() {
-            continue;
-        }
-        let w = controller.stats().window_snapshot(cfg.window_s);
-        // Slowest recently retained trace: the exemplar the coordinator can
-        // cite if this node turns out to be the fleet's straggler.
-        let slow_trace = controller.spans().and_then(|rec| {
-            rec.recent(64)
-                .into_iter()
-                .filter(|s| s.trace_id != 0)
-                .max_by_key(|s| s.total_us())
-                .map(|s| s.trace_id)
-        });
-        let mut window = Json::obj()
-            .set("count", w.count)
-            .set("p50_us", w.p50_us)
-            .set("p99_us", w.p99_us)
-            .set("throughput", w.throughput);
-        if let Some(tid) = slow_trace {
-            window = window.set("slow_trace", bp_obs::format_trace_id(tid).as_str());
-        }
-        let body = Json::obj().set("node", cfg.node.as_str()).set("window", window);
-        match http_request_timeout(
-            cfg.coordinator,
-            "POST",
-            "/cluster/heartbeat",
-            Some(&body),
-            FANOUT_TIMEOUT,
-        ) {
-            Ok((200, resp)) => {
-                sent.fetch_add(1, Ordering::Relaxed);
-                apply_assigned_rate(&controller, &resp);
-            }
-            Ok(_) | Err(_) => {
-                // Coordinator down or unreachable; keep trying — membership
-                // recovery is its problem, not ours.
-            }
-        }
+    let w = controller.stats().window_snapshot(cfg.window_s);
+    // Slowest recently retained trace: the exemplar the coordinator can
+    // cite if this node turns out to be the fleet's straggler.
+    let slow_trace = controller.spans().and_then(|rec| {
+        rec.recent(64)
+            .into_iter()
+            .filter(|s| s.trace_id != 0)
+            .max_by_key(|s| s.total_us())
+            .map(|s| s.trace_id)
+    });
+    let mut window = Json::obj()
+        .set("count", w.count)
+        .set("p50_us", w.p50_us)
+        .set("p99_us", w.p99_us)
+        .set("throughput", w.throughput);
+    if let Some(tid) = slow_trace {
+        window = window.set("slow_trace", bp_obs::format_trace_id(tid).as_str());
+    }
+    let body = Json::obj().set("node", cfg.node.as_str()).set("window", window);
+    // Coordinator down or unreachable: keep trying — membership recovery is
+    // its problem, not ours.
+    if let Ok((200, resp)) = http_request_timeout(
+        cfg.coordinator,
+        "POST",
+        "/cluster/heartbeat",
+        Some(&body),
+        FANOUT_TIMEOUT,
+    ) {
+        apply_assigned_rate(controller, &resp);
     }
 }
 

@@ -16,12 +16,12 @@
 //!   fleet and steers the global rate (`cluster_slo`).
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bp_api::http::{http_request_text_timeout, http_request_timeout};
-use bp_api::router::RouteExtension;
+use bp_api::router::{query_param, RouteExtension};
 use bp_api::{Method, Request, Response, PROMETHEUS_CONTENT_TYPE};
 use bp_obs::{
     merge_samples, render_samples, EventJournal, MetricsBuf, MetricsRegistry, MetricsSource,
@@ -29,6 +29,7 @@ use bp_obs::{
 };
 use bp_util::json::Json;
 use bp_util::sync::Mutex;
+use bp_util::Periodic;
 
 use crate::member::{Admission, MembershipTable, NodeState, NodeWindow};
 
@@ -109,9 +110,8 @@ struct SloState {
 }
 
 /// The coordinator. Construct with [`ClusterCoordinator::new`], mount on an
-/// [`bp_api::ApiServer`] with `set_extension`, and keep the
-/// [`DetectorGuard`] from [`ClusterCoordinator::start_detector`] alive for
-/// the run.
+/// [`bp_api::ApiServer`] with `set_extension`, and keep the [`Periodic`]
+/// from [`ClusterCoordinator::start_detector`] alive for the run.
 pub struct ClusterCoordinator {
     membership: Mutex<MembershipTable>,
     /// Operator-or-SLO commanded fleet-wide rate; `None` until first set.
@@ -125,25 +125,6 @@ pub struct ClusterCoordinator {
     heartbeats_total: AtomicU64,
     resplits_total: AtomicU64,
     stragglers_total: AtomicU64,
-}
-
-/// Stops and joins the detector thread on drop.
-pub struct DetectorGuard {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for DetectorGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
-    query.split('&').filter_map(|kv| kv.split_once('=')).find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
 fn window_from_json(j: &Json) -> NodeWindow {
@@ -396,22 +377,14 @@ impl ClusterCoordinator {
 
     /// Spawn the background detector (membership sweep + straggler check +
     /// SLO loop), ticking a few times per heartbeat interval so deaths are
-    /// declared promptly after the 2-interval deadline.
-    pub fn start_detector(self: &Arc<Self>) -> DetectorGuard {
-        let stop = Arc::new(AtomicBool::new(false));
+    /// declared promptly after the 2-interval deadline. Stops when the
+    /// returned handle drops.
+    pub fn start_detector(self: &Arc<Self>) -> Periodic {
         let me = self.clone();
-        let flag = stop.clone();
-        let period = Duration::from_micros((self.heartbeat_us / 4).max(5_000));
-        let thread = std::thread::Builder::new()
-            .name("bp-cluster-detector".into())
-            .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    me.tick();
-                    std::thread::sleep(period);
-                }
-            })
-            .expect("spawn detector thread");
-        DetectorGuard { stop, thread: Some(thread) }
+        Periodic::spawn("bp-cluster-detector", (self.heartbeat_us / 4).max(5_000), move || {
+            me.tick();
+            true
+        })
     }
 
     // ---- route handlers -------------------------------------------------

@@ -28,8 +28,6 @@ pub mod agent;
 pub mod coordinator;
 pub mod member;
 
-pub use agent::{start_agent, AgentConfig, AgentGuard};
-pub use coordinator::{
-    ClusterCoordinator, ClusterSloConfig, CoordinatorConfig, DetectorGuard, FANOUT_TIMEOUT,
-};
+pub use agent::{start_agent, AgentConfig};
+pub use coordinator::{ClusterCoordinator, ClusterSloConfig, CoordinatorConfig, FANOUT_TIMEOUT};
 pub use member::{Admission, Member, MembershipTable, NodeState, NodeWindow};

@@ -22,7 +22,7 @@ use bp_workloads::by_name;
 /// and the failure detector running.
 fn coordinator_stack(
     heartbeat: Duration,
-) -> (Arc<ClusterCoordinator>, bp_api::http::HttpServerGuard, bp_cluster::DetectorGuard) {
+) -> (Arc<ClusterCoordinator>, bp_api::http::HttpServerGuard, bp_util::Periodic) {
     let coordinator = ClusterCoordinator::new(CoordinatorConfig { heartbeat });
     let registry = Arc::new(MetricsRegistry::new());
     registry.register("cluster", coordinator.clone());
@@ -37,7 +37,7 @@ fn coordinator_stack(
 struct AgentStack {
     handle: RunHandle,
     _api_guard: bp_api::http::HttpServerGuard,
-    _agent: bp_cluster::AgentGuard,
+    _agent: bp_util::Periodic,
     registry: Arc<MetricsRegistry>,
     addr: SocketAddr,
 }

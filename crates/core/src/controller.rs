@@ -6,9 +6,11 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bp_obs::{EventJournal, Severity};
 use bp_util::sync::RwLock;
+use bp_util::Periodic;
 
 use bp_storage::Database;
 use bp_util::clock::Micros;
@@ -16,8 +18,8 @@ use bp_util::clock::Micros;
 use crate::mixture::{Mixture, MixtureError, MixturePreset};
 use crate::queue::RequestQueue;
 use crate::rate::{ArrivalDist, Rate};
-use crate::recovery::{recovery_loop, RecoveryConfig, RecoveryHandle};
-use crate::slo::{slo_loop, SloConfig, SloHandle};
+use crate::recovery::{recovery_tick, RecoveryConfig, RecoveryHandle};
+use crate::slo::{slo_tick, SloConfig, SloCore, SloHandle};
 use crate::stats::{StatsCollector, StatusSnapshot};
 use crate::workload::TransactionType;
 
@@ -418,17 +420,20 @@ impl Controller {
 
     // -- closed-loop SLO control --
 
-    /// This workload's SLO-controller state (config, live gauges, loop
-    /// epoch). Always present; inactive until [`Controller::start_slo`].
+    /// This workload's SLO-controller state (config, live gauges, the
+    /// running loop). Always present; inactive until [`Controller::start_slo`].
     pub fn slo(&self) -> &Arc<SloHandle> {
         &self.slo
     }
 
     /// Start (or replace) the closed-loop SLO controller: arm the shared
-    /// handle, apply the initial rate, and spawn the control thread. A
-    /// previously running loop notices its stale epoch and exits.
+    /// handle with the `bp-slo` control thread, which stops a loop that is
+    /// already running, and apply the initial rate.
     pub fn start_slo(&self, cfg: SloConfig) {
-        let epoch = self.slo.arm(&cfg);
+        let controller = self.clone();
+        let mut core = SloCore::new(cfg.clone());
+        let task = Periodic::spawn("bp-slo", cfg.tick_us, move || slo_tick(&controller, &mut core));
+        self.slo.arm(&cfg, task);
         self.journal().emit_with(Severity::Info, "slo", "slo_armed", || {
             (
                 format!(
@@ -444,12 +449,6 @@ impl Controller {
             )
         });
         self.set_rate(Rate::Limited(cfg.initial_rate.clamp(cfg.min_rate, cfg.max_rate)));
-        let controller = self.clone();
-        let handle = self.slo.clone();
-        std::thread::Builder::new()
-            .name("bp-slo".into())
-            .spawn(move || slo_loop(controller, handle, cfg, epoch))
-            .expect("spawn SLO control thread");
     }
 
     /// Stop the SLO loop (the last applied rate stays in effect).
@@ -471,12 +470,18 @@ impl Controller {
         &self.recovery
     }
 
-    /// Start (or replace) the recovery supervisor: a watchdog thread that
-    /// runs [`Database::recover`] whenever the engine crashes and takes
-    /// periodic checkpoints to keep redo replay short. A previously
-    /// running watchdog notices its stale epoch and exits.
+    /// Start (or replace) the recovery supervisor: the `bp-recovery`
+    /// watchdog thread that runs [`Database::recover`] whenever the engine
+    /// crashes and takes periodic checkpoints to keep redo replay short.
+    /// Arming stops a watchdog that is already running.
     pub fn start_recovery(&self, cfg: RecoveryConfig) {
-        let epoch = self.recovery.arm(&cfg);
+        let (db, handle, tick_cfg) = (self.db.clone(), self.recovery.clone(), cfg.clone());
+        let mut last_checkpoint = Instant::now();
+        let task = Periodic::spawn("bp-recovery", cfg.poll_interval_us.max(100), move || {
+            recovery_tick(&db, &handle, &tick_cfg, &mut last_checkpoint);
+            true
+        });
+        self.recovery.arm(&cfg, task);
         self.journal().emit_with(Severity::Info, "core", "recovery_armed", || {
             (
                 format!(
@@ -489,12 +494,6 @@ impl Controller {
                 ],
             )
         });
-        let db = self.db.clone();
-        let handle = self.recovery.clone();
-        std::thread::Builder::new()
-            .name("bp-recovery".into())
-            .spawn(move || recovery_loop(db, handle, cfg, epoch))
-            .expect("spawn recovery supervisor thread");
     }
 
     /// Stop the recovery supervisor. A crashed engine then stays down

@@ -18,13 +18,13 @@ use std::thread::JoinHandle;
 
 use bp_chaos::{Admission, CircuitBreaker, FaultKind, ResilienceConfig, RetryBudget};
 use bp_obs::{
-    journal_now_us, ObsConfig, Severity, Span, SpanOutcome, SpanRecorder, TelemetryGuard,
-    TelemetryRecorder, TelemetrySample,
+    journal_now_us, ObsConfig, Severity, Span, SpanRecorder, TelemetryRecorder, TelemetrySample,
 };
 use bp_sql::Connection;
 use bp_storage::Database;
-use bp_util::clock::{SharedClock, MICROS_PER_SEC};
+use bp_util::clock::{Micros, SharedClock, MICROS_PER_SEC};
 use bp_util::rng::{next_backoff, Rng};
+use bp_util::Periodic;
 
 use crate::controller::{ControlState, Controller};
 use crate::mixture::Mixture;
@@ -101,7 +101,7 @@ pub struct RunHandle {
     /// Keeps the telemetry thread alive for the run's lifetime; dropping
     /// the handle (after `join`) stops it. The recorded samples stay
     /// readable through `controller.recorder()`.
-    _telemetry: Option<TelemetryGuard>,
+    _telemetry: Option<Periodic>,
 }
 
 impl RunHandle {
@@ -204,8 +204,8 @@ pub fn start_with_source(
         None
     };
 
-    // Closed-loop SLO control: the loop thread is detached (it polls
-    // stats, not the queue) and exits on stop via its epoch/stop checks.
+    // Closed-loop SLO control: the loop thread belongs to the controller's
+    // SLO handle (it polls stats, not the queue) and ends when the run stops.
     if let Some(slo_cfg) = &cfg.slo {
         controller.start_slo(slo_cfg.clone());
     }
@@ -490,6 +490,44 @@ fn worker_loop(ctx: WorkerCtx) {
         let tid = if record_span { bp_obs::trace_id(run_seed, req.seq) } else { 0 };
         bp_obs::take_stage_acc();
 
+        // The one place a request's end is recorded, shed or executed: the
+        // stats sample, the span offer and the trace line.
+        let finish = |end: Micros, outcome: RequestOutcome, retries: u32| {
+            stats.record(Sample {
+                txn_type: txn_idx,
+                arrival: req.arrival,
+                start,
+                end,
+                outcome,
+                retries,
+            });
+            if record_span {
+                let (lock_wait_us, commit_us) = bp_obs::take_stage_acc();
+                spans.offer(Span {
+                    trace_id: tid,
+                    seq: req.seq,
+                    submitted_us: req.arrival,
+                    dequeued_us: start,
+                    end_us: end,
+                    lock_wait_us,
+                    commit_us,
+                    tenant,
+                    phase: req.phase,
+                    txn_type: req.txn_type,
+                    retries: retries.min(u16::MAX as u32) as u16,
+                    outcome: outcome.into(),
+                });
+            }
+            if let Some(t) = &trace {
+                t.append(TraceRecord {
+                    start_us: start,
+                    latency_us: end - start,
+                    txn_type: txn_idx,
+                    outcome,
+                });
+            }
+        };
+
         // Admission control: an Open breaker fast-fails the request before
         // it touches the engine. Shed is its own bucket — never an error,
         // never throughput.
@@ -498,38 +536,7 @@ fn worker_loop(ctx: WorkerCtx) {
             None => Admission::Allow,
         };
         if admission == Admission::Shed {
-            stats.record(Sample {
-                txn_type: txn_idx,
-                arrival: req.arrival,
-                start,
-                end: start,
-                outcome: RequestOutcome::Shed,
-                retries: 0,
-            });
-            if record_span {
-                spans.offer(Span {
-                    trace_id: tid,
-                    seq: req.seq,
-                    submitted_us: req.arrival,
-                    dequeued_us: start,
-                    end_us: start,
-                    lock_wait_us: 0,
-                    commit_us: 0,
-                    tenant,
-                    phase: req.phase,
-                    txn_type: txn_idx.min(u16::MAX as usize) as u16,
-                    retries: 0,
-                    outcome: SpanOutcome::Shed,
-                });
-            }
-            if let Some(t) = &trace {
-                t.append(TraceRecord {
-                    start_us: start,
-                    latency_us: 0,
-                    txn_type: txn_idx,
-                    outcome: RequestOutcome::Shed,
-                });
-            }
+            finish(start, RequestOutcome::Shed, 0);
             continue;
         }
 
@@ -626,37 +633,7 @@ fn worker_loop(ctx: WorkerCtx) {
             }
         }
 
-        stats.record(Sample { txn_type: txn_idx, arrival: req.arrival, start, end, outcome, retries });
-        if record_span {
-            let (lock_wait_us, commit_us) = bp_obs::take_stage_acc();
-            spans.offer(Span {
-                trace_id: tid,
-                seq: req.seq,
-                submitted_us: req.arrival,
-                dequeued_us: start,
-                end_us: end,
-                lock_wait_us,
-                commit_us,
-                tenant,
-                phase: req.phase,
-                txn_type: txn_idx.min(u16::MAX as usize) as u16,
-                retries: retries.min(u16::MAX as u32) as u16,
-                outcome: match outcome {
-                    RequestOutcome::Committed => SpanOutcome::Committed,
-                    RequestOutcome::UserAborted => SpanOutcome::UserAborted,
-                    RequestOutcome::Failed => SpanOutcome::Failed,
-                    RequestOutcome::Shed => unreachable!("shed recorded above"),
-                },
-            });
-        }
-        if let Some(t) = &trace {
-            t.append(TraceRecord {
-                start_us: start,
-                latency_us: end - start,
-                txn_type: txn_idx,
-                outcome,
-            });
-        }
+        finish(end, outcome, retries);
 
         let think = state.think_time_us();
         if think > 0 {

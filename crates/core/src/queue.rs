@@ -185,6 +185,32 @@ impl RequestQueue {
         self.state.lock().closed
     }
 
+    /// The gate step `pull` and `try_pull` share: dispatch `head` (the front
+    /// of the queue) if its arrival time and the rate gate have both passed
+    /// at `now_ns`; otherwise `Err` carries the time at which they will have.
+    #[inline]
+    fn dispatch_head(&self, st: &mut QueueState, head: Request, now_ns: u64) -> Result<Request, u64> {
+        let gate_ns = (head.arrival * NANOS_PER_MICRO).max(st.next_dispatch_ns);
+        if now_ns < gate_ns {
+            return Err(gate_ns);
+        }
+        st.queue.pop_front();
+        let spacing = self.spacing_ns.load(Ordering::Relaxed);
+        // Token-bucket with one spacing of credit: anchoring on the gate's
+        // own schedule avoids cumulative drift from late dispatches, while
+        // clamping to (now - one credit) keeps an old backlog from bursting
+        // past the target rate. The credit is at least one clock quantum
+        // (1µs) so sub-µs spacings don't lose schedule to clock granularity.
+        let credit = spacing.max(NANOS_PER_MICRO);
+        let anchor = gate_ns.max(now_ns.saturating_sub(credit));
+        st.last_gate_ns = Some(anchor);
+        st.next_dispatch_ns = anchor + spacing;
+        self.dispatched.fetch_add(1, Ordering::Relaxed);
+        self.queue_wait_us
+            .fetch_add((now_ns / NANOS_PER_MICRO).saturating_sub(head.arrival), Ordering::Relaxed);
+        Ok(head)
+    }
+
     /// Blocking pull honoring arrival times and the rate gate. Returns
     /// `None` when the queue is closed. `max_wait_us` bounds each internal
     /// wait so callers can re-check external conditions.
@@ -195,37 +221,15 @@ impl RequestQueue {
                 return None;
             }
             let now_ns = self.clock.now() * NANOS_PER_MICRO;
-            if let Some(&head) = st.queue.front() {
-                let gate_ns = (head.arrival * NANOS_PER_MICRO).max(st.next_dispatch_ns);
-                if now_ns >= gate_ns {
-                    let req = st.queue.pop_front().expect("head exists");
-                    let spacing = self.spacing_ns.load(Ordering::Relaxed);
-                    // Token-bucket with one spacing of credit: anchoring
-                    // on the gate's own schedule avoids cumulative drift
-                    // from late dispatches, while clamping to (now - one
-                    // credit) keeps an old backlog from bursting past the
-                    // target rate. The credit is at least one clock
-                    // quantum (1µs) so sub-µs spacings don't lose schedule
-                    // to clock granularity.
-                    let credit = spacing.max(NANOS_PER_MICRO);
-                    let anchor = gate_ns.max(now_ns.saturating_sub(credit));
-                    st.last_gate_ns = Some(anchor);
-                    st.next_dispatch_ns = anchor + spacing;
-                    self.dispatched.fetch_add(1, Ordering::Relaxed);
-                    self.queue_wait_us.fetch_add(
-                        (now_ns / NANOS_PER_MICRO).saturating_sub(req.arrival),
-                        Ordering::Relaxed,
-                    );
-                    return Some(req);
-                }
-                // Wait until the gate opens (or something changes).
-                let wait = (gate_ns - now_ns).div_ceil(NANOS_PER_MICRO).min(max_wait_us);
-                let timeout = std::time::Duration::from_micros(wait.max(1));
-                self.cond.wait_for(&mut st, timeout);
-            } else {
-                let timeout = std::time::Duration::from_micros(max_wait_us.max(1));
-                self.cond.wait_for(&mut st, timeout);
-            }
+            // Wait until the gate opens (or something changes).
+            let wait = match st.queue.front().copied() {
+                Some(head) => match self.dispatch_head(&mut st, head, now_ns) {
+                    Ok(req) => return Some(req),
+                    Err(gate_ns) => (gate_ns - now_ns).div_ceil(NANOS_PER_MICRO).min(max_wait_us),
+                },
+                None => max_wait_us,
+            };
+            self.cond.wait_for(&mut st, std::time::Duration::from_micros(wait.max(1)));
             // Loop re-checks closed/head/gate.
         }
     }
@@ -238,22 +242,7 @@ impl RequestQueue {
         }
         let now_ns = self.clock.now() * NANOS_PER_MICRO;
         let head = *st.queue.front()?;
-        let gate_ns = (head.arrival * NANOS_PER_MICRO).max(st.next_dispatch_ns);
-        if now_ns < gate_ns {
-            return None;
-        }
-        st.queue.pop_front();
-        let spacing = self.spacing_ns.load(Ordering::Relaxed);
-        let credit = spacing.max(NANOS_PER_MICRO);
-        let anchor = gate_ns.max(now_ns.saturating_sub(credit));
-        st.last_gate_ns = Some(anchor);
-        st.next_dispatch_ns = anchor + spacing;
-        self.dispatched.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait_us.fetch_add(
-            (now_ns / NANOS_PER_MICRO).saturating_sub(head.arrival),
-            Ordering::Relaxed,
-        );
-        Some(head)
+        self.dispatch_head(&mut st, head, now_ns).ok()
     }
 }
 

@@ -11,12 +11,12 @@
 //! (breaker + retry budget) rides through the outage; the workload resumes
 //! as soon as recovery completes.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use bp_storage::Database;
 use bp_util::sync::Mutex;
+use bp_util::Periodic;
 
 /// Supervisor tuning. The defaults poll fast enough that a crash costs
 /// milliseconds of downtime, and checkpoint rarely enough that the
@@ -37,14 +37,13 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Shared supervisor state: config, liveness, and loop counters. One per
-/// controller lineage (all clones share it), same pattern as `SloHandle`.
+/// Shared supervisor state: config, the running watchdog, and its
+/// counters. One per controller lineage (all clones share it), same
+/// pattern as `SloHandle`.
 pub struct RecoveryHandle {
     cfg: Mutex<Option<RecoveryConfig>>,
-    active: AtomicBool,
-    /// Bumped on every start/stop; a running loop exits when its epoch is
-    /// stale, so re-`POST /recovery` cleanly replaces the old watchdog.
-    epoch: AtomicU64,
+    /// The `bp-recovery` thread; `None` while disarmed.
+    task: Mutex<Option<Periodic>>,
     recoveries_run: AtomicU64,
     checkpoints_run: AtomicU64,
     ticks: AtomicU64,
@@ -60,8 +59,7 @@ impl RecoveryHandle {
     pub fn new() -> RecoveryHandle {
         RecoveryHandle {
             cfg: Mutex::new(None),
-            active: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
+            task: Mutex::new(None),
             recoveries_run: AtomicU64::new(0),
             checkpoints_run: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
@@ -69,11 +67,7 @@ impl RecoveryHandle {
     }
 
     pub fn is_active(&self) -> bool {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.task.lock().is_some()
     }
 
     pub fn config(&self) -> Option<RecoveryConfig> {
@@ -95,77 +89,85 @@ impl RecoveryHandle {
         self.ticks.load(Ordering::Relaxed)
     }
 
-    /// Arm: store the config, mark active, bump the epoch. Returns the new
-    /// epoch for the loop to hold.
-    pub(crate) fn arm(&self, cfg: &RecoveryConfig) -> u64 {
+    /// Arm: store the config and keep `task` as the watchdog, stopping the
+    /// one it replaces.
+    pub(crate) fn arm(&self, cfg: &RecoveryConfig, task: Periodic) {
         *self.cfg.lock() = Some(cfg.clone());
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.active.store(true, Ordering::SeqCst);
-        epoch
+        *self.task.lock() = Some(task);
     }
 
+    /// Stop the running watchdog, if any; returns once its thread has ended.
     pub(crate) fn disarm(&self) {
-        self.active.store(false, Ordering::SeqCst);
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        *self.task.lock() = None;
     }
 }
 
-/// The watchdog body. Runs on its own thread ("bp-recovery"); exits when
-/// disarmed or replaced (stale epoch).
-pub(crate) fn recovery_loop(
-    db: Arc<Database>,
-    handle: Arc<RecoveryHandle>,
-    cfg: RecoveryConfig,
-    epoch: u64,
+/// One watchdog poll: recover a crashed engine, otherwise checkpoint when
+/// one is due. [`Controller::start_recovery`](crate::Controller::start_recovery)
+/// runs it every `poll_interval_us` on the `bp-recovery` thread.
+pub(crate) fn recovery_tick(
+    db: &Database,
+    handle: &RecoveryHandle,
+    cfg: &RecoveryConfig,
+    last_checkpoint: &mut Instant,
 ) {
-    let poll = Duration::from_micros(cfg.poll_interval_us.max(100));
-    let mut last_checkpoint = Instant::now();
-    loop {
-        if !handle.is_active() || handle.epoch() != epoch {
-            return;
+    if db.is_crashed() {
+        // `recover()` journals recovery_begin/recovery_complete and bumps
+        // the engine-side stats; the handle only counts that this
+        // particular watchdog did the work.
+        let _ = db.recover();
+        handle.recoveries_run.fetch_add(1, Ordering::Relaxed);
+        // A fresh checkpoint right after recovery bounds the next replay
+        // to the post-crash tail.
+        if db.checkpoint().is_some() {
+            handle.checkpoints_run.fetch_add(1, Ordering::Relaxed);
         }
-        if db.is_crashed() {
-            // `recover()` journals recovery_begin/recovery_complete and
-            // bumps the engine-side stats; the handle only counts that this
-            // particular watchdog did the work.
-            let _ = db.recover();
-            handle.recoveries_run.fetch_add(1, Ordering::Relaxed);
-            // A fresh checkpoint right after recovery bounds the next
-            // replay to the post-crash tail.
-            if db.checkpoint().is_some() {
-                handle.checkpoints_run.fetch_add(1, Ordering::Relaxed);
-            }
-            last_checkpoint = Instant::now();
-        } else if cfg.checkpoint_interval_us > 0
-            && last_checkpoint.elapsed().as_micros() as u64 >= cfg.checkpoint_interval_us
-        {
-            if db.checkpoint().is_some() {
-                handle.checkpoints_run.fetch_add(1, Ordering::Relaxed);
-            }
-            last_checkpoint = Instant::now();
+        *last_checkpoint = Instant::now();
+    } else if cfg.checkpoint_interval_us > 0
+        && last_checkpoint.elapsed().as_micros() as u64 >= cfg.checkpoint_interval_us
+    {
+        if db.checkpoint().is_some() {
+            handle.checkpoints_run.fetch_add(1, Ordering::Relaxed);
         }
-        handle.ticks.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(poll);
+        *last_checkpoint = Instant::now();
     }
+    handle.ticks.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
-    fn handle_arm_disarm_epochs() {
+    fn handle_rearm_leaves_one_watchdog_and_disarm_stops_it() {
+        let task = |n: &Arc<AtomicU64>| {
+            let n = n.clone();
+            Periodic::spawn("t-recovery", 2_000, move || {
+                n.fetch_add(1, Ordering::Relaxed);
+                true
+            })
+        };
         let h = RecoveryHandle::new();
         assert!(!h.is_active());
         assert_eq!(h.config(), None);
-        let e1 = h.arm(&RecoveryConfig::default());
+        let (first, second) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        h.arm(&RecoveryConfig::default(), task(&first));
         assert!(h.is_active());
-        assert_eq!(h.epoch(), e1);
         assert_eq!(h.config(), Some(RecoveryConfig::default()));
+        // Re-arm: the first watchdog is gone when `arm` returns.
+        let quick = RecoveryConfig { poll_interval_us: 1_000, checkpoint_interval_us: 0 };
+        h.arm(&quick, task(&second));
+        let first_at_rearm = first.load(Ordering::Relaxed);
+        assert_eq!(h.config(), Some(quick));
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(first.load(Ordering::Relaxed), first_at_rearm, "replaced watchdog still polling");
+        assert!(second.load(Ordering::Relaxed) > 0, "new watchdog not polling");
         h.disarm();
         assert!(!h.is_active());
-        assert!(h.epoch() > e1, "disarm invalidates the running loop");
-        let e2 = h.arm(&RecoveryConfig { poll_interval_us: 1_000, checkpoint_interval_us: 0 });
-        assert!(e2 > e1);
+        let second_at_disarm = second.load(Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(second.load(Ordering::Relaxed), second_at_disarm, "disarmed watchdog polling");
     }
 }

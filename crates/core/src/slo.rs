@@ -28,14 +28,14 @@
 //! [`SloCore`] is deliberately pure — no clock, no RNG, no I/O — so the
 //! adjustment sequence is a function of the observation sequence alone
 //! (same seed + same config ⇒ identical adjustments, the replay-style
-//! purity guarantee). The impure shell ([`slo_loop`]) lives at the edge.
+//! purity guarantee). The impure shell ([`slo_tick`]) lives at the edge.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bp_chaos::BreakerState;
 use bp_obs::{MetricsBuf, MetricsSource, Severity};
 use bp_util::sync::Mutex;
+use bp_util::Periodic;
 
 use crate::controller::Controller;
 use crate::rate::Rate;
@@ -356,16 +356,14 @@ fn load_f64(cell: &AtomicU64) -> f64 {
 }
 
 /// Shared state of one workload's SLO controller: configuration, the
-/// loop-cancellation epoch, and the live gauges/counters the control API
+/// running control loop, and the live gauges/counters the control API
 /// and `/metrics` read. One persistent handle lives on each
 /// [`Controller`] (shared by all of its clones).
 pub struct SloHandle {
     workload: String,
     cfg: Mutex<Option<SloConfig>>,
-    active: AtomicBool,
-    /// Bumped on every start/stop; a running loop exits when its epoch
-    /// is stale, so re-`POST /slo` cleanly replaces the old loop.
-    epoch: AtomicU64,
+    /// The `bp-slo` thread; `None` while disarmed.
+    task: Mutex<Option<Periodic>>,
     rate_bits: AtomicU64,
     error_bits: AtomicU64,
     throughput_bits: AtomicU64,
@@ -383,8 +381,7 @@ impl SloHandle {
         SloHandle {
             workload: workload.to_string(),
             cfg: Mutex::new(None),
-            active: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
+            task: Mutex::new(None),
             rate_bits: AtomicU64::new(0f64.to_bits()),
             error_bits: AtomicU64::new(0f64.to_bits()),
             throughput_bits: AtomicU64::new(0f64.to_bits()),
@@ -403,11 +400,7 @@ impl SloHandle {
     }
 
     pub fn is_active(&self) -> bool {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.task.lock().is_some()
     }
 
     pub fn config(&self) -> Option<SloConfig> {
@@ -458,10 +451,13 @@ impl SloHandle {
         self.ticks.load(Ordering::Relaxed)
     }
 
-    /// Arm for a new loop run: store config, reset the live counters, and
-    /// return the new loop epoch. (Counters reset so `GET /slo/status`
-    /// after a re-POST describes the new loop, not the old one.)
-    pub(crate) fn arm(&self, cfg: &SloConfig) -> u64 {
+    /// Arm for a new loop run: stop the loop that is running, if any, store
+    /// config, reset the live counters, and keep `task` as the new loop.
+    /// (Counters reset so `GET /slo/status` after a re-POST describes the
+    /// new loop, not the old one.)
+    pub(crate) fn arm(&self, cfg: &SloConfig, task: Periodic) {
+        let mut slot = self.task.lock();
+        *slot = None; // joins the old loop, so it cannot tick into the reset
         *self.cfg.lock() = Some(cfg.clone());
         store_f64(&self.rate_bits, cfg.initial_rate.clamp(cfg.min_rate, cfg.max_rate));
         store_f64(&self.error_bits, 0.0);
@@ -473,15 +469,12 @@ impl SloHandle {
         self.holds.store(0, Ordering::Relaxed);
         self.breaker_backoffs.store(0, Ordering::Relaxed);
         self.ticks.store(0, Ordering::Relaxed);
-        self.active.store(true, Ordering::SeqCst);
-        self.epoch.fetch_add(1, Ordering::SeqCst) + 1
+        *slot = Some(task);
     }
 
-    /// Cancel any running loop (it notices the stale epoch on its next
-    /// tick) and mark the controller inactive.
+    /// Stop the running loop, if any; returns once its thread has ended.
     pub(crate) fn disarm(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.active.store(false, Ordering::SeqCst);
+        *self.task.lock() = None;
     }
 
     pub(crate) fn on_tick(&self, obs: &SloObservation, d: &SloDecision) {
@@ -576,68 +569,64 @@ impl MetricsSource for SloHandle {
     }
 }
 
-/// The impure shell: runs [`SloCore`] against live window snapshots on a
-/// detached thread until the epoch goes stale, the handle deactivates,
-/// or the run stops. Spawned by [`Controller::start_slo`].
-pub(crate) fn slo_loop(controller: Controller, handle: Arc<SloHandle>, cfg: SloConfig, epoch: u64) {
-    let clock = controller.stats().clock().clone();
-    let journal = controller.journal().clone();
-    let mut core = SloCore::new(cfg.clone());
-    loop {
-        clock.sleep(cfg.tick_us);
-        if handle.epoch() != epoch || !handle.is_active() || controller.is_stopped() {
-            return;
-        }
-        let snap = controller.stats().window_snapshot(cfg.window_s);
-        let (open, half_open) = match controller.breaker() {
-            Some(b) => {
-                let s = b.state();
-                (s == BreakerState::Open, s == BreakerState::HalfOpen)
-            }
-            None => (false, false),
-        };
-        let obs = SloObservation {
-            p50_us: snap.p50_us,
-            p99_us: snap.p99_us,
-            throughput: snap.throughput,
-            sample_count: snap.count,
-            breaker_open: open,
-            breaker_half_open: half_open,
-        };
-        let before = core.rate();
-        let d = core.tick(&obs);
-        if d.adjustment != Adjustment::Hold {
-            // Holds are the steady state; journaling only the actual rate
-            // decisions keeps the ring about *changes* (the doctor matches
-            // these against latency onsets).
-            let sev = match d.adjustment {
-                Adjustment::BreakerBackoff => Severity::Warn,
-                _ => Severity::Info,
-            };
-            journal.emit_with(sev, "slo", "slo_decision", || {
-                (
-                    format!(
-                        "slo {}: rate {before:.1} -> {:.1} (error {:+.2})",
-                        d.adjustment.name(),
-                        d.rate,
-                        d.error,
-                    ),
-                    vec![
-                        ("adjustment", d.adjustment.name().to_string()),
-                        ("before", format!("{before:.1}")),
-                        ("after", format!("{:.1}", d.rate)),
-                    ],
-                )
-            });
-        }
-        controller.set_rate(Rate::Limited(d.rate));
-        handle.on_tick(&obs, &d);
+/// The impure shell: one control step of [`SloCore`] against the live
+/// window snapshot. [`Controller::start_slo`] runs it every `tick_us` on
+/// the `bp-slo` thread; `false` (the run has stopped) ends that thread.
+pub(crate) fn slo_tick(controller: &Controller, core: &mut SloCore) -> bool {
+    if controller.is_stopped() {
+        return false;
     }
+    let snap = controller.stats().window_snapshot(core.config().window_s);
+    let (open, half_open) = match controller.breaker() {
+        Some(b) => {
+            let s = b.state();
+            (s == BreakerState::Open, s == BreakerState::HalfOpen)
+        }
+        None => (false, false),
+    };
+    let obs = SloObservation {
+        p50_us: snap.p50_us,
+        p99_us: snap.p99_us,
+        throughput: snap.throughput,
+        sample_count: snap.count,
+        breaker_open: open,
+        breaker_half_open: half_open,
+    };
+    let before = core.rate();
+    let d = core.tick(&obs);
+    if d.adjustment != Adjustment::Hold {
+        // Holds are the steady state; journaling only the actual rate
+        // decisions keeps the ring about *changes* (the doctor matches
+        // these against latency onsets).
+        let sev = match d.adjustment {
+            Adjustment::BreakerBackoff => Severity::Warn,
+            _ => Severity::Info,
+        };
+        controller.journal().emit_with(sev, "slo", "slo_decision", || {
+            (
+                format!(
+                    "slo {}: rate {before:.1} -> {:.1} (error {:+.2})",
+                    d.adjustment.name(),
+                    d.rate,
+                    d.error,
+                ),
+                vec![
+                    ("adjustment", d.adjustment.name().to_string()),
+                    ("before", format!("{before:.1}")),
+                    ("after", format!("{:.1}", d.rate)),
+                ],
+            )
+        });
+    }
+    controller.set_rate(Rate::Limited(d.rate));
+    controller.slo().on_tick(&obs, &d);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn obs(p99: u64, tput: f64, n: u64) -> SloObservation {
         SloObservation {
@@ -853,33 +842,52 @@ mod tests {
         );
     }
 
+    /// A stand-in loop for tests of the handle alone: counts its ticks.
+    fn counting_task(ticks: &Arc<AtomicU64>) -> Periodic {
+        let n = ticks.clone();
+        Periodic::spawn("t-slo", 2_000, move || {
+            n.fetch_add(1, Ordering::Relaxed);
+            true
+        })
+    }
+
     #[test]
-    fn handle_arm_resets_and_bumps_epoch() {
+    fn handle_rearm_resets_and_leaves_one_loop() {
         let h = SloHandle::new("w");
         assert!(!h.is_active());
-        let e1 = h.arm(&SloConfig::default());
+        let (first, second) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        h.arm(&SloConfig::default(), counting_task(&first));
         assert!(h.is_active());
-        assert_eq!(h.epoch(), e1);
         assert!((h.current_rate() - SloConfig::default().initial_rate).abs() < 1e-9);
         let d = SloDecision { rate: 123.0, adjustment: Adjustment::Increase, error: 0.5 };
         h.on_tick(&obs(1_000, 100.0, 50), &d);
         assert_eq!(h.increases(), 1);
         assert_eq!(h.ticks(), 1);
         assert!((h.current_rate() - 123.0).abs() < 1e-9);
-        // Re-arm: counters reset, epoch bumps (stale loop dies).
-        let e2 = h.arm(&SloConfig::default());
-        assert!(e2 > e1);
+        // Re-arm: counters reset and the first loop is gone when `arm` returns.
+        h.arm(&SloConfig::default(), counting_task(&second));
+        let first_at_rearm = first.load(Ordering::Relaxed);
+        assert!(h.is_active());
         assert_eq!(h.increases(), 0);
         assert_eq!(h.ticks(), 0);
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        assert_eq!(first.load(Ordering::Relaxed), first_at_rearm, "replaced loop still ticking");
+        assert!(second.load(Ordering::Relaxed) > 0, "new loop not ticking");
+        // Disarm: the second loop is gone when `disarm` returns.
         h.disarm();
         assert!(!h.is_active());
-        assert!(h.epoch() > e2);
+        let second_at_disarm = second.load(Ordering::Relaxed);
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        assert_eq!(second.load(Ordering::Relaxed), second_at_disarm, "disarmed loop still ticking");
     }
 
     #[test]
     fn handle_metrics_expose_slo_series() {
         let h = SloHandle::new("voter");
-        h.arm(&SloConfig { target: SloTarget::P99BelowUs(5_000), ..SloConfig::default() });
+        h.arm(
+            &SloConfig { target: SloTarget::P99BelowUs(5_000), ..SloConfig::default() },
+            Periodic::spawn("t-slo", 60_000_000, || true),
+        );
         let o = SloObservation { breaker_open: true, ..obs(9_000, 50.0, 100) };
         let d = SloDecision { rate: 50.0, adjustment: Adjustment::BreakerBackoff, error: -1.0 };
         h.on_tick(&o, &d);

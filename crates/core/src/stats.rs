@@ -10,6 +10,7 @@
 //! merge the shards on demand; reads are orders of magnitude rarer than
 //! writes, so the merge cost sits on the cold path where it belongs.
 
+use bp_obs::SpanOutcome;
 use bp_util::clock::{Micros, SharedClock, MICROS_PER_SEC};
 use bp_util::histogram::{Histogram, WindowedHistogram};
 use bp_util::sync::{thread_slot, CachePadded, Mutex};
@@ -31,6 +32,17 @@ pub enum RequestOutcome {
     /// Fast-failed by the admission controller without executing.
     /// Counted in its own bucket: never in throughput, never as an error.
     Shed,
+}
+
+impl From<RequestOutcome> for SpanOutcome {
+    fn from(outcome: RequestOutcome) -> SpanOutcome {
+        match outcome {
+            RequestOutcome::Committed => SpanOutcome::Committed,
+            RequestOutcome::UserAborted => SpanOutcome::UserAborted,
+            RequestOutcome::Failed => SpanOutcome::Failed,
+            RequestOutcome::Shed => SpanOutcome::Shed,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]

@@ -12,6 +12,7 @@
 use std::sync::Arc;
 
 use bp_util::sync::Mutex;
+use bp_util::Periodic;
 
 use bp_storage::{Database, MetricsSnapshot};
 use bp_util::clock::{Micros, SharedClock, MICROS_PER_SEC};
@@ -269,21 +270,13 @@ impl Monitor {
     }
 
     /// Spawn a background thread sampling every `interval_us` until the
-    /// returned guard is dropped.
-    pub fn spawn(self: &Arc<Self>, interval_us: Micros) -> MonitorGuard {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = stop.clone();
+    /// returned handle is dropped.
+    pub fn spawn(self: &Arc<Self>, interval_us: Micros) -> Periodic {
         let me = self.clone();
-        let handle = std::thread::Builder::new()
-            .name("bp-monitor".into())
-            .spawn(move || {
-                while !stop2.load(std::sync::atomic::Ordering::SeqCst) {
-                    me.clock.sleep(interval_us);
-                    me.tick();
-                }
-            })
-            .expect("spawn monitor");
-        MonitorGuard { stop, handle: Some(handle) }
+        Periodic::spawn("bp-monitor", interval_us, move || {
+            me.tick();
+            true
+        })
     }
 }
 
@@ -307,21 +300,6 @@ impl bp_obs::MetricsSource for Monitor {
         ];
         for (name, help, v) in rows {
             buf.gauge(name, help, &[], v);
-        }
-    }
-}
-
-/// Stops the background monitor thread on drop.
-pub struct MonitorGuard {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for MonitorGuard {
-    fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
         }
     }
 }

@@ -42,15 +42,19 @@ impl Severity {
             Severity::Error => "error",
         }
     }
+}
 
-    /// Parse a `?severity=` query value or report-artifact token.
-    pub fn parse(s: &str) -> Option<Severity> {
+/// A `?severity=` query value or report-artifact token.
+impl std::str::FromStr for Severity {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Severity, ()> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "debug" => Some(Severity::Debug),
-            "info" => Some(Severity::Info),
-            "warn" | "warning" => Some(Severity::Warn),
-            "error" => Some(Severity::Error),
-            _ => None,
+            "debug" => Ok(Severity::Debug),
+            "info" => Ok(Severity::Info),
+            "warn" | "warning" => Ok(Severity::Warn),
+            "error" => Ok(Severity::Error),
+            _ => Err(()),
         }
     }
 }
@@ -128,7 +132,7 @@ impl Event {
         let mut next = |what: &str| it.next().ok_or(format!("missing {what}"));
         let seq = next("seq")?.parse::<u64>().map_err(|e| format!("bad seq: {e}"))?;
         let ts_us = next("ts_us")?.parse::<u64>().map_err(|e| format!("bad ts: {e}"))?;
-        let severity = Severity::parse(next("severity")?).ok_or("bad severity")?;
+        let severity: Severity = next("severity")?.parse().map_err(|()| "bad severity")?;
         let source = intern(next("source")?);
         let kind = intern(next("kind")?);
         let tail = next("fields")?;
@@ -482,10 +486,10 @@ mod tests {
 
     #[test]
     fn severity_parses() {
-        assert_eq!(Severity::parse("WARN"), Some(Severity::Warn));
-        assert_eq!(Severity::parse("warning"), Some(Severity::Warn));
-        assert_eq!(Severity::parse("info"), Some(Severity::Info));
-        assert_eq!(Severity::parse("loud"), None);
+        assert_eq!("WARN".parse(), Ok(Severity::Warn));
+        assert_eq!("warning".parse(), Ok(Severity::Warn));
+        assert_eq!("info".parse(), Ok(Severity::Info));
+        assert_eq!("loud".parse::<Severity>(), Err(()));
         assert!(Severity::Error > Severity::Debug);
     }
 

@@ -39,9 +39,7 @@ pub mod span;
 
 pub use doctor::{diagnose, Bottleneck, Finding};
 pub use journal::{journal_now_us, Event, EventJournal, Severity};
-pub use recorder::{
-    Report, TelemetryGuard, TelemetryRecorder, TelemetrySample, SAMPLE_COLUMNS,
-};
+pub use recorder::{Report, TelemetryRecorder, TelemetrySample, SAMPLE_COLUMNS};
 pub use registry::{
     escape_label_value, merge_samples, render_samples, Exemplar, MetricValue, MetricsBuf,
     MetricsRegistry, MetricsSource, Sample,

@@ -14,11 +14,10 @@
 //! exact inverse of [`Report::to_text`]; the doctor consumes the parsed
 //! form.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bp_util::sync::Mutex;
+use bp_util::Periodic;
 
 use crate::journal::{Event, EventJournal};
 use crate::registry::{MetricsBuf, MetricsSource};
@@ -161,31 +160,6 @@ struct Ring {
     written: u64,
 }
 
-/// Guard for the background sampling thread; stops and joins on drop.
-pub struct TelemetryGuard {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl TelemetryGuard {
-    pub fn stop(mut self) {
-        self.halt();
-    }
-
-    fn halt(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TelemetryGuard {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
 /// Fixed-capacity ring of [`TelemetrySample`]s with an optional background
 /// sampling thread.
 pub struct TelemetryRecorder {
@@ -247,32 +221,16 @@ impl TelemetryRecorder {
     }
 
     /// Spawn the sampling thread: every `interval_us` of wall time, call
-    /// `sensor` and record what it returns. Stops when the guard drops.
+    /// `sensor` and record what it returns. Stops when the handle drops.
     pub fn spawn(
         self: &Arc<Self>,
         mut sensor: Box<dyn FnMut() -> TelemetrySample + Send>,
-    ) -> TelemetryGuard {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
+    ) -> Periodic {
         let recorder = self.clone();
-        let interval = std::time::Duration::from_micros(self.interval_us);
-        let handle = std::thread::Builder::new()
-            .name("bp-telemetry".into())
-            .spawn(move || {
-                // Sleep in small slices so stop is honored promptly even
-                // with second-long intervals.
-                let slice = interval.min(std::time::Duration::from_millis(25));
-                let mut next = std::time::Instant::now() + interval;
-                while !stop2.load(Ordering::Relaxed) {
-                    if std::time::Instant::now() >= next {
-                        recorder.record(sensor());
-                        next += interval;
-                    }
-                    std::thread::sleep(slice);
-                }
-            })
-            .expect("spawn telemetry thread");
-        TelemetryGuard { stop, handle: Some(handle) }
+        Periodic::spawn("bp-telemetry", self.interval_us, move || {
+            recorder.record(sensor());
+            true
+        })
     }
 
     /// Export the recorded timeline plus the journal as a report.
@@ -506,7 +464,6 @@ mod tests {
     #[test]
     fn spawned_sensor_ticks_and_stops() {
         let rec = Arc::new(TelemetryRecorder::new(10_000));
-        let n = Arc::new(AtomicBool::new(false));
         let guard = rec.spawn(Box::new({
             let mut i = 0u64;
             move || {
@@ -515,11 +472,10 @@ mod tests {
             }
         }));
         std::thread::sleep(std::time::Duration::from_millis(120));
-        guard.stop();
+        drop(guard);
         let after = rec.recorded();
         assert!(after >= 2, "expected ticks, got {after}");
         std::thread::sleep(std::time::Duration::from_millis(40));
         assert_eq!(rec.recorded(), after, "no ticks after stop");
-        drop(n);
     }
 }

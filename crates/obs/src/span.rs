@@ -93,15 +93,19 @@ impl SpanOutcome {
             SpanOutcome::Shed => "shed",
         }
     }
+}
 
-    /// Parse the `?outcome=` filter value of `GET /trace/spans`.
-    pub fn parse(s: &str) -> Option<SpanOutcome> {
+/// The `?outcome=` filter value of `GET /trace/spans`.
+impl std::str::FromStr for SpanOutcome {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<SpanOutcome, ()> {
         match s {
-            "committed" => Some(SpanOutcome::Committed),
-            "user_aborted" => Some(SpanOutcome::UserAborted),
-            "failed" => Some(SpanOutcome::Failed),
-            "shed" => Some(SpanOutcome::Shed),
-            _ => None,
+            "committed" => Ok(SpanOutcome::Committed),
+            "user_aborted" => Ok(SpanOutcome::UserAborted),
+            "failed" => Ok(SpanOutcome::Failed),
+            "shed" => Ok(SpanOutcome::Shed),
+            _ => Err(()),
         }
     }
 }

@@ -11,6 +11,8 @@
 //!   statistics;
 //! - [`clock`]: the wall/virtual clock abstraction that lets the same
 //!   workload-control logic run in real time or in deterministic simulation;
+//! - [`periodic`]: the one background ticker — every periodic thread in
+//!   util/obs/monitor/core/cluster is a [`Periodic`], paced and stopped here;
 //! - [`sync`]: std-only `Mutex`/`RwLock`/`Condvar` wrappers with a
 //!   `parking_lot`-style call-site API (guards returned directly, poison
 //!   ignored) so the workspace builds with zero external dependencies;
@@ -21,6 +23,7 @@
 pub mod clock;
 pub mod histogram;
 pub mod json;
+pub mod periodic;
 pub mod rng;
 pub mod sync;
 pub mod text;
@@ -30,6 +33,7 @@ pub mod xml;
 pub use clock::{Clock, Micros, SharedClock, SimClock, WallClock, MICROS_PER_SEC};
 pub use histogram::Histogram;
 pub use json::Json;
+pub use periodic::Periodic;
 pub use rng::{Discrete, NuRand, Rng, ScrambledZipf, Zipf};
 pub use timeseries::{Summary, TimeSeries};
 pub use xml::XmlNode;

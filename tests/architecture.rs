@@ -12,6 +12,7 @@ use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
 use benchpress::util::clock::wall_clock;
 use benchpress::util::rng::Rng;
+use benchpress::util::Periodic;
 use benchpress::workloads::by_name;
 
 const CONFIG_XML: &str = r#"<?xml version="1.0"?>
@@ -54,7 +55,7 @@ fn full_pipeline_from_config_xml() {
     // 4. Start monitoring (dstat-style) alongside.
     let clock = wall_clock();
     let monitor = Arc::new(Monitor::new(db.clone(), clock.clone()));
-    let monitor_guard = monitor.spawn(200_000);
+    let monitor_task: Periodic = monitor.spawn(200_000);
 
     // 5. Run the phase script with the threaded executor.
     let run_cfg: RunConfig = cfg.run_config(99);
@@ -62,7 +63,7 @@ fn full_pipeline_from_config_xml() {
     let handle = benchpress::core::start(db, workload, clock, run_cfg);
     let trace = handle.trace.clone().expect("trace collection enabled");
     let controller = handle.join();
-    drop(monitor_guard);
+    drop(monitor_task);
 
     // 6. Analyze the trace: both phases visible, rate tracked, no overshoot.
     let analysis = TraceAnalyzer::analyze(&trace, 6);
@@ -112,4 +113,46 @@ fn tpcc_runs_under_throttle_on_real_engine() {
     let total: u64 = per_type.iter().map(|t| t.count).sum();
     let new_order_share = per_type[0].count as f64 / total as f64;
     assert!((0.3..=0.6).contains(&new_order_share), "NewOrder share {new_order_share}");
+}
+
+/// Every periodic background thread is a `bp_util::Periodic`. Outside test
+/// modules, threads are spawned only by `Periodic` itself, the executor
+/// (manager + workers) and the HTTP server (accept + per connection), and
+/// the guard types `Periodic` replaced stay gone.
+#[test]
+fn background_threads_go_through_periodic() {
+    fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                rust_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
+    const RETIRED: [&str; 4] = ["TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard"];
+
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("crates dir") {
+        let src = entry.expect("dir entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 50, "walked only {} files under {crates:?}", files.len());
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("source is utf-8");
+        // The test module, if any, starts at the first column-0 `#[cfg(test)]`.
+        let code = text.split("\n#[cfg(test)]").next().unwrap_or(&text);
+        let rel = path.strip_prefix(&crates).expect("under crates/").to_string_lossy();
+        for name in RETIRED {
+            assert!(!code.contains(name), "{rel} mentions the retired {name}");
+        }
+        if code.contains("thread::Builder") || code.contains("thread::spawn") {
+            assert!(MAY_SPAWN.contains(&&*rel), "{rel} spawns a thread outside its test module");
+        }
+    }
 }
