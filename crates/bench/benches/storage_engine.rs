@@ -3,13 +3,17 @@
 //! harness (hermetic build — no criterion).
 //!
 //! `BENCH_SMOKE=1` shrinks the measurement budget for CI smoke runs; the
-//! text-versus-prepared bound is asserted in both modes.
+//! text-versus-prepared bound and the lock-cycle bound are asserted in both
+//! modes.
 
 use std::hint::black_box;
 
 use bp_bench::timing::{group, Bencher};
 use bp_sql::Connection;
-use bp_storage::{Column, DataType, Database, Personality, TableSchema, Value};
+use bp_storage::{
+    Column, DataType, Database, LockManager, LockMode, LockTarget, Personality, ServerMetrics,
+    TableSchema, Value,
+};
 
 fn test_db(rows: i64) -> std::sync::Arc<Database> {
     let db = Database::new(Personality::test());
@@ -75,6 +79,33 @@ fn bench_point_ops(b: &mut Bencher) {
         s.delete(&t, rid).unwrap();
         s.commit().unwrap();
     });
+}
+
+fn bench_lock_table(b: &mut Bencher) {
+    group("lock_table");
+    let locks = LockManager::new(
+        std::time::Duration::from_secs(1),
+        std::sync::Arc::new(ServerMetrics::new()),
+        std::sync::Arc::new(bp_chaos::ChaosController::new()),
+    );
+    let mut txn = 0u64;
+    let cycle = b
+        .bench("uncontended_x_lock_cycle", || {
+            txn += 1;
+            let target = LockTarget::Row(1, txn & 0xFFF);
+            locks.acquire(txn, target, LockMode::Exclusive).unwrap();
+            locks.release_all(txn, &[target]);
+        })
+        .best_ns;
+    // The yardstick is one wake-up call with nobody to wake — a system call
+    // on this platform, and what every release used to end with. Both sides
+    // are timed here, in one process, so the host's speed cancels.
+    let idle = std::sync::Condvar::new();
+    let notify = b.bench("condvar_notify_all_no_waiter", || idle.notify_all()).best_ns;
+    assert!(
+        cycle < notify,
+        "an uncontended lock cycle costs {cycle:.0} ns, an idle notify_all {notify:.0} ns"
+    );
 }
 
 fn bench_index_scans(b: &mut Bencher) {
@@ -153,6 +184,7 @@ fn main() {
         b.warmup = std::time::Duration::from_millis(15);
     }
     bench_point_ops(&mut b);
+    bench_lock_table(&mut b);
     bench_index_scans(&mut b);
     bench_sql_layer(&mut b);
     bench_dialect_rendering(&mut b);

@@ -48,9 +48,24 @@ pub struct ScheduledRequest {
 /// µs spacings (any rate above ~1k tx/s) are not truncated away.
 const NANOS_PER_MICRO: u64 = 1_000;
 
+/// A queued request: a [`Request`] without its `seq`, which position in the
+/// FIFO implies. Backlog memory is 16 bytes a request, not 24.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    arrival: Micros,
+    txn_type: u16,
+    phase: u16,
+}
+
+// A saturated run holds seconds of backlog: this is what it is made of.
+const _: () = assert!(std::mem::size_of::<Queued>() == 16);
+
 #[derive(Debug, Default)]
 struct QueueState {
-    queue: VecDeque<Request>,
+    queue: VecDeque<Queued>,
+    /// `seq` of the request at the head: how many were ever pushed ahead of
+    /// it, dispatched or drained.
+    head_seq: u64,
     /// Earliest time the next dispatch may happen (rate gate), in nanos.
     next_dispatch_ns: u64,
     /// Schedule anchor of the most recent dispatch (nanos). `None` until
@@ -67,7 +82,6 @@ pub struct RequestQueue {
     clock: SharedClock,
     /// Current dispatch spacing in nanos (0 = no gating, i.e. unlimited).
     spacing_ns: AtomicU64,
-    seq: AtomicU64,
     dispatched: AtomicU64,
     /// Cumulative scheduled-arrival → dispatch wait across all dispatches
     /// (µs). With `dispatched` this gives the mean queue wait without
@@ -83,7 +97,6 @@ impl RequestQueue {
             cond: Condvar::new(),
             clock,
             spacing_ns: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
             queue_wait_us: AtomicU64::new(0),
         }
@@ -116,10 +129,8 @@ impl RequestQueue {
     /// type/phase 0 — used by benches and tests that bypass the manager.
     pub fn push_arrivals(&self, arrivals: impl IntoIterator<Item = Micros>) {
         let mut st = self.state.lock();
-        for arrival in arrivals {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            st.queue.push_back(Request { arrival, seq, txn_type: 0, phase: 0 });
-        }
+        let untyped = |arrival| Queued { arrival, txn_type: 0, phase: 0 };
+        st.queue.extend(arrivals.into_iter().map(untyped));
         drop(st);
         self.cond.notify_all();
     }
@@ -128,15 +139,11 @@ impl RequestQueue {
     /// request carries its pinned transaction type and phase.
     pub fn push_scheduled(&self, base: Micros, reqs: impl IntoIterator<Item = ScheduledRequest>) {
         let mut st = self.state.lock();
-        for r in reqs {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            st.queue.push_back(Request {
-                arrival: base + r.offset_us,
-                seq,
-                txn_type: r.txn_type,
-                phase: r.phase,
-            });
-        }
+        st.queue.extend(reqs.into_iter().map(|r| Queued {
+            arrival: base + r.offset_us,
+            txn_type: r.txn_type,
+            phase: r.phase,
+        }));
         drop(st);
         self.cond.notify_all();
     }
@@ -172,6 +179,7 @@ impl RequestQueue {
         let mut st = self.state.lock();
         let n = st.queue.len();
         st.queue.clear();
+        st.head_seq += n as u64;
         n
     }
 
@@ -189,12 +197,14 @@ impl RequestQueue {
     /// of the queue) if its arrival time and the rate gate have both passed
     /// at `now_ns`; otherwise `Err` carries the time at which they will have.
     #[inline]
-    fn dispatch_head(&self, st: &mut QueueState, head: Request, now_ns: u64) -> Result<Request, u64> {
+    fn dispatch_head(&self, st: &mut QueueState, head: Queued, now_ns: u64) -> Result<Request, u64> {
         let gate_ns = (head.arrival * NANOS_PER_MICRO).max(st.next_dispatch_ns);
         if now_ns < gate_ns {
             return Err(gate_ns);
         }
         st.queue.pop_front();
+        let seq = st.head_seq;
+        st.head_seq += 1;
         let spacing = self.spacing_ns.load(Ordering::Relaxed);
         // Token-bucket with one spacing of credit: anchoring on the gate's
         // own schedule avoids cumulative drift from late dispatches, while
@@ -208,7 +218,7 @@ impl RequestQueue {
         self.dispatched.fetch_add(1, Ordering::Relaxed);
         self.queue_wait_us
             .fetch_add((now_ns / NANOS_PER_MICRO).saturating_sub(head.arrival), Ordering::Relaxed);
-        Ok(head)
+        Ok(Request { arrival: head.arrival, seq, txn_type: head.txn_type, phase: head.phase })
     }
 
     /// Blocking pull honoring arrival times and the rate gate. Returns
@@ -461,6 +471,28 @@ mod tests {
         q.push_arrivals([1_000]);
         sim.advance_to(1_000);
         assert!(q.try_pull().is_some(), "first dispatch delayed by set_rate");
+    }
+
+    #[test]
+    fn seq_is_the_push_index_across_pushes_and_drains() {
+        let (sim, clock) = sim_clock();
+        let q = RequestQueue::new(clock);
+        sim.advance_to(MICROS_PER_SEC);
+        let sched = |n: u16| (0..n).map(|i| ScheduledRequest { offset_us: 0, txn_type: i, phase: 7 });
+        let pulled = |n: usize| (0..n).map(|_| q.try_pull().expect("due").seq).collect::<Vec<_>>();
+        q.push_arrivals([0, 0, 0]); // seqs 0..3
+        assert_eq!(pulled(2), [0, 1]);
+        q.push_scheduled(0, sched(2)); // seqs 3..5, behind seq 2
+        assert_eq!(pulled(2), [2, 3]);
+        q.push_arrivals([0, 0]); // seqs 5..7
+        assert_eq!(q.drain(), 3, "seqs 4, 5, 6 are discarded, not reissued");
+        assert_eq!(q.drain(), 0);
+        q.push_scheduled(0, sched(2)); // seqs 7..9
+        q.push_arrivals([0]); // seq 9
+        let last = q.pull(1).expect("due");
+        assert_eq!((last.seq, last.txn_type, last.phase), (7, 0, 7));
+        assert_eq!(pulled(2), [8, 9]);
+        assert_eq!(q.try_pull(), None);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use bp_util::rng::Rng;
 
 use crate::bufferpool::BufferPool;
 use crate::error::{Result, StorageError};
-use crate::lock::{LockManager, LockMode, LockTarget, TxnId};
+use crate::lock::{upgrade_result, LockManager, LockMode, LockTarget, TxnId};
 use crate::metrics::ServerMetrics;
 use crate::personality::{apply_delay, Personality};
 use crate::recovery::{
@@ -391,8 +391,12 @@ struct Txn {
     /// stale (its undo must not touch the rebuilt tables).
     gen: u64,
     locks: Vec<LockTarget>,
+    /// The mode the lock manager has granted this txn on each table it
+    /// locked, kept in step with it: every row operation asks for its
+    /// table's intention lock again, and the answer is known here.
+    tables: Vec<(u32, LockMode)>,
     undo: Vec<Undo>,
-    /// After-images for the commit's redo record, in operation order.
+    /// The commit's redo record, in operation order.
     redo: Vec<RedoOp>,
     wal_bytes: u64,
     rows_read: u64,
@@ -447,6 +451,7 @@ impl Session {
             id,
             gen: self.db.generation(),
             locks: Vec::new(),
+            tables: Vec::new(),
             undo: Vec::new(),
             redo: Vec::new(),
             wal_bytes: 0,
@@ -579,11 +584,23 @@ impl Session {
     }
 
     fn lock(&mut self, target: LockTarget, mode: LockMode) -> Result<()> {
-        let txn = self.txn.as_ref().ok_or(StorageError::NoActiveTransaction)?;
-        let id = txn.id;
-        match self.db.locks.acquire(id, target, mode) {
+        let txn = self.txn.as_mut().ok_or(StorageError::NoActiveTransaction)?;
+        let held = match target {
+            LockTarget::Table(id) => txn.tables.iter_mut().find(|(t, _)| *t == id),
+            LockTarget::Row(..) => None,
+        };
+        if held.as_ref().is_some_and(|(_, held)| held.covers(mode)) {
+            return Ok(());
+        }
+        match self.db.locks.acquire(txn.id, target, mode) {
             Ok(true) => {
-                self.txn_mut()?.locks.push(target);
+                txn.locks.push(target);
+                if let LockTarget::Table(id) = target {
+                    match held {
+                        Some((_, held)) => *held = upgrade_result(*held, mode),
+                        None => txn.tables.push((id, mode)),
+                    }
+                }
                 Ok(())
             }
             Ok(false) => Ok(()),
@@ -642,7 +659,7 @@ impl Session {
                 match row {
                     // Re-verify: the row may have been deleted/moved while we
                     // waited for the lock.
-                    Some(r) if table.schema.pk_of(&r) == key => Ok(Some((rowid, r))),
+                    Some(r) if table.schema.pk_matches(&r, key) => Ok(Some((rowid, r))),
                     _ => Ok(None),
                 }
             }
@@ -749,8 +766,8 @@ impl Session {
         let before = table.update(rowid, new_row.clone())?;
         self.charge(self.db.personality.write_us);
         let txn = self.txn_mut()?;
+        txn.redo.push(RedoOp::update(table.id, rowid, &before, new_row));
         txn.undo.push(Undo::Update { table: table.clone(), rowid, before });
-        txn.redo.push(RedoOp::Update { table: table.id, rowid, row: new_row });
         txn.wal_bytes += bytes;
         txn.rows_written += 1;
         Ok(())
@@ -999,6 +1016,55 @@ mod tests {
         let err = b.insert(&t, vec![Value::Int(2), Value::Int(2)]).unwrap_err();
         assert!(err.is_retryable());
         a.commit().unwrap();
+    }
+
+    #[test]
+    fn held_table_lock_is_not_asked_for_again() {
+        use bp_chaos::{FaultPlan, FaultWindow};
+        // Table granularity: an insert takes the table's X lock and nothing
+        // else, so the lock manager is crossed only if the table lock is.
+        let db = Database::new(Personality { row_locking: false, ..Personality::test() });
+        db.create_table(
+            TableSchema::new("t", vec![Column::new("id", DataType::Int)], &["id"]).unwrap(),
+        )
+        .unwrap();
+        let t = db.table("t").unwrap();
+        let mut s = db.session();
+        s.begin().unwrap();
+        s.insert(&t, vec![Value::Int(1)]).unwrap();
+        // From here on every call into the lock manager fails.
+        db.chaos().arm(
+            FaultPlan::new("all-errors", 1)
+                .with_window(FaultWindow::always(FaultKind::InjectedError, 1.0, 0)),
+        );
+        s.insert(&t, vec![Value::Int(2)]).unwrap();
+        assert_eq!(s.scan(&t).unwrap().len(), 2, "X covers the scan's S");
+        s.commit().unwrap();
+        assert_eq!(db.chaos().injected_total(FaultKind::InjectedError), 0);
+        // The memo is the transaction's: the next one asks again.
+        s.begin().unwrap();
+        let err = s.insert(&t, vec![Value::Int(3)]).unwrap_err();
+        assert_eq!(err, StorageError::Injected { site: "lock" });
+    }
+
+    #[test]
+    fn table_lock_memo_follows_upgrades() {
+        let db = db();
+        let t = acct(&db);
+        let mut s = db.session();
+        s.with_txn(|s| s.insert(&t, vec![Value::Int(1), Value::Int(0)])).unwrap();
+        let mut a = db.session();
+        a.begin().unwrap();
+        let (rid, _) = a.read_pk(&t, &[Value::Int(1)], false).unwrap().unwrap(); // IS
+        a.update(&t, rid, vec![Value::Int(1), Value::Int(1)]).unwrap(); // IS -> IX
+        a.update(&t, rid, vec![Value::Int(1), Value::Int(2)]).unwrap(); // IX, from the memo
+        // The manager holds IX for `a`, not the IS it first asked for: a
+        // younger scanner (table S) conflicts.
+        let mut b = db.session();
+        b.begin().unwrap();
+        assert!(b.scan(&t).unwrap_err().is_retryable());
+        a.commit().unwrap();
+        assert_eq!(db.locks.entry_count(), 0, "each lock released once is all released");
     }
 
     #[test]

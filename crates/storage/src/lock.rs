@@ -11,13 +11,14 @@
 //! timeout backstops pathological waits. Transaction age = transaction id
 //! (monotonically increasing), so "older" means a smaller id.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bp_chaos::{ChaosController, FaultKind};
 use bp_obs::{EventJournal, Severity};
-use bp_util::sync::{Condvar, Mutex};
+use bp_util::sync::{CachePadded, Condvar, Mutex};
 
 use crate::error::{Result, StorageError};
 use crate::metrics::ServerMetrics;
@@ -74,22 +75,79 @@ pub enum LockTarget {
     Row(u32, u64),
 }
 
-#[derive(Debug)]
-struct LockState {
-    /// Granted holders: (txn, mode). A txn appears at most once.
-    granted: Vec<(TxnId, LockMode)>,
-    /// Number of threads currently blocked on this entry.
-    waiters: usize,
+/// Shards of the lock table; a lock cycle touches exactly one.
+const SHARDS: usize = 64;
+
+/// Multiply-rotate hasher for [`LockTarget`]s: the engine hands out table and
+/// row ids itself, so SipHash's flood resistance would only cost here.
+#[derive(Default)]
+struct Mix(u64);
+
+impl Hasher for Mix {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let mixed = self.0.rotate_left(5) ^ u64::from_le_bytes(word);
+            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
-struct LockEntry {
-    state: Mutex<LockState>,
+/// Shard of `target`, from hash bits the shard map's own probe does not use
+/// (low bits pick its bucket, the top seven tag it).
+fn shard_of(target: LockTarget) -> usize {
+    (BuildHasherDefault::<Mix>::default().hash_one(target) >> 48) as usize % SHARDS
+}
+
+/// One target's granted holders; a txn appears at most once. The first is
+/// inline (an unshared lock never allocates); `rest` is empty without it.
+#[derive(Debug, Default)]
+struct LockState {
+    first: Option<(TxnId, LockMode)>,
+    rest: Vec<(TxnId, LockMode)>,
+    /// Threads blocked on this target; they pin the entry in its shard map.
+    waiters: u32,
+}
+
+impl LockState {
+    /// Grant or upgrade to `mode` if every other holder allows it (`true`;
+    /// `false` when already covered), else name the oldest holder in the way.
+    fn request(&mut self, txn: TxnId, mode: LockMode) -> std::result::Result<bool, TxnId> {
+        let (mut mine, mut blocker) = (None, None::<TxnId>);
+        for h in self.first.iter_mut().chain(&mut self.rest) {
+            if h.0 == txn {
+                mine = Some(h);
+            } else if !mode.compatible(h.1) {
+                blocker = Some(blocker.map_or(h.0, |b| b.min(h.0)));
+            }
+        }
+        match (mine, blocker) {
+            (Some(h), _) if h.1.covers(mode) => return Ok(false),
+            (_, Some(holder)) => return Err(holder),
+            (Some(h), None) => h.1 = upgrade_result(h.1, mode),
+            (None, None) => match self.first {
+                None => self.first = Some((txn, mode)),
+                Some(_) => self.rest.push((txn, mode)),
+            },
+        }
+        Ok(true)
+    }
+}
+
+/// An entry is created, granted, waited on and removed under this one mutex:
+/// none can vanish under a thread on its way to it. Waiters share the condvar.
+struct Shard {
+    map: Mutex<HashMap<LockTarget, LockState, BuildHasherDefault<Mix>>>,
     cond: Condvar,
 }
 
 /// The lock table.
 pub struct LockManager {
-    entries: Mutex<HashMap<LockTarget, Arc<LockEntry>>>,
+    shards: [CachePadded<Shard>; SHARDS],
     timeout: Duration,
     metrics: Arc<ServerMetrics>,
     chaos: Arc<ChaosController>,
@@ -103,7 +161,9 @@ impl LockManager {
         chaos: Arc<ChaosController>,
     ) -> LockManager {
         LockManager {
-            entries: Mutex::new(HashMap::new()),
+            shards: std::array::from_fn(|_| {
+                CachePadded::new(Shard { map: Mutex::default(), cond: Condvar::new() })
+            }),
             timeout,
             metrics,
             chaos,
@@ -135,27 +195,6 @@ impl LockManager {
         }
     }
 
-    fn entry(&self, target: LockTarget) -> Arc<LockEntry> {
-        let mut map = self.entries.lock();
-        map.entry(target)
-            .or_insert_with(|| {
-                Arc::new(LockEntry {
-                    state: Mutex::new(LockState { granted: Vec::new(), waiters: 0 }),
-                    cond: Condvar::new(),
-                })
-            })
-            .clone()
-    }
-
-    /// Record a finished lock wait: the engine-wide counters plus the
-    /// per-request span stage accumulator (drained by the worker loop).
-    fn note_wait(&self, wait_start: Option<std::time::Instant>) {
-        let Some(wait_start) = wait_start else { return };
-        let waited = wait_start.elapsed();
-        self.metrics.record_lock_wait(waited);
-        bp_obs::add_lock_wait_us(waited.as_micros() as u64);
-    }
-
     /// Acquire (or upgrade to) `mode` on `target` for transaction `txn`.
     ///
     /// Returns `Ok(true)` if a new lock or upgrade was granted, `Ok(false)`
@@ -175,66 +214,42 @@ impl LockManager {
             self.note_victim(txn, txn);
             return Err(StorageError::Deadlock { waiting_for: txn });
         }
-        let entry = self.entry(target);
-        let mut state = entry.state.lock();
+        let shard = &self.shards[shard_of(target)];
+        let mut map = shard.map.lock();
         // Set when the first wait begins: an uncontended grant reads no clock.
         let mut wait_start = None;
-        loop {
-            // Already hold something?
-            if let Some(pos) = state.granted.iter().position(|(t, _)| *t == txn) {
-                let held = state.granted[pos].1;
-                if held.covers(mode) {
-                    return Ok(false);
-                }
-                // Upgrade: must be compatible with all *other* holders.
-                let others_ok = state
-                    .granted
-                    .iter()
-                    .all(|(t, m)| *t == txn || mode.compatible(*m));
-                if others_ok {
-                    state.granted[pos].1 = upgrade_result(held, mode);
-                    self.note_wait(wait_start);
-                    return Ok(true);
-                }
-            } else {
-                let all_ok = state.granted.iter().all(|(_, m)| mode.compatible(*m));
-                if all_ok {
-                    state.granted.push((txn, mode));
-                    self.note_wait(wait_start);
-                    return Ok(true);
-                }
+        let outcome = loop {
+            let state = map.entry(target).or_default();
+            let holder = match state.request(txn, mode) {
+                Ok(granted) => break Ok(granted),
+                Err(holder) => holder,
+            };
+            // Conflict — so the entry has holders and stays, however this
+            // call ends. Wait-die: die if the oldest one in the way is older.
+            if holder < txn {
+                self.metrics.inc_deadlocks();
+                self.note_victim(txn, holder);
+                break Err(StorageError::Deadlock { waiting_for: holder });
             }
-
-            // Conflict. Wait-die: die if any incompatible holder is older.
-            let oldest_conflicting = state
-                .granted
-                .iter()
-                .filter(|(t, m)| *t != txn && !mode.compatible(*m))
-                .map(|(t, _)| *t)
-                .min();
-            if let Some(holder) = oldest_conflicting {
-                if holder < txn {
-                    self.metrics.inc_deadlocks();
-                    self.note_victim(txn, holder);
-                    self.note_wait(wait_start);
-                    return Err(StorageError::Deadlock { waiting_for: holder });
-                }
-            }
-
-            // Older than all conflicting holders: wait.
-            wait_start.get_or_insert_with(std::time::Instant::now);
-            state.waiters += 1;
-            let timed_out = entry
-                .cond
-                .wait_for(&mut state, self.timeout)
-                .timed_out();
-            state.waiters -= 1;
-            if timed_out {
+            // Older than all of them: wait, up to one deadline. A wake-up may
+            // be a neighbour's release and must not start the timeout again.
+            let now = Instant::now();
+            let deadline = *wait_start.get_or_insert(now) + self.timeout;
+            if now >= deadline {
                 self.metrics.inc_lock_timeouts();
-                self.note_wait(wait_start);
-                return Err(StorageError::LockTimeout);
+                break Err(StorageError::LockTimeout);
             }
+            state.waiters += 1;
+            shard.cond.wait_for(&mut map, deadline - now);
+            map.get_mut(&target).expect("waiters pin the entry").waiters -= 1;
+        };
+        drop(map);
+        // A finished wait: the engine-wide counters and the request's span stage accumulator.
+        if let Some(waited) = wait_start.map(|start| start.elapsed()) {
+            self.metrics.record_lock_wait(waited);
+            bp_obs::add_lock_wait_us(waited.as_micros() as u64);
         }
+        outcome
     }
 
     /// Release every lock in `held` for `txn` and wake waiters.
@@ -244,49 +259,34 @@ impl LockManager {
         }
     }
 
-    /// Release one lock.
+    /// Release one lock and, in the same critical section, the entry nobody
+    /// holds or waits for. Notifies only counted waiters: with none, the
+    /// wake-up would still be a syscall.
     pub fn release(&self, txn: TxnId, target: LockTarget) {
-        let entry = {
-            let map = self.entries.lock();
-            match map.get(&target) {
-                Some(e) => e.clone(),
-                None => return,
-            }
-        };
-        let mut state = entry.state.lock();
-        state.granted.retain(|(t, _)| *t != txn);
-        let empty = state.granted.is_empty() && state.waiters == 0;
-        entry.cond.notify_all();
-        drop(state);
-        if empty {
-            // Garbage-collect the entry if still empty under the map lock.
-            // The strong-count check is essential: `entry()` clones the Arc
-            // while holding the map lock, so a count of exactly 2 (map +
-            // ours) proves no in-flight acquirer holds this entry. Removing
-            // an entry another thread is about to lock would let a fresh
-            // entry be created for the same target — two independent "lock
-            // tables" for one row, i.e. lost updates.
-            let mut map = self.entries.lock();
-            if let Some(e) = map.get(&target) {
-                if Arc::ptr_eq(e, &entry) && Arc::strong_count(e) == 2 {
-                    let st = e.state.lock();
-                    if st.granted.is_empty() && st.waiters == 0 {
-                        drop(st);
-                        map.remove(&target);
-                    }
-                }
-            }
+        let shard = &self.shards[shard_of(target)];
+        let mut map = shard.map.lock();
+        let Entry::Occupied(mut entry) = map.entry(target) else { return };
+        let state = entry.get_mut();
+        if state.first.is_some_and(|(t, _)| t == txn) {
+            state.first = state.rest.pop();
+        } else {
+            state.rest.retain(|(t, _)| *t != txn);
+        }
+        if state.waiters > 0 {
+            shard.cond.notify_all();
+        } else if state.first.is_none() {
+            entry.remove();
         }
     }
 
     /// Number of live lock entries (for tests / introspection).
     pub fn entry_count(&self) -> usize {
-        self.entries.lock().len()
+        self.shards.iter().map(|s| s.map.lock().len()).sum()
     }
 }
 
 /// Result mode when a transaction holding `held` upgrades to `want`.
-fn upgrade_result(held: LockMode, want: LockMode) -> LockMode {
+pub(crate) fn upgrade_result(held: LockMode, want: LockMode) -> LockMode {
     use LockMode::*;
     match (held, want) {
         (Shared, Exclusive) | (Exclusive, _) => Exclusive,
@@ -306,7 +306,8 @@ fn upgrade_result(held: LockMode, want: LockMode) -> LockMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::thread::JoinHandle;
 
     fn mgr() -> LockManager {
         LockManager::new(
@@ -462,5 +463,156 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.lock_waits, 1);
         assert!(snap.lock_wait_micros >= 20_000, "waited {}", snap.lock_wait_micros);
+    }
+
+    /// The `n` lowest rows of table 1 whose shard is one of `shards`.
+    fn rows_in_shards(shards: &[usize], n: usize) -> Vec<LockTarget> {
+        let rows = (0..).map(|r| LockTarget::Row(1, r));
+        rows.filter(|&t| shards.contains(&shard_of(t))).take(n).collect()
+    }
+
+    /// Two threads pass an X lock on `target` back and forth, holding it for
+    /// 5 ms a turn: txn ids fall, so the one asking is the older and waits,
+    /// and every release finds a waiter and notifies the shard.
+    /// Runs until `stop`, or 2 s so that a waiter it keeps awake still ends.
+    fn chatter(
+        m: &Arc<LockManager>,
+        target: LockTarget,
+        stop: &Arc<AtomicBool>,
+    ) -> Vec<JoinHandle<()>> {
+        let next_id = Arc::new(AtomicU64::new(1 << 40));
+        let turns = || {
+            let (m, stop, next_id) = (m.clone(), stop.clone(), next_id.clone());
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                while !stop.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(2) {
+                    let id = next_id.fetch_sub(1, Ordering::SeqCst);
+                    if m.acquire(id, target, LockMode::Exclusive).is_err() {
+                        continue; // overtaken between id and request: ask again, older
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                    m.release(id, target);
+                }
+            })
+        };
+        vec![turns(), turns()]
+    }
+
+    #[test]
+    fn shard_neighbours_share_wakeups_not_timeouts_or_grants() {
+        let m = Arc::new(LockManager::new(
+            Duration::from_millis(60),
+            Arc::new(ServerMetrics::new()),
+            Arc::new(ChaosController::new()),
+        ));
+        let [a, b] = rows_in_shards(&[shard_of(R)], 2)[..] else { panic!("two rows") };
+        let stop = Arc::new(AtomicBool::new(false));
+        m.acquire(5, a, LockMode::Exclusive).unwrap(); // the younger txn holds `a`
+        let neighbours = chatter(&m, b, &stop);
+
+        // Deadline, not restart: woken every 5 ms by `b`'s releases, the
+        // older txn still gives up 60 ms after it began to wait.
+        let start = Instant::now();
+        let err = m.acquire(1, a, LockMode::Exclusive).unwrap_err();
+        let waited = start.elapsed();
+        assert_eq!(err, StorageError::LockTimeout);
+        assert!(
+            waited >= Duration::from_millis(60) && waited <= Duration::from_millis(150),
+            "timed out after {waited:?}"
+        );
+
+        // A neighbour's release is not a grant: with the same chatter going,
+        // the waiter gets through only once the holder has let go.
+        let released = Arc::new(AtomicBool::new(false));
+        let (m2, released2) = (m.clone(), released.clone());
+        let holder = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            released2.store(true, Ordering::SeqCst);
+            m2.release(5, a);
+        });
+        m.acquire(1, a, LockMode::Exclusive).unwrap();
+        assert!(released.load(Ordering::SeqCst), "granted while the holder still held");
+        m.release(1, a);
+
+        stop.store(true, Ordering::SeqCst);
+        holder.join().unwrap();
+        neighbours.into_iter().for_each(|h| h.join().unwrap());
+        assert_eq!(m.entry_count(), 0);
+    }
+
+    #[test]
+    fn exclusion_under_load() {
+        const THREADS: u64 = 4;
+        const ITERS: u64 = 20_000;
+        // A lost wake-up shows as a timeout; make it long enough that a
+        // slow host cannot.
+        let m = Arc::new(LockManager::new(
+            Duration::from_secs(20),
+            Arc::new(ServerMetrics::new()),
+            Arc::new(ChaosController::new()),
+        ));
+        let other = (0..).map(|r| shard_of(LockTarget::Row(1, r))).find(|&s| s != shard_of(R));
+        let rows = Arc::new(rows_in_shards(&[shard_of(R), other.unwrap()], 16));
+        let counters = Arc::new((0..rows.len()).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
+        let next_id = Arc::new(AtomicU64::new(1));
+        let go = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let workers: Vec<_> = (0..THREADS)
+            .map(|w| {
+                let (m, rows, counters, next_id, go) =
+                    (m.clone(), rows.clone(), counters.clone(), next_id.clone(), go.clone());
+                std::thread::spawn(move || {
+                    go.wait();
+                    let mut rng = bp_util::rng::Rng::new(w);
+                    for _ in 0..ITERS {
+                        let row = rng.bounded(rows.len() as u64) as usize;
+                        // A victim restarts under its old id, so it ages
+                        // into the oldest and cannot starve.
+                        let id = next_id.fetch_add(1, Ordering::SeqCst);
+                        loop {
+                            match m.acquire(id, rows[row], LockMode::Exclusive) {
+                                Ok(granted) => break assert!(granted),
+                                Err(StorageError::Deadlock { .. }) => std::thread::yield_now(),
+                                Err(e) => panic!("{e}"),
+                            }
+                        }
+                        // Not atomic as a whole, and the others get to run in
+                        // the middle: only the X lock keeps two threads from
+                        // reading the same value.
+                        let seen = counters[row].load(Ordering::Relaxed);
+                        std::thread::yield_now();
+                        counters[row].store(seen + 1, Ordering::Relaxed);
+                        m.release_all(id, &[rows[row]]);
+                    }
+                })
+            })
+            .collect();
+        workers.into_iter().for_each(|h| h.join().unwrap());
+        let total: u64 = counters.iter().map(|c| c.load(Ordering::SeqCst)).sum();
+        assert_eq!(total, THREADS * ITERS, "an update was lost: two holders of one X lock");
+        assert_eq!(m.entry_count(), 0);
+        let seen = m.metrics.snapshot();
+        assert!(seen.lock_waits > 0 && seen.deadlocks > 0, "no contention: {seen:?}");
+    }
+
+    #[test]
+    fn shared_holders_spill_and_drain_in_any_order() {
+        let m = mgr();
+        for reader in [1, 2, 3] {
+            assert!(m.acquire(reader, R, LockMode::Shared).unwrap());
+        }
+        let blocked_by = |holder| {
+            let err = m.acquire(9, R, LockMode::Exclusive).unwrap_err();
+            assert_eq!(err, StorageError::Deadlock { waiting_for: holder });
+        };
+        blocked_by(1);
+        m.release(2, R); // the middle one, out of the spill
+        blocked_by(1);
+        m.release(1, R); // the inline one: a spilled holder takes its place
+        blocked_by(3);
+        assert!(!m.acquire(3, R, LockMode::Shared).unwrap(), "3 still holds");
+        assert_eq!(m.entry_count(), 1);
+        m.release(3, R);
+        assert_eq!(m.entry_count(), 0);
+        assert!(m.acquire(9, R, LockMode::Exclusive).unwrap());
     }
 }

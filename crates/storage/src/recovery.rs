@@ -2,7 +2,8 @@
 //! bookkeeping.
 //!
 //! Commits append one binary redo record (insert/update/delete with table
-//! id, rowid and row after-image) to the WAL's segment store. A checkpoint
+//! id and rowid; an insert carries the row, an update the columns it
+//! changed) to the WAL's segment store. A checkpoint
 //! materializes the committed state at a stable LSN by replaying every
 //! complete record into an image, then truncates the consumed segments.
 //! [`crate::Database::recover`] loads the latest checkpoint, replays the
@@ -64,8 +65,25 @@ impl CrashPoint {
 #[derive(Debug, Clone, PartialEq)]
 pub enum RedoOp {
     Insert { table: u32, rowid: RowId, row: Row },
-    Update { table: u32, rowid: RowId, row: Row },
+    /// After-images of the columns the update changed, by position. The log
+    /// is kept until a checkpoint folds it, so its size is resident memory;
+    /// the row it patches is in the log before it, or in the checkpoint.
+    Update { table: u32, rowid: RowId, cols: Vec<(u32, Value)> },
     Delete { table: u32, rowid: RowId },
+}
+
+impl RedoOp {
+    /// The update that turns `before` into `after` (two images of one row).
+    pub fn update(table: u32, rowid: RowId, before: &Row, after: Row) -> RedoOp {
+        // Bitwise for floats: `-0.0 == 0.0`, and recovery must restore the
+        // committed bytes, not an equal number.
+        let same = |a: &Value, b: &Value| match (a, b) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => a == b,
+        };
+        let changed = after.into_iter().zip(before).enumerate().filter(|(_, (a, b))| !same(a, b));
+        RedoOp::Update { table, rowid, cols: changed.map(|(i, (a, _))| (i as u32, a)).collect() }
+    }
 }
 
 /// A commit's redo record: everything needed to replay it physically.
@@ -81,8 +99,9 @@ pub struct RedoRecord {
 // Record layout: [len][payload], where `len` counts the payload bytes and
 // the payload ends with an FNV-1a checksum over everything before it:
 //   payload = [lsn][txn][nops] op* [crc u32]
-//   op      = [tag u8][table][rowid] (row for insert/update)
+//   op      = [tag u8][table][rowid] (row for insert, cols for update)
 //   row     = [ncols] value*
+//   cols    = [ncols] ([column] value)*
 //   value   = [tag u8] ...
 // Lengths, ids and counts are LEB128 varints, `Int` values zigzag varints;
 // the checksum and floats are fixed-width little-endian. A record whose
@@ -184,7 +203,7 @@ fn decode_value(buf: &[u8], at: &mut usize) -> Option<Value> {
         }
         3 => Value::Float(f64::from_bits(get_u64(buf, at)?)),
         4 => Value::Str(String::from_utf8(get_bytes(buf, at)?.to_vec()).ok()?),
-        5 => Value::Bytes(get_bytes(buf, at)?.to_vec()),
+        5 => Value::Bytes(get_bytes(buf, at)?.into()),
         _ => return None,
     })
 }
@@ -197,18 +216,33 @@ pub fn encode_row(buf: &mut Vec<u8>, row: &Row) {
     }
 }
 
-fn decode_row(buf: &[u8], at: &mut usize) -> Option<Row> {
+/// `[n] item*`, for a row's values and an update's columns.
+fn decode_list<T>(
+    buf: &[u8],
+    at: &mut usize,
+    item: impl Fn(&[u8], &mut usize) -> Option<T>,
+) -> Option<Vec<T>> {
     let n = get_varint(buf, at)?;
-    // Every value takes at least its tag byte, so a count the remaining
-    // bytes cannot hold is a torn record, not an allocation size.
+    // Every item takes at least its value's tag byte, so a count the
+    // remaining bytes cannot hold is a torn record, not an allocation size.
     if n > (buf.len() - *at) as u64 {
         return None;
     }
-    let mut row = Vec::with_capacity(n as usize);
+    let mut items = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        row.push(decode_value(buf, at)?);
+        items.push(item(buf, at)?);
     }
-    Some(row)
+    Some(items)
+}
+
+fn decode_row(buf: &[u8], at: &mut usize) -> Option<Row> {
+    decode_list(buf, at, decode_value)
+}
+
+fn decode_cols(buf: &[u8], at: &mut usize) -> Option<Vec<(u32, Value)>> {
+    decode_list(buf, at, |buf, at| {
+        Some((u32::try_from(get_varint(buf, at)?).ok()?, decode_value(buf, at)?))
+    })
 }
 
 /// Append one commit's redo record to `buf` and return its encoded length.
@@ -223,16 +257,24 @@ pub fn encode_record(buf: &mut Vec<u8>, lsn: u64, txn: u64, ops: &[RedoOp]) -> u
     put_varint(buf, txn);
     put_varint(buf, ops.len() as u64);
     for op in ops {
-        let (tag, table, rowid, row) = match op {
-            RedoOp::Insert { table, rowid, row } => (OP_INSERT, table, rowid, Some(row)),
-            RedoOp::Update { table, rowid, row } => (OP_UPDATE, table, rowid, Some(row)),
-            RedoOp::Delete { table, rowid } => (OP_DELETE, table, rowid, None),
+        let (tag, table, rowid) = match op {
+            RedoOp::Insert { table, rowid, .. } => (OP_INSERT, table, rowid),
+            RedoOp::Update { table, rowid, .. } => (OP_UPDATE, table, rowid),
+            RedoOp::Delete { table, rowid } => (OP_DELETE, table, rowid),
         };
         buf.push(tag);
         put_varint(buf, *table as u64);
         put_varint(buf, *rowid);
-        if let Some(row) = row {
-            encode_row(buf, row);
+        match op {
+            RedoOp::Insert { row, .. } => encode_row(buf, row),
+            RedoOp::Update { cols, .. } => {
+                put_varint(buf, cols.len() as u64);
+                for (col, v) in cols {
+                    put_varint(buf, *col as u64);
+                    encode_value(buf, v);
+                }
+            }
+            RedoOp::Delete { .. } => {}
         }
     }
     let crc = fnv1a(&buf[start + 1..]);
@@ -293,7 +335,7 @@ fn decode_complete(buf: &[u8], at: usize) -> Option<(RedoRecord, usize)> {
         let rowid = get_varint(body, &mut p)?;
         ops.push(match tag {
             OP_INSERT => RedoOp::Insert { table, rowid, row: decode_row(body, &mut p)? },
-            OP_UPDATE => RedoOp::Update { table, rowid, row: decode_row(body, &mut p)? },
+            OP_UPDATE => RedoOp::Update { table, rowid, cols: decode_cols(body, &mut p)? },
             OP_DELETE => RedoOp::Delete { table, rowid },
             _ => return None,
         });
@@ -316,8 +358,20 @@ pub struct Checkpoint {
 pub fn apply_record(image: &mut TableImage, rec: &RedoRecord) {
     for op in &rec.ops {
         match op {
-            RedoOp::Insert { table, rowid, row } | RedoOp::Update { table, rowid, row } => {
+            RedoOp::Insert { table, rowid, row } => {
                 image.entry(*table).or_default().insert(*rowid, row.clone());
+            }
+            // A row is inserted before it is updated, so the image has it;
+            // a record that says otherwise is skipped like a delete of
+            // nothing, not trusted with an index.
+            RedoOp::Update { table, rowid, cols } => {
+                if let Some(row) = image.get_mut(table).and_then(|t| t.get_mut(rowid)) {
+                    for (col, v) in cols {
+                        if let Some(slot) = row.get_mut(*col as usize) {
+                            *slot = v.clone();
+                        }
+                    }
+                }
             }
             RedoOp::Delete { table, rowid } => {
                 if let Some(t) = image.get_mut(table) {
@@ -499,7 +553,7 @@ mod tests {
                 RedoOp::Update {
                     table: 1,
                     rowid: 0,
-                    row: vec![Value::Int(1), Value::Str("bye".into()), Value::Float(2.5)],
+                    cols: vec![(1, Value::Str("bye".into())), (2, Value::Float(2.5))],
                 },
                 RedoOp::Delete { table: 2, rowid: 9 },
             ],
@@ -528,7 +582,11 @@ mod tests {
             ops: vec![
                 RedoOp::Insert { table: u32::MAX, rowid: u64::MAX, row: ints.map(Value::Int).to_vec() },
                 // Pushes the payload past one and two length-prefix bytes.
-                RedoOp::Update { table: 1, rowid: 2, row: vec![Value::Bytes(vec![7; 20_000])] },
+                RedoOp::Update {
+                    table: 1,
+                    rowid: 2,
+                    cols: vec![(u32::MAX, Value::Bytes(vec![7; 20_000].into()))],
+                },
             ],
         };
         let mut buf = vec![0xAA; 3];
@@ -546,15 +604,32 @@ mod tests {
     #[test]
     fn short_transaction_record_is_compact() {
         // One update of a two-column row (a smallbank balance change) after
-        // a million commits: the fixed-width form took 63 bytes.
-        let ops = [RedoOp::Update {
-            table: 3,
-            rowid: 250_000,
-            row: vec![Value::Int(250_000), Value::Float(1234.5)],
-        }];
+        // a million commits: the fixed-width form took 63 bytes, the whole
+        // after-image 33.
+        let before = vec![Value::Int(250_000), Value::Float(1234.5)];
+        let ops = [RedoOp::update(3, 250_000, &before, vec![Value::Int(250_000), Value::Float(1200.0)])];
+        assert_eq!(
+            ops[0],
+            RedoOp::Update { table: 3, rowid: 250_000, cols: vec![(1, Value::Float(1200.0))] }
+        );
         let mut buf = Vec::new();
         let len = encode_record(&mut buf, 1_000_000, 1_000_123, &ops);
-        assert!(len <= 33, "{len} bytes");
+        assert!(len <= 30, "{len} bytes");
+    }
+
+    #[test]
+    fn update_logs_changed_columns_bitwise() {
+        let before = vec![Value::Int(1), Value::Float(0.0), Value::Str("a".into()), Value::Null];
+        let after = vec![Value::Int(1), Value::Float(-0.0), Value::Str("a".into()), Value::Int(0)];
+        let RedoOp::Update { cols, .. } = RedoOp::update(1, 0, &before, after.clone()) else {
+            panic!("an update");
+        };
+        assert_eq!(cols.iter().map(|(c, _)| *c).collect::<Vec<_>>(), [1, 3]);
+        assert!(matches!(cols[0].1, Value::Float(z) if z.to_bits() == (-0.0f64).to_bits()));
+        let RedoOp::Update { cols, .. } = RedoOp::update(1, 0, &after, after.clone()) else {
+            panic!("an update");
+        };
+        assert!(cols.is_empty(), "nothing changed: {cols:?}");
     }
 
     #[test]
@@ -612,8 +687,11 @@ mod tests {
                 lsn: 2,
                 txn: 2,
                 ops: vec![
-                    RedoOp::Update { table: 1, rowid: 3, row: vec![Value::Int(11)] },
+                    RedoOp::Update { table: 1, rowid: 3, cols: vec![(0, Value::Int(11))] },
                     RedoOp::Delete { table: 1, rowid: 4 },
+                    // Nothing to patch: no such row, no such column.
+                    RedoOp::Update { table: 1, rowid: 4, cols: vec![(0, Value::Int(0))] },
+                    RedoOp::Update { table: 1, rowid: 3, cols: vec![(9, Value::Int(0))] },
                 ],
             },
         );

@@ -87,6 +87,12 @@ impl TableSchema {
         self.primary_key.iter().map(|&i| row[i].clone()).collect()
     }
 
+    /// `pk_of(row) == key`, compared in place: no key is built or cloned.
+    pub fn pk_matches(&self, row: &Row, key: &[Value]) -> bool {
+        self.primary_key.len() == key.len()
+            && self.primary_key.iter().zip(key).all(|(&i, k)| row[i] == *k)
+    }
+
     /// Validate a row against the schema and coerce values into storage form.
     pub fn check_row(&self, row: Row) -> Result<Row> {
         if row.len() != self.columns.len() {
@@ -162,6 +168,10 @@ mod tests {
         let s = schema();
         let row = vec![Value::Int(7), Value::Str("x".into()), Value::Null];
         assert_eq!(s.pk_of(&row), vec![Value::Int(7)]);
+        assert!(s.pk_matches(&row, &[Value::Int(7)]));
+        for other in [vec![], vec![Value::Int(8)], vec![Value::Float(7.0)], vec![Value::Int(7); 2]] {
+            assert!(!s.pk_matches(&row, &other) && s.pk_of(&row) != other, "{other:?}");
+        }
     }
 
     #[test]

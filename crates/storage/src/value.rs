@@ -24,6 +24,10 @@ impl fmt::Display for DataType {
 /// Ordering is total: NULL sorts first, then by type rank, then by value
 /// (floats via `total_cmp`). Cross-type Int/Float comparisons compare
 /// numerically so that index keys built from either work intuitively.
+///
+/// `Bytes` is a boxed slice, not a `Vec`: two wide payloads would leave the
+/// enum no niche for its tag and cost every value in every stored row a
+/// fourth word.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
@@ -31,8 +35,11 @@ pub enum Value {
     Int(i64),
     Float(f64),
     Str(String),
-    Bytes(Vec<u8>),
+    Bytes(Box<[u8]>),
 }
+
+// Rows and index keys are `Vec<Value>`: resident memory scales with this.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
     pub fn data_type(&self) -> Option<DataType> {
@@ -283,7 +290,7 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Int(-5).to_string(), "-5");
         assert_eq!(Value::Str("hi".into()).to_string(), "'hi'");
-        assert_eq!(Value::Bytes(vec![0xab, 0x01]).to_string(), "x'ab01'");
+        assert_eq!(Value::Bytes([0xab, 0x01].into()).to_string(), "x'ab01'");
     }
 
     #[test]

@@ -26,8 +26,12 @@ BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench span_overhead
 echo "== chaos gate bench (smoke: asserts <5ns disarmed probe) =="
 BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench chaos_gate
 
-echo "== sql bench (smoke: asserts statement text costs <= 1.15x the prepared path) =="
+echo "== storage bench (smoke: asserts statement text costs <= 1.15x the prepared path, and a lock cycle < one idle notify_all) =="
 BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench storage_engine
+
+echo "== lock table, optimised: exclusion under load is a race detector; the fast path allocates nothing =="
+cargo test -q --release --offline -p bp-storage lock::
+cargo test -q --release --offline --test lock_fast_path
 
 echo "== resilience: fault injection + breaker dip-and-recovery over HTTP =="
 cargo test -q --offline --test resilience

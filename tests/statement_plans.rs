@@ -111,7 +111,7 @@ fn draw(ty: DataType, rng: &mut Rng) -> Value {
         DataType::Float => Value::Float(rng.int_range(0, 400) as f64 / 4.0),
         DataType::Str => Value::Str(rng.astring(1, 12)),
         DataType::Bool => Value::Bool(rng.bool_with(0.5)),
-        DataType::Bytes => Value::Bytes(rng.astring(1, 12).into_bytes()),
+        DataType::Bytes => Value::Bytes(rng.astring(1, 12).into_bytes().into()),
     }
 }
 
