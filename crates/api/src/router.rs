@@ -136,7 +136,6 @@ pub trait ReplayLauncher: Send + Sync {
 pub struct ApiServer {
     workloads: RwLock<HashMap<String, Controller>>,
     launcher: Option<Arc<dyn Launcher>>,
-    metrics: Option<Arc<dyn Fn() -> Json + Send + Sync>>,
     registry: Option<Arc<MetricsRegistry>>,
     chaos: RwLock<Option<Arc<ChaosController>>>,
     replay_launcher: Option<Arc<dyn ReplayLauncher>>,
@@ -365,7 +364,6 @@ impl ApiServer {
         ApiServer {
             workloads: RwLock::new(HashMap::new()),
             launcher: None,
-            metrics: None,
             registry: None,
             chaos: RwLock::new(None),
             replay_launcher: None,
@@ -418,15 +416,6 @@ impl ApiServer {
 
     pub fn with_launcher(mut self, launcher: Arc<dyn Launcher>) -> ApiServer {
         self.launcher = Some(launcher);
-        self
-    }
-
-    /// Provide a metrics callback for GET /metrics (e.g. from bp-monitor).
-    /// Superseded by [`ApiServer::with_registry`], which serves Prometheus
-    /// text instead of ad-hoc JSON; the callback remains as a fallback when
-    /// no registry is configured.
-    pub fn with_metrics(mut self, f: Arc<dyn Fn() -> Json + Send + Sync>) -> ApiServer {
-        self.metrics = Some(f);
         self
     }
 
@@ -867,15 +856,11 @@ impl ApiServer {
         ))
     }
 
-    /// GET /metrics — Prometheus text when a registry is attached, the
-    /// legacy JSON callback otherwise.
+    /// GET /metrics — the registry's Prometheus text; 501 without one.
     fn metrics_response(&self) -> Response {
-        if let Some(reg) = &self.registry {
-            return Response::text(PROMETHEUS_CONTENT_TYPE, reg.render_prometheus());
-        }
-        match &self.metrics {
-            Some(f) => Response::ok(f()),
-            None => Response::error(501, "no metrics provider configured"),
+        match &self.registry {
+            Some(reg) => Response::text(PROMETHEUS_CONTENT_TYPE, reg.render_prometheus()),
+            None => Response::error(501, "no metrics registry attached"),
         }
     }
 
@@ -1492,11 +1477,8 @@ mod tests {
 
     #[test]
     fn metrics_endpoint() {
-        let s = ApiServer::new()
-            .with_metrics(Arc::new(|| Json::obj().set("cpu_busy", 0.42)));
-        let r = s.handle(&Request::get("/metrics"));
-        assert!(r.is_ok());
-        assert_eq!(r.body.get("cpu_busy").unwrap().as_f64(), Some(0.42));
+        let r = ApiServer::new().handle(&Request::get("/metrics"));
+        assert_eq!(r.status, 501, "no registry, no /metrics");
     }
 
     use bp_obs::{MetricsRegistry, ObsConfig, Span, SpanOutcome, SpanRecorder};

@@ -3,24 +3,14 @@
 //! atomic load — under 5 ns — so that a chaos-capable build costs nothing
 //! when chaos is off. Plain `fn main()` harness (hermetic build — no
 //! criterion).
-//!
-//! `BENCH_SMOKE=1` shrinks the measurement budget for CI smoke runs; the
-//! disarmed-gate bound is asserted either way.
 
 use std::hint::black_box;
 
-use bp_bench::timing::{group, Bencher};
+use bp_bench::timing::{bench, group};
 use bp_chaos::{ChaosController, FaultKind, FaultPlan, FaultWindow};
 use bp_storage::{Column, DataType, Database, Personality, TableSchema, Value};
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok();
-    let mut b = Bencher::new();
-    if smoke {
-        b.budget = std::time::Duration::from_millis(60);
-        b.warmup = std::time::Duration::from_millis(15);
-    }
-
     group("chaos_gate");
 
     // Disarmed: the per-probe residue every commit/charge/lock pays when
@@ -28,14 +18,8 @@ fn main() {
     // to a bool so the measurement doesn't include spilling an Option<u64>
     // through black_box.
     let chaos = ChaosController::new();
-    let disarmed_ns = {
-        let r = b.bench("roll_disarmed", || chaos.roll(FaultKind::FsyncStall).is_some());
-        r.best_ns
-    };
-    let blackout_ns = {
-        let r = b.bench("blackout_disarmed", || chaos.blackout(0));
-        r.best_ns
-    };
+    let disarmed_ns = bench("roll_disarmed", || chaos.roll(FaultKind::FsyncStall).is_some());
+    let blackout_ns = bench("blackout_disarmed", || chaos.blackout(0));
 
     // Armed with an inactive window: the slow path without an injection —
     // what a run pays per probe while a scenario is loaded.
@@ -44,9 +28,7 @@ fn main() {
         FaultPlan::new("bench", 42)
             .with_window(FaultWindow::always(FaultKind::LatencySpike, 0.0, 100)),
     );
-    b.bench("roll_armed_no_hit", || {
-        black_box(armed.roll(black_box(FaultKind::FsyncStall)))
-    });
+    bench("roll_armed_no_hit", || black_box(armed.roll(black_box(FaultKind::FsyncStall))));
 
     // End-to-end: a full single-row insert+commit on the embedded engine,
     // chaos disarmed — the gate must vanish inside the engine's own costs.
@@ -57,7 +39,7 @@ fn main() {
     .unwrap();
     let table = db.table("t").unwrap();
     let mut id = 0i64;
-    let commit = b.bench("insert_commit_disarmed", || {
+    let commit = bench("insert_commit_disarmed", || {
         id += 1;
         let mut s = db.session();
         s.begin().unwrap();
@@ -76,6 +58,6 @@ fn main() {
     println!(
         "OK: disarmed roll {disarmed_ns:.2} ns, blackout {blackout_ns:.2} ns (< 5 ns); \
          insert+commit {:.0} ns/txn",
-        commit.best_ns
+        commit
     );
 }

@@ -1,308 +1,40 @@
-//! The experiment harness CLI: regenerates every table/figure artifact.
+//! The experiment harness CLI: regenerates every table/figure artifact and
+//! checks each against its pass criteria.
 //!
-//! Usage: `harness [table1|rate|mixture|tenancy|challenges|physics|dbms|api|dialects|obs|resilience|replay|slo|doctor|recovery|cluster|trace|queue|all]`
+//! Usage: `harness [<name>... | all]` — the names are the rows of
+//! `bp_bench::EXPERIMENTS`; an unknown name lists them. Exits 1 if any
+//! experiment fails a criterion.
 
-use bp_bench::*;
+use bp_bench::EXPERIMENTS;
 
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let run_all = arg == "all";
-    let mut ran = false;
-
-    if run_all || arg == "table1" {
-        ran = true;
-        println!("=== E1: Table 1 — bundled benchmarks ===");
-        println!("{}", run_table1(0.2).render());
-    }
-    if run_all || arg == "rate" {
-        ran = true;
-        println!("=== E3: rate control (§2.2.1) — target 300 tps, 4s per arrival dist ===");
-        println!(
-            "{:<14}{:>10}{:>14}{:>10}{:>12}",
-            "arrival", "target", "delivered", "MAE", "overshoot-s"
-        );
-        for r in run_rate_control(300.0, 4.0) {
-            println!(
-                "{:<14}{:>10.0}{:>14.1}{:>10.2}{:>12}",
-                r.arrival, r.target_tps, r.delivered_mean, r.mean_abs_error, r.overshoot_seconds
-            );
-        }
-        println!();
-    }
-    if run_all || arg == "mixture" {
-        ran = true;
-        println!("=== E4: mixture control (§2.2.2) — smallbank, open loop, 3s each ===");
-        println!("{:<14}{:>14}{:>12}{:>11}", "mixture", "tput (tx/s)", "lock waits", "deadlocks");
-        for r in run_mixture(3.0) {
-            println!(
-                "{:<14}{:>14.0}{:>12}{:>11}",
-                r.preset, r.throughput, r.lock_waits, r.deadlocks
-            );
-        }
-        println!();
-    }
-    if run_all || arg == "tenancy" {
-        ran = true;
-        println!("=== E5: multi-tenancy (§2.2.3) — ycsb alone vs with smallbank neighbor ===");
-        let r = run_tenancy(3.0);
-        println!("solo:      {:>10.0} tx/s", r.solo_tps);
-        println!("contended: {:>10.0} tx/s (neighbor {:.0} tx/s)", r.contended_tps, r.neighbor_tps);
-        println!(
-            "interference: {:.0}% slowdown\n",
-            (1.0 - r.contended_tps / r.solo_tps.max(1.0)) * 100.0
-        );
-    }
-    if run_all || arg == "challenges" {
-        ran = true;
-        println!("=== E6: challenge shapes (§4.1.2) × DBMS stages, autopilot on simulation ===");
-        println!("{:<10}{:<12}{:<9}{:>11}{:>9}", "dbms", "course", "outcome", "survived-s", "score");
-        for r in run_challenges(1_000.0) {
-            println!(
-                "{:<10}{:<12}{:<9}{:>11.1}{:>9}",
-                r.dbms, r.course, r.outcome, r.survived_s, r.score
-            );
-        }
-        println!();
-    }
-    if run_all || arg == "physics" {
-        ran = true;
-        println!("=== E7: game physics (§4.1) ===");
-        let r = run_physics();
-        println!("deterministic trajectories: {}", r.deterministic);
-        println!("gravity linear to zero:     {}", r.gravity_linear);
-        println!("crash halts + resets DB:    {}\n", r.crash_resets_db);
-    }
-    if run_all || arg == "dbms" {
-        ran = true;
-        println!("=== E8: DBMS personalities (Fig. 2b) — voter, open loop, 3s on embedded engine ===");
-        println!(
-            "{:<12}{:>14}{:>14}{:>9}{:>12}",
-            "personality", "tput (tx/s)", "p95 (µs)", "failed", "jitter CV"
-        );
-        for r in run_personalities(3.0) {
-            println!(
-                "{:<12}{:>14.0}{:>14}{:>9}{:>12.3}",
-                r.personality, r.throughput, r.p95_latency_us, r.failed, r.jitter_cv
-            );
-        }
-        println!();
-    }
-    if run_all || arg == "api" {
-        ran = true;
-        println!("=== E9: control API (§2.2.4) — throttle 200 → 600 tps mid-run ===");
-        let r = run_api(200.0, 600.0);
-        println!("instantaneous feedback available: {}", r.feedback_ok);
-        println!(
-            "rate-change effect latency: {:.1}s ({} → {} tps)\n",
-            r.effect_latency_s, r.old_rate, r.new_rate
-        );
-    }
-    if run_all || arg == "dialects" {
-        ran = true;
-        println!("=== E10: SQL-dialect management (§2.1) ===");
-        println!("{:<18}{:>12}{:>16}", "benchmark", "statements", "renderings OK");
-        for r in run_dialects() {
-            println!(
-                "{:<18}{:>12}{:>13}/{}",
-                r.benchmark, r.statements, r.dialects_ok, r.total_renderings
-            );
-        }
-        println!();
-    }
-    if run_all || arg == "obs" {
-        ran = true;
-        println!("=== E11: observability — span flight recorder + unified metrics registry ===");
-        let r = run_observability(2.0);
-        println!("completed: {}  spans recorded: {}", r.completed, r.spans_recorded);
-        for (phase, line) in &r.phase_lines {
-            println!("phase {phase}: {line}");
-        }
-        println!(
-            "/metrics exposition: {} families, {} bytes\n",
-            r.metric_families, r.exposition_bytes
-        );
-    }
-    if run_all || arg == "resilience" {
-        ran = true;
-        println!("=== E12: chaos & resilience — error burst armed over HTTP mid-run ===");
-        let r = run_resilience(6.0);
-        println!(
-            "committed tx/s: baseline {:.0} → faulted {:.0} → recovered {:.0}",
-            r.baseline_tps, r.faulted_tps, r.recovered_tps
-        );
-        println!("faults injected: {}   requests shed: {}", r.injected, r.shed);
-        println!(
-            "breaker opened: {}   re-closed after disarm: {}   /metrics ok: {}\n",
-            r.breaker_opened, r.breaker_reclosed, r.metrics_ok
-        );
-    }
-    if run_all || arg == "replay" {
-        ran = true;
-        println!("=== E13: record → replay → divergence (bp-replay over HTTP) ===");
-        let r = run_replay();
-        println!(
-            "recorded {} requests in {:.1}s; same-seed schedule byte-identical: {}",
-            r.recorded_requests, r.recorded_wall_s, r.deterministic
-        );
-        println!(
-            "as-recorded replay divergence: {:.4} (within 0.15: {})",
-            r.replay_divergence, r.divergence_ok
-        );
-        println!(
-            "warp x4 wall time: {:.1}s vs {:.1}s recorded (ok: {})",
-            r.warp_wall_s, r.recorded_wall_s, r.warp_ok
-        );
-        println!(
-            "synthesized {} phases, max mixture error {:.4}   bp_replay_* metrics: {}\n",
-            r.synth_phases, r.synth_mixture_err, r.metrics_ok
-        );
-        assert!(r.deterministic, "same-seed record must be byte-identical");
-        assert!(r.divergence_ok, "replay divergence too high: {}", r.replay_divergence);
-        assert!(r.warp_ok, "warp x4 must compress wall time");
-        assert!(r.synth_mixture_err < 0.02, "synthesis mixture error >= 2%");
-        assert!(r.metrics_ok, "bp_replay_* series must be exposed");
-    }
-    if run_all || arg == "slo" {
-        ran = true;
-        println!("=== E14: closed-loop SLO admission control — convergence + chaos backoff over HTTP ===");
-        let r = run_slo(4.0);
-        print!("{}", r.render());
-        println!();
-        assert!(
-            (0.6..=1.45).contains(&r.converged_ratio),
-            "SLO loop did not converge near the hand-found point (x{:.2})",
-            r.converged_ratio
-        );
-        assert!(r.breaker_opened, "breaker must open under the chaos spike");
-        assert!(r.breaker_backoffs > 0, "open breaker must force SLO backoff");
-        assert!(r.spike_rate < r.healthy_rate * 0.6, "SLO loop must back off under chaos");
-        assert!(r.recovered_rate > r.spike_rate * 1.4, "SLO loop must re-probe after recovery");
-        assert!(r.breaker_reclosed, "breaker must re-close after disarm");
-        assert!(r.metrics_ok, "bp_slo_* series must be live on /metrics");
-    }
-    if run_all || arg == "doctor" {
-        ran = true;
-        println!("=== E15: flight recorder — chaos-induced bottlenecks named by bp-doctor ===");
-        let r = run_doctor(2.0);
-        println!(
-            "report: {} samples, {} events, round-trip ok: {}   chaos arms journaled: {}",
-            r.samples, r.events, r.report_round_trip, r.chaos_events_journaled
-        );
-        for (bottleneck, score, causal) in &r.findings {
-            println!("finding: {bottleneck:<18} score {score:>6.1}   caused by: {causal}");
-        }
-        println!(
-            "lock storm  -> {}",
-            r.lock_evidence.as_deref().unwrap_or("NOT CLASSIFIED")
-        );
-        println!(
-            "fsync stall -> {}\n",
-            r.io_evidence.as_deref().unwrap_or("NOT CLASSIFIED")
-        );
-        assert!(r.report_round_trip, "#bp-report v1 must round-trip");
-        assert!(r.chaos_events_journaled, "chaos arms must be journaled");
-        assert!(r.lock_evidence.is_some(), "lock storm not classified as lock_contention");
-        assert!(r.io_evidence.is_some(), "fsync stall not classified as io_saturation");
-        assert!(r.lock_causal_kind.starts_with("chaos_"), "lock finding must cite a chaos event");
-        assert!(r.io_causal_kind.starts_with("chaos_"), "io finding must cite a chaos event");
-    }
-    if run_all || arg == "recovery" {
-        ran = true;
-        println!("=== E16: crash recovery — redo-log replay under live load, supervised restart ===");
-        let r = run_recovery(1.5);
-        println!(
-            "throughput: {:.0} tx/s before crash, {:.0} tx/s after recovery (x{:.2})",
-            r.pre_tps, r.post_tps, r.ratio
-        );
-        println!(
-            "crashes: {}   recoveries: {} ({} by supervisor)   readyz 503 during outage: {}   200 after: {}",
-            r.crashes, r.recoveries, r.supervisor_recoveries,
-            r.not_ready_during_outage, r.ready_after_recovery
-        );
-        println!(
-            "doctor: {}",
-            r.doctor_evidence.as_deref().unwrap_or("NOT CLASSIFIED")
-        );
-        println!("bp_recovery_* on /metrics: {}   crash+recovery journaled: {}\n", r.metrics_ok, r.journal_ok);
-        assert!(r.crashes >= 1, "ServerCrash fault must fire");
-        assert!(r.supervisor_recoveries >= 1, "supervisor must run the recovery");
-        assert!(r.not_ready_during_outage && r.ready_after_recovery, "/readyz must track the outage");
-        assert!(r.ratio >= 0.9, "post-crash throughput must be within 10% of pre-crash");
-        assert!(r.doctor_evidence.is_some(), "doctor must name crash_recovery");
-        assert!(r.metrics_ok, "bp_recovery_* series must be exposed");
-        assert!(r.journal_ok, "crash + recovery events must be journaled");
-    }
-    if run_all || arg == "cluster" {
-        ran = true;
-        println!("=== E17: bp-cluster — 3-agent fleet, node kill, re-split, merged telemetry ===");
-        let r = run_cluster();
-        let split = r
-            .split
-            .iter()
-            .map(|(n, x)| format!("{n}={x:.0}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!("joined: {} nodes   global rate {:.0} tx/s split {split}", r.nodes_joined, r.global_rate);
-        println!(
-            "kill n2 -> dead in {:.2} heartbeat intervals; survivors re-split to {:.0} tx/s",
-            r.dead_after_intervals, r.survivor_rate_sum
-        );
-        println!(
-            "aggregate throughput: {:.0} tx/s pre-kill -> {:.0} tx/s post-kill (x{:.2})",
-            r.pre_kill_tps, r.post_kill_tps, r.recovery_ratio
-        );
-        println!(
-            "merged /cluster/metrics ok: {}   membership journaled: {}\n",
-            r.merged_metrics_ok, r.journal_ok
-        );
-        assert!(r.dead_after_intervals <= 2.6, "death detection too slow");
-        assert!(
-            (r.survivor_rate_sum - r.global_rate).abs() < 1.0,
-            "survivors must carry the full global rate"
-        );
-        assert!(
-            r.recovery_ratio >= 0.9,
-            "post-kill throughput must recover within 10% of pre-kill"
-        );
-        assert!(r.merged_metrics_ok, "merged metrics must reflect the fleet");
-        assert!(r.journal_ok, "membership transitions must be journaled");
-    }
-    if run_all || arg == "trace" {
-        ran = true;
-        println!("=== E18: distributed tracing — tail sampling under a latency spike, exemplar -> /cluster/trace ===");
-        let r = run_trace();
-        println!(
-            "slow requests (>100ms) on spiked node: {}   retained by tail sampler: {} ({:.1}%)",
-            r.slow_requests,
-            r.retained_slow,
-            r.retention * 100.0
-        );
-        println!(
-            "retained spans total: {} (budget {}, cap 2x)   trace ids deterministic: {}",
-            r.retained_total, r.span_budget, r.ids_deterministic
-        );
-        println!(
-            "exemplar {} -> /cluster/trace: ok={} dominant stage {}\n",
-            r.exemplar, r.cluster_trace_ok, r.dominant_stage
-        );
-        assert!(r.retention >= 0.99, "tail sampler must retain >=99% of slow requests");
-        assert!(r.retained_total <= 2 * r.span_budget, "span budget overrun");
-        assert!(r.cluster_trace_ok, "exemplar must resolve to a merged cluster trace");
-        assert!(r.ids_deterministic, "trace ids must re-derive from (seed, seq)");
-    }
-    if run_all || arg == "queue" {
-        ran = true;
-        println!("=== Ablation: centralized queue dispatch gate (never-exceed, §2.2.1) ===");
-        let r = run_queue_ablation();
-        println!("target: {} tx/s with a 2s backlog", r.target_tps);
-        println!("gated drain overshoot seconds:  {}", r.gated_overshoot_seconds);
-        println!("ungated drain burst: {:.0} tx/s\n", r.ungated_burst_tps);
-    }
-
-    if !ran {
-        eprintln!(
-            "unknown experiment '{arg}'. one of: table1 rate mixture tenancy challenges physics dbms api dialects obs resilience replay slo doctor recovery cluster trace queue all"
-        );
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let all = args.is_empty() || args.iter().any(|a| a == "all");
+    if let Some(unknown) =
+        args.iter().find(|a| *a != "all" && !EXPERIMENTS.iter().any(|e| e.name == **a))
+    {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        eprintln!("unknown experiment '{unknown}'. one of: {} all", names.join(" "));
         std::process::exit(2);
+    }
+
+    let mut failures = 0;
+    for e in EXPERIMENTS.iter().filter(|e| all || args.iter().any(|a| a == e.name)) {
+        println!("=== {} ===", e.title);
+        let outcome = (e.run)();
+        print!("{}", outcome.render());
+        let failed = outcome.check();
+        if failed.is_empty() {
+            println!("pass");
+        }
+        for criterion in &failed {
+            println!("FAIL: {criterion}");
+        }
+        failures += usize::from(!failed.is_empty());
+        println!();
+    }
+    if failures > 0 {
+        eprintln!("{failures} experiment(s) failed");
+        std::process::exit(1);
     }
 }

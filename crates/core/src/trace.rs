@@ -5,6 +5,7 @@
 //! delivered tracking report — the post-processing step of the testbed
 //! pipeline.
 
+use bp_util::artifact::{significant, Writer};
 use bp_util::sync::Mutex;
 
 use bp_util::clock::{Micros, MICROS_PER_SEC};
@@ -17,6 +18,8 @@ use crate::stats::RequestOutcome;
 /// when the line format changes so old parsers fail loudly instead of
 /// misreading.
 pub const TRACE_HEADER: &str = "#bp-trace v1";
+const TRACE_MAGIC: &str = "#bp-trace";
+const TRACE_VERSION: u32 = 1;
 
 /// One trace record (a line of trace.txt).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,13 +107,11 @@ impl Trace {
     /// then one `start_us txn_type latency_us outcome` line per record.
     pub fn to_text(&self) -> String {
         let records = self.records.lock();
-        let mut out = String::with_capacity(TRACE_HEADER.len() + 1 + records.len() * 24);
-        out.push_str(TRACE_HEADER);
-        out.push('\n');
+        let mut w = Writer::new(TRACE_MAGIC, TRACE_VERSION, 16 + records.len() * 24);
         for r in records.iter() {
-            r.write_line(&mut out);
+            r.write_line(&mut w.0);
         }
-        out
+        w.0
     }
 
     /// Parse a `trace.txt` back into a trace.
@@ -131,22 +132,12 @@ impl Trace {
     {
         let trace = Trace::new();
         for (lineno, line) in lines.into_iter().enumerate() {
-            let line = line.as_ref().trim();
-            if line.is_empty() {
-                continue;
+            let numbered = |m: String| format!("line {}: {m}", lineno + 1);
+            if let Some(line) =
+                significant(line.as_ref(), TRACE_MAGIC, TRACE_VERSION).map_err(numbered)?
+            {
+                trace.append(TraceRecord::parse_line(line).map_err(numbered)?);
             }
-            if let Some(version) = line.strip_prefix("#bp-trace v") {
-                if version.trim() != "1" {
-                    return Err(format!("unsupported trace version: {line}"));
-                }
-                continue;
-            }
-            if line.starts_with('#') {
-                continue;
-            }
-            let rec = TraceRecord::parse_line(line)
-                .map_err(|m| format!("line {}: {m}", lineno + 1))?;
-            trace.append(rec);
         }
         Ok(trace)
     }

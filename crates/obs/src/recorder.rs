@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use bp_util::artifact::{write_section, Reader, Writer};
 use bp_util::sync::Mutex;
 use bp_util::Periodic;
 
@@ -263,7 +264,7 @@ impl MetricsSource for TelemetryRecorder {
 
 /// Report artifact version this build writes and understands.
 pub const REPORT_VERSION: u32 = 1;
-const HEADER: &str = "#bp-report v1";
+const MAGIC: &str = "#bp-report";
 
 /// The parsed (or about-to-be-serialized) report artifact: a per-run
 /// timeline of samples aligned with the event journal.
@@ -278,83 +279,31 @@ pub struct Report {
 impl Report {
     /// Serialize: header, column legend, samples, events, `end`.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(64 + self.samples.len() * 96 + self.events.len() * 64);
-        let _ = writeln!(out, "{HEADER}");
-        let _ = writeln!(out, "interval_us {}", self.interval_us);
-        let _ = writeln!(out, "columns {}", SAMPLE_COLUMNS.join(" "));
-        let _ = writeln!(out, "samples {}", self.samples.len());
-        for s in &self.samples {
-            let _ = writeln!(out, "{}", s.to_line());
-        }
-        let _ = writeln!(out, "events {}", self.events.len());
-        for e in &self.events {
-            let _ = writeln!(out, "{}", e.to_line());
-        }
-        let _ = writeln!(out, "end");
-        out
+        let capacity = 64 + self.samples.len() * 96 + self.events.len() * 64;
+        let mut w = Writer::new(MAGIC, REPORT_VERSION, capacity);
+        w.field("interval_us", self.interval_us);
+        w.field("columns", SAMPLE_COLUMNS.join(" "));
+        write_section(&mut w.0, "samples", &self.samples, |out, s| out.push_str(&s.to_line()));
+        write_section(&mut w.0, "events", &self.events, |out, e| out.push_str(&e.to_line()));
+        w.finish()
     }
 
     /// Line-streaming parse; the exact inverse of [`Report::to_text`].
     pub fn from_text(text: &str) -> Result<Report, String> {
-        let mut lines = text.lines().enumerate();
-        let err = |lineno: usize, msg: String| format!("report line {}: {msg}", lineno + 1);
-
-        let (n0, first) = lines.next().ok_or("empty report")?;
-        match first.trim().strip_prefix("#bp-report v") {
-            Some("1") => {}
-            Some(_) => return Err(err(n0, "unsupported report version".into())),
-            None => return Err(err(n0, "missing #bp-report header".into())),
-        }
-
+        let mut reader = Reader::open(text, "report", MAGIC, REPORT_VERSION)?;
         let mut report = Report { version: REPORT_VERSION, ..Report::default() };
-        let mut saw_end = false;
-        while let Some((lineno, raw)) = lines.next() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-            match key {
-                "interval_us" => {
-                    report.interval_us =
-                        value.trim().parse().map_err(|e| err(lineno, format!("bad interval: {e}")))?;
-                }
+        while let Some(e) = reader.entry()? {
+            match e.key {
+                "interval_us" => report.interval_us = e.parse()?,
                 "columns" => {
-                    let cols: Vec<&str> = value.split_whitespace().collect();
-                    if cols != SAMPLE_COLUMNS {
-                        return Err(err(lineno, "unknown column layout".into()));
+                    if !e.value.split_whitespace().eq(SAMPLE_COLUMNS) {
+                        return Err(e.err("unknown column layout"));
                     }
                 }
-                "samples" => {
-                    let n: usize =
-                        value.trim().parse().map_err(|e| err(lineno, format!("bad count: {e}")))?;
-                    report.samples.reserve(n);
-                    for _ in 0..n {
-                        let (ln, row) = lines.next().ok_or("truncated samples section")?;
-                        report.samples.push(
-                            TelemetrySample::from_line(row.trim()).map_err(|e| err(ln, e))?,
-                        );
-                    }
-                }
-                "events" => {
-                    let n: usize =
-                        value.trim().parse().map_err(|e| err(lineno, format!("bad count: {e}")))?;
-                    report.events.reserve(n);
-                    for _ in 0..n {
-                        let (ln, row) = lines.next().ok_or("truncated events section")?;
-                        report.events.push(Event::from_line(row.trim()).map_err(|e| err(ln, e))?);
-                    }
-                }
-                "end" => {
-                    saw_end = true;
-                    break;
-                }
-                other => return Err(err(lineno, format!("unknown section `{other}`"))),
+                "samples" => report.samples = reader.section(&e, TelemetrySample::from_line)?,
+                "events" => report.events = reader.section(&e, Event::from_line)?,
+                other => return Err(e.err(format_args!("unknown section `{other}`"))),
             }
-        }
-        if !saw_end {
-            return Err("report missing `end` marker".into());
         }
         Ok(report)
     }

@@ -193,7 +193,7 @@ impl Span {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u8)]
 pub enum SpanMode {
-    /// Record nothing; `should_record` is a single relaxed load.
+    /// Record nothing; the `enabled` gate is a single relaxed load.
     Off = 0,
     /// Record a deterministic pseudo-random subset of requests.
     Sampled = 1,
@@ -561,19 +561,6 @@ impl SpanRecorder {
         self.mode.store(mode as u8, Ordering::Relaxed);
     }
 
-    /// Should the request with this sequence number be recorded? In `Off`
-    /// mode this is one relaxed load and a branch (~1ns); in `Sampled` it
-    /// adds a 4-multiply hash — deterministic per seq, so reruns of the
-    /// same schedule sample the same requests.
-    #[inline]
-    pub fn should_record(&self, seq: u64) -> bool {
-        match self.mode.load(Ordering::Relaxed) {
-            0 => false,
-            2 => true,
-            _ => splitmix64(seq) <= self.threshold.load(Ordering::Relaxed),
-        }
-    }
-
     /// Update the tail sampler's slow cutoff from the live windowed p99.
     /// Rises slowly (1/8 of the gap per push, so a latency spike can't
     /// drag the cutoff up fast enough to hide its own tail) but falls
@@ -921,8 +908,7 @@ mod tests {
     fn full_mode_records_everything() {
         let r = SpanRecorder::new(ObsConfig::default());
         for i in 0..500 {
-            assert!(r.should_record(i));
-            r.record(span(i, 0));
+            assert!(r.offer(span(i, 0)));
         }
         assert_eq!(r.recorded(), 500);
         assert_eq!(r.overwritten(), 0);
@@ -935,7 +921,7 @@ mod tests {
     fn off_mode_records_nothing() {
         let r = SpanRecorder::new(ObsConfig { mode: SpanMode::Off, ..ObsConfig::default() });
         for i in 0..100 {
-            assert!(!r.should_record(i));
+            assert!(!r.offer(span(i, 0)));
         }
         assert_eq!(r.recorded(), 0);
     }
@@ -943,13 +929,16 @@ mod tests {
     #[test]
     fn sampled_mode_hits_ratio() {
         let cfg = ObsConfig { mode: SpanMode::Sampled, sample_ratio: 0.25, ..ObsConfig::default() };
-        let r = SpanRecorder::new(cfg);
+        let (r, again) = (SpanRecorder::new(cfg), SpanRecorder::new(cfg));
         let n = 100_000u64;
-        let hits = (0..n).filter(|&i| r.should_record(i)).count() as f64;
-        let ratio = hits / n as f64;
+        // Healthy spans, no slow cutoff learned: only the ratio gate keeps.
+        let kept: Vec<u64> = (0..n).filter(|&i| r.offer(span(i, 0))).collect();
+        let ratio = kept.len() as f64 / n as f64;
         assert!((ratio - 0.25).abs() < 0.01, "observed ratio {ratio}");
-        // Deterministic: the same seq always gives the same answer.
-        assert_eq!(r.should_record(42), r.should_record(42));
+        assert_eq!(r.tail_retained(RetainReason::Ratio), kept.len() as u64);
+        // Deterministic per seq: a rerun of the same schedule samples the
+        // same requests.
+        assert!((0..n).filter(|&i| again.offer(span(i, 0))).eq(kept.iter().copied()));
     }
 
     #[test]
@@ -988,9 +977,9 @@ mod tests {
         assert_eq!(r.mode(), SpanMode::Full);
         r.set_mode(SpanMode::Off, 0.0);
         assert_eq!(r.mode(), SpanMode::Off);
-        assert!(!r.should_record(7));
+        assert!(!r.offer(span(7, 0)));
         r.set_mode(SpanMode::Sampled, 1.0);
-        assert!(r.should_record(7), "ratio 1.0 samples everything");
+        assert!(r.offer(span(7, 0)), "ratio 1.0 samples everything");
     }
 
     #[test]
@@ -1130,18 +1119,6 @@ mod tests {
         assert_eq!(r.tail_retained(RetainReason::Crash), 1);
         let after = span(9, 0); // lives [900, 1140]; crash at 800 is before
         assert!(!r.offer(after));
-    }
-
-    #[test]
-    fn tail_sampler_ratio_gate_matches_head_sampler() {
-        let cfg = ObsConfig { mode: SpanMode::Sampled, sample_ratio: 0.25, ..ObsConfig::default() };
-        let r = SpanRecorder::new(cfg);
-        for i in 0..10_000 {
-            let kept = r.offer(span(i, 0));
-            assert_eq!(kept, r.should_record(i), "offer and head gate agree on healthy spans");
-        }
-        let ratio = r.tail_retained(RetainReason::Ratio) as f64 / 10_000.0;
-        assert!((ratio - 0.25).abs() < 0.02, "observed ratio {ratio}");
     }
 
     #[test]

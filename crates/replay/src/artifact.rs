@@ -30,13 +30,14 @@
 //! live generation from the recorded seed.
 
 use bp_core::{Phase, PhaseScript, Trace, TraceRecord};
+use bp_util::artifact::{write_section, Reader, Writer};
 use bp_util::clock::Micros;
 
 use crate::recorder::ScheduleRecord;
 
 /// Artifact format version this build writes and understands.
 pub const ARTIFACT_VERSION: u32 = 1;
-const HEADER: &str = "#bp-replay v1";
+const MAGIC: &str = "#bp-replay";
 
 /// A captured run: everything needed to re-execute and then judge the
 /// re-execution.
@@ -78,53 +79,41 @@ impl Artifact {
     pub fn schedule_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(16 + self.schedule.len() * 16);
-        let _ = writeln!(out, "schedule {}", self.schedule.len());
-        for r in &self.schedule {
-            let _ = writeln!(out, "{} {} {} {}", r.offset_us, r.tenant, r.txn_type, r.phase);
-        }
+        write_section(&mut out, "schedule", &self.schedule, |out, r| {
+            let _ = write!(out, "{} {} {} {}", r.offset_us, r.tenant, r.txn_type, r.phase);
+        });
         out
     }
 
     /// Serialize the whole artifact.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(256 + self.schedule.len() * 16 + self.trace.len() * 24);
-        let _ = writeln!(out, "{HEADER}");
-        let _ = writeln!(out, "workload {}", self.workload);
-        let _ = writeln!(out, "personality {}", self.personality);
-        let _ = writeln!(out, "seed {}", self.seed);
-        let _ = writeln!(out, "terminals {}", self.terminals);
-        let _ = writeln!(out, "tenant {}", self.tenant);
-        let _ = writeln!(out, "unlimited_rate {}", self.unlimited_rate);
-        let _ = writeln!(out, "types {}", self.types.join(","));
-        let _ = writeln!(out, "repeat {}", self.script.repeat);
+        let capacity = 256 + self.schedule.len() * 16 + self.trace.len() * 24;
+        let mut w = Writer::new(MAGIC, ARTIFACT_VERSION, capacity);
+        w.field("workload", &self.workload);
+        w.field("personality", &self.personality);
+        w.field("seed", self.seed);
+        w.field("terminals", self.terminals);
+        w.field("tenant", self.tenant);
+        w.field("unlimited_rate", self.unlimited_rate);
+        w.field("types", self.types.join(","));
+        w.field("repeat", self.script.repeat);
         for p in &self.script.phases {
-            let _ = writeln!(out, "phase {p}");
+            w.field("phase", p);
         }
-        out.push_str(&self.schedule_text());
-        let mut trace_lines = String::new();
+        w.0.push_str(&self.schedule_text());
+        // The trace section embeds a `trace.txt`, header line and all.
+        w.field("trace", self.trace.len());
+        w.0.push_str(bp_core::TRACE_HEADER);
+        w.0.push('\n');
         for r in &self.trace {
-            r.write_line(&mut trace_lines);
+            r.write_line(&mut w.0);
         }
-        let _ = writeln!(out, "trace {}", self.trace.len());
-        let _ = writeln!(out, "{}", bp_core::TRACE_HEADER);
-        out.push_str(&trace_lines);
-        let _ = writeln!(out, "end");
-        out
+        w.finish()
     }
 
     /// Line-streaming parse; the exact inverse of [`Artifact::to_text`].
     pub fn from_text(text: &str) -> Result<Artifact, String> {
-        let mut lines = text.lines().enumerate();
-        let err = |lineno: usize, msg: &str| format!("artifact line {}: {msg}", lineno + 1);
-
-        let (n0, first) = lines.next().ok_or("empty artifact")?;
-        match first.trim().strip_prefix("#bp-replay v") {
-            Some("1") => {}
-            Some(_) => return Err(err(n0, "unsupported artifact version")),
-            None => return Err(err(n0, "missing #bp-replay header")),
-        }
-
+        let mut reader = Reader::open(text, "artifact", MAGIC, ARTIFACT_VERSION)?;
         let mut workload = None;
         let mut personality = None;
         let mut seed = None;
@@ -136,39 +125,18 @@ impl Artifact {
         let mut phases: Vec<Phase> = Vec::new();
         let mut schedule: Vec<ScheduleRecord> = Vec::new();
         let mut trace: Vec<TraceRecord> = Vec::new();
-        let mut saw_end = false;
 
-        while let Some((lineno, raw)) = lines.next() {
-            let line = raw.trim();
-            // The version header was already validated on line 1; any other
-            // `#` line (including the embedded trace header after an empty
-            // trace section) is a comment.
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = match line.split_once(char::is_whitespace) {
-                Some((k, v)) => (k, v.trim()),
-                None => (line, ""),
-            };
-            match key {
-                "workload" => workload = Some(value.to_string()),
-                "personality" => personality = Some(value.to_string()),
-                "seed" => {
-                    seed = Some(value.parse().map_err(|_| err(lineno, "bad seed"))?);
-                }
-                "terminals" => {
-                    terminals = Some(value.parse().map_err(|_| err(lineno, "bad terminals"))?);
-                }
-                "tenant" => {
-                    tenant = Some(value.parse().map_err(|_| err(lineno, "bad tenant"))?);
-                }
-                "unlimited_rate" => {
-                    unlimited_rate =
-                        Some(value.parse().map_err(|_| err(lineno, "bad unlimited_rate"))?);
-                }
+        while let Some(e) = reader.entry()? {
+            match e.key {
+                "workload" => workload = Some(e.value.to_string()),
+                "personality" => personality = Some(e.value.to_string()),
+                "seed" => seed = Some(e.parse()?),
+                "terminals" => terminals = Some(e.parse()?),
+                "tenant" => tenant = Some(e.parse()?),
+                "unlimited_rate" => unlimited_rate = Some(e.parse()?),
                 "types" => {
                     types = Some(
-                        value
+                        e.value
                             .split(',')
                             .map(str::trim)
                             .filter(|t| !t.is_empty())
@@ -176,46 +144,12 @@ impl Artifact {
                             .collect(),
                     );
                 }
-                "repeat" => {
-                    repeat = Some(value.parse().map_err(|_| err(lineno, "bad repeat"))?);
-                }
-                "phase" => {
-                    phases.push(Phase::parse(value).ok_or_else(|| err(lineno, "bad phase"))?);
-                }
-                "schedule" => {
-                    let count: usize =
-                        value.parse().map_err(|_| err(lineno, "bad schedule count"))?;
-                    schedule.reserve(count);
-                    for _ in 0..count {
-                        let (ln, rec) =
-                            lines.next().ok_or_else(|| err(lineno, "truncated schedule"))?;
-                        schedule.push(parse_schedule_line(rec).map_err(|m| err(ln, &m))?);
-                    }
-                }
-                "trace" => {
-                    let count: usize = value.parse().map_err(|_| err(lineno, "bad trace count"))?;
-                    trace.reserve(count);
-                    let mut remaining = count;
-                    while remaining > 0 {
-                        let (ln, rec) =
-                            lines.next().ok_or_else(|| err(lineno, "truncated trace"))?;
-                        let rec = rec.trim();
-                        if rec.is_empty() || rec.starts_with('#') {
-                            continue; // the embedded #bp-trace header
-                        }
-                        trace.push(TraceRecord::parse_line(rec).map_err(|m| err(ln, &m))?);
-                        remaining -= 1;
-                    }
-                }
-                "end" => {
-                    saw_end = true;
-                    break;
-                }
-                _ => return Err(err(lineno, "unknown artifact key")),
+                "repeat" => repeat = Some(e.parse()?),
+                "phase" => phases.push(Phase::parse(e.value).ok_or_else(|| e.err("bad phase"))?),
+                "schedule" => schedule = reader.section(&e, parse_schedule_line)?,
+                "trace" => trace = reader.section(&e, TraceRecord::parse_line)?,
+                _ => return Err(e.err("unknown artifact key")),
             }
-        }
-        if !saw_end {
-            return Err("artifact missing end marker".to_string());
         }
 
         let types = types.ok_or("artifact missing types")?;

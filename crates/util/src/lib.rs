@@ -16,10 +16,13 @@
 //! - [`sync`]: std-only `Mutex`/`RwLock`/`Condvar` wrappers with a
 //!   `parking_lot`-style call-site API (guards returned directly, poison
 //!   ignored) so the workspace builds with zero external dependencies;
+//! - [`artifact`]: the reader/writer skeleton of the line-oriented versioned
+//!   text artifacts (`#bp-trace`, `#bp-replay`, `#bp-report`);
 //! - [`json`]: the JSON value model used by the control API;
 //! - [`xml`]: the `config.xml` parser for OLTP-Bench style workload files;
 //! - [`text`]: synthetic text generators for benchmark data loaders.
 
+pub mod artifact;
 pub mod clock;
 pub mod histogram;
 pub mod json;

@@ -3,6 +3,9 @@
 #
 #   scripts/verify.sh          # build + tests, offline
 #
+# Every `harness <name>...` stage exits non-zero when an experiment fails one
+# of its pass criteria (`check()` in crates/bench/src/experiments.rs).
+#
 # The workspace has zero external dependencies, so --offline must always
 # succeed; if it does not, a registry dependency has crept back in.
 set -euo pipefail
@@ -20,46 +23,49 @@ cargo test -q --offline --workspace
 echo "== observability: /metrics + /trace over real HTTP =="
 cargo test -q --offline --test observability
 
-echo "== span overhead bench (smoke: asserts <100ns/span full, ~0 off) =="
-BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench span_overhead
+echo "== span overhead bench (asserts the worker's enabled()+offer() path: <100ns/span full, <10ns off) =="
+cargo bench -q --offline -p bp-bench --bench span_overhead
 
-echo "== chaos gate bench (smoke: asserts <5ns disarmed probe) =="
-BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench chaos_gate
+echo "== chaos gate bench (asserts <5ns disarmed probe) =="
+cargo bench -q --offline -p bp-bench --bench chaos_gate
 
-echo "== storage bench (smoke: asserts statement text costs <= 1.15x the prepared path, and a lock cycle < one idle notify_all) =="
-BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench storage_engine
+echo "== storage bench (asserts statement text costs <= 1.15x the prepared path, and a lock cycle < one idle notify_all) =="
+cargo bench -q --offline -p bp-bench --bench storage_engine
 
 echo "== lock table, optimised: exclusion under load is a race detector; the fast path allocates nothing =="
 cargo test -q --release --offline -p bp-storage lock::
 cargo test -q --release --offline --test lock_fast_path
 
-echo "== resilience: fault injection + breaker dip-and-recovery over HTTP =="
+echo "== paper §2.2 claims (E3 E4 E5 E8 E9): never above the target rate and within 10 % of it; read-only out-runs write mixtures lock-free; a neighbor slows a tenant; derby slowest, others fail nothing; API rate change lands in 3 s =="
+cargo run -q --release --offline -p bp-bench --bin harness rate mixture tenancy dbms api
+
+echo "== resilience (E12 gates: faults injected, breaker opens, sheds, re-closes; dip < 80 % of baseline, recovery > 1.5x the dip) =="
 cargo test -q --offline --test resilience
 cargo run -q --release --offline -p bp-bench --bin harness resilience
 
-echo "== replay: record → replay → divergence smoke (same seed ⇒ byte-identical schedule) =="
+echo "== replay (E13 gates: same seed ⇒ byte-identical schedule, divergence <= 0.15, warp x4 < 60 % wall, mixtures within 2 %) =="
 cargo test -q --offline --test replay
 cargo run -q --release --offline -p bp-bench --bin harness replay
 
-echo "== slo: closed-loop admission control — convergence + chaos backoff over HTTP =="
+echo "== slo (E14 gates: converges to 0.6x-1.45x the hand-found rate; backs off under chaos, re-probes after) =="
 cargo test -q --offline -p bp-core slo
 cargo run -q --release --offline -p bp-bench --bin harness slo
 
-echo "== event journal bench (smoke: asserts <5ns disabled emit) =="
-BENCH_SMOKE=1 cargo bench -q --offline -p bp-bench --bench event_overhead
+echo "== event journal bench (asserts <5ns disabled emit) =="
+cargo bench -q --offline -p bp-bench --bench event_overhead
 
-echo "== doctor: chaos-induced bottlenecks named with causal events over HTTP =="
+echo "== doctor (E15 gates: lock storm and fsync stall each named, each citing its chaos event; report round-trips) =="
 cargo run -q --release --offline -p bp-bench --bin harness doctor
 
-echo "== recovery: crashpoint matrix + supervised restart under live load =="
+echo "== recovery: crashpoint matrix + (E16 gates) supervised restart, /readyz 503 then 200, throughput back within 10 % =="
 cargo test -q --offline --test recovery
 cargo run -q --release --offline -p bp-bench --bin harness recovery
 
-echo "== cluster: 3-agent fleet — membership, merged telemetry, node-kill re-split =="
+echo "== cluster (E17 gates: killed node dead within 2.6 heartbeats, survivors carry the whole rate, throughput within 10 %) =="
 cargo test -q --offline -p bp-cluster
 cargo run -q --release --offline -p bp-bench --bin harness cluster
 
-echo "== trace: tail sampling retention + exemplar → /cluster/trace resolution =="
+echo "== trace (E18 gates: >= 99 % of slow requests retained within 2x the span budget; exemplar resolves via /cluster/trace) =="
 cargo test -q --offline -p bp-obs span
 cargo run -q --release --offline -p bp-bench --bin harness trace
 
