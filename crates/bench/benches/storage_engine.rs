@@ -7,6 +7,7 @@
 //! uncontended lock cycle less than one idle `notify_all`.
 
 use std::hint::black_box;
+use std::ops::Bound;
 
 use bp_bench::timing::{bench, group};
 use bp_sql::Connection;
@@ -113,7 +114,9 @@ fn bench_index_scans() {
     let mut s = db.session();
     bench("secondary_eq_100rows", || {
         s.begin().unwrap();
-        let rows = s.read_index(&t, "t_grp", &[Value::Int(42)]).unwrap();
+        let rows = s
+            .read_range(&t, Some("t_grp"), &[Value::Int(42)], Bound::Unbounded, Bound::Unbounded, false)
+            .unwrap();
         s.commit().unwrap();
         black_box(rows.len())
     });

@@ -127,6 +127,19 @@ impl Connection {
         })))
     }
 
+    /// [`prepare`](Connection::prepare), bound now and to fetch every table
+    /// by a full scan with the whole predicate applied to each row — what a
+    /// statement means, against which what its access path fetches is
+    /// tested. (A later schema change binds it again, with paths.)
+    #[doc(hidden)]
+    pub fn prepare_scanning(&self, sql: &str) -> Result<Prepared> {
+        let p = self.prepare(sql)?;
+        if p.0.stmt.is_dml() {
+            *p.0.plan.lock() = Some(Arc::new(bind(self.database(), &p.0.stmt)?.scanning()));
+        }
+        Ok(p)
+    }
+
     /// Execute a prepared statement. Runs in the current transaction, or in
     /// an autocommit transaction when none is open.
     pub fn execute_prepared(&mut self, p: &Prepared, params: &[Value]) -> Result<StatementResult> {

@@ -16,7 +16,9 @@ use bp_storage::{Column, Row, RowId, Session, TableSchema, Value};
 use crate::ast::*;
 use crate::error::{Result, SqlError};
 use crate::expr::{eval, eval_filter, EvalScope};
-use crate::plan::{AccessPath, AggCall, InsertPlan, Plan, PlanKind, SelectPlan, SortKey, TableAccess, WritePlan};
+use crate::plan::{
+    AccessPath, AggCall, InsertPlan, KeyExpr, Plan, PlanKind, SelectPlan, SortKey, TableAccess, WritePlan,
+};
 
 /// The result of executing one statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,28 +165,26 @@ fn exec_insert(session: &mut Session, ins: &InsertPlan, params: &[Value]) -> Res
 
 // ---- Fetching candidates ----
 
-/// Evaluate the key expressions of an access path. `None` when one of them
-/// is NULL: the residual predicate compares the key column with it, which
-/// no row satisfies, so there is nothing to fetch.
-fn key_values(exprs: &[Expr], params: &[Value]) -> Result<Option<Vec<Value>>> {
-    let scope = EvalScope::empty(params);
-    let mut key = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        match eval(e, &scope)? {
-            Value::Null => return Ok(None),
-            v => key.push(v),
-        }
-    }
-    Ok(Some(key))
+/// What a key expression comes to for one execution.
+enum Probe {
+    /// The residual predicate compares the key column with NULL, which no
+    /// row satisfies: there is nothing to fetch.
+    Null,
+    /// The value to look up, in its key column's type.
+    Key(Value),
+    /// No value of the column's type stands for this one (`2.5` or `'x'`
+    /// against an INT column), or it does not evaluate: the path ends
+    /// before this column and the residual predicate decides — or fails,
+    /// once a row reaches it.
+    Unusable,
 }
 
-/// Evaluate a range bound into a one-column key bound; `None` as above.
-fn key_bound(b: &Bound<Expr>, params: &[Value]) -> Result<Option<Bound<Vec<Value>>>> {
-    Ok(match b {
-        Bound::Unbounded => Some(Bound::Unbounded),
-        Bound::Included(e) => key_values(std::slice::from_ref(e), params)?.map(Bound::Included),
-        Bound::Excluded(e) => key_values(std::slice::from_ref(e), params)?.map(Bound::Excluded),
-    })
+fn probe(key: &KeyExpr, params: &[Value]) -> Probe {
+    match eval(&key.expr, &EvalScope::empty(params)) {
+        Ok(Value::Null) => Probe::Null,
+        Ok(v) => v.into_key(key.ty).map_or(Probe::Unusable, Probe::Key),
+        Err(_) => Probe::Unusable,
+    }
 }
 
 /// Fetch candidate `(rowid, row)` pairs for one table along its access
@@ -195,48 +195,50 @@ fn fetch(
     params: &[Value],
     for_update: bool,
 ) -> Result<Vec<(RowId, Row)>> {
-    const NO_LIMIT: usize = usize::MAX;
-    fn slice(b: &Bound<Vec<Value>>) -> Bound<&[Value]> {
-        b.as_ref().map(Vec::as_slice)
-    }
     let table = &access.table;
-    let range = |lo: &Bound<Expr>, hi: &Bound<Expr>| {
-        Ok::<_, SqlError>(key_bound(lo, params)?.zip(key_bound(hi, params)?))
-    };
-    let rowids: Option<Vec<RowId>> = match &access.path {
-        AccessPath::PkPoint(key) => {
-            return Ok(match key_values(key, params)? {
-                Some(key) => session.read_pk(table, &key, for_update)?.into_iter().collect(),
-                None => Vec::new(),
-            })
-        }
-        AccessPath::PkPrefix(key) => key_values(key, params)?.map(|k| table.pk_prefix(&k, NO_LIMIT)),
-        AccessPath::IndexPrefix { index, key } => key_values(key, params)?
-            .map(|k| table.index_prefix(index, &k, NO_LIMIT))
-            .transpose()?,
-        AccessPath::PkRange(lo, hi) => {
-            range(lo, hi)?.map(|(lo, hi)| table.pk_range(slice(&lo), slice(&hi), NO_LIMIT))
-        }
-        AccessPath::IndexRange { index, lo, hi } => range(lo, hi)?
-            .map(|(lo, hi)| table.index_range(index, slice(&lo), slice(&hi), NO_LIMIT))
-            .transpose()?,
+    let (index, pinned, lo, hi) = match &access.path {
+        AccessPath::Point(key) => (None, key, &Bound::Unbounded, &Bound::Unbounded),
+        AccessPath::Range { index, prefix, lo, hi } => (index.as_deref(), prefix, lo, hi),
         AccessPath::Scan => {
             let rows = session.scan(table)?;
             if !for_update {
                 return Ok(rows);
             }
             // Re-lock each row exclusively.
-            Some(rows.into_iter().map(|(rid, _)| rid).collect())
+            let mut relocked = Vec::with_capacity(rows.len());
+            for (rid, _) in rows {
+                relocked.extend(session.get_row(table, rid, true)?.map(|row| (rid, row)));
+            }
+            return Ok(relocked);
         }
     };
-    let rowids = rowids.unwrap_or_default();
-    let mut out = Vec::with_capacity(rowids.len());
-    for rid in rowids {
-        if let Some(row) = session.get_row(table, rid, for_update)? {
-            out.push((rid, row));
+    let mut prefix = Vec::with_capacity(pinned.len());
+    for key in pinned {
+        match probe(key, params) {
+            Probe::Null => return Ok(Vec::new()),
+            Probe::Key(v) => prefix.push(v),
+            Probe::Unusable => break,
         }
     }
-    Ok(out)
+    let whole = prefix.len() == pinned.len();
+    if whole && matches!(access.path, AccessPath::Point(_)) {
+        return Ok(session.read_pk(table, &prefix, for_update)?.into_iter().collect());
+    }
+    // Bounds are on the column after the whole prefix, or do not apply.
+    let bound = |expr: &Bound<KeyExpr>| {
+        let (Bound::Included(key) | Bound::Excluded(key)) = expr else { return Some(Bound::Unbounded) };
+        match probe(key, params) {
+            Probe::Null => None,
+            Probe::Key(v) => Some(expr.as_ref().map(|_| v)),
+            Probe::Unusable => Some(Bound::Unbounded),
+        }
+    };
+    let (lo, hi) = match whole.then(|| bound(lo).zip(bound(hi))) {
+        Some(Some(bounds)) => bounds,
+        Some(None) => return Ok(Vec::new()),
+        None => (Bound::Unbounded, Bound::Unbounded),
+    };
+    Ok(session.read_range(table, index, &prefix, lo.as_ref(), hi.as_ref(), for_update)?)
 }
 
 // ---- SELECT ----

@@ -9,12 +9,13 @@
 //! parameters at execution.
 //!
 //! Access-path selection mirrors what a simple OLTP engine does: full
-//! primary-key equality → point lookup; otherwise the longest equality
-//! prefix over the PK or a secondary index (ties go to the PK, then to the
-//! older index) → prefix scan; otherwise the first range constraint on the
-//! leading PK or index column → range scan; otherwise a full table scan. The
-//! residual predicate is always re-applied to fetched rows, so paths are
-//! purely an optimization.
+//! primary-key equality → point lookup; otherwise, over the PK or a
+//! secondary index, the longest run of leading key columns the statement
+//! pins to constants, together with whatever bounds it puts on the column
+//! after them (more pinned columns win, then having a bound, then the PK,
+//! then the older index) → range; otherwise a full table scan. The residual
+//! predicate is always re-applied to fetched rows, so paths are purely an
+//! optimization.
 //!
 //! A plan is stamped with [`Database::schema_version`] and bound again when
 //! the stamp has moved on (see [`crate::connection::Prepared`]).
@@ -23,7 +24,7 @@ use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use bp_storage::{Database, Table, TableSchema};
+use bp_storage::{DataType, Database, Table, TableSchema};
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
@@ -33,6 +34,20 @@ pub(crate) struct Plan {
     /// [`Database::schema_version`] the plan was bound under.
     pub version: u64,
     pub kind: PlanKind,
+}
+
+impl Plan {
+    /// This plan with every table fetched by a full scan: what the
+    /// statement means, whatever path it was given. The reference that
+    /// planned statements are tested against.
+    pub(crate) fn scanning(mut self) -> Plan {
+        match &mut self.kind {
+            PlanKind::Insert(_) => {}
+            PlanKind::Select(sel) => sel.tables.iter_mut().for_each(|t| t.path = AccessPath::Scan),
+            PlanKind::Write(w) => w.access.path = AccessPath::Scan,
+        }
+        self
+    }
 }
 
 pub(crate) enum PlanKind {
@@ -63,15 +78,20 @@ pub(crate) struct TableAccess {
     pub path: AccessPath,
 }
 
-/// The key expressions are literals and parameters only.
+/// A literal or parameter to look up in a key column of type `ty`.
+#[derive(Debug, PartialEq)]
+pub(crate) struct KeyExpr {
+    pub expr: Expr,
+    pub ty: DataType,
+}
+
+#[derive(Debug, PartialEq)]
 pub(crate) enum AccessPath {
-    PkPoint(Vec<Expr>),
-    PkPrefix(Vec<Expr>),
-    IndexPrefix { index: String, key: Vec<Expr> },
-    /// Bounds on the leading primary-key column.
-    PkRange(Bound<Expr>, Bound<Expr>),
-    /// Bounds on the leading column of `index`.
-    IndexRange { index: String, lo: Bound<Expr>, hi: Bound<Expr> },
+    /// Equality on every primary-key column.
+    Point(Vec<KeyExpr>),
+    /// Rows whose key in `index` (`None`: the primary key) starts with
+    /// `prefix` and has its next column within `lo` and `hi`.
+    Range { index: Option<String>, prefix: Vec<KeyExpr>, lo: Bound<KeyExpr>, hi: Bound<KeyExpr> },
     Scan,
 }
 
@@ -192,6 +212,12 @@ fn analyze<'e>(clause: Option<&'e Expr>, binding: &str, schema: &TableSchema) ->
     let mut info = Predicates::default();
     let Some(clause) = clause else { return info };
     for conjunct in clause.conjuncts() {
+        if let Expr::Between { expr, low, high, negated: false } = conjunct {
+            if let (Some(col), true, true) = (column_of(expr, binding, schema), is_const(low), is_const(high)) {
+                info.ranges.insert(col, (Bound::Included(&**low), Bound::Included(&**high)));
+            }
+            continue;
+        }
         let Expr::Binary { op, left, right } = conjunct else { continue };
         // col OP const  or  const OP col
         let (col, value, op) = match (column_of(left, binding, schema), column_of(right, binding, schema)) {
@@ -249,42 +275,39 @@ fn is_const(e: &Expr) -> bool {
 }
 
 fn choose_path(table: &Table, info: &Predicates<'_>) -> AccessPath {
-    let pk = &table.schema.primary_key;
+    let schema = &table.schema;
+    let pk = &schema.primary_key;
     let indexes = table.index_defs();
-    let key = |cols: &[usize]| cols.iter().map(|c| Expr::clone(info.eq[c])).collect::<Vec<Expr>>();
+    let key = |col: &usize, expr: &Expr| KeyExpr { expr: expr.clone(), ty: schema.columns[*col].ty };
     let eq_prefix = |cols: &[usize]| cols.iter().take_while(|c| info.eq.contains_key(c)).count();
 
-    // 1. Full PK equality -> point lookup.
     if !pk.is_empty() && eq_prefix(pk) == pk.len() {
-        return AccessPath::PkPoint(key(pk));
+        return AccessPath::Point(pk.iter().map(|c| key(c, info.eq[c])).collect());
     }
-    // 2. Longest equality prefix over the PK or a secondary index.
-    let mut best = eq_prefix(pk);
-    let mut path = (best > 0).then(|| AccessPath::PkPrefix(key(&pk[..best])));
-    for def in &indexes {
-        let n = eq_prefix(&def.key_columns);
-        if n > best {
-            best = n;
-            path = Some(AccessPath::IndexPrefix {
-                index: def.name.clone(),
-                key: key(&def.key_columns[..n]),
-            });
+    // Per candidate key: how many leading columns are pinned, and whether
+    // the one after them is bounded. The first of the best wins.
+    let secondary = indexes.iter().map(|def| (Some(&def.name), &def.key_columns));
+    let candidates = std::iter::once((None, pk)).chain(secondary);
+    let (mut best, mut best_score) = (None, (0, false));
+    for (index, cols) in candidates {
+        let n = eq_prefix(cols);
+        let bounds = cols.get(n).and_then(|c| Some((c, info.ranges.get(c)?)));
+        if (n, bounds.is_some()) > best_score {
+            best_score = (n, bounds.is_some());
+            best = Some((index, &cols[..n], bounds));
         }
     }
-    if let Some(path) = path {
-        return path;
+    let Some((index, pinned, bounds)) = best else { return AccessPath::Scan };
+    let (lo, hi) = match bounds {
+        Some((c, (lo, hi))) => (lo.map(|e| key(c, e)), hi.map(|e| key(c, e))),
+        None => (Bound::Unbounded, Bound::Unbounded),
+    };
+    AccessPath::Range {
+        index: index.cloned(),
+        prefix: pinned.iter().map(|c| key(c, info.eq[c])).collect(),
+        lo,
+        hi,
     }
-    // 3. Range on the first PK or index column.
-    if let Some((lo, hi)) = pk.first().and_then(|c| info.ranges.get(c)) {
-        return AccessPath::PkRange(lo.cloned(), hi.cloned());
-    }
-    for def in &indexes {
-        if let Some((lo, hi)) = info.ranges.get(&def.key_columns[0]) {
-            return AccessPath::IndexRange { index: def.name.clone(), lo: lo.cloned(), hi: hi.cloned() };
-        }
-    }
-    // 4. Full scan.
-    AccessPath::Scan
 }
 
 // ---- Statements ----
@@ -342,10 +365,12 @@ fn bind_select(db: &Database, sel: &Select) -> Result<SelectPlan> {
     let where_clause = sel.where_clause.as_ref();
 
     // Each table is fetched by its own single-table constraints: the FROM
-    // table's from WHERE, a joined table's from its ON condition and WHERE.
-    let mut tables = Vec::with_capacity(handles.len());
+    // table's from WHERE, a joined table's from its ON condition and WHERE —
+    // and from the constants its equi-join partners are pinned to
+    // (`a.k = ? AND a.k = b.k` pins `b.k` too).
+    let mut infos: Vec<Predicates<'_>> = Vec::with_capacity(handles.len());
     let mut joins = Vec::with_capacity(sel.joins.len());
-    for (i, (b, t)) in scope.iter().zip(&handles).enumerate() {
+    for (i, b) in scope.iter().enumerate() {
         let mut info = Predicates::default();
         if let Some(join) = i.checked_sub(1).map(|j| &sel.joins[j]) {
             info = analyze(Some(&join.on), &b.name, b.schema);
@@ -354,8 +379,19 @@ fn bind_select(db: &Database, sel: &Select) -> Result<SelectPlan> {
         let extra = analyze(where_clause, &b.name, b.schema);
         info.eq.extend(extra.eq);
         info.ranges.extend(extra.ranges);
-        tables.push(TableAccess { table: t.clone(), path: choose_path(t, &info) });
+        for &(slot, col) in joins.last().into_iter().flatten() {
+            let partner = scope[..i].iter().rposition(|l| l.offset <= slot).expect("slot of a joined table");
+            if let Some(pinned) = infos[partner].eq.get(&(slot - scope[partner].offset)) {
+                info.eq.entry(col).or_insert(pinned);
+            }
+        }
+        infos.push(info);
     }
+    let tables: Vec<TableAccess> = handles
+        .iter()
+        .zip(&infos)
+        .map(|(t, info)| TableAccess { table: t.clone(), path: choose_path(t, info) })
+        .collect();
     let filter = sel.joins.iter().map(|j| &j.on).chain(where_clause).map(|e| bind_expr(e, &scope, None)).collect();
 
     let grouped = !sel.group_by.is_empty()
@@ -451,7 +487,185 @@ fn equi_conditions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_storage::{Column, DataType};
+    use crate::connection::Connection;
+    use bp_storage::{Column, Personality, Value};
+
+    /// The tables the named statements run against, cut down to their keys.
+    fn catalog() -> Arc<Database> {
+        let db = Database::new(Personality::test());
+        Connection::open(&db)
+            .execute_batch(
+                "CREATE TABLE order_line (ol_w_id INT, ol_d_id INT, ol_o_id INT, ol_number INT, ol_i_id INT,
+                     PRIMARY KEY (ol_w_id, ol_d_id, ol_o_id, ol_number));
+                 CREATE TABLE stock (s_w_id INT, s_i_id INT, s_quantity INT, PRIMARY KEY (s_w_id, s_i_id));
+                 CREATE TABLE new_order (no_w_id INT, no_d_id INT, no_o_id INT,
+                     PRIMARY KEY (no_w_id, no_d_id, no_o_id));
+                 CREATE TABLE orders (o_w_id INT, o_d_id INT, o_id INT, o_c_id INT, o_entry_d FLOAT,
+                     PRIMARY KEY (o_w_id, o_d_id, o_id));
+                 CREATE INDEX idx_orders_customer ON orders (o_w_id, o_d_id, o_c_id);
+                 CREATE INDEX idx_orders_entry ON orders (o_w_id, o_entry_d);
+                 CREATE TABLE usertable (ycsb_key INT PRIMARY KEY, field0 VARCHAR(100));
+                 CREATE TABLE special_facility (s_id INT, sf_type INT, is_active INT, PRIMARY KEY (s_id, sf_type));
+                 CREATE TABLE call_forwarding (s_id INT, sf_type INT, start_time INT, end_time INT,
+                     numberx VARCHAR(15), PRIMARY KEY (s_id, sf_type, start_time));",
+            )
+            .unwrap();
+        db
+    }
+
+    /// The path of each table of `sql`, in FROM order: `point(..)`, `scan`,
+    /// or `range(key: pinned..; bounds)` with parameters as `?n` from 1.
+    fn paths(db: &Database, sql: &str) -> Vec<String> {
+        fn key(k: &KeyExpr) -> String {
+            match &k.expr {
+                Expr::Param(i) => format!("?{}", i + 1),
+                Expr::Lit(v) => v.to_string(),
+                other => format!("{other:?}"),
+            }
+        }
+        fn keys(ks: &[KeyExpr]) -> String {
+            ks.iter().map(key).collect::<Vec<_>>().join(", ")
+        }
+        let describe = |access: &TableAccess| match &access.path {
+            AccessPath::Point(k) => format!("point({})", keys(k)),
+            AccessPath::Scan => "scan".to_string(),
+            AccessPath::Range { index, prefix, lo, hi } => {
+                let mut out = format!("range({}: {}", index.as_deref().unwrap_or("pk"), keys(prefix));
+                for (bound, inc, exc) in [(lo, ">=", ">"), (hi, "<=", "<")] {
+                    match bound {
+                        Bound::Included(k) => out += &format!("; {inc} {}", key(k)),
+                        Bound::Excluded(k) => out += &format!("; {exc} {}", key(k)),
+                        Bound::Unbounded => {}
+                    }
+                }
+                out + ")"
+            }
+        };
+        match bind(db, &crate::parser::parse(sql).unwrap()).unwrap().kind {
+            PlanKind::Select(sel) => sel.tables.iter().map(describe).collect(),
+            PlanKind::Write(w) => vec![describe(&w.access)],
+            PlanKind::Insert(_) => Vec::new(),
+        }
+    }
+
+    #[test]
+    fn paths_of_the_statements_that_scan() {
+        let db = catalog();
+        let path = |sql: &str| paths(&db, sql).join(" | ");
+        // tpcc StockLevel: the district's last twenty orders, not all of them.
+        assert_eq!(
+            path(
+                "SELECT COUNT(DISTINCT ol.ol_i_id) AS low FROM order_line ol JOIN stock s \
+                 ON ol.ol_i_id = s.s_i_id WHERE ol.ol_w_id = ? AND ol.ol_d_id = ? \
+                 AND ol.ol_o_id >= ? AND s.s_w_id = ? AND s.s_quantity < ?"
+            ),
+            "range(pk: ?1, ?2; >= ?3) | range(pk: ?4)"
+        );
+        // tpcc Delivery: the oldest new order is the first of the range (which
+        // ORDER BY .. LIMIT 1 does not yet stop at).
+        assert_eq!(
+            path("SELECT no_o_id FROM new_order WHERE no_w_id = ? AND no_d_id = ? ORDER BY no_o_id LIMIT 1"),
+            "range(pk: ?1, ?2)"
+        );
+        assert_eq!(
+            path("DELETE FROM new_order WHERE no_w_id = ? AND no_d_id = ? AND no_o_id = ?"),
+            "point(?1, ?2, ?3)"
+        );
+        // tpcc OrderStatus: the customer's orders by index, the order's lines by PK prefix.
+        assert_eq!(
+            path("SELECT o_id FROM orders WHERE o_w_id = ? AND o_d_id = ? AND o_c_id = ? ORDER BY o_id DESC LIMIT 1"),
+            "range(idx_orders_customer: ?1, ?2, ?3)"
+        );
+        assert_eq!(
+            path("SELECT * FROM order_line WHERE ol_w_id = ? AND ol_d_id = ? AND ol_o_id = ?"),
+            "range(pk: ?1, ?2, ?3)"
+        );
+        // ycsb Scan.
+        assert_eq!(
+            path("SELECT * FROM usertable WHERE ycsb_key >= ? AND ycsb_key < ? LIMIT 100"),
+            "range(pk: ; >= ?1; < ?2)"
+        );
+        assert_eq!(path("SELECT * FROM usertable WHERE ycsb_key = ?"), "point(?1)");
+        assert_eq!(path("SELECT * FROM usertable WHERE field0 = 'x'"), "scan");
+    }
+
+    #[test]
+    fn between_and_reversed_comparisons_bound_a_range() {
+        let db = catalog();
+        assert_eq!(paths(&db, "SELECT * FROM usertable WHERE ycsb_key BETWEEN 3 AND ?"), ["range(pk: ; >= 3; <= ?1)"]);
+        assert_eq!(paths(&db, "SELECT * FROM usertable WHERE ycsb_key NOT BETWEEN 3 AND 5"), ["scan"]);
+        assert_eq!(paths(&db, "SELECT * FROM usertable WHERE ycsb_key BETWEEN field0 AND 5"), ["scan"]);
+        assert_eq!(
+            paths(&db, "UPDATE new_order SET no_o_id = 0 WHERE ? > no_d_id AND no_w_id = 1 AND -2 <= no_d_id"),
+            ["range(pk: 1; >= Neg(Lit(Int(2))); < ?1)"]
+        );
+    }
+
+    #[test]
+    fn more_pinned_columns_win_then_a_bound_then_the_primary_key() {
+        let db = catalog();
+        let orders = |predicate: &str| paths(&db, &format!("SELECT * FROM orders WHERE {predicate}")).join("");
+        assert_eq!(orders("o_w_id = 1"), "range(pk: 1)", "a tie goes to the primary key");
+        assert_eq!(orders("o_w_id = 1 AND o_entry_d > 2.5"), "range(idx_orders_entry: 1; > 2.5)", "a bound breaks it");
+        assert_eq!(
+            orders("o_w_id = 1 AND o_d_id = 2 AND o_entry_d > 2.5"),
+            "range(pk: 1, 2)",
+            "but does not beat a longer prefix"
+        );
+        assert_eq!(
+            orders("o_w_id = 1 AND o_d_id = 2 AND o_entry_d > 2.5 AND o_c_id <= 7"),
+            "range(idx_orders_customer: 1, 2; <= 7)"
+        );
+        assert_eq!(orders("o_d_id = 2 AND o_id = 3"), "scan", "no leading column, no path");
+        assert_eq!(orders("o_w_id > 1 AND o_id = 3"), "range(pk: ; > 1)");
+    }
+
+    #[test]
+    fn constants_cross_equi_joins() {
+        let db = catalog();
+        // tatp GetNewDestination: `cf.s_id` is only pinned through `sf.s_id`.
+        assert_eq!(
+            paths(
+                &db,
+                "SELECT cf.numberx FROM special_facility sf JOIN call_forwarding cf \
+                 ON sf.s_id = cf.s_id WHERE sf.s_id = ? AND sf.sf_type = ? AND sf.is_active = 1 \
+                 AND cf.sf_type = ? AND cf.start_time <= ? AND cf.end_time > ?"
+            ),
+            ["point(?1, ?2)", "range(pk: ?1, ?3; <= ?4)"]
+        );
+        // Through a chain of joins, and from WHERE as well as ON; a constant
+        // of the joined table's own is kept.
+        assert_eq!(
+            paths(
+                &db,
+                "SELECT * FROM new_order n JOIN orders o ON o.o_w_id = n.no_w_id AND o.o_id = n.no_o_id \
+                 JOIN order_line ol ON ol.ol_w_id = o.o_w_id \
+                 WHERE n.no_w_id = 4 AND n.no_d_id = 5 AND o.o_d_id = n.no_d_id AND o.o_d_id = 6 \
+                 AND ol.ol_d_id = o.o_d_id"
+            ),
+            ["range(pk: 4, 5)", "range(pk: 4, 6)", "range(pk: 4, 6)"]
+        );
+    }
+
+    #[test]
+    fn scanning_plans_fetch_the_same_rows() {
+        let db = catalog();
+        let mut c = Connection::open(&db);
+        for k in 0..20i64 {
+            c.execute("INSERT INTO usertable VALUES (?, 'v')", &[Value::Int(k)]).unwrap();
+        }
+        let sql = "SELECT ycsb_key FROM usertable WHERE ycsb_key >= ? AND ycsb_key < ?";
+        let window = [Value::Int(5), Value::Int(9)];
+        let read = |c: &mut Connection, p: &crate::connection::Prepared| {
+            let before = db.metrics().snapshot().rows_read;
+            let rows = c.query_prepared(p, &window).unwrap().rows;
+            (rows, db.metrics().snapshot().rows_read - before)
+        };
+        let (planned, scanning) = (c.prepare(sql).unwrap(), c.prepare_scanning(sql).unwrap());
+        let (rows, read_planned) = read(&mut c, &planned);
+        assert_eq!((rows.len(), read_planned), (4, 4));
+        assert_eq!(read(&mut c, &scanning), (rows, 20));
+    }
 
     #[test]
     fn column_resolution() {

@@ -666,39 +666,18 @@ impl Session {
         }
     }
 
-    /// Fetch all rows for an index point lookup, S-locking each.
-    pub fn read_index(&mut self, table: &Arc<Table>, index: &str, key: &[Value]) -> Result<Vec<(RowId, Row)>> {
-        let rowids = table.index_lookup(index, key)?;
-        self.fetch_rows(table, rowids, false)
-    }
-
-    /// Fetch rows in an index range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn read_index_range(
+    /// Fetch the rows [`Table::range`] selects, in its order, S-locking each
+    /// (X-locking when `for_update`).
+    pub fn read_range(
         &mut self,
         table: &Arc<Table>,
-        index: &str,
-        lo: Bound<&[Value]>,
-        hi: Bound<&[Value]>,
-        limit: usize,
-    ) -> Result<Vec<(RowId, Row)>> {
-        let rowids = table.index_range(index, lo, hi, limit)?;
-        self.fetch_rows(table, rowids, false)
-    }
-
-    /// Fetch rows whose composite index key starts with `prefix`.
-    pub fn read_index_prefix(
-        &mut self,
-        table: &Arc<Table>,
-        index: &str,
+        index: Option<&str>,
         prefix: &[Value],
-        limit: usize,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+        for_update: bool,
     ) -> Result<Vec<(RowId, Row)>> {
-        let rowids = table.index_prefix(index, prefix, limit)?;
-        self.fetch_rows(table, rowids, false)
-    }
-
-    fn fetch_rows(&mut self, table: &Arc<Table>, rowids: Vec<RowId>, for_update: bool) -> Result<Vec<(RowId, Row)>> {
+        let rowids = table.range(index, prefix, lo, hi, usize::MAX)?;
         let mut out = Vec::with_capacity(rowids.len());
         for rowid in rowids {
             if let Some(row) = self.get_row(table, rowid, for_update)? {
@@ -736,6 +715,7 @@ impl Session {
         let (table_mode, _) = self.write_modes(table);
         self.lock(LockTarget::Table(table.id), table_mode)?;
         let bytes = table.schema.row_bytes(&row) as u64;
+        // One copy: the table keeps one, the redo record the other.
         let rowid = table.insert(row.clone())?;
         if self.db.personality.row_locking {
             // X-lock the new row so no one reads it before commit. The row is

@@ -12,6 +12,7 @@
 pub mod bufferpool;
 pub mod engine;
 pub mod error;
+pub mod key;
 pub mod lock;
 pub mod metrics;
 pub mod personality;
@@ -23,6 +24,7 @@ pub mod wal;
 
 pub use engine::{Database, Session};
 pub use error::{Result, StorageError};
+pub use key::Key;
 pub use lock::{LockManager, LockMode, LockTarget, TxnId};
 pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use personality::{DelayMode, Personality};

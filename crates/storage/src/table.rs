@@ -1,6 +1,10 @@
 //! Heap tables with a clustered primary-key index and secondary B-tree
 //! indexes.
 //!
+//! An index is an ordered map from encoded key bytes ([`Key`]) to row ids;
+//! the primary key maps each key to its one row, a secondary index to the
+//! rows that share it, in the order they came.
+//!
 //! The physical structures are latched with a `bp_util::sync::RwLock`;
 //! *logical* isolation (row/table locks) is enforced above this layer by the
 //! engine, so methods here assume the caller already holds the appropriate
@@ -12,39 +16,53 @@ use std::ops::Bound;
 use bp_util::sync::RwLock;
 
 use crate::error::{Result, StorageError};
+use crate::key::{Key, KeyWriter};
 use crate::schema::{IndexDef, TableSchema};
 use crate::value::{Row, Value};
 
 pub type RowId = u64;
 
+fn key_of(columns: &[usize], row: &Row) -> Key {
+    Key::encode(columns.iter().map(|&i| &row[i]))
+}
+
+/// Whether `new` needs another key than `old`: by `Value`'s order, as keys
+/// are (`-0.0` and `0.0` are `==` and two keys).
+fn key_changed(columns: &[usize], old: &Row, new: &Row) -> bool {
+    columns.iter().any(|&i| old[i].cmp(&new[i]).is_ne())
+}
+
 #[derive(Debug)]
 struct IndexState {
     def: IndexDef,
-    map: BTreeMap<Vec<Value>, Vec<RowId>>,
+    map: BTreeMap<Key, Vec<RowId>>,
 }
 
 impl IndexState {
-    fn key_of(&self, row: &Row) -> Vec<Value> {
-        self.def.key_columns.iter().map(|&i| row[i].clone()).collect()
+    fn key_of(&self, row: &Row) -> Key {
+        key_of(&self.def.key_columns, row)
     }
 
-    fn insert(&mut self, key: Vec<Value>, rowid: RowId, table: &str) -> Result<()> {
-        let slot = self.map.entry(key).or_default();
+    fn duplicate(&self, row: &Row, table: &str) -> StorageError {
+        let key: Vec<&Value> = self.def.key_columns.iter().map(|&i| &row[i]).collect();
+        StorageError::DuplicateKey { table: table.to_string(), key: format!("{}={key:?}", self.def.name) }
+    }
+
+    fn insert(&mut self, row: &Row, rowid: RowId, table: &str) -> Result<()> {
+        let slot = self.map.entry(self.key_of(row)).or_default();
         if self.def.unique && !slot.is_empty() {
-            return Err(StorageError::DuplicateKey {
-                table: table.to_string(),
-                key: self.def.name.clone(),
-            });
+            return Err(StorageError::DuplicateKey { table: table.to_string(), key: self.def.name.clone() });
         }
         slot.push(rowid);
         Ok(())
     }
 
-    fn remove(&mut self, key: &[Value], rowid: RowId) {
-        if let Some(slot) = self.map.get_mut(key) {
+    fn remove(&mut self, row: &Row, rowid: RowId) {
+        let key = self.key_of(row);
+        if let Some(slot) = self.map.get_mut(&key) {
             slot.retain(|r| *r != rowid);
             if slot.is_empty() {
-                self.map.remove(key);
+                self.map.remove(&key);
             }
         }
     }
@@ -55,7 +73,7 @@ struct TableData {
     slots: Vec<Option<Row>>,
     free: Vec<RowId>,
     live: usize,
-    pk: BTreeMap<Vec<Value>, RowId>,
+    pk: BTreeMap<Key, RowId>,
     indexes: Vec<IndexState>,
 }
 
@@ -66,9 +84,6 @@ pub struct Table {
     pub schema: TableSchema,
     data: RwLock<TableData>,
 }
-
-/// Inclusive/exclusive range bounds over index keys.
-pub type KeyBound<'a> = Bound<&'a [Value]>;
 
 impl Table {
     pub fn new(id: u32, schema: TableSchema) -> Table {
@@ -96,8 +111,7 @@ impl Table {
         let mut ix = IndexState { def, map: BTreeMap::new() };
         for (rowid, slot) in d.slots.iter().enumerate() {
             if let Some(row) = slot {
-                let key = ix.key_of(row);
-                ix.insert(key, rowid as RowId, &self.schema.name)?;
+                ix.insert(row, rowid as RowId, &self.schema.name)?;
             }
         }
         d.indexes.push(ix);
@@ -115,63 +129,41 @@ impl Table {
             .ok_or_else(|| StorageError::NoSuchIndex(name.to_string()))
     }
 
-    /// Find an index whose key columns are exactly `cols` (in order).
-    pub fn index_on(&self, cols: &[usize]) -> Option<String> {
-        let d = self.data.read();
-        d.indexes
-            .iter()
-            .find(|ix| ix.def.key_columns == cols)
-            .map(|ix| ix.def.name.clone())
+    /// The primary key of `row`, encoded; `None` for a table without one.
+    fn pk_key(&self, row: &Row) -> Option<Key> {
+        self.schema.has_primary_key().then(|| key_of(&self.schema.primary_key, row))
     }
 
-    /// Find an index whose key *prefix* is `cols`.
-    pub fn index_with_prefix(&self, cols: &[usize]) -> Option<String> {
-        let d = self.data.read();
-        d.indexes
-            .iter()
-            .find(|ix| ix.def.key_columns.len() >= cols.len() && ix.def.key_columns[..cols.len()] == *cols)
-            .map(|ix| ix.def.name.clone())
+    fn duplicate_pk(&self, row: &Row) -> StorageError {
+        StorageError::DuplicateKey {
+            table: self.schema.name.clone(),
+            key: format!("{:?}", self.schema.pk_of(row)),
+        }
     }
 
     /// Insert a validated row, returning its rowid.
     pub fn insert(&self, row: Row) -> Result<RowId> {
         let mut d = self.data.write();
-        // Primary-key uniqueness.
-        let pk = self.schema.pk_of(&row);
-        if self.schema.has_primary_key() && d.pk.contains_key(&pk) {
-            return Err(StorageError::DuplicateKey {
-                table: self.schema.name.clone(),
-                key: format!("{pk:?}"),
-            });
+        let d = &mut *d;
+        let pk = self.pk_key(&row);
+        if pk.as_ref().is_some_and(|pk| d.pk.contains_key(pk)) {
+            return Err(self.duplicate_pk(&row));
         }
-        // Unique secondary indexes.
-        for ix in &d.indexes {
-            if ix.def.unique {
-                let key = ix.key_of(&row);
-                if ix.map.contains_key(&key) {
-                    return Err(StorageError::DuplicateKey {
-                        table: self.schema.name.clone(),
-                        key: format!("{}={key:?}", ix.def.name),
-                    });
-                }
-            }
+        if let Some(ix) = d.indexes.iter().find(|ix| ix.def.unique && ix.map.contains_key(&ix.key_of(&row))) {
+            return Err(ix.duplicate(&row, &self.schema.name));
         }
-        let rowid = match d.free.pop() {
-            Some(r) => {
-                d.slots[r as usize] = Some(row.clone());
-                r
-            }
-            None => {
-                d.slots.push(Some(row.clone()));
-                (d.slots.len() - 1) as RowId
-            }
-        };
-        if self.schema.has_primary_key() {
+        // Every check has passed: the row moves into its slot, and the
+        // index keys are built from it there.
+        let rowid = d.free.pop().unwrap_or_else(|| {
+            d.slots.push(None);
+            (d.slots.len() - 1) as RowId
+        });
+        let row = d.slots[rowid as usize].insert(row);
+        if let Some(pk) = pk {
             d.pk.insert(pk, rowid);
         }
         for ix in &mut d.indexes {
-            let key = ix.key_of(&row);
-            ix.insert(key, rowid, &self.schema.name)?;
+            ix.insert(row, rowid, &self.schema.name)?;
         }
         d.live += 1;
         Ok(rowid)
@@ -186,98 +178,55 @@ impl Table {
     /// Returns the before-image.
     pub fn update(&self, rowid: RowId, new_row: Row) -> Result<Row> {
         let mut d = self.data.write();
-        let old = d
-            .slots
-            .get(rowid as usize)
-            .and_then(|s| s.clone())
-            .ok_or(StorageError::RowGone)?;
+        let d = &mut *d;
+        let slot = d.slots.get_mut(rowid as usize).ok_or(StorageError::RowGone)?;
+        let old = slot.as_ref().ok_or(StorageError::RowGone)?;
 
-        let old_pk = self.schema.pk_of(&old);
-        let new_pk = self.schema.pk_of(&new_row);
-        if self.schema.has_primary_key() && old_pk != new_pk {
-            if d.pk.contains_key(&new_pk) {
-                return Err(StorageError::DuplicateKey {
-                    table: self.schema.name.clone(),
-                    key: format!("{new_pk:?}"),
-                });
-            }
-            d.pk.remove(&old_pk);
+        // Check first (a unique key may be held by this row itself), then
+        // mutate. Keys are only encoded for the indexes whose columns moved.
+        let new_pk =
+            key_changed(&self.schema.primary_key, old, &new_row).then(|| self.pk_key(&new_row)).flatten();
+        if new_pk.as_ref().is_some_and(|pk| d.pk.contains_key(pk)) {
+            return Err(self.duplicate_pk(&new_row));
+        }
+        let taken = |ix: &&IndexState| {
+            ix.def.unique && ix.map.get(&ix.key_of(&new_row)).is_some_and(|rows| rows.iter().any(|r| *r != rowid))
+        };
+        if let Some(ix) = d.indexes.iter().find(taken) {
+            return Err(ix.duplicate(&new_row, &self.schema.name));
+        }
+        if let Some(new_pk) = new_pk {
+            d.pk.remove(&key_of(&self.schema.primary_key, old));
             d.pk.insert(new_pk, rowid);
         }
-        // Unique check first (excluding this row), then mutate.
-        for ix in &d.indexes {
-            if ix.def.unique {
-                let new_key = ix.key_of(&new_row);
-                if let Some(slot) = ix.map.get(&new_key) {
-                    if slot.iter().any(|r| *r != rowid) {
-                        return Err(StorageError::DuplicateKey {
-                            table: self.schema.name.clone(),
-                            key: format!("{}={new_key:?}", ix.def.name),
-                        });
-                    }
-                }
-            }
-        }
         for ix in &mut d.indexes {
-            let old_key = ix.key_of(&old);
-            let new_key = ix.key_of(&new_row);
-            if old_key != new_key {
-                ix.remove(&old_key, rowid);
-                ix.insert(new_key, rowid, &self.schema.name)?;
+            if key_changed(&ix.def.key_columns, old, &new_row) {
+                ix.remove(old, rowid);
+                ix.insert(&new_row, rowid, &self.schema.name)?;
             }
         }
-        d.slots[rowid as usize] = Some(new_row);
-        Ok(old)
+        Ok(slot.replace(new_row).expect("checked above"))
     }
 
     /// Delete a row, returning its before-image.
     pub fn delete(&self, rowid: RowId) -> Result<Row> {
         let mut d = self.data.write();
-        let old = d
-            .slots
-            .get(rowid as usize)
-            .and_then(|s| s.clone())
-            .ok_or(StorageError::RowGone)?;
-        if self.schema.has_primary_key() {
-            let pk = self.schema.pk_of(&old);
+        let old = d.slots.get_mut(rowid as usize).and_then(Option::take).ok_or(StorageError::RowGone)?;
+        if let Some(pk) = self.pk_key(&old) {
             d.pk.remove(&pk);
         }
         for ix in &mut d.indexes {
-            let key = ix.key_of(&old);
-            ix.remove(&key, rowid);
+            ix.remove(&old, rowid);
         }
-        d.slots[rowid as usize] = None;
         d.free.push(rowid);
         d.live -= 1;
         Ok(old)
     }
 
-    /// Primary-key point lookup.
+    /// Primary-key point lookup. The values must have their columns' types
+    /// ([`Value::into_key`]); one that does not finds nothing.
     pub fn lookup_pk(&self, key: &[Value]) -> Option<RowId> {
-        self.data.read().pk.get(key).copied()
-    }
-
-    /// Primary-key range scan (over pk order).
-    pub fn pk_range(&self, lo: KeyBound<'_>, hi: KeyBound<'_>, limit: usize) -> Vec<RowId> {
-        let Some(range) = key_range(lo, hi) else { return Vec::new() };
-        let d = self.data.read();
-        d.pk.range(range).take(limit).map(|(_, r)| *r).collect()
-    }
-
-    /// Rows whose primary key starts with `prefix` (composite-PK prefix).
-    pub fn pk_prefix(&self, prefix: &[Value], limit: usize) -> Vec<RowId> {
-        let d = self.data.read();
-        let mut out = Vec::new();
-        for (key, rowid) in d.pk.range(prefix.to_vec()..) {
-            if key.len() < prefix.len() || key[..prefix.len()] != *prefix {
-                break;
-            }
-            if out.len() >= limit {
-                break;
-            }
-            out.push(*rowid);
-        }
-        out
+        self.data.read().pk.get(&Key::encode(key)).copied()
     }
 
     /// Definitions of all secondary indexes.
@@ -285,54 +234,61 @@ impl Table {
         self.data.read().indexes.iter().map(|ix| ix.def.clone()).collect()
     }
 
-    /// Secondary-index point lookup.
+    /// Secondary-index point lookup, typed like [`Table::lookup_pk`].
     pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
         let d = self.data.read();
         let pos = Self::index_pos(&d, index)?;
-        Ok(d.indexes[pos].map.get(key).cloned().unwrap_or_default())
+        Ok(d.indexes[pos].map.get(&Key::encode(key)).cloned().unwrap_or_default())
     }
 
-    /// Secondary-index range scan.
-    pub fn index_range(
+    /// Up to `limit` rows, in key order, whose key in `index` (`None`: the
+    /// primary key) starts with `prefix` and has its next column within
+    /// `lo` and `hi`: a composite-key prefix scan (all order lines of one
+    /// order), a range scan, or both at once (the order lines of a
+    /// district's last twenty orders). Typed like [`Table::lookup_pk`].
+    /// Bounds that are the wrong way round select nothing.
+    pub fn range(
         &self,
-        index: &str,
-        lo: KeyBound<'_>,
-        hi: KeyBound<'_>,
+        index: Option<&str>,
+        prefix: &[Value],
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
         limit: usize,
     ) -> Result<Vec<RowId>> {
-        let d = self.data.read();
-        let pos = Self::index_pos(&d, index)?;
-        let mut out = Vec::new();
-        let Some(range) = key_range(lo, hi) else { return Ok(out) };
-        for (_, rowids) in d.indexes[pos].map.range(range) {
-            for r in rowids {
-                if out.len() >= limit {
-                    return Ok(out);
-                }
-                out.push(*r);
+        let mut start = KeyWriter::default();
+        prefix.iter().for_each(|v| start.value(v));
+        let mut end = start.clone();
+        // `0xFF` is above everything that continues the key so far.
+        match lo {
+            Bound::Included(v) => start.value(v),
+            Bound::Excluded(v) => {
+                start.value(v);
+                start.push(0xFF);
             }
+            Bound::Unbounded => {}
         }
-        Ok(out)
-    }
-
-    /// Rows whose index key starts with `prefix` (composite-index prefix
-    /// scan, e.g. all order lines of one order).
-    pub fn index_prefix(&self, index: &str, prefix: &[Value], limit: usize) -> Result<Vec<RowId>> {
-        let d = self.data.read();
-        let pos = Self::index_pos(&d, index)?;
-        let mut out = Vec::new();
-        for (key, rowids) in d.indexes[pos].map.range(prefix.to_vec()..) {
-            if key.len() < prefix.len() || key[..prefix.len()] != *prefix {
-                break;
+        match hi {
+            Bound::Included(v) => {
+                end.value(v);
+                end.push(0xFF);
             }
-            for r in rowids {
-                if out.len() >= limit {
-                    return Ok(out);
-                }
-                out.push(*r);
-            }
+            Bound::Excluded(v) => end.value(v),
+            Bound::Unbounded => end.push(0xFF),
         }
-        Ok(out)
+        let (start, end) = (start.finish(), end.finish());
+        if start >= end {
+            // `k >= 9 AND k < 3` with caller-supplied values, which
+            // `BTreeMap::range` panics on.
+            return Ok(Vec::new());
+        }
+        let d = self.data.read();
+        Ok(match index {
+            None => d.pk.range(start..end).map(|(_, r)| *r).take(limit).collect(),
+            Some(name) => {
+                let pos = Self::index_pos(&d, name)?;
+                d.indexes[pos].map.range(start..end).flat_map(|(_, rows)| rows).copied().take(limit).collect()
+            }
+        })
     }
 
     /// Materialized full scan.
@@ -345,24 +301,24 @@ impl Table {
             .collect()
     }
 
+    /// Enter a row that is already in its slot into the primary key and
+    /// every index.
+    fn index_row(&self, d: &mut TableData, rowid: RowId) -> Result<()> {
+        let row = d.slots[rowid as usize].as_ref().expect("row in its slot");
+        if let Some(pk) = self.pk_key(row) {
+            d.pk.insert(pk, rowid);
+        }
+        d.indexes.iter_mut().try_for_each(|ix| ix.insert(row, rowid, &self.schema.name))
+    }
+
     /// Re-insert a row into a specific slot (transaction rollback of a
     /// delete). The slot must be vacant.
     pub fn restore(&self, rowid: RowId, row: Row) -> Result<()> {
         let mut d = self.data.write();
-        let idx = rowid as usize;
-        if idx >= d.slots.len() || d.slots[idx].is_some() {
-            return Err(StorageError::RowGone);
-        }
-        if self.schema.has_primary_key() {
-            let pk = self.schema.pk_of(&row);
-            d.pk.insert(pk, rowid);
-        }
-        for ix in &mut d.indexes {
-            let key = ix.key_of(&row);
-            ix.insert(key, rowid, &self.schema.name)?;
-        }
+        let slot = d.slots.get_mut(rowid as usize).filter(|s| s.is_none()).ok_or(StorageError::RowGone)?;
+        *slot = Some(row);
+        self.index_row(&mut d, rowid)?;
         d.free.retain(|r| *r != rowid);
-        d.slots[idx] = Some(row);
         d.live += 1;
         Ok(())
     }
@@ -381,18 +337,11 @@ impl Table {
         let cap = rows.keys().next_back().map(|r| *r as usize + 1).unwrap_or(0);
         d.slots.resize(cap, None);
         for (&rowid, row) in rows {
-            if self.schema.has_primary_key() {
-                let pk = self.schema.pk_of(row);
-                d.pk.insert(pk, rowid);
-            }
-            for ix in &mut d.indexes {
-                let key = ix.key_of(row);
-                // The image is committed state, so uniqueness holds by
-                // construction; a violation here is an engine bug.
-                let ok = ix.insert(key, rowid, &self.schema.name).is_ok();
-                debug_assert!(ok, "recovered image violates index {}", ix.def.name);
-            }
             d.slots[rowid as usize] = Some(row.clone());
+            // The image is committed state, so uniqueness holds by
+            // construction; a violation here is an engine bug.
+            let ok = self.index_row(&mut d, rowid).is_ok();
+            debug_assert!(ok, "recovered image violates an index of {}", self.schema.name);
         }
         d.live = rows.len();
         // Vacant slots (committed deletes) are free again; highest first so
@@ -411,21 +360,6 @@ impl Table {
             ix.map.clear();
         }
     }
-}
-
-type OwnedKeyBound = Bound<Vec<Value>>;
-
-/// The owned range to hand to `BTreeMap::range`, or `None` for bounds that
-/// select nothing because they are the wrong way round (`k >= 9 AND k < 3`
-/// with caller-supplied values) — which `BTreeMap::range` panics on.
-fn key_range(lo: KeyBound<'_>, hi: KeyBound<'_>) -> Option<(OwnedKeyBound, OwnedKeyBound)> {
-    let inverted = match (lo, hi) {
-        (Bound::Excluded(a), Bound::Excluded(b)) => a >= b,
-        (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => a > b,
-        _ => false,
-    };
-    let owned = |b: KeyBound<'_>| b.map(<[Value]>::to_vec);
-    (!inverted).then(|| (owned(lo), owned(hi)))
 }
 
 #[cfg(test)]
@@ -462,22 +396,20 @@ mod tests {
         for id in 0..10 {
             t.insert(row(id, id % 2, "x")).unwrap();
         }
-        t.add_index(IndexDef { name: "by_grp".into(), table: "t".into(), key_columns: vec![1], unique: false })
+        t.add_index(IndexDef { name: "by_id".into(), table: "t".into(), key_columns: vec![0], unique: false })
             .unwrap();
-        let (three, nine) = ([Value::Int(3)], [Value::Int(9)]);
-        fn inc(k: &[Value; 1]) -> KeyBound<'_> {
-            Bound::Included(k)
+        let (three, nine) = (Value::Int(3), Value::Int(9));
+        let (inc, exc) = (Bound::Included, Bound::Excluded);
+        let count = |index, lo, hi| t.range(index, &[], lo, hi, usize::MAX).unwrap().len();
+        for index in [None, Some("by_id")] {
+            assert_eq!(count(index, inc(&three), exc(&nine)), 6);
+            for (lo, hi) in [(inc(&nine), exc(&three)), (inc(&nine), inc(&three)), (exc(&three), exc(&three))] {
+                assert_eq!(count(index, lo, hi), 0);
+            }
+            assert_eq!(count(index, inc(&three), inc(&three)), 1);
+            assert_eq!(count(index, inc(&three), exc(&three)), 0);
+            assert_eq!(count(index, exc(&three), inc(&three)), 0);
         }
-        fn exc(k: &[Value; 1]) -> KeyBound<'_> {
-            Bound::Excluded(k)
-        }
-        assert_eq!(t.pk_range(inc(&three), exc(&nine), usize::MAX).len(), 6);
-        for (lo, hi) in [(inc(&nine), exc(&three)), (inc(&nine), inc(&three)), (exc(&three), exc(&three))] {
-            assert!(t.pk_range(lo, hi, usize::MAX).is_empty());
-            assert!(t.index_range("by_grp", lo, hi, usize::MAX).unwrap().is_empty());
-        }
-        assert_eq!(t.pk_range(inc(&three), inc(&three), usize::MAX).len(), 1);
-        assert!(t.pk_range(inc(&three), exc(&three), usize::MAX).is_empty());
     }
 
     fn row(id: i64, grp: i64, name: &str) -> Row {
@@ -573,18 +505,14 @@ mod tests {
         for i in 0..20 {
             t.insert(row(i, 0, "r")).unwrap();
         }
-        let got = t.pk_range(
-            Bound::Included(&[Value::Int(5)][..]),
-            Bound::Excluded(&[Value::Int(10)][..]),
-            100,
-        );
-        assert_eq!(got.len(), 5);
-        let limited = t.pk_range(Bound::Unbounded, Bound::Unbounded, 7);
+        let got = t.range(None, &[], Bound::Included(&Value::Int(5)), Bound::Excluded(&Value::Int(10)), 100).unwrap();
+        assert_eq!(got, [5, 6, 7, 8, 9]);
+        let limited = t.range(None, &[], Bound::Unbounded, Bound::Unbounded, 7).unwrap();
         assert_eq!(limited.len(), 7);
     }
 
     #[test]
-    fn index_range_and_prefix() {
+    fn prefix_then_range_on_pk_and_index() {
         let schema = TableSchema::new(
             "ol",
             vec![
@@ -602,22 +530,29 @@ mod tests {
             unique: true,
         })
         .unwrap();
-        for o in 0..3i64 {
+        // Keys on both sides of every length class, negative ones too.
+        for o in [-300i64, -1, 0, 1, 255, 256] {
             for n in 0..4i64 {
                 t.insert(vec![Value::Int(o), Value::Int(n)]).unwrap();
             }
         }
-        let pre = t.index_prefix("ol_on", &[Value::Int(1)], 100).unwrap();
-        assert_eq!(pre.len(), 4);
-        let rng = t
-            .index_range(
-                "ol_on",
-                Bound::Included(&[Value::Int(1), Value::Int(2)][..]),
-                Bound::Unbounded,
-                3,
-            )
-            .unwrap();
-        assert_eq!(rng.len(), 3);
+        let keys = |rows: Vec<RowId>| rows.iter().map(|r| t.get(*r).unwrap()).collect::<Vec<Row>>();
+        for index in [None, Some("ol_on")] {
+            let all = keys(t.range(index, &[], Bound::Unbounded, Bound::Unbounded, 100).unwrap());
+            assert!(all.is_sorted() && all.len() == 24, "{all:?}");
+            let pre = t.range(index, &[Value::Int(1)], Bound::Unbounded, Bound::Unbounded, 100).unwrap();
+            assert_eq!(pre.len(), 4);
+            let one = Value::Int(1);
+            let tail = keys(t.range(index, &[Value::Int(255)], Bound::Excluded(&one), Bound::Unbounded, 100).unwrap());
+            assert_eq!(tail, [[Value::Int(255), Value::Int(2)], [Value::Int(255), Value::Int(3)]]);
+            let head = t.range(index, &[Value::Int(-1)], Bound::Unbounded, Bound::Included(&one), 100).unwrap();
+            assert_eq!(head.len(), 2);
+            let from = keys(t.range(index, &[], Bound::Included(&Value::Int(255)), Bound::Unbounded, 3).unwrap());
+            assert_eq!(from.last().unwrap(), &[Value::Int(255), Value::Int(2)]);
+            // A probe of another type than its column finds nothing.
+            assert!(t.range(index, &[Value::Float(1.0)], Bound::Unbounded, Bound::Unbounded, 100).unwrap().is_empty());
+        }
+        assert!(t.range(Some("nope"), &[], Bound::Unbounded, Bound::Unbounded, 1).is_err());
     }
 
     #[test]

@@ -122,6 +122,25 @@ impl Value {
         }
     }
 
+    /// The value to look up in an index over a column of type `ty` in place
+    /// of this one: the value of that type that compares with every value
+    /// of that type exactly as this one does. `None` when there is none
+    /// (`2.5` or `'x'` against an `Int` column; a float too large to name
+    /// one integer; `-0.0`, which sorts below `0`), and then no index over
+    /// that column can stand in for comparing row by row.
+    pub fn into_key(self, ty: DataType) -> Option<Value> {
+        match (self, ty) {
+            (Value::Int(i), DataType::Float) => Some(Value::Float(i as f64)),
+            (Value::Float(f), DataType::Int) => {
+                let i = f as i64;
+                let one_integer = i.unsigned_abs() < 1 << 53 && (i as f64).to_bits() == f.to_bits();
+                one_integer.then_some(Value::Int(i))
+            }
+            (v, _) if v.data_type().is_none_or(|own| own == ty) => Some(v),
+            _ => None,
+        }
+    }
+
     /// Approximate in-memory size, used by the WAL and buffer-pool models.
     pub fn byte_size(&self) -> usize {
         match self {

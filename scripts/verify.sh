@@ -69,9 +69,14 @@ echo "== trace (E18 gates: >= 99 % of slow requests retained within 2x the span 
 cargo test -q --offline -p bp-obs span
 cargo run -q --release --offline -p bp-bench --bin harness trace
 
-echo "== repo benchmark: perf/ builds against the crates, its tests and output checks pass =="
+echo "== access paths, optimised: a planned statement returns what its scan returns; key bytes order as values do; StockLevel reads a 20-order window in every third of a tpcc run and an order_line row costs <= 330 live bytes =="
+cargo test -q --release --offline --test access_paths
+cargo test -q --release --offline --test tpcc_slope
+
+echo "== repo benchmark: perf/ builds against the crates unmodified, its tests and output checks pass, and exact counts repeat (storage.rows_read_per_tx @ tpcc_sat is lower than before range paths by the order lines outside StockLevel's 20-order window; storage.rows_written_per_tx and storage.wal_bytes_per_tx repeat exactly on every workload: paths choose which rows are read, never what is written) =="
 cargo test -q --release --offline --manifest-path perf/Cargo.toml
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- check
+cargo run -q --release --offline --manifest-path perf/Cargo.toml -- counts --twice
 
 if command -v cargo-clippy >/dev/null 2>&1 || cargo clippy --version >/dev/null 2>&1; then
     echo "== cargo clippy --all-targets -- -D warnings =="

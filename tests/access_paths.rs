@@ -1,0 +1,300 @@
+//! Access paths fetch what a scan would have kept, and the bytes an index
+//! is ordered by order values the way `Value` does.
+//!
+//! *Plan vs scan*: over seeded random tables and random conjunctions, a
+//! statement run along the path its plan chose returns exactly the rows, in
+//! the order, with the error or lack of one, that it returns when every
+//! table is scanned and the whole predicate decides
+//! ([`Connection::prepare_scanning`]).
+//!
+//! *Codec*: `Key::encode` keeps `Value`'s order for tuples of one type
+//! signature, and the key of a tuple's prefix is a prefix of its key.
+
+use std::sync::Arc;
+
+use bp_sql::{Connection, Prepared};
+use bp_storage::{DataType, Database, Key, Personality, Value};
+use bp_util::rng::Rng;
+
+const KEY_TYPES: [DataType; 4] = [DataType::Int, DataType::Float, DataType::Str, DataType::Bool];
+
+/// A value a column of type `ty` can hold. The domains are small, so keys
+/// share prefixes and parameters hit, and sit on both sides of what the
+/// codec treats specially: zero, sign, length class, embedded NUL, a string
+/// too long for an inline key.
+fn stored(ty: DataType, rng: &mut Rng) -> Value {
+    match ty {
+        DataType::Int => Value::Int(*rng.choose(&[-300, -2, -1, 0, 1, 2, 3, 255, 256])),
+        DataType::Float => Value::Float(*rng.choose(&[-1.5, -0.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0])),
+        DataType::Str => {
+            let strings = ["", "a", "a\0", "a\0b", "ab", "b", "a long string, longer than a key holds inline"];
+            Value::Str(rng.choose(&strings).to_string())
+        }
+        DataType::Bool => Value::Bool(rng.bool_with(0.5)),
+        DataType::Bytes => unreachable!("no bytes columns here"),
+    }
+}
+
+/// A parameter to compare a column of type `ty` with: mostly of its type,
+/// sometimes NULL, sometimes of a type that converts (an integer against a
+/// FLOAT column, an integral float against an INT column) or does not (a
+/// fraction, `-0.0` or a string against an INT column).
+fn parameter(ty: DataType, rng: &mut Rng) -> Value {
+    match rng.bounded(10) {
+        0 => Value::Null,
+        1 | 2 => match ty {
+            DataType::Int => {
+                rng.choose(&[Value::Float(2.0), Value::Float(2.5), Value::Float(-0.0), Value::Str("1".into())]).clone()
+            }
+            DataType::Float => rng.choose(&[Value::Int(1), Value::Int(2), Value::Str("x".into())]).clone(),
+            DataType::Str | DataType::Bool | DataType::Bytes => Value::Int(1),
+        },
+        _ => stored(ty, rng),
+    }
+}
+
+struct RandomTable {
+    db: Arc<Database>,
+    /// Column names and types: the key columns `k0..`, then `v INT` and
+    /// `s VARCHAR`, both nullable.
+    columns: Vec<(String, DataType)>,
+    /// How many of `columns` form the primary key.
+    pk: usize,
+    rows: usize,
+}
+
+fn random_table(rng: &mut Rng) -> RandomTable {
+    let pk = rng.int_range(1, 4) as usize;
+    let mut columns: Vec<(String, DataType)> =
+        (0..pk).map(|i| (format!("k{i}"), *rng.choose(&KEY_TYPES))).collect();
+    columns.extend([("v".to_string(), DataType::Int), ("s".to_string(), DataType::Str)]);
+    let sql_type = |ty: &DataType| match ty {
+        DataType::Int => "INT",
+        DataType::Float => "FLOAT",
+        DataType::Str => "VARCHAR(64)",
+        DataType::Bool => "BOOLEAN",
+        DataType::Bytes => unreachable!(),
+    };
+    let defs: Vec<String> = columns.iter().map(|(n, ty)| format!("{n} {}", sql_type(ty))).collect();
+    let keys: Vec<&str> = columns[..pk].iter().map(|(n, _)| n.as_str()).collect();
+    // A secondary index over one to three columns in any order, the
+    // nullable ones included.
+    let mut indexed: Vec<&str> = columns.iter().map(|(n, _)| n.as_str()).collect();
+    rng.shuffle(&mut indexed);
+    indexed.truncate(rng.int_range(1, 3) as usize);
+
+    let db = Database::new(Personality::test());
+    let mut c = Connection::open(&db);
+    c.execute_batch(&format!(
+        "CREATE TABLE t ({}, PRIMARY KEY ({})); CREATE INDEX t_ix ON t ({});",
+        defs.join(", "),
+        keys.join(", "),
+        indexed.join(", ")
+    ))
+    .unwrap();
+    let insert = format!("INSERT INTO t VALUES ({})", vec!["?"; columns.len()].join(", "));
+    let mut rows = 0;
+    for _ in 0..rng.int_range(20, 80) {
+        let row: Vec<Value> = columns
+            .iter()
+            .enumerate()
+            .map(|(i, (_, ty))| if i >= pk && rng.bool_with(0.3) { Value::Null } else { stored(*ty, rng) })
+            .collect();
+        // Random keys collide; a refused duplicate is part of the history.
+        rows += c.execute(&insert, &row).is_ok() as usize;
+    }
+    // Holes and reuse: rowid order is neither key order nor insertion order.
+    rows -= c.execute("DELETE FROM t WHERE v = 1", &[]).unwrap().affected() as usize;
+    RandomTable { db, columns, pk, rows }
+}
+
+/// A random conjunction over `t`'s columns and the parameters it takes.
+fn conjunction(t: &RandomTable, rng: &mut Rng) -> (String, Vec<Value>) {
+    // Each term with its own parameters, so the terms can be shuffled.
+    let mut terms: Vec<(String, Vec<Value>)> = Vec::new();
+    for _ in 0..rng.int_range(1, 4) {
+        // Mostly key columns, mostly the leading ones.
+        let at = if rng.bool_with(0.8) { rng.index(t.pk).min(rng.index(t.pk)) } else { rng.index(t.columns.len()) };
+        let (name, ty) = &t.columns[at];
+        let (sql, takes) = match rng.bounded(8) {
+            0 => (format!("{name} BETWEEN ? AND ?"), 2),
+            1 => (format!("? >= {name}"), 1),
+            2 => (format!("? < {name}"), 1),
+            op => (format!("{name} {} ?", ["=", "=", "=", "<", "<=", ">", ">="][op as usize - 1]), 1),
+        };
+        terms.push((sql, (0..takes).map(|_| parameter(*ty, rng)).collect()));
+    }
+    if rng.bool_with(0.15) {
+        terms.push((rng.choose(&["v IS NULL", "s LIKE 'a%'", "v + 1 > 2"]).to_string(), Vec::new()));
+    }
+    rng.shuffle(&mut terms);
+    let (sql, params): (Vec<String>, Vec<Vec<Value>>) = terms.into_iter().unzip();
+    (sql.join(" AND "), params.concat())
+}
+
+/// Rows and columns, or the error, as text.
+fn outcome(c: &mut Connection, p: &Prepared, params: &[Value]) -> Result<String, String> {
+    c.execute_prepared(p, params).map(|r| format!("{r:?}")).map_err(|e| e.to_string())
+}
+
+#[test]
+fn planned_statements_return_what_scans_return() {
+    let mut narrowed = 0;
+    let mut statements = 0;
+    for seed in 0..48u64 {
+        let mut rng = Rng::new(0xACCE55 + seed);
+        let t = random_table(&mut rng);
+        let mut c = Connection::open(&t.db);
+        let order: Vec<&str> = t.columns[..t.pk].iter().map(|(n, _)| n.as_str()).collect();
+        for _ in 0..64 {
+            let (predicate, mut params) = conjunction(&t, &mut rng);
+            let sql = match rng.bounded(8) {
+                0 => format!("UPDATE t SET v = v + 10 WHERE {predicate}"),
+                1 => format!("DELETE FROM t WHERE {predicate}"),
+                2 => format!("SELECT COUNT(*) AS n, MIN(v) AS lo FROM t WHERE {predicate}"),
+                3 => {
+                    params.push(rng.choose(&[Value::Int(3), Value::Int(0), Value::Str("three".into())]).clone());
+                    format!("SELECT * FROM t WHERE {predicate} ORDER BY {} DESC LIMIT ?", order.join(" DESC, "))
+                }
+                4 => format!("SELECT * FROM t WHERE {predicate} ORDER BY {} FOR UPDATE", order.join(", ")),
+                _ => format!("SELECT * FROM t WHERE {predicate} ORDER BY {}", order.join(", ")),
+            };
+            let (planned, scanning) = (c.prepare(&sql).unwrap(), c.prepare_scanning(&sql).unwrap());
+            // Each in a transaction that is rolled back, so a write is
+            // judged by the table it leaves and both start from the same one.
+            let mut run = |p: &Prepared| {
+                c.begin().unwrap();
+                let before = t.db.metrics().snapshot().rows_read;
+                let result = outcome(&mut c, p, &params);
+                let read = t.db.metrics().snapshot().rows_read - before;
+                let left = c.query(&format!("SELECT * FROM t ORDER BY {}", order.join(", ")), &[]).unwrap();
+                c.rollback().unwrap();
+                (result, left.rows, read)
+            };
+            let (by_scan, scan_left, _) = run(&scanning);
+            let (by_plan, plan_left, read) = run(&planned);
+            assert_eq!(by_plan, by_scan, "seed {seed}: {sql} with {params:?}");
+            assert_eq!(plan_left, scan_left, "seed {seed}: {sql} with {params:?}");
+            statements += 1;
+            // The count after a planned statement includes the check query's
+            // own scan of the table.
+            narrowed += (read < 2 * t.rows as u64) as usize;
+        }
+    }
+    // The comparison means something only if paths were taken: most
+    // statements constrain a leading key column.
+    assert!(narrowed * 2 > statements, "{narrowed} of {statements} statements read less than their table");
+}
+
+// ---- Codec ----
+
+fn special(ty: DataType, rng: &mut Rng) -> Value {
+    if rng.bool_with(0.1) {
+        return Value::Null;
+    }
+    match ty {
+        DataType::Int => Value::Int(match rng.bounded(4) {
+            0 => *rng.choose(&[i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX]),
+            // Around every length class, both signs.
+            1 => {
+                let edge = 1i64 << (8 * rng.int_range(1, 7));
+                (edge + rng.int_range(-2, 2)) * *rng.choose(&[1, -1])
+            }
+            2 => rng.int_range(-70_000, 70_000),
+            _ => rng.next_u64() as i64,
+        }),
+        DataType::Float => Value::Float(match rng.bounded(3) {
+            0 => {
+                let edges = [0.0, -0.0, f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, f64::MAX];
+                *rng.choose(&edges)
+            }
+            1 => rng.f64_range(-1e6, 1e6),
+            _ => f64::from_bits(rng.next_u64()),
+        }),
+        DataType::Bool => Value::Bool(rng.bool_with(0.5)),
+        DataType::Str | DataType::Bytes => {
+            let alphabet = ["", "\0", "\u{1}", "a", "b", "\u{ff}", "\0\0", "a\0", "é"];
+            let s: String = (0..rng.int_range(0, 12)).map(|_| *rng.choose(&alphabet)).collect();
+            let s = if rng.bool_with(0.2) { s.repeat(4) } else { s };
+            if ty == DataType::Str {
+                Value::Str(s)
+            } else {
+                Value::Bytes(s.into_bytes().into())
+            }
+        }
+    }
+}
+
+#[test]
+fn key_bytes_order_as_values_do() {
+    let types = [DataType::Int, DataType::Float, DataType::Str, DataType::Bool, DataType::Bytes];
+    let mut rng = Rng::new(0xC0DEC);
+    let mut spilled = 0;
+    for _ in 0..300 {
+        let signature: Vec<DataType> = (0..rng.int_range(1, 4)).map(|_| *rng.choose(&types)).collect();
+        let mut tuples: Vec<Vec<Value>> =
+            (0..24).map(|_| signature.iter().map(|ty| special(*ty, &mut rng)).collect()).collect();
+        // Some share a prefix with another, so later columns decide.
+        for i in 1..tuples.len() {
+            if rng.bool_with(0.4) {
+                let n = rng.index(signature.len() + 1);
+                let (head, tail) = tuples.split_at_mut(i);
+                tail[0][..n].clone_from_slice(&head[rng.index(i)][..n]);
+            }
+        }
+        let keys: Vec<Key> = tuples.iter().map(Key::encode).collect();
+        for (a, ka) in tuples.iter().zip(&keys) {
+            for (b, kb) in tuples.iter().zip(&keys) {
+                assert_eq!(ka.cmp(kb), a.cmp(b), "{a:?} vs {b:?}: {ka:?} vs {kb:?}");
+                assert_eq!(ka.as_bytes().cmp(kb.as_bytes()), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(ka == kb, a.cmp(b).is_eq());
+            }
+            for k in 0..=a.len() {
+                let prefix = Key::encode(&a[..k]);
+                assert!(ka.as_bytes().starts_with(prefix.as_bytes()), "{a:?}[..{k}]");
+            }
+            spilled += (ka.as_bytes().len() > 22) as usize;
+        }
+    }
+    assert!(spilled > 500, "only {spilled} keys outgrew the inline form");
+}
+
+// ---- A constant crosses an equi-join ----
+
+/// TATP's GetNewDestination pins `call_forwarding.s_id` only through
+/// `sf.s_id = cf.s_id`. A subscriber has at most four facilities of at most
+/// three forwardings each, and the statement names one facility.
+#[test]
+fn tatp_get_new_destination_reads_one_facility() {
+    let tatp = bp_workloads::by_name("tatp").expect("tatp is bundled");
+    let db = Database::new(Personality::test());
+    let mut c = Connection::open(&db);
+    tatp.setup(&mut c, 0.1, &mut Rng::new(7)).unwrap();
+    let subscribers = c.query("SELECT COUNT(*) AS n FROM subscriber", &[]).unwrap().get_int(0, "n").unwrap();
+    let forwardings = c.query("SELECT COUNT(*) AS n FROM call_forwarding", &[]).unwrap().get_int(0, "n").unwrap();
+    assert!(forwardings > 100, "{forwardings} forwardings loaded");
+    let sql = "SELECT cf.numberx FROM special_facility sf JOIN call_forwarding cf \
+               ON sf.s_id = cf.s_id WHERE sf.s_id = ? AND sf.sf_type = ? AND sf.is_active = 1 \
+               AND cf.sf_type = ? AND cf.start_time <= ? AND cf.end_time > ?";
+    let (planned, scanning) = (c.prepare(sql).unwrap(), c.prepare_scanning(sql).unwrap());
+    let mut rng = Rng::new(11);
+    let mut found = 0;
+    for _ in 0..500 {
+        let sf_type = Value::Int(rng.int_range(1, 4));
+        let start = *rng.choose(&[0, 8, 16]);
+        let params = [
+            Value::Int(rng.int_range(1, subscribers)),
+            sf_type.clone(),
+            sf_type,
+            Value::Int(start),
+            Value::Int(start + rng.int_range(1, 8)),
+        ];
+        let before = db.metrics().snapshot().rows_read;
+        let rows = c.query_prepared(&planned, &params).unwrap();
+        let read = db.metrics().snapshot().rows_read - before;
+        assert!(read <= 4, "{read} rows read for {params:?}");
+        assert_eq!(rows, c.query_prepared(&scanning, &params).unwrap());
+        found += rows.len();
+    }
+    assert!(found > 0, "no draw found a forwarding");
+}
