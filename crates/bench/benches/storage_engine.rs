@@ -13,7 +13,7 @@ use bp_bench::timing::{bench, group};
 use bp_sql::Connection;
 use bp_storage::{
     Column, DataType, Database, LockManager, LockMode, LockTarget, Personality, ServerMetrics,
-    TableSchema, Value,
+    StorageError, TableSchema, Value,
 };
 
 fn test_db(rows: i64) -> std::sync::Arc<Database> {
@@ -53,7 +53,8 @@ fn bench_point_ops() {
     bench("storage_point_read", || {
         i = (i + 7) % 10_000;
         s.begin().unwrap();
-        let r = s.read_pk(&t, &[Value::Int(i)], false).unwrap();
+        // The read the executor makes: the row is the table's, not a copy.
+        let r = s.read_pk_shared(&t, &[Value::Int(i)], false).unwrap();
         s.commit().unwrap();
         black_box(r)
     });
@@ -114,11 +115,16 @@ fn bench_index_scans() {
     let mut s = db.session();
     bench("secondary_eq_100rows", || {
         s.begin().unwrap();
-        let rows = s
-            .read_range(&t, Some("t_grp"), &[Value::Int(42)], Bound::Unbounded, Bound::Unbounded, false)
-            .unwrap();
+        let rowids = t.range(Some("t_grp"), &[Value::Int(42)], Bound::Unbounded, Bound::Unbounded, usize::MAX).unwrap();
+        let mut rows = 0;
+        s.read_rows(&t, rowids, false, |_, _, row| {
+            rows += 1;
+            black_box(row);
+            Ok::<(), StorageError>(())
+        })
+        .unwrap();
         s.commit().unwrap();
-        black_box(rows.len())
+        black_box(rows)
     });
 }
 

@@ -368,7 +368,7 @@ mod tests {
         users(&mut c, 3);
         let sql = "SELECT name, age FROM users WHERE id = ?";
         let first = c.query(sql, &[Value::Int(1)]).unwrap();
-        assert_eq!(first.rows, vec![vec![Value::Str("u1".into()), Value::Int(21)]]);
+        assert_eq!(first.rows, [[Value::Str("u1".into()), Value::Int(21)].into()]);
 
         c.execute("DROP TABLE users", &[]).unwrap();
         let err = c.query(sql, &[Value::Int(1)]).unwrap_err();
@@ -379,7 +379,7 @@ mod tests {
         c.execute("CREATE TABLE users (age INT, name VARCHAR(32), id INT PRIMARY KEY)", &[]).unwrap();
         c.execute("INSERT INTO users VALUES (44, 'zed', 1)", &[]).unwrap();
         let again = c.query(sql, &[Value::Int(1)]).unwrap();
-        assert_eq!(again.rows, vec![vec![Value::Str("zed".into()), Value::Int(44)]]);
+        assert_eq!(again.rows, [[Value::Str("zed".into()), Value::Int(44)].into()]);
     }
 
     #[test]

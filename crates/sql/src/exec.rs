@@ -6,12 +6,17 @@
 //! candidate rows, re-applying the residual predicate, and projecting,
 //! grouping and sorting what survives. Everything else was decided when the
 //! statement was bound ([`crate::plan`]).
+//!
+//! A row goes from its index entry to the result in one pass, and a stage
+//! the plan has nothing for costs nothing: a fetched row is the table's own
+//! ([`SharedRow`]), without a join it is the tuple, and under `SELECT *` it
+//! is the output row.
 
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use bp_storage::{Column, Row, RowId, Session, TableSchema, Value};
+use bp_storage::{Column, RowId, Session, SharedRow, TableSchema, Value};
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
@@ -51,7 +56,9 @@ impl StatementResult {
 pub struct ResultSet {
     /// Output column names, shared with the statement's plan.
     pub columns: Arc<[String]>,
-    pub rows: Vec<Row>,
+    /// Immutable, and under `SELECT *` of one table the rows the table
+    /// stores: they show what was read, whatever is written afterwards.
+    pub rows: Vec<SharedRow>,
 }
 
 impl ResultSet {
@@ -187,14 +194,16 @@ fn probe(key: &KeyExpr, params: &[Value]) -> Probe {
     }
 }
 
-/// Fetch candidate `(rowid, row)` pairs for one table along its access
-/// path, honoring `for_update` locking.
+/// Hand `visit` each candidate `(rowid, row)` of one table along its access
+/// path, locked as `for_update` says. The visitor gets the session back, to
+/// write the row it was shown.
 fn fetch(
     session: &mut Session,
     access: &TableAccess,
     params: &[Value],
     for_update: bool,
-) -> Result<Vec<(RowId, Row)>> {
+    mut visit: impl FnMut(&mut Session, RowId, SharedRow) -> Result<()>,
+) -> Result<()> {
     let table = &access.table;
     let (index, pinned, lo, hi) = match &access.path {
         AccessPath::Point(key) => (None, key, &Bound::Unbounded, &Bound::Unbounded),
@@ -202,27 +211,26 @@ fn fetch(
         AccessPath::Scan => {
             let rows = session.scan(table)?;
             if !for_update {
-                return Ok(rows);
+                return rows.into_iter().try_for_each(|(rid, row)| visit(session, rid, row));
             }
             // Re-lock each row exclusively.
-            let mut relocked = Vec::with_capacity(rows.len());
-            for (rid, _) in rows {
-                relocked.extend(session.get_row(table, rid, true)?.map(|row| (rid, row)));
-            }
-            return Ok(relocked);
+            return session.read_rows(table, rows.iter().map(|(rid, _)| *rid), true, visit);
         }
     };
     let mut prefix = Vec::with_capacity(pinned.len());
     for key in pinned {
         match probe(key, params) {
-            Probe::Null => return Ok(Vec::new()),
+            Probe::Null => return Ok(()),
             Probe::Key(v) => prefix.push(v),
             Probe::Unusable => break,
         }
     }
     let whole = prefix.len() == pinned.len();
     if whole && matches!(access.path, AccessPath::Point(_)) {
-        return Ok(session.read_pk(table, &prefix, for_update)?.into_iter().collect());
+        return match session.read_pk_shared(table, &prefix, for_update)? {
+            Some((rid, row)) => visit(session, rid, row),
+            None => Ok(()),
+        };
     }
     // Bounds are on the column after the whole prefix, or do not apply.
     let bound = |expr: &Bound<KeyExpr>| {
@@ -235,71 +243,127 @@ fn fetch(
     };
     let (lo, hi) = match whole.then(|| bound(lo).zip(bound(hi))) {
         Some(Some(bounds)) => bounds,
-        Some(None) => return Ok(Vec::new()),
+        Some(None) => return Ok(()),
         None => (Bound::Unbounded, Bound::Unbounded),
     };
-    Ok(session.read_range(table, index, &prefix, lo.as_ref(), hi.as_ref(), for_update)?)
+    let rowids = table.range(index, &prefix, lo.as_ref(), hi.as_ref(), usize::MAX)?;
+    session.read_rows(table, rowids, for_update, visit)
+}
+
+/// All of one table's candidates: a join needs both its sides whole.
+fn fetch_all(
+    session: &mut Session,
+    access: &TableAccess,
+    params: &[Value],
+    for_update: bool,
+) -> Result<Vec<SharedRow>> {
+    let mut rows = Vec::new();
+    fetch(session, access, params, for_update, |_, _, row| {
+        rows.push(row);
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// A new row of `n` values, filled in place: built in the one allocation it
+/// is shared from, whatever evaluating its values may fail with.
+fn build_row(n: usize, fill: impl FnOnce(&mut [Value]) -> Result<()>) -> Result<SharedRow> {
+    let mut row: SharedRow = std::iter::repeat_n(Value::Null, n).collect();
+    fill(Arc::get_mut(&mut row).expect("a new row has one owner"))?;
+    Ok(row)
 }
 
 // ---- SELECT ----
 
-fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Result<ResultSet> {
-    // Fetch the driving table (without FROM: one empty tuple), then join
-    // each further table on.
-    let mut tuples: Vec<Row> = match sel.tables.first() {
-        Some(first) => fetch(session, first, params, sel.for_update)?.into_iter().map(|(_, r)| r).collect(),
-        None => vec![Vec::new()],
-    };
-    for (access, equi) in sel.tables.iter().skip(1).zip(&sel.joins) {
-        let right = fetch(session, access, params, false)?;
-        tuples = join(&tuples, &right, equi);
-    }
+/// The output side of a SELECT: rows in the order they were produced, and
+/// beside each, when the plan sorts, the key it sorts by.
+struct Output<'a> {
+    sel: &'a SelectPlan,
+    params: &'a [Value],
+    /// `SELECT *` alone: the tuple is the output row.
+    star_only: bool,
+    rows: Vec<SharedRow>,
+    keys: Vec<Vec<Value>>,
+}
 
-    // Re-apply every ON condition and the full WHERE.
-    let mut kept = Vec::with_capacity(tuples.len());
-    'tuples: for t in tuples {
+impl Output<'_> {
+    /// Project one tuple — a fetched or joined row, or a group's row.
+    fn push(&mut self, t: SharedRow) -> Result<()> {
+        let sel = self.sel;
+        let scope = EvalScope::new(&t, self.params);
+        let projected = if self.star_only {
+            None
+        } else {
+            Some(build_row(sel.columns.len(), |out| {
+                let mut at = 0;
+                for item in &sel.items {
+                    match item {
+                        None => {
+                            out[at..at + sel.width].clone_from_slice(&t[..sel.width]);
+                            at += sel.width;
+                        }
+                        Some(expr) => {
+                            out[at] = eval(expr, &scope)?;
+                            at += 1;
+                        }
+                    }
+                }
+                Ok(())
+            })?)
+        };
+        // An ORDER BY expression may need the row the output was computed
+        // from.
+        if !sel.order_by.is_empty() {
+            let shown = projected.as_ref().unwrap_or(&t);
+            let key = sel.order_by.iter().map(|(key, _)| match key {
+                SortKey::Output(i) => Ok(shown[*i].clone()),
+                SortKey::Row(expr) => eval(expr, &scope),
+            });
+            self.keys.push(key.collect::<Result<Vec<Value>>>()?);
+        }
+        self.rows.push(projected.unwrap_or(t));
+        Ok(())
+    }
+}
+
+fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Result<ResultSet> {
+    let star_only = matches!(sel.items.as_slice(), [None]);
+    let mut out = Output { sel, params, star_only, rows: Vec::new(), keys: Vec::new() };
+    let mut groups = sel.grouped.then(|| Groups::new(sel, params));
+
+    // Every tuple of the FROM clause passes here once: every ON condition
+    // and the full WHERE are re-applied, and what survives goes to its
+    // group or straight to the output.
+    let mut tuple = |t: SharedRow| -> Result<()> {
         let scope = EvalScope::new(&t, params);
         for f in &sel.filter {
             if !eval_filter(f, &scope)? {
-                continue 'tuples;
+                return Ok(());
             }
         }
-        kept.push(t);
-    }
-    if sel.grouped {
-        kept = aggregate(sel, kept, params)?;
-    }
-
-    // Project, collecting sort keys on the way: an ORDER BY expression may
-    // need the row the output was computed from.
-    let star_only = matches!(sel.items.as_slice(), [None]);
-    let mut rows = Vec::with_capacity(kept.len());
-    let mut keys = Vec::new();
-    for t in kept {
-        let scope = EvalScope::new(&t, params);
-        let mut out = Vec::with_capacity(if star_only { 0 } else { sel.columns.len() });
-        if !star_only {
-            for item in &sel.items {
-                match item {
-                    None => out.extend_from_slice(&t[..sel.width]),
-                    Some(expr) => out.push(eval(expr, &scope)?),
-                }
+        match &mut groups {
+            Some(groups) => groups.add(t),
+            None => out.push(t),
+        }
+    };
+    match sel.tables.split_first() {
+        // Without FROM: one empty tuple.
+        None => tuple(Arc::from([]))?,
+        // One table: its rows are the tuples, as they are fetched.
+        Some((only, [])) => fetch(session, only, params, sel.for_update, |_, _, row| tuple(row))?,
+        // Fetch the driving table, then join each further table on.
+        Some((first, rest)) => {
+            let mut tuples = fetch_all(session, first, params, sel.for_update)?;
+            for (access, equi) in rest.iter().zip(&sel.joins) {
+                tuples = join(&tuples, &fetch_all(session, access, params, false)?, equi);
             }
+            tuples.into_iter().try_for_each(&mut tuple)?;
         }
-        if !sel.order_by.is_empty() {
-            let shown = if star_only { &t } else { &out };
-            keys.push(
-                sel.order_by
-                    .iter()
-                    .map(|(key, _)| match key {
-                        SortKey::Output(i) => Ok(shown[*i].clone()),
-                        SortKey::Row(expr) => eval(expr, &scope),
-                    })
-                    .collect::<Result<Vec<Value>>>()?,
-            );
-        }
-        rows.push(if star_only { t } else { out });
     }
+    if let Some(groups) = groups {
+        groups.finish().try_for_each(|row| out.push(row))?;
+    }
+    let Output { mut rows, keys, .. } = out;
 
     if !sel.order_by.is_empty() {
         let mut order: Vec<usize> = (0..rows.len()).collect();
@@ -310,7 +374,7 @@ fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Res
                 .find(|ord| ord.is_ne())
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
-        rows = order.into_iter().map(|i| std::mem::take(&mut rows[i])).collect();
+        rows = order.into_iter().map(|i| Arc::clone(&rows[i])).collect();
     }
 
     if let Some(limit_expr) = &sel.limit {
@@ -326,13 +390,13 @@ fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Res
 /// Join each tuple with the matching rows of the next table: a hash join on
 /// the `(tuple slot, right column)` pairs, or the cross product without any
 /// (comma joins; only sensible for small inputs).
-fn join(left: &[Row], right: &[(RowId, Row)], equi: &[(usize, usize)]) -> Vec<Row> {
-    let concat = |l: &Row, r: &Row| l.iter().chain(r).cloned().collect::<Row>();
+fn join(left: &[SharedRow], right: &[SharedRow], equi: &[(usize, usize)]) -> Vec<SharedRow> {
+    let concat = |l: &SharedRow, r: &SharedRow| l.iter().chain(r.iter()).cloned().collect::<SharedRow>();
     if equi.is_empty() {
-        return left.iter().flat_map(|l| right.iter().map(move |(_, r)| concat(l, r))).collect();
+        return left.iter().flat_map(|l| right.iter().map(move |r| concat(l, r))).collect();
     }
-    let mut built: HashMap<Vec<&Value>, Vec<&Row>> = HashMap::new();
-    for (_, r) in right {
+    let mut built: HashMap<Vec<&Value>, Vec<&SharedRow>> = HashMap::new();
+    for r in right {
         built.entry(equi.iter().map(|(_, rc)| &r[*rc]).collect()).or_default().push(r);
     }
     let mut out = Vec::new();
@@ -425,43 +489,56 @@ impl Accumulator {
     }
 }
 
-/// Group the tuples and return one row per group: the group's first tuple
-/// followed by the result of each of the plan's aggregate calls — the row
-/// the select list of a grouped query was bound against.
-fn aggregate(sel: &SelectPlan, tuples: Vec<Row>, params: &[Value]) -> Result<Vec<Row>> {
-    let accumulators =
-        || sel.aggs.iter().map(|a: &AggCall| Accumulator::new(a.distinct)).collect::<Vec<_>>();
-    let mut groups: Vec<(Row, Vec<Accumulator>)> = Vec::new();
-    let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
-    for t in tuples {
-        let scope = EvalScope::new(&t, params);
-        let key = sel.group_by.iter().map(|g| eval(g, &scope)).collect::<Result<Vec<_>>>()?;
-        let next = groups.len();
-        let gi = *group_index.entry(key).or_insert(next);
+/// The groups of a grouped SELECT, in the order their first tuples came.
+struct Groups<'a> {
+    sel: &'a SelectPlan,
+    params: &'a [Value],
+    /// A group's first tuple and one accumulator per aggregate call.
+    groups: Vec<(SharedRow, Vec<Accumulator>)>,
+    index: HashMap<Vec<Value>, usize>,
+}
+
+impl<'a> Groups<'a> {
+    fn new(sel: &'a SelectPlan, params: &'a [Value]) -> Groups<'a> {
+        Groups { sel, params, groups: Vec::new(), index: HashMap::new() }
+    }
+
+    fn accumulators(&self) -> Vec<Accumulator> {
+        self.sel.aggs.iter().map(|a: &AggCall| Accumulator::new(a.distinct)).collect()
+    }
+
+    fn add(&mut self, t: SharedRow) -> Result<()> {
+        let scope = EvalScope::new(&t, self.params);
+        let key = self.sel.group_by.iter().map(|g| eval(g, &scope)).collect::<Result<Vec<_>>>()?;
+        let next = self.groups.len();
+        let gi = *self.index.entry(key).or_insert(next);
         if gi == next {
-            groups.push((Vec::new(), accumulators()));
+            self.groups.push((Arc::clone(&t), self.accumulators()));
         }
-        for (acc, call) in groups[gi].1.iter_mut().zip(&sel.aggs) {
+        for (acc, call) in self.groups[gi].1.iter_mut().zip(&self.sel.aggs) {
             match &call.arg {
                 None => acc.add(&Value::Int(1)), // COUNT(*)
                 Some(arg) => acc.add(&eval(arg, &scope)?),
             }
         }
-        if gi == next {
-            groups[gi].0 = t;
+        Ok(())
+    }
+
+    /// One row per group: the group's first tuple followed by the result of
+    /// each of the plan's aggregate calls — the row the select list of a
+    /// grouped query was bound against.
+    fn finish(mut self) -> impl Iterator<Item = SharedRow> + 'a {
+        // A global aggregate over an empty input still yields one row.
+        if self.groups.is_empty() && self.sel.group_by.is_empty() {
+            let nulls = std::iter::repeat_n(Value::Null, self.sel.width).collect();
+            self.groups.push((nulls, self.accumulators()));
         }
-    }
-    // A global aggregate over an empty input still yields one row.
-    if groups.is_empty() && sel.group_by.is_empty() {
-        groups.push((vec![Value::Null; sel.width], accumulators()));
-    }
-    Ok(groups
-        .into_iter()
-        .map(|(mut row, accs)| {
-            row.extend(accs.iter().zip(&sel.aggs).map(|(acc, call)| acc.result(call.func)));
-            row
+        let aggs = &self.sel.aggs;
+        self.groups.into_iter().map(move |(first, accs)| {
+            let results = accs.iter().zip(aggs).map(|(acc, call)| acc.result(call.func));
+            first.iter().cloned().chain(results).collect()
         })
-        .collect())
+    }
 }
 
 // ---- UPDATE / DELETE ----
@@ -469,26 +546,28 @@ fn aggregate(sel: &SelectPlan, tuples: Vec<Row>, params: &[Value]) -> Result<Vec
 fn exec_write(session: &mut Session, w: &WritePlan, params: &[Value]) -> Result<StatementResult> {
     let table = &w.access.table;
     let mut count = 0u64;
-    for (rid, mut row) in fetch(session, &w.access, params, true)? {
+    fetch(session, &w.access, params, true, |session, rid, row| {
         let scope = EvalScope::new(&row, params);
         if let Some(filter) = &w.filter {
             if !eval_filter(filter, &scope)? {
-                continue;
+                return Ok(());
             }
         }
         match &w.sets {
             Some(sets) => {
-                // Every new value sees the row as it was.
-                let values = sets.iter().map(|(_, e)| eval(e, &scope)).collect::<Result<Vec<_>>>()?;
-                for ((pos, _), v) in sets.iter().zip(values) {
-                    row[*pos] = v;
+                // The stored row is shared: the update modifies a copy of
+                // its own, and every new value sees the row as it was.
+                let mut new_row = row.to_vec();
+                for (pos, e) in sets {
+                    new_row[*pos] = eval(e, &scope)?;
                 }
-                session.update(table, rid, row)?;
+                session.update(table, rid, new_row)?;
             }
             None => session.delete(table, rid)?,
         }
         count += 1;
-    }
+        Ok(())
+    })?;
     Ok(StatementResult::Affected(count))
 }
 

@@ -9,7 +9,7 @@
 //! under the workloads the testbed drives.
 
 use std::collections::HashMap;
-use std::ops::Bound;
+use std::result::Result as StdResult;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ use crate::recovery::{
 };
 use crate::schema::{IndexDef, TableSchema};
 use crate::table::{RowId, Table};
-use crate::value::{Row, Value};
+use crate::value::{Row, SharedRow, Value};
 use crate::wal::Wal;
 
 #[derive(Default)]
@@ -144,7 +144,15 @@ impl Database {
     /// Open a session (one per worker thread).
     pub fn session(self: &Arc<Database>) -> Session {
         let seed = self.seed.fetch_add(0x9E3779B97F4A7C15, Ordering::Relaxed);
-        Session { db: self.clone(), txn: None, rng: Rng::new(seed) }
+        Session {
+            db: self.clone(),
+            txn: None,
+            locks: Vec::new(),
+            tables: Vec::new(),
+            undo: Vec::new(),
+            redo: Vec::new(),
+            rng: Rng::new(seed),
+        }
     }
 
     // ---- DDL (auto-committed) ----
@@ -379,36 +387,48 @@ impl Database {
     }
 }
 
+/// What rollback puts back. A before-image is the allocation the table
+/// held, so undoing restores that very row.
 enum Undo {
     Insert { table: Arc<Table>, rowid: RowId },
-    Update { table: Arc<Table>, rowid: RowId, before: Row },
-    Delete { table: Arc<Table>, rowid: RowId, before: Row },
+    Update { table: Arc<Table>, rowid: RowId, before: SharedRow },
+    Delete { table: Arc<Table>, rowid: RowId, before: SharedRow },
 }
 
+/// The active transaction; its lists are the session's.
 struct Txn {
     id: TxnId,
     /// Engine generation at `begin`; a recovery in between makes the txn
     /// stale (its undo must not touch the rebuilt tables).
     gen: u64,
-    locks: Vec<LockTarget>,
-    /// The mode the lock manager has granted this txn on each table it
-    /// locked, kept in step with it: every row operation asks for its
-    /// table's intention lock again, and the answer is known here.
-    tables: Vec<(u32, LockMode)>,
-    undo: Vec<Undo>,
-    /// The commit's redo record, in operation order.
-    redo: Vec<RedoOp>,
     wal_bytes: u64,
     rows_read: u64,
     rows_written: u64,
 }
 
 /// A connection-like handle bound to one thread of execution.
+///
+/// The four lists are the active transaction's and empty between
+/// transactions: [`Session::end`] empties them and the next transaction
+/// fills them again without growing them from nothing.
 pub struct Session {
     db: Arc<Database>,
     txn: Option<Txn>,
+    locks: Vec<LockTarget>,
+    /// The mode the lock manager has granted the transaction on each table
+    /// it locked, kept in step with it: every row operation asks for its
+    /// table's intention lock again, and the answer is known here.
+    tables: Vec<(u32, LockMode)>,
+    undo: Vec<Undo>,
+    /// The commit's redo record, in operation order.
+    redo: Vec<RedoOp>,
     rng: Rng,
 }
+
+/// The longest list a session keeps the room of. What a bulk transaction
+/// grew past that is freed when it ends, so a loader session does not pin
+/// its high-water mark.
+const KEPT_CAPACITY: usize = 1024;
 
 impl Session {
     pub fn database(&self) -> &Arc<Database> {
@@ -447,18 +467,26 @@ impl Session {
         }
         let id = self.db.next_txn.fetch_add(1, Ordering::Relaxed);
         self.db.metrics.txn_started();
-        self.txn = Some(Txn {
-            id,
-            gen: self.db.generation(),
-            locks: Vec::new(),
-            tables: Vec::new(),
-            undo: Vec::new(),
-            redo: Vec::new(),
-            wal_bytes: 0,
-            rows_read: 0,
-            rows_written: 0,
-        });
+        self.txn = Some(Txn { id, gen: self.db.generation(), wal_bytes: 0, rows_read: 0, rows_written: 0 });
         Ok(())
+    }
+
+    /// The one way a transaction ends, committed or not: release its locks
+    /// and empty its lists — every table handle, row image and redo value
+    /// they hold is dropped — keeping their room for the next one.
+    fn end(&mut self, id: TxnId) {
+        fn empty<T>(v: &mut Vec<T>) {
+            if v.capacity() > KEPT_CAPACITY {
+                *v = Vec::new();
+            }
+            v.clear();
+        }
+        self.db.locks.release_all(id, &self.locks);
+        self.db.metrics.txn_ended();
+        empty(&mut self.locks);
+        empty(&mut self.tables);
+        empty(&mut self.undo);
+        empty(&mut self.redo);
     }
 
     pub fn commit(&mut self) -> Result<()> {
@@ -482,9 +510,9 @@ impl Session {
         if txn.wal_bytes > 0 {
             let (lsn, wal_cost) = self.db.wal.commit(txn.wal_bytes, &self.db.metrics);
             cost += wal_cost;
-            if !txn.redo.is_empty() {
+            if !self.redo.is_empty() {
                 let torn = crashpoint == Some(CrashPoint::AfterAppendBeforeFsync);
-                self.db.wal.append_redo(lsn, txn.id, &txn.redo, torn);
+                self.db.wal.append_redo(lsn, txn.id, &self.redo, torn);
                 if !torn {
                     self.db.recovery.note_durable(lsn);
                 }
@@ -504,11 +532,10 @@ impl Session {
             self.db.metrics.add_fsync_micros(stall_us);
         }
         self.charge(cost);
-        self.db.locks.release_all(txn.id, &txn.locks);
+        self.end(txn.id);
         self.db.metrics.inc_commits();
         self.db.metrics.add_rows_read(txn.rows_read);
         self.db.metrics.add_rows_written(txn.rows_written);
-        self.db.metrics.txn_ended();
         // Commit-stage time (WAL write + fsync cost model + lock release)
         // for the span of the request executing on this thread.
         bp_obs::add_commit_us(commit_start.elapsed().as_micros() as u64);
@@ -521,8 +548,7 @@ impl Session {
     /// the commit reports failure.
     fn die_in_commit(&mut self, txn: Txn, point: CrashPoint, lsn: u64) -> StorageError {
         self.db.crash(point, lsn);
-        self.db.locks.release_all(txn.id, &txn.locks);
-        self.db.metrics.txn_ended();
+        self.end(txn.id);
         StorageError::Crashed
     }
 
@@ -534,22 +560,21 @@ impl Session {
         // table survives recovery.
         let stale = self.db.is_crashed() || txn.gen != self.db.generation();
         if !stale {
-            Self::undo_all(&txn);
+            self.undo_all();
         }
-        self.db.locks.release_all(txn.id, &txn.locks);
+        self.end(txn.id);
         self.db.metrics.inc_aborts();
-        self.db.metrics.txn_ended();
         Ok(())
     }
 
-    fn undo_all(txn: &Txn) {
-        for u in txn.undo.iter().rev() {
+    fn undo_all(&self) {
+        for u in self.undo.iter().rev() {
             // Undo failures indicate engine bugs; they must not panic the
             // worker, so best-effort with a debug assertion.
             let ok = match u {
                 Undo::Insert { table, rowid } => table.delete(*rowid).is_ok(),
-                Undo::Update { table, rowid, before } => table.update(*rowid, before.clone()).is_ok(),
-                Undo::Delete { table, rowid, before } => table.restore(*rowid, before.clone()).is_ok(),
+                Undo::Update { table, rowid, before } => table.update(*rowid, Arc::clone(before)).is_ok(),
+                Undo::Delete { table, rowid, before } => table.restore(*rowid, Arc::clone(before)).is_ok(),
             };
             debug_assert!(ok, "undo operation failed");
         }
@@ -584,9 +609,9 @@ impl Session {
     }
 
     fn lock(&mut self, target: LockTarget, mode: LockMode) -> Result<()> {
-        let txn = self.txn.as_mut().ok_or(StorageError::NoActiveTransaction)?;
+        let txn = self.txn.as_ref().ok_or(StorageError::NoActiveTransaction)?;
         let held = match target {
-            LockTarget::Table(id) => txn.tables.iter_mut().find(|(t, _)| *t == id),
+            LockTarget::Table(id) => self.tables.iter_mut().find(|(t, _)| *t == id),
             LockTarget::Row(..) => None,
         };
         if held.as_ref().is_some_and(|(_, held)| held.covers(mode)) {
@@ -594,11 +619,11 @@ impl Session {
         }
         match self.db.locks.acquire(txn.id, target, mode) {
             Ok(true) => {
-                txn.locks.push(target);
+                self.locks.push(target);
                 if let LockTarget::Table(id) = target {
                     match held {
                         Some((_, held)) => *held = upgrade_result(*held, mode),
-                        None => txn.tables.push((id, mode)),
+                        None => self.tables.push((id, mode)),
                     }
                 }
                 Ok(())
@@ -625,8 +650,9 @@ impl Session {
     // ---- Reads ----
 
     /// Read a row by rowid, taking an S (or X when `for_update`) lock.
-    /// Returns `None` if the row no longer exists.
-    pub fn get_row(&mut self, table: &Arc<Table>, rowid: RowId, for_update: bool) -> Result<Option<Row>> {
+    /// Returns `None` if the row no longer exists. The row is the table's
+    /// own: nothing is copied.
+    pub fn get_row(&mut self, table: &Arc<Table>, rowid: RowId, for_update: bool) -> Result<Option<SharedRow>> {
         self.ensure_alive()?;
         let (table_mode, row_mode) = if for_update {
             self.write_modes(table)
@@ -646,49 +672,61 @@ impl Session {
         Ok(row)
     }
 
-    /// Point lookup by primary key (locks the row, rechecks after the wait).
-    pub fn read_pk(&mut self, table: &Arc<Table>, key: &[Value], for_update: bool) -> Result<Option<(RowId, Row)>> {
-        match table.lookup_pk(key) {
-            None => {
-                // Charge the (cheap) index probe.
-                self.charge(self.db.personality.read_us * 0.5);
-                Ok(None)
-            }
-            Some(rowid) => {
-                let row = self.get_row(table, rowid, for_update)?;
-                match row {
-                    // Re-verify: the row may have been deleted/moved while we
-                    // waited for the lock.
-                    Some(r) if table.schema.pk_matches(&r, key) => Ok(Some((rowid, r))),
-                    _ => Ok(None),
-                }
-            }
-        }
+    /// What every read checks before it looks anything up, so that a miss
+    /// answers like a hit: the engine is alive, this transaction belongs to
+    /// its current generation, and there is a transaction.
+    fn ensure_reading(&mut self) -> Result<()> {
+        self.ensure_alive()?;
+        self.txn_mut().map(|_| ())
     }
 
-    /// Fetch the rows [`Table::range`] selects, in its order, S-locking each
-    /// (X-locking when `for_update`).
-    pub fn read_range(
+    /// Point lookup by primary key (locks the row, rechecks after the wait).
+    pub fn read_pk_shared(
         &mut self,
         table: &Arc<Table>,
-        index: Option<&str>,
-        prefix: &[Value],
-        lo: Bound<&Value>,
-        hi: Bound<&Value>,
+        key: &[Value],
         for_update: bool,
-    ) -> Result<Vec<(RowId, Row)>> {
-        let rowids = table.range(index, prefix, lo, hi, usize::MAX)?;
-        let mut out = Vec::with_capacity(rowids.len());
+    ) -> Result<Option<(RowId, SharedRow)>> {
+        self.ensure_reading()?;
+        let Some(rowid) = table.lookup_pk(key) else {
+            // Charge the (cheap) index probe.
+            self.charge(self.db.personality.read_us * 0.5);
+            return Ok(None);
+        };
+        // Re-verify: the row may have been deleted/moved while we waited
+        // for the lock.
+        let row = self.get_row(table, rowid, for_update)?;
+        Ok(row.filter(|r| table.schema.pk_matches(r, key)).map(|r| (rowid, r)))
+    }
+
+    /// [`Session::read_pk_shared`], with the row copied out for a caller
+    /// that goes on to modify it.
+    pub fn read_pk(&mut self, table: &Arc<Table>, key: &[Value], for_update: bool) -> Result<Option<(RowId, Row)>> {
+        Ok(self.read_pk_shared(table, key, for_update)?.map(|(rowid, row)| (rowid, row.to_vec())))
+    }
+
+    /// Hand `visit` each of `rowids` that still holds a row, in their order
+    /// ([`Table::range`]'s, for a range read), S-locking it (X-locking when
+    /// `for_update`) before it is read. The visitor gets the session back,
+    /// to write the row it was shown.
+    pub fn read_rows<E: From<StorageError>>(
+        &mut self,
+        table: &Arc<Table>,
+        rowids: impl IntoIterator<Item = RowId>,
+        for_update: bool,
+        mut visit: impl FnMut(&mut Session, RowId, SharedRow) -> StdResult<(), E>,
+    ) -> StdResult<(), E> {
+        self.ensure_reading()?;
         for rowid in rowids {
             if let Some(row) = self.get_row(table, rowid, for_update)? {
-                out.push((rowid, row));
+                visit(self, rowid, row)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Full table scan under a table-level S lock.
-    pub fn scan(&mut self, table: &Arc<Table>) -> Result<Vec<(RowId, Row)>> {
+    pub fn scan(&mut self, table: &Arc<Table>) -> Result<Vec<(RowId, SharedRow)>> {
         self.ensure_alive()?;
         self.lock(LockTarget::Table(table.id), LockMode::Shared)?;
         let rows = table.scan();
@@ -708,6 +746,15 @@ impl Session {
         }
     }
 
+    /// Account one row written, `bytes` of it logged, to the transaction
+    /// whose undo and redo entries the caller is about to record.
+    fn wrote(&mut self, bytes: u64) -> Result<()> {
+        let txn = self.txn_mut()?;
+        txn.wal_bytes += bytes;
+        txn.rows_written += 1;
+        Ok(())
+    }
+
     /// Insert a row (validated against the schema).
     pub fn insert(&mut self, table: &Arc<Table>, row: Row) -> Result<RowId> {
         self.ensure_alive()?;
@@ -715,8 +762,13 @@ impl Session {
         let (table_mode, _) = self.write_modes(table);
         self.lock(LockTarget::Table(table.id), table_mode)?;
         let bytes = table.schema.row_bytes(&row) as u64;
-        // One copy: the table keeps one, the redo record the other.
-        let rowid = table.insert(row.clone())?;
+        // The table and the redo record hold one row between them.
+        let rowid = table.insert(Arc::clone(&row))?;
+        // The row is in the table: rollback must know before anything that
+        // can fail (the row lock below, under chaos) gets to ask for one.
+        self.wrote(bytes)?;
+        self.undo.push(Undo::Insert { table: table.clone(), rowid });
+        self.redo.push(RedoOp::Insert { table: table.id, rowid, row });
         if self.db.personality.row_locking {
             // X-lock the new row so no one reads it before commit. The row is
             // brand new, so this cannot block.
@@ -724,15 +776,10 @@ impl Session {
         }
         self.touch_page(table, rowid, true);
         self.charge(self.db.personality.insert_us);
-        let txn = self.txn_mut()?;
-        txn.undo.push(Undo::Insert { table: table.clone(), rowid });
-        txn.redo.push(RedoOp::Insert { table: table.id, rowid, row });
-        txn.wal_bytes += bytes;
-        txn.rows_written += 1;
         Ok(rowid)
     }
 
-    /// Update a row in place by rowid.
+    /// Replace a row by rowid.
     pub fn update(&mut self, table: &Arc<Table>, rowid: RowId, new_row: Row) -> Result<()> {
         self.ensure_alive()?;
         let new_row = table.schema.check_row(new_row)?;
@@ -743,13 +790,11 @@ impl Session {
         }
         self.touch_page(table, rowid, true);
         let bytes = table.schema.row_bytes(&new_row) as u64;
-        let before = table.update(rowid, new_row.clone())?;
+        let before = table.update(rowid, Arc::clone(&new_row))?;
         self.charge(self.db.personality.write_us);
-        let txn = self.txn_mut()?;
-        txn.redo.push(RedoOp::update(table.id, rowid, &before, new_row));
-        txn.undo.push(Undo::Update { table: table.clone(), rowid, before });
-        txn.wal_bytes += bytes;
-        txn.rows_written += 1;
+        self.wrote(bytes)?;
+        self.redo.push(RedoOp::update(table.id, rowid, &before, &new_row));
+        self.undo.push(Undo::Update { table: table.clone(), rowid, before });
         Ok(())
     }
 
@@ -765,11 +810,9 @@ impl Session {
         let before = table.delete(rowid)?;
         let bytes = table.schema.row_bytes(&before) as u64;
         self.charge(self.db.personality.write_us);
-        let txn = self.txn_mut()?;
-        txn.undo.push(Undo::Delete { table: table.clone(), rowid, before });
-        txn.redo.push(RedoOp::Delete { table: table.id, rowid });
-        txn.wal_bytes += bytes;
-        txn.rows_written += 1;
+        self.wrote(bytes)?;
+        self.undo.push(Undo::Delete { table: table.clone(), rowid, before });
+        self.redo.push(RedoOp::Delete { table: table.id, rowid });
         Ok(())
     }
 
@@ -1215,6 +1258,75 @@ mod tests {
             busy_after - busy_before >= 7_000,
             "stall charged: {busy_before} -> {busy_after}"
         );
+    }
+
+    #[test]
+    fn aborted_insert_leaves_no_row() {
+        use bp_chaos::{FaultPlan, FaultWindow};
+        // Three lock requests in ten fail. The one for the new row's X lock
+        // comes after the row is in the table: the rollback it causes has
+        // to take the row out again.
+        let db = db();
+        let t = acct(&db);
+        db.chaos().arm(
+            FaultPlan::new("flaky-locks", 7)
+                .with_window(FaultWindow::always(FaultKind::InjectedError, 0.3, 0)),
+        );
+        let mut s = db.session();
+        let mut committed = 0;
+        for i in 0..10_000 {
+            let inserted = s.with_txn(|s| s.insert(&t, vec![Value::Int(i), Value::Int(0)]));
+            committed += inserted.is_ok() as usize;
+        }
+        db.chaos().disarm();
+        assert!((3_000..7_000).contains(&committed), "{committed} of 10000 committed");
+        assert_eq!(t.len(), committed, "a row per committed insert");
+        // Every row left has redo: recovery rebuilds the same state.
+        let live = db.state_digest();
+        db.recover();
+        assert!(db.state_digest() == live, "recovered state differs from the live one");
+    }
+
+    #[test]
+    fn a_read_that_finds_nothing_checks_what_a_hit_checks() {
+        let db = db();
+        let t = acct(&db);
+        let mut s = db.session();
+        s.with_txn(|s| s.insert(&t, vec![Value::Int(1), Value::Int(0)])).unwrap();
+        let (hit, miss) = ([Value::Int(1)], [Value::Int(2)]);
+        // A point read of a key that is not there, or a range read of no
+        // rows at all.
+        let read = |s: &mut Session, ranged: bool| {
+            if ranged {
+                s.read_rows(&t, [], false, |_, _, _| Err(StorageError::RowGone))
+            } else {
+                s.read_pk(&t, &miss, false).map(|found| assert_eq!(found, None))
+            }
+        };
+        for ranged in [false, true] {
+            // Outside a transaction.
+            assert_eq!(s.read_pk(&t, &hit, false), Err(StorageError::NoActiveTransaction));
+            assert_eq!(read(&mut s, ranged), Err(StorageError::NoActiveTransaction));
+
+            // On a crashed engine; the failure aborts the transaction.
+            s.begin().unwrap();
+            db.crash(CrashPoint::BeforeAppend, 0);
+            assert_eq!(read(&mut s, ranged), Err(StorageError::Crashed));
+            assert!(!s.in_txn());
+            db.recover();
+
+            // In a transaction that predates a recovery.
+            s.begin().unwrap();
+            db.crash(CrashPoint::BeforeAppend, 0);
+            db.recover();
+            assert_eq!(read(&mut s, ranged), Err(StorageError::Crashed));
+            assert!(!s.in_txn());
+
+            // And in a live one, a miss is a miss.
+            s.begin().unwrap();
+            assert_eq!(read(&mut s, ranged), Ok(()));
+            s.commit().unwrap();
+        }
     }
 
     #[test]

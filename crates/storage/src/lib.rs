@@ -33,4 +33,4 @@ pub use recovery::{
 };
 pub use schema::{Column, IndexDef, TableSchema};
 pub use table::{RowId, Table};
-pub use value::{DataType, Row, Value};
+pub use value::{DataType, Row, SharedRow, Value};

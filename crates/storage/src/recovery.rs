@@ -12,9 +12,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::table::RowId;
-use crate::value::{Row, Value};
+use crate::value::{SharedRow, Value};
 
 /// Where in the commit sequence an injected `ServerCrash` kills the engine.
 ///
@@ -64,7 +65,8 @@ impl CrashPoint {
 /// One logical change inside a committed transaction's redo record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RedoOp {
-    Insert { table: u32, rowid: RowId, row: Row },
+    /// The row is the allocation the table stores.
+    Insert { table: u32, rowid: RowId, row: SharedRow },
     /// After-images of the columns the update changed, by position. The log
     /// is kept until a checkpoint folds it, so its size is resident memory;
     /// the row it patches is in the log before it, or in the checkpoint.
@@ -74,15 +76,15 @@ pub enum RedoOp {
 
 impl RedoOp {
     /// The update that turns `before` into `after` (two images of one row).
-    pub fn update(table: u32, rowid: RowId, before: &Row, after: Row) -> RedoOp {
+    pub fn update(table: u32, rowid: RowId, before: &[Value], after: &[Value]) -> RedoOp {
         // Bitwise for floats: `-0.0 == 0.0`, and recovery must restore the
         // committed bytes, not an equal number.
         let same = |a: &Value, b: &Value| match (a, b) {
             (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
             _ => a == b,
         };
-        let changed = after.into_iter().zip(before).enumerate().filter(|(_, (a, b))| !same(a, b));
-        RedoOp::Update { table, rowid, cols: changed.map(|(i, (a, _))| (i as u32, a)).collect() }
+        let changed = after.iter().zip(before).enumerate().filter(|(_, (a, b))| !same(a, b));
+        RedoOp::Update { table, rowid, cols: changed.map(|(i, (a, _))| (i as u32, a.clone())).collect() }
     }
 }
 
@@ -209,7 +211,7 @@ fn decode_value(buf: &[u8], at: &mut usize) -> Option<Value> {
 }
 
 /// Canonically encode one row (also used by [`crate::Database::state_digest`]).
-pub fn encode_row(buf: &mut Vec<u8>, row: &Row) {
+pub fn encode_row(buf: &mut Vec<u8>, row: &[Value]) {
     put_varint(buf, row.len() as u64);
     for v in row {
         encode_value(buf, v);
@@ -235,8 +237,8 @@ fn decode_list<T>(
     Some(items)
 }
 
-fn decode_row(buf: &[u8], at: &mut usize) -> Option<Row> {
-    decode_list(buf, at, decode_value)
+fn decode_row(buf: &[u8], at: &mut usize) -> Option<SharedRow> {
+    decode_list(buf, at, decode_value).map(SharedRow::from)
 }
 
 fn decode_cols(buf: &[u8], at: &mut usize) -> Option<Vec<(u32, Value)>> {
@@ -344,7 +346,7 @@ fn decode_complete(buf: &[u8], at: usize) -> Option<(RedoRecord, usize)> {
 }
 
 /// A materialized table image: committed rows keyed by `(table id, rowid)`.
-pub type TableImage = BTreeMap<u32, BTreeMap<RowId, Row>>;
+pub type TableImage = BTreeMap<u32, BTreeMap<RowId, SharedRow>>;
 
 /// A checkpoint: the committed state as of `lsn`, as a physical image.
 #[derive(Debug, Clone, Default)]
@@ -366,6 +368,9 @@ pub fn apply_record(image: &mut TableImage, rec: &RedoRecord) {
             // nothing, not trusted with an index.
             RedoOp::Update { table, rowid, cols } => {
                 if let Some(row) = image.get_mut(table).and_then(|t| t.get_mut(rowid)) {
+                    // Copy-on-write: the image's row may be the one a
+                    // record or a recovered table still holds.
+                    let row = Arc::make_mut(row);
                     for (col, v) in cols {
                         if let Some(slot) = row.get_mut(*col as usize) {
                             *slot = v.clone();
@@ -548,7 +553,7 @@ mod tests {
                 RedoOp::Insert {
                     table: 1,
                     rowid: 0,
-                    row: vec![Value::Int(1), Value::Str("hello".into()), Value::Null],
+                    row: [Value::Int(1), Value::Str("hello".into()), Value::Null].into(),
                 },
                 RedoOp::Update {
                     table: 1,
@@ -580,7 +585,7 @@ mod tests {
             lsn: u64::MAX,
             txn: 1 << 40,
             ops: vec![
-                RedoOp::Insert { table: u32::MAX, rowid: u64::MAX, row: ints.map(Value::Int).to_vec() },
+                RedoOp::Insert { table: u32::MAX, rowid: u64::MAX, row: ints.map(Value::Int).into() },
                 // Pushes the payload past one and two length-prefix bytes.
                 RedoOp::Update {
                     table: 1,
@@ -607,7 +612,7 @@ mod tests {
         // a million commits: the fixed-width form took 63 bytes, the whole
         // after-image 33.
         let before = vec![Value::Int(250_000), Value::Float(1234.5)];
-        let ops = [RedoOp::update(3, 250_000, &before, vec![Value::Int(250_000), Value::Float(1200.0)])];
+        let ops = [RedoOp::update(3, 250_000, &before, &[Value::Int(250_000), Value::Float(1200.0)])];
         assert_eq!(
             ops[0],
             RedoOp::Update { table: 3, rowid: 250_000, cols: vec![(1, Value::Float(1200.0))] }
@@ -621,12 +626,12 @@ mod tests {
     fn update_logs_changed_columns_bitwise() {
         let before = vec![Value::Int(1), Value::Float(0.0), Value::Str("a".into()), Value::Null];
         let after = vec![Value::Int(1), Value::Float(-0.0), Value::Str("a".into()), Value::Int(0)];
-        let RedoOp::Update { cols, .. } = RedoOp::update(1, 0, &before, after.clone()) else {
+        let RedoOp::Update { cols, .. } = RedoOp::update(1, 0, &before, &after) else {
             panic!("an update");
         };
         assert_eq!(cols.iter().map(|(c, _)| *c).collect::<Vec<_>>(), [1, 3]);
         assert!(matches!(cols[0].1, Value::Float(z) if z.to_bits() == (-0.0f64).to_bits()));
-        let RedoOp::Update { cols, .. } = RedoOp::update(1, 0, &after, after.clone()) else {
+        let RedoOp::Update { cols, .. } = RedoOp::update(1, 0, &after, &after) else {
             panic!("an update");
         };
         assert!(cols.is_empty(), "nothing changed: {cols:?}");
@@ -676,8 +681,8 @@ mod tests {
                 lsn: 1,
                 txn: 1,
                 ops: vec![
-                    RedoOp::Insert { table: 1, rowid: 3, row: vec![Value::Int(10)] },
-                    RedoOp::Insert { table: 1, rowid: 4, row: vec![Value::Int(20)] },
+                    RedoOp::Insert { table: 1, rowid: 3, row: [Value::Int(10)].into() },
+                    RedoOp::Insert { table: 1, rowid: 4, row: [Value::Int(20)].into() },
                 ],
             },
         );
@@ -697,7 +702,7 @@ mod tests {
         );
         let t = &image[&1];
         assert_eq!(t.len(), 1);
-        assert_eq!(t[&3], vec![Value::Int(11)]);
+        assert_eq!(*t[&3], [Value::Int(11)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Table schemas: columns, primary keys, secondary index definitions.
 
 use crate::error::{Result, StorageError};
-use crate::value::{DataType, Row, Value};
+use crate::value::{DataType, Row, SharedRow, Value};
 
 /// A column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,23 +83,24 @@ impl TableSchema {
     }
 
     /// Extract the primary-key values from a row.
-    pub fn pk_of(&self, row: &Row) -> Vec<Value> {
+    pub fn pk_of(&self, row: &[Value]) -> Vec<Value> {
         self.primary_key.iter().map(|&i| row[i].clone()).collect()
     }
 
     /// `pk_of(row) == key`, compared in place: no key is built or cloned.
-    pub fn pk_matches(&self, row: &Row, key: &[Value]) -> bool {
+    pub fn pk_matches(&self, row: &[Value], key: &[Value]) -> bool {
         self.primary_key.len() == key.len()
             && self.primary_key.iter().zip(key).all(|(&i, k)| row[i] == *k)
     }
 
-    /// Validate a row against the schema and coerce values into storage form.
-    pub fn check_row(&self, row: Row) -> Result<Row> {
+    /// Validate a row against the schema and coerce its values into storage
+    /// form: the row as it will be stored, built in the one allocation it is
+    /// shared from.
+    pub fn check_row(&self, row: Row) -> Result<SharedRow> {
         if row.len() != self.columns.len() {
             return Err(StorageError::ArityMismatch { expected: self.columns.len(), got: row.len() });
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (value, col) in row.into_iter().zip(&self.columns) {
+        for (value, col) in row.iter().zip(&self.columns) {
             if value.is_null() && !col.nullable {
                 return Err(StorageError::TypeMismatch {
                     column: col.name.clone(),
@@ -117,13 +118,14 @@ impl TableSchema {
                         .unwrap_or_else(|| "NULL".to_string()),
                 });
             }
-            out.push(value.coerce(col.ty));
         }
-        Ok(out)
+        // An iterator of known length: the values move straight into the
+        // `Arc`'s allocation.
+        Ok(row.into_iter().zip(&self.columns).map(|(value, col)| value.coerce(col.ty)).collect())
     }
 
     /// Approximate row byte size for the cost model.
-    pub fn row_bytes(&self, row: &Row) -> usize {
+    pub fn row_bytes(&self, row: &[Value]) -> usize {
         row.iter().map(Value::byte_size).sum::<usize>() + 8
     }
 }

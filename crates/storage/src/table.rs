@@ -18,17 +18,17 @@ use bp_util::sync::RwLock;
 use crate::error::{Result, StorageError};
 use crate::key::{Key, KeyWriter};
 use crate::schema::{IndexDef, TableSchema};
-use crate::value::{Row, Value};
+use crate::value::{SharedRow, Value};
 
 pub type RowId = u64;
 
-fn key_of(columns: &[usize], row: &Row) -> Key {
+fn key_of(columns: &[usize], row: &[Value]) -> Key {
     Key::encode(columns.iter().map(|&i| &row[i]))
 }
 
 /// Whether `new` needs another key than `old`: by `Value`'s order, as keys
 /// are (`-0.0` and `0.0` are `==` and two keys).
-fn key_changed(columns: &[usize], old: &Row, new: &Row) -> bool {
+fn key_changed(columns: &[usize], old: &[Value], new: &[Value]) -> bool {
     columns.iter().any(|&i| old[i].cmp(&new[i]).is_ne())
 }
 
@@ -39,16 +39,16 @@ struct IndexState {
 }
 
 impl IndexState {
-    fn key_of(&self, row: &Row) -> Key {
+    fn key_of(&self, row: &[Value]) -> Key {
         key_of(&self.def.key_columns, row)
     }
 
-    fn duplicate(&self, row: &Row, table: &str) -> StorageError {
+    fn duplicate(&self, row: &[Value], table: &str) -> StorageError {
         let key: Vec<&Value> = self.def.key_columns.iter().map(|&i| &row[i]).collect();
         StorageError::DuplicateKey { table: table.to_string(), key: format!("{}={key:?}", self.def.name) }
     }
 
-    fn insert(&mut self, row: &Row, rowid: RowId, table: &str) -> Result<()> {
+    fn insert(&mut self, row: &[Value], rowid: RowId, table: &str) -> Result<()> {
         let slot = self.map.entry(self.key_of(row)).or_default();
         if self.def.unique && !slot.is_empty() {
             return Err(StorageError::DuplicateKey { table: table.to_string(), key: self.def.name.clone() });
@@ -57,7 +57,7 @@ impl IndexState {
         Ok(())
     }
 
-    fn remove(&mut self, row: &Row, rowid: RowId) {
+    fn remove(&mut self, row: &[Value], rowid: RowId) {
         let key = self.key_of(row);
         if let Some(slot) = self.map.get_mut(&key) {
             slot.retain(|r| *r != rowid);
@@ -70,7 +70,9 @@ impl IndexState {
 
 #[derive(Debug, Default)]
 struct TableData {
-    slots: Vec<Option<Row>>,
+    /// A stored row is never mutated, only replaced: whoever was handed the
+    /// `Arc` keeps the values it was read with.
+    slots: Vec<Option<SharedRow>>,
     free: Vec<RowId>,
     live: usize,
     pk: BTreeMap<Key, RowId>,
@@ -130,11 +132,11 @@ impl Table {
     }
 
     /// The primary key of `row`, encoded; `None` for a table without one.
-    fn pk_key(&self, row: &Row) -> Option<Key> {
+    fn pk_key(&self, row: &[Value]) -> Option<Key> {
         self.schema.has_primary_key().then(|| key_of(&self.schema.primary_key, row))
     }
 
-    fn duplicate_pk(&self, row: &Row) -> StorageError {
+    fn duplicate_pk(&self, row: &[Value]) -> StorageError {
         StorageError::DuplicateKey {
             table: self.schema.name.clone(),
             key: format!("{:?}", self.schema.pk_of(row)),
@@ -142,7 +144,8 @@ impl Table {
     }
 
     /// Insert a validated row, returning its rowid.
-    pub fn insert(&self, row: Row) -> Result<RowId> {
+    pub fn insert(&self, row: impl Into<SharedRow>) -> Result<RowId> {
+        let row: SharedRow = row.into();
         let mut d = self.data.write();
         let d = &mut *d;
         let pk = self.pk_key(&row);
@@ -169,14 +172,15 @@ impl Table {
         Ok(rowid)
     }
 
-    /// Fetch a row by rowid.
-    pub fn get(&self, rowid: RowId) -> Option<Row> {
+    /// The row at `rowid`, shared with the table.
+    pub fn get(&self, rowid: RowId) -> Option<SharedRow> {
         self.data.read().slots.get(rowid as usize)?.clone()
     }
 
-    /// Overwrite a row in place, maintaining all indexes.
+    /// Replace the row at `rowid`, maintaining all indexes.
     /// Returns the before-image.
-    pub fn update(&self, rowid: RowId, new_row: Row) -> Result<Row> {
+    pub fn update(&self, rowid: RowId, new_row: impl Into<SharedRow>) -> Result<SharedRow> {
+        let new_row: SharedRow = new_row.into();
         let mut d = self.data.write();
         let d = &mut *d;
         let slot = d.slots.get_mut(rowid as usize).ok_or(StorageError::RowGone)?;
@@ -209,7 +213,7 @@ impl Table {
     }
 
     /// Delete a row, returning its before-image.
-    pub fn delete(&self, rowid: RowId) -> Result<Row> {
+    pub fn delete(&self, rowid: RowId) -> Result<SharedRow> {
         let mut d = self.data.write();
         let old = d.slots.get_mut(rowid as usize).and_then(Option::take).ok_or(StorageError::RowGone)?;
         if let Some(pk) = self.pk_key(&old) {
@@ -291,8 +295,8 @@ impl Table {
         })
     }
 
-    /// Materialized full scan.
-    pub fn scan(&self) -> Vec<(RowId, Row)> {
+    /// Materialized full scan: every live row, shared with the table.
+    pub fn scan(&self) -> Vec<(RowId, SharedRow)> {
         let d = self.data.read();
         d.slots
             .iter()
@@ -313,7 +317,7 @@ impl Table {
 
     /// Re-insert a row into a specific slot (transaction rollback of a
     /// delete). The slot must be vacant.
-    pub fn restore(&self, rowid: RowId, row: Row) -> Result<()> {
+    pub fn restore(&self, rowid: RowId, row: SharedRow) -> Result<()> {
         let mut d = self.data.write();
         let slot = d.slots.get_mut(rowid as usize).filter(|s| s.is_none()).ok_or(StorageError::RowGone)?;
         *slot = Some(row);
@@ -326,7 +330,7 @@ impl Table {
     /// Replace the table's contents with a recovered image, placing each
     /// row at its original slot so recovered rowids match the pre-crash
     /// run. Holes left by committed deletes become free slots again.
-    pub fn rebuild_from(&self, rows: &BTreeMap<RowId, Row>) {
+    pub fn rebuild_from(&self, rows: &BTreeMap<RowId, SharedRow>) {
         let mut d = self.data.write();
         d.slots.clear();
         d.free.clear();
@@ -366,7 +370,7 @@ impl Table {
 mod tests {
     use super::*;
     use crate::schema::Column;
-    use crate::value::DataType;
+    use crate::value::{DataType, Row};
 
     fn table() -> Table {
         let schema = TableSchema::new(
@@ -536,7 +540,7 @@ mod tests {
                 t.insert(vec![Value::Int(o), Value::Int(n)]).unwrap();
             }
         }
-        let keys = |rows: Vec<RowId>| rows.iter().map(|r| t.get(*r).unwrap()).collect::<Vec<Row>>();
+        let keys = |rows: Vec<RowId>| rows.iter().map(|r| t.get(*r).unwrap().to_vec()).collect::<Vec<Row>>();
         for index in [None, Some("ol_on")] {
             let all = keys(t.range(index, &[], Bound::Unbounded, Bound::Unbounded, 100).unwrap());
             assert!(all.is_sorted() && all.len() == 24, "{all:?}");
@@ -609,7 +613,7 @@ mod tests {
         // Image with holes at slots 1 and 4 (committed deletes).
         let mut image = BTreeMap::new();
         for rid in [0u64, 2, 3, 5] {
-            image.insert(rid, row(rid as i64, 1, "r"));
+            image.insert(rid, row(rid as i64, 1, "r").into());
         }
         t.rebuild_from(&image);
         assert_eq!(t.len(), 4);

@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// Column data types supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,7 +39,7 @@ pub enum Value {
     Bytes(Box<[u8]>),
 }
 
-// Rows and index keys are `Vec<Value>`: resident memory scales with this.
+// A stored row is one `Value` per column: resident memory scales with this.
 const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
@@ -261,8 +262,16 @@ impl From<String> for Value {
     }
 }
 
-/// A row is a vector of values, one per column.
+/// A row as a caller builds or modifies it: one value per column, owned.
 pub type Row = Vec<Value>;
+
+/// A row as it is stored and read: immutable, and shared by everything that
+/// only looks at it — the table's slot, a transaction's undo and redo
+/// images, the executor's tuples, a `SELECT *` result. A writer replaces the
+/// `Arc`, never the values behind it, so a reader keeps the row it was
+/// given. The slice sits beside the reference counts in one allocation: the
+/// same two hops (slot → values → string bytes) as a `Vec<Value>`.
+pub type SharedRow = Arc<[Value]>;
 
 #[cfg(test)]
 mod tests {

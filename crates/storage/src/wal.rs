@@ -457,7 +457,7 @@ mod tests {
         let wal = Wal::new(0, 0.0, 0.0);
         for i in 0..4u64 {
             let (lsn, _) = wal.commit(32, &m);
-            let ops = [RedoOp::Insert { table: 1, rowid: i, row: vec![Value::Int(i as i64)] }];
+            let ops = [RedoOp::Insert { table: 1, rowid: i, row: [Value::Int(i as i64)].into() }];
             wal.append_redo(lsn, i, &ops, false);
         }
         let cp = wal.take_checkpoint();
@@ -487,7 +487,7 @@ mod tests {
         let wal = Wal::new(0, 0.0, 0.0).with_segment_bytes(128);
         for i in 0..8u64 {
             let (lsn, _) = wal.commit(64, &m);
-            let ops = [RedoOp::Insert { table: 1, rowid: i, row: vec![Value::Str("x".repeat(40))] }];
+            let ops = [RedoOp::Insert { table: 1, rowid: i, row: [Value::Str("x".repeat(40))].into() }];
             wal.append_redo(lsn, i, &ops, false);
         }
         {

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-echo "== cargo test -q --offline =="
+echo "== cargo test -q --offline (tier-1; its fingerprint test holds every benchmark's transactions and catalog statements to tests/golden/fingerprint.txt, byte for byte) =="
 cargo test -q --offline
 
 echo "== cargo test -q --offline --workspace =="
@@ -35,6 +35,9 @@ cargo bench -q --offline -p bp-bench --bench storage_engine
 echo "== lock table, optimised: exclusion under load is a race detector; the fast path allocates nothing =="
 cargo test -q --release --offline -p bp-storage lock::
 cargo test -q --release --offline --test lock_fast_path
+
+echo "== read path, optimised: a ycsb point read allocates <= 4 times (its key, its result), readers hold the table's own row and keep what they read, a bulk transaction's buffers are not kept =="
+cargo test -q --release --offline --test read_path_allocs
 
 echo "== paper §2.2 claims (E3 E4 E5 E8 E9): never above the target rate and within 10 % of it; read-only out-runs write mixtures lock-free; a neighbor slows a tenant; derby slowest, others fail nothing; API rate change lands in 3 s =="
 cargo run -q --release --offline -p bp-bench --bin harness rate mixture tenancy dbms api
@@ -73,7 +76,7 @@ echo "== access paths, optimised: a planned statement returns what its scan retu
 cargo test -q --release --offline --test access_paths
 cargo test -q --release --offline --test tpcc_slope
 
-echo "== repo benchmark: perf/ builds against the crates unmodified, its tests and output checks pass, and exact counts repeat (storage.rows_read_per_tx @ tpcc_sat is lower than before range paths by the order lines outside StockLevel's 20-order window; storage.rows_written_per_tx and storage.wal_bytes_per_tx repeat exactly on every workload: paths choose which rows are read, never what is written) =="
+echo "== repo benchmark: perf/ builds against the crates unmodified, its tests and output checks pass, and exact counts repeat (what an engine change may move is workloads.allocs_per_tx, on all four workloads: 2.00 / 8.75 / 156.70 / 19.31 since rows are shared, from 18.00 / 21.34 / 304.75 / 36.29; storage.wal_bytes_per_tx, storage.rows_read_per_tx and storage.rows_written_per_tx must repeat exactly, as they did across that change: sharing a row changes who holds it, never which rows are read or what is written) =="
 cargo test -q --release --offline --manifest-path perf/Cargo.toml
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- check
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- counts --twice

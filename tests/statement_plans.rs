@@ -8,20 +8,15 @@
 //! a single long-lived connection, the other through a new connection per
 //! statement (or per transaction), so nothing there is ever replayed.
 
-use std::sync::Arc;
+#[path = "support/catalog.rs"]
+mod catalog;
 
-use bp_sql::ast::{Expr, Statement};
-use bp_sql::{Connection, Dialect};
-use bp_storage::{DataType, Database, Personality, Value};
+use bp_sql::Connection;
+use bp_storage::{Database, Value};
 use bp_util::rng::Rng;
+use catalog::{dml_statements, draw, loaded, param_types};
 
 const DRAWS: usize = 64;
-
-fn loaded(w: &dyn bp_core::Workload) -> Arc<Database> {
-    let db = Database::new(Personality::test());
-    w.setup(&mut Connection::open(&db), 0.1, &mut Rng::new(0xD1FF)).expect("load");
-    db
-}
 
 /// Rows read and written so far.
 fn rows_moved(db: &Database) -> (u64, u64) {
@@ -34,101 +29,14 @@ fn rows_moved_since(db: &Database, before: (u64, u64)) -> (u64, u64) {
     (after.0 - before.0, after.1 - before.1)
 }
 
-/// The type of the column each `?` of `stmt` is compared with, assigned to
-/// or inserted into (`Int` when it is none of these: LIMIT, arithmetic).
-fn param_types(db: &Database, stmt: &Statement, count: usize) -> Vec<DataType> {
-    let column_type = |name: &str| {
-        db.table_names().iter().find_map(|t| {
-            let schema = &db.table(t).ok()?.schema;
-            schema.column_index(name).ok().map(|i| schema.columns[i].ty)
-        })
-    };
-    let mut types = vec![DataType::Int; count];
-    let mut pair = |column: &Expr, other: &Expr| {
-        if let (Expr::Column { name, .. }, Expr::Param(p)) = (column, other) {
-            if let Some(ty) = column_type(name) {
-                types[*p] = ty;
-            }
-        }
-    };
-    let mut walk = |e: &Expr| {
-        e.any(&mut |node| {
-            match node {
-                Expr::Binary { left, right, .. } => {
-                    pair(left, right);
-                    pair(right, left);
-                }
-                Expr::Between { expr, low, high, .. } => {
-                    pair(expr, low);
-                    pair(expr, high);
-                }
-                Expr::InList { expr, list, .. } => list.iter().for_each(|item| pair(expr, item)),
-                _ => {}
-            }
-            false
-        });
-    };
-    match stmt {
-        Statement::Insert(ins) => {
-            let schema = &db.table(&ins.table).expect("insert target").schema;
-            for row in &ins.rows {
-                for (i, value) in row.iter().enumerate() {
-                    let column = match ins.columns.get(i) {
-                        Some(name) => schema.column_index(name).expect("insert column"),
-                        None => i,
-                    };
-                    if let Expr::Param(p) = value {
-                        types[*p] = schema.columns[column].ty;
-                    }
-                }
-            }
-        }
-        Statement::Select(sel) => {
-            sel.joins.iter().map(|j| &j.on).chain(&sel.where_clause).for_each(&mut walk);
-        }
-        Statement::Update(u) => {
-            for (column, value) in &u.sets {
-                // `SET c = ?` and `SET c = c + ?` alike.
-                walk(&Expr::bin(bp_sql::ast::BinOp::Eq, Expr::col(column), value.clone()));
-            }
-            u.where_clause.iter().for_each(&mut walk);
-        }
-        Statement::Delete(d) => d.where_clause.iter().for_each(&mut walk),
-        _ => {}
-    }
-    types
-}
-
-/// Mostly small values, so keys of the small load are hit often; now and
-/// then a NULL, which no key matches.
-fn draw(ty: DataType, rng: &mut Rng) -> Value {
-    if rng.bool_with(0.02) {
-        return Value::Null;
-    }
-    match ty {
-        DataType::Int if rng.bool_with(0.75) => Value::Int(rng.int_range(0, 12)),
-        DataType::Int => Value::Int(rng.int_range(0, 3000)),
-        DataType::Float => Value::Float(rng.int_range(0, 400) as f64 / 4.0),
-        DataType::Str => Value::Str(rng.astring(1, 12)),
-        DataType::Bool => Value::Bool(rng.bool_with(0.5)),
-        DataType::Bytes => Value::Bytes(rng.astring(1, 12).into_bytes().into()),
-    }
-}
-
 #[test]
 fn catalog_statements_warm_equals_cold() {
     let mut statements = 0;
     for w in bp_workloads::all_workloads() {
-        let catalog = bp_workloads::catalog_of(w.name()).expect("catalog");
         let (warm_db, cold_db) = (loaded(&*w), loaded(&*w));
         assert_eq!(warm_db.state_digest(), cold_db.state_digest(), "{}: loads differ", w.name());
         let mut warm = Connection::open(&warm_db);
-        for name in catalog.names() {
-            let sql = catalog.resolve(name, Dialect::MySql).expect("defined statement");
-            let stmt = bp_sql::parse(&sql).expect("catalog statement parses");
-            if !stmt.is_dml() {
-                continue;
-            }
+        for (name, sql, stmt) in dml_statements(w.name()) {
             statements += 1;
             let prepared = warm.prepare(&sql).expect("prepare");
             let types = param_types(&warm_db, &stmt, prepared.param_count());
