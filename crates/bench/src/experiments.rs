@@ -11,13 +11,13 @@ use bp_core::{
     RunConfig, Testbed, TraceAnalyzer,
 };
 use bp_game::{chase_center_policy, Course, Game, GameSession, Input, PhysicsConfig, SimBackend};
-use bp_sql::Connection;
+use bp_sql::{Connection, Dialect};
 use bp_storage::{Database, Personality};
 use bp_util::clock::wall_clock;
 use bp_util::json::Json;
 use bp_util::rng::Rng;
 use bp_util::timeseries::Summary;
-use bp_workloads::{all_workloads, by_name, catalog_of, table1};
+use bp_workloads::{all_workloads, by_name, table1, BENCHMARKS};
 
 use crate::live::{breaker_reclosed, sleep_s, wait_until, Endpoint, Fleet, LiveRun, Scrape, Setup};
 use crate::{failed, Outcome};
@@ -630,8 +630,11 @@ impl Outcome for ApiReport {
     }
 }
 
-/// E10 — §2.1 dialect management: every benchmark statement rendered in all
-/// four dialects and re-parsed.
+/// E10 — §2.1 dialect management: every statement a benchmark sends — its
+/// statement table *is* its catalog — rendered in all four dialects. A DML
+/// rendering is good when it parses back to the statement the canonical
+/// text is; a DDL rendering when it parses and, in the two dialects whose
+/// type names this engine takes, builds the schema in declaration order.
 pub struct DialectReport {
     pub benchmark: String,
     pub statements: usize,
@@ -641,22 +644,28 @@ pub struct DialectReport {
 
 pub fn run_dialects() -> Vec<DialectReport> {
     let mut out = Vec::new();
-    for w in all_workloads() {
-        let cat = catalog_of(w.name()).expect("catalog");
-        let mut ok = 0;
-        let mut total = 0;
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
+    for b in &BENCHMARKS {
+        let cat = b.catalog();
+        let mut engines = [Dialect::MySql, Dialect::Postgres]
+            .map(|d| (d, Connection::open(&Database::new(Personality::test()))));
+        let (mut ok, mut total) = (0, 0);
+        for name in cat.declared() {
+            let canonical = cat.canonical(name).and_then(|text| bp_sql::parse(text).ok());
+            for d in Dialect::all() {
                 total += 1;
-                if let Some(sql) = cat.resolve(name, d) {
-                    if bp_sql::parse(&sql).is_ok() {
-                        ok += 1;
-                    }
-                }
+                let Some(sql) = cat.resolve(name, d) else { continue };
+                let Ok(back) = bp_sql::parse(&sql) else { continue };
+                let good = if back.is_dml() {
+                    Some(back) == canonical
+                } else {
+                    let engine = engines.iter_mut().find(|(dialect, _)| *dialect == d);
+                    engine.is_none_or(|(_, conn)| conn.execute(&sql, &[]).is_ok())
+                };
+                ok += good as usize;
             }
         }
         out.push(DialectReport {
-            benchmark: w.name().to_string(),
+            benchmark: b.name.to_string(),
             statements: cat.len(),
             dialects_ok: ok,
             total_renderings: total,
@@ -685,7 +694,8 @@ impl Outcome for Vec<DialectReport> {
                 self.len() == 15 && self.iter().all(|r| r.statements > 0),
             ),
             (
-                "every statement renders in every dialect and re-parses",
+                "every statement renders in every dialect and re-parses to the same statement \
+                 (DDL: re-parses, and builds the schema as MySQL and Postgres render it)",
                 self.iter().all(|r| r.dialects_ok == r.total_renderings),
             ),
         ])

@@ -140,6 +140,14 @@ impl Connection {
         Ok(p)
     }
 
+    /// The texts this connection holds prepared: every DML statement and
+    /// query it was handed since the cache last filled. For checking what a
+    /// benchmark sent against what it declares.
+    #[doc(hidden)]
+    pub fn cached_statements(&self) -> impl Iterator<Item = &str> {
+        self.statements.keys().map(|sql| &**sql)
+    }
+
     /// Execute a prepared statement. Runs in the current transaction, or in
     /// an autocommit transaction when none is open.
     pub fn execute_prepared(&mut self, p: &Prepared, params: &[Value]) -> Result<StatementResult> {

@@ -330,6 +330,9 @@ fn render_value(v: &Value) -> String {
     match v {
         Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
         Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+        // `Debug` keeps the `.0` or exponent `Display` drops from an integral
+        // value, without which the text reads back as an integer.
+        Value::Float(x) => format!("{x:?}"),
         other => other.to_string(),
     }
 }
@@ -358,7 +361,9 @@ fn render_op(op: BinOp) -> &'static str {
 /// OLTP-Bench's dialect files, in code.
 #[derive(Debug, Default, Clone)]
 pub struct StatementCatalog {
-    canonical: HashMap<String, String>,
+    /// `(name, canonical SQL)`, in the order defined: a schema's tables
+    /// before the indexes on them.
+    canonical: Vec<(String, String)>,
     overrides: HashMap<(String, Dialect), String>,
 }
 
@@ -369,7 +374,10 @@ impl StatementCatalog {
 
     /// Register a statement by name with its canonical SQL.
     pub fn define(&mut self, name: &str, sql: &str) -> &mut Self {
-        self.canonical.insert(name.to_string(), sql.to_string());
+        match self.canonical.iter_mut().find(|(n, _)| n == name) {
+            Some((_, text)) => *text = sql.to_string(),
+            None => self.canonical.push((name.to_string(), sql.to_string())),
+        }
         self
     }
 
@@ -381,22 +389,30 @@ impl StatementCatalog {
 
     /// Resolve the SQL text for a statement under a dialect: the expert
     /// override if present, else the canonical text rendered through the
-    /// dialect's rules.
+    /// dialect's rules. `None` for a name not defined or a canonical text
+    /// that does not parse: there is nothing to render.
     pub fn resolve(&self, name: &str, dialect: Dialect) -> Option<String> {
         if let Some(s) = self.overrides.get(&(name.to_string(), dialect)) {
             return Some(s.clone());
         }
-        let canonical = self.canonical.get(name)?;
-        match crate::parser::parse(canonical) {
-            Ok(stmt) => Some(dialect.render(&stmt)),
-            Err(_) => Some(canonical.clone()),
-        }
+        crate::parser::parse(self.canonical(name)?).ok().map(|stmt| dialect.render(&stmt))
     }
 
+    /// The canonical text of a statement, as defined.
+    pub fn canonical(&self, name: &str) -> Option<&str> {
+        self.canonical.iter().find(|(n, _)| n == name).map(|(_, sql)| sql.as_str())
+    }
+
+    /// The names, sorted.
     pub fn names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.canonical.keys().map(String::as_str).collect();
+        let mut v: Vec<&str> = self.declared().collect();
         v.sort_unstable();
         v
+    }
+
+    /// The names in the order defined (the order a schema is created in).
+    pub fn declared(&self) -> impl Iterator<Item = &str> {
+        self.canonical.iter().map(|(name, _)| name.as_str())
     }
 
     pub fn len(&self) -> usize {
@@ -482,6 +498,44 @@ mod tests {
         cat.define("top", "SELECT a FROM t ORDER BY a LIMIT 3");
         let derby = cat.resolve("top", Dialect::Derby).unwrap();
         assert!(derby.contains("FETCH FIRST"), "{derby}");
+    }
+
+    #[test]
+    fn catalog_keeps_declaration_order_and_refuses_what_does_not_parse() {
+        let mut cat = StatementCatalog::new();
+        cat.define("create_t", "CREATE TABLE t (a INT PRIMARY KEY)");
+        cat.define("create_a_idx", "CREATE INDEX a_idx ON t (a)");
+        cat.define("broken", "SELEC a FROM t");
+        cat.define("create_t", "CREATE TABLE t (a INT PRIMARY KEY, b INT)");
+        assert_eq!(cat.declared().collect::<Vec<_>>(), ["create_t", "create_a_idx", "broken"]);
+        assert_eq!(cat.names(), ["broken", "create_a_idx", "create_t"]);
+        assert_eq!(cat.len(), 3);
+        assert!(cat.resolve("create_t", Dialect::MySql).unwrap().contains("b BIGINT"));
+        for d in Dialect::all() {
+            assert_eq!(cat.resolve("broken", d), None, "{d:?}");
+        }
+        // An expert's text is taken as written.
+        cat.override_for("broken", Dialect::Derby, "SELECT a FROM t");
+        assert!(cat.resolve("broken", Dialect::Derby).is_some());
+    }
+
+    #[test]
+    fn float_literals_stay_floats() {
+        for sql in [
+            "SELECT (a / 2.0) FROM t",
+            "UPDATE t SET f = 1.0 WHERE a = 1",
+            "SELECT a FROM t WHERE f < 1e10",
+            "SELECT a FROM t WHERE f > 0.1 AND f < 2.5",
+            "UPDATE t SET f = -1.5",
+        ] {
+            let stmt = parse(sql).unwrap();
+            for d in Dialect::all() {
+                let rendered = d.render(&stmt);
+                assert_eq!(parse(&rendered).unwrap(), stmt, "{d:?}: {sql} -> {rendered}");
+            }
+        }
+        let two = Dialect::MySql.render(&parse("SELECT (a / 2.0) FROM t").unwrap());
+        assert!(two.contains("(a / 2.0)"), "{two}");
     }
 
     #[test]

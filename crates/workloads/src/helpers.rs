@@ -1,7 +1,41 @@
 //! Shared helpers for benchmark transaction control code.
 
-use bp_sql::{Connection, Result as SqlResult};
+use bp_sql::{Connection, Dialect, Result as SqlResult};
 use bp_storage::Value;
+
+/// A benchmark's statement table: `(name, SQL text)` rows in declaration
+/// order, the schema's `CREATE`s first.
+pub type Statements = [(&'static str, &'static str)];
+
+/// A benchmark's SQL, written once. Each `NAME = "text";` becomes
+/// `pub const NAME: &str`, which is what the control code hands to
+/// [`Connection::execute`] (the text itself, so the connection's statement
+/// cache finds it without a lookup by name), and a row of
+/// `pub const STATEMENTS`, from which [`create_schema`] builds the schema
+/// and [`crate::registry::Benchmark::catalog`] the dialect catalog; there a
+/// statement goes by its constant's name in lower case.
+macro_rules! statements {
+    ($($name:ident = $sql:literal;)*) => {
+        $(pub const $name: &str = $sql;)*
+        pub const STATEMENTS: &$crate::helpers::Statements = &[$((stringify!($name), $name)),*];
+    };
+}
+pub(crate) use statements;
+
+/// Whether a statement of a table is schema: its text says so, and its name
+/// (`create_…`) must agree, which the registry's tests hold every table to.
+pub fn is_ddl(sql: &str) -> bool {
+    sql.starts_with("CREATE ")
+}
+
+/// Send the table's DDL, in declaration order, as the MySQL dialect
+/// renders it.
+pub fn create_schema(conn: &mut Connection, statements: &Statements) -> SqlResult<()> {
+    for (_, sql) in statements.iter().filter(|(_, sql)| is_ddl(sql)) {
+        conn.execute(&Dialect::MySql.render(&bp_sql::parse(sql)?), &[])?;
+    }
+    Ok(())
+}
 
 /// Run `body` in an explicit transaction: commit on success, roll back on
 /// error. The standard wrapper for every benchmark transaction.

@@ -6,10 +6,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_f, p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_f, p_i, p_s, run_txn, statements};
 
 const BASE_ENTITIES: i64 = 500;
 
@@ -33,21 +33,17 @@ impl Jpab {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_person",
-        "CREATE TABLE jpab_person (id INT PRIMARY KEY, first_name VARCHAR(32), \
-         last_name VARCHAR(32), phone VARCHAR(16), balance FLOAT, version INT NOT NULL)",
-    );
-    cat.define("persist", "INSERT INTO jpab_person VALUES (?, ?, ?, ?, ?, 0)");
-    cat.define("retrieve", "SELECT * FROM jpab_person WHERE id = ?");
-    cat.define(
-        "merge",
-        "UPDATE jpab_person SET phone = ?, version = version + 1 WHERE id = ?",
-    );
-    cat.define("remove", "DELETE FROM jpab_person WHERE id = ?");
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_PERSON = "CREATE TABLE jpab_person (id INT PRIMARY KEY, first_name VARCHAR(32), \
+        last_name VARCHAR(32), phone VARCHAR(16), balance FLOAT, version INT NOT NULL)";
+    // First sent by the loader.
+    PERSIST = "INSERT INTO jpab_person VALUES (?, ?, ?, ?, ?, 0)";
+    // First sent by a transaction.
+    RETRIEVE = "SELECT * FROM jpab_person WHERE id = ?";
+    MERGE_LOCK = "SELECT version FROM jpab_person WHERE id = ? FOR UPDATE";
+    MERGE = "UPDATE jpab_person SET phone = ?, version = version + 1 WHERE id = ?";
+    REMOVE = "DELETE FROM jpab_person WHERE id = ?";
 }
 
 impl Workload for Jpab {
@@ -73,16 +69,14 @@ impl Workload for Jpab {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        conn.execute(&cat.resolve("create_person", bp_sql::Dialect::MySql).unwrap(), &[])?;
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
         let n = ((BASE_ENTITIES as f64 * scale) as i64).max(20);
         for id in 0..n {
             conn.execute(
-                "INSERT INTO jpab_person VALUES (?, ?, ?, ?, ?, 0)",
+                PERSIST,
                 &[
                     p_i(id),
                     p_s(bp_util::text::first_name(rng)),
@@ -106,7 +100,7 @@ impl Workload for Jpab {
                 let bal = rng.f64_range(0.0, 1_000.0);
                 run_txn(conn, |c| {
                     c.execute(
-                        "INSERT INTO jpab_person VALUES (?, ?, ?, ?, ?, 0)",
+                        PERSIST,
                         &[p_i(id), p_s(first.clone()), p_s(last.clone()), p_s(phone.clone()), p_f(bal)],
                     )?;
                     Ok(TxnOutcome::Committed)
@@ -115,7 +109,7 @@ impl Workload for Jpab {
             1 => {
                 let id = self.existing(rng);
                 run_txn(conn, |c| {
-                    let rs = c.query("SELECT * FROM jpab_person WHERE id = ?", &[p_i(id)])?;
+                    let rs = c.query(RETRIEVE, &[p_i(id)])?;
                     Ok(if rs.is_empty() { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
                 })
             }
@@ -124,24 +118,18 @@ impl Workload for Jpab {
                 let id = self.existing(rng);
                 let phone = bp_util::text::phone(rng);
                 run_txn(conn, |c| {
-                    let rs = c.query(
-                        "SELECT version FROM jpab_person WHERE id = ? FOR UPDATE",
-                        &[p_i(id)],
-                    )?;
+                    let rs = c.query(MERGE_LOCK, &[p_i(id)])?;
                     if rs.is_empty() {
                         return Ok(TxnOutcome::UserAborted);
                     }
-                    c.execute(
-                        "UPDATE jpab_person SET phone = ?, version = version + 1 WHERE id = ?",
-                        &[p_s(phone.clone()), p_i(id)],
-                    )?;
+                    c.execute(MERGE, &[p_s(phone.clone()), p_i(id)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
             3 => {
                 let id = self.existing(rng);
                 run_txn(conn, |c| {
-                    let n = c.execute("DELETE FROM jpab_person WHERE id = ?", &[p_i(id)])?.affected();
+                    let n = c.execute(REMOVE, &[p_i(id)])?.affected();
                     Ok(if n == 0 { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
                 })
             }
@@ -161,17 +149,6 @@ mod tests {
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 0.2, &mut Rng::new(1)).unwrap();
         (w, conn)
-    }
-
-    #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..4 {
-            for _ in 0..10 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
     }
 
     #[test]
@@ -205,15 +182,5 @@ mod tests {
         }
         let after = conn.query("SELECT COUNT(*) AS n FROM jpab_person", &[]).unwrap().get_int(0, "n").unwrap();
         assert_eq!(after - before, delta);
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

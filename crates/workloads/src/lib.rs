@@ -1,7 +1,8 @@
 //! `bp-workloads`: the 15 benchmarks bundled with the testbed (Table 1 of
 //! the paper), each implemented as transaction control code over the SQL
-//! connection layer, with a per-benchmark statement catalog for the
-//! SQL-dialect management layer.
+//! connection layer. A benchmark's SQL is one `statements!` table in its
+//! module: the control code sends its constants, its schema is created from
+//! it and it is the benchmark's catalog for the SQL-dialect management layer.
 
 pub mod auctionmark;
 pub mod chbenchmark;
@@ -21,4 +22,4 @@ pub mod voter;
 pub mod wikipedia;
 pub mod ycsb;
 
-pub use registry::{all_workloads, by_name, catalog_of, table1, Table1Row};
+pub use registry::{all_workloads, by_name, catalog_of, table1, Benchmark, Table1Row, BENCHMARKS};

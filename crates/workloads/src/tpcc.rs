@@ -10,11 +10,11 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::{NuRand, Rng};
 use bp_util::text::tpcc_last_name;
 
-use crate::helpers::{p_f, p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_f, p_i, p_s, run_txn, statements};
 
 pub const DISTRICTS_PER_WAREHOUSE: i64 = 10;
 pub const CUSTOMERS_PER_DISTRICT: i64 = 30;
@@ -63,80 +63,83 @@ impl Tpcc {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_warehouse",
-        "CREATE TABLE warehouse (w_id INT PRIMARY KEY, w_name VARCHAR(10), w_street_1 VARCHAR(20), \
-         w_city VARCHAR(20), w_state VARCHAR(2), w_zip VARCHAR(9), w_tax FLOAT, w_ytd FLOAT)",
-    );
-    cat.define(
-        "create_district",
-        "CREATE TABLE district (d_w_id INT NOT NULL, d_id INT NOT NULL, d_name VARCHAR(10), \
-         d_street_1 VARCHAR(20), d_city VARCHAR(20), d_state VARCHAR(2), d_zip VARCHAR(9), \
-         d_tax FLOAT, d_ytd FLOAT, d_next_o_id INT, PRIMARY KEY (d_w_id, d_id))",
-    );
-    cat.define(
-        "create_customer",
-        "CREATE TABLE customer (c_w_id INT NOT NULL, c_d_id INT NOT NULL, c_id INT NOT NULL, \
-         c_first VARCHAR(16), c_middle VARCHAR(2), c_last VARCHAR(16), c_city VARCHAR(20), \
-         c_state VARCHAR(2), c_credit VARCHAR(2), c_credit_lim FLOAT, c_discount FLOAT, \
-         c_balance FLOAT, c_ytd_payment FLOAT, c_payment_cnt INT, c_delivery_cnt INT, \
-         PRIMARY KEY (c_w_id, c_d_id, c_id))",
-    );
-    cat.define(
-        "create_customer_name_idx",
-        "CREATE INDEX idx_customer_name ON customer (c_w_id, c_d_id, c_last)",
-    );
-    cat.define(
-        "create_history",
-        "CREATE TABLE history (h_id INT PRIMARY KEY, h_c_id INT, h_c_d_id INT, h_c_w_id INT, \
-         h_d_id INT, h_w_id INT, h_amount FLOAT, h_data VARCHAR(24))",
-    );
-    cat.define(
-        "create_item",
-        "CREATE TABLE item (i_id INT PRIMARY KEY, i_im_id INT, i_name VARCHAR(24), \
-         i_price FLOAT, i_data VARCHAR(50))",
-    );
-    cat.define(
-        "create_stock",
-        "CREATE TABLE stock (s_w_id INT NOT NULL, s_i_id INT NOT NULL, s_quantity INT, \
-         s_ytd FLOAT, s_order_cnt INT, s_remote_cnt INT, s_data VARCHAR(50), \
-         PRIMARY KEY (s_w_id, s_i_id))",
-    );
-    cat.define(
-        "create_orders",
-        "CREATE TABLE orders (o_w_id INT NOT NULL, o_d_id INT NOT NULL, o_id INT NOT NULL, \
-         o_c_id INT, o_carrier_id INT, o_ol_cnt INT, o_all_local INT, o_entry_d INT, \
-         PRIMARY KEY (o_w_id, o_d_id, o_id))",
-    );
-    cat.define(
-        "create_orders_customer_idx",
-        "CREATE INDEX idx_orders_customer ON orders (o_w_id, o_d_id, o_c_id)",
-    );
-    cat.define(
-        "create_new_order",
-        "CREATE TABLE new_order (no_w_id INT NOT NULL, no_d_id INT NOT NULL, no_o_id INT NOT NULL, \
-         PRIMARY KEY (no_w_id, no_d_id, no_o_id))",
-    );
-    cat.define(
-        "create_order_line",
-        "CREATE TABLE order_line (ol_w_id INT NOT NULL, ol_d_id INT NOT NULL, ol_o_id INT NOT NULL, \
-         ol_number INT NOT NULL, ol_i_id INT, ol_supply_w_id INT, ol_quantity INT, ol_amount FLOAT, \
-         PRIMARY KEY (ol_w_id, ol_d_id, ol_o_id, ol_number))",
-    );
-    cat.define("get_district", "SELECT * FROM district WHERE d_w_id = ? AND d_id = ? FOR UPDATE");
-    cat.define(
-        "get_customer_by_name",
-        "SELECT * FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_last = ? ORDER BY c_first",
-    );
-    cat.define(
-        "stock_level_join",
-        "SELECT COUNT(DISTINCT ol_i_id) AS low FROM order_line ol JOIN stock s \
-         ON ol.ol_i_id = s.s_i_id WHERE ol.ol_w_id = ? AND ol.ol_d_id = ? \
-         AND ol.ol_o_id >= ? AND s.s_w_id = ? AND s.s_quantity < ?",
-    );
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_WAREHOUSE = "CREATE TABLE warehouse (w_id INT PRIMARY KEY, w_name VARCHAR(10), \
+        w_street_1 VARCHAR(20), w_city VARCHAR(20), w_state VARCHAR(2), w_zip VARCHAR(9), \
+        w_tax FLOAT, w_ytd FLOAT)";
+    CREATE_DISTRICT = "CREATE TABLE district (d_w_id INT NOT NULL, d_id INT NOT NULL, \
+        d_name VARCHAR(10), d_street_1 VARCHAR(20), d_city VARCHAR(20), d_state VARCHAR(2), \
+        d_zip VARCHAR(9), d_tax FLOAT, d_ytd FLOAT, d_next_o_id INT, PRIMARY KEY (d_w_id, d_id))";
+    CREATE_CUSTOMER = "CREATE TABLE customer (c_w_id INT NOT NULL, c_d_id INT NOT NULL, \
+        c_id INT NOT NULL, c_first VARCHAR(16), c_middle VARCHAR(2), c_last VARCHAR(16), \
+        c_city VARCHAR(20), c_state VARCHAR(2), c_credit VARCHAR(2), c_credit_lim FLOAT, \
+        c_discount FLOAT, c_balance FLOAT, c_ytd_payment FLOAT, c_payment_cnt INT, \
+        c_delivery_cnt INT, PRIMARY KEY (c_w_id, c_d_id, c_id))";
+    CREATE_CUSTOMER_NAME_IDX =
+        "CREATE INDEX idx_customer_name ON customer (c_w_id, c_d_id, c_last)";
+    CREATE_HISTORY = "CREATE TABLE history (h_id INT PRIMARY KEY, h_c_id INT, h_c_d_id INT, \
+        h_c_w_id INT, h_d_id INT, h_w_id INT, h_amount FLOAT, h_data VARCHAR(24))";
+    CREATE_ITEM = "CREATE TABLE item (i_id INT PRIMARY KEY, i_im_id INT, i_name VARCHAR(24), \
+        i_price FLOAT, i_data VARCHAR(50))";
+    CREATE_STOCK = "CREATE TABLE stock (s_w_id INT NOT NULL, s_i_id INT NOT NULL, s_quantity INT, \
+        s_ytd FLOAT, s_order_cnt INT, s_remote_cnt INT, s_data VARCHAR(50), \
+        PRIMARY KEY (s_w_id, s_i_id))";
+    CREATE_ORDERS = "CREATE TABLE orders (o_w_id INT NOT NULL, o_d_id INT NOT NULL, \
+        o_id INT NOT NULL, o_c_id INT, o_carrier_id INT, o_ol_cnt INT, o_all_local INT, \
+        o_entry_d INT, PRIMARY KEY (o_w_id, o_d_id, o_id))";
+    CREATE_ORDERS_CUSTOMER_IDX =
+        "CREATE INDEX idx_orders_customer ON orders (o_w_id, o_d_id, o_c_id)";
+    CREATE_NEW_ORDER = "CREATE TABLE new_order (no_w_id INT NOT NULL, no_d_id INT NOT NULL, \
+        no_o_id INT NOT NULL, PRIMARY KEY (no_w_id, no_d_id, no_o_id))";
+    CREATE_ORDER_LINE = "CREATE TABLE order_line (ol_w_id INT NOT NULL, ol_d_id INT NOT NULL, \
+        ol_o_id INT NOT NULL, ol_number INT NOT NULL, ol_i_id INT, ol_supply_w_id INT, \
+        ol_quantity INT, ol_amount FLOAT, PRIMARY KEY (ol_w_id, ol_d_id, ol_o_id, ol_number))";
+    // First sent by the loader.
+    LOAD_ITEM = "INSERT INTO item VALUES (?, ?, ?, ?, ?)";
+    LOAD_WAREHOUSE = "INSERT INTO warehouse VALUES (?, ?, ?, ?, ?, ?, ?, ?)";
+    LOAD_STOCK = "INSERT INTO stock VALUES (?, ?, ?, ?, ?, ?, ?)";
+    LOAD_DISTRICT = "INSERT INTO district VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)";
+    LOAD_CUSTOMER = "INSERT INTO customer VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)";
+    INSERT_ORDER = "INSERT INTO orders VALUES (?, ?, ?, ?, ?, ?, ?, ?)";
+    INSERT_NEW_ORDER = "INSERT INTO new_order VALUES (?, ?, ?)";
+    INSERT_ORDER_LINE = "INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?, ?)";
+    // First sent by a transaction.
+    GET_DISTRICT =
+        "SELECT d_next_o_id, d_tax FROM district WHERE d_w_id = ? AND d_id = ? FOR UPDATE";
+    BUMP_NEXT_O_ID =
+        "UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?";
+    GET_CUSTOMER = "SELECT c_discount, c_last, c_credit FROM customer WHERE c_w_id = ? \
+        AND c_d_id = ? AND c_id = ?";
+    GET_ITEM_PRICE = "SELECT i_price FROM item WHERE i_id = ?";
+    GET_STOCK = "SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ? FOR UPDATE";
+    UPDATE_STOCK = "UPDATE stock SET s_quantity = ?, s_order_cnt = s_order_cnt + 1 \
+        WHERE s_w_id = ? AND s_i_id = ?";
+    UPDATE_WAREHOUSE_YTD = "UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?";
+    UPDATE_DISTRICT_YTD = "UPDATE district SET d_ytd = d_ytd + ? WHERE d_w_id = ? AND d_id = ?";
+    GET_CUSTOMER_BY_NAME =
+        "SELECT c_id FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_last = ? ORDER BY c_first";
+    UPDATE_CUSTOMER_PAYMENT = "UPDATE customer SET c_balance = c_balance - ?, \
+        c_ytd_payment = c_ytd_payment + ?, c_payment_cnt = c_payment_cnt + 1 WHERE c_w_id = ? \
+        AND c_d_id = ? AND c_id = ?";
+    INSERT_HISTORY = "INSERT INTO history VALUES (?, ?, ?, ?, ?, ?, ?, ?)";
+    GET_LAST_ORDER = "SELECT o_id FROM orders WHERE o_w_id = ? AND o_d_id = ? AND o_c_id = ? \
+        ORDER BY o_id DESC LIMIT 1";
+    GET_ORDER_LINES = "SELECT * FROM order_line WHERE ol_w_id = ? AND ol_d_id = ? AND ol_o_id = ?";
+    GET_OLDEST_NEW_ORDER =
+        "SELECT no_o_id FROM new_order WHERE no_w_id = ? AND no_d_id = ? ORDER BY no_o_id LIMIT 1";
+    DELETE_NEW_ORDER = "DELETE FROM new_order WHERE no_w_id = ? AND no_d_id = ? AND no_o_id = ?";
+    GET_ORDER_CUSTOMER = "SELECT o_c_id FROM orders WHERE o_w_id = ? AND o_d_id = ? AND o_id = ?";
+    UPDATE_ORDER_CARRIER =
+        "UPDATE orders SET o_carrier_id = ? WHERE o_w_id = ? AND o_d_id = ? AND o_id = ?";
+    SUM_ORDER_LINES = "SELECT SUM(ol_amount) AS t FROM order_line WHERE ol_w_id = ? \
+        AND ol_d_id = ? AND ol_o_id = ?";
+    UPDATE_CUSTOMER_DELIVERY = "UPDATE customer SET c_balance = c_balance + ?, \
+        c_delivery_cnt = c_delivery_cnt + 1 WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?";
+    GET_NEXT_O_ID = "SELECT d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?";
+    STOCK_LEVEL_JOIN = "SELECT COUNT(DISTINCT ol.ol_i_id) AS low FROM order_line ol JOIN stock s \
+        ON ol.ol_i_id = s.s_i_id WHERE ol.ol_w_id = ? AND ol.ol_d_id = ? AND ol.ol_o_id >= ? \
+        AND s.s_w_id = ? AND s.s_quantity < ?";
 }
 
 impl Workload for Tpcc {
@@ -163,23 +166,7 @@ impl Workload for Tpcc {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in [
-            "create_warehouse",
-            "create_district",
-            "create_customer",
-            "create_customer_name_idx",
-            "create_history",
-            "create_item",
-            "create_stock",
-            "create_orders",
-            "create_orders_customer_idx",
-            "create_new_order",
-            "create_order_line",
-        ] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
@@ -189,7 +176,7 @@ impl Workload for Tpcc {
         // Items (shared).
         for i in 1..=ITEMS {
             conn.execute(
-                "INSERT INTO item VALUES (?, ?, ?, ?, ?)",
+                LOAD_ITEM,
                 &[
                     p_i(i),
                     p_i(rng.int_range(1, 10_000)),
@@ -203,7 +190,7 @@ impl Workload for Tpcc {
 
         for w in 1..=warehouses {
             conn.execute(
-                "INSERT INTO warehouse VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                LOAD_WAREHOUSE,
                 &[
                     p_i(w),
                     p_s(rng.astring(6, 10)),
@@ -218,7 +205,7 @@ impl Workload for Tpcc {
             rows += 1;
             for i in 1..=ITEMS {
                 conn.execute(
-                    "INSERT INTO stock VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    LOAD_STOCK,
                     &[
                         p_i(w),
                         p_i(i),
@@ -233,7 +220,7 @@ impl Workload for Tpcc {
             }
             for d in 1..=DISTRICTS_PER_WAREHOUSE {
                 conn.execute(
-                    "INSERT INTO district VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                    LOAD_DISTRICT,
                     &[
                         p_i(w),
                         p_i(d),
@@ -255,7 +242,7 @@ impl Workload for Tpcc {
                         tpcc_last_name(self.nurand_c_last.sample(rng, 0, 999))
                     };
                     conn.execute(
-                        "INSERT INTO customer VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        LOAD_CUSTOMER,
                         &[
                             p_i(w),
                             p_i(d),
@@ -283,7 +270,7 @@ impl Workload for Tpcc {
                     let ol_cnt = rng.int_range(5, 15);
                     let delivered = o <= INITIAL_ORDERS_PER_DISTRICT * 2 / 3;
                     conn.execute(
-                        "INSERT INTO orders VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                        INSERT_ORDER,
                         &[
                             p_i(w),
                             p_i(d),
@@ -297,15 +284,12 @@ impl Workload for Tpcc {
                     )?;
                     rows += 1;
                     if !delivered {
-                        conn.execute(
-                            "INSERT INTO new_order VALUES (?, ?, ?)",
-                            &[p_i(w), p_i(d), p_i(o)],
-                        )?;
+                        conn.execute(INSERT_NEW_ORDER, &[p_i(w), p_i(d), p_i(o)])?;
                         rows += 1;
                     }
                     for ol in 1..=ol_cnt {
                         conn.execute(
-                            "INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                            INSERT_ORDER_LINE,
                             &[
                                 p_i(w),
                                 p_i(d),
@@ -368,21 +352,12 @@ impl Tpcc {
 
         run_txn(conn, |cn| {
             // District: read + bump next_o_id (the per-district hot spot).
-            let rs = cn.query(
-                "SELECT d_next_o_id, d_tax FROM district WHERE d_w_id = ? AND d_id = ? FOR UPDATE",
-                &[p_i(w), p_i(d)],
-            )?;
+            let rs = cn.query(GET_DISTRICT, &[p_i(w), p_i(d)])?;
             let o_id = rs.get_int(0, "d_next_o_id").expect("district exists");
+            cn.execute(BUMP_NEXT_O_ID, &[p_i(w), p_i(d)])?;
+            cn.query(GET_CUSTOMER, &[p_i(w), p_i(d), p_i(c)])?;
             cn.execute(
-                "UPDATE district SET d_next_o_id = d_next_o_id + 1 WHERE d_w_id = ? AND d_id = ?",
-                &[p_i(w), p_i(d)],
-            )?;
-            cn.query(
-                "SELECT c_discount, c_last, c_credit FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
-                &[p_i(w), p_i(d), p_i(c)],
-            )?;
-            cn.execute(
-                "INSERT INTO orders VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                INSERT_ORDER,
                 &[
                     p_i(w),
                     p_i(d),
@@ -394,29 +369,22 @@ impl Tpcc {
                     p_i(o_id),
                 ],
             )?;
-            cn.execute("INSERT INTO new_order VALUES (?, ?, ?)", &[p_i(w), p_i(d), p_i(o_id)])?;
+            cn.execute(INSERT_NEW_ORDER, &[p_i(w), p_i(d), p_i(o_id)])?;
 
             for (ol, i_id, supply_w, qty) in &lines {
-                let item = cn.query("SELECT i_price FROM item WHERE i_id = ?", &[p_i(*i_id)])?;
+                let item = cn.query(GET_ITEM_PRICE, &[p_i(*i_id)])?;
                 if item.is_empty() {
                     // Invalid item: the whole transaction rolls back.
                     cn.rollback()?;
                     return Ok(TxnOutcome::UserAborted);
                 }
                 let price = item.get_f64(0, "i_price").unwrap();
-                let stock = cn.query(
-                    "SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ? FOR UPDATE",
-                    &[p_i(*supply_w), p_i(*i_id)],
-                )?;
+                let stock = cn.query(GET_STOCK, &[p_i(*supply_w), p_i(*i_id)])?;
                 let s_qty = stock.get_int(0, "s_quantity").unwrap_or(50);
                 let new_qty = if s_qty >= qty + 10 { s_qty - qty } else { s_qty - qty + 91 };
+                cn.execute(UPDATE_STOCK, &[p_i(new_qty), p_i(*supply_w), p_i(*i_id)])?;
                 cn.execute(
-                    "UPDATE stock SET s_quantity = ?, s_order_cnt = s_order_cnt + 1 \
-                     WHERE s_w_id = ? AND s_i_id = ?",
-                    &[p_i(new_qty), p_i(*supply_w), p_i(*i_id)],
-                )?;
-                cn.execute(
-                    "INSERT INTO order_line VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    INSERT_ORDER_LINE,
                     &[
                         p_i(w),
                         p_i(d),
@@ -443,20 +411,11 @@ impl Tpcc {
         let c_last = self.last_name(rng);
 
         run_txn(conn, |cn| {
-            cn.execute(
-                "UPDATE warehouse SET w_ytd = w_ytd + ? WHERE w_id = ?",
-                &[p_f(amount), p_i(w)],
-            )?;
-            cn.execute(
-                "UPDATE district SET d_ytd = d_ytd + ? WHERE d_w_id = ? AND d_id = ?",
-                &[p_f(amount), p_i(w), p_i(d)],
-            )?;
+            cn.execute(UPDATE_WAREHOUSE_YTD, &[p_f(amount), p_i(w)])?;
+            cn.execute(UPDATE_DISTRICT_YTD, &[p_f(amount), p_i(w), p_i(d)])?;
             // Customer selection: 60% by last name (middle row), 40% by id.
             let cid = if by_name {
-                let rs = cn.query(
-                    "SELECT c_id FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_last = ? ORDER BY c_first",
-                    &[p_i(w), p_i(d), p_s(c_last.clone())],
-                )?;
+                let rs = cn.query(GET_CUSTOMER_BY_NAME, &[p_i(w), p_i(d), p_s(c_last.clone())])?;
                 if rs.is_empty() {
                     return Ok(TxnOutcome::UserAborted);
                 }
@@ -465,12 +424,11 @@ impl Tpcc {
                 c_id
             };
             cn.execute(
-                "UPDATE customer SET c_balance = c_balance - ?, c_ytd_payment = c_ytd_payment + ?, \
-                 c_payment_cnt = c_payment_cnt + 1 WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
+                UPDATE_CUSTOMER_PAYMENT,
                 &[p_f(amount), p_f(amount), p_i(w), p_i(d), p_i(cid)],
             )?;
             cn.execute(
-                "INSERT INTO history VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                INSERT_HISTORY,
                 &[
                     p_i(h_id),
                     p_i(cid),
@@ -495,10 +453,7 @@ impl Tpcc {
 
         run_txn(conn, |cn| {
             let cid = if by_name {
-                let rs = cn.query(
-                    "SELECT c_id FROM customer WHERE c_w_id = ? AND c_d_id = ? AND c_last = ? ORDER BY c_first",
-                    &[p_i(w), p_i(d), p_s(c_last.clone())],
-                )?;
+                let rs = cn.query(GET_CUSTOMER_BY_NAME, &[p_i(w), p_i(d), p_s(c_last.clone())])?;
                 if rs.is_empty() {
                     return Ok(TxnOutcome::UserAborted);
                 }
@@ -506,16 +461,9 @@ impl Tpcc {
             } else {
                 c_id
             };
-            let orders = cn.query(
-                "SELECT o_id FROM orders WHERE o_w_id = ? AND o_d_id = ? AND o_c_id = ? \
-                 ORDER BY o_id DESC LIMIT 1",
-                &[p_i(w), p_i(d), p_i(cid)],
-            )?;
+            let orders = cn.query(GET_LAST_ORDER, &[p_i(w), p_i(d), p_i(cid)])?;
             if let Some(o_id) = orders.get_int(0, "o_id") {
-                cn.query(
-                    "SELECT * FROM order_line WHERE ol_w_id = ? AND ol_d_id = ? AND ol_o_id = ?",
-                    &[p_i(w), p_i(d), p_i(o_id)],
-                )?;
+                cn.query(GET_ORDER_LINES, &[p_i(w), p_i(d), p_i(o_id)])?;
             }
             Ok(TxnOutcome::Committed)
         })
@@ -529,39 +477,18 @@ impl Tpcc {
             let mut delivered_any = false;
             for d in 1..=DISTRICTS_PER_WAREHOUSE {
                 // Oldest undelivered order.
-                let rs = cn.query(
-                    "SELECT no_o_id FROM new_order WHERE no_w_id = ? AND no_d_id = ? \
-                     ORDER BY no_o_id LIMIT 1",
-                    &[p_i(w), p_i(d)],
-                )?;
+                let rs = cn.query(GET_OLDEST_NEW_ORDER, &[p_i(w), p_i(d)])?;
                 let Some(o_id) = rs.get_int(0, "no_o_id") else { continue };
                 delivered_any = true;
-                cn.execute(
-                    "DELETE FROM new_order WHERE no_w_id = ? AND no_d_id = ? AND no_o_id = ?",
-                    &[p_i(w), p_i(d), p_i(o_id)],
-                )?;
-                let order = cn.query(
-                    "SELECT o_c_id FROM orders WHERE o_w_id = ? AND o_d_id = ? AND o_id = ?",
-                    &[p_i(w), p_i(d), p_i(o_id)],
-                )?;
+                cn.execute(DELETE_NEW_ORDER, &[p_i(w), p_i(d), p_i(o_id)])?;
+                let order = cn.query(GET_ORDER_CUSTOMER, &[p_i(w), p_i(d), p_i(o_id)])?;
                 let c_id = order.get_int(0, "o_c_id").unwrap_or(1);
-                cn.execute(
-                    "UPDATE orders SET o_carrier_id = ? WHERE o_w_id = ? AND o_d_id = ? AND o_id = ?",
-                    &[p_i(carrier), p_i(w), p_i(d), p_i(o_id)],
-                )?;
+                cn.execute(UPDATE_ORDER_CARRIER, &[p_i(carrier), p_i(w), p_i(d), p_i(o_id)])?;
                 let total = cn
-                    .query(
-                        "SELECT SUM(ol_amount) AS t FROM order_line \
-                         WHERE ol_w_id = ? AND ol_d_id = ? AND ol_o_id = ?",
-                        &[p_i(w), p_i(d), p_i(o_id)],
-                    )?
+                    .query(SUM_ORDER_LINES, &[p_i(w), p_i(d), p_i(o_id)])?
                     .get_f64(0, "t")
                     .unwrap_or(0.0);
-                cn.execute(
-                    "UPDATE customer SET c_balance = c_balance + ?, c_delivery_cnt = c_delivery_cnt + 1 \
-                     WHERE c_w_id = ? AND c_d_id = ? AND c_id = ?",
-                    &[p_f(total), p_i(w), p_i(d), p_i(c_id)],
-                )?;
+                cn.execute(UPDATE_CUSTOMER_DELIVERY, &[p_f(total), p_i(w), p_i(d), p_i(c_id)])?;
             }
             Ok(if delivered_any { TxnOutcome::Committed } else { TxnOutcome::UserAborted })
         })
@@ -574,18 +501,10 @@ impl Tpcc {
 
         run_txn(conn, |cn| {
             let next = cn
-                .query(
-                    "SELECT d_next_o_id FROM district WHERE d_w_id = ? AND d_id = ?",
-                    &[p_i(w), p_i(d)],
-                )?
+                .query(GET_NEXT_O_ID, &[p_i(w), p_i(d)])?
                 .get_int(0, "d_next_o_id")
                 .unwrap_or(1);
-            cn.query(
-                "SELECT COUNT(DISTINCT ol.ol_i_id) AS low FROM order_line ol JOIN stock s \
-                 ON ol.ol_i_id = s.s_i_id WHERE ol.ol_w_id = ? AND ol.ol_d_id = ? \
-                 AND ol.ol_o_id >= ? AND s.s_w_id = ? AND s.s_quantity < ?",
-                &[p_i(w), p_i(d), p_i(next - 20), p_i(w), p_i(threshold)],
-            )?;
+            cn.query(STOCK_LEVEL_JOIN, &[p_i(w), p_i(d), p_i(next - 20), p_i(w), p_i(threshold)])?;
             Ok(TxnOutcome::Committed)
         })
     }
@@ -736,16 +655,6 @@ mod tests {
         let mut rng = Rng::new(8);
         for idx in 0..5 {
             w.execute(idx, &mut conn, &mut rng).unwrap();
-        }
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
         }
     }
 }

@@ -6,10 +6,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::Rng;
 
-use crate::helpers::{p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_i, p_s, run_txn, statements};
 
 const NUM_CONTESTANTS: i64 = 12;
 const MAX_VOTES_PER_PHONE: i64 = 10;
@@ -32,39 +32,24 @@ impl Voter {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_contestants",
-        "CREATE TABLE contestants (contestant_number INT PRIMARY KEY, contestant_name VARCHAR(50) NOT NULL)",
-    );
-    cat.define(
-        "create_area_code_state",
-        "CREATE TABLE area_code_state (area_code INT PRIMARY KEY, state VARCHAR(2) NOT NULL)",
-    );
-    cat.define(
-        "create_votes",
-        "CREATE TABLE votes (vote_id INT PRIMARY KEY, phone_number INT NOT NULL, \
-         state VARCHAR(2) NOT NULL, contestant_number INT NOT NULL, created INT NOT NULL)",
-    );
-    cat.define("create_votes_phone_idx", "CREATE INDEX idx_votes_phone ON votes (phone_number)");
-    cat.define(
-        "check_contestant",
-        "SELECT contestant_number FROM contestants WHERE contestant_number = ?",
-    );
-    cat.define(
-        "check_vote_count",
-        "SELECT COUNT(*) AS n FROM votes WHERE phone_number = ?",
-    );
-    cat.define(
-        "get_state",
-        "SELECT state FROM area_code_state WHERE area_code = ?",
-    );
-    cat.define(
-        "insert_vote",
-        "INSERT INTO votes (vote_id, phone_number, state, contestant_number, created) VALUES (?, ?, ?, ?, ?)",
-    );
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_CONTESTANTS = "CREATE TABLE contestants (contestant_number INT PRIMARY KEY, \
+        contestant_name VARCHAR(50) NOT NULL)";
+    CREATE_AREA_CODE_STATE =
+        "CREATE TABLE area_code_state (area_code INT PRIMARY KEY, state VARCHAR(2) NOT NULL)";
+    CREATE_VOTES = "CREATE TABLE votes (vote_id INT PRIMARY KEY, phone_number INT NOT NULL, \
+        state VARCHAR(2) NOT NULL, contestant_number INT NOT NULL, created INT NOT NULL)";
+    CREATE_VOTES_PHONE_IDX = "CREATE INDEX idx_votes_phone ON votes (phone_number)";
+    // First sent by the loader.
+    LOAD_CONTESTANT = "INSERT INTO contestants VALUES (?, ?)";
+    LOAD_AREA_CODE = "INSERT INTO area_code_state VALUES (?, ?)";
+    // First sent by a transaction.
+    CHECK_CONTESTANT = "SELECT contestant_number FROM contestants WHERE contestant_number = ?";
+    CHECK_VOTE_COUNT = "SELECT COUNT(*) AS n FROM votes WHERE phone_number = ?";
+    GET_STATE = "SELECT state FROM area_code_state WHERE area_code = ?";
+    INSERT_VOTE = "INSERT INTO votes (vote_id, phone_number, state, contestant_number, created) \
+        VALUES (?, ?, ?, ?, ?)";
 }
 
 impl Workload for Voter {
@@ -85,16 +70,7 @@ impl Workload for Voter {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in [
-            "create_contestants",
-            "create_area_code_state",
-            "create_votes",
-            "create_votes_phone_idx",
-        ] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
@@ -104,17 +80,11 @@ impl Workload for Voter {
             "Kurt Walser", "Ericka Dieter", "Loraine Nygren", "Tania Mattioli",
         ];
         for (i, name) in NAMES.iter().enumerate() {
-            conn.execute(
-                "INSERT INTO contestants VALUES (?, ?)",
-                &[p_i(i as i64 + 1), p_s(*name)],
-            )?;
+            conn.execute(LOAD_CONTESTANT, &[p_i(i as i64 + 1), p_s(*name)])?;
         }
         let areas = ((BASE_AREA_CODES as f64 * scale) as i64).max(10);
         for code in 0..areas {
-            conn.execute(
-                "INSERT INTO area_code_state VALUES (?, ?)",
-                &[p_i(200 + code), p_s(bp_util::text::state(rng))],
-            )?;
+            conn.execute(LOAD_AREA_CODE, &[p_i(200 + code), p_s(bp_util::text::state(rng))])?;
         }
         self.area_codes.store(areas, Ordering::Relaxed);
         Ok(LoadSummary { tables: 3, rows: (NAMES.len() as i64 + areas) as u64 })
@@ -135,33 +105,21 @@ impl Workload for Voter {
         let vote_id = self.vote_id.fetch_add(1, Ordering::Relaxed);
 
         run_txn(conn, |c| {
-            let found = c.query(
-                "SELECT contestant_number FROM contestants WHERE contestant_number = ?",
-                &[p_i(contestant)],
-            )?;
+            let found = c.query(CHECK_CONTESTANT, &[p_i(contestant)])?;
             if found.is_empty() {
                 return Ok(TxnOutcome::UserAborted);
             }
-            let votes = c
-                .query(
-                    "SELECT COUNT(*) AS n FROM votes WHERE phone_number = ?",
-                    &[p_i(phone)],
-                )?
-                .get_int(0, "n")
-                .unwrap_or(0);
+            let votes = c.query(CHECK_VOTE_COUNT, &[p_i(phone)])?.get_int(0, "n").unwrap_or(0);
             if votes >= MAX_VOTES_PER_PHONE {
                 return Ok(TxnOutcome::UserAborted);
             }
             let state = c
-                .query(
-                    "SELECT state FROM area_code_state WHERE area_code = ?",
-                    &[p_i(area_code)],
-                )?
+                .query(GET_STATE, &[p_i(area_code)])?
                 .get_str(0, "state")
                 .unwrap_or("XX")
                 .to_string();
             c.execute(
-                "INSERT INTO votes (vote_id, phone_number, state, contestant_number, created) VALUES (?, ?, ?, ?, ?)",
+                INSERT_VOTE,
                 &[p_i(vote_id), p_i(phone), p_s(state), p_i(contestant), p_i(0)],
             )?;
             Ok(TxnOutcome::Committed)
@@ -226,16 +184,5 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rs.get_int(0, "n"), Some(0));
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                let sql = cat.resolve(name, d).unwrap();
-                bp_sql::parse(&sql).unwrap_or_else(|e| panic!("{name}/{d:?}: {e}"));
-            }
-        }
     }
 }

@@ -5,10 +5,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::{Rng, Zipf};
 
-use crate::helpers::{p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_i, p_s, run_txn, statements};
 
 const BASE_PAGES: i64 = 300;
 const BASE_USERS: i64 = 100;
@@ -46,49 +46,34 @@ impl Wikipedia {
     }
 }
 
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_useracct",
-        "CREATE TABLE wp_user (user_id INT PRIMARY KEY, user_name VARCHAR(32) NOT NULL, \
-         user_touched INT)",
-    );
-    cat.define(
-        "create_page",
-        "CREATE TABLE page (page_id INT PRIMARY KEY, page_title VARCHAR(64) NOT NULL, \
-         page_latest INT NOT NULL, page_touched INT)",
-    );
-    cat.define("create_page_title_idx", "CREATE UNIQUE INDEX idx_page_title ON page (page_title)");
-    cat.define(
-        "create_revision",
-        "CREATE TABLE revision (rev_id INT PRIMARY KEY, rev_page INT NOT NULL, rev_text_id INT NOT NULL, \
-         rev_user INT, rev_timestamp INT)",
-    );
-    cat.define("create_revision_page_idx", "CREATE INDEX idx_rev_page ON revision (rev_page)");
-    cat.define(
-        "create_text",
-        "CREATE TABLE wp_text (old_id INT PRIMARY KEY, old_text VARCHAR(4096) NOT NULL)",
-    );
-    cat.define(
-        "create_watchlist",
-        "CREATE TABLE watchlist (wl_user INT NOT NULL, wl_page INT NOT NULL, PRIMARY KEY (wl_user, wl_page))",
-    );
-    cat.define("select_page", "SELECT * FROM page WHERE page_id = ?");
-    cat.define(
-        "select_page_revision",
-        "SELECT r.rev_id, t.old_text FROM revision r JOIN wp_text t ON r.rev_text_id = t.old_id \
-         WHERE r.rev_id = ?",
-    );
-    cat.define("select_watchlist", "SELECT wl_page FROM watchlist WHERE wl_user = ? LIMIT 50");
-    cat.define("insert_watchlist", "INSERT INTO watchlist VALUES (?, ?)");
-    cat.define("delete_watchlist", "DELETE FROM watchlist WHERE wl_user = ? AND wl_page = ?");
-    cat.define("insert_text", "INSERT INTO wp_text VALUES (?, ?)");
-    cat.define("insert_revision", "INSERT INTO revision VALUES (?, ?, ?, ?, ?)");
-    cat.define(
-        "update_page_latest",
-        "UPDATE page SET page_latest = ?, page_touched = ? WHERE page_id = ?",
-    );
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_USERACCT = "CREATE TABLE wp_user (user_id INT PRIMARY KEY, \
+        user_name VARCHAR(32) NOT NULL, user_touched INT)";
+    CREATE_PAGE = "CREATE TABLE page (page_id INT PRIMARY KEY, page_title VARCHAR(64) NOT NULL, \
+        page_latest INT NOT NULL, page_touched INT)";
+    CREATE_PAGE_TITLE_IDX = "CREATE UNIQUE INDEX idx_page_title ON page (page_title)";
+    CREATE_REVISION = "CREATE TABLE revision (rev_id INT PRIMARY KEY, rev_page INT NOT NULL, \
+        rev_text_id INT NOT NULL, rev_user INT, rev_timestamp INT)";
+    CREATE_REVISION_PAGE_IDX = "CREATE INDEX idx_rev_page ON revision (rev_page)";
+    CREATE_TEXT = "CREATE TABLE wp_text (old_id INT PRIMARY KEY, old_text VARCHAR(4096) NOT NULL)";
+    CREATE_WATCHLIST = "CREATE TABLE watchlist (wl_user INT NOT NULL, wl_page INT NOT NULL, \
+        PRIMARY KEY (wl_user, wl_page))";
+    // First sent by the loader.
+    LOAD_USER = "INSERT INTO wp_user VALUES (?, ?, ?)";
+    INSERT_TEXT = "INSERT INTO wp_text VALUES (?, ?)";
+    INSERT_REVISION = "INSERT INTO revision VALUES (?, ?, ?, ?, ?)";
+    LOAD_PAGE = "INSERT INTO page VALUES (?, ?, ?, ?)";
+    INSERT_WATCHLIST = "INSERT INTO watchlist VALUES (?, ?)";
+    // First sent by a transaction.
+    SELECT_PAGE = "SELECT page_latest FROM page WHERE page_id = ?";
+    SELECT_PAGE_REVISION = "SELECT r.rev_id, t.old_text FROM revision r JOIN wp_text t \
+        ON r.rev_text_id = t.old_id WHERE r.rev_id = ?";
+    SELECT_USER = "SELECT * FROM wp_user WHERE user_id = ?";
+    SELECT_WATCHLIST = "SELECT wl_page FROM watchlist WHERE wl_user = ? LIMIT 50";
+    DELETE_WATCHLIST = "DELETE FROM watchlist WHERE wl_user = ? AND wl_page = ?";
+    LOCK_PAGE = "SELECT page_id FROM page WHERE page_id = ? FOR UPDATE";
+    UPDATE_PAGE_LATEST = "UPDATE page SET page_latest = ?, page_touched = ? WHERE page_id = ?";
 }
 
 impl Workload for Wikipedia {
@@ -116,19 +101,7 @@ impl Workload for Wikipedia {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        for stmt in [
-            "create_useracct",
-            "create_page",
-            "create_page_title_idx",
-            "create_revision",
-            "create_revision_page_idx",
-            "create_text",
-            "create_watchlist",
-        ] {
-            conn.execute(&cat.resolve(stmt, bp_sql::Dialect::MySql).unwrap(), &[])?;
-        }
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
@@ -136,25 +109,16 @@ impl Workload for Wikipedia {
         let pages = ((BASE_PAGES as f64 * scale) as i64).max(10);
         let mut rows = 0u64;
         for u in 0..users {
-            conn.execute(
-                "INSERT INTO wp_user VALUES (?, ?, ?)",
-                &[p_i(u), p_s(format!("user_{u}")), p_i(0)],
-            )?;
+            conn.execute(LOAD_USER, &[p_i(u), p_s(format!("user_{u}")), p_i(0)])?;
             rows += 1;
         }
         for p in 0..pages {
+            conn.execute(INSERT_TEXT, &[p_i(p), p_s(bp_util::text::text(rng, 400))])?;
             conn.execute(
-                "INSERT INTO wp_text VALUES (?, ?)",
-                &[p_i(p), p_s(bp_util::text::text(rng, 400))],
-            )?;
-            conn.execute(
-                "INSERT INTO revision VALUES (?, ?, ?, ?, ?)",
+                INSERT_REVISION,
                 &[p_i(p), p_i(p), p_i(p), p_i(rng.int_range(0, users - 1)), p_i(0)],
             )?;
-            conn.execute(
-                "INSERT INTO page VALUES (?, ?, ?, ?)",
-                &[p_i(p), p_s(format!("Page_{p}")), p_i(p), p_i(0)],
-            )?;
+            conn.execute(LOAD_PAGE, &[p_i(p), p_s(format!("Page_{p}")), p_i(p), p_i(0)])?;
             rows += 3;
         }
         for u in 0..users {
@@ -162,7 +126,7 @@ impl Workload for Wikipedia {
             for _ in 0..rng.int_range(0, 10) {
                 let pg = rng.int_range(0, pages - 1);
                 if seen.insert(pg) {
-                    conn.execute("INSERT INTO watchlist VALUES (?, ?)", &[p_i(u), p_i(pg)])?;
+                    conn.execute(INSERT_WATCHLIST, &[p_i(u), p_i(pg)])?;
                     rows += 1;
                 }
             }
@@ -179,33 +143,25 @@ impl Workload for Wikipedia {
         match txn_idx {
             // GetPageAnonymous: page -> latest revision -> text.
             0 => run_txn(conn, |c| {
-                let rs = c.query("SELECT page_latest FROM page WHERE page_id = ?", &[p_i(page)])?;
+                let rs = c.query(SELECT_PAGE, &[p_i(page)])?;
                 let Some(rev) = rs.get_int(0, "page_latest") else {
                     return Ok(TxnOutcome::UserAborted);
                 };
-                c.query(
-                    "SELECT r.rev_id, t.old_text FROM revision r JOIN wp_text t \
-                     ON r.rev_text_id = t.old_id WHERE r.rev_id = ?",
-                    &[p_i(rev)],
-                )?;
+                c.query(SELECT_PAGE_REVISION, &[p_i(rev)])?;
                 Ok(TxnOutcome::Committed)
             }),
             // GetPageAuthenticated: also touches the user + their watchlist.
             1 => run_txn(conn, |c| {
-                c.query("SELECT * FROM wp_user WHERE user_id = ?", &[p_i(user)])?;
-                c.query("SELECT wl_page FROM watchlist WHERE wl_user = ? LIMIT 50", &[p_i(user)])?;
-                let rs = c.query("SELECT page_latest FROM page WHERE page_id = ?", &[p_i(page)])?;
+                c.query(SELECT_USER, &[p_i(user)])?;
+                c.query(SELECT_WATCHLIST, &[p_i(user)])?;
+                let rs = c.query(SELECT_PAGE, &[p_i(page)])?;
                 if let Some(rev) = rs.get_int(0, "page_latest") {
-                    c.query(
-                        "SELECT r.rev_id, t.old_text FROM revision r JOIN wp_text t \
-                         ON r.rev_text_id = t.old_id WHERE r.rev_id = ?",
-                        &[p_i(rev)],
-                    )?;
+                    c.query(SELECT_PAGE_REVISION, &[p_i(rev)])?;
                 }
                 Ok(TxnOutcome::Committed)
             }),
             2 => run_txn(conn, |c| {
-                match c.execute("INSERT INTO watchlist VALUES (?, ?)", &[p_i(user), p_i(page)]) {
+                match c.execute(INSERT_WATCHLIST, &[p_i(user), p_i(page)]) {
                     Ok(_) => Ok(TxnOutcome::Committed),
                     Err(bp_sql::SqlError::Storage(bp_storage::StorageError::DuplicateKey { .. })) => {
                         Ok(TxnOutcome::UserAborted)
@@ -214,12 +170,7 @@ impl Workload for Wikipedia {
                 }
             }),
             3 => run_txn(conn, |c| {
-                let n = c
-                    .execute(
-                        "DELETE FROM watchlist WHERE wl_user = ? AND wl_page = ?",
-                        &[p_i(user), p_i(page)],
-                    )?
-                    .affected();
+                let n = c.execute(DELETE_WATCHLIST, &[p_i(user), p_i(page)])?.affected();
                 Ok(if n == 0 { TxnOutcome::UserAborted } else { TxnOutcome::Committed })
             }),
             // UpdatePage: new text + new revision + bump page_latest.
@@ -227,19 +178,16 @@ impl Workload for Wikipedia {
                 let rev = self.next_rev.fetch_add(1, Ordering::Relaxed);
                 let body = bp_util::text::text(rng, 400);
                 run_txn(conn, |c| {
-                    let exists = c.query("SELECT page_id FROM page WHERE page_id = ? FOR UPDATE", &[p_i(page)])?;
+                    let exists = c.query(LOCK_PAGE, &[p_i(page)])?;
                     if exists.is_empty() {
                         return Ok(TxnOutcome::UserAborted);
                     }
-                    c.execute("INSERT INTO wp_text VALUES (?, ?)", &[p_i(rev), p_s(body.clone())])?;
+                    c.execute(INSERT_TEXT, &[p_i(rev), p_s(body.clone())])?;
                     c.execute(
-                        "INSERT INTO revision VALUES (?, ?, ?, ?, ?)",
+                        INSERT_REVISION,
                         &[p_i(rev), p_i(page), p_i(rev), p_i(user), p_i(rev)],
                     )?;
-                    c.execute(
-                        "UPDATE page SET page_latest = ?, page_touched = ? WHERE page_id = ?",
-                        &[p_i(rev), p_i(rev), p_i(page)],
-                    )?;
+                    c.execute(UPDATE_PAGE_LATEST, &[p_i(rev), p_i(rev), p_i(page)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -259,17 +207,6 @@ mod tests {
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 0.2, &mut Rng::new(1)).unwrap();
         (w, conn)
-    }
-
-    #[test]
-    fn all_transactions_run() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..5 {
-            for _ in 0..10 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
     }
 
     #[test]
@@ -305,15 +242,5 @@ mod tests {
         let ro: f64 = types.iter().filter(|t| t.read_only).map(|t| t.default_weight).sum();
         let total: f64 = types.iter().map(|t| t.default_weight).sum();
         assert!(ro / total > 0.98);
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                bp_sql::parse(&cat.resolve(name, d).unwrap()).unwrap();
-            }
-        }
     }
 }

