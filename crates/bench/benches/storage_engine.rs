@@ -7,7 +7,7 @@
 //! uncontended lock cycle less than one idle `notify_all`.
 
 use std::hint::black_box;
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 
 use bp_bench::timing::{bench, group};
 use bp_sql::Connection;
@@ -115,12 +115,12 @@ fn bench_index_scans() {
     let mut s = db.session();
     bench("secondary_eq_100rows", || {
         s.begin().unwrap();
-        let rowids = t.range(Some("t_grp"), &[Value::Int(42)], Bound::Unbounded, Bound::Unbounded, usize::MAX).unwrap();
+        let group = t.range(Some("t_grp"), &[Value::Int(42)], Bound::Unbounded, Bound::Unbounded);
         let mut rows = 0;
-        s.read_rows(&t, rowids, false, |_, _, row| {
+        s.read_rows(&t, group, false, false, |_, _, row| {
             rows += 1;
             black_box(row);
-            Ok::<(), StorageError>(())
+            Ok::<_, StorageError>(ControlFlow::Continue(()))
         })
         .unwrap();
         s.commit().unwrap();

@@ -10,13 +10,15 @@
 //! A row goes from its index entry to the result in one pass, and a stage
 //! the plan has nothing for costs nothing: a fetched row is the table's own
 //! ([`SharedRow`]), without a join it is the tuple, and under `SELECT *` it
-//! is the output row.
+//! is the output row. The pass ends where the answer does: the visitor that
+//! takes the rows says when it has the LIMIT-th, and a path whose key order
+//! is the order asked for is neither keyed nor sorted again.
 
 use std::collections::HashMap;
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
-use bp_storage::{Column, RowId, Session, SharedRow, TableSchema, Value};
+use bp_storage::{Column, RangeCursor, RowId, Session, SharedRow, Table, TableSchema, Value};
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
@@ -194,43 +196,35 @@ fn probe(key: &KeyExpr, params: &[Value]) -> Probe {
     }
 }
 
-/// Hand `visit` each candidate `(rowid, row)` of one table along its access
-/// path, locked as `for_update` says. The visitor gets the session back, to
-/// write the row it was shown.
-fn fetch(
-    session: &mut Session,
-    access: &TableAccess,
-    params: &[Value],
-    for_update: bool,
-    mut visit: impl FnMut(&mut Session, RowId, SharedRow) -> Result<()>,
-) -> Result<()> {
-    let table = &access.table;
+/// An access path with its key expressions evaluated for one execution.
+enum Probed<'a> {
+    /// The predicate compares a key column with NULL: no row passes it.
+    Nothing,
+    /// The primary key of the one row.
+    Point(Vec<Value>),
+    /// `whole`: every column the plan pins took its probe, so the cursor
+    /// yields rows in the order the plan counted on.
+    Range { cursor: RangeCursor<'a>, whole: bool },
+    Scan,
+}
+
+fn probe_path<'a>(access: &'a TableAccess, params: &[Value]) -> Probed<'a> {
     let (index, pinned, lo, hi) = match &access.path {
         AccessPath::Point(key) => (None, key, &Bound::Unbounded, &Bound::Unbounded),
         AccessPath::Range { index, prefix, lo, hi } => (index.as_deref(), prefix, lo, hi),
-        AccessPath::Scan => {
-            let rows = session.scan(table)?;
-            if !for_update {
-                return rows.into_iter().try_for_each(|(rid, row)| visit(session, rid, row));
-            }
-            // Re-lock each row exclusively.
-            return session.read_rows(table, rows.iter().map(|(rid, _)| *rid), true, visit);
-        }
+        AccessPath::Scan => return Probed::Scan,
     };
     let mut prefix = Vec::with_capacity(pinned.len());
     for key in pinned {
         match probe(key, params) {
-            Probe::Null => return Ok(()),
+            Probe::Null => return Probed::Nothing,
             Probe::Key(v) => prefix.push(v),
             Probe::Unusable => break,
         }
     }
     let whole = prefix.len() == pinned.len();
     if whole && matches!(access.path, AccessPath::Point(_)) {
-        return match session.read_pk_shared(table, &prefix, for_update)? {
-            Some((rid, row)) => visit(session, rid, row),
-            None => Ok(()),
-        };
+        return Probed::Point(prefix);
     }
     // Bounds are on the column after the whole prefix, or do not apply.
     let bound = |expr: &Bound<KeyExpr>| {
@@ -243,11 +237,49 @@ fn fetch(
     };
     let (lo, hi) = match whole.then(|| bound(lo).zip(bound(hi))) {
         Some(Some(bounds)) => bounds,
-        Some(None) => return Ok(()),
+        Some(None) => return Probed::Nothing,
         None => (Bound::Unbounded, Bound::Unbounded),
     };
-    let rowids = table.range(index, &prefix, lo.as_ref(), hi.as_ref(), usize::MAX)?;
-    session.read_rows(table, rowids, for_update, visit)
+    let cursor = access.table.range(index, &prefix, lo.as_ref(), hi.as_ref());
+    Probed::Range { cursor, whole }
+}
+
+/// Hand `visit` each candidate `(rowid, row)` of `table` along its probed
+/// path, locked as `for_update` says, until there are no more or the
+/// visitor breaks. The visitor gets the session back, to write the row it
+/// was shown. `in_key_order`: the caller takes the first rows it is shown
+/// for the first in key order (see [`Session::read_rows`]).
+fn fetch(
+    session: &mut Session,
+    table: &Arc<Table>,
+    probed: Probed<'_>,
+    for_update: bool,
+    in_key_order: bool,
+    mut visit: impl FnMut(&mut Session, RowId, SharedRow) -> Result<ControlFlow<()>>,
+) -> Result<()> {
+    match probed {
+        Probed::Nothing => {}
+        Probed::Point(key) => {
+            // The one row: there is nothing to stop short of.
+            if let Some((rid, row)) = session.read_pk_shared(table, &key, for_update)? {
+                let _ = visit(session, rid, row)?;
+            }
+        }
+        Probed::Range { cursor, .. } => session.read_rows(table, cursor, for_update, in_key_order, visit)?,
+        Probed::Scan => {
+            for (rid, mut row) in session.scan(table)? {
+                if for_update {
+                    // Re-lock each row exclusively.
+                    let Some(locked) = session.get_row(table, rid, true)? else { continue };
+                    row = locked;
+                }
+                if visit(session, rid, row)?.is_break() {
+                    break;
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// All of one table's candidates: a join needs both its sides whole.
@@ -258,9 +290,9 @@ fn fetch_all(
     for_update: bool,
 ) -> Result<Vec<SharedRow>> {
     let mut rows = Vec::new();
-    fetch(session, access, params, for_update, |_, _, row| {
+    fetch(session, &access.table, probe_path(access, params), for_update, false, |_, _, row| {
         rows.push(row);
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     })?;
     Ok(rows)
 }
@@ -276,19 +308,24 @@ fn build_row(n: usize, fill: impl FnOnce(&mut [Value]) -> Result<()>) -> Result<
 // ---- SELECT ----
 
 /// The output side of a SELECT: rows in the order they were produced, and
-/// beside each, when the plan sorts, the key it sorts by.
+/// beside each, when they are to be sorted, the key it sorts by.
 struct Output<'a> {
     sel: &'a SelectPlan,
     params: &'a [Value],
     /// `SELECT *` alone: the tuple is the output row.
     star_only: bool,
+    /// ORDER BY is not answered by the order the rows come in.
+    sorts: bool,
+    /// The row count that ends the fetch.
+    stop_at: Option<usize>,
     rows: Vec<SharedRow>,
     keys: Vec<Vec<Value>>,
 }
 
 impl Output<'_> {
-    /// Project one tuple — a fetched or joined row, or a group's row.
-    fn push(&mut self, t: SharedRow) -> Result<()> {
+    /// Project one tuple — a fetched or joined row, or a group's row — and
+    /// say whether more are wanted.
+    fn push(&mut self, t: SharedRow) -> Result<ControlFlow<()>> {
         let sel = self.sel;
         let scope = EvalScope::new(&t, self.params);
         let projected = if self.star_only {
@@ -313,7 +350,7 @@ impl Output<'_> {
         };
         // An ORDER BY expression may need the row the output was computed
         // from.
-        if !sel.order_by.is_empty() {
+        if self.sorts {
             let shown = projected.as_ref().unwrap_or(&t);
             let key = sel.order_by.iter().map(|(key, _)| match key {
                 SortKey::Output(i) => Ok(shown[*i].clone()),
@@ -322,50 +359,73 @@ impl Output<'_> {
             self.keys.push(key.collect::<Result<Vec<Value>>>()?);
         }
         self.rows.push(projected.unwrap_or(t));
-        Ok(())
+        Ok(if self.stop_at == Some(self.rows.len()) { ControlFlow::Break(()) } else { ControlFlow::Continue(()) })
     }
 }
 
 fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Result<ResultSet> {
+    let limit = match &sel.limit {
+        None => None,
+        Some(expr) => {
+            let n = eval(expr, &EvalScope::empty(params))?.as_int();
+            Some(n.ok_or_else(|| SqlError::Eval("LIMIT must be an integer".into()))?.max(0) as usize)
+        }
+    };
+    // One table: its rows are the tuples, as they are fetched.
+    let probed = match sel.tables.as_slice() {
+        [only] => Some(probe_path(only, params)),
+        _ => None,
+    };
+    // The plan may count on the path's order for ORDER BY — unless this
+    // execution could not pin what the plan pins, and reads a wider range in
+    // another order. Without a sort to come, the LIMIT-th row that passes
+    // the predicate is the last one wanted.
+    let cut_short = matches!(probed, Some(Probed::Range { whole: false, .. }));
+    let in_order = sel.sorted && !cut_short;
+    let sorts = !sel.order_by.is_empty() && !in_order;
+    let stop_at = limit.filter(|_| sel.limit_stops && !sorts);
     let star_only = matches!(sel.items.as_slice(), [None]);
-    let mut out = Output { sel, params, star_only, rows: Vec::new(), keys: Vec::new() };
+    let mut out = Output { sel, params, star_only, sorts, stop_at, rows: Vec::new(), keys: Vec::new() };
     let mut groups = sel.grouped.then(|| Groups::new(sel, params));
 
     // Every tuple of the FROM clause passes here once: every ON condition
     // and the full WHERE are re-applied, and what survives goes to its
     // group or straight to the output.
-    let mut tuple = |t: SharedRow| -> Result<()> {
+    let mut tuple = |t: SharedRow| -> Result<ControlFlow<()>> {
         let scope = EvalScope::new(&t, params);
         for f in &sel.filter {
             if !eval_filter(f, &scope)? {
-                return Ok(());
+                return Ok(ControlFlow::Continue(()));
             }
         }
         match &mut groups {
-            Some(groups) => groups.add(t),
+            Some(groups) => groups.add(t).map(ControlFlow::Continue),
             None => out.push(t),
         }
     };
-    match sel.tables.split_first() {
+    match (sel.tables.as_slice(), probed) {
+        // Nothing is wanted: nothing is read.
+        _ if stop_at == Some(0) => {}
         // Without FROM: one empty tuple.
-        None => tuple(Arc::from([]))?,
-        // One table: its rows are the tuples, as they are fetched.
-        Some((only, [])) => fetch(session, only, params, sel.for_update, |_, _, row| tuple(row))?,
+        ([], _) => tuple(Arc::from([])).map(drop)?,
+        ([only], Some(probed)) => {
+            fetch(session, &only.table, probed, sel.for_update, in_order, |_, _, row| tuple(row))?
+        }
         // Fetch the driving table, then join each further table on.
-        Some((first, rest)) => {
+        ([first, rest @ ..], _) => {
             let mut tuples = fetch_all(session, first, params, sel.for_update)?;
             for (access, equi) in rest.iter().zip(&sel.joins) {
                 tuples = join(&tuples, &fetch_all(session, access, params, false)?, equi);
             }
-            tuples.into_iter().try_for_each(&mut tuple)?;
+            tuples.into_iter().try_for_each(|t| tuple(t).map(drop))?;
         }
     }
     if let Some(groups) = groups {
-        groups.finish().try_for_each(|row| out.push(row))?;
+        groups.finish().try_for_each(|row| out.push(row?).map(drop))?;
     }
     let Output { mut rows, keys, .. } = out;
 
-    if !sel.order_by.is_empty() {
+    if sorts {
         let mut order: Vec<usize> = (0..rows.len()).collect();
         order.sort_by(|&a, &b| {
             let by_key = keys[a].iter().zip(&keys[b]).zip(&sel.order_by);
@@ -376,12 +436,8 @@ fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Res
         });
         rows = order.into_iter().map(|i| Arc::clone(&rows[i])).collect();
     }
-
-    if let Some(limit_expr) = &sel.limit {
-        let n = eval(limit_expr, &EvalScope::empty(params))?
-            .as_int()
-            .ok_or_else(|| SqlError::Eval("LIMIT must be an integer".into()))?;
-        rows.truncate(n.max(0) as usize);
+    if let Some(n) = limit {
+        rows.truncate(n);
     }
 
     Ok(ResultSet { columns: sel.columns.clone(), rows })
@@ -415,7 +471,8 @@ fn join(left: &[SharedRow], right: &[SharedRow], equi: &[(usize, usize)]) -> Vec
 struct Accumulator {
     count: u64,
     sum: f64,
-    sum_i: i64,
+    /// The sum of the integers; `None` once it no longer fits one.
+    sum_i: Option<i64>,
     int_only: bool,
     min: Option<Value>,
     max: Option<Value>,
@@ -427,7 +484,7 @@ impl Accumulator {
         Accumulator {
             count: 0,
             sum: 0.0,
-            sum_i: 0,
+            sum_i: Some(0),
             int_only: true,
             min: None,
             max: None,
@@ -448,7 +505,7 @@ impl Accumulator {
         match v {
             Value::Int(i) => {
                 self.sum += *i as f64;
-                self.sum_i = self.sum_i.wrapping_add(*i);
+                self.sum_i = self.sum_i.and_then(|sum| sum.checked_add(*i));
             }
             Value::Float(f) => {
                 self.sum += f;
@@ -464,14 +521,15 @@ impl Accumulator {
         }
     }
 
-    fn result(&self, func: AggFunc) -> Value {
-        match func {
+    fn result(&self, func: AggFunc) -> Result<Value> {
+        Ok(match func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => {
                 if self.count == 0 {
                     Value::Null
                 } else if self.int_only {
-                    Value::Int(self.sum_i)
+                    // As `a + b` over the same integers would have failed.
+                    Value::Int(self.sum_i.ok_or_else(|| SqlError::Eval("integer overflow".into()))?)
                 } else {
                     Value::Float(self.sum)
                 }
@@ -485,7 +543,7 @@ impl Accumulator {
             }
             AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
             AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-        }
+        })
     }
 }
 
@@ -527,7 +585,7 @@ impl<'a> Groups<'a> {
     /// One row per group: the group's first tuple followed by the result of
     /// each of the plan's aggregate calls — the row the select list of a
     /// grouped query was bound against.
-    fn finish(mut self) -> impl Iterator<Item = SharedRow> + 'a {
+    fn finish(mut self) -> impl Iterator<Item = Result<SharedRow>> + 'a {
         // A global aggregate over an empty input still yields one row.
         if self.groups.is_empty() && self.sel.group_by.is_empty() {
             let nulls = std::iter::repeat_n(Value::Null, self.sel.width).collect();
@@ -535,8 +593,14 @@ impl<'a> Groups<'a> {
         }
         let aggs = &self.sel.aggs;
         self.groups.into_iter().map(move |(first, accs)| {
-            let results = accs.iter().zip(aggs).map(|(acc, call)| acc.result(call.func));
-            first.iter().cloned().chain(results).collect()
+            build_row(first.len() + aggs.len(), |row| {
+                let (tuple, results) = row.split_at_mut(first.len());
+                tuple.clone_from_slice(&first);
+                for (result, (acc, call)) in results.iter_mut().zip(accs.iter().zip(aggs)) {
+                    *result = acc.result(call.func)?;
+                }
+                Ok(())
+            })
         })
     }
 }
@@ -545,29 +609,45 @@ impl<'a> Groups<'a> {
 
 fn exec_write(session: &mut Session, w: &WritePlan, params: &[Value]) -> Result<StatementResult> {
     let table = &w.access.table;
-    let mut count = 0u64;
-    fetch(session, &w.access, params, true, |session, rid, row| {
-        let scope = EvalScope::new(&row, params);
-        if let Some(filter) = &w.filter {
-            if !eval_filter(filter, &scope)? {
-                return Ok(());
-            }
-        }
+    let write = |session: &mut Session, rid: RowId, row: &SharedRow| -> Result<()> {
         match &w.sets {
             Some(sets) => {
                 // The stored row is shared: the update modifies a copy of
                 // its own, and every new value sees the row as it was.
+                let scope = EvalScope::new(row, params);
                 let mut new_row = row.to_vec();
                 for (pos, e) in sets {
                     new_row[*pos] = eval(e, &scope)?;
                 }
-                session.update(table, rid, new_row)?;
+                Ok(session.update(table, rid, new_row)?)
             }
-            None => session.delete(table, rid)?,
+            None => Ok(session.delete(table, rid)?),
+        }
+    };
+    let probed = probe_path(&w.access, params);
+    // A range is read to its end before its first row is written: it is
+    // read a chunk at a time, and an UPDATE that moves a row ahead in the
+    // index it is read by would meet the row again.
+    let read_first = matches!(probed, Probed::Range { .. });
+    let mut matched = Vec::new();
+    let mut count = 0u64;
+    fetch(session, table, probed, true, false, |session, rid, row| {
+        if let Some(filter) = &w.filter {
+            if !eval_filter(filter, &EvalScope::new(&row, params))? {
+                return Ok(ControlFlow::Continue(()));
+            }
+        }
+        if read_first {
+            matched.push((rid, row));
+        } else {
+            write(session, rid, &row)?;
         }
         count += 1;
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     })?;
+    for (rid, row) in &matched {
+        write(session, *rid, row)?;
+    }
     Ok(StatementResult::Affected(count))
 }
 
@@ -718,6 +798,26 @@ mod tests {
     }
 
     #[test]
+    fn sum_overflows_as_addition_does() {
+        let db = Database::new(Personality::test());
+        let mut c = Connection::open(&db);
+        c.execute_batch("CREATE TABLE big (id INT PRIMARY KEY, n INT, f FLOAT);").unwrap();
+        for id in 0..2 {
+            c.execute("INSERT INTO big VALUES (?, ?, 0.5)", &[Value::Int(id), Value::Int(i64::MAX)]).unwrap();
+        }
+        let added = c.query("SELECT n + n AS s FROM big WHERE id = 0", &[]).unwrap_err();
+        let summed = c.query("SELECT SUM(n) AS s FROM big", &[]).unwrap_err();
+        assert_eq!(summed.to_string(), added.to_string());
+        assert!(summed.to_string().contains("integer overflow"), "{summed}");
+        // Only the integer sum is lost: what does not ask for it is answered.
+        let rs = c.query("SELECT COUNT(n) AS k, AVG(n) AS a, MAX(n) AS m, SUM(f) AS f FROM big", &[]).unwrap();
+        assert_eq!(rs.get_int(0, "k"), Some(2));
+        assert_eq!(rs.get_f64(0, "a"), Some(i64::MAX as f64));
+        assert_eq!(rs.get_int(0, "m"), Some(i64::MAX));
+        assert_eq!(rs.get_f64(0, "f"), Some(1.0));
+    }
+
+    #[test]
     fn count_distinct() {
         let mut c = conn();
         let rs = c.query("SELECT COUNT(DISTINCT i_cat) AS n FROM item", &[]).unwrap();
@@ -859,6 +959,17 @@ mod tests {
         let err = c2.execute("UPDATE t SET v = 9 WHERE id = 1", &[]).unwrap_err();
         assert!(err.is_retryable());
         c.commit().unwrap();
+    }
+
+    #[test]
+    fn an_update_meets_each_row_once_though_it_moves_them_along_its_index() {
+        let mut c = conn();
+        // `sale_item` orders the rows this reads, and every row it writes
+        // moves ahead of all that are still to be read.
+        let n = c.execute("UPDATE sale SET s_item = s_item + 1000 WHERE s_item >= 0", &[]).unwrap().affected();
+        assert_eq!(n, 100);
+        let rs = c.query("SELECT MIN(s_item) AS lo, MAX(s_item) AS hi FROM sale", &[]).unwrap();
+        assert_eq!((rs.get_int(0, "lo"), rs.get_int(0, "hi")), (Some(1000), Some(1049)));
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! predicate is always re-applied to fetched rows, so paths are purely an
 //! optimization.
 //!
+//! A query of one table also learns how much of its path it needs: whether
+//! the path's key order is the order ORDER BY asks for ([`SelectPlan::sorted`]),
+//! and whether the fetch may end with the LIMIT-th row that passes the
+//! predicate ([`SelectPlan::limit_stops`]).
+//!
 //! A plan is stamped with [`Database::schema_version`] and bound again when
 //! the stamp has moved on (see [`crate::connection::Prepared`]).
 
@@ -43,7 +48,11 @@ impl Plan {
     pub(crate) fn scanning(mut self) -> Plan {
         match &mut self.kind {
             PlanKind::Insert(_) => {}
-            PlanKind::Select(sel) => sel.tables.iter_mut().for_each(|t| t.path = AccessPath::Scan),
+            PlanKind::Select(sel) => {
+                sel.tables.iter_mut().for_each(|t| t.path = AccessPath::Scan);
+                // And read to the end, then sorted, then cut.
+                (sel.sorted, sel.limit_stops) = (false, false);
+            }
             PlanKind::Write(w) => w.access.path = AccessPath::Scan,
         }
         self
@@ -132,6 +141,16 @@ pub(crate) struct SelectPlan {
     pub items: Vec<Option<Expr>>,
     pub columns: Arc<[String]>,
     pub order_by: Vec<(SortKey, bool)>,
+    /// The one table's path yields rows in the order `order_by` asks for:
+    /// every key is a plain ascending column, and together they are the
+    /// path's key columns right after the ones it pins. Rows that tie keep
+    /// index order, which is what a stable sort of them gives. Holds while
+    /// the execution pins every column the plan does (an unusable probe
+    /// cuts the prefix short, and the order with it).
+    pub sorted: bool,
+    /// The fetch may end with the `limit`-th row that passes the predicate:
+    /// one table, no groups, and either no order asked for or `sorted`.
+    pub limit_stops: bool,
     pub limit: Option<Expr>,
 }
 
@@ -423,7 +442,7 @@ fn bind_select(db: &Database, sel: &Select) -> Result<SelectPlan> {
     }
     // ORDER BY prefers output columns (aliases; qualification is dropped for
     // the lookup) and otherwise sorts by an expression of its own.
-    let order_by = sel
+    let order_by: Vec<(SortKey, bool)> = sel
         .order_by
         .iter()
         .map(|ob| {
@@ -435,6 +454,8 @@ fn bind_select(db: &Database, sel: &Select) -> Result<SelectPlan> {
         })
         .collect();
 
+    let streams = tables.len() == 1 && !grouped;
+    let sorted = streams && in_path_order(&tables[0], &items, &order_by);
     Ok(SelectPlan {
         joins,
         filter,
@@ -446,9 +467,56 @@ fn bind_select(db: &Database, sel: &Select) -> Result<SelectPlan> {
         aggs,
         items,
         columns: columns.into(),
+        sorted,
+        limit_stops: streams && sel.limit.is_some() && (order_by.is_empty() || sorted),
         order_by,
         limit: sel.limit.clone(),
     })
+}
+
+/// Whether `order_by` — of an ungrouped query of this one table — asks for
+/// the order its range path has: ascending, by the key columns that follow
+/// the pinned ones. A descending key is left to the sort: no statement that
+/// asks for one has an index in that order.
+fn in_path_order(access: &TableAccess, items: &[Option<Expr>], order_by: &[(SortKey, bool)]) -> bool {
+    let AccessPath::Range { index, prefix, .. } = &access.path else { return false };
+    let table = &access.table;
+    let indexes = table.index_defs();
+    let key_columns = match index {
+        None => &table.schema.primary_key,
+        Some(name) => match indexes.iter().find(|def| def.name == *name) {
+            Some(def) => &def.key_columns,
+            None => return false,
+        },
+    };
+    // The table column an ORDER BY key is, if it is nothing more.
+    let column = |key: &SortKey| match key {
+        SortKey::Row(Expr::Slot(c)) => Some(*c),
+        SortKey::Row(_) => None,
+        SortKey::Output(i) => output_column(items, table.schema.arity(), *i),
+    };
+    let next = key_columns.get(prefix.len()..).unwrap_or(&[]);
+    !order_by.is_empty()
+        && order_by.len() <= next.len()
+        && order_by.iter().zip(next).all(|((key, desc), col)| !desc && column(key) == Some(*col))
+}
+
+/// The column of a one-table query's tuple that output column `i` is a copy
+/// of, if it is one: `*` spans the whole tuple, `width` columns.
+fn output_column(items: &[Option<Expr>], width: usize, i: usize) -> Option<usize> {
+    let mut first = 0;
+    for item in items {
+        let spans = if item.is_none() { width } else { 1 };
+        if i < first + spans {
+            return match item {
+                None => Some(i - first),
+                Some(Expr::Slot(c)) => Some(*c),
+                Some(_) => None,
+            };
+        }
+        first += spans;
+    }
+    None
 }
 
 /// Equi-join conditions `(slot in the joined tuple so far, right column)`
@@ -514,7 +582,9 @@ mod tests {
     }
 
     /// The path of each table of `sql`, in FROM order: `point(..)`, `scan`,
-    /// or `range(key: pinned..; bounds)` with parameters as `?n` from 1.
+    /// or `range(key: pinned..; bounds)` with parameters as `?n` from 1 —
+    /// followed, for a query, by ` sorted` when the path's order answers
+    /// ORDER BY and ` limit` when the fetch ends at LIMIT.
     fn paths(db: &Database, sql: &str) -> Vec<String> {
         fn key(k: &KeyExpr) -> String {
             match &k.expr {
@@ -542,7 +612,11 @@ mod tests {
             }
         };
         match bind(db, &crate::parser::parse(sql).unwrap()).unwrap().kind {
-            PlanKind::Select(sel) => sel.tables.iter().map(describe).collect(),
+            PlanKind::Select(sel) => {
+                let facts = [(sel.sorted, " sorted"), (sel.limit_stops, " limit")];
+                let facts: String = facts.iter().filter(|(holds, _)| *holds).map(|(_, fact)| *fact).collect();
+                sel.tables.iter().map(|access| describe(access) + &facts).collect()
+            }
             PlanKind::Write(w) => vec![describe(&w.access)],
             PlanKind::Insert(_) => Vec::new(),
         }
@@ -561,11 +635,10 @@ mod tests {
             ),
             "range(pk: ?1, ?2; >= ?3) | range(pk: ?4)"
         );
-        // tpcc Delivery: the oldest new order is the first of the range (which
-        // ORDER BY .. LIMIT 1 does not yet stop at).
+        // tpcc Delivery: the oldest new order is the first of the range.
         assert_eq!(
             path("SELECT no_o_id FROM new_order WHERE no_w_id = ? AND no_d_id = ? ORDER BY no_o_id LIMIT 1"),
-            "range(pk: ?1, ?2)"
+            "range(pk: ?1, ?2) sorted limit"
         );
         assert_eq!(
             path("DELETE FROM new_order WHERE no_w_id = ? AND no_d_id = ? AND no_o_id = ?"),
@@ -583,7 +656,7 @@ mod tests {
         // ycsb Scan.
         assert_eq!(
             path("SELECT * FROM usertable WHERE ycsb_key >= ? AND ycsb_key < ? LIMIT 100"),
-            "range(pk: ; >= ?1; < ?2)"
+            "range(pk: ; >= ?1; < ?2) limit"
         );
         assert_eq!(path("SELECT * FROM usertable WHERE ycsb_key = ?"), "point(?1)");
         assert_eq!(path("SELECT * FROM usertable WHERE field0 = 'x'"), "scan");

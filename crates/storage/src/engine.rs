@@ -9,6 +9,7 @@
 //! under the workloads the testbed drives.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::result::Result as StdResult;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,7 +30,8 @@ use crate::recovery::{
     RedoOp,
 };
 use crate::schema::{IndexDef, TableSchema};
-use crate::table::{RowId, Table};
+use crate::key::Key;
+use crate::table::{RangeCursor, RowId, Table};
 use crate::value::{Row, SharedRow, Value};
 use crate::wal::Wal;
 
@@ -151,6 +153,7 @@ impl Database {
             tables: Vec::new(),
             undo: Vec::new(),
             redo: Vec::new(),
+            chunk: Vec::new(),
             rng: Rng::new(seed),
         }
     }
@@ -408,7 +411,7 @@ struct Txn {
 
 /// A connection-like handle bound to one thread of execution.
 ///
-/// The four lists are the active transaction's and empty between
+/// The first four lists are the active transaction's and empty between
 /// transactions: [`Session::end`] empties them and the next transaction
 /// fills them again without growing them from nothing.
 pub struct Session {
@@ -422,8 +425,16 @@ pub struct Session {
     undo: Vec<Undo>,
     /// The commit's redo record, in operation order.
     redo: Vec<RedoOp>,
+    /// The index entries a range read is working through; empty between
+    /// reads.
+    chunk: Vec<(Key, RowId)>,
     rng: Rng,
 }
+
+/// How many index entries a range read copies at first, and at most: each
+/// chunk is four times the one before.
+const FIRST_CHUNK: usize = 8;
+const MAX_CHUNK: usize = 512;
 
 /// The longest list a session keeps the room of. What a bulk transaction
 /// grew past that is freed when it ends, so a loader session does not pin
@@ -705,24 +716,53 @@ impl Session {
         Ok(self.read_pk_shared(table, key, for_update)?.map(|(rowid, row)| (rowid, row.to_vec())))
     }
 
-    /// Hand `visit` each of `rowids` that still holds a row, in their order
-    /// ([`Table::range`]'s, for a range read), S-locking it (X-locking when
-    /// `for_update`) before it is read. The visitor gets the session back,
-    /// to write the row it was shown.
+    /// Hand `visit` each row of `cursor` ([`Table::range`]) that is still
+    /// there, in key order, S-locking it (X-locking when `for_update`)
+    /// before it is read, until the cursor is done or the visitor breaks.
+    /// The visitor gets the session back, to write the row it was shown.
+    ///
+    /// Entries come from the index a chunk at a time, short chunks first: a
+    /// reader that stops after one row copies a handful of entries, one that
+    /// reads thousands refills a buffer the session keeps. No latch is held
+    /// while a row lock is waited for, so the row an entry names may have
+    /// gone, or its slot been filled again, by the time it is read. A reader
+    /// that takes the first rows for the lowest keys (`in_key_order`) is
+    /// shown a row only if it still has the key its entry was found under;
+    /// any other reader re-applies its whole predicate to what it is shown.
     pub fn read_rows<E: From<StorageError>>(
         &mut self,
         table: &Arc<Table>,
-        rowids: impl IntoIterator<Item = RowId>,
+        mut cursor: RangeCursor<'_>,
         for_update: bool,
-        mut visit: impl FnMut(&mut Session, RowId, SharedRow) -> StdResult<(), E>,
+        in_key_order: bool,
+        mut visit: impl FnMut(&mut Session, RowId, SharedRow) -> StdResult<ControlFlow<()>, E>,
     ) -> StdResult<(), E> {
         self.ensure_reading()?;
-        for rowid in rowids {
-            if let Some(row) = self.get_row(table, rowid, for_update)? {
-                visit(self, rowid, row)?;
+        // The visitor has the session, so the chunk is not in it meanwhile.
+        let mut chunk = std::mem::take(&mut self.chunk);
+        let mut read = || -> StdResult<(), E> {
+            let mut max = FIRST_CHUNK;
+            loop {
+                table.next_chunk(&mut cursor, max, &mut chunk)?;
+                if chunk.is_empty() {
+                    return Ok(());
+                }
+                for (key, rowid) in &chunk {
+                    let Some(row) = self.get_row(table, *rowid, for_update)? else { continue };
+                    if in_key_order && !table.is_at(&cursor, key, &row) {
+                        continue;
+                    }
+                    if visit(self, *rowid, row)?.is_break() {
+                        return Ok(());
+                    }
+                }
+                max = (max * 4).min(MAX_CHUNK);
             }
-        }
-        Ok(())
+        };
+        let done = read();
+        chunk.clear();
+        self.chunk = chunk;
+        done
     }
 
     /// Full table scan under a table-level S lock.
@@ -848,6 +888,7 @@ mod tests {
     use super::*;
     use crate::schema::Column;
     use crate::value::DataType;
+    use std::ops::Bound;
 
     fn db() -> Arc<Database> {
         let db = Database::new(Personality::test());
@@ -1298,7 +1339,8 @@ mod tests {
         // rows at all.
         let read = |s: &mut Session, ranged: bool| {
             if ranged {
-                s.read_rows(&t, [], false, |_, _, _| Err(StorageError::RowGone))
+                let none = t.range(None, &miss, Bound::Unbounded, Bound::Unbounded);
+                s.read_rows(&t, none, false, false, |_, _, _| Err(StorageError::RowGone))
             } else {
                 s.read_pk(&t, &miss, false).map(|found| assert_eq!(found, None))
             }
@@ -1327,6 +1369,69 @@ mod tests {
             assert_eq!(read(&mut s, ranged), Ok(()));
             s.commit().unwrap();
         }
+    }
+
+    /// Delivery frees `new_order` slots and NewOrder fills them again: a
+    /// reader that takes "the first row" must not be shown the newest one
+    /// because it sits where an older one was.
+    #[test]
+    fn an_entry_whose_slot_was_filled_again_is_skipped_by_a_reader_in_key_order() {
+        let ids = |in_key_order: bool| {
+            let db = db();
+            let t = acct(&db);
+            let mut s = db.session();
+            s.with_txn(|s| (1..=3).try_for_each(|id| s.insert(&t, vec![Value::Int(id), Value::Int(0)]).map(|_| ())))
+                .unwrap();
+            let mut seen = Vec::new();
+            s.begin().unwrap();
+            let all = t.range(None, &[], Bound::Unbounded, Bound::Unbounded);
+            s.read_rows(&t, all, false, in_key_order, |_, _, row| {
+                // The entries of rows 1 to 3 have been copied and row 1 is
+                // locked. Someone else deletes row 2 and puts row 9 where it
+                // was, before this reader gets to that slot.
+                if seen.is_empty() {
+                    let mut other = db.session();
+                    let freed = other.with_txn(|o| {
+                        let (rowid, _) = o.read_pk(&t, &[Value::Int(2)], true)?.expect("row 2");
+                        o.delete(&t, rowid).map(|()| rowid)
+                    })?;
+                    let filled = other.with_txn(|o| o.insert(&t, vec![Value::Int(9), Value::Int(0)]))?;
+                    assert_eq!(freed, filled);
+                }
+                seen.push(row[0].as_int().unwrap());
+                Ok::<_, StorageError>(ControlFlow::Continue(()))
+            })
+            .unwrap();
+            s.commit().unwrap();
+            seen
+        };
+        assert_eq!(ids(true), [1, 3]);
+        // A reader that only filters what it is shown is shown what is there.
+        assert_eq!(ids(false), [1, 9, 3]);
+    }
+
+    #[test]
+    fn a_range_read_stops_when_its_visitor_breaks_and_holds_no_latch_meanwhile() {
+        let db = db();
+        let t = acct(&db);
+        let mut s = db.session();
+        s.with_txn(|s| (0..100).try_for_each(|id| s.insert(&t, vec![Value::Int(id), Value::Int(0)]).map(|_| ())))
+            .unwrap();
+        let before = db.metrics().snapshot().rows_read;
+        s.begin().unwrap();
+        let all = t.range(None, &[], Bound::Unbounded, Bound::Unbounded);
+        let mut shown = 0;
+        s.read_rows(&t, all, false, false, |s, rowid, _| {
+            // A write latches the table: it would not return if the read
+            // still held the latch its chunk was copied under.
+            s.update(&t, rowid, vec![Value::Int(rowid as i64), Value::Int(1)])?;
+            shown += 1;
+            Ok::<_, StorageError>(if shown == 3 { ControlFlow::Break(()) } else { ControlFlow::Continue(()) })
+        })
+        .unwrap();
+        s.commit().unwrap();
+        assert_eq!(shown, 3);
+        assert_eq!(db.metrics().snapshot().rows_read - before, 3, "the rows behind the third are not read");
     }
 
     #[test]

@@ -32,5 +32,5 @@ pub use recovery::{
     CheckpointStats, CrashPoint, RecoveryReport, RecoveryStats, RecoveryStatus,
 };
 pub use schema::{Column, IndexDef, TableSchema};
-pub use table::{RowId, Table};
+pub use table::{RangeCursor, RowId, Table};
 pub use value::{DataType, Row, SharedRow, Value};

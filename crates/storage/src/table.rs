@@ -68,6 +68,46 @@ impl IndexState {
     }
 }
 
+/// Where a range read ([`Table::range`]) stands: what is left of it is the
+/// entries from `start` — without the first `seen` rows under that very key,
+/// which were handed out — up to `end`. It holds no latch and nothing of the
+/// table: each chunk finds its place again by key, so entries that come or go
+/// between two chunks are seen or not like any other concurrent write. The
+/// one thing it counts is rows under a single secondary key, where a row
+/// removed ahead of the count makes the cursor pass over one it has not
+/// shown; it never shows a row twice.
+#[derive(Debug)]
+pub struct RangeCursor<'a> {
+    /// The secondary index it reads, looked up by name under the latch each
+    /// chunk takes anyway; `None` is the primary key.
+    index: Option<&'a str>,
+    start: Key,
+    seen: usize,
+    end: Key,
+    done: bool,
+}
+
+/// Copy up to `max` `(key, rowid)` entries into `out`, skipping the first
+/// `from.1` rows under the key `from.0`. Returns where the entries that did
+/// not fit start; `None` when all did.
+fn fill<'a>(
+    from: (&Key, usize),
+    entries: impl Iterator<Item = (&'a Key, &'a [RowId])>,
+    max: usize,
+    out: &mut Vec<(Key, RowId)>,
+) -> Option<(Key, usize)> {
+    for (key, rows) in entries {
+        let seen = if key == from.0 { from.1 } else { 0 };
+        for (at, rowid) in rows.iter().enumerate().skip(seen) {
+            if out.len() == max {
+                return Some((key.clone(), at));
+            }
+            out.push((key.clone(), *rowid));
+        }
+    }
+    None
+}
+
 #[derive(Debug, Default)]
 struct TableData {
     /// A stored row is never mutated, only replaced: whoever was handed the
@@ -245,20 +285,20 @@ impl Table {
         Ok(d.indexes[pos].map.get(&Key::encode(key)).cloned().unwrap_or_default())
     }
 
-    /// Up to `limit` rows, in key order, whose key in `index` (`None`: the
-    /// primary key) starts with `prefix` and has its next column within
+    /// A cursor over the rows, in key order, whose key in `index` (`None`:
+    /// the primary key) starts with `prefix` and has its next column within
     /// `lo` and `hi`: a composite-key prefix scan (all order lines of one
     /// order), a range scan, or both at once (the order lines of a
     /// district's last twenty orders). Typed like [`Table::lookup_pk`].
-    /// Bounds that are the wrong way round select nothing.
-    pub fn range(
+    /// Bounds that are the wrong way round select nothing. Nothing is read,
+    /// nor latched, until [`Table::next_chunk`] is called.
+    pub fn range<'a>(
         &self,
-        index: Option<&str>,
+        index: Option<&'a str>,
         prefix: &[Value],
         lo: Bound<&Value>,
         hi: Bound<&Value>,
-        limit: usize,
-    ) -> Result<Vec<RowId>> {
+    ) -> RangeCursor<'a> {
         let mut start = KeyWriter::default();
         prefix.iter().for_each(|v| start.value(v));
         let mut end = start.clone();
@@ -280,19 +320,53 @@ impl Table {
             Bound::Unbounded => end.push(0xFF),
         }
         let (start, end) = (start.finish(), end.finish());
-        if start >= end {
-            // `k >= 9 AND k < 3` with caller-supplied values, which
-            // `BTreeMap::range` panics on.
-            return Ok(Vec::new());
+        // `k >= 9 AND k < 3` with caller-supplied values, which
+        // `BTreeMap::range` panics on, is a cursor that is done already.
+        let done = start >= end;
+        RangeCursor { index, start, seen: 0, end, done }
+    }
+
+    /// Replace `out` with the next entries of `cursor`, at most `max` of
+    /// them, and move the cursor past them; none are left when `out` comes
+    /// back empty. The latch is held for the copy and no longer: whoever
+    /// goes on to wait for a row lock does not keep the writer that holds it
+    /// from finishing. So an entry is a hint — by the time its row is read,
+    /// the slot may be vacant or hold another row ([`Table::is_at`]).
+    pub fn next_chunk(&self, cursor: &mut RangeCursor<'_>, max: usize, out: &mut Vec<(Key, RowId)>) -> Result<()> {
+        out.clear();
+        if cursor.done {
+            return Ok(());
         }
+        let max = max.max(1);
         let d = self.data.read();
-        Ok(match index {
-            None => d.pk.range(start..end).map(|(_, r)| *r).take(limit).collect(),
+        let keys = (Bound::Included(&cursor.start), Bound::Excluded(&cursor.end));
+        let from = (&cursor.start, cursor.seen);
+        let next = match cursor.index {
+            None => fill(from, d.pk.range(keys).map(|(k, r)| (k, std::slice::from_ref(r))), max, out),
             Some(name) => {
-                let pos = Self::index_pos(&d, name)?;
-                d.indexes[pos].map.range(start..end).flat_map(|(_, rows)| rows).copied().take(limit).collect()
+                let index = &d.indexes[Self::index_pos(&d, name)?];
+                fill(from, index.map.range(keys).map(|(k, rows)| (k, &rows[..])), max, out)
             }
-        })
+        };
+        match next {
+            Some((start, seen)) => (cursor.start, cursor.seen) = (start, seen),
+            None => cursor.done = true,
+        }
+        Ok(())
+    }
+
+    /// Whether `row` has the key an entry of `cursor` was found under. A
+    /// reader that relies on the cursor's order asks once it holds the row's
+    /// lock: a slot freed and filled again since the entry was copied holds
+    /// a row that belongs elsewhere in the order, or nowhere in the range.
+    pub fn is_at(&self, cursor: &RangeCursor<'_>, key: &Key, row: &[Value]) -> bool {
+        match cursor.index {
+            None => key_of(&self.schema.primary_key, row) == *key,
+            Some(name) => {
+                let d = self.data.read();
+                Self::index_pos(&d, name).is_ok_and(|pos| d.indexes[pos].key_of(row) == *key)
+            }
+        }
     }
 
     /// Materialized full scan: every live row, shared with the table.
@@ -394,6 +468,19 @@ mod tests {
         t
     }
 
+    /// Every row id `cursor` has left, read three entries at a time.
+    fn drain(t: &Table, mut cursor: RangeCursor<'_>) -> Vec<RowId> {
+        let (mut chunk, mut all) = (Vec::new(), Vec::new());
+        loop {
+            t.next_chunk(&mut cursor, 3, &mut chunk).unwrap();
+            assert!(chunk.len() <= 3);
+            if chunk.is_empty() {
+                return all;
+            }
+            all.extend(chunk.iter().map(|(_, rowid)| *rowid));
+        }
+    }
+
     #[test]
     fn inverted_ranges_are_empty() {
         let t = table();
@@ -404,7 +491,7 @@ mod tests {
             .unwrap();
         let (three, nine) = (Value::Int(3), Value::Int(9));
         let (inc, exc) = (Bound::Included, Bound::Excluded);
-        let count = |index, lo, hi| t.range(index, &[], lo, hi, usize::MAX).unwrap().len();
+        let count = |index, lo, hi| drain(&t, t.range(index, &[], lo, hi)).len();
         for index in [None, Some("by_id")] {
             assert_eq!(count(index, inc(&three), exc(&nine)), 6);
             for (lo, hi) in [(inc(&nine), exc(&three)), (inc(&nine), inc(&three)), (exc(&three), exc(&three))] {
@@ -509,10 +596,55 @@ mod tests {
         for i in 0..20 {
             t.insert(row(i, 0, "r")).unwrap();
         }
-        let got = t.range(None, &[], Bound::Included(&Value::Int(5)), Bound::Excluded(&Value::Int(10)), 100).unwrap();
+        let got = drain(&t, t.range(None, &[], Bound::Included(&Value::Int(5)), Bound::Excluded(&Value::Int(10))));
         assert_eq!(got, [5, 6, 7, 8, 9]);
-        let limited = t.range(None, &[], Bound::Unbounded, Bound::Unbounded, 7).unwrap();
-        assert_eq!(limited.len(), 7);
+        // A chunk is as long as it was asked to be, and the next one starts
+        // where it stopped.
+        let (mut cursor, mut chunk) = (t.range(None, &[], Bound::Unbounded, Bound::Unbounded), Vec::new());
+        for (max, rows) in [(7, 0..7), (1, 7..8), (100, 8..20), (100, 0..0)] {
+            t.next_chunk(&mut cursor, max, &mut chunk).unwrap();
+            assert_eq!(chunk.iter().map(|(_, rowid)| *rowid).collect::<Vec<_>>(), rows.collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_cursor_finds_its_place_again_by_key() {
+        let t = table();
+        // Twelve rows in one group and two in the next: chunks of three end
+        // inside a secondary key's rows.
+        let rowids: Vec<RowId> = (0..14).map(|id| t.insert(row(id, if id < 12 { 7 } else { 8 }, "r")).unwrap()).collect();
+        let whole = || t.range(Some("t_grp"), &[], Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(drain(&t, whole()), rowids);
+
+        // Between two chunks: rows that came are seen where their keys put
+        // them, rows that went are not, and none is seen twice.
+        let (mut cursor, mut chunk) = (whole(), Vec::new());
+        t.next_chunk(&mut cursor, 4, &mut chunk).unwrap();
+        assert_eq!(chunk.iter().map(|(_, rowid)| *rowid).collect::<Vec<_>>(), rowids[..4]);
+        assert!(chunk.iter().all(|(key, _)| *key == Key::encode(&[Value::Int(7)])));
+        t.delete(rowids[5]).unwrap();
+        t.delete(rowids[13]).unwrap();
+        let behind = t.insert(row(20, 6, "behind the cursor")).unwrap();
+        let ahead = t.insert(row(21, 7, "ahead of it")).unwrap();
+        assert_eq!((behind, ahead), (rowids[13], rowids[5]), "freed slots are filled again");
+        let mut left = rowids[4..13].to_vec();
+        left.retain(|r| *r != rowids[5]);
+        left.insert(7, ahead); // the last of group 7, before the one row of group 8
+        assert_eq!(drain(&t, cursor), left);
+    }
+
+    #[test]
+    fn an_entry_is_checked_against_the_row_its_slot_holds() {
+        let t = table();
+        let a = t.insert(row(1, 7, "a")).unwrap();
+        for index in [None, Some("t_grp")] {
+            let (mut cursor, mut chunk) = (t.range(index, &[], Bound::Unbounded, Bound::Unbounded), Vec::new());
+            t.next_chunk(&mut cursor, 8, &mut chunk).unwrap();
+            let (key, rowid) = &chunk[0];
+            assert_eq!(*rowid, a);
+            assert!(t.is_at(&cursor, key, &t.get(a).unwrap()));
+            assert!(!t.is_at(&cursor, key, &row(2, 8, "another row in the slot")));
+        }
     }
 
     #[test]
@@ -540,23 +672,24 @@ mod tests {
                 t.insert(vec![Value::Int(o), Value::Int(n)]).unwrap();
             }
         }
-        let keys = |rows: Vec<RowId>| rows.iter().map(|r| t.get(*r).unwrap().to_vec()).collect::<Vec<Row>>();
+        let keys = |cursor| drain(&t, cursor).iter().map(|r| t.get(*r).unwrap().to_vec()).collect::<Vec<Row>>();
         for index in [None, Some("ol_on")] {
-            let all = keys(t.range(index, &[], Bound::Unbounded, Bound::Unbounded, 100).unwrap());
+            let all = keys(t.range(index, &[], Bound::Unbounded, Bound::Unbounded));
             assert!(all.is_sorted() && all.len() == 24, "{all:?}");
-            let pre = t.range(index, &[Value::Int(1)], Bound::Unbounded, Bound::Unbounded, 100).unwrap();
+            let pre = keys(t.range(index, &[Value::Int(1)], Bound::Unbounded, Bound::Unbounded));
             assert_eq!(pre.len(), 4);
             let one = Value::Int(1);
-            let tail = keys(t.range(index, &[Value::Int(255)], Bound::Excluded(&one), Bound::Unbounded, 100).unwrap());
+            let tail = keys(t.range(index, &[Value::Int(255)], Bound::Excluded(&one), Bound::Unbounded));
             assert_eq!(tail, [[Value::Int(255), Value::Int(2)], [Value::Int(255), Value::Int(3)]]);
-            let head = t.range(index, &[Value::Int(-1)], Bound::Unbounded, Bound::Included(&one), 100).unwrap();
+            let head = keys(t.range(index, &[Value::Int(-1)], Bound::Unbounded, Bound::Included(&one)));
             assert_eq!(head.len(), 2);
-            let from = keys(t.range(index, &[], Bound::Included(&Value::Int(255)), Bound::Unbounded, 3).unwrap());
-            assert_eq!(from.last().unwrap(), &[Value::Int(255), Value::Int(2)]);
+            let from = keys(t.range(index, &[], Bound::Included(&Value::Int(255)), Bound::Unbounded));
+            assert_eq!(from[2], [Value::Int(255), Value::Int(2)]);
             // A probe of another type than its column finds nothing.
-            assert!(t.range(index, &[Value::Float(1.0)], Bound::Unbounded, Bound::Unbounded, 100).unwrap().is_empty());
+            assert!(keys(t.range(index, &[Value::Float(1.0)], Bound::Unbounded, Bound::Unbounded)).is_empty());
         }
-        assert!(t.range(Some("nope"), &[], Bound::Unbounded, Bound::Unbounded, 1).is_err());
+        let mut nowhere = t.range(Some("nope"), &[], Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(t.next_chunk(&mut nowhere, 1, &mut Vec::new()), Err(StorageError::NoSuchIndex("nope".into())));
     }
 
     #[test]

@@ -36,7 +36,7 @@ echo "== lock table, optimised: exclusion under load is a race detector; the fas
 cargo test -q --release --offline -p bp-storage lock::
 cargo test -q --release --offline --test lock_fast_path
 
-echo "== read path, optimised: a ycsb point read allocates <= 4 times (its key, its result), readers hold the table's own row and keep what they read, a bulk transaction's buffers are not kept =="
+echo "== read path, optimised: a ycsb point read allocates <= 4 times (its key, its result), readers hold the table's own row and keep what they read, a bulk transaction's buffers are not kept, a range read allocates its result and nothing per row it reads =="
 cargo test -q --release --offline --test read_path_allocs
 
 echo "== paper §2.2 claims (E3 E4 E5 E8 E9): never above the target rate and within 10 % of it; read-only out-runs write mixtures lock-free; a neighbor slows a tenant; derby slowest, others fail nothing; API rate change lands in 3 s =="
@@ -72,11 +72,11 @@ echo "== trace (E18 gates: >= 99 % of slow requests retained within 2x the span 
 cargo test -q --offline -p bp-obs span
 cargo run -q --release --offline -p bp-bench --bin harness trace
 
-echo "== access paths, optimised: a planned statement returns what its scan returns; key bytes order as values do; StockLevel reads a 20-order window in every third of a tpcc run and an order_line row costs <= 330 live bytes =="
+echo "== access paths, optimised: a planned statement returns what its scan returns, a LIMIT that ends the fetch returns the sequence the sort would and reads <= LIMIT + rejected rows; key bytes order as values do; in every third of a tpcc run StockLevel reads a 20-order window and Delivery <= 160 rows a call (147 / 149 / 148; 237 / 319 / 353 with the whole range read), and an order_line row costs <= 330 live bytes =="
 cargo test -q --release --offline --test access_paths
 cargo test -q --release --offline --test tpcc_slope
 
-echo "== repo benchmark: perf/ builds against the crates unmodified, its tests and output checks pass, and exact counts repeat (what an engine change may move is workloads.allocs_per_tx, on all four workloads: 2.00 / 8.75 / 156.70 / 19.31 since rows are shared, from 18.00 / 21.34 / 304.75 / 36.29; storage.wal_bytes_per_tx, storage.rows_read_per_tx and storage.rows_written_per_tx must repeat exactly, as they did across that change: sharing a row changes who holds it, never which rows are read or what is written) =="
+echo "== repo benchmark: perf/ builds against the crates unmodified, its tests and output checks pass, and exact counts repeat (what an engine change may move is workloads.allocs_per_tx: 2.00 / 8.75 / 143.54 / 19.31 on ycsb_read_sat / smallbank_sat / tpcc_sat / voter_paced, tpcc_sat from 156.70 since a range is read through the session's chunk; storage.wal_bytes_per_tx and storage.rows_written_per_tx must repeat exactly, and so must storage.rows_read_per_tx: 1.00 / 2.54 / 38.80 / 2.00, which a read that stops at its LIMIT moved on tpcc_sat only, from 42.29 — Delivery no longer reads every undelivered order to find the oldest) =="
 cargo test -q --release --offline --manifest-path perf/Cargo.toml
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- check
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- counts --twice

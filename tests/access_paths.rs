@@ -7,6 +7,11 @@
 //! table is scanned and the whole predicate decides
 //! ([`Connection::prepare_scanning`]).
 //!
+//! *Stopping short*: a statement whose LIMIT ends its fetch — no ORDER BY,
+//! or one its path's key order answers — returns the sequence it returns
+//! when everything is read, sorted and cut, and reads no more rows than it
+//! returns and its predicate rejects on the way.
+//!
 //! *Codec*: `Key::encode` keeps `Value`'s order for tuples of one type
 //! signature, and the key of a tuple's prefix is a prefix of its key.
 
@@ -157,6 +162,12 @@ fn planned_statements_return_what_scans_return() {
                     format!("SELECT * FROM t WHERE {predicate} ORDER BY {} DESC LIMIT ?", order.join(" DESC, "))
                 }
                 4 => format!("SELECT * FROM t WHERE {predicate} ORDER BY {} FOR UPDATE", order.join(", ")),
+                // The whole key in its order: whatever path is taken, and
+                // however much of the order it answers, no two rows tie.
+                5 => {
+                    params.push(rng.choose(&[Value::Int(2), Value::Int(0), Value::Int(-1), Value::Int(500)]).clone());
+                    format!("SELECT * FROM t WHERE {predicate} ORDER BY {} LIMIT ?", order.join(", "))
+                }
                 _ => format!("SELECT * FROM t WHERE {predicate} ORDER BY {}", order.join(", ")),
             };
             let (planned, scanning) = (c.prepare(&sql).unwrap(), c.prepare_scanning(&sql).unwrap());
@@ -184,6 +195,130 @@ fn planned_statements_return_what_scans_return() {
     // The comparison means something only if paths were taken: most
     // statements constrain a leading key column.
     assert!(narrowed * 2 > statements, "{narrowed} of {statements} statements read less than their table");
+}
+
+// ---- LIMIT ends the fetch ----
+
+/// `t (a, b, c, g, h, v)` with primary key `(a, b, c)` and the index `t_gh`
+/// on `(g, h)`, where many rows share a key: fifty have `g = 1, h = 2`, so
+/// whatever the size of a cursor's first chunks, one ends among them. Slots
+/// are freed and filled again, so neither key order is rowid order.
+fn limited_table(rng: &mut Rng) -> (Arc<Database>, Connection) {
+    let db = Database::new(Personality::test());
+    let mut c = Connection::open(&db);
+    c.execute_batch(
+        "CREATE TABLE t (a INT, b INT, c INT, g INT, h INT, v INT, PRIMARY KEY (a, b, c)); \
+         CREATE INDEX t_gh ON t (g, h);",
+    )
+    .unwrap();
+    let insert = |c: &mut Connection, rng: &mut Rng, g: i64, h: i64| {
+        let row = [rng.int_range(0, 3), rng.int_range(0, 9), rng.int_range(0, 40), g, h, rng.int_range(0, 5)];
+        // Random keys collide; a refused duplicate is part of the history.
+        let _ = c.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?, ?)", &row.map(Value::Int));
+    };
+    for _ in 0..400 {
+        let (g, h) = (rng.int_range(0, 3), rng.int_range(0, 4));
+        insert(&mut c, rng, g, h);
+    }
+    c.execute("DELETE FROM t WHERE v = 5", &[]).unwrap();
+    for _ in 0..60 {
+        insert(&mut c, rng, 1, 2);
+    }
+    (db, c)
+}
+
+#[test]
+fn a_limit_ends_the_fetch_and_not_the_answer() {
+    // Where a path starts, what it is then ordered by, and a select list
+    // under which rows that tie in that order are equal rows: the sequence
+    // is then the same however ties fall.
+    let paths = [
+        ("a = ?", "b, c", "*"),
+        ("a = ?", "b", "b"),
+        ("a = ? AND b >= ?", "b, c", "*"),
+        ("g = ?", "h", "h"),
+        ("g >= ?", "g, h", "g, h"),
+        ("g = ? AND h > ?", "h", "g, h"),
+    ];
+    let residuals = ["", " AND v <> 0", " AND v > ?", " AND c % 2 = 1"];
+    let limits = [0, 1, 3, 9, 60, 10_000, -1];
+    let (mut stopped_short, mut cut_inside_the_first_chunk) = (0, 0);
+    for seed in 0..6u64 {
+        let mut rng = Rng::new(0x11_417 + seed);
+        let (db, mut c) = limited_table(&mut rng);
+        let run = |c: &mut Connection, p: &Prepared, params: &[Value]| {
+            let before = db.metrics().snapshot().rows_read;
+            let rows = c.query_prepared(p, params).unwrap().rows;
+            (rows, db.metrics().snapshot().rows_read - before)
+        };
+        for (pinned, order, list) in paths {
+            for residual in residuals {
+                let predicate = format!("{pinned}{residual}");
+                let mut params: Vec<Value> =
+                    (0..predicate.matches('?').count()).map(|_| Value::Int(rng.int_range(0, 3))).collect();
+                // Everything the path passes, in its order — the rows a scan
+                // passes — and how many the residual predicate rejects.
+                let unlimited = format!("SELECT {list} FROM t WHERE {predicate}");
+                let (whole, scanning) = (c.prepare(&unlimited).unwrap(), c.prepare_scanning(&unlimited).unwrap());
+                let (all, read_whole) = run(&mut c, &whole, &params);
+                let (mut by_scan, mut by_path) = (run(&mut c, &scanning, &params).0, all.clone());
+                by_scan.sort();
+                by_path.sort();
+                assert_eq!(by_path, by_scan, "seed {seed}: {unlimited} with {params:?}");
+                let rejected = read_whole - all.len() as u64;
+                params.push(Value::Int(*rng.choose(&limits)));
+                let n = params.last().unwrap().as_int().unwrap();
+
+                for ordered in [false, true] {
+                    let order_by = if ordered { format!(" ORDER BY {order}") } else { String::new() };
+                    let sql = format!("SELECT {list} FROM t WHERE {predicate}{order_by} LIMIT ?");
+                    let context = format!("seed {seed}: {sql} with {params:?}");
+                    let (planned, scanning) = (c.prepare(&sql).unwrap(), c.prepare_scanning(&sql).unwrap());
+                    let (rows, read) = run(&mut c, &planned, &params);
+                    if ordered {
+                        assert_eq!(rows, run(&mut c, &scanning, &params).0, "{context}");
+                    } else {
+                        // Any `n` rows answer; the path's first `n` are given.
+                        assert_eq!(rows, all[..all.len().min(n.max(0) as usize)], "{context}");
+                    }
+                    assert!(read <= n.max(0) as u64 + rejected, "{read} rows read, {rejected} rejected; {context}");
+                    stopped_short += (read < read_whole) as usize;
+                    cut_inside_the_first_chunk += (rejected > 0 && (1..8).contains(&n) && rows.len() as i64 == n) as usize;
+                }
+            }
+        }
+    }
+    assert!(stopped_short > 100, "{stopped_short} statements stopped short of their range");
+    assert!(cut_inside_the_first_chunk > 10, "{cut_inside_the_first_chunk}");
+}
+
+/// An execution that cannot pin what its plan pins reads a wider range, in
+/// another order than the plan counted on: it sorts, and reads to the end.
+#[test]
+fn a_cut_prefix_falls_back_to_the_sort() {
+    let (_, mut c) = limited_table(&mut Rng::new(0x11_417));
+    let sql = "SELECT * FROM t WHERE a = ? AND b = ? ORDER BY c LIMIT 4";
+    let (planned, scanning) = (c.prepare(sql).unwrap(), c.prepare_scanning(sql).unwrap());
+    // `2.5` is no INT: the path ends before `b`, and `b = 2.5` rejects
+    // every row; `'x'` fails the comparison once a row reaches it.
+    for b in [Value::Int(2), Value::Float(2.0), Value::Float(2.5), Value::Str("x".into()), Value::Null] {
+        let params = [Value::Int(1), b];
+        assert_eq!(outcome(&mut c, &planned, &params), outcome(&mut c, &scanning, &params), "{params:?}");
+    }
+    // A float too large to name one integer equals two of them: with the
+    // first column cut, their rows come in `(a, b)` order, not in `b` order.
+    let big = 1i64 << 53;
+    for (a, b) in [(big, 5), (big + 1, 1)] {
+        c.execute("INSERT INTO t VALUES (?, ?, 0, 0, 0, 0)", &[Value::Int(a), Value::Int(b)]).unwrap();
+    }
+    let sql = "SELECT a, b FROM t WHERE a = ? ORDER BY b LIMIT 1";
+    let (planned, scanning) = (c.prepare(sql).unwrap(), c.prepare_scanning(sql).unwrap());
+    for a in [[Value::Int(1)], [Value::Float(1.0)], [Value::Float(-0.0)]] {
+        assert_eq!(outcome(&mut c, &planned, &a), outcome(&mut c, &scanning, &a), "{a:?}");
+    }
+    let first = c.query_prepared(&planned, &[Value::Float(big as f64)]).unwrap();
+    assert_eq!(*first.rows[0], [Value::Int(big + 1), Value::Int(1)]);
+    assert_eq!(first, c.query_prepared(&scanning, &[Value::Float(big as f64)]).unwrap());
 }
 
 // ---- Codec ----

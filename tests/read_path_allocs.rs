@@ -129,3 +129,44 @@ fn a_bulk_transaction_does_not_leave_its_buffers_behind() {
     assert!(point_read(&mut session) > 0, "the bulk transaction's buffers were kept");
     assert_eq!(point_read(&mut session), 0);
 }
+
+/// `GET_ORDER_LINES` reads the five to fifteen lines of one order by a
+/// prefix of their primary key and returns them as they are stored. What it
+/// allocates beyond the list it returns them in — the probe key — is the
+/// same whatever the order: the entries of the range are read through the
+/// session's chunk, not collected into a list of the statement's own.
+#[test]
+fn a_range_read_allocates_for_its_result_and_nothing_per_row_it_reads() {
+    use benchpress::workloads::tpcc::{Tpcc, GET_ORDER_LINES};
+    let db = Database::new(Personality::test());
+    let mut conn = Connection::open(&db);
+    Tpcc::new().setup(&mut conn, 1.0, &mut Rng::new(7)).expect("load");
+    let lines = conn.prepare(GET_ORDER_LINES).expect("prepare");
+    // What a list of `n` rows costs to grow, one push at a time.
+    let list_of = |n: usize| {
+        let row: benchpress::storage::SharedRow = Arc::from([]);
+        allocations(|| drop(std::hint::black_box((0..n).map(|_| row.clone()).fold(Vec::new(), |mut list, r| {
+            list.push(r);
+            list
+        }))))
+    };
+
+    let mut beyond_the_list = std::collections::BTreeMap::new();
+    conn.begin().expect("begin");
+    for round in 0..2 {
+        // Every order the loader gave the first warehouse.
+        for order in 0..300 {
+            let key = [Value::Int(1), Value::Int(1 + order % 10), Value::Int(1 + order / 10)];
+            let mut rows = 0;
+            let allocated = allocations(|| rows = conn.query_prepared(&lines, &key).expect("read").len());
+            assert!((5..=15).contains(&rows), "{rows} lines in order {key:?}");
+            // The first round warms up: the plan, the session's lists.
+            if round == 1 {
+                *beyond_the_list.entry(allocated - list_of(rows)).or_insert(0) += 1;
+            }
+        }
+    }
+    conn.commit().expect("commit");
+    assert_eq!(beyond_the_list.len(), 1, "allocations beyond the result, and how often: {beyond_the_list:?}");
+    assert!(beyond_the_list.keys().all(|n| *n <= 2), "{beyond_the_list:?}");
+}
