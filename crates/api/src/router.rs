@@ -1,16 +1,13 @@
 //! The API router: endpoints, request/response model and handlers.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::str::FromStr;
 use std::sync::Arc;
 
 use bp_util::sync::RwLock;
 
 use bp_chaos::{ChaosController, FaultPlan};
-use bp_core::{
-    ControlLaw, Controller, MixturePreset, Rate, RecoveryConfig, SloConfig, SloTarget,
-    StatusSnapshot,
-};
+use bp_core::{Controller, MixturePreset, Rate, RecoveryConfig, SloConfig, StatusSnapshot};
 use bp_obs::{Event, EventJournal, MetricsRegistry, Severity};
 use bp_replay::{Artifact, ReplaySession, ReplayTiming};
 use bp_util::json::Json;
@@ -134,7 +131,9 @@ pub trait ReplayLauncher: Send + Sync {
 /// The API server: a named set of workload controllers plus an optional
 /// launcher and metrics provider.
 pub struct ApiServer {
-    workloads: RwLock<HashMap<String, Controller>>,
+    /// By id, so "the first registered workload" and every listing are in
+    /// id order.
+    workloads: RwLock<BTreeMap<String, Controller>>,
     launcher: Option<Arc<dyn Launcher>>,
     registry: Option<Arc<MetricsRegistry>>,
     chaos: RwLock<Option<Arc<ChaosController>>>,
@@ -217,98 +216,10 @@ fn rate_json(rate: Rate) -> Json {
     }
 }
 
-/// Build an [`SloConfig`] from a `POST /slo` body; every field falls back
-/// to the crate default.
-fn slo_config_from_json(body: &Json) -> Result<SloConfig, String> {
-    let mut cfg = SloConfig::default();
-    let limit_us = match body.get("limit_ms").and_then(Json::as_f64) {
-        Some(ms) if ms > 0.0 && ms.is_finite() => (ms * 1_000.0).round() as u64,
-        Some(_) => return Err("limit_ms must be a positive number".into()),
-        None => cfg.target.limit_us(),
-    };
-    let kind = body.get("target").and_then(Json::as_str).unwrap_or("p99");
-    cfg.target = SloTarget::parse(kind, limit_us)
-        .ok_or_else(|| format!("unknown target {kind}; known: p99, p50, max-throughput"))?;
-    if let Some(law) = body.get("law").and_then(Json::as_str) {
-        cfg.law =
-            ControlLaw::parse(law).ok_or_else(|| format!("unknown law {law}; known: aimd, pid"))?;
-    }
-    if let Some(w) = body.get("window_s").and_then(Json::as_u64) {
-        cfg.window_s = (w as usize).max(1);
-    }
-    if let Some(t) = body.get("tick_ms").and_then(Json::as_u64) {
-        cfg.tick_us = t.max(1) * 1_000;
-    }
-    if let Some(v) = body.get("min_rate").and_then(Json::as_f64) {
-        cfg.min_rate = v.max(0.0);
-    }
-    if let Some(v) = body.get("max_rate").and_then(Json::as_f64) {
-        cfg.max_rate = v;
-    }
-    if let Some(v) = body.get("initial_rate").and_then(Json::as_f64) {
-        cfg.initial_rate = v;
-    }
-    if let Some(v) = body.get("step").and_then(Json::as_f64) {
-        cfg.additive_step = v;
-    }
-    if let Some(v) = body.get("backoff").and_then(Json::as_f64) {
-        if !(0.0..1.0).contains(&v) || v == 0.0 {
-            return Err("backoff must be in (0, 1)".into());
-        }
-        cfg.backoff = v;
-    }
-    if let Some(v) = body.get("breaker_backoff").and_then(Json::as_f64) {
-        if !(0.0..1.0).contains(&v) || v == 0.0 {
-            return Err("breaker_backoff must be in (0, 1)".into());
-        }
-        cfg.breaker_backoff = v;
-    }
-    if let Some(v) = body.get("kp").and_then(Json::as_f64) {
-        cfg.kp = v;
-    }
-    if let Some(v) = body.get("ki").and_then(Json::as_f64) {
-        cfg.ki = v;
-    }
-    if let Some(v) = body.get("kd").and_then(Json::as_f64) {
-        cfg.kd = v;
-    }
-    if let Some(v) = body.get("min_samples").and_then(Json::as_u64) {
-        cfg.min_samples = v;
-    }
-    if cfg.max_rate < cfg.min_rate {
-        return Err("max_rate must be >= min_rate".into());
-    }
-    Ok(cfg)
-}
-
-/// The `GET /slo/status` body for one workload's SLO handle.
+/// The `GET /slo/status` body: the handle's own status under the id the
+/// workload is registered as.
 fn slo_status_json(id: &str, c: &Controller) -> Json {
-    let h = c.slo();
-    let (target, limit_us, law, window_s) = match h.config() {
-        Some(cfg) => (cfg.target.kind(), cfg.target.limit_us(), cfg.law.name(), cfg.window_s as u64),
-        None => ("none", 0, "none", 0),
-    };
-    Json::obj()
-        .set("workload", id)
-        .set("active", h.is_active())
-        .set("target", target)
-        .set("limit_us", limit_us)
-        .set("law", law)
-        .set("window_s", window_s)
-        .set("rate", h.current_rate())
-        .set("error", h.error())
-        .set("observed_us", h.observed_us())
-        .set("observed_throughput", h.observed_throughput())
-        .set("window_samples", h.window_samples())
-        .set("ticks", h.ticks())
-        .set(
-            "adjustments",
-            Json::obj()
-                .set("increase", h.increases())
-                .set("decrease", h.decreases())
-                .set("hold", h.holds())
-                .set("breaker_backoff", h.breaker_backoffs()),
-        )
+    c.slo().status_json().set("workload", id)
 }
 
 /// GET /healthz — process liveness. Always 200: if the router runs, the
@@ -362,7 +273,7 @@ fn recovery_status_json(id: &str, c: &Controller) -> Json {
 impl ApiServer {
     pub fn new() -> ApiServer {
         ApiServer {
-            workloads: RwLock::new(HashMap::new()),
+            workloads: RwLock::new(BTreeMap::new()),
             launcher: None,
             registry: None,
             chaos: RwLock::new(None),
@@ -408,10 +319,7 @@ impl ApiServer {
         if let Some(c) = self.chaos.read().clone() {
             return Some(c);
         }
-        let map = self.workloads.read();
-        let mut ids: Vec<&String> = map.keys().collect();
-        ids.sort();
-        ids.first().map(|id| map[*id].chaos().clone())
+        self.workloads.read().values().next().map(|c| c.chaos().clone())
     }
 
     pub fn with_launcher(mut self, launcher: Arc<dyn Launcher>) -> ApiServer {
@@ -452,9 +360,7 @@ impl ApiServer {
     }
 
     pub fn workload_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.workloads.read().keys().cloned().collect();
-        ids.sort();
-        ids
+        self.workloads.read().keys().cloned().collect()
     }
 
     /// Route and handle a request.
@@ -668,27 +574,21 @@ impl ApiServer {
                 Some(c) => Ok((id.to_string(), c.clone())),
                 None => Err(Response::error(404, &format!("unknown workload {id}"))),
             },
-            None => {
-                let mut ids: Vec<&String> = map.keys().collect();
-                ids.sort();
-                match ids.first() {
-                    Some(id) => Ok(((*id).clone(), map[*id].clone())),
-                    None => Err(Response::error(404, "no workloads registered")),
-                }
-            }
+            None => match map.iter().next() {
+                Some((id, c)) => Ok((id.clone(), c.clone())),
+                None => Err(Response::error(404, "no workloads registered")),
+            },
         }
     }
 
     /// POST /slo — arm the closed-loop admission controller on a workload.
-    /// Body (all fields optional): `{"target": "p99"|"p50"|"max-throughput",
-    /// "limit_ms": 50, "law": "aimd"|"pid", "window_s": 3, "tick_ms": 200,
-    /// "min_rate": 10, "max_rate": 5000, "initial_rate": 100, "step": 50,
-    /// "backoff": 0.7, "breaker_backoff": 0.5, "min_samples": 20,
-    /// "kp": .., "ki": .., "kd": .., "workload": "<id>"}`.
+    /// Body (all fields optional): `"workload": "<id>"` and the settings
+    /// [`SloConfig::with_settings`] reads, over the crate's defaults.
     fn slo_arm(&self, req: &Request, query: &str) -> Result<Response, Response> {
         let (id, c) = self.addressed_workload(req, query)?;
-        let body = req.body.clone().unwrap_or(Json::Null);
-        let cfg = slo_config_from_json(&body).map_err(|e| Response::error(400, &e))?;
+        let cfg = SloConfig::default()
+            .with_json(req.body.as_ref().unwrap_or(&Json::Null))
+            .map_err(|e| Response::error(400, &e))?;
         c.start_slo(cfg);
         if let Some(reg) = &self.registry {
             // Arc-pointer dedupe in the registry makes re-arming a no-op.
@@ -718,16 +618,13 @@ impl ApiServer {
     /// when to (re)start driving traffic.
     fn readyz(&self) -> Response {
         let map = self.workloads.read();
-        let mut ids: Vec<&String> = map.keys().collect();
-        ids.sort();
-        let mut crashed: Vec<Json> = Vec::new();
-        for id in &ids {
-            if map[*id].database().is_crashed() {
-                crashed.push(Json::Str((*id).clone()));
-            }
-        }
-        let ready = !ids.is_empty() && crashed.is_empty();
-        let reason = if ids.is_empty() {
+        let crashed: Vec<Json> = map
+            .iter()
+            .filter(|(_, c)| c.database().is_crashed())
+            .map(|(id, _)| Json::Str(id.clone()))
+            .collect();
+        let ready = !map.is_empty() && crashed.is_empty();
+        let reason = if map.is_empty() {
             "no workloads registered"
         } else if !crashed.is_empty() {
             "engine crashed; awaiting recovery"
@@ -737,7 +634,7 @@ impl ApiServer {
         let body = Json::obj()
             .set("ready", ready)
             .set("reason", reason)
-            .set("workloads", ids.len() as u64)
+            .set("workloads", map.len() as u64)
             .set("crashed", Json::Arr(crashed));
         Response { status: if ready { 200 } else { 503 }, body, raw: None }
     }
@@ -782,14 +679,10 @@ impl ApiServer {
     /// (controllers sharing one database share one journal; dedupe by
     /// pointer), in sorted-workload-id order.
     fn journals(&self) -> Vec<Arc<EventJournal>> {
-        let map = self.workloads.read();
-        let mut ids: Vec<&String> = map.keys().collect();
-        ids.sort();
         let mut out: Vec<Arc<EventJournal>> = Vec::new();
-        for id in ids {
-            let j = map[id].journal().clone();
-            if !out.iter().any(|seen| Arc::ptr_eq(seen, &j)) {
-                out.push(j);
+        for c in self.workloads.read().values() {
+            if !out.iter().any(|seen| Arc::ptr_eq(seen, c.journal())) {
+                out.push(c.journal().clone());
             }
         }
         out
@@ -906,12 +799,9 @@ impl ApiServer {
     /// the one-line rendering used by run logs.
     fn trace_summary(&self) -> Response {
         let map = self.workloads.read();
-        let mut ids: Vec<&String> = map.keys().collect();
-        ids.sort();
-        let items: Vec<Json> = ids
-            .into_iter()
-            .filter_map(|id| {
-                let c = &map[id];
+        let items: Vec<Json> = map
+            .iter()
+            .filter_map(|(id, c)| {
                 let rec = c.spans()?;
                 let stages = rec.stage_summaries();
                 let stages_json = Json::Arr(
@@ -953,16 +843,10 @@ impl ApiServer {
                 &format!("invalid trace id {id_hex}: expected 1-16 hex digits"),
             );
         };
-        let found = {
-            let map = self.workloads.read();
-            let mut ids: Vec<&String> = map.keys().collect();
-            ids.sort();
-            ids.into_iter().find_map(|wid| {
-                let c = &map[wid];
-                let span = c.spans()?.find_trace(id)?;
-                Some((wid.clone(), span, c.clone()))
-            })
-        };
+        let found = self.workloads.read().iter().find_map(|(wid, c)| {
+            let span = c.spans()?.find_trace(id)?;
+            Some((wid.clone(), span, c.clone()))
+        });
         let Some((wid, span, c)) = found else {
             return Response::error(
                 404,
@@ -1228,6 +1112,23 @@ mod tests {
         let r = s.handle(&Request::get("/workloads"));
         assert!(r.is_ok());
         assert_eq!(r.body, Json::Arr(vec![Json::Str("demo".into())]));
+    }
+
+    /// Listings are in id order, whatever order the workloads registered in.
+    #[test]
+    fn status_lists_workloads_in_id_order() {
+        let s = ApiServer::new();
+        for id in ["b", "a", "c"] {
+            s.register(id, controller());
+        }
+        let r = s.handle(&Request::get("/status"));
+        assert!(r.is_ok(), "{r:?}");
+        let ids: Vec<&str> = r.body.get("workloads").unwrap().as_arr().unwrap()
+            .iter()
+            .map(|w| w.get("id").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(ids, ["a", "b", "c"]);
+        assert_eq!(s.workload_ids(), ["a", "b", "c"]);
     }
 
     #[test]
@@ -1910,7 +1811,8 @@ mod tests {
         assert!(Arc::strong_count(c.slo()) > slo_refs, "bp-slo thread holds the controller");
         assert!(Arc::strong_count(c.recovery()) > recovery_refs);
         std::thread::sleep(std::time::Duration::from_millis(100));
-        assert!(c.slo().ticks() <= 2, "{} SLO ticks in 100 ms at a 200 ms tick", c.slo().ticks());
+        let slo_ticks = c.slo().status().ticks;
+        assert!(slo_ticks <= 2, "{slo_ticks} SLO ticks in 100 ms at a 200 ms tick");
         assert!(c.recovery().ticks() <= 2, "{} polls in 100 ms", c.recovery().ticks());
 
         assert!(s.handle(&delete("/slo")).is_ok());

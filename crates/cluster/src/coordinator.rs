@@ -12,17 +12,19 @@
 //!   owning agent;
 //! * flags stragglers — one live node whose windowed p99 dominates the
 //!   median of its peers (`node_straggler`, picked up by bp-doctor);
-//! * when armed, runs AIMD on the *merged* windowed latency across the
-//!   fleet and steers the global rate (`cluster_slo`).
+//! * when armed, feeds the *merged* windowed latency across the fleet to
+//!   the same [`bp_core::SloCore`] law a node runs and applies its
+//!   decisions to the global rate (`cluster_slo`).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bp_api::http::{http_request_text_timeout, http_request_timeout};
+use bp_api::http::http_request_timeout;
 use bp_api::router::{query_param, RouteExtension};
 use bp_api::{Method, Request, Response, PROMETHEUS_CONTENT_TYPE};
+use bp_core::{Adjustment, SloConfig, SloHandle, SloObservation};
 use bp_obs::{
     merge_samples, render_samples, EventJournal, MetricsBuf, MetricsRegistry, MetricsSource,
     Sample, Severity,
@@ -64,51 +66,6 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// Cluster-wide SLO policy: AIMD on the merged windowed latency.
-#[derive(Debug, Clone)]
-pub struct ClusterSloConfig {
-    /// `true` steers on merged p99, `false` on merged p50.
-    pub on_p99: bool,
-    pub limit_us: u64,
-    /// Additive increase per tick (tx/s on the *global* rate).
-    pub step: f64,
-    /// Multiplicative backoff factor in (0, 1).
-    pub backoff: f64,
-    pub min_rate: f64,
-    pub max_rate: f64,
-    /// Control period; defaults to 2 heartbeat intervals so every tick
-    /// sees fresh windows from the whole fleet.
-    pub tick_us: u64,
-    /// Merged windowed completions required before acting.
-    pub min_samples: u64,
-}
-
-impl ClusterSloConfig {
-    fn default_with_heartbeat(heartbeat_us: u64) -> ClusterSloConfig {
-        ClusterSloConfig {
-            on_p99: true,
-            limit_us: 50_000,
-            step: 100.0,
-            backoff: 0.7,
-            min_rate: 50.0,
-            max_rate: f64::INFINITY,
-            tick_us: 2 * heartbeat_us,
-            min_samples: 20,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct SloState {
-    cfg: ClusterSloConfig,
-    last_tick_us: u64,
-    ticks: u64,
-    increases: u64,
-    decreases: u64,
-    holds: u64,
-    observed_us: u64,
-}
-
 /// The coordinator. Construct with [`ClusterCoordinator::new`], mount on an
 /// [`bp_api::ApiServer`] with `set_extension`, and keep the [`Periodic`]
 /// from [`ClusterCoordinator::start_detector`] alive for the run.
@@ -116,7 +73,10 @@ pub struct ClusterCoordinator {
     membership: Mutex<MembershipTable>,
     /// Operator-or-SLO commanded fleet-wide rate; `None` until first set.
     global_rate: Mutex<Option<f64>>,
-    slo: Mutex<Option<SloState>>,
+    /// The fleet's SLO loop: the node's law and status, ticked by the
+    /// detector. While armed it owns the global rate, as a node's does.
+    slo: Arc<SloHandle>,
+    slo_last_tick_us: AtomicU64,
     journal: Arc<EventJournal>,
     /// Own registry, folded into `GET /cluster/metrics` alongside agents.
     registry: Mutex<Option<Arc<MetricsRegistry>>>,
@@ -147,7 +107,8 @@ impl ClusterCoordinator {
         Arc::new(ClusterCoordinator {
             membership: Mutex::new(MembershipTable::new(heartbeat_us)),
             global_rate: Mutex::new(None),
-            slo: Mutex::new(None),
+            slo: Arc::new(SloHandle::new("cluster")),
+            slo_last_tick_us: AtomicU64::new(0),
             journal: Arc::new(EventJournal::new()),
             registry: Mutex::new(None),
             origin: Instant::now(),
@@ -162,6 +123,11 @@ impl ClusterCoordinator {
     /// `rate_resplit`, `node_straggler`, `cluster_slo`, …).
     pub fn journal(&self) -> &Arc<EventJournal> {
         &self.journal
+    }
+
+    /// The fleet's SLO loop, as [`bp_core::Controller::slo`] is a node's.
+    pub fn slo(&self) -> &Arc<SloHandle> {
+        &self.slo
     }
 
     /// Fold this registry (typically carrying the coordinator's own
@@ -196,13 +162,7 @@ impl ClusterCoordinator {
         let Some(global) = *self.global_rate.lock() else {
             return Vec::new();
         };
-        let (split, targets) = {
-            let mut table = self.membership.lock();
-            let split = table.split_rate(global);
-            let targets: Vec<(String, SocketAddr)> =
-                table.live().iter().map(|m| (m.id.clone(), m.addr)).collect();
-            (split, targets)
-        };
+        let split = self.membership.lock().split_rate(global);
         if split.is_empty() {
             return split;
         }
@@ -222,25 +182,48 @@ impl ClusterCoordinator {
                 ],
             )
         });
-        for (id, addr) in targets {
-            let share = split.iter().find(|(sid, _)| sid == &id).map(|(_, r)| *r).unwrap_or(0.0);
-            let body = Json::obj().set("tps", share);
-            if let Err(e) = http_request_timeout(
-                addr,
-                "POST",
-                &format!("/workloads/{id}/rate"),
-                Some(&body),
-                FANOUT_TIMEOUT,
-            ) {
-                self.journal.emit_with(Severity::Debug, "cluster", "fanout_error", || {
-                    (
-                        format!("rate push to {id} ({addr}) failed: {e}"),
-                        vec![("node", id.clone())],
-                    )
-                });
-            }
-        }
+        self.fan_out(None, "POST", |id| {
+            let share = split.iter().find(|(sid, _)| sid == id).map_or(0.0, |(_, r)| *r);
+            (format!("/workloads/{id}/rate"), Some(Json::obj().set("tps", share)))
+        });
         split
+    }
+
+    /// Send one request to every live node (to `only`, when given);
+    /// `request` builds a node's path and body. Yields each node with what
+    /// came back; a node that could not be reached is journaled here.
+    fn fan_out(
+        &self,
+        only: Option<&str>,
+        method: &str,
+        request: impl Fn(&str) -> (String, Option<Json>),
+    ) -> Vec<(String, std::io::Result<(u16, Json)>)> {
+        let targets: Vec<(String, SocketAddr)> = self
+            .membership
+            .lock()
+            .live()
+            .iter()
+            .filter(|m| only.is_none_or(|id| id == m.id))
+            .map(|m| (m.id.clone(), m.addr))
+            .collect();
+        targets
+            .into_iter()
+            .map(|(id, addr)| {
+                let (path, body) = request(&id);
+                let result = http_request_timeout(addr, method, &path, body.as_ref(), FANOUT_TIMEOUT);
+                if let Err(e) = &result {
+                    self.fanout_error(&id, format!("{method} {path} to {id} ({addr}) failed: {e}"));
+                }
+                (id, result)
+            })
+            .collect()
+    }
+
+    /// Journal a fan-out call that failed, or answered what it should not.
+    fn fanout_error(&self, node: &str, message: String) {
+        self.journal.emit_with(Severity::Debug, "cluster", "fanout_error", || {
+            (message, vec![("node", node.to_string())])
+        });
     }
 
     /// One detector pass: sweep membership, journal transitions, re-split
@@ -249,30 +232,19 @@ impl ClusterCoordinator {
     pub fn tick(&self) {
         let now = self.now_us();
         let transitions = self.membership.lock().sweep(now);
-        let mut lost_node = false;
         for (id, state) in &transitions {
-            match state {
-                NodeState::Suspect => {
-                    self.journal.emit_with(Severity::Warn, "cluster", "node_suspect", || {
-                        (
-                            format!("node {id} missed a heartbeat interval"),
-                            vec![("node", id.clone())],
-                        )
-                    });
-                }
+            let (severity, kind, what) = match state {
+                NodeState::Suspect => (Severity::Warn, "node_suspect", "missed a heartbeat interval"),
                 NodeState::Dead => {
-                    lost_node = true;
-                    self.journal.emit_with(Severity::Error, "cluster", "node_dead", || {
-                        (
-                            format!("node {id} missed 2 heartbeat intervals; declared dead"),
-                            vec![("node", id.clone())],
-                        )
-                    });
+                    (Severity::Error, "node_dead", "missed 2 heartbeat intervals; declared dead")
                 }
-                NodeState::Joined => {}
-            }
+                NodeState::Joined => continue,
+            };
+            self.journal.emit_with(severity, "cluster", kind, || {
+                (format!("node {id} {what}"), vec![("node", id.clone())])
+            });
         }
-        if lost_node {
+        if transitions.iter().any(|(_, state)| *state == NodeState::Dead) {
             self.resplit_and_fanout("node_dead");
         }
         self.straggler_check();
@@ -320,57 +292,51 @@ impl ClusterCoordinator {
         }
     }
 
-    /// One SLO control step, rate-limited to the configured tick period.
+    /// One SLO control step once a tick period has passed: fold the live
+    /// nodes' heartbeat windows into one observation, let the law decide,
+    /// and push a changed rate to the fleet.
     fn slo_tick(&self, now: u64) {
-        let mut guard = self.slo.lock();
-        let Some(slo) = guard.as_mut() else { return };
-        if now.saturating_sub(slo.last_tick_us) < slo.cfg.tick_us {
+        let Some(cfg) = self.slo.config() else { return };
+        if now.saturating_sub(self.slo_last_tick_us.load(Ordering::Relaxed)) < cfg.tick_us {
             return;
         }
-        slo.last_tick_us = now;
-        slo.ticks += 1;
-        // Merged observation: count-weighted mean of each live node's
-        // windowed percentile. An approximation of the true merged
-        // percentile, but monotone in every node's latency — exactly what
-        // a control loop needs.
-        let (total_count, weighted_sum) = {
-            let table = self.membership.lock();
-            let mut count = 0u64;
-            let mut sum = 0.0f64;
-            for m in table.live() {
-                let p = if slo.cfg.on_p99 { m.window.p99_us } else { m.window.p50_us };
-                count += m.window.count;
-                sum += m.window.count as f64 * p as f64;
-            }
-            (count, sum)
-        };
-        if total_count < slo.cfg.min_samples {
-            slo.holds += 1;
-            return;
+        self.slo_last_tick_us.store(now, Ordering::Relaxed);
+        // Count-weighted means of the nodes' percentiles: an approximation
+        // of the merged percentile, but monotone in every node's latency —
+        // exactly what a control loop needs.
+        let (mut count, mut p50_sum, mut p99_sum, mut throughput) = (0u64, 0.0, 0.0, 0.0);
+        for m in self.membership.lock().live() {
+            count += m.window.count;
+            p50_sum += m.window.count as f64 * m.window.p50_us as f64;
+            p99_sum += m.window.count as f64 * m.window.p99_us as f64;
+            throughput += m.window.throughput;
         }
-        let observed = weighted_sum / total_count as f64;
-        slo.observed_us = observed as u64;
-        let current = (*self.global_rate.lock()).unwrap_or(slo.cfg.min_rate);
-        let (next, verdict) = if observed > slo.cfg.limit_us as f64 {
-            slo.decreases += 1;
-            ((current * slo.cfg.backoff).max(slo.cfg.min_rate), "decrease")
-        } else {
-            slo.increases += 1;
-            ((current + slo.cfg.step).min(slo.cfg.max_rate), "increase")
+        let obs = SloObservation {
+            p50_us: (p50_sum / count.max(1) as f64) as u64,
+            p99_us: (p99_sum / count.max(1) as f64) as u64,
+            throughput,
+            sample_count: count,
+            breaker_open: false,
+            breaker_half_open: false,
         };
-        self.journal.emit_with(Severity::Debug, "cluster", "cluster_slo", || {
-            (
-                format!(
-                    "merged {} {observed:.0}us vs limit {}us: {verdict} {current:.1} -> {next:.1} tx/s",
-                    if slo.cfg.on_p99 { "p99" } else { "p50" },
-                    slo.cfg.limit_us,
-                ),
-                vec![("observed_us", format!("{observed:.0}")), ("rate", format!("{next:.1}"))],
-            )
-        });
-        drop(guard);
-        if (next - current).abs() > f64::EPSILON {
-            *self.global_rate.lock() = Some(next);
+        let Some((before, d)) = self.slo.tick(&obs) else { return };
+        if d.adjustment != Adjustment::Hold {
+            self.journal.emit_with(Severity::Debug, "cluster", "cluster_slo", || {
+                let observed = self.slo.status().observed_us;
+                (
+                    format!(
+                        "merged {} {observed}us vs limit {}us: {} {before:.1} -> {:.1} tx/s",
+                        cfg.target.kind(),
+                        cfg.target.limit_us(),
+                        d.adjustment.name(),
+                        d.rate,
+                    ),
+                    vec![("observed_us", format!("{observed}")), ("rate", format!("{:.1}", d.rate))],
+                )
+            });
+        }
+        if self.global_rate() != Some(d.rate) {
+            *self.global_rate.lock() = Some(d.rate);
             self.resplit_and_fanout("slo");
         }
     }
@@ -484,13 +450,7 @@ impl ClusterCoordinator {
         Response::ok(
             Json::obj()
                 .set("heartbeat_ms", self.heartbeat_us / 1_000)
-                .set(
-                    "global_rate",
-                    match self.global_rate() {
-                        Some(r) => Json::Num(r),
-                        None => Json::Null,
-                    },
-                )
+                .set("global_rate", self.global_rate_json())
                 .set("joined", joined as u64)
                 .set("suspect", suspect as u64)
                 .set("dead", dead as u64)
@@ -535,39 +495,22 @@ impl ClusterCoordinator {
         body: Option<&Json>,
         only: Option<&str>,
     ) -> Response {
-        let targets: Vec<(String, SocketAddr)> = {
-            let table = self.membership.lock();
-            table
-                .live()
-                .iter()
-                .filter(|m| only.is_none_or(|id| id == m.id))
-                .map(|m| (m.id.clone(), m.addr))
-                .collect()
-        };
-        if targets.is_empty() {
+        let results: Vec<Json> = self
+            .fan_out(only, method, |id| (path(id), body.cloned()))
+            .into_iter()
+            .map(|(id, result)| {
+                let item = Json::obj().set("node", id.as_str());
+                match result {
+                    Ok((status, resp)) => item.set("status", status as u64).set("body", resp),
+                    Err(e) => item.set("error", e.to_string().as_str()),
+                }
+            })
+            .collect();
+        if results.is_empty() {
             return Response::error(
                 404,
                 &only.map_or("no live nodes".to_string(), |id| format!("no live node {id}")),
             );
-        }
-        let mut results = Vec::new();
-        for (id, addr) in targets {
-            let item = match http_request_timeout(addr, method, &path(&id), body, FANOUT_TIMEOUT) {
-                Ok((status, resp)) => Json::obj()
-                    .set("node", id.as_str())
-                    .set("status", status as u64)
-                    .set("body", resp),
-                Err(e) => {
-                    self.journal.emit_with(Severity::Debug, "cluster", "fanout_error", || {
-                        (
-                            format!("{method} {} to {id} failed: {e}", path(&id)),
-                            vec![("node", id.clone())],
-                        )
-                    });
-                    Json::obj().set("node", id.as_str()).set("error", e.to_string().as_str())
-                }
-            };
-            results.push(item);
         }
         Response::ok(Json::obj().set("results", Json::Arr(results)))
     }
@@ -584,16 +527,11 @@ impl ClusterCoordinator {
             );
         };
         let hex = bp_obs::format_trace_id(id);
-        let targets: Vec<(String, SocketAddr)> = {
-            let table = self.membership.lock();
-            table.live().iter().map(|m| (m.id.clone(), m.addr)).collect()
-        };
         let mut nodes: Vec<Json> = Vec::new();
         let mut stage_sums: Vec<(String, u64)> = Vec::new();
         let mut total_us = 0u64;
-        for (nid, addr) in targets {
-            match http_request_timeout(addr, "GET", &format!("/trace/{hex}"), None, FANOUT_TIMEOUT)
-            {
+        for (nid, result) in self.fan_out(None, "GET", |_| (format!("/trace/{hex}"), None)) {
+            match result {
                 Ok((200, body)) => {
                     if let Some(stages) = body.get("stages").and_then(Json::as_arr) {
                         for st in stages {
@@ -610,22 +548,9 @@ impl ClusterCoordinator {
                     nodes.push(Json::obj().set("node", nid.as_str()).set("trace", body));
                 }
                 // 404 just means this node never retained the trace.
-                Ok((404, _)) => {}
+                Ok((404, _)) | Err(_) => {}
                 Ok((status, _)) => {
-                    self.journal.emit_with(Severity::Debug, "cluster", "fanout_error", || {
-                        (
-                            format!("trace lookup on {nid} returned {status}"),
-                            vec![("node", nid.clone())],
-                        )
-                    });
-                }
-                Err(e) => {
-                    self.journal.emit_with(Severity::Debug, "cluster", "fanout_error", || {
-                        (
-                            format!("trace lookup on {nid} failed: {e}"),
-                            vec![("node", nid.clone())],
-                        )
-                    });
+                    self.fanout_error(&nid, format!("trace lookup on {nid} returned {status}"))
                 }
             }
         }
@@ -659,136 +584,71 @@ impl ClusterCoordinator {
     /// them with the coordinator's own registry, and render one exposition
     /// with families deduped and counters summed.
     fn merged_metrics(&self) -> Response {
-        let targets: Vec<(String, SocketAddr)> = {
-            let table = self.membership.lock();
-            table.live().iter().map(|m| (m.id.clone(), m.addr)).collect()
-        };
         let mut sets: Vec<Vec<Sample>> = Vec::new();
         if let Some(reg) = self.registry.lock().clone() {
             sets.push(reg.snapshot());
         }
-        for (id, addr) in targets {
-            match http_request_text_timeout(addr, "GET", "/cluster/snapshot", None, FANOUT_TIMEOUT)
-            {
-                Ok((200, text)) => {
-                    let parsed = Json::parse(&text).unwrap_or(Json::Null);
-                    let samples: Vec<Sample> = parsed
-                        .get("samples")
+        for (id, result) in self.fan_out(None, "GET", |_| ("/cluster/snapshot".to_string(), None)) {
+            match result {
+                Ok((200, body)) => sets.push(
+                    body.get("samples")
                         .and_then(Json::as_arr)
                         .map(|arr| arr.iter().filter_map(Sample::from_json).collect())
-                        .unwrap_or_default();
-                    sets.push(samples);
-                }
+                        .unwrap_or_default(),
+                ),
                 Ok((status, _)) => {
-                    self.journal.emit_with(Severity::Debug, "cluster", "fanout_error", || {
-                        (
-                            format!("snapshot from {id} returned {status}"),
-                            vec![("node", id.clone())],
-                        )
-                    });
+                    self.fanout_error(&id, format!("snapshot from {id} returned {status}"))
                 }
-                Err(e) => {
-                    self.journal.emit_with(Severity::Debug, "cluster", "fanout_error", || {
-                        (format!("snapshot from {id} failed: {e}"), vec![("node", id.clone())])
-                    });
-                }
+                Err(_) => {}
             }
         }
         let merged = merge_samples(sets);
         Response::text(PROMETHEUS_CONTENT_TYPE, render_samples(&merged))
     }
 
+    /// `POST /cluster/slo`: the body of `POST /slo`, over the fleet's
+    /// starting values. Without `initial_rate` the loop continues from the
+    /// current global rate (raised to `min_rate` where none is set).
     fn slo_arm(&self, req: &Request) -> Response {
-        let body = req.body.clone().unwrap_or(Json::Null);
-        let mut cfg = ClusterSloConfig::default_with_heartbeat(self.heartbeat_us);
-        match body.get("target").and_then(Json::as_str) {
-            Some("p99") | None => cfg.on_p99 = true,
-            Some("p50") => cfg.on_p99 = false,
-            Some(other) => {
-                return Response::error(400, &format!("unknown target {other}; known: p99, p50"))
-            }
+        let base = SloConfig {
+            // A violation stays visible for as long as the agents' windows
+            // hold it (`AgentConfig::window_s`, 2 s unless set), and two
+            // heartbeats bring fresh windows from them all.
+            window_s: 2,
+            tick_us: 2 * self.heartbeat_us,
+            additive_step: 100.0,
+            min_rate: 50.0,
+            initial_rate: self.global_rate().unwrap_or(0.0),
+            ..SloConfig::default()
+        };
+        let cfg = match base.with_json(req.body.as_ref().unwrap_or(&Json::Null)) {
+            Ok(cfg) => cfg,
+            Err(e) => return Response::error(400, &e),
+        };
+        self.slo.arm(cfg);
+        self.slo_last_tick_us.store(self.now_us(), Ordering::Relaxed);
+        if let Some(reg) = self.registry.lock().as_ref() {
+            // Arc-pointer dedupe in the registry makes re-arming a no-op.
+            reg.register("slo:cluster", self.slo.clone());
         }
-        if let Some(ms) = body.get("limit_ms").and_then(Json::as_f64) {
-            if !ms.is_finite() || ms <= 0.0 {
-                return Response::error(400, "limit_ms must be a positive number");
-            }
-            cfg.limit_us = (ms * 1_000.0).round() as u64;
-        }
-        if let Some(v) = body.get("step").and_then(Json::as_f64) {
-            cfg.step = v.max(0.0);
-        }
-        if let Some(v) = body.get("backoff").and_then(Json::as_f64) {
-            if !(0.0..1.0).contains(&v) || v == 0.0 {
-                return Response::error(400, "backoff must be in (0, 1)");
-            }
-            cfg.backoff = v;
-        }
-        if let Some(v) = body.get("min_rate").and_then(Json::as_f64) {
-            cfg.min_rate = v.max(0.0);
-        }
-        if let Some(v) = body.get("max_rate").and_then(Json::as_f64) {
-            cfg.max_rate = v;
-        }
-        if let Some(v) = body.get("tick_ms").and_then(Json::as_u64) {
-            cfg.tick_us = v.max(1) * 1_000;
-        }
-        if let Some(v) = body.get("min_samples").and_then(Json::as_u64) {
-            cfg.min_samples = v;
-        }
-        if cfg.max_rate < cfg.min_rate {
-            return Response::error(400, "max_rate must be >= min_rate");
-        }
-        // Seed the global rate so the loop has something to adjust.
-        if let Some(v) = body.get("initial_rate").and_then(Json::as_f64) {
-            *self.global_rate.lock() = Some(v);
-        } else if self.global_rate.lock().is_none() {
-            *self.global_rate.lock() = Some(cfg.min_rate);
-        }
-        *self.slo.lock() = Some(SloState {
-            cfg,
-            last_tick_us: self.now_us(),
-            ticks: 0,
-            increases: 0,
-            decreases: 0,
-            holds: 0,
-            observed_us: 0,
-        });
+        *self.global_rate.lock() = Some(self.slo.current_rate());
         self.resplit_and_fanout("slo_arm");
         self.slo_status()
     }
 
     fn slo_disarm(&self) -> Response {
-        *self.slo.lock() = None;
+        self.slo.disarm();
         self.slo_status()
     }
 
+    /// `GET /cluster/slo`: the loop's status as a node reports it, plus
+    /// the global rate.
     fn slo_status(&self) -> Response {
-        let guard = self.slo.lock();
-        let body = match guard.as_ref() {
-            None => Json::obj().set("active", false),
-            Some(s) => Json::obj()
-                .set("active", true)
-                .set("target", if s.cfg.on_p99 { "p99" } else { "p50" })
-                .set("limit_us", s.cfg.limit_us)
-                .set("observed_us", s.observed_us)
-                .set("ticks", s.ticks)
-                .set(
-                    "adjustments",
-                    Json::obj()
-                        .set("increase", s.increases)
-                        .set("decrease", s.decreases)
-                        .set("hold", s.holds),
-                ),
-        };
-        drop(guard);
-        let body = body.set(
-            "global_rate",
-            match self.global_rate() {
-                Some(r) => Json::Num(r),
-                None => Json::Null,
-            },
-        );
-        Response::ok(body)
+        Response::ok(self.slo.status_json().set("global_rate", self.global_rate_json()))
+    }
+
+    fn global_rate_json(&self) -> Json {
+        self.global_rate().map_or(Json::Null, Json::Num)
     }
 }
 
@@ -846,24 +706,14 @@ impl RouteExtension for ClusterCoordinator {
 impl MetricsSource for ClusterCoordinator {
     fn collect(&self, buf: &mut MetricsBuf) {
         let (joined, suspect, dead) = self.membership.lock().counts();
-        buf.gauge(
-            "bp_cluster_nodes",
-            "Cluster members by failure-detector state.",
-            &[("state", "joined")],
-            joined as f64,
-        );
-        buf.gauge(
-            "bp_cluster_nodes",
-            "Cluster members by failure-detector state.",
-            &[("state", "suspect")],
-            suspect as f64,
-        );
-        buf.gauge(
-            "bp_cluster_nodes",
-            "Cluster members by failure-detector state.",
-            &[("state", "dead")],
-            dead as f64,
-        );
+        for (state, n) in [("joined", joined), ("suspect", suspect), ("dead", dead)] {
+            buf.gauge(
+                "bp_cluster_nodes",
+                "Cluster members by failure-detector state.",
+                &[("state", state)],
+                n as f64,
+            );
+        }
         buf.gauge(
             "bp_cluster_global_rate",
             "Fleet-wide commanded rate (tx/s); 0 until set.",
@@ -892,7 +742,7 @@ impl MetricsSource for ClusterCoordinator {
             "bp_cluster_slo_active",
             "1 while the cluster SLO loop is armed.",
             &[],
-            if self.slo.lock().is_some() { 1.0 } else { 0.0 },
+            if self.slo.is_active() { 1.0 } else { 0.0 },
         );
     }
 }

@@ -16,8 +16,8 @@
 //!   observed per-node capacity, fans control commands (rate, mixture,
 //!   pause/resume/stop, chaos, SLO) out to live agents, folds their
 //!   registries into one deduped Prometheus exposition on
-//!   `GET /cluster/metrics`, and can run a cluster-wide AIMD SLO loop on
-//!   the merged windowed latency.
+//!   `GET /cluster/metrics`, and can run the node's SLO loop
+//!   ([`bp_core::SloHandle`]) fleet-wide on the merged windowed latency.
 //!
 //! Both roles mount their HTTP surface through
 //! [`bp_api::router::RouteExtension`], so bp-api stays ignorant of
@@ -29,5 +29,5 @@ pub mod coordinator;
 pub mod member;
 
 pub use agent::{start_agent, AgentConfig};
-pub use coordinator::{ClusterCoordinator, ClusterSloConfig, CoordinatorConfig, FANOUT_TIMEOUT};
+pub use coordinator::{ClusterCoordinator, CoordinatorConfig, FANOUT_TIMEOUT};
 pub use member::{Admission, Member, MembershipTable, NodeState, NodeWindow};

@@ -9,11 +9,14 @@ use std::time::{Duration, Instant};
 use bp_api::router::RouteExtension;
 use bp_api::{http_request, http_request_text, ApiServer, Request};
 use bp_cluster::{start_agent, AgentConfig, ClusterCoordinator, CoordinatorConfig, NodeState};
-use bp_core::{Phase, PhaseScript, Rate, RunConfig, RunHandle};
+use bp_core::{
+    ControlLaw, ControlState, Controller, Mixture, Phase, PhaseScript, Rate, RequestQueue,
+    RunConfig, RunHandle, SloConfig, SloTarget, StatsCollector, TransactionType, WorkloadConfig,
+};
 use bp_obs::{MetricsRegistry, Severity};
 use bp_sql::Connection;
 use bp_storage::{Database, Personality};
-use bp_util::clock::wall_clock;
+use bp_util::clock::{sim_clock, wall_clock};
 use bp_util::json::Json;
 use bp_util::rng::Rng;
 use bp_workloads::by_name;
@@ -338,6 +341,172 @@ fn cluster_slo_loop_steers_global_rate_on_merged_latency() {
     std::thread::sleep(Duration::from_millis(3));
     coordinator.tick();
     assert_eq!(coordinator.global_rate().unwrap(), after_backoff);
+}
+
+/// A violation stays in the agents' windows for `window_s`: the fleet loop
+/// cuts the rate for it once and holds, as a node's does, where a cut on
+/// every tick would compound one violation into a collapse.
+#[test]
+fn cluster_slo_decreases_once_until_the_window_has_flushed() {
+    let coordinator =
+        ClusterCoordinator::new(CoordinatorConfig { heartbeat: Duration::from_secs(60) });
+    let post = |path: &str, body: Json| coordinator.handle(&Request::post(path, body)).unwrap();
+    post("/cluster/join", Json::obj().set("node", "a").set("addr", "127.0.0.1:9"));
+    // A one-second window read every 250 ms has flushed after four ticks.
+    let r = post(
+        "/cluster/slo",
+        Json::obj()
+            .set("limit_ms", 10.0)
+            .set("backoff", 0.5)
+            .set("initial_rate", 1_000.0)
+            .set("window_s", 1u64)
+            .set("tick_ms", 250u64),
+    );
+    assert!(r.is_ok(), "{r:?}");
+    let window = Json::obj()
+        .set("count", 50u64)
+        .set("p50_us", 10_000u64)
+        .set("p99_us", 40_000u64)
+        .set("throughput", 100.0);
+    let decreases = || {
+        let status = coordinator.handle(&Request::get("/cluster/slo")).unwrap();
+        status.body.get("adjustments").unwrap().get("decrease").and_then(Json::as_u64).unwrap()
+    };
+    let mut seen = Vec::new();
+    for _ in 0..6 {
+        post("/cluster/heartbeat", Json::obj().set("node", "a").set("window", window.clone()));
+        std::thread::sleep(Duration::from_millis(250));
+        coordinator.tick();
+        seen.push((decreases(), coordinator.global_rate().unwrap()));
+    }
+    let expected: Vec<(u64, f64)> =
+        [(1, 500.0), (1, 500.0), (1, 500.0), (1, 500.0), (1, 500.0), (2, 250.0)].into();
+    assert_eq!(seen, expected, "one cut, four holds while the window flushes, then the next cut");
+}
+
+/// A node's controller with no run behind it: enough to arm `POST /slo` on.
+fn bare_controller() -> Controller {
+    let (_, clock) = sim_clock();
+    let types = vec![TransactionType::new("Read", 100.0, true)];
+    let state = ControlState::new(Rate::Limited(100.0), Mixture::default_of(&types), 10_000.0);
+    let queue = Arc::new(RequestQueue::new(clock.clone()));
+    let stats = Arc::new(StatsCollector::new(clock, &["Read"]));
+    Controller::new(state, queue, stats, Database::new(Personality::test()), types, "demo")
+}
+
+/// One table of settings, read three ways: the `<slo>` block of a config
+/// file, a `POST /slo` body and a `POST /cluster/slo` body. A valid row is
+/// the same `SloConfig` in all three; an invalid row is refused by all
+/// three and arms nothing.
+#[test]
+fn slo_settings_read_the_same_from_xml_node_body_and_fleet_body() {
+    type Row = &'static [(&'static str, &'static str)];
+    // The keys on which the fleet's starting values differ from a node's.
+    const PINNED: Row = &[
+        ("window_s", "2"), ("tick_ms", "100"), ("step", "40"), ("min_rate", "25"),
+        ("initial_rate", "150"),
+    ];
+    let pinned = SloConfig {
+        window_s: 2,
+        tick_us: 100_000,
+        additive_step: 40.0,
+        min_rate: 25.0,
+        initial_rate: 150.0,
+        ..SloConfig::default()
+    };
+    let valid: [(Row, SloConfig); 4] = [
+        (&[], pinned.clone()),
+        (
+            &[("target", "p50"), ("limit_ms", "7.5"), ("backoff", "0.6"), ("min_samples", "5")],
+            SloConfig {
+                target: SloTarget::P50BelowUs(7_500),
+                backoff: 0.6,
+                min_samples: 5,
+                ..pinned.clone()
+            },
+        ),
+        (
+            &[("target", "max-throughput"), ("law", "pid"), ("kp", "0.4"), ("ki", "0.2"), ("kd", "0.1")],
+            SloConfig {
+                target: SloTarget::MaxThroughput,
+                law: ControlLaw::Pid,
+                kp: 0.4,
+                ki: 0.2,
+                kd: 0.1,
+                ..pinned.clone()
+            },
+        ),
+        (
+            &[("max_rate", "900"), ("breaker_backoff", "0.25"), ("limit_ms", "20")],
+            SloConfig {
+                target: SloTarget::P99BelowUs(20_000),
+                max_rate: 900.0,
+                breaker_backoff: 0.25,
+                ..pinned.clone()
+            },
+        ),
+    ];
+    let invalid: [Row; 9] = [
+        &[("min_rate", "100"), ("max_rate", "50")],
+        &[("backoff", "0")],
+        &[("backoff", "1")],
+        &[("breaker_backoff", "2")],
+        &[("limit_ms", "0")],
+        &[("min_rate", "NaN")],
+        &[("initial_rate", "NaN")],
+        &[("target", "p42")],
+        &[("law", "fuzzy")],
+    ];
+
+    let xml = |row: &[(&str, &str)]| {
+        let settings: String = row
+            .iter()
+            .map(|(key, v)| {
+                let element = if *key == "window_s" { "window".into() } else { key.replace('_', "") };
+                format!("<{element}>{v}</{element}>")
+            })
+            .collect();
+        WorkloadConfig::parse(&format!(
+            "<parameters><dbtype>test</dbtype><benchmark>voter</benchmark>\
+             <works><work><time>1</time></work></works><slo>{settings}</slo></parameters>"
+        ))
+    };
+    let body = |row: &[(&str, &str)]| {
+        row.iter().fold(Json::obj(), |body, (key, v)| match v.parse::<f64>() {
+            Ok(n) => body.set(key, n),
+            Err(_) => body.set(key, *v),
+        })
+    };
+    let node = ApiServer::new();
+    node.register("demo", bare_controller());
+    let controller = node.controller("demo").unwrap();
+    let coordinator = ClusterCoordinator::new(CoordinatorConfig::default());
+    let fleet = |req: &Request| coordinator.handle(req).unwrap();
+    let delete = |path: &str| Request { method: bp_api::Method::Delete, path: path.into(), body: None };
+
+    for (row, expected) in &valid {
+        let row: Vec<_> = row.iter().chain(PINNED).copied().collect();
+        assert_eq!(xml(&row).unwrap().slo.as_ref(), Some(expected), "<slo> {row:?}");
+        let r = node.handle(&Request::post("/slo", body(&row)));
+        assert!(r.is_ok(), "POST /slo {row:?}: {r:?}");
+        assert_eq!(controller.slo().config().as_ref(), Some(expected), "POST /slo {row:?}");
+        let r = fleet(&Request::post("/cluster/slo", body(&row)));
+        assert!(r.is_ok(), "POST /cluster/slo {row:?}: {r:?}");
+        assert_eq!(coordinator.slo().config().as_ref(), Some(expected), "POST /cluster/slo {row:?}");
+        assert!(node.handle(&delete("/slo")).is_ok());
+        assert!(fleet(&delete("/cluster/slo")).is_ok());
+    }
+    let fleet_rate = coordinator.global_rate();
+    for row in invalid {
+        assert!(xml(row).is_err(), "<slo> accepted {row:?}");
+        let r = node.handle(&Request::post("/slo", body(row)));
+        assert_eq!(r.status, 400, "POST /slo {row:?}: {r:?}");
+        let r = fleet(&Request::post("/cluster/slo", body(row)));
+        assert_eq!(r.status, 400, "POST /cluster/slo {row:?}: {r:?}");
+        assert!(!controller.slo().is_active(), "{row:?} armed the node");
+        assert!(!coordinator.slo().is_active(), "{row:?} armed the fleet");
+        assert_eq!(coordinator.global_rate(), fleet_rate, "{row:?} set a fleet rate");
+    }
 }
 
 #[test]

@@ -23,7 +23,7 @@ use bp_util::xml::XmlNode;
 
 use crate::executor::RunConfig;
 use crate::rate::{ArrivalDist, Phase, PhaseScript, Rate};
-use crate::slo::{ControlLaw, SloConfig, SloTarget};
+use crate::slo::SloConfig;
 
 /// A parsed workload configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,58 +154,18 @@ impl WorkloadConfig {
             }
         }
 
-        let mut slo = None;
-        if let Some(node) = root.child("slo") {
-            let mut cfg = SloConfig::default();
-            let kind = node.child_text("target").unwrap_or("p99");
-            let limit_ms = node.child_parse::<f64>("limitms").unwrap_or(50.0);
-            cfg.target = SloTarget::parse(kind, (limit_ms * 1_000.0).round() as u64)
-                .ok_or_else(|| ConfigError(format!("invalid <slo> <target> '{kind}'")))?;
-            if let Some(law) = node.child_text("law") {
-                cfg.law = ControlLaw::parse(law)
-                    .ok_or_else(|| ConfigError(format!("invalid <slo> <law> '{law}'")))?;
-            }
-            if let Some(w) = node.child_parse::<usize>("window") {
-                cfg.window_s = w.max(1);
-            }
-            if let Some(t) = node.child_parse::<u64>("tickms") {
-                cfg.tick_us = t.max(1) * 1_000;
-            }
-            if let Some(r) = node.child_parse::<f64>("minrate") {
-                cfg.min_rate = r.max(0.0);
-            }
-            if let Some(r) = node.child_parse::<f64>("maxrate") {
-                cfg.max_rate = r;
-            }
-            if let Some(r) = node.child_parse::<f64>("initialrate") {
-                cfg.initial_rate = r;
-            }
-            if let Some(s) = node.child_parse::<f64>("step") {
-                cfg.additive_step = s;
-            }
-            if let Some(b) = node.child_parse::<f64>("backoff") {
-                if !(0.0..1.0).contains(&b) {
-                    return Err(ConfigError(format!("<slo> <backoff> {b} outside (0, 1)")));
-                }
-                cfg.backoff = b;
-            }
-            if let Some(b) = node.child_parse::<f64>("breakerbackoff") {
-                cfg.breaker_backoff = b;
-            }
-            if let Some(v) = node.child_parse::<f64>("kp") {
-                cfg.kp = v;
-            }
-            if let Some(v) = node.child_parse::<f64>("ki") {
-                cfg.ki = v;
-            }
-            if let Some(v) = node.child_parse::<f64>("kd") {
-                cfg.kd = v;
-            }
-            if let Some(n) = node.child_parse::<u64>("minsamples") {
-                cfg.min_samples = n;
-            }
-            slo = Some(cfg);
-        }
+        // `<slo>`: the settings of `POST /slo` under the same names without
+        // their `_` (`window` for `window_s`).
+        let slo = root
+            .child("slo")
+            .map(|node| {
+                SloConfig::default().with_settings(|key| {
+                    let element = if key == "window_s" { "window".into() } else { key.replace('_', "") };
+                    node.child_text(&element).map(str::to_string)
+                })
+            })
+            .transpose()
+            .map_err(|e| ConfigError(format!("<slo>: {e}")))?;
 
         let mut cluster = None;
         if let Some(node) = root.child("cluster") {
@@ -257,85 +217,12 @@ impl WorkloadConfig {
             ..Default::default()
         }
     }
-
-    /// Serialize back to config.xml (for generated sample configs).
-    pub fn to_xml(&self) -> String {
-        let mut root = XmlNode::new("parameters");
-        let add = |name: &str, text: String| {
-            let mut n = XmlNode::new(name);
-            n.text = text;
-            n
-        };
-        root.children.push(add("dbtype", self.dbtype.clone()));
-        root.children.push(add("benchmark", self.benchmark.clone()));
-        root.children.push(add("scalefactor", format!("{}", self.scale_factor)));
-        root.children.push(add("terminals", format!("{}", self.terminals)));
-        let mut works = XmlNode::new("works");
-        for p in &self.script.phases {
-            let mut work = XmlNode::new("work");
-            work.children.push(add("time", format!("{}", p.duration_s)));
-            let rate = match p.rate {
-                Rate::Unlimited => "unlimited".to_string(),
-                Rate::Disabled => "disabled".to_string(),
-                Rate::Limited(t) => format!("{t}"),
-            };
-            work.children.push(add("rate", rate));
-            if let Some(w) = &p.weights {
-                let txt = w.iter().map(|x| format!("{x}")).collect::<Vec<_>>().join(",");
-                work.children.push(add("weights", txt));
-            }
-            if p.arrival == ArrivalDist::Exponential {
-                work.children.push(add("arrival", "exponential".into()));
-            }
-            if p.think_time_us > 0 {
-                work.children.push(add("thinktime", format!("{}", p.think_time_us / 1_000)));
-            }
-            works.children.push(work);
-        }
-        root.children.push(works);
-        if self.obs != ObsConfig::default() {
-            let mut obs = XmlNode::new("observability");
-            obs.children.push(add("spans", self.obs.mode.name().into()));
-            obs.children.push(add("samplerate", format!("{}", self.obs.sample_ratio)));
-            obs.children.push(add("ringcapacity", format!("{}", self.obs.ring_capacity)));
-            if self.obs.span_budget > 0 {
-                obs.children.push(add("spanbudget", format!("{}", self.obs.span_budget)));
-            }
-            root.children.push(obs);
-        }
-        if let Some(s) = &self.slo {
-            let mut slo = XmlNode::new("slo");
-            slo.children.push(add("target", s.target.kind().into()));
-            slo.children.push(add("limitms", format!("{}", s.target.limit_us() as f64 / 1_000.0)));
-            slo.children.push(add("law", s.law.name().into()));
-            slo.children.push(add("window", format!("{}", s.window_s)));
-            slo.children.push(add("tickms", format!("{}", s.tick_us / 1_000)));
-            slo.children.push(add("minrate", format!("{}", s.min_rate)));
-            slo.children.push(add("maxrate", format!("{}", s.max_rate)));
-            slo.children.push(add("initialrate", format!("{}", s.initial_rate)));
-            slo.children.push(add("step", format!("{}", s.additive_step)));
-            slo.children.push(add("backoff", format!("{}", s.backoff)));
-            slo.children.push(add("breakerbackoff", format!("{}", s.breaker_backoff)));
-            slo.children.push(add("kp", format!("{}", s.kp)));
-            slo.children.push(add("ki", format!("{}", s.ki)));
-            slo.children.push(add("kd", format!("{}", s.kd)));
-            slo.children.push(add("minsamples", format!("{}", s.min_samples)));
-            root.children.push(slo);
-        }
-        if let Some(c) = &self.cluster {
-            let mut cluster = XmlNode::new("cluster");
-            cluster.children.push(add("node", c.node.clone()));
-            cluster.children.push(add("coordinator", c.coordinator.clone()));
-            cluster.children.push(add("heartbeatms", format!("{}", c.heartbeat_ms)));
-            root.children.push(cluster);
-        }
-        root.to_xml()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slo::{ControlLaw, SloTarget};
 
     const SAMPLE: &str = r#"<?xml version="1.0"?>
 <parameters>
@@ -373,14 +260,6 @@ mod tests {
         assert_eq!(p1.rate, Rate::Unlimited);
         assert_eq!(p1.arrival, ArrivalDist::Exponential);
         assert_eq!(p1.think_time_us, 10_000);
-    }
-
-    #[test]
-    fn xml_roundtrip() {
-        let cfg = WorkloadConfig::parse(SAMPLE).unwrap();
-        let xml = cfg.to_xml();
-        let back = WorkloadConfig::parse(&xml).unwrap();
-        assert_eq!(cfg, back);
     }
 
     #[test]
@@ -431,9 +310,6 @@ mod tests {
         assert_eq!(cfg.obs.span_budget, 512);
         // Carried into the run config verbatim.
         assert_eq!(cfg.run_config(1).obs, cfg.obs);
-        // Survives the XML round trip.
-        let back = WorkloadConfig::parse(&cfg.to_xml()).unwrap();
-        assert_eq!(back, cfg);
     }
 
     #[test]
@@ -457,10 +333,7 @@ mod tests {
         assert_eq!(slo.backoff, 0.6);
         // Carried into the run config verbatim.
         assert_eq!(cfg.run_config(1).slo, cfg.slo);
-        // Survives the XML round trip (including the infinite max_rate).
         assert_eq!(slo.max_rate, f64::INFINITY);
-        let back = WorkloadConfig::parse(&cfg.to_xml()).unwrap();
-        assert_eq!(back, cfg);
     }
 
     #[test]
@@ -476,8 +349,6 @@ mod tests {
         assert_eq!(slo.target, SloTarget::MaxThroughput);
         assert_eq!(slo.law, ControlLaw::Pid);
         assert_eq!(slo.tick_us, SloConfig::default().tick_us);
-        let back = WorkloadConfig::parse(&cfg.to_xml()).unwrap();
-        assert_eq!(back, cfg);
 
         let bad_target = SAMPLE.replace(
             "</parameters>",
@@ -515,9 +386,6 @@ mod tests {
         // Standalone configs keep the default identity.
         assert!(WorkloadConfig::parse(SAMPLE).unwrap().cluster.is_none());
         assert_eq!(WorkloadConfig::parse(SAMPLE).unwrap().run_config(1).node, "local");
-        // Survives the XML round trip.
-        let back = WorkloadConfig::parse(&cfg.to_xml()).unwrap();
-        assert_eq!(back, cfg);
 
         let missing_coord = SAMPLE.replace(
             "</parameters>",

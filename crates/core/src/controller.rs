@@ -19,7 +19,7 @@ use crate::mixture::{Mixture, MixtureError, MixturePreset};
 use crate::queue::RequestQueue;
 use crate::rate::{ArrivalDist, Rate};
 use crate::recovery::{recovery_tick, RecoveryConfig, RecoveryHandle};
-use crate::slo::{slo_tick, SloConfig, SloCore, SloHandle};
+use crate::slo::{slo_tick, SloConfig, SloHandle};
 use crate::stats::{StatsCollector, StatusSnapshot};
 use crate::workload::TransactionType;
 
@@ -427,13 +427,15 @@ impl Controller {
     }
 
     /// Start (or replace) the closed-loop SLO controller: arm the shared
-    /// handle with the `bp-slo` control thread, which stops a loop that is
-    /// already running, and apply the initial rate.
+    /// handle, which stops a loop that is already running, give it the
+    /// `bp-slo` control thread and apply the initial rate.
     pub fn start_slo(&self, cfg: SloConfig) {
+        self.slo.arm(cfg.clone());
         let controller = self.clone();
-        let mut core = SloCore::new(cfg.clone());
-        let task = Periodic::spawn("bp-slo", cfg.tick_us, move || slo_tick(&controller, &mut core));
-        self.slo.arm(&cfg, task);
+        let window_s = cfg.window_s;
+        self.slo.run_on(Periodic::spawn("bp-slo", cfg.tick_us, move || {
+            slo_tick(&controller, window_s)
+        }));
         self.journal().emit_with(Severity::Info, "slo", "slo_armed", || {
             (
                 format!(
@@ -448,7 +450,7 @@ impl Controller {
                 ],
             )
         });
-        self.set_rate(Rate::Limited(cfg.initial_rate.clamp(cfg.min_rate, cfg.max_rate)));
+        self.set_rate(Rate::Limited(self.slo.current_rate()));
     }
 
     /// Stop the SLO loop (the last applied rate stays in effect).

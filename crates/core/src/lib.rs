@@ -38,7 +38,8 @@ pub use rate::{ArrivalDist, Phase, PhaseScript, Rate};
 pub use recovery::{RecoveryConfig, RecoveryHandle};
 pub use schedule::{ScheduleSource, ScriptSchedule, Window};
 pub use slo::{
-    Adjustment, ControlLaw, SloConfig, SloCore, SloDecision, SloHandle, SloObservation, SloTarget,
+    Adjustment, ControlLaw, SloConfig, SloCore, SloDecision, SloHandle, SloObservation, SloStatus,
+    SloTarget,
 };
 pub use stats::{
     RequestOutcome, Sample, StatsCollector, StatusSnapshot, TypeSummary, WindowSnapshot,

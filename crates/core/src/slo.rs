@@ -28,12 +28,17 @@
 //! [`SloCore`] is deliberately pure — no clock, no RNG, no I/O — so the
 //! adjustment sequence is a function of the observation sequence alone
 //! (same seed + same config ⇒ identical adjustments, the replay-style
-//! purity guarantee). The impure shell ([`slo_tick`]) lives at the edge.
+//! purity guarantee). The impure shells live at the edge: a node's
+//! `bp-slo` thread ([`slo_tick`]) and the cluster coordinator's detector
+//! both feed one [`SloHandle`], which holds the armed law beside the live
+//! status `GET /slo/status`, `GET /cluster/slo` and `bp_slo_*` read.
+//! Settings reach it one way as well: [`SloConfig::with_settings`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::str::FromStr;
 
 use bp_chaos::BreakerState;
 use bp_obs::{MetricsBuf, MetricsSource, Severity};
+use bp_util::json::Json;
 use bp_util::sync::Mutex;
 use bp_util::Periodic;
 
@@ -152,6 +157,103 @@ impl Default for SloConfig {
             kd: 0.0,
             min_samples: 20,
         }
+    }
+}
+
+/// One setting out of the caller's container, parsed; absent is `Ok(None)`.
+fn setting<T: FromStr>(
+    get: &impl Fn(&str) -> Option<String>,
+    key: &str,
+    expects: &str,
+) -> Result<Option<T>, String> {
+    get(key)
+        .map(|v| v.trim().parse().map_err(|_| format!("{key} must be {expects}, got '{v}'")))
+        .transpose()
+}
+
+impl SloConfig {
+    /// The one reader of SLO settings: every key, unit conversion, clamp
+    /// and validation rule of the `<slo>` config block, `POST /slo` and
+    /// `POST /cluster/slo` is here, and those three only adapt their
+    /// container to `get`, which returns the text held under a key (named
+    /// as the JSON bodies name it). A key the container lacks keeps
+    /// `self`'s value, so `self` carries the defaults: the crate's on a
+    /// node, the coordinator's for the fleet.
+    ///
+    /// Keys: `target` (`p99`, `p50` or `max-throughput`) with `limit_ms`;
+    /// `law` (`aimd` or `pid`) with `step` and `backoff`, or `kp`, `ki`,
+    /// `kd`; `window_s`, `tick_ms`, `min_samples`; `min_rate`, `max_rate`,
+    /// `initial_rate`; `breaker_backoff`. A key that is there and does not
+    /// parse is refused, not skipped.
+    pub fn with_settings(
+        mut self,
+        get: impl Fn(&str) -> Option<String>,
+    ) -> Result<SloConfig, String> {
+        let count = |key| setting::<u64>(&get, key, "a non-negative integer");
+        let num = |key| match setting::<f64>(&get, key, "a number")? {
+            // Only the rate ceiling may be unbounded.
+            Some(v) if v.is_nan() || (v.is_infinite() && key != "max_rate") => {
+                Err(format!("{key} must be a finite number"))
+            }
+            v => Ok(v),
+        };
+        let limit_us = match num("limit_ms")? {
+            Some(ms) if ms > 0.0 => (ms * 1_000.0).round() as u64,
+            Some(_) => return Err("limit_ms must be a positive number".into()),
+            None => self.target.limit_us(),
+        };
+        let kind = get("target").unwrap_or_else(|| self.target.kind().to_string());
+        self.target = SloTarget::parse(&kind, limit_us)
+            .ok_or_else(|| format!("unknown target {kind}; known: p99, p50, max-throughput"))?;
+        if let Some(law) = get("law") {
+            self.law = ControlLaw::parse(&law)
+                .ok_or_else(|| format!("unknown law {law}; known: aimd, pid"))?;
+        }
+        if let Some(w) = count("window_s")? {
+            self.window_s = (w as usize).max(1);
+        }
+        if let Some(t) = count("tick_ms")? {
+            self.tick_us = t.max(1).saturating_mul(1_000);
+        }
+        if let Some(n) = count("min_samples")? {
+            self.min_samples = n;
+        }
+        for (key, field) in [
+            ("min_rate", &mut self.min_rate),
+            ("max_rate", &mut self.max_rate),
+            ("initial_rate", &mut self.initial_rate),
+            ("step", &mut self.additive_step),
+            ("backoff", &mut self.backoff),
+            ("breaker_backoff", &mut self.breaker_backoff),
+            ("kp", &mut self.kp),
+            ("ki", &mut self.ki),
+            ("kd", &mut self.kd),
+        ] {
+            if let Some(v) = num(key)? {
+                *field = v;
+            }
+        }
+        self.min_rate = self.min_rate.max(0.0);
+        if self.max_rate < self.min_rate {
+            return Err("max_rate must be >= min_rate".into());
+        }
+        for (key, v) in [("backoff", self.backoff), ("breaker_backoff", self.breaker_backoff)] {
+            if v <= 0.0 || v >= 1.0 {
+                return Err(format!("{key} must be in (0, 1)"));
+            }
+        }
+        Ok(self)
+    }
+
+    /// [`SloConfig::with_settings`] over a JSON body.
+    pub fn with_json(self, body: &Json) -> Result<SloConfig, String> {
+        self.with_settings(|key| match body.get(key)? {
+            Json::Null => None,
+            Json::Str(s) => Some(s.clone()),
+            // Rust's rendering, not JSON's: `inf` stays a number.
+            Json::Num(n) => Some(n.to_string()),
+            other => Some(other.to_string()),
+        })
     }
 }
 
@@ -346,254 +448,231 @@ impl SloCore {
     }
 }
 
-/// Atomic f64 stored as bits.
-fn store_f64(cell: &AtomicU64, v: f64) {
-    cell.store(v.to_bits(), Ordering::Relaxed);
+/// What a loop last saw and did: the numbers `GET /slo/status` and the
+/// `bp_slo_*` series report. Every arm starts it over.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SloStatus {
+    /// Offered rate the loop last set, tx/s.
+    pub rate: f64,
+    /// Last relative error term.
+    pub error: f64,
+    /// Last windowed latency the loop steered on, µs.
+    pub observed_us: u64,
+    /// Last windowed throughput the loop observed, tx/s.
+    pub observed_throughput: f64,
+    pub window_samples: u64,
+    pub increases: u64,
+    pub decreases: u64,
+    pub holds: u64,
+    pub breaker_backoffs: u64,
+    pub ticks: u64,
 }
 
-fn load_f64(cell: &AtomicU64) -> f64 {
-    f64::from_bits(cell.load(Ordering::Relaxed))
-}
-
-/// Shared state of one workload's SLO controller: configuration, the
-/// running control loop, and the live gauges/counters the control API
-/// and `/metrics` read. One persistent handle lives on each
-/// [`Controller`] (shared by all of its clones).
+/// One SLO loop's shared state: the armed law and the live status the
+/// control API and `/metrics` read. The handle does not care who ticks it.
+/// A [`Controller`] keeps one for its workload (shared by all of its
+/// clones) and ticks it from a `bp-slo` thread the handle then owns; the
+/// cluster coordinator keeps one for the fleet and ticks it from its
+/// detector.
 pub struct SloHandle {
     workload: String,
-    cfg: Mutex<Option<SloConfig>>,
-    /// The `bp-slo` thread; `None` while disarmed.
+    /// The armed law (`None` while disarmed) and what it last did, under one
+    /// lock so that a status read never mixes two ticks.
+    state: Mutex<(Option<SloCore>, SloStatus)>,
+    /// The thread ticking this loop, when the loop has one of its own.
     task: Mutex<Option<Periodic>>,
-    rate_bits: AtomicU64,
-    error_bits: AtomicU64,
-    throughput_bits: AtomicU64,
-    observed_us: AtomicU64,
-    window_samples: AtomicU64,
-    increases: AtomicU64,
-    decreases: AtomicU64,
-    holds: AtomicU64,
-    breaker_backoffs: AtomicU64,
-    ticks: AtomicU64,
 }
 
 impl SloHandle {
     pub fn new(workload: &str) -> SloHandle {
         SloHandle {
             workload: workload.to_string(),
-            cfg: Mutex::new(None),
+            state: Mutex::new((None, SloStatus::default())),
             task: Mutex::new(None),
-            rate_bits: AtomicU64::new(0f64.to_bits()),
-            error_bits: AtomicU64::new(0f64.to_bits()),
-            throughput_bits: AtomicU64::new(0f64.to_bits()),
-            observed_us: AtomicU64::new(0),
-            window_samples: AtomicU64::new(0),
-            increases: AtomicU64::new(0),
-            decreases: AtomicU64::new(0),
-            holds: AtomicU64::new(0),
-            breaker_backoffs: AtomicU64::new(0),
-            ticks: AtomicU64::new(0),
         }
     }
 
-    pub fn workload(&self) -> &str {
-        &self.workload
-    }
-
     pub fn is_active(&self) -> bool {
-        self.task.lock().is_some()
+        self.state.lock().0.is_some()
     }
 
+    /// The armed loop's configuration; `None` while disarmed.
     pub fn config(&self) -> Option<SloConfig> {
-        self.cfg.lock().clone()
+        self.state.lock().0.as_ref().map(|core| core.config().clone())
     }
 
-    /// Current offered rate as last set by the loop.
+    pub fn status(&self) -> SloStatus {
+        self.state.lock().1
+    }
+
+    /// Offered rate as last set by the loop.
     pub fn current_rate(&self) -> f64 {
-        load_f64(&self.rate_bits)
+        self.status().rate
     }
 
-    /// Last relative error term.
-    pub fn error(&self) -> f64 {
-        load_f64(&self.error_bits)
+    /// Arm a new loop: stop the thread of the one that is running, if any,
+    /// install the law and start the status over, so that after a re-arm it
+    /// describes the new loop, not the old one. From here
+    /// [`SloHandle::tick`] decides, and [`SloHandle::current_rate`] is the
+    /// rate to apply first.
+    pub fn arm(&self, cfg: SloConfig) {
+        *self.task.lock() = None; // joins the old thread, so it cannot tick into the reset
+        let core = SloCore::new(cfg);
+        let status = SloStatus { rate: core.rate(), ..SloStatus::default() };
+        *self.state.lock() = (Some(core), status);
     }
 
-    /// Last windowed throughput the loop observed.
-    pub fn observed_throughput(&self) -> f64 {
-        load_f64(&self.throughput_bits)
+    /// Hand the armed loop the thread that ticks it; `disarm` and the next
+    /// `arm` stop it.
+    pub(crate) fn run_on(&self, task: Periodic) {
+        *self.task.lock() = Some(task);
     }
 
-    /// Last windowed latency the loop steered on (µs).
-    pub fn observed_us(&self) -> u64 {
-        self.observed_us.load(Ordering::Relaxed)
-    }
-
-    pub fn window_samples(&self) -> u64 {
-        self.window_samples.load(Ordering::Relaxed)
-    }
-
-    pub fn increases(&self) -> u64 {
-        self.increases.load(Ordering::Relaxed)
-    }
-
-    pub fn decreases(&self) -> u64 {
-        self.decreases.load(Ordering::Relaxed)
-    }
-
-    pub fn holds(&self) -> u64 {
-        self.holds.load(Ordering::Relaxed)
-    }
-
-    pub fn breaker_backoffs(&self) -> u64 {
-        self.breaker_backoffs.load(Ordering::Relaxed)
-    }
-
-    pub fn ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Relaxed)
-    }
-
-    /// Arm for a new loop run: stop the loop that is running, if any, store
-    /// config, reset the live counters, and keep `task` as the new loop.
-    /// (Counters reset so `GET /slo/status` after a re-POST describes the
-    /// new loop, not the old one.)
-    pub(crate) fn arm(&self, cfg: &SloConfig, task: Periodic) {
-        let mut slot = self.task.lock();
-        *slot = None; // joins the old loop, so it cannot tick into the reset
-        *self.cfg.lock() = Some(cfg.clone());
-        store_f64(&self.rate_bits, cfg.initial_rate.clamp(cfg.min_rate, cfg.max_rate));
-        store_f64(&self.error_bits, 0.0);
-        store_f64(&self.throughput_bits, 0.0);
-        self.observed_us.store(0, Ordering::Relaxed);
-        self.window_samples.store(0, Ordering::Relaxed);
-        self.increases.store(0, Ordering::Relaxed);
-        self.decreases.store(0, Ordering::Relaxed);
-        self.holds.store(0, Ordering::Relaxed);
-        self.breaker_backoffs.store(0, Ordering::Relaxed);
-        self.ticks.store(0, Ordering::Relaxed);
-        *slot = Some(task);
-    }
-
-    /// Stop the running loop, if any; returns once its thread has ended.
-    pub(crate) fn disarm(&self) {
+    /// Stop the loop; returns once its thread, if it has one, has ended.
+    /// The last rate it applied stays in effect.
+    pub fn disarm(&self) {
         *self.task.lock() = None;
+        self.state.lock().0 = None;
     }
 
-    pub(crate) fn on_tick(&self, obs: &SloObservation, d: &SloDecision) {
-        store_f64(&self.rate_bits, d.rate);
-        store_f64(&self.error_bits, d.error);
-        store_f64(&self.throughput_bits, obs.throughput);
-        let cfg = self.cfg.lock();
-        let observed = match cfg.as_ref().map(|c| c.target) {
-            Some(SloTarget::P50BelowUs(_)) => obs.p50_us,
+    /// One control step of the armed law against `obs`: the rate before
+    /// and the decision, which the caller applies; `None` while disarmed.
+    pub fn tick(&self, obs: &SloObservation) -> Option<(f64, SloDecision)> {
+        let mut state = self.state.lock();
+        let (Some(core), status) = &mut *state else { return None };
+        let before = core.rate();
+        let d = core.tick(obs);
+        status.rate = d.rate;
+        status.error = d.error;
+        status.observed_us = match core.config().target {
+            SloTarget::P50BelowUs(_) => obs.p50_us,
             _ => obs.p99_us,
         };
-        drop(cfg);
-        self.observed_us.store(observed, Ordering::Relaxed);
-        self.window_samples.store(obs.sample_count, Ordering::Relaxed);
-        match d.adjustment {
-            Adjustment::Increase => self.increases.fetch_add(1, Ordering::Relaxed),
-            Adjustment::Decrease => self.decreases.fetch_add(1, Ordering::Relaxed),
-            Adjustment::Hold => self.holds.fetch_add(1, Ordering::Relaxed),
-            Adjustment::BreakerBackoff => self.breaker_backoffs.fetch_add(1, Ordering::Relaxed),
+        status.observed_throughput = obs.throughput;
+        status.window_samples = obs.sample_count;
+        *match d.adjustment {
+            Adjustment::Increase => &mut status.increases,
+            Adjustment::Decrease => &mut status.decreases,
+            Adjustment::Hold => &mut status.holds,
+            Adjustment::BreakerBackoff => &mut status.breaker_backoffs,
+        } += 1;
+        status.ticks += 1;
+        Some((before, d))
+    }
+
+    /// The loop's live state: the `GET /slo/status` body, and with
+    /// `global_rate` added the `GET /cluster/slo` one.
+    pub fn status_json(&self) -> Json {
+        let (cfg, st) = (self.config(), self.status());
+        let (target, limit_us, law, window_s) = match &cfg {
+            Some(cfg) => {
+                (cfg.target.kind(), cfg.target.limit_us(), cfg.law.name(), cfg.window_s as u64)
+            }
+            None => ("none", 0, "none", 0),
         };
-        self.ticks.fetch_add(1, Ordering::Relaxed);
+        Json::obj()
+            .set("workload", self.workload.as_str())
+            .set("active", cfg.is_some())
+            .set("target", target)
+            .set("limit_us", limit_us)
+            .set("law", law)
+            .set("window_s", window_s)
+            .set("rate", st.rate)
+            .set("error", st.error)
+            .set("observed_us", st.observed_us)
+            .set("observed_throughput", st.observed_throughput)
+            .set("window_samples", st.window_samples)
+            .set("ticks", st.ticks)
+            .set(
+                "adjustments",
+                Json::obj()
+                    .set("increase", st.increases)
+                    .set("decrease", st.decreases)
+                    .set("hold", st.holds)
+                    .set("breaker_backoff", st.breaker_backoffs),
+            )
     }
 }
 
 impl MetricsSource for SloHandle {
     fn collect(&self, buf: &mut MetricsBuf) {
-        let labels = [("workload", self.workload.as_str())];
+        let (target, st) = (self.config().map(|cfg| cfg.target), self.status());
+        let workload = ("workload", self.workload.as_str());
         buf.gauge(
             "bp_slo_active",
             "1 while a closed-loop SLO controller is driving the rate.",
-            &labels,
-            if self.is_active() { 1.0 } else { 0.0 },
+            &[workload],
+            if target.is_some() { 1.0 } else { 0.0 },
         );
-        let (target_us, kind) = match self.config().map(|c| c.target) {
-            Some(t) => (t.limit_us() as f64, t.kind()),
-            None => (0.0, "none"),
-        };
+        let (target_us, kind) = target.map_or((0, "none"), |t| (t.limit_us(), t.kind()));
         buf.gauge(
             "bp_slo_target_us",
             "Configured latency objective in µs (0 for max-throughput).",
-            &[("workload", self.workload.as_str()), ("target", kind)],
-            target_us,
+            &[workload, ("target", kind)],
+            target_us as f64,
         );
-        buf.gauge(
-            "bp_slo_current_rate",
-            "Offered rate the SLO loop last set, tx/s.",
-            &labels,
-            self.current_rate(),
-        );
-        buf.gauge(
-            "bp_slo_error",
-            "Relative error term (positive = headroom, negative = violation).",
-            &labels,
-            self.error(),
-        );
-        buf.gauge(
-            "bp_slo_observed_us",
-            "Windowed latency percentile the loop last steered on, µs.",
-            &labels,
-            self.observed_us() as f64,
-        );
-        buf.gauge(
-            "bp_slo_observed_throughput",
-            "Windowed delivered throughput the loop last observed, tx/s.",
-            &labels,
-            self.observed_throughput(),
-        );
-        for (dir, n) in [
-            ("increase", self.increases()),
-            ("decrease", self.decreases()),
-            ("hold", self.holds()),
+        for (name, help, v) in [
+            ("bp_slo_current_rate", "Offered rate the SLO loop last set, tx/s.", st.rate),
+            (
+                "bp_slo_error",
+                "Relative error term (positive = headroom, negative = violation).",
+                st.error,
+            ),
+            (
+                "bp_slo_observed_us",
+                "Windowed latency percentile the loop last steered on, µs.",
+                st.observed_us as f64,
+            ),
+            (
+                "bp_slo_observed_throughput",
+                "Windowed delivered throughput the loop last observed, tx/s.",
+                st.observed_throughput,
+            ),
         ] {
+            buf.gauge(name, help, &[workload], v);
+        }
+        for (dir, n) in [("increase", st.increases), ("decrease", st.decreases), ("hold", st.holds)] {
             buf.counter(
                 "bp_slo_adjustments_total",
                 "Control-loop adjustments, by direction.",
-                &[("workload", self.workload.as_str()), ("dir", dir)],
+                &[workload, ("dir", dir)],
                 n as f64,
             );
         }
         buf.counter(
             "bp_slo_breaker_backoffs_total",
             "Hard backoffs forced by an open circuit breaker.",
-            &labels,
-            self.breaker_backoffs() as f64,
+            &[workload],
+            st.breaker_backoffs as f64,
         );
         buf.counter(
             "bp_slo_ticks_total",
             "Control-loop ticks executed.",
-            &labels,
-            self.ticks() as f64,
+            &[workload],
+            st.ticks as f64,
         );
     }
 }
 
-/// The impure shell: one control step of [`SloCore`] against the live
-/// window snapshot. [`Controller::start_slo`] runs it every `tick_us` on
-/// the `bp-slo` thread; `false` (the run has stopped) ends that thread.
-pub(crate) fn slo_tick(controller: &Controller, core: &mut SloCore) -> bool {
+/// A node's impure shell: one control step against the workload's live
+/// window snapshot, applied to its rate. [`Controller::start_slo`] runs it
+/// every `tick_us` on the `bp-slo` thread; `false` (the run has stopped, or
+/// the loop was disarmed) ends that thread.
+pub(crate) fn slo_tick(controller: &Controller, window_s: usize) -> bool {
     if controller.is_stopped() {
         return false;
     }
-    let snap = controller.stats().window_snapshot(core.config().window_s);
-    let (open, half_open) = match controller.breaker() {
-        Some(b) => {
-            let s = b.state();
-            (s == BreakerState::Open, s == BreakerState::HalfOpen)
-        }
-        None => (false, false),
-    };
+    let snap = controller.stats().window_snapshot(window_s);
+    let breaker = controller.breaker().map(|b| b.state());
     let obs = SloObservation {
         p50_us: snap.p50_us,
         p99_us: snap.p99_us,
         throughput: snap.throughput,
         sample_count: snap.count,
-        breaker_open: open,
-        breaker_half_open: half_open,
+        breaker_open: breaker == Some(BreakerState::Open),
+        breaker_half_open: breaker == Some(BreakerState::HalfOpen),
     };
-    let before = core.rate();
-    let d = core.tick(&obs);
+    let Some((before, d)) = controller.slo().tick(&obs) else { return false };
     if d.adjustment != Adjustment::Hold {
         // Holds are the steady state; journaling only the actual rate
         // decisions keeps the ring about *changes* (the doctor matches
@@ -619,13 +698,13 @@ pub(crate) fn slo_tick(controller: &Controller, core: &mut SloCore) -> bool {
         });
     }
     controller.set_rate(Rate::Limited(d.rate));
-    controller.slo().on_tick(&obs, &d);
     true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn obs(p99: u64, tput: f64, n: u64) -> SloObservation {
@@ -855,21 +934,22 @@ mod tests {
     fn handle_rearm_resets_and_leaves_one_loop() {
         let h = SloHandle::new("w");
         assert!(!h.is_active());
+        assert_eq!(h.tick(&obs(1_000, 100.0, 50)), None, "a disarmed loop decides nothing");
         let (first, second) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
-        h.arm(&SloConfig::default(), counting_task(&first));
+        h.arm(SloConfig::default());
+        h.run_on(counting_task(&first));
         assert!(h.is_active());
         assert!((h.current_rate() - SloConfig::default().initial_rate).abs() < 1e-9);
-        let d = SloDecision { rate: 123.0, adjustment: Adjustment::Increase, error: 0.5 };
-        h.on_tick(&obs(1_000, 100.0, 50), &d);
-        assert_eq!(h.increases(), 1);
-        assert_eq!(h.ticks(), 1);
-        assert!((h.current_rate() - 123.0).abs() < 1e-9);
+        let (before, d) = h.tick(&obs(1_000, 100.0, 50)).unwrap();
+        assert_eq!((before, d.adjustment), (100.0, Adjustment::Increase));
+        assert_eq!((h.status().increases, h.status().ticks), (1, 1));
+        assert!((h.current_rate() - 150.0).abs() < 1e-9);
         // Re-arm: counters reset and the first loop is gone when `arm` returns.
-        h.arm(&SloConfig::default(), counting_task(&second));
+        h.arm(SloConfig::default());
         let first_at_rearm = first.load(Ordering::Relaxed);
+        h.run_on(counting_task(&second));
         assert!(h.is_active());
-        assert_eq!(h.increases(), 0);
-        assert_eq!(h.ticks(), 0);
+        assert_eq!((h.status().increases, h.status().ticks), (0, 0));
         std::thread::sleep(std::time::Duration::from_millis(30));
         assert_eq!(first.load(Ordering::Relaxed), first_at_rearm, "replaced loop still ticking");
         assert!(second.load(Ordering::Relaxed) > 0, "new loop not ticking");
@@ -881,16 +961,18 @@ mod tests {
         assert_eq!(second.load(Ordering::Relaxed), second_at_disarm, "disarmed loop still ticking");
     }
 
+    /// A loop without a thread of its own (the coordinator ticks the fleet's
+    /// from its detector) is armed all the same, and reports as a node's.
     #[test]
-    fn handle_metrics_expose_slo_series() {
+    fn handle_metrics_and_status_need_no_thread() {
         let h = SloHandle::new("voter");
-        h.arm(
-            &SloConfig { target: SloTarget::P99BelowUs(5_000), ..SloConfig::default() },
-            Periodic::spawn("t-slo", 60_000_000, || true),
-        );
+        h.arm(SloConfig {
+            target: SloTarget::P99BelowUs(5_000),
+            initial_rate: 100.0,
+            ..SloConfig::default()
+        });
         let o = SloObservation { breaker_open: true, ..obs(9_000, 50.0, 100) };
-        let d = SloDecision { rate: 50.0, adjustment: Adjustment::BreakerBackoff, error: -1.0 };
-        h.on_tick(&o, &d);
+        assert_eq!(h.tick(&o).unwrap().1.adjustment, Adjustment::BreakerBackoff);
         let mut buf = MetricsBuf::new();
         h.collect(&mut buf);
         let samples = buf.into_samples();
@@ -901,5 +983,50 @@ mod tests {
         assert_eq!(get("bp_slo_current_rate").value, bp_obs::MetricValue::Gauge(50.0));
         assert_eq!(get("bp_slo_breaker_backoffs_total").value, bp_obs::MetricValue::Counter(1.0));
         assert!(samples.iter().all(|s| s.labels.iter().any(|(k, v)| k == "workload" && v == "voter")));
+
+        let status = h.status_json();
+        assert_eq!(status.get("active").and_then(Json::as_bool), Some(true));
+        assert_eq!(status.get("workload").and_then(Json::as_str), Some("voter"));
+        assert_eq!(status.get("limit_us").and_then(Json::as_u64), Some(5_000));
+        assert_eq!(status.get("rate").and_then(Json::as_f64), Some(50.0));
+        assert_eq!(status.get("observed_us").and_then(Json::as_u64), Some(9_000));
+        let adjustments = status.get("adjustments").unwrap();
+        assert_eq!(adjustments.get("breaker_backoff").and_then(Json::as_u64), Some(1));
+        h.disarm();
+        assert_eq!(h.status_json().get("active").and_then(Json::as_bool), Some(false));
+        assert_eq!(h.status_json().get("target").and_then(Json::as_str), Some("none"));
+    }
+
+    #[test]
+    fn settings_keep_the_base_where_absent_and_convert_units() {
+        let base = SloConfig { min_rate: 50.0, additive_step: 100.0, ..SloConfig::default() };
+        assert_eq!(base.clone().with_settings(|_| None), Ok(base.clone()));
+        let cfg = base
+            .clone()
+            .with_json(
+                &Json::obj()
+                    .set("target", "p50")
+                    .set("limit_ms", 2.5)
+                    .set("law", "PID")
+                    .set("window_s", 0u64)
+                    .set("tick_ms", 0u64)
+                    .set("min_rate", -5.0)
+                    .set("max_rate", "inf")
+                    .set("kd", "0.25")
+                    .set("workload", "demo"),
+            )
+            .unwrap();
+        assert_eq!(cfg.target, SloTarget::P50BelowUs(2_500));
+        assert_eq!(cfg.law, ControlLaw::Pid);
+        assert_eq!((cfg.window_s, cfg.tick_us), (1, 1_000), "clamped up to one second, one ms");
+        assert_eq!((cfg.min_rate, cfg.max_rate), (0.0, f64::INFINITY));
+        assert_eq!((cfg.kd, cfg.additive_step), (0.25, 100.0));
+        // A key that is there and is not what it must be is refused, not skipped.
+        for (key, bad) in [("window_s", "2.5"), ("tick_ms", "-1"), ("step", "fast"), ("kp", "inf")] {
+            let got = base.clone().with_settings(|k| (k == key).then(|| bad.to_string()));
+            assert!(got.as_ref().is_err_and(|e| e.contains(key)), "{key}={bad}: {got:?}");
+        }
+        let armed = base.with_json(&Json::obj().set("min_rate", 100.0).set("max_rate", 50.0));
+        assert_eq!(armed, Err("max_rate must be >= min_rate".to_string()));
     }
 }

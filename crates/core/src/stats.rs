@@ -6,8 +6,8 @@
 //! every finished transaction calls [`StatsCollector::record`] — so the
 //! collector is sharded: each worker thread records into its own
 //! cache-line-padded shard guarded by a lock no other recorder touches.
-//! Readers (the controller feedback loop, the monitor, the control API)
-//! merge the shards on demand; reads are orders of magnitude rarer than
+//! Readers (the controller feedback loop, the telemetry sensor, the control
+//! API) merge the shards on demand; reads are orders of magnitude rarer than
 //! writes, so the merge cost sits on the cold path where it belongs.
 
 use bp_obs::SpanOutcome;
@@ -48,7 +48,6 @@ impl From<RequestOutcome> for SpanOutcome {
 #[derive(Debug, Clone)]
 struct PerType {
     latency: Histogram,
-    completions: TimeSeries,
     committed: u64,
     user_aborted: u64,
     failed: u64,
@@ -60,7 +59,6 @@ impl PerType {
     fn new() -> PerType {
         PerType {
             latency: Histogram::latency(),
-            completions: TimeSeries::per_second(),
             committed: 0,
             user_aborted: 0,
             failed: 0,
@@ -71,7 +69,6 @@ impl PerType {
 
     fn merge(&mut self, other: &PerType) {
         self.latency.merge(&other.latency);
-        self.completions.merge(&other.completions);
         self.committed += other.committed;
         self.user_aborted += other.user_aborted;
         self.failed += other.failed;
@@ -250,7 +247,6 @@ impl StatsCollector {
         shard.all_completions.record(s.end, latency);
         if let Some(pt) = shard.per_type.get_mut(s.txn_type) {
             pt.latency.record(latency);
-            pt.completions.record(s.end, latency);
             pt.retries += s.retries as u64;
             match s.outcome {
                 RequestOutcome::Committed => pt.committed += 1,

@@ -69,7 +69,7 @@ pub struct Event {
     /// Microseconds since the journal's clock origin (run start).
     pub ts_us: u64,
     pub severity: Severity,
-    /// Emitting layer: `core`, `slo`, `chaos`, `storage`, `api`, `monitor`.
+    /// Emitting layer: `core`, `slo`, `chaos`, `storage`, `api`, `cluster`.
     pub source: &'static str,
     /// Machine-matchable event type, e.g. `phase_change`, `chaos_armed`.
     pub kind: &'static str,
@@ -162,10 +162,10 @@ fn flatten(s: &str) -> String {
 /// The fixed source/kind/field vocabulary, so parsed events round-trip to
 /// `&'static str` without leaking.
 const VOCAB: &[&str] = &[
-    "core", "slo", "chaos", "storage", "api", "monitor", "game", "run_start", "run_stop",
+    "core", "slo", "chaos", "storage", "api", "game", "run_start", "run_stop",
     "phase_change", "rate_change", "mixture_change", "slo_decision", "slo_armed", "slo_disarmed",
     "chaos_armed", "chaos_disarmed", "breaker_transition", "deadlock_victim", "wal_rotate",
-    "buffer_pressure", "saturation_change", "replay_launch", "doctor", "phase", "rate", "before",
+    "buffer_pressure", "replay_launch", "doctor", "phase", "rate", "before",
     "after", "plan", "state", "txn", "holder", "segment", "lsn", "bytes", "ratio", "from", "to",
     "workload", "adjustment", "p99_us", "limit_us", "crash", "obs", "trace_evict", "evicted",
     "budget", "trace_id", "unknown",

@@ -12,8 +12,8 @@
 //!   can be disabled (`off`), probabilistically sampled (`sampled`), or
 //!   exhaustive (`full`) per run via [`ObsConfig`].
 //! * [`MetricsRegistry`] — one snapshot API over every metrics silo in the
-//!   system (client-side statistics, storage-engine counters, resource
-//!   monitor samples, span stage histograms). Sources implement
+//!   system (client-side statistics, storage-engine counters, control-loop
+//!   status, span stage histograms). Sources implement
 //!   [`MetricsSource`]; the registry renders the union in Prometheus text
 //!   exposition format for `GET /metrics`.
 //!
@@ -29,7 +29,7 @@
 //!   dominant bottleneck per window with evidence and a causal event.
 //!
 //! This crate depends only on `bp-util` so every other layer (core,
-//! storage, monitor, api) can depend on it without cycles.
+//! storage, api) can depend on it without cycles.
 
 pub mod doctor;
 pub mod journal;

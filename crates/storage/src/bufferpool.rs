@@ -2,8 +2,8 @@
 //!
 //! Rows map to pages by `rowid / rows_per_page`. A page miss charges the
 //! personality's IO cost and counts an IO read; evicting a dirty page counts
-//! an IO write. This gives the working-set effects that make the monitor's
-//! IO column meaningful ("lower the percentage of write-intensive
+//! an IO write. This gives the working-set effects that make the telemetry
+//! recorder's IO columns meaningful ("lower the percentage of write-intensive
 //! transactions if the disk IO activity seems to saturate", §4.2).
 
 use std::collections::HashMap;

@@ -1,4 +1,5 @@
-//! Server-side counters sampled by the resource monitor (`bp-monitor`).
+//! Server-side counters sampled by the run's telemetry recorder
+//! (`bp_obs::TelemetryRecorder`, fed by `bp-core`'s sensor).
 //!
 //! These play the role of the host metrics that OLTP-Bench gathers with
 //! dstat [7]: CPU work, IO operations, lock activity, WAL traffic. All

@@ -12,7 +12,7 @@
 //! - [`clock`]: the wall/virtual clock abstraction that lets the same
 //!   workload-control logic run in real time or in deterministic simulation;
 //! - [`periodic`]: the one background ticker — every periodic thread in
-//!   util/obs/monitor/core/cluster is a [`Periodic`], paced and stopped here;
+//!   util/obs/core/cluster is a [`Periodic`], paced and stopped here;
 //! - [`sync`]: std-only `Mutex`/`RwLock`/`Condvar` wrappers with a
 //!   `parking_lot`-style call-site API (guards returned directly, poison
 //!   ignored) so the workspace builds with zero external dependencies;

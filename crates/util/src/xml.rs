@@ -58,52 +58,6 @@ impl XmlNode {
     pub fn child_parse<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
         self.child_text(name).and_then(|t| t.trim().parse().ok())
     }
-
-    /// Serialize back to XML (pretty, for writing sample configs).
-    pub fn to_xml(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        out.push_str(&pad);
-        out.push('<');
-        out.push_str(&self.name);
-        for (k, v) in &self.attrs {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            out.push_str(&escape(v));
-            out.push('"');
-        }
-        if self.children.is_empty() && self.text.is_empty() {
-            out.push_str("/>\n");
-            return;
-        }
-        out.push('>');
-        if !self.text.is_empty() {
-            out.push_str(&escape(&self.text));
-        }
-        if !self.children.is_empty() {
-            out.push('\n');
-            for c in &self.children {
-                c.write(out, depth + 1);
-            }
-            out.push_str(&pad);
-        }
-        out.push_str("</");
-        out.push_str(&self.name);
-        out.push_str(">\n");
-    }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
 }
 
 fn unescape(s: &str) -> String {
@@ -408,14 +362,6 @@ mod tests {
         assert!(XmlNode::parse("<a><b></a></b>").is_err());
         assert!(XmlNode::parse("<a>").is_err());
         assert!(XmlNode::parse("<a></a><b></b>").is_err());
-    }
-
-    #[test]
-    fn roundtrip() {
-        let root = XmlNode::parse(SAMPLE).unwrap();
-        let xml = root.to_xml();
-        let back = XmlNode::parse(&xml).unwrap();
-        assert_eq!(root, back);
     }
 
     #[test]

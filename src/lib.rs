@@ -4,7 +4,6 @@ pub use bp_chaos as chaos;
 pub use bp_cluster as cluster;
 pub use bp_core as core;
 pub use bp_game as game;
-pub use bp_monitor as monitor;
 pub use bp_obs as obs;
 pub use bp_replay as replay;
 pub use bp_sql as sql;

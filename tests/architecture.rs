@@ -1,18 +1,15 @@
 //! E2 (Fig. 1): the full testbed pipeline, end to end.
 //!
 //! XML config → workload manager + workers → SQL connections → embedded
-//! engine, with server-side monitoring alongside, producing a trace that
-//! the Trace Analyzer rolls up — every box of the architecture figure.
-
-use std::sync::Arc;
+//! engine, with the telemetry recorder sampling the server's counters
+//! alongside, producing a trace that the Trace Analyzer rolls up — every
+//! box of the architecture figure.
 
 use benchpress::core::{RunConfig, TraceAnalyzer, WorkloadConfig};
-use benchpress::monitor::Monitor;
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
 use benchpress::util::clock::wall_clock;
 use benchpress::util::rng::Rng;
-use benchpress::util::Periodic;
 use benchpress::workloads::by_name;
 
 const CONFIG_XML: &str = r#"<?xml version="1.0"?>
@@ -52,18 +49,15 @@ fn full_pipeline_from_config_xml() {
         .expect("load");
     assert!(summary.rows > 0);
 
-    // 4. Start monitoring (dstat-style) alongside.
-    let clock = wall_clock();
-    let monitor = Arc::new(Monitor::new(db.clone(), clock.clone()));
-    let monitor_task: Periodic = monitor.spawn(200_000);
+    // 4. Monitoring (dstat-style) runs alongside: the run's telemetry
+    //    recorder samples the engine's counters every 200 ms.
+    let run_cfg = RunConfig { telemetry_interval_us: 200_000, ..cfg.run_config(99) };
 
     // 5. Run the phase script with the threaded executor.
-    let run_cfg: RunConfig = cfg.run_config(99);
     let script = run_cfg.script.clone();
-    let handle = benchpress::core::start(db, workload, clock, run_cfg);
+    let handle = benchpress::core::start(db, workload, wall_clock(), run_cfg);
     let trace = handle.trace.clone().expect("trace collection enabled");
     let controller = handle.join();
-    drop(monitor_task);
 
     // 6. Analyze the trace: both phases visible, rate tracked, no overshoot.
     let analysis = TraceAnalyzer::analyze(&trace, 6);
@@ -76,11 +70,12 @@ fn full_pipeline_from_config_xml() {
     assert!(p2 > p1 * 1.5, "phase change not visible: {p1} -> {p2}");
 
     // 7. Monitoring saw the run.
-    let samples = monitor.samples();
+    let recorder = controller.recorder().expect("telemetry recorder wired");
+    let samples = recorder.samples();
     assert!(samples.len() >= 5, "{} samples", samples.len());
-    assert!(samples.iter().any(|s| s.commits_per_s > 50.0));
-    let csv = monitor.to_csv();
-    assert!(csv.lines().count() > 5);
+    assert!(samples.iter().any(|s| s.commits as f64 / 0.2 > 50.0), "no sample above 50 commits/s");
+    let report = recorder.report(controller.journal()).to_text();
+    assert!(report.lines().count() > 5);
 
     // 8. Per-type stats flowed into the collector too.
     let per_type = controller.stats().per_type_summary();
@@ -118,7 +113,8 @@ fn tpcc_runs_under_throttle_on_real_engine() {
 /// Every periodic background thread is a `bp_util::Periodic`. Outside test
 /// modules, threads are spawned only by `Periodic` itself, the executor
 /// (manager + workers) and the HTTP server (accept + per connection), and
-/// the guard types `Periodic` replaced stay gone.
+/// the guard types `Periodic` replaced stay gone — as do the second SLO
+/// controller and the second sampler of the engine's counters.
 #[test]
 fn background_threads_go_through_periodic() {
     fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
@@ -132,7 +128,11 @@ fn background_threads_go_through_periodic() {
         }
     }
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
-    const RETIRED: [&str; 4] = ["TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard"];
+    const RETIRED: [&str; 7] = [
+        "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
+        // One SLO controller, one sampler of the engine's counters.
+        "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
+    ];
 
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut files = Vec::new();
