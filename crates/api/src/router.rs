@@ -874,7 +874,7 @@ impl ApiServer {
             .all()
             .into_iter()
             .filter(|e| {
-                let tagged = e.fields.iter().any(|(k, v)| *k == "trace_id" && *v == hex);
+                let tagged = e.field("trace_id") == Some(hex.as_str());
                 tagged || (e.ts_us >= lo && e.ts_us <= hi)
             })
             .map(|e| e.to_json())

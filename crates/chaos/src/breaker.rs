@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bp_obs::{EventJournal, MetricsBuf, MetricsSource, Severity};
+use bp_util::ring::Ring;
 use bp_util::sync::Mutex;
 
 /// Breaker tuning. Defaults are deliberately conservative: a breaker with
@@ -103,10 +104,9 @@ pub enum Admission {
 }
 
 struct Inner {
-    /// Sliding outcome window: `true` = failure. Ring-indexed by `pos`.
-    ring: Vec<bool>,
-    pos: usize,
-    filled: u32,
+    /// Sliding outcome window: `true` = failure.
+    window: Ring<bool>,
+    /// Failures inside `window`.
     failures: u32,
     opened_at_us: u64,
     probes_inflight: u32,
@@ -115,26 +115,15 @@ struct Inner {
 
 impl Inner {
     fn reset_window(&mut self) {
-        self.ring.iter_mut().for_each(|b| *b = false);
-        self.pos = 0;
-        self.filled = 0;
+        self.window.clear();
         self.failures = 0;
     }
 
-    fn record(&mut self, failure: bool, window: u32) {
-        if self.ring.len() < window as usize {
-            self.ring.resize(window as usize, false);
-        }
-        let old = std::mem::replace(&mut self.ring[self.pos], failure);
-        self.pos = (self.pos + 1) % window as usize;
-        if self.filled < window {
-            self.filled += 1;
-        } else if old {
+    fn record(&mut self, failure: bool) {
+        if self.window.push(failure) == Some(true) {
             self.failures -= 1;
         }
-        if failure {
-            self.failures += 1;
-        }
+        self.failures += failure as u32;
     }
 }
 
@@ -159,9 +148,7 @@ impl CircuitBreaker {
             name: name.to_string(),
             state: AtomicU8::new(BreakerState::Closed as u8),
             inner: Mutex::new(Inner {
-                ring: vec![false; cfg.window as usize],
-                pos: 0,
-                filled: 0,
+                window: Ring::new(cfg.window as usize),
                 failures: 0,
                 opened_at_us: 0,
                 probes_inflight: 0,
@@ -268,10 +255,7 @@ impl CircuitBreaker {
     pub fn on_success(&self) {
         let mut inner = self.inner.lock();
         match self.state() {
-            BreakerState::Closed => {
-                let w = self.cfg.window;
-                inner.record(false, w);
-            }
+            BreakerState::Closed => inner.record(false),
             BreakerState::HalfOpen => {
                 inner.probe_successes += 1;
                 if inner.probe_successes >= self.cfg.half_open_probes {
@@ -289,10 +273,10 @@ impl CircuitBreaker {
         let mut inner = self.inner.lock();
         match self.state() {
             BreakerState::Closed => {
-                let w = self.cfg.window;
-                inner.record(true, w);
-                if inner.filled >= self.cfg.min_samples
-                    && inner.failures as f64 / inner.filled as f64 >= self.cfg.failure_threshold
+                inner.record(true);
+                let filled = inner.window.len() as f64;
+                if filled >= self.cfg.min_samples as f64
+                    && inner.failures as f64 / filled >= self.cfg.failure_threshold
                 {
                     inner.opened_at_us = now_us;
                     inner.reset_window();
@@ -585,7 +569,7 @@ mod tests {
         let events = j.all();
         let kinds: Vec<(&str, String)> = events
             .iter()
-            .map(|e| (e.kind, e.fields.iter().find(|(k, _)| *k == "to").unwrap().1.clone()))
+            .map(|e| (&*e.kind, e.field("to").unwrap().to_string()))
             .collect();
         assert_eq!(
             kinds,
@@ -597,7 +581,7 @@ mod tests {
             "{events:?}"
         );
         assert_eq!(events[0].severity, Severity::Error);
-        assert!(events[0].fields.contains(&("from", "closed".to_string())));
+        assert_eq!(events[0].field("from"), Some("closed"));
     }
 
     #[test]

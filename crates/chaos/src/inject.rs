@@ -446,9 +446,9 @@ mod tests {
         assert_eq!(events.len(), 2, "{events:?}");
         assert_eq!(events[0].kind, "chaos_armed");
         assert_eq!(events[0].severity, Severity::Warn);
-        assert!(events[0].fields.contains(&("plan", "error-burst".to_string())));
+        assert_eq!(events[0].field("plan"), Some("error-burst"));
         assert_eq!(events[1].kind, "chaos_disarmed");
-        assert!(events[1].fields.contains(&("plan", "error-burst".to_string())));
+        assert_eq!(events[1].field("plan"), Some("error-burst"));
     }
 
     #[test]

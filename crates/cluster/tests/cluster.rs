@@ -91,7 +91,7 @@ fn sum_metric(text: &str, name: &str) -> f64 {
     text.lines()
         .filter(|l| !l.starts_with('#'))
         .filter(|l| {
-            l.strip_prefix(name).map_or(false, |rest| rest.starts_with('{') || rest.starts_with(' '))
+            l.strip_prefix(name).is_some_and(|rest| rest.starts_with('{') || rest.starts_with(' '))
         })
         .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
         .sum()
@@ -262,11 +262,11 @@ fn missed_heartbeats_mark_suspect_then_dead_and_resplit() {
     assert!((rate_of("a") - 100.0).abs() < 1e-6, "survivor has the full rate");
 
     let events = coordinator.journal().recent(usize::MAX, Severity::Debug);
-    let kinds: Vec<&str> = events.iter().map(|e| e.kind).collect();
+    let kinds: Vec<&str> = events.iter().map(|e| &*e.kind).collect();
     assert!(kinds.contains(&"node_suspect"), "{kinds:?}");
     assert!(kinds.contains(&"node_dead"), "{kinds:?}");
     let dead = events.iter().find(|e| e.kind == "node_dead").unwrap();
-    assert_eq!(dead.fields.iter().find(|(k, _)| *k == "node").unwrap().1, "b");
+    assert_eq!(dead.field("node"), Some("b"));
 
     // A fresh heartbeat revives the dead node and re-splits again.
     post("/cluster/heartbeat", Json::obj().set("node", "b"));
@@ -539,7 +539,7 @@ fn straggler_heartbeats_become_doctor_finding() {
     let straggles: Vec<_> = events.iter().filter(|e| e.kind == "node_straggler").collect();
     assert!(!straggles.is_empty(), "no straggler event emitted");
     for e in &straggles {
-        assert_eq!(e.fields.iter().find(|(k, _)| *k == "node").unwrap().1, "c");
+        assert_eq!(e.field("node"), Some("c"));
     }
 
     // The doctor turns the event run into a ranked straggler_node finding.
@@ -555,5 +555,5 @@ fn straggler_heartbeats_become_doctor_finding() {
         .find(|f| f.bottleneck == bp_obs::Bottleneck::StragglerNode)
         .expect("straggler finding");
     assert!(f.evidence.contains("node c"), "{}", f.evidence);
-    assert_eq!(f.causal_kind, Some("node_straggler"));
+    assert_eq!(f.causal_kind.as_deref(), Some("node_straggler"));
 }

@@ -149,8 +149,10 @@ impl WorkloadConfig {
             if let Some(cap) = node.child_parse::<usize>("ringcapacity") {
                 obs.ring_capacity = cap;
             }
-            if let Some(budget) = node.child_parse::<usize>("spanbudget") {
-                obs.span_budget = budget;
+            if node.child("spanbudget").is_some() {
+                return Err(ConfigError(
+                    "<spanbudget> is gone: the span budget is <ringcapacity>".into(),
+                ));
             }
         }
 
@@ -300,14 +302,12 @@ mod tests {
         let xml = SAMPLE.replace(
             "</parameters>",
             "<observability><spans>sampled</spans><samplerate>0.25</samplerate>\
-             <ringcapacity>1024</ringcapacity><spanbudget>512</spanbudget>\
-             </observability></parameters>",
+             <ringcapacity>1024</ringcapacity></observability></parameters>",
         );
         let cfg = WorkloadConfig::parse(&xml).unwrap();
         assert_eq!(cfg.obs.mode, SpanMode::Sampled);
         assert_eq!(cfg.obs.sample_ratio, 0.25);
         assert_eq!(cfg.obs.ring_capacity, 1024);
-        assert_eq!(cfg.obs.span_budget, 512);
         // Carried into the run config verbatim.
         assert_eq!(cfg.run_config(1).obs, cfg.obs);
     }
@@ -421,5 +421,12 @@ mod tests {
             "<observability><samplerate>1.5</samplerate></observability></parameters>",
         );
         assert!(WorkloadConfig::parse(&bad_ratio).is_err());
+
+        let second_name = SAMPLE.replace(
+            "</parameters>",
+            "<observability><spanbudget>512</spanbudget></observability></parameters>",
+        );
+        let err = WorkloadConfig::parse(&second_name).unwrap_err();
+        assert!(err.0.contains("<ringcapacity>"), "{err}");
     }
 }

@@ -679,7 +679,8 @@ mod tests {
         s.commit().unwrap();
         c.stop_recovery();
         assert!(!c.recovery().is_active());
-        let kinds: Vec<_> = db.journal().all().iter().map(|e| e.kind).collect();
+        let events = db.journal().all();
+        let kinds: Vec<&str> = events.iter().map(|e| &*e.kind).collect();
         assert!(kinds.contains(&"recovery_armed"));
         assert!(kinds.contains(&"server_crash"));
         assert!(kinds.contains(&"recovery_complete"));
@@ -697,10 +698,10 @@ mod tests {
         let events = c.journal().all();
         let rates: Vec<_> = events.iter().filter(|e| e.kind == "rate_change").collect();
         assert_eq!(rates.len(), 1, "{events:?}");
-        assert!(rates[0].fields.contains(&("after", "500".to_string())));
+        assert_eq!(rates[0].field("after"), Some("500"));
         assert!(events.iter().any(|e| e.kind == "mixture_change"));
         let phase = events.iter().find(|e| e.kind == "phase_change").unwrap();
-        assert!(phase.fields.contains(&("phase", "2".to_string())));
+        assert_eq!(phase.field("phase"), Some("2"));
     }
 
     #[test]

@@ -160,9 +160,13 @@ pub fn start_with_source(
     let state = ControlState::new(initial_rate, initial_mixture, cfg.unlimited_rate);
     let queue = Arc::new(RequestQueue::new(clock.clone()));
     queue.set_rate(initial_rate.arrivals_per_second(cfg.unlimited_rate));
-    let stats = Arc::new(StatsCollector::new(clock.clone(), &type_names));
+    // One shard of each per-request store per terminal: worker `w` takes
+    // thread slot `w` (below), so it owns shard `w` of both.
+    let stats = Arc::new(StatsCollector::with_shards(clock.clone(), &type_names, cfg.terminals));
     let trace = if cfg.collect_trace { Some(Arc::new(Trace::new())) } else { None };
-    let spans = Arc::new(SpanRecorder::new(cfg.obs).with_journal(db.journal().clone()));
+    let spans = Arc::new(
+        SpanRecorder::with_writers(cfg.obs, cfg.terminals).with_journal(db.journal().clone()),
+    );
     stats.set_span_source(spans.clone());
     let breaker = cfg.resilience.breaker.as_ref().map(|b| {
         Arc::new(
@@ -251,6 +255,7 @@ pub fn start_with_source(
                 .name(format!("bp-worker-{w}"))
                 .spawn(move || {
                     worker_loop(WorkerCtx {
+                        slot: w,
                         db,
                         workload,
                         state,
@@ -414,6 +419,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Everything one client worker needs; bundled so the span recorder and
 /// tenant id ride along without a 12-argument function.
 struct WorkerCtx {
+    /// The worker's index: its shard of the stats and span stores.
+    slot: usize,
     db: Arc<Database>,
     workload: Arc<dyn Workload>,
     state: Arc<ControlState>,
@@ -437,6 +444,7 @@ struct WorkerCtx {
 /// One client worker ("terminal").
 fn worker_loop(ctx: WorkerCtx) {
     let WorkerCtx {
+        slot,
         db,
         workload,
         state,
@@ -453,6 +461,7 @@ fn worker_loop(ctx: WorkerCtx) {
         budget,
         resilience,
     } = ctx;
+    bp_util::sync::set_thread_slot(slot);
     let mut conn = Connection::open(&db);
     let mut rng = Rng::new(seed);
     // The gate is waited on in steps of a few µs to a few ms.
@@ -854,6 +863,30 @@ mod tests {
         let recent = spans.recent(10);
         assert!(!recent.is_empty());
         assert!(recent.iter().all(|s| s.txn_type < 2 && s.end_us >= s.dequeued_us));
+    }
+
+    #[test]
+    fn each_terminal_owns_one_shard_of_each_store() {
+        let (db, w) = setup();
+        let obs = bp_obs::ObsConfig { ring_capacity: 1_000, ..Default::default() };
+        let cfg = RunConfig {
+            terminals: 3,
+            script: PhaseScript::new(vec![Phase::new(Rate::Limited(300.0), 1.0)]),
+            obs,
+            ..Default::default()
+        };
+        let handle = start(db, w, wall_clock(), cfg);
+        let spans = handle.spans.clone();
+        let controller = handle.join();
+        let stats = controller.stats();
+        assert_eq!(stats.shard_count(), 3);
+        assert_eq!(spans.capacity(), 999, "floor(1000 / 3) per terminal");
+        assert!(spans.capacity() <= obs.ring_capacity);
+        // Three workers, three distinct slots: no shard is left empty while
+        // another takes two workers' requests.
+        let per_shard: Vec<u64> = stats.completed_by_shard().collect();
+        assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
+        assert_eq!(per_shard.iter().sum::<u64>(), spans.recorded());
     }
 
     #[test]

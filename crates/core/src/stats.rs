@@ -4,8 +4,9 @@
 //!
 //! The completion path is the hottest client-side code in the testbed —
 //! every finished transaction calls [`StatsCollector::record`] — so the
-//! collector is sharded: each worker thread records into its own
-//! cache-line-padded shard guarded by a lock no other recorder touches.
+//! collector is sharded: the executor builds it with one cache-line-padded
+//! shard per terminal and hands worker *w* thread slot *w*, so each worker
+//! records into a shard guarded by a lock no other recorder touches.
 //! Readers (the controller feedback loop, the telemetry sensor, the control
 //! API) merge the shards on demand; reads are orders of magnitude rarer than
 //! writes, so the merge cost sits on the cold path where it belongs.
@@ -83,7 +84,6 @@ struct Shard {
     per_type: Vec<PerType>,
     /// All completions regardless of type.
     all_completions: TimeSeries,
-    all_latency: Histogram,
     queue_delay: Histogram,
     requested: TimeSeries,
     /// Per-second latency ring for sliding-window percentiles. Recorded
@@ -97,7 +97,6 @@ impl Shard {
         Shard {
             per_type: (0..num_types).map(|_| PerType::new()).collect(),
             all_completions: TimeSeries::per_second(),
-            all_latency: Histogram::latency(),
             queue_delay: Histogram::latency(),
             requested: TimeSeries::per_second(),
             windowed: WindowedHistogram::new(WINDOW_RING_S),
@@ -113,23 +112,16 @@ impl Shard {
             pt.merge(o);
         }
         self.all_completions.merge(&other.all_completions);
-        self.all_latency.merge(&other.all_latency);
         self.queue_delay.merge(&other.queue_delay);
         self.requested.merge(&other.requested);
     }
 }
 
-/// Default shard count; power of two so the thread-slot modulo is cheap.
-/// With typical worker counts (≤ a few dozen) collisions are rare, and a
-/// collision only means two workers share one (still uncontended-by-others)
-/// lock — never a correctness issue.
-const DEFAULT_SHARDS: usize = 16;
-
 /// Thread-safe statistics collector shared by all workers of one workload.
 ///
-/// Writes go to a per-thread shard; no lock in [`StatsCollector::record`]
-/// is shared across recording workers (up to shard-count collisions).
-/// Readers merge all shards on demand.
+/// Writes go to shard `thread_slot() % shards`; with one shard per worker
+/// and the executor's slot assignment, no lock in [`StatsCollector::record`]
+/// is shared across recording workers. Readers merge all shards on demand.
 pub struct StatsCollector {
     shards: Vec<CachePadded<Mutex<Shard>>>,
     type_names: Vec<String>,
@@ -175,12 +167,12 @@ pub struct StatusSnapshot {
 }
 
 impl StatsCollector {
+    /// A collector for one writer (one shard).
     pub fn new(clock: SharedClock, type_names: &[&str]) -> StatsCollector {
-        StatsCollector::with_shards(clock, type_names, DEFAULT_SHARDS)
+        StatsCollector::with_shards(clock, type_names, 1)
     }
 
-    /// Collector with an explicit shard count (1 = the old single-lock
-    /// layout; used by the shard-equivalence regression tests).
+    /// One shard per writer: the executor passes its terminal count.
     pub fn with_shards(
         clock: SharedClock,
         type_names: &[&str],
@@ -209,9 +201,7 @@ impl StatsCollector {
         self.shards.len()
     }
 
-    /// The calling thread's shard. Thread slots are handed out once per
-    /// thread process-wide, so a worker always lands on the same shard of a
-    /// given collector.
+    /// The calling thread's shard: worker *w* of a run holds slot *w*.
     #[inline]
     fn my_shard(&self) -> &Mutex<Shard> {
         &self.shards[thread_slot() % self.shards.len()]
@@ -241,7 +231,6 @@ impl StatsCollector {
             }
             return;
         }
-        shard.all_latency.record(latency);
         shard.windowed.record(s.end, latency);
         shard.queue_delay.record(delay);
         shard.all_completions.record(s.end, latency);
@@ -276,10 +265,14 @@ impl StatsCollector {
             .zip(&merged.per_type)
             .map(|(name, pt)| (name.clone(), pt.latency.mean()))
             .collect();
+        let mut all_latency = Histogram::latency();
+        for pt in &merged.per_type {
+            all_latency.merge(&pt.latency);
+        }
         StatusSnapshot {
             throughput,
             latency_by_type,
-            p95_latency_us: merged.all_latency.p95(),
+            p95_latency_us: all_latency.p95(),
             committed: merged.per_type.iter().map(|p| p.committed).sum(),
             user_aborted: merged.per_type.iter().map(|p| p.user_aborted).sum(),
             failed: merged.per_type.iter().map(|p| p.failed).sum(),
@@ -329,7 +322,12 @@ impl StatsCollector {
     }
 
     pub fn total_completed(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().all_latency.count()).sum()
+        self.completed_by_shard().sum()
+    }
+
+    /// Completions recorded into each shard, in shard order.
+    pub(crate) fn completed_by_shard(&self) -> impl Iterator<Item = u64> + '_ {
+        self.shards.iter().map(|s| s.lock().per_type.iter().map(|p| p.latency.count()).sum())
     }
 
     /// The clock this collector stamps and windows against.
@@ -694,11 +692,12 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_collector_still_works() {
+    fn new_is_one_writer_and_with_shards_one_per_writer() {
         let (_, clock) = sim_clock();
-        let c = StatsCollector::with_shards(clock, &["t"], 1);
+        let c = StatsCollector::new(clock.clone(), &["t"]);
         assert_eq!(c.shard_count(), 1);
         c.record(sample(0, 0, 100));
         assert_eq!(c.total_completed(), 1);
+        assert_eq!(StatsCollector::with_shards(clock, &["t"], 3).shard_count(), 3);
     }
 }

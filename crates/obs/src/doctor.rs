@@ -25,7 +25,7 @@
 
 use bp_util::json::Json;
 
-use crate::journal::Event;
+use crate::journal::{Event, Name};
 use crate::recorder::{Report, TelemetrySample};
 
 /// The bottleneck classes the doctor distinguishes.
@@ -74,7 +74,7 @@ pub struct Finding {
     /// Seq of the causal journal event, if one precedes the window onset.
     pub causal_event: Option<u64>,
     /// Kind of the causal event (`chaos_armed`, `phase_change`, …).
-    pub causal_kind: Option<&'static str>,
+    pub causal_kind: Option<Name>,
 }
 
 impl Finding {
@@ -87,8 +87,8 @@ impl Finding {
             .set("evidence", self.evidence.as_str());
         if let Some(seq) = self.causal_event {
             j = j.set("causal_event", seq);
-            if let Some(kind) = self.causal_kind {
-                j = j.set("causal_kind", kind);
+            if let Some(kind) = &self.causal_kind {
+                j = j.set("causal_kind", &**kind);
             }
         }
         j
@@ -223,7 +223,7 @@ fn causal_event(
     events
         .iter()
         .filter(in_range)
-        .filter(|e| CAUSAL_KINDS.contains(&e.kind))
+        .filter(|e| CAUSAL_KINDS.contains(&&*e.kind))
         .max_by_key(|e| (e.ts_us, e.seq))
         .or_else(|| events.iter().filter(in_range).max_by_key(|e| (e.ts_us, e.seq)))
 }
@@ -234,9 +234,6 @@ fn causal_event(
 /// directly. One finding per crash; an unrecovered crash spans to the end
 /// of the report.
 fn crash_findings(report: &Report) -> Vec<Finding> {
-    let field = |e: &Event, name: &str| {
-        e.fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v.clone())
-    };
     let report_end = report
         .samples
         .last()
@@ -255,13 +252,13 @@ fn crash_findings(report: &Report) -> Vec<Finding> {
                 .map(|e| e.ts_us)
                 .or(report_end)
                 .unwrap_or(crash.ts_us);
-            let point = field(crash, "crashpoint").unwrap_or_else(|| "unknown".to_string());
+            let point = crash.field("crashpoint").unwrap_or("unknown");
             let mut evidence = match recovered {
                 Some(r) => format!(
                     "engine crashed at {point} and recovered in {:.0}ms (replayed {} redo records, {} torn)",
                     (end_us.saturating_sub(crash.ts_us)) as f64 / 1e3,
-                    field(r, "replayed").unwrap_or_else(|| "?".to_string()),
-                    field(r, "torn").unwrap_or_else(|| "0".to_string()),
+                    r.field("replayed").unwrap_or("?"),
+                    r.field("torn").unwrap_or("0"),
                 ),
                 None => format!("engine crashed at {point} and has not recovered"),
             };
@@ -275,7 +272,7 @@ fn crash_findings(report: &Report) -> Vec<Finding> {
                 score: 60.0,
                 evidence,
                 causal_event: Some(crash.seq),
-                causal_kind: Some("server_crash"),
+                causal_kind: Some("server_crash".into()),
             }
         })
         .collect()
@@ -284,19 +281,16 @@ fn crash_findings(report: &Report) -> Vec<Finding> {
 /// Event-driven trace-budget findings: the span recorder journals a
 /// rate-limited `trace_evict` whenever the tail sampler's budget ring
 /// overwrites a retained span. All evict events fold into one finding
-/// spanning the episode — the fix (a larger `spanbudget`) is the same no
+/// spanning the episode — the fix (a larger `ringcapacity`) is the same no
 /// matter how often it fired.
 fn trace_findings(report: &Report) -> Vec<Finding> {
-    let field = |e: &Event, name: &str| {
-        e.fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v.clone())
-    };
     let evicts: Vec<&Event> =
         report.events.iter().filter(|e| e.kind == "trace_evict").collect();
     let (Some(first), Some(last)) = (evicts.first(), evicts.last()) else {
         return Vec::new();
     };
-    let evicted = field(last, "evicted").unwrap_or_else(|| "?".to_string());
-    let budget = field(last, "budget").unwrap_or_else(|| "?".to_string());
+    let evicted = last.field("evicted").unwrap_or("?");
+    let budget = last.field("budget").unwrap_or("?");
     vec![Finding {
         bottleneck: Bottleneck::TraceBudget,
         start_us: first.ts_us,
@@ -306,17 +300,17 @@ fn trace_findings(report: &Report) -> Vec<Finding> {
         score: 20.0,
         evidence: format!(
             "tail sampler evicted {evicted} retained spans (budget {budget}); \
-             raise <spanbudget> or lower the sample ratio to keep slow-request traces"
+             raise <ringcapacity> or lower the sample ratio to keep slow-request traces"
         ),
         causal_event: Some(first.seq),
-        causal_kind: Some("trace_evict"),
+        causal_kind: Some("trace_evict".into()),
     }]
 }
 
 /// If the causal event carries a `trace_id` field, cite it in the
 /// evidence so the finding links straight to `GET /trace/{id}`.
 fn cite_trace(evidence: &mut String, e: &Event) {
-    if let Some((_, id)) = e.fields.iter().find(|(k, _)| *k == "trace_id") {
+    if let Some(id) = e.field("trace_id") {
         use std::fmt::Write as _;
         let _ = write!(evidence, "; trace {id}");
     }
@@ -437,7 +431,7 @@ pub fn diagnose(report: &Report) -> Vec<Finding> {
             score: peak.1.score,
             evidence,
             causal_event: cause.map(|e| e.seq),
-            causal_kind: cause.map(|e| e.kind),
+            causal_kind: cause.map(|e| e.kind.clone()),
         });
     }
 
@@ -453,26 +447,21 @@ pub fn diagnose(report: &Report) -> Vec<Finding> {
 /// latency dominates the merged cluster window. Consecutive events for
 /// the same node fold into one finding spanning the whole episode.
 fn straggler_findings(report: &Report) -> Vec<Finding> {
-    let field = |e: &Event, name: &str| {
-        e.fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v.clone())
-    };
     let events: Vec<&Event> =
         report.events.iter().filter(|e| e.kind == "node_straggler").collect();
     let mut findings: Vec<Finding> = Vec::new();
     let mut i = 0;
     while i < events.len() {
         let first = events[i];
-        let node = field(first, "node").unwrap_or_else(|| "unknown".to_string());
+        let node = first.field("node").unwrap_or("unknown");
         let mut last = first;
-        while i + 1 < events.len()
-            && field(events[i + 1], "node").as_deref() == Some(node.as_str())
-        {
+        while i + 1 < events.len() && events[i + 1].field("node") == Some(node) {
             i += 1;
             last = events[i];
         }
         i += 1;
-        let p99 = field(last, "p99_us").unwrap_or_else(|| "?".to_string());
-        let cluster = field(last, "cluster_p99_us").unwrap_or_else(|| "?".to_string());
+        let p99 = last.field("p99_us").unwrap_or("?");
+        let cluster = last.field("cluster_p99_us").unwrap_or("?");
         let mut evidence =
             format!("node {node} window p99 {p99}us dominates cluster median {cluster}us");
         cite_trace(&mut evidence, last);
@@ -485,7 +474,7 @@ fn straggler_findings(report: &Report) -> Vec<Finding> {
             score: 40.0,
             evidence,
             causal_event: Some(first.seq),
-            causal_kind: Some("node_straggler"),
+            causal_kind: Some("node_straggler".into()),
         });
     }
     findings
@@ -552,8 +541,8 @@ mod tests {
             seq: 142,
             ts_us: 3_800_000,
             severity: Severity::Warn,
-            source: "chaos",
-            kind: "chaos_armed",
+            source: "chaos".into(),
+            kind: "chaos_armed".into(),
             message: "plan lock-storm armed".into(),
             fields: vec![],
         };
@@ -561,7 +550,7 @@ mod tests {
         let top = &findings[0];
         assert_eq!(top.bottleneck, Bottleneck::LockContention, "{findings:?}");
         assert_eq!(top.causal_event, Some(142));
-        assert_eq!(top.causal_kind, Some("chaos_armed"));
+        assert_eq!(top.causal_kind.as_deref(), Some("chaos_armed"));
         assert!(top.start_us >= 3_000_000 && top.start_us <= 5_000_000, "{top:?}");
         assert!(top.evidence.contains("lock_wait_us/txn"), "{}", top.evidence);
         assert!(top.evidence.contains("event #142"), "{}", top.evidence);
@@ -650,24 +639,24 @@ mod tests {
             seq: 7,
             ts_us: 2_500_000,
             severity: Severity::Error,
-            source: "storage",
-            kind: "server_crash",
+            source: "storage".into(),
+            kind: "server_crash".into(),
             message: "server crashed at after_append_before_fsync (lsn 42)".into(),
             fields: vec![
-                ("crashpoint", "after_append_before_fsync".to_string()),
-                ("lsn", "42".to_string()),
+                ("crashpoint".into(), "after_append_before_fsync".to_string()),
+                ("lsn".into(), "42".to_string()),
             ],
         };
         let recovered = Event {
             seq: 9,
             ts_us: 2_540_000,
             severity: Severity::Warn,
-            source: "storage",
-            kind: "recovery_complete",
+            source: "storage".into(),
+            kind: "recovery_complete".into(),
             message: "recovery complete".into(),
             fields: vec![
-                ("replayed", "41".to_string()),
-                ("torn", "1".to_string()),
+                ("replayed".into(), "41".to_string()),
+                ("torn".into(), "1".to_string()),
             ],
         };
         let findings = diagnose(&report(samples, vec![crash.clone(), recovered]));
@@ -676,7 +665,7 @@ mod tests {
         assert_eq!(top.start_us, 2_500_000);
         assert_eq!(top.end_us, 2_540_000);
         assert_eq!(top.causal_event, Some(7));
-        assert_eq!(top.causal_kind, Some("server_crash"));
+        assert_eq!(top.causal_kind.as_deref(), Some("server_crash"));
         assert!(top.evidence.contains("after_append_before_fsync"), "{}", top.evidence);
         assert!(top.evidence.contains("replayed 41"), "{}", top.evidence);
 
@@ -694,13 +683,13 @@ mod tests {
             seq,
             ts_us,
             severity: Severity::Warn,
-            source: "cluster",
-            kind: "node_straggler",
+            source: "cluster".into(),
+            kind: "node_straggler".into(),
             message: format!("node {node} lags the cluster"),
             fields: vec![
-                ("node", node.to_string()),
-                ("p99_us", "45000".to_string()),
-                ("cluster_p99_us", "900".to_string()),
+                ("node".into(), node.to_string()),
+                ("p99_us".into(), "45000".to_string()),
+                ("cluster_p99_us".into(), "900".to_string()),
             ],
         };
         // Healthy windows + a straggler episode: consecutive events for
@@ -721,7 +710,7 @@ mod tests {
         assert_eq!(top.start_us, 1_200_000);
         assert_eq!(top.end_us, 2_200_000);
         assert_eq!(top.causal_event, Some(3));
-        assert_eq!(top.causal_kind, Some("node_straggler"));
+        assert_eq!(top.causal_kind.as_deref(), Some("node_straggler"));
         assert!(top.evidence.contains("agent-2"), "{}", top.evidence);
         assert!(top.evidence.contains("45000us"), "{}", top.evidence);
         assert_eq!(top.to_json().get("bottleneck").and_then(Json::as_str), Some("straggler_node"));
@@ -738,12 +727,12 @@ mod tests {
             seq,
             ts_us,
             severity: Severity::Warn,
-            source: "obs",
-            kind: "trace_evict",
+            source: "obs".into(),
+            kind: "trace_evict".into(),
             message: format!("span budget full: {evicted} retained spans evicted"),
             fields: vec![
-                ("evicted", evicted.to_string()),
-                ("budget", "512".to_string()),
+                ("evicted".into(), evicted.to_string()),
+                ("budget".into(), "512".to_string()),
             ],
         };
         let samples: Vec<TelemetrySample> = (0..4).map(healthy).collect();
@@ -755,10 +744,10 @@ mod tests {
         let hint = hints[0];
         assert_eq!(hint.start_us, 1_100_000);
         assert_eq!(hint.end_us, 2_100_000);
-        assert_eq!(hint.causal_kind, Some("trace_evict"));
+        assert_eq!(hint.causal_kind.as_deref(), Some("trace_evict"));
         assert!(hint.evidence.contains("evicted 230"), "{}", hint.evidence);
         assert!(hint.evidence.contains("budget 512"), "{}", hint.evidence);
-        assert!(hint.evidence.contains("spanbudget"), "{}", hint.evidence);
+        assert!(hint.evidence.contains("<ringcapacity>"), "{}", hint.evidence);
         assert_eq!(
             hint.to_json().get("bottleneck").and_then(Json::as_str),
             Some("trace_budget")
@@ -775,26 +764,26 @@ mod tests {
             seq: 5,
             ts_us: 1_200_000,
             severity: Severity::Warn,
-            source: "cluster",
-            kind: "node_straggler",
+            source: "cluster".into(),
+            kind: "node_straggler".into(),
             message: "node n2 lags".into(),
             fields: vec![
-                ("node", "n2".to_string()),
-                ("p99_us", "45000".to_string()),
-                ("cluster_p99_us", "900".to_string()),
-                ("trace_id", "00ab12cd34ef5678".to_string()),
+                ("node".into(), "n2".to_string()),
+                ("p99_us".into(), "45000".to_string()),
+                ("cluster_p99_us".into(), "900".to_string()),
+                ("trace_id".into(), "00ab12cd34ef5678".to_string()),
             ],
         };
         let crash = Event {
             seq: 9,
             ts_us: 2_000_000,
             severity: Severity::Error,
-            source: "storage",
-            kind: "server_crash",
+            source: "storage".into(),
+            kind: "server_crash".into(),
             message: "crashed".into(),
             fields: vec![
-                ("crashpoint", "torn".to_string()),
-                ("trace_id", "deadbeefdeadbeef".to_string()),
+                ("crashpoint".into(), "torn".to_string()),
+                ("trace_id".into(), "deadbeefdeadbeef".to_string()),
             ],
         };
         let findings = diagnose(&report(vec![], vec![straggle, crash]));

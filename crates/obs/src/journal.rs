@@ -13,9 +13,11 @@
 //! enabled, an emit takes one uncontended shard lock and writes one ring
 //! slot; old events are overwritten, flight-recorder style.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use bp_util::json::Json;
+use bp_util::ring::Ring;
 use bp_util::sync::{thread_slot, CachePadded, Mutex};
 
 use crate::registry::{MetricsBuf, MetricsSource};
@@ -59,9 +61,12 @@ impl std::str::FromStr for Severity {
     }
 }
 
+/// An event's source, kind or field name: `&'static str` at every emit
+/// site, owned when parsed back from an artifact.
+pub type Name = Cow<'static, str>;
+
 /// One structured event: fixed identity fields plus free-form key=value
-/// context. `source`/`kind` are `&'static str` so an event body is ~40
-/// bytes plus the message and field values.
+/// context.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Globally ordered sequence number (1-based, never reused).
@@ -70,14 +75,19 @@ pub struct Event {
     pub ts_us: u64,
     pub severity: Severity,
     /// Emitting layer: `core`, `slo`, `chaos`, `storage`, `api`, `cluster`.
-    pub source: &'static str,
+    pub source: Name,
     /// Machine-matchable event type, e.g. `phase_change`, `chaos_armed`.
-    pub kind: &'static str,
+    pub kind: Name,
     pub message: String,
-    pub fields: Vec<(&'static str, String)>,
+    pub fields: Vec<(Name, String)>,
 }
 
 impl Event {
+    /// The value of field `name`, if the event carries it.
+    pub fn field(&self, name: &str) -> Option<&str> {
+        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+    }
+
     /// JSON object for the `/events` endpoint.
     pub fn to_json(&self) -> Json {
         let mut fields = Json::obj();
@@ -88,8 +98,8 @@ impl Event {
             .set("seq", self.seq)
             .set("ts_us", self.ts_us)
             .set("severity", self.severity.name())
-            .set("source", self.source)
-            .set("kind", self.kind)
+            .set("source", &*self.source)
+            .set("kind", &*self.kind)
             .set("message", self.message.as_str())
             .set("fields", fields)
     }
@@ -123,9 +133,7 @@ impl Event {
         out
     }
 
-    /// Parse one [`Event::to_line`] line. `source`/`kind` come back leaked
-    /// as `&'static str` only for the fixed vocabulary this build knows;
-    /// unknown tokens fall back to `"unknown"` rather than leaking memory.
+    /// Parse one [`Event::to_line`] line; names come back owned.
     pub fn from_line(line: &str) -> Result<Event, String> {
         let rest = line.strip_prefix("event ").ok_or("missing `event` prefix")?;
         let mut it = rest.splitn(6, ' ');
@@ -133,8 +141,8 @@ impl Event {
         let seq = next("seq")?.parse::<u64>().map_err(|e| format!("bad seq: {e}"))?;
         let ts_us = next("ts_us")?.parse::<u64>().map_err(|e| format!("bad ts: {e}"))?;
         let severity: Severity = next("severity")?.parse().map_err(|()| "bad severity")?;
-        let source = intern(next("source")?);
-        let kind = intern(next("kind")?);
+        let source = Name::Owned(next("source")?.to_string());
+        let kind = Name::Owned(next("kind")?.to_string());
         let tail = next("fields")?;
         let (fields_tok, message) = match tail.split_once(' ') {
             Some((f, m)) => (f, m.to_string()),
@@ -144,7 +152,7 @@ impl Event {
         if fields_tok != "-" {
             for kv in fields_tok.split(',') {
                 let (k, v) = kv.split_once('=').ok_or(format!("bad field `{kv}`"))?;
-                fields.push((intern(k), v.to_string()));
+                fields.push((Name::Owned(k.to_string()), v.to_string()));
             }
         }
         Ok(Event { seq, ts_us, severity, source, kind, message, fields })
@@ -159,38 +167,10 @@ fn flatten(s: &str) -> String {
         .collect()
 }
 
-/// The fixed source/kind/field vocabulary, so parsed events round-trip to
-/// `&'static str` without leaking.
-const VOCAB: &[&str] = &[
-    "core", "slo", "chaos", "storage", "api", "game", "run_start", "run_stop",
-    "phase_change", "rate_change", "mixture_change", "slo_decision", "slo_armed", "slo_disarmed",
-    "chaos_armed", "chaos_disarmed", "breaker_transition", "deadlock_victim", "wal_rotate",
-    "buffer_pressure", "replay_launch", "doctor", "phase", "rate", "before",
-    "after", "plan", "state", "txn", "holder", "segment", "lsn", "bytes", "ratio", "from", "to",
-    "workload", "adjustment", "p99_us", "limit_us", "crash", "obs", "trace_evict", "evicted",
-    "budget", "trace_id", "unknown",
-];
-
-fn intern(s: &str) -> &'static str {
-    VOCAB.iter().find(|v| **v == s).copied().unwrap_or("unknown")
-}
-
-struct Shard {
-    ring: Vec<Event>,
-    written: u64,
-}
-
-impl Shard {
-    /// Events in write order (oldest first) for this shard.
-    fn ordered(&self, capacity: usize) -> impl Iterator<Item = &Event> {
-        let split = if self.ring.len() < capacity {
-            0
-        } else {
-            (self.written % capacity as u64) as usize
-        };
-        self.ring[split..].iter().chain(self.ring[..split].iter())
-    }
-}
+/// Shards of the journal's ring. Events come from any thread (workers,
+/// the engine, control loops) at whatever rate a chaos storm drives, so
+/// emitters spread over a few locks by their thread slot.
+pub(crate) const SHARDS: usize = 8;
 
 /// The lock-sharded event ring. See the module docs for the design.
 pub struct EventJournal {
@@ -198,30 +178,25 @@ pub struct EventJournal {
     enabled: AtomicBool,
     /// Global sequence counter; also the emitted-total metric.
     seq: AtomicU64,
-    shards: Vec<CachePadded<Mutex<Shard>>>,
-    shard_capacity: usize,
+    shards: Vec<CachePadded<Mutex<Ring<Event>>>>,
 }
 
 impl EventJournal {
     /// Default total capacity: enough for hours of control-plane events;
     /// storms overwrite the oldest.
     pub const DEFAULT_CAPACITY: usize = 4096;
-    pub const DEFAULT_SHARDS: usize = 8;
 
     pub fn new() -> EventJournal {
-        EventJournal::with_capacity(Self::DEFAULT_CAPACITY, Self::DEFAULT_SHARDS)
+        EventJournal::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    pub fn with_capacity(capacity: usize, shards: usize) -> EventJournal {
-        let shards = shards.max(1);
-        let shard_capacity = (capacity / shards).max(16);
+    /// A journal of about `capacity` events (at least 16 per shard).
+    pub fn with_capacity(capacity: usize) -> EventJournal {
+        let per_shard = (capacity / SHARDS).max(16);
         EventJournal {
             enabled: AtomicBool::new(true),
             seq: AtomicU64::new(0),
-            shards: (0..shards)
-                .map(|_| CachePadded::new(Mutex::new(Shard { ring: Vec::new(), written: 0 })))
-                .collect(),
-            shard_capacity,
+            shards: (0..SHARDS).map(|_| CachePadded::new(Mutex::new(Ring::new(per_shard)))).collect(),
         }
     }
 
@@ -286,19 +261,12 @@ impl EventJournal {
             seq,
             ts_us: now_us(),
             severity,
-            source,
-            kind,
+            source: Name::Borrowed(source),
+            kind: Name::Borrowed(kind),
             message,
-            fields,
+            fields: fields.into_iter().map(|(k, v)| (Name::Borrowed(k), v)).collect(),
         };
-        let mut sh = self.shards[thread_slot() % self.shards.len()].lock();
-        let idx = (sh.written % self.shard_capacity as u64) as usize;
-        if idx < sh.ring.len() {
-            sh.ring[idx] = event;
-        } else {
-            sh.ring.push(event);
-        }
-        sh.written += 1;
+        self.shards[thread_slot() % SHARDS].lock().push(event);
     }
 
     /// Total events ever emitted (including ones since overwritten).
@@ -308,18 +276,7 @@ impl EventJournal {
 
     /// Events lost to ring overwrites.
     pub fn overwritten(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                let sh = s.lock();
-                sh.written.saturating_sub(sh.ring.len() as u64)
-            })
-            .sum()
-    }
-
-    /// Total ring slots across all shards.
-    pub fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
+        self.shards.iter().map(|s| s.lock().overwritten()).sum()
     }
 
     /// The most recent `n` retained events at or above `min_severity`,
@@ -327,12 +284,7 @@ impl EventJournal {
     pub fn recent(&self, n: usize, min_severity: Severity) -> Vec<Event> {
         let mut all: Vec<Event> = Vec::new();
         for s in &self.shards {
-            let sh = s.lock();
-            all.extend(
-                sh.ordered(self.shard_capacity)
-                    .filter(|e| e.severity >= min_severity)
-                    .cloned(),
-            );
+            all.extend(s.lock().iter().filter(|e| e.severity >= min_severity).cloned());
         }
         all.sort_by_key(|e| e.seq);
         if all.len() > n {
@@ -419,7 +371,7 @@ mod tests {
             ("300 -> 500".to_string(), vec![("before", "300".to_string())])
         });
         assert_eq!(j.emitted(), 1);
-        assert_eq!(j.all()[0].fields[0], ("before", "300".to_string()));
+        assert_eq!(j.all()[0].field("before"), Some("300"));
     }
 
     #[test]
@@ -438,7 +390,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let j = EventJournal::with_capacity(16, 1);
+        let j = EventJournal::with_capacity(16);
         for i in 0..40u64 {
             j.emit(Severity::Info, "core", "rate_change", format!("e{i}"));
         }
@@ -456,10 +408,10 @@ mod tests {
             seq: 142,
             ts_us: 12_000_000,
             severity: Severity::Warn,
-            source: "chaos",
-            kind: "chaos_armed",
+            source: "chaos".into(),
+            kind: "chaos_armed".into(),
             message: "plan lock-storm armed".to_string(),
-            fields: vec![("plan", "lock-storm".to_string()), ("state", "armed".to_string())],
+            fields: vec![("plan".into(), "lock-storm".to_string()), ("state".into(), "armed".to_string())],
         };
         let line = e.to_line();
         let back = Event::from_line(&line).unwrap();
@@ -467,7 +419,7 @@ mod tests {
 
         // Hostile content flattens instead of corrupting the line format.
         let nasty = Event {
-            fields: vec![("plan", "a,b=c\nd".to_string())],
+            fields: vec![("plan".into(), "a,b=c\nd".to_string())],
             message: "line1\nline2".to_string(),
             ..e
         };

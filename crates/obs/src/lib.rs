@@ -5,8 +5,8 @@
 //! Two pieces:
 //!
 //! * [`SpanRecorder`] — a "flight recorder" for request lifecycles. Each
-//!   worker thread writes fixed-size [`Span`] values into a per-thread
-//!   sharded ring buffer that is fully preallocated at startup: the hot
+//!   worker writes fixed-size [`Span`] values into its own shard's ring,
+//!   fully preallocated at startup: the hot
 //!   path never allocates, never contends with other recording workers,
 //!   and old spans are silently overwritten once a ring fills. Recording
 //!   can be disabled (`off`), probabilistically sampled (`sampled`), or
@@ -39,7 +39,7 @@ pub mod span;
 
 pub use doctor::{diagnose, Bottleneck, Finding};
 pub use journal::{journal_now_us, Event, EventJournal, Severity};
-pub use recorder::{Report, TelemetryRecorder, TelemetrySample, SAMPLE_COLUMNS};
+pub use recorder::{Report, TelemetryRecorder, TelemetrySample};
 pub use registry::{
     escape_label_value, merge_samples, render_samples, Exemplar, MetricValue, MetricsBuf,
     MetricsRegistry, MetricsSource, Sample,

@@ -17,6 +17,7 @@
 use std::sync::Arc;
 
 use bp_util::artifact::{write_section, Reader, Writer};
+use bp_util::ring::Ring;
 use bp_util::sync::Mutex;
 use bp_util::Periodic;
 
@@ -59,114 +60,75 @@ pub struct TelemetrySample {
     pub busy_us: u64,
 }
 
-/// Column names, index-aligned with [`TelemetrySample::values`] /
-/// [`TelemetrySample::from_values`]. Written into the artifact header so
-/// the format is self-describing.
-pub const SAMPLE_COLUMNS: [&str; 21] = [
-    "t_us", "rate", "tput", "p50_us", "p99_us", "err", "shed", "breaker", "qdepth", "commits",
-    "lock_waits", "lock_wait_us", "deadlocks", "io_reads", "io_writes", "wal_fsyncs", "wal_bytes",
-    "fsync_us", "buf_hits", "buf_misses", "busy_us",
+/// One artifact column: its header name, how to read it off a sample and
+/// how to write it back.
+type Column = (&'static str, fn(&TelemetrySample) -> f64, fn(&mut TelemetrySample, f64));
+
+/// The artifact's columns, in order: the one table behind
+/// [`TelemetrySample::to_line`], [`TelemetrySample::from_line`] and the
+/// `columns` header that makes the format self-describing.
+const COLUMNS: [Column; 21] = [
+    ("t_us", |s| s.t_us as f64, |s, v| s.t_us = v as u64),
+    ("rate", |s| s.rate, |s, v| s.rate = v),
+    ("tput", |s| s.throughput, |s, v| s.throughput = v),
+    ("p50_us", |s| s.p50_us as f64, |s, v| s.p50_us = v as u64),
+    ("p99_us", |s| s.p99_us as f64, |s, v| s.p99_us = v as u64),
+    ("err", |s| s.error_rate, |s, v| s.error_rate = v),
+    ("shed", |s| s.shed_rate, |s, v| s.shed_rate = v),
+    ("breaker", |s| s.breaker_state as f64, |s, v| s.breaker_state = v as u8),
+    ("qdepth", |s| s.queue_depth as f64, |s, v| s.queue_depth = v as u64),
+    ("commits", |s| s.commits as f64, |s, v| s.commits = v as u64),
+    ("lock_waits", |s| s.lock_waits as f64, |s, v| s.lock_waits = v as u64),
+    ("lock_wait_us", |s| s.lock_wait_us as f64, |s, v| s.lock_wait_us = v as u64),
+    ("deadlocks", |s| s.deadlocks as f64, |s, v| s.deadlocks = v as u64),
+    ("io_reads", |s| s.io_reads as f64, |s, v| s.io_reads = v as u64),
+    ("io_writes", |s| s.io_writes as f64, |s, v| s.io_writes = v as u64),
+    ("wal_fsyncs", |s| s.wal_fsyncs as f64, |s, v| s.wal_fsyncs = v as u64),
+    ("wal_bytes", |s| s.wal_bytes as f64, |s, v| s.wal_bytes = v as u64),
+    ("fsync_us", |s| s.fsync_us as f64, |s, v| s.fsync_us = v as u64),
+    ("buf_hits", |s| s.buf_hits as f64, |s, v| s.buf_hits = v as u64),
+    ("buf_misses", |s| s.buf_misses as f64, |s, v| s.buf_misses = v as u64),
+    ("busy_us", |s| s.busy_us as f64, |s, v| s.busy_us = v as u64),
 ];
 
 impl TelemetrySample {
-    fn values(&self) -> [f64; 21] {
-        [
-            self.t_us as f64,
-            self.rate,
-            self.throughput,
-            self.p50_us as f64,
-            self.p99_us as f64,
-            self.error_rate,
-            self.shed_rate,
-            self.breaker_state as f64,
-            self.queue_depth as f64,
-            self.commits as f64,
-            self.lock_waits as f64,
-            self.lock_wait_us as f64,
-            self.deadlocks as f64,
-            self.io_reads as f64,
-            self.io_writes as f64,
-            self.wal_fsyncs as f64,
-            self.wal_bytes as f64,
-            self.fsync_us as f64,
-            self.buf_hits as f64,
-            self.buf_misses as f64,
-            self.busy_us as f64,
-        ]
-    }
-
-    fn from_values(v: &[f64]) -> TelemetrySample {
-        let u = |i: usize| v[i] as u64;
-        TelemetrySample {
-            t_us: u(0),
-            rate: v[1],
-            throughput: v[2],
-            p50_us: u(3),
-            p99_us: u(4),
-            error_rate: v[5],
-            shed_rate: v[6],
-            breaker_state: v[7] as u8,
-            queue_depth: u(8),
-            commits: u(9),
-            lock_waits: u(10),
-            lock_wait_us: u(11),
-            deadlocks: u(12),
-            io_reads: u(13),
-            io_writes: u(14),
-            wal_fsyncs: u(15),
-            wal_bytes: u(16),
-            fsync_us: u(17),
-            buf_hits: u(18),
-            buf_misses: u(19),
-            busy_us: u(20),
-        }
-    }
-
-    /// One artifact line: the 21 columns space-separated, floats in Rust
+    /// One artifact line: the columns space-separated, floats in Rust
     /// round-trip `Display` form (`inf` for unlimited rate).
     pub fn to_line(&self) -> String {
-        let vals = self.values();
+        use std::fmt::Write as _;
         let mut out = String::with_capacity(128);
-        for (i, v) in vals.iter().enumerate() {
+        for (i, (_, get, _)) in COLUMNS.iter().enumerate() {
             if i > 0 {
                 out.push(' ');
             }
-            if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                out.push_str(&format!("{}", *v as i64));
+            let v = get(self);
+            let _ = if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
+                write!(out, "{}", v as i64)
             } else {
-                out.push_str(&format!("{v}"));
-            }
+                write!(out, "{v}")
+            };
         }
         out
     }
 
     pub fn from_line(line: &str) -> Result<TelemetrySample, String> {
-        let vals: Vec<f64> = line
-            .split_whitespace()
-            .map(|t| t.parse::<f64>().map_err(|e| format!("bad sample value `{t}`: {e}")))
-            .collect::<Result<_, _>>()?;
-        if vals.len() != SAMPLE_COLUMNS.len() {
-            return Err(format!(
-                "sample has {} columns, expected {}",
-                vals.len(),
-                SAMPLE_COLUMNS.len()
-            ));
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        if tokens.len() != COLUMNS.len() {
+            return Err(format!("sample has {} columns, expected {}", tokens.len(), COLUMNS.len()));
         }
-        Ok(TelemetrySample::from_values(&vals))
+        let mut sample = TelemetrySample::default();
+        for ((_, _, set), t) in COLUMNS.iter().zip(tokens) {
+            set(&mut sample, t.parse().map_err(|e| format!("bad sample value `{t}`: {e}"))?);
+        }
+        Ok(sample)
     }
-}
-
-struct Ring {
-    samples: Vec<TelemetrySample>,
-    written: u64,
 }
 
 /// Fixed-capacity ring of [`TelemetrySample`]s with an optional background
 /// sampling thread.
 pub struct TelemetryRecorder {
     interval_us: u64,
-    capacity: usize,
-    ring: Mutex<Ring>,
+    ring: Mutex<Ring<TelemetrySample>>,
 }
 
 impl TelemetryRecorder {
@@ -179,8 +141,7 @@ impl TelemetryRecorder {
     pub fn with_capacity(interval_us: u64, capacity: usize) -> TelemetryRecorder {
         TelemetryRecorder {
             interval_us: interval_us.max(1),
-            capacity: capacity.max(4),
-            ring: Mutex::new(Ring { samples: Vec::new(), written: 0 }),
+            ring: Mutex::new(Ring::new(capacity.max(4))),
         }
     }
 
@@ -191,34 +152,17 @@ impl TelemetryRecorder {
     /// Record one sample (the background thread's tick body; also the
     /// direct path for DES runs that tick a simulated clock).
     pub fn record(&self, sample: TelemetrySample) {
-        let mut ring = self.ring.lock();
-        let idx = (ring.written % self.capacity as u64) as usize;
-        if idx < ring.samples.len() {
-            ring.samples[idx] = sample;
-        } else {
-            ring.samples.push(sample);
-        }
-        ring.written += 1;
+        self.ring.lock().push(sample);
     }
 
     /// Samples ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        self.ring.lock().written
+        self.ring.lock().written()
     }
 
     /// Retained samples, oldest first.
     pub fn samples(&self) -> Vec<TelemetrySample> {
-        let ring = self.ring.lock();
-        let split = if ring.samples.len() < self.capacity {
-            0
-        } else {
-            (ring.written % self.capacity as u64) as usize
-        };
-        ring.samples[split..]
-            .iter()
-            .chain(ring.samples[..split].iter())
-            .copied()
-            .collect()
+        self.ring.lock().iter().copied().collect()
     }
 
     /// Spawn the sampling thread: every `interval_us` of wall time, call
@@ -282,7 +226,7 @@ impl Report {
         let capacity = 64 + self.samples.len() * 96 + self.events.len() * 64;
         let mut w = Writer::new(MAGIC, REPORT_VERSION, capacity);
         w.field("interval_us", self.interval_us);
-        w.field("columns", SAMPLE_COLUMNS.join(" "));
+        w.field("columns", COLUMNS.map(|(name, ..)| name).join(" "));
         write_section(&mut w.0, "samples", &self.samples, |out, s| out.push_str(&s.to_line()));
         write_section(&mut w.0, "events", &self.events, |out, e| out.push_str(&e.to_line()));
         w.finish()
@@ -296,7 +240,7 @@ impl Report {
             match e.key {
                 "interval_us" => report.interval_us = e.parse()?,
                 "columns" => {
-                    if !e.value.split_whitespace().eq(SAMPLE_COLUMNS) {
+                    if !e.value.split_whitespace().eq(COLUMNS.map(|(name, ..)| name)) {
                         return Err(e.err("unknown column layout"));
                     }
                 }
@@ -382,6 +326,31 @@ mod tests {
         assert_eq!(back, report, "byte-identical round trip");
         assert_eq!(back.to_text(), text);
         assert_eq!(report.duration_us(), 5_000_000);
+    }
+
+    #[test]
+    fn parsed_report_keeps_every_event_name() {
+        let journal = EventJournal::new();
+        journal.emit_with(Severity::Error, "storage", "server_crash", || {
+            ("server crashed".into(), vec![("crashpoint", "after_append_before_fsync".to_string())])
+        });
+        journal.emit_with(Severity::Warn, "cluster", "recovery_complete", || {
+            ("recovered".into(), vec![("replayed", "41".to_string()), ("node", "n2".to_string())])
+        });
+        let rec = TelemetryRecorder::new(1_000_000);
+        for i in 0..3 {
+            rec.record(sample(i));
+        }
+        let report = rec.report(&journal);
+        let text = report.to_text();
+        let parsed = Report::from_text(&text).unwrap();
+        assert_eq!(parsed.to_text(), text, "byte-identical round trip");
+        assert_eq!(parsed.events[0].kind, "server_crash");
+        assert_eq!(parsed.events[1].source, "cluster");
+        assert_eq!(parsed.events[1].field("node"), Some("n2"));
+        let findings = crate::diagnose(&report);
+        assert!(findings.iter().any(|f| f.bottleneck == crate::Bottleneck::CrashRecovery));
+        assert_eq!(crate::diagnose(&parsed), findings);
     }
 
     #[test]

@@ -539,7 +539,7 @@ fn merge_buckets(a: &[(f64, u64)], b: &[(f64, u64)]) -> Vec<(f64, u64)> {
 /// identity in the labels, Prometheus `*_build_info` convention) and
 /// `bp_uptime_seconds` on the journal's process-wide clock origin.
 fn collect_build_info(buf: &mut MetricsBuf) {
-    let journal_shards = crate::journal::EventJournal::DEFAULT_SHARDS.to_string();
+    let journal_shards = crate::journal::SHARDS.to_string();
     buf.gauge(
         "bp_build_info",
         "Build identity; value is constant 1, identity is in the labels",

@@ -11,21 +11,23 @@
 //! on `/metrics`, a journal event, a doctor finding) resolves in any other
 //! (`GET /trace/{id}`), across every node of a cluster.
 //!
-//! [`SpanRecorder`] stores spans in per-thread sharded, fixed-capacity
-//! ring buffers. Everything is preallocated when the recorder is built:
-//! the hot path takes one uncontended lock, writes one ring slot, and
-//! bumps four stage histograms — no allocation, no shared atomics beyond
-//! the mode check. When a ring fills, the oldest spans are overwritten
-//! (flight-recorder semantics); aggregate stage histograms keep counting
-//! regardless, so percentiles cover the whole run even when the raw rings
-//! only hold the tail.
+//! [`SpanRecorder`] keeps one shard per writer — the executor builds it
+//! with one per terminal and worker *w* writes shard *w* — each a
+//! [`Ring`] of spans plus four stage histograms. The span budget
+//! (`ring_capacity`) is split exactly between the shards. Everything is
+//! preallocated when the recorder is built: the hot path takes one
+//! uncontended lock, writes one ring slot, and bumps four stage histograms
+//! — no allocation, no shared atomics beyond the mode check. When a ring
+//! fills, the oldest spans are overwritten (flight-recorder semantics).
 //!
-//! Sampling is **tail-based** in `Sampled` mode: the keep/drop decision
-//! happens at span *completion* ([`SpanRecorder::offer`]), when the
-//! outcome and total latency are known. Slow (above the live p99-derived
-//! threshold), errored, shed, and crash-straddling requests are always
-//! retained; the healthy rest is ratio-sampled by the deterministic
-//! splitmix64 head-sampler under a fixed span budget.
+//! The stage histograms count every *offered* span, the rings only the
+//! retained ones, so percentiles cover the whole run even when the rings
+//! hold only the tail or a sample. Sampling is **tail-based** in `Sampled`
+//! mode: the keep/drop decision happens at span *completion*
+//! ([`SpanRecorder::offer`]), when the outcome and total latency are known.
+//! Slow (above the live p99-derived threshold), errored, shed, and
+//! crash-straddling requests are always retained; the healthy rest is
+//! ratio-sampled by the deterministic splitmix64 head-sampler.
 //!
 //! Lock-wait and commit durations are produced deep inside `bp-storage`,
 //! which knows nothing about requests. Rather than thread a context
@@ -40,6 +42,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use bp_util::histogram::Histogram;
 use bp_util::json::Json;
+use bp_util::ring::Ring;
 use bp_util::sync::{thread_slot, CachePadded, Mutex};
 
 use crate::registry::{MetricsBuf, MetricsSource};
@@ -236,24 +239,14 @@ pub struct ObsConfig {
     pub mode: SpanMode,
     /// Fraction of requests recorded in `Sampled` mode (0.0..=1.0).
     pub sample_ratio: f64,
-    /// Total span slots across all shards (divided evenly, min 64/shard).
+    /// The span budget: retained-span slots across all writers, split
+    /// evenly (floor) between them.
     pub ring_capacity: usize,
-    /// Shard count; power of two keeps the thread-slot modulo cheap.
-    pub shards: usize,
-    /// Tail-sampling span budget: total retained-span slots across shards.
-    /// 0 (the default) means "use `ring_capacity`".
-    pub span_budget: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> ObsConfig {
-        ObsConfig {
-            mode: SpanMode::Full,
-            sample_ratio: 0.1,
-            ring_capacity: 8192,
-            shards: 16,
-            span_budget: 0,
-        }
+        ObsConfig { mode: SpanMode::Full, sample_ratio: 0.1, ring_capacity: 8192 }
     }
 }
 
@@ -354,33 +347,11 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One worker-side shard: a preallocated ring of spans plus per-stage
-/// latency histograms that outlive ring overwrites.
+/// One writer's shard: its retained spans plus per-stage latency
+/// histograms over every span it offered.
 struct Shard {
-    ring: Vec<Span>,
-    /// Total spans ever written to this shard (ring index = written % cap).
-    written: u64,
+    ring: Ring<Span>,
     stage_hist: [Histogram; 4],
-}
-
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard {
-            ring: Vec::with_capacity(capacity),
-            written: 0,
-            stage_hist: std::array::from_fn(|_| Histogram::latency()),
-        }
-    }
-
-    /// Spans in write order (oldest first).
-    fn ordered(&self, capacity: usize) -> impl Iterator<Item = &Span> {
-        let split = if self.ring.len() < capacity {
-            0
-        } else {
-            (self.written % capacity as u64) as usize
-        };
-        self.ring[split..].iter().chain(self.ring[..split].iter())
-    }
 }
 
 /// Per-stage latency roll-up.
@@ -468,8 +439,6 @@ const SLOW_UNSET: u64 = u64::MAX;
 /// The sharded flight recorder. See the module docs for the design.
 pub struct SpanRecorder {
     shards: Vec<CachePadded<Mutex<Shard>>>,
-    /// Ring capacity per shard.
-    shard_capacity: usize,
     /// Current [`SpanMode`] as a u8 (hot-path reads are one relaxed load).
     mode: AtomicU8,
     /// Sampling threshold: record when `splitmix64(seq) <= threshold`.
@@ -494,15 +463,26 @@ pub struct SpanRecorder {
 }
 
 impl SpanRecorder {
+    /// A recorder for one writer: one shard holding the whole budget.
     pub fn new(cfg: ObsConfig) -> SpanRecorder {
-        let shards = cfg.shards.max(1);
-        let budget = if cfg.span_budget > 0 { cfg.span_budget } else { cfg.ring_capacity };
-        let shard_capacity = (budget / shards).max(64);
+        SpanRecorder::with_writers(cfg, 1)
+    }
+
+    /// One shard per writer thread (the executor passes its terminal
+    /// count; worker *w* writes shard *w*), each holding
+    /// floor(`ring_capacity` / `writers`) spans — at least one.
+    pub fn with_writers(cfg: ObsConfig, writers: usize) -> SpanRecorder {
+        let writers = writers.max(1);
+        let per_writer = cfg.ring_capacity / writers;
         SpanRecorder {
-            shards: (0..shards)
-                .map(|_| CachePadded::new(Mutex::new(Shard::new(shard_capacity))))
+            shards: (0..writers)
+                .map(|_| {
+                    CachePadded::new(Mutex::new(Shard {
+                        ring: Ring::new(per_writer),
+                        stage_hist: std::array::from_fn(|_| Histogram::latency()),
+                    }))
+                })
                 .collect(),
-            shard_capacity,
             mode: AtomicU8::new(cfg.mode as u8),
             threshold: AtomicU64::new(Self::ratio_to_threshold(cfg.sample_ratio)),
             slow_threshold: AtomicU64::new(SLOW_UNSET),
@@ -591,40 +571,41 @@ impl SpanRecorder {
         self.last_crash_us.store(now_us.max(1), Ordering::Relaxed);
     }
 
-    /// Tail-sampling decision for one *completed* span. In `Full` mode
-    /// everything is recorded; in `Off` mode nothing. In `Sampled` mode a
-    /// span is always retained when it is slow (above the live threshold),
-    /// errored, shed, or crash-straddling; otherwise the deterministic
-    /// ratio sampler decides. Returns whether the span was recorded.
+    /// Tail-sampling decision for one *completed* span. In `Off` mode
+    /// nothing happens. Otherwise the stage histograms count the span, and
+    /// the ring keeps it in `Full` mode always and in `Sampled` mode when
+    /// it is slow (above the live threshold), errored, shed, or
+    /// crash-straddling, else when the deterministic ratio sampler picks
+    /// it. Returns whether the span was retained.
     pub fn offer(&self, span: Span) -> bool {
-        match self.mode.load(Ordering::Relaxed) {
+        let keep = match self.mode.load(Ordering::Relaxed) {
             0 => return false,
-            2 => {
-                self.record(span);
-                return true;
-            }
-            _ => {}
-        }
-        let reason = if span.outcome == SpanOutcome::Failed {
+            2 => true,
+            _ => match self.retain_reason(&span) {
+                Some(r) => {
+                    self.tail_retained[r as usize].fetch_add(1, Ordering::Relaxed);
+                    true
+                }
+                None => false,
+            },
+        };
+        self.write(span, keep);
+        keep
+    }
+
+    fn retain_reason(&self, span: &Span) -> Option<RetainReason> {
+        if span.outcome == SpanOutcome::Failed {
             Some(RetainReason::Error)
         } else if span.outcome == SpanOutcome::Shed {
             Some(RetainReason::Shed)
-        } else if self.is_slow(&span) {
+        } else if self.is_slow(span) {
             Some(RetainReason::Slow)
-        } else if self.straddles_crash(&span) {
+        } else if self.straddles_crash(span) {
             Some(RetainReason::Crash)
         } else if splitmix64(span.seq) <= self.threshold.load(Ordering::Relaxed) {
             Some(RetainReason::Ratio)
         } else {
             None
-        };
-        match reason {
-            Some(r) => {
-                self.tail_retained[r as usize].fetch_add(1, Ordering::Relaxed);
-                self.record(span);
-                true
-            }
-            None => false,
         }
     }
 
@@ -654,35 +635,28 @@ impl SpanRecorder {
         self.tail_evicted.load(Ordering::Relaxed)
     }
 
-    /// Record one span into the calling thread's shard. One uncontended
-    /// lock, four histogram bumps, one ring-slot write; no allocation once
-    /// the ring has grown to capacity.
+    /// Record one span into the calling thread's shard, retained whatever
+    /// the mode. One uncontended lock, four histogram bumps, one ring-slot
+    /// write; no allocation.
     pub fn record(&self, span: Span) {
-        let mut evicted_now = None;
-        {
+        self.write(span, true);
+    }
+
+    fn write(&self, span: Span, keep: bool) {
+        let overwrote = {
             let mut sh = self.shards[thread_slot() % self.shards.len()].lock();
             sh.stage_hist[Stage::Queue as usize].record(span.queue_wait_us());
             sh.stage_hist[Stage::Lock as usize].record(span.lock_wait_us);
             sh.stage_hist[Stage::Exec as usize].record(span.exec_us());
             sh.stage_hist[Stage::Commit as usize].record(span.commit_us);
-            let idx = (sh.written % self.shard_capacity as u64) as usize;
-            if idx < sh.ring.len() {
-                sh.ring[idx] = span;
-                // In Sampled mode every ring slot holds a deliberately
-                // retained span, so an overwrite means the budget is too
-                // small for the retention rate — count it and (rate
-                // limited) journal it. Full-mode wraparound is expected
-                // flight-recorder behavior, not a budget problem.
-                if self.mode.load(Ordering::Relaxed) == SpanMode::Sampled as u8 {
-                    evicted_now = Some(self.tail_evicted.fetch_add(1, Ordering::Relaxed) + 1);
-                }
-            } else {
-                sh.ring.push(span);
-            }
-            sh.written += 1;
-        }
-        if let Some(total) = evicted_now {
-            self.log_evict(total);
+            keep && sh.ring.push(span).is_some()
+        };
+        // In Sampled mode every ring slot holds a deliberately retained
+        // span, so an overwrite means the budget is too small for the
+        // retention rate — count it and (rate limited) journal it.
+        // Full-mode wraparound is expected flight-recorder behavior.
+        if overwrote && self.mode.load(Ordering::Relaxed) == SpanMode::Sampled as u8 {
+            self.log_evict(self.tail_evicted.fetch_add(1, Ordering::Relaxed) + 1);
         }
     }
 
@@ -712,33 +686,28 @@ impl SpanRecorder {
         });
     }
 
-    /// Total spans ever recorded (including ones since overwritten).
+    /// Total spans ever retained (including ones since overwritten).
     pub fn recorded(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().written).sum()
+        self.shards.iter().map(|s| s.lock().ring.written()).sum()
     }
 
     /// Spans lost to ring overwrites.
     pub fn overwritten(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                let sh = s.lock();
-                sh.written.saturating_sub(sh.ring.len() as u64)
-            })
-            .sum()
+        self.shards.iter().map(|s| s.lock().ring.overwritten()).sum()
     }
 
-    /// Total ring slots across all shards.
+    /// Total ring slots across all shards (≤ `ring_capacity`).
     pub fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
+        self.shards.iter().map(|s| s.lock().ring.capacity()).sum()
     }
 
-    /// The most recent `n` retained spans, oldest first.
+    /// The most recent `n` retained spans, oldest first. Each shard's
+    /// writer completes its spans in order, so the newest `n` overall are
+    /// among the newest `n` of each shard.
     pub fn recent(&self, n: usize) -> Vec<Span> {
         let mut all: Vec<Span> = Vec::new();
         for s in &self.shards {
-            let sh = s.lock();
-            all.extend(sh.ordered(self.shard_capacity).copied());
+            all.extend(s.lock().ring.iter().rev().take(n).copied());
         }
         all.sort_by_key(|s| (s.end_us, s.seq));
         if all.len() > n {
@@ -756,8 +725,7 @@ impl SpanRecorder {
         }
         let mut best: Option<Span> = None;
         for s in &self.shards {
-            let sh = s.lock();
-            for sp in sh.ordered(self.shard_capacity) {
+            for sp in s.lock().ring.iter() {
                 if sp.trace_id == id && best.is_none_or(|b| sp.end_us >= b.end_us) {
                     best = Some(*sp);
                 }
@@ -766,8 +734,8 @@ impl SpanRecorder {
         best
     }
 
-    /// Merged per-stage histograms (cover the whole run, not just the
-    /// retained rings).
+    /// Merged per-stage histograms over every offered span (the whole run,
+    /// not just the retained rings).
     pub fn stage_histograms(&self) -> [Histogram; 4] {
         let mut acc: [Histogram; 4] = std::array::from_fn(|_| Histogram::latency());
         for s in &self.shards {
@@ -943,8 +911,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let cfg = ObsConfig { ring_capacity: 64, shards: 1, ..ObsConfig::default() };
-        let r = SpanRecorder::new(cfg);
+        let r = SpanRecorder::new(ObsConfig { ring_capacity: 64, ..ObsConfig::default() });
         assert_eq!(r.capacity(), 64);
         for i in 0..100 {
             r.record(span(i, 0));
@@ -1137,21 +1104,14 @@ mod tests {
 
     #[test]
     fn sampled_overwrite_counts_eviction_but_full_does_not() {
-        let full = SpanRecorder::new(ObsConfig { ring_capacity: 64, shards: 1, ..ObsConfig::default() });
+        let full = SpanRecorder::new(ObsConfig { ring_capacity: 64, ..ObsConfig::default() });
         for i in 0..100 {
             full.record(span(i, 0));
         }
         assert_eq!(full.tail_evicted(), 0, "full-mode wraparound is not an eviction");
-        let cfg = ObsConfig {
-            mode: SpanMode::Sampled,
-            sample_ratio: 1.0,
-            ring_capacity: 128,
-            span_budget: 64,
-            shards: 1,
-            ..ObsConfig::default()
-        };
+        let cfg = ObsConfig { mode: SpanMode::Sampled, sample_ratio: 1.0, ring_capacity: 64 };
         let tail = SpanRecorder::new(cfg);
-        assert_eq!(tail.capacity(), 64, "span_budget overrides ring_capacity");
+        assert_eq!(tail.capacity(), 64, "one writer holds the whole budget");
         for i in 0..100 {
             assert!(tail.offer(span(i, 0)));
         }
@@ -1161,13 +1121,7 @@ mod tests {
     #[test]
     fn eviction_emits_rate_limited_journal_event() {
         let journal = std::sync::Arc::new(crate::journal::EventJournal::new());
-        let cfg = ObsConfig {
-            mode: SpanMode::Sampled,
-            sample_ratio: 1.0,
-            span_budget: 64,
-            shards: 1,
-            ..ObsConfig::default()
-        };
+        let cfg = ObsConfig { mode: SpanMode::Sampled, sample_ratio: 1.0, ring_capacity: 64 };
         let r = SpanRecorder::new(cfg).with_journal(journal.clone());
         for i in 0..1_000 {
             r.offer(span(i, 0));
@@ -1180,8 +1134,60 @@ mod tests {
         assert!(!evicts.is_empty(), "eviction must journal");
         assert!(evicts.len() <= 2, "rate-limited to ~1/s, got {}", evicts.len());
         let e = &evicts[0];
-        assert!(e.fields.iter().any(|(k, _)| *k == "evicted"));
-        assert!(e.fields.iter().any(|(k, v)| *k == "budget" && v == "64"));
+        assert!(e.field("evicted").is_some());
+        assert_eq!(e.field("budget"), Some("64"));
+    }
+
+    #[test]
+    fn sampled_stage_histograms_count_every_offered_span() {
+        let cfg = ObsConfig { mode: SpanMode::Sampled, sample_ratio: 0.0, ..ObsConfig::default() };
+        let r = SpanRecorder::new(cfg);
+        let with_exec = |seq: u64, exec_us: u64, outcome: SpanOutcome| Span {
+            end_us: seq * 100 + 40 + exec_us,
+            lock_wait_us: 0,
+            commit_us: 0,
+            outcome,
+            ..span(seq, 0)
+        };
+        for i in 0..99 {
+            assert!(!r.offer(with_exec(i, 10, SpanOutcome::Committed)), "ratio 0 keeps no healthy span");
+        }
+        assert!(r.offer(with_exec(99, 10_000, SpanOutcome::Failed)));
+        let exec = r.stage_summaries()[Stage::Exec as usize];
+        assert_eq!(exec.count, 100, "the histograms saw every offered span");
+        assert!((9..=11).contains(&exec.p50_us), "p50 {} is the healthy bulk", exec.p50_us);
+        assert_eq!(r.recorded(), 1, "the ring kept only the failure");
+    }
+
+    #[test]
+    fn writers_split_the_budget_and_own_their_shards() {
+        let cfg = ObsConfig { ring_capacity: 100, ..ObsConfig::default() };
+        let r = std::sync::Arc::new(SpanRecorder::with_writers(cfg, 3));
+        assert_eq!(r.capacity(), 99, "floor(100 / 3) per writer, never above the budget");
+        let handles: Vec<_> = (0..3u64)
+            .map(|w| {
+                let r = r.clone();
+                std::thread::spawn(move || {
+                    bp_util::sync::set_thread_slot(w as usize);
+                    // Writer 0 writes 10, writer 1 writes 40, writer 2 writes 60.
+                    for i in 0..[10, 40, 60][w as usize] {
+                        r.record(span(w * 1_000 + i, 0));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(r.recorded(), 110);
+        // Each shard wrapped only under its own writer: 0 + 7 + 27.
+        assert_eq!(r.overwritten(), 34);
+        let kept = r.recent(usize::MAX);
+        assert_eq!(kept.iter().filter(|s| s.seq < 1_000).count(), 10);
+        assert_eq!(kept.iter().filter(|s| s.seq >= 2_000).count(), 33);
+        // `recent(n)` is the newest n overall, oldest first.
+        let newest = r.recent(5);
+        assert_eq!(newest.iter().map(|s| s.seq).collect::<Vec<_>>(), [2055, 2056, 2057, 2058, 2059]);
     }
 
     #[test]

@@ -1,20 +1,18 @@
-//! The capture side: a sharded, low-overhead schedule recorder.
+//! The capture side: a low-overhead schedule recorder.
 //!
 //! [`RecordingSource`] decorates any `ScheduleSource` and deposits every
 //! planned request into a [`Recorder`] as it flows to the queue — capture
-//! happens at generation time on the manager thread, so the record order is
-//! deterministic and nothing touches the worker hot path. The buffer is
-//! sharded per thread (same scheme as `StatsCollector`) so additional
-//! depositors — e.g. a second tenant's manager recording into a shared
-//! recorder — never contend on one lock.
+//! happens at generation time on the manager thread, one batch per second,
+//! so the record order is deterministic and nothing touches the worker hot
+//! path. At that rate one lock is all the buffer needs, even when a second
+//! tenant's manager records into a shared recorder.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bp_core::{ControlState, ScheduleSource, Window};
 use bp_obs::{MetricsBuf, MetricsSource};
 use bp_util::clock::{Micros, MICROS_PER_SEC};
-use bp_util::sync::{thread_slot, CachePadded, Mutex};
+use bp_util::sync::Mutex;
 
 /// One captured request: where in the run it arrived and what it was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,57 +24,34 @@ pub struct ScheduleRecord {
     pub phase: u16,
 }
 
-const SHARDS: usize = 8;
-
-/// Sharded append-only buffer of captured schedule records.
+/// Append-only buffer of captured schedule records.
+#[derive(Default)]
 pub struct Recorder {
-    shards: Vec<CachePadded<Mutex<Vec<ScheduleRecord>>>>,
-    captured: AtomicU64,
-}
-
-impl Default for Recorder {
-    fn default() -> Recorder {
-        Recorder::new()
-    }
+    records: Mutex<Vec<ScheduleRecord>>,
 }
 
 impl Recorder {
     pub fn new() -> Recorder {
-        Recorder {
-            shards: (0..SHARDS).map(|_| CachePadded(Mutex::new(Vec::new()))).collect(),
-            captured: AtomicU64::new(0),
-        }
+        Recorder::default()
     }
 
-    fn my_shard(&self) -> &Mutex<Vec<ScheduleRecord>> {
-        &self.shards[thread_slot() % SHARDS].0
-    }
-
-    /// Capture one window's records: one uncontended lock + a memcpy-style
-    /// extend, amortizing to ~ns per request.
+    /// Capture one window's records: one lock + a memcpy-style extend,
+    /// amortizing to ~ns per request.
     pub fn capture_batch(&self, records: impl IntoIterator<Item = ScheduleRecord>) {
-        let mut shard = self.my_shard().lock();
-        let before = shard.len();
-        shard.extend(records);
-        let n = (shard.len() - before) as u64;
-        drop(shard);
-        self.captured.fetch_add(n, Ordering::Relaxed);
+        self.records.lock().extend(records);
     }
 
     /// Total records captured so far.
     pub fn captured(&self) -> u64 {
-        self.captured.load(Ordering::Relaxed)
+        self.records.lock().len() as u64
     }
 
-    /// Merge the shards into one arrival-ordered schedule. The sort is
-    /// stable, so records from a single manager thread (one shard, already
-    /// in generation order) keep their relative order at equal offsets —
-    /// which is what makes same-seed snapshots byte-identical.
+    /// The captured schedule in arrival order. The sort is stable, so
+    /// records of one manager thread (already in generation order) keep
+    /// their relative order at equal offsets — which is what makes
+    /// same-seed snapshots byte-identical.
     pub fn snapshot(&self) -> Vec<ScheduleRecord> {
-        let mut all: Vec<ScheduleRecord> = Vec::with_capacity(self.captured() as usize);
-        for shard in &self.shards {
-            all.extend(shard.0.lock().iter().copied());
-        }
+        let mut all = self.records.lock().clone();
         all.sort_by_key(|r| r.offset_us);
         all
     }

@@ -265,9 +265,9 @@ mod tests {
         let events = j.all();
         assert_eq!(events.len(), 2, "{events:?}");
         assert_eq!(events[0].kind, "buffer_pressure");
-        assert!(events[0].fields.contains(&("state", "pressured".to_string())));
+        assert_eq!(events[0].field("state"), Some("pressured"));
         assert_eq!(events[0].severity, Severity::Warn);
-        assert!(events[1].fields.contains(&("state", "ok".to_string())));
+        assert_eq!(events[1].field("state"), Some("ok"));
     }
 
     #[test]

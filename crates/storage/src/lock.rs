@@ -440,8 +440,8 @@ mod tests {
         let events = j.all();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, "deadlock_victim");
-        assert!(events[0].fields.contains(&("txn", "2".to_string())));
-        assert!(events[0].fields.contains(&("holder", "1".to_string())));
+        assert_eq!(events[0].field("txn"), Some("2"));
+        assert_eq!(events[0].field("holder"), Some("1"));
     }
 
     #[test]

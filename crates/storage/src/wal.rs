@@ -355,7 +355,7 @@ mod tests {
         let events = j.all();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, "wal_rotate");
-        assert!(events[0].fields.iter().any(|(k, v)| *k == "segment" && v == "1"));
+        assert_eq!(events[0].field("segment"), Some("1"));
         assert!(m.snapshot().fsync_micros >= 50, "commit cost charged to fsync_us");
     }
 

@@ -13,6 +13,7 @@
 //!   workload-control logic run in real time or in deterministic simulation;
 //! - [`periodic`]: the one background ticker — every periodic thread in
 //!   util/obs/core/cluster is a [`Periodic`], paced and stopped here;
+//! - [`ring`]: the one bounded flight-recorder ring;
 //! - [`sync`]: std-only `Mutex`/`RwLock`/`Condvar` wrappers with a
 //!   `parking_lot`-style call-site API (guards returned directly, poison
 //!   ignored) so the workspace builds with zero external dependencies;
@@ -27,6 +28,7 @@ pub mod clock;
 pub mod histogram;
 pub mod json;
 pub mod periodic;
+pub mod ring;
 pub mod rng;
 pub mod sync;
 pub mod text;

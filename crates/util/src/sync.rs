@@ -9,26 +9,31 @@
 //! the data protected by these locks is statistics and catalog state whose
 //! invariants are re-established per operation.
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-/// Monotonic slot handed to each thread on first use. Sharded collectors
-/// (statistics, span recorders) index their shard arrays with
-/// `thread_slot() % shards` so a given thread always lands on the same
-/// shard of a given collector and two collectors agree on the mapping.
+/// Sharded stores index their shards with `thread_slot() % shards`. The
+/// executor assigns worker *w* slot *w* ([`set_thread_slot`]), so with one
+/// shard per worker, worker *w* owns shard *w*; any other thread gets a
+/// process-wide counter value on first use.
 static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
+    static THREAD_SLOT: Cell<usize> = Cell::new(NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed));
 }
 
-/// The calling thread's process-wide shard slot (stable for the thread's
-/// lifetime, dense from 0 in thread-creation order).
+/// The calling thread's shard slot.
 #[inline]
 pub fn thread_slot() -> usize {
-    THREAD_SLOT.with(|s| *s)
+    THREAD_SLOT.with(Cell::get)
+}
+
+/// Assign the calling thread's shard slot.
+pub fn set_thread_slot(slot: usize) {
+    THREAD_SLOT.with(|s| s.set(slot));
 }
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly and
@@ -351,6 +356,19 @@ mod tests {
         assert_eq!(mine, thread_slot(), "slot must be stable per thread");
         let other = std::thread::spawn(thread_slot).join().unwrap();
         assert_ne!(mine, other, "each thread gets its own slot");
+    }
+
+    #[test]
+    fn assigned_slot_is_the_threads_slot() {
+        let mine = thread_slot();
+        let assigned = std::thread::spawn(|| {
+            set_thread_slot(7);
+            thread_slot()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(assigned, 7);
+        assert_eq!(thread_slot(), mine, "another thread's assignment leaves ours alone");
     }
 
     #[test]

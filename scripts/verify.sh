@@ -68,7 +68,8 @@ echo "== cluster (fleet SLO: the same settings table read from <slo>, POST /slo 
 cargo test -q --offline -p bp-cluster
 cargo run -q --release --offline -p bp-bench --bin harness cluster
 
-echo "== trace (E18 gates: >= 99 % of slow requests retained within 2x the span budget; exemplar resolves via /cluster/trace) =="
+echo "== trace (the one Ring; E18 gates: >= 99 % of slow requests retained within the span budget; exemplar resolves via /cluster/trace) =="
+cargo test -q --offline -p bp-util ring
 cargo test -q --offline -p bp-obs span
 cargo run -q --release --offline -p bp-bench --bin harness trace
 

@@ -114,7 +114,9 @@ fn tpcc_runs_under_throttle_on_real_engine() {
 /// modules, threads are spawned only by `Periodic` itself, the executor
 /// (manager + workers) and the HTTP server (accept + per connection), and
 /// the guard types `Periodic` replaced stay gone — as do the second SLO
-/// controller and the second sampler of the engine's counters.
+/// controller and the second sampler of the engine's counters. Likewise
+/// there is one bounded ring (`bp_util::ring`): its arithmetic appears
+/// nowhere else, and only the sharded stores read a thread's shard slot.
 #[test]
 fn background_threads_go_through_periodic() {
     fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
@@ -128,6 +130,9 @@ fn background_threads_go_through_periodic() {
         }
     }
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
+    const MAY_READ_SLOT: [&str; 4] =
+        ["util/src/sync.rs", "core/src/stats.rs", "obs/src/span.rs", "obs/src/journal.rs"];
+    const RING_ARITHMETIC: [&str; 2] = ["written %", "fn ordered("];
     const RETIRED: [&str; 7] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
@@ -153,6 +158,15 @@ fn background_threads_go_through_periodic() {
         }
         if code.contains("thread::Builder") || code.contains("thread::spawn") {
             assert!(MAY_SPAWN.contains(&&*rel), "{rel} spawns a thread outside its test module");
+        }
+        if code.contains("thread_slot()") {
+            assert!(MAY_READ_SLOT.contains(&&*rel), "{rel} reads a thread slot outside the sharded stores");
+        }
+        for arithmetic in RING_ARITHMETIC {
+            assert!(
+                rel == "util/src/ring.rs" || !code.contains(arithmetic),
+                "{rel} hand-rolls a ring (`{arithmetic}`) instead of using bp_util::ring::Ring"
+            );
         }
     }
 }

@@ -115,7 +115,8 @@ fn crashpoint_matrix_recovers_to_committed_prefix() {
         assert_eq!(status.recoveries, 1);
         assert_eq!(status.last_crashpoint, Some(cp));
 
-        let kinds: Vec<_> = db.journal().all().iter().map(|e| e.kind).collect();
+        let events = db.journal().all();
+        let kinds: Vec<&str> = events.iter().map(|e| &*e.kind).collect();
         assert!(kinds.contains(&"server_crash"), "{kinds:?}");
         assert!(kinds.contains(&"recovery_begin"), "{kinds:?}");
         assert!(kinds.contains(&"recovery_complete"), "{kinds:?}");

@@ -1,18 +1,21 @@
 //! Regression: the sharded `StatsCollector` must be observably equivalent
-//! to the old single-mutex layout. N threads record M samples each into a
-//! default (multi-shard) collector; the same sample set recorded into a
-//! single-shard collector must produce identical committed/aborted/failed
-//! counts, identical histogram counts, and p50/p99 within one histogram
-//! bucket (the log-linear histogram is 5-bit, ≈3% relative error, and the
-//! merge is exact bucket-wise addition — so in practice they are equal).
+//! to the single-mutex layout. N threads, each assigned a thread slot the
+//! way the executor assigns its workers one, record M samples each into a
+//! four-shard collector; the same sample set recorded into a single-shard
+//! collector must produce identical committed/aborted/failed counts,
+//! identical histogram counts, and p50/p99 within one histogram bucket (the
+//! log-linear histogram is 5-bit, ≈3% relative error, and the merge is
+//! exact bucket-wise addition — so in practice they are equal).
 
 use std::sync::Arc;
 
 use benchpress::core::{RequestOutcome, Sample, StatsCollector};
 use benchpress::util::clock::{sim_clock, MICROS_PER_SEC};
 use benchpress::util::rng::Rng;
+use benchpress::util::sync::set_thread_slot;
 
 const THREADS: u64 = 8;
+const SHARDS: usize = 4;
 const SAMPLES_PER_THREAD: u64 = 2_000;
 
 /// Deterministic sample stream for one thread.
@@ -54,12 +57,13 @@ fn sharded_stats_match_single_shard_totals() {
 
     // Sharded run: THREADS real threads, each recording its own stream.
     let (_, clock) = sim_clock();
-    let sharded = Arc::new(StatsCollector::new(clock, &types));
-    assert!(sharded.shard_count() > 1, "default collector must be sharded");
+    let sharded = Arc::new(StatsCollector::with_shards(clock, &types, SHARDS));
+    assert_eq!(sharded.shard_count(), SHARDS);
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let c = sharded.clone();
             std::thread::spawn(move || {
+                set_thread_slot(t as usize);
                 for s in thread_samples(t) {
                     c.record(s);
                 }
@@ -141,12 +145,13 @@ fn sharded_window_histogram_matches_single_shard() {
 
     // Sharded run: THREADS real threads, each recording its own stream.
     let (sim, clock) = sim_clock();
-    let sharded = Arc::new(StatsCollector::new(clock, &types));
-    assert!(sharded.shard_count() > 1, "default collector must be sharded");
+    let sharded = Arc::new(StatsCollector::with_shards(clock, &types, SHARDS));
+    assert_eq!(sharded.shard_count(), SHARDS);
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
             let c = sharded.clone();
             std::thread::spawn(move || {
+                set_thread_slot(t as usize);
                 for s in thread_samples(t) {
                     c.record(s);
                 }
@@ -202,11 +207,12 @@ fn sharded_window_histogram_matches_single_shard() {
 #[test]
 fn sharded_requested_series_matches_single_shard() {
     let (_, clock) = sim_clock();
-    let sharded = Arc::new(StatsCollector::new(clock, &["t"]));
+    let sharded = Arc::new(StatsCollector::with_shards(clock, &["t"], SHARDS));
     let handles: Vec<_> = (0..4u64)
         .map(|t| {
             let c = sharded.clone();
             std::thread::spawn(move || {
+                set_thread_slot(t as usize);
                 for s in 0..3u64 {
                     c.record_requested(s * MICROS_PER_SEC, (10 * (t + 1)) as usize);
                 }
