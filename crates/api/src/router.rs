@@ -647,14 +647,20 @@ impl ApiServer {
         let (id, c) = self.addressed_workload(req, query)?;
         let body = req.body.clone().unwrap_or(Json::Null);
         let mut cfg = RecoveryConfig::default();
-        if let Some(v) = body.get("poll_ms").and_then(Json::as_u64) {
-            if v == 0 {
+        let micros = |key: &str| match body.get(key).and_then(Json::as_u64) {
+            None => Ok(None),
+            Some(ms) => ms.checked_mul(1_000).map(Some).ok_or_else(|| {
+                Response::error(400, &format!("{key} {ms} overflows a µs interval"))
+            }),
+        };
+        if let Some(us) = micros("poll_ms")? {
+            if us == 0 {
                 return Err(Response::error(400, "poll_ms must be > 0"));
             }
-            cfg.poll_interval_us = v * 1_000;
+            cfg.poll_interval_us = us;
         }
-        if let Some(v) = body.get("checkpoint_ms").and_then(Json::as_u64) {
-            cfg.checkpoint_interval_us = v * 1_000;
+        if let Some(us) = micros("checkpoint_ms")? {
+            cfg.checkpoint_interval_us = us;
         }
         c.start_recovery(cfg);
         Ok(Response::ok(recovery_status_json(&id, &c)))
@@ -1058,13 +1064,13 @@ impl ApiServer {
             .and_then(Json::as_str)
             .map(str::to_string)
             .unwrap_or_else(|| {
-                let base = benchmark.to_string();
+                // The benchmark's name, else its first free `-n` suffix: an
+                // id the caller did not choose must not collide.
                 let existing = self.workload_ids();
-                if existing.contains(&base) {
-                    format!("{base}-{}", existing.len())
-                } else {
-                    base
-                }
+                std::iter::once(benchmark.to_string())
+                    .chain((1..).map(|n| format!("{benchmark}-{n}")))
+                    .find(|id| !existing.contains(id))
+                    .expect("some suffix is free")
             });
         if self.controller(&id).is_some() {
             return Response::error(409, &format!("workload {id} already exists"));
@@ -1315,6 +1321,14 @@ mod tests {
         let s = server();
         let r = s.handle(&Request::post("/recovery", Json::obj().set("poll_ms", 0u64)));
         assert_eq!(r.status, 400);
+        // A millisecond count whose µs do not fit a u64 is refused by name,
+        // not multiplied into a panic (debug) or a wrapped interval (release).
+        for key in ["poll_ms", "checkpoint_ms"] {
+            let r = s.handle(&Request::post("/recovery", Json::obj().set(key, 1e17)));
+            assert_eq!(r.status, 400, "{key}: {r:?}");
+            assert!(r.body.get("error").unwrap().as_str().unwrap().contains(key), "{r:?}");
+        }
+        assert!(!s.controller("demo").unwrap().recovery().is_active(), "nothing was armed");
         let r = s.handle(&Request::post(
             "/recovery",
             Json::obj().set("workload", "ghost"),
@@ -1374,6 +1388,22 @@ mod tests {
         // Unknown benchmark surfaces launcher error.
         let r = s.handle(&Request::post("/workloads", Json::obj().set("benchmark", "ghost")));
         assert_eq!(r.status, 400);
+    }
+
+    /// A request that names no id gets one nobody holds, even when a caller
+    /// took the `-n` suffix the workload count would have picked.
+    #[test]
+    fn add_workload_picks_a_free_id() {
+        let s = ApiServer::new().with_launcher(Arc::new(FakeLauncher));
+        let add = |body: Json| s.handle(&Request::post("/workloads", body));
+        assert!(add(Json::obj().set("benchmark", "demo2")).is_ok());
+        let r = add(Json::obj().set("benchmark", "demo2").set("id", "demo2-2"));
+        assert!(r.is_ok(), "{r:?}");
+        for _ in 0..2 {
+            let r = add(Json::obj().set("benchmark", "demo2"));
+            assert!(r.is_ok(), "auto id collided: {r:?}");
+        }
+        assert_eq!(s.workload_ids(), ["demo2", "demo2-1", "demo2-2", "demo2-3"]);
     }
 
     #[test]
@@ -1767,15 +1797,14 @@ mod tests {
                 .set("target", "p99")
                 .set("limit_ms", 20.0)
                 .set("initial_rate", 500.0)
-                .set("min_rate", 50.0)
-                .set("law", "aimd"),
+                .set("min_rate", 50.0),
         ));
         assert!(r.is_ok(), "{r:?}");
         assert_eq!(r.body.get("workload").unwrap().as_str(), Some("demo"));
         assert_eq!(r.body.get("active").unwrap().as_bool(), Some(true));
         assert_eq!(r.body.get("target").unwrap().as_str(), Some("p99"));
         assert_eq!(r.body.get("limit_us").unwrap().as_u64(), Some(20_000));
-        assert_eq!(r.body.get("law").unwrap().as_str(), Some("aimd"));
+        assert!(r.body.get("law").is_none(), "one law: the status does not name it");
         assert_eq!(r.body.get("rate").unwrap().as_f64(), Some(500.0));
         // Status mirrors the armed config; with no traffic the loop holds.
         let r = s.handle(&Request::get("/slo/status?workload=demo"));
@@ -1827,8 +1856,9 @@ mod tests {
         let r = s.handle(&Request::post("/slo", Json::obj().set("target", "p42")));
         assert_eq!(r.status, 400);
         assert!(r.body.get("error").unwrap().as_str().unwrap().contains("p99"));
-        let r = s.handle(&Request::post("/slo", Json::obj().set("law", "bang-bang")));
+        let r = s.handle(&Request::post("/slo", Json::obj().set("law", "pid")));
         assert_eq!(r.status, 400);
+        assert!(r.body.get("error").unwrap().as_str().unwrap().contains("AIMD"), "{r:?}");
         let r = s.handle(&Request::post("/slo", Json::obj().set("backoff", 1.5)));
         assert_eq!(r.status, 400);
         let r = s.handle(&Request::post("/slo", Json::obj().set("limit_ms", -3.0)));

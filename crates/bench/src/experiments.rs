@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bp_core::{
-    ArrivalDist, CapacityModel, MixturePreset, Phase, PhaseScript, Rate, ResilienceConfig,
-    RunConfig, Testbed, TraceAnalyzer,
+    ArrivalDist, CapacityModel, MixturePreset, Phase, PhaseScript, Rate, RunConfig, Testbed,
+    TraceAnalyzer,
 };
 use bp_game::{chase_center_policy, Course, Game, GameSession, Input, PhysicsConfig, SimBackend};
 use bp_sql::{Connection, Dialect};
@@ -30,19 +30,6 @@ fn voter(scale: f64, seed: u64, personality: Personality) -> Setup {
 fn steady(terminals: usize, rate: Rate, seconds: f64) -> RunConfig {
     let script = PhaseScript::new(vec![Phase::new(rate, seconds)]);
     RunConfig { terminals, script, collect_trace: false, ..Default::default() }
-}
-
-/// A breaker quick enough to open and re-close inside a few-second window.
-fn quick_breaker() -> ResilienceConfig {
-    ResilienceConfig {
-        breaker: Some(bp_chaos::BreakerConfig {
-            min_samples: 16,
-            window: 32,
-            cooldown_us: 300_000,
-            ..bp_chaos::BreakerConfig::default()
-        }),
-        ..ResilienceConfig::default()
-    }
 }
 
 /// `POST /chaos` body for a named plan of `(kind, intensity, magnitude)`
@@ -799,7 +786,7 @@ pub struct ResilienceReport {
 pub fn run_resilience(seconds: f64) -> ResilienceReport {
     let cfg = RunConfig {
         max_retries: 2,
-        resilience: quick_breaker(),
+        breaker: true,
         ..steady(4, Rate::Limited(400.0), seconds)
     };
     let run = LiveRun::start(&voter(0.3, 13, Personality::test()), cfg);
@@ -975,7 +962,6 @@ pub fn run_slo(seconds: f64) -> SloReport {
         &Json::obj()
             .set("target", "p99")
             .set("limit_ms", limit_ms)
-            .set("law", "aimd")
             .set("window_s", 2u64)
             .set("tick_ms", 100u64)
             .set("initial_rate", capacity * 0.3)
@@ -1006,7 +992,7 @@ pub fn run_slo(seconds: f64) -> SloReport {
     let third = chaos_s / 3.0;
     let cfg = RunConfig {
         max_retries: 2,
-        resilience: quick_breaker(),
+        breaker: true,
         ..steady(4, Rate::Limited(300.0), chaos_s + 3.0)
     };
     let run = LiveRun::start(&voter(0.3, 17, Personality::test()), cfg);

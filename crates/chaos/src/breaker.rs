@@ -1,14 +1,13 @@
-//! Client-side resilience: circuit breaker, retry budget, and the knob
-//! block that configures both plus backoff/deadlines.
+//! Client-side resilience: the circuit breaker.
 //!
 //! The breaker is the executor's admission controller. Workers ask it
 //! [`CircuitBreaker::admit`] before executing a request:
 //!
 //! ```text
-//!            failure rate ≥ threshold (or queue > limit)
+//!            failure rate ≥ threshold
 //!   Closed ──────────────────────────────────────────────▶ Open
 //!     ▲                                                      │
-//!     │ `half_open_probes` consecutive                       │ cooldown
+//!     │ `HALF_OPEN_PROBES` consecutive                       │ cooldown
 //!     │ probe successes                                      │ elapsed
 //!     │                                                      ▼
 //!     └──────────────────────────────────────────────── HalfOpen
@@ -18,50 +17,30 @@
 //! While Open, requests are **shed**: fast-failed without executing,
 //! counted in their own `shed` bucket (never as errors, never in
 //! throughput) so graceful degradation is visible as its own signal.
-//! The [`RetryBudget`] is the second amplification guard: a token bucket
-//! capping cluster-wide retries per second so that retry storms cannot
-//! pile onto an engine that is already down.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use bp_obs::{EventJournal, MetricsBuf, MetricsSource, Severity};
 use bp_util::ring::Ring;
 use bp_util::sync::Mutex;
 
-/// Breaker tuning. Defaults are deliberately conservative: a breaker with
-/// default config on a healthy run never trips.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BreakerConfig {
-    /// Trip when `failures / samples` in the sliding window reaches this.
-    pub failure_threshold: f64,
-    /// Don't evaluate the threshold until the window holds this many
-    /// samples (prevents one early failure from tripping a cold breaker).
-    pub min_samples: u32,
-    /// Sliding-window size in samples.
-    pub window: u32,
-    /// How long to stay Open before half-opening, µs.
-    pub cooldown_us: u64,
-    /// Probes admitted while HalfOpen; that many consecutive successes
-    /// re-close the breaker.
-    pub half_open_probes: u32,
-    /// Trip immediately if the executor queue backlog exceeds this
-    /// (0 disables the queue trip).
-    pub queue_limit: usize,
-}
+// The breaker's tuning. E12 and E14 are the runs with a breaker, and these
+// are the values they have always set: quick enough to open and re-close
+// inside a few-second window.
 
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 0.5,
-            min_samples: 20,
-            window: 64,
-            cooldown_us: 500_000,
-            half_open_probes: 3,
-            queue_limit: 0,
-        }
-    }
-}
+/// Trip when `failures / samples` in the sliding window reaches this.
+const FAILURE_THRESHOLD: f64 = 0.5;
+/// Don't evaluate the threshold until the window holds this many samples
+/// (prevents one early failure from tripping a cold breaker).
+const MIN_SAMPLES: usize = 16;
+/// Sliding-window size in samples.
+const WINDOW: usize = 32;
+/// How long to stay Open before half-opening, µs.
+const COOLDOWN_US: u64 = 300_000;
+/// Probes admitted while HalfOpen; that many consecutive successes re-close
+/// the breaker.
+const HALF_OPEN_PROBES: u32 = 3;
 
 /// Breaker states; the discriminants are the `bp_resilience_breaker_state`
 /// gauge values.
@@ -131,7 +110,6 @@ impl Inner {
 pub struct CircuitBreaker {
     /// Label on every metric this breaker emits.
     name: String,
-    cfg: BreakerConfig,
     /// Fast-path state mirror; authoritative transitions happen under
     /// `inner`'s lock.
     state: AtomicU8,
@@ -143,18 +121,17 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    pub fn new(name: &str, cfg: BreakerConfig) -> CircuitBreaker {
+    pub fn new(name: &str) -> CircuitBreaker {
         CircuitBreaker {
             name: name.to_string(),
             state: AtomicU8::new(BreakerState::Closed as u8),
             inner: Mutex::new(Inner {
-                window: Ring::new(cfg.window as usize),
+                window: Ring::new(WINDOW),
                 failures: 0,
                 opened_at_us: 0,
                 probes_inflight: 0,
                 probe_successes: 0,
             }),
-            cfg,
             shed: AtomicU64::new(0),
             transitions: Default::default(),
             journal: None,
@@ -203,29 +180,14 @@ impl CircuitBreaker {
         }
     }
 
-    /// Decide whether to execute a request arriving at `now_us` with the
-    /// given executor backlog.
-    pub fn admit(&self, now_us: u64, queue_depth: usize) -> Admission {
+    /// Decide whether to execute a request arriving at `now_us`.
+    pub fn admit(&self, now_us: u64) -> Admission {
         match self.state() {
-            BreakerState::Closed => {
-                if self.cfg.queue_limit > 0 && queue_depth > self.cfg.queue_limit {
-                    let mut inner = self.inner.lock();
-                    // Re-check under the lock so racing workers trip once.
-                    if self.state() == BreakerState::Closed {
-                        inner.opened_at_us = now_us;
-                        inner.reset_window();
-                        self.transition(BreakerState::Open);
-                    }
-                    drop(inner);
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                    return Admission::Shed;
-                }
-                Admission::Allow
-            }
+            BreakerState::Closed => Admission::Allow,
             BreakerState::Open => {
                 let mut inner = self.inner.lock();
                 if self.state() == BreakerState::Open
-                    && now_us.saturating_sub(inner.opened_at_us) >= self.cfg.cooldown_us
+                    && now_us.saturating_sub(inner.opened_at_us) >= COOLDOWN_US
                 {
                     inner.probes_inflight = 1;
                     inner.probe_successes = 0;
@@ -239,7 +201,7 @@ impl CircuitBreaker {
             BreakerState::HalfOpen => {
                 let mut inner = self.inner.lock();
                 if self.state() == BreakerState::HalfOpen
-                    && inner.probes_inflight < self.cfg.half_open_probes
+                    && inner.probes_inflight < HALF_OPEN_PROBES
                 {
                     inner.probes_inflight += 1;
                     return Admission::Probe;
@@ -258,7 +220,7 @@ impl CircuitBreaker {
             BreakerState::Closed => inner.record(false),
             BreakerState::HalfOpen => {
                 inner.probe_successes += 1;
-                if inner.probe_successes >= self.cfg.half_open_probes {
+                if inner.probe_successes >= HALF_OPEN_PROBES {
                     inner.reset_window();
                     self.transition(BreakerState::Closed);
                 }
@@ -267,16 +229,16 @@ impl CircuitBreaker {
         }
     }
 
-    /// Report a request that executed and failed (exhausted retries,
-    /// deadline, or non-retryable error).
+    /// Report a request that executed and failed (exhausted retries or a
+    /// non-retryable error).
     pub fn on_failure(&self, now_us: u64) {
         let mut inner = self.inner.lock();
         match self.state() {
             BreakerState::Closed => {
                 inner.record(true);
-                let filled = inner.window.len() as f64;
-                if filled >= self.cfg.min_samples as f64
-                    && inner.failures as f64 / filled >= self.cfg.failure_threshold
+                let filled = inner.window.len();
+                if filled >= MIN_SAMPLES
+                    && inner.failures as f64 / filled as f64 >= FAILURE_THRESHOLD
                 {
                     inner.opened_at_us = now_us;
                     inner.reset_window();
@@ -319,111 +281,27 @@ impl MetricsSource for CircuitBreaker {
     }
 }
 
-/// Cluster-wide retry token bucket. `take()` spends one token per retry;
-/// the executor's manager thread calls `refill()` once per second. With
-/// `per_second == 0` the budget is unlimited (the default, preserving
-/// pre-resilience behavior).
-pub struct RetryBudget {
-    per_second: u32,
-    tokens: AtomicI64,
-}
-
-impl RetryBudget {
-    pub fn new(per_second: u32) -> RetryBudget {
-        RetryBudget {
-            per_second,
-            tokens: AtomicI64::new(per_second as i64),
-        }
-    }
-
-    /// Try to spend one retry token.
-    pub fn take(&self) -> bool {
-        if self.per_second == 0 {
-            return true;
-        }
-        self.tokens
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-                if t > 0 {
-                    Some(t - 1)
-                } else {
-                    None
-                }
-            })
-            .is_ok()
-    }
-
-    /// Add a second's worth of tokens, capped at two seconds' burst.
-    pub fn refill(&self) {
-        if self.per_second == 0 {
-            return;
-        }
-        let cap = 2 * self.per_second as i64;
-        let _ = self
-            .tokens
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-                Some((t + self.per_second as i64).min(cap))
-            });
-    }
-
-    pub fn available(&self) -> i64 {
-        if self.per_second == 0 {
-            i64::MAX
-        } else {
-            self.tokens.load(Ordering::Relaxed)
-        }
-    }
-}
-
-/// The executor's resilience knobs (part of `RunConfig`). Defaults keep
-/// every pre-existing run byte-identical except that retry waits are
-/// jittered instead of immediate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceConfig {
-    /// First-retry backoff ceiling, µs (0 disables backoff entirely).
-    pub backoff_base_us: u64,
-    /// Backoff ceiling cap, µs.
-    pub backoff_cap_us: u64,
-    /// Per-transaction deadline from first execution attempt, µs
-    /// (0 = no deadline).
-    pub deadline_us: u64,
-    /// Cluster-wide retry budget per second (0 = unlimited).
-    pub retry_budget_per_s: u32,
-    /// Admission-controller config; `None` runs without a breaker.
-    pub breaker: Option<BreakerConfig>,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> ResilienceConfig {
-        ResilienceConfig {
-            backoff_base_us: 100,
-            backoff_cap_us: 10_000,
-            deadline_us: 0,
-            retry_budget_per_s: 0,
-            breaker: None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick_cfg() -> BreakerConfig {
-        BreakerConfig {
-            failure_threshold: 0.5,
-            min_samples: 10,
-            window: 20,
-            cooldown_us: 1_000,
-            half_open_probes: 3,
-            queue_limit: 0,
+    /// `MIN_SAMPLES` straight failures at t = 0, 1, …: the breaker opens at
+    /// the last of them, which this returns.
+    fn trip(b: &CircuitBreaker) -> u64 {
+        let n = MIN_SAMPLES as u64;
+        for i in 0..n {
+            assert_eq!(b.admit(i), Admission::Allow);
+            b.on_failure(i);
         }
+        assert_eq!(b.state(), BreakerState::Open);
+        n - 1
     }
 
     #[test]
     fn healthy_traffic_never_trips() {
-        let b = CircuitBreaker::new("w", quick_cfg());
+        let b = CircuitBreaker::new("w");
         for i in 0..1_000u64 {
-            assert_eq!(b.admit(i, 0), Admission::Allow);
+            assert_eq!(b.admit(i), Admission::Allow);
             // 30% failures stays under the 50% threshold at every prefix.
             if i % 10 > 6 {
                 b.on_failure(i);
@@ -437,25 +315,22 @@ mod tests {
 
     #[test]
     fn trips_sheds_half_opens_and_recovers() {
-        let b = CircuitBreaker::new("w", quick_cfg());
+        let b = CircuitBreaker::new("w");
         // Pure failures trip it at min_samples.
-        for i in 0..10u64 {
-            assert_eq!(b.admit(i, 0), Admission::Allow);
-            b.on_failure(i);
-        }
-        assert_eq!(b.state(), BreakerState::Open);
+        let opened = trip(&b);
         assert_eq!(b.transitions_to(BreakerState::Open), 1);
         // While Open and inside cooldown: shed.
-        assert_eq!(b.admit(500, 0), Admission::Shed);
-        assert_eq!(b.admit(900, 0), Admission::Shed);
+        assert_eq!(b.admit(opened + COOLDOWN_US / 3), Admission::Shed);
+        assert_eq!(b.admit(opened + COOLDOWN_US - 1), Admission::Shed);
         assert_eq!(b.shed_total(), 2);
-        // Past cooldown (opened at t=9, cooldown 1000): first arrival probes.
-        assert_eq!(b.admit(1_200, 0), Admission::Probe);
+        // Past cooldown: first arrival probes.
+        let t = opened + COOLDOWN_US;
+        assert_eq!(b.admit(t), Admission::Probe);
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        // Only half_open_probes probes fit; the rest shed.
-        assert_eq!(b.admit(1_201, 0), Admission::Probe);
-        assert_eq!(b.admit(1_202, 0), Admission::Probe);
-        assert_eq!(b.admit(1_203, 0), Admission::Shed);
+        // Only HALF_OPEN_PROBES probes fit; the rest shed.
+        assert_eq!(b.admit(t + 1), Admission::Probe);
+        assert_eq!(b.admit(t + 2), Admission::Probe);
+        assert_eq!(b.admit(t + 3), Admission::Shed);
         // Three successes re-close.
         b.on_success();
         b.on_success();
@@ -464,104 +339,60 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.transitions_to(BreakerState::Closed), 1);
         // Window was reset: one failure doesn't re-trip.
-        b.admit(2_000, 0);
-        b.on_failure(2_000);
+        b.admit(t + 10);
+        b.on_failure(t + 10);
         assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
     fn probe_failure_reopens() {
-        let b = CircuitBreaker::new("w", quick_cfg());
-        for i in 0..10u64 {
-            b.admit(i, 0);
-            b.on_failure(i);
-        }
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.admit(5_000, 0), Admission::Probe);
-        b.on_failure(5_000);
+        let b = CircuitBreaker::new("w");
+        trip(&b);
+        let t = 2 * COOLDOWN_US;
+        assert_eq!(b.admit(t), Admission::Probe);
+        b.on_failure(t);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.transitions_to(BreakerState::Open), 2);
         // New cooldown runs from the probe failure.
-        assert_eq!(b.admit(5_500, 0), Admission::Shed);
-        assert_eq!(b.admit(6_100, 0), Admission::Probe);
-    }
-
-    #[test]
-    fn queue_depth_trips_immediately() {
-        let mut cfg = quick_cfg();
-        cfg.queue_limit = 100;
-        let b = CircuitBreaker::new("w", cfg);
-        assert_eq!(b.admit(0, 100), Admission::Allow);
-        assert_eq!(b.admit(1, 101), Admission::Shed);
-        assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.shed_total(), 1);
+        assert_eq!(b.admit(t + COOLDOWN_US - 1), Admission::Shed);
+        assert_eq!(b.admit(t + COOLDOWN_US), Admission::Probe);
     }
 
     #[test]
     fn sliding_window_forgets_old_failures() {
-        let b = CircuitBreaker::new("w", quick_cfg());
-        // 9 failures (below min_samples), then a long healthy stretch that
-        // evicts them from the 20-wide window.
-        for i in 0..9u64 {
-            b.admit(i, 0);
+        let b = CircuitBreaker::new("w");
+        let (min, window) = (MIN_SAMPLES as u64, WINDOW as u64);
+        // Failures below min_samples, then a healthy stretch that evicts
+        // them from the window.
+        for i in 0..min - 1 {
+            b.admit(i);
             b.on_failure(i);
         }
-        for i in 9..29u64 {
-            b.admit(i, 0);
+        for i in min - 1..min - 1 + window {
+            b.admit(i);
             b.on_success();
         }
         assert_eq!(b.state(), BreakerState::Closed);
-        // Window is now all-success; 9 fresh failures put the rate at
-        // 9/20 < 0.5: still closed.
-        for i in 29..38u64 {
-            b.admit(i, 0);
+        // The window is all successes; failures one short of half of it
+        // keep it closed.
+        let t = min - 1 + window;
+        for i in t..t + window / 2 - 1 {
+            b.admit(i);
             b.on_failure(i);
         }
         assert_eq!(b.state(), BreakerState::Closed);
-        // One more tips 10/20 ≥ 0.5.
-        b.admit(38, 0);
-        b.on_failure(38);
+        // One more tips it to half, the threshold.
+        b.admit(t + window);
+        b.on_failure(t + window);
         assert_eq!(b.state(), BreakerState::Open);
-    }
-
-    #[test]
-    fn retry_budget_caps_and_refills() {
-        let rb = RetryBudget::new(3);
-        assert!(rb.take() && rb.take() && rb.take());
-        assert!(!rb.take(), "bucket empty");
-        rb.refill();
-        assert_eq!(rb.available(), 3);
-        rb.refill();
-        rb.refill();
-        rb.refill();
-        assert_eq!(rb.available(), 6, "capped at 2s burst");
-        // Zero = unlimited.
-        let unlimited = RetryBudget::new(0);
-        for _ in 0..10_000 {
-            assert!(unlimited.take());
-        }
-        unlimited.refill();
-        assert_eq!(unlimited.available(), i64::MAX);
-    }
-
-    #[test]
-    fn default_resilience_config_is_passive() {
-        let cfg = ResilienceConfig::default();
-        assert_eq!(cfg.deadline_us, 0);
-        assert_eq!(cfg.retry_budget_per_s, 0);
-        assert!(cfg.breaker.is_none());
-        assert!(cfg.backoff_base_us > 0, "backoff on by default (satellite 1)");
     }
 
     #[test]
     fn transitions_journaled_with_from_and_to() {
         let j = Arc::new(EventJournal::new());
-        let b = CircuitBreaker::new("w", quick_cfg()).with_journal(j.clone());
-        for i in 0..10u64 {
-            b.admit(i, 0);
-            b.on_failure(i);
-        }
-        assert_eq!(b.admit(2_000, 0), Admission::Probe);
+        let b = CircuitBreaker::new("w").with_journal(j.clone());
+        let opened = trip(&b);
+        assert_eq!(b.admit(opened + COOLDOWN_US), Admission::Probe);
         b.on_success();
         b.on_success();
         b.on_success();
@@ -586,12 +417,9 @@ mod tests {
 
     #[test]
     fn metrics_expose_breaker_series() {
-        let b = CircuitBreaker::new("tpcc", quick_cfg());
-        for i in 0..10u64 {
-            b.admit(i, 0);
-            b.on_failure(i);
-        }
-        b.admit(20, 0); // shed
+        let b = CircuitBreaker::new("tpcc");
+        let opened = trip(&b);
+        b.admit(opened + 1); // shed
         let mut buf = MetricsBuf::new();
         b.collect(&mut buf);
         let samples = buf.into_samples();

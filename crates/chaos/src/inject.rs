@@ -22,7 +22,7 @@
 //! story of seeded generators rather than whole-system replay.)
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use std::sync::Arc;
 
@@ -139,11 +139,6 @@ impl ChaosController {
         }
     }
 
-    #[inline]
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::Relaxed)
-    }
-
     /// Probe a fault site. Returns `Some(magnitude)` if the active plan
     /// injects a fault of this kind at this probe, `None` otherwise.
     /// Tenant-restricted windows are ignored here (only [`Self::blackout`]
@@ -207,23 +202,8 @@ impl ChaosController {
         }
     }
 
-    /// Shift the armed epoch into the past by `us` so time-based windows
-    /// become active without sleeping. Test/experiment hook only.
-    #[doc(hidden)]
-    pub fn shift_epoch_back(&self, us: u64) {
-        if let Some(armed) = self.plan.write().as_mut() {
-            if let Some(e) = armed.epoch.checked_sub(Duration::from_micros(us)) {
-                armed.epoch = e;
-            }
-        }
-    }
-
     pub fn injected_total(&self, kind: FaultKind) -> u64 {
         self.injected[kind.index()].load(Ordering::Relaxed)
-    }
-
-    pub fn probes_total(&self, kind: FaultKind) -> u64 {
-        self.probes[kind.index()].load(Ordering::Relaxed)
     }
 
     pub fn status(&self) -> ChaosStatus {
@@ -307,6 +287,17 @@ impl MetricsSource for ChaosController {
 mod tests {
     use super::*;
     use crate::plan::FaultWindow;
+    use std::time::Duration;
+
+    /// Shift the armed epoch into the past by `us` so time-based windows
+    /// become active without sleeping.
+    fn shift_epoch_back(c: &ChaosController, us: u64) {
+        if let Some(armed) = c.plan.write().as_mut() {
+            if let Some(e) = armed.epoch.checked_sub(Duration::from_micros(us)) {
+                armed.epoch = e;
+            }
+        }
+    }
 
     #[test]
     fn disarmed_probes_are_inert() {
@@ -355,12 +346,12 @@ mod tests {
             .count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.5).abs() < 0.03, "rate {rate}");
-        assert_eq!(c.probes_total(FaultKind::LatencySpike), n as u64);
+        assert_eq!(c.status().probes[FaultKind::LatencySpike.index()], n as u64);
         assert_eq!(c.injected_total(FaultKind::LatencySpike), hits as u64);
         // Other kinds untouched.
         assert_eq!(c.roll(FaultKind::FsyncStall), None);
         // A kind probe that finds no window does not consume an ordinal.
-        assert_eq!(c.probes_total(FaultKind::FsyncStall), 0);
+        assert_eq!(c.status().probes[FaultKind::FsyncStall.index()], 0);
     }
 
     #[test]
@@ -375,9 +366,9 @@ mod tests {
             tenant: None,
         }));
         assert_eq!(c.roll(FaultKind::FsyncStall), None, "window not yet open");
-        c.shift_epoch_back(60_000_000);
+        shift_epoch_back(&c, 60_000_000);
         assert_eq!(c.roll(FaultKind::FsyncStall), Some(999), "window open");
-        c.shift_epoch_back(120_000_000);
+        shift_epoch_back(&c, 120_000_000);
         assert_eq!(c.roll(FaultKind::FsyncStall), None, "window past");
     }
 
@@ -424,7 +415,7 @@ mod tests {
             c.roll(FaultKind::InjectedError);
         }
         c.disarm();
-        assert!(!c.is_armed());
+        assert!(!c.status().armed);
         assert_eq!(c.injected_total(FaultKind::InjectedError), 10);
         assert_eq!(c.status().plan, None);
         c.arm(

@@ -13,11 +13,10 @@
 //!   on its hot paths. Disarmed, a probe is one relaxed atomic load
 //!   (same design as `bp-obs`'s off-mode span gate); armed, it evaluates
 //!   the active plan and counts every injected fault per kind.
-//! * [`CircuitBreaker`] / [`RetryBudget`] — the client-side half:
-//!   a per-tenant admission controller that sheds load (fast-fail, counted
-//!   as `shed`, never `failed`) when the failure rate or queue depth
-//!   crosses a threshold, then half-opens to probe recovery; plus a
-//!   token-bucket retry budget so retries cannot amplify an outage.
+//! * [`CircuitBreaker`] — the client-side half: a per-tenant admission
+//!   controller that sheds load (fast-fail, counted as `shed`, never
+//!   `failed`) when the failure rate crosses a threshold, then half-opens
+//!   to probe recovery.
 //!
 //! Both halves export their counters as `bp_chaos_*` / `bp_resilience_*`
 //! metrics through `bp-obs`'s [`MetricsSource`](bp_obs::MetricsSource).
@@ -28,8 +27,6 @@ pub mod breaker;
 pub mod inject;
 pub mod plan;
 
-pub use breaker::{
-    Admission, BreakerConfig, BreakerState, CircuitBreaker, ResilienceConfig, RetryBudget,
-};
+pub use breaker::{Admission, BreakerState, CircuitBreaker};
 pub use inject::{ChaosController, ChaosStatus};
 pub use plan::{FaultKind, FaultPlan, FaultWindow};

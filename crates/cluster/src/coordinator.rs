@@ -141,10 +141,6 @@ impl ClusterCoordinator {
         self.origin.elapsed().as_micros() as u64
     }
 
-    pub fn heartbeat_interval(&self) -> Duration {
-        Duration::from_micros(self.heartbeat_us)
-    }
-
     /// Set the fleet-wide rate: split across live agents by observed
     /// capacity and push each share out. Returns the split.
     pub fn set_global_rate(&self, tps: f64) -> Vec<(String, f64)> {

@@ -10,7 +10,7 @@ use bp_api::router::RouteExtension;
 use bp_api::{http_request, http_request_text, ApiServer, Request};
 use bp_cluster::{start_agent, AgentConfig, ClusterCoordinator, CoordinatorConfig, NodeState};
 use bp_core::{
-    ControlLaw, ControlState, Controller, Mixture, Phase, PhaseScript, Rate, RequestQueue,
+    ControlState, Controller, Mixture, Phase, PhaseScript, Rate, RequestQueue,
     RunConfig, RunHandle, SloConfig, SloTarget, StatsCollector, TransactionType, WorkloadConfig,
 };
 use bp_obs::{MetricsRegistry, Severity};
@@ -426,15 +426,8 @@ fn slo_settings_read_the_same_from_xml_node_body_and_fleet_body() {
             },
         ),
         (
-            &[("target", "max-throughput"), ("law", "pid"), ("kp", "0.4"), ("ki", "0.2"), ("kd", "0.1")],
-            SloConfig {
-                target: SloTarget::MaxThroughput,
-                law: ControlLaw::Pid,
-                kp: 0.4,
-                ki: 0.2,
-                kd: 0.1,
-                ..pinned.clone()
-            },
+            &[("target", "max-throughput")],
+            SloConfig { target: SloTarget::MaxThroughput, ..pinned.clone() },
         ),
         (
             &[("max_rate", "900"), ("breaker_backoff", "0.25"), ("limit_ms", "20")],
@@ -446,7 +439,9 @@ fn slo_settings_read_the_same_from_xml_node_body_and_fleet_body() {
             },
         ),
     ];
-    let invalid: [Row; 9] = [
+    // The loop is AIMD: the retired `law` and PID gains are refused, even
+    // `law=aimd`, so no client asking for PID silently gets AIMD.
+    let invalid: [Row; 13] = [
         &[("min_rate", "100"), ("max_rate", "50")],
         &[("backoff", "0")],
         &[("backoff", "1")],
@@ -455,7 +450,11 @@ fn slo_settings_read_the_same_from_xml_node_body_and_fleet_body() {
         &[("min_rate", "NaN")],
         &[("initial_rate", "NaN")],
         &[("target", "p42")],
-        &[("law", "fuzzy")],
+        &[("law", "pid")],
+        &[("law", "aimd")],
+        &[("kp", "0.4")],
+        &[("ki", "0.2")],
+        &[("kd", "0.1")],
     ];
 
     let xml = |row: &[(&str, &str)]| {

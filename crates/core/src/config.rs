@@ -39,31 +39,10 @@ pub struct WorkloadConfig {
     pub obs: ObsConfig,
     /// Closed-loop SLO control (`<slo>`; absent = open-loop).
     pub slo: Option<SloConfig>,
-    /// bp-cluster membership (`<cluster>`; absent = standalone run).
-    pub cluster: Option<ClusterMemberConfig>,
-}
-
-/// `<cluster>` block: this process's identity in a bp-cluster fleet and the
-/// coordinator it should join. Lives in bp-core (not bp-cluster) so the
-/// config layer stays dependency-free; bp-cluster consumes it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterMemberConfig {
-    /// Node identity reported to the coordinator (`<node>`).
+    /// Node identity in a bp-cluster fleet (`<cluster><node>`; "local" for
+    /// a standalone run). The agent's coordinator and heartbeat are
+    /// `bp_cluster::AgentConfig`'s, not the workload file's.
     pub node: String,
-    /// Coordinator control address, e.g. "127.0.0.1:7070" (`<coordinator>`).
-    pub coordinator: String,
-    /// Heartbeat interval in milliseconds (`<heartbeatms>`).
-    pub heartbeat_ms: u64,
-}
-
-impl Default for ClusterMemberConfig {
-    fn default() -> Self {
-        ClusterMemberConfig {
-            node: "local".to_string(),
-            coordinator: String::new(),
-            heartbeat_ms: 200,
-        }
-    }
 }
 
 /// Configuration errors with context.
@@ -169,26 +148,20 @@ impl WorkloadConfig {
             .transpose()
             .map_err(|e| ConfigError(format!("<slo>: {e}")))?;
 
-        let mut cluster = None;
-        if let Some(node) = root.child("cluster") {
-            let mut cfg = ClusterMemberConfig::default();
-            if let Some(id) = node.child_text("node") {
-                if id.is_empty() {
-                    return Err(ConfigError("<cluster> <node> must be non-empty".into()));
+        let mut node = "local".to_string();
+        if let Some(cluster) = root.child("cluster") {
+            for key in ["coordinator", "heartbeatms"] {
+                if cluster.child(key).is_some() {
+                    return Err(ConfigError(format!(
+                        "<cluster> <{key}> is not read: the agent takes it from AgentConfig"
+                    )));
                 }
-                cfg.node = id.to_string();
             }
-            cfg.coordinator = node
-                .child_text("coordinator")
-                .ok_or_else(|| ConfigError("missing <cluster> <coordinator>".into()))?
+            node = cluster
+                .child_text("node")
+                .filter(|id| !id.is_empty())
+                .ok_or_else(|| ConfigError("<cluster> needs a non-empty <node>".into()))?
                 .to_string();
-            if let Some(ms) = node.child_parse::<u64>("heartbeatms") {
-                if ms == 0 {
-                    return Err(ConfigError("<cluster> <heartbeatms> must be positive".into()));
-                }
-                cfg.heartbeat_ms = ms;
-            }
-            cluster = Some(cfg);
         }
 
         Ok(WorkloadConfig {
@@ -199,7 +172,7 @@ impl WorkloadConfig {
             script: PhaseScript::new(phases),
             obs,
             slo,
-            cluster,
+            node,
         })
     }
 
@@ -211,11 +184,7 @@ impl WorkloadConfig {
             seed,
             obs: self.obs,
             slo: self.slo.clone(),
-            node: self
-                .cluster
-                .as_ref()
-                .map(|c| c.node.clone())
-                .unwrap_or_else(|| "local".to_string()),
+            node: self.node.clone(),
             ..Default::default()
         }
     }
@@ -224,7 +193,7 @@ impl WorkloadConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{ControlLaw, SloTarget};
+    use crate::slo::SloTarget;
 
     const SAMPLE: &str = r#"<?xml version="1.0"?>
 <parameters>
@@ -316,7 +285,7 @@ mod tests {
     fn parse_slo_block() {
         let xml = SAMPLE.replace(
             "</parameters>",
-            "<slo><target>p99</target><limitms>5</limitms><law>aimd</law>\
+            "<slo><target>p99</target><limitms>5</limitms>\
              <window>2</window><tickms>100</tickms><minrate>25</minrate>\
              <initialrate>150</initialrate><step>40</step><backoff>0.6</backoff>\
              </slo></parameters>",
@@ -324,7 +293,6 @@ mod tests {
         let cfg = WorkloadConfig::parse(&xml).unwrap();
         let slo = cfg.slo.clone().unwrap();
         assert_eq!(slo.target, SloTarget::P99BelowUs(5_000));
-        assert_eq!(slo.law, ControlLaw::Aimd);
         assert_eq!(slo.window_s, 2);
         assert_eq!(slo.tick_us, 100_000);
         assert_eq!(slo.min_rate, 25.0);
@@ -342,12 +310,11 @@ mod tests {
 
         let max_tput = SAMPLE.replace(
             "</parameters>",
-            "<slo><target>max-throughput</target><law>pid</law></slo></parameters>",
+            "<slo><target>max-throughput</target></slo></parameters>",
         );
         let cfg = WorkloadConfig::parse(&max_tput).unwrap();
         let slo = cfg.slo.clone().unwrap();
         assert_eq!(slo.target, SloTarget::MaxThroughput);
-        assert_eq!(slo.law, ControlLaw::Pid);
         assert_eq!(slo.tick_us, SloConfig::default().tick_us);
 
         let bad_target = SAMPLE.replace(
@@ -356,11 +323,9 @@ mod tests {
         );
         assert!(WorkloadConfig::parse(&bad_target).is_err());
 
-        let bad_law = SAMPLE.replace(
-            "</parameters>",
-            "<slo><law>fuzzy</law></slo></parameters>",
-        );
-        assert!(WorkloadConfig::parse(&bad_law).is_err());
+        let pid = SAMPLE.replace("</parameters>", "<slo><law>pid</law></slo></parameters>");
+        let err = WorkloadConfig::parse(&pid).unwrap_err();
+        assert!(err.0.contains("law") && err.0.contains("AIMD"), "{err}");
 
         let bad_backoff = SAMPLE.replace(
             "</parameters>",
@@ -371,32 +336,23 @@ mod tests {
 
     #[test]
     fn parse_cluster_block() {
-        let xml = SAMPLE.replace(
-            "</parameters>",
-            "<cluster><node>agent-2</node><coordinator>127.0.0.1:7070</coordinator>\
-             <heartbeatms>100</heartbeatms></cluster></parameters>",
-        );
-        let cfg = WorkloadConfig::parse(&xml).unwrap();
-        let c = cfg.cluster.clone().unwrap();
-        assert_eq!(c.node, "agent-2");
-        assert_eq!(c.coordinator, "127.0.0.1:7070");
-        assert_eq!(c.heartbeat_ms, 100);
+        let with = |inner: &str| {
+            SAMPLE.replace("</parameters>", &format!("<cluster>{inner}</cluster></parameters>"))
+        };
+        let cfg = WorkloadConfig::parse(&with("<node>agent-2</node>")).unwrap();
+        assert_eq!(cfg.node, "agent-2");
         // Node identity flows into the run config.
         assert_eq!(cfg.run_config(1).node, "agent-2");
         // Standalone configs keep the default identity.
-        assert!(WorkloadConfig::parse(SAMPLE).unwrap().cluster.is_none());
         assert_eq!(WorkloadConfig::parse(SAMPLE).unwrap().run_config(1).node, "local");
-
-        let missing_coord = SAMPLE.replace(
-            "</parameters>",
-            "<cluster><node>a</node></cluster></parameters>",
-        );
-        assert!(WorkloadConfig::parse(&missing_coord).is_err());
-        let zero_hb = SAMPLE.replace(
-            "</parameters>",
-            "<cluster><coordinator>c:1</coordinator><heartbeatms>0</heartbeatms></cluster></parameters>",
-        );
-        assert!(WorkloadConfig::parse(&zero_hb).is_err());
+        assert!(WorkloadConfig::parse(&with("<node></node>")).is_err());
+        // The agent's coordinator and heartbeat are not the workload file's:
+        // refused by name, not parsed and dropped.
+        for key in ["coordinator", "heartbeatms"] {
+            let xml = with(&format!("<node>a</node><{key}>1</{key}>"));
+            let err = WorkloadConfig::parse(&xml).unwrap_err();
+            assert!(err.0.contains(key) && err.0.contains("AgentConfig"), "{err}");
+        }
     }
 
     #[test]

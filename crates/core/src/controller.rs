@@ -162,11 +162,6 @@ impl ControlState {
         }
     }
 
-    pub fn set_arrival(&self, arrival: ArrivalDist) {
-        self.rate_override.store(true, Ordering::SeqCst);
-        *self.arrival.write() = arrival;
-    }
-
     pub fn set_mixture(&self, mixture: Mixture) {
         self.mixture_override.store(true, Ordering::SeqCst);
         let weights = format!("{:?}", mixture.weights());
@@ -177,10 +172,6 @@ impl ControlState {
                 vec![("after", weights.replace(' ', ""))],
             )
         });
-    }
-
-    pub fn set_think_time(&self, micros: Micros) {
-        self.think_time_us.store(micros, Ordering::Relaxed);
     }
 
     pub fn pause(&self) {
@@ -269,7 +260,7 @@ impl Controller {
     }
 
     /// Attach the run's circuit breaker (builder-style; the executor does
-    /// this when `ResilienceConfig.breaker` is set).
+    /// this when `RunConfig.breaker` is set).
     pub fn with_breaker(mut self, breaker: Arc<bp_chaos::CircuitBreaker>) -> Controller {
         self.breaker = Some(breaker);
         self
@@ -438,12 +429,7 @@ impl Controller {
         }));
         self.journal().emit_with(Severity::Info, "slo", "slo_armed", || {
             (
-                format!(
-                    "SLO loop armed: {} <= {}us ({})",
-                    cfg.target.kind(),
-                    cfg.target.limit_us(),
-                    cfg.law.name(),
-                ),
+                format!("SLO loop armed: {} <= {}us", cfg.target.kind(), cfg.target.limit_us()),
                 vec![
                     ("workload", self.workload_name.clone()),
                     ("limit_us", cfg.target.limit_us().to_string()),
@@ -622,10 +608,7 @@ mod tests {
     #[test]
     fn register_metrics_includes_breaker_when_present() {
         let reg = bp_obs::MetricsRegistry::new();
-        let c = controller().with_breaker(Arc::new(bp_chaos::CircuitBreaker::new(
-            "test",
-            bp_chaos::BreakerConfig::default(),
-        )));
+        let c = controller().with_breaker(Arc::new(bp_chaos::CircuitBreaker::new("test")));
         c.register_metrics(&reg);
         assert_eq!(
             reg.source_count(),

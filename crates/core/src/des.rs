@@ -41,25 +41,6 @@ impl SimRun {
     pub fn requested(&self) -> Vec<f64> {
         self.samples.iter().map(|s| s.requested).collect()
     }
-
-    /// Aggregate delivered throughput per whole second.
-    pub fn delivered_per_second(&self) -> Vec<f64> {
-        if self.samples.is_empty() {
-            return Vec::new();
-        }
-        let seconds = (self.samples.last().unwrap().t_s).ceil() as usize;
-        let mut sums = vec![0.0; seconds.max(1)];
-        let mut counts = vec![0usize; seconds.max(1)];
-        for s in &self.samples {
-            let idx = (s.t_s as usize).min(sums.len() - 1);
-            sums[idx] += s.delivered;
-            counts[idx] += 1;
-        }
-        sums.iter()
-            .zip(&counts)
-            .map(|(s, c)| if *c > 0 { s / *c as f64 } else { 0.0 })
-            .collect()
-    }
 }
 
 /// Simulate a phase script against a model DBMS.
@@ -156,21 +137,14 @@ mod tests {
             Phase::new(Rate::Unlimited, 20.0).with_weights(vec![100.0, 0.0]),
         ]);
         let run = simulate_script(&mut dbms, &script, &types(), 1e5, 0.1);
-        let per_sec = run.delivered_per_second();
-        let write_heavy = per_sec[15..19].iter().sum::<f64>() / 4.0;
-        let read_only = per_sec[35..39].iter().sum::<f64>() / 4.0;
+        // Seconds 15-18 of each phase, ten samples a second.
+        let delivered = run.delivered();
+        let write_heavy = delivered[150..190].iter().sum::<f64>() / 40.0;
+        let read_only = delivered[350..390].iter().sum::<f64>() / 40.0;
         assert!(
             read_only > write_heavy * 1.6,
             "read-only {read_only} vs write-heavy {write_heavy}"
         );
-    }
-
-    #[test]
-    fn per_second_aggregation() {
-        let mut dbms = quiet("oracle");
-        let script = PhaseScript::new(vec![Phase::new(Rate::Limited(100.0), 3.0)]);
-        let run = simulate_script(&mut dbms, &script, &types(), 1e5, 0.05);
-        assert_eq!(run.delivered_per_second().len(), 3);
     }
 
     #[test]

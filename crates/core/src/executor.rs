@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use bp_chaos::{Admission, CircuitBreaker, FaultKind, ResilienceConfig, RetryBudget};
+use bp_chaos::{Admission, CircuitBreaker, FaultKind};
 use bp_obs::{
     journal_now_us, ObsConfig, Severity, Span, SpanRecorder, TelemetryRecorder, TelemetrySample,
 };
@@ -57,8 +57,9 @@ pub struct RunConfig {
     pub obs: ObsConfig,
     /// Tenant id stamped on spans (multi-tenant testbeds set this per run).
     pub tenant: u16,
-    /// Client resilience: backoff, deadlines, retry budget, breaker.
-    pub resilience: ResilienceConfig,
+    /// Run behind a circuit breaker (`bp_chaos::CircuitBreaker`), which
+    /// sheds requests while the engine keeps failing them.
+    pub breaker: bool,
     /// Closed-loop SLO admission control; `None` runs open-loop.
     pub slo: Option<SloConfig>,
     /// Continuous telemetry recorder tick, µs of wall time (0 disables
@@ -81,7 +82,7 @@ impl Default for RunConfig {
             unlimited_rate: 50_000.0,
             obs: ObsConfig::default(),
             tenant: 0,
-            resilience: ResilienceConfig::default(),
+            breaker: false,
             slo: None,
             telemetry_interval_us: 1_000_000,
             node: "local".to_string(),
@@ -168,12 +169,9 @@ pub fn start_with_source(
         SpanRecorder::with_writers(cfg.obs, cfg.terminals).with_journal(db.journal().clone()),
     );
     stats.set_span_source(spans.clone());
-    let breaker = cfg.resilience.breaker.as_ref().map(|b| {
-        Arc::new(
-            CircuitBreaker::new(workload.name(), b.clone()).with_journal(db.journal().clone()),
-        )
+    let breaker = cfg.breaker.then(|| {
+        Arc::new(CircuitBreaker::new(workload.name()).with_journal(db.journal().clone()))
     });
-    let budget = Arc::new(RetryBudget::new(cfg.resilience.retry_budget_per_s));
 
     let mut controller = Controller::new(
         state.clone(),
@@ -223,11 +221,10 @@ pub fn start_with_source(
         let queue = queue.clone();
         let stats = stats.clone();
         let clock = clock.clone();
-        let budget = budget.clone();
         threads.push(
             std::thread::Builder::new()
                 .name("bp-manager".into())
-                .spawn(move || manager_loop(state, queue, stats, clock, source, budget))
+                .spawn(move || manager_loop(state, queue, stats, clock, source))
                 .expect("spawn manager"),
         );
     }
@@ -248,8 +245,6 @@ pub fn start_with_source(
         let seed = cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1));
         let run_seed = cfg.seed;
         let breaker = breaker.clone();
-        let budget = budget.clone();
-        let resilience = cfg.resilience.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("bp-worker-{w}"))
@@ -269,8 +264,6 @@ pub fn start_with_source(
                         seed,
                         run_seed,
                         breaker,
-                        budget,
-                        resilience,
                     });
                     active.fetch_sub(1, Ordering::Relaxed);
                 })
@@ -362,7 +355,6 @@ fn manager_loop(
     stats: Arc<StatsCollector>,
     clock: SharedClock,
     mut source: Box<dyn ScheduleSource>,
-    budget: Arc<RetryBudget>,
 ) {
     let start = clock.now();
     let mut second: u64 = 0;
@@ -396,9 +388,6 @@ fn manager_loop(
             queue.close();
             return;
         }
-
-        // One second's worth of fresh retry tokens (§ resilience).
-        budget.refill();
 
         second += 1;
         clock.sleep_until(start + second * MICROS_PER_SEC);
@@ -437,8 +426,6 @@ struct WorkerCtx {
     /// the same schedule — derives the same id for the same request.
     run_seed: u64,
     breaker: Option<Arc<CircuitBreaker>>,
-    budget: Arc<RetryBudget>,
-    resilience: ResilienceConfig,
 }
 
 /// One client worker ("terminal").
@@ -458,8 +445,6 @@ fn worker_loop(ctx: WorkerCtx) {
         seed,
         run_seed,
         breaker,
-        budget,
-        resilience,
     } = ctx;
     bp_util::sync::set_thread_slot(slot);
     let mut conn = Connection::open(&db);
@@ -541,7 +526,7 @@ fn worker_loop(ctx: WorkerCtx) {
         // it touches the engine. Shed is its own bucket — never an error,
         // never throughput.
         let admission = match &breaker {
-            Some(b) => b.admit(start, queue.backlog()),
+            Some(b) => b.admit(start),
             None => Admission::Allow,
         };
         if admission == Admission::Shed {
@@ -610,25 +595,17 @@ fn worker_loop(ctx: WorkerCtx) {
                     true
                 }
             };
-            // Deadline, the retry cap, and the cluster-wide retry budget
-            // all end the request as Failed.
-            let deadline_hit = resilience.deadline_us > 0
-                && clock.now().saturating_sub(start) >= resilience.deadline_us;
-            if !retryable_failure || retries >= max_retries || deadline_hit || !budget.take() {
+            if !retryable_failure || retries >= max_retries {
                 break RequestOutcome::Failed;
             }
             retries += 1;
             // Capped exponential backoff with deterministic jitter replaces
             // the old tight retry loop: contending workers spread out
-            // instead of re-colliding in lockstep.
-            if resilience.backoff_base_us > 0 {
-                clock.sleep(next_backoff(
-                    retries - 1,
-                    resilience.backoff_base_us,
-                    resilience.backoff_cap_us,
-                    seed ^ req.seq,
-                ));
-            }
+            // instead of re-colliding in lockstep. The first retry waits up
+            // to 100 µs, each later one up to twice that, capped at 10 ms.
+            const BACKOFF_BASE_US: u64 = 100;
+            const BACKOFF_CAP_US: u64 = 10_000;
+            clock.sleep(next_backoff(retries - 1, BACKOFF_BASE_US, BACKOFF_CAP_US, seed ^ req.seq));
         };
         let end = clock.now();
         if record_span {

@@ -26,8 +26,8 @@ pub mod tenant;
 pub mod trace;
 pub mod workload;
 
-pub use bp_chaos::{Admission, BreakerConfig, BreakerState, CircuitBreaker, ResilienceConfig, RetryBudget};
-pub use config::{ClusterMemberConfig, WorkloadConfig};
+pub use bp_chaos::{Admission, BreakerState, CircuitBreaker};
+pub use config::WorkloadConfig;
 pub use controller::{ControlState, Controller};
 pub use des::{simulate_script, SimRun, SimSample};
 pub use executor::{start, start_with_source, RunConfig, RunHandle};
@@ -38,7 +38,7 @@ pub use rate::{ArrivalDist, Phase, PhaseScript, Rate};
 pub use recovery::{RecoveryConfig, RecoveryHandle};
 pub use schedule::{ScheduleSource, ScriptSchedule, Window};
 pub use slo::{
-    Adjustment, ControlLaw, SloConfig, SloCore, SloDecision, SloHandle, SloObservation, SloStatus,
+    Adjustment, SloConfig, SloCore, SloDecision, SloHandle, SloObservation, SloStatus,
     SloTarget,
 };
 pub use stats::{

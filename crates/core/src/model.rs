@@ -158,11 +158,6 @@ impl SimDbms {
         (self.delivered * noise).max(0.0)
     }
 
-    /// Smoothed (noise-free) internal state.
-    pub fn smoothed(&self) -> f64 {
-        self.delivered
-    }
-
     /// Reset dynamics (e.g. after a database reset).
     pub fn reset(&mut self) {
         self.delivered = 0.0;

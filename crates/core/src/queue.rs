@@ -83,11 +83,6 @@ pub struct RequestQueue {
     /// Current dispatch spacing in nanos (0 = no gating, i.e. unlimited).
     spacing_ns: AtomicU64,
     dispatched: AtomicU64,
-    /// Cumulative scheduled-arrival → dispatch wait across all dispatches
-    /// (µs). With `dispatched` this gives the mean queue wait without
-    /// merging any histogram — the cheap signal the metrics registry and
-    /// saturation checks read.
-    queue_wait_us: AtomicU64,
 }
 
 impl RequestQueue {
@@ -98,7 +93,6 @@ impl RequestQueue {
             clock,
             spacing_ns: AtomicU64::new(0),
             dispatched: AtomicU64::new(0),
-            queue_wait_us: AtomicU64::new(0),
         }
     }
 
@@ -158,21 +152,6 @@ impl RequestQueue {
         self.dispatched.load(Ordering::Relaxed)
     }
 
-    /// Cumulative arrival→dispatch wait over all dispatches (µs).
-    pub fn total_queue_wait_us(&self) -> u64 {
-        self.queue_wait_us.load(Ordering::Relaxed)
-    }
-
-    /// Mean arrival→dispatch wait (µs); 0 before the first dispatch.
-    pub fn mean_queue_wait_us(&self) -> f64 {
-        let n = self.dispatched();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_queue_wait_us() as f64 / n as f64
-        }
-    }
-
     /// Remove all pending requests (rate drop / phase reset), returning how
     /// many were discarded.
     pub fn drain(&self) -> usize {
@@ -187,10 +166,6 @@ impl RequestQueue {
     pub fn close(&self) {
         self.state.lock().closed = true;
         self.cond.notify_all();
-    }
-
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
     }
 
     /// The gate step `pull` and `try_pull` share: dispatch `head` (the front
@@ -216,8 +191,6 @@ impl RequestQueue {
         st.last_gate_ns = Some(anchor);
         st.next_dispatch_ns = anchor + spacing;
         self.dispatched.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait_us
-            .fetch_add((now_ns / NANOS_PER_MICRO).saturating_sub(head.arrival), Ordering::Relaxed);
         Ok(Request { arrival: head.arrival, seq, txn_type: head.txn_type, phase: head.phase })
     }
 
@@ -341,19 +314,6 @@ mod tests {
         let elapsed = clock.now() - now;
         assert!(elapsed >= 18_000, "dispatched too early: {elapsed}µs");
         assert_eq!(got.arrival, now + 20_000);
-    }
-
-    #[test]
-    fn queue_wait_accumulates() {
-        let (sim, clock) = sim_clock();
-        let q = RequestQueue::new(clock);
-        q.push_arrivals([100, 200]);
-        assert_eq!(q.total_queue_wait_us(), 0);
-        sim.advance_to(500);
-        q.try_pull().unwrap(); // waited 400
-        q.try_pull().unwrap(); // waited 300
-        assert_eq!(q.total_queue_wait_us(), 700);
-        assert!((q.mean_queue_wait_us() - 350.0).abs() < 1e-9);
     }
 
     #[test]

@@ -8,22 +8,17 @@
 //! snapshot each tick and adjusts the offered rate, so the testbed finds
 //! and holds its own operating point.
 //!
-//! Two control laws are available:
-//!
-//! * **AIMD** (default): additive increase while the objective is met,
-//!   multiplicative decrease proportional to the violation
-//!   (`rate *= max(backoff, limit/observed)`) when it is not — the
-//!   classic TCP-style shape, stable and fast to converge.
-//! * **PID**: rate is scaled by `kp·e + ki·∫e + kd·Δe` on the relative
-//!   error, with the integral clamped for anti-windup. Smoother near the
-//!   operating point, more knobs to mis-tune.
+//! The law is AIMD: additive increase while the objective is met,
+//! multiplicative decrease proportional to the violation
+//! (`rate *= max(backoff, limit/observed)`) when it is not — the classic
+//! TCP-style shape, stable and fast to converge. It is the only law: the
+//! settings `law`, `kp`, `ki` and `kd` are refused.
 //!
 //! The loop cooperates with the `bp-chaos` circuit breaker: an *open*
-//! breaker forces a hard multiplicative backoff (`breaker_backoff`) and
-//! resets the integral term; a *half-open* breaker holds the rate so
-//! recovery probes are judged at a stable offered load. After the
-//! breaker re-closes, normal additive probing resumes from the
-//! backed-off rate.
+//! breaker forces a hard multiplicative backoff (`breaker_backoff`); a
+//! *half-open* breaker holds the rate so recovery probes are judged at a
+//! stable offered load. After the breaker re-closes, normal additive
+//! probing resumes from the backed-off rate.
 //!
 //! [`SloCore`] is deliberately pure — no clock, no RNG, no I/O — so the
 //! adjustment sequence is a function of the observation sequence alone
@@ -85,36 +80,11 @@ impl SloTarget {
     }
 }
 
-/// Which control law adjusts the rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlLaw {
-    Aimd,
-    Pid,
-}
-
-impl ControlLaw {
-    pub fn parse(s: &str) -> Option<ControlLaw> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "aimd" => Some(ControlLaw::Aimd),
-            "pid" => Some(ControlLaw::Pid),
-            _ => None,
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            ControlLaw::Aimd => "aimd",
-            ControlLaw::Pid => "pid",
-        }
-    }
-}
-
 /// Full SLO controller configuration (the `<slo>` config block /
 /// `POST /slo` body).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
     pub target: SloTarget,
-    pub law: ControlLaw,
     /// Sliding window the sensor reads, seconds.
     pub window_s: usize,
     /// Control-loop period, µs.
@@ -131,10 +101,6 @@ pub struct SloConfig {
     pub backoff: f64,
     /// Multiplicative factor applied while the breaker is open.
     pub breaker_backoff: f64,
-    /// PID gains on the relative error.
-    pub kp: f64,
-    pub ki: f64,
-    pub kd: f64,
     /// Hold (don't adjust) until the window holds this many samples.
     pub min_samples: u64,
 }
@@ -143,7 +109,6 @@ impl Default for SloConfig {
     fn default() -> SloConfig {
         SloConfig {
             target: SloTarget::P99BelowUs(50_000),
-            law: ControlLaw::Aimd,
             window_s: 3,
             tick_us: 200_000,
             min_rate: 10.0,
@@ -152,9 +117,6 @@ impl Default for SloConfig {
             additive_step: 50.0,
             backoff: 0.7,
             breaker_backoff: 0.5,
-            kp: 0.5,
-            ki: 0.1,
-            kd: 0.0,
             min_samples: 20,
         }
     }
@@ -181,10 +143,10 @@ impl SloConfig {
     /// node, the coordinator's for the fleet.
     ///
     /// Keys: `target` (`p99`, `p50` or `max-throughput`) with `limit_ms`;
-    /// `law` (`aimd` or `pid`) with `step` and `backoff`, or `kp`, `ki`,
-    /// `kd`; `window_s`, `tick_ms`, `min_samples`; `min_rate`, `max_rate`,
-    /// `initial_rate`; `breaker_backoff`. A key that is there and does not
-    /// parse is refused, not skipped.
+    /// `step` and `backoff`; `window_s`, `tick_ms`, `min_samples`;
+    /// `min_rate`, `max_rate`, `initial_rate`; `breaker_backoff`. A key that
+    /// is there and does not parse is refused, not skipped, and so are the
+    /// retired `law`, `kp`, `ki` and `kd`: the loop is AIMD.
     pub fn with_settings(
         mut self,
         get: impl Fn(&str) -> Option<String>,
@@ -205,9 +167,8 @@ impl SloConfig {
         let kind = get("target").unwrap_or_else(|| self.target.kind().to_string());
         self.target = SloTarget::parse(&kind, limit_us)
             .ok_or_else(|| format!("unknown target {kind}; known: p99, p50, max-throughput"))?;
-        if let Some(law) = get("law") {
-            self.law = ControlLaw::parse(&law)
-                .ok_or_else(|| format!("unknown law {law}; known: aimd, pid"))?;
+        if let Some(key) = ["law", "kp", "ki", "kd"].into_iter().find(|&k| get(k).is_some()) {
+            return Err(format!("{key} is not a setting: the loop is AIMD (step, backoff)"));
         }
         if let Some(w) = count("window_s")? {
             self.window_s = (w as usize).max(1);
@@ -225,9 +186,6 @@ impl SloConfig {
             ("step", &mut self.additive_step),
             ("backoff", &mut self.backoff),
             ("breaker_backoff", &mut self.breaker_backoff),
-            ("kp", &mut self.kp),
-            ("ki", &mut self.ki),
-            ("kd", &mut self.kd),
         ] {
             if let Some(v) = num(key)? {
                 *field = v;
@@ -307,9 +265,6 @@ pub struct SloDecision {
 pub struct SloCore {
     cfg: SloConfig,
     rate: f64,
-    /// PID integral of the relative error (anti-windup clamped).
-    integral: f64,
-    last_error: f64,
     /// AIMD decrease cooldown: after a multiplicative decrease the sliding
     /// window keeps showing the pre-decrease tail for up to `window_s`,
     /// and reacting to that stale data again every tick would compound one
@@ -318,15 +273,10 @@ pub struct SloCore {
     hold_ticks: u32,
 }
 
-/// Anti-windup clamp on the PID integral term.
-const INTEGRAL_CLAMP: f64 = 5.0;
-/// Per-tick bound on the PID multiplicative delta.
-const PID_DELTA_CLAMP: f64 = 0.5;
-
 impl SloCore {
     pub fn new(cfg: SloConfig) -> SloCore {
         let rate = cfg.initial_rate.clamp(cfg.min_rate, cfg.max_rate);
-        SloCore { cfg, rate, integral: 0.0, last_error: 0.0, hold_ticks: 0 }
+        SloCore { cfg, rate, hold_ticks: 0 }
     }
 
     /// Ticks until the sliding window no longer contains samples from
@@ -348,12 +298,9 @@ impl SloCore {
     pub fn tick(&mut self, obs: &SloObservation) -> SloDecision {
         if obs.breaker_open {
             // The engine is sick enough that the admission controller
-            // tripped: back off hard and forget accumulated PID state —
-            // the pre-incident error history is no longer meaningful.
-            self.integral = 0.0;
-            self.last_error = 0.0;
-            // When the breaker closes again the window will still show the
-            // incident's tail; hold through it instead of decreasing more.
+            // tripped: back off hard. When the breaker closes again the
+            // window will still show the incident's tail; hold through it
+            // instead of decreasing more.
             self.hold_ticks = self.window_flush_ticks();
             self.rate = (self.rate * self.cfg.breaker_backoff).max(self.cfg.min_rate);
             return SloDecision {
@@ -385,52 +332,30 @@ impl SloCore {
         let observed = observed_us as f64;
         // Positive = headroom below the limit, negative = violation.
         let error = (limit - observed) / limit;
-        match self.cfg.law {
-            ControlLaw::Aimd => {
-                if error >= 0.0 {
-                    // Headroom means the window has flushed the last
-                    // incident: probing may resume immediately.
-                    self.hold_ticks = 0;
-                    SloDecision {
-                        rate: self.rate + self.cfg.additive_step,
-                        adjustment: Adjustment::Increase,
-                        error,
-                    }
-                } else if self.hold_ticks > 0 {
-                    self.hold_ticks -= 1;
-                    SloDecision { rate: self.rate, adjustment: Adjustment::Hold, error }
-                } else {
-                    // Proportional multiplicative decrease: a 2× latency
-                    // overshoot halves the rate (floored at `backoff` per
-                    // tick so one noisy window can't collapse the run),
-                    // then hold until the window has flushed.
-                    self.hold_ticks = self.window_flush_ticks();
-                    let factor = (limit / observed.max(1.0)).max(self.cfg.backoff);
-                    SloDecision {
-                        rate: self.rate * factor,
-                        adjustment: Adjustment::Decrease,
-                        error,
-                    }
-                }
+        if error >= 0.0 {
+            // Headroom means the window has flushed the last incident:
+            // probing may resume immediately.
+            self.hold_ticks = 0;
+            SloDecision {
+                rate: self.rate + self.cfg.additive_step,
+                adjustment: Adjustment::Increase,
+                error,
             }
-            ControlLaw::Pid => {
-                self.integral = (self.integral + error).clamp(-INTEGRAL_CLAMP, INTEGRAL_CLAMP);
-                let derivative = error - self.last_error;
-                self.last_error = error;
-                let delta = (self.cfg.kp * error
-                    + self.cfg.ki * self.integral
-                    + self.cfg.kd * derivative)
-                    .clamp(-PID_DELTA_CLAMP, PID_DELTA_CLAMP);
-                SloDecision {
-                    rate: self.rate * (1.0 + delta),
-                    adjustment: if delta >= 0.0 { Adjustment::Increase } else { Adjustment::Decrease },
-                    error,
-                }
-            }
+        } else if self.hold_ticks > 0 {
+            self.hold_ticks -= 1;
+            SloDecision { rate: self.rate, adjustment: Adjustment::Hold, error }
+        } else {
+            // Proportional multiplicative decrease: a 2× latency overshoot
+            // halves the rate (floored at `backoff` per tick so one noisy
+            // window can't collapse the run), then hold until the window
+            // has flushed.
+            self.hold_ticks = self.window_flush_ticks();
+            let factor = (limit / observed.max(1.0)).max(self.cfg.backoff);
+            SloDecision { rate: self.rate * factor, adjustment: Adjustment::Decrease, error }
         }
     }
 
-    /// Max-throughput search (always AIMD-shaped): probe upward while the
+    /// Max-throughput search: probe upward while the
     /// engine keeps up with the offered rate, pull back proportionally
     /// when delivered throughput falls behind.
     fn throughput_step(&mut self, throughput: f64) -> SloDecision {
@@ -564,18 +489,15 @@ impl SloHandle {
     /// `global_rate` added the `GET /cluster/slo` one.
     pub fn status_json(&self) -> Json {
         let (cfg, st) = (self.config(), self.status());
-        let (target, limit_us, law, window_s) = match &cfg {
-            Some(cfg) => {
-                (cfg.target.kind(), cfg.target.limit_us(), cfg.law.name(), cfg.window_s as u64)
-            }
-            None => ("none", 0, "none", 0),
+        let (target, limit_us, window_s) = match &cfg {
+            Some(cfg) => (cfg.target.kind(), cfg.target.limit_us(), cfg.window_s as u64),
+            None => ("none", 0, 0),
         };
         Json::obj()
             .set("workload", self.workload.as_str())
             .set("active", cfg.is_some())
             .set("target", target)
             .set("limit_us", limit_us)
-            .set("law", law)
             .set("window_s", window_s)
             .set("rate", st.rate)
             .set("error", st.error)
@@ -727,9 +649,6 @@ mod tests {
         for t in [SloTarget::P99BelowUs(7), SloTarget::P50BelowUs(9), SloTarget::MaxThroughput] {
             assert_eq!(SloTarget::parse(t.kind(), t.limit_us()), Some(t));
         }
-        assert_eq!(ControlLaw::parse("pid"), Some(ControlLaw::Pid));
-        assert_eq!(ControlLaw::parse("AIMD"), Some(ControlLaw::Aimd));
-        assert_eq!(ControlLaw::parse("fuzzy"), None);
     }
 
     #[test]
@@ -874,7 +793,6 @@ mod tests {
         // observation sequence) alone.
         let cfg = SloConfig {
             target: SloTarget::P99BelowUs(8_000),
-            law: ControlLaw::Pid,
             initial_rate: 400.0,
             ..SloConfig::default()
         };
@@ -896,29 +814,6 @@ mod tests {
         assert!(da.iter().any(|d| d.adjustment == Adjustment::BreakerBackoff));
         assert!(da.iter().any(|d| d.adjustment == Adjustment::Increase));
         assert!(da.iter().any(|d| d.adjustment == Adjustment::Decrease));
-    }
-
-    #[test]
-    fn pid_converges_toward_limit() {
-        let cfg = SloConfig {
-            target: SloTarget::P99BelowUs(10_000),
-            law: ControlLaw::Pid,
-            initial_rate: 100.0,
-            min_rate: 1.0,
-            ..SloConfig::default()
-        };
-        let mut core = SloCore::new(cfg);
-        // Toy plant: p99 responds linearly to rate (saturates at 200 tx/s
-        // where p99 hits the 10ms limit).
-        let mut rate = 100.0;
-        for _ in 0..300 {
-            let p99 = (rate / 200.0 * 10_000.0) as u64;
-            rate = core.tick(&obs(p99, rate * 0.98, 1_000)).rate;
-        }
-        assert!(
-            (rate - 200.0).abs() / 200.0 < 0.10,
-            "PID should settle near the 200 tx/s operating point, got {rate}"
-        );
     }
 
     /// A stand-in loop for tests of the handle alone: counts its ticks.
@@ -1007,24 +902,32 @@ mod tests {
                 &Json::obj()
                     .set("target", "p50")
                     .set("limit_ms", 2.5)
-                    .set("law", "PID")
                     .set("window_s", 0u64)
                     .set("tick_ms", 0u64)
                     .set("min_rate", -5.0)
                     .set("max_rate", "inf")
-                    .set("kd", "0.25")
+                    .set("breaker_backoff", "0.25")
                     .set("workload", "demo"),
             )
             .unwrap();
         assert_eq!(cfg.target, SloTarget::P50BelowUs(2_500));
-        assert_eq!(cfg.law, ControlLaw::Pid);
         assert_eq!((cfg.window_s, cfg.tick_us), (1, 1_000), "clamped up to one second, one ms");
         assert_eq!((cfg.min_rate, cfg.max_rate), (0.0, f64::INFINITY));
-        assert_eq!((cfg.kd, cfg.additive_step), (0.25, 100.0));
+        assert_eq!((cfg.breaker_backoff, cfg.additive_step), (0.25, 100.0));
         // A key that is there and is not what it must be is refused, not skipped.
-        for (key, bad) in [("window_s", "2.5"), ("tick_ms", "-1"), ("step", "fast"), ("kp", "inf")] {
+        let bad_values =
+            [("window_s", "2.5"), ("tick_ms", "-1"), ("step", "fast"), ("initial_rate", "inf")];
+        for (key, bad) in bad_values {
             let got = base.clone().with_settings(|k| (k == key).then(|| bad.to_string()));
             assert!(got.as_ref().is_err_and(|e| e.contains(key)), "{key}={bad}: {got:?}");
+        }
+        // The loop has one law: asking for another, or for its gains, is
+        // refused rather than quietly answered with AIMD.
+        let retired = [("law", "pid"), ("law", "aimd"), ("kp", "0.5"), ("ki", "0.1"), ("kd", "0")];
+        for (key, v) in retired {
+            let got = base.clone().with_settings(|k| (k == key).then(|| v.to_string()));
+            let named = got.as_ref().is_err_and(|e| e.contains(key) && e.contains("AIMD"));
+            assert!(named, "{key}: {got:?}");
         }
         let armed = base.with_json(&Json::obj().set("min_rate", 100.0).set("max_rate", 50.0));
         assert_eq!(armed, Err("max_rate must be >= min_rate".to_string()));

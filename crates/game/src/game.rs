@@ -1,12 +1,13 @@
 //! The BenchPress game state machine (§4, Fig. 2).
 //!
-//! Screens: select a benchmark (the character), select a DBMS (the stage),
-//! play through the obstacle course, optionally pause to change the
-//! workload mixture (Fig. 2d), crash (halting the benchmark and resetting
-//! the database) or win.
+//! A game starts with its benchmark (the character) and DBMS (the stage)
+//! chosen — the menus of Fig. 2a/2b are the caller's arguments to
+//! [`Game::new`]. Screens: play through the obstacle course, optionally
+//! pause to change the workload mixture (Fig. 2d), crash (halting the
+//! benchmark and resetting the database) or win.
 
 use bp_core::MixturePreset;
-use bp_util::clock::{Micros, MICROS_PER_SEC};
+use bp_util::clock::Micros;
 
 use crate::challenge::Course;
 use crate::physics::{Character, PhysicsConfig};
@@ -27,11 +28,9 @@ pub enum Input {
     SelectCustomMixture,
 }
 
-/// Game screens (Fig. 2a–2d).
+/// Game screens (Fig. 2c–2d).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Screen {
-    SelectBenchmark,
-    SelectDbms,
     Playing,
     /// Mixture dialog open; the benchmark is paused (workers blocked).
     Paused,
@@ -133,7 +132,7 @@ impl Game {
                 }
                 return events;
             }
-            _ => return events, // over / menus: nothing moves
+            _ => return events, // over: nothing moves
         }
 
         // Input (ignored inside autopilot zones, §4.1.2).
@@ -190,54 +189,6 @@ impl Game {
         }
         events
     }
-}
-
-/// The menu flow (Fig. 2a / 2b): pick benchmark, then DBMS, then a course.
-#[derive(Debug, Clone, Default)]
-pub struct Menu {
-    pub benchmarks: Vec<String>,
-    pub dbms_list: Vec<String>,
-    pub selected_benchmark: Option<String>,
-    pub selected_dbms: Option<String>,
-}
-
-impl Menu {
-    pub fn new(benchmarks: Vec<String>, dbms_list: Vec<String>) -> Menu {
-        Menu { benchmarks, dbms_list, selected_benchmark: None, selected_dbms: None }
-    }
-
-    pub fn screen(&self) -> Screen {
-        if self.selected_benchmark.is_none() {
-            Screen::SelectBenchmark
-        } else if self.selected_dbms.is_none() {
-            Screen::SelectDbms
-        } else {
-            Screen::Playing
-        }
-    }
-
-    pub fn pick_benchmark(&mut self, name: &str) -> Result<(), String> {
-        if self.benchmarks.iter().any(|b| b == name) {
-            self.selected_benchmark = Some(name.to_string());
-            Ok(())
-        } else {
-            Err(format!("unknown benchmark {name}"))
-        }
-    }
-
-    pub fn pick_dbms(&mut self, name: &str) -> Result<(), String> {
-        if self.dbms_list.iter().any(|d| d == name) {
-            self.selected_dbms = Some(name.to_string());
-            Ok(())
-        } else {
-            Err(format!("unknown DBMS {name}"))
-        }
-    }
-}
-
-/// Seconds of play time, for display.
-pub fn play_seconds(t_us: Micros) -> f64 {
-    t_us as f64 / MICROS_PER_SEC as f64
 }
 
 #[cfg(test)]
@@ -345,17 +296,6 @@ mod tests {
         // Pause is also ignored inside the tunnel.
         g.tick(100_000, 200.0, Input::Pause);
         assert_eq!(*g.screen(), Screen::Playing);
-    }
-
-    #[test]
-    fn menu_flow() {
-        let mut m = Menu::new(vec!["tpcc".into(), "voter".into()], vec!["mysql".into()]);
-        assert_eq!(m.screen(), Screen::SelectBenchmark);
-        assert!(m.pick_benchmark("nope").is_err());
-        m.pick_benchmark("voter").unwrap();
-        assert_eq!(m.screen(), Screen::SelectDbms);
-        m.pick_dbms("mysql").unwrap();
-        assert_eq!(m.screen(), Screen::Playing);
     }
 
     #[test]

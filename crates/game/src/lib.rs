@@ -20,7 +20,7 @@ pub mod render;
 pub mod session;
 
 pub use challenge::{ChallengeShape, Course, Obstacle};
-pub use game::{Game, GameEvent, Input, Menu, Screen};
+pub use game::{Game, GameEvent, Input, Screen};
 pub use physics::{Character, PhysicsConfig};
 pub use render::render;
 pub use session::{chase_center_policy, ApiBackend, GameBackend, GameSession, SimBackend, TwoPlayerSession};

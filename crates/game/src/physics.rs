@@ -77,11 +77,6 @@ impl Character {
     pub fn height_fraction(&self) -> f64 {
         (self.measured_tps / self.config.max_tps).clamp(0.0, 1.0)
     }
-
-    /// On the floor: the DBMS delivers (essentially) nothing.
-    pub fn on_floor(&self) -> bool {
-        self.measured_tps < self.config.max_tps * 0.005
-    }
 }
 
 #[cfg(test)]
@@ -138,9 +133,6 @@ mod tests {
         c.set_requested(900.0);
         c.observe(450.0);
         assert!((c.height_fraction() - 0.45).abs() < 1e-9);
-        assert!(!c.on_floor());
-        c.observe(1.0);
-        assert!(c.on_floor());
     }
 
     #[test]

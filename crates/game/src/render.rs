@@ -59,7 +59,6 @@ pub fn render(game: &Game, width: usize, height: usize, window_s: f64) -> String
             *at_us as f64 / MICROS_PER_SEC as f64
         ),
         Screen::Won => format!("[YOU WIN] score={} obstacles={}", game.score(), game.obstacles_cleared()),
-        other => format!("[{other:?}]"),
     };
     out.push_str(&status);
     out.push('\n');

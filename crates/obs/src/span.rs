@@ -38,7 +38,7 @@
 //! thread, so the accumulator needs no synchronization at all.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use bp_util::histogram::Histogram;
 use bp_util::json::Json;
@@ -196,7 +196,7 @@ impl Span {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u8)]
 pub enum SpanMode {
-    /// Record nothing; the `enabled` gate is a single relaxed load.
+    /// Record nothing; the `enabled` gate is a single field read.
     Off = 0,
     /// Record a deterministic pseudo-random subset of requests.
     Sampled = 1,
@@ -221,14 +221,6 @@ impl SpanMode {
             "sampled" => Some(SpanMode::Sampled),
             "full" => Some(SpanMode::Full),
             _ => None,
-        }
-    }
-
-    fn from_u8(v: u8) -> SpanMode {
-        match v {
-            0 => SpanMode::Off,
-            1 => SpanMode::Sampled,
-            _ => SpanMode::Full,
         }
     }
 }
@@ -439,10 +431,9 @@ const SLOW_UNSET: u64 = u64::MAX;
 /// The sharded flight recorder. See the module docs for the design.
 pub struct SpanRecorder {
     shards: Vec<CachePadded<Mutex<Shard>>>,
-    /// Current [`SpanMode`] as a u8 (hot-path reads are one relaxed load).
-    mode: AtomicU8,
+    mode: SpanMode,
     /// Sampling threshold: record when `splitmix64(seq) <= threshold`.
-    threshold: AtomicU64,
+    threshold: u64,
     /// Tail-sampling slow cutoff in µs ([`SLOW_UNSET`] until the sensor
     /// pushes the first live window p99).
     slow_threshold: AtomicU64,
@@ -483,8 +474,8 @@ impl SpanRecorder {
                     }))
                 })
                 .collect(),
-            mode: AtomicU8::new(cfg.mode as u8),
-            threshold: AtomicU64::new(Self::ratio_to_threshold(cfg.sample_ratio)),
+            mode: cfg.mode,
+            threshold: Self::ratio_to_threshold(cfg.sample_ratio),
             slow_threshold: AtomicU64::new(SLOW_UNSET),
             last_crash_us: AtomicU64::new(0),
             tail_retained: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -522,7 +513,7 @@ impl SpanRecorder {
     }
 
     pub fn mode(&self) -> SpanMode {
-        SpanMode::from_u8(self.mode.load(Ordering::Relaxed))
+        self.mode
     }
 
     /// Is any recording active? Workers use this as the cheap per-request
@@ -531,14 +522,7 @@ impl SpanRecorder {
     /// [`offer`]: SpanRecorder::offer
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.mode.load(Ordering::Relaxed) != 0
-    }
-
-    /// Change the recording mode (and sampling ratio) at runtime.
-    pub fn set_mode(&self, mode: SpanMode, sample_ratio: f64) {
-        self.threshold
-            .store(Self::ratio_to_threshold(sample_ratio), Ordering::Relaxed);
-        self.mode.store(mode as u8, Ordering::Relaxed);
+        self.mode != SpanMode::Off
     }
 
     /// Update the tail sampler's slow cutoff from the live windowed p99.
@@ -557,14 +541,6 @@ impl SpanRecorder {
         self.slow_threshold.store(next, Ordering::Relaxed);
     }
 
-    /// Current slow cutoff in µs, if one has been learned.
-    pub fn slow_threshold_us(&self) -> Option<u64> {
-        match self.slow_threshold.load(Ordering::Relaxed) {
-            SLOW_UNSET => None,
-            v => Some(v),
-        }
-    }
-
     /// Note a server crash observed at `now_us` (span-clock axis) so
     /// requests whose lifetime straddles it are always retained.
     pub fn note_crash(&self, now_us: u64) {
@@ -578,10 +554,10 @@ impl SpanRecorder {
     /// crash-straddling, else when the deterministic ratio sampler picks
     /// it. Returns whether the span was retained.
     pub fn offer(&self, span: Span) -> bool {
-        let keep = match self.mode.load(Ordering::Relaxed) {
-            0 => return false,
-            2 => true,
-            _ => match self.retain_reason(&span) {
+        let keep = match self.mode {
+            SpanMode::Off => return false,
+            SpanMode::Full => true,
+            SpanMode::Sampled => match self.retain_reason(&span) {
                 Some(r) => {
                     self.tail_retained[r as usize].fetch_add(1, Ordering::Relaxed);
                     true
@@ -602,7 +578,7 @@ impl SpanRecorder {
             Some(RetainReason::Slow)
         } else if self.straddles_crash(span) {
             Some(RetainReason::Crash)
-        } else if splitmix64(span.seq) <= self.threshold.load(Ordering::Relaxed) {
+        } else if splitmix64(span.seq) <= self.threshold {
             Some(RetainReason::Ratio)
         } else {
             None
@@ -655,7 +631,7 @@ impl SpanRecorder {
         // span, so an overwrite means the budget is too small for the
         // retention rate — count it and (rate limited) journal it.
         // Full-mode wraparound is expected flight-recorder behavior.
-        if overwrote && self.mode.load(Ordering::Relaxed) == SpanMode::Sampled as u8 {
+        if overwrote && self.mode == SpanMode::Sampled {
             self.log_evict(self.tail_evicted.fetch_add(1, Ordering::Relaxed) + 1);
         }
     }
@@ -939,17 +915,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_switch_at_runtime() {
-        let r = SpanRecorder::new(ObsConfig::default());
-        assert_eq!(r.mode(), SpanMode::Full);
-        r.set_mode(SpanMode::Off, 0.0);
-        assert_eq!(r.mode(), SpanMode::Off);
-        assert!(!r.offer(span(7, 0)));
-        r.set_mode(SpanMode::Sampled, 1.0);
-        assert!(r.offer(span(7, 0)), "ratio 1.0 samples everything");
-    }
-
-    #[test]
     fn stage_accumulator_drains_per_request() {
         take_stage_acc();
         add_lock_wait_us(100);
@@ -1091,15 +1056,16 @@ mod tests {
     #[test]
     fn slow_threshold_rises_slowly_falls_fast() {
         let r = SpanRecorder::new(ObsConfig::default());
-        assert_eq!(r.slow_threshold_us(), None);
+        let cutoff = || r.slow_threshold.load(Ordering::Relaxed);
+        assert_eq!(cutoff(), SLOW_UNSET);
         r.set_slow_threshold(10_000);
-        assert_eq!(r.slow_threshold_us(), Some(10_000), "first push adopted directly");
+        assert_eq!(cutoff(), 10_000, "first push adopted directly");
         r.set_slow_threshold(90_000);
-        assert_eq!(r.slow_threshold_us(), Some(20_000), "rises 1/8 of the gap");
+        assert_eq!(cutoff(), 20_000, "rises 1/8 of the gap");
         r.set_slow_threshold(5_000);
-        assert_eq!(r.slow_threshold_us(), Some(5_000), "falls immediately");
+        assert_eq!(cutoff(), 5_000, "falls immediately");
         r.set_slow_threshold(5_001);
-        assert_eq!(r.slow_threshold_us(), Some(5_001), "tiny rises still move (min 1µs)");
+        assert_eq!(cutoff(), 5_001, "tiny rises still move (min 1µs)");
     }
 
     #[test]

@@ -190,10 +190,6 @@ impl Expr {
         Expr::Column { table: None, name: name.to_string() }
     }
 
-    pub fn lit(v: impl Into<Value>) -> Expr {
-        Expr::Lit(v.into())
-    }
-
     pub fn bin(op: BinOp, l: Expr, r: Expr) -> Expr {
         Expr::Binary { op, left: Box::new(l), right: Box::new(r) }
     }
@@ -369,11 +365,11 @@ mod tests {
     fn conjunct_split() {
         let e = Expr::bin(
             BinOp::And,
-            Expr::bin(BinOp::Eq, Expr::col("a"), Expr::lit(1i64)),
+            Expr::bin(BinOp::Eq, Expr::col("a"), Expr::Lit(Value::Int(1))),
             Expr::bin(
                 BinOp::And,
-                Expr::bin(BinOp::Gt, Expr::col("b"), Expr::lit(2i64)),
-                Expr::bin(BinOp::Lt, Expr::col("c"), Expr::lit(3i64)),
+                Expr::bin(BinOp::Gt, Expr::col("b"), Expr::Lit(Value::Int(2))),
+                Expr::bin(BinOp::Lt, Expr::col("c"), Expr::Lit(Value::Int(3))),
             ),
         );
         assert_eq!(e.conjuncts().len(), 3);
@@ -383,8 +379,8 @@ mod tests {
     fn or_is_single_conjunct() {
         let e = Expr::bin(
             BinOp::Or,
-            Expr::bin(BinOp::Eq, Expr::col("a"), Expr::lit(1i64)),
-            Expr::bin(BinOp::Eq, Expr::col("b"), Expr::lit(2i64)),
+            Expr::bin(BinOp::Eq, Expr::col("a"), Expr::Lit(Value::Int(1))),
+            Expr::bin(BinOp::Eq, Expr::col("b"), Expr::Lit(Value::Int(2))),
         );
         assert_eq!(e.conjuncts().len(), 1);
     }
@@ -404,6 +400,6 @@ mod tests {
         let agg = Expr::Agg { func: AggFunc::Count, arg: None, distinct: false };
         assert!(agg.has_aggregate());
         assert!(!Expr::col("x").has_aggregate());
-        assert!(Expr::bin(BinOp::Add, agg, Expr::lit(1i64)).has_aggregate());
+        assert!(Expr::bin(BinOp::Add, agg, Expr::Lit(Value::Int(1))).has_aggregate());
     }
 }

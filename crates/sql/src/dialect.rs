@@ -6,13 +6,13 @@
 //!
 //! 1. [`Dialect`] renders a canonical [`Statement`] into a target system's
 //!    SQL text (type names, LIMIT vs FETCH FIRST, identifier quoting).
-//! 2. [`StatementCatalog`] stores named statements with optional per-dialect
-//!    overrides — the hand-written variants contributed by system experts.
+//! 2. [`StatementCatalog`] stores named statements and resolves each one
+//!    for a dialect by rendering it. OLTP-Bench also lets an expert replace
+//!    the rendering with a hand-written variant; no bundled statement needs
+//!    one, so the catalog keeps none.
 //!
 //! Every rendered statement parses back through our front end, which the
 //! dialect tests verify for the whole benchmark suite.
-
-use std::collections::HashMap;
 
 use bp_storage::{DataType, Value};
 
@@ -357,14 +357,13 @@ fn render_op(op: BinOp) -> &'static str {
     }
 }
 
-/// A catalog of named statements with per-dialect human-written overrides —
-/// OLTP-Bench's dialect files, in code.
+/// A catalog of named statements rendered per dialect — OLTP-Bench's
+/// dialect files, in code.
 #[derive(Debug, Default, Clone)]
 pub struct StatementCatalog {
     /// `(name, canonical SQL)`, in the order defined: a schema's tables
     /// before the indexes on them.
     canonical: Vec<(String, String)>,
-    overrides: HashMap<(String, Dialect), String>,
 }
 
 impl StatementCatalog {
@@ -381,20 +380,11 @@ impl StatementCatalog {
         self
     }
 
-    /// Provide a hand-written override for one dialect.
-    pub fn override_for(&mut self, name: &str, dialect: Dialect, sql: &str) -> &mut Self {
-        self.overrides.insert((name.to_string(), dialect), sql.to_string());
-        self
-    }
-
-    /// Resolve the SQL text for a statement under a dialect: the expert
-    /// override if present, else the canonical text rendered through the
-    /// dialect's rules. `None` for a name not defined or a canonical text
-    /// that does not parse: there is nothing to render.
+    /// Resolve the SQL text for a statement under a dialect: the canonical
+    /// text rendered through the dialect's rules. `None` for a name not
+    /// defined or a canonical text that does not parse: there is nothing to
+    /// render.
     pub fn resolve(&self, name: &str, dialect: Dialect) -> Option<String> {
-        if let Some(s) = self.overrides.get(&(name.to_string(), dialect)) {
-            return Some(s.clone());
-        }
         crate::parser::parse(self.canonical(name)?).ok().map(|stmt| dialect.render(&stmt))
     }
 
@@ -477,27 +467,12 @@ mod tests {
     }
 
     #[test]
-    fn catalog_override_wins() {
-        let mut cat = StatementCatalog::new();
-        cat.define("get_item", "SELECT * FROM item WHERE i_id = ? LIMIT 1");
-        cat.override_for(
-            "get_item",
-            Dialect::Oracle,
-            "SELECT * FROM item WHERE i_id = ? AND ROWNUM <= 1",
-        );
-        let mysql = cat.resolve("get_item", Dialect::MySql).unwrap();
-        assert!(mysql.contains("LIMIT 1"), "{mysql}");
-        let ora = cat.resolve("get_item", Dialect::Oracle).unwrap();
-        assert!(ora.contains("ROWNUM"), "{ora}");
-        assert!(cat.resolve("missing", Dialect::MySql).is_none());
-    }
-
-    #[test]
     fn catalog_renders_canonical_per_dialect() {
         let mut cat = StatementCatalog::new();
         cat.define("top", "SELECT a FROM t ORDER BY a LIMIT 3");
         let derby = cat.resolve("top", Dialect::Derby).unwrap();
         assert!(derby.contains("FETCH FIRST"), "{derby}");
+        assert!(cat.resolve("missing", Dialect::MySql).is_none());
     }
 
     #[test]
@@ -514,9 +489,6 @@ mod tests {
         for d in Dialect::all() {
             assert_eq!(cat.resolve("broken", d), None, "{d:?}");
         }
-        // An expert's text is taken as written.
-        cat.override_for("broken", Dialect::Derby, "SELECT a FROM t");
-        assert!(cat.resolve("broken", Dialect::Derby).is_some());
     }
 
     #[test]

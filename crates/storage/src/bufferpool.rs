@@ -180,15 +180,15 @@ impl BufferPool {
         st.epoch_misses = 0;
         st.pressured = false;
     }
-
-    pub fn resident_pages(&self) -> usize {
-        self.state.lock().frames.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn resident_pages(bp: &BufferPool) -> usize {
+        bp.state.lock().frames.len()
+    }
 
     #[test]
     fn hits_after_first_access() {
@@ -210,10 +210,10 @@ mod tests {
         for r in 0..4 {
             bp.access(1, r, false, &m);
         }
-        assert_eq!(bp.resident_pages(), 4);
+        assert_eq!(resident_pages(&bp), 4);
         // Fifth distinct page forces an eviction.
         bp.access(1, 4, false, &m);
-        assert_eq!(bp.resident_pages(), 4);
+        assert_eq!(resident_pages(&bp), 4);
         assert_eq!(m.snapshot().io_reads, 5);
     }
 
@@ -276,7 +276,7 @@ mod tests {
         let bp = BufferPool::new(4, 1);
         bp.access(1, 0, false, &m);
         bp.clear();
-        assert_eq!(bp.resident_pages(), 0);
+        assert_eq!(resident_pages(&bp), 0);
         assert!(!bp.access(1, 0, false, &m).hit);
     }
 }

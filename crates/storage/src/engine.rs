@@ -213,10 +213,6 @@ impl Database {
         self.catalog.read().order.clone()
     }
 
-    pub fn has_table(&self, name: &str) -> bool {
-        self.catalog.read().by_name.contains_key(&name.to_ascii_lowercase())
-    }
-
     /// Total live rows across all tables.
     pub fn total_rows(&self) -> usize {
         let cat = self.catalog.read();
@@ -448,11 +444,6 @@ impl Session {
 
     pub fn in_txn(&self) -> bool {
         self.txn.is_some()
-    }
-
-    /// Current transaction id, if any.
-    pub fn txn_id(&self) -> Option<TxnId> {
-        self.txn.as_ref().map(|t| t.id)
     }
 
     /// Fail fast with [`StorageError::Crashed`] when the engine is dead or
@@ -855,24 +846,6 @@ impl Session {
         self.redo.push(RedoOp::Delete { table: table.id, rowid });
         Ok(())
     }
-
-    /// Run `body` inside a transaction, committing on `Ok` and rolling back
-    /// on `Err`. Does not retry: retry policy belongs to the caller.
-    pub fn with_txn<T>(&mut self, body: impl FnOnce(&mut Session) -> Result<T>) -> Result<T> {
-        self.begin()?;
-        match body(self) {
-            Ok(v) => {
-                self.commit()?;
-                Ok(v)
-            }
-            Err(e) => {
-                if self.in_txn() {
-                    let _ = self.rollback();
-                }
-                Err(e)
-            }
-        }
-    }
 }
 
 impl Drop for Session {
@@ -887,6 +860,26 @@ impl Drop for Session {
 mod tests {
     use super::*;
     use crate::schema::Column;
+
+    impl Session {
+        /// Run `body` inside a transaction, committing on `Ok` and rolling
+        /// back on `Err`.
+        fn with_txn<T>(&mut self, body: impl FnOnce(&mut Session) -> Result<T>) -> Result<T> {
+            self.begin()?;
+            match body(self) {
+                Ok(v) => {
+                    self.commit()?;
+                    Ok(v)
+                }
+                Err(e) => {
+                    if self.in_txn() {
+                        let _ = self.rollback();
+                    }
+                    Err(e)
+                }
+            }
+        }
+    }
     use crate::value::DataType;
     use std::ops::Bound;
 
@@ -1212,13 +1205,13 @@ mod tests {
     #[test]
     fn ddl_catalog() {
         let db = db();
-        assert!(db.has_table("ACCT"));
+        assert!(db.table("ACCT").is_ok(), "names are case-insensitive");
         assert_eq!(db.table_names(), vec!["acct"]);
         assert!(db.create_table(
             TableSchema::new("acct", vec![Column::new("x", DataType::Int)], &[]).unwrap()
         ).is_err());
         db.drop_table("acct").unwrap();
-        assert!(!db.has_table("acct"));
+        assert!(db.table("acct").is_err());
         assert!(db.drop_table("acct").is_err());
     }
 

@@ -13,7 +13,6 @@ use std::time::Duration;
 pub struct ServerMetrics {
     commits: AtomicU64,
     aborts: AtomicU64,
-    user_aborts: AtomicU64,
     rows_read: AtomicU64,
     rows_written: AtomicU64,
     lock_waits: AtomicU64,
@@ -39,7 +38,6 @@ pub struct ServerMetrics {
 pub struct MetricsSnapshot {
     pub commits: u64,
     pub aborts: u64,
-    pub user_aborts: u64,
     pub rows_read: u64,
     pub rows_written: u64,
     pub lock_waits: u64,
@@ -66,7 +64,6 @@ impl MetricsSnapshot {
         MetricsSnapshot {
             commits: self.commits.saturating_sub(earlier.commits),
             aborts: self.aborts.saturating_sub(earlier.aborts),
-            user_aborts: self.user_aborts.saturating_sub(earlier.user_aborts),
             rows_read: self.rows_read.saturating_sub(earlier.rows_read),
             rows_written: self.rows_written.saturating_sub(earlier.rows_written),
             lock_waits: self.lock_waits.saturating_sub(earlier.lock_waits),
@@ -108,10 +105,6 @@ impl ServerMetrics {
     #[inline]
     pub fn inc_aborts(&self) {
         self.aborts.fetch_add(1, Ordering::Relaxed);
-    }
-    #[inline]
-    pub fn inc_user_aborts(&self) {
-        self.user_aborts.fetch_add(1, Ordering::Relaxed);
     }
     #[inline]
     pub fn add_rows_read(&self, n: u64) {
@@ -179,11 +172,10 @@ impl ServerMetrics {
     /// All counter fields as `(name, value)` pairs, in declaration order.
     /// One source of truth for the Prometheus exposition below and any
     /// other exhaustive dump.
-    pub fn counter_fields(s: &MetricsSnapshot) -> [(&'static str, u64); 17] {
+    pub fn counter_fields(s: &MetricsSnapshot) -> [(&'static str, u64); 16] {
         [
             ("commits", s.commits),
             ("aborts", s.aborts),
-            ("user_aborts", s.user_aborts),
             ("rows_read", s.rows_read),
             ("rows_written", s.rows_written),
             ("lock_waits", s.lock_waits),
@@ -205,7 +197,6 @@ impl ServerMetrics {
         MetricsSnapshot {
             commits: self.commits.load(Ordering::Relaxed),
             aborts: self.aborts.load(Ordering::Relaxed),
-            user_aborts: self.user_aborts.load(Ordering::Relaxed),
             rows_read: self.rows_read.load(Ordering::Relaxed),
             rows_written: self.rows_written.load(Ordering::Relaxed),
             lock_waits: self.lock_waits.load(Ordering::Relaxed),
@@ -296,8 +287,8 @@ mod tests {
         let mut buf = bp_obs::MetricsBuf::new();
         m.collect(&mut buf);
         let samples = buf.into_samples();
-        // 17 counters + 2 gauges.
-        assert_eq!(samples.len(), 19);
+        // 16 counters + 2 gauges.
+        assert_eq!(samples.len(), 18);
         for (name, _) in ServerMetrics::counter_fields(&m.snapshot()) {
             let full = format!("bp_server_{name}_total");
             assert!(samples.iter().any(|s| s.name == full), "missing {full}");

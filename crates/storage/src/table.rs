@@ -160,10 +160,6 @@ impl Table {
         Ok(())
     }
 
-    pub fn index_names(&self) -> Vec<String> {
-        self.data.read().indexes.iter().map(|ix| ix.def.name.clone()).collect()
-    }
-
     fn index_pos(d: &TableData, name: &str) -> Result<usize> {
         d.indexes
             .iter()

@@ -90,12 +90,6 @@ impl Wal {
         self
     }
 
-    /// Override the segment-rotation threshold (tests use small segments).
-    pub fn with_segment_bytes(mut self, limit: u64) -> Wal {
-        self.segment_limit = limit.max(1);
-        self
-    }
-
     pub fn segments_rotated(&self) -> u64 {
         self.segments_rotated.load(Ordering::Relaxed)
     }
@@ -296,6 +290,14 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Wal {
+        /// Override the segment-rotation threshold: tests use small segments.
+        fn with_segment_bytes(mut self, limit: u64) -> Wal {
+            self.segment_limit = limit.max(1);
+            self
+        }
+    }
 
     #[test]
     fn lsn_monotonic() {

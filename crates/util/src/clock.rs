@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 pub type Micros = u64;
 
 pub const MICROS_PER_SEC: u64 = 1_000_000;
-pub const MICROS_PER_MILLI: u64 = 1_000;
 
 /// A source of time. Implementations must be cheap and thread-safe.
 pub trait Clock: Send + Sync {
@@ -76,10 +75,6 @@ impl SimClock {
         Arc::new(SimClock { now: AtomicU64::new(0) })
     }
 
-    pub fn starting_at(t: Micros) -> Arc<Self> {
-        Arc::new(SimClock { now: AtomicU64::new(t) })
-    }
-
     /// Advance to an absolute time. Time never moves backwards.
     pub fn advance_to(&self, t: Micros) {
         self.now.fetch_max(t, Ordering::SeqCst);
@@ -137,17 +132,6 @@ fn timer_slack_file() -> Option<std::path::PathBuf> {
     Some(std::path::Path::new("/proc").join(link.file_name()?).join("timerslack_ns"))
 }
 
-/// Format a microsecond duration as a human-readable string.
-pub fn fmt_micros(us: Micros) -> String {
-    if us >= MICROS_PER_SEC {
-        format!("{:.2}s", us as f64 / MICROS_PER_SEC as f64)
-    } else if us >= MICROS_PER_MILLI {
-        format!("{:.2}ms", us as f64 / MICROS_PER_MILLI as f64)
-    } else {
-        format!("{us}µs")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,12 +186,5 @@ mod tests {
         });
         assert_eq!(inside.join().unwrap().as_deref().map(str::trim), Some("1"));
         assert_eq!(slack(), Some(before), "the spawning thread keeps its own setting");
-    }
-
-    #[test]
-    fn fmt() {
-        assert_eq!(fmt_micros(500), "500µs");
-        assert_eq!(fmt_micros(1_500), "1.50ms");
-        assert_eq!(fmt_micros(2_500_000), "2.50s");
     }
 }

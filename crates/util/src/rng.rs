@@ -97,11 +97,6 @@ impl Rng {
         result
     }
 
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     #[inline]
     pub fn f64(&mut self) -> f64 {

@@ -1,5 +1,5 @@
 //! Synthetic text generators used by benchmark data loaders
-//! (customer names, emails, URLs, document text, TPC-C last names).
+//! (customer names, emails, document text, TPC-C last names).
 
 use crate::rng::Rng;
 
@@ -63,16 +63,6 @@ pub fn email(rng: &mut Rng) -> String {
         last_name(rng).to_lowercase(),
         rng.int_range(1, 9999),
         rng.choose(&DOMAINS)
-    )
-}
-
-/// A URL.
-pub fn url(rng: &mut Rng) -> String {
-    format!(
-        "http://{}/{}/{}",
-        rng.choose(&DOMAINS),
-        rng.choose(&WORDS),
-        rng.int_range(1, 100_000)
     )
 }
 
@@ -146,7 +136,6 @@ mod tests {
         let mut a = Rng::new(1);
         let mut b = Rng::new(1);
         assert_eq!(email(&mut a), email(&mut b));
-        assert_eq!(url(&mut a), url(&mut b));
         assert!(!full_name(&mut a).is_empty());
     }
 

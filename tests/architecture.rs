@@ -110,33 +110,146 @@ fn tpcc_runs_under_throttle_on_real_engine() {
     assert!((0.3..=0.6).contains(&new_order_share), "NewOrder share {new_order_share}");
 }
 
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn is_word(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Occurrences of each identifier-shaped word in `text`.
+fn word_counts(text: &str) -> std::collections::HashMap<&str, usize> {
+    let mut counts = std::collections::HashMap::new();
+    for word in text.split(|c: char| !is_word(c)) {
+        if !word.is_empty() {
+            *counts.entry(word).or_insert(0) += 1;
+        }
+    }
+    counts
+}
+
+/// The reachability rule over `(path, source)` pairs, paths relative to the
+/// repo root: each `pub fn` before the first column-0 `#[cfg(test)]` of a
+/// `crates/*/src` file must be named, as a word, somewhere other than its
+/// defining line and its own file's test module. Returns how many `pub fn`s
+/// it checked and `path: name` for each one nothing names.
+fn unnamed_pub_fns(files: &[(String, String)]) -> (usize, Vec<String>) {
+    let mut everywhere = std::collections::HashMap::new();
+    for (_, text) in files {
+        for (word, n) in word_counts(text) {
+            *everywhere.entry(word).or_insert(0) += n;
+        }
+    }
+    let (mut checked, mut unnamed) = (0, Vec::new());
+    let defining = |path: &str| path.starts_with("crates/") && path.contains("/src/");
+    for (path, text) in files.iter().filter(|(p, _)| defining(p)) {
+        let (code, tests) = text.split_at(text.find("\n#[cfg(test)]").unwrap_or(text.len()));
+        let in_tests = word_counts(tests);
+        for line in code.lines() {
+            let Some(rest) = line.trim_start().strip_prefix("pub fn ") else { continue };
+            let name = rest.split(|c: char| !is_word(c)).next().unwrap_or("");
+            if name.is_empty() {
+                continue; // `pub fn $name` in a macro body
+            }
+            checked += 1;
+            let own = in_tests.get(name).unwrap_or(&0) + word_counts(line)[name];
+            if everywhere[name] == own {
+                unnamed.push(format!("{path}: {name}"));
+            }
+        }
+    }
+    (checked, unnamed)
+}
+
+/// Public API a binary or the embedding program exposes, which no code in
+/// the repo names. Each entry is `path: name` with its reason.
+const REACHABLE_FROM_OUTSIDE: [(&str, &str); 0] = [];
+
+/// A `pub fn` nothing names is deleted, or made test-only when a test needs
+/// it: the rule runs over every crate's sources against everything that
+/// could call them (the crates' own code and tests, `src/`, `examples/`,
+/// `tests/` and the repo benchmark in `perf/src`).
+#[test]
+fn every_pub_fn_is_named_outside_its_own_line_and_tests() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut paths = Vec::new();
+    for dir in ["src", "examples", "tests", "perf/src"] {
+        rust_files(&root.join(dir), &mut paths);
+    }
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        let krate = entry.expect("dir entry").path();
+        for dir in ["src", "tests", "benches"] {
+            if krate.join(dir).is_dir() {
+                rust_files(&krate.join(dir), &mut paths);
+            }
+        }
+    }
+    let files: Vec<(String, String)> = paths
+        .iter()
+        .map(|p| {
+            let rel = p.strip_prefix(root).expect("under the repo").to_string_lossy().into_owned();
+            (rel, std::fs::read_to_string(p).expect("source is utf-8"))
+        })
+        .collect();
+    let (checked, unnamed) = unnamed_pub_fns(&files);
+    assert!(checked > 500, "checked only {checked} pub fns: the walk missed the sources");
+    let unnamed: Vec<&String> = unnamed
+        .iter()
+        .filter(|u| !REACHABLE_FROM_OUTSIDE.iter().any(|(allowed, _)| u == allowed))
+        .collect();
+    assert!(unnamed.is_empty(), "pub fns nothing names ({}):\n{unnamed:#?}", unnamed.len());
+}
+
+/// The rule can fail: it flags a `pub fn` named only on its own line and one
+/// named only in its file's test module, and passes one another file calls.
+#[test]
+fn reachability_rule_flags_a_planted_fixture() {
+    let files = [
+        (
+            "crates/a/src/lib.rs",
+            "pub fn lonely() {}\npub fn tested_only() {}\npub fn called() -> u8 { 1 }\n\
+             #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::tested_only(); }\n}\n",
+        ),
+        ("crates/b/src/lib.rs", "fn f() -> u8 { a::called() }\n"),
+    ]
+    .map(|(p, t)| (p.to_string(), t.to_string()));
+    let (checked, unnamed) = unnamed_pub_fns(&files);
+    assert_eq!(checked, 3);
+    assert_eq!(unnamed, ["crates/a/src/lib.rs: lonely", "crates/a/src/lib.rs: tested_only"]);
+}
+
 /// Every periodic background thread is a `bp_util::Periodic`. Outside test
 /// modules, threads are spawned only by `Periodic` itself, the executor
 /// (manager + workers) and the HTTP server (accept + per connection), and
 /// the guard types `Periodic` replaced stay gone — as do the second SLO
-/// controller and the second sampler of the engine's counters. Likewise
+/// controller, the second sampler of the engine's counters and the
+/// settings nothing set (retry budget, deadlines, queue trip, PID law,
+/// `<cluster>`'s coordinator and heartbeat). Likewise
 /// there is one bounded ring (`bp_util::ring`): its arithmetic appears
 /// nowhere else, and only the sharded stores read a thread's shard slot.
 #[test]
 fn background_threads_go_through_periodic() {
-    fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
-        for entry in std::fs::read_dir(dir).expect("readable source dir") {
-            let path = entry.expect("dir entry").path();
-            if path.is_dir() {
-                rust_files(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                out.push(path);
-            }
-        }
-    }
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
     const MAY_READ_SLOT: [&str; 4] =
         ["util/src/sync.rs", "core/src/stats.rs", "obs/src/span.rs", "obs/src/journal.rs"];
     const RING_ARITHMETIC: [&str; 2] = ["written %", "fn ordered("];
-    const RETIRED: [&str; 7] = [
+    const RETIRED: [&str; 13] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
+        // Settings no run set: the breaker is on or off, the SLO law is
+        // AIMD, and `<cluster>` is its `<node>`.
+        "RetryBudget", "ResilienceConfig", "ControlLaw", "deadline_us", "queue_limit",
+        "ClusterMemberConfig",
     ];
 
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");

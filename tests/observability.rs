@@ -153,7 +153,7 @@ fn metrics_scrape_covers_every_silo() {
 
     // Server engine counters: every ServerMetrics field.
     for f in [
-        "commits", "aborts", "user_aborts", "rows_read", "rows_written", "lock_waits",
+        "commits", "aborts", "rows_read", "rows_written", "lock_waits",
         "lock_wait_us", "deadlocks", "lock_timeouts", "io_reads", "io_writes", "buf_hits",
         "buf_misses", "wal_bytes", "wal_fsyncs", "fsync_us", "busy_us",
     ] {

@@ -8,10 +8,8 @@
 use std::sync::Arc;
 
 use benchpress::api::{http_request, http_request_text, ApiServer};
-use benchpress::chaos::{BreakerConfig, ChaosController, FaultKind, FaultPlan, FaultWindow};
-use benchpress::core::{
-    BreakerState, Phase, PhaseScript, Rate, ResilienceConfig, RunConfig,
-};
+use benchpress::chaos::{ChaosController, FaultKind, FaultPlan, FaultWindow};
+use benchpress::core::{BreakerState, Phase, PhaseScript, Rate, RunConfig};
 use benchpress::obs::MetricsRegistry;
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality, Value};
@@ -231,15 +229,7 @@ fn breaker_opens_sheds_and_recloses_over_http() {
         script: PhaseScript::new(vec![Phase::new(Rate::Limited(400.0), 4.0)]),
         collect_trace: false,
         max_retries: 2,
-        resilience: ResilienceConfig {
-            breaker: Some(BreakerConfig {
-                min_samples: 16,
-                window: 32,
-                cooldown_us: 200_000,
-                ..BreakerConfig::default()
-            }),
-            ..ResilienceConfig::default()
-        },
+        breaker: true,
         ..Default::default()
     };
     let handle = benchpress::core::start(db, workload, wall_clock(), cfg);
