@@ -974,25 +974,21 @@ impl ApiServer {
         match action {
             "rate" => {
                 // {"tps": 500} or {"rate": "unlimited" | "disabled" | 500}
-                let rate = body
-                    .get("tps")
-                    .and_then(Json::as_f64)
-                    .map(Rate::Limited)
-                    .or_else(|| match body.get("rate") {
-                        Some(Json::Num(tps)) => Some(Rate::Limited(*tps)),
-                        Some(Json::Str(s)) => Rate::parse(s),
-                        _ => None,
-                    });
+                let rate = match (body.get("tps"), body.get("rate")) {
+                    (Some(Json::Num(tps)), _) | (_, Some(Json::Num(tps))) => Rate::limited(*tps),
+                    (_, Some(Json::Str(s))) => Rate::parse(s),
+                    _ => None,
+                };
                 match rate {
-                    Some(r @ Rate::Limited(tps)) if tps >= 0.0 => {
+                    Some(r) => {
                         c.set_rate(r);
                         self.workload_status(id)
                     }
-                    Some(r @ (Rate::Unlimited | Rate::Disabled)) => {
-                        c.set_rate(r);
-                        self.workload_status(id)
-                    }
-                    _ => Response::error(400, "body must contain tps or rate"),
+                    None => Response::error(
+                        400,
+                        "body must contain tps or rate: a finite non-negative number, \
+                         \"unlimited\" or \"disabled\"",
+                    ),
                 }
             }
             "mixture" => {
@@ -1165,6 +1161,20 @@ mod tests {
         let s = server();
         let r = s.handle(&Request::post("/workloads/demo/rate", Json::obj()));
         assert_eq!(r.status, 400);
+    }
+
+    /// An infinite rate is refused, not handed to the schedule, whose plan
+    /// for it would take the manager thread down.
+    #[test]
+    fn infinite_rate_is_refused_and_leaves_the_rate_alone() {
+        let s = server();
+        let rate = || s.controller("demo").unwrap().current_rate();
+        let bodies = [r#"{"tps": 1e999}"#, r#"{"rate": 1e999}"#, r#"{"rate": "inf"}"#, r#"{"tps": -1}"#];
+        for body in bodies {
+            let r = s.handle(&Request::post("/workloads/demo/rate", Json::parse(body).unwrap()));
+            assert_eq!(r.status, 400, "{body}: {r:?}");
+            assert_eq!(rate(), Rate::Limited(100.0), "{body}");
+        }
     }
 
     #[test]
@@ -1417,7 +1427,7 @@ mod tests {
     fn controller_with_spans() -> Controller {
         let rec = Arc::new(SpanRecorder::new(ObsConfig::default()));
         for seq in 0..3u64 {
-            rec.record(Span {
+            rec.offer(Span {
                 trace_id: bp_obs::trace_id(42, seq),
                 seq,
                 submitted_us: seq * 100,

@@ -19,7 +19,7 @@ use bp_util::rng::Rng;
 use bp_util::timeseries::Summary;
 use bp_workloads::{all_workloads, by_name, table1, BENCHMARKS};
 
-use crate::live::{breaker_reclosed, sleep_s, wait_until, Endpoint, Fleet, LiveRun, Scrape, Setup};
+use crate::live::{breaker_reclosed, sleep_s, wait_until, Endpoint, Fleet, LiveRun, Setup};
 use crate::{failed, Outcome};
 
 fn voter(scale: f64, seed: u64, personality: Personality) -> Setup {
@@ -711,10 +711,10 @@ pub fn run_observability(seconds: f64) -> ObservabilityReport {
     ]);
     let cfg = RunConfig { terminals: 4, script, ..Default::default() };
     let run = LiveRun::start(&voter(0.5, 7, Personality::test()), cfg);
-    let (registry, spans) = (run.registry.clone(), run.handle.spans.clone());
+    let (registry, spans) = (run.api.registry().cloned(), run.handle.spans.clone());
     let controller = run.join();
 
-    let page = Scrape(registry.render_prometheus());
+    let samples = registry.expect("a live run serves a registry").snapshot();
     let phase_lines = spans
         .phase_summaries()
         .into_iter()
@@ -725,8 +725,8 @@ pub fn run_observability(seconds: f64) -> ObservabilityReport {
         completed: st.committed + st.user_aborted + st.failed,
         spans_recorded: spans.recorded(),
         phase_lines,
-        metric_families: page.families(""),
-        exposition_bytes: page.0.len(),
+        metric_families: samples.chunk_by(|a, b| a.name == b.name).count(),
+        exposition_bytes: bp_obs::render_samples(&samples).len(),
     }
 }
 
@@ -817,8 +817,8 @@ pub fn run_resilience(seconds: f64) -> ResilienceReport {
         shed: controller.breaker().map_or(0, |b| b.shed_total()),
         breaker_opened,
         breaker_reclosed: breaker_reclosed(&controller),
-        metrics_ok: metrics.value("bp_chaos_injected_total", "") > 0.0
-            && metrics.value("bp_resilience_shed_total", "") > 0.0
+        metrics_ok: metrics.value("bp_chaos_injected_total", &[]) > 0.0
+            && metrics.value("bp_resilience_shed_total", &[]) > 0.0
             && metrics.has("bp_resilience_breaker_state"),
     }
 }
@@ -1052,8 +1052,8 @@ pub fn run_slo(seconds: f64) -> SloReport {
         breaker_reclosed: breaker_reclosed(&controller),
         breaker_backoffs,
         metrics_ok: metrics.has("bp_slo_current_rate")
-            && metrics.value("bp_slo_ticks_total", "") > 0.0
-            && metrics.value("bp_slo_breaker_backoffs_total", "") > 0.0,
+            && metrics.value("bp_slo_ticks_total", &[]) > 0.0
+            && metrics.value("bp_slo_breaker_backoffs_total", &[]) > 0.0,
     }
 }
 
@@ -1704,9 +1704,9 @@ pub fn run_cluster() -> ClusterReport {
     // heartbeat intervals rather than judging one snapshot.
     let merged_metrics_ok = wait_until(2.0 * Fleet::HEARTBEAT.as_secs_f64(), || {
         let merged = fleet.http.scrape("/cluster/metrics");
-        merged.value("bp_cluster_nodes", "state=\"dead\"") == 1.0
-            && merged.value("bp_cluster_nodes", "state=\"joined\"") == 2.0
-            && merged.families("bp_client_committed_total") == 1
+        merged.value("bp_cluster_nodes", &[("state", "dead")]) == 1.0
+            && merged.value("bp_cluster_nodes", &[("state", "joined")]) == 2.0
+            && merged.has("bp_client_committed_total")
     });
 
     let events = fleet.coordinator.journal().recent(usize::MAX, bp_obs::Severity::Debug);
@@ -1853,7 +1853,7 @@ pub fn run_trace() -> TraceReport {
 
     let n1 = &fleet.nodes[0].http;
     let metrics = n1.scrape("/metrics");
-    let slow_requests = metrics.above("bp_client_latency_us_bucket", SLOW_FLOOR_US);
+    let slow_requests = metrics.above("bp_client_latency_us", SLOW_FLOOR_US);
     let retained_slow =
         n1.text(&format!("/trace/spans?last=1000000&min_us={SLOW_FLOOR_US}")).lines().count()
             as u64;

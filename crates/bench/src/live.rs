@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use bp_api::{http::HttpServerGuard, ApiServer};
 use bp_cluster::{start_agent, AgentConfig, ClusterCoordinator, CoordinatorConfig};
 use bp_core::{BreakerState, Controller, RunConfig, RunHandle, Workload};
-use bp_obs::MetricsRegistry;
+use bp_obs::{parse_samples, MetricValue, MetricsRegistry, Sample, BUCKETS, LATENCY_BOUNDS_US};
 use bp_sql::Connection;
 use bp_storage::{Database, Personality};
 use bp_util::clock::wall_clock;
@@ -102,61 +102,53 @@ impl Endpoint {
         body
     }
 
+    /// `GET` an exposition and parse it; panics on a page that does not parse.
     pub fn scrape(&self, path: &str) -> Scrape {
-        Scrape(self.text(path))
+        Scrape::parse(&self.text(path))
     }
 }
 
-/// A Prometheus text exposition, read the way the experiments need it.
-pub struct Scrape(pub String);
+/// A parsed Prometheus exposition, queried the way the experiments need it.
+pub struct Scrape(Vec<Sample>);
 
 impl Scrape {
-    /// Sum of the samples of `name` whose label set contains `labels`
-    /// (`""` matches every series, and a series without labels). A sample
-    /// line is `name{labels} value` with an optional ` # {exemplar}` tail,
-    /// so the value is the first token after the labels.
-    pub fn value(&self, name: &str, labels: &str) -> f64 {
-        let mut sum = 0.0;
-        for line in self.0.lines() {
-            let Some(rest) = line.strip_prefix(name) else {
-                continue;
-            };
-            let (series, tail) = match rest.strip_prefix('{').and_then(|r| r.split_once('}')) {
-                Some(split) => split,
-                None if rest.starts_with(' ') => ("", rest),
-                None => continue, // a longer metric name
-            };
-            if series.contains(labels) {
-                sum += tail.split_whitespace().next().and_then(|v| v.parse().ok()).unwrap_or(0.0);
-            }
-        }
-        sum
+    fn parse(text: &str) -> Scrape {
+        Scrape(parse_samples(text).unwrap_or_else(|e| panic!("exposition does not parse: {e}")))
     }
 
-    /// Is any series of `name` present?
+    /// Sum of the counters and gauges of `name` whose labels include every
+    /// pair of `labels` (`&[]` matches every series).
+    pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
+        let carries = |s: &Sample| {
+            labels.iter().all(|&(k, v)| s.labels.iter().any(|l| l.0 == k && l.1 == v))
+        };
+        self.0.iter().filter(|s| s.name == name && carries(s)).map(|s| match s.value {
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => v,
+            MetricValue::Histogram { .. } => 0.0,
+        }).sum()
+    }
+
+    /// Is there a sample of family `name`?
     pub fn has(&self, name: &str) -> bool {
-        self.0.contains(name)
+        self.0.iter().any(|s| s.name == name)
     }
 
-    /// Observations above `bound` in histogram `bucket_metric`: the
-    /// cumulative count at `+Inf` minus the one at `le="bound"`, which is
-    /// exact when `bound` is a bucket edge.
-    pub fn above(&self, bucket_metric: &str, bound: u64) -> u64 {
-        let le = format!("le=\"{bound}\"");
-        (self.value(bucket_metric, "le=\"+Inf\"") - self.value(bucket_metric, &le)).max(0.0).round()
-            as u64
+    /// Observations above `bound`, one of [`LATENCY_BOUNDS_US`], in
+    /// histogram `name` summed over its series: exact, `bound` being an edge.
+    pub fn above(&self, name: &str, bound: u64) -> u64 {
+        let edge = LATENCY_BOUNDS_US.iter().position(|&b| b == bound).expect("a bucket bound");
+        self.0.iter().filter(|s| s.name == name).map(|s| match &s.value {
+            MetricValue::Histogram { buckets, .. } => buckets[BUCKETS - 1] - buckets[edge],
+            _ => 0,
+        }).sum()
     }
 
-    /// The first `# {trace_id="…"}` exemplar on the page.
+    /// The first exemplar's trace id on the page.
     pub fn exemplar(&self) -> Option<String> {
-        let (_, rest) = self.0.split_once("# {trace_id=\"")?;
-        Some(rest.split_once('"')?.0.to_string())
-    }
-
-    /// `# TYPE` lines whose family name starts with `prefix`.
-    pub fn families(&self, prefix: &str) -> usize {
-        let needle = format!("# TYPE {prefix}");
-        self.0.lines().filter(|l| l.starts_with(&needle)).count()
+        self.0.iter().find_map(|s| match &s.value {
+            MetricValue::Histogram { exemplars, .. } => Some(exemplars.first()?.trace_id.clone()),
+            _ => None,
+        })
     }
 }
 
@@ -168,7 +160,6 @@ pub struct LiveRun {
     pub db: Arc<Database>,
     pub handle: RunHandle,
     pub api: Arc<ApiServer>,
-    pub registry: Arc<MetricsRegistry>,
     pub http: Endpoint,
 }
 
@@ -182,11 +173,10 @@ impl LiveRun {
     fn start_as(id: &str, setup: &Setup, cfg: RunConfig) -> LiveRun {
         let (db, w) = setup.load();
         let handle = bp_core::start(db.clone(), w, wall_clock(), cfg);
-        let registry = Arc::new(MetricsRegistry::new());
-        let api = Arc::new(ApiServer::new().with_registry(registry.clone()));
+        let api = Arc::new(ApiServer::new().with_registry(Arc::new(MetricsRegistry::new())));
         api.register(id, handle.controller.clone());
         let http = Endpoint::serve(&api);
-        LiveRun { db, handle, api, registry, http }
+        LiveRun { db, handle, api, http }
     }
 
     /// Transactions committed since the run began.
@@ -255,8 +245,6 @@ impl Fleet {
                     AgentConfig::new(&name, http.addr(), run.http.addr())
                         .with_heartbeat(Fleet::HEARTBEAT),
                     run.handle.controller.clone(),
-                    &run.api,
-                    run.registry.clone(),
                 ));
                 run
             })
@@ -286,25 +274,38 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const PAGE: &str = "# HELP bp_x_total x\n# TYPE bp_x_total counter\nbp_x_total 3\n\
-        bp_x_total_more 100\n# TYPE bp_nodes gauge\nbp_nodes{state=\"dead\"} 1\n\
-        bp_nodes{state=\"joined\"} 2\n# TYPE bp_lat_bucket histogram\n\
-        bp_lat_bucket{type=\"a\",le=\"100\"} 7\n\
-        bp_lat_bucket{type=\"a\",le=\"+Inf\"} 9 # {trace_id=\"00ab\"} 512\n\
-        bp_lat_bucket{type=\"b\",le=\"100\"} 1\nbp_lat_bucket{type=\"b\",le=\"+Inf\"} 4\n";
+    use bp_obs::MetricsBuf;
+    use bp_util::histogram::Histogram;
 
     #[test]
     fn scrape_reads_values_buckets_and_exemplars() {
-        let s = Scrape(PAGE.to_string());
-        assert_eq!(s.value("bp_x_total", ""), 3.0, "a longer name is another metric");
-        assert_eq!(s.value("bp_nodes", "state=\"dead\""), 1.0);
-        assert_eq!(s.value("bp_nodes", ""), 3.0);
-        assert_eq!(s.value("bp_absent", ""), 0.0);
-        assert_eq!(s.above("bp_lat_bucket", 100), 5, "summed across label sets, exemplar ignored");
-        assert_eq!(s.exemplar().as_deref(), Some("00ab"));
-        assert_eq!(s.families("bp_"), 3);
-        assert_eq!(s.families("bp_nodes"), 1);
-        assert!(s.has("bp_nodes") && !s.has("bp_absent"));
+        let mut buf = MetricsBuf::new();
+        buf.counter("bp_x_total", "x", &[], 3.0);
+        buf.counter("bp_x_total_more", "more", &[], 100.0);
+        buf.gauge("bp_nodes", "nodes", &[("state", "dead")], 1.0);
+        buf.gauge("bp_nodes", "nodes", &[("state", "joined")], 2.0);
+        for (kind, values) in [("a", &[50, 50_000, 2_000_000][..]), ("b", &[500_000, 60])] {
+            let mut h = Histogram::latency();
+            let observed: Vec<(u64, String)> =
+                values.iter().map(|&v| (v, format!("{v:x}"))).collect();
+            for (v, _) in &observed {
+                h.record(*v);
+            }
+            buf.histogram_with_exemplars("bp_lat", "lat", &[("type", kind)], &h, &observed);
+        }
+        let s = Scrape::parse(&bp_obs::render_samples(&buf.into_samples()));
+        assert_eq!(s.value("bp_x_total", &[]), 3.0, "a longer name is another metric");
+        assert_eq!(s.value("bp_nodes", &[("state", "dead")]), 1.0);
+        assert_eq!(s.value("bp_nodes", &[]), 3.0);
+        assert_eq!(s.value("bp_absent", &[]), 0.0);
+        assert_eq!(s.above("bp_lat", 25_000), 3, "summed across label sets");
+        assert_eq!(s.exemplar().as_deref(), Some("32"));
+        assert!(s.has("bp_nodes") && !s.has("bp_absent") && !s.has("bp_x"));
+    }
+
+    #[test]
+    #[should_panic(expected = "line 2: unknown type `summary`")]
+    fn a_page_that_does_not_parse_panics() {
+        Scrape::parse("# HELP bp_x x\n# TYPE bp_x summary\n");
     }
 }

@@ -1,14 +1,12 @@
 //! The cluster agent: one per benchmark node.
 //!
 //! An agent is just the existing single-node stack — a workload under a
-//! [`bp_core::Controller`] behind a [`bp_api::ApiServer`] — plus:
-//!
-//! * a `GET /cluster/snapshot` route serving this node's metrics registry
-//!   as structured JSON samples (the coordinator folds these into the
-//!   merged `GET /cluster/metrics` exposition);
-//! * a background heartbeat thread that joins the coordinator (with
-//!   retry), reports the controller's windowed latency/throughput every
-//!   interval, and applies the rate share the coordinator assigns.
+//! [`bp_core::Controller`] behind a [`bp_api::ApiServer`] — plus a
+//! background heartbeat thread that joins the coordinator (with retry),
+//! reports the controller's windowed latency/throughput every interval,
+//! and applies the rate share the coordinator assigns. It serves nothing
+//! cluster-specific: the coordinator reads the node's own `GET /metrics`
+//! and drives its own `/workloads/<node>/…` and `/chaos` routes.
 //!
 //! Crash semantics: while the node's storage engine is crashed
 //! (`database().is_crashed()` — e.g. a chaos `ServerCrash`), the agent
@@ -18,14 +16,11 @@
 //! needed.
 
 use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::Duration;
 
 use bp_api::http::http_request_timeout;
-use bp_api::router::RouteExtension;
-use bp_api::{ApiServer, Method, Request, Response};
 use bp_core::{Controller, Rate};
-use bp_obs::{MetricsRegistry, Severity};
+use bp_obs::Severity;
 use bp_util::json::Json;
 use bp_util::Periodic;
 
@@ -64,45 +59,16 @@ impl AgentConfig {
     }
 }
 
-/// The agent-side `/cluster/*` routes (mounted as the API server's route
-/// extension): today just the metrics snapshot.
-struct AgentRoutes {
-    node: String,
-    registry: Arc<MetricsRegistry>,
-}
-
-impl RouteExtension for AgentRoutes {
-    fn handle(&self, req: &Request) -> Option<Response> {
-        let path = req.path.split('?').next().unwrap_or("").trim_matches('/');
-        match (req.method, path) {
-            (Method::Get, "cluster/snapshot") => {
-                let samples: Vec<Json> =
-                    self.registry.snapshot().iter().map(|s| s.to_json()).collect();
-                Some(Response::ok(
-                    Json::obj().set("node", self.node.as_str()).set("samples", Json::Arr(samples)),
-                ))
-            }
-            _ => None,
-        }
-    }
-}
-
-/// Wire a node into the fleet: mount the snapshot route on its API server
-/// and start the agent thread, which every heartbeat period tries to join
-/// the coordinator until that succeeds (the coordinator may come up after
-/// its agents) and from then on reports a heartbeat. The returned handle
-/// owns the thread.
+/// Start the agent thread, which every heartbeat period tries to join the
+/// coordinator until that succeeds (the coordinator may come up after its
+/// agents) and from then on reports a heartbeat. The returned handle owns
+/// the thread.
 ///
-/// The `controller` must be registered on `api` under `cfg.node` — that's
-/// the path (`/workloads/<node>/rate`) the coordinator pushes rate shares
-/// to.
-pub fn start_agent(
-    cfg: AgentConfig,
-    controller: Controller,
-    api: &Arc<ApiServer>,
-    registry: Arc<MetricsRegistry>,
-) -> Periodic {
-    api.set_extension(Arc::new(AgentRoutes { node: cfg.node.clone(), registry }));
+/// The `controller` must be registered on the node's API server under
+/// `cfg.node` — that's the path (`/workloads/<node>/rate`) the coordinator
+/// pushes rate shares to — and that server must serve `GET /metrics`,
+/// which the coordinator merges.
+pub fn start_agent(cfg: AgentConfig, controller: Controller) -> Periodic {
     let mut joined = false;
     let period_us = cfg.heartbeat.as_micros() as u64;
     Periodic::spawn(format!("bp-agent-{}", cfg.node), period_us, move || {

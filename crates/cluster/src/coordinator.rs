@@ -21,13 +21,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bp_api::http::http_request_timeout;
+use bp_api::http::{http_request_text_timeout, http_request_timeout};
 use bp_api::router::{query_param, RouteExtension};
 use bp_api::{Method, Request, Response, PROMETHEUS_CONTENT_TYPE};
-use bp_core::{Adjustment, SloConfig, SloHandle, SloObservation};
+use bp_core::{Adjustment, Rate, SloConfig, SloHandle, SloObservation};
 use bp_obs::{
-    merge_samples, render_samples, EventJournal, MetricsBuf, MetricsRegistry, MetricsSource,
-    Sample, Severity,
+    merge_samples, parse_samples, render_samples, EventJournal, MetricsBuf, MetricsRegistry,
+    MetricsSource, Sample, Severity,
 };
 use bp_util::json::Json;
 use bp_util::sync::Mutex;
@@ -39,6 +39,10 @@ use crate::member::{Admission, MembershipTable, NodeState, NodeWindow};
 /// coordinator tick is ~hundreds of ms, so give each agent call a fraction
 /// of that.
 pub const FANOUT_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// A fan-out's HTTP client: `http_request_timeout` for JSON bodies,
+/// `http_request_text_timeout` for text.
+type Client<T> = fn(SocketAddr, &str, &str, Option<&Json>, Duration) -> std::io::Result<(u16, T)>;
 
 /// A node is a straggler when its windowed p99 is at least this multiple
 /// of the median of its live peers.
@@ -178,22 +182,27 @@ impl ClusterCoordinator {
                 ],
             )
         });
-        self.fan_out(None, "POST", |id| {
-            let share = split.iter().find(|(sid, _)| sid == id).map_or(0.0, |(_, r)| *r);
-            (format!("/workloads/{id}/rate"), Some(Json::obj().set("tps", share)))
-        });
+        let share = |id: &str| split.iter().find(|(sid, _)| sid == id).map_or(0.0, |(_, r)| *r);
+        self.fan_out(
+            None,
+            "POST",
+            |id| (format!("/workloads/{id}/rate"), Some(Json::obj().set("tps", share(id)))),
+            http_request_timeout,
+        );
         split
     }
 
-    /// Send one request to every live node (to `only`, when given);
-    /// `request` builds a node's path and body. Yields each node with what
-    /// came back; a node that could not be reached is journaled here.
-    fn fan_out(
+    /// Send one request to every live node (to `only`, when given) through
+    /// `client`, the JSON or the text one; `request` builds a node's path
+    /// and body. Yields each node with the status and body that came back;
+    /// a node that could not be reached is journaled here.
+    fn fan_out<T>(
         &self,
         only: Option<&str>,
         method: &str,
         request: impl Fn(&str) -> (String, Option<Json>),
-    ) -> Vec<(String, std::io::Result<(u16, Json)>)> {
+        client: Client<T>,
+    ) -> Vec<(String, std::io::Result<(u16, T)>)> {
         let targets: Vec<(String, SocketAddr)> = self
             .membership
             .lock()
@@ -206,7 +215,7 @@ impl ClusterCoordinator {
             .into_iter()
             .map(|(id, addr)| {
                 let (path, body) = request(&id);
-                let result = http_request_timeout(addr, method, &path, body.as_ref(), FANOUT_TIMEOUT);
+                let result = client(addr, method, &path, body.as_ref(), FANOUT_TIMEOUT);
                 if let Err(e) = &result {
                     self.fanout_error(&id, format!("{method} {path} to {id} ({addr}) failed: {e}"));
                 }
@@ -465,7 +474,7 @@ impl ClusterCoordinator {
         let Some(tps) = tps else {
             return Response::error(400, "body must contain tps");
         };
-        if !tps.is_finite() || tps < 0.0 {
+        if Rate::limited(tps).is_none() {
             return Response::error(400, "tps must be a finite non-negative number");
         }
         let split = self.set_global_rate(tps);
@@ -492,12 +501,12 @@ impl ClusterCoordinator {
         only: Option<&str>,
     ) -> Response {
         let results: Vec<Json> = self
-            .fan_out(only, method, |id| (path(id), body.cloned()))
+            .fan_out(only, method, |id| (path(id), body.cloned()), http_request_timeout)
             .into_iter()
             .map(|(id, result)| {
                 let item = Json::obj().set("node", id.as_str());
                 match result {
-                    Ok((status, resp)) => item.set("status", status as u64).set("body", resp),
+                    Ok((status, body)) => item.set("status", status as u64).set("body", body),
                     Err(e) => item.set("error", e.to_string().as_str()),
                 }
             })
@@ -526,7 +535,8 @@ impl ClusterCoordinator {
         let mut nodes: Vec<Json> = Vec::new();
         let mut stage_sums: Vec<(String, u64)> = Vec::new();
         let mut total_us = 0u64;
-        for (nid, result) in self.fan_out(None, "GET", |_| (format!("/trace/{hex}"), None)) {
+        let path = |_: &str| (format!("/trace/{hex}"), None);
+        for (nid, result) in self.fan_out(None, "GET", path, http_request_timeout) {
             match result {
                 Ok((200, body)) => {
                     if let Some(stages) = body.get("stages").and_then(Json::as_arr) {
@@ -575,25 +585,24 @@ impl ClusterCoordinator {
         )
     }
 
-    /// `GET /cluster/metrics`: pull every live agent's metrics snapshot
-    /// (structured samples, not text — no Prometheus parser needed), fold
-    /// them with the coordinator's own registry, and render one exposition
-    /// with families deduped and counters summed.
+    /// `GET /cluster/metrics`: read every live agent's own `GET /metrics`
+    /// page, fold the pages with the coordinator's own registry, and render
+    /// one exposition with families deduped and counters summed. A page
+    /// that does not parse is journaled and left out whole.
     fn merged_metrics(&self) -> Response {
         let mut sets: Vec<Vec<Sample>> = Vec::new();
         if let Some(reg) = self.registry.lock().clone() {
             sets.push(reg.snapshot());
         }
-        for (id, result) in self.fan_out(None, "GET", |_| ("/cluster/snapshot".to_string(), None)) {
+        let path = |_: &str| ("/metrics".to_string(), None);
+        for (id, result) in self.fan_out(None, "GET", path, http_request_text_timeout) {
             match result {
-                Ok((200, body)) => sets.push(
-                    body.get("samples")
-                        .and_then(Json::as_arr)
-                        .map(|arr| arr.iter().filter_map(Sample::from_json).collect())
-                        .unwrap_or_default(),
-                ),
+                Ok((200, text)) => match parse_samples(&text) {
+                    Ok(samples) => sets.push(samples),
+                    Err(e) => self.fanout_error(&id, format!("/metrics from {id}: {e}")),
+                },
                 Ok((status, _)) => {
-                    self.fanout_error(&id, format!("snapshot from {id} returned {status}"))
+                    self.fanout_error(&id, format!("/metrics from {id} returned {status}"))
                 }
                 Err(_) => {}
             }

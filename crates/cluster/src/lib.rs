@@ -8,21 +8,23 @@
 //! * **Agent** ([`start_agent`]) — the familiar single-node stack
 //!   (workload + [`bp_core::Controller`] + [`bp_api::ApiServer`]) that
 //!   joins a coordinator, heartbeats its windowed latency/throughput, and
-//!   applies the rate share it is assigned. It also serves its metrics
-//!   registry as structured samples on `GET /cluster/snapshot`.
+//!   applies the rate share it is assigned. It serves nothing
+//!   cluster-specific.
 //! * **Coordinator** ([`ClusterCoordinator`]) — the membership authority.
 //!   It tracks agents through a joined → suspect → dead missed-heartbeat
 //!   state machine ([`MembershipTable`]), splits the fleet-wide rate by
 //!   observed per-node capacity, fans control commands (rate, mixture,
-//!   pause/resume/stop, chaos, SLO) out to live agents, folds their
-//!   registries into one deduped Prometheus exposition on
+//!   pause/resume/stop, chaos, SLO) out to live agents' own routes, merges
+//!   the `GET /metrics` pages they serve (read through
+//!   [`bp_obs::parse_samples`]) into one deduped Prometheus exposition on
 //!   `GET /cluster/metrics`, and can run the node's SLO loop
 //!   ([`bp_core::SloHandle`]) fleet-wide on the merged windowed latency.
 //!
-//! Both roles mount their HTTP surface through
+//! The coordinator mounts its HTTP surface through
 //! [`bp_api::router::RouteExtension`], so bp-api stays ignorant of
-//! bp-cluster and either role can share a process with anything else the
-//! API server hosts. Everything — transport included — remains std-only.
+//! bp-cluster and the coordinator can share a process with anything else
+//! the API server hosts. Everything — transport included — remains
+//! std-only.
 
 pub mod agent;
 pub mod coordinator;

@@ -13,7 +13,7 @@ use bp_core::{
     ControlState, Controller, Mixture, Phase, PhaseScript, Rate, RequestQueue,
     RunConfig, RunHandle, SloConfig, SloTarget, StatsCollector, TransactionType, WorkloadConfig,
 };
-use bp_obs::{MetricsRegistry, Severity};
+use bp_obs::{parse_samples, MetricValue, MetricsRegistry, Sample, Severity};
 use bp_sql::Connection;
 use bp_storage::{Database, Personality};
 use bp_util::clock::{sim_clock, wall_clock};
@@ -41,7 +41,6 @@ struct AgentStack {
     handle: RunHandle,
     _api_guard: bp_api::http::HttpServerGuard,
     _agent: bp_util::Periodic,
-    registry: Arc<MetricsRegistry>,
     addr: SocketAddr,
 }
 
@@ -60,18 +59,15 @@ fn agent_stack(node: &str, coordinator: SocketAddr, heartbeat: Duration) -> Agen
         ..Default::default()
     };
     let handle = bp_core::start(db, w, wall_clock(), cfg);
-    let registry = Arc::new(MetricsRegistry::new());
-    let api = Arc::new(ApiServer::new().with_registry(registry.clone()));
+    let api = Arc::new(ApiServer::new().with_registry(Arc::new(MetricsRegistry::new())));
     api.register(node, handle.controller.clone());
     let api_guard = api.serve_http("127.0.0.1:0").expect("bind agent");
     let addr = api_guard.addr();
     let agent = start_agent(
         AgentConfig::new(node, coordinator, addr).with_heartbeat(heartbeat),
         handle.controller.clone(),
-        &api,
-        registry.clone(),
     );
-    AgentStack { handle, _api_guard: api_guard, _agent: agent, registry, addr }
+    AgentStack { handle, _api_guard: api_guard, _agent: agent, addr }
 }
 
 fn wait_until(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
@@ -85,15 +81,15 @@ fn wait_until(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
     pred()
 }
 
-/// Sum every un-commented line of a metric family in a Prometheus text
-/// exposition (e.g. across `type=` label sets).
-fn sum_metric(text: &str, name: &str) -> f64 {
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .filter(|l| {
-            l.strip_prefix(name).is_some_and(|rest| rest.starts_with('{') || rest.starts_with(' '))
+/// The sum of counter `name` over its label sets on a parsed page.
+fn counter_sum(samples: &[Sample], name: &str) -> f64 {
+    samples
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| match s.value {
+            MetricValue::Counter(v) => v,
+            ref other => panic!("{name} is not a counter: {other:?}"),
         })
-        .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
         .sum()
 }
 
@@ -161,23 +157,25 @@ fn three_agent_fleet_merges_telemetry_and_splits_rate() {
     }
     std::thread::sleep(Duration::from_millis(100));
 
-    let (status, merged) =
+    let (status, text) =
         http_request_text(coord_guard.addr(), "GET", "/cluster/metrics", None).unwrap();
     assert_eq!(status, 200);
+    // The parse refuses a family declared twice: three agents exporting
+    // the same families still give one header each.
+    let merged = parse_samples(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
 
     // The coordinator's own gauges are in the merged view.
-    assert!(
-        merged.contains("bp_cluster_nodes{state=\"joined\"} 3"),
-        "missing joined-nodes gauge:\n{merged}"
-    );
-    assert!(merged.contains("bp_cluster_heartbeats_total"));
-
-    // Families are deduped: one HELP/TYPE header per family even though
-    // three agents all export it.
-    for family in ["bp_client_committed_total", "bp_client_latency_us", "bp_server_commits_total"] {
-        let headers =
-            merged.lines().filter(|l| l.starts_with("# TYPE") && l.contains(family)).count();
-        assert_eq!(headers, 1, "family {family} has {headers} TYPE headers");
+    let joined = merged.iter().find(|s| {
+        s.name == "bp_cluster_nodes" && s.labels == [("state".to_string(), "joined".to_string())]
+    });
+    assert_eq!(joined.map(|s| &s.value), Some(&MetricValue::Gauge(3.0)), "{text}");
+    for family in [
+        "bp_cluster_heartbeats_total",
+        "bp_client_committed_total",
+        "bp_client_latency_us",
+        "bp_server_commits_total",
+    ] {
+        assert!(merged.iter().any(|s| s.name == family), "no {family} in:\n{text}");
     }
 
     // Counters are summed across the fleet: merged committed equals the
@@ -185,9 +183,9 @@ fn three_agent_fleet_merges_telemetry_and_splits_rate() {
     let mut local_sum = 0.0;
     for a in &fleet {
         let (_, text) = http_request_text(a.addr, "GET", "/metrics", None).unwrap();
-        local_sum += sum_metric(&text, "bp_client_committed_total");
+        local_sum += counter_sum(&parse_samples(&text).unwrap(), "bp_client_committed_total");
     }
-    let merged_sum = sum_metric(&merged, "bp_client_committed_total");
+    let merged_sum = counter_sum(&merged, "bp_client_committed_total");
     assert!(local_sum > 0.0);
     assert!(
         (merged_sum - local_sum).abs() < 1e-6,
@@ -201,8 +199,6 @@ fn three_agent_fleet_merges_telemetry_and_splits_rate() {
 
     for a in fleet {
         a.handle.stop_and_join();
-        // Registry kept alive past the scrape assertions above.
-        drop(a.registry);
     }
 }
 

@@ -240,8 +240,10 @@ mod tests {
             "<parameters><dbtype>x</dbtype><benchmark>y</benchmark><works></works></parameters>"
         )
         .is_err());
-        let bad_rate = SAMPLE.replace("<rate>500</rate>", "<rate>fast</rate>");
-        assert!(WorkloadConfig::parse(&bad_rate).is_err());
+        for rate in ["fast", "inf", "1e999"] {
+            let bad_rate = SAMPLE.replace("<rate>500</rate>", &format!("<rate>{rate}</rate>"));
+            assert!(WorkloadConfig::parse(&bad_rate).is_err(), "<rate>{rate}</rate>");
+        }
         let bad_time = SAMPLE.replace("<time>60</time>", "<time>-5</time>");
         assert!(WorkloadConfig::parse(&bad_time).is_err());
     }

@@ -32,12 +32,18 @@ impl Rate {
         }
     }
 
+    /// `Limited(tps)` when `tps` is a rate: finite and non-negative. An
+    /// infinite rate would ask the schedule for `usize::MAX` arrivals.
+    pub fn limited(tps: f64) -> Option<Rate> {
+        (tps.is_finite() && tps >= 0.0).then_some(Rate::Limited(tps))
+    }
+
     pub fn parse(text: &str) -> Option<Rate> {
         let t = text.trim().to_ascii_lowercase();
         match t.as_str() {
             "unlimited" | "open" => Some(Rate::Unlimited),
             "disabled" | "off" => Some(Rate::Disabled),
-            _ => t.parse::<f64>().ok().filter(|v| *v >= 0.0).map(Rate::Limited),
+            _ => Rate::limited(t.parse::<f64>().ok()?),
         }
     }
 }
@@ -285,6 +291,9 @@ mod tests {
         assert_eq!(Rate::parse("disabled"), Some(Rate::Disabled));
         assert_eq!(Rate::parse("-5"), None);
         assert_eq!(Rate::parse("abc"), None);
+        for infinite in ["inf", "infinity", "1e999", "NaN"] {
+            assert_eq!(Rate::parse(infinite), None, "{infinite}");
+        }
     }
 
     #[test]

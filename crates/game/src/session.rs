@@ -552,7 +552,7 @@ mod tests {
         let stats = Arc::new(StatsCollector::new(clock, &["T"]));
         let db = bp_storage::Database::new(bp_storage::Personality::test());
         let rec = Arc::new(SpanRecorder::new(ObsConfig::default()));
-        rec.record(Span {
+        rec.offer(Span {
             trace_id: bp_obs::trace_id(42, 0),
             seq: 0,
             submitted_us: 0,

@@ -3,22 +3,25 @@
 //! Counters say *that* p99 rose; the journal says *what happened right
 //! before* — a phase transition, an SLO decision, a chaos fault arming, a
 //! breaker trip, a WAL rotation. Every layer emits [`Event`]s into one
-//! lock-sharded, fixed-capacity ring; the doctor ([`crate::doctor`]) and
-//! `GET /events` read them back aligned with the telemetry timeline.
+//! fixed-capacity ring; the doctor ([`crate::doctor`]) and `GET /events`
+//! read them back aligned with the telemetry timeline.
 //!
 //! Cost model mirrors the chaos gate: when the journal is disabled the
 //! emit probe is a single relaxed load and a branch (< 5 ns, asserted by
 //! the `event_overhead` bench), and [`EventJournal::emit_with`] takes a
 //! closure so message formatting is never paid on the disabled path. When
-//! enabled, an emit takes one uncontended shard lock and writes one ring
-//! slot; old events are overwritten, flight-recorder style.
+//! enabled, an emit takes the one ring's lock and overwrites the oldest
+//! event, flight-recorder style. Emits are rare: control-plane events, and
+//! on the request path only wait-die victims under contention. One ring,
+//! not one per thread slot, so an event (the chaos arm behind a storm, say)
+//! outlives every storm shorter than the whole capacity.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use bp_util::json::Json;
 use bp_util::ring::Ring;
-use bp_util::sync::{thread_slot, CachePadded, Mutex};
+use bp_util::sync::Mutex;
 
 use crate::registry::{MetricsBuf, MetricsSource};
 
@@ -167,18 +170,13 @@ fn flatten(s: &str) -> String {
         .collect()
 }
 
-/// Shards of the journal's ring. Events come from any thread (workers,
-/// the engine, control loops) at whatever rate a chaos storm drives, so
-/// emitters spread over a few locks by their thread slot.
-pub(crate) const SHARDS: usize = 8;
-
-/// The lock-sharded event ring. See the module docs for the design.
+/// The event ring. See the module docs for the design.
 pub struct EventJournal {
     /// The gate: disabled journals cost one relaxed load per emit probe.
     enabled: AtomicBool,
-    /// Global sequence counter; also the emitted-total metric.
-    seq: AtomicU64,
-    shards: Vec<CachePadded<Mutex<Ring<Event>>>>,
+    /// Retained events in `seq` order: an event's `seq` is the ring's
+    /// write count, taken under this lock.
+    ring: Mutex<Ring<Event>>,
 }
 
 impl EventJournal {
@@ -190,14 +188,9 @@ impl EventJournal {
         EventJournal::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// A journal of about `capacity` events (at least 16 per shard).
+    /// A journal of `capacity` events.
     pub fn with_capacity(capacity: usize) -> EventJournal {
-        let per_shard = (capacity / SHARDS).max(16);
-        EventJournal {
-            enabled: AtomicBool::new(true),
-            seq: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| CachePadded::new(Mutex::new(Ring::new(per_shard)))).collect(),
-        }
+        EventJournal { enabled: AtomicBool::new(true), ring: Mutex::new(Ring::new(capacity)) }
     }
 
     /// A journal that starts disabled (for overhead benches and for
@@ -256,41 +249,37 @@ impl EventJournal {
         message: String,
         fields: Vec<(&'static str, String)>,
     ) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let event = Event {
+        let mut ring = self.ring.lock();
+        let seq = ring.written() + 1;
+        ring.push(Event {
             seq,
-            ts_us: now_us(),
+            ts_us: journal_now_us(),
             severity,
             source: Name::Borrowed(source),
             kind: Name::Borrowed(kind),
             message,
             fields: fields.into_iter().map(|(k, v)| (Name::Borrowed(k), v)).collect(),
-        };
-        self.shards[thread_slot() % SHARDS].lock().push(event);
+        });
     }
 
     /// Total events ever emitted (including ones since overwritten).
     pub fn emitted(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.ring.lock().written()
     }
 
     /// Events lost to ring overwrites.
     pub fn overwritten(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().overwritten()).sum()
+        self.ring.lock().overwritten()
     }
 
     /// The most recent `n` retained events at or above `min_severity`,
-    /// oldest first (globally ordered by seq).
+    /// oldest first.
     pub fn recent(&self, n: usize, min_severity: Severity) -> Vec<Event> {
-        let mut all: Vec<Event> = Vec::new();
-        for s in &self.shards {
-            all.extend(s.lock().iter().filter(|e| e.severity >= min_severity).cloned());
-        }
-        all.sort_by_key(|e| e.seq);
-        if all.len() > n {
-            all.drain(..all.len() - n);
-        }
-        all
+        let ring = self.ring.lock();
+        let mut newest: Vec<Event> =
+            ring.iter().rev().filter(|e| e.severity >= min_severity).take(n).cloned().collect();
+        newest.reverse();
+        newest
     }
 
     /// All retained events, oldest first.
@@ -328,10 +317,6 @@ impl MetricsSource for EventJournal {
 /// telemetry sensor can stamp samples on the *same* axis as events — the
 /// doctor's causal-event matching depends on that alignment.
 pub fn journal_now_us() -> u64 {
-    now_us()
-}
-
-fn now_us() -> u64 {
     use std::sync::OnceLock;
     use std::time::Instant;
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
@@ -459,6 +444,29 @@ mod tests {
             json.get("fields").and_then(|f| f.get("workload")).and_then(Json::as_str),
             Some("voter")
         );
+    }
+
+    /// A quiet thread's event outlives a storm from a thread whose slot
+    /// shares its residue mod 8 — the slot a per-thread shard would have
+    /// given both.
+    #[test]
+    fn a_storm_on_one_thread_keeps_another_threads_event() {
+        let j = std::sync::Arc::new(EventJournal::new());
+        let on_slot = |slot: usize, events: usize, kind: &'static str| {
+            let j = j.clone();
+            std::thread::spawn(move || {
+                bp_util::sync::set_thread_slot(slot);
+                for _ in 0..events {
+                    j.emit(Severity::Warn, "chaos", kind, "storm");
+                }
+            })
+            .join()
+            .unwrap();
+        };
+        on_slot(11, 1, "chaos_armed");
+        on_slot(3, 1_000, "deadlock_victim");
+        assert_eq!(j.all().iter().filter(|e| e.kind == "chaos_armed").count(), 1);
+        assert_eq!(j.overwritten(), 0);
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!   system (client-side statistics, storage-engine counters, control-loop
 //!   status, span stage histograms). Sources implement
 //!   [`MetricsSource`]; the registry renders the union in Prometheus text
-//!   exposition format for `GET /metrics`.
+//!   exposition format for `GET /metrics`, and [`parse_samples`] reads
+//!   that text back exactly — the one codec every exposition reader uses.
 //!
-//! PR 7 adds the black-box layer on top:
+//! The black-box layer on top:
 //!
-//! * [`EventJournal`] — a lock-sharded ring of structured control-plane
+//! * [`EventJournal`] — one bounded ring of structured control-plane
 //!   [`Event`]s (phase changes, SLO decisions, chaos arms, breaker trips,
 //!   deadlock victims, WAL rotations…), behind a <5ns disarmed gate.
 //! * [`TelemetryRecorder`] — a background sampler that snapshots the
@@ -41,8 +42,8 @@ pub use doctor::{diagnose, Bottleneck, Finding};
 pub use journal::{journal_now_us, Event, EventJournal, Severity};
 pub use recorder::{Report, TelemetryRecorder, TelemetrySample};
 pub use registry::{
-    escape_label_value, merge_samples, render_samples, Exemplar, MetricValue, MetricsBuf,
-    MetricsRegistry, MetricsSource, Sample,
+    escape_label_value, merge_samples, parse_samples, render_samples, Exemplar, MetricValue,
+    MetricsBuf, MetricsRegistry, MetricsSource, Sample, BUCKETS, LATENCY_BOUNDS_US,
 };
 pub use span::{
     add_commit_us, add_lock_wait_us, current_trace, format_stage_line, format_trace_id,

@@ -611,13 +611,9 @@ impl SpanRecorder {
         self.tail_evicted.load(Ordering::Relaxed)
     }
 
-    /// Record one span into the calling thread's shard, retained whatever
-    /// the mode. One uncontended lock, four histogram bumps, one ring-slot
+    /// Count `span` in the calling thread's shard and, when `keep`, retain
+    /// it there. One uncontended lock, four histogram bumps, one ring-slot
     /// write; no allocation.
-    pub fn record(&self, span: Span) {
-        self.write(span, true);
-    }
-
     fn write(&self, span: Span, keep: bool) {
         let overwrote = {
             let mut sh = self.shards[thread_slot() % self.shards.len()].lock();
@@ -890,7 +886,7 @@ mod tests {
         let r = SpanRecorder::new(ObsConfig { ring_capacity: 64, ..ObsConfig::default() });
         assert_eq!(r.capacity(), 64);
         for i in 0..100 {
-            r.record(span(i, 0));
+            r.offer(span(i, 0));
         }
         assert_eq!(r.recorded(), 100);
         assert_eq!(r.overwritten(), 36);
@@ -907,7 +903,7 @@ mod tests {
     fn recent_caps_at_n() {
         let r = SpanRecorder::new(ObsConfig::default());
         for i in 0..50 {
-            r.record(span(i, 0));
+            r.offer(span(i, 0));
         }
         let recent = r.recent(10);
         assert_eq!(recent.len(), 10);
@@ -928,10 +924,10 @@ mod tests {
     fn phase_summaries_grouped() {
         let r = SpanRecorder::new(ObsConfig::default());
         for i in 0..10 {
-            r.record(span(i, 0));
+            r.offer(span(i, 0));
         }
         for i in 10..30 {
-            r.record(span(i, 1));
+            r.offer(span(i, 1));
         }
         let phases = r.phase_summaries();
         assert_eq!(phases.len(), 2);
@@ -943,7 +939,7 @@ mod tests {
     #[test]
     fn summary_line_mentions_all_stages() {
         let r = SpanRecorder::new(ObsConfig::default());
-        r.record(span(1, 0));
+        r.offer(span(1, 0));
         let line = r.summary_line();
         for stage in Stage::ALL {
             assert!(line.contains(stage.name()), "{line}");
@@ -1072,7 +1068,7 @@ mod tests {
     fn sampled_overwrite_counts_eviction_but_full_does_not() {
         let full = SpanRecorder::new(ObsConfig { ring_capacity: 64, ..ObsConfig::default() });
         for i in 0..100 {
-            full.record(span(i, 0));
+            full.offer(span(i, 0));
         }
         assert_eq!(full.tail_evicted(), 0, "full-mode wraparound is not an eviction");
         let cfg = ObsConfig { mode: SpanMode::Sampled, sample_ratio: 1.0, ring_capacity: 64 };
@@ -1137,7 +1133,7 @@ mod tests {
                     bp_util::sync::set_thread_slot(w as usize);
                     // Writer 0 writes 10, writer 1 writes 40, writer 2 writes 60.
                     for i in 0..[10, 40, 60][w as usize] {
-                        r.record(span(w * 1_000 + i, 0));
+                        r.offer(span(w * 1_000 + i, 0));
                     }
                 })
             })
@@ -1160,7 +1156,7 @@ mod tests {
     fn find_trace_locates_retained_span() {
         let r = SpanRecorder::new(ObsConfig::default());
         for i in 0..50 {
-            r.record(span(i, 0));
+            r.offer(span(i, 0));
         }
         let want = trace_id(42, 17);
         let found = r.find_trace(want).expect("span retained");
@@ -1177,7 +1173,7 @@ mod tests {
                 let r = r.clone();
                 std::thread::spawn(move || {
                     for i in 0..500u64 {
-                        r.record(span(t * 1000 + i, 0));
+                        r.offer(span(t * 1000 + i, 0));
                     }
                 })
             })

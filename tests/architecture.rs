@@ -236,13 +236,15 @@ fn reachability_rule_flags_a_planted_fixture() {
 /// `<cluster>`'s coordinator and heartbeat). Likewise
 /// there is one bounded ring (`bp_util::ring`): its arithmetic appears
 /// nowhere else, and only the sharded stores read a thread's shard slot.
+/// And the exposition is read in one place: only the registry, which
+/// renders it and parses it back, spells out its syntax.
 #[test]
 fn background_threads_go_through_periodic() {
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
-    const MAY_READ_SLOT: [&str; 4] =
-        ["util/src/sync.rs", "core/src/stats.rs", "obs/src/span.rs", "obs/src/journal.rs"];
+    const MAY_READ_SLOT: [&str; 3] = ["util/src/sync.rs", "core/src/stats.rs", "obs/src/span.rs"];
     const RING_ARITHMETIC: [&str; 2] = ["written %", "fn ordered("];
-    const RETIRED: [&str; 13] = [
+    const EXPOSITION_SYNTAX: [&str; 2] = ["\"# TYPE", "_bucket\""];
+    const RETIRED: [&str; 17] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
@@ -250,6 +252,9 @@ fn background_threads_go_through_periodic() {
         // AIMD, and `<cluster>` is its `<node>`.
         "RetryBudget", "ResilienceConfig", "ControlLaw", "deadline_us", "queue_limit",
         "ClusterMemberConfig",
+        // One exposition codec: no JSON twin of the samples and the route
+        // that served it, one set of histogram bounds, one journal ring.
+        "AgentRoutes", "cluster/snapshot", "histogram_with_bounds", "journal_shards",
     ];
 
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
@@ -274,6 +279,12 @@ fn background_threads_go_through_periodic() {
         }
         if code.contains("thread_slot()") {
             assert!(MAY_READ_SLOT.contains(&&*rel), "{rel} reads a thread slot outside the sharded stores");
+        }
+        for syntax in EXPOSITION_SYNTAX {
+            assert!(
+                rel == "obs/src/registry.rs" || !code.contains(syntax),
+                "{rel} reads or writes the exposition (`{syntax}`) instead of using bp_obs's codec"
+            );
         }
         for arithmetic in RING_ARITHMETIC {
             assert!(

@@ -1,13 +1,13 @@
 //! Observability end to end: a live run's spans and counters flow into the
 //! unified registry, and a real `std::net` HTTP client scrapes `/metrics`
-//! (Prometheus text, every line parsed) and `/trace/spans` (JSONL).
+//! (Prometheus text, parsed by `parse_samples`) and `/trace/spans` (JSONL).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use benchpress::api::{http_request_text, ApiServer};
 use benchpress::core::{Phase, PhaseScript, Rate, RunConfig};
-use benchpress::obs::MetricsRegistry;
+use benchpress::obs::{parse_samples, render_samples, MetricValue, MetricsRegistry, Sample};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
 use benchpress::util::clock::wall_clock;
@@ -34,101 +34,55 @@ fn finished_run() -> (Arc<ApiServer>, benchpress::core::Controller) {
     (api, controller)
 }
 
-/// Parse the exposition strictly: every line must be a well-formed HELP /
-/// TYPE comment or a `name[{labels}] value` sample whose family was
-/// declared. Returns family name → type.
-fn parse_prometheus(text: &str) -> (HashMap<String, String>, Vec<String>) {
-    let mut families: HashMap<String, String> = HashMap::new();
-    let mut sample_lines = Vec::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            assert!(rest.split_whitespace().count() >= 2, "HELP without text: {line}");
-        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            let name = it.next().expect("TYPE name");
-            let ty = it.next().expect("TYPE kind");
-            assert!(
-                matches!(ty, "counter" | "gauge" | "histogram"),
-                "unknown metric type: {line}"
-            );
-            assert!(
-                families.insert(name.to_string(), ty.to_string()).is_none(),
-                "family {name} declared twice"
-            );
-        } else {
-            assert!(!line.starts_with('#'), "unknown comment form: {line}");
-            // OpenMetrics exemplar suffix: `... <count> # {trace_id="<hex>"} <value>`.
-            // Validate and strip it before parsing the sample proper; only
-            // histogram bucket lines may carry one.
-            let line = match line.split_once(" # ") {
-                Some((sample, exemplar)) => {
-                    assert!(
-                        line.contains("_bucket"),
-                        "exemplar on a non-bucket line: {line}"
-                    );
-                    let rest = exemplar
-                        .strip_prefix("{trace_id=\"")
-                        .unwrap_or_else(|| panic!("malformed exemplar in: {line}"));
-                    let (id, val) = rest
-                        .split_once("\"} ")
-                        .unwrap_or_else(|| panic!("unterminated exemplar in: {line}"));
-                    assert!(
-                        !id.is_empty()
-                            && id.len() <= 16
-                            && id.chars().all(|c| c.is_ascii_hexdigit()),
-                        "exemplar trace id must be 1-16 hex digits in: {line}"
-                    );
-                    let v: f64 =
-                        val.parse().unwrap_or_else(|_| panic!("bad exemplar value in: {line}"));
-                    assert!(v.is_finite(), "non-finite exemplar value in: {line}");
-                    sample
+/// A family's type on a parsed page.
+fn kind(samples: &[Sample], family: &str) -> Option<&'static str> {
+    samples.iter().find(|s| s.name == family).map(|s| match s.value {
+        MetricValue::Counter(_) => "counter",
+        MetricValue::Gauge(_) => "gauge",
+        MetricValue::Histogram { .. } => "histogram",
+    })
+}
+
+/// Scrape `/metrics` and parse it with the one codec: the page must parse
+/// and re-render byte for byte. The codec carries ±∞ and NaN faithfully; a
+/// live page must hold none, nor an empty HELP, a bad name or a trace id
+/// that is not 1-16 hex digits.
+fn scrape(addr: std::net::SocketAddr) -> (Vec<Sample>, String) {
+    let (status, text) = http_request_text(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    let samples = parse_samples(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    assert_eq!(render_samples(&samples), text, "the page re-renders byte for byte");
+    for s in &samples {
+        assert!(!s.help.is_empty(), "HELP without text: {s:?}");
+        let name_ok = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+        assert!(s.name.chars().all(name_ok), "bad metric name: {s:?}");
+        match &s.value {
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => {
+                assert!(v.is_finite(), "non-finite value: {s:?}")
+            }
+            MetricValue::Histogram { sum, exemplars, .. } => {
+                assert!(sum.is_finite(), "non-finite histogram sum: {s:?}");
+                for e in exemplars {
+                    assert!(e.value.is_finite(), "non-finite exemplar value: {s:?}");
+                    let id = &e.trace_id;
+                    let hex = id.chars().all(|c| c.is_ascii_hexdigit());
+                    assert!(!id.is_empty() && id.len() <= 16 && hex, "trace id: {s:?}");
                 }
-                None => line,
-            };
-            let (name_labels, value) =
-                line.rsplit_once(' ').unwrap_or_else(|| panic!("no value in: {line}"));
-            let v: f64 = value.parse().unwrap_or_else(|_| panic!("bad value in: {line}"));
-            assert!(v.is_finite(), "non-finite value in: {line}");
-            let name = match name_labels.split_once('{') {
-                Some((n, labels)) => {
-                    assert!(labels.ends_with('}'), "unterminated labels in: {line}");
-                    for kv in labels[..labels.len() - 1].split("\",") {
-                        let kv = kv.trim_end_matches('"');
-                        assert!(kv.contains("=\""), "malformed label `{kv}` in: {line}");
-                    }
-                    n
-                }
-                None => name_labels,
-            };
-            assert!(
-                name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-                "bad metric name in: {line}"
-            );
-            let base = name
-                .strip_suffix("_bucket")
-                .or_else(|| name.strip_suffix("_sum"))
-                .or_else(|| name.strip_suffix("_count"))
-                .filter(|b| families.get(*b).map(String::as_str) == Some("histogram"))
-                .unwrap_or(name);
-            assert!(families.contains_key(base), "sample without TYPE: {line}");
-            sample_lines.push(line.to_string());
+            }
         }
     }
-    (families, sample_lines)
+    (samples, text)
 }
 
 #[test]
 fn metrics_scrape_covers_every_silo() {
     let (api, controller) = finished_run();
     let guard = api.serve_http("127.0.0.1:0").unwrap();
-    let (status, text) = http_request_text(guard.addr(), "GET", "/metrics", None).unwrap();
-    assert_eq!(status, 200);
-    assert!(!text.is_empty());
-
-    let (families, samples) = parse_prometheus(&text);
+    let (samples, text) = scrape(guard.addr());
+    let labelled = |family: &str, key: &str, value: &str| {
+        let has = |s: &Sample| s.labels.iter().any(|l| l.0 == key && l.1 == value);
+        samples.iter().any(|s| s.name == family && has(s))
+    };
 
     // Client stats: per-txn-type outcome counters + latency histograms.
     for f in [
@@ -137,19 +91,13 @@ fn metrics_scrape_covers_every_silo() {
         "bp_client_failed_total",
         "bp_client_retries_total",
     ] {
-        assert_eq!(families.get(f).map(String::as_str), Some("counter"), "{f}");
+        assert_eq!(kind(&samples, f), Some("counter"), "{f}");
     }
-    assert_eq!(families.get("bp_client_latency_us").map(String::as_str), Some("histogram"));
+    assert_eq!(kind(&samples, "bp_client_latency_us"), Some("histogram"));
     // Voter has a single transaction type; the commit counter must carry
     // its name as the `type` label.
-    assert!(
-        samples.iter().any(|l| l.starts_with("bp_client_committed_total{type=\"Vote\"")),
-        "expected per-type commit counters:\n{text}"
-    );
-    assert!(
-        samples.iter().any(|l| l.starts_with("bp_client_user_aborted_total{type=\"Vote\"")),
-        "expected per-type abort counters:\n{text}"
-    );
+    assert!(labelled("bp_client_committed_total", "type", "Vote"), "per-type commits:\n{text}");
+    assert!(labelled("bp_client_user_aborted_total", "type", "Vote"), "per-type aborts:\n{text}");
 
     // Server engine counters: every ServerMetrics field.
     for f in [
@@ -158,57 +106,38 @@ fn metrics_scrape_covers_every_silo() {
         "buf_misses", "wal_bytes", "wal_fsyncs", "fsync_us", "busy_us",
     ] {
         let name = format!("bp_server_{f}_total");
-        assert_eq!(families.get(&name).map(String::as_str), Some("counter"), "{name}");
+        assert_eq!(kind(&samples, &name), Some("counter"), "{name}");
     }
     for f in ["bp_server_active_txns", "bp_server_buf_hit_ratio"] {
-        assert_eq!(families.get(f).map(String::as_str), Some("gauge"), "{f}");
+        assert_eq!(kind(&samples, f), Some("gauge"), "{f}");
     }
 
     // Registry self-identification: every scrape carries the build identity
     // and process uptime.
-    assert_eq!(families.get("bp_build_info").map(String::as_str), Some("gauge"));
-    assert!(
-        samples
-            .iter()
-            .any(|l| l.starts_with("bp_build_info{") && l.contains("version=\"") && l.ends_with(" 1")),
-        "bp_build_info must carry identity labels with value 1:\n{text}"
-    );
-    assert_eq!(families.get("bp_uptime_seconds").map(String::as_str), Some("gauge"));
+    let build = samples.iter().find(|s| s.name == "bp_build_info").expect("bp_build_info");
+    assert_eq!(build.value, MetricValue::Gauge(1.0));
+    assert!(build.labels.iter().any(|l| l.0 == "version"), "identity labels: {build:?}");
+    assert_eq!(kind(&samples, "bp_uptime_seconds"), Some("gauge"));
 
     // The run's event journal is registered as a source too.
-    assert_eq!(families.get("bp_events_emitted_total").map(String::as_str), Some("counter"));
+    assert_eq!(kind(&samples, "bp_events_emitted_total"), Some("counter"));
 
-    // Span stages: one histogram per lifecycle stage, with +Inf buckets,
-    // _sum and _count.
-    assert_eq!(families.get("bp_stage_latency_us").map(String::as_str), Some("histogram"));
+    // Span stages: one histogram series per lifecycle stage.
+    assert_eq!(kind(&samples, "bp_stage_latency_us"), Some("histogram"));
     for stage in ["queue", "lock", "exec", "commit"] {
-        let bucket = format!("bp_stage_latency_us_bucket{{stage=\"{stage}\"");
-        assert!(samples.iter().any(|l| l.starts_with(&bucket)), "missing {bucket}");
-        assert!(
-            samples
-                .iter()
-                .any(|l| l.starts_with(&bucket) && l.contains("le=\"+Inf\"")),
-            "missing +Inf bucket for stage {stage}"
-        );
+        assert!(labelled("bp_stage_latency_us", "stage", stage), "missing stage {stage}");
     }
-    for suffix in ["_sum", "_count"] {
-        assert!(
-            samples.iter().any(|l| l.starts_with(&format!("bp_stage_latency_us{suffix}"))),
-            "missing bp_stage_latency_us{suffix}"
-        );
-    }
-    assert_eq!(families.get("bp_spans_recorded_total").map(String::as_str), Some("counter"));
+    assert_eq!(kind(&samples, "bp_spans_recorded_total"), Some("counter"));
 
     // The scraped commit counter agrees with the run's own stats.
     let committed = controller.status().committed;
     assert!(committed > 0);
-    let server_commits: f64 = samples
-        .iter()
-        .find(|l| l.starts_with("bp_server_commits_total "))
-        .and_then(|l| l.rsplit_once(' ').unwrap().1.parse().ok())
-        .expect("bp_server_commits_total sample");
+    let commits = samples.iter().find(|s| s.name == "bp_server_commits_total");
+    let Some(MetricValue::Counter(server_commits)) = commits.map(|s| &s.value) else {
+        panic!("no bp_server_commits_total counter:\n{text}");
+    };
     assert!(
-        server_commits >= committed as f64,
+        *server_commits >= committed as f64,
         "server commits {server_commits} < client committed {committed}"
     );
 }
@@ -263,21 +192,15 @@ fn label_values_escape_and_round_trip_over_scrape() {
     reg.register("nasty", Arc::new(Nasty));
     let api = Arc::new(ApiServer::new().with_registry(reg));
     let guard = api.serve_http("127.0.0.1:0").unwrap();
-    let (status, text) = http_request_text(guard.addr(), "GET", "/metrics", None).unwrap();
-    assert_eq!(status, 200);
-    // The whole exposition stays line-parseable despite the hostile value.
-    parse_prometheus(&text);
-    let line = text
-        .lines()
-        .find(|l| l.starts_with("bp_test_nasty_total{"))
-        .expect("nasty sample rendered");
-    assert!(line.contains(&escape_label_value(NASTY)), "not escaped at push time: {line}");
+    // The whole exposition stays parseable despite the hostile value.
+    let (samples, text) = scrape(guard.addr());
+    let nasty = samples.iter().find(|s| s.name == "bp_test_nasty_total").expect("nasty sample");
+    let value = &nasty.labels[0].1;
+    assert_eq!(*value, escape_label_value(NASTY), "not escaped at push time:\n{text}");
 
-    // Un-escaping the rendered label value returns the original exactly.
-    let start = line.find("v=\"").unwrap() + 3;
-    let end = line.rfind('"').unwrap();
+    // Un-escaping the scraped label value returns the original exactly.
     let mut unescaped = String::new();
-    let mut chars = line[start..end].chars();
+    let mut chars = value.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
             unescaped.push(c);
@@ -287,15 +210,15 @@ fn label_values_escape_and_round_trip_over_scrape() {
             Some('\\') => unescaped.push('\\'),
             Some('"') => unescaped.push('"'),
             Some('n') => unescaped.push('\n'),
-            other => panic!("bad escape sequence \\{other:?} in: {line}"),
+            other => panic!("bad escape sequence \\{other:?} in: {value}"),
         }
     }
     assert_eq!(unescaped, NASTY, "label value must round-trip through the scrape");
 }
 
 #[test]
-fn histogram_with_bounds_is_cumulative_and_nan_free() {
-    use benchpress::obs::{MetricValue, MetricsBuf};
+fn histogram_is_cumulative_and_nan_free() {
+    use benchpress::obs::MetricsBuf;
     use benchpress::util::histogram::Histogram;
 
     let mut h = Histogram::latency();
@@ -303,35 +226,26 @@ fn histogram_with_bounds_is_cumulative_and_nan_free() {
         h.record(v);
     }
     let mut buf = MetricsBuf::new();
-    buf.histogram_with_bounds("bp_test_hist", "probe", &[], &h, &[10, 100, 1_000, 10_000]);
+    buf.histogram("bp_test_hist", "probe", &[], &h);
+    buf.histogram("bp_test_empty", "probe", &[], &Histogram::latency());
     let samples = buf.into_samples();
-    let MetricValue::Histogram { buckets, sum, count } = &samples[0].value else {
+    let MetricValue::Histogram { buckets, sum, .. } = &samples[0].value else {
         panic!("expected a histogram sample");
     };
-    // Cumulative counts never decrease across increasing bounds.
-    for w in buckets.windows(2) {
-        assert!(w[0].0 < w[1].0, "bounds must increase: {buckets:?}");
-        assert!(w[0].1 <= w[1].1, "cumulative counts must be monotone: {buckets:?}");
-    }
-    // The +Inf bucket equals the total count, including values past the
-    // last finite bound.
-    let (inf_bound, inf_count) = buckets.last().unwrap();
-    assert!(inf_bound.is_infinite());
-    assert_eq!(*inf_count, h.count());
-    assert_eq!(*count, h.count());
+    // Cumulative counts never decrease, and the +Inf bucket is the total
+    // count, values past the last finite bound included.
+    assert!(buckets.windows(2).all(|w| w[0] <= w[1]), "not cumulative: {buckets:?}");
+    assert_eq!(buckets.last(), Some(&h.count()));
     assert!(sum.is_finite());
 
     // An empty histogram renders count=0 with a finite (zero) sum — no NaN
     // may ever reach the exposition.
-    let mut buf = MetricsBuf::new();
-    buf.histogram_with_bounds("bp_test_empty", "probe", &[], &Histogram::latency(), &[10, 100]);
-    let samples = buf.into_samples();
-    let MetricValue::Histogram { buckets, sum, count } = &samples[0].value else {
+    let MetricValue::Histogram { buckets, sum, .. } = &samples[1].value else {
         panic!("expected a histogram sample");
     };
-    assert_eq!(*count, 0);
     assert_eq!(*sum, 0.0, "empty histogram must not render a NaN sum");
-    assert!(buckets.iter().all(|(_, c)| *c == 0));
+    assert!(buckets.iter().all(|c| *c == 0));
+    assert!(!render_samples(&samples).contains("NaN"));
 }
 
 #[test]
@@ -374,23 +288,24 @@ fn trace_spans_jsonl_over_http() {
 fn metric_exemplars_resolve_to_trace_detail_over_http() {
     let (api, _controller) = finished_run();
     let guard = api.serve_http("127.0.0.1:0").unwrap();
-    let (status, text) = http_request_text(guard.addr(), "GET", "/metrics", None).unwrap();
-    assert_eq!(status, 200);
-    // Exemplars survive the strict parse (which validates their syntax).
-    parse_prometheus(&text);
+    // Exemplars survive the strict parse.
+    let (samples, text) = scrape(guard.addr());
 
     // The latency histograms carry at least one trace-id exemplar after a
     // full-span run.
-    let exemplar_line = text
-        .lines()
-        .find(|l| {
-            (l.starts_with("bp_client_latency_us_bucket")
-                || l.starts_with("bp_stage_latency_us_bucket"))
-                && l.contains(" # {trace_id=\"")
+    let id = samples
+        .iter()
+        .filter(|s| s.name == "bp_client_latency_us" || s.name == "bp_stage_latency_us")
+        .find_map(|s| match &s.value {
+            MetricValue::Histogram { exemplars, .. } => exemplars.first(),
+            _ => None,
         })
+        .map(|e| e.trace_id.as_str())
         .unwrap_or_else(|| panic!("no exemplar on any latency bucket:\n{text}"));
-    let start = exemplar_line.find("# {trace_id=\"").unwrap() + "# {trace_id=\"".len();
-    let id = &exemplar_line[start..start + exemplar_line[start..].find('"').unwrap()];
+    assert!(
+        !id.is_empty() && id.len() <= 16 && id.chars().all(|c| c.is_ascii_hexdigit()),
+        "exemplar trace id must be 1-16 hex digits: {id}"
+    );
 
     // The printed id resolves to a full per-request stage breakdown: the
     // debugging loop "see a slow bucket on a dashboard, paste the trace id"

@@ -137,11 +137,13 @@ fn http_replay_stays_within_divergence_tolerance() {
     assert!(score <= 0.15, "divergence too high: {score}");
 
     // Replay progress and divergence reach /metrics.
-    let (_, metrics) =
+    let (_, text) =
         benchpress::api::http_request_text(guard.addr(), "GET", "/metrics", None).unwrap();
-    assert!(metrics.contains("bp_replay_fed_total"), "{metrics}");
-    assert!(metrics.contains("bp_replay_done 1"), "{metrics}");
-    assert!(metrics.contains("bp_replay_divergence_score"), "{metrics}");
+    let metrics = benchpress::obs::parse_samples(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    let value = |name: &str| metrics.iter().find(|s| s.name == name).map(|s| &s.value);
+    assert!(value("bp_replay_fed_total").is_some(), "{text}");
+    assert_eq!(value("bp_replay_done"), Some(&benchpress::obs::MetricValue::Gauge(1.0)), "{text}");
+    assert!(value("bp_replay_divergence_score").is_some(), "{text}");
 
     // While nothing is running a second POST is accepted; a 409 is only for
     // an in-flight replay (covered by unit tests). Instead verify the

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use benchpress::api::{http_request, http_request_text, ApiServer};
 use benchpress::chaos::{ChaosController, FaultKind, FaultPlan, FaultWindow};
 use benchpress::core::{BreakerState, Phase, PhaseScript, Rate, RunConfig};
-use benchpress::obs::MetricsRegistry;
+use benchpress::obs::{parse_samples, MetricValue, MetricsRegistry};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality, Value};
 use benchpress::util::clock::wall_clock;
@@ -284,22 +284,23 @@ fn breaker_opens_sheds_and_recloses_over_http() {
     // The serialized view: /metrics carries all three series.
     let (status, text) = http_request_text(guard.addr(), "GET", "/metrics", None).unwrap();
     assert_eq!(status, 200);
+    let samples = parse_samples(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
     let nonzero = |name: &str| {
-        text.lines().any(|l| {
-            l.starts_with(name)
-                && l.split_whitespace()
-                    .last()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .map(|v| v > 0.0)
-                    .unwrap_or(false)
+        samples.iter().any(|s| {
+            let value = match s.value {
+                MetricValue::Counter(v) | MetricValue::Gauge(v) => v,
+                MetricValue::Histogram { .. } => 0.0,
+            };
+            s.name == name && value > 0.0
         })
     };
     assert!(nonzero("bp_chaos_injected_total"), "{text}");
     assert!(nonzero("bp_resilience_shed_total"), "{text}");
     assert!(nonzero("bp_client_shed_total"), "{text}");
+    let breaker = [("workload".to_string(), "voter".to_string())];
     assert!(
-        text.contains("bp_resilience_breaker_state{workload=\"voter\"}"),
+        samples.iter().any(|s| s.name == "bp_resilience_breaker_state" && s.labels == breaker),
         "breaker gauge missing"
     );
-    assert!(nonzero("bp_chaos_armed") || text.contains("bp_chaos_armed"), "armed gauge missing");
+    assert!(samples.iter().any(|s| s.name == "bp_chaos_armed"), "armed gauge missing");
 }
