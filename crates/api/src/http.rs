@@ -315,7 +315,8 @@ mod tests {
         let queue = Arc::new(RequestQueue::new(clock.clone()));
         let stats = Arc::new(StatsCollector::new(clock, &["T"]));
         let db = Database::new(Personality::test());
-        let c = Controller::new(state, queue, stats, db, types, "w");
+        let spans = Arc::new(bp_obs::SpanRecorder::new(bp_obs::ObsConfig::default()));
+        let c = Controller::new(state, queue, stats, spans, db, types, "w");
         let s = Arc::new(ApiServer::new());
         s.register("w", c);
         s
@@ -359,7 +360,8 @@ mod tests {
         let queue = Arc::new(RequestQueue::new(clock.clone()));
         let stats = Arc::new(StatsCollector::new(clock, &["T"]));
         let db = Database::new(Personality::test());
-        let c = Controller::new(state, queue, stats, db, types, "w");
+        let spans = Arc::new(bp_obs::SpanRecorder::new(bp_obs::ObsConfig::default()));
+        let c = Controller::new(state, queue, stats, spans, db, types, "w");
         let reg = Arc::new(bp_obs::MetricsRegistry::new());
         let s = Arc::new(ApiServer::new().with_registry(reg));
         s.register("w", c);

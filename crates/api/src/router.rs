@@ -778,14 +778,11 @@ impl ApiServer {
         {
             let map = self.workloads.read();
             for (id, c) in map.iter() {
-                if let Some(rec) = c.spans() {
-                    spans.extend(
-                        rec.recent(usize::MAX)
-                            .into_iter()
-                            .filter(|s| filters.matches(s))
-                            .map(|s| (id.clone(), s)),
-                    );
-                }
+                spans.extend(
+                    (c.spans().recent(usize::MAX).into_iter())
+                        .filter(|s| filters.matches(s))
+                        .map(|s| (id.clone(), s)),
+                );
             }
         }
         spans.sort_by_key(|(_, s)| (s.end_us, s.seq));
@@ -807,8 +804,8 @@ impl ApiServer {
         let map = self.workloads.read();
         let items: Vec<Json> = map
             .iter()
-            .filter_map(|(id, c)| {
-                let rec = c.spans()?;
+            .map(|(id, c)| {
+                let rec = c.spans();
                 let stages = rec.stage_summaries();
                 let stages_json = Json::Arr(
                     stages
@@ -824,15 +821,13 @@ impl ApiServer {
                         })
                         .collect(),
                 );
-                Some(
-                    Json::obj()
-                        .set("id", id.as_str())
-                        .set("mode", rec.mode().name())
-                        .set("spans", rec.recorded())
-                        .set("overwritten", rec.overwritten())
-                        .set("line", rec.summary_line())
-                        .set("stages", stages_json),
-                )
+                Json::obj()
+                    .set("id", id.as_str())
+                    .set("mode", rec.mode().name())
+                    .set("spans", rec.recorded())
+                    .set("overwritten", rec.overwritten())
+                    .set("line", rec.summary_line())
+                    .set("stages", stages_json)
             })
             .collect();
         Response::ok(Json::obj().set("workloads", Json::Arr(items)))
@@ -850,7 +845,7 @@ impl ApiServer {
             );
         };
         let found = self.workloads.read().iter().find_map(|(wid, c)| {
-            let span = c.spans()?.find_trace(id)?;
+            let span = c.spans().find_trace(id)?;
             Some((wid.clone(), span, c.clone()))
         });
         let Some((wid, span, c)) = found else {
@@ -1099,7 +1094,8 @@ mod tests {
         let queue = Arc::new(RequestQueue::new(clock.clone()));
         let stats = Arc::new(StatsCollector::new(clock, &["Read", "Write"]));
         let db = Database::new(Personality::test());
-        Controller::new(state, queue, stats, db, types, "demo")
+        let spans = Arc::new(bp_obs::SpanRecorder::new(bp_obs::ObsConfig::default()));
+        Controller::new(state, queue, stats, spans, db, types, "demo")
     }
 
     fn server() -> ApiServer {
@@ -1422,12 +1418,12 @@ mod tests {
         assert_eq!(r.status, 501, "no registry, no /metrics");
     }
 
-    use bp_obs::{MetricsRegistry, ObsConfig, Span, SpanOutcome, SpanRecorder};
+    use bp_obs::{MetricsRegistry, Span, SpanOutcome};
 
     fn controller_with_spans() -> Controller {
-        let rec = Arc::new(SpanRecorder::new(ObsConfig::default()));
+        let c = controller();
         for seq in 0..3u64 {
-            rec.offer(Span {
+            c.spans().offer(Span {
                 trace_id: bp_obs::trace_id(42, seq),
                 seq,
                 submitted_us: seq * 100,
@@ -1442,7 +1438,7 @@ mod tests {
                 outcome: if seq == 2 { SpanOutcome::Failed } else { SpanOutcome::Committed },
             });
         }
-        controller().with_spans(rec)
+        c
     }
 
     #[test]
@@ -1703,13 +1699,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_endpoints_without_recorder_are_empty() {
+    fn trace_endpoints_over_an_empty_recorder_are_empty() {
         let s = ApiServer::new();
-        s.register("demo", controller()); // no span recorder attached
+        s.register("demo", controller()); // its recorder holds no span
         let r = s.handle(&Request::get("/trace/spans?last=5"));
         assert_eq!(r.raw.unwrap().1, "");
         let r = s.handle(&Request::get("/trace/summary"));
-        assert!(r.body.get("workloads").unwrap().as_arr().unwrap().is_empty());
+        let workloads = r.body.get("workloads").unwrap().as_arr().unwrap().to_vec();
+        assert_eq!(workloads.len(), 1, "{workloads:?}");
+        assert_eq!(workloads[0].get("spans").and_then(Json::as_u64), Some(0));
     }
 
     #[test]

@@ -223,8 +223,8 @@ impl Fleet {
     /// Start the fleet and wait until every node has joined. Each node
     /// runs `cfg` under its own name.
     pub fn start(n: usize, setup: &Setup, cfg: &RunConfig) -> Fleet {
-        let coordinator =
-            ClusterCoordinator::new(CoordinatorConfig { heartbeat: Fleet::HEARTBEAT });
+        let heartbeat = CoordinatorConfig { heartbeat: Fleet::HEARTBEAT };
+        let coordinator = ClusterCoordinator::new(heartbeat, wall_clock());
         let registry = Arc::new(MetricsRegistry::new());
         registry.register("cluster", coordinator.clone());
         coordinator.set_registry(registry.clone());

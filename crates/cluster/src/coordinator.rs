@@ -8,18 +8,23 @@
 //! * sweeps the [`MembershipTable`] (joined → suspect → dead on missed
 //!   heartbeats), journaling `node_suspect` / `node_dead`;
 //! * re-splits the global rate across survivors whenever the live set or
-//!   the global rate changes (`rate_resplit`), pushing each share to the
-//!   owning agent;
+//!   the global rate changes (`rate_resplit`); each agent picks its share
+//!   up from the response to its next heartbeat;
 //! * flags stragglers — one live node whose windowed p99 dominates the
 //!   median of its peers (`node_straggler`, picked up by bp-doctor);
 //! * when armed, feeds the *merged* windowed latency across the fleet to
 //!   the same [`bp_core::SloCore`] law a node runs and applies its
 //!   decisions to the global rate (`cluster_slo`).
+//!
+//! The detector does no I/O and reads time only from the injected clock, so
+//! a test can drive it exactly in virtual time. The only calls the
+//! coordinator makes to agents are operator fan-outs (pause, resume, stop,
+//! mixture, chaos, trace lookup, metrics).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bp_api::http::{http_request_text_timeout, http_request_timeout};
 use bp_api::router::{query_param, RouteExtension};
@@ -29,15 +34,15 @@ use bp_obs::{
     merge_samples, parse_samples, render_samples, EventJournal, MetricsBuf, MetricsRegistry,
     MetricsSource, Sample, Severity,
 };
+use bp_util::clock::SharedClock;
 use bp_util::json::Json;
 use bp_util::sync::Mutex;
 use bp_util::Periodic;
 
 use crate::member::{Admission, MembershipTable, NodeState, NodeWindow};
 
-/// Fan-out calls must never stall the detector behind a dead peer: a
-/// coordinator tick is ~hundreds of ms, so give each agent call a fraction
-/// of that.
+/// How long one call between coordinator and agent may take: an agent's
+/// heartbeat, or one node's part of an operator fan-out.
 pub const FANOUT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A fan-out's HTTP client: `http_request_timeout` for JSON bodies,
@@ -84,29 +89,43 @@ pub struct ClusterCoordinator {
     journal: Arc<EventJournal>,
     /// Own registry, folded into `GET /cluster/metrics` alongside agents.
     registry: Mutex<Option<Arc<MetricsRegistry>>>,
-    origin: Instant,
+    clock: SharedClock,
     heartbeat_us: u64,
     heartbeats_total: AtomicU64,
     resplits_total: AtomicU64,
     stragglers_total: AtomicU64,
 }
 
-fn window_from_json(j: &Json) -> NodeWindow {
-    NodeWindow {
-        count: j.get("count").and_then(Json::as_u64).unwrap_or(0),
-        p50_us: j.get("p50_us").and_then(Json::as_u64).unwrap_or(0),
-        p99_us: j.get("p99_us").and_then(Json::as_u64).unwrap_or(0),
-        throughput: j.get("throughput").and_then(Json::as_f64).unwrap_or(0.0),
-        slow_trace: j
-            .get("slow_trace")
-            .and_then(Json::as_str)
+/// A heartbeat's `window`, strictly: each numeric field must be present
+/// and parse, or the beat is refused naming it — a garbled `p99_us` read as
+/// 0 would report a healthy node and steer the fleet loop up.
+fn window_from_json(j: &Json) -> Result<NodeWindow, String> {
+    let refuse = |name: &str, what: &str| format!("window.{name} must be {what}");
+    let int = |name: &str| {
+        j.get(name).and_then(Json::as_u64).ok_or_else(|| refuse(name, "an integer >= 0"))
+    };
+    let slow_trace = match j.get("slow_trace") {
+        None => 0,
+        Some(v) => v
+            .as_str()
             .and_then(bp_obs::parse_trace_id)
-            .unwrap_or(0),
-    }
+            .ok_or_else(|| refuse("slow_trace", "a trace id of 1-16 hex digits"))?,
+    };
+    Ok(NodeWindow {
+        count: int("count")?,
+        p50_us: int("p50_us")?,
+        p99_us: int("p99_us")?,
+        throughput: (j.get("throughput").and_then(Json::as_f64))
+            .filter(|t| t.is_finite() && *t >= 0.0)
+            .ok_or_else(|| refuse("throughput", "a finite number >= 0"))?,
+        slow_trace,
+    })
 }
 
 impl ClusterCoordinator {
-    pub fn new(cfg: CoordinatorConfig) -> Arc<ClusterCoordinator> {
+    /// `clock` is the membership clock — the detector's only source of
+    /// time, as `bp_core::start`'s is the executor's.
+    pub fn new(cfg: CoordinatorConfig, clock: SharedClock) -> Arc<ClusterCoordinator> {
         let heartbeat_us = cfg.heartbeat.as_micros().max(1) as u64;
         Arc::new(ClusterCoordinator {
             membership: Mutex::new(MembershipTable::new(heartbeat_us)),
@@ -115,7 +134,7 @@ impl ClusterCoordinator {
             slo_last_tick_us: AtomicU64::new(0),
             journal: Arc::new(EventJournal::new()),
             registry: Mutex::new(None),
-            origin: Instant::now(),
+            clock,
             heartbeat_us,
             heartbeats_total: AtomicU64::new(0),
             resplits_total: AtomicU64::new(0),
@@ -140,25 +159,27 @@ impl ClusterCoordinator {
         *self.registry.lock() = Some(registry);
     }
 
-    /// Microseconds since coordinator start — the membership clock.
+    /// The membership clock's time, in microseconds.
     pub fn now_us(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
+        self.clock.now()
     }
 
-    /// Set the fleet-wide rate: split across live agents by observed
-    /// capacity and push each share out. Returns the split.
+    /// Set the fleet-wide rate and split it across live agents by observed
+    /// capacity. Returns the split; each agent runs its share from its next
+    /// heartbeat on.
     pub fn set_global_rate(&self, tps: f64) -> Vec<(String, f64)> {
         *self.global_rate.lock() = Some(tps);
-        self.resplit_and_fanout("operator")
+        self.resplit("operator")
     }
 
     pub fn global_rate(&self) -> Option<f64> {
         *self.global_rate.lock()
     }
 
-    /// Re-split the current global rate across live members and push each
-    /// share to its agent. No-op (empty) until a global rate is set.
-    fn resplit_and_fanout(&self, reason: &'static str) -> Vec<(String, f64)> {
+    /// Re-split the current global rate across live members and store each
+    /// share, which the member's next heartbeat response carries. No-op
+    /// (empty) until a global rate is set. Dials no agent.
+    fn resplit(&self, reason: &'static str) -> Vec<(String, f64)> {
         let Some(global) = *self.global_rate.lock() else {
             return Vec::new();
         };
@@ -182,13 +203,6 @@ impl ClusterCoordinator {
                 ],
             )
         });
-        let share = |id: &str| split.iter().find(|(sid, _)| sid == id).map_or(0.0, |(_, r)| *r);
-        self.fan_out(
-            None,
-            "POST",
-            |id| (format!("/workloads/{id}/rate"), Some(Json::obj().set("tps", share(id)))),
-            http_request_timeout,
-        );
         split
     }
 
@@ -250,7 +264,7 @@ impl ClusterCoordinator {
             });
         }
         if transitions.iter().any(|(_, state)| *state == NodeState::Dead) {
-            self.resplit_and_fanout("node_dead");
+            self.resplit("node_dead");
         }
         self.straggler_check();
         self.slo_tick(now);
@@ -299,7 +313,7 @@ impl ClusterCoordinator {
 
     /// One SLO control step once a tick period has passed: fold the live
     /// nodes' heartbeat windows into one observation, let the law decide,
-    /// and push a changed rate to the fleet.
+    /// and re-split a changed rate.
     fn slo_tick(&self, now: u64) {
         let Some(cfg) = self.slo.config() else { return };
         if now.saturating_sub(self.slo_last_tick_us.load(Ordering::Relaxed)) < cfg.tick_us {
@@ -342,7 +356,7 @@ impl ClusterCoordinator {
         }
         if self.global_rate() != Some(d.rate) {
             *self.global_rate.lock() = Some(d.rate);
-            self.resplit_and_fanout("slo");
+            self.resplit("slo");
         }
     }
 
@@ -360,7 +374,10 @@ impl ClusterCoordinator {
 
     // ---- route handlers -------------------------------------------------
 
-    fn join(&self, req: &Request) -> Response {
+    /// `POST /cluster/heartbeat {node, addr, window}`: the one message an
+    /// agent sends. The first beat from an unknown id is its join; the
+    /// response carries the node's rate share once a global rate is set.
+    fn heartbeat(&self, req: &Request) -> Response {
         let body = req.body.clone().unwrap_or(Json::Null);
         let Some(node) = body.get("node").and_then(Json::as_str) else {
             return Response::error(400, "body must contain node");
@@ -368,57 +385,29 @@ impl ClusterCoordinator {
         let Some(addr) = body.get("addr").and_then(Json::as_str) else {
             return Response::error(400, "body must contain addr (host:port)");
         };
-        let addr: SocketAddr = match addr.parse() {
-            Ok(a) => a,
-            Err(_) => return Response::error(400, &format!("invalid addr {addr}")),
+        let Ok(addr) = addr.parse::<SocketAddr>() else {
+            return Response::error(400, &format!("invalid addr {addr}"));
         };
-        let now = self.now_us();
-        let admission = self.membership.lock().join(node, addr, now);
-        let node_owned = node.to_string();
-        self.journal.emit_with(Severity::Info, "cluster", "node_join", || {
-            let verb = match admission {
-                Admission::New => "joined",
-                Admission::Rejoined => "rejoined",
-                Admission::Refreshed => "re-registered",
-            };
-            (format!("node {node_owned} {verb} from {addr}"), vec![("node", node_owned.clone())])
-        });
-        if admission != Admission::Refreshed {
-            self.resplit_and_fanout("node_join");
-        }
-        let assigned =
-            self.membership.lock().get(node).map(|m| m.assigned_rate).unwrap_or(0.0);
-        Response::ok(
-            Json::obj()
-                .set("node", node)
-                .set("heartbeat_ms", self.heartbeat_us / 1_000)
-                .set("assigned_rate", assigned),
-        )
-    }
-
-    fn heartbeat(&self, req: &Request) -> Response {
-        let body = req.body.clone().unwrap_or(Json::Null);
-        let Some(node) = body.get("node").and_then(Json::as_str) else {
-            return Response::error(400, "body must contain node");
+        let window = match body.get("window").map(window_from_json).transpose() {
+            Ok(window) => window.unwrap_or_default(),
+            Err(e) => return Response::error(400, &e),
         };
-        let window = body.get("window").map(window_from_json).unwrap_or_default();
-        let now = self.now_us();
         self.heartbeats_total.fetch_add(1, Ordering::Relaxed);
-        let admission = self.membership.lock().heartbeat(node, window, now);
-        if admission == Admission::Rejoined {
-            let node_owned = node.to_string();
+        let admission = self.membership.lock().heartbeat(node, addr, window, self.now_us());
+        let joined = match admission {
+            Admission::New => Some(("joined", "node_join")),
+            Admission::Rejoined => Some(("rejoined", "node_rejoin")),
+            Admission::Refreshed => None,
+        };
+        if let Some((verb, reason)) = joined {
             self.journal.emit_with(Severity::Info, "cluster", "node_join", || {
-                (
-                    format!("node {node_owned} resumed heartbeating; back in the live set"),
-                    vec![("node", node_owned.clone())],
-                )
+                (format!("node {node} {verb} from {addr}"), vec![("node", node.to_string())])
             });
-            self.resplit_and_fanout("node_rejoin");
+            self.resplit(reason);
         }
-        let assigned =
-            self.membership.lock().get(node).map(|m| m.assigned_rate).unwrap_or(0.0);
         let mut resp = Json::obj().set("node", node);
         if self.global_rate.lock().is_some() {
+            let assigned = self.membership.lock().get(node).map_or(0.0, |m| m.assigned_rate);
             resp = resp.set("assigned_rate", assigned);
         }
         Response::ok(resp)
@@ -637,7 +626,7 @@ impl ClusterCoordinator {
             reg.register("slo:cluster", self.slo.clone());
         }
         *self.global_rate.lock() = Some(self.slo.current_rate());
-        self.resplit_and_fanout("slo_arm");
+        self.resplit("slo_arm");
         self.slo_status()
     }
 
@@ -666,7 +655,6 @@ impl RouteExtension for ClusterCoordinator {
         let path = path.trim_matches('/');
         let parts: Vec<&str> = if path.is_empty() { Vec::new() } else { path.split('/').collect() };
         let resp = match (req.method, parts.as_slice()) {
-            (Method::Post, ["cluster", "join"]) => self.join(req),
             (Method::Post, ["cluster", "heartbeat"]) => self.heartbeat(req),
             (Method::Get, ["cluster", "status"]) => self.status(),
             (Method::Get, ["cluster", "metrics"]) => self.merged_metrics(),
@@ -733,7 +721,7 @@ impl MetricsSource for ClusterCoordinator {
         );
         buf.counter(
             "bp_cluster_resplits_total",
-            "Rate re-splits pushed to the fleet.",
+            "Re-splits of the global rate across the live nodes.",
             &[],
             self.resplits_total.load(Ordering::Relaxed) as f64,
         );

@@ -7,14 +7,15 @@
 //!
 //! * **Agent** ([`start_agent`]) — the familiar single-node stack
 //!   (workload + [`bp_core::Controller`] + [`bp_api::ApiServer`]) that
-//!   joins a coordinator, heartbeats its windowed latency/throughput, and
-//!   applies the rate share it is assigned. It serves nothing
-//!   cluster-specific.
+//!   heartbeats its address and windowed latency/throughput — the first
+//!   heartbeat is its join — and applies the rate share each response
+//!   carries. It serves nothing cluster-specific.
 //! * **Coordinator** ([`ClusterCoordinator`]) — the membership authority.
 //!   It tracks agents through a joined → suspect → dead missed-heartbeat
 //!   state machine ([`MembershipTable`]), splits the fleet-wide rate by
-//!   observed per-node capacity, fans control commands (rate, mixture,
-//!   pause/resume/stop, chaos, SLO) out to live agents' own routes, merges
+//!   observed per-node capacity (each node pulls its share with its next
+//!   heartbeat), fans operator commands (mixture, pause/resume/stop, chaos)
+//!   out to live agents' own routes, merges
 //!   the `GET /metrics` pages they serve (read through
 //!   [`bp_obs::parse_samples`]) into one deduped Prometheus exposition on
 //!   `GET /cluster/metrics`, and can run the node's SLO loop

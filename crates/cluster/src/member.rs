@@ -5,7 +5,7 @@
 //! OLTP-Bench's one-driver-per-node deployments):
 //!
 //! ```text
-//!            join / heartbeat            heartbeat
+//!           first heartbeat            heartbeat
 //!   (new) ───────────────────▶ Joined ◀───────────── Suspect
 //!                                │   missed > 1 interval │
 //!                                └───────────────────────┘
@@ -15,8 +15,8 @@
 //! ```
 //!
 //! All transitions are computed against caller-supplied timestamps so the
-//! state machine is deterministic under test; the coordinator feeds it real
-//! monotonic time.
+//! state machine is deterministic under test; the coordinator feeds it the
+//! time of its injected clock.
 
 use std::net::SocketAddr;
 
@@ -63,7 +63,7 @@ pub struct Member {
     /// The agent's control API address (its own `ApiServer` over HTTP).
     pub addr: SocketAddr,
     pub state: NodeState,
-    /// Coordinator-clock timestamp of the last join/heartbeat.
+    /// Coordinator-clock timestamp of the last heartbeat.
     pub last_seen_us: u64,
     /// This node's share of the global rate (tx/s).
     pub assigned_rate: f64,
@@ -79,9 +79,8 @@ pub struct Member {
 /// few heartbeats.
 const WEIGHT_EMA_ALPHA: f64 = 0.3;
 
-/// Outcome of [`MembershipTable::heartbeat`] /
-/// [`MembershipTable::join`] — tells the coordinator which journal event
-/// to emit.
+/// Outcome of [`MembershipTable::heartbeat`] — tells the coordinator
+/// which journal event to emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// First time this node id was seen.
@@ -105,21 +104,21 @@ impl MembershipTable {
         MembershipTable { members: Vec::new(), heartbeat_interval_us: heartbeat_interval_us.max(1) }
     }
 
-    /// Register (or revive) a node. Keeps members sorted by id so status
-    /// output and splits are deterministic.
-    pub fn join(&mut self, id: &str, addr: SocketAddr, now_us: u64) -> Admission {
-        match self.members.iter_mut().find(|m| m.id == id) {
-            Some(m) => {
-                let was = m.state;
-                m.addr = addr;
-                m.state = NodeState::Joined;
-                m.last_seen_us = now_us;
-                if was == NodeState::Joined {
-                    Admission::Refreshed
-                } else {
-                    Admission::Rejoined
-                }
-            }
+    /// Record a heartbeat — the only message an agent sends. The first one
+    /// from an unknown id admits the node; every one refreshes its address
+    /// (an agent restarted on a new port is found there) and its capacity
+    /// weight, the EMA of the reported window throughput. Members stay
+    /// sorted by id so status output and splits are deterministic.
+    pub fn heartbeat(
+        &mut self,
+        id: &str,
+        addr: SocketAddr,
+        window: NodeWindow,
+        now_us: u64,
+    ) -> Admission {
+        let admission = match self.members.iter_mut().find(|m| m.id == id) {
+            Some(m) if m.state == NodeState::Joined => Admission::Refreshed,
+            Some(_) => Admission::Rejoined,
             None => {
                 self.members.push(Member {
                     id: id.to_string(),
@@ -134,27 +133,11 @@ impl MembershipTable {
                 self.members.sort_by(|a, b| a.id.cmp(&b.id));
                 Admission::New
             }
-        }
-    }
-
-    /// Record a heartbeat. Unknown nodes are treated as an implicit join
-    /// (the coordinator may have restarted and lost the table). Updates the
-    /// capacity weight from the reported window throughput.
-    pub fn heartbeat(&mut self, id: &str, window: NodeWindow, now_us: u64) -> Admission {
-        let admission = match self.members.iter().position(|m| m.id == id) {
-            Some(_) => {
-                let m = self.members.iter_mut().find(|m| m.id == id).unwrap();
-                let was = m.state;
-                m.state = NodeState::Joined;
-                m.last_seen_us = now_us;
-                if was == NodeState::Joined { Admission::Refreshed } else { Admission::Rejoined }
-            }
-            None => {
-                // Placeholder address; the next explicit join fixes it.
-                self.join(id, "127.0.0.1:0".parse().unwrap(), now_us)
-            }
         };
         let m = self.members.iter_mut().find(|m| m.id == id).unwrap();
+        m.addr = addr;
+        m.state = NodeState::Joined;
+        m.last_seen_us = now_us;
         m.heartbeats += 1;
         m.window = window;
         if window.count > 0 {
@@ -218,35 +201,27 @@ impl MembershipTable {
     }
 
     /// Split `global_rate` across live members, weighted by observed
-    /// capacity. Nodes with no throughput history yet get an equal share of
-    /// whatever the weighted nodes don't claim — in practice: all-equal at
-    /// startup, fully proportional once every node has reported.
+    /// capacity. A node with no throughput history yet counts at the mean
+    /// weight of the weighted ones — all-equal at startup, and a node that
+    /// joins an experienced fleet gets an average share, not 0 (with 0 it
+    /// would complete nothing and its weight would never grow).
     ///
     /// Returns `(id, rate)` pairs in id order and stores each share on the
     /// member. Dead nodes keep their stale `assigned_rate` for forensics
     /// but receive nothing.
     pub fn split_rate(&mut self, global_rate: f64) -> Vec<(String, f64)> {
-        let live_ids: Vec<String> =
-            self.members.iter().filter(|m| m.state != NodeState::Dead).map(|m| m.id.clone()).collect();
-        if live_ids.is_empty() {
-            return Vec::new();
-        }
-        let total_weight: f64 = self
-            .members
-            .iter()
-            .filter(|m| m.state != NodeState::Dead)
-            .map(|m| m.weight)
-            .sum();
-        let n = live_ids.len() as f64;
-        let mut out = Vec::with_capacity(live_ids.len());
+        let weighted: Vec<f64> =
+            self.live().iter().map(|m| m.weight).filter(|w| *w > 0.0).collect();
+        let fresh = match weighted.len() {
+            0 => 1.0,
+            n => weighted.iter().sum::<f64>() / n as f64,
+        };
+        let weight = |m: &Member| if m.weight > 0.0 { m.weight } else { fresh };
+        let total: f64 = self.live().into_iter().map(weight).sum();
+        let mut out = Vec::new();
         for m in self.members.iter_mut().filter(|m| m.state != NodeState::Dead) {
-            let share = if total_weight > f64::EPSILON {
-                global_rate * (m.weight / total_weight)
-            } else {
-                global_rate / n
-            };
-            m.assigned_rate = share;
-            out.push((m.id.clone(), share));
+            m.assigned_rate = global_rate * weight(m) / total;
+            out.push((m.id.clone(), m.assigned_rate));
         }
         out
     }
@@ -262,11 +237,15 @@ mod tests {
 
     const HB: u64 = 100_000; // 100ms heartbeat interval
 
+    fn beat(t: &mut MembershipTable, id: &str, port: u16, now_us: u64) -> Admission {
+        t.heartbeat(id, addr(port), NodeWindow::default(), now_us)
+    }
+
     #[test]
     fn join_heartbeat_suspect_dead_rejoin() {
         let mut t = MembershipTable::new(HB);
-        assert_eq!(t.join("a", addr(1), 0), Admission::New);
-        assert_eq!(t.join("a", addr(1), 10), Admission::Refreshed);
+        assert_eq!(beat(&mut t, "a", 1, 0), Admission::New);
+        assert_eq!(beat(&mut t, "a", 1, 10), Admission::Refreshed);
 
         // Within one interval: still joined.
         assert!(t.sweep(HB).is_empty());
@@ -283,7 +262,7 @@ mod tests {
         assert!(t.live().is_empty());
 
         // A heartbeat revives it.
-        let adm = t.heartbeat("a", NodeWindow::default(), 3 * HB);
+        let adm = beat(&mut t, "a", 1, 3 * HB);
         assert_eq!(adm, Admission::Rejoined);
         assert_eq!(t.get("a").unwrap().state, NodeState::Joined);
         assert_eq!(t.counts(), (1, 0, 0));
@@ -292,7 +271,7 @@ mod tests {
     #[test]
     fn sweep_reports_each_transition_once() {
         let mut t = MembershipTable::new(HB);
-        t.join("a", addr(1), 0);
+        beat(&mut t, "a", 1, 0);
         assert_eq!(t.sweep(HB + 1).len(), 1);
         // Same state next sweep: no repeated transition.
         assert!(t.sweep(HB + 2).is_empty());
@@ -301,18 +280,22 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_from_unknown_node_is_implicit_join() {
+    fn first_heartbeat_admits_the_node_at_its_address() {
         let mut t = MembershipTable::new(HB);
-        assert_eq!(t.heartbeat("ghost", NodeWindow::default(), 5), Admission::New);
-        assert_eq!(t.get("ghost").unwrap().heartbeats, 1);
+        assert_eq!(beat(&mut t, "ghost", 7, 5), Admission::New);
+        let m = t.get("ghost").unwrap();
+        assert_eq!((m.addr, m.heartbeats, m.state), (addr(7), 1, NodeState::Joined));
+        // A restarted agent beats from a new port: the table follows it.
+        assert_eq!(beat(&mut t, "ghost", 8, 6), Admission::Refreshed);
+        assert_eq!(t.get("ghost").unwrap().addr, addr(8));
     }
 
     #[test]
     fn equal_split_without_capacity_history() {
         let mut t = MembershipTable::new(HB);
-        t.join("a", addr(1), 0);
-        t.join("b", addr(2), 0);
-        t.join("c", addr(3), 0);
+        beat(&mut t, "a", 1, 0);
+        beat(&mut t, "b", 2, 0);
+        beat(&mut t, "c", 3, 0);
         let split = t.split_rate(3_000.0);
         assert_eq!(split.len(), 3);
         for (_, r) in &split {
@@ -323,15 +306,15 @@ mod tests {
     #[test]
     fn capacity_weighted_split_tracks_observed_throughput() {
         let mut t = MembershipTable::new(HB);
-        t.join("a", addr(1), 0);
-        t.join("b", addr(2), 0);
+        beat(&mut t, "a", 1, 0);
+        beat(&mut t, "b", 2, 0);
         // a reports 3x the throughput of b.
         let wa =
             NodeWindow { count: 300, p50_us: 500, p99_us: 2_000, throughput: 300.0, slow_trace: 0 };
         let wb =
             NodeWindow { count: 100, p50_us: 900, p99_us: 9_000, throughput: 100.0, slow_trace: 0 };
-        t.heartbeat("a", wa, 10);
-        t.heartbeat("b", wb, 10);
+        t.heartbeat("a", addr(1), wa, 10);
+        t.heartbeat("b", addr(2), wb, 10);
         let split: Vec<f64> = t.split_rate(1_000.0).into_iter().map(|(_, r)| r).collect();
         assert!((split[0] - 750.0).abs() < 1e-6, "{split:?}");
         assert!((split[1] - 250.0).abs() < 1e-6, "{split:?}");
@@ -341,10 +324,10 @@ mod tests {
     #[test]
     fn dead_nodes_get_no_share() {
         let mut t = MembershipTable::new(HB);
-        t.join("a", addr(1), 0);
-        t.join("b", addr(2), 0);
+        beat(&mut t, "a", 1, 0);
+        beat(&mut t, "b", 2, 0);
         t.sweep(5 * HB); // both dead
-        t.heartbeat("a", NodeWindow::default(), 5 * HB);
+        beat(&mut t, "a", 1, 5 * HB);
         let split = t.split_rate(500.0);
         assert_eq!(split, vec![("a".to_string(), 500.0)]);
         assert_eq!(t.get("b").unwrap().state, NodeState::Dead);
@@ -353,15 +336,32 @@ mod tests {
     #[test]
     fn weight_ema_smooths_noise() {
         let mut t = MembershipTable::new(HB);
-        t.join("a", addr(1), 0);
+        beat(&mut t, "a", 1, 0);
         let w = |tp: f64| NodeWindow { count: 10, p50_us: 1, p99_us: 1, throughput: tp, ..NodeWindow::default() };
-        t.heartbeat("a", w(100.0), 1);
+        t.heartbeat("a", addr(1), w(100.0), 1);
         assert_eq!(t.get("a").unwrap().weight, 100.0);
-        t.heartbeat("a", w(200.0), 2);
+        t.heartbeat("a", addr(1), w(200.0), 2);
         let after = t.get("a").unwrap().weight;
         assert!(after > 100.0 && after < 200.0, "{after}");
         // Empty windows don't poison the estimate.
-        t.heartbeat("a", NodeWindow::default(), 3);
+        beat(&mut t, "a", 1, 3);
         assert_eq!(t.get("a").unwrap().weight, after);
+    }
+
+    /// A node joining an experienced fleet counts at the mean weight of the
+    /// others: weights 100 and 300 make a newcomer 200, so the shares are
+    /// 1/6, 3/6 and 2/6 — not 1/4, 3/4 and a 0 that would never grow.
+    #[test]
+    fn a_node_joining_an_experienced_fleet_gets_the_mean_share() {
+        let mut t = MembershipTable::new(HB);
+        let w = |tp: f64| NodeWindow { count: 10, throughput: tp, ..NodeWindow::default() };
+        t.heartbeat("a", addr(1), w(100.0), 0);
+        t.heartbeat("b", addr(2), w(300.0), 0);
+        beat(&mut t, "c", 3, 0);
+        let split: Vec<f64> = t.split_rate(600.0).into_iter().map(|(_, r)| r).collect();
+        assert_eq!(split.len(), 3);
+        for (got, sixths) in split.iter().zip([1.0, 3.0, 2.0]) {
+            assert!((got - 600.0 * sixths / 6.0).abs() < 1e-9, "{split:?}");
+        }
     }
 }

@@ -1,22 +1,25 @@
 //! End-to-end bp-cluster tests: a real in-process fleet over localhost
-//! sockets, plus deterministic failure-detector and straggler scenarios
-//! driven through the coordinator's route extension directly.
+//! sockets, plus deterministic failure-detector, SLO and straggler
+//! scenarios driven through the coordinator's route extension directly, on
+//! a virtual clock.
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bp_api::router::RouteExtension;
-use bp_api::{http_request, http_request_text, ApiServer, Request};
+use bp_api::{http_request, http_request_text, ApiServer, Request, Response};
 use bp_cluster::{start_agent, AgentConfig, ClusterCoordinator, CoordinatorConfig, NodeState};
 use bp_core::{
     ControlState, Controller, Mixture, Phase, PhaseScript, Rate, RequestQueue,
     RunConfig, RunHandle, SloConfig, SloTarget, StatsCollector, TransactionType, WorkloadConfig,
 };
-use bp_obs::{parse_samples, MetricValue, MetricsRegistry, Sample, Severity};
+use bp_obs::{
+    parse_samples, MetricValue, MetricsRegistry, ObsConfig, Sample, Severity, SpanRecorder,
+};
 use bp_sql::Connection;
 use bp_storage::{Database, Personality};
-use bp_util::clock::{sim_clock, wall_clock};
+use bp_util::clock::{sim_clock, wall_clock, SimClock};
 use bp_util::json::Json;
 use bp_util::rng::Rng;
 use bp_workloads::by_name;
@@ -26,7 +29,7 @@ use bp_workloads::by_name;
 fn coordinator_stack(
     heartbeat: Duration,
 ) -> (Arc<ClusterCoordinator>, bp_api::http::HttpServerGuard, bp_util::Periodic) {
-    let coordinator = ClusterCoordinator::new(CoordinatorConfig { heartbeat });
+    let coordinator = ClusterCoordinator::new(CoordinatorConfig { heartbeat }, wall_clock());
     let registry = Arc::new(MetricsRegistry::new());
     registry.register("cluster", coordinator.clone());
     coordinator.set_registry(registry.clone());
@@ -68,6 +71,57 @@ fn agent_stack(node: &str, coordinator: SocketAddr, heartbeat: Duration) -> Agen
         handle.controller.clone(),
     );
     AgentStack { handle, _api_guard: api_guard, _agent: agent, addr }
+}
+
+/// A coordinator on a virtual clock, driven through its routes: no
+/// sockets, no detector thread, and time moves only when the test says so.
+fn sim_coordinator(heartbeat: Duration) -> (Arc<ClusterCoordinator>, Arc<SimClock>) {
+    let (sim, clock) = sim_clock();
+    (ClusterCoordinator::new(CoordinatorConfig { heartbeat }, clock), sim)
+}
+
+fn post(coordinator: &ClusterCoordinator, path: &str, body: Json) -> Response {
+    coordinator.handle(&Request::post(path, body)).expect("cluster route")
+}
+
+/// A heartbeat from `node` at `addr`, with a latency window when given.
+fn beat_from(
+    coordinator: &ClusterCoordinator,
+    node: &str,
+    addr: &str,
+    window: Option<Json>,
+) -> Response {
+    let body = Json::obj().set("node", node).set("addr", addr);
+    let body = match window {
+        Some(w) => body.set("window", w),
+        None => body,
+    };
+    post(coordinator, "/cluster/heartbeat", body)
+}
+
+/// A heartbeat from a node nothing ever dials in these tests.
+fn beat(coordinator: &ClusterCoordinator, node: &str, window: Option<Json>) -> Response {
+    beat_from(coordinator, node, "127.0.0.1:9", window)
+}
+
+fn window(count: u64, p50_us: u64, p99_us: u64) -> Json {
+    Json::obj()
+        .set("count", count)
+        .set("p50_us", p50_us)
+        .set("p99_us", p99_us)
+        .set("throughput", 100.0)
+}
+
+/// `field` of `node` in `GET /cluster/status`.
+fn node_field(coordinator: &ClusterCoordinator, node: &str, field: &str) -> Json {
+    let status = coordinator.handle(&Request::get("/cluster/status")).unwrap();
+    let nodes = status.body.get("nodes").and_then(Json::as_arr).unwrap().to_vec();
+    let n = nodes.iter().find(|n| n.get("node").and_then(Json::as_str) == Some(node));
+    n.and_then(|n| n.get(field)).cloned().unwrap_or_else(|| panic!("no {field} for {node}"))
+}
+
+fn state_of(coordinator: &ClusterCoordinator, node: &str) -> String {
+    node_field(coordinator, node, "state").as_str().unwrap().to_string()
 }
 
 fn wait_until(deadline: Duration, mut pred: impl FnMut() -> bool) -> bool {
@@ -125,9 +179,16 @@ fn three_agent_fleet_merges_telemetry_and_splits_rate() {
     let total: f64 = split.iter().filter_map(|s| s.get("rate").and_then(Json::as_f64)).sum();
     assert!((total - 600.0).abs() < 1e-6, "split sums to {total}");
 
-    // Agents pick their shares up (heartbeat responses or rate push): each
-    // node runs a positive fraction of the global rate and the fractions
-    // sum to the whole.
+    // The heartbeat carried each agent's address.
+    let (_, status) = http_request(coord_guard.addr(), "GET", "/cluster/status", None).unwrap();
+    let nodes = status.get("nodes").and_then(Json::as_arr).unwrap();
+    for (node, a) in nodes.iter().zip(&fleet) {
+        assert_eq!(node.get("addr").and_then(Json::as_str), Some(a.addr.to_string().as_str()));
+    }
+
+    // Agents pick their shares up from heartbeat responses: each node runs
+    // a positive fraction of the global rate and the fractions sum to the
+    // whole.
     assert!(
         wait_until(Duration::from_secs(10), || {
             let rates: Vec<f64> = fleet
@@ -151,6 +212,19 @@ fn three_agent_fleet_merges_telemetry_and_splits_rate() {
             fleet.iter().all(|a| a.handle.controller.stats().status(60).committed > 0)
         }),
         "no commits on some node"
+    );
+
+    // A global rate of 0 is a share of 0 on every node: the fleet stops
+    // offering load.
+    let stop = Json::obj().set("tps", 0.0);
+    let (status, _) =
+        http_request(coord_guard.addr(), "POST", "/cluster/rate", Some(&stop)).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            fleet.iter().all(|a| a.handle.controller.current_rate() == Rate::Limited(0.0))
+        }),
+        "agents never applied a share of 0"
     );
     for a in &fleet {
         a.handle.controller.stop();
@@ -202,86 +276,177 @@ fn three_agent_fleet_merges_telemetry_and_splits_rate() {
     }
 }
 
+/// Exact failure-detector transitions in virtual time: "a" heartbeats,
+/// "b" goes silent — suspect just past one interval, dead at two — and the
+/// dead node's share moves to the survivor in the survivor's next
+/// heartbeat response.
 #[test]
 fn missed_heartbeats_mark_suspect_then_dead_and_resplit() {
-    // Driven deterministically through the route extension: no sockets, no
-    // real agents — "a" heartbeats, "b" goes silent.
-    let hb = Duration::from_millis(40);
-    let coordinator = ClusterCoordinator::new(CoordinatorConfig { heartbeat: hb });
-    let post = |path: &str, body: Json| {
-        coordinator.handle(&Request::post(path, body)).expect("cluster route")
-    };
-    let join = |node: &str| {
-        post("/cluster/join", Json::obj().set("node", node).set("addr", "127.0.0.1:9"))
-    };
-    assert!(join("a").is_ok());
-    assert!(join("b").is_ok());
-    let r = post("/cluster/rate", Json::obj().set("tps", 100.0));
+    const HB: u64 = 40_000;
+    let (coordinator, sim) = sim_coordinator(Duration::from_micros(HB));
+    assert!(beat(&coordinator, "a", None).is_ok());
+    assert!(beat(&coordinator, "b", None).is_ok());
+    let r = post(&coordinator, "/cluster/rate", Json::obj().set("tps", 100.0));
     assert!(r.is_ok(), "{r:?}");
+    let kinds = || -> Vec<String> {
+        let events = coordinator.journal().recent(usize::MAX, Severity::Debug);
+        events.iter().map(|e| e.kind.to_string()).collect()
+    };
 
-    // Keep "a" fresh for > 2 intervals while "b" stays silent.
-    let end = Instant::now() + 4 * hb;
-    while Instant::now() < end {
-        post("/cluster/heartbeat", Json::obj().set("node", "a"));
-        coordinator.tick();
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // Silent for exactly one interval: still joined.
+    sim.advance_to(HB);
+    beat(&coordinator, "a", None);
     coordinator.tick();
+    assert_eq!(state_of(&coordinator, "b"), NodeState::Joined.name());
+    assert!(!kinds().iter().any(|k| k == "node_suspect"), "{:?}", kinds());
 
-    let status = coordinator.handle(&Request::get("/cluster/status")).unwrap();
-    let state_of = |node: &str| {
-        status
-            .body
-            .get("nodes")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .find(|n| n.get("node").and_then(Json::as_str) == Some(node))
-            .and_then(|n| n.get("state").and_then(Json::as_str).map(str::to_string))
-            .unwrap()
-    };
-    assert_eq!(state_of("a"), NodeState::Joined.name());
-    assert_eq!(state_of("b"), NodeState::Dead.name());
+    // Just past one interval: suspect, and it keeps its share.
+    sim.advance_to(HB + 1);
+    coordinator.tick();
+    assert_eq!(state_of(&coordinator, "b"), NodeState::Suspect.name());
+    assert_eq!(node_field(&coordinator, "b", "assigned_rate").as_f64(), Some(50.0));
 
-    // The dead node's share moved to the survivor.
-    let rate_of = |node: &str| {
-        status
-            .body
-            .get("nodes")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .find(|n| n.get("node").and_then(Json::as_str) == Some(node))
-            .and_then(|n| n.get("assigned_rate").and_then(Json::as_f64))
-            .unwrap()
-    };
-    assert!((rate_of("a") - 100.0).abs() < 1e-6, "survivor has the full rate");
+    // One µs short of two intervals: still suspect.
+    sim.advance_to(2 * HB - 1);
+    beat(&coordinator, "a", None);
+    coordinator.tick();
+    assert_eq!(state_of(&coordinator, "b"), NodeState::Suspect.name());
+
+    // Two intervals: dead, and its share re-split to the survivor.
+    sim.advance_to(2 * HB);
+    coordinator.tick();
+    assert_eq!(state_of(&coordinator, "a"), NodeState::Joined.name());
+    assert_eq!(state_of(&coordinator, "b"), NodeState::Dead.name());
+    assert_eq!(node_field(&coordinator, "a", "assigned_rate").as_f64(), Some(100.0));
+    let r = beat(&coordinator, "a", None);
+    assert_eq!(r.body.get("assigned_rate").and_then(Json::as_f64), Some(100.0), "{r:?}");
 
     let events = coordinator.journal().recent(usize::MAX, Severity::Debug);
-    let kinds: Vec<&str> = events.iter().map(|e| &*e.kind).collect();
-    assert!(kinds.contains(&"node_suspect"), "{kinds:?}");
-    assert!(kinds.contains(&"node_dead"), "{kinds:?}");
-    let dead = events.iter().find(|e| e.kind == "node_dead").unwrap();
-    assert_eq!(dead.field("node"), Some("b"));
+    let of = |kind: &str| events.iter().filter(|e| e.kind == kind).collect::<Vec<_>>();
+    assert_eq!(of("node_suspect").len(), 1, "{:?}", kinds());
+    assert_eq!(of("node_dead").len(), 1, "{:?}", kinds());
+    assert_eq!(of("node_dead")[0].field("node"), Some("b"));
 
     // A fresh heartbeat revives the dead node and re-splits again.
-    post("/cluster/heartbeat", Json::obj().set("node", "b"));
+    let r = beat(&coordinator, "b", None);
+    assert_eq!(r.body.get("assigned_rate").and_then(Json::as_f64), Some(50.0), "{r:?}");
     let status = coordinator.handle(&Request::get("/cluster/status")).unwrap();
     assert_eq!(status.body.get("dead").and_then(Json::as_u64), Some(0));
+}
+
+/// The detector and `/cluster/rate` dial no agent: with a live node whose
+/// address accepts connections but never answers, setting the rate and a
+/// tick that declares another node dead each return at once, where a rate
+/// push would wait out `FANOUT_TIMEOUT` (500 ms) on the mute node.
+#[test]
+fn the_coordinator_does_not_block_on_a_mute_node() {
+    const HB: u64 = 100_000;
+    let mute = TcpListener::bind("127.0.0.1:0").unwrap(); // bound, never accepted
+    let mute_addr = mute.local_addr().unwrap().to_string();
+    let (coordinator, sim) = sim_coordinator(Duration::from_micros(HB));
+    assert!(beat_from(&coordinator, "mute", &mute_addr, None).is_ok());
+    assert!(beat(&coordinator, "b", None).is_ok());
+
+    let t0 = Instant::now();
+    let r = post(&coordinator, "/cluster/rate", Json::obj().set("tps", 200.0));
+    let rate_took = t0.elapsed();
+    assert!(r.is_ok(), "{r:?}");
+
+    sim.advance_to(2 * HB);
+    beat_from(&coordinator, "mute", &mute_addr, None);
+    let t0 = Instant::now();
+    coordinator.tick();
+    let tick_took = t0.elapsed();
+    assert_eq!(state_of(&coordinator, "b"), NodeState::Dead.name());
+    assert_eq!(node_field(&coordinator, "mute", "assigned_rate").as_f64(), Some(200.0));
+
+    assert!(rate_took < Duration::from_millis(50), "POST /cluster/rate took {rate_took:?}");
+    assert!(tick_took < Duration::from_millis(50), "the tick declaring b dead took {tick_took:?}");
+}
+
+/// After `POST /cluster/rate` the next heartbeat response carries each
+/// node's new share — 0 included, which is a share like any other.
+#[test]
+fn one_heartbeat_response_carries_the_share() {
+    let (coordinator, _) = sim_coordinator(Duration::from_millis(100));
+    let r = beat(&coordinator, "a", None);
+    assert_eq!(r.body.get("assigned_rate"), None, "no share before a global rate is set");
+    beat(&coordinator, "b", None);
+    for tps in [600.0, 0.0] {
+        post(&coordinator, "/cluster/rate", Json::obj().set("tps", tps));
+        for node in ["a", "b"] {
+            let r = beat(&coordinator, node, None);
+            assert_eq!(r.body.get("assigned_rate").and_then(Json::as_f64), Some(tps / 2.0));
+        }
+    }
+}
+
+/// A coordinator that never saw a node — it restarted, say — admits it on
+/// its first heartbeat at the address the beat carries, so the fan-outs
+/// reach it: `/cluster/metrics` includes the node's own series.
+#[test]
+fn a_heartbeat_from_an_unknown_node_admits_it_at_its_address() {
+    let agent = Arc::new(ApiServer::new().with_registry(Arc::new(MetricsRegistry::new())));
+    agent.register("n1", bare_controller());
+    let guard = agent.serve_http("127.0.0.1:0").expect("bind agent");
+    let addr = guard.addr().to_string();
+
+    let (coordinator, _) = sim_coordinator(Duration::from_millis(100));
+    assert!(beat_from(&coordinator, "n1", &addr, None).is_ok());
+    assert_eq!(node_field(&coordinator, "n1", "addr").as_str(), Some(addr.as_str()));
+    let events = coordinator.journal().recent(usize::MAX, Severity::Debug);
+    assert!(events.iter().any(|e| e.kind == "node_join" && e.field("node") == Some("n1")));
+
+    // The coordinator has no registry of its own here: every sample in the
+    // merged page came from the agent.
+    let r = coordinator.handle(&Request::get("/cluster/metrics")).unwrap();
+    let (_, text) = r.raw.expect("exposition");
+    let merged = parse_samples(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    assert!(merged.iter().any(|s| s.name == "bp_server_commits_total"), "{text}");
+}
+
+/// A heartbeat's window is read strictly: a field that is present but does
+/// not parse is refused naming it, and the node is not admitted. A beat
+/// without a window is a liveness-only beat.
+#[test]
+fn a_garbled_heartbeat_window_is_refused_naming_the_field() {
+    let (coordinator, _) = sim_coordinator(Duration::from_millis(100));
+    let garbled = [
+        ("p99_us", Json::from("40ms")),
+        ("count", Json::Num(-1.0)),
+        ("p50_us", Json::Num(2.5)),
+        ("throughput", Json::from("fast")),
+        ("slow_trace", Json::from("not-hex")),
+    ];
+    for (field, value) in garbled {
+        let r = beat(&coordinator, "a", Some(window(50, 500, 2_000).set(field, value)));
+        assert_eq!(r.status, 400, "{field}: {r:?}");
+        assert!(r.body.to_string().contains(field), "{field}: {r:?}");
+    }
+    let r = beat(&coordinator, "a", Some(Json::obj().set("count", 50u64)));
+    assert_eq!(r.status, 400, "a window without p50_us/p99_us/throughput: {r:?}");
+    let r = post(&coordinator, "/cluster/heartbeat", Json::obj().set("node", "a"));
+    assert_eq!(r.status, 400, "a heartbeat without addr: {r:?}");
+    let status = coordinator.handle(&Request::get("/cluster/status")).unwrap();
+    assert_eq!(status.body.get("joined").and_then(Json::as_u64), Some(0), "{status:?}");
+
+    assert!(beat(&coordinator, "a", None).is_ok(), "liveness-only beat");
+    assert!(beat(&coordinator, "a", Some(window(50, 500, 2_000))).is_ok());
+    let p99 = node_field(&coordinator, "a", "window").get("p99_us").and_then(Json::as_u64);
+    assert_eq!(p99, Some(2_000));
 }
 
 #[test]
 fn cluster_slo_loop_steers_global_rate_on_merged_latency() {
     // Long heartbeat interval (nobody dies during the test) but a 1ms SLO
-    // tick so the loop acts as soon as we ask it to.
-    let coordinator =
-        ClusterCoordinator::new(CoordinatorConfig { heartbeat: Duration::from_millis(500) });
-    let post = |path: &str, body: Json| coordinator.handle(&Request::post(path, body)).unwrap();
+    // tick so the loop acts as soon as time moves.
+    let (coordinator, sim) = sim_coordinator(Duration::from_millis(500));
     for n in ["a", "b"] {
-        post("/cluster/join", Json::obj().set("node", n).set("addr", "127.0.0.1:9"));
+        beat(&coordinator, n, None);
     }
     // Arm: p99 limit 10ms, AIMD step 50, backoff 0.5, tick every ms.
     let r = post(
+        &coordinator,
         "/cluster/slo",
         Json::obj()
             .set("target", "p99")
@@ -294,32 +459,18 @@ fn cluster_slo_loop_steers_global_rate_on_merged_latency() {
     assert!(r.is_ok(), "{r:?}");
     assert_eq!(r.body.get("active").and_then(Json::as_bool), Some(true));
 
-    let beat = |node: &str, p99: u64| {
-        post(
-            "/cluster/heartbeat",
-            Json::obj().set("node", node).set(
-                "window",
-                Json::obj()
-                    .set("count", 50u64)
-                    .set("p50_us", p99 / 4)
-                    .set("p99_us", p99)
-                    .set("throughput", 100.0),
-            ),
-        );
-    };
-
     // Healthy merged latency: additive increase.
-    beat("a", 2_000);
-    beat("b", 2_000);
-    std::thread::sleep(Duration::from_millis(3));
+    beat(&coordinator, "a", Some(window(50, 500, 2_000)));
+    beat(&coordinator, "b", Some(window(50, 500, 2_000)));
+    sim.advance(1_000);
     coordinator.tick();
     let after_increase = coordinator.global_rate().unwrap();
     assert!((after_increase - 1_050.0).abs() < 1e-6, "{after_increase}");
 
     // Merged p99 blows the limit: multiplicative backoff.
-    beat("a", 40_000);
-    beat("b", 35_000);
-    std::thread::sleep(Duration::from_millis(3));
+    beat(&coordinator, "a", Some(window(50, 10_000, 40_000)));
+    beat(&coordinator, "b", Some(window(50, 8_750, 35_000)));
+    sim.advance(1_000);
     coordinator.tick();
     let after_backoff = coordinator.global_rate().unwrap();
     assert!((after_backoff - after_increase * 0.5).abs() < 1e-6, "{after_backoff}");
@@ -334,7 +485,7 @@ fn cluster_slo_loop_steers_global_rate_on_merged_latency() {
         .handle(&Request { method: bp_api::Method::Delete, path: "/cluster/slo".into(), body: None })
         .unwrap();
     assert_eq!(r.body.get("active").and_then(Json::as_bool), Some(false));
-    std::thread::sleep(Duration::from_millis(3));
+    sim.advance(1_000);
     coordinator.tick();
     assert_eq!(coordinator.global_rate().unwrap(), after_backoff);
 }
@@ -344,12 +495,11 @@ fn cluster_slo_loop_steers_global_rate_on_merged_latency() {
 /// every tick would compound one violation into a collapse.
 #[test]
 fn cluster_slo_decreases_once_until_the_window_has_flushed() {
-    let coordinator =
-        ClusterCoordinator::new(CoordinatorConfig { heartbeat: Duration::from_secs(60) });
-    let post = |path: &str, body: Json| coordinator.handle(&Request::post(path, body)).unwrap();
-    post("/cluster/join", Json::obj().set("node", "a").set("addr", "127.0.0.1:9"));
+    let (coordinator, sim) = sim_coordinator(Duration::from_secs(60));
+    beat(&coordinator, "a", None);
     // A one-second window read every 250 ms has flushed after four ticks.
     let r = post(
+        &coordinator,
         "/cluster/slo",
         Json::obj()
             .set("limit_ms", 10.0)
@@ -359,19 +509,14 @@ fn cluster_slo_decreases_once_until_the_window_has_flushed() {
             .set("tick_ms", 250u64),
     );
     assert!(r.is_ok(), "{r:?}");
-    let window = Json::obj()
-        .set("count", 50u64)
-        .set("p50_us", 10_000u64)
-        .set("p99_us", 40_000u64)
-        .set("throughput", 100.0);
     let decreases = || {
         let status = coordinator.handle(&Request::get("/cluster/slo")).unwrap();
         status.body.get("adjustments").unwrap().get("decrease").and_then(Json::as_u64).unwrap()
     };
     let mut seen = Vec::new();
     for _ in 0..6 {
-        post("/cluster/heartbeat", Json::obj().set("node", "a").set("window", window.clone()));
-        std::thread::sleep(Duration::from_millis(250));
+        beat(&coordinator, "a", Some(window(50, 10_000, 40_000)));
+        sim.advance(250_000);
         coordinator.tick();
         seen.push((decreases(), coordinator.global_rate().unwrap()));
     }
@@ -387,7 +532,8 @@ fn bare_controller() -> Controller {
     let state = ControlState::new(Rate::Limited(100.0), Mixture::default_of(&types), 10_000.0);
     let queue = Arc::new(RequestQueue::new(clock.clone()));
     let stats = Arc::new(StatsCollector::new(clock, &["Read"]));
-    Controller::new(state, queue, stats, Database::new(Personality::test()), types, "demo")
+    let spans = Arc::new(SpanRecorder::new(ObsConfig::default()));
+    Controller::new(state, queue, stats, spans, Database::new(Personality::test()), types, "demo")
 }
 
 /// One table of settings, read three ways: the `<slo>` block of a config
@@ -475,7 +621,7 @@ fn slo_settings_read_the_same_from_xml_node_body_and_fleet_body() {
     let node = ApiServer::new();
     node.register("demo", bare_controller());
     let controller = node.controller("demo").unwrap();
-    let coordinator = ClusterCoordinator::new(CoordinatorConfig::default());
+    let (coordinator, _) = sim_coordinator(CoordinatorConfig::default().heartbeat);
     let fleet = |req: &Request| coordinator.handle(req).unwrap();
     let delete = |path: &str| Request { method: bp_api::Method::Delete, path: path.into(), body: None };
 
@@ -506,27 +652,10 @@ fn slo_settings_read_the_same_from_xml_node_body_and_fleet_body() {
 
 #[test]
 fn straggler_heartbeats_become_doctor_finding() {
-    let coordinator = ClusterCoordinator::new(CoordinatorConfig::default());
-    let post = |path: &str, body: Json| coordinator.handle(&Request::post(path, body)).unwrap();
-    for n in ["a", "b", "c"] {
-        post("/cluster/join", Json::obj().set("node", n).set("addr", "127.0.0.1:9"));
-    }
-    let beat = |node: &str, p99: u64| {
-        post(
-            "/cluster/heartbeat",
-            Json::obj().set("node", node).set(
-                "window",
-                Json::obj()
-                    .set("count", 100u64)
-                    .set("p50_us", 500u64)
-                    .set("p99_us", p99)
-                    .set("throughput", 100.0),
-            ),
-        );
-    };
-    beat("a", 2_000);
-    beat("b", 2_200);
-    beat("c", 30_000); // 13x the median of its peers
+    let (coordinator, _) = sim_coordinator(CoordinatorConfig::default().heartbeat);
+    beat(&coordinator, "a", Some(window(100, 500, 2_000)));
+    beat(&coordinator, "b", Some(window(100, 500, 2_200)));
+    beat(&coordinator, "c", Some(window(100, 500, 30_000))); // 13x the median of its peers
     coordinator.tick();
     coordinator.tick();
 

@@ -198,7 +198,7 @@ pub struct Controller {
     workload_name: String,
     /// Node identity in a bp-cluster fleet ("local" outside one).
     node: String,
-    spans: Option<Arc<bp_obs::SpanRecorder>>,
+    spans: Arc<bp_obs::SpanRecorder>,
     breaker: Option<Arc<bp_chaos::CircuitBreaker>>,
     recorder: Option<Arc<bp_obs::TelemetryRecorder>>,
     /// Persistent SLO-controller state, shared by all clones of this
@@ -214,6 +214,7 @@ impl Controller {
         state: Arc<ControlState>,
         queue: Arc<RequestQueue>,
         stats: Arc<StatsCollector>,
+        spans: Arc<bp_obs::SpanRecorder>,
         db: Arc<Database>,
         types: Vec<TransactionType>,
         workload_name: &str,
@@ -227,7 +228,7 @@ impl Controller {
             types: Arc::new(types),
             workload_name: workload_name.to_string(),
             node: "local".to_string(),
-            spans: None,
+            spans,
             breaker: None,
             recorder: None,
             slo: Arc::new(SloHandle::new(workload_name)),
@@ -247,16 +248,9 @@ impl Controller {
         &self.node
     }
 
-    /// Attach the run's span recorder (builder-style; the executor does
-    /// this so API surfaces can expose `/trace`).
-    pub fn with_spans(mut self, spans: Arc<bp_obs::SpanRecorder>) -> Controller {
-        self.spans = Some(spans);
-        self
-    }
-
-    /// The run's span recorder, if lifecycle tracing is wired up.
-    pub fn spans(&self) -> Option<&Arc<bp_obs::SpanRecorder>> {
-        self.spans.as_ref()
+    /// The run's span recorder (`/trace`; `SpanMode::Off` records nothing).
+    pub fn spans(&self) -> &Arc<bp_obs::SpanRecorder> {
+        &self.spans
     }
 
     /// Attach the run's circuit breaker (builder-style; the executor does
@@ -295,10 +289,10 @@ impl Controller {
     }
 
     /// Register this workload's metrics silos with a unified registry:
-    /// client-side statistics, the storage engine's server counters, and
-    /// (when present) the span recorder's stage histograms. Duplicate
-    /// registration (e.g. two controllers sharing one database) is a no-op
-    /// per source.
+    /// client-side statistics, the storage engine's server counters, the
+    /// span recorder's stage histograms and (when present) the breaker and
+    /// telemetry recorder. Duplicate registration (e.g. two controllers
+    /// sharing one database) is a no-op per source.
     pub fn register_metrics(&self, registry: &bp_obs::MetricsRegistry) {
         registry.register(
             &format!("stats:{}", self.workload_name),
@@ -307,9 +301,7 @@ impl Controller {
         registry.register("server", self.db.metrics().clone());
         registry.register("chaos", self.db.chaos().clone());
         registry.register("recovery", self.db.recovery_stats().clone());
-        if let Some(spans) = &self.spans {
-            registry.register(&format!("spans:{}", self.workload_name), spans.clone());
-        }
+        registry.register(&format!("spans:{}", self.workload_name), self.spans.clone());
         if let Some(breaker) = &self.breaker {
             registry.register(&format!("breaker:{}", self.workload_name), breaker.clone());
         }
@@ -514,7 +506,8 @@ mod tests {
         let queue = Arc::new(RequestQueue::new(clock.clone()));
         let stats = Arc::new(StatsCollector::new(clock, &["r", "w"]));
         let db = Database::new(Personality::test());
-        Controller::new(state, queue, stats, db, types, "test")
+        let spans = Arc::new(bp_obs::SpanRecorder::new(bp_obs::ObsConfig::default()));
+        Controller::new(state, queue, stats, spans, db, types, "test")
     }
 
     #[test]
@@ -585,9 +578,7 @@ mod tests {
     #[test]
     fn register_metrics_wires_all_silos() {
         let reg = bp_obs::MetricsRegistry::new();
-        let c = controller()
-            .with_spans(Arc::new(bp_obs::SpanRecorder::new(bp_obs::ObsConfig::default())));
-        assert!(c.spans().is_some());
+        let c = controller();
         c.register_metrics(&reg);
         assert_eq!(
             reg.source_count(),
@@ -612,8 +603,8 @@ mod tests {
         c.register_metrics(&reg);
         assert_eq!(
             reg.source_count(),
-            6,
-            "stats + server + chaos + recovery + breaker + journal"
+            7,
+            "stats + server + chaos + recovery + spans + breaker + journal"
         );
         let text = reg.render_prometheus();
         assert!(text.contains("bp_resilience_breaker_state"));

@@ -177,12 +177,12 @@ pub fn start_with_source(
         state.clone(),
         queue.clone(),
         stats.clone(),
+        spans.clone(),
         db.clone(),
         types,
         workload.name(),
     )
-    .with_node(&cfg.node)
-    .with_spans(spans.clone());
+    .with_node(&cfg.node);
     if let Some(b) = &breaker {
         controller = controller.with_breaker(b.clone());
     }

@@ -566,7 +566,7 @@ mod tests {
             retries: 0,
             outcome: SpanOutcome::Committed,
         });
-        let c = Controller::new(state, queue, stats, db, ts, "w").with_spans(rec);
+        let c = Controller::new(state, queue, stats, rec, db, ts, "w");
         let api = Arc::new(ApiServer::new());
         api.register("w", c);
         let backend = ApiBackend::new(api, "w");

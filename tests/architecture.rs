@@ -237,14 +237,16 @@ fn reachability_rule_flags_a_planted_fixture() {
 /// there is one bounded ring (`bp_util::ring`): its arithmetic appears
 /// nowhere else, and only the sharded stores read a thread's shard slot.
 /// And the exposition is read in one place: only the registry, which
-/// renders it and parses it back, spells out its syntax.
+/// renders it and parses it back, spells out its syntax. The agent sends
+/// the coordinator one message, the heartbeat, and the coordinator reads
+/// no time but its injected clock's.
 #[test]
 fn background_threads_go_through_periodic() {
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
     const MAY_READ_SLOT: [&str; 3] = ["util/src/sync.rs", "core/src/stats.rs", "obs/src/span.rs"];
     const RING_ARITHMETIC: [&str; 2] = ["written %", "fn ordered("];
     const EXPOSITION_SYNTAX: [&str; 2] = ["\"# TYPE", "_bucket\""];
-    const RETIRED: [&str; 17] = [
+    const RETIRED: [&str; 20] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
@@ -255,7 +257,12 @@ fn background_threads_go_through_periodic() {
         // One exposition codec: no JSON twin of the samples and the route
         // that served it, one set of histogram bounds, one journal ring.
         "AgentRoutes", "cluster/snapshot", "histogram_with_bounds", "journal_shards",
+        // One message each way between agent and coordinator: the heartbeat
+        // is the join, and a share rides only its response.
+        "cluster/join", "join_once", "resplit_and_fanout",
     ];
+    // The coordinator reads time from its injected clock alone.
+    const NO_AMBIENT_TIME: [&str; 2] = ["Instant::now", "SystemTime::now"];
 
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut files = Vec::new();
@@ -284,6 +291,12 @@ fn background_threads_go_through_periodic() {
             assert!(
                 rel == "obs/src/registry.rs" || !code.contains(syntax),
                 "{rel} reads or writes the exposition (`{syntax}`) instead of using bp_obs's codec"
+            );
+        }
+        for now in NO_AMBIENT_TIME {
+            assert!(
+                !rel.starts_with("cluster/src/") || !code.contains(now),
+                "{rel} calls {now} instead of reading the coordinator's injected clock"
             );
         }
         for arithmetic in RING_ARITHMETIC {

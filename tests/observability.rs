@@ -280,7 +280,7 @@ fn trace_spans_jsonl_over_http() {
     let workloads = j.get("workloads").and_then(Json::as_arr).unwrap();
     assert_eq!(workloads.len(), 1);
     let spans = workloads[0].get("spans").and_then(Json::as_u64).unwrap();
-    assert_eq!(spans, controller.spans().unwrap().recorded());
+    assert_eq!(spans, controller.spans().recorded());
     assert!(spans > 0);
 }
 
@@ -342,7 +342,7 @@ fn trace_ids_deterministic_across_identical_runs() {
             ..Default::default()
         };
         let controller = benchpress::core::start(db, workload, wall_clock(), cfg).join();
-        let spans = controller.spans().unwrap().recent(usize::MAX);
+        let spans = controller.spans().recent(usize::MAX);
         assert!(!spans.is_empty());
         spans.into_iter().map(|s| (s.seq, s.trace_id)).collect()
     }
