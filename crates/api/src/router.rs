@@ -1446,7 +1446,11 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         let s = ApiServer::new().with_registry(reg.clone());
         s.register("demo", controller_with_spans());
-        assert_eq!(reg.source_count(), 6, "stats + server + chaos + spans + journal + recovery");
+        assert_eq!(
+            reg.source_count(),
+            7,
+            "stats + queue + server + chaos + spans + journal + recovery"
+        );
         let r = s.handle(&Request::get("/metrics"));
         assert!(r.is_ok());
         let (ctype, text) = r.raw.expect("raw payload");

@@ -289,15 +289,17 @@ impl Controller {
     }
 
     /// Register this workload's metrics silos with a unified registry:
-    /// client-side statistics, the storage engine's server counters, the
-    /// span recorder's stage histograms and (when present) the breaker and
-    /// telemetry recorder. Duplicate registration (e.g. two controllers
-    /// sharing one database) is a no-op per source.
+    /// client-side statistics, the driver's request queue, the storage
+    /// engine's server counters, the span recorder's stage histograms and
+    /// (when present) the breaker and telemetry recorder. Duplicate
+    /// registration (e.g. two controllers sharing one database) is a no-op
+    /// per source.
     pub fn register_metrics(&self, registry: &bp_obs::MetricsRegistry) {
         registry.register(
             &format!("stats:{}", self.workload_name),
             self.stats.clone(),
         );
+        registry.register(&format!("queue:{}", self.workload_name), self.queue.clone());
         registry.register("server", self.db.metrics().clone());
         registry.register("chaos", self.db.chaos().clone());
         registry.register("recovery", self.db.recovery_stats().clone());
@@ -582,13 +584,15 @@ mod tests {
         c.register_metrics(&reg);
         assert_eq!(
             reg.source_count(),
-            6,
-            "stats + server + chaos + recovery + spans + journal"
+            7,
+            "stats + queue + server + chaos + recovery + spans + journal"
         );
         // Re-registering the same controller must not double-count.
         c.register_metrics(&reg);
-        assert_eq!(reg.source_count(), 6);
+        assert_eq!(reg.source_count(), 7);
         let text = reg.render_prometheus();
+        assert!(text.contains("bp_client_response_us_bucket"));
+        assert!(text.contains("bp_driver_gate_waits_total"));
         assert!(text.contains("bp_server_commits_total"));
         assert!(text.contains("bp_stage_latency_us_bucket"));
         assert!(text.contains("bp_chaos_armed"));
@@ -603,8 +607,8 @@ mod tests {
         c.register_metrics(&reg);
         assert_eq!(
             reg.source_count(),
-            7,
-            "stats + server + chaos + recovery + spans + breaker + journal"
+            8,
+            "stats + queue + server + chaos + recovery + spans + breaker + journal"
         );
         let text = reg.render_prometheus();
         assert!(text.contains("bp_resilience_breaker_state"));

@@ -846,9 +846,11 @@ mod tests {
     fn each_terminal_owns_one_shard_of_each_store() {
         let (db, w) = setup();
         let obs = bp_obs::ObsConfig { ring_capacity: 1_000, ..Default::default() };
+        // A backlog keeps all three terminals busy: at a rate one terminal
+        // keeps up with, it is back before each next slot and takes them all.
         let cfg = RunConfig {
             terminals: 3,
-            script: PhaseScript::new(vec![Phase::new(Rate::Limited(300.0), 1.0)]),
+            script: PhaseScript::new(vec![Phase::new(Rate::Unlimited, 1.0)]),
             obs,
             ..Default::default()
         };

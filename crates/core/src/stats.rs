@@ -85,6 +85,9 @@ struct Shard {
     /// All completions regardless of type.
     all_completions: TimeSeries,
     queue_delay: Histogram,
+    /// Scheduled arrival → end: what a paced client saw, queueing included
+    /// (the latency histograms time dequeue → end).
+    response: Histogram,
     requested: TimeSeries,
     /// Per-second latency ring for sliding-window percentiles. Recorded
     /// under the same shard lock as everything else: no new locking on
@@ -98,6 +101,7 @@ impl Shard {
             per_type: (0..num_types).map(|_| PerType::new()).collect(),
             all_completions: TimeSeries::per_second(),
             queue_delay: Histogram::latency(),
+            response: Histogram::latency(),
             requested: TimeSeries::per_second(),
             windowed: WindowedHistogram::new(WINDOW_RING_S),
         }
@@ -113,6 +117,7 @@ impl Shard {
         }
         self.all_completions.merge(&other.all_completions);
         self.queue_delay.merge(&other.queue_delay);
+        self.response.merge(&other.response);
         self.requested.merge(&other.requested);
     }
 }
@@ -233,6 +238,7 @@ impl StatsCollector {
         }
         shard.windowed.record(s.end, latency);
         shard.queue_delay.record(delay);
+        shard.response.record(s.end.saturating_sub(s.arrival));
         shard.all_completions.record(s.end, latency);
         if let Some(pt) = shard.per_type.get_mut(s.txn_type) {
             pt.latency.record(latency);
@@ -319,6 +325,13 @@ impl StatsCollector {
     pub fn queue_delay(&self) -> (u64, u64, u64) {
         let merged = self.merged();
         (merged.queue_delay.p50(), merged.queue_delay.p95(), merged.queue_delay.max())
+    }
+
+    /// Response-time distribution snapshot, scheduled arrival → end (p50,
+    /// p95, max in µs).
+    pub fn response_time(&self) -> (u64, u64, u64) {
+        let h = self.merged().response;
+        (h.p50(), h.p95(), h.max())
     }
 
     pub fn total_completed(&self) -> u64 {
@@ -438,6 +451,12 @@ impl bp_obs::MetricsSource for StatsCollector {
             "Scheduled arrival to dispatch delay in microseconds",
             &[],
             &merged.queue_delay,
+        );
+        buf.histogram(
+            "bp_client_response_us",
+            "Scheduled arrival to completion (response time) in microseconds",
+            &[],
+            &merged.response,
         );
         let now = self.clock.now();
         buf.gauge(
@@ -581,6 +600,29 @@ mod tests {
         });
         let (p50, _, max) = c.queue_delay();
         assert!(p50 >= 4_800 && max >= 4_800);
+    }
+
+    #[test]
+    fn response_time_counts_the_queueing_that_latency_leaves_out() {
+        let (sim, clock) = sim_clock();
+        let c = StatsCollector::new(clock.clone(), &["t"]);
+        // Arrives at 1000, waits 500µs in the queue, is served in 10µs.
+        sim.advance_to(1_500);
+        let start = clock.now();
+        sim.advance(10);
+        c.record(Sample {
+            txn_type: 0,
+            arrival: 1_000,
+            start,
+            end: clock.now(),
+            outcome: RequestOutcome::Committed,
+            retries: 0,
+        });
+        let (p50, _, max) = c.response_time();
+        let close = |v: u64, want: u64| v.abs_diff(want) <= want / 32 + 1;
+        assert!(close(p50, 510) && close(max, 510), "response p50 {p50} max {max}");
+        let latency = c.per_type_summary()[0].mean_us;
+        assert!((latency - 10.0).abs() < 1.0, "latency {latency}");
     }
 
     #[test]

@@ -62,5 +62,7 @@ fn main() {
     println!("\nper-second delivered throughput: {:?}", series.iter().map(|v| *v as i64).collect::<Vec<_>>());
     let (p50, p95, max) = controller.stats().queue_delay();
     println!("queue delay: p50={p50}µs p95={p95}µs max={max}µs");
+    let (p50, p95, max) = controller.stats().response_time();
+    println!("response time (arrival to end): p50={p50}µs p95={p95}µs max={max}µs");
     let _ = Arc::strong_count(controller.database());
 }

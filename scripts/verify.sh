@@ -39,6 +39,9 @@ cargo test -q --release --offline --test lock_fast_path
 echo "== read path, optimised: a ycsb point read allocates <= 4 times (its key, its result), readers hold the table's own row and keep what they read, a bulk transaction's buffers are not kept, a range read allocates its result and nothing per row it reads =="
 cargo test -q --release --offline --test read_path_allocs
 
+echo "== paced gate, optimised: no catch-up credit before the first dispatch, a dispatch late by up to the credit keeps the schedule, an older backlog drains at one spacing; four wall-clock terminals behind a 2k tx/s gate take <= 1.3 timed gate waits per dispatch, and with each request held for 3 slots a parked terminal is woken for a burst's next slot (median dispatch <= 250 us behind its slot; ~1.1 ms without the wake) =="
+cargo test -q --release --offline -p bp-core queue::
+
 echo "== paper §2.2 claims (E3 E4 E5 E8 E9): never above the target rate and within 10 % of it; read-only out-runs write mixtures lock-free; a neighbor slows a tenant; derby slowest, others fail nothing; API rate change lands in 3 s =="
 cargo run -q --release --offline -p bp-bench --bin harness rate mixture tenancy dbms api
 

@@ -94,6 +94,12 @@ fn metrics_scrape_covers_every_silo() {
         assert_eq!(kind(&samples, f), Some("counter"), "{f}");
     }
     assert_eq!(kind(&samples, "bp_client_latency_us"), Some("histogram"));
+    assert_eq!(kind(&samples, "bp_client_response_us"), Some("histogram"));
+    // The driver's own queue: what it dispatched and how often a terminal
+    // waited on the rate gate for it.
+    for f in ["bp_driver_dispatched_total", "bp_driver_gate_waits_total"] {
+        assert_eq!(kind(&samples, f), Some("counter"), "{f}");
+    }
     // Voter has a single transaction type; the commit counter must carry
     // its name as the `type` label.
     assert!(labelled("bp_client_committed_total", "type", "Vote"), "per-type commits:\n{text}");

@@ -121,6 +121,12 @@ fn sharded_stats_match_single_shard_totals() {
     assert!(within_one_bucket(p50_a, p50_b), "p50 {p50_a} vs {p50_b}");
     assert!(within_one_bucket(p95_a, p95_b), "p95 {p95_a} vs {p95_b}");
     assert_eq!(max_a, max_b, "max is tracked exactly");
+    // So are response times (arrival → end), recorded beside queue delay.
+    let (p50_a, p95_a, max_a) = sharded.response_time();
+    let (p50_b, p95_b, max_b) = single.response_time();
+    assert!(within_one_bucket(p50_a, p50_b), "response p50 {p50_a} vs {p50_b}");
+    assert!(within_one_bucket(p95_a, p95_b), "response p95 {p95_a} vs {p95_b}");
+    assert_eq!(max_a, max_b, "response max is tracked exactly");
 
     // Throughput series identical second by second (windowed counts are
     // integers; merge adds them exactly).
