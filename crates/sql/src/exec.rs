@@ -609,17 +609,19 @@ impl<'a> Groups<'a> {
 
 fn exec_write(session: &mut Session, w: &WritePlan, params: &[Value]) -> Result<StatementResult> {
     let table = &w.access.table;
-    let write = |session: &mut Session, rid: RowId, row: &SharedRow| -> Result<()> {
+    let write = |session: &mut Session, rid: RowId, row: SharedRow| -> Result<()> {
         match &w.sets {
             Some(sets) => {
-                // The stored row is shared: the update modifies a copy of
-                // its own, and every new value sees the row as it was.
-                let scope = EvalScope::new(row, params);
-                let mut new_row = row.to_vec();
+                // Every new value sees the row as it was read (`SET a = b,
+                // b = a` swaps). Then the statement lets go of the row, so
+                // one that only the table holds is written in place.
+                let scope = EvalScope::new(&row, params);
+                let mut values = Vec::with_capacity(sets.len());
                 for (pos, e) in sets {
-                    new_row[*pos] = eval(e, &scope)?;
+                    values.push((*pos, eval(e, &scope)?));
                 }
-                Ok(session.update(table, rid, new_row)?)
+                drop(row);
+                Ok(session.update_columns(table, rid, values)?)
             }
             None => Ok(session.delete(table, rid)?),
         }
@@ -640,13 +642,13 @@ fn exec_write(session: &mut Session, w: &WritePlan, params: &[Value]) -> Result<
         if read_first {
             matched.push((rid, row));
         } else {
-            write(session, rid, &row)?;
+            write(session, rid, row)?;
         }
         count += 1;
         Ok(ControlFlow::Continue(()))
     })?;
-    for (rid, row) in &matched {
-        write(session, *rid, row)?;
+    for (rid, row) in matched {
+        write(session, rid, row)?;
     }
     Ok(StatementResult::Affected(count))
 }
@@ -977,5 +979,62 @@ mod tests {
         let mut c = conn();
         let n = c.execute("UPDATE item SET i_cat = 9 WHERE i_id = 12345", &[]).unwrap().affected();
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn every_set_sees_the_row_as_it_was_read() {
+        let mut c = conn();
+        c.execute("UPDATE sale SET s_item = s_qty, s_qty = s_item WHERE s_id = 7", &[]).unwrap();
+        let rs = c.query("SELECT s_item, s_qty FROM sale WHERE s_id = 7", &[]).unwrap();
+        // Was s_item 7, s_qty 2.
+        assert_eq!((rs.get_int(0, "s_item"), rs.get_int(0, "s_qty")), (Some(2), Some(7)));
+    }
+
+    #[test]
+    fn a_column_set_twice_takes_the_last_value_and_rolls_back_to_the_first() {
+        let mut c = conn();
+        c.begin().unwrap();
+        c.execute("UPDATE sale SET s_qty = 10, s_qty = 20 WHERE s_id = 7", &[]).unwrap();
+        let qty = |c: &mut Connection| c.query("SELECT s_qty FROM sale WHERE s_id = 7", &[]).unwrap().get_int(0, "s_qty");
+        assert_eq!(qty(&mut c), Some(20));
+        c.rollback().unwrap();
+        assert_eq!(qty(&mut c), Some(2));
+    }
+
+    #[test]
+    fn a_row_a_select_still_holds_is_copied_and_rollback_puts_it_back() {
+        let mut c = conn();
+        let table = c.database().table("item").unwrap();
+        let rowid = table.lookup_pk(&[Value::Int(3)]).unwrap();
+        c.begin().unwrap();
+        let read = c.query("SELECT * FROM item WHERE i_id = 3", &[]).unwrap();
+        c.execute("UPDATE item SET i_name = 'x', i_price = 0.5 WHERE i_id = 3", &[]).unwrap();
+        assert_eq!((read.get_str(0, "i_name"), read.get_f64(0, "i_price")), (Some("item3"), Some(4.5)));
+        assert!(!Arc::ptr_eq(&table.get(rowid).unwrap(), &read.rows[0]));
+        c.rollback().unwrap();
+        assert!(Arc::ptr_eq(&table.get(rowid).unwrap(), &read.rows[0]));
+        assert_eq!(read.get_str(0, "i_name"), Some("item3"));
+    }
+
+    /// An UPDATE with no usable path scans under the table's S lock and then
+    /// X-locks the rows it writes. It must hold the table as X (S + IX), or
+    /// another transaction's scan reads its uncommitted rows.
+    #[test]
+    fn a_scan_driven_update_keeps_other_scans_out_until_it_ends() {
+        let db = Database::new(Personality::test());
+        let mut c = Connection::open(&db);
+        c.execute_batch("CREATE TABLE t (id INT PRIMARY KEY, v INT);").unwrap();
+        c.execute_batch("INSERT INTO t VALUES (1, 0); INSERT INTO t VALUES (2, 0);").unwrap();
+        c.begin().unwrap();
+        assert_eq!(c.execute("UPDATE t SET v = 9 WHERE v = 0", &[]).unwrap().affected(), 2);
+        let mut reader = Connection::open(&db);
+        reader.begin().unwrap();
+        match reader.query("SELECT id, v FROM t WHERE v = 9", &[]) {
+            Err(err) => assert!(err.is_retryable(), "{err}"),
+            Ok(rs) => panic!("read {} uncommitted rows", rs.len()),
+        }
+        c.rollback().unwrap();
+        let rs = reader.query("SELECT id, v FROM t WHERE v = 9", &[]).unwrap();
+        assert!(rs.is_empty());
     }
 }

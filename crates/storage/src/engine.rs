@@ -31,7 +31,7 @@ use crate::recovery::{
 };
 use crate::schema::{IndexDef, TableSchema};
 use crate::key::Key;
-use crate::table::{RangeCursor, RowId, Table};
+use crate::table::{Change, RangeCursor, RowId, Table};
 use crate::value::{Row, SharedRow, Value};
 use crate::wal::Wal;
 
@@ -387,10 +387,11 @@ impl Database {
 }
 
 /// What rollback puts back. A before-image is the allocation the table
-/// held, so undoing restores that very row.
+/// held, so undoing restores that very row; an update written in place
+/// keeps the values it overwrote instead ([`Table::write`]).
 enum Undo {
     Insert { table: Arc<Table>, rowid: RowId },
-    Update { table: Arc<Table>, rowid: RowId, before: SharedRow },
+    Update { table: Arc<Table>, rowid: RowId, before: Change },
     Delete { table: Arc<Table>, rowid: RowId, before: SharedRow },
 }
 
@@ -569,14 +570,14 @@ impl Session {
         Ok(())
     }
 
-    fn undo_all(&self) {
-        for u in self.undo.iter().rev() {
+    fn undo_all(&mut self) {
+        for u in self.undo.drain(..).rev() {
             // Undo failures indicate engine bugs; they must not panic the
             // worker, so best-effort with a debug assertion.
             let ok = match u {
-                Undo::Insert { table, rowid } => table.delete(*rowid).is_ok(),
-                Undo::Update { table, rowid, before } => table.update(*rowid, Arc::clone(before)).is_ok(),
-                Undo::Delete { table, rowid, before } => table.restore(*rowid, Arc::clone(before)).is_ok(),
+                Undo::Insert { table, rowid } => table.delete(rowid).is_ok(),
+                Undo::Update { table, rowid, before } => table.write(rowid, before).is_ok(),
+                Undo::Delete { table, rowid, before } => table.restore(rowid, before).is_ok(),
             };
             debug_assert!(ok, "undo operation failed");
         }
@@ -810,22 +811,33 @@ impl Session {
         Ok(rowid)
     }
 
-    /// Replace a row by rowid.
+    /// Replace a row by rowid: every column is written, and the redo logs
+    /// the ones whose value changed.
     pub fn update(&mut self, table: &Arc<Table>, rowid: RowId, new_row: Row) -> Result<()> {
+        let expected = table.schema.arity();
+        if new_row.len() != expected {
+            return Err(StorageError::ArityMismatch { expected, got: new_row.len() });
+        }
+        self.update_columns(table, rowid, new_row.into_iter().enumerate().collect())
+    }
+
+    /// Write `sets`, `(column, value)` pairs in the order given, into the
+    /// row at `rowid`: only these columns are validated, and the row is
+    /// written in place when the table holds its only handle.
+    pub fn update_columns(&mut self, table: &Arc<Table>, rowid: RowId, mut sets: Vec<(usize, Value)>) -> Result<()> {
         self.ensure_alive()?;
-        let new_row = table.schema.check_row(new_row)?;
+        table.schema.check_sets(&mut sets)?;
         let (table_mode, row_mode) = self.write_modes(table);
         self.lock(LockTarget::Table(table.id), table_mode)?;
         if self.db.personality.row_locking {
             self.lock(LockTarget::Row(table.id, rowid), row_mode)?;
         }
         self.touch_page(table, rowid, true);
-        let bytes = table.schema.row_bytes(&new_row) as u64;
-        let before = table.update(rowid, Arc::clone(&new_row))?;
+        let written = table.write(rowid, Change::Cols(sets))?;
         self.charge(self.db.personality.write_us);
-        self.wrote(bytes)?;
-        self.redo.push(RedoOp::update(table.id, rowid, &before, &new_row));
-        self.undo.push(Undo::Update { table: table.clone(), rowid, before });
+        self.wrote(written.bytes as u64)?;
+        self.redo.push(RedoOp::Update { table: table.id, rowid, cols: written.redo });
+        self.undo.push(Undo::Update { table: table.clone(), rowid, before: written.undo });
         Ok(())
     }
 
@@ -1446,5 +1458,143 @@ mod tests {
         assert_eq!(m.rows_written, 2);
         assert_eq!(m.rows_read, 1);
         assert!(m.wal_bytes > 0);
+    }
+
+    // ---- The write path: in place when the table holds the only handle ----
+
+    /// `item (id INT PRIMARY KEY, x FLOAT, s STR, grp INT)` with an index on
+    /// `grp`, holding `(1, -0.0, 'old', 5)` committed.
+    fn item() -> (Arc<Database>, Arc<Table>, RowId) {
+        let db = Database::new(Personality::test());
+        let columns = vec![
+            Column::new("id", DataType::Int),
+            Column::new("x", DataType::Float),
+            Column::new("s", DataType::Str),
+            Column::new("grp", DataType::Int),
+        ];
+        db.create_table(TableSchema::new("item", columns, &["id"]).unwrap()).unwrap();
+        db.create_index("item", "item_grp", &["grp"], false).unwrap();
+        let t = db.table("item").unwrap();
+        let old = vec![Value::Int(1), Value::Float(-0.0), Value::Str("old".into()), Value::Int(5)];
+        let rid = db.session().with_txn(|s| s.insert(&t, old)).unwrap();
+        (db, t, rid)
+    }
+
+    /// The row at `rid`'s allocation; the handle is let go at once.
+    fn address(t: &Table, rid: RowId) -> *const Value {
+        Arc::as_ptr(&t.get(rid).unwrap()) as *const Value
+    }
+
+    fn is_original(t: &Table, rid: RowId) -> bool {
+        let row = t.get(rid).unwrap();
+        matches!(row[1], Value::Float(x) if x.to_bits() == (-0.0f64).to_bits())
+            && row[2] == Value::Str("old".into())
+            && row[..] == [Value::Int(1), Value::Float(0.0), Value::Str("old".into()), Value::Int(5)]
+    }
+
+    #[test]
+    fn an_unshared_row_is_written_in_place_and_rollback_restores_its_values() {
+        let (db, t, rid) = item();
+        let at = address(&t, rid);
+        let mut s = db.session();
+        s.begin().unwrap();
+        s.update_columns(&t, rid, vec![(1, Value::Float(2.5)), (2, Value::Str("new".into()))]).unwrap();
+        assert_eq!(address(&t, rid), at, "written in place");
+        assert_eq!(t.get(rid).unwrap()[1..3], [Value::Float(2.5), Value::Str("new".into())]);
+        s.rollback().unwrap();
+        assert_eq!(address(&t, rid), at);
+        assert!(is_original(&t, rid), "{:?}", t.get(rid));
+    }
+
+    #[test]
+    fn a_column_set_twice_rolls_back_to_its_original() {
+        let (db, t, rid) = item();
+        let mut s = db.session();
+        s.begin().unwrap();
+        s.update_columns(&t, rid, vec![(3, Value::Int(1)), (3, Value::Int(2))]).unwrap();
+        assert_eq!(t.get(rid).unwrap()[3], Value::Int(2));
+        assert_eq!(t.index_lookup("item_grp", &[Value::Int(2)]).unwrap(), vec![rid]);
+        // A second update, of a row a reader now holds, is copied. Rollback
+        // undoes it and then the write in place, whose row the reader still
+        // holds: that one is copied too, and the reader keeps what it read.
+        let held = t.get(rid).unwrap();
+        s.update_columns(&t, rid, vec![(2, Value::Str("new".into()))]).unwrap();
+        assert_eq!(held[2..], [Value::Str("old".into()), Value::Int(2)]);
+        s.rollback().unwrap();
+        assert_eq!(held[2..], [Value::Str("old".into()), Value::Int(2)]);
+        assert!(is_original(&t, rid), "{:?}", t.get(rid));
+        assert_eq!(t.index_lookup("item_grp", &[Value::Int(5)]).unwrap(), vec![rid]);
+        assert!(t.index_lookup("item_grp", &[Value::Int(2)]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_row_someone_holds_is_copied_and_rollback_puts_the_original_back() {
+        let (db, t, rid) = item();
+        let held = t.get(rid).unwrap();
+        let mut s = db.session();
+        s.begin().unwrap();
+        s.update_columns(&t, rid, vec![(2, Value::Str("new".into()))]).unwrap();
+        assert!(!Arc::ptr_eq(&t.get(rid).unwrap(), &held), "copied");
+        assert_eq!(held[2], Value::Str("old".into()));
+        s.rollback().unwrap();
+        assert!(Arc::ptr_eq(&t.get(rid).unwrap(), &held), "the original allocation is back");
+    }
+
+    #[test]
+    fn a_key_column_write_rekeys_its_index_and_rollback_restores_the_key() {
+        let (db, t, rid) = item();
+        let mut s = db.session();
+        s.begin().unwrap();
+        s.update_columns(&t, rid, vec![(0, Value::Int(9))]).unwrap();
+        assert_eq!((t.lookup_pk(&[Value::Int(1)]), t.lookup_pk(&[Value::Int(9)])), (None, Some(rid)));
+        s.rollback().unwrap();
+        assert_eq!((t.lookup_pk(&[Value::Int(1)]), t.lookup_pk(&[Value::Int(9)])), (Some(rid), None));
+
+        s.begin().unwrap();
+        s.update_columns(&t, rid, vec![(3, Value::Int(6))]).unwrap();
+        assert!(t.index_lookup("item_grp", &[Value::Int(5)]).unwrap().is_empty());
+        assert_eq!(t.index_lookup("item_grp", &[Value::Int(6)]).unwrap(), vec![rid]);
+        s.rollback().unwrap();
+        assert_eq!(t.index_lookup("item_grp", &[Value::Int(5)]).unwrap(), vec![rid]);
+        assert!(t.index_lookup("item_grp", &[Value::Int(6)]).unwrap().is_empty());
+        assert!(is_original(&t, rid));
+    }
+
+    #[test]
+    fn a_row_inserted_then_updated_in_one_transaction_recovers_as_committed() {
+        let (db, t, _) = item();
+        let mut s = db.session();
+        s.begin().unwrap();
+        let row = vec![Value::Int(2), Value::Float(1.0), Value::Str("a".into()), Value::Int(7)];
+        let rid = s.insert(&t, row).unwrap();
+        // The insert's redo holds the row: the update copies it.
+        s.update_columns(&t, rid, vec![(1, Value::Int(3)), (2, Value::Str("b".into()))]).unwrap();
+        s.commit().unwrap();
+        assert_eq!(t.get(rid).unwrap()[1..3], [Value::Float(3.0), Value::Str("b".into())]);
+        let committed = db.state_digest();
+        db.crash(CrashPoint::BeforeAppend, 0);
+        db.recover();
+        assert_eq!(db.state_digest(), committed);
+    }
+
+    #[test]
+    fn a_checkpoint_is_not_changed_by_a_later_update() {
+        let (db, t, rid) = item();
+        db.checkpoint().unwrap();
+        // Recovery hands the table the checkpoint's own rows.
+        db.crash(CrashPoint::BeforeAppend, 0);
+        db.recover();
+        let committed = db.state_digest();
+        let at = address(&t, rid);
+        let mut s = db.session();
+        s.begin().unwrap();
+        s.update_columns(&t, rid, vec![(2, Value::Str("new".into()))]).unwrap();
+        assert_ne!(address(&t, rid), at, "the checkpoint's row is copied");
+        // Dies before commit: recovery must find the checkpoint as it was.
+        db.crash(CrashPoint::BeforeAppend, 0);
+        db.recover();
+        drop(s);
+        assert_eq!(db.state_digest(), committed);
+        assert!(is_original(&t, rid));
     }
 }

@@ -291,7 +291,9 @@ pub(crate) fn upgrade_result(held: LockMode, want: LockMode) -> LockMode {
     match (held, want) {
         (Shared, Exclusive) | (Exclusive, _) => Exclusive,
         (IntentionShared, m) => m,
-        (IntentionExclusive, Shared) => Exclusive, // IX + S = SIX ~ X (conservative)
+        // S + IX = SIX ~ X (conservative), in either order: a scan that
+        // goes on to write rows must keep the next scan out.
+        (IntentionExclusive, Shared) | (Shared, IntentionExclusive) => Exclusive,
         (IntentionExclusive, Exclusive) => Exclusive,
         (h, w) => {
             if w.covers(h) {
@@ -403,6 +405,23 @@ mod tests {
         m.acquire(1, T, LockMode::Shared).unwrap(); // scanner
         let err = m.acquire(2, T, LockMode::IntentionExclusive).unwrap_err();
         assert!(matches!(err, StorageError::Deadlock { .. }));
+    }
+
+    /// S then IX, or IX then S, on one table is SIX, held as X: another
+    /// transaction's scan (S) must not read the rows the holder writes.
+    #[test]
+    fn shared_and_intention_exclusive_make_exclusive_in_either_order() {
+        use LockMode::*;
+        assert_eq!(upgrade_result(Shared, IntentionExclusive), Exclusive);
+        assert_eq!(upgrade_result(IntentionExclusive, Shared), Exclusive);
+        for (first, then) in [(Shared, IntentionExclusive), (IntentionExclusive, Shared)] {
+            let m = mgr();
+            m.acquire(1, T, first).unwrap();
+            assert!(m.acquire(1, T, then).unwrap());
+            assert!(!m.acquire(1, T, Exclusive).unwrap(), "{first:?} + {then:?} is held as X");
+            let err = m.acquire(2, T, Shared).unwrap_err();
+            assert_eq!(err, StorageError::Deadlock { waiting_for: 1 }, "{first:?} + {then:?}");
+        }
     }
 
     #[test]

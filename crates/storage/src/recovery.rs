@@ -74,20 +74,6 @@ pub enum RedoOp {
     Delete { table: u32, rowid: RowId },
 }
 
-impl RedoOp {
-    /// The update that turns `before` into `after` (two images of one row).
-    pub fn update(table: u32, rowid: RowId, before: &[Value], after: &[Value]) -> RedoOp {
-        // Bitwise for floats: `-0.0 == 0.0`, and recovery must restore the
-        // committed bytes, not an equal number.
-        let same = |a: &Value, b: &Value| match (a, b) {
-            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
-            _ => a == b,
-        };
-        let changed = after.iter().zip(before).enumerate().filter(|(_, (a, b))| !same(a, b));
-        RedoOp::Update { table, rowid, cols: changed.map(|(i, (a, _))| (i as u32, a.clone())).collect() }
-    }
-}
-
 /// A commit's redo record: everything needed to replay it physically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RedoRecord {
@@ -611,30 +597,10 @@ mod tests {
         // One update of a two-column row (a smallbank balance change) after
         // a million commits: the fixed-width form took 63 bytes, the whole
         // after-image 33.
-        let before = vec![Value::Int(250_000), Value::Float(1234.5)];
-        let ops = [RedoOp::update(3, 250_000, &before, &[Value::Int(250_000), Value::Float(1200.0)])];
-        assert_eq!(
-            ops[0],
-            RedoOp::Update { table: 3, rowid: 250_000, cols: vec![(1, Value::Float(1200.0))] }
-        );
+        let ops = [RedoOp::Update { table: 3, rowid: 250_000, cols: vec![(1, Value::Float(1200.0))] }];
         let mut buf = Vec::new();
         let len = encode_record(&mut buf, 1_000_000, 1_000_123, &ops);
         assert!(len <= 30, "{len} bytes");
-    }
-
-    #[test]
-    fn update_logs_changed_columns_bitwise() {
-        let before = vec![Value::Int(1), Value::Float(0.0), Value::Str("a".into()), Value::Null];
-        let after = vec![Value::Int(1), Value::Float(-0.0), Value::Str("a".into()), Value::Int(0)];
-        let RedoOp::Update { cols, .. } = RedoOp::update(1, 0, &before, &after) else {
-            panic!("an update");
-        };
-        assert_eq!(cols.iter().map(|(c, _)| *c).collect::<Vec<_>>(), [1, 3]);
-        assert!(matches!(cols[0].1, Value::Float(z) if z.to_bits() == (-0.0f64).to_bits()));
-        let RedoOp::Update { cols, .. } = RedoOp::update(1, 0, &after, &after) else {
-            panic!("an update");
-        };
-        assert!(cols.is_empty(), "nothing changed: {cols:?}");
     }
 
     #[test]

@@ -19,6 +19,25 @@ impl Column {
     pub fn nullable(name: &str, ty: DataType) -> Column {
         Column { name: name.to_string(), ty, nullable: true }
     }
+
+    /// Whether `value` may be stored in this column (after coercion).
+    fn check(&self, value: &Value) -> Result<()> {
+        if value.is_null() && !self.nullable {
+            return Err(StorageError::TypeMismatch {
+                column: self.name.clone(),
+                expected: format!("{} NOT NULL", self.ty),
+                got: "NULL".to_string(),
+            });
+        }
+        if !value.conforms_to(self.ty) {
+            return Err(StorageError::TypeMismatch {
+                column: self.name.clone(),
+                expected: self.ty.to_string(),
+                got: value.data_type().map(|t| t.to_string()).unwrap_or_else(|| "NULL".to_string()),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// A table schema: ordered columns plus the primary-key column positions.
@@ -101,27 +120,22 @@ impl TableSchema {
             return Err(StorageError::ArityMismatch { expected: self.columns.len(), got: row.len() });
         }
         for (value, col) in row.iter().zip(&self.columns) {
-            if value.is_null() && !col.nullable {
-                return Err(StorageError::TypeMismatch {
-                    column: col.name.clone(),
-                    expected: format!("{} NOT NULL", col.ty),
-                    got: "NULL".to_string(),
-                });
-            }
-            if !value.conforms_to(col.ty) {
-                return Err(StorageError::TypeMismatch {
-                    column: col.name.clone(),
-                    expected: col.ty.to_string(),
-                    got: value
-                        .data_type()
-                        .map(|t| t.to_string())
-                        .unwrap_or_else(|| "NULL".to_string()),
-                });
-            }
+            col.check(value)?;
         }
         // An iterator of known length: the values move straight into the
         // `Arc`'s allocation.
         Ok(row.into_iter().zip(&self.columns).map(|(value, col)| value.coerce(col.ty)).collect())
+    }
+
+    /// [`TableSchema::check_row`] for the `(column, value)` pairs an update
+    /// sets: each is validated and coerced where it stands.
+    pub(crate) fn check_sets(&self, sets: &mut [(usize, Value)]) -> Result<()> {
+        for (pos, value) in sets {
+            let col = self.columns.get(*pos).ok_or_else(|| StorageError::NoSuchColumn(format!("#{pos}")))?;
+            col.check(value)?;
+            *value = std::mem::replace(value, Value::Null).coerce(col.ty);
+        }
+        Ok(())
     }
 
     /// Approximate row byte size for the cost model.

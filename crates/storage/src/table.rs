@@ -12,13 +12,14 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use bp_util::sync::RwLock;
 
 use crate::error::{Result, StorageError};
 use crate::key::{Key, KeyWriter};
 use crate::schema::{IndexDef, TableSchema};
-use crate::value::{SharedRow, Value};
+use crate::value::{Row, SharedRow, Value};
 
 pub type RowId = u64;
 
@@ -26,10 +27,40 @@ fn key_of(columns: &[usize], row: &[Value]) -> Key {
     Key::encode(columns.iter().map(|&i| &row[i]))
 }
 
-/// Whether `new` needs another key than `old`: by `Value`'s order, as keys
-/// are (`-0.0` and `0.0` are `==` and two keys).
-fn key_changed(columns: &[usize], old: &[Value], new: &[Value]) -> bool {
-    columns.iter().any(|&i| old[i].cmp(&new[i]).is_ne())
+/// A change to one stored row ([`Table::write`]), and what undoes one:
+/// values for some of its columns, written in order, or a whole row that
+/// takes the slot.
+#[derive(Debug)]
+pub(crate) enum Change {
+    Cols(Vec<(usize, Value)>),
+    Row(SharedRow),
+}
+
+/// What [`Table::write`] did.
+#[derive(Debug)]
+pub(crate) struct Written {
+    /// The change that puts the row back as it was.
+    pub undo: Change,
+    /// The redo of a [`Change::Cols`]: each column whose value changed
+    /// (floats bitwise), once, in column order, with its new value. A
+    /// [`Change::Row`] is rollback's and logs nothing.
+    pub redo: Vec<(u32, Value)>,
+    /// [`TableSchema::row_bytes`] of the row as written.
+    pub bytes: usize,
+}
+
+/// The redo of a column write, from what it `overwrote` (a column's first
+/// entry holds its value from before) and the `row` it left.
+fn changed(overwrote: &[(usize, Value)], row: &[Value]) -> Vec<(u32, Value)> {
+    let mut redo = Vec::new();
+    for (at, (col, before)) in overwrote.iter().enumerate() {
+        let first = overwrote[..at].iter().all(|(c, _)| c != col);
+        if first && !before.same(&row[*col]) {
+            redo.push((*col as u32, row[*col].clone()));
+        }
+    }
+    redo.sort_unstable_by_key(|(col, _)| *col);
+    redo
 }
 
 #[derive(Debug)]
@@ -110,8 +141,9 @@ fn fill<'a>(
 
 #[derive(Debug, Default)]
 struct TableData {
-    /// A stored row is never mutated, only replaced: whoever was handed the
-    /// `Arc` keeps the values it was read with.
+    /// A stored row is written in place only while the table holds its one
+    /// handle ([`Table::write`]): whoever was handed the `Arc` keeps the
+    /// values it was read with.
     slots: Vec<Option<SharedRow>>,
     free: Vec<RowId>,
     live: usize,
@@ -213,39 +245,80 @@ impl Table {
         self.data.read().slots.get(rowid as usize)?.clone()
     }
 
-    /// Replace the row at `rowid`, maintaining all indexes.
-    /// Returns the before-image.
-    pub fn update(&self, rowid: RowId, new_row: impl Into<SharedRow>) -> Result<SharedRow> {
-        let new_row: SharedRow = new_row.into();
+    /// Write `change` into the row at `rowid` and re-key every index whose
+    /// key it moves. Everything is checked before anything is written (a
+    /// unique key may be held by this row itself), so a failed write leaves
+    /// the row as it was. The values must be validated
+    /// ([`TableSchema::check_sets`]).
+    ///
+    /// Columns are written into the stored row itself when the table holds
+    /// its only handle, and the undo keeps the values they overwrote. A row
+    /// anyone else holds — a query's result, a recovered image, an insert's
+    /// redo — is copied first, and the undo keeps the old allocation.
+    pub(crate) fn write(&self, rowid: RowId, change: Change) -> Result<Written> {
         let mut d = self.data.write();
         let d = &mut *d;
-        let slot = d.slots.get_mut(rowid as usize).ok_or(StorageError::RowGone)?;
-        let old = slot.as_ref().ok_or(StorageError::RowGone)?;
-
-        // Check first (a unique key may be held by this row itself), then
-        // mutate. Keys are only encoded for the indexes whose columns moved.
-        let new_pk =
-            key_changed(&self.schema.primary_key, old, &new_row).then(|| self.pk_key(&new_row)).flatten();
-        if new_pk.as_ref().is_some_and(|pk| d.pk.contains_key(pk)) {
-            return Err(self.duplicate_pk(&new_row));
-        }
-        let taken = |ix: &&IndexState| {
-            ix.def.unique && ix.map.get(&ix.key_of(&new_row)).is_some_and(|rows| rows.iter().any(|r| *r != rowid))
+        let slot = d.slots.get_mut(rowid as usize).and_then(Option::as_mut).ok_or(StorageError::RowGone)?;
+        let old: &[Value] = slot;
+        // The value of `col` once `change` is written.
+        let after = |col: usize| match &change {
+            Change::Cols(sets) => sets.iter().rev().find(|(c, _)| *c == col).map_or(&old[col], |(_, v)| v),
+            Change::Row(new) => &new[col],
         };
-        if let Some(ix) = d.indexes.iter().find(taken) {
-            return Err(ix.duplicate(&new_row, &self.schema.name));
+        // By `Value`'s order, as keys are: `-0.0` and `0.0` are `==` and two
+        // keys. An index none of whose columns is set does not move.
+        let moved = |columns: &[usize]| columns.iter().any(|&c| old[c].cmp(after(c)).is_ne());
+        let new_key = |columns: &[usize]| Key::encode(columns.iter().map(|&c| after(c)));
+        let pk = &self.schema.primary_key;
+        let new_pk = moved(pk).then(|| new_key(pk));
+        let rekeyed: Vec<(usize, Key)> = d.indexes.iter().enumerate()
+            .filter(|(_, ix)| moved(&ix.def.key_columns))
+            .map(|(pos, ix)| (pos, new_key(&ix.def.key_columns)))
+            .collect();
+        // The row as it would be, for an error message.
+        let new_row = || -> Row { (0..old.len()).map(|c| after(c).clone()).collect() };
+        if new_pk.as_ref().is_some_and(|key| d.pk.contains_key(key)) {
+            return Err(self.duplicate_pk(&new_row()));
         }
-        if let Some(new_pk) = new_pk {
-            d.pk.remove(&key_of(&self.schema.primary_key, old));
-            d.pk.insert(new_pk, rowid);
+        let taken = |(pos, key): &&(usize, Key)| {
+            let ix = &d.indexes[*pos];
+            ix.def.unique && ix.map.get(key).is_some_and(|rows| rows.iter().any(|r| *r != rowid))
+        };
+        if let Some((pos, _)) = rekeyed.iter().find(taken) {
+            return Err(d.indexes[*pos].duplicate(&new_row(), &self.schema.name));
         }
-        for ix in &mut d.indexes {
-            if key_changed(&ix.def.key_columns, old, &new_row) {
-                ix.remove(old, rowid);
-                ix.insert(&new_row, rowid, &self.schema.name)?;
+        if let Some(key) = new_pk {
+            d.pk.remove(&key_of(pk, old));
+            d.pk.insert(key, rowid);
+        }
+        for (pos, _) in &rekeyed {
+            d.indexes[*pos].remove(old, rowid);
+        }
+        let (undo, redo) = match change {
+            Change::Row(new) => (Change::Row(std::mem::replace(slot, new)), Vec::new()),
+            Change::Cols(mut sets) => {
+                // A row someone else holds is copied by `make_mut`; the
+                // holder keeps the original, and so does the undo.
+                let held = Arc::get_mut(slot).is_none().then(|| Arc::clone(slot));
+                let row = Arc::make_mut(slot);
+                for (col, value) in &mut sets {
+                    std::mem::swap(&mut row[*col], value);
+                }
+                let redo = changed(&sets, row);
+                let undo = match held {
+                    Some(before) => Change::Row(before),
+                    None => {
+                        sets.reverse();
+                        Change::Cols(sets)
+                    }
+                };
+                (undo, redo)
             }
+        };
+        for (pos, key) in rekeyed {
+            d.indexes[pos].map.entry(key).or_default().push(rowid);
         }
-        Ok(slot.replace(new_row).expect("checked above"))
+        Ok(Written { undo, redo, bytes: self.schema.row_bytes(slot) })
     }
 
     /// Delete a row, returning its before-image.
@@ -539,7 +612,7 @@ mod tests {
         assert_eq!(hits, vec![a, b]);
 
         // Update moves row 2 to grp 20.
-        t.update(b, row(2, 20, "b")).unwrap();
+        t.write(b, Change::Cols(vec![(1, Value::Int(20))])).unwrap();
         assert_eq!(t.index_lookup("t_grp", &[Value::Int(10)]).unwrap(), vec![a]);
         assert_eq!(t.index_lookup("t_grp", &[Value::Int(20)]).unwrap().len(), 2);
 
@@ -552,7 +625,7 @@ mod tests {
     fn update_pk_change() {
         let t = table();
         let r = t.insert(row(1, 10, "a")).unwrap();
-        t.update(r, row(5, 10, "a")).unwrap();
+        t.write(r, Change::Cols(vec![(0, Value::Int(5))])).unwrap();
         assert_eq!(t.lookup_pk(&[Value::Int(1)]), None);
         assert_eq!(t.lookup_pk(&[Value::Int(5)]), Some(r));
     }
@@ -562,9 +635,54 @@ mod tests {
         let t = table();
         let r1 = t.insert(row(1, 10, "a")).unwrap();
         t.insert(row(2, 10, "b")).unwrap();
-        assert!(t.update(r1, row(2, 10, "a")).is_err());
+        assert!(t.write(r1, Change::Cols(vec![(0, Value::Int(2))])).is_err());
         // Original untouched.
         assert_eq!(t.lookup_pk(&[Value::Int(1)]), Some(r1));
+    }
+
+    #[test]
+    fn a_write_logs_the_columns_it_changed_bitwise_once_each_in_column_order() {
+        let schema = TableSchema::new(
+            "f",
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("x", DataType::Float),
+                Column::new("s", DataType::Str),
+                Column::nullable("n", DataType::Int),
+            ],
+            &["id"],
+        )
+        .unwrap();
+        let t = Table::new(2, schema);
+        let r = t.insert(vec![Value::Int(1), Value::Float(0.0), Value::Str("a".into()), Value::Null]).unwrap();
+        let sets = vec![
+            (3, Value::Int(7)),
+            (2, Value::Str("a".into())),
+            (1, Value::Float(-0.0)),
+            (3, Value::Int(0)),
+        ];
+        let written = t.write(r, Change::Cols(sets)).unwrap();
+        assert_eq!(written.redo.iter().map(|(c, _)| *c).collect::<Vec<_>>(), [1, 3]);
+        assert!(matches!(written.redo[0].1, Value::Float(z) if z.to_bits() == (-0.0f64).to_bits()));
+        assert_eq!(written.redo[1].1, Value::Int(0));
+        // A column set back to what it held changed nothing.
+        let sets = vec![(3, Value::Int(5)), (3, Value::Int(0))];
+        assert!(t.write(r, Change::Cols(sets)).unwrap().redo.is_empty());
+    }
+
+    #[test]
+    fn a_unique_index_refuses_a_write_and_the_row_is_untouched() {
+        let t = table();
+        t.add_index(IndexDef { name: "t_name".into(), table: "t".into(), key_columns: vec![2], unique: true })
+            .unwrap();
+        let a = t.insert(row(1, 1, "a")).unwrap();
+        t.insert(row(2, 2, "b")).unwrap();
+        let err = t.write(a, Change::Cols(vec![(1, Value::Int(9)), (2, Value::Str("b".into()))])).unwrap_err();
+        assert!(matches!(err, StorageError::DuplicateKey { .. }));
+        assert_eq!(*t.get(a).unwrap(), row(1, 1, "a")[..]);
+        assert_eq!(t.index_lookup("t_grp", &[Value::Int(1)]).unwrap(), vec![a]);
+        // Its own key is no conflict.
+        t.write(a, Change::Cols(vec![(2, Value::Str("a".into()))])).unwrap();
     }
 
     #[test]

@@ -142,6 +142,15 @@ impl Value {
         }
     }
 
+    /// Whether the two are the same bits: unlike `==`, `-0.0` and `0.0`
+    /// differ. A log restores the committed bytes, not an equal number.
+    pub(crate) fn same(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
+
     /// Approximate in-memory size, used by the WAL and buffer-pool models.
     pub fn byte_size(&self) -> usize {
         match self {

@@ -36,7 +36,7 @@ echo "== lock table, optimised: exclusion under load is a race detector; the fas
 cargo test -q --release --offline -p bp-storage lock::
 cargo test -q --release --offline --test lock_fast_path
 
-echo "== read path, optimised: a ycsb point read allocates <= 4 times (its key, its result), readers hold the table's own row and keep what they read, a bulk transaction's buffers are not kept, a range read allocates its result and nothing per row it reads =="
+echo "== read and write path, optimised: a ycsb point read allocates <= 4 times (its key, its result), a ycsb update <= 6 and a tpcc UPDATE_STOCK by key <= 3 (what they set, no copy of the row), readers hold the table's own row and keep what they read, a bulk transaction's buffers are not kept, a range read allocates its result and nothing per row it reads =="
 cargo test -q --release --offline --test read_path_allocs
 
 echo "== paced gate, optimised: no catch-up credit before the first dispatch, a dispatch late by up to the credit keeps the schedule, an older backlog drains at one spacing; four wall-clock terminals behind a 2k tx/s gate take <= 1.3 timed gate waits per dispatch, and with each request held for 3 slots a parked terminal is woken for a burst's next slot (median dispatch <= 250 us behind its slot; ~1.1 ms without the wake) =="

@@ -1,7 +1,8 @@
-//! A read shares the row it returns: what a point read allocates, that the
-//! row a reader holds is the table's own, that such a row keeps showing what
-//! was read whatever is written afterwards, and that a session keeps its
-//! transaction buffers only while they are small.
+//! A read shares the row it returns and a write copies none: what a point
+//! read and a point update allocate, that the row a reader holds is the
+//! table's own, that such a row keeps showing what was read whatever is
+//! written afterwards, and that a session keeps its transaction buffers only
+//! while they are small.
 //!
 //! The counting allocator counts per thread, so the test harness's threads
 //! do not show in the figures.
@@ -58,12 +59,46 @@ fn a_point_read_allocates_its_key_and_its_result() {
     // and its ten strings, copied to be handed on).
     let read = per_txn(READ);
     assert!(read <= 4.0, "{read} allocations per ycsb Read");
-    // `UPDATE usertable SET field0 = ? ...`, the new value's string
-    // included: 17, of which 11 are the one copy the update modifies.
-    // Before: 33.00 (the row was copied again to be logged, and once more
-    // as a vector to be validated).
+    // `UPDATE usertable SET field0 = ? ...`: the probe key, the new value's
+    // string and its copy as evaluated, the list of values set, and the
+    // redo's list and its copy of the string. The row is written in place.
+    // Before: 17.00 (11 of them a copy of the row and its ten strings to
+    // modify), and 33.00 before rows were shared.
     let update = per_txn(UPDATE);
-    assert!(update <= 18.0, "{update} allocations per ycsb Update (33 before rows were shared)");
+    assert!(update <= 6.1, "{update} allocations per ycsb Update (17 when the row was copied)");
+}
+
+/// NewOrder's `UPDATE stock SET s_quantity = ?, s_order_cnt = s_order_cnt
+/// + 1` by key sets two numbers, and its row is written in place: the
+/// stock row's 26 to 50 character `s_data` is not copied.
+#[test]
+fn a_point_update_allocates_what_it_sets_and_not_the_row() {
+    use benchpress::workloads::tpcc::{Tpcc, ITEMS, UPDATE_STOCK};
+    let db = Database::new(Personality::test());
+    let mut conn = Connection::open(&db);
+    Tpcc::new().setup(&mut conn, 1.0, &mut Rng::new(7)).expect("load");
+    let stock = db.table("stock").expect("loaded");
+    let update = conn.prepare(UPDATE_STOCK).expect("prepare");
+    let mut run = |rounds: i64| {
+        for n in 0..rounds {
+            let params = [Value::Int(10 + n % 80), Value::Int(1), Value::Int(1 + n % ITEMS)];
+            conn.begin().expect("begin");
+            assert_eq!(conn.execute_prepared(&update, &params).expect("update").affected(), 1);
+            conn.commit().expect("commit");
+        }
+    };
+    run(1_000);
+    let at = |item: i64| {
+        let rowid = stock.lookup_pk(&[Value::Int(1), Value::Int(item)]).expect("stock row");
+        Arc::as_ptr(&stock.get(rowid).expect("row")) as *const Value
+    };
+    let before: Vec<_> = (1..=ITEMS).map(at).collect();
+    const ROUNDS: i64 = 10_000;
+    let per_update = allocations(|| run(ROUNDS)) as f64 / ROUNDS as f64;
+    assert_eq!((1..=ITEMS).map(at).collect::<Vec<_>>(), before, "every stock row written in place");
+    // The probe key, the list of values set and the redo's list. Before:
+    // 5.00 (a copy of the row and of its `s_data`).
+    assert!(per_update <= 3.1, "{per_update} allocations per tpcc UPDATE_STOCK (5 when the row was copied)");
 }
 
 #[test]
