@@ -3,8 +3,9 @@
 //!
 //! What is left to do per execution is what depends on the parameters or the
 //! data: evaluating the access path's key expressions, fetching the
-//! candidate rows, re-applying the residual predicate, and projecting,
-//! grouping and sorting what survives. Everything else was decided when the
+//! candidate rows (a joined table's filtered by its own conjuncts as they
+//! come), re-applying the residual predicate, and projecting, grouping and
+//! sorting what survives. Everything else was decided when the
 //! statement was bound ([`crate::plan`]).
 //!
 //! A row goes from its index entry to the result in one pass, and a stage
@@ -282,19 +283,34 @@ fn fetch(
     Ok(())
 }
 
-/// All of one table's candidates: a join needs both its sides whole.
+/// All of one table's candidates that pass `filter`, the conjuncts of a
+/// join over its columns alone: a join needs both its sides whole.
 fn fetch_all(
     session: &mut Session,
     access: &TableAccess,
+    filter: &[Expr],
     params: &[Value],
     for_update: bool,
 ) -> Result<Vec<SharedRow>> {
     let mut rows = Vec::new();
     fetch(session, &access.table, probe_path(access, params), for_update, false, |_, _, row| {
-        rows.push(row);
+        if passes(filter, &row, params)? {
+            rows.push(row);
+        }
         Ok(ControlFlow::Continue(()))
     })?;
     Ok(rows)
+}
+
+/// Whether `row` passes every one of `filter`, tried in order.
+fn passes(filter: &[Expr], row: &[Value], params: &[Value]) -> Result<bool> {
+    let scope = EvalScope::new(row, params);
+    for f in filter {
+        if !eval_filter(f, &scope)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// A new row of `n` values, filled in place: built in the one allocation it
@@ -388,15 +404,12 @@ fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Res
     let mut out = Output { sel, params, star_only, sorts, stop_at, rows: Vec::new(), keys: Vec::new() };
     let mut groups = sel.grouped.then(|| Groups::new(sel, params));
 
-    // Every tuple of the FROM clause passes here once: every ON condition
-    // and the full WHERE are re-applied, and what survives goes to its
-    // group or straight to the output.
+    // Every tuple of the FROM clause passes here once: what is left of ON
+    // and WHERE is applied, and what survives goes to its group or straight
+    // to the output.
     let mut tuple = |t: SharedRow| -> Result<ControlFlow<()>> {
-        let scope = EvalScope::new(&t, params);
-        for f in &sel.filter {
-            if !eval_filter(f, &scope)? {
-                return Ok(ControlFlow::Continue(()));
-            }
+        if !passes(&sel.filter, &t, params)? {
+            return Ok(ControlFlow::Continue(()));
         }
         match &mut groups {
             Some(groups) => groups.add(t).map(ControlFlow::Continue),
@@ -411,11 +424,12 @@ fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Res
         ([only], Some(probed)) => {
             fetch(session, &only.table, probed, sel.for_update, in_order, |_, _, row| tuple(row))?
         }
-        // Fetch the driving table, then join each further table on.
+        // Fetch the driving table, then join each further table on, each
+        // filtered by its own conjuncts as it is fetched.
         ([first, rest @ ..], _) => {
-            let mut tuples = fetch_all(session, first, params, sel.for_update)?;
-            for (access, equi) in rest.iter().zip(&sel.joins) {
-                tuples = join(&tuples, &fetch_all(session, access, params, false)?, equi);
+            let mut tuples = fetch_all(session, first, &sel.pushed[0], params, sel.for_update)?;
+            for ((access, pushed), equi) in rest.iter().zip(&sel.pushed[1..]).zip(&sel.joins) {
+                tuples = join(&tuples, &fetch_all(session, access, pushed, params, false)?, equi);
             }
             tuples.into_iter().try_for_each(|t| tuple(t).map(drop))?;
         }
@@ -445,24 +459,58 @@ fn exec_select(session: &mut Session, sel: &SelectPlan, params: &[Value]) -> Res
 
 /// Join each tuple with the matching rows of the next table: a hash join on
 /// the `(tuple slot, right column)` pairs, or the cross product without any
-/// (comma joins; only sensible for small inputs).
+/// (comma joins; only sensible for small inputs). Either way a tuple's
+/// partners follow it in the order `right` has them. Kept out of line: a
+/// join is rare, and every statement runs through its caller.
+#[inline(never)]
 fn join(left: &[SharedRow], right: &[SharedRow], equi: &[(usize, usize)]) -> Vec<SharedRow> {
     let concat = |l: &SharedRow, r: &SharedRow| l.iter().chain(r.iter()).cloned().collect::<SharedRow>();
     if equi.is_empty() {
         return left.iter().flat_map(|l| right.iter().map(move |r| concat(l, r))).collect();
     }
-    let mut built: HashMap<Vec<&Value>, Vec<&SharedRow>> = HashMap::new();
-    for r in right {
-        built.entry(equi.iter().map(|(_, rc)| &r[*rc]).collect()).or_default().push(r);
+    // Every right row's key side by side, and the rows that share one
+    // chained: `first` row under a key, then `next` of each. A key with a
+    // NULL in it equals nothing.
+    let width = equi.len();
+    let keys: Vec<JoinKey<'_>> = right.iter().flat_map(|r| equi.iter().map(|(_, rc)| JoinKey(&r[*rc]))).collect();
+    let mut first: HashMap<&[JoinKey<'_>], usize> = HashMap::with_capacity(right.len());
+    let mut next = vec![usize::MAX; right.len()];
+    for (i, key) in keys.chunks_exact(width).enumerate().rev() {
+        if key.iter().all(|k| !k.0.is_null()) {
+            next[i] = first.insert(key, i).unwrap_or(usize::MAX);
+        }
     }
-    let mut out = Vec::new();
+    let (mut probe, mut out) = (Vec::with_capacity(width), Vec::new());
     for l in left {
-        let key: Vec<&Value> = equi.iter().map(|(slot, _)| &l[*slot]).collect();
-        for &r in built.get(&key).into_iter().flatten() {
+        probe.clear();
+        probe.extend(equi.iter().map(|(slot, _)| JoinKey(&l[*slot])));
+        let mut at = first.get(probe.as_slice()).copied().unwrap_or(usize::MAX);
+        while let Some(r) = right.get(at) {
             out.push(concat(l, r));
+            at = next[at];
         }
     }
     out
+}
+
+/// A join key's value, equal to another as `=` finds them (`Value::cmp`),
+/// not as `Value`'s `==` does: a NaN equals itself, `-0.0` does not equal
+/// `0.0`. Keys are paired within one type only, where `Value`'s hash agrees
+/// with this.
+struct JoinKey<'a>(&'a Value);
+
+impl PartialEq for JoinKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.cmp(other.0).is_eq()
+    }
+}
+
+impl Eq for JoinKey<'_> {}
+
+impl std::hash::Hash for JoinKey<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state)
+    }
 }
 
 // ---- Aggregation ----
@@ -1014,6 +1062,78 @@ mod tests {
         c.rollback().unwrap();
         assert!(Arc::ptr_eq(&table.get(rowid).unwrap(), &read.rows[0]));
         assert_eq!(read.get_str(0, "i_name"), Some("item3"));
+    }
+
+    /// `a (id, v)` and `b (id, w)` with one row each, `v` and `w` of the
+    /// given types and values: whether `a.v = b.w`, and how many rows each
+    /// way of joining on it returns.
+    fn joined_on(types: (&str, &str), v: Value, w: Value) -> (Value, [usize; 3]) {
+        let db = Database::new(Personality::test());
+        let mut c = Connection::open(&db);
+        c.execute_batch(&format!(
+            "CREATE TABLE a (id INT PRIMARY KEY, v {}); CREATE TABLE b (id INT PRIMARY KEY, w {});",
+            types.0, types.1
+        ))
+        .unwrap();
+        c.execute("INSERT INTO a VALUES (1, ?)", &[v]).unwrap();
+        c.execute("INSERT INTO b VALUES (1, ?)", &[w]).unwrap();
+        let equal = c.query("SELECT a.v = b.w AS eq FROM a, b", &[]).unwrap().get(0, "eq").cloned().unwrap();
+        let joins = [
+            "SELECT a.id FROM a JOIN b ON a.v = b.w",
+            "SELECT a.id FROM a, b WHERE a.v = b.w",
+            "SELECT a.id FROM a JOIN b ON b.w = a.v WHERE a.id = 1 AND b.id = 1",
+        ];
+        (equal, joins.map(|sql| c.query(sql, &[]).unwrap().len()))
+    }
+
+    #[test]
+    fn a_join_matches_an_int_with_the_float_equal_to_it() {
+        assert_eq!(joined_on(("INT", "FLOAT"), Value::Int(1), Value::Float(1.0)), (Value::Bool(true), [1; 3]));
+        assert_eq!(joined_on(("FLOAT", "INT"), Value::Float(2.0), Value::Int(2)), (Value::Bool(true), [1; 3]));
+    }
+
+    #[test]
+    fn a_join_matches_nan_with_nan_as_equals_does() {
+        let nan = || Value::Float(f64::NAN);
+        assert_eq!(joined_on(("FLOAT", "FLOAT"), nan(), nan()), (Value::Bool(true), [1; 3]));
+    }
+
+    #[test]
+    fn a_join_keeps_negative_zero_from_zero_as_equals_does() {
+        let zeros = (Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(joined_on(("FLOAT", "FLOAT"), zeros.0, zeros.1), (Value::Bool(false), [0; 3]));
+    }
+
+    /// A name both tables have is the first one's: it pins neither the
+    /// second table's path nor its rows.
+    #[test]
+    fn an_unqualified_column_constrains_only_the_first_table_that_has_it() {
+        let db = Database::new(Personality::test());
+        let mut c = Connection::open(&db);
+        c.execute_batch(
+            "CREATE TABLE a (id INT PRIMARY KEY, k INT); CREATE TABLE b (k INT PRIMARY KEY, id INT);
+             CREATE INDEX b_id ON b (id);
+             INSERT INTO a VALUES (1, 7); INSERT INTO b VALUES (7, 2); INSERT INTO b VALUES (1, 1);",
+        )
+        .unwrap();
+        let rs = c.query("SELECT b.k AS bk FROM a JOIN b ON a.id = b.id WHERE k = 7", &[]).unwrap();
+        assert_eq!(rs.get_int(0, "bk"), Some(1), "`k` is `a.k`, not `b.k`");
+        let rs = c.query("SELECT b.k AS bk FROM a, b WHERE id = 1", &[]).unwrap();
+        assert_eq!(rs.len(), 2, "`id` is `a.id`, not `b.id`");
+    }
+
+    /// A conjunct pushed below the join runs on every row its table
+    /// fetches: one that fails, fails the statement, whether or not the row
+    /// would have found a partner.
+    #[test]
+    fn a_pushed_conjunct_that_fails_fails_the_join() {
+        let mut c = conn();
+        let sql = "SELECT s.s_id FROM sale s JOIN item i ON s.s_item = i.i_id WHERE i.i_id = 1000 AND s.s_qty LIKE 1";
+        let err = c.query(sql, &[]).unwrap_err();
+        assert!(err.to_string().contains("LIKE requires strings"), "{err}");
+        // Over the joined tuple, as before, it is never reached.
+        let sql = "SELECT s.s_id FROM sale s JOIN item i ON s.s_item = i.i_id WHERE i.i_id = 1000 AND s.s_qty + i.i_cat LIKE 1";
+        assert!(c.query(sql, &[]).unwrap().is_empty());
     }
 
     /// An UPDATE with no usable path scans under the table's S lock and then

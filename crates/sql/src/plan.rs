@@ -17,6 +17,10 @@
 //! predicate is always re-applied to fetched rows, so paths are purely an
 //! optimization.
 //!
+//! A join is also split into conjuncts: each one over a single table's
+//! columns is bound to that table's row and filters it as it is fetched
+//! ([`SelectPlan::pushed`]); the rest is the residual over the joined tuple.
+//!
 //! A query of one table also learns how much of its path it needs: whether
 //! the path's key order is the order ORDER BY asks for ([`SelectPlan::sorted`]),
 //! and whether the fetch may end with the LIMIT-th row that passes the
@@ -50,6 +54,13 @@ impl Plan {
             PlanKind::Insert(_) => {}
             PlanKind::Select(sel) => {
                 sel.tables.iter_mut().for_each(|t| t.path = AccessPath::Scan);
+                // Cross products, and every conjunct over the whole tuple.
+                sel.joins.iter_mut().for_each(Vec::clear);
+                let mut offset = 0;
+                for (access, pushed) in sel.tables.iter().zip(&mut sel.pushed) {
+                    sel.filter.extend(pushed.drain(..).map(|e| move_slots(&e, |s| s + offset)));
+                    offset += access.table.schema.arity();
+                }
                 // And read to the end, then sorted, then cut.
                 (sel.sorted, sel.limit_stops) = (false, false);
             }
@@ -130,7 +141,12 @@ pub(crate) struct SelectPlan {
     /// Per joined table, its hash-join keys as `(slot in the tuple so far,
     /// column of the joined table)`; empty means a cross product.
     pub joins: Vec<Vec<(usize, usize)>>,
-    /// Every ON condition, then WHERE, over the joined tuple.
+    /// Per table of a join, the conjuncts of ON and WHERE over its columns
+    /// alone, bound to its own row: its rows are filtered by them as they
+    /// are fetched, before any is joined. Empty without a join.
+    pub pushed: Vec<Vec<Expr>>,
+    /// What is left to check over the joined tuple: every ON condition,
+    /// then WHERE — of a join, each of their conjuncts not pushed.
     pub filter: Vec<Expr>,
     pub for_update: bool,
     pub width: usize,
@@ -217,6 +233,29 @@ fn bind_expr(e: &Expr, scope: &[Binding<'_>], mut lift: Option<(usize, &mut Vec<
     })
 }
 
+/// The one table whose columns `e` reads, if it reads some and nothing
+/// else: no other table's column, none left unresolved, no aggregate.
+fn own_table(e: &Expr, scope: &[Binding<'_>]) -> Option<usize> {
+    let mut table = None;
+    let other = e.any(&mut |node| match node {
+        Expr::Slot(s) => {
+            let t = binding_of(scope, *s);
+            *table.get_or_insert(t) != t
+        }
+        Expr::Column { .. } | Expr::Agg { .. } => true,
+        _ => false,
+    });
+    table.filter(|_| !other)
+}
+
+/// `e` with each slot `s` renumbered `to(s)`.
+fn move_slots(e: &Expr, to: impl Fn(usize) -> usize) -> Expr {
+    e.rewrite(&mut |node| match node {
+        Expr::Slot(s) => Some(Expr::Slot(to(*s))),
+        _ => None,
+    })
+}
+
 // ---- Access-path planning ----
 
 /// Equality and range constraints `column OP constant` on one table, taken
@@ -227,19 +266,19 @@ struct Predicates<'e> {
     ranges: HashMap<usize, (Bound<&'e Expr>, Bound<&'e Expr>)>,
 }
 
-fn analyze<'e>(clause: Option<&'e Expr>, binding: &str, schema: &TableSchema) -> Predicates<'e> {
+fn analyze<'e>(clause: Option<&'e Expr>, scope: &[Binding<'_>], i: usize) -> Predicates<'e> {
     let mut info = Predicates::default();
     let Some(clause) = clause else { return info };
     for conjunct in clause.conjuncts() {
         if let Expr::Between { expr, low, high, negated: false } = conjunct {
-            if let (Some(col), true, true) = (column_of(expr, binding, schema), is_const(low), is_const(high)) {
+            if let (Some(col), true, true) = (column_of(expr, scope, i), is_const(low), is_const(high)) {
                 info.ranges.insert(col, (Bound::Included(&**low), Bound::Included(&**high)));
             }
             continue;
         }
         let Expr::Binary { op, left, right } = conjunct else { continue };
         // col OP const  or  const OP col
-        let (col, value, op) = match (column_of(left, binding, schema), column_of(right, binding, schema)) {
+        let (col, value, op) = match (column_of(left, scope, i), column_of(right, scope, i)) {
             (Some(c), None) if is_const(right) => (c, &**right, *op),
             (None, Some(c)) if is_const(left) => (c, &**left, flip(*op)),
             _ => continue,
@@ -269,19 +308,17 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
-/// If `e` is a column of this binding, return its position.
-fn column_of(e: &Expr, binding: &str, schema: &TableSchema) -> Option<usize> {
-    match e {
-        Expr::Column { table, name } => {
-            if let Some(t) = table {
-                if !t.eq_ignore_ascii_case(binding) {
-                    return None;
-                }
-            }
-            schema.column_index(name).ok()
-        }
-        _ => None,
-    }
+/// If `e` is a column of `scope[i]` — which an unqualified name is only if
+/// no table before it has the column — its position there.
+fn column_of(e: &Expr, scope: &[Binding<'_>], i: usize) -> Option<usize> {
+    let Expr::Column { table, name } = e else { return None };
+    let slot = resolve(scope, table.as_deref(), name)?;
+    (binding_of(scope, slot) == i).then(|| slot - scope[i].offset)
+}
+
+/// Which of `scope` a slot of its tuple belongs to.
+fn binding_of(scope: &[Binding<'_>], slot: usize) -> usize {
+    scope.iter().rposition(|b| b.offset <= slot).expect("a slot of the tuple")
 }
 
 /// Constant in the planning sense: literals and parameters only.
@@ -360,7 +397,7 @@ fn bind_write(
     let table = db.table(name)?;
     let schema = &table.schema;
     let scope = [Binding { name: name.to_ascii_lowercase(), schema, offset: 0 }];
-    let path = choose_path(&table, &analyze(where_clause, name, schema));
+    let path = choose_path(&table, &analyze(where_clause, &scope, 0));
     let sets = sets
         .map(|sets| {
             sets.iter()
@@ -389,19 +426,19 @@ fn bind_select(db: &Database, sel: &Select) -> Result<SelectPlan> {
     // (`a.k = ? AND a.k = b.k` pins `b.k` too).
     let mut infos: Vec<Predicates<'_>> = Vec::with_capacity(handles.len());
     let mut joins = Vec::with_capacity(sel.joins.len());
-    for (i, b) in scope.iter().enumerate() {
+    for i in 0..scope.len() {
         let mut info = Predicates::default();
         if let Some(join) = i.checked_sub(1).map(|j| &sel.joins[j]) {
-            info = analyze(Some(&join.on), &b.name, b.schema);
-            joins.push(equi_conditions(join, where_clause, &scope[..i], b));
+            info = analyze(Some(&join.on), &scope, i);
+            joins.push(equi_conditions(join, where_clause, &scope, i));
         }
-        let extra = analyze(where_clause, &b.name, b.schema);
+        let extra = analyze(where_clause, &scope, i);
         info.eq.extend(extra.eq);
         info.ranges.extend(extra.ranges);
         for &(slot, col) in joins.last().into_iter().flatten() {
-            let partner = scope[..i].iter().rposition(|l| l.offset <= slot).expect("slot of a joined table");
+            let partner = binding_of(&scope, slot);
             if let Some(pinned) = infos[partner].eq.get(&(slot - scope[partner].offset)) {
-                info.eq.entry(col).or_insert(pinned);
+                info.eq.entry(col).or_insert(*pinned);
             }
         }
         infos.push(info);
@@ -411,7 +448,24 @@ fn bind_select(db: &Database, sel: &Select) -> Result<SelectPlan> {
         .zip(&infos)
         .map(|(t, info)| TableAccess { table: t.clone(), path: choose_path(t, info) })
         .collect();
-    let filter = sel.joins.iter().map(|j| &j.on).chain(where_clause).map(|e| bind_expr(e, &scope, None)).collect();
+
+    // Every ON condition, then WHERE. A join takes them conjunct by
+    // conjunct: one over a single table's columns is bound to that table's
+    // own row and filters it as it is fetched.
+    let conditions = sel.joins.iter().map(|j| &j.on).chain(where_clause);
+    let (filter, pushed) = if tables.len() < 2 {
+        (conditions.map(|e| bind_expr(e, &scope, None)).collect(), Vec::new())
+    } else {
+        let (mut filter, mut pushed) = (Vec::new(), vec![Vec::new(); tables.len()]);
+        for conjunct in conditions.flat_map(|e| e.conjuncts()) {
+            let bound = bind_expr(conjunct, &scope, None);
+            match own_table(&bound, &scope) {
+                Some(t) => pushed[t].push(move_slots(&bound, |s| s - scope[t].offset)),
+                None => filter.push(bound),
+            }
+        }
+        (filter, pushed)
+    };
 
     let grouped = !sel.group_by.is_empty()
         || sel.items.iter().any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.has_aggregate()));
@@ -458,6 +512,7 @@ fn bind_select(db: &Database, sel: &Select) -> Result<SelectPlan> {
     let sorted = streams && in_path_order(&tables[0], &items, &order_by);
     Ok(SelectPlan {
         joins,
+        pushed,
         filter,
         for_update: sel.for_update && tables.len() == 1,
         tables,
@@ -519,15 +574,10 @@ fn output_column(items: &[Option<Expr>], width: usize, i: usize) -> Option<usize
     None
 }
 
-/// Equi-join conditions `(slot in the joined tuple so far, right column)`
-/// between the already-joined bindings and the incoming right table, from
-/// the ON condition and WHERE.
-fn equi_conditions(
-    join: &Join,
-    where_clause: Option<&Expr>,
-    left: &[Binding<'_>],
-    right: &Binding<'_>,
-) -> Vec<(usize, usize)> {
+/// Equi-join conditions `(slot in the joined tuple so far, column of
+/// scope[i])` between the tables before `scope[i]` and it, from its ON
+/// condition and WHERE.
+fn equi_conditions(join: &Join, where_clause: Option<&Expr>, scope: &[Binding<'_>], i: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut sources: Vec<&Expr> = join.on.conjuncts();
     if let Some(w) = where_clause {
@@ -536,15 +586,16 @@ fn equi_conditions(
     for e in sources {
         let Expr::Binary { op: BinOp::Eq, left: l, right: r } = e else { continue };
         for (a, b) in [(l, r), (r, l)] {
-            let Some(rc) = column_of(a, &right.name, right.schema) else { continue };
-            // `a` is a column of the right table; the other side must bind
-            // to some table on the left — and not, by qualification, to the
-            // right table itself.
-            let on_right = matches!(&**b, Expr::Column { table: Some(t), .. } if t.eq_ignore_ascii_case(&right.name));
-            if !on_right {
-                if let Some((lb, lc)) = left.iter().find_map(|lb| Some((lb, column_of(b, &lb.name, lb.schema)?))) {
-                    out.push((lb.offset + lc, rc));
-                }
+            let Some(col) = column_of(a, scope, i) else { continue };
+            // `a` is a column of this table; the other side must be one of
+            // a table before it.
+            let Expr::Column { table, name } = &**b else { break };
+            let Some(slot) = resolve(scope, table.as_deref(), name).filter(|s| *s < scope[i].offset) else { break };
+            // A hash matches as `=` does within one type only (`=` finds
+            // `1 = 1.0`): a mixed pair is left to the filter.
+            let partner = &scope[binding_of(scope, slot)];
+            if partner.schema.columns[slot - partner.offset].ty == scope[i].schema.columns[col].ty {
+                out.push((slot, col));
             }
             break;
         }
@@ -584,8 +635,32 @@ mod tests {
     /// The path of each table of `sql`, in FROM order: `point(..)`, `scan`,
     /// or `range(key: pinned..; bounds)` with parameters as `?n` from 1 —
     /// followed, for a query, by ` sorted` when the path's order answers
-    /// ORDER BY and ` limit` when the fetch ends at LIMIT.
+    /// ORDER BY and ` limit` when the fetch ends at LIMIT, and for a table of
+    /// a join by ` where ..`, the conjuncts pushed down to it.
     fn paths(db: &Database, sql: &str) -> Vec<String> {
+        fn term(e: &Expr, schema: &TableSchema) -> String {
+            match e {
+                Expr::Param(i) => format!("?{}", i + 1),
+                Expr::Lit(v) => v.to_string(),
+                Expr::Slot(c) => schema.columns[*c].name.clone(),
+                Expr::Between { expr, low, high, negated: false } => {
+                    format!("{} BETWEEN {} AND {}", term(expr, schema), term(low, schema), term(high, schema))
+                }
+                Expr::Binary { op, left, right } => {
+                    let op = match op {
+                        BinOp::Eq => "=",
+                        BinOp::NotEq => "<>",
+                        BinOp::Lt => "<",
+                        BinOp::LtEq => "<=",
+                        BinOp::Gt => ">",
+                        BinOp::GtEq => ">=",
+                        other => return format!("{other:?}({}, {})", term(left, schema), term(right, schema)),
+                    };
+                    format!("{} {op} {}", term(left, schema), term(right, schema))
+                }
+                other => format!("{other:?}"),
+            }
+        }
         fn key(k: &KeyExpr) -> String {
             match &k.expr {
                 Expr::Param(i) => format!("?{}", i + 1),
@@ -615,7 +690,14 @@ mod tests {
             PlanKind::Select(sel) => {
                 let facts = [(sel.sorted, " sorted"), (sel.limit_stops, " limit")];
                 let facts: String = facts.iter().filter(|(holds, _)| *holds).map(|(_, fact)| *fact).collect();
-                sel.tables.iter().map(|access| describe(access) + &facts).collect()
+                let pushed = |(i, access): (usize, &TableAccess)| match sel.pushed.get(i) {
+                    Some(own) if !own.is_empty() => {
+                        let own: Vec<String> = own.iter().map(|e| term(e, &access.table.schema)).collect();
+                        format!(" where {}", own.join(" AND "))
+                    }
+                    _ => String::new(),
+                };
+                sel.tables.iter().enumerate().map(|t| describe(t.1) + &facts + &pushed(t)).collect()
             }
             PlanKind::Write(w) => vec![describe(&w.access)],
             PlanKind::Insert(_) => Vec::new(),
@@ -626,14 +708,16 @@ mod tests {
     fn paths_of_the_statements_that_scan() {
         let db = catalog();
         let path = |sql: &str| paths(&db, sql).join(" | ");
-        // tpcc StockLevel: the district's last twenty orders, not all of them.
+        // tpcc StockLevel: the district's last twenty orders, not all of
+        // them, and of the warehouse's stock only what is low.
         assert_eq!(
             path(
                 "SELECT COUNT(DISTINCT ol.ol_i_id) AS low FROM order_line ol JOIN stock s \
                  ON ol.ol_i_id = s.s_i_id WHERE ol.ol_w_id = ? AND ol.ol_d_id = ? \
                  AND ol.ol_o_id >= ? AND s.s_w_id = ? AND s.s_quantity < ?"
             ),
-            "range(pk: ?1, ?2; >= ?3) | range(pk: ?4)"
+            "range(pk: ?1, ?2; >= ?3) where ol_w_id = ?1 AND ol_d_id = ?2 AND ol_o_id >= ?3 \
+             | range(pk: ?4) where s_w_id = ?4 AND s_quantity < ?5"
         );
         // tpcc Delivery: the oldest new order is the first of the range.
         assert_eq!(
@@ -704,7 +788,10 @@ mod tests {
                  ON sf.s_id = cf.s_id WHERE sf.s_id = ? AND sf.sf_type = ? AND sf.is_active = 1 \
                  AND cf.sf_type = ? AND cf.start_time <= ? AND cf.end_time > ?"
             ),
-            ["point(?1, ?2)", "range(pk: ?1, ?3; <= ?4)"]
+            [
+                "point(?1, ?2) where s_id = ?1 AND sf_type = ?2 AND is_active = 1",
+                "range(pk: ?1, ?3; <= ?4) where sf_type = ?3 AND start_time <= ?4 AND end_time > ?5"
+            ]
         );
         // Through a chain of joins, and from WHERE as well as ON; a constant
         // of the joined table's own is kept.
@@ -716,8 +803,34 @@ mod tests {
                  WHERE n.no_w_id = 4 AND n.no_d_id = 5 AND o.o_d_id = n.no_d_id AND o.o_d_id = 6 \
                  AND ol.ol_d_id = o.o_d_id"
             ),
-            ["range(pk: 4, 5)", "range(pk: 4, 6)", "range(pk: 4, 6)"]
+            ["range(pk: 4, 5) where no_w_id = 4 AND no_d_id = 5", "range(pk: 4, 6) where o_d_id = 6", "range(pk: 4, 6)"]
         );
+    }
+
+    #[test]
+    fn one_table_conjuncts_go_below_the_join_and_the_rest_stay_over_it() {
+        let db = catalog();
+        let sql = "SELECT * FROM new_order n JOIN orders o ON o.o_w_id = n.no_w_id AND o.o_entry_d = n.no_o_id \
+                   WHERE n.no_w_id = ? AND n.no_d_id = 3 AND o.o_w_id = ? AND o.o_d_id BETWEEN ? AND ? \
+                   AND o.o_d_id < ? AND o.o_c_id + 1 > n.no_d_id AND o.o_c_id <> 7 AND nope = 1 \
+                   AND MAX(o.o_id) > 1 AND ? = 2";
+        assert_eq!(
+            paths(&db, sql),
+            [
+                "range(pk: ?1, 3) where no_w_id = ?1 AND no_d_id = 3",
+                "range(pk: ?2; >= ?3; < ?5) where o_w_id = ?2 AND o_d_id BETWEEN ?3 AND ?4 AND o_d_id < ?5 \
+                 AND o_c_id <> 7"
+            ]
+        );
+        let PlanKind::Select(sel) = bind(&db, &crate::parser::parse(sql).unwrap()).unwrap().kind else { panic!() };
+        // Over two tables, a column that resolves to none, an aggregate, no
+        // column at all.
+        assert_eq!(sel.filter.len(), 6, "{:?}", sel.filter);
+        // An INT and a FLOAT column are no hash key: `=` finds `1 = 1.0`.
+        assert_eq!(sel.joins, [[(0, 0)]]);
+        let scanning = Plan { version: 0, kind: PlanKind::Select(sel) }.scanning();
+        let PlanKind::Select(sel) = scanning.kind else { panic!() };
+        assert_eq!((sel.filter.len(), sel.pushed.concat().len(), sel.joins.concat().len()), (12, 0, 0));
     }
 
     #[test]

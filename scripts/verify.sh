@@ -36,7 +36,7 @@ echo "== lock table, optimised: exclusion under load is a race detector; the fas
 cargo test -q --release --offline -p bp-storage lock::
 cargo test -q --release --offline --test lock_fast_path
 
-echo "== read and write path, optimised: a ycsb point read allocates <= 4 times (its key, its result), a ycsb update <= 6 and a tpcc UPDATE_STOCK by key <= 3 (what they set, no copy of the row), readers hold the table's own row and keep what they read, a bulk transaction's buffers are not kept, a range read allocates its result and nothing per row it reads =="
+echo "== read and write path, optimised: a ycsb point read allocates <= 4 times (its key, its result), a ycsb update <= 6 and a tpcc UPDATE_STOCK by key <= 3 (what they set, no copy of the row), readers hold the table's own row and keep what they read, a bulk transaction's buffers are not kept, a range read allocates its result and nothing per row it reads, and a tpcc StockLevel <= 49.1 times (1,016 when all stock was joined) with its 392.8 rows read unchanged =="
 cargo test -q --release --offline --test read_path_allocs
 
 echo "== paced gate, optimised: no catch-up credit before the first dispatch, a dispatch late by up to the credit keeps the schedule, an older backlog drains at one spacing; four wall-clock terminals behind a 2k tx/s gate take <= 1.3 timed gate waits per dispatch, and with each request held for 3 slots a parked terminal is woken for a burst's next slot (median dispatch <= 250 us behind its slot; ~1.1 ms without the wake) =="
@@ -76,7 +76,7 @@ cargo test -q --offline -p bp-util ring
 cargo test -q --offline -p bp-obs span
 cargo run -q --release --offline -p bp-bench --bin harness trace
 
-echo "== access paths, optimised: a planned statement returns what its scan returns, a LIMIT that ends the fetch returns the sequence the sort would and reads <= LIMIT + rejected rows; key bytes order as values do; in every third of a tpcc run StockLevel reads a 20-order window and Delivery <= 160 rows a call (147 / 149 / 148; 237 / 319 / 353 with the whole range read), and an order_line row costs <= 330 live bytes =="
+echo "== access paths, optimised: a planned statement returns what its scan returns, a planned join the sequence the scanned cross product returns, a LIMIT that ends the fetch returns the sequence the sort would and reads <= LIMIT + rejected rows; key bytes order as values do; in every third of a tpcc run StockLevel reads a 20-order window and Delivery <= 160 rows a call (147 / 149 / 148; 237 / 319 / 353 with the whole range read), and an order_line row costs <= 330 live bytes =="
 cargo test -q --release --offline --test access_paths
 cargo test -q --release --offline --test tpcc_slope
 

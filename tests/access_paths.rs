@@ -5,7 +5,9 @@
 //! statement run along the path its plan chose returns exactly the rows, in
 //! the order, with the error or lack of one, that it returns when every
 //! table is scanned and the whole predicate decides
-//! ([`Connection::prepare_scanning`]).
+//! ([`Connection::prepare_scanning`]). A join is held to the cross product
+//! of its tables, scanned, under every conjunct of its ON conditions and
+//! WHERE: no hash keys, nothing pushed below it.
 //!
 //! *Stopping short*: a statement whose LIMIT ends its fetch — no ORDER BY,
 //! or one its path's key order answers — returns the sequence it returns
@@ -15,10 +17,11 @@
 //! *Codec*: `Key::encode` keeps `Value`'s order for tuples of one type
 //! signature, and the key of a tuple's prefix is a prefix of its key.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bp_sql::{Connection, Prepared};
-use bp_storage::{DataType, Database, Key, Personality, Value};
+use bp_storage::{DataType, Database, Key, Personality, SharedRow, Value};
 use bp_util::rng::Rng;
 
 const KEY_TYPES: [DataType; 4] = [DataType::Int, DataType::Float, DataType::Str, DataType::Bool];
@@ -195,6 +198,207 @@ fn planned_statements_return_what_scans_return() {
     // The comparison means something only if paths were taken: most
     // statements constrain a leading key column.
     assert!(narrowed * 2 > statements, "{narrowed} of {statements} statements read less than their table");
+}
+
+// ---- Plan vs scan, joined ----
+
+/// A value for a joined table's column: domains so small that equi-joins
+/// find partners — across INT and FLOAT too — with `-0.0` beside `0.0` and
+/// a NaN.
+fn joined_value(ty: DataType, rng: &mut Rng) -> Value {
+    match ty {
+        DataType::Int => Value::Int(rng.int_range(-1, 3)),
+        DataType::Float => Value::Float(*rng.choose(&[-0.0, 0.0, 1.0, 2.0, 2.5, f64::NAN])),
+        DataType::Str => Value::Str(rng.choose(&["", "a", "b"]).to_string()),
+        DataType::Bool => Value::Bool(rng.bool_with(0.5)),
+        DataType::Bytes => unreachable!("no bytes columns here"),
+    }
+}
+
+/// `a`, `b` and `c`, each with key columns `k0..` of random types, then
+/// `x INT`, `f FLOAT` and `s VARCHAR` (nullable), and an index over one or
+/// two random columns. Every column's values ascend with the rows' order of
+/// insertion, so every key of a table orders its rows as a scan does: a
+/// path yields them in scan order, and a join's output — each tuple, then
+/// its partners in the order they were fetched — is one sequence whichever
+/// paths fetched them.
+fn joined_tables(rng: &mut Rng) -> (Arc<Database>, Vec<Vec<(String, DataType)>>) {
+    let db = Database::new(Personality::test());
+    let mut c = Connection::open(&db);
+    let mut tables = Vec::new();
+    for name in ["a", "b", "c"] {
+        let pk = rng.int_range(1, 2) as usize;
+        let mut columns: Vec<(String, DataType)> =
+            (0..pk).map(|i| (format!("k{i}"), *rng.choose(&KEY_TYPES))).collect();
+        let values = [("x", DataType::Int), ("f", DataType::Float), ("s", DataType::Str)];
+        columns.extend(values.map(|(n, t)| (n.to_string(), t)));
+        let sql_type = |ty: &DataType| match ty {
+            DataType::Int => "INT",
+            DataType::Float => "FLOAT",
+            DataType::Str => "VARCHAR(8)",
+            DataType::Bool => "BOOLEAN",
+            DataType::Bytes => unreachable!(),
+        };
+        let defs: Vec<String> = columns.iter().map(|(n, ty)| format!("{n} {}", sql_type(ty))).collect();
+        let keys: Vec<&str> = columns[..pk].iter().map(|(n, _)| n.as_str()).collect();
+        let mut indexed: Vec<&str> = columns.iter().map(|(n, _)| n.as_str()).collect();
+        rng.shuffle(&mut indexed);
+        indexed.truncate(rng.int_range(1, 2) as usize);
+        c.execute_batch(&format!(
+            "CREATE TABLE {name} ({}, PRIMARY KEY ({})); CREATE INDEX {name}_ix ON {name} ({});",
+            defs.join(", "),
+            keys.join(", "),
+            indexed.join(", ")
+        ))
+        .unwrap();
+        // Each column drawn on its own and sorted: NULLs first, then by value.
+        let n = rng.int_range(4, 16) as usize;
+        let mut values: Vec<Vec<Value>> = columns
+            .iter()
+            .enumerate()
+            .map(|(i, (_, ty))| {
+                let mut value = || if i >= pk && rng.bool_with(0.2) { Value::Null } else { joined_value(*ty, rng) };
+                (0..n).map(|_| value()).collect()
+            })
+            .collect();
+        values.iter_mut().for_each(|column| column.sort());
+        let insert = format!("INSERT INTO {name} VALUES ({})", vec!["?"; columns.len()].join(", "));
+        for row in 0..n {
+            let row: Vec<Value> = values.iter().map(|column| column[row].clone()).collect();
+            // Equal keys collide; a refused duplicate leaves the order as it is.
+            let _ = c.execute(&insert, &row);
+        }
+        tables.push(columns);
+    }
+    (db, tables)
+}
+
+/// A random join of the first two or three of `tables` — by `JOIN .. ON`
+/// or by commas and WHERE — and the parameters it takes. Its conditions:
+/// equi-joins between columns of one type or of INT and FLOAT; conjuncts on
+/// one table (comparisons either way round, BETWEEN, IN, IS NULL, with NULL
+/// and cross-type parameters), some by a name every table has and that
+/// means the first; and conjuncts over two tables that are no equi-join.
+/// None of them can fail, so neither can the statement, in any order.
+fn joined_statement(tables: &[Vec<(String, DataType)>], rng: &mut Rng) -> (String, Vec<Value>) {
+    let n = rng.int_range(2, 3) as usize;
+    let names = ["a", "b", "c"];
+    let column = |t: usize, rng: &mut Rng| rng.choose(&tables[t]).clone();
+    // Conjuncts with their parameters; `on[t]` joins table `t` on.
+    let mut on: Vec<Vec<(String, Vec<Value>)>> = vec![Vec::new(); n];
+    let mut rest: Vec<(String, Vec<Value>)> = Vec::new();
+    for t in 1..n {
+        for _ in 0..rng.int_range(0, 2) {
+            let partner = rng.index(t);
+            let (left, ty) = column(partner, rng);
+            // A column of the same type, or of the other numeric one.
+            let numeric = |t: &DataType| matches!(t, DataType::Int | DataType::Float);
+            let fits = |other: &DataType| other == &ty || (numeric(&ty) && numeric(other));
+            let candidates: Vec<&(String, DataType)> = tables[t].iter().filter(|(_, o)| fits(o)).collect();
+            let Some((right, _)) = candidates.get(rng.index(candidates.len().max(1))) else { continue };
+            on[t].push((format!("{}.{left} = {}.{right}", names[partner], names[t]), Vec::new()));
+        }
+    }
+    for _ in 0..rng.int_range(0, 4) {
+        let t = rng.index(n);
+        let (name, ty) = column(t, rng);
+        // Unqualified, a name every table has is the first table's.
+        let col = if t == 0 && ["x", "f", "s"].contains(&name.as_str()) && rng.bool_with(0.3) {
+            name.clone()
+        } else {
+            format!("{}.{name}", names[t])
+        };
+        let p = |rng: &mut Rng| if rng.bool_with(0.5) { joined_value(ty, rng) } else { parameter(ty, rng) };
+        let term = match rng.bounded(7) {
+            0 => (format!("{col} BETWEEN ? AND ?"), vec![p(rng), p(rng)]),
+            1 => (format!("{col} IN (?, ?)"), vec![p(rng), p(rng)]),
+            2 => (format!("{col} IS NULL"), Vec::new()),
+            3 => (format!("? >= {col}"), vec![p(rng)]),
+            op => (format!("{col} {} ?", ["=", "<", "<>", "="][op as usize - 3]), vec![p(rng)]),
+        };
+        // In the ON condition of its table or of a later one, or in WHERE.
+        match rng.index(n + 1).max(t) {
+            at if at < n && at > 0 => on[at].push(term),
+            _ => rest.push(term),
+        }
+    }
+    if rng.bool_with(0.3) {
+        let (l, r) = (rng.index(n), rng.index(n));
+        let term = match rng.bounded(3) {
+            0 => format!("{}.x < {}.x", names[l], names[r]),
+            1 => format!("{}.x + {}.x > 2", names[l], names[r]),
+            _ => format!("{}.f <> {}.x", names[l], names[r]),
+        };
+        rest.push((term, Vec::new()));
+    }
+
+    let commas = rng.bool_with(0.4);
+    let mut params = Vec::new();
+    let mut conjunction = |terms: &mut Vec<(String, Vec<Value>)>| {
+        rng.shuffle(terms);
+        let (sql, ps): (Vec<String>, Vec<Vec<Value>>) = std::mem::take(terms).into_iter().unzip();
+        params.extend(ps.concat());
+        sql.join(" AND ")
+    };
+    let mut from = names[0].to_string();
+    let mut predicate = Vec::new();
+    for (t, terms) in on.iter_mut().enumerate().skip(1) {
+        let conjuncts = conjunction(terms);
+        if commas {
+            from += &format!(", {}", names[t]);
+            predicate.extend((!conjuncts.is_empty()).then_some(conjuncts));
+        } else {
+            let conjuncts = if conjuncts.is_empty() { "1 = 1".to_string() } else { conjuncts };
+            from += &format!(" JOIN {} ON {conjuncts}", names[t]);
+        }
+    }
+    predicate.extend(Some(conjunction(&mut rest)).filter(|w| !w.is_empty()));
+    let predicate = if predicate.is_empty() { String::new() } else { format!(" WHERE {}", predicate.join(" AND ")) };
+    let (x, s) = (format!("{}.x", names[n - 1]), format!("{}.s", names[rng.index(n)]));
+    let sql = match rng.bounded(5) {
+        0 => format!("SELECT COUNT(DISTINCT {x}) AS d, COUNT(*) AS n FROM {from}{predicate}"),
+        1 => format!("SELECT {s}, COUNT(*) AS n, MAX(a.f) AS m FROM {from}{predicate} GROUP BY {s}"),
+        2 => format!("SELECT {x}, {s} FROM {from}{predicate}"),
+        _ => format!("SELECT * FROM {from}{predicate}"),
+    };
+    (sql, params)
+}
+
+/// Joins return what the cross product of every table, scanned, returns
+/// under the whole predicate — as a sequence: pushing a conjunct below the
+/// join and hashing its keys change neither which tuples come out nor their
+/// order — and read no more rows.
+#[test]
+fn planned_joins_return_what_the_scanned_cross_product_returns() {
+    let (mut statements, mut narrowed, mut answered) = (0, 0, 0);
+    for seed in 0..40u64 {
+        let mut rng = Rng::new(0x501_0E0 + seed);
+        let (db, tables) = joined_tables(&mut rng);
+        let mut c = Connection::open(&db);
+        for _ in 0..40 {
+            let (sql, params) = joined_statement(&tables, &mut rng);
+            let (planned, scanning) = (c.prepare(&sql).unwrap(), c.prepare_scanning(&sql).unwrap());
+            let mut run = |p: &Prepared| {
+                let before = db.metrics().snapshot().rows_read;
+                let result = c.query_prepared(p, &params).map(|rs| rs.rows).map_err(|e| e.to_string());
+                (result, db.metrics().snapshot().rows_read - before)
+            };
+            // As text: a NaN is not `==` itself.
+            let text = |result: &Result<Vec<SharedRow>, String>| format!("{result:?}");
+            let (by_scan, read_by_scan) = run(&scanning);
+            let (by_plan, read) = run(&planned);
+            let context = format!("seed {seed}: {sql} with {params:?}");
+            assert_eq!(text(&by_plan), text(&by_scan), "{context}");
+            assert!(read <= read_by_scan, "{read} rows read, {read_by_scan} by the scans; {context}");
+            statements += 1;
+            narrowed += (read < read_by_scan) as usize;
+            answered += by_scan.is_ok_and(|rows| !rows.is_empty() && rows[0].iter().any(|v| !v.is_null())) as usize;
+        }
+    }
+    // The comparison means something only if paths were taken and rows came
+    // out.
+    assert!(narrowed * 4 > statements, "{narrowed} of {statements} joins read less than their tables");
+    assert!(answered * 3 > statements, "{answered} of {statements} joins answered with a row");
 }
 
 // ---- LIMIT ends the fetch ----
@@ -411,25 +615,44 @@ fn tatp_get_new_destination_reads_one_facility() {
     let sql = "SELECT cf.numberx FROM special_facility sf JOIN call_forwarding cf \
                ON sf.s_id = cf.s_id WHERE sf.s_id = ? AND sf.sf_type = ? AND sf.is_active = 1 \
                AND cf.sf_type = ? AND cf.start_time <= ? AND cf.end_time > ?";
-    let (planned, scanning) = (c.prepare(sql).unwrap(), c.prepare_scanning(sql).unwrap());
+    let planned = c.prepare(sql).unwrap();
+    // The reference, from one scan of each table: the forwardings of the
+    // subscriber's facility of that type, in the order a scan has them, if
+    // the facility is active.
+    let facilities = c.query("SELECT s_id, sf_type, is_active FROM special_facility", &[]).unwrap();
+    let active: HashSet<(i64, i64)> = (0..facilities.len())
+        .filter(|&i| facilities.get_int(i, "is_active") == Some(1))
+        .map(|i| (facilities.get_int(i, "s_id").unwrap(), facilities.get_int(i, "sf_type").unwrap()))
+        .collect();
+    let scanned = c.query("SELECT * FROM call_forwarding", &[]).unwrap();
+    let mut by_facility: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+    for i in 0..scanned.len() {
+        let at = (scanned.get_int(i, "s_id").unwrap(), scanned.get_int(i, "sf_type").unwrap());
+        by_facility.entry(at).or_default().push(i);
+    }
+    let expected = |s_id: i64, sf_type: i64, start: i64, end: i64| -> Vec<Vec<Value>> {
+        let rows = by_facility.get(&(s_id, sf_type)).filter(|_| active.contains(&(s_id, sf_type)));
+        let int = |i: usize, col| scanned.get_int(i, col);
+        let current =
+            |i: &&usize| int(**i, "start_time").is_some_and(|t| t <= start) && int(**i, "end_time").is_some_and(|t| t > end);
+        rows.into_iter().flatten().filter(current).map(|&i| vec![scanned.get(i, "numberx").unwrap().clone()]).collect()
+    };
     let mut rng = Rng::new(11);
-    let mut found = 0;
+    let (mut found, mut draws_found) = (0, 0);
     for _ in 0..500 {
-        let sf_type = Value::Int(rng.int_range(1, 4));
+        let sf_type = rng.int_range(1, 4);
         let start = *rng.choose(&[0, 8, 16]);
-        let params = [
-            Value::Int(rng.int_range(1, subscribers)),
-            sf_type.clone(),
-            sf_type,
-            Value::Int(start),
-            Value::Int(start + rng.int_range(1, 8)),
-        ];
+        let (s_id, end) = (rng.int_range(1, subscribers), start + rng.int_range(1, 8));
+        let params = [s_id, sf_type, sf_type, start, end].map(Value::Int);
         let before = db.metrics().snapshot().rows_read;
         let rows = c.query_prepared(&planned, &params).unwrap();
         let read = db.metrics().snapshot().rows_read - before;
         assert!(read <= 4, "{read} rows read for {params:?}");
-        assert_eq!(rows, c.query_prepared(&scanning, &params).unwrap());
+        let rows: Vec<Vec<Value>> = rows.rows.iter().map(|r| r.to_vec()).collect();
+        assert_eq!(rows, expected(s_id, sf_type, start, end), "{params:?}");
         found += rows.len();
+        draws_found += !rows.is_empty() as usize;
     }
-    assert!(found > 0, "no draw found a forwarding");
+    // 105 of them do.
+    assert!(draws_found > 50, "only {draws_found} of 500 draws found a forwarding ({found} in all)");
 }

@@ -1,6 +1,6 @@
 //! A read shares the row it returns and a write copies none: what a point
-//! read and a point update allocate, that the row a reader holds is the
-//! table's own, that such a row keeps showing what was read whatever is
+//! read, a point update and a join allocate, that the row a reader holds is
+//! the table's own, that such a row keeps showing what was read whatever is
 //! written afterwards, and that a session keeps its transaction buffers only
 //! while they are small.
 //!
@@ -204,4 +204,43 @@ fn a_range_read_allocates_for_its_result_and_nothing_per_row_it_reads() {
     conn.commit().expect("commit");
     assert_eq!(beyond_the_list.len(), 1, "allocations beyond the result, and how often: {beyond_the_list:?}");
     assert!(beyond_the_list.keys().all(|n| *n <= 2), "{beyond_the_list:?}");
+}
+
+/// StockLevel joins the lines of a district's last twenty orders with the
+/// warehouse's stock. `s.s_quantity < ?` filters the stock as it is fetched,
+/// so only low stock reaches the hash join and only its rows are joined;
+/// each line probes it through one key buffer. Every row along both paths
+/// is still read, and locked, as before.
+#[test]
+fn stock_level_joins_only_the_low_stock() {
+    use benchpress::workloads::tpcc::Tpcc;
+    const NEW_ORDER: usize = 0;
+    const STOCK_LEVEL: usize = 4;
+    const ROUNDS: u64 = 1_000;
+    let tpcc = Tpcc::new();
+    let db = Database::new(Personality::test());
+    let mut conn = Connection::open(&db);
+    tpcc.setup(&mut conn, 1.0, &mut Rng::new(7)).expect("load");
+    let mut rng = Rng::new(11);
+    for _ in 0..2_000 {
+        tpcc.execute(NEW_ORDER, &mut conn, &mut rng).expect("NewOrder");
+    }
+    let mut run = |rounds: u64| {
+        for _ in 0..rounds {
+            tpcc.execute(STOCK_LEVEL, &mut conn, &mut rng).expect("StockLevel");
+        }
+    };
+    // Warm up: the statements are planned and cached.
+    run(100);
+    let read_before = db.metrics().snapshot().rows_read;
+    let per_txn = allocations(|| run(ROUNDS)) as f64 / ROUNDS as f64;
+    let read = db.metrics().snapshot().rows_read - read_before;
+    // Its GET_NEXT_O_ID, both paths' probe keys and row lists, the build
+    // side's key list, table and chains, one probe key, a joined row per
+    // line of low stock, the group and its result. Before: 1,016.0 (every
+    // line joined with its stock row, `s_data` and all, and a key list per
+    // line).
+    assert!(per_txn <= 49.1, "{per_txn} allocations per StockLevel (1,016 when all stock was joined)");
+    // Order lines and stock, as before: 392.8 per StockLevel.
+    assert_eq!(read, 392_764, "rows read by {ROUNDS} StockLevels");
 }
