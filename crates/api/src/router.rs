@@ -21,11 +21,6 @@ pub const JSONL_CONTENT_TYPE: &str = "application/x-ndjson";
 /// Content type for `GET /record` replay artifacts.
 pub const ARTIFACT_CONTENT_TYPE: &str = "text/plain; charset=utf-8";
 
-/// Slack added on each side of a span's lifetime when correlating journal
-/// events by time in `GET /trace/{id}` (the clock domains align only
-/// loosely).
-const TRACE_EVENT_SLACK_US: u64 = 1_000;
-
 /// Cap on correlated events returned by `GET /trace/{id}` (most recent
 /// win).
 const TRACE_EVENT_CAP: usize = 50;
@@ -862,13 +857,9 @@ impl ApiServer {
         ];
         let dominant =
             stages.iter().max_by_key(|(_, us)| *us).map(|(name, _)| *name).unwrap_or("queue");
-        // Span timestamps count µs from the run's clock origin; journal
-        // events count from the process journal origin. Align the two
-        // domains by their current offset — exact enough for a per-request
-        // correlation window.
-        let offset = bp_obs::journal_now_us().saturating_sub(c.stats().clock().now());
-        let lo = (span.submitted_us + offset).saturating_sub(TRACE_EVENT_SLACK_US);
-        let hi = span.end_us + offset + TRACE_EVENT_SLACK_US;
+        // The span and the journal read the database's clock: an untagged
+        // event belongs to the span when it was stamped within its life.
+        let life = span.submitted_us..=span.end_us;
         let hex = bp_obs::format_trace_id(id);
         let mut events: Vec<Json> = c
             .journal()
@@ -876,7 +867,7 @@ impl ApiServer {
             .into_iter()
             .filter(|e| {
                 let tagged = e.field("trace_id") == Some(hex.as_str());
-                tagged || (e.ts_us >= lo && e.ts_us <= hi)
+                tagged || life.contains(&e.ts_us)
             })
             .map(|e| e.to_json())
             .collect();
@@ -1084,7 +1075,11 @@ mod tests {
     use bp_util::clock::sim_clock;
 
     fn controller() -> Controller {
-        let (_, clock) = sim_clock();
+        controller_on(sim_clock().1)
+    }
+
+    /// A controller whose run and database share `clock`.
+    fn controller_on(clock: bp_util::clock::SharedClock) -> Controller {
         let types = vec![
             TransactionType::new("Read", 60.0, true),
             TransactionType::new("Write", 40.0, false),
@@ -1092,8 +1087,8 @@ mod tests {
         let mixture = Mixture::default_of(&types);
         let state = ControlState::new(Rate::Limited(100.0), mixture, 10_000.0);
         let queue = Arc::new(RequestQueue::new(clock.clone()));
-        let stats = Arc::new(StatsCollector::new(clock, &["Read", "Write"]));
-        let db = Database::new(Personality::test());
+        let stats = Arc::new(StatsCollector::new(clock.clone(), &["Read", "Write"]));
+        let db = Database::with_clock(Personality::test(), clock);
         let spans = Arc::new(bp_obs::SpanRecorder::new(bp_obs::ObsConfig::default()));
         Controller::new(state, queue, stats, spans, db, types, "demo")
     }
@@ -1421,7 +1416,11 @@ mod tests {
     use bp_obs::{MetricsRegistry, Span, SpanOutcome};
 
     fn controller_with_spans() -> Controller {
-        let c = controller();
+        with_spans(controller())
+    }
+
+    /// `c` with three retained spans; span 1 lives from 100 to 350 µs.
+    fn with_spans(c: Controller) -> Controller {
         for seq in 0..3u64 {
             c.spans().offer(Span {
                 trace_id: bp_obs::trace_id(42, seq),
@@ -1545,6 +1544,21 @@ mod tests {
         let r = s.handle(&Request::get("/trace/nothex!"));
         assert_eq!(r.status, 400, "{r:?}");
         assert!(r.body.get("error").unwrap().as_str().unwrap().contains("invalid"));
+
+        // Spans and events on the database's clock: an untagged event is
+        // the span's when stamped within its life, and not 1 µs after it.
+        let (sim, clock) = sim_clock();
+        let c = with_spans(controller_on(clock));
+        let s = ApiServer::new();
+        s.register("demo", c.clone());
+        sim.advance_to(350);
+        c.journal().emit(Severity::Info, "storage", "at_end", "stamped at end_us");
+        sim.advance_to(351);
+        c.journal().emit(Severity::Info, "storage", "after_end", "stamped 1 µs after end_us");
+        let r = s.handle(&Request::get(&format!("/trace/{hex}")));
+        let events = r.body.get("events").unwrap().as_arr().unwrap();
+        let kinds: Vec<_> = events.iter().map(|e| e.get("kind").unwrap().as_str().unwrap()).collect();
+        assert_eq!(kinds, ["at_end"]);
     }
 
     #[test]

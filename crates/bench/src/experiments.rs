@@ -13,7 +13,6 @@ use bp_core::{
 use bp_game::{chase_center_policy, Course, Game, GameSession, Input, PhysicsConfig, SimBackend};
 use bp_sql::{Connection, Dialect};
 use bp_storage::{Database, Personality};
-use bp_util::clock::wall_clock;
 use bp_util::json::Json;
 use bp_util::rng::Rng;
 use bp_util::timeseries::Summary;
@@ -306,8 +305,7 @@ pub struct TenancyReport {
 pub fn run_tenancy(seconds: f64) -> TenancyReport {
     let run = |with_neighbor: bool| -> (f64, f64) {
         let db = Database::new(Personality::mysql_like());
-        let clock = wall_clock();
-        let mut bed = Testbed::new(db, clock);
+        let mut bed = Testbed::new(db);
         let w1 = by_name("ycsb").unwrap();
         bed.setup_workload(w1.as_ref(), 0.3, 1).unwrap();
         let cfg = steady(4, Rate::Unlimited, seconds);
@@ -1210,14 +1208,14 @@ pub fn run_replay() -> ReplayReport {
     // be byte-identical regardless of wall-clock slippage.
     let t0 = Instant::now();
     let (db, w) = setup.load();
-    let (handle, recorder) = start_recorded(db, w.clone(), wall_clock(), cfg.clone());
+    let (handle, recorder) = start_recorded(db, w.clone(), cfg.clone());
     let trace = handle.trace.clone();
     let _ = handle.join();
     let recorded_wall_s = t0.elapsed().as_secs_f64();
     let artifact = capture_artifact(&cfg, w.as_ref(), "test", &recorder, trace.as_deref());
 
     let (db2, w2) = setup.load();
-    let (handle2, recorder2) = start_recorded(db2, w2.clone(), wall_clock(), cfg.clone());
+    let (handle2, recorder2) = start_recorded(db2, w2.clone(), cfg.clone());
     let _ = handle2.join();
     let artifact2 = capture_artifact(&cfg, w2.as_ref(), "test", &recorder2, None);
     let deterministic =
@@ -1231,7 +1229,7 @@ pub fn run_replay() -> ReplayReport {
     }
     impl bp_api::ReplayLauncher for BenchReplayLauncher {
         fn launch(&self, a: &Artifact, t: ReplayTiming) -> Result<ReplaySession, String> {
-            Ok(start_replay(self.db.clone(), self.w.clone(), wall_clock(), a, t)?.session)
+            Ok(start_replay(self.db.clone(), self.w.clone(), a, t)?.session)
         }
     }
     let (rdb, rw) = setup.load();
@@ -1270,7 +1268,7 @@ pub fn run_replay() -> ReplayReport {
     // ×4 time warp: the same schedule in about a quarter of the wall time.
     let (wdb, ww) = setup.load();
     let t1 = Instant::now();
-    let run = start_replay(wdb, ww, wall_clock(), &artifact, ReplayTiming::Warp(4.0))
+    let run = start_replay(wdb, ww, &artifact, ReplayTiming::Warp(4.0))
         .expect("warp replay");
     let _ = run.handle.join();
     let warp_wall_s = t1.elapsed().as_secs_f64();

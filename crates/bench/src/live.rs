@@ -172,7 +172,7 @@ impl LiveRun {
 
     fn start_as(id: &str, setup: &Setup, cfg: RunConfig) -> LiveRun {
         let (db, w) = setup.load();
-        let handle = bp_core::start(db.clone(), w, wall_clock(), cfg);
+        let handle = bp_core::start(db.clone(), w, cfg);
         let api = Arc::new(ApiServer::new().with_registry(Arc::new(MetricsRegistry::new())));
         api.register(id, handle.controller.clone());
         let http = Endpoint::serve(&api);

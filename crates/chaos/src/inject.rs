@@ -22,11 +22,10 @@
 //! story of seeded generators rather than whole-system replay.)
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Instant;
-
 use std::sync::Arc;
 
 use bp_obs::{EventJournal, MetricsBuf, MetricsSource, Severity};
+use bp_util::clock::{wall_clock, Micros, SharedClock};
 use bp_util::json::Json;
 use bp_util::rng::mix64;
 use bp_util::sync::{CachePadded, RwLock};
@@ -42,9 +41,8 @@ fn u01(h: u64) -> f64 {
 
 struct Armed {
     plan: FaultPlan,
-    /// The wall instant the plan was armed; window offsets are relative
-    /// to this.
-    epoch: Instant,
+    /// Clock time the plan was armed at; window offsets are relative to it.
+    armed_at: Micros,
 }
 
 /// Point-in-time view of the controller (for `GET /chaos/status`).
@@ -72,7 +70,9 @@ pub struct ChaosController {
     injected: [CachePadded<AtomicU64>; 8],
     arms: AtomicU64,
     /// Arm/disarm events land here when attached (cold path only).
-    journal: RwLock<Option<Arc<EventJournal>>>,
+    journal: Option<Arc<EventJournal>>,
+    /// Plan windows are timed on this clock: the journal's, when attached.
+    clock: SharedClock,
 }
 
 impl Default for ChaosController {
@@ -82,6 +82,7 @@ impl Default for ChaosController {
 }
 
 impl ChaosController {
+    /// A controller with no journal, timing plans on a fresh wall clock.
     pub fn new() -> ChaosController {
         ChaosController {
             armed: AtomicBool::new(false),
@@ -89,14 +90,15 @@ impl ChaosController {
             probes: Default::default(),
             injected: Default::default(),
             arms: AtomicU64::new(0),
-            journal: RwLock::new(None),
+            journal: None,
+            clock: wall_clock(),
         }
     }
 
-    /// Attach the event journal (arm/disarm events). Post-construction so
-    /// shared `Arc<ChaosController>`s can be wired after the fact.
-    pub fn set_journal(&self, journal: Arc<EventJournal>) {
-        *self.journal.write() = Some(journal);
+    /// The database's controller: arm/disarm events go to `journal`, and
+    /// plans are timed on its clock.
+    pub fn with_journal(journal: Arc<EventJournal>) -> ChaosController {
+        ChaosController { clock: journal.clock().clone(), journal: Some(journal), ..Self::new() }
     }
 
     /// Arm a plan: reset all probe ordinals (so the injection sequence
@@ -110,10 +112,10 @@ impl ChaosController {
         self.arms.fetch_add(1, Ordering::Relaxed);
         let name = plan.name.clone();
         let windows = plan.windows.len();
-        *slot = Some(Armed { plan, epoch: Instant::now() });
+        *slot = Some(Armed { plan, armed_at: self.clock.now() });
         self.armed.store(true, Ordering::Release);
         drop(slot);
-        if let Some(j) = self.journal.read().as_ref() {
+        if let Some(j) = &self.journal {
             j.emit_with(Severity::Warn, "chaos", "chaos_armed", || {
                 (
                     format!("fault plan {name} armed ({windows} windows)"),
@@ -128,7 +130,7 @@ impl ChaosController {
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::Release);
         let name = self.plan.write().take().map(|a| a.plan.name);
-        if let Some(j) = self.journal.read().as_ref() {
+        if let Some(j) = &self.journal {
             j.emit_with(Severity::Info, "chaos", "chaos_disarmed", || {
                 let name = name.clone().unwrap_or_else(|| "none".to_string());
                 (
@@ -155,7 +157,7 @@ impl ChaosController {
     fn roll_slow(&self, kind: FaultKind) -> Option<u64> {
         let slot = self.plan.read();
         let armed = slot.as_ref()?;
-        let rel_us = armed.epoch.elapsed().as_micros() as u64;
+        let rel_us = self.clock.now().saturating_sub(armed.armed_at);
         let w = armed
             .plan
             .windows
@@ -184,7 +186,7 @@ impl ChaosController {
     fn blackout_slow(&self, tenant: u16) -> bool {
         let slot = self.plan.read();
         let Some(armed) = slot.as_ref() else { return false };
-        let rel_us = armed.epoch.elapsed().as_micros() as u64;
+        let rel_us = self.clock.now().saturating_sub(armed.armed_at);
         let Some(w) = armed.plan.windows.iter().find(|w| {
             w.kind == FaultKind::Blackout
                 && w.active_at(rel_us)
@@ -218,10 +220,7 @@ impl ChaosController {
             armed: self.armed.load(Ordering::Relaxed),
             plan: slot.as_ref().map(|a| a.plan.name.clone()),
             seed: slot.as_ref().map(|a| a.plan.seed).unwrap_or(0),
-            elapsed_us: slot
-                .as_ref()
-                .map(|a| a.epoch.elapsed().as_micros() as u64)
-                .unwrap_or(0),
+            elapsed_us: slot.as_ref().map_or(0, |a| self.clock.now().saturating_sub(a.armed_at)),
             arms: self.arms.load(Ordering::Relaxed),
             probes,
             injected,
@@ -287,17 +286,7 @@ impl MetricsSource for ChaosController {
 mod tests {
     use super::*;
     use crate::plan::FaultWindow;
-    use std::time::Duration;
-
-    /// Shift the armed epoch into the past by `us` so time-based windows
-    /// become active without sleeping.
-    fn shift_epoch_back(c: &ChaosController, us: u64) {
-        if let Some(armed) = c.plan.write().as_mut() {
-            if let Some(e) = armed.epoch.checked_sub(Duration::from_micros(us)) {
-                armed.epoch = e;
-            }
-        }
-    }
+    use bp_util::clock::sim_clock;
 
     #[test]
     fn disarmed_probes_are_inert() {
@@ -356,7 +345,8 @@ mod tests {
 
     #[test]
     fn time_windows_gate_injection() {
-        let c = ChaosController::new();
+        let (sim, clock) = sim_clock();
+        let c = ChaosController::with_journal(Arc::new(EventJournal::with_clock(clock)));
         c.arm(FaultPlan::new("late", 1).with_window(FaultWindow {
             kind: FaultKind::FsyncStall,
             start_us: 60_000_000, // 60s in the future
@@ -366,9 +356,12 @@ mod tests {
             tenant: None,
         }));
         assert_eq!(c.roll(FaultKind::FsyncStall), None, "window not yet open");
-        shift_epoch_back(&c, 60_000_000);
+        sim.advance_to(59_999_999);
+        assert_eq!(c.roll(FaultKind::FsyncStall), None, "window opens at 60 s");
+        sim.advance_to(60_000_000);
         assert_eq!(c.roll(FaultKind::FsyncStall), Some(999), "window open");
-        shift_epoch_back(&c, 120_000_000);
+        assert_eq!(c.status().elapsed_us, 60_000_000);
+        sim.advance_to(120_000_000);
         assert_eq!(c.roll(FaultKind::FsyncStall), None, "window past");
     }
 
@@ -428,9 +421,8 @@ mod tests {
 
     #[test]
     fn arm_and_disarm_journaled() {
-        let c = ChaosController::new();
         let j = Arc::new(EventJournal::new());
-        c.set_journal(j.clone());
+        let c = ChaosController::with_journal(j.clone());
         c.arm(FaultPlan::scenario("error-burst", 1).unwrap());
         c.disarm();
         let events = j.all();

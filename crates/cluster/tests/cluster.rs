@@ -61,7 +61,7 @@ fn agent_stack(node: &str, coordinator: SocketAddr, heartbeat: Duration) -> Agen
         node: node.to_string(),
         ..Default::default()
     };
-    let handle = bp_core::start(db, w, wall_clock(), cfg);
+    let handle = bp_core::start(db, w, cfg);
     let api = Arc::new(ApiServer::new().with_registry(Arc::new(MetricsRegistry::new())));
     api.register(node, handle.controller.clone());
     let api_guard = api.serve_http("127.0.0.1:0").expect("bind agent");

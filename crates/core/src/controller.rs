@@ -6,7 +6,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bp_obs::{EventJournal, Severity};
 use bp_util::sync::RwLock;
@@ -232,7 +231,7 @@ impl Controller {
             breaker: None,
             recorder: None,
             slo: Arc::new(SloHandle::new(workload_name)),
-            recovery: Arc::new(RecoveryHandle::new()),
+            recovery: Arc::new(RecoveryHandle::default()),
         }
     }
 
@@ -458,7 +457,7 @@ impl Controller {
     /// Arming stops a watchdog that is already running.
     pub fn start_recovery(&self, cfg: RecoveryConfig) {
         let (db, handle, tick_cfg) = (self.db.clone(), self.recovery.clone(), cfg.clone());
-        let mut last_checkpoint = Instant::now();
+        let mut last_checkpoint = db.clock().now();
         let task = Periodic::spawn("bp-recovery", cfg.poll_interval_us.max(100), move || {
             recovery_tick(&db, &handle, &tick_cfg, &mut last_checkpoint);
             true

@@ -17,9 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bp_chaos::{Admission, CircuitBreaker, FaultKind};
-use bp_obs::{
-    journal_now_us, ObsConfig, Severity, Span, SpanRecorder, TelemetryRecorder, TelemetrySample,
-};
+use bp_obs::{ObsConfig, Severity, Span, SpanRecorder, TelemetryRecorder, TelemetrySample};
 use bp_sql::Connection;
 use bp_storage::Database;
 use bp_util::clock::{Micros, SharedClock, MICROS_PER_SEC};
@@ -126,22 +124,20 @@ impl RunHandle {
     }
 }
 
-/// Start a workload run on its own threads. The database must already be
-/// loaded (use `workload.setup`). Arrivals are generated live from
-/// `cfg.script` by a [`ScriptSchedule`].
-pub fn start(
-    db: Arc<Database>,
-    workload: Arc<dyn Workload>,
-    clock: SharedClock,
-    cfg: RunConfig,
-) -> RunHandle {
+/// Start a workload run on its own threads, on the database's clock. The
+/// database must already be loaded (use `workload.setup`). Arrivals are
+/// generated live from `cfg.script` by a [`ScriptSchedule`].
+pub fn start(db: Arc<Database>, workload: Arc<dyn Workload>, cfg: RunConfig) -> RunHandle {
     let source = ScriptSchedule::new(cfg.script.clone(), cfg.unlimited_rate, cfg.seed);
+    let clock = db.clock().clone();
     start_with_source(db, workload, clock, cfg, Box::new(source))
 }
 
 /// Start a workload run driven by an explicit schedule source (replay,
 /// recording decorators, synthetic schedules). `cfg.script` is still used
-/// for the initial rate/mixture and controller status display.
+/// for the initial rate/mixture and controller status display. Pass
+/// `db.clock()`: the engine and its journal stamp time on it, so a run on
+/// any other clock times its spans on two.
 pub fn start_with_source(
     db: Arc<Database>,
     workload: Arc<dyn Workload>,
@@ -299,8 +295,9 @@ fn sensor(
         if win.count >= 20 {
             spans.set_slow_threshold(win.p99_us);
         }
+        let now = stats.clock().now();
         if db.is_crashed() {
-            spans.note_crash(stats.clock().now());
+            spans.note_crash(now);
         }
         let status = stats.status(3);
         let srv = db.metrics().snapshot();
@@ -314,7 +311,7 @@ fn sensor(
         prev_failed = status.failed;
         prev_shed = status.shed;
         TelemetrySample {
-            t_us: journal_now_us(),
+            t_us: now,
             rate: match state.rate() {
                 Rate::Limited(tps) => tps,
                 Rate::Unlimited => f64::INFINITY,
@@ -514,7 +511,7 @@ fn worker_loop(ctx: WorkerCtx) {
             }
             if let Some(t) = &trace {
                 t.append(TraceRecord {
-                    start_us: start,
+                    start_us: stats.since_start(start),
                     latency_us: end - start,
                     txn_type: txn_idx,
                     outcome,
@@ -635,7 +632,6 @@ mod tests {
     use crate::workload::{BenchmarkClass, LoadSummary, TransactionType};
     use bp_sql::Result as SqlResult;
     use bp_storage::Personality;
-    use bp_util::clock::wall_clock;
 
     /// A trivial but real workload: single-row increments and reads.
     struct CounterWorkload;
@@ -706,13 +702,12 @@ mod tests {
     #[test]
     fn throttled_run_delivers_target_rate() {
         let (db, w) = setup();
-        let clock = wall_clock();
         let cfg = RunConfig {
             terminals: 4,
             script: PhaseScript::new(vec![Phase::new(Rate::Limited(200.0), 2.0)]),
             ..Default::default()
         };
-        let handle = start(db, w, clock, cfg);
+        let handle = start(db, w, cfg);
         let controller = handle.join();
         let done = controller.stats().total_completed();
         // 2 seconds at 200 tps: expect ~400, allow wide margins for CI noise
@@ -723,13 +718,12 @@ mod tests {
     #[test]
     fn rate_change_via_controller_takes_effect() {
         let (db, w) = setup();
-        let clock = wall_clock();
         let cfg = RunConfig {
             terminals: 2,
             script: PhaseScript::new(vec![Phase::new(Rate::Limited(50.0), 10.0)]),
             ..Default::default()
         };
-        let handle = start(db, w, clock, cfg);
+        let handle = start(db, w, cfg);
         std::thread::sleep(std::time::Duration::from_millis(1100));
         let before = handle.controller.stats().total_completed();
         handle.controller.set_rate(Rate::Limited(400.0));
@@ -744,13 +738,12 @@ mod tests {
     #[test]
     fn pause_blocks_execution() {
         let (db, w) = setup();
-        let clock = wall_clock();
         let cfg = RunConfig {
             terminals: 2,
             script: PhaseScript::new(vec![Phase::new(Rate::Limited(200.0), 10.0)]),
             ..Default::default()
         };
-        let handle = start(db, w, clock, cfg);
+        let handle = start(db, w, cfg);
         std::thread::sleep(std::time::Duration::from_millis(500));
         handle.controller.pause();
         std::thread::sleep(std::time::Duration::from_millis(200));
@@ -769,7 +762,6 @@ mod tests {
     #[test]
     fn mixture_swap_changes_sampled_types() {
         let (db, w) = setup();
-        let clock = wall_clock();
         let cfg = RunConfig {
             terminals: 2,
             script: PhaseScript::new(vec![
@@ -777,7 +769,7 @@ mod tests {
             ]),
             ..Default::default()
         };
-        let handle = start(db, w, clock, cfg);
+        let handle = start(db, w, cfg);
         std::thread::sleep(std::time::Duration::from_millis(800));
         // All reads so far.
         let summary = handle.controller.stats().per_type_summary();
@@ -793,13 +785,12 @@ mod tests {
     #[test]
     fn script_end_stops_run() {
         let (db, w) = setup();
-        let clock = wall_clock();
         let cfg = RunConfig {
             terminals: 2,
             script: PhaseScript::new(vec![Phase::new(Rate::Limited(100.0), 0.5)]),
             ..Default::default()
         };
-        let handle = start(db, w, clock, cfg);
+        let handle = start(db, w, cfg);
         let controller = handle.join();
         assert!(controller.is_stopped());
     }
@@ -807,14 +798,13 @@ mod tests {
     #[test]
     fn trace_collected() {
         let (db, w) = setup();
-        let clock = wall_clock();
         let cfg = RunConfig {
             terminals: 2,
             script: PhaseScript::new(vec![Phase::new(Rate::Limited(100.0), 1.0)]),
             collect_trace: true,
             ..Default::default()
         };
-        let handle = start(db, w, clock, cfg);
+        let handle = start(db, w, cfg);
         let trace = handle.trace.clone().unwrap();
         handle.join();
         assert!(trace.len() > 50, "trace has {} records", trace.len());
@@ -823,13 +813,12 @@ mod tests {
     #[test]
     fn spans_full_mode_matches_stats_counts() {
         let (db, w) = setup();
-        let clock = wall_clock();
         let cfg = RunConfig {
             terminals: 2,
             script: PhaseScript::new(vec![Phase::new(Rate::Limited(300.0), 1.0)]),
             ..Default::default()
         };
-        let handle = start(db, w, clock, cfg);
+        let handle = start(db, w, cfg);
         let spans = handle.spans.clone();
         let controller = handle.join();
         let completed = controller.stats().total_completed();
@@ -854,7 +843,7 @@ mod tests {
             obs,
             ..Default::default()
         };
-        let handle = start(db, w, wall_clock(), cfg);
+        let handle = start(db, w, cfg);
         let spans = handle.spans.clone();
         let controller = handle.join();
         let stats = controller.stats();
@@ -871,7 +860,6 @@ mod tests {
     #[test]
     fn span_modes_agree_on_aggregates() {
         let (db, w) = setup();
-        let clock = wall_clock();
         let script = PhaseScript::new(vec![Phase::new(Rate::Limited(400.0), 1.0)]);
 
         // Off: stats still complete, zero spans.
@@ -881,7 +869,7 @@ mod tests {
             obs: bp_obs::ObsConfig { mode: bp_obs::SpanMode::Off, ..Default::default() },
             ..Default::default()
         };
-        let handle = start(db.clone(), w.clone(), clock.clone(), cfg);
+        let handle = start(db.clone(), w.clone(), cfg);
         let spans = handle.spans.clone();
         let completed_off = handle.join().stats().total_completed();
         assert!(completed_off > 100, "off-mode run completed {completed_off}");
@@ -898,7 +886,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let handle = start(db, w, clock, cfg);
+        let handle = start(db, w, cfg);
         let spans = handle.spans.clone();
         let completed = handle.join().stats().total_completed();
         let observed = spans.recorded() as f64 / completed as f64;
@@ -913,7 +901,6 @@ mod tests {
     fn worker_survives_injected_panics() {
         use bp_chaos::{FaultPlan, FaultWindow};
         let (db, w) = setup();
-        let clock = wall_clock();
         // Every transaction panics its worker mid-execution for the whole
         // run. The workers must survive (isolation), count the requests as
         // failures, and journal each panic.
@@ -926,7 +913,7 @@ mod tests {
             script: PhaseScript::new(vec![Phase::new(Rate::Limited(60.0), 0.5)]),
             ..Default::default()
         };
-        let handle = start(db.clone(), w, clock, cfg);
+        let handle = start(db.clone(), w, cfg);
         let controller = handle.join();
         db.chaos().disarm();
         let status = controller.stats().status(60);
@@ -945,7 +932,6 @@ mod tests {
     #[test]
     fn phase_transition_applies_new_weights() {
         let (db, w) = setup();
-        let clock = wall_clock();
         let cfg = RunConfig {
             terminals: 2,
             script: PhaseScript::new(vec![
@@ -956,7 +942,7 @@ mod tests {
             ]),
             ..Default::default()
         };
-        let handle = start(db, w, clock, cfg);
+        let handle = start(db, w, cfg);
         let controller = handle.join();
         let summary = controller.stats().per_type_summary();
         assert!(summary[0].count > 0, "phase 1 reads missing");

@@ -12,9 +12,9 @@
 //! as soon as recovery completes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use bp_storage::Database;
+use bp_util::clock::Micros;
 use bp_util::sync::Mutex;
 use bp_util::Periodic;
 
@@ -40,6 +40,7 @@ impl Default for RecoveryConfig {
 /// Shared supervisor state: config, the running watchdog, and its
 /// counters. One per controller lineage (all clones share it), same
 /// pattern as `SloHandle`.
+#[derive(Default)]
 pub struct RecoveryHandle {
     cfg: Mutex<Option<RecoveryConfig>>,
     /// The `bp-recovery` thread; `None` while disarmed.
@@ -49,23 +50,7 @@ pub struct RecoveryHandle {
     ticks: AtomicU64,
 }
 
-impl Default for RecoveryHandle {
-    fn default() -> RecoveryHandle {
-        RecoveryHandle::new()
-    }
-}
-
 impl RecoveryHandle {
-    pub fn new() -> RecoveryHandle {
-        RecoveryHandle {
-            cfg: Mutex::new(None),
-            task: Mutex::new(None),
-            recoveries_run: AtomicU64::new(0),
-            checkpoints_run: AtomicU64::new(0),
-            ticks: AtomicU64::new(0),
-        }
-    }
-
     pub fn is_active(&self) -> bool {
         self.task.lock().is_some()
     }
@@ -104,12 +89,13 @@ impl RecoveryHandle {
 
 /// One watchdog poll: recover a crashed engine, otherwise checkpoint when
 /// one is due. [`Controller::start_recovery`](crate::Controller::start_recovery)
-/// runs it every `poll_interval_us` on the `bp-recovery` thread.
+/// runs it every `poll_interval_us` on the `bp-recovery` thread. Due is
+/// `checkpoint_interval_us` after `last_checkpoint` on the database's clock.
 pub(crate) fn recovery_tick(
     db: &Database,
     handle: &RecoveryHandle,
     cfg: &RecoveryConfig,
-    last_checkpoint: &mut Instant,
+    last_checkpoint: &mut Micros,
 ) {
     if db.is_crashed() {
         // `recover()` journals recovery_begin/recovery_complete and bumps
@@ -122,14 +108,14 @@ pub(crate) fn recovery_tick(
         if db.checkpoint().is_some() {
             handle.checkpoints_run.fetch_add(1, Ordering::Relaxed);
         }
-        *last_checkpoint = Instant::now();
+        *last_checkpoint = db.clock().now();
     } else if cfg.checkpoint_interval_us > 0
-        && last_checkpoint.elapsed().as_micros() as u64 >= cfg.checkpoint_interval_us
+        && db.clock().now().saturating_sub(*last_checkpoint) >= cfg.checkpoint_interval_us
     {
         if db.checkpoint().is_some() {
             handle.checkpoints_run.fetch_add(1, Ordering::Relaxed);
         }
-        *last_checkpoint = Instant::now();
+        *last_checkpoint = db.clock().now();
     }
     handle.ticks.fetch_add(1, Ordering::Relaxed);
 }
@@ -149,7 +135,7 @@ mod tests {
                 true
             })
         };
-        let h = RecoveryHandle::new();
+        let h = RecoveryHandle::default();
         assert!(!h.is_active());
         assert_eq!(h.config(), None);
         let (first, second) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
@@ -169,5 +155,36 @@ mod tests {
         let second_at_disarm = second.load(Ordering::Relaxed);
         std::thread::sleep(Duration::from_millis(10));
         assert_eq!(second.load(Ordering::Relaxed), second_at_disarm, "disarmed watchdog polling");
+    }
+
+    #[test]
+    fn checkpoints_fall_due_on_the_database_clock() {
+        use bp_chaos::{FaultKind, FaultPlan, FaultWindow};
+        let (sim, clock) = bp_util::clock::sim_clock();
+        let db = Database::with_clock(bp_storage::Personality::test(), clock);
+        let (handle, mut last) = (RecoveryHandle::default(), db.clock().now());
+        let cfg = RecoveryConfig { poll_interval_us: 100, checkpoint_interval_us: 1_000 };
+        let mut tick_at = |t| {
+            sim.advance_to(t);
+            recovery_tick(&db, &handle, &cfg, &mut last);
+            (handle.recoveries_run(), handle.checkpoints_run())
+        };
+        assert_eq!(tick_at(999), (0, 0));
+        assert_eq!(tick_at(1_000), (0, 1));
+        // A crash: the tick at 1,500 µs recovers and checkpoints at once,
+        // and the next checkpoint is due one interval after that one.
+        db.chaos().arm(FaultPlan::new("crash", 1).with_window(FaultWindow::always(
+            FaultKind::ServerCrash,
+            1.0,
+            0,
+        )));
+        let mut s = db.session();
+        s.begin().unwrap();
+        assert_eq!(s.commit(), Err(bp_storage::StorageError::Crashed));
+        db.chaos().disarm();
+        assert_eq!(tick_at(1_500), (1, 2));
+        assert_eq!(tick_at(2_000), (1, 2), "not due from the checkpoint before the crash");
+        assert_eq!(tick_at(2_499), (1, 2));
+        assert_eq!(tick_at(2_500), (1, 3));
     }
 }

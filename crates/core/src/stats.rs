@@ -236,10 +236,11 @@ impl StatsCollector {
             }
             return;
         }
-        shard.windowed.record(s.end, latency);
+        let end = self.since_start(s.end);
+        shard.windowed.record(end, latency);
         shard.queue_delay.record(delay);
         shard.response.record(s.end.saturating_sub(s.arrival));
-        shard.all_completions.record(s.end, latency);
+        shard.all_completions.record(end, latency);
         if let Some(pt) = shard.per_type.get_mut(s.txn_type) {
             pt.latency.record(latency);
             pt.retries += s.retries as u64;
@@ -254,6 +255,7 @@ impl StatsCollector {
 
     /// Record that `n` requests were generated at time `t` (target side).
     pub fn record_requested(&self, t: Micros, n: usize) {
+        let t = self.since_start(t);
         let mut shard = self.my_shard().lock();
         for _ in 0..n {
             shard.requested.tick(t);
@@ -263,7 +265,7 @@ impl StatsCollector {
     /// Instantaneous status (sliding window of `window_s` complete seconds).
     pub fn status(&self, window_s: usize) -> StatusSnapshot {
         let merged = self.merged();
-        let now = self.clock.now();
+        let now = self.since_start(self.clock.now());
         let throughput = merged.all_completions.recent_rate(now, window_s.max(1));
         let latency_by_type = self
             .type_names
@@ -284,7 +286,7 @@ impl StatsCollector {
             failed: merged.per_type.iter().map(|p| p.failed).sum(),
             retries: merged.per_type.iter().map(|p| p.retries).sum(),
             shed: merged.per_type.iter().map(|p| p.shed).sum(),
-            elapsed_s: (now - self.start) as f64 / MICROS_PER_SEC as f64,
+            elapsed_s: now as f64 / MICROS_PER_SEC as f64,
         }
     }
 
@@ -348,10 +350,16 @@ impl StatsCollector {
         &self.clock
     }
 
+    /// Clock time `t` as µs since the collector started: the run's time,
+    /// which its series and windows are binned on.
+    pub fn since_start(&self, t: Micros) -> Micros {
+        t.saturating_sub(self.start)
+    }
+
     /// Latency histogram over the last `window_s` seconds (including the
     /// current partial second), folded across all shards on demand.
     pub fn window_histogram(&self, window_s: usize) -> Histogram {
-        let now = self.clock.now();
+        let now = self.since_start(self.clock.now());
         let mut acc = Histogram::latency();
         for shard in &self.shards {
             acc.merge(&shard.lock().windowed.window(now, window_s));
@@ -363,7 +371,7 @@ impl StatsCollector {
     /// the window plus throughput over the same horizon.
     pub fn window_snapshot(&self, window_s: usize) -> WindowSnapshot {
         let hist = self.window_histogram(window_s);
-        let now = self.clock.now();
+        let now = self.since_start(self.clock.now());
         let throughput = self.merged().all_completions.recent_rate(now, window_s.max(1));
         WindowSnapshot {
             count: hist.count(),
@@ -458,7 +466,7 @@ impl bp_obs::MetricsSource for StatsCollector {
             &[],
             &merged.response,
         );
-        let now = self.clock.now();
+        let now = self.since_start(self.clock.now());
         buf.gauge(
             "bp_client_throughput_tps",
             "Delivered throughput over the last 3 complete seconds",

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use bp_sql::Connection;
 use bp_storage::Database;
-use bp_util::clock::SharedClock;
 use bp_util::rng::Rng;
 
 use crate::executor::{start, RunConfig, RunHandle};
@@ -17,16 +16,15 @@ pub struct Tenant {
     pub handle: RunHandle,
 }
 
-/// A testbed hosting multiple tenants on one DBMS instance.
+/// A testbed hosting multiple tenants on one DBMS instance, all on its clock.
 pub struct Testbed {
     db: Arc<Database>,
-    clock: SharedClock,
     tenants: Vec<Tenant>,
 }
 
 impl Testbed {
-    pub fn new(db: Arc<Database>, clock: SharedClock) -> Testbed {
-        Testbed { db, clock, tenants: Vec::new() }
+    pub fn new(db: Arc<Database>) -> Testbed {
+        Testbed { db, tenants: Vec::new() }
     }
 
     pub fn database(&self) -> &Arc<Database> {
@@ -47,7 +45,7 @@ impl Testbed {
     /// Start a workload as a new tenant; benchmarks can be added while
     /// others are running (the API's add-benchmark-on-the-fly).
     pub fn start_tenant(&mut self, name: &str, workload: Arc<dyn Workload>, cfg: RunConfig) -> usize {
-        let handle = start(self.db.clone(), workload, self.clock.clone(), cfg);
+        let handle = start(self.db.clone(), workload, cfg);
         self.tenants.push(Tenant { name: name.to_string(), handle });
         self.tenants.len() - 1
     }
@@ -87,7 +85,6 @@ mod tests {
     use crate::rate::{Phase, PhaseScript, Rate};
     use crate::workload::{BenchmarkClass, TransactionType, TxnOutcome};
     use bp_storage::{Personality, Value};
-    use bp_util::clock::wall_clock;
 
     /// Minimal workload whose table name is parameterized, so two tenants
     /// can coexist (or collide, when given the same name).
@@ -157,7 +154,7 @@ mod tests {
     #[test]
     fn two_tenants_run_in_parallel() {
         let db = Database::new(Personality::test());
-        let mut bed = Testbed::new(db, wall_clock());
+        let mut bed = Testbed::new(db);
         let w1: Arc<dyn Workload> = Arc::new(KvWorkload { table: "kv_a" });
         let w2: Arc<dyn Workload> = Arc::new(KvWorkload { table: "kv_b" });
         bed.setup_workload(w1.as_ref(), 1.0, 1).unwrap();
@@ -180,7 +177,7 @@ mod tests {
     #[test]
     fn tenant_added_on_the_fly() {
         let db = Database::new(Personality::test());
-        let mut bed = Testbed::new(db, wall_clock());
+        let mut bed = Testbed::new(db);
         let w1: Arc<dyn Workload> = Arc::new(KvWorkload { table: "kv_a" });
         bed.setup_workload(w1.as_ref(), 1.0, 1).unwrap();
         let cfg = RunConfig {

@@ -19,6 +19,7 @@
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use bp_util::clock::{wall_clock, SharedClock};
 use bp_util::json::Json;
 use bp_util::ring::Ring;
 use bp_util::sync::Mutex;
@@ -74,7 +75,8 @@ pub type Name = Cow<'static, str>;
 pub struct Event {
     /// Globally ordered sequence number (1-based, never reused).
     pub seq: u64,
-    /// Microseconds since the journal's clock origin (run start).
+    /// Microseconds on the journal's clock: the database's, which its runs
+    /// stamp their spans and telemetry samples from too.
     pub ts_us: u64,
     pub severity: Severity,
     /// Emitting layer: `core`, `slo`, `chaos`, `storage`, `api`, `cluster`.
@@ -174,6 +176,8 @@ fn flatten(s: &str) -> String {
 pub struct EventJournal {
     /// The gate: disabled journals cost one relaxed load per emit probe.
     enabled: AtomicBool,
+    /// Stamps every event's `ts_us`.
+    clock: SharedClock,
     /// Retained events in `seq` order: an event's `seq` is the ring's
     /// write count, taken under this lock.
     ring: Mutex<Ring<Event>>,
@@ -184,13 +188,20 @@ impl EventJournal {
     /// storms overwrite the oldest.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
+    /// A journal on a fresh wall clock, for a component with no database.
     pub fn new() -> EventJournal {
-        EventJournal::with_capacity(Self::DEFAULT_CAPACITY)
+        EventJournal::with_clock(wall_clock())
     }
 
-    /// A journal of `capacity` events.
-    pub fn with_capacity(capacity: usize) -> EventJournal {
-        EventJournal { enabled: AtomicBool::new(true), ring: Mutex::new(Ring::new(capacity)) }
+    /// The journal a database builds, stamping from the database's clock.
+    pub fn with_clock(clock: SharedClock) -> EventJournal {
+        let ring = Mutex::new(Ring::new(Self::DEFAULT_CAPACITY));
+        EventJournal { enabled: AtomicBool::new(true), clock, ring }
+    }
+
+    /// The clock events are stamped from.
+    pub fn clock(&self) -> &SharedClock {
+        &self.clock
     }
 
     /// A journal that starts disabled (for overhead benches and for
@@ -253,7 +264,7 @@ impl EventJournal {
         let seq = ring.written() + 1;
         ring.push(Event {
             seq,
-            ts_us: journal_now_us(),
+            ts_us: self.clock.now(),
             severity,
             source: Name::Borrowed(source),
             kind: Name::Borrowed(kind),
@@ -311,18 +322,6 @@ impl MetricsSource for EventJournal {
     }
 }
 
-/// Wall-clock microseconds since the first call in this process. The
-/// journal timestamps with its own origin so events from every layer line
-/// up without threading a clock through each constructor. Public so the
-/// telemetry sensor can stamp samples on the *same* axis as events — the
-/// doctor's causal-event matching depends on that alignment.
-pub fn journal_now_us() -> u64 {
-    use std::sync::OnceLock;
-    use std::time::Instant;
-    static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    ORIGIN.get_or_init(Instant::now).elapsed().as_micros() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,7 +374,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest() {
-        let j = EventJournal::with_capacity(16);
+        let j = EventJournal { ring: Mutex::new(Ring::new(16)), ..EventJournal::new() };
         for i in 0..40u64 {
             j.emit(Severity::Info, "core", "rate_change", format!("e{i}"));
         }

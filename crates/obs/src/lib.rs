@@ -39,7 +39,7 @@ pub mod registry;
 pub mod span;
 
 pub use doctor::{diagnose, Bottleneck, Finding};
-pub use journal::{journal_now_us, Event, EventJournal, Severity};
+pub use journal::{Event, EventJournal, Severity};
 pub use recorder::{Report, TelemetryRecorder, TelemetrySample};
 pub use registry::{
     escape_label_value, merge_samples, parse_samples, render_samples, Exemplar, MetricValue,

@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use bp_util::clock::{Clock, WallClock};
 use bp_util::histogram::Histogram;
 use bp_util::sync::Mutex;
 
@@ -211,6 +212,8 @@ pub trait MetricsSource: Send + Sync {
 #[derive(Default)]
 pub struct MetricsRegistry {
     sources: Mutex<Vec<(String, Arc<dyn MetricsSource>)>>,
+    /// Started with the registry; `bp_uptime_seconds` reads it.
+    uptime: WallClock,
 }
 
 impl MetricsRegistry {
@@ -248,7 +251,7 @@ impl MetricsRegistry {
         for s in &sources {
             s.collect(&mut buf);
         }
-        collect_build_info(&mut buf);
+        collect_build_info(&mut buf, self.uptime.now());
         let mut samples = buf.into_samples();
         samples.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         samples
@@ -508,8 +511,8 @@ fn fold_value(a: &mut MetricValue, b: &MetricValue) -> bool {
 
 /// The always-on self-identification samples: `bp_build_info` (value 1,
 /// identity in the labels, Prometheus `*_build_info` convention) and
-/// `bp_uptime_seconds` on the journal's process-wide clock origin.
-fn collect_build_info(buf: &mut MetricsBuf) {
+/// `bp_uptime_seconds`, `uptime_us` since the registry was built.
+fn collect_build_info(buf: &mut MetricsBuf, uptime_us: u64) {
     buf.gauge(
         "bp_build_info",
         "Build identity; value is constant 1, identity is in the labels",
@@ -522,9 +525,9 @@ fn collect_build_info(buf: &mut MetricsBuf) {
     );
     buf.gauge(
         "bp_uptime_seconds",
-        "Seconds since this process first touched the observability clock",
+        "Seconds of wall time since this metrics registry was created",
         &[],
-        crate::journal::journal_now_us() as f64 / 1e6,
+        uptime_us as f64 / 1e6,
     );
 }
 

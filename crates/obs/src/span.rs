@@ -635,9 +635,9 @@ impl SpanRecorder {
     /// Emit a rate-limited (~1/s) `trace_evict` journal event.
     fn log_evict(&self, evicted_total: u64) {
         let Some(journal) = &self.journal else { return };
-        // Stamp is the wall second + 1 so the very first eviction (second
-        // 0 vs the initial 0) still logs; at most one event per second.
-        let stamp = crate::journal::journal_now_us() / 1_000_000 + 1;
+        // Stamp is the journal clock's second + 1 so the very first eviction
+        // (second 0 vs the initial 0) still logs; at most one event per second.
+        let stamp = journal.clock().now() / 1_000_000 + 1;
         let last = self.evict_logged_s.load(Ordering::Relaxed);
         if stamp == last
             || self

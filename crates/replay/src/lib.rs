@@ -28,7 +28,6 @@ use std::sync::Arc;
 use bp_core::{Controller, RunConfig, RunHandle, Trace, Workload};
 use bp_obs::MetricsRegistry;
 use bp_storage::Database;
-use bp_util::clock::SharedClock;
 use bp_util::json::Json;
 
 pub use artifact::{Artifact, ARTIFACT_VERSION};
@@ -43,12 +42,12 @@ pub use synth::{fit, fit_schedule, synthesize, PhaseStats, TraceStats};
 pub fn start_recorded(
     db: Arc<Database>,
     workload: Arc<dyn Workload>,
-    clock: SharedClock,
     cfg: RunConfig,
 ) -> (RunHandle, Arc<Recorder>) {
     let recorder = Arc::new(Recorder::new());
     let source = bp_core::ScriptSchedule::new(cfg.script.clone(), cfg.unlimited_rate, cfg.seed);
     let recording = RecordingSource::new(source, recorder.clone(), cfg.tenant);
+    let clock = db.clock().clone();
     let handle = bp_core::start_with_source(db, workload, clock, cfg, Box::new(recording));
     (handle, recorder)
 }
@@ -169,7 +168,6 @@ pub struct ReplayRun {
 pub fn start_replay(
     db: Arc<Database>,
     workload: Arc<dyn Workload>,
-    clock: SharedClock,
     artifact: &Artifact,
     timing: ReplayTiming,
 ) -> Result<ReplayRun, String> {
@@ -217,7 +215,7 @@ pub fn start_replay(
                 }
             }
         }
-        let handle = bp_core::start(db, workload, clock, cfg);
+        let handle = bp_core::start(db, workload, cfg);
         // Nothing to feed: the schedule regenerates inside the executor, so
         // completion is just the run stopping.
         let progress = ReplayProgress::new(0);
@@ -227,6 +225,7 @@ pub fn start_replay(
         let source =
             ReplaySource::new(artifact.schedule.clone(), artifact.script.clone(), timing);
         let progress = source.progress();
+        let clock = db.clock().clone();
         let handle = bp_core::start_with_source(db, workload, clock, cfg, Box::new(source));
         (handle, progress)
     };

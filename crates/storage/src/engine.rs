@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use bp_chaos::{ChaosController, FaultKind};
 use bp_obs::{EventJournal, Severity};
+use bp_util::clock::{wall_clock, SharedClock};
 use bp_util::sync::RwLock;
 
 use bp_util::rng::Rng;
@@ -50,6 +51,7 @@ pub struct Database {
     metrics: Arc<ServerMetrics>,
     chaos: Arc<ChaosController>,
     journal: Arc<EventJournal>,
+    clock: SharedClock,
     personality: Personality,
     next_txn: AtomicU64,
     next_table_id: AtomicU32,
@@ -72,29 +74,41 @@ pub struct Database {
 static NEXT_SCHEMA_VERSION: AtomicU64 = AtomicU64::new(1);
 
 impl Database {
+    /// A database on a fresh wall clock.
     pub fn new(personality: Personality) -> Arc<Database> {
+        Database::with_clock(personality, wall_clock())
+    }
+
+    /// A database whose every layer reads `clock`: lock waits and their
+    /// timeout, commit time, the WAL's group-commit window, chaos plan
+    /// windows and the journal's stamps. A run started on it reads it too.
+    pub fn with_clock(personality: Personality, clock: SharedClock) -> Arc<Database> {
         let metrics = Arc::new(ServerMetrics::new());
-        let chaos = Arc::new(ChaosController::new());
         // One journal per engine instance, shared by every emitting layer
         // (lock manager, WAL, buffer pool, chaos gate, and — via
         // `Database::journal()` — the controller and API on top).
-        let journal = Arc::new(EventJournal::new());
-        chaos.set_journal(journal.clone());
+        let journal = Arc::new(EventJournal::with_clock(clock.clone()));
+        let chaos = Arc::new(ChaosController::with_journal(journal.clone()));
+        let mut locks = LockManager::new(personality.lock_timeout, metrics.clone(), chaos.clone())
+            .with_journal(journal.clone());
+        locks.clock = clock.clone();
+        let mut wal = Wal::new(
+            personality.group_commit_window_us,
+            personality.wal_us_per_kb,
+            personality.commit_us,
+        )
+        .with_journal(journal.clone());
+        wal.clock = clock.clone();
         Arc::new(Database {
             catalog: RwLock::new(Catalog::default()),
-            locks: LockManager::new(personality.lock_timeout, metrics.clone(), chaos.clone())
-                .with_journal(journal.clone()),
-            wal: Wal::new(
-                personality.group_commit_window_us,
-                personality.wal_us_per_kb,
-                personality.commit_us,
-            )
-            .with_journal(journal.clone()),
+            locks,
+            wal,
             pool: BufferPool::new(personality.buffer_pages, personality.rows_per_page)
                 .with_journal(journal.clone()),
             metrics,
             chaos,
             journal,
+            clock,
             personality,
             next_txn: AtomicU64::new(1),
             next_table_id: AtomicU32::new(1),
@@ -104,6 +118,12 @@ impl Database {
             schema_version: AtomicU64::new(NEXT_SCHEMA_VERSION.fetch_add(1, Ordering::Relaxed)),
             recovery: Arc::new(RecoveryStats::new()),
         })
+    }
+
+    /// The run's one clock: every layer of this engine stamps and compares
+    /// time on it, and so does every run started on the database.
+    pub fn clock(&self) -> &SharedClock {
+        &self.clock
     }
 
     /// Stamp identifying this database's current set of tables and indexes.
@@ -291,7 +311,7 @@ impl Database {
     /// tail, truncating a torn final record, then bring the engine back
     /// online under a new generation.
     pub fn recover(&self) -> RecoveryReport {
-        let start = std::time::Instant::now();
+        let start = self.clock().now();
         self.journal.emit_with(Severity::Warn, "storage", "recovery_begin", || {
             ("replaying redo log after crash".to_string(), Vec::new())
         });
@@ -310,7 +330,7 @@ impl Database {
             torn_truncated: image.torn_truncated,
             checkpoint_lsn: image.checkpoint_lsn,
             durable_lsn: image.durable_lsn,
-            duration_us: start.elapsed().as_micros() as u64,
+            duration_us: self.clock().now().saturating_sub(start),
             generation,
         };
         self.recovery.note_recovery(&report);
@@ -495,7 +515,7 @@ impl Session {
     pub fn commit(&mut self) -> Result<()> {
         self.ensure_alive()?;
         let txn = self.txn.take().ok_or(StorageError::NoActiveTransaction)?;
-        let commit_start = std::time::Instant::now();
+        let commit_start = self.db.clock().now();
         // Chaos: an injected server crash kills the engine at one of three
         // deterministic points in the commit sequence (window magnitude
         // selects which). The dying commit reports failure either way; at
@@ -541,7 +561,7 @@ impl Session {
         self.db.metrics.add_rows_written(txn.rows_written);
         // Commit-stage time (WAL write + fsync cost model + lock release)
         // for the span of the request executing on this thread.
-        bp_obs::add_commit_us(commit_start.elapsed().as_micros() as u64);
+        bp_obs::add_commit_us(self.db.clock().now().saturating_sub(commit_start));
         Ok(())
     }
 
@@ -896,7 +916,10 @@ mod tests {
     use std::ops::Bound;
 
     fn db() -> Arc<Database> {
-        let db = Database::new(Personality::test());
+        with_acct(Database::new(Personality::test()))
+    }
+
+    fn with_acct(db: Arc<Database>) -> Arc<Database> {
         db.create_table(
             TableSchema::new(
                 "acct",
@@ -914,6 +937,89 @@ mod tests {
 
     fn acct(db: &Arc<Database>) -> Arc<Table> {
         db.table("acct").unwrap()
+    }
+
+    /// A `SimClock` that counts its reads.
+    struct CountedClock {
+        sim: Arc<bp_util::clock::SimClock>,
+        reads: AtomicU64,
+    }
+
+    impl bp_util::clock::Clock for CountedClock {
+        fn now(&self) -> u64 {
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            self.sim.now()
+        }
+        fn sleep(&self, micros: u64) {
+            self.sim.advance(micros);
+        }
+    }
+
+    /// An older session reading an `acct` row that a younger one holds X.
+    struct BlockedReader {
+        sim: Arc<bp_util::clock::SimClock>,
+        db: Arc<Database>,
+        holder: Session,
+        /// The reader's thread: its read's result and its stage accumulator.
+        reader: std::thread::JoinHandle<(Result<()>, (u64, u64))>,
+    }
+
+    /// Returns once the reader waits: it reads the clock first at the
+    /// conflict, under the shard lock that the wait then releases. (An
+    /// engine that times the wait on another clock never reads this one:
+    /// then it returns after a second, and the reader waits on.)
+    fn blocked_reader(lock_timeout_us: u64) -> BlockedReader {
+        let sim = bp_util::clock::SimClock::new();
+        let clock = Arc::new(CountedClock { sim: sim.clone(), reads: AtomicU64::new(0) });
+        let lock_timeout = std::time::Duration::from_micros(lock_timeout_us);
+        let personality = Personality { lock_timeout, ..Personality::test() };
+        let db = with_acct(Database::with_clock(personality, clock.clone()));
+        let t = acct(&db);
+        db.session().with_txn(|s| s.insert(&t, vec![Value::Int(1), Value::Int(0)])).unwrap();
+        let mut reader = db.session();
+        reader.begin().unwrap();
+        let mut holder = db.session();
+        holder.begin().unwrap();
+        holder.read_pk(&t, &[Value::Int(1)], true).unwrap();
+        let reads = clock.reads.load(Ordering::SeqCst);
+        let reader = std::thread::spawn(move || {
+            bp_obs::take_stage_acc();
+            let read = reader.read_pk(&t, &[Value::Int(1)], false).map(|_| ());
+            (read, bp_obs::take_stage_acc())
+        });
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        while clock.reads.load(Ordering::SeqCst) == reads && std::time::Instant::now() < give_up {
+            std::thread::yield_now();
+        }
+        BlockedReader { sim, db, holder, reader }
+    }
+
+    #[test]
+    fn a_lock_wait_is_timed_on_the_database_clock() {
+        let BlockedReader { sim, db, mut holder, reader } = blocked_reader(1_000_000);
+        let before = db.metrics().snapshot();
+        sim.advance(500);
+        holder.commit().unwrap();
+        let (read, (lock_wait_us, _)) = reader.join().unwrap();
+        read.unwrap();
+        assert_eq!(lock_wait_us, 500, "the request's lock stage");
+        let waited = db.metrics().snapshot().delta(&before);
+        assert_eq!((waited.lock_waits, waited.lock_wait_micros), (1, 500));
+    }
+
+    #[test]
+    fn a_lock_timeout_fires_when_the_database_clock_reaches_it() {
+        let BlockedReader { sim, db, holder: _held, reader } = blocked_reader(20_000);
+        sim.advance(19_999);
+        // The wait was armed for 20 ms of real time: after it the reader
+        // re-checks the clock, finds its deadline 1 µs away, and waits on.
+        std::thread::sleep(std::time::Duration::from_millis(60));
+        assert!(!reader.is_finished(), "timed out 1 µs before its deadline");
+        sim.advance(1);
+        let (read, (lock_wait_us, _)) = reader.join().unwrap();
+        assert_eq!(read, Err(StorageError::LockTimeout));
+        assert_eq!(lock_wait_us, 20_000);
+        assert_eq!(db.metrics().snapshot().lock_timeouts, 1);
     }
 
     #[test]

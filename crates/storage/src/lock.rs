@@ -8,16 +8,18 @@
 //! Deadlock policy is **wait-die**: an older transaction may wait for a
 //! younger one, but a younger transaction requesting a lock held by an older
 //! one is aborted immediately (`StorageError::Deadlock`). A configurable
-//! timeout backstops pathological waits. Transaction age = transaction id
-//! (monotonically increasing), so "older" means a smaller id.
+//! timeout backstops pathological waits; it runs on the database's clock,
+//! like the wait it bounds. Transaction age = transaction id (monotonically
+//! increasing), so "older" means a smaller id.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bp_chaos::{ChaosController, FaultKind};
 use bp_obs::{EventJournal, Severity};
+use bp_util::clock::{wall_clock, SharedClock};
 use bp_util::sync::{CachePadded, Condvar, Mutex};
 
 use crate::error::{Result, StorageError};
@@ -148,7 +150,9 @@ struct Shard {
 /// The lock table.
 pub struct LockManager {
     shards: [CachePadded<Shard>; SHARDS],
-    timeout: Duration,
+    timeout_us: u64,
+    /// Times waits and their timeout; the database sets its own.
+    pub(crate) clock: SharedClock,
     metrics: Arc<ServerMetrics>,
     chaos: Arc<ChaosController>,
     journal: Option<Arc<EventJournal>>,
@@ -164,7 +168,8 @@ impl LockManager {
             shards: std::array::from_fn(|_| {
                 CachePadded::new(Shard { map: Mutex::default(), cond: Condvar::new() })
             }),
-            timeout,
+            timeout_us: timeout.as_micros() as u64,
+            clock: wall_clock(),
             metrics,
             chaos,
             journal: None,
@@ -231,23 +236,25 @@ impl LockManager {
                 self.note_victim(txn, holder);
                 break Err(StorageError::Deadlock { waiting_for: holder });
             }
-            // Older than all of them: wait, up to one deadline. A wake-up may
-            // be a neighbour's release and must not start the timeout again.
-            let now = Instant::now();
-            let deadline = *wait_start.get_or_insert(now) + self.timeout;
+            // Older than all of them: wait, up to one deadline on the clock.
+            // A wake-up may be a neighbour's release and must not start the
+            // timeout again; one before the deadline just waits again.
+            let now = self.clock.now();
+            let deadline = *wait_start.get_or_insert(now) + self.timeout_us;
             if now >= deadline {
                 self.metrics.inc_lock_timeouts();
                 break Err(StorageError::LockTimeout);
             }
             state.waiters += 1;
-            shard.cond.wait_for(&mut map, deadline - now);
+            shard.cond.wait_for(&mut map, Duration::from_micros(deadline - now));
             map.get_mut(&target).expect("waiters pin the entry").waiters -= 1;
         };
         drop(map);
         // A finished wait: the engine-wide counters and the request's span stage accumulator.
-        if let Some(waited) = wait_start.map(|start| start.elapsed()) {
+        if let Some(start) = wait_start {
+            let waited = self.clock.now().saturating_sub(start);
             self.metrics.record_lock_wait(waited);
-            bp_obs::add_lock_wait_us(waited.as_micros() as u64);
+            bp_obs::add_lock_wait_us(waited);
         }
         outcome
     }
@@ -310,6 +317,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::thread::JoinHandle;
+    use std::time::Instant;
 
     fn mgr() -> LockManager {
         LockManager::new(

@@ -6,7 +6,6 @@
 //! counters are lock-free atomics so the data path stays cheap.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Monotonic counters describing the work the engine has performed.
 #[derive(Debug, Default)]
@@ -115,10 +114,9 @@ impl ServerMetrics {
         self.rows_written.fetch_add(n, Ordering::Relaxed);
     }
     #[inline]
-    pub fn record_lock_wait(&self, waited: Duration) {
+    pub fn record_lock_wait(&self, waited_us: u64) {
         self.lock_waits.fetch_add(1, Ordering::Relaxed);
-        self.lock_wait_micros
-            .fetch_add(waited.as_micros() as u64, Ordering::Relaxed);
+        self.lock_wait_micros.fetch_add(waited_us, Ordering::Relaxed);
     }
     #[inline]
     pub fn inc_deadlocks(&self) {
@@ -248,7 +246,7 @@ mod tests {
         m.inc_commits();
         m.inc_commits();
         m.add_rows_read(10);
-        m.record_lock_wait(Duration::from_micros(1500));
+        m.record_lock_wait(1500);
         let s = m.snapshot();
         assert_eq!(s.commits, 2);
         assert_eq!(s.rows_read, 10);

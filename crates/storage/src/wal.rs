@@ -8,9 +8,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bp_obs::{EventJournal, Severity};
+use bp_util::clock::{wall_clock, SharedClock};
 use bp_util::sync::Mutex;
 
 use crate::metrics::ServerMetrics;
@@ -50,8 +50,9 @@ pub struct RecoveredImage {
 }
 
 pub struct Wal {
-    epoch: Instant,
-    /// Time (µs since epoch) of the last fsync.
+    /// Times the group-commit window; the database sets its own.
+    pub(crate) clock: SharedClock,
+    /// Clock time of the last fsync.
     last_fsync_us: AtomicU64,
     next_lsn: AtomicU64,
     group_window_us: u64,
@@ -69,7 +70,7 @@ pub struct Wal {
 impl Wal {
     pub fn new(group_window_us: u64, us_per_kb: f64, fsync_us: f64) -> Wal {
         Wal {
-            epoch: Instant::now(),
+            clock: wall_clock(),
             last_fsync_us: AtomicU64::new(u64::MAX), // force first fsync
             next_lsn: AtomicU64::new(1),
             group_window_us,
@@ -92,10 +93,6 @@ impl Wal {
 
     pub fn segments_rotated(&self) -> u64 {
         self.segments_rotated.load(Ordering::Relaxed)
-    }
-
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
     }
 
     /// Record a transaction commit writing `bytes` of redo.
@@ -133,7 +130,7 @@ impl Wal {
             }
         }
 
-        let now = self.now_us();
+        let now = self.clock.now();
         let last = self.last_fsync_us.load(Ordering::Relaxed);
         let need_fsync = if self.group_window_us == 0 {
             true
@@ -278,13 +275,6 @@ impl Wal {
         redo.checkpoint = None;
         redo.durable_lsn = 0;
     }
-
-    /// Test hook: pin the last-fsync timestamp (µs since epoch) to probe
-    /// the group-commit window boundary deterministically.
-    #[cfg(test)]
-    fn set_last_fsync_rel_us(&self, us: u64) {
-        self.last_fsync_us.store(us, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -391,24 +381,18 @@ mod tests {
     #[test]
     fn commit_exactly_at_window_edge_fsyncs() {
         let m = ServerMetrics::new();
-        let wal = Wal::new(1_000, 0.0, 100.0);
+        let (sim, clock) = bp_util::clock::sim_clock();
+        let wal = Wal { clock, ..Wal::new(1_000, 0.0, 100.0) };
+        sim.advance_to(5_000);
         let (_, c) = wal.commit(0, &m);
         assert_eq!(c, 100.0);
-        // Pin the last fsync exactly one window before "now": the boundary
-        // is inclusive (elapsed >= window), so this commit must fsync even
-        // if zero additional time elapses before the check. The sleep puts
-        // the clock past one window so the subtraction cannot clamp to the
-        // epoch (which would leave elapsed < window).
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let now = wal.now_us();
-        assert!(now >= 1_000, "clock advanced past one window");
-        wal.set_last_fsync_rel_us(now - 1_000);
+        // The boundary is inclusive (elapsed >= window): exactly one window
+        // after the last fsync, this commit must fsync.
+        sim.advance_to(6_000);
         let (_, c) = wal.commit(0, &m);
         assert_eq!(c, 100.0, "elapsed == window must start a new group");
-        // Just inside the window: the follower rides for free. The fsync
-        // timestamp is re-pinned far enough ahead that wall-clock drift
-        // between the store and the commit cannot close the window.
-        wal.set_last_fsync_rel_us(wal.now_us() + 60_000_000);
+        // One µs short of the next window: the follower rides for free.
+        sim.advance_to(6_999);
         let (_, c) = wal.commit(0, &m);
         assert_eq!(c, 0.0, "inside the window no fsync is due");
     }

@@ -8,9 +8,11 @@
 //! dropping the handle) wakes it at once and joins it, whatever the period.
 //! The thread also ends by itself when the tick returns `false`.
 //!
-//! There is no clock parameter on purpose. An injected `Clock::sleep`
-//! cannot be interrupted, and under `SimClock` it does not block at all, so
-//! a loop paced by it spins. Ticks that need timestamps read their own clock.
+//! There is no clock parameter on purpose: the pacing is real time. An
+//! injected `Clock::sleep` cannot be interrupted, and under `SimClock` it
+//! does not block at all, so a loop paced by it spins. What a tick compares
+//! reads the run's clock (the checkpoint timer reads the database's); ticks
+//! in virtual time need an event loop that calls them when they are due.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;

@@ -7,12 +7,11 @@
 
 use benchpress::core::{Phase, PhaseScript, Rate, RunConfig, Testbed};
 use benchpress::storage::{Database, Personality};
-use benchpress::util::clock::wall_clock;
 use benchpress::workloads::by_name;
 
 fn main() {
     let db = Database::new(Personality::mysql_like());
-    let mut bed = Testbed::new(db, wall_clock());
+    let mut bed = Testbed::new(db);
 
     // Tenant 1: YCSB, open loop for 4 seconds.
     let ycsb = by_name("ycsb").unwrap();

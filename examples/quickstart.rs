@@ -10,7 +10,6 @@ use std::sync::Arc;
 use benchpress::core::{Phase, PhaseScript, Rate, RunConfig};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
-use benchpress::util::clock::wall_clock;
 use benchpress::util::rng::Rng;
 use benchpress::workloads::by_name;
 
@@ -38,7 +37,7 @@ fn main() {
         Phase::new(Rate::Limited(400.0), 2.0),
     ]);
     let cfg = RunConfig { terminals: 4, script, ..Default::default() };
-    let handle = benchpress::core::start(db, workload, wall_clock(), cfg);
+    let handle = benchpress::core::start(db, workload, cfg);
 
     // 4. While it runs, poke the controller like the REST API would.
     let controller = handle.controller.clone();

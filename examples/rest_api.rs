@@ -12,7 +12,6 @@ use benchpress::api::{http::http_request, ApiServer};
 use benchpress::core::{Phase, PhaseScript, Rate, RunConfig};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
-use benchpress::util::clock::wall_clock;
 use benchpress::util::json::Json;
 use benchpress::util::rng::Rng;
 use benchpress::workloads::by_name;
@@ -29,7 +28,7 @@ fn main() {
         collect_trace: false,
         ..Default::default()
     };
-    let handle = benchpress::core::start(db, workload, wall_clock(), cfg);
+    let handle = benchpress::core::start(db, workload, cfg);
 
     // Expose it over HTTP.
     let api = Arc::new(ApiServer::new());

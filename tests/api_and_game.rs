@@ -8,7 +8,6 @@ use benchpress::core::{Controller, Phase, PhaseScript, Rate, RunConfig};
 use benchpress::game::{ApiBackend, Course, Game, GameSession, Input, PhysicsConfig};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
-use benchpress::util::clock::wall_clock;
 use benchpress::util::json::Json;
 use benchpress::util::rng::Rng;
 use benchpress::workloads::by_name;
@@ -24,7 +23,7 @@ fn start_voter(seconds: f64, rate: Rate) -> (Arc<Database>, benchpress::core::Ru
         collect_trace: false,
         ..Default::default()
     };
-    let handle = benchpress::core::start(db.clone(), workload, wall_clock(), cfg);
+    let handle = benchpress::core::start(db.clone(), workload, cfg);
     (db, handle)
 }
 
@@ -137,7 +136,7 @@ impl Launcher for RealLauncher {
             collect_trace: false,
             ..Default::default()
         };
-        let handle = benchpress::core::start(db, workload, wall_clock(), cfg);
+        let handle = benchpress::core::start(db, workload, cfg);
         Ok(handle.controller)
     }
 }

@@ -8,7 +8,6 @@
 use benchpress::core::{RunConfig, TraceAnalyzer, WorkloadConfig};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
-use benchpress::util::clock::wall_clock;
 use benchpress::util::rng::Rng;
 use benchpress::workloads::by_name;
 
@@ -55,7 +54,7 @@ fn full_pipeline_from_config_xml() {
 
     // 5. Run the phase script with the threaded executor.
     let script = run_cfg.script.clone();
-    let handle = benchpress::core::start(db, workload, wall_clock(), run_cfg);
+    let handle = benchpress::core::start(db, workload, run_cfg);
     let trace = handle.trace.clone().expect("trace collection enabled");
     let controller = handle.join();
 
@@ -99,7 +98,7 @@ fn tpcc_runs_under_throttle_on_real_engine() {
         script: benchpress::core::PhaseScript::constant(benchpress::core::Rate::Limited(120.0), 2.0),
         ..Default::default()
     };
-    let handle = benchpress::core::start(db, workload, wall_clock(), cfg);
+    let handle = benchpress::core::start(db, workload, cfg);
     let controller = handle.join();
     let done = controller.stats().total_completed();
     assert!((180..=260).contains(&(done as i64)), "completed {done}");
@@ -238,15 +237,17 @@ fn reachability_rule_flags_a_planted_fixture() {
 /// nowhere else, and only the sharded stores read a thread's shard slot.
 /// And the exposition is read in one place: only the registry, which
 /// renders it and parses it back, spells out its syntax. The agent sends
-/// the coordinator one message, the heartbeat, and the coordinator reads
-/// no time but its injected clock's.
+/// the coordinator one message, the heartbeat. And a run has one clock: no
+/// code reads ambient time but the wall clock itself, `Periodic`'s pacing,
+/// the personality's busy-wait (it burns real CPU on purpose) and the
+/// bench's timers.
 #[test]
 fn background_threads_go_through_periodic() {
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
     const MAY_READ_SLOT: [&str; 3] = ["util/src/sync.rs", "core/src/stats.rs", "obs/src/span.rs"];
     const RING_ARITHMETIC: [&str; 2] = ["written %", "fn ordered("];
     const EXPOSITION_SYNTAX: [&str; 2] = ["\"# TYPE", "_bucket\""];
-    const RETIRED: [&str; 20] = [
+    const RETIRED: [&str; 21] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
@@ -260,9 +261,12 @@ fn background_threads_go_through_periodic() {
         // One message each way between agent and coordinator: the heartbeat
         // is the join, and a share rides only its response.
         "cluster/join", "join_once", "resplit_and_fanout",
+        // One clock per run: the journal stamps from the database's.
+        "journal_now_us",
     ];
-    // The coordinator reads time from its injected clock alone.
     const NO_AMBIENT_TIME: [&str; 2] = ["Instant::now", "SystemTime::now"];
+    const MAY_READ_TIME: [&str; 3] =
+        ["storage/src/personality.rs", "util/src/clock.rs", "util/src/periodic.rs"];
 
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut files = Vec::new();
@@ -295,8 +299,8 @@ fn background_threads_go_through_periodic() {
         }
         for now in NO_AMBIENT_TIME {
             assert!(
-                !rel.starts_with("cluster/src/") || !code.contains(now),
-                "{rel} calls {now} instead of reading the coordinator's injected clock"
+                MAY_READ_TIME.contains(&&*rel) || rel.starts_with("bench/src/") || !code.contains(now),
+                "{rel} calls {now} instead of reading its injected clock"
             );
         }
         for arithmetic in RING_ARITHMETIC {

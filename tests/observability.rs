@@ -7,10 +7,11 @@ use std::sync::Arc;
 
 use benchpress::api::{http_request_text, ApiServer};
 use benchpress::core::{Phase, PhaseScript, Rate, RunConfig};
-use benchpress::obs::{parse_samples, render_samples, MetricValue, MetricsRegistry, Sample};
+use benchpress::obs::{
+    parse_samples, render_samples, MetricValue, MetricsRegistry, ObsConfig, Sample, SpanMode,
+};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
-use benchpress::util::clock::wall_clock;
 use benchpress::util::json::Json;
 use benchpress::util::rng::Rng;
 use benchpress::workloads::by_name;
@@ -26,12 +27,33 @@ fn finished_run() -> (Arc<ApiServer>, benchpress::core::Controller) {
         script: PhaseScript::new(vec![Phase::new(Rate::Limited(300.0), 1.5)]),
         ..Default::default()
     };
-    let handle = benchpress::core::start(db, workload, wall_clock(), cfg);
+    let handle = benchpress::core::start(db, workload, cfg);
     let controller = handle.join();
 
     let api = Arc::new(ApiServer::new().with_registry(Arc::new(MetricsRegistry::new())));
     api.register("voter", controller.clone());
     (api, controller)
+}
+
+/// Closure: storage times a request's lock waits and commit on the run's
+/// own clock, so on a contended run they fit inside its service time.
+#[test]
+fn lock_and_commit_stages_fit_inside_every_span() {
+    let db = Database::new(Personality::mysql_like());
+    let workload = by_name("smallbank").unwrap();
+    workload.setup(&mut Connection::open(&db), 0.02, &mut Rng::new(5)).unwrap();
+    let cfg = RunConfig {
+        terminals: 4,
+        script: PhaseScript::new(vec![Phase::new(Rate::Unlimited, 1.0)]),
+        obs: ObsConfig { mode: SpanMode::Full, ..ObsConfig::default() },
+        ..Default::default()
+    };
+    let controller = benchpress::core::start(db, workload, cfg).join();
+    let spans = controller.spans().recent(usize::MAX);
+    assert!(spans.iter().any(|s| s.lock_wait_us > 0), "no span waited for a lock");
+    for s in &spans {
+        assert!(s.lock_wait_us + s.commit_us <= s.end_us - s.dequeued_us, "{s:?}");
+    }
 }
 
 /// A family's type on a parsed page.
@@ -347,7 +369,7 @@ fn trace_ids_deterministic_across_identical_runs() {
             script: PhaseScript::new(vec![Phase::new(Rate::Limited(200.0), 0.8)]),
             ..Default::default()
         };
-        let controller = benchpress::core::start(db, workload, wall_clock(), cfg).join();
+        let controller = benchpress::core::start(db, workload, cfg).join();
         let spans = controller.spans().recent(usize::MAX);
         assert!(!spans.is_empty());
         spans.into_iter().map(|s| (s.seq, s.trace_id)).collect()

@@ -16,7 +16,6 @@ use benchpress::replay::{
 };
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
-use benchpress::util::clock::wall_clock;
 use benchpress::util::json::Json;
 use benchpress::util::rng::Rng;
 use benchpress::workloads::by_name;
@@ -43,7 +42,7 @@ fn two_phase_cfg() -> RunConfig {
 
 fn record(cfg: &RunConfig) -> Artifact {
     let (db, w) = setup("smallbank");
-    let (handle, recorder) = start_recorded(db, w.clone(), wall_clock(), cfg.clone());
+    let (handle, recorder) = start_recorded(db, w.clone(), cfg.clone());
     let trace = handle.trace.clone();
     let _ = handle.join();
     capture_artifact(cfg, w.as_ref(), "test", &recorder, trace.as_deref())
@@ -83,7 +82,7 @@ struct TestLauncher {
 
 impl benchpress::api::ReplayLauncher for TestLauncher {
     fn launch(&self, a: &Artifact, t: ReplayTiming) -> Result<ReplaySession, String> {
-        Ok(start_replay(self.db.clone(), self.w.clone(), wall_clock(), a, t)?.session)
+        Ok(start_replay(self.db.clone(), self.w.clone(), a, t)?.session)
     }
 }
 
@@ -163,7 +162,7 @@ fn warp_4x_replays_in_about_a_quarter_of_the_time() {
 
     let (db, w) = setup("smallbank");
     let t1 = Instant::now();
-    let run = start_replay(db, w, wall_clock(), &artifact, ReplayTiming::Warp(4.0)).unwrap();
+    let run = start_replay(db, w, &artifact, ReplayTiming::Warp(4.0)).unwrap();
     let _ = run.handle.join();
     let warp_wall = t1.elapsed().as_secs_f64();
 
@@ -243,13 +242,13 @@ fn game_scenario_replays_as_script_only_artifact() {
     let artifact = Artifact::from_text(&artifact.to_text()).expect("scenario round-trips");
 
     let (db, w) = setup("voter");
-    let run = start_replay(db, w, wall_clock(), &artifact, ReplayTiming::Warp(8.0)).unwrap();
+    let run = start_replay(db, w, &artifact, ReplayTiming::Warp(8.0)).unwrap();
     let controller = run.handle.join();
     assert!(run.session.is_complete());
     assert!(controller.stats().status(1).committed > 0, "replayed scenario must execute");
 
     // Asap needs a recorded schedule; script-only must refuse.
     let (db, w) = setup("voter");
-    let err = start_replay(db, w, wall_clock(), &artifact, ReplayTiming::Asap);
+    let err = start_replay(db, w, &artifact, ReplayTiming::Asap);
     assert!(err.is_err());
 }

@@ -13,7 +13,6 @@ use benchpress::core::{BreakerState, Phase, PhaseScript, Rate, RunConfig};
 use benchpress::obs::{parse_samples, MetricValue, MetricsRegistry};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality, Value};
-use benchpress::util::clock::wall_clock;
 use benchpress::util::json::Json;
 use benchpress::util::rng::Rng;
 use benchpress::workloads::by_name;
@@ -201,7 +200,7 @@ fn blackout_targets_single_tenant() {
             tenant,
             ..Default::default()
         };
-        let controller = benchpress::core::start(db, workload, wall_clock(), cfg).join();
+        let controller = benchpress::core::start(db, workload, cfg).join();
         let st = controller.stats().status(1);
         (st.committed, st.failed)
     };
@@ -232,7 +231,7 @@ fn breaker_opens_sheds_and_recloses_over_http() {
         breaker: true,
         ..Default::default()
     };
-    let handle = benchpress::core::start(db, workload, wall_clock(), cfg);
+    let handle = benchpress::core::start(db, workload, cfg);
     let registry = Arc::new(MetricsRegistry::new());
     let api = Arc::new(ApiServer::new().with_registry(registry));
     api.register("voter", handle.controller.clone());
