@@ -351,8 +351,8 @@ impl Outcome for TenancyReport {
 }
 
 /// E6 — §4.1.2 challenge shapes across DBMS personalities: the autopilot
-/// plays each course against each capacity model, on deterministic
-/// simulation.
+/// plays each course against each capacity-model stage, on the driver in
+/// virtual time.
 pub struct ChallengeReport {
     pub dbms: &'static str,
     pub course: String,
@@ -442,7 +442,7 @@ pub struct PhysicsReport {
 
 pub fn run_physics() -> PhysicsReport {
     let session = |seed: u64| {
-        let model = CapacityModel::mysql_like();
+        let model = CapacityModel::by_name("mysql").unwrap();
         let types = by_name("voter").unwrap().transaction_types();
         let course = Course::demo_set(1_000.0).remove(0);
         let game = Game::new("voter", "mysql", course, PhysicsConfig::default());

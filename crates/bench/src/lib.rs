@@ -59,7 +59,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "challenges",
-        title: "E6: challenge shapes (§4.1.2) × DBMS stages, autopilot on simulation",
+        title: "E6: challenge shapes (§4.1.2) × DBMS stages, autopilot on the driver in virtual time",
         run: || Box::new(run_challenges(1_000.0)),
     },
     Experiment {

@@ -32,7 +32,7 @@ use crate::schedule::{ScheduleSource, ScriptSchedule};
 use crate::slo::SloConfig;
 use crate::stats::{RequestOutcome, Sample, StatsCollector};
 use crate::trace::{Trace, TraceRecord};
-use crate::workload::{TxnOutcome, Workload};
+use crate::workload::{TransactionType, TxnOutcome, Workload};
 
 /// Configuration for one workload run.
 #[derive(Debug, Clone)]
@@ -147,16 +147,7 @@ pub fn start_with_source(
 ) -> RunHandle {
     let types = workload.transaction_types();
     let type_names: Vec<&str> = types.iter().map(|t| t.name).collect();
-    let initial_phase = cfg.script.phases.first();
-    let initial_rate = initial_phase.map(|p| p.rate).unwrap_or(Rate::Disabled);
-    let initial_mixture = initial_phase
-        .and_then(|p| p.weights.clone())
-        .and_then(|w| Mixture::new(w).ok())
-        .unwrap_or_else(|| Mixture::default_of(&types));
-
-    let state = ControlState::new(initial_rate, initial_mixture, cfg.unlimited_rate);
-    let queue = Arc::new(RequestQueue::new(clock.clone()));
-    queue.set_rate(initial_rate.arrivals_per_second(cfg.unlimited_rate));
+    let (state, queue) = initial_control(&cfg.script, &types, cfg.unlimited_rate, clock.clone());
     // One shard of each per-request store per terminal: worker `w` takes
     // thread slot `w` (below), so it owns shard `w` of both.
     let stats = Arc::new(StatsCollector::with_shards(clock.clone(), &type_names, cfg.terminals));
@@ -270,6 +261,25 @@ pub fn start_with_source(
     RunHandle { controller, trace, spans, threads, active_workers, _telemetry: telemetry }
 }
 
+/// A run's starting control state and queue: the first phase's rate, gate
+/// and mixture (the benchmark's default when the phase sets none).
+pub(crate) fn initial_control(
+    script: &PhaseScript,
+    types: &[TransactionType],
+    unlimited_rate: f64,
+    clock: SharedClock,
+) -> (Arc<ControlState>, Arc<RequestQueue>) {
+    let first = script.phases.first();
+    let rate = first.map(|p| p.rate).unwrap_or(Rate::Disabled);
+    let mixture = first
+        .and_then(|p| p.weights.clone())
+        .and_then(|w| Mixture::new(w).ok())
+        .unwrap_or_else(|| Mixture::default_of(types));
+    let queue = Arc::new(RequestQueue::new(clock));
+    queue.set_rate(rate.arrivals_per_second(unlimited_rate));
+    (ControlState::new(rate, mixture, unlimited_rate), queue)
+}
+
 /// Build the telemetry sensor closure: one call = one [`TelemetrySample`].
 /// Client-side window stats come from the collector, engine counters are
 /// per-interval deltas of the server silo, and the breaker/queue/rate
@@ -354,26 +364,13 @@ fn manager_loop(
     mut source: Box<dyn ScheduleSource>,
 ) {
     let start = clock.now();
-    let mut second: u64 = 0;
-
-    loop {
+    for second in 0.. {
         if state.is_stopped() {
-            queue.close();
-            return;
+            break;
         }
         let boundary = start + second * MICROS_PER_SEC;
         let behind = clock.now().saturating_sub(boundary);
-        let window = source.plan(second, behind, &state);
-
-        if let Some(tps) = window.gate_tps {
-            queue.set_rate(tps);
-        }
-        if !window.requests.is_empty() {
-            let n = window.requests.len();
-            queue.push_scheduled(boundary, window.requests);
-            stats.record_requested(boundary, n);
-        }
-        if window.done {
+        if manager_step(&mut *source, second, boundary, behind, &state, &queue, &stats) {
             if source.drain_on_done() {
                 // Replay: let the already-enqueued tail dispatch instead of
                 // dropping it with the close.
@@ -382,13 +379,35 @@ fn manager_loop(
                 }
             }
             state.stop();
-            queue.close();
-            return;
+            break;
         }
-
-        second += 1;
-        clock.sleep_until(start + second * MICROS_PER_SEC);
+        clock.sleep_until(boundary + MICROS_PER_SEC);
     }
+    queue.close();
+}
+
+/// One second of the Workload Manager, for its thread and the virtual-time
+/// run alike: plan the window starting at `boundary`, set the gate, push
+/// and count the requests. Returns whether the source is done.
+pub(crate) fn manager_step(
+    source: &mut dyn ScheduleSource,
+    second: u64,
+    boundary: Micros,
+    behind_us: Micros,
+    state: &ControlState,
+    queue: &RequestQueue,
+    stats: &StatsCollector,
+) -> bool {
+    let window = source.plan(second, behind_us, state);
+    if let Some(tps) = window.gate_tps {
+        queue.set_rate(tps);
+    }
+    if !window.requests.is_empty() {
+        let n = window.requests.len();
+        queue.push_scheduled(boundary, window.requests);
+        stats.record_requested(boundary, n);
+    }
+    window.done
 }
 
 /// Best-effort panic payload text for the `worker_panic` journal event.

@@ -7,12 +7,11 @@
 //! terminals ([`executor`]), statistics collection ([`stats`]), result
 //! traces and the Trace Analyzer ([`trace`]), the runtime [`controller`]
 //! behind the REST API, multi-tenant testbeds ([`tenant`]), `config.xml`
-//! parsing ([`config`]), and a deterministic simulated path
-//! ([`model`] + [`des`]) for shape experiments and the game.
+//! parsing ([`config`]), and the same driver in virtual time
+//! ([`virtual_run`] on a stage's [`model`]) for shape experiments and the game.
 
 pub mod config;
 pub mod controller;
-pub mod des;
 pub mod executor;
 pub mod mixture;
 pub mod model;
@@ -24,15 +23,15 @@ pub mod slo;
 pub mod stats;
 pub mod tenant;
 pub mod trace;
+pub mod virtual_run;
 pub mod workload;
 
 pub use bp_chaos::{Admission, BreakerState, CircuitBreaker};
 pub use config::WorkloadConfig;
 pub use controller::{ControlState, Controller};
-pub use des::{simulate_script, SimRun, SimSample};
 pub use executor::{start, start_with_source, RunConfig, RunHandle};
 pub use mixture::{Mixture, MixtureError, MixturePreset};
-pub use model::{CapacityModel, SimDbms, SimServer};
+pub use model::CapacityModel;
 pub use queue::{Request, RequestQueue, ScheduledRequest};
 pub use rate::{ArrivalDist, Phase, PhaseScript, Rate};
 pub use recovery::{RecoveryConfig, RecoveryHandle};
@@ -46,4 +45,5 @@ pub use stats::{
 };
 pub use tenant::{Tenant, Testbed};
 pub use trace::{Trace, TraceAnalysis, TraceAnalyzer, TraceRecord, TrackingReport, TRACE_HEADER};
+pub use virtual_run::VirtualRun;
 pub use workload::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};

@@ -126,15 +126,6 @@ impl Mixture {
             .map(|(i, _)| self.probability(i))
             .sum()
     }
-
-    /// Mean relative cost of a sampled transaction under this mixture.
-    pub fn mean_cost(&self, types: &[TransactionType]) -> f64 {
-        types
-            .iter()
-            .enumerate()
-            .map(|(i, t)| self.probability(i) * t.relative_cost)
-            .sum()
-    }
 }
 
 /// The preset mixtures the game offers (Fig. 2d).
@@ -216,13 +207,6 @@ mod tests {
     fn write_share_of_default() {
         let m = Mixture::default_of(&types());
         assert!((m.write_share(&types()) - 0.92).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_cost_weighs_by_probability() {
-        let m = Mixture::default_of(&types());
-        // 0.45*2 + 0.55*1 = 1.45
-        assert!((m.mean_cost(&types()) - 1.45).abs() < 1e-9);
     }
 
     #[test]

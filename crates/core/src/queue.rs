@@ -211,7 +211,7 @@ impl RequestQueue {
         self.wake_all();
     }
 
-    /// The gate step `pull` and `try_pull` share: dispatch `head` (the front
+    /// The gate step `pull` and `poll` share: dispatch `head` (the front
     /// of the queue) if its arrival time and the rate gate have both passed
     /// at `now_ns`; otherwise `Err` carries the time at which they will have.
     #[inline]
@@ -311,15 +311,23 @@ impl RequestQueue {
         }
     }
 
-    /// Non-blocking pull used by tests and the DES executor.
-    pub fn try_pull(&self) -> Option<Request> {
+    /// One dispatch step, without waiting: the head if its arrival time and
+    /// the rate gate have both passed. `Err` carries the time (µs) the head
+    /// falls due, or `None` when the queue is empty or closed.
+    pub fn poll(&self) -> Result<Request, Option<Micros>> {
         let mut st = self.state.lock();
         if st.closed {
-            return None;
+            return Err(None);
         }
         let now_ns = self.clock.now() * NANOS_PER_MICRO;
-        let head = *st.queue.front()?;
-        self.dispatch_head(&mut st, head, now_ns).ok()
+        let head = *st.queue.front().ok_or(None)?;
+        self.dispatch_head(&mut st, head, now_ns)
+            .map_err(|gate_ns| Some(gate_ns.div_ceil(NANOS_PER_MICRO)))
+    }
+
+    /// Non-blocking pull: [`RequestQueue::poll`] without the due time.
+    pub fn try_pull(&self) -> Option<Request> {
+        self.poll().ok()
     }
 }
 
@@ -362,6 +370,24 @@ mod tests {
         assert_eq!(q.try_pull().unwrap().arrival, 200);
         assert_eq!(q.try_pull().unwrap().arrival, 300);
         assert_eq!(q.dispatched(), 3);
+    }
+
+    #[test]
+    fn poll_says_when_the_head_falls_due() {
+        let (sim, clock) = sim_clock();
+        let q = RequestQueue::new(clock);
+        assert_eq!(q.poll(), Err(None), "empty");
+        q.set_rate(3_000.0); // 333,333 ns spacing
+        q.push_arrivals([100, 100]);
+        assert_eq!(q.poll(), Err(Some(100)), "not arrived");
+        sim.advance_to(100);
+        assert_eq!(q.poll().map(|r| r.arrival), Ok(100));
+        assert_eq!(q.poll(), Err(Some(434)), "gated one spacing on, rounded up to the µs");
+        sim.advance_to(434);
+        assert_eq!(q.poll().map(|r| r.seq), Ok(1));
+        q.push_arrivals([500]);
+        q.close();
+        assert_eq!(q.poll(), Err(None), "closed");
     }
 
     #[test]

@@ -1,0 +1,373 @@
+//! The driver in virtual time: one thread, no sleeps, a [`SimClock`]. Each
+//! tenant has a live run's [`ControlState`], [`RequestQueue`],
+//! [`ScriptSchedule`] and [`StatsCollector`]; each virtual second the
+//! manager thread's own step (`executor::manager_step`) fills its queue.
+//! Four virtual terminals take requests only through [`RequestQueue::poll`],
+//! hold each for a service time drawn from a [`CapacityModel`] (no think
+//! time) and record it through [`StatsCollector::record`] when virtual time
+//! reaches its end. The loop jumps to the next event: a second boundary, a
+//! terminal freeing up, or, while one is free, a due time `poll` returned.
+//! A free terminal takes the tenant whose head fell due first, ties to the
+//! lower index, so tenants interfere only by sharing the terminals.
+
+use std::sync::Arc;
+
+use bp_util::clock::{Clock, Micros, SimClock, MICROS_PER_SEC};
+use bp_util::rng::Rng;
+
+use crate::controller::ControlState;
+use crate::executor::{initial_control, manager_step};
+use crate::model::CapacityModel;
+use crate::queue::RequestQueue;
+use crate::rate::{PhaseScript, Rate};
+use crate::schedule::ScriptSchedule;
+use crate::stats::{RequestOutcome, Sample, StatsCollector};
+use crate::workload::TransactionType;
+
+/// Virtual terminals serving a run. The count does not change a stage's
+/// capacity: one terminal's service time grows with it.
+const TERMINALS: usize = 4;
+
+/// A single-threaded run of the driver in virtual time.
+pub struct VirtualRun {
+    clock: Arc<SimClock>,
+    model: CapacityModel,
+    types: Vec<TransactionType>,
+    tenants: Vec<VirtualTenant>,
+    /// Each busy terminal's tenant and the sample its completion records.
+    terminals: Vec<Option<(usize, Sample)>>,
+    /// Manager seconds stepped so far.
+    seconds: u64,
+    rng: Rng,
+}
+
+struct VirtualTenant {
+    state: Arc<ControlState>,
+    queue: Arc<RequestQueue>,
+    source: ScriptSchedule,
+    stats: Arc<StatsCollector>,
+    /// When the head falls due as `poll` last said (`None`: empty); a
+    /// dispatch, a rate change or a manager step lowers it to then, so the
+    /// tenant is polled again first.
+    due: Option<Micros>,
+}
+
+impl VirtualRun {
+    /// `TERMINALS` terminals serving `types` on `model`, at time 0.
+    pub fn new(model: CapacityModel, types: Vec<TransactionType>, seed: u64) -> VirtualRun {
+        VirtualRun {
+            clock: SimClock::new(),
+            model,
+            types,
+            tenants: Vec::new(),
+            terminals: vec![None; TERMINALS],
+            seconds: 0,
+            rng: Rng::new(seed),
+        }
+    }
+
+    /// Add a tenant driven by `script` before the run starts; returns its index.
+    pub fn add_tenant(&mut self, script: PhaseScript, unlimited_rate: f64) -> usize {
+        assert_eq!(self.seconds, 0, "tenants join before the run starts");
+        let (state, queue) = initial_control(&script, &self.types, unlimited_rate, self.clock.clone());
+        let source = ScriptSchedule::new(script, unlimited_rate, self.rng.next_u64());
+        self.tenants.push(VirtualTenant { state, queue, source, stats: self.collector(), due: None });
+        self.tenants.len() - 1
+    }
+
+    fn collector(&self) -> Arc<StatsCollector> {
+        let names: Vec<&str> = self.types.iter().map(|t| t.name).collect();
+        Arc::new(StatsCollector::new(self.clock.clone(), &names))
+    }
+
+    pub fn types(&self) -> &[TransactionType] {
+        &self.types
+    }
+
+    /// A tenant's control state: pause, resume and the mixture go through
+    /// it, as through a live run's controller.
+    pub fn state(&self, tenant: usize) -> &Arc<ControlState> {
+        &self.tenants[tenant].state
+    }
+
+    pub fn stats(&self, tenant: usize) -> &Arc<StatsCollector> {
+        &self.tenants[tenant].stats
+    }
+
+    /// Throttle a tenant at once, as `Controller::set_rate` does live.
+    pub fn set_rate(&mut self, tenant: usize, tps: f64) {
+        self.tenants[tenant].state.set_rate(Rate::Limited(tps));
+        self.tenants[tenant].queue.set_rate(tps);
+        self.tenants[tenant].due = Some(self.clock.now());
+    }
+
+    /// The game-over path: stop the tenant, end its in-flight requests, drop
+    /// its backlog and give it a fresh collector.
+    pub fn halt_and_reset(&mut self, tenant: usize) {
+        for slot in &mut self.terminals {
+            slot.take_if(|(busy, _)| *busy == tenant);
+        }
+        let stats = self.collector();
+        let t = &mut self.tenants[tenant];
+        t.state.stop();
+        t.queue.close();
+        t.queue.drain();
+        t.stats = stats;
+        t.due = None;
+    }
+
+    /// Run `dt` more virtual µs.
+    pub fn advance(&mut self, dt: Micros) {
+        self.run_until(self.clock.now() + dt);
+    }
+
+    /// Run every event up to and including virtual time `until`.
+    pub fn run_until(&mut self, until: Micros) {
+        loop {
+            let free = self.terminals.iter().any(Option::is_none);
+            let ends = self.terminals.iter().flatten().map(|(_, sample)| sample.end);
+            let dues = self.tenants.iter().filter(|t| free && t.serving()).filter_map(|t| t.due);
+            let next = ends.chain(dues).fold(self.seconds * MICROS_PER_SEC, Micros::min);
+            if next > until {
+                break;
+            }
+            self.clock.advance_to(next);
+            let now = self.clock.now();
+            for slot in &mut self.terminals {
+                if let Some((tenant, sample)) = slot.take_if(|(_, sample)| sample.end <= now) {
+                    self.tenants[tenant].stats.record(sample);
+                }
+            }
+            if now >= self.seconds * MICROS_PER_SEC {
+                self.step_manager();
+            }
+            self.dispatch(now);
+        }
+        self.clock.advance_to(until);
+    }
+
+    fn step_manager(&mut self) {
+        let boundary = self.seconds * MICROS_PER_SEC;
+        for t in &mut self.tenants {
+            if !t.state.is_stopped()
+                && manager_step(&mut t.source, self.seconds, boundary, 0, &t.state, &t.queue, &t.stats)
+            {
+                t.state.stop();
+                t.queue.close();
+            }
+            t.due = Some(boundary);
+        }
+        self.seconds += 1;
+    }
+
+    /// Give each free terminal the request of the tenant whose head fell due
+    /// first. A service time is the type's mean with `jitter` as its
+    /// coefficient of variation, stretched while the tenant's rate exceeds
+    /// the capacity of its current mixture (not the one its queued requests
+    /// were drawn from).
+    fn dispatch(&mut self, now: Micros) {
+        while let Some(slot) = self.terminals.iter().position(Option::is_none) {
+            let Some((tenant, _)) = (self.tenants.iter().enumerate())
+                .filter_map(|(i, t)| Some((i, t.due.filter(|due| *due <= now && t.serving())?)))
+                .min_by_key(|&(i, due)| (due, i))
+            else {
+                return;
+            };
+            let t = &mut self.tenants[tenant];
+            match t.queue.poll() {
+                Err(due) => t.due = due,
+                Ok(req) => {
+                    t.due = Some(now);
+                    let txn_type = req.txn_type as usize;
+                    let mean = self.model.service_us(TERMINALS, &self.types[txn_type]);
+                    let capacity = self.model.capacity(&t.state.mixture(), &self.types);
+                    let requested = t.state.rate().arrivals_per_second(t.state.unlimited_rate);
+                    let stretch = self.model.overload_stretch(requested, capacity);
+                    let noise = self.rng.normal(1.0, self.model.jitter).max(0.0);
+                    let end = now + (mean * stretch * noise).round() as Micros;
+                    let outcome = RequestOutcome::Committed;
+                    let sample = Sample { txn_type, arrival: req.arrival, start: now, end, outcome, retries: 0 };
+                    self.terminals[slot] = Some((tenant, sample));
+                }
+            }
+        }
+    }
+}
+
+impl VirtualTenant {
+    fn serving(&self) -> bool {
+        !self.state.is_paused() && !self.state.is_stopped()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mixture::Mixture;
+    use crate::rate::{ArrivalDist, Phase};
+
+    fn types() -> Vec<TransactionType> {
+        vec![TransactionType::new("r", 50.0, true), TransactionType::new("w", 50.0, false)]
+    }
+
+    fn quiet(name: &str) -> CapacityModel {
+        CapacityModel { jitter: 0.0, ..CapacityModel::by_name(name).unwrap() }
+    }
+
+    /// `model`'s capacity at [`types`] mixed by `weights`.
+    fn capacity(model: &CapacityModel, weights: Vec<f64>) -> f64 {
+        model.capacity(&Mixture::new(weights).unwrap(), &types())
+    }
+
+    /// One tenant on `model`'s stage driven by `script` for its whole length.
+    fn solo(model: CapacityModel, script: PhaseScript, unlimited_rate: f64, seed: u64) -> VirtualRun {
+        let end = script.total_duration_us();
+        let mut run = VirtualRun::new(model, types(), seed);
+        run.add_tenant(script, unlimited_rate);
+        run.run_until(end);
+        run
+    }
+
+    fn mean(series: &[f64]) -> f64 {
+        series.iter().sum::<f64>() / series.len() as f64
+    }
+
+    #[test]
+    fn tracks_a_constant_rate_under_capacity() {
+        let script = PhaseScript::constant(Rate::Limited(400.0), 10.0);
+        let run = solo(quiet("mysql"), script, 1e5, 1);
+        let delivered = run.stats(0).throughput_series();
+        for v in &delivered[1..9] {
+            assert!((v - 400.0).abs() < 10.0, "{v}");
+        }
+    }
+
+    #[test]
+    fn saturates_below_capacity() {
+        let model = quiet("derby");
+        let cap = capacity(&model, vec![50.0, 50.0]);
+        let settled = cap / model.overload_stretch(2_000.0, cap);
+        let run = solo(model, PhaseScript::constant(Rate::Unlimited, 10.0), 2_000.0, 1);
+        let delivered = mean(&run.stats(0).throughput_series()[5..9]);
+        assert!(delivered < cap, "delivered {delivered} must stay below capacity {cap}");
+        assert!(delivered > cap * 0.3);
+        assert!((delivered - settled).abs() < settled * 0.05, "{delivered} vs {settled}");
+    }
+
+    #[test]
+    fn capacity_weighs_each_types_service_time_by_its_share() {
+        // A cost-3 write in a quarter of the requests: 1 / E[service] is
+        // 2,200 / (0.75 + 0.25 × 3 / 0.45) = 910 tx/s.
+        let types = vec![
+            TransactionType::new("r", 75.0, true),
+            TransactionType::new("w", 25.0, false).with_cost(3.0),
+        ];
+        let model = CapacityModel { overload_droop: 0.0, ..quiet("mysql") };
+        let cap = model.capacity(&Mixture::default_of(&types), &types);
+        assert!((cap - 910.0).abs() < 1.0, "{cap}");
+        let mut run = VirtualRun::new(model, types, 1);
+        run.add_tenant(PhaseScript::constant(Rate::Unlimited, 10.0), 2_000.0);
+        run.run_until(10 * MICROS_PER_SEC);
+        let delivered = mean(&run.stats(0).throughput_series()[3..9]);
+        assert!((delivered - cap).abs() < cap * 0.03, "{delivered}");
+    }
+
+    #[test]
+    fn serves_read_only_faster_than_write_heavy() {
+        let saturated = |weights: Vec<f64>| {
+            let script = PhaseScript::new(vec![Phase::new(Rate::Unlimited, 10.0).with_weights(weights)]);
+            let run = solo(quiet("mysql"), script, 5_000.0, 1);
+            mean(&run.stats(0).throughput_series()[5..9])
+        };
+        let write_heavy = saturated(vec![0.0, 100.0]);
+        let read_only = saturated(vec![100.0, 0.0]);
+        assert!(read_only > write_heavy * 1.6, "read-only {read_only} vs write-heavy {write_heavy}");
+    }
+
+    #[test]
+    fn same_seed_gives_an_identical_series() {
+        let run = |seed| {
+            let script = PhaseScript::new(vec![
+                Phase::new(Rate::Limited(800.0), 5.0).with_arrival(ArrivalDist::Exponential)
+            ]);
+            let run = solo(CapacityModel::by_name("derby").unwrap(), script, 1e5, seed);
+            (run.stats(0).throughput_series(), run.stats(0).latency_series())
+        };
+        assert_eq!(run(42), run(42));
+        assert_ne!(run(42).1, run(43).1, "the seed draws the service times");
+    }
+
+    /// Two tenants on one stage, each offered `rates[i]` for ten seconds:
+    /// each one's mean delivered rate over seconds 5–8.
+    fn two_tenants(rates: [f64; 2]) -> [f64; 2] {
+        let mut run = VirtualRun::new(quiet("mysql"), types(), 1);
+        for rate in rates {
+            let script = PhaseScript::new(vec![
+                Phase::new(Rate::Limited(rate), 10.0).with_weights(vec![100.0, 0.0])
+            ]);
+            run.add_tenant(script, 1e5);
+        }
+        run.run_until(10 * MICROS_PER_SEC);
+        [0, 1].map(|t| run.stats(t).throughput_series().get(5..9).map_or(0.0, mean))
+    }
+
+    #[test]
+    fn tenants_share_the_terminals() {
+        let cap = capacity(&quiet("mysql"), vec![100.0, 0.0]);
+        let [t1, t2] = two_tenants([cap, cap]);
+        assert!((t1 - cap / 2.0).abs() < cap * 0.1, "t1 {t1} vs {cap}");
+        assert!((t2 - cap / 2.0).abs() < cap * 0.1, "t2 {t2} vs {cap}");
+    }
+
+    #[test]
+    fn an_idle_neighbor_takes_nothing() {
+        let [t1, t2] = two_tenants([500.0, 0.0]);
+        assert!((t1 - 500.0).abs() < 10.0, "{t1}");
+        assert_eq!(t2, 0.0);
+    }
+
+    #[test]
+    fn response_time_grows_near_capacity() {
+        let model = CapacityModel::by_name("postgres").unwrap();
+        let cap = capacity(&model, vec![50.0, 50.0]);
+        let response_p95 = |rate: f64| {
+            let script = PhaseScript::constant(Rate::Limited(rate), 20.0);
+            solo(model.clone(), script, 1e5, 3).stats(0).response_time().1
+        };
+        let idle = response_p95(10.0);
+        let busy = response_p95(cap * 0.95);
+        assert!(busy > idle * 5, "idle p95 {idle}µs busy p95 {busy}µs");
+    }
+
+    #[test]
+    fn a_paused_tenant_is_served_nothing_and_generates_nothing() {
+        let mut run = VirtualRun::new(quiet("mysql"), types(), 1);
+        run.add_tenant(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5);
+        run.run_until(2 * MICROS_PER_SEC - 1);
+        run.state(0).pause();
+        run.run_until(4 * MICROS_PER_SEC - 1);
+        run.state(0).resume();
+        run.run_until(6 * MICROS_PER_SEC - 1);
+        let stats = run.stats(0);
+        assert_eq!(stats.requested_series(), [500.0, 500.0, 0.0, 0.0, 500.0, 500.0]);
+        // Second 2 holds only what was in flight when the pause began.
+        let delivered = stats.throughput_series();
+        assert!(delivered[2] < 5.0 && delivered[3] == 0.0, "{delivered:?}");
+    }
+
+    #[test]
+    fn halt_and_reset_stops_one_tenant_with_a_fresh_collector() {
+        let mut run = VirtualRun::new(quiet("mysql"), types(), 1);
+        for _ in 0..2 {
+            run.add_tenant(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5);
+        }
+        run.run_until(3 * MICROS_PER_SEC + 500_000);
+        run.halt_and_reset(1);
+        run.run_until(6 * MICROS_PER_SEC - 1);
+        assert!(run.state(1).is_stopped());
+        assert_eq!(run.stats(1).total_completed(), 0, "nothing after the reset");
+        assert!(run.stats(1).requested_series().is_empty(), "the schedule stopped");
+        let neighbor: f64 = run.stats(0).throughput_series()[3..5].iter().sum();
+        assert!((neighbor - 1_000.0).abs() <= 2.0, "the neighbor runs on: {neighbor}");
+    }
+}

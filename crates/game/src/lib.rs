@@ -9,8 +9,8 @@
 //!
 //! Modules: [`challenge`] (Steps / Sinusoidal / Peak / Tunnel courses, plus
 //! XML-loaded custom ones), [`physics`] (jump + gravity), [`game`] (the
-//! state machine with pause-to-change-mixture), [`session`] (backends:
-//! deterministic simulation or the live control API; two-player
+//! state machine with pause-to-change-mixture), [`session`] (backends: the
+//! driver in virtual time or the live control API; two-player
 //! multi-tenancy), [`render`] (ASCII frames).
 
 pub mod challenge;

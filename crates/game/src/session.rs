@@ -4,18 +4,20 @@
 //! control API → DBMS. Here the [`GameBackend`] trait abstracts the right
 //! side of that chain; two implementations are provided:
 //!
-//! * [`SimBackend`]: the deterministic capacity-model DBMS (fast, perfect
-//!   for tests and autopilot experiments);
+//! * [`SimBackend`]: the real driver in virtual time on a capacity-model
+//!   DBMS stage (deterministic and fast: tests and autopilot experiments);
 //! * [`ApiBackend`]: drives a *live* workload through [`bp_api::ApiServer`]
 //!   requests, exactly like the JavaScript game does over REST.
 //!
-//! [`TwoPlayerSession`] runs two characters against one shared simulated
-//! server, letting each player feel the other's load (§4.3).
+//! [`TwoPlayerSession`] runs two characters as two tenants of one simulated
+//! stage, letting each player feel the other's load (§4.3).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bp_api::{ApiServer, Request};
-use bp_core::{CapacityModel, MixturePreset, Phase, PhaseScript, Rate, SimDbms, SimServer, TransactionType};
+use bp_core::{CapacityModel, MixturePreset, Phase, PhaseScript, Rate, RunConfig, TransactionType, VirtualRun};
 use bp_replay::{Artifact, ARTIFACT_VERSION};
 use bp_util::clock::Micros;
 use bp_util::json::Json;
@@ -52,46 +54,59 @@ pub trait GameBackend {
     }
 }
 
-/// Deterministic backend over the analytic capacity model.
+/// Deterministic backend: one tenant of a [`VirtualRun`], measured by its
+/// collector's window over the last complete second, as `/status` is live.
 pub struct SimBackend {
-    dbms: SimDbms,
-    types: Vec<TransactionType>,
-    mixture: bp_core::Mixture,
-    paused: bool,
+    stage: Rc<RefCell<VirtualRun>>,
+    tenant: usize,
     pub resets: usize,
 }
 
 impl SimBackend {
     pub fn new(model: CapacityModel, types: Vec<TransactionType>, seed: u64) -> SimBackend {
-        let mixture = bp_core::Mixture::default_of(&types);
-        SimBackend { dbms: SimDbms::new(model, seed), types, mixture, paused: false, resets: 0 }
+        let stage = VirtualRun::new(model, types, seed);
+        SimBackend::join(&Rc::new(RefCell::new(stage)))
+    }
+
+    /// A player's tenant on `stage`, whose rate the game sets every tick.
+    fn join(stage: &Rc<RefCell<VirtualRun>>) -> SimBackend {
+        let script = PhaseScript::repeating(vec![Phase::new(Rate::Disabled, 1.0)]);
+        let tenant = stage.borrow_mut().add_tenant(script, RunConfig::default().unlimited_rate);
+        SimBackend { stage: stage.clone(), tenant, resets: 0 }
+    }
+
+    fn request(&self, tps: f64) {
+        self.stage.borrow_mut().set_rate(self.tenant, tps);
+    }
+
+    fn measured(&self) -> f64 {
+        self.stage.borrow().stats(self.tenant).window_snapshot(1).throughput
     }
 }
 
 impl GameBackend for SimBackend {
     fn exchange(&mut self, requested_tps: f64, dt_us: Micros) -> f64 {
-        if self.paused {
-            return 0.0;
+        // A paused game's time stands still, and so does its own stage: it
+        // resumes where it stopped, its window unchanged.
+        if !self.stage.borrow().state(self.tenant).is_paused() {
+            self.request(requested_tps);
+            self.stage.borrow_mut().advance(dt_us);
         }
-        let dt_s = dt_us as f64 / 1_000_000.0;
-        self.dbms.tick(
-            requested_tps,
-            self.mixture.write_share(&self.types),
-            self.mixture.mean_cost(&self.types),
-            dt_s,
-        )
+        self.measured()
     }
 
     fn set_paused(&mut self, paused: bool) {
-        self.paused = paused;
+        let state = self.stage.borrow().state(self.tenant).clone();
+        if paused { state.pause() } else { state.resume() }
     }
 
     fn apply_preset(&mut self, preset: MixturePreset) {
-        self.mixture = preset.build(&self.types);
+        let stage = self.stage.borrow();
+        stage.state(self.tenant).set_mixture(preset.build(stage.types()));
     }
 
     fn halt_and_reset(&mut self) {
-        self.dbms.reset();
+        self.stage.borrow_mut().halt_and_reset(self.tenant);
         self.resets += 1;
     }
 }
@@ -197,6 +212,11 @@ impl<B: GameBackend> GameSession<B> {
     /// apply resulting events to the backend. Returns the events.
     pub fn tick(&mut self, dt_us: Micros, input: Input) -> Vec<GameEvent> {
         let measured = self.backend.exchange(self.game.requested_tps(), dt_us);
+        self.advance(dt_us, measured, input)
+    }
+
+    /// Advance the game on a measured rate and apply its events to the backend.
+    fn advance(&mut self, dt_us: Micros, measured: f64, input: Input) -> Vec<GameEvent> {
         let events = self.game.tick(dt_us, measured, input);
         for e in &events {
             match e {
@@ -297,13 +317,10 @@ impl<B: GameBackend> GameSession<B> {
     }
 }
 
-/// Two players, one shared simulated DBMS instance: each player's load
-/// shrinks the capacity available to the other (multi-tenancy, §2.2.3/§4.3).
+/// Two players, two tenants of one virtual-time run: each player's load
+/// takes terminals from the other (multi-tenancy, §2.2.3/§4.3).
 pub struct TwoPlayerSession {
-    pub games: [Game; 2],
-    server: SimServer,
-    types: Vec<TransactionType>,
-    mixtures: [bp_core::Mixture; 2],
+    pub players: [GameSession<SimBackend>; 2],
 }
 
 impl TwoPlayerSession {
@@ -314,38 +331,22 @@ impl TwoPlayerSession {
         physics: PhysicsConfig,
         seed: u64,
     ) -> TwoPlayerSession {
-        let mixture = bp_core::Mixture::default_of(&types);
-        TwoPlayerSession {
-            games: [
-                Game::new("p1", model.name, courses[0].clone(), physics),
-                Game::new("p2", model.name, courses[1].clone(), physics),
-            ],
-            server: SimServer::new(model, 2, seed),
-            types,
-            mixtures: [mixture.clone(), mixture],
-        }
+        let name = model.name;
+        let stage = Rc::new(RefCell::new(VirtualRun::new(model, types, seed)));
+        let player = |id, course| GameSession::new(Game::new(id, name, course, physics), SimBackend::join(&stage));
+        let [c1, c2] = courses;
+        TwoPlayerSession { players: [player("p1", c1), player("p2", c2)] }
     }
 
-    /// Tick both players with their inputs.
+    /// Both rates reach the stage, it runs once, then each player advances.
     pub fn tick(&mut self, dt_us: Micros, inputs: [Input; 2]) {
-        let dt_s = dt_us as f64 / 1_000_000.0;
-        let demands: Vec<(f64, f64, f64)> = (0..2)
-            .map(|i| {
-                (
-                    self.games[i].requested_tps(),
-                    self.mixtures[i].write_share(&self.types),
-                    self.mixtures[i].mean_cost(&self.types),
-                )
-            })
-            .collect();
-        let delivered = self.server.tick(&demands, dt_s);
-        for i in 0..2 {
-            let events = self.games[i].tick(dt_us, delivered[i], inputs[i]);
-            for e in events {
-                if let GameEvent::ApplyPreset(p) = e {
-                    self.mixtures[i] = p.build(&self.types);
-                }
-            }
+        for p in &self.players {
+            p.backend.request(p.game.requested_tps());
+        }
+        self.players[0].backend.stage.borrow_mut().advance(dt_us);
+        for (p, input) in self.players.iter_mut().zip(inputs) {
+            let measured = p.backend.measured();
+            p.advance(dt_us, measured, input);
         }
     }
 }
@@ -381,7 +382,7 @@ pub fn chase_center_policy(game: &Game) -> Input {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::challenge::ChallengeShape;
+    use crate::challenge::{ChallengeShape, Obstacle};
 
     fn types() -> Vec<TransactionType> {
         vec![
@@ -391,7 +392,12 @@ mod tests {
     }
 
     fn quiet_model() -> CapacityModel {
-        CapacityModel { jitter: 0.0, ..CapacityModel::mysql_like() }
+        CapacityModel { jitter: 0.0, ..CapacityModel::by_name("mysql").unwrap() }
+    }
+
+    /// `model`'s capacity at the default 50/50 mixture of [`types`].
+    fn half_writes_capacity(model: &CapacityModel) -> f64 {
+        model.capacity(&bp_core::Mixture::default_of(&types()), &types())
     }
 
     fn steps_course(max: f64) -> Course {
@@ -401,6 +407,16 @@ mod tests {
             30.0,
             0.8,
         )
+    }
+
+    impl SimBackend {
+        fn mixture(&self) -> Arc<bp_core::Mixture> {
+            self.stage.borrow().state(self.tenant).mixture()
+        }
+
+        fn paused(&self) -> bool {
+            self.stage.borrow().state(self.tenant).is_paused()
+        }
     }
 
     #[test]
@@ -431,7 +447,9 @@ mod tests {
     #[test]
     fn derby_fails_tunnel_that_oracle_passes() {
         // §4.3: "certain DBMSs cannot pass the tunnel tests, since they
-        // produce oscillating throughputs".
+        // produce oscillating throughputs". Here derby fails on capacity:
+        // its stage serves 240 tx/s of this 50/50 mix (service times
+        // divided by its 0.25 write penalty), under the tunnel's 255 floor.
         let tunnel = |name: &str| {
             Course::generate(
                 "tunnel",
@@ -461,8 +479,8 @@ mod tests {
             session.run_policy(100_000, 400, chase_center_policy);
             session.game.screen().clone()
         };
-        let oracle = run(CapacityModel::oracle_like());
-        let derby = run(CapacityModel::derby_like());
+        let oracle = run(CapacityModel::by_name("oracle").unwrap());
+        let derby = run(CapacityModel::by_name("derby").unwrap());
         assert_eq!(oracle, crate::game::Screen::Won, "oracle should pass the tunnel");
         assert!(
             matches!(derby, crate::game::Screen::Crashed { .. }),
@@ -473,7 +491,7 @@ mod tests {
     #[test]
     fn two_players_interfere() {
         let model = quiet_model();
-        let cap = model.capacity(0.5, 1.0);
+        let cap = half_writes_capacity(&model);
         // Both players hold a demand near the full capacity: neither can
         // get it all once the other joins.
         let course = Course { name: "open".into(), obstacles: vec![], duration_us: 60_000_000 };
@@ -484,21 +502,128 @@ mod tests {
             PhysicsConfig { jump_tps: 200.0, gravity_tps_per_s: 0.0, max_tps: 5_000.0 },
             5,
         );
-        two.games[0].character.set_requested(cap);
-        two.games[1].character.set_requested(0.0);
+        two.players[0].game.character.set_requested(cap);
+        two.players[1].game.character.set_requested(0.0);
         for _ in 0..100 {
             two.tick(100_000, [Input::None, Input::None]);
         }
-        let solo = two.games[0].character.measured_tps;
-        two.games[1].character.set_requested(cap);
+        let solo = two.players[0].game.character.measured_tps;
+        two.players[1].game.character.set_requested(cap);
         for _ in 0..100 {
             two.tick(100_000, [Input::None, Input::None]);
         }
-        let contended = two.games[0].character.measured_tps;
+        let contended = two.players[0].game.character.measured_tps;
         assert!(
             contended < solo * 0.7,
             "player 2's load should slow player 1: solo {solo:.0} contended {contended:.0}"
         );
+    }
+
+    #[test]
+    fn a_crashed_player_stops_loading_the_shared_stage() {
+        let model = quiet_model();
+        let cap = half_writes_capacity(&model);
+        let open = Course { name: "open".into(), obstacles: vec![], duration_us: 60_000_000 };
+        // Player 2 cannot fit this opening while it carries any load: it
+        // crashes at 6 s.
+        let wall = Obstacle {
+            start_us: 6_000_000,
+            end_us: 7_000_000,
+            gap_low: 0.0,
+            gap_high: 1.0,
+            autopilot: false,
+        };
+        let walled = Course { obstacles: vec![wall], ..open.clone() };
+        let mut two = TwoPlayerSession::new(
+            model,
+            types(),
+            [open, walled],
+            PhysicsConfig { jump_tps: 200.0, gravity_tps_per_s: 0.0, max_tps: 5_000.0 },
+            5,
+        );
+        let run = |two: &mut TwoPlayerSession, ticks: usize| {
+            for _ in 0..ticks {
+                two.tick(100_000, [Input::None, Input::None]);
+            }
+            two.players[0].game.character.measured_tps
+        };
+        two.players[0].game.character.set_requested(cap);
+        let solo = run(&mut two, 30);
+        two.players[1].game.character.set_requested(cap);
+        let contended = run(&mut two, 30);
+        assert!(contended < solo * 0.7, "solo {solo:.0} contended {contended:.0}");
+        assert!(matches!(two.players[1].game.screen(), crate::game::Screen::Crashed { .. }));
+        let after = run(&mut two, 20);
+        assert!(
+            after > solo * 0.9,
+            "2 s after player 2 crashed, player 1 measures {after:.0} of its solo {solo:.0}"
+        );
+    }
+
+    /// A session on an open course whose character holds `tps` (no gravity),
+    /// with `obstacles` on it.
+    fn holding(tps: f64, obstacles: Vec<Obstacle>) -> GameSession<SimBackend> {
+        let course = Course { name: "held".into(), obstacles, duration_us: 60_000_000 };
+        let physics = PhysicsConfig { jump_tps: 200.0, gravity_tps_per_s: 0.0, max_tps: 5_000.0 };
+        let game = Game::new("ycsb", "mysql", course, physics);
+        let mut session = GameSession::new(game, SimBackend::new(quiet_model(), types(), 3));
+        session.game.character.set_requested(tps);
+        session
+    }
+
+    fn ticks(session: &mut GameSession<SimBackend>, n: usize, input: Input) {
+        for _ in 0..n {
+            session.tick(100_000, input);
+        }
+    }
+
+    #[test]
+    fn a_pause_holds_the_stage_until_the_game_resumes() {
+        // The opening starts 0.5 s of play after a 2 s pause: the stage must
+        // not have run through the pause, or its last second would be empty.
+        let gap = Obstacle {
+            start_us: 4_500_000,
+            end_us: 6_000_000,
+            gap_low: 300.0,
+            gap_high: 500.0,
+            autopilot: false,
+        };
+        let mut session = holding(400.0, vec![gap]);
+        ticks(&mut session, 40, Input::None);
+        session.tick(100_000, Input::Pause);
+        ticks(&mut session, 20, Input::None);
+        session.tick(100_000, Input::Resume);
+        ticks(&mut session, 30, Input::None);
+        let measured = session.game.character.measured_tps;
+        assert_eq!(*session.game.screen(), crate::game::Screen::Playing, "measured {measured}");
+        assert_eq!(session.backend.resets, 0);
+    }
+
+    #[test]
+    fn a_read_only_preset_lifts_a_saturated_stage() {
+        // Fig. 2d: pause, switch the mixture, resume. 1,800 tx/s saturates
+        // the 50/50 mixture and fits under the read-only capacity.
+        let model = quiet_model();
+        let read_only = model.capacity(&bp_core::Mixture::new(vec![1.0, 0.0]).unwrap(), &types());
+        let (requested, cap) = (1_800.0, half_writes_capacity(&model));
+        assert!(cap < requested && requested < read_only, "{cap} {read_only}");
+        let mut session = holding(requested, vec![]);
+        ticks(&mut session, 50, Input::None);
+        let saturated = session.game.character.measured_tps;
+        assert!(saturated < cap, "{saturated}");
+        session.tick(100_000, Input::Pause);
+        session.tick(100_000, Input::SelectPreset(MixturePreset::ReadOnly));
+        session.tick(100_000, Input::Resume);
+        // The overload stretch follows the new mixture at once, so the rate
+        // rises within 2 s; the read-only requests queue behind 5 s of the
+        // old mixture's backlog (~2,400 requests, ~1.8 s of service) and
+        // show in the window 1-2 s after they reach the terminals.
+        ticks(&mut session, 20, Input::None);
+        let risen = session.game.character.measured_tps;
+        assert!(risen > saturated, "saturated {saturated:.0}, 2 s after the preset {risen:.0}");
+        ticks(&mut session, 25, Input::None);
+        let lifted = session.game.character.measured_tps;
+        assert!(lifted > requested * 0.95, "saturated {saturated:.0}, 4.5 s after the preset {lifted:.0}");
     }
 
     #[test]
@@ -618,8 +743,8 @@ mod tests {
         let mut session = GameSession::new(game, backend);
         session.tick(100_000, Input::Pause);
         session.tick(100_000, Input::SelectPreset(MixturePreset::ReadOnly));
-        assert_eq!(session.backend.mixture.write_share(&types()), 0.0);
+        assert_eq!(session.backend.mixture().write_share(&types()), 0.0);
         session.tick(100_000, Input::Resume);
-        assert!(!session.backend.paused);
+        assert!(!session.backend.paused());
     }
 }

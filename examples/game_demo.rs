@@ -1,6 +1,6 @@
 //! BenchPress game demo: the autopilot plays the "steps" course against two
-//! different DBMS stages on the deterministic simulator, rendering ASCII
-//! frames (Fig. 2c in a terminal).
+//! different DBMS stages, each the real driver in virtual time, rendering
+//! ASCII frames (Fig. 2c in a terminal).
 //!
 //! ```sh
 //! cargo run --release --example game_demo
@@ -41,7 +41,8 @@ fn play(model: CapacityModel) {
 
 fn main() {
     // Oracle: stable stage, the autopilot clears the course.
-    play(CapacityModel::oracle_like());
-    // Derby: oscillating throughput — expect a crash (and a DB reset).
-    play(CapacityModel::derby_like());
+    play(CapacityModel::by_name("oracle").unwrap());
+    // Derby: the course's upper steps are past its capacity — expect a crash
+    // (and a DB reset).
+    play(CapacityModel::by_name("derby").unwrap());
 }

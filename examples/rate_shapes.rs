@@ -1,12 +1,13 @@
-//! The §4.1.2 execution shapes on the deterministic simulator: steps,
-//! sinusoid, peak and tunnel, printed as target-vs-delivered sparklines for
-//! each DBMS stage.
+//! The §4.1.2 execution shapes on the real driver in virtual time: steps,
+//! sinusoid, peak and tunnel, each stage's requested series (what the
+//! manager enqueued each second) printed against its delivered one (what
+//! the terminals completed), as sparklines.
 //!
 //! ```sh
 //! cargo run --release --example rate_shapes
 //! ```
 
-use benchpress::core::{simulate_script, CapacityModel, Phase, PhaseScript, Rate, SimDbms};
+use benchpress::core::{CapacityModel, Mixture, Phase, PhaseScript, Rate, VirtualRun};
 use benchpress::workloads::by_name;
 
 fn sparkline(values: &[f64], max: f64) -> String {
@@ -48,24 +49,25 @@ fn shape_script(shape: &str, cap: f64, seconds: f64) -> PhaseScript {
 
 fn main() {
     let types = by_name("ycsb").unwrap().transaction_types();
+    let mixture = Mixture::default_of(&types);
     for shape in ["steps", "sinusoid", "peak", "tunnel"] {
         println!("== {shape} ==");
         for model in CapacityModel::all() {
-            let cap = model.capacity(0.4, 1.0);
+            let cap = model.capacity(&mixture, &types);
+            let name = model.name;
             let script = shape_script(shape, cap, 60.0);
-            let mut dbms = SimDbms::new(model.clone(), 42);
-            let run = simulate_script(&mut dbms, &script, &types, 1e5, 0.25);
-            let max = cap * 1.2;
-            // Downsample to ~60 chars.
-            let step = (run.samples.len() / 60).max(1);
-            let target: Vec<f64> = run.requested().iter().step_by(step).cloned().collect();
-            let delivered: Vec<f64> = run.delivered().iter().step_by(step).cloned().collect();
-            if model.name == "mysql" {
-                println!("  target    {}", sparkline(&target, max));
+            let seconds = script.total_duration_us();
+            let mut run = VirtualRun::new(model, types.clone(), 42);
+            let tenant = run.add_tenant(script, 1e5);
+            run.run_until(seconds);
+            let stats = run.stats(tenant);
+            let max = cap * 1.25;
+            if name == "mysql" {
+                println!("  requested {}", sparkline(&stats.requested_series(), max));
             }
-            println!("  {:<9} {}", model.name, sparkline(&delivered, max));
+            println!("  {:<9} {}", name, sparkline(&stats.throughput_series(), max));
         }
         println!();
     }
-    println!("(each stage is normalized to its own capacity; jitter is what sinks derby)");
+    println!("(each stage is normalized to its own capacity; the steps and the peak climb past it)");
 }

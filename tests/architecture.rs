@@ -240,14 +240,15 @@ fn reachability_rule_flags_a_planted_fixture() {
 /// the coordinator one message, the heartbeat. And a run has one clock: no
 /// code reads ambient time but the wall clock itself, `Periodic`'s pacing,
 /// the personality's busy-wait (it burns real CPU on purpose) and the
-/// bench's timers.
+/// bench's timers. And there is one driver: the simulated path's own
+/// (`SimDbms`'s lag, `SimServer`'s split, `simulate_script`) stays gone.
 #[test]
 fn background_threads_go_through_periodic() {
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
     const MAY_READ_SLOT: [&str; 3] = ["util/src/sync.rs", "core/src/stats.rs", "obs/src/span.rs"];
     const RING_ARITHMETIC: [&str; 2] = ["written %", "fn ordered("];
     const EXPOSITION_SYNTAX: [&str; 2] = ["\"# TYPE", "_bucket\""];
-    const RETIRED: [&str; 21] = [
+    const RETIRED: [&str; 27] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
@@ -263,6 +264,9 @@ fn background_threads_go_through_periodic() {
         "cluster/join", "join_once", "resplit_and_fanout",
         // One clock per run: the journal stamps from the database's.
         "journal_now_us",
+        // One driver: a simulated stage runs the real one in virtual time,
+        // with no fluid lag and no share split of its own.
+        "simulate_script", "SimDbms", "SimServer", "SimRun", "SimSample", "response_tau_s",
     ];
     const NO_AMBIENT_TIME: [&str; 2] = ["Instant::now", "SystemTime::now"];
     const MAY_READ_TIME: [&str; 3] =

@@ -228,7 +228,7 @@ fn game_scenario_replays_as_script_only_artifact() {
         benchpress::core::TransactionType::new("w", 50.0, false),
     ];
     let backend = SimBackend::new(
-        CapacityModel { jitter: 0.0, ..CapacityModel::mysql_like() },
+        CapacityModel { jitter: 0.0, ..CapacityModel::by_name("mysql").unwrap() },
         types,
         7,
     );
