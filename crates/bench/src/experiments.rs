@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bp_core::{
-    ArrivalDist, CapacityModel, MixturePreset, Phase, PhaseScript, Rate, RunConfig, Testbed,
-    TraceAnalyzer,
+    ArrivalDist, MixturePreset, Phase, PhaseScript, Rate, RunConfig, Testbed, TraceAnalyzer,
+    VirtualRun,
 };
 use bp_game::{chase_center_policy, Course, Game, GameSession, Input, PhysicsConfig, SimBackend};
 use bp_sql::{Connection, Dialect};
@@ -351,7 +351,7 @@ impl Outcome for TenancyReport {
 }
 
 /// E6 — §4.1.2 challenge shapes across DBMS personalities: the autopilot
-/// plays each course against each capacity-model stage, on the driver in
+/// plays each course against each personality's stage, on the driver in
 /// virtual time.
 pub struct ChallengeReport {
     pub dbms: &'static str,
@@ -363,12 +363,13 @@ pub struct ChallengeReport {
 
 pub fn run_challenges(scale_tps: f64) -> Vec<ChallengeReport> {
     let mut out = Vec::new();
-    for model in CapacityModel::all() {
+    for personality in Personality::all() {
+        let dbms = personality.name;
         for course in Course::demo_set(scale_tps) {
             let course_name = course.name.clone();
             let game = Game::new(
                 "ycsb",
-                model.name,
+                dbms,
                 course,
                 PhysicsConfig {
                     jump_tps: scale_tps * 0.06,
@@ -376,13 +377,12 @@ pub fn run_challenges(scale_tps: f64) -> Vec<ChallengeReport> {
                     max_tps: scale_tps * 1.5,
                 },
             );
-            let types = by_name("ycsb").unwrap().transaction_types();
-            let backend = SimBackend::new(model.clone(), types, 42);
+            let backend = SimBackend::new(personality.clone(), by_name("ycsb").unwrap(), 42);
             let mut session = GameSession::new(game, backend);
             session.run_policy(100_000, 1_000, chase_center_policy);
             let g = &session.game;
             out.push(ChallengeReport {
-                dbms: model.name,
+                dbms,
                 course: course_name,
                 outcome: match g.screen() {
                     bp_game::Screen::Won => "pass",
@@ -442,11 +442,9 @@ pub struct PhysicsReport {
 
 pub fn run_physics() -> PhysicsReport {
     let session = |seed: u64| {
-        let model = CapacityModel::by_name("mysql").unwrap();
-        let types = by_name("voter").unwrap().transaction_types();
         let course = Course::demo_set(1_000.0).remove(0);
         let game = Game::new("voter", "mysql", course, PhysicsConfig::default());
-        GameSession::new(game, SimBackend::new(model, types, seed))
+        GameSession::new(game, SimBackend::new(Personality::mysql_like(), by_name("voter").unwrap(), seed))
     };
 
     // Determinism.
@@ -494,19 +492,24 @@ impl Outcome for PhysicsReport {
 }
 
 /// E8 — Fig. 2b: the same saturating workload against every personality on
-/// the *embedded engine* (not the model): peak throughput and abort rates.
+/// the embedded engine, live (peak throughput and abort rates) and on E6's
+/// stage in virtual time.
 pub struct PersonalityReport {
     pub personality: &'static str,
     pub throughput: f64,
     pub p95_latency_us: u64,
     pub failed: u64,
     pub jitter_cv: f64,
+    /// Saturated throughput of the virtual-time stage, one transaction at
+    /// a time (deterministic).
+    pub virtual_tps: f64,
 }
 
 pub fn run_personalities(seconds: f64) -> Vec<PersonalityReport> {
     let mut out = Vec::new();
     for p in Personality::all() {
         let name = p.name;
+        let virtual_tps = VirtualRun::saturated_tps(p.clone(), by_name("voter").unwrap(), None, 5);
         let cfg = RunConfig { collect_trace: true, ..steady(6, Rate::Unlimited, seconds) };
         let controller = LiveRun::start(&voter(0.3, 5, p), cfg).join();
         let st = controller.stats().status(seconds as usize);
@@ -518,6 +521,7 @@ pub fn run_personalities(seconds: f64) -> Vec<PersonalityReport> {
             p95_latency_us: st.p95_latency_us,
             failed: st.failed,
             jitter_cv: Summary::of(steady).cv(),
+            virtual_tps,
         });
     }
     out
@@ -526,14 +530,14 @@ pub fn run_personalities(seconds: f64) -> Vec<PersonalityReport> {
 impl Outcome for Vec<PersonalityReport> {
     fn render(&self) -> String {
         let mut out = format!(
-            "{:<12}{:>14}{:>14}{:>9}{:>12}\n",
-            "personality", "tput (tx/s)", "p95 (µs)", "failed", "jitter CV"
+            "{:<12}{:>14}{:>14}{:>9}{:>12}{:>16}\n",
+            "personality", "tput (tx/s)", "p95 (µs)", "failed", "jitter CV", "virtual (tx/s)"
         );
         for r in self {
             let _ = writeln!(
                 out,
-                "{:<12}{:>14.0}{:>14}{:>9}{:>12.3}",
-                r.personality, r.throughput, r.p95_latency_us, r.failed, r.jitter_cv
+                "{:<12}{:>14.0}{:>14}{:>9}{:>12.3}{:>16.0}",
+                r.personality, r.throughput, r.p95_latency_us, r.failed, r.jitter_cv, r.virtual_tps
             );
         }
         out
@@ -554,6 +558,13 @@ impl Outcome for Vec<PersonalityReport> {
                 others().all(|r| r.throughput > derby.throughput),
             ),
             ("mysql, postgres and oracle fail no transaction", others().all(|r| r.failed == 0)),
+            (
+                "in virtual time oracle > mysql > postgres > derby",
+                ["oracle", "mysql", "postgres", "derby"]
+                    .map(|name| self.iter().find(|r| r.personality == name).map_or(0.0, |r| r.virtual_tps))
+                    .windows(2)
+                    .all(|pair| pair[0] > pair[1]),
+            ),
         ])
     }
 }

@@ -69,7 +69,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "dbms",
-        title: "E8: DBMS personalities (Fig. 2b) — voter, open loop, 3s on embedded engine",
+        title: "E8: DBMS personalities (Fig. 2b) — voter, saturated: 3s live on the embedded engine, and on E6's stage in virtual time",
         run: || Box::new(run_personalities(3.0)),
     },
     Experiment {
@@ -290,24 +290,26 @@ mod tests {
         expect(&tenancy(25_541.0), &[]);
         expect(&tenancy(41_200.0), &["a tenant is slower beside a neighbor than alone"]);
 
-        let stage = |personality, throughput, failed| PersonalityReport {
+        let stage = |personality, throughput, failed, virtual_tps| PersonalityReport {
             personality,
             throughput,
             p95_latency_us: 100,
             failed,
             jitter_cv: 0.01,
+            virtual_tps,
         };
-        let stages = |derby_tps, postgres_failed| {
+        let stages = |derby_tps, postgres_failed, postgres_virtual| {
             vec![
-                stage("mysql", 40_717.0, 0),
-                stage("postgres", 35_279.0, postgres_failed),
-                stage("derby", derby_tps, 9_456),
-                stage("oracle", 46_343.0, 0),
+                stage("mysql", 40_717.0, 0, 1_096.0),
+                stage("postgres", 35_279.0, postgres_failed, postgres_virtual),
+                stage("derby", derby_tps, 9_456, 68.0),
+                stage("oracle", 46_343.0, 0, 1_567.0),
             ]
         };
-        expect(&stages(4_655.0, 0), &[]);
-        expect(&stages(36_000.0, 0), &["coarse-locking derby delivers the lowest throughput"]);
-        expect(&stages(4_655.0, 3), &["mysql, postgres and oracle fail no transaction"]);
+        expect(&stages(4_655.0, 0, 921.0), &[]);
+        expect(&stages(36_000.0, 0, 921.0), &["coarse-locking derby delivers the lowest throughput"]);
+        expect(&stages(4_655.0, 3, 921.0), &["mysql, postgres and oracle fail no transaction"]);
+        expect(&stages(4_655.0, 0, 1_100.0), &["in virtual time oracle > mysql > postgres > derby"]);
 
         let api = |feedback_ok, effect_latency_s| ApiReport {
             old_rate: 200.0,

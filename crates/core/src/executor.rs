@@ -410,6 +410,22 @@ pub(crate) fn manager_step(
     window.done
 }
 
+/// An attempt's outcome as a terminal counts it, the session left idle; `Err`
+/// says whether a failed attempt (`None`: one chaos stopped) may be retried.
+pub(crate) fn settle(attempt: Option<bp_sql::Result<TxnOutcome>>, conn: &mut Connection) -> Result<RequestOutcome, bool> {
+    let retryable = match attempt {
+        Some(Ok(TxnOutcome::Committed)) => return Ok(RequestOutcome::Committed),
+        Some(Ok(TxnOutcome::UserAborted)) => return Ok(RequestOutcome::UserAborted),
+        Some(Err(e)) => e.is_retryable(),
+        None => true,
+    };
+    // Defensive: the workload must leave the session idle.
+    if conn.in_transaction() {
+        let _ = conn.rollback();
+    }
+    Err(retryable)
+}
+
 /// Best-effort panic payload text for the `worker_panic` journal event.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -594,25 +610,10 @@ fn worker_loop(ctx: WorkerCtx) {
                     }
                 }
             };
-            let retryable_failure = match attempt {
-                Some(Ok(TxnOutcome::Committed)) => break RequestOutcome::Committed,
-                Some(Ok(TxnOutcome::UserAborted)) => break RequestOutcome::UserAborted,
-                Some(Err(e)) => {
-                    // Defensive: the workload must leave the session idle.
-                    if conn.in_transaction() {
-                        let _ = conn.rollback();
-                    }
-                    e.is_retryable()
-                }
-                None => {
-                    if conn.in_transaction() {
-                        let _ = conn.rollback();
-                    }
-                    true
-                }
-            };
-            if !retryable_failure || retries >= max_retries {
-                break RequestOutcome::Failed;
+            match settle(attempt, &mut conn) {
+                Ok(outcome) => break outcome,
+                Err(true) if retries < max_retries => {}
+                Err(_) => break RequestOutcome::Failed,
             }
             retries += 1;
             // Capped exponential backoff with deterministic jitter replaces

@@ -8,13 +8,13 @@
 //! traces and the Trace Analyzer ([`trace`]), the runtime [`controller`]
 //! behind the REST API, multi-tenant testbeds ([`tenant`]), `config.xml`
 //! parsing ([`config`]), and the same driver in virtual time
-//! ([`virtual_run`] on a stage's [`model`]) for shape experiments and the game.
+//! ([`virtual_run`], serving each request on the engine with a DBMS's
+//! personality) for shape experiments and the game.
 
 pub mod config;
 pub mod controller;
 pub mod executor;
 pub mod mixture;
-pub mod model;
 pub mod queue;
 pub mod rate;
 pub mod recovery;
@@ -31,7 +31,6 @@ pub use config::WorkloadConfig;
 pub use controller::{ControlState, Controller};
 pub use executor::{start, start_with_source, RunConfig, RunHandle};
 pub use mixture::{Mixture, MixtureError, MixturePreset};
-pub use model::CapacityModel;
 pub use queue::{Request, RequestQueue, ScheduledRequest};
 pub use rate::{ArrivalDist, Phase, PhaseScript, Rate};
 pub use recovery::{RecoveryConfig, RecoveryHandle};

@@ -161,7 +161,7 @@ mod tests {
 
     fn types() -> Vec<TransactionType> {
         vec![
-            TransactionType::new("NewOrder", 45.0, false).with_cost(2.0),
+            TransactionType::new("NewOrder", 45.0, false),
             TransactionType::new("Payment", 43.0, false),
             TransactionType::new("OrderStatus", 4.0, true),
             TransactionType::new("Delivery", 4.0, false),

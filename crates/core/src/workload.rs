@@ -35,18 +35,11 @@ pub struct TransactionType {
     pub default_weight: f64,
     /// Whether the transaction only reads (drives the read-only preset).
     pub read_only: bool,
-    /// Rough relative service cost, used by the analytic capacity model.
-    pub relative_cost: f64,
 }
 
 impl TransactionType {
     pub fn new(name: &'static str, default_weight: f64, read_only: bool) -> TransactionType {
-        TransactionType { name, default_weight, read_only, relative_cost: 1.0 }
-    }
-
-    pub fn with_cost(mut self, cost: f64) -> TransactionType {
-        self.relative_cost = cost;
-        self
+        TransactionType { name, default_weight, read_only }
     }
 }
 
@@ -113,12 +106,5 @@ mod tests {
         assert_eq!(BenchmarkClass::Transactional.label(), "Transactional");
         assert_eq!(BenchmarkClass::WebOriented.label(), "Web-Oriented");
         assert_eq!(BenchmarkClass::FeatureTesting.label(), "Feature Testing");
-    }
-
-    #[test]
-    fn txn_type_builder() {
-        let t = TransactionType::new("NewOrder", 45.0, false).with_cost(2.5);
-        assert_eq!(t.relative_cost, 2.5);
-        assert!(!t.read_only);
     }
 }

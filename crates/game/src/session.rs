@@ -4,8 +4,9 @@
 //! control API → DBMS. Here the [`GameBackend`] trait abstracts the right
 //! side of that chain; two implementations are provided:
 //!
-//! * [`SimBackend`]: the real driver in virtual time on a capacity-model
-//!   DBMS stage (deterministic and fast: tests and autopilot experiments);
+//! * [`SimBackend`]: the real driver in virtual time, each request served
+//!   by the engine with the DBMS's personality (deterministic and fast:
+//!   tests and autopilot experiments);
 //! * [`ApiBackend`]: drives a *live* workload through [`bp_api::ApiServer`]
 //!   requests, exactly like the JavaScript game does over REST.
 //!
@@ -17,8 +18,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use bp_api::{ApiServer, Request};
-use bp_core::{CapacityModel, MixturePreset, Phase, PhaseScript, Rate, RunConfig, TransactionType, VirtualRun};
+use bp_core::{MixturePreset, Phase, PhaseScript, Rate, RunConfig, VirtualRun, Workload};
 use bp_replay::{Artifact, ARTIFACT_VERSION};
+use bp_storage::Personality;
 use bp_util::clock::Micros;
 use bp_util::json::Json;
 
@@ -42,7 +44,7 @@ pub trait GameBackend {
     fn halt_and_reset(&mut self);
 
     /// One-line per-stage latency summary from the testbed's span flight
-    /// recorder, if the backend has one. The analytic sim backend does not.
+    /// recorder, if the backend has one. The virtual-time backend does not.
     fn span_summary(&self) -> Option<String> {
         None
     }
@@ -63,8 +65,8 @@ pub struct SimBackend {
 }
 
 impl SimBackend {
-    pub fn new(model: CapacityModel, types: Vec<TransactionType>, seed: u64) -> SimBackend {
-        let stage = VirtualRun::new(model, types, seed);
+    pub fn new(personality: Personality, workload: Arc<dyn Workload>, seed: u64) -> SimBackend {
+        let stage = VirtualRun::new(personality, workload, seed);
         SimBackend::join(&Rc::new(RefCell::new(stage)))
     }
 
@@ -325,14 +327,14 @@ pub struct TwoPlayerSession {
 
 impl TwoPlayerSession {
     pub fn new(
-        model: CapacityModel,
-        types: Vec<TransactionType>,
+        personality: Personality,
+        workload: Arc<dyn Workload>,
         courses: [Course; 2],
         physics: PhysicsConfig,
         seed: u64,
     ) -> TwoPlayerSession {
-        let name = model.name;
-        let stage = Rc::new(RefCell::new(VirtualRun::new(model, types, seed)));
+        let name = personality.name;
+        let stage = Rc::new(RefCell::new(VirtualRun::new(personality, workload, seed)));
         let player = |id, course| GameSession::new(Game::new(id, name, course, physics), SimBackend::join(&stage));
         let [c1, c2] = courses;
         TwoPlayerSession { players: [player("p1", c1), player("p2", c2)] }
@@ -384,20 +386,18 @@ mod tests {
     use super::*;
     use crate::challenge::{ChallengeShape, Obstacle};
 
-    fn types() -> Vec<TransactionType> {
-        vec![
-            TransactionType::new("r", 50.0, true),
-            TransactionType::new("w", 50.0, false),
-        ]
+    fn ycsb() -> Arc<dyn Workload> {
+        bp_workloads::by_name("ycsb").unwrap()
     }
 
-    fn quiet_model() -> CapacityModel {
-        CapacityModel { jitter: 0.0, ..CapacityModel::by_name("mysql").unwrap() }
+    fn quiet() -> Personality {
+        Personality { jitter: 0.0, ..Personality::mysql_like() }
     }
 
-    /// `model`'s capacity at the default 50/50 mixture of [`types`].
-    fn half_writes_capacity(model: &CapacityModel) -> f64 {
-        model.capacity(&bp_core::Mixture::default_of(&types()), &types())
+    /// The quiet stage's measured capacity at `workload` mixed by `weights`
+    /// (`None`: its default mixture).
+    fn capacity(workload: Arc<dyn Workload>, weights: Option<Vec<f64>>) -> f64 {
+        VirtualRun::saturated_tps(quiet(), workload, weights, 1)
     }
 
     fn steps_course(max: f64) -> Course {
@@ -427,7 +427,7 @@ mod tests {
             gravity_tps_per_s: 40.0,
             max_tps: 1_000.0,
         });
-        let backend = SimBackend::new(quiet_model(), types(), 7);
+        let backend = SimBackend::new(quiet(), ycsb(), 7);
         let mut session = GameSession::new(game, backend);
         session.run_policy(100_000, 400, chase_center_policy);
         assert_eq!(*session.game.screen(), crate::game::Screen::Won, "score {}", session.game.score());
@@ -437,7 +437,7 @@ mod tests {
     fn doing_nothing_crashes() {
         let course = steps_course(1_000.0);
         let game = Game::new("ycsb", "mysql", course, PhysicsConfig::default());
-        let backend = SimBackend::new(quiet_model(), types(), 7);
+        let backend = SimBackend::new(quiet(), ycsb(), 7);
         let mut session = GameSession::new(game, backend);
         session.run_policy(100_000, 400, |_| Input::None);
         assert!(matches!(session.game.screen(), crate::game::Screen::Crashed { .. }));
@@ -448,8 +448,8 @@ mod tests {
     fn derby_fails_tunnel_that_oracle_passes() {
         // §4.3: "certain DBMSs cannot pass the tunnel tests, since they
         // produce oscillating throughputs". Here derby fails on capacity:
-        // its stage serves 240 tx/s of this 50/50 mix (service times
-        // divided by its 0.25 write penalty), under the tunnel's 255 floor.
+        // without group commit every write pays its fsync, and its stage
+        // serves ycsb at some 160 tx/s, under the tunnel's 255 floor.
         let tunnel = |name: &str| {
             Course::generate(
                 "tunnel",
@@ -468,19 +468,19 @@ mod tests {
                 },
             )
         };
-        let run = |model: CapacityModel| {
-            let game = Game::new("ycsb", model.name, tunnel(model.name), PhysicsConfig {
+        let run = |personality: Personality| {
+            let game = Game::new("ycsb", personality.name, tunnel(personality.name), PhysicsConfig {
                 jump_tps: 60.0,
                 gravity_tps_per_s: 40.0,
                 max_tps: 1_000.0,
             });
-            let backend = SimBackend::new(model, types(), 99);
+            let backend = SimBackend::new(personality, ycsb(), 99);
             let mut session = GameSession::new(game, backend);
             session.run_policy(100_000, 400, chase_center_policy);
             session.game.screen().clone()
         };
-        let oracle = run(CapacityModel::by_name("oracle").unwrap());
-        let derby = run(CapacityModel::by_name("derby").unwrap());
+        let oracle = run(Personality::oracle_like());
+        let derby = run(Personality::derby_like());
         assert_eq!(oracle, crate::game::Screen::Won, "oracle should pass the tunnel");
         assert!(
             matches!(derby, crate::game::Screen::Crashed { .. }),
@@ -490,25 +490,25 @@ mod tests {
 
     #[test]
     fn two_players_interfere() {
-        let model = quiet_model();
-        let cap = half_writes_capacity(&model);
-        // Both players hold a demand near the full capacity: neither can
-        // get it all once the other joins.
+        let cap = capacity(ycsb(), None);
+        // Player 1 holds a demand the stage serves alone; player 2 joins
+        // with twice the capacity, and the terminals go to whichever
+        // request fell due first.
         let course = Course { name: "open".into(), obstacles: vec![], duration_us: 60_000_000 };
         let mut two = TwoPlayerSession::new(
-            model,
-            types(),
+            quiet(),
+            ycsb(),
             [course.clone(), course],
             PhysicsConfig { jump_tps: 200.0, gravity_tps_per_s: 0.0, max_tps: 5_000.0 },
             5,
         );
-        two.players[0].game.character.set_requested(cap);
+        two.players[0].game.character.set_requested(cap * 0.8);
         two.players[1].game.character.set_requested(0.0);
         for _ in 0..100 {
             two.tick(100_000, [Input::None, Input::None]);
         }
         let solo = two.players[0].game.character.measured_tps;
-        two.players[1].game.character.set_requested(cap);
+        two.players[1].game.character.set_requested(cap * 2.0);
         for _ in 0..100 {
             two.tick(100_000, [Input::None, Input::None]);
         }
@@ -521,8 +521,7 @@ mod tests {
 
     #[test]
     fn a_crashed_player_stops_loading_the_shared_stage() {
-        let model = quiet_model();
-        let cap = half_writes_capacity(&model);
+        let cap = capacity(ycsb(), None);
         let open = Course { name: "open".into(), obstacles: vec![], duration_us: 60_000_000 };
         // Player 2 cannot fit this opening while it carries any load: it
         // crashes at 6 s.
@@ -535,8 +534,8 @@ mod tests {
         };
         let walled = Course { obstacles: vec![wall], ..open.clone() };
         let mut two = TwoPlayerSession::new(
-            model,
-            types(),
+            quiet(),
+            ycsb(),
             [open, walled],
             PhysicsConfig { jump_tps: 200.0, gravity_tps_per_s: 0.0, max_tps: 5_000.0 },
             5,
@@ -547,9 +546,9 @@ mod tests {
             }
             two.players[0].game.character.measured_tps
         };
-        two.players[0].game.character.set_requested(cap);
+        two.players[0].game.character.set_requested(cap * 0.8);
         let solo = run(&mut two, 30);
-        two.players[1].game.character.set_requested(cap);
+        two.players[1].game.character.set_requested(cap * 2.0);
         let contended = run(&mut two, 30);
         assert!(contended < solo * 0.7, "solo {solo:.0} contended {contended:.0}");
         assert!(matches!(two.players[1].game.screen(), crate::game::Screen::Crashed { .. }));
@@ -562,11 +561,11 @@ mod tests {
 
     /// A session on an open course whose character holds `tps` (no gravity),
     /// with `obstacles` on it.
-    fn holding(tps: f64, obstacles: Vec<Obstacle>) -> GameSession<SimBackend> {
+    fn holding(workload: Arc<dyn Workload>, tps: f64, obstacles: Vec<Obstacle>) -> GameSession<SimBackend> {
         let course = Course { name: "held".into(), obstacles, duration_us: 60_000_000 };
         let physics = PhysicsConfig { jump_tps: 200.0, gravity_tps_per_s: 0.0, max_tps: 5_000.0 };
-        let game = Game::new("ycsb", "mysql", course, physics);
-        let mut session = GameSession::new(game, SimBackend::new(quiet_model(), types(), 3));
+        let game = Game::new(workload.name(), "mysql", course, physics);
+        let mut session = GameSession::new(game, SimBackend::new(quiet(), workload, 3));
         session.game.character.set_requested(tps);
         session
     }
@@ -588,7 +587,7 @@ mod tests {
             gap_high: 500.0,
             autopilot: false,
         };
-        let mut session = holding(400.0, vec![gap]);
+        let mut session = holding(ycsb(), 400.0, vec![gap]);
         ticks(&mut session, 40, Input::None);
         session.tick(100_000, Input::Pause);
         ticks(&mut session, 20, Input::None);
@@ -601,27 +600,30 @@ mod tests {
 
     #[test]
     fn a_read_only_preset_lifts_a_saturated_stage() {
-        // Fig. 2d: pause, switch the mixture, resume. 1,800 tx/s saturates
-        // the 50/50 mixture and fits under the read-only capacity.
-        let model = quiet_model();
-        let read_only = model.capacity(&bp_core::Mixture::new(vec![1.0, 0.0]).unwrap(), &types());
-        let (requested, cap) = (1_800.0, half_writes_capacity(&model));
-        assert!(cap < requested && requested < read_only, "{cap} {read_only}");
-        let mut session = holding(requested, vec![]);
+        // Fig. 2d: pause, switch the mixture, resume. Smallbank's read-only
+        // Balance is served more than twice as fast as its default mixture,
+        // so 1.3 times that mixture's capacity saturates it and fits under
+        // the read-only capacity.
+        let smallbank = || bp_workloads::by_name("smallbank").unwrap();
+        let cap = capacity(smallbank(), None);
+        let read_only = MixturePreset::ReadOnly.build(&smallbank().transaction_types());
+        let read_only = capacity(smallbank(), Some(read_only.weights().to_vec()));
+        let requested = (cap * 1.3).round();
+        assert!(requested < read_only * 0.7, "{cap} {read_only}");
+        let mut session = holding(smallbank(), requested, vec![]);
         ticks(&mut session, 50, Input::None);
         let saturated = session.game.character.measured_tps;
         assert!(saturated < cap, "{saturated}");
         session.tick(100_000, Input::Pause);
         session.tick(100_000, Input::SelectPreset(MixturePreset::ReadOnly));
         session.tick(100_000, Input::Resume);
-        // The overload stretch follows the new mixture at once, so the rate
-        // rises within 2 s; the read-only requests queue behind 5 s of the
-        // old mixture's backlog (~2,400 requests, ~1.8 s of service) and
-        // show in the window 1-2 s after they reach the terminals.
-        ticks(&mut session, 20, Input::None);
+        // The read-only requests queue behind 5 s of the old mixture's
+        // backlog (some 1,700 requests, 1.5 s of service) and show in the
+        // window 1-2 s after they reach the terminals.
+        ticks(&mut session, 30, Input::None);
         let risen = session.game.character.measured_tps;
-        assert!(risen > saturated, "saturated {saturated:.0}, 2 s after the preset {risen:.0}");
-        ticks(&mut session, 25, Input::None);
+        assert!(risen > saturated, "saturated {saturated:.0}, 3 s after the preset {risen:.0}");
+        ticks(&mut session, 15, Input::None);
         let lifted = session.game.character.measured_tps;
         assert!(lifted > requested * 0.95, "saturated {saturated:.0}, 4.5 s after the preset {lifted:.0}");
     }
@@ -653,7 +655,7 @@ mod tests {
         }
         let course = steps_course(1_000.0);
         let game = Game::new("ycsb", "mysql", course, PhysicsConfig::default());
-        let backend = Summarizing(SimBackend::new(quiet_model(), types(), 7));
+        let backend = Summarizing(SimBackend::new(quiet(), ycsb(), 7));
         let mut session = GameSession::new(game, backend);
         session.run_policy(100_000, 400, |_| Input::None);
         assert_eq!(session.backend.0.resets, 1);
@@ -665,7 +667,7 @@ mod tests {
 
     #[test]
     fn api_backend_span_summary_via_trace_endpoint() {
-        use bp_core::{ControlState, Controller, Rate, RequestQueue, StatsCollector};
+        use bp_core::{ControlState, Controller, Rate, RequestQueue, StatsCollector, TransactionType};
         use bp_obs::{ObsConfig, Span, SpanOutcome, SpanRecorder};
         use bp_util::clock::sim_clock;
 
@@ -675,7 +677,7 @@ mod tests {
         let state = ControlState::new(Rate::Limited(50.0), mixture, 1e4);
         let queue = Arc::new(RequestQueue::new(clock.clone()));
         let stats = Arc::new(StatsCollector::new(clock, &["T"]));
-        let db = bp_storage::Database::new(bp_storage::Personality::test());
+        let db = bp_storage::Database::new(Personality::test());
         let rec = Arc::new(SpanRecorder::new(ObsConfig::default()));
         rec.offer(Span {
             trace_id: bp_obs::trace_id(42, 0),
@@ -707,7 +709,7 @@ mod tests {
             gravity_tps_per_s: 40.0,
             max_tps: 1_000.0,
         });
-        let backend = SimBackend::new(quiet_model(), types(), 7);
+        let backend = SimBackend::new(quiet(), ycsb(), 7);
         let mut session = GameSession::new(game, backend);
         session.run_policy(100_000, 400, chase_center_policy);
 
@@ -726,7 +728,8 @@ mod tests {
         assert!((scripted - played).abs() < 1.0, "scripted {scripted} played {played}");
 
         // The artifact round-trips through text and stays replayable.
-        let artifact = session.scenario_artifact(42, &["r", "w"]);
+        let names: Vec<&str> = ycsb().transaction_types().iter().map(|t| t.name).collect();
+        let artifact = session.scenario_artifact(42, &names);
         let text = artifact.to_text();
         let parsed = Artifact::from_text(&text).expect("parse scenario artifact");
         assert_eq!(parsed.workload, "ycsb");
@@ -739,11 +742,11 @@ mod tests {
     fn preset_event_reaches_backend() {
         let course = Course { name: "open".into(), obstacles: vec![], duration_us: 60_000_000 };
         let game = Game::new("ycsb", "mysql", course, PhysicsConfig::default());
-        let backend = SimBackend::new(quiet_model(), types(), 3);
+        let backend = SimBackend::new(quiet(), ycsb(), 3);
         let mut session = GameSession::new(game, backend);
         session.tick(100_000, Input::Pause);
         session.tick(100_000, Input::SelectPreset(MixturePreset::ReadOnly));
-        assert_eq!(session.backend.mixture().write_share(&types()), 0.0);
+        assert_eq!(session.backend.mixture().write_share(&ycsb().transaction_types()), 0.0);
         session.tick(100_000, Input::Resume);
         assert!(!session.backend.paused());
     }

@@ -25,7 +25,7 @@ use crate::bufferpool::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::lock::{upgrade_result, LockManager, LockMode, LockTarget, TxnId};
 use crate::metrics::ServerMetrics;
-use crate::personality::{apply_delay, Personality};
+use crate::personality::Personality;
 use crate::recovery::{
     encode_row, CheckpointStats, CrashPoint, RecoveryReport, RecoveryStats, RecoveryStatus,
     RedoOp,
@@ -175,6 +175,7 @@ impl Database {
             redo: Vec::new(),
             chunk: Vec::new(),
             rng: Rng::new(seed),
+            owed_us: 0.0,
         }
     }
 
@@ -446,6 +447,9 @@ pub struct Session {
     /// reads.
     chunk: Vec<(Key, RowId)>,
     rng: Rng,
+    /// The fraction of a µs charged but not yet slept, so the clock advances
+    /// by exactly the sum of the charges.
+    owed_us: f64,
 }
 
 /// How many index entries a range read copies at first, and at most: each
@@ -622,9 +626,11 @@ impl Session {
         if base_us <= 0.0 {
             return;
         }
-        let cost = self.db.personality.jittered(base_us, &mut self.rng);
-        self.db.metrics.add_busy_micros(cost as u64);
-        apply_delay(self.db.personality.delay, cost);
+        let cost = self.db.personality.jittered(base_us, &mut self.rng) + self.owed_us;
+        let whole = cost as u64;
+        self.owed_us = cost - whole as f64;
+        self.db.metrics.add_busy_micros(whole);
+        self.db.clock.sleep(whole);
     }
 
     fn txn_mut(&mut self) -> Result<&mut Txn> {
@@ -1020,6 +1026,24 @@ mod tests {
         assert_eq!(read, Err(StorageError::LockTimeout));
         assert_eq!(lock_wait_us, 20_000);
         assert_eq!(db.metrics().snapshot().lock_timeouts, 1);
+    }
+
+    #[test]
+    fn a_session_sleeps_what_it_charges_on_the_database_clock() {
+        for personality in [Personality::mysql_like(), Personality::test()] {
+            let name = personality.name;
+            let db = with_acct(Database::with_clock(personality, bp_util::clock::sim_clock().1));
+            let t = acct(&db);
+            let mut s = db.session();
+            let busy = db.metrics().snapshot().busy_micros;
+            for id in 0..50 {
+                s.with_txn(|s| s.insert(&t, vec![Value::Int(id), Value::Int(0)])).unwrap();
+                s.with_txn(|s| s.read_pk(&t, &[Value::Int(id)], false).map(|_| ())).unwrap();
+            }
+            let charged = db.metrics().snapshot().busy_micros - busy;
+            assert_eq!(db.clock().now(), charged, "{name}: the clock advances by what was charged");
+            assert_eq!(charged == 0, name == "test", "{name} charged {charged} µs");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub use error::{Result, StorageError};
 pub use key::Key;
 pub use lock::{LockManager, LockMode, LockTarget, TxnId};
 pub use metrics::{MetricsSnapshot, ServerMetrics};
-pub use personality::{DelayMode, Personality};
+pub use personality::Personality;
 pub use recovery::{
     CheckpointStats, CrashPoint, RecoveryReport, RecoveryStats, RecoveryStatus,
 };

@@ -1,4 +1,4 @@
-//! DBMS personalities and the service-cost model.
+//! DBMS personalities: the one definition of each DBMS the testbed emulates.
 //!
 //! The demo lets the player pick among several real DBMSs (Fig. 2b shows
 //! MySQL, PostgreSQL, Apache Derby and Oracle); each system responds
@@ -6,22 +6,16 @@
 //! a personality parameterizes our embedded engine to *behave* like a
 //! distinct system: per-operation service costs, commit/fsync cost with or
 //! without group commit, IO cost on buffer-pool misses, lock granularity and
-//! timeout, and execution jitter. The parameter values are synthetic but the
-//! mechanisms (and therefore the relative behaviours the game exposes) are
-//! real.
+//! timeout, and execution jitter. A session charges each cost by sleeping on
+//! its database's clock: a wall clock spins or sleeps for it in a live run,
+//! and the game's stage (`bp_core::VirtualRun`) reads what a `SimClock`
+//! accumulated as the service time. The parameter values are synthetic but
+//! the mechanisms (and therefore the relative behaviours the game exposes)
+//! are real.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bp_util::rng::Rng;
-
-/// How accrued service cost is applied to the calling thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DelayMode {
-    /// Do not delay (unit tests; the DES executor models time itself).
-    None,
-    /// Busy-wait / sleep for the accrued cost: realistic wall-clock runs.
-    Busy,
-}
 
 /// A named parameter set emulating one DBMS.
 #[derive(Debug, Clone)]
@@ -54,8 +48,6 @@ pub struct Personality {
     pub rows_per_page: u64,
     /// WAL write cost per KiB (µs).
     pub wal_us_per_kb: f64,
-    /// How to apply service costs.
-    pub delay: DelayMode,
 }
 
 impl Personality {
@@ -76,7 +68,6 @@ impl Personality {
             buffer_pages: 16_384,
             rows_per_page: 64,
             wal_us_per_kb: 6.0,
-            delay: DelayMode::Busy,
         }
     }
 
@@ -97,7 +88,6 @@ impl Personality {
             buffer_pages: 16_384,
             rows_per_page: 64,
             wal_us_per_kb: 7.0,
-            delay: DelayMode::Busy,
         }
     }
 
@@ -118,7 +108,6 @@ impl Personality {
             buffer_pages: 4_096,
             rows_per_page: 64,
             wal_us_per_kb: 15.0,
-            delay: DelayMode::Busy,
         }
     }
 
@@ -139,12 +128,12 @@ impl Personality {
             buffer_pages: 32_768,
             rows_per_page: 64,
             wal_us_per_kb: 5.0,
-            delay: DelayMode::Busy,
         }
     }
 
-    /// Zero-cost personality for unit tests: no delays, row locks, generous
-    /// timeout. Contention behaviour is still real (locks are taken).
+    /// Zero-cost personality for unit tests: its operations cost nothing,
+    /// so a session sleeps on the clock only for an injected latency spike;
+    /// row locks, generous timeout. Contention behaviour is still real (locks are taken).
     pub fn test() -> Personality {
         Personality {
             name: "test",
@@ -161,7 +150,6 @@ impl Personality {
             buffer_pages: 1_024,
             rows_per_page: 64,
             wal_us_per_kb: 0.0,
-            delay: DelayMode::None,
         }
     }
 
@@ -177,7 +165,8 @@ impl Personality {
         }
     }
 
-    /// All demo personalities (the Fig. 2b selection screen).
+    /// All demo personalities: the Fig. 2b selection screen and the game's
+    /// stages.
     pub fn all() -> Vec<Personality> {
         vec![
             Personality::mysql_like(),
@@ -194,29 +183,6 @@ impl Personality {
         }
         let factor = 1.0 + rng.f64_range(-self.jitter, self.jitter);
         (base_us * factor).max(0.0)
-    }
-}
-
-/// Delay the calling thread by `cost_us` according to `mode`.
-///
-/// Short delays (< 150µs) are spin-waited because OS sleeps are far coarser;
-/// longer ones use a sleep plus a short trailing spin.
-pub fn apply_delay(mode: DelayMode, cost_us: f64) {
-    if cost_us <= 0.0 {
-        return;
-    }
-    match mode {
-        DelayMode::None => {}
-        DelayMode::Busy => {
-            let target = Duration::from_nanos((cost_us * 1_000.0) as u64);
-            let start = Instant::now();
-            if target > Duration::from_micros(150) {
-                std::thread::sleep(target - Duration::from_micros(100));
-            }
-            while start.elapsed() < target {
-                std::hint::spin_loop();
-            }
-        }
     }
 }
 
@@ -254,20 +220,6 @@ mod tests {
         let p = Personality::test();
         let mut rng = Rng::new(2);
         assert_eq!(p.jittered(42.0, &mut rng), 42.0);
-    }
-
-    #[test]
-    fn busy_delay_takes_time() {
-        let start = Instant::now();
-        apply_delay(DelayMode::Busy, 300.0);
-        assert!(start.elapsed() >= Duration::from_micros(280));
-    }
-
-    #[test]
-    fn none_delay_is_instant() {
-        let start = Instant::now();
-        apply_delay(DelayMode::None, 10_000.0);
-        assert!(start.elapsed() < Duration::from_millis(5));
     }
 
     #[test]

@@ -55,8 +55,18 @@ impl Clock for WallClock {
         self.epoch.elapsed().as_micros() as u64
     }
 
+    /// OS sleeps are far coarser than the service costs a personality
+    /// charges, so a wait under 150 µs spins; a longer one sleeps all but
+    /// its last 100 µs and spins those.
     fn sleep(&self, micros: Micros) {
-        std::thread::sleep(Duration::from_micros(micros));
+        let start = Instant::now();
+        let target = Duration::from_micros(micros);
+        if target > Duration::from_micros(150) {
+            std::thread::sleep(target - Duration::from_micros(100));
+        }
+        while start.elapsed() < target {
+            std::hint::spin_loop();
+        }
     }
 }
 
@@ -147,9 +157,12 @@ mod tests {
     #[test]
     fn wall_clock_sleep() {
         let c = WallClock::new();
-        let a = c.now();
-        c.sleep(2_000);
-        assert!(c.now() - a >= 2_000);
+        // Slept with a spun tail, and spun whole.
+        for micros in [2_000, 300, 20] {
+            let start = Instant::now();
+            c.sleep(micros);
+            assert!(start.elapsed() >= Duration::from_micros(micros), "{micros} µs");
+        }
     }
 
     #[test]

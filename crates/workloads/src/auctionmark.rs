@@ -98,10 +98,10 @@ impl Workload for AuctionMark {
         vec![
             TransactionType::new("GetItem", 45.0, true),
             TransactionType::new("GetUserInfo", 10.0, true),
-            TransactionType::new("NewBid", 20.0, false).with_cost(1.5),
+            TransactionType::new("NewBid", 20.0, false),
             TransactionType::new("NewItem", 10.0, false),
             TransactionType::new("NewComment", 5.0, false),
-            TransactionType::new("CloseAuctions", 10.0, false).with_cost(2.0),
+            TransactionType::new("CloseAuctions", 10.0, false),
         ]
     }
 

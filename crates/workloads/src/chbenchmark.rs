@@ -79,10 +79,10 @@ impl Workload for ChBenchmark {
                 t
             })
             .collect();
-        types.push(TransactionType::new("Q1", 3.0, true).with_cost(8.0));
-        types.push(TransactionType::new("Q4", 3.0, true).with_cost(6.0));
-        types.push(TransactionType::new("Q6", 3.0, true).with_cost(6.0));
-        types.push(TransactionType::new("Q12", 3.0, true).with_cost(10.0));
+        types.push(TransactionType::new("Q1", 3.0, true));
+        types.push(TransactionType::new("Q4", 3.0, true));
+        types.push(TransactionType::new("Q6", 3.0, true));
+        types.push(TransactionType::new("Q12", 3.0, true));
         types
     }
 

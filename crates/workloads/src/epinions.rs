@@ -88,9 +88,9 @@ impl Workload for Epinions {
         vec![
             TransactionType::new("GetReviewItemById", 20.0, true),
             TransactionType::new("GetReviewsByUser", 15.0, true),
-            TransactionType::new("GetAverageRatingByTrustedUser", 10.0, true).with_cost(2.0),
+            TransactionType::new("GetAverageRatingByTrustedUser", 10.0, true),
             TransactionType::new("GetItemAverageRating", 15.0, true),
-            TransactionType::new("GetItemReviewsByTrustedUser", 10.0, true).with_cost(2.0),
+            TransactionType::new("GetItemReviewsByTrustedUser", 10.0, true),
             TransactionType::new("UpdateUserName", 7.5, false),
             TransactionType::new("UpdateItemTitle", 7.5, false),
             TransactionType::new("UpdateReviewRating", 7.5, false),

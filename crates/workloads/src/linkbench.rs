@@ -81,12 +81,12 @@ impl Workload for LinkBench {
         vec![
             TransactionType::new("GetNode", 13.0, true),
             TransactionType::new("GetLink", 2.0, true),
-            TransactionType::new("GetLinkList", 50.0, true).with_cost(1.5),
+            TransactionType::new("GetLinkList", 50.0, true),
             TransactionType::new("CountLink", 5.0, true),
             TransactionType::new("AddNode", 3.0, false),
             TransactionType::new("UpdateNode", 7.0, false),
             TransactionType::new("DeleteNode", 1.0, false),
-            TransactionType::new("AddLink", 9.0, false).with_cost(1.5),
+            TransactionType::new("AddLink", 9.0, false),
             TransactionType::new("DeleteLink", 3.0, false),
             TransactionType::new("UpdateLink", 7.0, false),
         ]

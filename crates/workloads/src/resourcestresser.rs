@@ -71,12 +71,12 @@ impl Workload for ResourceStresser {
 
     fn transaction_types(&self) -> Vec<TransactionType> {
         vec![
-            TransactionType::new("CPU1", 17.0, true).with_cost(3.0),
-            TransactionType::new("CPU2", 17.0, true).with_cost(5.0),
-            TransactionType::new("IO1", 17.0, true).with_cost(4.0),
-            TransactionType::new("IO2", 17.0, false).with_cost(4.0),
-            TransactionType::new("Contention1", 16.0, false).with_cost(1.0),
-            TransactionType::new("Contention2", 16.0, false).with_cost(2.0),
+            TransactionType::new("CPU1", 17.0, true),
+            TransactionType::new("CPU2", 17.0, true),
+            TransactionType::new("IO1", 17.0, true),
+            TransactionType::new("IO2", 17.0, false),
+            TransactionType::new("Contention1", 16.0, false),
+            TransactionType::new("Contention2", 16.0, false),
         ]
     }
 

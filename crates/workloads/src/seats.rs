@@ -96,7 +96,7 @@ impl Workload for Seats {
         vec![
             TransactionType::new("FindFlights", 10.0, true),
             TransactionType::new("FindOpenSeats", 35.0, true),
-            TransactionType::new("NewReservation", 20.0, false).with_cost(1.5),
+            TransactionType::new("NewReservation", 20.0, false),
             TransactionType::new("UpdateCustomer", 10.0, false),
             TransactionType::new("UpdateReservation", 15.0, false),
             TransactionType::new("DeleteReservation", 10.0, false),

@@ -55,7 +55,7 @@ impl Workload for SiBench {
 
     fn transaction_types(&self) -> Vec<TransactionType> {
         vec![
-            TransactionType::new("MinRecord", 50.0, true).with_cost(2.0),
+            TransactionType::new("MinRecord", 50.0, true),
             TransactionType::new("UpdateRecord", 50.0, false),
         ]
     }

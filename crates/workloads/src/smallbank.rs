@@ -93,9 +93,9 @@ impl Workload for SmallBank {
             TransactionType::new("Balance", 25.0, true),
             TransactionType::new("DepositChecking", 15.0, false),
             TransactionType::new("TransactSavings", 15.0, false),
-            TransactionType::new("Amalgamate", 15.0, false).with_cost(1.5),
+            TransactionType::new("Amalgamate", 15.0, false),
             TransactionType::new("WriteCheck", 15.0, false),
-            TransactionType::new("SendPayment", 15.0, false).with_cost(1.5),
+            TransactionType::new("SendPayment", 15.0, false),
         ]
     }
 

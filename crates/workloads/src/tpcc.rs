@@ -157,11 +157,11 @@ impl Workload for Tpcc {
 
     fn transaction_types(&self) -> Vec<TransactionType> {
         vec![
-            TransactionType::new("NewOrder", 45.0, false).with_cost(2.5),
+            TransactionType::new("NewOrder", 45.0, false),
             TransactionType::new("Payment", 43.0, false),
             TransactionType::new("OrderStatus", 4.0, true),
-            TransactionType::new("Delivery", 4.0, false).with_cost(3.0),
-            TransactionType::new("StockLevel", 4.0, true).with_cost(2.0),
+            TransactionType::new("Delivery", 4.0, false),
+            TransactionType::new("StockLevel", 4.0, true),
         ]
     }
 

@@ -84,7 +84,7 @@ impl Workload for Twitter {
         // Production-trace mix used by OLTP-Bench (rounded).
         vec![
             TransactionType::new("GetTweet", 1.0, true),
-            TransactionType::new("GetTweetsFromFollowing", 1.0, true).with_cost(2.0),
+            TransactionType::new("GetTweetsFromFollowing", 1.0, true),
             TransactionType::new("GetFollowers", 7.6, true),
             TransactionType::new("GetUserTweets", 89.9, true),
             TransactionType::new("InsertTweet", 0.5, false),

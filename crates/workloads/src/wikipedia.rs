@@ -96,7 +96,7 @@ impl Workload for Wikipedia {
             TransactionType::new("GetPageAuthenticated", 7.1, true),
             TransactionType::new("AddWatchList", 0.3, false),
             TransactionType::new("RemoveWatchList", 0.2, false),
-            TransactionType::new("UpdatePage", 0.3, false).with_cost(2.5),
+            TransactionType::new("UpdatePage", 0.3, false),
         ]
     }
 

@@ -79,8 +79,8 @@ impl Workload for Ycsb {
             TransactionType::new("Read", 50.0, true),
             TransactionType::new("Update", 35.0, false),
             TransactionType::new("Insert", 5.0, false),
-            TransactionType::new("Scan", 5.0, true).with_cost(3.0),
-            TransactionType::new("ReadModifyWrite", 4.0, false).with_cost(1.5),
+            TransactionType::new("Scan", 5.0, true),
+            TransactionType::new("ReadModifyWrite", 4.0, false),
             TransactionType::new("Delete", 1.0, false),
         ]
     }

@@ -6,23 +6,22 @@
 //! cargo run --release --example game_demo
 //! ```
 
-use benchpress::core::CapacityModel;
 use benchpress::game::{
     chase_center_policy, render, Course, Game, GameSession, PhysicsConfig, SimBackend,
 };
+use benchpress::storage::Personality;
 use benchpress::workloads::by_name;
 
-fn play(model: CapacityModel) {
-    println!("================ stage: {} ================", model.name);
+fn play(personality: Personality) {
+    println!("================ stage: {} ================", personality.name);
     let course = Course::demo_set(1_000.0).remove(0); // steps
     let game = Game::new(
         "ycsb",
-        model.name,
+        personality.name,
         course,
         PhysicsConfig { jump_tps: 60.0, gravity_tps_per_s: 40.0, max_tps: 1_500.0 },
     );
-    let types = by_name("ycsb").unwrap().transaction_types();
-    let backend = SimBackend::new(model, types, 42);
+    let backend = SimBackend::new(personality, by_name("ycsb").unwrap(), 42);
     let mut session = GameSession::new(game, backend);
 
     let mut frame_count = 0;
@@ -41,8 +40,8 @@ fn play(model: CapacityModel) {
 
 fn main() {
     // Oracle: stable stage, the autopilot clears the course.
-    play(CapacityModel::by_name("oracle").unwrap());
-    // Derby: the course's upper steps are past its capacity — expect a crash
-    // (and a DB reset).
-    play(CapacityModel::by_name("derby").unwrap());
+    play(Personality::oracle_like());
+    // Derby: even the course's first step is past its capacity — expect a
+    // crash (and a DB reset).
+    play(Personality::derby_like());
 }

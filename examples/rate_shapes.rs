@@ -7,7 +7,8 @@
 //! cargo run --release --example rate_shapes
 //! ```
 
-use benchpress::core::{CapacityModel, Mixture, Phase, PhaseScript, Rate, VirtualRun};
+use benchpress::core::{Phase, PhaseScript, Rate, VirtualRun};
+use benchpress::storage::Personality;
 use benchpress::workloads::by_name;
 
 fn sparkline(values: &[f64], max: f64) -> String {
@@ -48,16 +49,14 @@ fn shape_script(shape: &str, cap: f64, seconds: f64) -> PhaseScript {
 }
 
 fn main() {
-    let types = by_name("ycsb").unwrap().transaction_types();
-    let mixture = Mixture::default_of(&types);
     for shape in ["steps", "sinusoid", "peak", "tunnel"] {
         println!("== {shape} ==");
-        for model in CapacityModel::all() {
-            let cap = model.capacity(&mixture, &types);
-            let name = model.name;
+        for personality in Personality::all() {
+            let name = personality.name;
+            let cap = VirtualRun::saturated_tps(personality.clone(), by_name("ycsb").unwrap(), None, 42);
             let script = shape_script(shape, cap, 60.0);
             let seconds = script.total_duration_us();
-            let mut run = VirtualRun::new(model, types.clone(), 42);
+            let mut run = VirtualRun::new(personality, by_name("ycsb").unwrap(), 42);
             let tenant = run.add_tenant(script, 1e5);
             run.run_until(seconds);
             let stats = run.stats(tenant);
@@ -69,5 +68,5 @@ fn main() {
         }
         println!();
     }
-    println!("(each stage is normalized to its own capacity; the steps and the peak climb past it)");
+    println!("(each stage is normalized to the capacity it was measured at, saturated; the steps and the peak climb past it)");
 }

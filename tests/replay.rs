@@ -208,7 +208,6 @@ fn synthesis_recovers_mixture_within_2_percent() {
 
 #[test]
 fn game_scenario_replays_as_script_only_artifact() {
-    use benchpress::core::CapacityModel;
     use benchpress::game::{chase_center_policy, ChallengeShape, Course, Game, GameSession, PhysicsConfig, SimBackend};
 
     // Play a short game on the simulated backend.
@@ -223,15 +222,7 @@ fn game_scenario_replays_as_script_only_artifact() {
         gravity_tps_per_s: 40.0,
         max_tps: 1_000.0,
     });
-    let types = vec![
-        benchpress::core::TransactionType::new("r", 50.0, true),
-        benchpress::core::TransactionType::new("w", 50.0, false),
-    ];
-    let backend = SimBackend::new(
-        CapacityModel { jitter: 0.0, ..CapacityModel::by_name("mysql").unwrap() },
-        types,
-        7,
-    );
+    let backend = SimBackend::new(Personality::mysql_like(), benchpress::workloads::by_name("voter").unwrap(), 7);
     let mut session = GameSession::new(game, backend);
     session.run_policy(100_000, 80, chase_center_policy);
 

@@ -3,30 +3,61 @@
 //! collector on a `SimClock`, so the never-exceed property and the rate
 //! error are counted, not sampled, and no wall clock can flake them.
 
-use benchpress::core::{CapacityModel, PhaseScript, Rate, TransactionType, VirtualRun};
+use std::sync::Arc;
+
+use benchpress::core::{BenchmarkClass, LoadSummary, PhaseScript, Rate, TransactionType, TxnOutcome, VirtualRun, Workload};
+use benchpress::sql::{Connection, Result as SqlResult};
+use benchpress::storage::Personality;
 use benchpress::util::clock::MICROS_PER_SEC;
+use benchpress::util::rng::Rng;
 
 /// Whole virtual seconds each rate runs: two are enough at 1.5M tx/s to
 /// keep a debug build of this test within a few seconds.
 const SECONDS: u64 = 2;
 
-/// A stage that never binds: every service time is zero, so a request
-/// completes in the microsecond it is dispatched and the per-second
-/// completion series *is* the per-second dispatch series.
-fn unbound() -> CapacityModel {
-    CapacityModel {
-        name: "unbound",
-        base_capacity: f64::INFINITY,
-        write_penalty: 1.0,
-        overload_droop: 0.0,
-        jitter: 0.0,
+/// A workload whose transaction sends no statement: on `Personality::test()`
+/// nothing is charged, so the stage never binds. A request completes in the
+/// microsecond it is dispatched and the per-second completion series *is*
+/// the per-second dispatch series.
+struct Unbound;
+
+impl Workload for Unbound {
+    fn name(&self) -> &'static str {
+        "unbound"
     }
+
+    fn class(&self) -> BenchmarkClass {
+        BenchmarkClass::FeatureTesting
+    }
+
+    fn domain(&self) -> &'static str {
+        "test"
+    }
+
+    fn transaction_types(&self) -> Vec<TransactionType> {
+        vec![TransactionType::new("T", 100.0, true)]
+    }
+
+    fn create_schema(&self, _conn: &mut Connection) -> SqlResult<()> {
+        Ok(())
+    }
+
+    fn load(&self, _conn: &mut Connection, _scale: f64, _rng: &mut Rng) -> SqlResult<LoadSummary> {
+        Ok(LoadSummary::default())
+    }
+
+    fn execute(&self, _txn_idx: usize, _conn: &mut Connection, _rng: &mut Rng) -> SqlResult<TxnOutcome> {
+        Ok(TxnOutcome::Committed)
+    }
+}
+
+fn unbound() -> VirtualRun {
+    VirtualRun::new(Personality::test(), Arc::new(Unbound), 7)
 }
 
 /// `(requested, dispatched)` per whole second of a run offered `rate`.
 fn per_second(rate: f64) -> Vec<(u64, u64)> {
-    let types = vec![TransactionType::new("T", 100.0, true)];
-    let mut run = VirtualRun::new(unbound(), types, 7);
+    let mut run = unbound();
     let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(rate), 60.0), 1e5);
     run.run_until(SECONDS * MICROS_PER_SEC - 1);
     let stats = run.stats(tenant);
@@ -62,8 +93,7 @@ fn a_rate_cut_mid_second_is_paced_by_the_gate_not_burst() {
     // Second 0 is planned at 600 tx/s and cut to 300 half way through: what
     // is left of its window becomes a backlog that only the gate holds to
     // the new rate, since its arrival times have all passed.
-    let types = vec![TransactionType::new("T", 100.0, true)];
-    let mut run = VirtualRun::new(unbound(), types, 7);
+    let mut run = unbound();
     let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(600.0), 60.0), 1e5);
     run.run_until(MICROS_PER_SEC / 2);
     run.set_rate(tenant, 300.0);
