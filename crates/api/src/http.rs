@@ -517,13 +517,19 @@ mod tests {
         use crate::router::RouteExtension;
         struct Ext;
         impl RouteExtension for Ext {
-            fn handle(&self, req: &Request) -> Option<crate::router::Response> {
-                (req.path == "/cluster/ping")
+            fn handle(
+                &self,
+                _: &ApiServer,
+                _: &Request,
+                path: &[&str],
+                _: &str,
+            ) -> Option<crate::router::Response> {
+                (path == ["cluster", "ping"])
                     .then(|| crate::router::Response::ok(Json::obj().set("pong", true)))
             }
         }
         let s = server();
-        s.set_extension(Arc::new(Ext));
+        s.mount(Arc::new(Ext));
         let guard = s.serve_http("127.0.0.1:0").unwrap();
         let (status, body) = http_request(guard.addr(), "GET", "/cluster/ping", None).unwrap();
         assert_eq!(status, 200);

@@ -6,10 +6,9 @@ use std::sync::Arc;
 
 use bp_util::sync::RwLock;
 
-use bp_chaos::{ChaosController, FaultPlan};
+use bp_chaos::FaultPlan;
 use bp_core::{Controller, MixturePreset, Rate, RecoveryConfig, SloConfig, StatusSnapshot};
-use bp_obs::{Event, EventJournal, MetricsRegistry, Severity};
-use bp_replay::{Artifact, ReplaySession, ReplayTiming};
+use bp_obs::{Event, EventJournal, MetricsRegistry, Severity, Stage};
 use bp_util::json::Json;
 
 /// Prometheus text exposition content type.
@@ -18,7 +17,8 @@ pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=ut
 /// JSON-lines content type used by `/trace/spans`.
 pub const JSONL_CONTENT_TYPE: &str = "application/x-ndjson";
 
-/// Content type for `GET /record` replay artifacts.
+/// Content type for the text artifacts: `GET /report` and replay's
+/// `GET /record`.
 pub const ARTIFACT_CONTENT_TYPE: &str = "text/plain; charset=utf-8";
 
 /// Cap on correlated events returned by `GET /trace/{id}` (most recent
@@ -103,39 +103,26 @@ pub trait Launcher: Send + Sync {
     fn launch(&self, benchmark: &str, body: &Json) -> Result<Controller, String>;
 }
 
-/// Provider for `GET /record`: returns the current capture as artifact
-/// text, or `None` while there is nothing to serve.
-pub type RecordProvider = Arc<dyn Fn() -> Option<String> + Send + Sync>;
-
-/// Pluggable route extension: a chance to serve requests the built-in
-/// router has no route for (the cluster layer mounts its `/cluster/*`
-/// endpoints this way). Returning `None` falls through to the 404.
+/// A set of routes a layer above bp-api mounts on an [`ApiServer`] with
+/// [`ApiServer::mount`] (the cluster's `/cluster/*`, replay's `/record` and
+/// `/replay`). The router offers each mounted surface, in mount order, the
+/// requests its own routes do not claim; `None` passes a request on, and
+/// one that no surface claims is a 404.
 pub trait RouteExtension: Send + Sync {
-    fn handle(&self, req: &Request) -> Option<Response>;
+    /// `path` is the request's path split on `/`, `query` its raw query
+    /// string; `api` is the server the surface is mounted on.
+    fn handle(&self, api: &ApiServer, req: &Request, path: &[&str], query: &str) -> Option<Response>;
 }
 
-/// Pluggable hook for `POST /replay`: the embedding application owns the
-/// database and workload, so it decides how a captured artifact turns into
-/// a live replay run (typically via `bp_replay::start_replay`).
-pub trait ReplayLauncher: Send + Sync {
-    /// Start replaying the artifact; the returned session is what
-    /// `GET /replay/status` reports on.
-    fn launch(&self, artifact: &Artifact, timing: ReplayTiming) -> Result<ReplaySession, String>;
-}
-
-/// The API server: a named set of workload controllers plus an optional
-/// launcher and metrics provider.
+/// The API server: a named set of workload controllers, an optional
+/// launcher and metrics registry, and the surfaces mounted on it.
 pub struct ApiServer {
     /// By id, so "the first registered workload" and every listing are in
     /// id order.
     workloads: RwLock<BTreeMap<String, Controller>>,
     launcher: Option<Arc<dyn Launcher>>,
     registry: Option<Arc<MetricsRegistry>>,
-    chaos: RwLock<Option<Arc<ChaosController>>>,
-    replay_launcher: Option<Arc<dyn ReplayLauncher>>,
-    replay: RwLock<Option<Arc<ReplaySession>>>,
-    record: RwLock<Option<RecordProvider>>,
-    extension: RwLock<Option<Arc<dyn RouteExtension>>>,
+    mounted: RwLock<Vec<Arc<dyn RouteExtension>>>,
 }
 
 impl Default for ApiServer {
@@ -271,50 +258,14 @@ impl ApiServer {
             workloads: RwLock::new(BTreeMap::new()),
             launcher: None,
             registry: None,
-            chaos: RwLock::new(None),
-            replay_launcher: None,
-            replay: RwLock::new(None),
-            record: RwLock::new(None),
-            extension: RwLock::new(None),
+            mounted: RwLock::new(Vec::new()),
         }
     }
 
-    /// Mount a route extension; it sees every request the built-in routes
-    /// do not claim (e.g. `/cluster/*`).
-    pub fn set_extension(&self, ext: Arc<dyn RouteExtension>) {
-        *self.extension.write() = Some(ext);
-    }
-
-    /// Attach a replay launcher for `POST /replay`.
-    pub fn with_replay_launcher(mut self, launcher: Arc<dyn ReplayLauncher>) -> ApiServer {
-        self.replay_launcher = Some(launcher);
-        self
-    }
-
-    /// Provide the `GET /record` artifact. A provider (rather than a stored
-    /// string) lets the embedder snapshot a still-recording run on demand.
-    pub fn set_record_provider(&self, f: RecordProvider) {
-        *self.record.write() = Some(f);
-    }
-
-    /// The current replay session, if one was started via `POST /replay`.
-    pub fn replay_session(&self) -> Option<Arc<ReplaySession>> {
-        self.replay.read().clone()
-    }
-
-    /// Attach a chaos controller explicitly for the `/chaos` endpoints.
-    /// Without this, the endpoints fall back to the chaos controller of the
-    /// first registered workload's engine.
-    pub fn with_chaos(self, chaos: Arc<ChaosController>) -> ApiServer {
-        *self.chaos.write() = Some(chaos);
-        self
-    }
-
-    fn chaos_controller(&self) -> Option<Arc<ChaosController>> {
-        if let Some(c) = self.chaos.read().clone() {
-            return Some(c);
-        }
-        self.workloads.read().values().next().map(|c| c.chaos().clone())
+    /// Mount a surface: it sees, after every surface mounted before it,
+    /// each request the built-in routes do not claim.
+    pub fn mount(&self, surface: Arc<dyn RouteExtension>) {
+        self.mounted.write().push(surface);
     }
 
     pub fn with_launcher(mut self, launcher: Arc<dyn Launcher>) -> ApiServer {
@@ -384,12 +335,9 @@ impl ApiServer {
                 None => Response::error(501, "no launcher configured"),
             },
             (Method::Get, ["metrics"]) => self.metrics_response(),
-            (Method::Post, ["replay"]) => self.replay_start(req),
-            (Method::Get, ["replay", "status"]) => self.replay_status(),
-            (Method::Get, ["record"]) => self.record_artifact(),
-            (Method::Post, ["chaos"]) => self.chaos_arm(req),
-            (Method::Delete, ["chaos"]) => self.chaos_disarm(),
-            (Method::Get, ["chaos", "status"]) => self.chaos_status(),
+            (Method::Post, ["chaos"]) => self.chaos_arm(req, query)?,
+            (Method::Delete, ["chaos"]) => self.chaos_disarm(req, query)?,
+            (Method::Get, ["chaos", "status"]) => self.chaos_status(req, query)?,
             (Method::Get, ["healthz"]) => healthz(),
             (Method::Get, ["readyz"]) => self.readyz(),
             (Method::Post, ["recovery"]) => self.recovery_arm(req, query)?,
@@ -406,9 +354,10 @@ impl ApiServer {
             (Method::Get, ["doctor"]) => self.doctor(req, query)?,
             (Method::Get, ["workloads", id]) => self.workload_status(id),
             (Method::Post, ["workloads", id, action]) => self.workload_action(id, action, req),
-            _ => {
-                let ext = self.extension.read().clone();
-                match ext.and_then(|e| e.handle(req)) {
+            (_, parts) => {
+                // A snapshot: a surface may take its time, or mount another.
+                let mounted = self.mounted.read().clone();
+                match mounted.iter().find_map(|m| m.handle(self, req, parts, query)) {
                     Some(resp) => resp,
                     None => Response::error(404, &format!("no route for {}", req.path)),
                 }
@@ -416,142 +365,55 @@ impl ApiServer {
         })
     }
 
-    /// POST /replay — start replaying a captured artifact. Body:
-    /// `{"artifact": "<bp-replay text>", "mode": "as-recorded"|"warp"|"asap",
-    /// "warp": k}`. 409 while a previous replay is still running.
-    fn replay_start(&self, req: &Request) -> Response {
-        let Some(launcher) = &self.replay_launcher else {
-            return Response::error(501, "no replay launcher configured");
-        };
-        if let Some(session) = self.replay.read().clone() {
-            if !session.is_complete() {
-                return Response::error(409, "a replay is already running");
-            }
-        }
-        let body = req.body.clone().unwrap_or(Json::Null);
-        let Some(text) = body.get("artifact").and_then(Json::as_str) else {
-            return Response::error(400, "body must contain artifact (bp-replay artifact text)");
-        };
-        let artifact = match Artifact::from_text(text) {
-            Ok(a) => a,
-            Err(e) => return Response::error(400, &format!("invalid artifact: {e}")),
-        };
-        let timing = match ReplayTiming::parse(
-            body.get("mode").and_then(Json::as_str),
-            body.get("warp").and_then(Json::as_f64),
-        ) {
-            Ok(t) => t,
-            Err(e) => return Response::error(400, &e),
-        };
-        match launcher.launch(&artifact, timing) {
-            Ok(session) => {
-                let session = Arc::new(session);
-                if let Some(reg) = &self.registry {
-                    session.register_metrics(reg);
-                }
-                session.controller.journal().emit_with(
-                    Severity::Info,
-                    "api",
-                    "replay_launch",
-                    || {
-                        (
-                            format!(
-                                "replay of {} launched ({} scheduled requests)",
-                                session.workload,
-                                artifact.schedule.len(),
-                            ),
-                            vec![("workload", session.workload.clone())],
-                        )
-                    },
-                );
-                let resp = Response::ok(session.status_json());
-                *self.replay.write() = Some(session);
-                resp
-            }
-            Err(e) => Response::error(400, &e),
-        }
-    }
-
-    /// GET /replay/status — progress and (once complete) the divergence
-    /// report of the most recently started replay.
-    fn replay_status(&self) -> Response {
-        match self.replay.read().clone() {
-            Some(session) => Response::ok(session.status_json()),
-            None => Response::error(404, "no replay started"),
-        }
-    }
-
-    /// GET /record — the captured artifact of the current/last recorded run
-    /// as `text/plain`, ready to be fed back to `POST /replay`.
-    fn record_artifact(&self) -> Response {
-        let provider = self.record.read().clone();
-        match provider.and_then(|f| f()) {
-            Some(text) => Response::text(ARTIFACT_CONTENT_TYPE, text),
-            None => Response::error(404, "no recorded artifact available"),
-        }
-    }
-
-    /// POST /chaos — arm a fault scenario mid-run. Body is either
-    /// `{"scenario": "error-burst", "seed": 7}` (a named preset) or
-    /// `{"plan": {...}}` (an inline [`FaultPlan`]); `{"disarm": true}`
-    /// disarms instead.
-    fn chaos_arm(&self, req: &Request) -> Response {
-        let Some(chaos) = self.chaos_controller() else {
-            return Response::error(501, "no chaos controller wired");
-        };
+    /// POST /chaos — arm a fault scenario mid-run on the addressed
+    /// workload's engine. Body is either `{"scenario": "error-burst",
+    /// "seed": 7}` (a named preset) or `{"plan": {...}}` (an inline
+    /// [`FaultPlan`]); `{"disarm": true}` disarms instead.
+    fn chaos_arm(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (_, c) = self.addressed_workload(req, query)?;
+        let chaos = c.chaos();
         let body = req.body.clone().unwrap_or(Json::Null);
         if body.get("disarm").and_then(Json::as_bool) == Some(true) {
             chaos.disarm();
-            return Response::ok(chaos.status_json());
+            return Ok(Response::ok(chaos.status_json()));
         }
         let plan = if let Some(name) = body.get("scenario").and_then(Json::as_str) {
             let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(42);
-            match FaultPlan::scenario(name, seed) {
-                Some(p) => p,
-                None => {
-                    return Response::error(
-                        400,
-                        &format!(
-                            "unknown scenario {name}; known: {}",
-                            FaultPlan::scenario_names().join(", ")
-                        ),
-                    )
-                }
-            }
+            FaultPlan::scenario(name, seed).ok_or_else(|| {
+                Response::error(
+                    400,
+                    &format!(
+                        "unknown scenario {name}; known: {}",
+                        FaultPlan::scenario_names().join(", ")
+                    ),
+                )
+            })?
         } else if let Some(p) = body.get("plan") {
-            match FaultPlan::from_json(p) {
-                Some(p) => p,
-                None => return Response::error(400, "invalid fault plan"),
-            }
+            FaultPlan::from_json(p).ok_or_else(|| Response::error(400, "invalid fault plan"))?
         } else {
-            return Response::error(400, "body must contain scenario, plan, or disarm");
+            return Err(Response::error(400, "body must contain scenario, plan, or disarm"));
         };
         chaos.arm(plan);
-        Response::ok(chaos.status_json())
+        Ok(Response::ok(chaos.status_json()))
     }
 
     /// DELETE /chaos — disarm fault injection (counters are kept).
-    fn chaos_disarm(&self) -> Response {
-        let Some(chaos) = self.chaos_controller() else {
-            return Response::error(501, "no chaos controller wired");
-        };
-        chaos.disarm();
-        Response::ok(chaos.status_json())
+    fn chaos_disarm(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (_, c) = self.addressed_workload(req, query)?;
+        c.chaos().disarm();
+        Ok(Response::ok(c.chaos().status_json()))
     }
 
     /// GET /chaos/status — armed flag, plan, and per-kind probe/injection
     /// counters.
-    fn chaos_status(&self) -> Response {
-        let Some(chaos) = self.chaos_controller() else {
-            return Response::error(501, "no chaos controller wired");
-        };
-        Response::ok(chaos.status_json())
+    fn chaos_status(&self, req: &Request, query: &str) -> Result<Response, Response> {
+        let (_, c) = self.addressed_workload(req, query)?;
+        Ok(Response::ok(c.chaos().status_json()))
     }
 
-    /// The workload a `/slo`, `/recovery`, `/report` or `/doctor` request
-    /// addresses: the `workload` field of the body (or query parameter),
-    /// falling back to the first registered workload id — the same
-    /// convention the `/chaos` endpoints use.
+    /// The workload a `/chaos`, `/slo`, `/recovery`, `/report` or `/doctor`
+    /// request addresses: the `workload` field of the body (or query
+    /// parameter), falling back to the first registered workload id.
     fn addressed_workload(
         &self,
         req: &Request,
@@ -728,7 +590,7 @@ impl ApiServer {
         }
     }
 
-    /// GET /report — the `#bp-report v1` flight-recorder artifact: the
+    /// GET /report — the `#bp-report v2` flight-recorder artifact: the
     /// telemetry sample timeline plus the event journal, as text.
     fn report(&self, req: &Request, query: &str) -> Result<Response, Response> {
         let (_, c, recorder) = self.recorder_workload(req, query)?;
@@ -849,14 +711,8 @@ impl ApiServer {
                 &format!("trace {id_hex} not retained (never sampled, or evicted)"),
             );
         };
-        let stages = [
-            ("queue", span.queue_wait_us()),
-            ("lock", span.lock_wait_us),
-            ("exec", span.exec_us()),
-            ("commit", span.commit_us),
-        ];
-        let dominant =
-            stages.iter().max_by_key(|(_, us)| *us).map(|(name, _)| *name).unwrap_or("queue");
+        let stages = Stage::ALL.map(|stage| (stage.name(), span.stage_us(stage)));
+        let dominant = stages.iter().max_by_key(|(_, us)| *us).map_or("queue", |(name, _)| *name);
         // The span and the journal read the database's clock: an untagged
         // event belongs to the span when it was stamped within its life.
         let life = span.submitted_us..=span.end_us;
@@ -875,18 +731,9 @@ impl ApiServer {
             events.drain(..events.len() - TRACE_EVENT_CAP);
         }
         Response::ok(
-            Json::obj()
-                .set("trace_id", hex.as_str())
+            span.to_json()
                 .set("workload", wid.as_str())
                 .set("node", c.node_id())
-                .set("seq", span.seq)
-                .set("tenant", span.tenant as u64)
-                .set("txn_type", span.txn_type as u64)
-                .set("phase", span.phase as u64)
-                .set("retries", span.retries as u64)
-                .set("outcome", span.outcome.name())
-                .set("submitted_us", span.submitted_us)
-                .set("end_us", span.end_us)
                 .set("total_us", span.total_us())
                 .set(
                     "stages",
@@ -1617,6 +1464,29 @@ mod tests {
         assert_eq!(r.status, 400);
     }
 
+    /// `/chaos` addresses a workload the way `/slo` does: the named one's
+    /// engine is armed and the first registered one's is left alone.
+    #[test]
+    fn chaos_arms_the_addressed_workloads_engine() {
+        let s = ApiServer::new();
+        s.register("a", controller());
+        s.register("b", controller());
+        let armed = |id: &str| s.controller(id).unwrap().chaos().status().armed;
+        let arm = Json::obj().set("scenario", "error-burst");
+        let r = s.handle(&Request::post("/chaos?workload=b", arm.clone()));
+        assert!(r.is_ok(), "{r:?}");
+        assert!(armed("b") && !armed("a"));
+        let r = s.handle(&Request::get("/chaos/status?workload=a"));
+        assert_eq!(r.body.get("armed").unwrap().as_bool(), Some(false));
+        let r = s.handle(&Request::post("/chaos", arm.set("workload", "ghost")));
+        assert_eq!(r.status, 404, "{r:?}");
+        let delete = Request { method: Method::Delete, path: "/chaos?workload=b".into(), body: None };
+        assert!(s.handle(&delete).is_ok());
+        assert!(!armed("b"));
+        // Nothing registered: nothing to arm.
+        assert_eq!(ApiServer::new().handle(&Request::get("/chaos/status")).status, 404);
+    }
+
     #[test]
     fn status_reports_shed_and_breaker() {
         let s = server();
@@ -1625,95 +1495,6 @@ mod tests {
         // No breaker configured on this controller.
         assert_eq!(r.body.get("breaker"), Some(&Json::Null));
         assert_eq!(r.body.get("status").unwrap().get("shed").unwrap().as_u64(), Some(0));
-    }
-
-    use bp_core::PhaseScript;
-    use bp_replay::{ReplayProgress, ARTIFACT_VERSION};
-
-    fn script_only_artifact() -> Artifact {
-        Artifact {
-            version: ARTIFACT_VERSION,
-            workload: "demo".into(),
-            personality: "test".into(),
-            seed: 42,
-            terminals: 2,
-            tenant: 0,
-            unlimited_rate: 50_000.0,
-            types: vec!["Read".into(), "Write".into()],
-            script: PhaseScript::new(vec![bp_core::Phase::new(Rate::Limited(100.0), 1.0)]),
-            schedule: Vec::new(),
-            trace: Vec::new(),
-        }
-    }
-
-    struct FakeReplayLauncher;
-    impl ReplayLauncher for FakeReplayLauncher {
-        fn launch(
-            &self,
-            artifact: &Artifact,
-            timing: ReplayTiming,
-        ) -> Result<ReplaySession, String> {
-            Ok(ReplaySession {
-                controller: controller(),
-                progress: ReplayProgress::new(artifact.schedule.len() as u64),
-                recorded: Arc::new(artifact.recorded_trace()),
-                replayed: None,
-                workload: artifact.workload.clone(),
-                num_types: artifact.types.len(),
-                timing,
-            })
-        }
-    }
-
-    #[test]
-    fn replay_endpoints_unconfigured() {
-        let s = server();
-        assert_eq!(s.handle(&Request::post("/replay", Json::obj())).status, 501);
-        assert_eq!(s.handle(&Request::get("/replay/status")).status, 404);
-        assert_eq!(s.handle(&Request::get("/record")).status, 404);
-    }
-
-    #[test]
-    fn record_provider_serves_artifact_text() {
-        let s = server();
-        let text = script_only_artifact().to_text();
-        s.set_record_provider(Arc::new(move || Some(text.clone())));
-        let r = s.handle(&Request::get("/record"));
-        let (ctype, body) = r.raw.expect("raw payload");
-        assert!(ctype.starts_with("text/plain"));
-        assert!(body.starts_with("#bp-replay v1"), "{body}");
-        assert!(Artifact::from_text(&body).is_ok());
-    }
-
-    #[test]
-    fn replay_start_validates_and_reports_status() {
-        let s = ApiServer::new().with_replay_launcher(Arc::new(FakeReplayLauncher));
-        // Missing / malformed artifact.
-        assert_eq!(s.handle(&Request::post("/replay", Json::obj())).status, 400);
-        let r = s.handle(&Request::post("/replay", Json::obj().set("artifact", "not a capture")));
-        assert_eq!(r.status, 400);
-        // Bad timing combination.
-        let text = script_only_artifact().to_text();
-        let r = s.handle(&Request::post(
-            "/replay",
-            Json::obj().set("artifact", text.as_str()).set("warp", -3.0),
-        ));
-        assert_eq!(r.status, 400);
-        // Valid launch.
-        let r = s.handle(&Request::post(
-            "/replay",
-            Json::obj().set("artifact", text.as_str()).set("warp", 4.0),
-        ));
-        assert!(r.is_ok(), "{r:?}");
-        assert_eq!(r.body.get("mode").unwrap().as_str(), Some("warp"));
-        assert_eq!(r.body.get("warp").unwrap().as_f64(), Some(4.0));
-        // Status route mirrors the session; launcher session never
-        // completes (controller still running), so a second POST is a 409.
-        let r = s.handle(&Request::get("/replay/status"));
-        assert!(r.is_ok());
-        assert_eq!(r.body.get("complete").unwrap().as_bool(), Some(false));
-        let r = s.handle(&Request::post("/replay", Json::obj().set("artifact", text.as_str())));
-        assert_eq!(r.status, 409);
     }
 
     #[test]
@@ -1793,7 +1574,7 @@ mod tests {
         let r = s.handle(&Request::get("/report"));
         let (ctype, text) = r.raw.expect("raw payload");
         assert!(ctype.starts_with("text/plain"));
-        assert!(text.starts_with("#bp-report v1"), "{text}");
+        assert!(text.starts_with("#bp-report v2"), "{text}");
         let parsed = bp_obs::Report::from_text(&text).expect("report round-trips");
         assert_eq!(parsed.samples.len(), 5);
         assert!(!parsed.events.is_empty(), "run_start is in the report");

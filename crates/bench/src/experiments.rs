@@ -1195,10 +1195,8 @@ pub struct ReplayReport {
 }
 
 pub fn run_replay() -> ReplayReport {
-    use bp_core::Workload;
     use bp_replay::{
-        capture_artifact, fit, start_recorded, start_replay, synthesize, Artifact, ReplaySession,
-        ReplayTiming,
+        capture_artifact, fit, start_recorded, start_replay, synthesize, ReplaySurface, ReplayTiming,
     };
 
     let setup =
@@ -1234,25 +1232,15 @@ pub fn run_replay() -> ReplayReport {
 
     // The client flow over a live socket: download the capture from
     // GET /record, POST it to /replay, poll /replay/status to completion.
-    struct BenchReplayLauncher {
-        db: Arc<Database>,
-        w: Arc<dyn Workload>,
-    }
-    impl bp_api::ReplayLauncher for BenchReplayLauncher {
-        fn launch(&self, a: &Artifact, t: ReplayTiming) -> Result<ReplaySession, String> {
-            Ok(start_replay(self.db.clone(), self.w.clone(), a, t)?.session)
-        }
-    }
     let (rdb, rw) = setup.load();
     let registry = Arc::new(bp_obs::MetricsRegistry::new());
     registry.register("recorder", recorder.clone());
-    let api = Arc::new(
-        bp_api::ApiServer::new()
-            .with_registry(registry.clone())
-            .with_replay_launcher(Arc::new(BenchReplayLauncher { db: rdb, w: rw })),
-    );
+    let api = Arc::new(bp_api::ApiServer::new().with_registry(registry.clone()));
     let text = artifact.to_text();
-    api.set_record_provider(Arc::new(move || Some(text.clone())));
+    api.mount(ReplaySurface::new(
+        move |a, t| Ok(start_replay(rdb.clone(), rw.clone(), a, t)?.session),
+        move || Some(text.clone()),
+    ));
     let http = Endpoint::serve(&api);
 
     let downloaded = http.text("/record");
@@ -1353,7 +1341,7 @@ impl Outcome for ReplayReport {
 /// E15 — the flight recorder end-to-end: a live HTTP run is pushed through
 /// two chaos-induced bottlenecks (a lock storm, then an fsync stall) and
 /// bp-doctor must name each one correctly, citing the journal event that
-/// caused it. Also checks the `#bp-report v1` artifact round-trips.
+/// caused it. Also checks the `#bp-report v2` artifact round-trips.
 #[derive(Default)]
 pub struct DoctorReport {
     /// Telemetry samples and journal events in the downloaded report.
@@ -1465,7 +1453,7 @@ impl Outcome for DoctorReport {
         failed(&[
             ("telemetry covers the run with more than 10 samples", self.samples > 10),
             (
-                "the #bp-report v1 text parses and re-renders byte-identically",
+                "the #bp-report v2 text parses and re-renders byte-identically",
                 self.report_round_trip,
             ),
             ("both chaos arms are journaled", self.chaos_events_journaled),

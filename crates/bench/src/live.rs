@@ -227,9 +227,8 @@ impl Fleet {
         let coordinator = ClusterCoordinator::new(heartbeat, wall_clock());
         let registry = Arc::new(MetricsRegistry::new());
         registry.register("cluster", coordinator.clone());
-        coordinator.set_registry(registry.clone());
         let api = Arc::new(ApiServer::new().with_registry(registry));
-        api.set_extension(coordinator.clone());
+        api.mount(coordinator.clone());
         let http = Endpoint::serve(&api);
         let mut tickers = vec![coordinator.start_detector()];
 

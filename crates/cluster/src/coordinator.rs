@@ -1,8 +1,8 @@
 //! The cluster coordinator: membership authority, control fan-out, merged
 //! telemetry, and the cluster-wide SLO loop.
 //!
-//! The coordinator owns no workload. It mounts its `/cluster/*` routes on a
-//! plain [`bp_api::ApiServer`] (via [`bp_api::router::RouteExtension`]) and
+//! The coordinator owns no workload. Its `/cluster/*` routes are a
+//! [`bp_api::RouteExtension`] mounted on a plain [`bp_api::ApiServer`], and it
 //! runs one background detector thread that:
 //!
 //! * sweeps the [`MembershipTable`] (joined → suspect → dead on missed
@@ -28,11 +28,11 @@ use std::time::Duration;
 
 use bp_api::http::{http_request_text_timeout, http_request_timeout};
 use bp_api::router::{query_param, RouteExtension};
-use bp_api::{Method, Request, Response, PROMETHEUS_CONTENT_TYPE};
+use bp_api::{ApiServer, Method, Request, Response, PROMETHEUS_CONTENT_TYPE};
 use bp_core::{Adjustment, Rate, SloConfig, SloHandle, SloObservation};
 use bp_obs::{
-    merge_samples, parse_samples, render_samples, EventJournal, MetricsBuf, MetricsRegistry,
-    MetricsSource, Sample, Severity,
+    merge_samples, parse_samples, render_samples, EventJournal, MetricsBuf, MetricsSource, Sample,
+    Severity, Stage,
 };
 use bp_util::clock::SharedClock;
 use bp_util::json::Json;
@@ -76,7 +76,7 @@ impl Default for CoordinatorConfig {
 }
 
 /// The coordinator. Construct with [`ClusterCoordinator::new`], mount on an
-/// [`bp_api::ApiServer`] with `set_extension`, and keep the [`Periodic`]
+/// [`bp_api::ApiServer`] with `mount`, and keep the [`Periodic`]
 /// from [`ClusterCoordinator::start_detector`] alive for the run.
 pub struct ClusterCoordinator {
     membership: Mutex<MembershipTable>,
@@ -87,8 +87,6 @@ pub struct ClusterCoordinator {
     slo: Arc<SloHandle>,
     slo_last_tick_us: AtomicU64,
     journal: Arc<EventJournal>,
-    /// Own registry, folded into `GET /cluster/metrics` alongside agents.
-    registry: Mutex<Option<Arc<MetricsRegistry>>>,
     clock: SharedClock,
     heartbeat_us: u64,
     heartbeats_total: AtomicU64,
@@ -133,7 +131,6 @@ impl ClusterCoordinator {
             slo: Arc::new(SloHandle::new("cluster")),
             slo_last_tick_us: AtomicU64::new(0),
             journal: Arc::new(EventJournal::new()),
-            registry: Mutex::new(None),
             clock,
             heartbeat_us,
             heartbeats_total: AtomicU64::new(0),
@@ -151,12 +148,6 @@ impl ClusterCoordinator {
     /// The fleet's SLO loop, as [`bp_core::Controller::slo`] is a node's.
     pub fn slo(&self) -> &Arc<SloHandle> {
         &self.slo
-    }
-
-    /// Fold this registry (typically carrying the coordinator's own
-    /// [`MetricsSource`]) into `GET /cluster/metrics`.
-    pub fn set_registry(&self, registry: Arc<MetricsRegistry>) {
-        *self.registry.lock() = Some(registry);
     }
 
     /// The membership clock's time, in microseconds.
@@ -522,21 +513,17 @@ impl ClusterCoordinator {
         };
         let hex = bp_obs::format_trace_id(id);
         let mut nodes: Vec<Json> = Vec::new();
-        let mut stage_sums: Vec<(String, u64)> = Vec::new();
+        let mut stage_sums = [0u64; Stage::ALL.len()];
         let mut total_us = 0u64;
         let path = |_: &str| (format!("/trace/{hex}"), None);
         for (nid, result) in self.fan_out(None, "GET", path, http_request_timeout) {
             match result {
                 Ok((200, body)) => {
-                    if let Some(stages) = body.get("stages").and_then(Json::as_arr) {
-                        for st in stages {
-                            let name = st.get("stage").and_then(Json::as_str);
-                            let us = st.get("us").and_then(Json::as_u64);
-                            let (Some(name), Some(us)) = (name, us) else { continue };
-                            match stage_sums.iter_mut().find(|(n, _)| n == name) {
-                                Some((_, sum)) => *sum += us,
-                                None => stage_sums.push((name.to_string(), us)),
-                            }
+                    for st in body.get("stages").and_then(Json::as_arr).unwrap_or_default() {
+                        let name = st.get("stage").and_then(Json::as_str);
+                        let at = Stage::ALL.iter().position(|s| Some(s.name()) == name);
+                        if let (Some(i), Some(us)) = (at, st.get("us").and_then(Json::as_u64)) {
+                            stage_sums[i] += us;
                         }
                     }
                     total_us += body.get("total_us").and_then(Json::as_u64).unwrap_or(0);
@@ -552,16 +539,10 @@ impl ClusterCoordinator {
         if nodes.is_empty() {
             return Response::error(404, &format!("trace {hex} not retained on any live node"));
         }
-        let dominant = stage_sums
-            .iter()
-            .max_by_key(|(_, us)| *us)
-            .map(|(n, _)| n.clone())
-            .unwrap_or_default();
+        let merged = Stage::ALL.map(|stage| (stage.name(), stage_sums[stage as usize]));
+        let dominant = merged.iter().max_by_key(|(_, us)| *us).map_or("", |(name, _)| *name);
         let stages_json = Json::Arr(
-            stage_sums
-                .iter()
-                .map(|(n, us)| Json::obj().set("stage", n.as_str()).set("us", *us))
-                .collect(),
+            merged.iter().map(|(name, us)| Json::obj().set("stage", *name).set("us", *us)).collect(),
         );
         Response::ok(
             Json::obj().set("trace_id", hex.as_str()).set("nodes", Json::Arr(nodes)).set(
@@ -569,18 +550,19 @@ impl ClusterCoordinator {
                 Json::obj()
                     .set("stages", stages_json)
                     .set("total_us", total_us)
-                    .set("dominant_stage", dominant.as_str()),
+                    .set("dominant_stage", dominant),
             ),
         )
     }
 
     /// `GET /cluster/metrics`: read every live agent's own `GET /metrics`
-    /// page, fold the pages with the coordinator's own registry, and render
+    /// page, fold the pages with the registry of the server the coordinator
+    /// is mounted on (typically carrying its own [`MetricsSource`]), and render
     /// one exposition with families deduped and counters summed. A page
     /// that does not parse is journaled and left out whole.
-    fn merged_metrics(&self) -> Response {
+    fn merged_metrics(&self, api: &ApiServer) -> Response {
         let mut sets: Vec<Vec<Sample>> = Vec::new();
-        if let Some(reg) = self.registry.lock().clone() {
+        if let Some(reg) = api.registry() {
             sets.push(reg.snapshot());
         }
         let path = |_: &str| ("/metrics".to_string(), None);
@@ -603,7 +585,7 @@ impl ClusterCoordinator {
     /// `POST /cluster/slo`: the body of `POST /slo`, over the fleet's
     /// starting values. Without `initial_rate` the loop continues from the
     /// current global rate (raised to `min_rate` where none is set).
-    fn slo_arm(&self, req: &Request) -> Response {
+    fn slo_arm(&self, api: &ApiServer, req: &Request) -> Response {
         let base = SloConfig {
             // A violation stays visible for as long as the agents' windows
             // hold it (`AgentConfig::window_s`, 2 s unless set), and two
@@ -621,7 +603,7 @@ impl ClusterCoordinator {
         };
         self.slo.arm(cfg);
         self.slo_last_tick_us.store(self.now_us(), Ordering::Relaxed);
-        if let Some(reg) = self.registry.lock().as_ref() {
+        if let Some(reg) = api.registry() {
             // Arc-pointer dedupe in the registry makes re-arming a no-op.
             reg.register("slo:cluster", self.slo.clone());
         }
@@ -647,17 +629,11 @@ impl ClusterCoordinator {
 }
 
 impl RouteExtension for ClusterCoordinator {
-    fn handle(&self, req: &Request) -> Option<Response> {
-        let (path, query) = match req.path.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (req.path.as_str(), ""),
-        };
-        let path = path.trim_matches('/');
-        let parts: Vec<&str> = if path.is_empty() { Vec::new() } else { path.split('/').collect() };
-        let resp = match (req.method, parts.as_slice()) {
+    fn handle(&self, api: &ApiServer, req: &Request, path: &[&str], query: &str) -> Option<Response> {
+        let resp = match (req.method, path) {
             (Method::Post, ["cluster", "heartbeat"]) => self.heartbeat(req),
             (Method::Get, ["cluster", "status"]) => self.status(),
-            (Method::Get, ["cluster", "metrics"]) => self.merged_metrics(),
+            (Method::Get, ["cluster", "metrics"]) => self.merged_metrics(api),
             (Method::Post, ["cluster", "rate"]) => self.set_rate(req),
             (Method::Post, ["cluster", action @ ("pause" | "resume" | "stop")]) => {
                 let action = action.to_string();
@@ -687,7 +663,7 @@ impl RouteExtension for ClusterCoordinator {
                 query_param(query, "node"),
             ),
             (Method::Get, ["cluster", "trace", id]) => self.cluster_trace(id),
-            (Method::Post, ["cluster", "slo"]) => self.slo_arm(req),
+            (Method::Post, ["cluster", "slo"]) => self.slo_arm(api, req),
             (Method::Delete, ["cluster", "slo"]) => self.slo_disarm(),
             (Method::Get, ["cluster", "slo"]) => self.slo_status(),
             _ => return None,

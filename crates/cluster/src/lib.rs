@@ -21,8 +21,8 @@
 //!   `GET /cluster/metrics`, and can run the node's SLO loop
 //!   ([`bp_core::SloHandle`]) fleet-wide on the merged windowed latency.
 //!
-//! The coordinator mounts its HTTP surface through
-//! [`bp_api::router::RouteExtension`], so bp-api stays ignorant of
+//! The coordinator is a [`bp_api::RouteExtension`] mounted on an
+//! [`bp_api::ApiServer`] (`ApiServer::mount`), so bp-api stays ignorant of
 //! bp-cluster and the coordinator can share a process with anything else
 //! the API server hosts. Everything — transport included — remains
 //! std-only.

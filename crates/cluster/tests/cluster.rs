@@ -7,7 +7,6 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bp_api::router::RouteExtension;
 use bp_api::{http_request, http_request_text, ApiServer, Request, Response};
 use bp_cluster::{start_agent, AgentConfig, ClusterCoordinator, CoordinatorConfig, NodeState};
 use bp_core::{
@@ -32,9 +31,8 @@ fn coordinator_stack(
     let coordinator = ClusterCoordinator::new(CoordinatorConfig { heartbeat }, wall_clock());
     let registry = Arc::new(MetricsRegistry::new());
     registry.register("cluster", coordinator.clone());
-    coordinator.set_registry(registry.clone());
     let api = Arc::new(ApiServer::new().with_registry(registry));
-    api.set_extension(coordinator.clone());
+    api.mount(coordinator.clone());
     let guard = api.serve_http("127.0.0.1:0").expect("bind coordinator");
     let detector = coordinator.start_detector();
     (coordinator, guard, detector)
@@ -80,13 +78,20 @@ fn sim_coordinator(heartbeat: Duration) -> (Arc<ClusterCoordinator>, Arc<SimCloc
     (ClusterCoordinator::new(CoordinatorConfig { heartbeat }, clock), sim)
 }
 
-fn post(coordinator: &ClusterCoordinator, path: &str, body: Json) -> Response {
-    coordinator.handle(&Request::post(path, body)).expect("cluster route")
+/// `req` as an API server with `coordinator` mounted on it serves it.
+fn route(coordinator: &Arc<ClusterCoordinator>, req: &Request) -> Response {
+    let api = ApiServer::new();
+    api.mount(coordinator.clone());
+    api.handle(req)
+}
+
+fn post(coordinator: &Arc<ClusterCoordinator>, path: &str, body: Json) -> Response {
+    route(coordinator, &Request::post(path, body))
 }
 
 /// A heartbeat from `node` at `addr`, with a latency window when given.
 fn beat_from(
-    coordinator: &ClusterCoordinator,
+    coordinator: &Arc<ClusterCoordinator>,
     node: &str,
     addr: &str,
     window: Option<Json>,
@@ -100,7 +105,7 @@ fn beat_from(
 }
 
 /// A heartbeat from a node nothing ever dials in these tests.
-fn beat(coordinator: &ClusterCoordinator, node: &str, window: Option<Json>) -> Response {
+fn beat(coordinator: &Arc<ClusterCoordinator>, node: &str, window: Option<Json>) -> Response {
     beat_from(coordinator, node, "127.0.0.1:9", window)
 }
 
@@ -113,14 +118,14 @@ fn window(count: u64, p50_us: u64, p99_us: u64) -> Json {
 }
 
 /// `field` of `node` in `GET /cluster/status`.
-fn node_field(coordinator: &ClusterCoordinator, node: &str, field: &str) -> Json {
-    let status = coordinator.handle(&Request::get("/cluster/status")).unwrap();
+fn node_field(coordinator: &Arc<ClusterCoordinator>, node: &str, field: &str) -> Json {
+    let status = route(coordinator, &Request::get("/cluster/status"));
     let nodes = status.body.get("nodes").and_then(Json::as_arr).unwrap().to_vec();
     let n = nodes.iter().find(|n| n.get("node").and_then(Json::as_str) == Some(node));
     n.and_then(|n| n.get(field)).cloned().unwrap_or_else(|| panic!("no {field} for {node}"))
 }
 
-fn state_of(coordinator: &ClusterCoordinator, node: &str) -> String {
+fn state_of(coordinator: &Arc<ClusterCoordinator>, node: &str) -> String {
     node_field(coordinator, node, "state").as_str().unwrap().to_string()
 }
 
@@ -330,7 +335,7 @@ fn missed_heartbeats_mark_suspect_then_dead_and_resplit() {
     // A fresh heartbeat revives the dead node and re-splits again.
     let r = beat(&coordinator, "b", None);
     assert_eq!(r.body.get("assigned_rate").and_then(Json::as_f64), Some(50.0), "{r:?}");
-    let status = coordinator.handle(&Request::get("/cluster/status")).unwrap();
+    let status = route(&coordinator, &Request::get("/cluster/status"));
     assert_eq!(status.body.get("dead").and_then(Json::as_u64), Some(0));
 }
 
@@ -399,7 +404,7 @@ fn a_heartbeat_from_an_unknown_node_admits_it_at_its_address() {
 
     // The coordinator has no registry of its own here: every sample in the
     // merged page came from the agent.
-    let r = coordinator.handle(&Request::get("/cluster/metrics")).unwrap();
+    let r = route(&coordinator, &Request::get("/cluster/metrics"));
     let (_, text) = r.raw.expect("exposition");
     let merged = parse_samples(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
     assert!(merged.iter().any(|s| s.name == "bp_server_commits_total"), "{text}");
@@ -427,7 +432,7 @@ fn a_garbled_heartbeat_window_is_refused_naming_the_field() {
     assert_eq!(r.status, 400, "a window without p50_us/p99_us/throughput: {r:?}");
     let r = post(&coordinator, "/cluster/heartbeat", Json::obj().set("node", "a"));
     assert_eq!(r.status, 400, "a heartbeat without addr: {r:?}");
-    let status = coordinator.handle(&Request::get("/cluster/status")).unwrap();
+    let status = route(&coordinator, &Request::get("/cluster/status"));
     assert_eq!(status.body.get("joined").and_then(Json::as_u64), Some(0), "{status:?}");
 
     assert!(beat(&coordinator, "a", None).is_ok(), "liveness-only beat");
@@ -475,15 +480,16 @@ fn cluster_slo_loop_steers_global_rate_on_merged_latency() {
     let after_backoff = coordinator.global_rate().unwrap();
     assert!((after_backoff - after_increase * 0.5).abs() < 1e-6, "{after_backoff}");
 
-    let status = coordinator.handle(&Request::get("/cluster/slo")).unwrap();
+    let status = route(&coordinator, &Request::get("/cluster/slo"));
     let adj = status.body.get("adjustments").unwrap();
     assert_eq!(adj.get("increase").and_then(Json::as_u64), Some(1));
     assert_eq!(adj.get("decrease").and_then(Json::as_u64), Some(1));
 
     // Disarm: loop stops, rate stays where the controller left it.
-    let r = coordinator
-        .handle(&Request { method: bp_api::Method::Delete, path: "/cluster/slo".into(), body: None })
-        .unwrap();
+    let r = route(
+        &coordinator,
+        &Request { method: bp_api::Method::Delete, path: "/cluster/slo".into(), body: None },
+    );
     assert_eq!(r.body.get("active").and_then(Json::as_bool), Some(false));
     sim.advance(1_000);
     coordinator.tick();
@@ -510,7 +516,7 @@ fn cluster_slo_decreases_once_until_the_window_has_flushed() {
     );
     assert!(r.is_ok(), "{r:?}");
     let decreases = || {
-        let status = coordinator.handle(&Request::get("/cluster/slo")).unwrap();
+        let status = route(&coordinator, &Request::get("/cluster/slo"));
         status.body.get("adjustments").unwrap().get("decrease").and_then(Json::as_u64).unwrap()
     };
     let mut seen = Vec::new();
@@ -622,7 +628,7 @@ fn slo_settings_read_the_same_from_xml_node_body_and_fleet_body() {
     node.register("demo", bare_controller());
     let controller = node.controller("demo").unwrap();
     let (coordinator, _) = sim_coordinator(CoordinatorConfig::default().heartbeat);
-    let fleet = |req: &Request| coordinator.handle(req).unwrap();
+    let fleet = |req: &Request| route(&coordinator, req);
     let delete = |path: &str| Request { method: bp_api::Method::Delete, path: path.into(), body: None };
 
     for (row, expected) in &valid {

@@ -541,7 +541,7 @@ fn worker_loop(ctx: WorkerCtx) {
                     phase: req.phase,
                     txn_type: req.txn_type,
                     retries: retries.min(u16::MAX as u32) as u16,
-                    outcome: outcome.into(),
+                    outcome,
                 });
             }
             if let Some(t) = &trace {

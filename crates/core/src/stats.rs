@@ -11,7 +11,6 @@
 //! API) merge the shards on demand; reads are orders of magnitude rarer than
 //! writes, so the merge cost sits on the cold path where it belongs.
 
-use bp_obs::SpanOutcome;
 use bp_util::clock::{Micros, SharedClock, MICROS_PER_SEC};
 use bp_util::histogram::{Histogram, WindowedHistogram};
 use bp_util::sync::{thread_slot, CachePadded, Mutex};
@@ -22,29 +21,9 @@ use bp_util::timeseries::TimeSeries;
 /// bounding memory per shard.
 const WINDOW_RING_S: usize = 120;
 
-/// How a dispatched request ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestOutcome {
-    Committed,
-    /// Benchmark-logic abort (still a successfully processed request).
-    UserAborted,
-    /// Lock conflict / timeout; retries exhausted or disabled.
-    Failed,
-    /// Fast-failed by the admission controller without executing.
-    /// Counted in its own bucket: never in throughput, never as an error.
-    Shed,
-}
-
-impl From<RequestOutcome> for SpanOutcome {
-    fn from(outcome: RequestOutcome) -> SpanOutcome {
-        match outcome {
-            RequestOutcome::Committed => SpanOutcome::Committed,
-            RequestOutcome::UserAborted => SpanOutcome::UserAborted,
-            RequestOutcome::Failed => SpanOutcome::Failed,
-            RequestOutcome::Shed => SpanOutcome::Shed,
-        }
-    }
-}
+/// How a dispatched request ended: the span's outcome under the driver's
+/// name for it.
+pub use bp_obs::SpanOutcome as RequestOutcome;
 
 #[derive(Debug, Clone)]
 struct PerType {

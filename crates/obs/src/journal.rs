@@ -84,6 +84,8 @@ pub struct Event {
     /// Machine-matchable event type, e.g. `phase_change`, `chaos_armed`.
     pub kind: Name,
     pub message: String,
+    /// In name order, as [`Event::to_json`]'s object writes them, so an
+    /// event reads back from its JSON exactly.
     pub fields: Vec<(Name, String)>,
 }
 
@@ -109,67 +111,29 @@ impl Event {
             .set("fields", fields)
     }
 
-    /// One-line rendering for logs and the `#bp-report v1` artifact:
-    /// `event <seq> <ts_us> <severity> <source> <kind> <k=v,...|-> <message>`.
-    /// Field values and the message have whitespace control characters
-    /// flattened so the line stays line-oriented.
-    pub fn to_line(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!(
-            "event {} {} {} {} {} ",
-            self.seq,
-            self.ts_us,
-            self.severity.name(),
-            self.source,
-            self.kind
-        );
-        if self.fields.is_empty() {
-            out.push('-');
-        } else {
-            for (i, (k, v)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{k}={}", flatten(v));
-            }
-        }
-        out.push(' ');
-        out.push_str(&flatten(&self.message));
-        out
+    /// Read back an [`Event::to_json`] object (a line of the `#bp-report`
+    /// events section) exactly; names come back owned.
+    pub fn from_json(j: &Json) -> Result<Event, String> {
+        let num = |key: &str| j.get(key).and_then(Json::as_u64).ok_or(format!("bad {key}"));
+        let text = |key: &str| j.get(key).and_then(Json::as_str).ok_or(format!("bad {key}"));
+        let Some(Json::Obj(fields)) = j.get("fields") else { return Err("bad fields".into()) };
+        let fields = fields
+            .iter()
+            .map(|(k, v)| match v {
+                Json::Str(v) => Ok((Name::Owned(k.clone()), v.clone())),
+                _ => Err(format!("bad field `{k}`")),
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Event {
+            seq: num("seq")?,
+            ts_us: num("ts_us")?,
+            severity: text("severity")?.parse().map_err(|()| "bad severity")?,
+            source: Name::Owned(text("source")?.to_string()),
+            kind: Name::Owned(text("kind")?.to_string()),
+            message: text("message")?.to_string(),
+            fields,
+        })
     }
-
-    /// Parse one [`Event::to_line`] line; names come back owned.
-    pub fn from_line(line: &str) -> Result<Event, String> {
-        let rest = line.strip_prefix("event ").ok_or("missing `event` prefix")?;
-        let mut it = rest.splitn(6, ' ');
-        let mut next = |what: &str| it.next().ok_or(format!("missing {what}"));
-        let seq = next("seq")?.parse::<u64>().map_err(|e| format!("bad seq: {e}"))?;
-        let ts_us = next("ts_us")?.parse::<u64>().map_err(|e| format!("bad ts: {e}"))?;
-        let severity: Severity = next("severity")?.parse().map_err(|()| "bad severity")?;
-        let source = Name::Owned(next("source")?.to_string());
-        let kind = Name::Owned(next("kind")?.to_string());
-        let tail = next("fields")?;
-        let (fields_tok, message) = match tail.split_once(' ') {
-            Some((f, m)) => (f, m.to_string()),
-            None => (tail, String::new()),
-        };
-        let mut fields = Vec::new();
-        if fields_tok != "-" {
-            for kv in fields_tok.split(',') {
-                let (k, v) = kv.split_once('=').ok_or(format!("bad field `{kv}`"))?;
-                fields.push((Name::Owned(k.to_string()), v.to_string()));
-            }
-        }
-        Ok(Event { seq, ts_us, severity, source, kind, message, fields })
-    }
-}
-
-/// Replace the characters that would break the line-oriented formats
-/// (newlines, and in field values also the separators).
-fn flatten(s: &str) -> String {
-    s.chars()
-        .map(|c| if c == '\n' || c == '\r' || c == ',' || c == '=' { '_' } else { c })
-        .collect()
 }
 
 /// The event ring. See the module docs for the design.
@@ -258,8 +222,9 @@ impl EventJournal {
         source: &'static str,
         kind: &'static str,
         message: String,
-        fields: Vec<(&'static str, String)>,
+        mut fields: Vec<(&'static str, String)>,
     ) {
+        fields.sort_by_key(|(k, _)| *k);
         let mut ring = self.ring.lock();
         let seq = ring.written() + 1;
         ring.push(Event {
@@ -386,6 +351,13 @@ mod tests {
         assert_eq!(all.last().unwrap().message, "e39");
     }
 
+    /// What a `#bp-report` events line holds: the event's JSON on one line.
+    fn through_line(e: &Event) -> Result<Event, String> {
+        let line = e.to_json().to_string();
+        assert!(!line.contains('\n'), "{line}");
+        Event::from_json(&Json::parse(&line).map_err(|e| e.to_string())?)
+    }
+
     #[test]
     fn line_round_trips() {
         let e = Event {
@@ -397,27 +369,49 @@ mod tests {
             message: "plan lock-storm armed".to_string(),
             fields: vec![("plan".into(), "lock-storm".to_string()), ("state".into(), "armed".to_string())],
         };
-        let line = e.to_line();
-        let back = Event::from_line(&line).unwrap();
-        assert_eq!(back, e);
+        assert_eq!(through_line(&e).unwrap(), e);
 
-        // Hostile content flattens instead of corrupting the line format.
+        // Separators, newlines and lists come back as they went in.
         let nasty = Event {
-            fields: vec![("plan".into(), "a,b=c\nd".to_string())],
-            message: "line1\nline2".to_string(),
+            fields: vec![
+                ("after".into(), "[40.0,12.0,12.0]".to_string()),
+                ("plan".into(), "a,b=c\nd".to_string()),
+            ],
+            message: "line1\nline2 \"quoted\"".to_string(),
             ..e
         };
-        let back = Event::from_line(&nasty.to_line()).unwrap();
-        assert_eq!(back.fields[0].1, "a_b_c_d");
-        assert_eq!(back.message, "line1_line2");
+        assert_eq!(through_line(&nasty).unwrap(), nasty);
+    }
+
+    /// The journal keeps fields in name order, whatever order the emit
+    /// site lists them in, so what it holds reads back from JSON exactly.
+    #[test]
+    fn emitted_events_read_back_exactly() {
+        let j = EventJournal::new();
+        j.emit_with(Severity::Info, "core", "mixture_change", || {
+            ("mixture changed".into(), vec![("phase", "1".into()), ("after", "[40.0,12.0]".into())])
+        });
+        let e = &j.all()[0];
+        assert_eq!(e.fields[0].0, "after");
+        assert_eq!(&through_line(e).unwrap(), e);
     }
 
     #[test]
-    fn from_line_rejects_garbage() {
-        assert!(Event::from_line("not an event").is_err());
-        assert!(Event::from_line("event x 0 info core rate_change - m").is_err());
-        assert!(Event::from_line("event 1 0 loud core rate_change - m").is_err());
-        assert!(Event::from_line("event 1 0 info core rate_change badfield m").is_err());
+    fn from_json_rejects_garbage() {
+        let good = Json::parse(
+            r#"{"seq":1,"ts_us":0,"severity":"info","source":"core","kind":"rate_change","message":"m","fields":{}}"#,
+        )
+        .unwrap();
+        assert!(Event::from_json(&good).is_ok());
+        for (key, bad) in [
+            ("seq", Json::Str("x".into())),
+            ("severity", Json::Str("loud".into())),
+            ("fields", Json::Str("badfield".into())),
+            ("fields", Json::obj().set("k", 1u64)),
+            ("message", Json::Null),
+        ] {
+            assert!(Event::from_json(&good.clone().set(key, bad.clone())).is_err(), "{key}: {bad}");
+        }
     }
 
     #[test]

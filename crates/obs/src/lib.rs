@@ -24,7 +24,7 @@
 //!   [`Event`]s (phase changes, SLO decisions, chaos arms, breaker trips,
 //!   deadlock victims, WAL rotations…), behind a <5ns disarmed gate.
 //! * [`TelemetryRecorder`] — a background sampler that snapshots the
-//!   run's vitals every tick and exports a versioned `#bp-report v1`
+//!   run's vitals every tick and exports a versioned `#bp-report v2`
 //!   timeline aligned with the journal.
 //! * [`doctor`] — a pure analysis pass over a [`Report`] that names the
 //!   dominant bottleneck per window with evidence and a causal event.

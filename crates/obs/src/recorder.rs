@@ -1,4 +1,4 @@
-//! The continuous telemetry recorder and the `#bp-report v1` artifact.
+//! The continuous telemetry recorder and the `#bp-report v2` artifact.
 //!
 //! A background thread ([`TelemetryRecorder::spawn`]) calls a sensor
 //! closure every tick; the closure (built by `bp-core`, which can see the
@@ -10,13 +10,17 @@
 //! [`Report`] is the export: a versioned, self-describing, line-oriented
 //! text artifact in the same style as `#bp-replay v1`, carrying the sample
 //! timeline *and* the event journal so a single file answers both "what
-//! happened" and "what changed right before". [`Report::from_text`] is the
+//! happened" and "what changed right before". A sample is one row of
+//! numbers; an event is its `/events` JSON object on one line (v2; v1 wrote
+//! a flattened `event …` line that lost `,`, `=` and newlines in field
+//! values and messages). [`Report::from_text`] is the
 //! exact inverse of [`Report::to_text`]; the doctor consumes the parsed
 //! form.
 
 use std::sync::Arc;
 
 use bp_util::artifact::{write_section, Reader, Writer};
+use bp_util::json::Json;
 use bp_util::ring::Ring;
 use bp_util::sync::Mutex;
 use bp_util::Periodic;
@@ -207,7 +211,7 @@ impl MetricsSource for TelemetryRecorder {
 }
 
 /// Report artifact version this build writes and understands.
-pub const REPORT_VERSION: u32 = 1;
+pub const REPORT_VERSION: u32 = 2;
 const MAGIC: &str = "#bp-report";
 
 /// The parsed (or about-to-be-serialized) report artifact: a per-run
@@ -228,7 +232,7 @@ impl Report {
         w.field("interval_us", self.interval_us);
         w.field("columns", COLUMNS.map(|(name, ..)| name).join(" "));
         write_section(&mut w.0, "samples", &self.samples, |out, s| out.push_str(&s.to_line()));
-        write_section(&mut w.0, "events", &self.events, |out, e| out.push_str(&e.to_line()));
+        write_section(&mut w.0, "events", &self.events, |out, e| out.push_str(&e.to_json().to_string()));
         w.finish()
     }
 
@@ -245,7 +249,11 @@ impl Report {
                     }
                 }
                 "samples" => report.samples = reader.section(&e, TelemetrySample::from_line)?,
-                "events" => report.events = reader.section(&e, Event::from_line)?,
+                "events" => {
+                    report.events = reader.section(&e, |line| {
+                        Event::from_json(&Json::parse(line).map_err(|e| e.to_string())?)
+                    })?
+                }
                 other => return Err(e.err(format_args!("unknown section `{other}`"))),
             }
         }
@@ -320,7 +328,7 @@ mod tests {
         assert_eq!(report.events.len(), 2);
 
         let text = report.to_text();
-        assert!(text.starts_with("#bp-report v1\n"));
+        assert!(text.starts_with("#bp-report v2\n"));
         assert!(text.contains("columns t_us rate tput"));
         let back = Report::from_text(&text).unwrap();
         assert_eq!(back, report, "byte-identical round trip");
@@ -356,12 +364,12 @@ mod tests {
     #[test]
     fn parser_rejects_malformed() {
         assert!(Report::from_text("").is_err());
-        assert!(Report::from_text("#bp-report v2\nend\n").is_err());
-        assert!(Report::from_text("#bp-report v1\nsamples 1\n").is_err(), "truncated");
-        assert!(Report::from_text("#bp-report v1\nbogus 3\nend\n").is_err());
-        assert!(Report::from_text("#bp-report v1\nsamples 0\nevents 0\n").is_err(), "no end");
+        assert!(Report::from_text("#bp-report v1\nend\n").is_err(), "the v1 event lines are gone");
+        assert!(Report::from_text("#bp-report v2\nsamples 1\n").is_err(), "truncated");
+        assert!(Report::from_text("#bp-report v2\nbogus 3\nend\n").is_err());
+        assert!(Report::from_text("#bp-report v2\nsamples 0\nevents 0\n").is_err(), "no end");
         assert!(
-            Report::from_text("#bp-report v1\ncolumns a b c\nend\n").is_err(),
+            Report::from_text("#bp-report v2\ncolumns a b c\nend\n").is_err(),
             "column mismatch"
         );
     }

@@ -15,12 +15,15 @@
 //!    `PhaseScript` that statistically matches the original.
 //!
 //! [`start_recorded`] / [`start_replay`] are the orchestration entry
-//! points used by the HTTP API, the harness and the game.
+//! points used by the harness and the game; [`ReplaySurface`] serves them
+//! over the control API (`GET /record`, `POST /replay`,
+//! `GET /replay/status`), mounted on a `bp_api::ApiServer`.
 
 pub mod artifact;
 pub mod divergence;
 pub mod recorder;
 pub mod source;
+pub mod surface;
 pub mod synth;
 
 use std::sync::Arc;
@@ -34,6 +37,7 @@ pub use artifact::{Artifact, ARTIFACT_VERSION};
 pub use divergence::DivergenceReport;
 pub use recorder::{Recorder, RecordingSource, ScheduleRecord};
 pub use source::{ReplayProgress, ReplaySource, ReplayTiming};
+pub use surface::ReplaySurface;
 pub use synth::{fit, fit_schedule, synthesize, PhaseStats, TraceStats};
 
 /// Start a run exactly like `bp_core::start`, with every generated request

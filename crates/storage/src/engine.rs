@@ -630,7 +630,7 @@ impl Session {
         let whole = cost as u64;
         self.owed_us = cost - whole as f64;
         self.db.metrics.add_busy_micros(whole);
-        self.db.clock.sleep(whole);
+        self.db.clock.busy(whole);
     }
 
     fn txn_mut(&mut self) -> Result<&mut Txn> {

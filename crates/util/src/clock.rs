@@ -18,10 +18,18 @@ pub trait Clock: Send + Sync {
     /// Current time in microseconds since the clock's epoch.
     fn now(&self) -> Micros;
 
-    /// Block the calling thread for the given duration.
+    /// Block the calling thread for the given duration, leaving the CPU to
+    /// others: a wait.
     ///
     /// For simulated clocks this advances virtual time instead of blocking.
     fn sleep(&self, micros: Micros);
+
+    /// Hold the calling thread for the given duration as work would: the
+    /// service time a database personality charges. Unless a clock says
+    /// otherwise this is [`Clock::sleep`], so a simulated clock advances.
+    fn busy(&self, micros: Micros) {
+        self.sleep(micros);
+    }
 
     /// Sleep until an absolute deadline; no-op if it already passed.
     fn sleep_until(&self, deadline: Micros) {
@@ -55,10 +63,14 @@ impl Clock for WallClock {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// OS sleeps are far coarser than the service costs a personality
-    /// charges, so a wait under 150 µs spins; a longer one sleeps all but
-    /// its last 100 µs and spins those.
     fn sleep(&self, micros: Micros) {
+        std::thread::sleep(Duration::from_micros(micros));
+    }
+
+    /// OS sleeps are far coarser than the service costs a personality
+    /// charges, so a charge under 150 µs spins; a longer one sleeps all but
+    /// its last 100 µs and spins those.
+    fn busy(&self, micros: Micros) {
         let start = Instant::now();
         let target = Duration::from_micros(micros);
         if target > Duration::from_micros(150) {
@@ -155,14 +167,34 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_sleep() {
+    fn wall_clock_busy() {
         let c = WallClock::new();
         // Slept with a spun tail, and spun whole.
         for micros in [2_000, 300, 20] {
             let start = Instant::now();
-            c.sleep(micros);
+            c.busy(micros);
             assert!(start.elapsed() >= Duration::from_micros(micros), "{micros} µs");
         }
+    }
+
+    /// The CPU time the calling thread has run for, from the first field of
+    /// its schedstat; `None` without procfs.
+    fn thread_cpu() -> Option<Duration> {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+        Some(Duration::from_nanos(stat.split_whitespace().next()?.parse().ok()?))
+    }
+
+    /// A wait leaves the CPU: 5 ms of sleep cost the thread under 1 ms of
+    /// it (a spun tail alone would be 100 µs, a spun whole wait 5 ms).
+    #[test]
+    fn wall_clock_sleep_waits_without_spinning() {
+        let c = WallClock::new();
+        let Some(before) = thread_cpu() else { return }; // no procfs: nothing to read
+        let start = Instant::now();
+        c.sleep(5_000);
+        assert!(start.elapsed() >= Duration::from_millis(5));
+        let cpu = thread_cpu().unwrap() - before;
+        assert!(cpu < Duration::from_millis(1), "a 5 ms sleep ran {cpu:?} on the CPU");
     }
 
     #[test]
@@ -171,7 +203,8 @@ mod tests {
         assert_eq!(clock.now(), 0);
         sim.advance(500);
         assert_eq!(clock.now(), 500);
-        clock.sleep(1_000);
+        clock.sleep(600);
+        clock.busy(400);
         assert_eq!(clock.now(), 1_500);
         sim.advance_to(1_000); // backwards move ignored
         assert_eq!(clock.now(), 1_500);

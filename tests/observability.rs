@@ -194,7 +194,7 @@ fn flight_recorder_over_http() {
     // versioned, downloadable, and parseable.
     let (status, text) = http_request_text(guard.addr(), "GET", "/report", None).unwrap();
     assert_eq!(status, 200);
-    assert!(text.starts_with("#bp-report v1"), "{text}");
+    assert!(text.starts_with("#bp-report v2"), "{text}");
     let report = benchpress::obs::Report::from_text(&text).expect("report parses");
     assert!(!report.events.is_empty());
 

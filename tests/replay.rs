@@ -11,7 +11,7 @@ use benchpress::api::ApiServer;
 use benchpress::core::{ArrivalDist, Phase, PhaseScript, Rate, RunConfig, Workload};
 use benchpress::obs::MetricsRegistry;
 use benchpress::replay::{
-    capture_artifact, fit, start_recorded, start_replay, synthesize, Artifact, ReplaySession,
+    capture_artifact, fit, start_recorded, start_replay, synthesize, Artifact, ReplaySurface,
     ReplayTiming,
 };
 use benchpress::sql::Connection;
@@ -75,15 +75,13 @@ fn same_seed_capture_is_byte_identical_and_roundtrips() {
     assert_ne!(a.schedule_text(), other.schedule_text());
 }
 
-struct TestLauncher {
-    db: Arc<Database>,
-    w: Arc<dyn Workload>,
-}
-
-impl benchpress::api::ReplayLauncher for TestLauncher {
-    fn launch(&self, a: &Artifact, t: ReplayTiming) -> Result<ReplaySession, String> {
-        Ok(start_replay(self.db.clone(), self.w.clone(), a, t)?.session)
-    }
+/// The replay routes over `db`, serving `artifact` as the capture.
+fn replay_surface(db: Arc<Database>, w: Arc<dyn Workload>, artifact: &Artifact) -> Arc<ReplaySurface> {
+    let text = artifact.to_text();
+    ReplaySurface::new(
+        move |a, t| Ok(start_replay(db.clone(), w.clone(), a, t)?.session),
+        move || Some(text.clone()),
+    )
 }
 
 #[test]
@@ -91,14 +89,9 @@ fn http_replay_stays_within_divergence_tolerance() {
     let artifact = record(&two_phase_cfg());
 
     let (db, w) = setup("smallbank");
-    let registry = Arc::new(MetricsRegistry::new());
-    let api = Arc::new(
-        ApiServer::new()
-            .with_registry(registry.clone())
-            .with_replay_launcher(Arc::new(TestLauncher { db, w })),
-    );
-    let text = artifact.to_text();
-    api.set_record_provider(Arc::new(move || Some(text.clone())));
+    let api = Arc::new(ApiServer::new().with_registry(Arc::new(MetricsRegistry::new())));
+    let surface = replay_surface(db, w, &artifact);
+    api.mount(surface.clone());
     let guard = api.serve_http("127.0.0.1:0").unwrap();
 
     // Download the capture exactly as a remote client would.
@@ -147,7 +140,7 @@ fn http_replay_stays_within_divergence_tolerance() {
     // While nothing is running a second POST is accepted; a 409 is only for
     // an in-flight replay (covered by unit tests). Instead verify the
     // session's per-type counts landed close to the recording.
-    let session = api.replay_session().expect("session stored");
+    let session = surface.session().expect("session stored");
     let report = session.divergence().expect("report available");
     assert_eq!(report.per_type_recorded.len(), artifact.types.len());
     assert!(report.max_type_share_diff <= 0.05, "{}", report.max_type_share_diff);
@@ -242,4 +235,45 @@ fn game_scenario_replays_as_script_only_artifact() {
     let (db, w) = setup("voter");
     let err = start_replay(db, w, &artifact, ReplayTiming::Asap);
     assert!(err.is_err());
+}
+
+/// The cluster and replay layers mount on one API server: each serves its
+/// own routes and passes the other's on, and the built-in routes still win.
+#[test]
+fn cluster_and_replay_surfaces_share_one_server() {
+    use benchpress::api::Request;
+    use benchpress::cluster::{ClusterCoordinator, CoordinatorConfig};
+    use benchpress::replay::Recorder;
+
+    let (db, w) = setup("voter");
+    let cfg = RunConfig {
+        terminals: 1,
+        script: PhaseScript::new(vec![Phase::new(Rate::Limited(100.0), 1.0)]),
+        ..Default::default()
+    };
+    let artifact = capture_artifact(&cfg, w.as_ref(), "test", &Recorder::new(), None);
+    let api = ApiServer::new();
+    api.mount(ClusterCoordinator::new(CoordinatorConfig::default(), benchpress::util::clock::wall_clock()));
+    api.mount(replay_surface(db, w, &artifact));
+
+    let r = api.handle(&Request::get("/cluster/status"));
+    assert!(r.is_ok(), "{r:?}");
+    assert_eq!(r.body.get("joined").and_then(Json::as_u64), Some(0));
+    let start = Json::obj().set("artifact", artifact.to_text().as_str()).set("warp", 8.0);
+    assert!(api.handle(&Request::post("/replay", start)).is_ok());
+    let r = api.handle(&Request::get("/replay/status"));
+    assert!(r.is_ok(), "{r:?}");
+    assert_eq!(r.body.get("workload").and_then(Json::as_str), Some("voter"));
+    assert!(api.handle(&Request::get("/record")).raw.is_some());
+    assert!(api.handle(&Request::get("/status")).is_ok());
+    assert_eq!(api.handle(&Request::get("/cluster/nope")).status, 404);
+    let complete = || {
+        let r = api.handle(&Request::get("/replay/status"));
+        r.body.get("complete").and_then(Json::as_bool) == Some(true)
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !complete() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(complete(), "the warped replay never finished");
 }

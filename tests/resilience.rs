@@ -8,19 +8,36 @@
 use std::sync::Arc;
 
 use benchpress::api::{http_request, http_request_text, ApiServer};
-use benchpress::chaos::{ChaosController, FaultKind, FaultPlan, FaultWindow};
-use benchpress::core::{BreakerState, Phase, PhaseScript, Rate, RunConfig};
-use benchpress::obs::{parse_samples, MetricValue, MetricsRegistry};
+use benchpress::chaos::{FaultKind, FaultPlan, FaultWindow};
+use benchpress::core::{
+    BreakerState, ControlState, Controller, Mixture, Phase, PhaseScript, Rate, RequestQueue,
+    RunConfig, StatsCollector, TransactionType,
+};
+use benchpress::obs::{parse_samples, MetricValue, MetricsRegistry, ObsConfig, SpanRecorder};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality, Value};
 use benchpress::util::json::Json;
 use benchpress::util::rng::Rng;
 use benchpress::workloads::by_name;
 
+/// A registered workload that never runs: its controller is built, not
+/// started.
+fn idle_controller() -> Controller {
+    let clock = benchpress::util::clock::wall_clock();
+    let types = vec![TransactionType::new("Read", 100.0, true)];
+    let state = ControlState::new(Rate::Limited(100.0), Mixture::default_of(&types), 10_000.0);
+    let queue = Arc::new(RequestQueue::new(clock.clone()));
+    let stats = Arc::new(StatsCollector::new(clock, &["Read"]));
+    let spans = Arc::new(SpanRecorder::new(ObsConfig::default()));
+    Controller::new(state, queue, stats, spans, Database::new(Personality::test()), types, "idle")
+}
+
 #[test]
 fn same_seed_reproduces_injection_sequence_over_http() {
-    let chaos = Arc::new(ChaosController::new());
-    let api = Arc::new(ApiServer::new().with_chaos(chaos.clone()));
+    // An idle workload: `/chaos` arms its engine's controller.
+    let api = Arc::new(ApiServer::new());
+    api.register("idle", idle_controller());
+    let chaos = api.controller("idle").unwrap().chaos().clone();
     let guard = api.serve_http("127.0.0.1:0").unwrap();
 
     let arm = |seed: u64| {
