@@ -328,6 +328,11 @@ impl Controller {
         &self.stats
     }
 
+    /// The run's request queue: the manager fills it, terminals pull from it.
+    pub(crate) fn queue(&self) -> &Arc<RequestQueue> {
+        &self.queue
+    }
+
     pub fn database(&self) -> &Arc<Database> {
         &self.db
     }

@@ -12,7 +12,6 @@
 //! loop.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -96,7 +95,6 @@ pub struct RunHandle {
     /// `controller.spans()`).
     pub spans: Arc<SpanRecorder>,
     threads: Vec<JoinHandle<()>>,
-    active_workers: Arc<AtomicUsize>,
     /// Keeps the telemetry thread alive for the run's lifetime; dropping
     /// the handle (after `join`) stops it. The recorded samples stay
     /// readable through `controller.recorder()`.
@@ -116,11 +114,6 @@ impl RunHandle {
     pub fn stop_and_join(self) -> Controller {
         self.controller.stop();
         self.join()
-    }
-
-    /// Number of workers still running.
-    pub fn active_workers(&self) -> usize {
-        self.active_workers.load(Ordering::Relaxed)
     }
 }
 
@@ -160,18 +153,10 @@ pub fn start_with_source(
         Arc::new(CircuitBreaker::new(workload.name()).with_journal(db.journal().clone()))
     });
 
-    let mut controller = Controller::new(
-        state.clone(),
-        queue.clone(),
-        stats.clone(),
-        spans.clone(),
-        db.clone(),
-        types,
-        workload.name(),
-    )
-    .with_node(&cfg.node);
-    if let Some(b) = &breaker {
-        controller = controller.with_breaker(b.clone());
+    let mut controller = Controller::new(state, queue, stats, spans.clone(), db, types, workload.name())
+        .with_node(&cfg.node);
+    if let Some(b) = breaker {
+        controller = controller.with_breaker(b);
     }
 
     // Continuous telemetry: a background thread samples the client window
@@ -179,15 +164,8 @@ pub fn start_with_source(
     // ring (`GET /report`, `bp-doctor`).
     let telemetry = if cfg.telemetry_interval_us > 0 {
         let recorder = Arc::new(TelemetryRecorder::new(cfg.telemetry_interval_us));
-        controller = controller.with_recorder(recorder.clone());
-        let guard = recorder.spawn(sensor(
-            state.clone(),
-            queue.clone(),
-            stats.clone(),
-            db.clone(),
-            breaker.clone(),
-            spans.clone(),
-        ));
+        let guard = recorder.spawn(sensor(controller.clone()));
+        controller = controller.with_recorder(recorder);
         Some(guard)
     } else {
         None
@@ -199,66 +177,42 @@ pub fn start_with_source(
         controller.start_slo(slo_cfg.clone());
     }
 
-    let active_workers = Arc::new(AtomicUsize::new(cfg.terminals));
     let mut threads = Vec::with_capacity(cfg.terminals + 1);
 
     // Manager thread.
     {
-        let state = state.clone();
-        let queue = queue.clone();
-        let stats = stats.clone();
+        let controller = controller.clone();
         let clock = clock.clone();
         threads.push(
             std::thread::Builder::new()
                 .name("bp-manager".into())
-                .spawn(move || manager_loop(state, queue, stats, clock, source))
+                .spawn(move || manager_loop(&controller, clock, source))
                 .expect("spawn manager"),
         );
     }
 
     // Worker threads.
     for w in 0..cfg.terminals {
-        let db = db.clone();
-        let workload = workload.clone();
-        let state = state.clone();
-        let queue = queue.clone();
-        let stats = stats.clone();
-        let clock = clock.clone();
-        let trace = trace.clone();
-        let spans = spans.clone();
-        let active = active_workers.clone();
-        let max_retries = cfg.max_retries;
-        let tenant = cfg.tenant;
-        let seed = cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1));
-        let run_seed = cfg.seed;
-        let breaker = breaker.clone();
+        let ctx = WorkerCtx {
+            slot: w,
+            controller: controller.clone(),
+            workload: workload.clone(),
+            clock: clock.clone(),
+            trace: trace.clone(),
+            max_retries: cfg.max_retries,
+            tenant: cfg.tenant,
+            seed: cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1)),
+            run_seed: cfg.seed,
+        };
         threads.push(
             std::thread::Builder::new()
                 .name(format!("bp-worker-{w}"))
-                .spawn(move || {
-                    worker_loop(WorkerCtx {
-                        slot: w,
-                        db,
-                        workload,
-                        state,
-                        queue,
-                        stats,
-                        clock,
-                        trace,
-                        spans,
-                        max_retries,
-                        tenant,
-                        seed,
-                        run_seed,
-                        breaker,
-                    });
-                    active.fetch_sub(1, Ordering::Relaxed);
-                })
+                .spawn(move || worker_loop(ctx))
                 .expect("spawn worker"),
         );
     }
 
-    RunHandle { controller, trace, spans, threads, active_workers, _telemetry: telemetry }
+    RunHandle { controller, trace, spans, threads, _telemetry: telemetry }
 }
 
 /// A run's starting control state and queue: the first phase's rate, gate
@@ -284,19 +238,13 @@ pub(crate) fn initial_control(
 /// Client-side window stats come from the collector, engine counters are
 /// per-interval deltas of the server silo, and the breaker/queue/rate
 /// gauges are read point-in-time.
-fn sensor(
-    state: Arc<ControlState>,
-    queue: Arc<RequestQueue>,
-    stats: Arc<StatsCollector>,
-    db: Arc<Database>,
-    breaker: Option<Arc<CircuitBreaker>>,
-    spans: Arc<SpanRecorder>,
-) -> Box<dyn FnMut() -> TelemetrySample + Send> {
-    let mut prev_srv = db.metrics().snapshot();
+fn sensor(controller: Controller) -> Box<dyn FnMut() -> TelemetrySample + Send> {
+    let mut prev_srv = controller.database().metrics().snapshot();
     let mut prev_done = 0u64;
     let mut prev_failed = 0u64;
     let mut prev_shed = 0u64;
     Box::new(move || {
+        let (db, stats, spans) = (controller.database(), controller.stats(), controller.spans());
         let win = stats.window_snapshot(3);
         // Feed the tail sampler: the live window p99 becomes its "slow"
         // cutoff (rise-slowly / fall-fast smoothing happens inside), and a
@@ -322,7 +270,7 @@ fn sensor(
         prev_shed = status.shed;
         TelemetrySample {
             t_us: now,
-            rate: match state.rate() {
+            rate: match controller.current_rate() {
                 Rate::Limited(tps) => tps,
                 Rate::Unlimited => f64::INFINITY,
                 Rate::Disabled => 0.0,
@@ -336,8 +284,8 @@ fn sensor(
             } else {
                 0.0
             },
-            breaker_state: breaker.as_ref().map(|b| b.state() as u8).unwrap_or(0),
-            queue_depth: queue.backlog() as u64,
+            breaker_state: controller.breaker().map(|b| b.state() as u8).unwrap_or(0),
+            queue_depth: controller.backlog() as u64,
             commits: d.commits,
             lock_waits: d.lock_waits,
             lock_wait_us: d.lock_wait_micros,
@@ -356,13 +304,8 @@ fn sensor(
 
 /// The Workload Manager: one iteration per second, window contents decided
 /// by the schedule source.
-fn manager_loop(
-    state: Arc<ControlState>,
-    queue: Arc<RequestQueue>,
-    stats: Arc<StatsCollector>,
-    clock: SharedClock,
-    mut source: Box<dyn ScheduleSource>,
-) {
+fn manager_loop(controller: &Controller, clock: SharedClock, mut source: Box<dyn ScheduleSource>) {
+    let (state, queue, stats) = (controller.state(), controller.queue(), controller.stats());
     let start = clock.now();
     for second in 0.. {
         if state.is_stopped() {
@@ -370,7 +313,7 @@ fn manager_loop(
         }
         let boundary = start + second * MICROS_PER_SEC;
         let behind = clock.now().saturating_sub(boundary);
-        if manager_step(&mut *source, second, boundary, behind, &state, &queue, &stats) {
+        if manager_step(&mut *source, second, boundary, behind, state, queue, stats) {
             if source.drain_on_done() {
                 // Replay: let the already-enqueued tail dispatch instead of
                 // dropping it with the close.
@@ -437,19 +380,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Everything one client worker needs; bundled so the span recorder and
-/// tenant id ride along without a 12-argument function.
+/// Everything one client worker needs: the run's controller (its database,
+/// control state, queue, stats, spans and breaker) and what is the worker's
+/// own.
 struct WorkerCtx {
     /// The worker's index: its shard of the stats and span stores.
     slot: usize,
-    db: Arc<Database>,
+    controller: Controller,
     workload: Arc<dyn Workload>,
-    state: Arc<ControlState>,
-    queue: Arc<RequestQueue>,
-    stats: Arc<StatsCollector>,
     clock: SharedClock,
     trace: Option<Arc<Trace>>,
-    spans: Arc<SpanRecorder>,
     max_retries: u32,
     tenant: u16,
     seed: u64,
@@ -457,29 +397,19 @@ struct WorkerCtx {
     /// (run seed, seq) alone so every worker — and every node replaying
     /// the same schedule — derives the same id for the same request.
     run_seed: u64,
-    breaker: Option<Arc<CircuitBreaker>>,
 }
 
 /// One client worker ("terminal").
 fn worker_loop(ctx: WorkerCtx) {
-    let WorkerCtx {
-        slot,
-        db,
-        workload,
-        state,
-        queue,
-        stats,
-        clock,
-        trace,
-        spans,
-        max_retries,
-        tenant,
-        seed,
-        run_seed,
-        breaker,
-    } = ctx;
+    let WorkerCtx { slot, controller, workload, clock, trace, max_retries, tenant, seed, run_seed } = ctx;
+    let db: &Database = controller.database();
+    let state: &ControlState = controller.state();
+    let queue: &RequestQueue = controller.queue();
+    let stats: &StatsCollector = controller.stats();
+    let spans: &SpanRecorder = controller.spans();
+    let breaker: Option<&CircuitBreaker> = controller.breaker().map(|b| &**b);
     bp_util::sync::set_thread_slot(slot);
-    let mut conn = Connection::open(&db);
+    let mut conn = Connection::open(controller.database());
     let mut rng = Rng::new(seed);
     // The gate is waited on in steps of a few µs to a few ms.
     bp_util::clock::exact_timers();
@@ -557,7 +487,7 @@ fn worker_loop(ctx: WorkerCtx) {
         // Admission control: an Open breaker fast-fails the request before
         // it touches the engine. Shed is its own bucket — never an error,
         // never throughput.
-        let admission = match &breaker {
+        let admission = match breaker {
             Some(b) => b.admit(start),
             None => Admission::Allow,
         };
@@ -629,7 +559,7 @@ fn worker_loop(ctx: WorkerCtx) {
             bp_obs::set_current_trace(0);
         }
 
-        if let Some(b) = &breaker {
+        if let Some(b) = breaker {
             match outcome {
                 RequestOutcome::Failed => b.on_failure(end),
                 _ => b.on_success(),
@@ -653,8 +583,11 @@ mod tests {
     use bp_sql::Result as SqlResult;
     use bp_storage::Personality;
 
-    /// A trivial but real workload: single-row increments and reads.
-    struct CounterWorkload;
+    /// A trivial but real workload: single-row increments and reads on
+    /// `table`.
+    struct CounterWorkload {
+        table: &'static str,
+    }
 
     impl Workload for CounterWorkload {
         fn name(&self) -> &'static str {
@@ -673,15 +606,12 @@ mod tests {
             ]
         }
         fn create_schema(&self, conn: &mut Connection) -> SqlResult<()> {
-            conn.execute_batch("CREATE TABLE c (id INT PRIMARY KEY, v INT);")
+            conn.execute_batch(&format!("CREATE TABLE {} (id INT PRIMARY KEY, v INT);", self.table))
         }
         fn load(&self, conn: &mut Connection, scale: f64, _rng: &mut Rng) -> SqlResult<LoadSummary> {
             let n = (10.0 * scale).max(1.0) as i64;
             for i in 0..n {
-                conn.execute(
-                    "INSERT INTO c VALUES (?, 0)",
-                    &[bp_storage::Value::Int(i)],
-                )?;
+                conn.execute(&format!("INSERT INTO {} VALUES (?, 0)", self.table), &[bp_storage::Value::Int(i)])?;
             }
             Ok(LoadSummary { tables: 1, rows: n as u64 })
         }
@@ -690,9 +620,9 @@ mod tests {
             conn.begin()?;
             let r = (|| {
                 if txn_idx == 0 {
-                    conn.query("SELECT v FROM c WHERE id = ?", &[id])?;
+                    conn.query(&format!("SELECT v FROM {} WHERE id = ?", self.table), &[id])?;
                 } else {
-                    conn.execute("UPDATE c SET v = v + 1 WHERE id = ?", &[id])?;
+                    conn.execute(&format!("UPDATE {} SET v = v + 1 WHERE id = ?", self.table), &[id])?;
                 }
                 Ok(())
             })();
@@ -713,7 +643,7 @@ mod tests {
 
     fn setup() -> (Arc<Database>, Arc<dyn Workload>) {
         let db = Database::new(Personality::test());
-        let w: Arc<dyn Workload> = Arc::new(CounterWorkload);
+        let w: Arc<dyn Workload> = Arc::new(CounterWorkload { table: "c" });
         let mut conn = Connection::open(&db);
         w.setup(&mut conn, 1.0, &mut Rng::new(1)).unwrap();
         (db, w)
@@ -947,6 +877,49 @@ mod tests {
             .count();
         assert!(panics > 0, "worker_panic events journaled");
         assert!(panics as u64 >= status.failed, "one journal event per panic");
+    }
+
+    /// A [`CounterWorkload`] on `table`, loaded into `db` with `seed`: a
+    /// tenant beside others on one database.
+    fn tenant(db: &Arc<Database>, table: &'static str, seed: u64) -> Arc<dyn Workload> {
+        let w: Arc<dyn Workload> = Arc::new(CounterWorkload { table });
+        w.setup(&mut Connection::open(db), 1.0, &mut Rng::new(seed)).unwrap();
+        w
+    }
+
+    #[test]
+    fn two_tenants_run_in_parallel() {
+        let db = Database::new(Personality::test());
+        let (w1, w2) = (tenant(&db, "kv_a", 1), tenant(&db, "kv_b", 2));
+        let cfg = RunConfig {
+            terminals: 2,
+            script: PhaseScript::new(vec![Phase::new(Rate::Limited(150.0), 1.5)]),
+            ..Default::default()
+        };
+        let handles = [start(db.clone(), w1, cfg.clone()), start(db, w2, cfg)];
+        for (name, handle) in ["alpha", "beta"].into_iter().zip(handles) {
+            let done = handle.join().stats().total_completed();
+            assert!(done > 100, "tenant {name} only completed {done}");
+        }
+    }
+
+    #[test]
+    fn tenant_added_on_the_fly() {
+        let db = Database::new(Personality::test());
+        let w1 = tenant(&db, "kv_a", 1);
+        let cfg = RunConfig {
+            terminals: 2,
+            script: PhaseScript::new(vec![Phase::new(Rate::Limited(100.0), 2.0)]),
+            ..Default::default()
+        };
+        let first = start(db.clone(), w1, cfg.clone());
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        // Add the second benchmark while the first is running.
+        let w2 = tenant(&db, "kv_b", 2);
+        let cfg2 = RunConfig { script: PhaseScript::new(vec![Phase::new(Rate::Limited(100.0), 1.0)]), ..cfg };
+        let second = start(db, w2, cfg2);
+        let done = [first, second].map(|h| h.join().stats().total_completed());
+        assert!(done.iter().all(|&n| n > 0), "{done:?}");
     }
 
     #[test]

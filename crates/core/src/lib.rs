@@ -6,10 +6,10 @@
 //! [`queue`], runtime [`mixture`] control, multi-phase scripts, worker
 //! terminals ([`executor`]), statistics collection ([`stats`]), result
 //! traces and the Trace Analyzer ([`trace`]), the runtime [`controller`]
-//! behind the REST API, multi-tenant testbeds ([`tenant`]), `config.xml`
-//! parsing ([`config`]), and the same driver in virtual time
-//! ([`virtual_run`], serving each request on the engine with a DBMS's
-//! personality) for shape experiments and the game.
+//! behind the REST API (several runs on one database are the multi-tenant
+//! testbed), `config.xml` parsing ([`config`]), and the same driver in
+//! virtual time ([`virtual_run`], serving each request on the engine with a
+//! DBMS's personality) for shape experiments and the game.
 
 pub mod config;
 pub mod controller;
@@ -21,7 +21,6 @@ pub mod recovery;
 pub mod schedule;
 pub mod slo;
 pub mod stats;
-pub mod tenant;
 pub mod trace;
 pub mod virtual_run;
 pub mod workload;
@@ -42,7 +41,6 @@ pub use slo::{
 pub use stats::{
     RequestOutcome, Sample, StatsCollector, StatusSnapshot, TypeSummary, WindowSnapshot,
 };
-pub use tenant::{Tenant, Testbed};
 pub use trace::{Trace, TraceAnalysis, TraceAnalyzer, TraceRecord, TrackingReport, TRACE_HEADER};
 pub use virtual_run::VirtualRun;
 pub use workload::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome, Workload};

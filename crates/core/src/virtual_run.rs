@@ -1,33 +1,35 @@
 //! The driver in virtual time: one thread, no sleeps, a [`SimClock`]. Each
-//! tenant has a live run's [`ControlState`], [`RequestQueue`],
-//! [`ScriptSchedule`] and [`StatsCollector`]; each virtual second the
-//! manager thread's own step (`executor::manager_step`) fills its queue.
-//! Four virtual terminals take requests only through [`RequestQueue::poll`]
-//! and record each through [`StatsCollector::record`] when virtual time
-//! reaches its end (no think time). The loop jumps to the next event: a
-//! second boundary, a terminal freeing up, or, while one is free, a due time
-//! `poll` returned. A free terminal takes the tenant whose head fell due
-//! first, ties to the lower index, so tenants interfere only by sharing the
-//! terminals. The stage is the engine: a dispatch runs the transaction at
-//! once on a small database with the DBMS's [`Personality`], on a `SimClock`
-//! of its own that only its charges advance, and holds the terminal for
-//! that advance [`SLOWDOWN`] times over. One transaction runs at a time, so
-//! no lock is waited for and group commit sees the charges back to back.
+//! tenant is a live run's [`Controller`], steered through its own methods,
+//! and a [`ScriptSchedule`]; each virtual second the manager thread's own
+//! step (`executor::manager_step`) fills its queue. Four virtual terminals
+//! take requests only through
+//! [`RequestQueue::poll`](crate::RequestQueue::poll) and record each through
+//! [`StatsCollector::record`] when virtual time reaches its end (no think
+//! time). The loop jumps to the next event: a second boundary, a terminal
+//! freeing up, or, while one is free, a due time `poll` returned. A free
+//! terminal takes the tenant whose head fell due first, ties to the lower
+//! index, so tenants interfere only by sharing the terminals. The stage is
+//! the engine: a dispatch runs the transaction at once on a small database
+//! with the DBMS's [`Personality`], on a `SimClock` of its own that only its
+//! charges advance, and holds the terminal for that advance [`SLOWDOWN`]
+//! times over. One transaction runs at a time, so no lock is waited for and
+//! group commit sees the charges back to back. A tenant's controller journals
+//! its control calls on the stage database, stamped on that charge clock.
 
 use std::sync::Arc;
 
+use bp_obs::{ObsConfig, SpanMode, SpanRecorder};
 use bp_sql::Connection;
 use bp_storage::{Database, Personality};
 use bp_util::clock::{Clock, Micros, SimClock, MICROS_PER_SEC};
 use bp_util::rng::Rng;
 
-use crate::controller::ControlState;
+use crate::controller::Controller;
 use crate::executor::{initial_control, manager_step, settle};
-use crate::queue::RequestQueue;
 use crate::rate::{Phase, PhaseScript, Rate};
 use crate::schedule::ScriptSchedule;
 use crate::stats::{RequestOutcome, Sample, StatsCollector};
-use crate::workload::{TransactionType, Workload};
+use crate::workload::Workload;
 
 /// Virtual terminals serving a run.
 const TERMINALS: usize = 4;
@@ -47,7 +49,6 @@ const SLOWDOWN: f64 = 93.0;
 pub struct VirtualRun {
     clock: Arc<SimClock>,
     workload: Arc<dyn Workload>,
-    types: Vec<TransactionType>,
     /// A session on the stage's database, whose clock only its charges move.
     conn: Connection,
     tenants: Vec<VirtualTenant>,
@@ -59,13 +60,11 @@ pub struct VirtualRun {
 }
 
 struct VirtualTenant {
-    state: Arc<ControlState>,
-    queue: Arc<RequestQueue>,
+    controller: Controller,
     source: ScriptSchedule,
-    stats: Arc<StatsCollector>,
     /// When the head falls due as `poll` last said (`None`: empty); a
-    /// dispatch, a rate change or a manager step lowers it to then, so the
-    /// tenant is polled again first.
+    /// dispatch, a manager step or entering `run_until` lowers it to then,
+    /// so the tenant is polled again first.
     due: Option<Micros>,
 }
 
@@ -78,7 +77,6 @@ impl VirtualRun {
         workload.setup(&mut conn, SCALE, &mut rng).expect("the stage loads its workload");
         VirtualRun {
             clock: SimClock::new(),
-            types: workload.transaction_types(),
             workload,
             conn,
             tenants: Vec::new(),
@@ -103,57 +101,39 @@ impl VirtualRun {
         let mut run = VirtualRun::new(personality, workload, seed);
         let tenant = run.add_tenant(PhaseScript::new(vec![phase]), 20_000.0);
         run.run_until(6 * MICROS_PER_SEC - 1);
-        run.stats(tenant).throughput_series()[2..].iter().sum::<f64>() / 4.0
+        tenant.stats().throughput_series()[2..].iter().sum::<f64>() / 4.0
     }
 
-    /// Add a tenant driven by `script` before the run starts; returns its index.
-    pub fn add_tenant(&mut self, script: PhaseScript, unlimited_rate: f64) -> usize {
+    /// Add a tenant driven by `script` before the run starts: a live run's
+    /// controller, with spans off, on the stage's database. Its control
+    /// calls act from the instant they are made between two `run_until`s.
+    pub fn add_tenant(&mut self, script: PhaseScript, unlimited_rate: f64) -> Controller {
         assert_eq!(self.seconds, 0, "tenants join before the run starts");
-        let (state, queue) = initial_control(&script, &self.types, unlimited_rate, self.clock.clone());
+        let types = self.workload.transaction_types();
+        let names: Vec<&str> = types.iter().map(|t| t.name).collect();
+        let stats = Arc::new(StatsCollector::new(self.clock.clone(), &names));
+        let (state, queue) = initial_control(&script, &types, unlimited_rate, self.clock.clone());
+        let spans_off = ObsConfig { mode: SpanMode::Off, ring_capacity: 1, sample_ratio: 0.0 };
+        let spans = Arc::new(SpanRecorder::new(spans_off));
+        let db = self.conn.database().clone();
+        let controller = Controller::new(state, queue, stats, spans, db, types, self.workload.name());
         let source = ScriptSchedule::new(script, unlimited_rate, self.rng.next_u64());
-        self.tenants.push(VirtualTenant { state, queue, source, stats: self.collector(), due: None });
-        self.tenants.len() - 1
+        self.tenants.push(VirtualTenant { controller: controller.clone(), source, due: None });
+        controller
     }
 
-    fn collector(&self) -> Arc<StatsCollector> {
-        let names: Vec<&str> = self.types.iter().map(|t| t.name).collect();
-        Arc::new(StatsCollector::new(self.clock.clone(), &names))
-    }
-
-    pub fn types(&self) -> &[TransactionType] {
-        &self.types
-    }
-
-    /// A tenant's control state: pause, resume and the mixture go through
-    /// it, as through a live run's controller.
-    pub fn state(&self, tenant: usize) -> &Arc<ControlState> {
-        &self.tenants[tenant].state
-    }
-
-    pub fn stats(&self, tenant: usize) -> &Arc<StatsCollector> {
-        &self.tenants[tenant].stats
-    }
-
-    /// Throttle a tenant at once, as `Controller::set_rate` does live.
-    pub fn set_rate(&mut self, tenant: usize, tps: f64) {
-        self.tenants[tenant].state.set_rate(Rate::Limited(tps));
-        self.tenants[tenant].queue.set_rate(tps);
-        self.tenants[tenant].due = Some(self.clock.now());
-    }
-
-    /// The game-over path: stop the tenant, end its in-flight requests, drop
-    /// its backlog and give it a fresh collector.
-    pub fn halt_and_reset(&mut self, tenant: usize) {
+    /// The game-over path: stop `tenant`, end its in-flight requests and
+    /// drop its backlog. The stage's database, which every tenant shares, is
+    /// not reset.
+    pub fn halt_and_reset(&mut self, tenant: &Controller) {
+        let index = self.tenants.iter().position(|t| Arc::ptr_eq(t.controller.state(), tenant.state()));
+        let index = index.expect("a tenant of this stage");
         for slot in &mut self.terminals {
-            slot.take_if(|(busy, _)| *busy == tenant);
+            slot.take_if(|(busy, _)| *busy == index);
         }
-        let stats = self.collector();
-        let t = &mut self.tenants[tenant];
-        t.state.stop();
-        t.queue.close();
-        t.queue.drain();
-        t.stats = stats;
-        t.due = None;
+        tenant.stop();
+        tenant.queue().drain();
+        self.tenants[index].due = None;
     }
 
     /// Run `dt` more virtual µs.
@@ -161,8 +141,14 @@ impl VirtualRun {
         self.run_until(self.clock.now() + dt);
     }
 
-    /// Run every event up to and including virtual time `until`.
+    /// Run every event up to and including virtual time `until`. Each
+    /// serving tenant is polled again first, so what was changed through its
+    /// controller since the last call acts from now.
     pub fn run_until(&mut self, until: Micros) {
+        let now = self.clock.now();
+        for t in self.tenants.iter_mut().filter(|t| t.serving()) {
+            t.due = Some(now);
+        }
         loop {
             let free = self.terminals.iter().any(Option::is_none);
             let ends = self.terminals.iter().flatten().map(|(_, sample)| sample.end);
@@ -175,7 +161,7 @@ impl VirtualRun {
             let now = self.clock.now();
             for slot in &mut self.terminals {
                 if let Some((tenant, sample)) = slot.take_if(|(_, sample)| sample.end <= now) {
-                    self.tenants[tenant].stats.record(sample);
+                    self.tenants[tenant].controller.stats().record(sample);
                 }
             }
             if now >= self.seconds * MICROS_PER_SEC {
@@ -189,11 +175,10 @@ impl VirtualRun {
     fn step_manager(&mut self) {
         let boundary = self.seconds * MICROS_PER_SEC;
         for t in &mut self.tenants {
-            if !t.state.is_stopped()
-                && manager_step(&mut t.source, self.seconds, boundary, 0, &t.state, &t.queue, &t.stats)
-            {
-                t.state.stop();
-                t.queue.close();
+            let c = &t.controller;
+            let (state, queue, stats) = (c.state(), c.queue(), c.stats());
+            if !c.is_stopped() && manager_step(&mut t.source, self.seconds, boundary, 0, state, queue, stats) {
+                c.stop();
             }
             t.due = Some(boundary);
         }
@@ -211,7 +196,7 @@ impl VirtualRun {
                 return;
             };
             let t = &mut self.tenants[tenant];
-            match t.queue.poll() {
+            match t.controller.queue().poll() {
                 Err(due) => t.due = due,
                 Ok(req) => {
                     t.due = Some(now);
@@ -231,7 +216,7 @@ impl VirtualRun {
 
 impl VirtualTenant {
     fn serving(&self) -> bool {
-        !self.state.is_paused() && !self.state.is_stopped()
+        !self.controller.is_paused() && !self.controller.is_stopped()
     }
 }
 
@@ -239,7 +224,7 @@ impl VirtualTenant {
 mod tests {
     use super::*;
     use crate::rate::ArrivalDist;
-    use crate::workload::{BenchmarkClass, LoadSummary, TxnOutcome};
+    use crate::workload::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome};
     use bp_sql::Result as SqlResult;
     use bp_storage::Value;
 
@@ -297,13 +282,14 @@ mod tests {
         VirtualRun::saturated_tps(personality, Arc::new(ReadWrite), Some(weights), 1)
     }
 
-    /// One tenant on `personality`'s stage driven by `script` for its whole length.
-    fn solo(personality: Personality, script: PhaseScript, unlimited_rate: f64, seed: u64) -> VirtualRun {
+    /// One tenant on `personality`'s stage driven by `script` for its whole
+    /// length: its statistics.
+    fn solo(personality: Personality, script: PhaseScript, unlimited_rate: f64, seed: u64) -> Arc<StatsCollector> {
         let end = script.total_duration_us();
         let mut run = VirtualRun::new(personality, Arc::new(ReadWrite), seed);
-        run.add_tenant(script, unlimited_rate);
+        let tenant = run.add_tenant(script, unlimited_rate);
         run.run_until(end);
-        run
+        tenant.stats().clone()
     }
 
     fn mean(series: &[f64]) -> f64 {
@@ -313,8 +299,7 @@ mod tests {
     #[test]
     fn tracks_a_constant_rate_under_capacity() {
         let script = PhaseScript::constant(Rate::Limited(400.0), 10.0);
-        let run = solo(quiet("mysql"), script, 1e5, 1);
-        let delivered = run.stats(0).throughput_series();
+        let delivered = solo(quiet("mysql"), script, 1e5, 1).throughput_series();
         for v in &delivered[1..9] {
             assert!((v - 400.0).abs() < 10.0, "{v}");
         }
@@ -324,8 +309,8 @@ mod tests {
     fn saturates_flat_at_capacity() {
         let cap = capacity(quiet("derby"), vec![50.0, 50.0]);
         let settled = |offered: f64| {
-            let run = solo(quiet("derby"), PhaseScript::constant(Rate::Unlimited, 10.0), offered, 1);
-            mean(&run.stats(0).throughput_series()[5..9])
+            let stats = solo(quiet("derby"), PhaseScript::constant(Rate::Unlimited, 10.0), offered, 1);
+            mean(&stats.throughput_series()[5..9])
         };
         let (twice, four_times) = (settled(cap * 2.0), settled(cap * 4.0));
         for delivered in [twice, four_times] {
@@ -357,8 +342,8 @@ mod tests {
             let script = PhaseScript::new(vec![
                 Phase::new(Rate::Limited(800.0), 5.0).with_arrival(ArrivalDist::Exponential)
             ]);
-            let run = solo(Personality::derby_like(), script, 1e5, seed);
-            (run.stats(0).throughput_series(), run.stats(0).latency_series())
+            let stats = solo(Personality::derby_like(), script, 1e5, seed);
+            (stats.throughput_series(), stats.latency_series())
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).1, run(43).1, "the seed draws the arrivals and the keys");
@@ -368,14 +353,14 @@ mod tests {
     /// each one's mean delivered rate over seconds 5–8.
     fn two_tenants(rates: [f64; 2]) -> [f64; 2] {
         let mut run = VirtualRun::new(quiet("mysql"), Arc::new(ReadWrite), 1);
-        for rate in rates {
+        let tenants = rates.map(|rate| {
             let script = PhaseScript::new(vec![
                 Phase::new(Rate::Limited(rate), 10.0).with_weights(vec![100.0, 0.0])
             ]);
-            run.add_tenant(script, 1e5);
-        }
+            run.add_tenant(script, 1e5)
+        });
         run.run_until(10 * MICROS_PER_SEC);
-        [0, 1].map(|t| run.stats(t).throughput_series().get(5..9).map_or(0.0, mean))
+        tenants.map(|t| t.stats().throughput_series().get(5..9).map_or(0.0, mean))
     }
 
     #[test]
@@ -398,7 +383,7 @@ mod tests {
         let cap = capacity(Personality::postgres_like(), vec![50.0, 50.0]);
         let response_p95 = |rate: f64| {
             let script = PhaseScript::constant(Rate::Limited(rate), 20.0);
-            solo(Personality::postgres_like(), script, 1e5, 3).stats(0).response_time().1
+            solo(Personality::postgres_like(), script, 1e5, 3).response_time().1
         };
         let idle = response_p95(10.0);
         let busy = response_p95(cap * 0.95);
@@ -408,13 +393,13 @@ mod tests {
     #[test]
     fn a_paused_tenant_is_served_nothing_and_generates_nothing() {
         let mut run = VirtualRun::new(quiet("mysql"), Arc::new(ReadWrite), 1);
-        run.add_tenant(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5);
+        let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5);
         run.run_until(2 * MICROS_PER_SEC - 1);
-        run.state(0).pause();
+        tenant.pause();
         run.run_until(4 * MICROS_PER_SEC - 1);
-        run.state(0).resume();
+        tenant.resume();
         run.run_until(6 * MICROS_PER_SEC - 1);
-        let stats = run.stats(0);
+        let stats = tenant.stats();
         assert_eq!(stats.requested_series(), [500.0, 500.0, 0.0, 0.0, 500.0, 500.0]);
         // Second 2 holds only what was in flight when the pause began.
         let delivered = stats.throughput_series();
@@ -422,18 +407,42 @@ mod tests {
     }
 
     #[test]
-    fn halt_and_reset_stops_one_tenant_with_a_fresh_collector() {
+    fn halt_and_reset_stops_one_tenant() {
         let mut run = VirtualRun::new(quiet("mysql"), Arc::new(ReadWrite), 1);
-        for _ in 0..2 {
-            run.add_tenant(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5);
-        }
+        let [neighbor, halted] =
+            [(); 2].map(|()| run.add_tenant(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5));
         run.run_until(3 * MICROS_PER_SEC + 500_000);
-        run.halt_and_reset(1);
+        run.halt_and_reset(&halted);
+        let (completed, requested) = (halted.stats().total_completed(), halted.stats().requested_series());
         run.run_until(6 * MICROS_PER_SEC - 1);
-        assert!(run.state(1).is_stopped());
-        assert_eq!(run.stats(1).total_completed(), 0, "nothing after the reset");
-        assert!(run.stats(1).requested_series().is_empty(), "the schedule stopped");
-        let neighbor: f64 = run.stats(0).throughput_series()[3..5].iter().sum();
+        assert!(halted.is_stopped());
+        assert_eq!(halted.backlog(), 0, "the backlog is dropped");
+        assert_eq!(halted.stats().total_completed(), completed, "nothing completes after the halt");
+        assert_eq!(halted.stats().requested_series(), requested, "the schedule stopped");
+        let neighbor: f64 = neighbor.stats().throughput_series()[3..5].iter().sum();
         assert!((neighbor - 1_000.0).abs() <= 2.0, "the neighbor runs on: {neighbor}");
+    }
+
+    #[test]
+    fn control_calls_between_two_advances_act_from_that_instant() {
+        // `Personality::test()` charges nothing, so a request completes in
+        // the µs it is dispatched and the completed count is the dispatched.
+        let mut run = VirtualRun::new(Personality::test(), Arc::new(ReadWrite), 1);
+        let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(1_000.0), 10.0), 1e5);
+        let done = || tenant.stats().total_completed();
+        run.advance(100_000);
+        assert_eq!(done(), 101, "one a ms, at 0 and at 100 ms too");
+        // Cut to 1 tx/s: the gate holds the next request a second on.
+        tenant.set_rate(Rate::Limited(1.0));
+        run.advance(100_000);
+        assert_eq!(done(), 101);
+        // Back to 1,000 tx/s: the held head falls due at once, not at 1.1 s.
+        tenant.set_rate(Rate::Limited(1_000.0));
+        run.advance(100_000);
+        assert!(done() >= 200, "{}", done());
+        tenant.pause();
+        let paused_at = done();
+        run.advance(100_000);
+        assert_eq!(done(), paused_at, "nothing is dispatched while paused");
     }
 }

@@ -18,7 +18,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use bp_api::{ApiServer, Request};
-use bp_core::{MixturePreset, Phase, PhaseScript, Rate, RunConfig, VirtualRun, Workload};
+use bp_core::{Controller, MixturePreset, Phase, PhaseScript, Rate, RunConfig, VirtualRun, Workload};
 use bp_replay::{Artifact, ARTIFACT_VERSION};
 use bp_storage::Personality;
 use bp_util::clock::Micros;
@@ -56,12 +56,12 @@ pub trait GameBackend {
     }
 }
 
-/// Deterministic backend: one tenant of a [`VirtualRun`], measured by its
-/// collector's window over the last complete second, as `/status` is live.
+/// Deterministic backend: one tenant of a [`VirtualRun`], steered through
+/// its controller and measured by its collector's window over the last
+/// complete second, as `/status` is live.
 pub struct SimBackend {
     stage: Rc<RefCell<VirtualRun>>,
-    tenant: usize,
-    pub resets: usize,
+    pub controller: Controller,
 }
 
 impl SimBackend {
@@ -73,16 +73,16 @@ impl SimBackend {
     /// A player's tenant on `stage`, whose rate the game sets every tick.
     fn join(stage: &Rc<RefCell<VirtualRun>>) -> SimBackend {
         let script = PhaseScript::repeating(vec![Phase::new(Rate::Disabled, 1.0)]);
-        let tenant = stage.borrow_mut().add_tenant(script, RunConfig::default().unlimited_rate);
-        SimBackend { stage: stage.clone(), tenant, resets: 0 }
+        let controller = stage.borrow_mut().add_tenant(script, RunConfig::default().unlimited_rate);
+        SimBackend { stage: stage.clone(), controller }
     }
 
     fn request(&self, tps: f64) {
-        self.stage.borrow_mut().set_rate(self.tenant, tps);
+        self.controller.set_rate(Rate::Limited(tps));
     }
 
     fn measured(&self) -> f64 {
-        self.stage.borrow().stats(self.tenant).window_snapshot(1).throughput
+        self.controller.stats().window_snapshot(1).throughput
     }
 }
 
@@ -90,7 +90,7 @@ impl GameBackend for SimBackend {
     fn exchange(&mut self, requested_tps: f64, dt_us: Micros) -> f64 {
         // A paused game's time stands still, and so does its own stage: it
         // resumes where it stopped, its window unchanged.
-        if !self.stage.borrow().state(self.tenant).is_paused() {
+        if !self.controller.is_paused() {
             self.request(requested_tps);
             self.stage.borrow_mut().advance(dt_us);
         }
@@ -98,18 +98,17 @@ impl GameBackend for SimBackend {
     }
 
     fn set_paused(&mut self, paused: bool) {
-        let state = self.stage.borrow().state(self.tenant).clone();
-        if paused { state.pause() } else { state.resume() }
+        if paused { self.controller.pause() } else { self.controller.resume() }
     }
 
     fn apply_preset(&mut self, preset: MixturePreset) {
-        let stage = self.stage.borrow();
-        stage.state(self.tenant).set_mixture(preset.build(stage.types()));
+        self.controller.set_preset(preset);
     }
 
+    /// Halt the tenant and drop its work; the stage's database, which a
+    /// second player shares, is not reset.
     fn halt_and_reset(&mut self) {
-        self.stage.borrow_mut().halt_and_reset(self.tenant);
-        self.resets += 1;
+        self.stage.borrow_mut().halt_and_reset(&self.controller);
     }
 }
 
@@ -409,16 +408,6 @@ mod tests {
         )
     }
 
-    impl SimBackend {
-        fn mixture(&self) -> Arc<bp_core::Mixture> {
-            self.stage.borrow().state(self.tenant).mixture()
-        }
-
-        fn paused(&self) -> bool {
-            self.stage.borrow().state(self.tenant).is_paused()
-        }
-    }
-
     #[test]
     fn sim_session_with_chase_policy_wins_easy_course() {
         let course = steps_course(1_000.0);
@@ -441,7 +430,13 @@ mod tests {
         let mut session = GameSession::new(game, backend);
         session.run_policy(100_000, 400, |_| Input::None);
         assert!(matches!(session.game.screen(), crate::game::Screen::Crashed { .. }));
-        assert_eq!(session.backend.resets, 1, "crash must reset the database");
+        // The crash halted the tenant and dropped its work: five more stage
+        // seconds complete nothing for it.
+        let tenant = session.backend.controller.clone();
+        assert!(tenant.is_stopped() && tenant.backlog() == 0, "a crash halts the benchmark");
+        let completed = tenant.stats().total_completed();
+        session.backend.stage.borrow_mut().advance(5_000_000);
+        assert_eq!(tenant.stats().total_completed(), completed, "nothing completes after the crash");
     }
 
     #[test]
@@ -595,7 +590,7 @@ mod tests {
         ticks(&mut session, 30, Input::None);
         let measured = session.game.character.measured_tps;
         assert_eq!(*session.game.screen(), crate::game::Screen::Playing, "measured {measured}");
-        assert_eq!(session.backend.resets, 0);
+        assert!(!session.backend.controller.is_stopped());
     }
 
     #[test]
@@ -658,7 +653,7 @@ mod tests {
         let backend = Summarizing(SimBackend::new(quiet(), ycsb(), 7));
         let mut session = GameSession::new(game, backend);
         session.run_policy(100_000, 400, |_| Input::None);
-        assert_eq!(session.backend.0.resets, 1);
+        assert!(session.backend.0.controller.is_stopped());
         assert_eq!(session.span_log.len(), 1);
         assert!(session.span_log[0].starts_with("game-over spans=42"), "{:?}", session.span_log);
         assert_eq!(session.doctor_log.len(), 1, "crash captures the doctor post-mortem");
@@ -746,8 +741,9 @@ mod tests {
         let mut session = GameSession::new(game, backend);
         session.tick(100_000, Input::Pause);
         session.tick(100_000, Input::SelectPreset(MixturePreset::ReadOnly));
-        assert_eq!(session.backend.mixture().write_share(&ycsb().transaction_types()), 0.0);
+        let mixture = session.backend.controller.current_mixture();
+        assert_eq!(mixture.write_share(&ycsb().transaction_types()), 0.0);
         session.tick(100_000, Input::Resume);
-        assert!(!session.backend.paused());
+        assert!(!session.backend.controller.is_paused());
     }
 }

@@ -59,7 +59,7 @@ fn main() {
             let mut run = VirtualRun::new(personality, by_name("ycsb").unwrap(), 42);
             let tenant = run.add_tenant(script, 1e5);
             run.run_until(seconds);
-            let stats = run.stats(tenant);
+            let stats = tenant.stats();
             let max = cap * 1.25;
             if name == "mysql" {
                 println!("  requested {}", sparkline(&stats.requested_series(), max));

@@ -1,7 +1,8 @@
 //! The driver in virtual time, held to the paper's rate claims exactly:
 //! `VirtualRun` runs the live run's manager step, queue gate and stats
-//! collector on a `SimClock`, so the never-exceed property and the rate
-//! error are counted, not sampled, and no wall clock can flake them.
+//! collector on a `SimClock`, each tenant steered through a live
+//! `Controller`, so the never-exceed property and the rate error are
+//! counted, not sampled, and no wall clock can flake them.
 
 use std::sync::Arc;
 
@@ -60,7 +61,7 @@ fn per_second(rate: f64) -> Vec<(u64, u64)> {
     let mut run = unbound();
     let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(rate), 60.0), 1e5);
     run.run_until(SECONDS * MICROS_PER_SEC - 1);
-    let stats = run.stats(tenant);
+    let stats = tenant.stats();
     let requested = stats.requested_series();
     let dispatched = stats.throughput_series();
     assert_eq!(requested.len(), SECONDS as usize, "one window per second");
@@ -96,9 +97,9 @@ fn a_rate_cut_mid_second_is_paced_by_the_gate_not_burst() {
     let mut run = unbound();
     let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(600.0), 60.0), 1e5);
     run.run_until(MICROS_PER_SEC / 2);
-    run.set_rate(tenant, 300.0);
+    tenant.set_rate(Rate::Limited(300.0));
     run.run_until(4 * MICROS_PER_SEC - 1);
-    let stats = run.stats(tenant);
+    let stats = tenant.stats();
     assert_eq!(stats.requested_series(), [600.0, 300.0, 300.0, 300.0]);
     let dispatched = stats.throughput_series();
     assert!((dispatched[0] - 450.0).abs() <= 1.0, "300 at 600/s, then 150 at 300/s: {dispatched:?}");
