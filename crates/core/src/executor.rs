@@ -435,7 +435,8 @@ fn worker_loop(ctx: WorkerCtx) {
         // worker-side sampling, so replay is exact and schedules are a pure
         // function of the seed.
         let txn_idx = req.txn_type as usize;
-        let start = clock.now();
+        // Service starts at dispatch: the queue's reading of the run's clock.
+        let start = req.dispatched;
         // One mode check per request; the storage layer's stage accumulator
         // is always drained (here, pre-execution) so lock-wait/commit time
         // from an unrecorded request can't leak into a recorded one. The
@@ -498,7 +499,7 @@ fn worker_loop(ctx: WorkerCtx) {
 
         // Mark this thread's in-flight trace so deep storage events
         // (deadlock victims, crashes) can cite the request that was
-        // on-CPU when they fired.
+        // on-CPU when they fired, and the engine times its commit stage.
         if record_span {
             bp_obs::set_current_trace(tid);
         }
@@ -779,6 +780,73 @@ mod tests {
         let recent = spans.recent(10);
         assert!(!recent.is_empty());
         assert!(recent.iter().all(|s| s.txn_type < 2 && s.end_us >= s.dequeued_us));
+    }
+
+    /// The wall clock, counting the reads the run's terminals make.
+    struct TerminalReads {
+        wall: bp_util::clock::WallClock,
+        reads: std::sync::atomic::AtomicU64,
+    }
+
+    impl bp_util::clock::Clock for TerminalReads {
+        fn now(&self) -> Micros {
+            if std::thread::current().name().is_some_and(|n| n.starts_with("bp-worker")) {
+                self.reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            self.wall.now()
+        }
+        fn sleep(&self, micros: Micros) {
+            self.wall.sleep(micros)
+        }
+    }
+
+    /// A request reads the clock at dispatch and at its end; a traced one
+    /// also times its commit stage.
+    #[test]
+    fn a_request_reads_the_clock_twice_and_a_traced_one_four_times() {
+        for (mode, per_request) in [(bp_obs::SpanMode::Off, 2), (bp_obs::SpanMode::Full, 4)] {
+            let clock = Arc::new(TerminalReads { wall: Default::default(), reads: Default::default() });
+            let db = Database::with_clock(Personality::test(), clock.clone());
+            let w: Arc<dyn Workload> = Arc::new(CounterWorkload { table: "c" });
+            w.setup(&mut Connection::open(&db), 1.0, &mut Rng::new(1)).unwrap();
+            // A million arrivals a second keep the one terminal behind, so a
+            // pull dispatches at once instead of waiting and reading again.
+            let cfg = RunConfig {
+                terminals: 1,
+                script: PhaseScript::new(vec![Phase::new(Rate::Unlimited, 1.0)]),
+                unlimited_rate: 1_000_000.0,
+                obs: ObsConfig { mode, ..Default::default() },
+                ..Default::default()
+            };
+            let handle = start(db, w, cfg);
+            // The reads made by the time of some count of completions: one
+            // that did not move while the reads were taken.
+            let stats = handle.controller.stats();
+            let counts = || loop {
+                let done = stats.total_completed();
+                let reads = clock.reads.load(std::sync::atomic::Ordering::SeqCst);
+                if stats.total_completed() == done {
+                    return (reads, done);
+                }
+            };
+            // Counted from the first completion on: before it, the terminal
+            // waits for the manager to plan the first second.
+            while counts().1 == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let (reads_before, done_before) = counts();
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            let (reads_after, done_after) = counts();
+            handle.controller.stop();
+            handle.join();
+            let (reads, done) = (reads_after - reads_before, done_after - done_before);
+            // A request in flight at either count has read some of its
+            // clocks but not completed.
+            assert!(
+                done > 50 && reads.abs_diff(per_request * done) <= 2 * per_request,
+                "{mode:?}: {reads} reads for {done} requests"
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,9 @@ use bp_util::clock::{Micros, SharedClock};
 pub struct Request {
     /// Scheduled arrival time (µs since run start).
     pub arrival: Micros,
+    /// Dispatch time (µs on the queue's clock): the reading that let the
+    /// request through the gate, which is when its service starts.
+    pub dispatched: Micros,
     /// Sequence number (for tracing).
     pub seq: u64,
     /// Transaction type, pinned at generation time. Sampling the mixture on
@@ -237,7 +240,13 @@ impl RequestQueue {
         st.last_gate_ns = Some(anchor);
         st.next_dispatch_ns = anchor + st.spacing_ns;
         st.dispatched += 1;
-        Ok(Request { arrival: head.arrival, seq, txn_type: head.txn_type, phase: head.phase })
+        Ok(Request {
+            arrival: head.arrival,
+            dispatched: now_ns / NANOS_PER_MICRO,
+            seq,
+            txn_type: head.txn_type,
+            phase: head.phase,
+        })
     }
 
     /// Blocking pull honoring arrival times and the rate gate. Returns
@@ -391,6 +400,19 @@ mod tests {
     }
 
     #[test]
+    fn a_request_carries_the_reading_that_dispatched_it() {
+        let (sim, clock) = sim_clock();
+        let q = RequestQueue::new(clock);
+        q.set_rate(3_000.0); // 333,333 ns spacing
+        q.push_arrivals([100, 100]);
+        sim.advance_to(100);
+        assert_eq!(q.poll().map(|r| r.dispatched), Ok(100));
+        // Gated until 434, and polled only at 500: service starts at 500.
+        sim.advance_to(500);
+        assert_eq!(q.poll().map(|r| (r.arrival, r.dispatched)), Ok((100, 500)));
+    }
+
+    #[test]
     fn rate_gate_prevents_burst_drain() {
         let (sim, clock) = sim_clock();
         let q = RequestQueue::new(clock);
@@ -493,6 +515,7 @@ mod tests {
         let elapsed = clock.now() - now;
         assert!(elapsed >= 18_000, "dispatched too early: {elapsed}µs");
         assert_eq!(got.arrival, now + 20_000);
+        assert!((got.arrival..=now + elapsed).contains(&got.dispatched), "dispatched at {}", got.dispatched);
     }
 
     /// Four terminals behind a 2k tx/s gate pull one wall-clock second of

@@ -206,7 +206,7 @@ impl VirtualRun {
                     let outcome = settle(Some(attempt), &mut self.conn).unwrap_or(RequestOutcome::Failed);
                     let charged = self.conn.database().clock().now() - charged_from;
                     let end = now + (charged as f64 * SLOWDOWN).round() as Micros;
-                    let sample = Sample { txn_type, arrival: req.arrival, start: now, end, outcome, retries: 0 };
+                    let sample = Sample { txn_type, arrival: req.arrival, start: req.dispatched, end, outcome, retries: 0 };
                     self.terminals[slot] = Some((tenant, sample));
                 }
             }

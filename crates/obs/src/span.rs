@@ -35,7 +35,11 @@
 //! into a thread-local accumulator ([`add_lock_wait_us`] /
 //! [`add_commit_us`]); the worker loop drains it per request with
 //! [`take_stage_acc`]. Workers execute one request at a time on one
-//! thread, so the accumulator needs no synchronization at all.
+//! thread, so the accumulator needs no synchronization at all. A lock wait
+//! is timed anyway, to bound it; the commit stage is timed only while the
+//! worker has a trace id set ([`current_trace`] is not 0), which it does
+//! only for a request whose span it will offer. An untraced request reads
+//! the clock twice: at dispatch and at its end.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -285,7 +289,8 @@ thread_local! {
 }
 
 /// Worker loop: mark `id` as the trace executing on this thread (0 to
-/// clear between requests).
+/// clear between requests). While it is set, the storage engine times the
+/// commit stage into this thread's accumulator.
 #[inline]
 pub fn set_current_trace(id: u64) {
     CURRENT_TRACE.with(|c| c.set(id));

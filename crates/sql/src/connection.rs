@@ -8,11 +8,11 @@
 //! has been handed as text, parsed and bound, and finds it again by that
 //! text.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use bp_storage::{Database, Session, Value};
+use bp_util::hash::MixMap;
 use bp_util::sync::Mutex;
 
 use crate::ast::{statement_param_count, Statement};
@@ -81,12 +81,12 @@ const STATEMENT_CACHE_CAP: usize = 256;
 pub struct Connection {
     session: Session,
     /// DML statements and queries seen by [`Connection::execute`], by text.
-    statements: HashMap<Box<str>, Prepared>,
+    statements: MixMap<Box<str>, Prepared>,
 }
 
 impl Connection {
     pub fn open(db: &Arc<Database>) -> Connection {
-        Connection { session: db.session(), statements: HashMap::new() }
+        Connection { session: db.session(), statements: MixMap::default() }
     }
 
     pub fn database(&self) -> &Arc<Database> {

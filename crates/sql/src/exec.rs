@@ -15,11 +15,11 @@
 //! takes the rows says when it has the LIMIT-th, and a path whose key order
 //! is the order asked for is neither keyed nor sorted again.
 
-use std::collections::HashMap;
 use std::ops::{Bound, ControlFlow};
 use std::sync::Arc;
 
 use bp_storage::{Column, RangeCursor, RowId, Session, SharedRow, Table, TableSchema, Value};
+use bp_util::hash::MixMap;
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
@@ -473,7 +473,7 @@ fn join(left: &[SharedRow], right: &[SharedRow], equi: &[(usize, usize)]) -> Vec
     // NULL in it equals nothing.
     let width = equi.len();
     let keys: Vec<JoinKey<'_>> = right.iter().flat_map(|r| equi.iter().map(|(_, rc)| JoinKey(&r[*rc]))).collect();
-    let mut first: HashMap<&[JoinKey<'_>], usize> = HashMap::with_capacity(right.len());
+    let mut first: MixMap<&[JoinKey<'_>], usize> = MixMap::with_capacity_and_hasher(right.len(), Default::default());
     let mut next = vec![usize::MAX; right.len()];
     for (i, key) in keys.chunks_exact(width).enumerate().rev() {
         if key.iter().all(|k| !k.0.is_null()) {
@@ -601,12 +601,12 @@ struct Groups<'a> {
     params: &'a [Value],
     /// A group's first tuple and one accumulator per aggregate call.
     groups: Vec<(SharedRow, Vec<Accumulator>)>,
-    index: HashMap<Vec<Value>, usize>,
+    index: MixMap<Vec<Value>, usize>,
 }
 
 impl<'a> Groups<'a> {
     fn new(sel: &'a SelectPlan, params: &'a [Value]) -> Groups<'a> {
-        Groups { sel, params, groups: Vec::new(), index: HashMap::new() }
+        Groups { sel, params, groups: Vec::new(), index: MixMap::default() }
     }
 
     fn accumulators(&self) -> Vec<Accumulator> {

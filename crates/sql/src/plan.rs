@@ -29,11 +29,11 @@
 //! A plan is stamped with [`Database::schema_version`] and bound again when
 //! the stamp has moved on (see [`crate::connection::Prepared`]).
 
-use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use bp_storage::{DataType, Database, Table, TableSchema};
+use bp_util::hash::MixMap;
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
@@ -262,8 +262,8 @@ fn move_slots(e: &Expr, to: impl Fn(usize) -> usize) -> Expr {
 /// from a conjunction. Later conjuncts replace earlier ones on a column.
 #[derive(Default)]
 struct Predicates<'e> {
-    eq: HashMap<usize, &'e Expr>,
-    ranges: HashMap<usize, (Bound<&'e Expr>, Bound<&'e Expr>)>,
+    eq: MixMap<usize, &'e Expr>,
+    ranges: MixMap<usize, (Bound<&'e Expr>, Bound<&'e Expr>)>,
 }
 
 fn analyze<'e>(clause: Option<&'e Expr>, scope: &[Binding<'_>], i: usize) -> Predicates<'e> {

@@ -6,10 +6,10 @@
 //! recorder's IO columns meaningful ("lower the percentage of write-intensive
 //! transactions if the disk IO activity seems to saturate", §4.2).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bp_obs::{EventJournal, Severity};
+use bp_util::hash::MixMap;
 use bp_util::sync::Mutex;
 
 use crate::metrics::ServerMetrics;
@@ -35,7 +35,7 @@ struct Frame {
 
 #[derive(Debug)]
 struct PoolState {
-    map: HashMap<PageId, usize>,
+    map: MixMap<PageId, usize>,
     frames: Vec<Frame>,
     hand: usize,
     /// Accesses/misses in the current pressure epoch.
@@ -67,7 +67,7 @@ impl BufferPool {
             capacity,
             rows_per_page,
             state: Mutex::new(PoolState {
-                map: HashMap::with_capacity(capacity),
+                map: MixMap::with_capacity_and_hasher(capacity, Default::default()),
                 frames: Vec::with_capacity(capacity),
                 hand: 0,
                 epoch_accesses: 0,

@@ -8,7 +8,6 @@
 //! cost so that contention, commit pressure and IO behave like a real DBMS
 //! under the workloads the testbed drives.
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::result::Result as StdResult;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -17,6 +16,7 @@ use std::sync::Arc;
 use bp_chaos::{ChaosController, FaultKind};
 use bp_obs::{EventJournal, Severity};
 use bp_util::clock::{wall_clock, SharedClock};
+use bp_util::hash::MixMap;
 use bp_util::sync::RwLock;
 
 use bp_util::rng::Rng;
@@ -38,7 +38,7 @@ use crate::wal::Wal;
 
 #[derive(Default)]
 struct Catalog {
-    by_name: HashMap<String, Arc<Table>>,
+    by_name: MixMap<String, Arc<Table>>,
     order: Vec<String>,
 }
 
@@ -519,7 +519,9 @@ impl Session {
     pub fn commit(&mut self) -> Result<()> {
         self.ensure_alive()?;
         let txn = self.txn.take().ok_or(StorageError::NoActiveTransaction)?;
-        let commit_start = self.db.clock().now();
+        // The commit stage is timed only for the span of a traced request
+        // on this thread: nothing else reads it.
+        let commit_start = (bp_obs::current_trace() != 0).then(|| self.db.clock().now());
         // Chaos: an injected server crash kills the engine at one of three
         // deterministic points in the commit sequence (window magnitude
         // selects which). The dying commit reports failure either way; at
@@ -565,7 +567,9 @@ impl Session {
         self.db.metrics.add_rows_written(txn.rows_written);
         // Commit-stage time (WAL write + fsync cost model + lock release)
         // for the span of the request executing on this thread.
-        bp_obs::add_commit_us(self.db.clock().now().saturating_sub(commit_start));
+        if let Some(start) = commit_start {
+            bp_obs::add_commit_us(self.db.clock().now().saturating_sub(start));
+        }
         Ok(())
     }
 
@@ -1026,6 +1030,38 @@ mod tests {
         assert_eq!(read, Err(StorageError::LockTimeout));
         assert_eq!(lock_wait_us, 20_000);
         assert_eq!(db.metrics().snapshot().lock_timeouts, 1);
+    }
+
+    /// The clock reads a transaction costs: an untraced one reads nothing
+    /// but the WAL's group-commit window, a traced commit times its stage
+    /// with two more.
+    #[test]
+    fn a_commit_reads_the_clock_only_for_a_span_or_a_group_commit_window() {
+        for (personality, wal_reads) in [(Personality::test(), 0), (Personality::mysql_like(), 1)] {
+            let name = personality.name;
+            let clock = Arc::new(CountedClock { sim: bp_util::clock::SimClock::new(), reads: AtomicU64::new(0) });
+            let db = with_acct(Database::with_clock(personality, clock.clone()));
+            let t = acct(&db);
+            let mut s = db.session();
+            let mut reads = |id: i64, write: bool| {
+                let before = clock.reads.load(Ordering::SeqCst);
+                s.with_txn(|s| {
+                    if write {
+                        s.insert(&t, vec![Value::Int(id), Value::Int(0)]).map(|_| ())
+                    } else {
+                        s.read_pk(&t, &[Value::Int(id)], false).map(|_| ())
+                    }
+                })
+                .unwrap();
+                clock.reads.load(Ordering::SeqCst) - before
+            };
+            assert_eq!(reads(1, true), wal_reads, "{name}: an untraced write");
+            assert_eq!(reads(1, false), 0, "{name}: an untraced read");
+            bp_obs::set_current_trace(1);
+            assert_eq!(reads(2, true), 2 + wal_reads, "{name}: a traced write");
+            assert_eq!(reads(2, false), 2, "{name}: a traced read");
+            bp_obs::set_current_trace(0);
+        }
     }
 
     #[test]

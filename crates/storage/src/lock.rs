@@ -12,14 +12,15 @@
 //! like the wait it bounds. Transaction age = transaction id (monotonically
 //! increasing), so "older" means a smaller id.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::collections::hash_map::Entry;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bp_chaos::{ChaosController, FaultKind};
 use bp_obs::{EventJournal, Severity};
 use bp_util::clock::{wall_clock, SharedClock};
+use bp_util::hash::{MixMap, MixState};
 use bp_util::sync::{CachePadded, Condvar, Mutex};
 
 use crate::error::{Result, StorageError};
@@ -80,29 +81,10 @@ pub enum LockTarget {
 /// Shards of the lock table; a lock cycle touches exactly one.
 const SHARDS: usize = 64;
 
-/// Multiply-rotate hasher for [`LockTarget`]s: the engine hands out table and
-/// row ids itself, so SipHash's flood resistance would only cost here.
-#[derive(Default)]
-struct Mix(u64);
-
-impl Hasher for Mix {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let mixed = self.0.rotate_left(5) ^ u64::from_le_bytes(word);
-            self.0 = mixed.wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
 /// Shard of `target`, from hash bits the shard map's own probe does not use
 /// (low bits pick its bucket, the top seven tag it).
 fn shard_of(target: LockTarget) -> usize {
-    (BuildHasherDefault::<Mix>::default().hash_one(target) >> 48) as usize % SHARDS
+    (MixState::default().hash_one(target) >> 48) as usize % SHARDS
 }
 
 /// One target's granted holders; a txn appears at most once. The first is
@@ -143,7 +125,7 @@ impl LockState {
 /// An entry is created, granted, waited on and removed under this one mutex:
 /// none can vanish under a thread on its way to it. Waiters share the condvar.
 struct Shard {
-    map: Mutex<HashMap<LockTarget, LockState, BuildHasherDefault<Mix>>>,
+    map: Mutex<MixMap<LockTarget, LockState>>,
     cond: Condvar,
 }
 

@@ -56,7 +56,7 @@ impl TableSchema {
         if columns.is_empty() {
             return Err(StorageError::InvalidSchema(format!("table {name} has no columns")));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = bp_util::hash::MixSet::default();
         for c in &columns {
             if !seen.insert(c.name.to_ascii_lowercase()) {
                 return Err(StorageError::InvalidSchema(format!(

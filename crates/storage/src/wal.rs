@@ -4,7 +4,9 @@
 //! is enabled, commits landing within the personality's group window share
 //! one fsync: the first commit in a window pays full price, followers pay
 //! nothing extra. This is the main lever separating the "fast" and "slow"
-//! personalities under write-heavy mixtures.
+//! personalities under write-heavy mixtures. Without a window every commit
+//! pays its own fsync, and a commit reads the clock only to place itself in
+//! a window.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,7 +54,8 @@ pub struct RecoveredImage {
 pub struct Wal {
     /// Times the group-commit window; the database sets its own.
     pub(crate) clock: SharedClock,
-    /// Clock time of the last fsync.
+    /// Clock time of the fsync that opened the current group-commit window;
+    /// untouched without a window.
     last_fsync_us: AtomicU64,
     next_lsn: AtomicU64,
     group_window_us: u64,
@@ -130,28 +133,31 @@ impl Wal {
             }
         }
 
-        let now = self.clock.now();
-        let last = self.last_fsync_us.load(Ordering::Relaxed);
-        let need_fsync = if self.group_window_us == 0 {
-            true
-        } else {
-            last == u64::MAX || now.saturating_sub(last) >= self.group_window_us
-        };
-        if need_fsync {
-            // Only one committer in the window should pay; use CAS so racers
-            // that lose ride along for free.
-            if self
-                .last_fsync_us
-                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                cost += self.fsync_us;
-                metrics.inc_wal_fsyncs();
-                metrics.add_io_writes(1);
-            }
+        if self.fsync_due() {
+            cost += self.fsync_us;
+            metrics.inc_wal_fsyncs();
+            metrics.add_io_writes(1);
         }
         metrics.add_fsync_micros(cost as u64);
         (lsn, cost)
+    }
+
+    /// Whether this commit pays an fsync. Without a window every commit
+    /// does, and neither the clock nor the window's start is read. With one,
+    /// the first commit of a window claims it; racers that lose the claim
+    /// ride along for free.
+    fn fsync_due(&self) -> bool {
+        if self.group_window_us == 0 {
+            return true;
+        }
+        let now = self.clock.now();
+        let last = self.last_fsync_us.load(Ordering::Relaxed);
+        let opens = last == u64::MAX || now.saturating_sub(last) >= self.group_window_us;
+        opens
+            && self
+                .last_fsync_us
+                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
     }
 
     pub fn current_lsn(&self) -> u64 {
@@ -307,6 +313,26 @@ mod tests {
             assert_eq!(cost, 100.0);
         }
         assert_eq!(m.snapshot().wal_fsyncs, 5);
+    }
+
+    #[test]
+    fn no_group_commit_every_concurrent_commit_fsyncs() {
+        let m = ServerMetrics::new();
+        let wal = Wal::new(0, 0.0, 100.0);
+        let paid = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        if wal.commit(0, &m).1 == 100.0 {
+                            paid.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(paid.into_inner(), 40_000, "a commit skipped its fsync");
+        assert_eq!(m.snapshot().wal_fsyncs, 40_000);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! - [`periodic`]: the one background ticker — every periodic thread in
 //!   util/obs/core/cluster is a [`Periodic`], paced and stopped here;
 //! - [`ring`]: the one bounded flight-recorder ring;
+//! - [`hash`]: the one fast hasher, [`Mix`](hash::Mix), that keys every map
+//!   the storage engine and the SQL layer build over their own keys;
 //! - [`sync`]: std-only `Mutex`/`RwLock`/`Condvar` wrappers with a
 //!   `parking_lot`-style call-site API (guards returned directly, poison
 //!   ignored) so the workspace builds with zero external dependencies;
@@ -25,6 +27,7 @@
 
 pub mod artifact;
 pub mod clock;
+pub mod hash;
 pub mod histogram;
 pub mod json;
 pub mod periodic;

@@ -169,16 +169,10 @@ fn unnamed_pub_fns(files: &[(String, String)]) -> (usize, Vec<String>) {
     (checked, unnamed)
 }
 
-/// Public API a binary or the embedding program exposes, which no code in
-/// the repo names. Each entry is `path: name` with its reason.
-const REACHABLE_FROM_OUTSIDE: [(&str, &str); 0] = [];
-
-/// A `pub fn` nothing names is deleted, or made test-only when a test needs
-/// it: the rule runs over every crate's sources against everything that
-/// could call them (the crates' own code and tests, `src/`, `examples/`,
-/// `tests/` and the repo benchmark in `perf/src`).
-#[test]
-fn every_pub_fn_is_named_outside_its_own_line_and_tests() {
+/// Every Rust source of the repo as `(path, text)`, paths relative to its
+/// root: the crates' code, tests and benches, `src/`, `examples/`, `tests/`
+/// and the repo benchmark in `perf/src`.
+fn repo_sources() -> Vec<(String, String)> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut paths = Vec::new();
     for dir in ["src", "examples", "tests", "perf/src"] {
@@ -192,14 +186,26 @@ fn every_pub_fn_is_named_outside_its_own_line_and_tests() {
             }
         }
     }
-    let files: Vec<(String, String)> = paths
+    paths
         .iter()
         .map(|p| {
             let rel = p.strip_prefix(root).expect("under the repo").to_string_lossy().into_owned();
             (rel, std::fs::read_to_string(p).expect("source is utf-8"))
         })
-        .collect();
-    let (checked, unnamed) = unnamed_pub_fns(&files);
+        .collect()
+}
+
+/// Public API a binary or the embedding program exposes, which no code in
+/// the repo names. Each entry is `path: name` with its reason.
+const REACHABLE_FROM_OUTSIDE: [(&str, &str); 0] = [];
+
+/// A `pub fn` nothing names is deleted, or made test-only when a test needs
+/// it: the rule runs over every crate's sources against everything that
+/// could call them (the crates' own code and tests, `src/`, `examples/`,
+/// `tests/` and the repo benchmark in `perf/src`).
+#[test]
+fn every_pub_fn_is_named_outside_its_own_line_and_tests() {
+    let (checked, unnamed) = unnamed_pub_fns(&repo_sources());
     assert!(checked > 500, "checked only {checked} pub fns: the walk missed the sources");
     let unnamed: Vec<&String> = unnamed
         .iter()
@@ -224,6 +230,65 @@ fn reachability_rule_flags_a_planted_fixture() {
     let (checked, unnamed) = unnamed_pub_fns(&files);
     assert_eq!(checked, 3);
     assert_eq!(unnamed, ["crates/a/src/lib.rs: lonely", "crates/a/src/lib.rs: tested_only"]);
+}
+
+/// The one-hasher rule over `(path, source)` pairs: no file outside
+/// `crates/util/src` implements a `Hasher`, and the code of
+/// `crates/storage/src` and `crates/sql/src` before its first column-0
+/// `#[cfg(test)]` names no std `HashMap` or `HashSet`, whose default state
+/// is SipHash: their maps are `bp_util::hash::{MixMap, MixSet}`. Returns
+/// `path: what` for each file that breaks it.
+fn second_hashers(files: &[(String, String)]) -> Vec<String> {
+    let mut found = Vec::new();
+    for (path, text) in files {
+        let implements = |line: &str| line.trim_start().starts_with("impl") && line.contains("Hasher for ");
+        if !path.starts_with("crates/util/src/") && text.lines().any(implements) {
+            found.push(format!("{path}: implements a Hasher"));
+        }
+        if path.starts_with("crates/storage/src/") || path.starts_with("crates/sql/src/") {
+            let code = text.split("\n#[cfg(test)]").next().unwrap_or(text);
+            let words = word_counts(code);
+            if words.contains_key("HashMap") || words.contains_key("HashSet") {
+                found.push(format!("{path}: keys a map with SipHash"));
+            }
+        }
+    }
+    found
+}
+
+/// The engine's maps share one fast hasher, `bp_util::hash::Mix`.
+#[test]
+fn one_hasher_keys_the_engine_maps() {
+    let files = repo_sources();
+    assert!(files.iter().any(|(p, _)| p == "crates/util/src/hash.rs"), "the walk missed bp_util's hasher");
+    let found = second_hashers(&files);
+    assert!(found.is_empty(), "a second hasher:\n{found:#?}");
+}
+
+/// The rule can fail: it flags a `Hasher` implemented outside bp_util and a
+/// std map in the engine's code, and passes bp_util's own hasher, a
+/// `MixMap` and a std set in a test module.
+#[test]
+fn hasher_rule_flags_a_planted_fixture() {
+    let files = [
+        ("crates/util/src/hash.rs", "pub struct Mix(u64);\nimpl Hasher for Mix {}\n"),
+        ("crates/storage/src/lock.rs", "use bp_util::hash::MixMap;\nstruct Shard(MixMap<u64, u32>);\n"),
+        (
+            "crates/sql/src/plan.rs",
+            "use std::collections::HashMap;\nstruct Bind(HashMap<usize, u8>);\n\
+             #[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n",
+        ),
+        (
+            "crates/storage/src/schema.rs",
+            "pub struct TableSchema;\n#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n",
+        ),
+        ("crates/core/src/stats.rs", "struct Fold(u64);\nimpl std::hash::Hasher for Fold {}\n"),
+    ]
+    .map(|(p, t)| (p.to_string(), t.to_string()));
+    assert_eq!(
+        second_hashers(&files),
+        ["crates/sql/src/plan.rs: keys a map with SipHash", "crates/core/src/stats.rs: implements a Hasher"]
+    );
 }
 
 /// Every periodic background thread is a `bp_util::Periodic`. Outside test

@@ -9,6 +9,7 @@ use benchpress::api::{http_request_text, ApiServer};
 use benchpress::core::{Phase, PhaseScript, Rate, RunConfig};
 use benchpress::obs::{
     parse_samples, render_samples, MetricValue, MetricsRegistry, ObsConfig, Sample, SpanMode,
+    SpanOutcome,
 };
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality};
@@ -53,6 +54,35 @@ fn lock_and_commit_stages_fit_inside_every_span() {
     assert!(spans.iter().any(|s| s.lock_wait_us > 0), "no span waited for a lock");
     for s in &spans {
         assert!(s.lock_wait_us + s.commit_us <= s.end_us - s.dequeued_us, "{s:?}");
+    }
+}
+
+/// A traced request still times its commit: on mysql without group commit
+/// or jitter, every write commit pays the whole fsync, and its commit stage
+/// holds at least that.
+#[test]
+fn a_traced_write_commit_holds_its_fsync() {
+    let personality = Personality { jitter: 0.0, group_commit_window_us: 0, ..Personality::mysql_like() };
+    let fsync_us = personality.commit_us as u64;
+    let db = Database::new(personality);
+    let workload = by_name("smallbank").unwrap();
+    workload.setup(&mut Connection::open(&db), 0.02, &mut Rng::new(5)).unwrap();
+    let writes: Vec<bool> = workload.transaction_types().iter().map(|t| !t.read_only).collect();
+    let cfg = RunConfig {
+        terminals: 2,
+        script: PhaseScript::new(vec![Phase::new(Rate::Limited(400.0), 1.0)]),
+        obs: ObsConfig { mode: SpanMode::Full, ..ObsConfig::default() },
+        ..Default::default()
+    };
+    let controller = benchpress::core::start(db, workload, cfg).join();
+    let spans = controller.spans().recent(usize::MAX);
+    let committed_writes: Vec<_> = spans
+        .iter()
+        .filter(|s| writes[s.txn_type as usize] && s.outcome == SpanOutcome::Committed)
+        .collect();
+    assert!(committed_writes.len() > 50, "{} committed writes", committed_writes.len());
+    for s in committed_writes {
+        assert!(s.commit_us >= fsync_us, "commit stage shorter than its fsync: {s:?}");
     }
 }
 
