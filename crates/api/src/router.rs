@@ -7,7 +7,8 @@ use std::sync::Arc;
 use bp_util::sync::RwLock;
 
 use bp_chaos::FaultPlan;
-use bp_core::{Controller, MixturePreset, Rate, RecoveryConfig, SloConfig, StatusSnapshot};
+use bp_core::{Controller, MixturePreset, Rate, SloConfig, StatusSnapshot};
+use bp_storage::RecoveryConfig;
 use bp_obs::{Event, EventJournal, MetricsRegistry, Severity, Stage};
 use bp_util::json::Json;
 
@@ -211,12 +212,11 @@ fn healthz() -> Response {
     Response::ok(Json::obj().set("ok", true))
 }
 
-/// The `GET /recovery/status` body: engine-side crash/recovery counters
-/// plus the supervisor's own state for one workload.
+/// The `GET /recovery/status` body: one snapshot of the addressed
+/// workload's database — its crash/recovery counters and its supervisor.
 fn recovery_status_json(id: &str, c: &Controller) -> Json {
     let s = c.database().recovery_status();
-    let h = c.recovery();
-    let (poll_us, checkpoint_us) = match h.config() {
+    let (poll_us, checkpoint_us) = match s.supervisor {
         Some(cfg) => (cfg.poll_interval_us, cfg.checkpoint_interval_us),
         None => (0, 0),
     };
@@ -243,12 +243,12 @@ fn recovery_status_json(id: &str, c: &Controller) -> Json {
         .set(
             "supervisor",
             Json::obj()
-                .set("active", h.is_active())
+                .set("active", s.supervisor.is_some())
                 .set("poll_us", poll_us)
                 .set("checkpoint_us", checkpoint_us)
-                .set("recoveries_run", h.recoveries_run())
-                .set("checkpoints_run", h.checkpoints_run())
-                .set("ticks", h.ticks()),
+                .set("recoveries_run", s.recoveries_run)
+                .set("checkpoints_run", s.checkpoints_run)
+                .set("ticks", s.ticks),
         )
 }
 
@@ -368,15 +368,11 @@ impl ApiServer {
     /// POST /chaos — arm a fault scenario mid-run on the addressed
     /// workload's engine. Body is either `{"scenario": "error-burst",
     /// "seed": 7}` (a named preset) or `{"plan": {...}}` (an inline
-    /// [`FaultPlan`]); `{"disarm": true}` disarms instead.
+    /// [`FaultPlan`]); `DELETE /chaos` disarms.
     fn chaos_arm(&self, req: &Request, query: &str) -> Result<Response, Response> {
         let (_, c) = self.addressed_workload(req, query)?;
         let chaos = c.chaos();
         let body = req.body.clone().unwrap_or(Json::Null);
-        if body.get("disarm").and_then(Json::as_bool) == Some(true) {
-            chaos.disarm();
-            return Ok(Response::ok(chaos.status_json()));
-        }
         let plan = if let Some(name) = body.get("scenario").and_then(Json::as_str) {
             let seed = body.get("seed").and_then(Json::as_u64).unwrap_or(42);
             FaultPlan::scenario(name, seed).ok_or_else(|| {
@@ -391,7 +387,7 @@ impl ApiServer {
         } else if let Some(p) = body.get("plan") {
             FaultPlan::from_json(p).ok_or_else(|| Response::error(400, "invalid fault plan"))?
         } else {
-            return Err(Response::error(400, "body must contain scenario, plan, or disarm"));
+            return Err(Response::error(400, "body must contain scenario or plan"));
         };
         chaos.arm(plan);
         Ok(Response::ok(chaos.status_json()))
@@ -497,9 +493,10 @@ impl ApiServer {
     }
 
     /// POST /recovery — arm the recovery supervisor (watchdog + periodic
-    /// checkpointer) on a workload. Body (all optional): `{"poll_ms": 5,
-    /// "checkpoint_ms": 2000, "workload": "<id>"}`. `checkpoint_ms: 0`
-    /// disables periodic checkpoints.
+    /// checkpointer) of the addressed workload's database, which every
+    /// workload on that database shares; arming again replaces it. Body
+    /// (all optional): `{"poll_ms": 5, "checkpoint_ms": 2000, "workload":
+    /// "<id>"}`. `checkpoint_ms: 0` disables periodic checkpoints.
     fn recovery_arm(&self, req: &Request, query: &str) -> Result<Response, Response> {
         let (id, c) = self.addressed_workload(req, query)?;
         let body = req.body.clone().unwrap_or(Json::Null);
@@ -519,20 +516,20 @@ impl ApiServer {
         if let Some(us) = micros("checkpoint_ms")? {
             cfg.checkpoint_interval_us = us;
         }
-        c.start_recovery(cfg);
+        c.database().supervise(cfg);
         Ok(Response::ok(recovery_status_json(&id, &c)))
     }
 
-    /// DELETE /recovery — disarm the supervisor. A crashed engine then
-    /// stays down until re-armed or recovered manually.
+    /// DELETE /recovery — disarm the database's supervisor. A crashed
+    /// engine then stays down until re-armed or recovered manually.
     fn recovery_disarm(&self, req: &Request, query: &str) -> Result<Response, Response> {
         let (id, c) = self.addressed_workload(req, query)?;
-        c.stop_recovery();
+        c.database().unsupervise();
         Ok(Response::ok(recovery_status_json(&id, &c)))
     }
 
-    /// GET /recovery/status — engine crash/recovery counters and the
-    /// supervisor's state.
+    /// GET /recovery/status — the database's crash/recovery counters and
+    /// its supervisor's state.
     fn recovery_status(&self, req: &Request, query: &str) -> Result<Response, Response> {
         let (id, c) = self.addressed_workload(req, query)?;
         Ok(Response::ok(recovery_status_json(&id, &c)))
@@ -1143,6 +1140,10 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert!(!db.is_crashed(), "supervisor recovered the engine");
+        // The tick counts its recovery once `recover()` has returned.
+        while db.recovery_status().recoveries_run == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
 
         let r = s.handle(&Request::get("/recovery/status"));
         assert!(r.is_ok());
@@ -1176,7 +1177,8 @@ mod tests {
             assert_eq!(r.status, 400, "{key}: {r:?}");
             assert!(r.body.get("error").unwrap().as_str().unwrap().contains(key), "{r:?}");
         }
-        assert!(!s.controller("demo").unwrap().recovery().is_active(), "nothing was armed");
+        let status = s.controller("demo").unwrap().database().recovery_status();
+        assert_eq!(status.supervisor, None, "nothing was armed");
         let r = s.handle(&Request::post(
             "/recovery",
             Json::obj().set("workload", "ghost"),
@@ -1453,7 +1455,7 @@ mod tests {
         let r = s.handle(&Request::post("/chaos", Json::obj().set("plan", plan)));
         assert!(r.is_ok(), "{r:?}");
         assert_eq!(r.body.get("plan").unwrap().as_str(), Some("custom"));
-        let r = s.handle(&Request::post("/chaos", Json::obj().set("disarm", true)));
+        let r = s.handle(&Request { method: Method::Delete, path: "/chaos".into(), body: None });
         assert!(r.is_ok());
         assert_eq!(r.body.get("armed").unwrap().as_bool(), Some(false));
         // Malformed inline plan.
@@ -1633,28 +1635,30 @@ mod tests {
     /// loop paced by the injected clock spins there (thousands of ticks in
     /// 100 ms). `Periodic` waits out wall time whatever clock the run has,
     /// and a disarm returns only once the thread — and with it the tick's
-    /// clone of the controller, counted here by its `Arc` — is gone.
+    /// clone of the SLO handle, or the supervisor's weak handle on the
+    /// database, counted here by their `Arc`s — is gone.
     #[test]
     fn slo_and_recovery_loops_neither_spin_nor_outlive_disarm() {
         let s = server();
         let c = s.controller("demo").unwrap();
         let delete = |path: &str| Request { method: Method::Delete, path: path.into(), body: None };
-        let (slo_refs, recovery_refs) = (Arc::strong_count(c.slo()), Arc::strong_count(c.recovery()));
+        let (slo_refs, db_refs) = (Arc::strong_count(c.slo()), Arc::weak_count(c.database()));
 
         assert!(s.handle(&Request::post("/slo", Json::obj())).is_ok());
         let r = s.handle(&Request::post("/recovery", Json::obj().set("poll_ms", 60_000u64)));
         assert!(r.is_ok(), "{r:?}");
         assert!(Arc::strong_count(c.slo()) > slo_refs, "bp-slo thread holds the controller");
-        assert!(Arc::strong_count(c.recovery()) > recovery_refs);
+        assert_eq!(Arc::weak_count(c.database()), db_refs + 1, "bp-recovery holds the database");
         std::thread::sleep(std::time::Duration::from_millis(100));
         let slo_ticks = c.slo().status().ticks;
         assert!(slo_ticks <= 2, "{slo_ticks} SLO ticks in 100 ms at a 200 ms tick");
-        assert!(c.recovery().ticks() <= 2, "{} polls in 100 ms", c.recovery().ticks());
+        let polls = c.database().recovery_status().ticks;
+        assert!(polls <= 2, "{polls} polls in 100 ms");
 
         assert!(s.handle(&delete("/slo")).is_ok());
         assert_eq!(Arc::strong_count(c.slo()), slo_refs, "bp-slo thread left behind");
         assert!(s.handle(&delete("/recovery")).is_ok());
-        assert_eq!(Arc::strong_count(c.recovery()), recovery_refs, "bp-recovery thread left behind");
+        assert_eq!(Arc::weak_count(c.database()), db_refs, "bp-recovery thread left behind");
     }
 
     #[test]

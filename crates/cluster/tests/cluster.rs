@@ -18,17 +18,21 @@ use bp_obs::{
 };
 use bp_sql::Connection;
 use bp_storage::{Database, Personality};
-use bp_util::clock::{sim_clock, wall_clock, SimClock};
+use bp_util::clock::{sim_clock, SimClock};
 use bp_util::json::Json;
 use bp_util::rng::Rng;
 use bp_workloads::by_name;
 
 /// A coordinator with its `/cluster/*` routes served over a real socket
-/// and the failure detector running.
+/// and the failure detector running, on a virtual clock that nothing
+/// advances: heartbeats travel the real sockets, and however late one
+/// arrives on a loaded host no node turns suspect (the detector's
+/// transitions are pinned in virtual time by
+/// `missed_heartbeats_mark_suspect_then_dead_and_resplit`).
 fn coordinator_stack(
     heartbeat: Duration,
 ) -> (Arc<ClusterCoordinator>, bp_api::http::HttpServerGuard, bp_util::Periodic) {
-    let coordinator = ClusterCoordinator::new(CoordinatorConfig { heartbeat }, wall_clock());
+    let coordinator = ClusterCoordinator::new(CoordinatorConfig { heartbeat }, sim_clock().1);
     let registry = Arc::new(MetricsRegistry::new());
     registry.register("cluster", coordinator.clone());
     let api = Arc::new(ApiServer::new().with_registry(registry));

@@ -17,7 +17,6 @@ use bp_util::clock::Micros;
 use crate::mixture::{Mixture, MixtureError, MixturePreset};
 use crate::queue::RequestQueue;
 use crate::rate::{ArrivalDist, Rate};
-use crate::recovery::{recovery_tick, RecoveryConfig, RecoveryHandle};
 use crate::slo::{slo_tick, SloConfig, SloHandle};
 use crate::stats::{StatsCollector, StatusSnapshot};
 use crate::workload::TransactionType;
@@ -203,9 +202,6 @@ pub struct Controller {
     /// Persistent SLO-controller state, shared by all clones of this
     /// controller so API servers and the executor see one loop.
     slo: Arc<SloHandle>,
-    /// Recovery-supervisor state (crash watchdog + checkpointer), shared by
-    /// all clones like the SLO handle.
-    recovery: Arc<RecoveryHandle>,
 }
 
 impl Controller {
@@ -231,7 +227,6 @@ impl Controller {
             breaker: None,
             recorder: None,
             slo: Arc::new(SloHandle::new(workload_name)),
-            recovery: Arc::new(RecoveryHandle::default()),
         }
     }
 
@@ -289,7 +284,8 @@ impl Controller {
 
     /// Register this workload's metrics silos with a unified registry:
     /// client-side statistics, the driver's request queue, the storage
-    /// engine's server counters, the span recorder's stage histograms and
+    /// engine's server counters, chaos gate and recovery series (the
+    /// database is their source), the span recorder's stage histograms and
     /// (when present) the breaker and telemetry recorder. Duplicate
     /// registration (e.g. two controllers sharing one database) is a no-op
     /// per source.
@@ -301,7 +297,7 @@ impl Controller {
         registry.register(&format!("queue:{}", self.workload_name), self.queue.clone());
         registry.register("server", self.db.metrics().clone());
         registry.register("chaos", self.db.chaos().clone());
-        registry.register("recovery", self.db.recovery_stats().clone());
+        registry.register("recovery", self.db.clone());
         registry.register(&format!("spans:{}", self.workload_name), self.spans.clone());
         if let Some(breaker) = &self.breaker {
             registry.register(&format!("breaker:{}", self.workload_name), breaker.clone());
@@ -447,52 +443,6 @@ impl Controller {
             )
         });
     }
-
-    // -- crash-recovery supervision --
-
-    /// This controller's recovery-supervisor state. Always present;
-    /// inactive until [`Controller::start_recovery`].
-    pub fn recovery(&self) -> &Arc<RecoveryHandle> {
-        &self.recovery
-    }
-
-    /// Start (or replace) the recovery supervisor: the `bp-recovery`
-    /// watchdog thread that runs [`Database::recover`] whenever the engine
-    /// crashes and takes periodic checkpoints to keep redo replay short.
-    /// Arming stops a watchdog that is already running.
-    pub fn start_recovery(&self, cfg: RecoveryConfig) {
-        let (db, handle, tick_cfg) = (self.db.clone(), self.recovery.clone(), cfg.clone());
-        let mut last_checkpoint = db.clock().now();
-        let task = Periodic::spawn("bp-recovery", cfg.poll_interval_us.max(100), move || {
-            recovery_tick(&db, &handle, &tick_cfg, &mut last_checkpoint);
-            true
-        });
-        self.recovery.arm(&cfg, task);
-        self.journal().emit_with(Severity::Info, "core", "recovery_armed", || {
-            (
-                format!(
-                    "recovery supervisor armed (poll {}us, checkpoint every {}us)",
-                    cfg.poll_interval_us, cfg.checkpoint_interval_us,
-                ),
-                vec![
-                    ("poll_us", cfg.poll_interval_us.to_string()),
-                    ("checkpoint_us", cfg.checkpoint_interval_us.to_string()),
-                ],
-            )
-        });
-    }
-
-    /// Stop the recovery supervisor. A crashed engine then stays down
-    /// until `recover()` is invoked some other way (API or test code).
-    pub fn stop_recovery(&self) {
-        self.recovery.disarm();
-        self.journal().emit_with(Severity::Info, "core", "recovery_disarmed", || {
-            (
-                "recovery supervisor disarmed".to_string(),
-                vec![("state", "disarmed".to_string())],
-            )
-        });
-    }
 }
 
 #[cfg(test)]
@@ -617,56 +567,6 @@ mod tests {
         let text = reg.render_prometheus();
         assert!(text.contains("bp_resilience_breaker_state"));
         assert!(text.contains("bp_resilience_shed_total"));
-    }
-
-    #[test]
-    fn recovery_supervisor_restarts_crashed_engine() {
-        use bp_chaos::{FaultKind, FaultPlan, FaultWindow};
-        let c = controller();
-        let db = c.database().clone();
-        db.create_table(
-            bp_storage::TableSchema::new(
-                "t",
-                vec![bp_storage::Column::new("id", bp_storage::DataType::Int)],
-                &["id"],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let t = db.table("t").unwrap();
-        c.start_recovery(RecoveryConfig { poll_interval_us: 1_000, checkpoint_interval_us: 0 });
-        assert!(c.recovery().is_active());
-        // Crash the engine mid-commit via the chaos layer.
-        db.chaos().arm(FaultPlan::new("crash", 1).with_window(FaultWindow::always(
-            FaultKind::ServerCrash,
-            1.0,
-            0,
-        )));
-        let mut s = db.session();
-        s.begin().unwrap();
-        s.insert(&t, vec![bp_storage::Value::Int(1)]).unwrap();
-        assert_eq!(s.commit(), Err(bp_storage::StorageError::Crashed));
-        db.chaos().disarm();
-        // The watchdog notices within a few polls and recovers.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while db.is_crashed() && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(!db.is_crashed(), "supervisor recovered the engine");
-        assert!(c.recovery().recoveries_run() >= 1);
-        // The engine accepts work again.
-        let mut s = db.session();
-        s.begin().unwrap();
-        s.insert(&t, vec![bp_storage::Value::Int(2)]).unwrap();
-        s.commit().unwrap();
-        c.stop_recovery();
-        assert!(!c.recovery().is_active());
-        let events = db.journal().all();
-        let kinds: Vec<&str> = events.iter().map(|e| &*e.kind).collect();
-        assert!(kinds.contains(&"recovery_armed"));
-        assert!(kinds.contains(&"server_crash"));
-        assert!(kinds.contains(&"recovery_complete"));
-        assert!(kinds.contains(&"recovery_disarmed"));
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub mod executor;
 pub mod mixture;
 pub mod queue;
 pub mod rate;
-pub mod recovery;
 pub mod schedule;
 pub mod slo;
 pub mod stats;
@@ -32,7 +31,6 @@ pub use executor::{start, start_with_source, RunConfig, RunHandle};
 pub use mixture::{Mixture, MixtureError, MixturePreset};
 pub use queue::{Request, RequestQueue, ScheduledRequest};
 pub use rate::{ArrivalDist, Phase, PhaseScript, Rate};
-pub use recovery::{RecoveryConfig, RecoveryHandle};
 pub use schedule::{ScheduleSource, ScriptSchedule, Window};
 pub use slo::{
     Adjustment, SloConfig, SloCore, SloDecision, SloHandle, SloObservation, SloStatus,

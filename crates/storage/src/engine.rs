@@ -18,6 +18,7 @@ use bp_obs::{EventJournal, Severity};
 use bp_util::clock::{wall_clock, SharedClock};
 use bp_util::hash::MixMap;
 use bp_util::sync::RwLock;
+use bp_util::Periodic;
 
 use bp_util::rng::Rng;
 
@@ -27,8 +28,8 @@ use crate::lock::{upgrade_result, LockManager, LockMode, LockTarget, TxnId};
 use crate::metrics::ServerMetrics;
 use crate::personality::Personality;
 use crate::recovery::{
-    encode_row, CheckpointStats, CrashPoint, RecoveryReport, RecoveryStats, RecoveryStatus,
-    RedoOp,
+    encode_row, recovery_tick, CheckpointStats, CrashPoint, RecoveryConfig, RecoveryReport,
+    RecoveryStats, RecoveryStatus, RedoOp,
 };
 use crate::schema::{IndexDef, TableSchema};
 use crate::key::Key;
@@ -65,7 +66,9 @@ pub struct Database {
     generation: AtomicU64,
     /// Stamp of the current catalog shape; see [`Database::schema_version`].
     schema_version: AtomicU64,
-    recovery: Arc<RecoveryStats>,
+    /// Boxed with the supervisor's slot and the rebuild lock: off the
+    /// cache lines of the atomics every transaction reads.
+    recovery: Box<RecoveryStats>,
 }
 
 /// Source of schema-version stamps. Process-wide, so no two databases (and
@@ -116,7 +119,7 @@ impl Database {
             crashed: AtomicBool::new(false),
             generation: AtomicU64::new(1),
             schema_version: AtomicU64::new(NEXT_SCHEMA_VERSION.fetch_add(1, Ordering::Relaxed)),
-            recovery: Arc::new(RecoveryStats::new()),
+            recovery: Box::new(RecoveryStats::new()),
         })
     }
 
@@ -277,19 +280,19 @@ impl Database {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Recovery bookkeeping, exposed as `bp_recovery_*` metrics.
-    pub fn recovery_stats(&self) -> &Arc<RecoveryStats> {
+    /// Recovery bookkeeping, the supervisor's slot and the rebuild lock.
+    pub(crate) fn recovery_stats(&self) -> &RecoveryStats {
         &self.recovery
     }
 
-    /// Snapshot for `/recovery/status`.
+    /// Snapshot for `/recovery/status` and the `bp_recovery_*` series.
     pub fn recovery_status(&self) -> RecoveryStatus {
-        self.recovery.status(self.generation())
+        self.recovery.status(self.is_crashed(), self.generation())
     }
 
     /// Kill the engine at `point` (injected by the `ServerCrash` fault).
     /// Idempotent: only the first caller journals the crash.
-    fn crash(&self, point: CrashPoint, lsn: u64) {
+    pub(crate) fn crash(&self, point: CrashPoint, lsn: u64) {
         if self.crashed.swap(true, Ordering::AcqRel) {
             return;
         }
@@ -310,8 +313,14 @@ impl Database {
 
     /// Rebuild committed state from the latest checkpoint plus the redo
     /// tail, truncating a torn final record, then bring the engine back
-    /// online under a new generation.
-    pub fn recover(&self) -> RecoveryReport {
+    /// online under a new generation. Returns `None` on a live engine and
+    /// leaves it alone: a caller that waited for another's rebuild finds
+    /// the crash already recovered.
+    pub fn recover(&self) -> Option<RecoveryReport> {
+        let _rebuild = self.recovery.rebuild.lock();
+        if !self.is_crashed() {
+            return None;
+        }
         let start = self.clock().now();
         self.journal.emit_with(Severity::Warn, "storage", "recovery_begin", || {
             ("replaying redo log after crash".to_string(), Vec::new())
@@ -355,7 +364,51 @@ impl Database {
                 ],
             )
         });
-        report
+        Some(report)
+    }
+
+    /// Arm this database's one recovery supervisor: the `bp-recovery`
+    /// thread polls every `poll_interval_us`, recovers a crashed engine and
+    /// checkpoints when one is due on the database's clock. Arming again
+    /// replaces the running supervisor, so every workload on the database
+    /// shares one. The thread holds the database weakly: dropping its last
+    /// handle ends it.
+    pub fn supervise(self: &Arc<Database>, cfg: RecoveryConfig) {
+        let db = Arc::downgrade(self);
+        let mut last_checkpoint = self.clock.now();
+        let task = Periodic::spawn("bp-recovery", cfg.poll_interval_us.max(100), move || {
+            // Should this tick hold the last handle, the database drops
+            // here, and its `Periodic` only signals its own thread to end.
+            db.upgrade().map(|db| recovery_tick(&db, &cfg, &mut last_checkpoint)).is_some()
+        });
+        // The replaced supervisor is stopped once the slot is unlocked.
+        let replaced = self.recovery.supervisor.lock().replace((cfg, task));
+        drop(replaced);
+        self.journal.emit_with(Severity::Info, "storage", "recovery_armed", || {
+            (
+                format!(
+                    "recovery supervisor armed (poll {}us, checkpoint every {}us)",
+                    cfg.poll_interval_us, cfg.checkpoint_interval_us,
+                ),
+                vec![
+                    ("poll_us", cfg.poll_interval_us.to_string()),
+                    ("checkpoint_us", cfg.checkpoint_interval_us.to_string()),
+                ],
+            )
+        });
+    }
+
+    /// Stop the supervisor; returns once its thread has ended. A crashed
+    /// engine then stays down until [`Database::recover`] is called.
+    pub fn unsupervise(&self) {
+        let stopped = self.recovery.supervisor.lock().take();
+        drop(stopped);
+        self.journal.emit_with(Severity::Info, "storage", "recovery_disarmed", || {
+            (
+                "recovery supervisor disarmed".to_string(),
+                vec![("state", "disarmed".to_string())],
+            )
+        });
     }
 
     /// Snapshot committed state at the current stable LSN and truncate the
@@ -1495,6 +1548,7 @@ mod tests {
         assert_eq!(t.len(), committed, "a row per committed insert");
         // Every row left has redo: recovery rebuilds the same state.
         let live = db.state_digest();
+        db.crash(CrashPoint::BeforeAppend, 0);
         db.recover();
         assert!(db.state_digest() == live, "recovered state differs from the live one");
     }

@@ -29,7 +29,7 @@ pub use lock::{LockManager, LockMode, LockTarget, TxnId};
 pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use personality::Personality;
 pub use recovery::{
-    CheckpointStats, CrashPoint, RecoveryReport, RecoveryStats, RecoveryStatus,
+    CheckpointStats, CrashPoint, RecoveryConfig, RecoveryReport, RecoveryStatus,
 };
 pub use schema::{Column, IndexDef, TableSchema};
 pub use table::{RangeCursor, RowId, Table};

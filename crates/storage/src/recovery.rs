@@ -1,5 +1,5 @@
-//! Crash recovery: typed redo records, checkpoint images and recovery
-//! bookkeeping.
+//! Crash recovery: typed redo records, checkpoint images, recovery
+//! bookkeeping and the supervisor's tick.
 //!
 //! Commits append one binary redo record (insert/update/delete with table
 //! id and rowid; an insert carries the row, an update the columns it
@@ -8,12 +8,20 @@
 //! complete record into an image, then truncates the consumed segments.
 //! [`crate::Database::recover`] loads the latest checkpoint, replays the
 //! redo tail and truncates a torn final record, so recovered state is
-//! exactly the committed prefix of the pre-crash run.
+//! exactly the committed prefix of the pre-crash run. The database's one
+//! supervisor ([`crate::Database::supervise`]) runs `recovery_tick` on the
+//! `bp-recovery` thread: it recovers a crashed engine and checkpoints on
+//! the database's clock.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bp_util::clock::Micros;
+use bp_util::sync::Mutex;
+use bp_util::Periodic;
+
+use crate::engine::Database;
 use crate::table::RowId;
 use crate::value::{SharedRow, Value};
 
@@ -392,8 +400,29 @@ pub struct CheckpointStats {
     pub segments_truncated: u64,
 }
 
-/// Lock-free recovery bookkeeping, exposed as `bp_recovery_*` metrics.
-#[derive(Debug, Default)]
+/// Recovery-supervisor tuning. The defaults poll fast enough that a crash
+/// costs milliseconds of downtime, and checkpoint rarely enough that the
+/// checkpointer never competes with the workload for the redo mutex.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecoveryConfig {
+    /// How often the watchdog checks the crashed flag, µs.
+    pub poll_interval_us: u64,
+    /// Periodic checkpoint cadence, µs; `0` disables the checkpointer
+    /// (recovery then replays from the last explicit checkpoint, or the
+    /// whole log).
+    pub checkpoint_interval_us: u64,
+}
+
+impl Default for RecoveryConfig {
+    fn default() -> RecoveryConfig {
+        RecoveryConfig { poll_interval_us: 5_000, checkpoint_interval_us: 2_000_000 }
+    }
+}
+
+/// Recovery bookkeeping, exposed as `bp_recovery_*` metrics, the lock that
+/// serializes recovery, and the database's one supervisor
+/// ([`Database::supervise`]) with its counters.
+#[derive(Default)]
 pub struct RecoveryStats {
     crashes: AtomicU64,
     recoveries: AtomicU64,
@@ -406,11 +435,18 @@ pub struct RecoveryStats {
     last_crashpoint: AtomicU64,
     checkpoint_lsn: AtomicU64,
     durable_lsn: AtomicU64,
-    crashed: AtomicBool,
+    /// Held through [`Database::recover`]'s rebuild, so a crash is
+    /// rebuilt once.
+    pub(crate) rebuild: Mutex<()>,
+    /// The `bp-recovery` thread and its config; `None` while unsupervised.
+    pub(crate) supervisor: Mutex<Option<(RecoveryConfig, Periodic)>>,
+    recoveries_run: AtomicU64,
+    checkpoints_run: AtomicU64,
+    ticks: AtomicU64,
 }
 
-/// A point-in-time copy of [`RecoveryStats`] (plus the engine generation),
-/// consumed by `/recovery/status`.
+/// A point-in-time copy of [`RecoveryStats`] plus the engine's crashed flag
+/// and generation, consumed by `/recovery/status`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryStatus {
     pub crashed: bool,
@@ -425,6 +461,13 @@ pub struct RecoveryStatus {
     pub checkpoint_lsn: u64,
     pub durable_lsn: u64,
     pub generation: u64,
+    /// The supervisor's config; `None` while unsupervised.
+    pub supervisor: Option<RecoveryConfig>,
+    /// Recoveries the supervisor ran (`recoveries` also counts manual
+    /// [`Database::recover`] calls).
+    pub recoveries_run: u64,
+    pub checkpoints_run: u64,
+    pub ticks: u64,
 }
 
 impl RecoveryStats {
@@ -435,7 +478,6 @@ impl RecoveryStats {
     pub fn note_crash(&self, point: CrashPoint) {
         self.crashes.fetch_add(1, Ordering::Relaxed);
         self.last_crashpoint.store(point.index() + 1, Ordering::Relaxed);
-        self.crashed.store(true, Ordering::Relaxed);
     }
 
     pub fn note_recovery(&self, rep: &RecoveryReport) {
@@ -444,7 +486,6 @@ impl RecoveryStats {
         self.torn_truncations.fetch_add(rep.torn_truncated, Ordering::Relaxed);
         self.last_recovery_us.store(rep.duration_us, Ordering::Relaxed);
         self.durable_lsn.store(rep.durable_lsn, Ordering::Relaxed);
-        self.crashed.store(false, Ordering::Relaxed);
     }
 
     pub fn note_checkpoint(&self, s: &CheckpointStats) {
@@ -462,14 +503,11 @@ impl RecoveryStats {
         self.durable_lsn.store(0, Ordering::Relaxed);
     }
 
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries.load(Ordering::Relaxed)
-    }
-
-    pub fn status(&self, generation: u64) -> RecoveryStatus {
+    /// A snapshot; the crashed flag and the generation are the engine's.
+    pub fn status(&self, crashed: bool, generation: u64) -> RecoveryStatus {
         let cp = self.last_crashpoint.load(Ordering::Relaxed);
         RecoveryStatus {
-            crashed: self.crashed.load(Ordering::Relaxed),
+            crashed,
             crashes: self.crashes.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
             replayed_records: self.replayed_records.load(Ordering::Relaxed),
@@ -481,13 +519,49 @@ impl RecoveryStats {
             checkpoint_lsn: self.checkpoint_lsn.load(Ordering::Relaxed),
             durable_lsn: self.durable_lsn.load(Ordering::Relaxed),
             generation,
+            supervisor: self.supervisor.lock().as_ref().map(|(cfg, _)| *cfg),
+            recoveries_run: self.recoveries_run.load(Ordering::Relaxed),
+            checkpoints_run: self.checkpoints_run.load(Ordering::Relaxed),
+            ticks: self.ticks.load(Ordering::Relaxed),
         }
     }
 }
 
-impl bp_obs::MetricsSource for RecoveryStats {
+/// One watchdog poll: recover a crashed engine, otherwise checkpoint when
+/// one is due. The supervisor ([`Database::supervise`]) runs it every
+/// `poll_interval_us` on the `bp-recovery` thread. Due is
+/// `checkpoint_interval_us` after `last_checkpoint` on the database's clock.
+pub(crate) fn recovery_tick(db: &Database, cfg: &RecoveryConfig, last_checkpoint: &mut Micros) {
+    let stats = db.recovery_stats();
+    let checkpoint = || {
+        if db.checkpoint().is_some() {
+            stats.checkpoints_run.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    if db.is_crashed() {
+        // `recover()` journals recovery_begin/recovery_complete and counts
+        // `recoveries`; `recoveries_run` counts the ones the supervisor ran.
+        if db.recover().is_some() {
+            stats.recoveries_run.fetch_add(1, Ordering::Relaxed);
+        }
+        // A fresh checkpoint right after recovery bounds the next replay
+        // to the post-crash tail.
+        checkpoint();
+        *last_checkpoint = db.clock().now();
+    } else if cfg.checkpoint_interval_us > 0
+        && db.clock().now().saturating_sub(*last_checkpoint) >= cfg.checkpoint_interval_us
+    {
+        checkpoint();
+        *last_checkpoint = db.clock().now();
+    }
+    stats.ticks.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The engine's `bp_recovery_*` series, read from one
+/// [`Database::recovery_status`] snapshot.
+impl bp_obs::MetricsSource for Database {
     fn collect(&self, buf: &mut bp_obs::MetricsBuf) {
-        let s = self.status(0);
+        let s = self.recovery_status();
         let counters: [(&str, u64); 6] = [
             ("crashes", s.crashes),
             ("recoveries", s.recoveries),
@@ -686,8 +760,8 @@ mod tests {
     fn stats_lifecycle() {
         let s = RecoveryStats::new();
         s.note_crash(CrashPoint::AfterFsync);
-        let st = s.status(1);
-        assert!(st.crashed);
+        let st = s.status(true, 1);
+        assert_eq!(st.crashes, 1);
         assert_eq!(st.last_crashpoint, Some(CrashPoint::AfterFsync));
         s.note_recovery(&RecoveryReport {
             replayed_records: 12,
@@ -696,8 +770,7 @@ mod tests {
             duration_us: 900,
             ..Default::default()
         });
-        let st = s.status(2);
-        assert!(!st.crashed);
+        let st = s.status(false, 2);
         assert_eq!(st.recoveries, 1);
         assert_eq!(st.replayed_records, 12);
         assert_eq!(st.torn_truncations, 1);
@@ -707,10 +780,10 @@ mod tests {
     #[test]
     fn metrics_expose_recovery_series() {
         use bp_obs::MetricsSource as _;
-        let s = RecoveryStats::new();
-        s.note_crash(CrashPoint::BeforeAppend);
+        let db = Database::new(crate::Personality::test());
+        db.crash(CrashPoint::BeforeAppend, 0);
         let mut buf = bp_obs::MetricsBuf::new();
-        s.collect(&mut buf);
+        db.collect(&mut buf);
         let samples = buf.into_samples();
         // 6 counters + 4 gauges.
         assert_eq!(samples.len(), 10);
@@ -721,5 +794,110 @@ mod tests {
         assert!(samples.iter().any(|x| {
             x.name == "bp_recovery_crashed" && x.value == bp_obs::MetricValue::Gauge(1.0)
         }));
+    }
+
+    /// A recovery with nothing to recover changes nothing: the generation
+    /// stays, so a transaction open across the call still commits, and no
+    /// recovery is counted or journaled.
+    #[test]
+    fn recover_on_a_live_engine_leaves_it_alone() {
+        let db = Database::new(crate::Personality::test());
+        let (generation, before) = (db.generation(), db.recovery_status());
+        let mut s = db.session();
+        s.begin().unwrap();
+        assert!(db.recover().is_none());
+        assert_eq!(db.generation(), generation);
+        assert_eq!(db.recovery_status().recoveries, before.recoveries);
+        assert_eq!(s.commit(), Ok(()));
+        assert!(!db.journal().all().iter().any(|e| e.kind == "recovery_begin"));
+        // A crash is recovered once: the second call finds a live engine.
+        db.crash(CrashPoint::BeforeAppend, 0);
+        assert!(db.recover().is_some());
+        assert!(db.recover().is_none());
+        assert_eq!((db.generation(), db.recovery_status().recoveries), (generation + 1, 1));
+    }
+
+    #[test]
+    fn checkpoints_fall_due_on_the_database_clock() {
+        use bp_chaos::{FaultKind, FaultPlan, FaultWindow};
+        let (sim, clock) = bp_util::clock::sim_clock();
+        let db = Database::with_clock(crate::Personality::test(), clock);
+        let mut last = db.clock().now();
+        let cfg = RecoveryConfig { poll_interval_us: 100, checkpoint_interval_us: 1_000 };
+        let mut tick_at = |t| {
+            sim.advance_to(t);
+            recovery_tick(&db, &cfg, &mut last);
+            let s = db.recovery_status();
+            (s.recoveries_run, s.checkpoints_run)
+        };
+        assert_eq!(tick_at(999), (0, 0));
+        assert_eq!(tick_at(1_000), (0, 1));
+        // A crash: the tick at 1,500 µs recovers and checkpoints at once,
+        // and the next checkpoint is due one interval after that one.
+        db.chaos().arm(FaultPlan::new("crash", 1).with_window(FaultWindow::always(
+            FaultKind::ServerCrash,
+            1.0,
+            0,
+        )));
+        let mut s = db.session();
+        s.begin().unwrap();
+        assert_eq!(s.commit(), Err(crate::StorageError::Crashed));
+        db.chaos().disarm();
+        assert_eq!(tick_at(1_500), (1, 2));
+        assert_eq!(tick_at(2_000), (1, 2), "not due from the checkpoint before the crash");
+        assert_eq!(tick_at(2_499), (1, 2));
+        assert_eq!(tick_at(2_500), (1, 3));
+    }
+
+    /// The `bp-recovery` threads of this process. This module's supervisor
+    /// test is the only test of the crate that starts one.
+    fn recovery_threads() -> usize {
+        let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task");
+        tasks
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .filter(|name| name.trim_end() == "bp-recovery")
+            .count()
+    }
+
+    fn wait_for(mut done: impl FnMut() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !done() && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        done()
+    }
+
+    /// One supervisor per database: it recovers a crash, a re-arm replaces
+    /// it, and it holds the database only weakly, so disarming — or
+    /// dropping the database's last handle — ends its thread.
+    #[test]
+    fn a_supervisor_recovers_rearms_in_place_and_ends_with_its_database() {
+        let db = Database::new(crate::Personality::test());
+        let slow = RecoveryConfig { poll_interval_us: 60_000_000, checkpoint_interval_us: 0 };
+        let fast = RecoveryConfig { poll_interval_us: 1_000, ..slow };
+        db.supervise(slow);
+        assert_eq!((Arc::strong_count(&db), Arc::weak_count(&db)), (1, 1), "held weakly");
+        db.supervise(fast);
+        assert_eq!(db.recovery_status().supervisor, Some(fast));
+        assert_eq!(Arc::weak_count(&db), 1, "the replaced supervisor's thread has ended");
+        db.crash(CrashPoint::BeforeAppend, 0);
+        // The tick counts its checkpoint last.
+        assert!(wait_for(|| db.recovery_status().checkpoints_run == 1), "never recovered");
+        let s = db.recovery_status();
+        assert!(!s.crashed);
+        assert_eq!((s.recoveries, s.recoveries_run, s.checkpoints_run), (1, 1, 1));
+        db.unsupervise();
+        assert_eq!((db.recovery_status().supervisor, Arc::weak_count(&db)), (None, 0));
+        let kinds: Vec<_> = db.journal().all().iter().map(|e| e.kind.to_string()).collect();
+        for kind in ["recovery_armed", "recovery_complete", "recovery_disarmed"] {
+            assert!(kinds.iter().any(|k| k == kind), "no {kind} in {kinds:?}");
+        }
+
+        db.supervise(slow);
+        assert!(wait_for(|| recovery_threads() == 1));
+        let gone = Arc::downgrade(&db);
+        drop(db);
+        assert!(gone.upgrade().is_none(), "the supervisor kept its database alive");
+        assert!(wait_for(|| recovery_threads() == 0), "a bp-recovery thread outlived its database");
     }
 }

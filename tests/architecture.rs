@@ -309,14 +309,15 @@ fn hasher_rule_flags_a_planted_fixture() {
 /// (`SimDbms`'s lag, `SimServer`'s split, `simulate_script`) stays gone.
 /// And a layer adds control routes one way, by mounting a surface on the
 /// API server: bp-api's manifest names no layer above it. And a run has one
-/// handle, its `Controller`: no testbed wraps runs into tenants.
+/// handle, its `Controller`: no testbed wraps runs into tenants. And a
+/// database has one recovery supervisor, its own: no run arms another.
 #[test]
 fn background_threads_go_through_periodic() {
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
     const MAY_READ_SLOT: [&str; 3] = ["util/src/sync.rs", "core/src/stats.rs", "obs/src/span.rs"];
     const RING_ARITHMETIC: [&str; 2] = ["written %", "fn ordered("];
     const EXPOSITION_SYNTAX: [&str; 2] = ["\"# TYPE", "_bucket\""];
-    const RETIRED: [&str; 39] = [
+    const RETIRED: [&str; 42] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
@@ -345,6 +346,9 @@ fn background_threads_go_through_periodic() {
         // One handle per run: tenants are runs started on one database, and
         // a run's threads and a virtual tenant hold its `Controller`.
         "Testbed", "start_tenant", "active_workers",
+        // One recovery supervisor per database, owned by the database: no
+        // run keeps a watchdog of its own.
+        "RecoveryHandle", "start_recovery", "stop_recovery",
     ];
     const NO_AMBIENT_TIME: [&str; 2] = ["Instant::now", "SystemTime::now"];
     const MAY_READ_TIME: [&str; 2] = ["util/src/clock.rs", "util/src/periodic.rs"];

@@ -4,15 +4,22 @@
 //! `AfterAppendBeforeFsync` lose the dying transaction, `AfterFsync` keeps
 //! it (durable despite the client-visible error). A mid-run checkpoint
 //! bounds replay to the redo tail, and a recovered engine continues the
-//! workload deterministically.
+//! workload deterministically. Workloads that share a database share its
+//! one recovery supervisor.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use benchpress::api::{ApiServer, Request};
 use benchpress::chaos::{FaultKind, FaultPlan, FaultWindow};
+use benchpress::core::{Phase, PhaseScript, Rate, RunConfig};
 use benchpress::sql::{Connection, SqlError};
 use benchpress::storage::{
     Column, CrashPoint, DataType, Database, Personality, StorageError, TableSchema, Value,
 };
+use benchpress::util::json::Json;
+use benchpress::util::rng::Rng;
+use benchpress::workloads::by_name;
 
 /// The transaction index at which the crash runs die. Must be a committing
 /// index under the abort rule below (11 % 5 != 4).
@@ -101,7 +108,7 @@ fn crashpoint_matrix_recovers_to_committed_prefix() {
         // Every operation fast-fails with the retryable error while down.
         assert_eq!(db.session().begin(), Err(StorageError::Crashed));
 
-        let report = db.recover();
+        let report = db.recover().expect("a crashed engine recovers");
         assert!(!db.is_crashed());
         assert_eq!(db.state_digest(), want, "crashpoint {}", cp.name());
         if cp == CrashPoint::AfterAppendBeforeFsync {
@@ -134,7 +141,7 @@ fn mid_run_checkpoint_bounds_replay_and_preserves_state() {
     }
     arm_crash(&a, CrashPoint::BeforeAppend);
     assert_eq!(apply_txn(&a, CRASH_AT), Err(StorageError::Crashed));
-    let report_a = a.recover();
+    let report_a = a.recover().expect("a crashed engine recovers");
     assert_eq!(a.state_digest(), want);
 
     // Run B: checkpoint halfway — recovery replays only the tail.
@@ -147,7 +154,7 @@ fn mid_run_checkpoint_bounds_replay_and_preserves_state() {
     }
     arm_crash(&b, CrashPoint::BeforeAppend);
     assert_eq!(apply_txn(&b, CRASH_AT), Err(StorageError::Crashed));
-    let report_b = b.recover();
+    let report_b = b.recover().expect("a crashed engine recovers");
     assert_eq!(b.state_digest(), want, "checkpointed run recovers to the same state");
     assert!(
         report_b.replayed_records < report_a.replayed_records,
@@ -209,4 +216,66 @@ fn prepared_statement_reads_recovered_data_after_a_crash() {
     assert_eq!(balance(&mut conn), Ok(Some(2)), "the lost update is gone, the committed one is back");
     conn.execute_prepared(&update, &[Value::Int(4), Value::Int(10)]).unwrap();
     assert_eq!(balance(&mut Connection::open(&db)), Ok(Some(4)));
+}
+
+/// Two workloads on one database share its one supervisor: arming through
+/// either replaces it, both report the last arming, and one crash is
+/// recovered once.
+#[test]
+fn workloads_on_one_database_share_its_recovery_supervisor() {
+    let db = Database::new(Personality::test());
+    let voter = by_name("voter").unwrap();
+    voter.setup(&mut Connection::open(&db), 0.1, &mut Rng::new(5)).unwrap();
+    let api = ApiServer::new();
+    let runs = ["a", "b"].map(|id| {
+        let cfg = RunConfig {
+            terminals: 2,
+            script: PhaseScript::new(vec![Phase::new(Rate::Limited(100.0), 30.0)]),
+            collect_trace: false,
+            ..Default::default()
+        };
+        let run = benchpress::core::start(db.clone(), voter.clone(), cfg);
+        api.register(id, run.controller.clone());
+        run
+    });
+    let status = |id: &str| api.handle(&Request::get(&format!("/recovery/status?workload={id}"))).body;
+    let supervisor = |id: &str, key: &str| status(id).get("supervisor").and_then(|s| s.get(key)?.as_u64());
+
+    let arm = |id: &str, poll_ms: u64, checkpoint_ms: u64| {
+        let body = Json::obj().set("poll_ms", poll_ms).set("checkpoint_ms", checkpoint_ms);
+        let r = api.handle(&Request::post(&format!("/recovery?workload={id}"), body));
+        assert!(r.is_ok(), "{r:?}");
+    };
+    arm("a", 50, 1_000);
+    arm("b", 2, 0);
+    for id in ["a", "b"] {
+        assert_eq!(supervisor(id, "poll_us"), Some(2_000), "{id}: {}", status(id));
+        assert_eq!(supervisor(id, "checkpoint_us"), Some(0), "{id}: {}", status(id));
+    }
+
+    // With both runs paused, the one crash is the test's own commit.
+    for run in &runs {
+        run.controller.pause();
+    }
+    std::thread::sleep(Duration::from_millis(100));
+    arm_crash(&db, CrashPoint::BeforeAppend);
+    let mut s = db.session();
+    s.begin().unwrap();
+    assert_eq!(s.commit(), Err(StorageError::Crashed));
+    db.chaos().disarm();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while supervisor("a", "recoveries_run") != Some(1) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for id in ["a", "b"] {
+        let body = status(id);
+        for (key, want) in [("crashes", 1), ("recoveries", 1)] {
+            assert_eq!(body.get(key).and_then(Json::as_u64), Some(want), "{id} {key}: {body}");
+        }
+        assert_eq!(supervisor(id, "recoveries_run"), Some(1), "{id}: {body}");
+    }
+    assert!(!db.is_crashed());
+    for run in runs {
+        run.stop_and_join();
+    }
 }
