@@ -239,6 +239,7 @@ fn recovery_status_json(id: &str, c: &Controller) -> Json {
         )
         .set("checkpoint_lsn", s.checkpoint_lsn)
         .set("durable_lsn", s.durable_lsn)
+        .set("redo_bytes", s.redo_bytes)
         .set("generation", s.generation)
         .set(
             "supervisor",
@@ -1152,6 +1153,7 @@ mod tests {
         assert_eq!(r.body.get("crashes").unwrap().as_u64(), Some(1));
         assert_eq!(r.body.get("recoveries").unwrap().as_u64(), Some(1));
         assert_eq!(r.body.get("last_crashpoint").unwrap().as_str(), Some("before_append"));
+        assert!(r.body.get("redo_bytes").unwrap().as_u64().is_some());
         let sup = r.body.get("supervisor").unwrap();
         assert_eq!(sup.get("recoveries_run").unwrap().as_u64(), Some(1));
 

@@ -287,7 +287,7 @@ impl Database {
 
     /// Snapshot for `/recovery/status` and the `bp_recovery_*` series.
     pub fn recovery_status(&self) -> RecoveryStatus {
-        self.recovery.status(self.is_crashed(), self.generation())
+        self.recovery.status(self.is_crashed(), self.generation(), self.wal.redo_bytes())
     }
 
     /// Kill the engine at `point` (injected by the `ServerCrash` fault).
@@ -1816,5 +1816,37 @@ mod tests {
         drop(s);
         assert_eq!(db.state_digest(), committed);
         assert!(is_original(&t, rid));
+    }
+
+    #[test]
+    fn redo_bytes_grow_by_each_committed_record_and_a_checkpoint_truncates_them() {
+        use bp_obs::MetricsSource as _;
+        let db = db();
+        let t = acct(&db);
+        let gauge = || {
+            let mut buf = bp_obs::MetricsBuf::new();
+            db.collect(&mut buf);
+            let samples = buf.into_samples();
+            let sample = samples.iter().find(|x| x.name == "bp_recovery_redo_bytes").expect("redo gauge");
+            match sample.value {
+                bp_obs::MetricValue::Gauge(v) => v as u64,
+                ref other => panic!("{other:?}"),
+            }
+        };
+        let mut s = db.session();
+        s.with_txn(|s| s.insert(&t, vec![Value::Int(1), Value::Int(10)])).unwrap();
+        let before = db.recovery_status().redo_bytes;
+        assert!(before > 0);
+        let (lsn, txn) = (db.wal.current_lsn(), db.next_txn.load(Ordering::Relaxed));
+        let row = vec![Value::Int(2), Value::Int(20)];
+        let rowid = s.with_txn(|s| s.insert(&t, row.clone())).unwrap();
+        let len = crate::recovery::encode_record(&mut Vec::new(), lsn, txn, &[RedoOp::Insert { table: t.id, rowid, row: row.into() }]);
+        assert_eq!(db.recovery_status().redo_bytes, before + len as u64);
+        assert_eq!(gauge(), before + len as u64);
+        // A read-only transaction logs nothing.
+        s.with_txn(|s| s.read_pk(&t, &[Value::Int(2)], false)).unwrap();
+        assert_eq!(db.recovery_status().redo_bytes, before + len as u64);
+        db.checkpoint().unwrap();
+        assert_eq!((db.recovery_status().redo_bytes, gauge()), (0, 0));
     }
 }

@@ -460,6 +460,9 @@ pub struct RecoveryStatus {
     pub last_crashpoint: Option<CrashPoint>,
     pub checkpoint_lsn: u64,
     pub durable_lsn: u64,
+    /// Encoded bytes the redo store holds, summed over its segments: what
+    /// a checkpoint would replay and truncate.
+    pub redo_bytes: u64,
     pub generation: u64,
     /// The supervisor's config; `None` while unsupervised.
     pub supervisor: Option<RecoveryConfig>,
@@ -503,8 +506,9 @@ impl RecoveryStats {
         self.durable_lsn.store(0, Ordering::Relaxed);
     }
 
-    /// A snapshot; the crashed flag and the generation are the engine's.
-    pub fn status(&self, crashed: bool, generation: u64) -> RecoveryStatus {
+    /// A snapshot; the crashed flag, the generation and the redo bytes are
+    /// the engine's.
+    pub fn status(&self, crashed: bool, generation: u64, redo_bytes: u64) -> RecoveryStatus {
         let cp = self.last_crashpoint.load(Ordering::Relaxed);
         RecoveryStatus {
             crashed,
@@ -518,6 +522,7 @@ impl RecoveryStats {
             last_crashpoint: cp.checked_sub(1).map(CrashPoint::from_magnitude),
             checkpoint_lsn: self.checkpoint_lsn.load(Ordering::Relaxed),
             durable_lsn: self.durable_lsn.load(Ordering::Relaxed),
+            redo_bytes,
             generation,
             supervisor: self.supervisor.lock().as_ref().map(|(cfg, _)| *cfg),
             recoveries_run: self.recoveries_run.load(Ordering::Relaxed),
@@ -597,6 +602,12 @@ impl bp_obs::MetricsSource for Database {
             "Highest LSN whose redo record is durable",
             &[],
             s.durable_lsn as f64,
+        );
+        buf.gauge(
+            "bp_recovery_redo_bytes",
+            "Encoded bytes the redo store holds, summed over its segments",
+            &[],
+            s.redo_bytes as f64,
         );
     }
 }
@@ -760,7 +771,7 @@ mod tests {
     fn stats_lifecycle() {
         let s = RecoveryStats::new();
         s.note_crash(CrashPoint::AfterFsync);
-        let st = s.status(true, 1);
+        let st = s.status(true, 1, 0);
         assert_eq!(st.crashes, 1);
         assert_eq!(st.last_crashpoint, Some(CrashPoint::AfterFsync));
         s.note_recovery(&RecoveryReport {
@@ -770,7 +781,7 @@ mod tests {
             duration_us: 900,
             ..Default::default()
         });
-        let st = s.status(false, 2);
+        let st = s.status(false, 2, 0);
         assert_eq!(st.recoveries, 1);
         assert_eq!(st.replayed_records, 12);
         assert_eq!(st.torn_truncations, 1);
@@ -785,8 +796,8 @@ mod tests {
         let mut buf = bp_obs::MetricsBuf::new();
         db.collect(&mut buf);
         let samples = buf.into_samples();
-        // 6 counters + 4 gauges.
-        assert_eq!(samples.len(), 10);
+        // 6 counters + 5 gauges.
+        assert_eq!(samples.len(), 11);
         assert!(samples.iter().any(|x| {
             x.name == "bp_recovery_crashes_total"
                 && x.value == bp_obs::MetricValue::Counter(1.0)

@@ -1,16 +1,17 @@
 //! Heap tables with a clustered primary-key index and secondary B-tree
 //! indexes.
 //!
-//! An index is an ordered map from encoded key bytes ([`Key`]) to row ids;
-//! the primary key maps each key to its one row, a secondary index to the
-//! rows that share it, in the order they came.
+//! The primary key is an ordered map from encoded key bytes ([`Key`]) to
+//! each key's one row id. A secondary index is an ordered set of
+//! `(key, row id)` entries, one per row: rows that share a key sort by row
+//! id, and no key owns a list of its own.
 //!
 //! The physical structures are latched with a `bp_util::sync::RwLock`;
 //! *logical* isolation (row/table locks) is enforced above this layer by the
 //! engine, so methods here assume the caller already holds the appropriate
 //! logical locks.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -66,7 +67,7 @@ fn changed(overwrote: &[(usize, Value)], row: &[Value]) -> Vec<(u32, Value)> {
 #[derive(Debug)]
 struct IndexState {
     def: IndexDef,
-    map: BTreeMap<Key, Vec<RowId>>,
+    entries: BTreeSet<(Key, RowId)>,
 }
 
 impl IndexState {
@@ -74,69 +75,59 @@ impl IndexState {
         key_of(&self.def.key_columns, row)
     }
 
+    /// The row ids under `from.0`, in order, from row id `from.1` on.
+    fn rows<'s>(&'s self, from: &'s (Key, RowId)) -> impl Iterator<Item = RowId> + 's {
+        self.entries.range(from..).take_while(move |(key, _)| *key == from.0).map(|(_, rowid)| *rowid)
+    }
+
     fn duplicate(&self, row: &[Value], table: &str) -> StorageError {
         let key: Vec<&Value> = self.def.key_columns.iter().map(|&i| &row[i]).collect();
         StorageError::DuplicateKey { table: table.to_string(), key: format!("{}={key:?}", self.def.name) }
     }
 
+    /// Whether a unique index holds a row other than `rowid` under the key
+    /// `probe.0` (`probe.1` is 0).
+    fn taken(&self, probe: &(Key, RowId), rowid: RowId) -> bool {
+        self.def.unique && self.rows(probe).any(|r| r != rowid)
+    }
+
     fn insert(&mut self, row: &[Value], rowid: RowId, table: &str) -> Result<()> {
-        let slot = self.map.entry(self.key_of(row)).or_default();
-        if self.def.unique && !slot.is_empty() {
+        let probe = (self.key_of(row), 0);
+        if self.taken(&probe, rowid) {
             return Err(StorageError::DuplicateKey { table: table.to_string(), key: self.def.name.clone() });
         }
-        slot.push(rowid);
+        self.entries.insert((probe.0, rowid));
         Ok(())
     }
 
     fn remove(&mut self, row: &[Value], rowid: RowId) {
-        let key = self.key_of(row);
-        if let Some(slot) = self.map.get_mut(&key) {
-            slot.retain(|r| *r != rowid);
-            if slot.is_empty() {
-                self.map.remove(&key);
-            }
-        }
+        self.entries.remove(&(self.key_of(row), rowid));
     }
 }
 
 /// Where a range read ([`Table::range`]) stands: what is left of it is the
-/// entries from `start` — without the first `seen` rows under that very key,
-/// which were handed out — up to `end`. It holds no latch and nothing of the
-/// table: each chunk finds its place again by key, so entries that come or go
-/// between two chunks are seen or not like any other concurrent write. The
-/// one thing it counts is rows under a single secondary key, where a row
-/// removed ahead of the count makes the cursor pass over one it has not
-/// shown; it never shows a row twice.
+/// entries after `from` — at first its start key itself, then the last
+/// entry it handed out — and below `end`. It holds no latch and nothing of
+/// the table: each chunk finds its place again by entry, so entries that
+/// come or go between two chunks are seen or not like any other concurrent
+/// write, and no entry is shown twice or passed over.
 #[derive(Debug)]
 pub struct RangeCursor<'a> {
     /// The secondary index it reads, looked up by name under the latch each
-    /// chunk takes anyway; `None` is the primary key.
+    /// chunk takes anyway; `None` is the primary key, whose entries are
+    /// compared by key alone.
     index: Option<&'a str>,
-    start: Key,
-    seen: usize,
-    end: Key,
+    from: Bound<(Key, RowId)>,
+    /// The end key, with row id 0: every entry under a lower key is below it.
+    end: (Key, RowId),
     done: bool,
 }
 
-/// Copy up to `max` `(key, rowid)` entries into `out`, skipping the first
-/// `from.1` rows under the key `from.0`. Returns where the entries that did
-/// not fit start; `None` when all did.
-fn fill<'a>(
-    from: (&Key, usize),
-    entries: impl Iterator<Item = (&'a Key, &'a [RowId])>,
-    max: usize,
-    out: &mut Vec<(Key, RowId)>,
-) -> Option<(Key, usize)> {
-    for (key, rows) in entries {
-        let seen = if key == from.0 { from.1 } else { 0 };
-        for (at, rowid) in rows.iter().enumerate().skip(seen) {
-            if out.len() == max {
-                return Some((key.clone(), at));
-            }
-            out.push((key.clone(), *rowid));
-        }
-    }
-    None
+/// Copy up to `max` `(key, rowid)` entries into `out`. Returns whether any
+/// did not fit.
+fn fill<'a>(mut entries: impl Iterator<Item = (&'a Key, RowId)>, max: usize, out: &mut Vec<(Key, RowId)>) -> bool {
+    out.extend(entries.by_ref().take(max).map(|(key, rowid)| (key.clone(), rowid)));
+    entries.next().is_some()
 }
 
 #[derive(Debug, Default)]
@@ -182,7 +173,7 @@ impl Table {
         if d.indexes.iter().any(|ix| ix.def.name.eq_ignore_ascii_case(&def.name)) {
             return Err(StorageError::IndexExists(def.name));
         }
-        let mut ix = IndexState { def, map: BTreeMap::new() };
+        let mut ix = IndexState { def, entries: BTreeSet::new() };
         for (rowid, slot) in d.slots.iter().enumerate() {
             if let Some(row) = slot {
                 ix.insert(row, rowid as RowId, &self.schema.name)?;
@@ -220,7 +211,7 @@ impl Table {
         if pk.as_ref().is_some_and(|pk| d.pk.contains_key(pk)) {
             return Err(self.duplicate_pk(&row));
         }
-        if let Some(ix) = d.indexes.iter().find(|ix| ix.def.unique && ix.map.contains_key(&ix.key_of(&row))) {
+        if let Some(ix) = d.indexes.iter().find(|ix| ix.def.unique && ix.rows(&(ix.key_of(&row), 0)).next().is_some()) {
             return Err(ix.duplicate(&row, &self.schema.name));
         }
         // Every check has passed: the row moves into its slot, and the
@@ -271,20 +262,17 @@ impl Table {
         let new_key = |columns: &[usize]| Key::encode(columns.iter().map(|&c| after(c)));
         let pk = &self.schema.primary_key;
         let new_pk = moved(pk).then(|| new_key(pk));
-        let rekeyed: Vec<(usize, Key)> = d.indexes.iter().enumerate()
+        // Each moved index with its new key, and row id 0 to probe it with.
+        let rekeyed: Vec<(usize, (Key, RowId))> = d.indexes.iter().enumerate()
             .filter(|(_, ix)| moved(&ix.def.key_columns))
-            .map(|(pos, ix)| (pos, new_key(&ix.def.key_columns)))
+            .map(|(pos, ix)| (pos, (new_key(&ix.def.key_columns), 0)))
             .collect();
         // The row as it would be, for an error message.
         let new_row = || -> Row { (0..old.len()).map(|c| after(c).clone()).collect() };
         if new_pk.as_ref().is_some_and(|key| d.pk.contains_key(key)) {
             return Err(self.duplicate_pk(&new_row()));
         }
-        let taken = |(pos, key): &&(usize, Key)| {
-            let ix = &d.indexes[*pos];
-            ix.def.unique && ix.map.get(key).is_some_and(|rows| rows.iter().any(|r| *r != rowid))
-        };
-        if let Some((pos, _)) = rekeyed.iter().find(taken) {
+        if let Some((pos, _)) = rekeyed.iter().find(|(pos, probe)| d.indexes[*pos].taken(probe, rowid)) {
             return Err(d.indexes[*pos].duplicate(&new_row(), &self.schema.name));
         }
         if let Some(key) = new_pk {
@@ -315,8 +303,8 @@ impl Table {
                 (undo, redo)
             }
         };
-        for (pos, key) in rekeyed {
-            d.indexes[pos].map.entry(key).or_default().push(rowid);
+        for (pos, (key, _)) in rekeyed {
+            d.indexes[pos].entries.insert((key, rowid));
         }
         Ok(Written { undo, redo, bytes: self.schema.row_bytes(slot) })
     }
@@ -351,7 +339,7 @@ impl Table {
     pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
         let d = self.data.read();
         let pos = Self::index_pos(&d, index)?;
-        Ok(d.indexes[pos].map.get(&Key::encode(key)).cloned().unwrap_or_default())
+        Ok(d.indexes[pos].rows(&(Key::encode(key), 0)).collect())
     }
 
     /// A cursor over the rows, in key order, whose key in `index` (`None`:
@@ -392,7 +380,7 @@ impl Table {
         // `k >= 9 AND k < 3` with caller-supplied values, which
         // `BTreeMap::range` panics on, is a cursor that is done already.
         let done = start >= end;
-        RangeCursor { index, start, seen: 0, end, done }
+        RangeCursor { index, from: Bound::Included((start, 0)), end: (end, 0), done }
     }
 
     /// Replace `out` with the next entries of `cursor`, at most `max` of
@@ -408,18 +396,20 @@ impl Table {
         }
         let max = max.max(1);
         let d = self.data.read();
-        let keys = (Bound::Included(&cursor.start), Bound::Excluded(&cursor.end));
-        let from = (&cursor.start, cursor.seen);
-        let next = match cursor.index {
-            None => fill(from, d.pk.range(keys).map(|(k, r)| (k, std::slice::from_ref(r))), max, out),
+        let end = Bound::Excluded(&cursor.end);
+        let more = match cursor.index {
+            None => {
+                let keys = (cursor.from.as_ref().map(|(key, _)| key), end.map(|(key, _)| key));
+                fill(d.pk.range(keys).map(|(key, rowid)| (key, *rowid)), max, out)
+            }
             Some(name) => {
                 let index = &d.indexes[Self::index_pos(&d, name)?];
-                fill(from, index.map.range(keys).map(|(k, rows)| (k, &rows[..])), max, out)
+                fill(index.entries.range((cursor.from.as_ref(), end)).map(|(key, rowid)| (key, *rowid)), max, out)
             }
         };
-        match next {
-            Some((start, seen)) => (cursor.start, cursor.seen) = (start, seen),
-            None => cursor.done = true,
+        match out.last() {
+            Some(last) if more => cursor.from = Bound::Excluded(last.clone()),
+            _ => cursor.done = true,
         }
         Ok(())
     }
@@ -479,7 +469,7 @@ impl Table {
         d.free.clear();
         d.pk.clear();
         for ix in &mut d.indexes {
-            ix.map.clear();
+            ix.entries.clear();
         }
         let cap = rows.keys().next_back().map(|r| *r as usize + 1).unwrap_or(0);
         d.slots.resize(cap, None);
@@ -504,7 +494,7 @@ impl Table {
         d.live = 0;
         d.pk.clear();
         for ix in &mut d.indexes {
-            ix.map.clear();
+            ix.entries.clear();
         }
     }
 }
@@ -727,24 +717,41 @@ mod tests {
         // Twelve rows in one group and two in the next: chunks of three end
         // inside a secondary key's rows.
         let rowids: Vec<RowId> = (0..14).map(|id| t.insert(row(id, if id < 12 { 7 } else { 8 }, "r")).unwrap()).collect();
+        assert_eq!(rowids, (0..14).collect::<Vec<_>>());
         let whole = || t.range(Some("t_grp"), &[], Bound::Unbounded, Bound::Unbounded);
         assert_eq!(drain(&t, whole()), rowids);
 
-        // Between two chunks: rows that came are seen where their keys put
-        // them, rows that went are not, and none is seen twice.
+        // Between two chunks: rows that came are seen where their keys and
+        // row ids put them, rows that went are not, and none is seen twice.
         let (mut cursor, mut chunk) = (whole(), Vec::new());
         t.next_chunk(&mut cursor, 4, &mut chunk).unwrap();
         assert_eq!(chunk.iter().map(|(_, rowid)| *rowid).collect::<Vec<_>>(), rowids[..4]);
         assert!(chunk.iter().all(|(key, _)| *key == Key::encode(&[Value::Int(7)])));
-        t.delete(rowids[5]).unwrap();
-        t.delete(rowids[13]).unwrap();
-        let behind = t.insert(row(20, 6, "behind the cursor")).unwrap();
-        let ahead = t.insert(row(21, 7, "ahead of it")).unwrap();
-        assert_eq!((behind, ahead), (rowids[13], rowids[5]), "freed slots are filled again");
-        let mut left = rowids[4..13].to_vec();
-        left.retain(|r| *r != rowids[5]);
-        left.insert(7, ahead); // the last of group 7, before the one row of group 8
-        assert_eq!(drain(&t, cursor), left);
+        for gone in [1, 5, 13] {
+            t.delete(gone).unwrap();
+        }
+        // Freed slots are filled again, the last freed first.
+        let behind = t.insert(row(20, 6, "under a lower key")).unwrap();
+        let ahead = t.insert(row(21, 7, "past the cursor's row id")).unwrap();
+        let passed = t.insert(row(22, 7, "below the cursor's row id")).unwrap();
+        let grown = t.insert(row(23, 7, "in a new slot")).unwrap();
+        assert_eq!([behind, ahead, passed, grown], [13, 5, 1, 14]);
+        // Rows under one key come in row-id order: the new slot is the last
+        // of group 7, before the one row left in group 8.
+        assert_eq!(drain(&t, cursor), [4, 5, 6, 7, 8, 9, 10, 11, 14, 12]);
+    }
+
+    #[test]
+    fn a_row_shown_then_deleted_does_not_hide_the_next() {
+        let t = table();
+        for id in 0..12 {
+            t.insert(row(id, 7, "r")).unwrap();
+        }
+        let (mut cursor, mut chunk) = (t.range(Some("t_grp"), &[], Bound::Unbounded, Bound::Unbounded), Vec::new());
+        t.next_chunk(&mut cursor, 4, &mut chunk).unwrap();
+        assert_eq!(chunk.iter().map(|(_, rowid)| *rowid).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        t.delete(chunk[1].1).unwrap();
+        assert_eq!(drain(&t, cursor), (4..12).collect::<Vec<_>>());
     }
 
     #[test]

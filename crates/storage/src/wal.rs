@@ -190,6 +190,12 @@ impl Wal {
         }
     }
 
+    /// Encoded bytes the store holds, summed over its segments; the
+    /// checkpoint image is not counted.
+    pub fn redo_bytes(&self) -> u64 {
+        self.redo.lock().segments.iter().map(|seg| seg.bytes.len() as u64).sum()
+    }
+
     /// Highest LSN whose redo record is fully appended.
     pub fn durable_lsn(&self) -> u64 {
         self.redo.lock().durable_lsn
