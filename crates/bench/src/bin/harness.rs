@@ -1,9 +1,10 @@
 //! The experiment harness CLI: regenerates every table/figure artifact and
-//! checks each against its pass criteria.
+//! checks each against its pass criteria, printing one `ok:` or `FAIL:`
+//! line per criterion with the measured value beside its bound.
 //!
 //! Usage: `harness [<name>... | all]` — the names are the rows of
-//! `bp_bench::EXPERIMENTS`; an unknown name lists them. Exits 1 if any
-//! experiment fails a criterion.
+//! `bp_bench::EXPERIMENTS`; an unknown name lists them (exit 2). Exits 1 if
+//! any experiment fails a criterion.
 
 use bp_bench::EXPERIMENTS;
 
@@ -20,18 +21,9 @@ fn main() {
 
     let mut failures = 0;
     for e in EXPERIMENTS.iter().filter(|e| all || args.iter().any(|a| a == e.name)) {
-        println!("=== {} ===", e.title);
-        let outcome = (e.run)();
-        print!("{}", outcome.render());
-        let failed = outcome.check();
-        if failed.is_empty() {
-            println!("pass");
-        }
-        for criterion in &failed {
-            println!("FAIL: {criterion}");
-        }
-        failures += usize::from(!failed.is_empty());
-        println!();
+        let (printout, failing) = e.judge(&(e.run)());
+        println!("{printout}");
+        failures += usize::from(!failing.is_empty());
     }
     if failures > 0 {
         eprintln!("{failures} experiment(s) failed");

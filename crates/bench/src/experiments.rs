@@ -1,6 +1,7 @@
-//! Experiment runners, one per paper artifact. Each `run_*` returns a
-//! report; the report's [`Outcome`] renders the table the harness prints
-//! and names the pass criteria that do not hold.
+//! Experiment runners, one per paper artifact. Each `run_*` returns an
+//! [`Outcome`]: the table or lines the harness prints, formatted from what
+//! it measured, and the numbers its row's criteria in
+//! [`EXPERIMENTS`](crate::EXPERIMENTS) read.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use bp_util::timeseries::Summary;
 use bp_workloads::{all_workloads, by_name, table1, BENCHMARKS};
 
 use crate::live::{breaker_reclosed, sleep_s, wait_until, Endpoint, Fleet, LiveRun, Setup};
-use crate::{failed, Outcome};
+use crate::Outcome;
 
 fn voter(scale: f64, seed: u64, personality: Personality) -> Setup {
     Setup { workload: "voter", scale, seed, personality }
@@ -62,23 +63,14 @@ fn journaled(events: &Json, kind: &str) -> usize {
 }
 
 /// E1 — regenerate **Table 1**: every bundled benchmark, loaded and probed.
-#[derive(Default)]
-pub struct Table1Report {
-    pub rows: Vec<Table1VerifiedRow>,
-}
-
-pub struct Table1VerifiedRow {
-    pub class: String,
-    pub benchmark: String,
-    pub domain: String,
-    pub txn_types: usize,
-    pub loaded_rows: u64,
-    pub tables: usize,
-    pub sampled_txns_ok: bool,
-}
-
-pub fn run_table1(scale: f64) -> Table1Report {
-    let mut rows = Vec::new();
+pub fn run_table1(scale: f64) -> Outcome {
+    let mut text = String::from("Table 1: The set of benchmarks supported in OLTP-Bench\n");
+    let _ = writeln!(
+        text,
+        "{:<16}{:<18}{:<30}{:>6}{:>10}{:>8}{:>6}",
+        "Class", "Benchmark", "Application Domain", "Txns", "Rows", "Tables", "OK"
+    );
+    let (mut classes, mut failing) = (Vec::new(), 0);
     for (meta, w) in table1().into_iter().zip(all_workloads()) {
         let db = Database::new(Personality::test());
         let mut conn = Connection::open(&db);
@@ -92,72 +84,40 @@ pub fn run_table1(scale: f64) -> Table1Report {
                 }
             }
         }
-        rows.push(Table1VerifiedRow {
-            class: meta.class.label().to_string(),
-            benchmark: meta.benchmark,
-            domain: meta.domain,
-            txn_types: meta.transaction_types,
-            loaded_rows: summary.rows,
-            tables: summary.tables,
-            sampled_txns_ok: ok,
-        });
-    }
-    Table1Report { rows }
-}
-
-impl Outcome for Table1Report {
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Table 1: The set of benchmarks supported in OLTP-Bench\n");
+        let class = meta.class.label();
         let _ = writeln!(
-            out,
+            text,
             "{:<16}{:<18}{:<30}{:>6}{:>10}{:>8}{:>6}",
-            "Class", "Benchmark", "Application Domain", "Txns", "Rows", "Tables", "OK"
+            class,
+            meta.benchmark,
+            meta.domain,
+            meta.transaction_types,
+            summary.rows,
+            summary.tables,
+            if ok { "yes" } else { "NO" }
         );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<16}{:<18}{:<30}{:>6}{:>10}{:>8}{:>6}",
-                r.class,
-                r.benchmark,
-                r.domain,
-                r.txn_types,
-                r.loaded_rows,
-                r.tables,
-                if r.sampled_txns_ok { "yes" } else { "NO" }
-            );
-        }
-        out
+        classes.push(class);
+        failing += usize::from(!(ok && summary.rows > 0));
     }
-
-    fn check(&self) -> Vec<&'static str> {
-        let class = |c: &str| self.rows.iter().filter(|r| r.class == c).count();
-        failed(&[
-            (
-                "15 benchmarks in classes of 7 / 4 / 4",
-                (class("Transactional"), class("Web-Oriented"), class("Feature Testing"))
-                    == (7, 4, 4),
-            ),
-            (
-                "every benchmark loads rows and runs all its transaction types",
-                self.rows.iter().all(|r| r.sampled_txns_ok && r.loaded_rows > 0),
-            ),
-        ])
+    let class = |c: &str| classes.iter().filter(|&&k| k == c).count();
+    let split = (class("Transactional"), class("Web-Oriented"), class("Feature Testing"));
+    Outcome {
+        text,
+        measured: vec![
+            ("classes_7_4_4", f64::from(split == (7, 4, 4))),
+            ("benchmarks_failing", failing as f64),
+        ],
     }
 }
 
 /// E3 — §2.2.1 rate control: target vs delivered under both arrival
 /// distributions, on the live threaded testbed with the embedded engine.
-pub struct RateControlReport {
-    pub arrival: &'static str,
-    pub target_tps: f64,
-    pub delivered_mean: f64,
-    pub mean_abs_error: f64,
-    pub overshoot_seconds: usize,
-}
-
-pub fn run_rate_control(target_tps: f64, seconds: f64) -> Vec<RateControlReport> {
-    let mut out = Vec::new();
+pub fn run_rate_control(target_tps: f64, seconds: f64) -> Outcome {
+    let mut text = format!(
+        "{:<14}{:>10}{:>14}{:>10}{:>12}\n",
+        "arrival", "target", "delivered", "MAE", "overshoot-s"
+    );
+    let (mut overshoot_seconds, mut worst_rate_error) = (0, 0.0f64);
     for (arrival, name) in
         [(ArrivalDist::Uniform, "uniform"), (ArrivalDist::Exponential, "exponential")]
     {
@@ -169,64 +129,35 @@ pub fn run_rate_control(target_tps: f64, seconds: f64) -> Vec<RateControlReport>
         let trace = run.handle.trace.clone().expect("collect_trace is on");
         run.join();
         let report = TraceAnalyzer::tracking(&trace, &script, 50_000.0, 0.05);
-        out.push(RateControlReport {
-            arrival: name,
-            target_tps,
-            delivered_mean: Summary::of(&report.delivered).mean,
-            mean_abs_error: report.mean_abs_error,
-            overshoot_seconds: report.overshoot_seconds,
-        });
-    }
-    out
-}
-
-impl Outcome for Vec<RateControlReport> {
-    fn render(&self) -> String {
-        let mut out = format!(
-            "{:<14}{:>10}{:>14}{:>10}{:>12}\n",
-            "arrival", "target", "delivered", "MAE", "overshoot-s"
+        let delivered_mean = Summary::of(&report.delivered).mean;
+        let _ = writeln!(
+            text,
+            "{:<14}{:>10.0}{:>14.1}{:>10.2}{:>12}",
+            name, target_tps, delivered_mean, report.mean_abs_error, report.overshoot_seconds
         );
-        for r in self {
-            let _ = writeln!(
-                out,
-                "{:<14}{:>10.0}{:>14.1}{:>10.2}{:>12}",
-                r.arrival, r.target_tps, r.delivered_mean, r.mean_abs_error, r.overshoot_seconds
-            );
-        }
-        out
+        overshoot_seconds += report.overshoot_seconds;
+        worst_rate_error = worst_rate_error.max((delivered_mean / target_tps - 1.0).abs());
     }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            (
-                "no second exceeds the target rate, under either arrival process",
-                self.len() == 2 && self.iter().all(|r| r.overshoot_seconds == 0),
-            ),
-            (
-                "mean delivered rate within 10 % of target",
-                !self.is_empty()
-                    && self.iter().all(|r| (r.delivered_mean / r.target_tps - 1.0).abs() <= 0.10),
-            ),
-        ])
+    Outcome {
+        text,
+        measured: vec![
+            ("overshoot_seconds", overshoot_seconds as f64),
+            ("worst_rate_error", worst_rate_error),
+        ],
     }
 }
 
 /// E4 — §2.2.2 mixture control: read-heavy vs write-heavy throughput under
 /// open-loop load (real lock contention on the embedded engine).
-pub struct MixtureReport {
-    pub preset: &'static str,
-    pub throughput: f64,
-    pub lock_waits: u64,
-    pub deadlocks: u64,
-}
-
-pub fn run_mixture(seconds: f64) -> Vec<MixtureReport> {
-    let mut out = Vec::new();
-    for (preset, name) in [
+pub fn run_mixture(seconds: f64) -> Outcome {
+    let mut text =
+        format!("{:<14}{:>14}{:>12}{:>11}\n", "mixture", "tput (tx/s)", "lock waits", "deadlocks");
+    let runs = [
         (MixturePreset::SuperWrites, "super-writes"),
         (MixturePreset::Default, "default"),
         (MixturePreset::ReadOnly, "read-only"),
-    ] {
+    ]
+    .map(|(preset, name)| {
         let setup = Setup {
             workload: "smallbank",
             scale: 0.3,
@@ -244,62 +175,27 @@ pub fn run_mixture(seconds: f64) -> Vec<MixtureReport> {
         // The single-connection load waits on no lock, so the engine's
         // totals are the run's.
         let m = db.metrics().snapshot();
-        out.push(MixtureReport {
-            preset: name,
-            throughput: controller.stats().total_completed() as f64 / seconds,
-            lock_waits: m.lock_waits,
-            deadlocks: m.deadlocks,
-        });
-    }
-    out
-}
-
-impl Outcome for Vec<MixtureReport> {
-    fn render(&self) -> String {
-        let mut out = format!(
-            "{:<14}{:>14}{:>12}{:>11}\n",
-            "mixture", "tput (tx/s)", "lock waits", "deadlocks"
+        let throughput = controller.stats().total_completed() as f64 / seconds;
+        let _ = writeln!(
+            text,
+            "{:<14}{:>14.0}{:>12}{:>11}",
+            name, throughput, m.lock_waits, m.deadlocks
         );
-        for r in self {
-            let _ = writeln!(
-                out,
-                "{:<14}{:>14.0}{:>12}{:>11}",
-                r.preset, r.throughput, r.lock_waits, r.deadlocks
-            );
-        }
-        out
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        let of = |preset: &str| self.iter().find(|r| r.preset == preset);
-        let (Some(writes), Some(default), Some(reads)) =
-            (of("super-writes"), of("default"), of("read-only"))
-        else {
-            return vec!["all three mixtures measured"];
-        };
-        failed(&[
-            (
-                "read-only out-runs the default and the super-writes mixture",
-                reads.throughput > default.throughput && reads.throughput > writes.throughput,
-            ),
-            (
-                "read-only waits on no lock and meets no deadlock",
-                reads.lock_waits == 0 && reads.deadlocks == 0,
-            ),
-        ])
+        (throughput, m.lock_waits + m.deadlocks)
+    });
+    let [(writes, _), (default, _), (reads, read_only_blocked)] = runs;
+    Outcome {
+        text,
+        measured: vec![
+            ("read_only_lead_tps", reads - default.max(writes)),
+            ("read_only_waits_and_deadlocks", read_only_blocked as f64),
+        ],
     }
 }
 
 /// E5 — §2.2.3 multi-tenancy: a tenant's throughput alone vs alongside a
 /// second tenant on the same instance, each tenant a run of its own.
-#[derive(Default)]
-pub struct TenancyReport {
-    pub solo_tps: f64,
-    pub contended_tps: f64,
-    pub neighbor_tps: f64,
-}
-
-pub fn run_tenancy(seconds: f64) -> TenancyReport {
+pub fn run_tenancy(seconds: f64) -> Outcome {
     let run = |with_neighbor: bool| -> (f64, f64) {
         let db = Database::new(Personality::mysql_like());
         let tenant = |name: &str, seed: u64| {
@@ -314,42 +210,32 @@ pub fn run_tenancy(seconds: f64) -> TenancyReport {
     };
     let (solo, _) = run(false);
     let (contended, neighbor) = run(true);
-    TenancyReport { solo_tps: solo, contended_tps: contended, neighbor_tps: neighbor }
-}
-
-impl Outcome for TenancyReport {
-    fn render(&self) -> String {
-        format!(
-            "solo:      {:>10.0} tx/s\ncontended: {:>10.0} tx/s (neighbor {:.0} tx/s)\n\
-             interference: {:.0}% slowdown\n",
-            self.solo_tps,
-            self.contended_tps,
-            self.neighbor_tps,
-            (1.0 - self.contended_tps / self.solo_tps.max(1.0)) * 100.0
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            ("both tenants complete work", self.contended_tps > 0.0 && self.neighbor_tps > 0.0),
-            ("a tenant is slower beside a neighbor than alone", self.contended_tps < self.solo_tps),
-        ])
+    let text = format!(
+        "solo:      {:>10.0} tx/s\ncontended: {:>10.0} tx/s (neighbor {:.0} tx/s)\n\
+         interference: {:.0}% slowdown\n",
+        solo,
+        contended,
+        neighbor,
+        (1.0 - contended / solo.max(1.0)) * 100.0
+    );
+    Outcome {
+        text,
+        measured: vec![
+            ("slower_tenant_tps", contended.min(neighbor)),
+            ("slowdown_tps", solo - contended),
+        ],
     }
 }
 
 /// E6 — §4.1.2 challenge shapes across DBMS personalities: the autopilot
 /// plays each course against each personality's stage, on the driver in
 /// virtual time.
-pub struct ChallengeReport {
-    pub dbms: &'static str,
-    pub course: String,
-    pub outcome: &'static str,
-    pub survived_s: f64,
-    pub score: u64,
-}
-
-pub fn run_challenges(scale_tps: f64) -> Vec<ChallengeReport> {
-    let mut out = Vec::new();
+pub fn run_challenges(scale_tps: f64) -> Outcome {
+    let mut text = format!(
+        "{:<10}{:<12}{:<9}{:>11}{:>9}\n",
+        "dbms", "course", "outcome", "survived-s", "score"
+    );
+    let (mut games, mut oracle_minus_derby_passes, mut derby_tunnel_crash) = (0, 0, false);
     for personality in Personality::all() {
         let dbms = personality.name;
         for course in Course::demo_set(scale_tps) {
@@ -368,66 +254,41 @@ pub fn run_challenges(scale_tps: f64) -> Vec<ChallengeReport> {
             let mut session = GameSession::new(game, backend);
             session.run_policy(100_000, 1_000, chase_center_policy);
             let g = &session.game;
-            out.push(ChallengeReport {
-                dbms,
-                course: course_name,
-                outcome: match g.screen() {
-                    bp_game::Screen::Won => "pass",
-                    bp_game::Screen::Crashed { .. } => "crash",
-                    _ => "timeout",
-                },
-                survived_s: g.elapsed_us() as f64 / 1e6,
-                score: g.score(),
-            });
-        }
-    }
-    out
-}
-
-impl Outcome for Vec<ChallengeReport> {
-    fn render(&self) -> String {
-        let mut out = format!(
-            "{:<10}{:<12}{:<9}{:>11}{:>9}\n",
-            "dbms", "course", "outcome", "survived-s", "score"
-        );
-        for r in self {
+            let outcome = match g.screen() {
+                bp_game::Screen::Won => "pass",
+                bp_game::Screen::Crashed { .. } => "crash",
+                _ => "timeout",
+            };
             let _ = writeln!(
-                out,
+                text,
                 "{:<10}{:<12}{:<9}{:>11.1}{:>9}",
-                r.dbms, r.course, r.outcome, r.survived_s, r.score
+                dbms,
+                course_name,
+                outcome,
+                g.elapsed_us() as f64 / 1e6,
+                g.score()
             );
+            games += 1;
+            if outcome == "pass" {
+                oracle_minus_derby_passes +=
+                    i32::from(dbms == "oracle") - i32::from(dbms == "derby");
+            }
+            derby_tunnel_crash |= dbms == "derby" && course_name == "tunnel" && outcome == "crash";
         }
-        out
     }
-
-    fn check(&self) -> Vec<&'static str> {
-        let passes =
-            |dbms: &str| self.iter().filter(|r| r.dbms == dbms && r.outcome == "pass").count();
-        failed(&[
-            ("four DBMS stages play four courses each", self.len() == 16),
-            (
-                "oracle passes at least as many courses as derby",
-                passes("oracle") >= passes("derby"),
-            ),
-            (
-                "derby crashes in the tunnel",
-                self.iter()
-                    .any(|r| r.dbms == "derby" && r.course == "tunnel" && r.outcome == "crash"),
-            ),
-        ])
+    Outcome {
+        text,
+        measured: vec![
+            ("games", f64::from(games)),
+            ("oracle_minus_derby_passes", f64::from(oracle_minus_derby_passes)),
+            ("derby_tunnel_crash", f64::from(derby_tunnel_crash)),
+        ],
     }
 }
 
 /// E7 — game physics determinism: the same seed must reproduce the same
 /// trajectory, and gravity/jump laws must hold.
-#[derive(Default)]
-pub struct PhysicsReport {
-    pub deterministic: bool,
-    pub gravity_linear: bool,
-    pub crash_halts: bool,
-}
-
-pub fn run_physics() -> PhysicsReport {
+pub fn run_physics() -> Outcome {
     let session = |seed: u64| {
         let course = Course::demo_set(1_000.0).remove(0);
         let game = Game::new("voter", "mysql", course, PhysicsConfig::default());
@@ -466,43 +327,29 @@ pub fn run_physics() -> PhysicsReport {
         && tenant.backlog() == 0
         && tenant.stats().total_completed() == completed;
 
-    PhysicsReport { deterministic, gravity_linear, crash_halts }
-}
-
-impl Outcome for PhysicsReport {
-    fn render(&self) -> String {
-        format!(
-            "deterministic trajectories: {}\ngravity linear to zero:     {}\n\
-             crash halts, drops work:    {}\n",
-            self.deterministic, self.gravity_linear, self.crash_halts
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            ("the same seed replays the same trajectory", self.deterministic),
-            ("gravity lowers the requested rate linearly", self.gravity_linear),
-            ("a crash halts the benchmark and drops its queued and in-flight work", self.crash_halts),
-        ])
+    Outcome {
+        text: format!(
+            "deterministic trajectories: {deterministic}\ngravity linear to zero:     {gravity_linear}\n\
+             crash halts, drops work:    {crash_halts}\n"
+        ),
+        measured: vec![
+            ("deterministic", f64::from(deterministic)),
+            ("gravity_linear", f64::from(gravity_linear)),
+            ("crash_halts", f64::from(crash_halts)),
+        ],
     }
 }
 
 /// E8 — Fig. 2b: the same saturating workload against every personality on
 /// the embedded engine, live (peak throughput and abort rates) and on E6's
-/// stage in virtual time.
-pub struct PersonalityReport {
-    pub personality: &'static str,
-    pub throughput: f64,
-    pub p95_latency_us: u64,
-    pub failed: u64,
-    pub jitter_cv: f64,
-    /// Saturated throughput of the virtual-time stage, one transaction at
-    /// a time (deterministic).
-    pub virtual_tps: f64,
-}
-
-pub fn run_personalities(seconds: f64) -> Vec<PersonalityReport> {
-    let mut out = Vec::new();
+/// stage in virtual time (saturated, one transaction at a time:
+/// deterministic).
+pub fn run_personalities(seconds: f64) -> Outcome {
+    let mut text = format!(
+        "{:<12}{:>14}{:>14}{:>9}{:>12}{:>16}\n",
+        "personality", "tput (tx/s)", "p95 (µs)", "failed", "jitter CV", "virtual (tx/s)"
+    );
+    let mut rows = Vec::new();
     for p in Personality::all() {
         let name = p.name;
         let virtual_tps = VirtualRun::saturated_tps(p.clone(), by_name("voter").unwrap(), None, 5);
@@ -511,71 +358,42 @@ pub fn run_personalities(seconds: f64) -> Vec<PersonalityReport> {
         let st = controller.stats().status(seconds as usize);
         let series = controller.stats().throughput_series();
         let steady = if series.len() > 2 { &series[1..series.len() - 1] } else { &series[..] };
-        out.push(PersonalityReport {
-            personality: name,
-            throughput: controller.stats().total_completed() as f64 / seconds,
-            p95_latency_us: st.p95_latency_us,
-            failed: st.failed,
-            jitter_cv: Summary::of(steady).cv(),
-            virtual_tps,
-        });
-    }
-    out
-}
-
-impl Outcome for Vec<PersonalityReport> {
-    fn render(&self) -> String {
-        let mut out = format!(
-            "{:<12}{:>14}{:>14}{:>9}{:>12}{:>16}\n",
-            "personality", "tput (tx/s)", "p95 (µs)", "failed", "jitter CV", "virtual (tx/s)"
+        let throughput = controller.stats().total_completed() as f64 / seconds;
+        let _ = writeln!(
+            text,
+            "{:<12}{:>14.0}{:>14}{:>9}{:>12.3}{:>16.0}",
+            name,
+            throughput,
+            st.p95_latency_us,
+            st.failed,
+            Summary::of(steady).cv(),
+            virtual_tps
         );
-        for r in self {
-            let _ = writeln!(
-                out,
-                "{:<12}{:>14.0}{:>14}{:>9}{:>12.3}{:>16.0}",
-                r.personality, r.throughput, r.p95_latency_us, r.failed, r.jitter_cv, r.virtual_tps
-            );
-        }
-        out
+        rows.push((name, throughput, st.failed, virtual_tps));
     }
-
-    fn check(&self) -> Vec<&'static str> {
-        let Some(derby) = self.iter().find(|r| r.personality == "derby") else {
-            return vec!["the derby-like stage is measured"];
-        };
-        let others = || self.iter().filter(|r| r.personality != "derby");
-        failed(&[
-            (
-                "all four personalities complete work",
-                self.len() == 4 && self.iter().all(|r| r.throughput > 0.0),
-            ),
-            (
-                "coarse-locking derby delivers the lowest throughput",
-                others().all(|r| r.throughput > derby.throughput),
-            ),
-            ("mysql, postgres and oracle fail no transaction", others().all(|r| r.failed == 0)),
-            (
-                "in virtual time oracle > mysql > postgres > derby",
-                ["oracle", "mysql", "postgres", "derby"]
-                    .map(|name| self.iter().find(|r| r.personality == name).map_or(0.0, |r| r.virtual_tps))
-                    .windows(2)
-                    .all(|pair| pair[0] > pair[1]),
-            ),
-        ])
+    let derby = rows.iter().find(|r| r.0 == "derby").map_or(f64::NAN, |r| r.1);
+    let others = || rows.iter().filter(|r| r.0 != "derby");
+    let virtual_tps = |name| rows.iter().find(|r| r.0 == name).map_or(0.0, |r| r.3);
+    let virtual_order_gap = ["oracle", "mysql", "postgres", "derby"]
+        .map(virtual_tps)
+        .windows(2)
+        .map(|pair| pair[0] - pair[1])
+        .fold(f64::INFINITY, f64::min);
+    Outcome {
+        text,
+        measured: vec![
+            ("personalities_with_work", rows.iter().filter(|r| r.1 > 0.0).count() as f64),
+            ("derby_deficit_tps", others().map(|r| r.1).fold(f64::INFINITY, f64::min) - derby),
+            ("others_failed", others().map(|r| r.2).sum::<u64>() as f64),
+            ("virtual_order_gap_tps", virtual_order_gap),
+        ],
     }
 }
 
 /// E9 — §2.2.4 control API: command-to-effect latency for a rate change on
-/// a live run (seconds until the delivered rate reaches the new target band).
-#[derive(Default)]
-pub struct ApiReport {
-    pub old_rate: f64,
-    pub new_rate: f64,
-    pub effect_latency_s: f64,
-    pub feedback_ok: bool,
-}
-
-pub fn run_api(old_rate: f64, new_rate: f64) -> ApiReport {
+/// a live run (seconds until the delivered rate reaches the new target band;
+/// NaN if it never does).
+pub fn run_api(old_rate: f64, new_rate: f64) -> Outcome {
     let cfg = steady(4, Rate::Limited(old_rate), 30.0);
     let run = LiveRun::start(&voter(0.3, 11, Personality::test()), cfg);
 
@@ -601,24 +419,15 @@ pub fn run_api(old_rate: f64, new_rate: f64) -> ApiReport {
         }
     }
     run.stop();
-    ApiReport { old_rate, new_rate, effect_latency_s, feedback_ok }
-}
-
-impl Outcome for ApiReport {
-    fn render(&self) -> String {
-        format!(
-            "instantaneous feedback available: {}\n\
-             rate-change effect latency: {:.1}s ({} → {} tps)\n",
-            self.feedback_ok, self.effect_latency_s, self.old_rate, self.new_rate
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            ("status feedback carries the current throughput", self.feedback_ok),
-            // NaN (never reached the band) fails the comparison too.
-            ("a rate change takes effect within 3 s", self.effect_latency_s <= 3.0),
-        ])
+    Outcome {
+        text: format!(
+            "instantaneous feedback available: {feedback_ok}\n\
+             rate-change effect latency: {effect_latency_s:.1}s ({old_rate} → {new_rate} tps)\n"
+        ),
+        measured: vec![
+            ("feedback", f64::from(feedback_ok)),
+            ("effect_latency_s", effect_latency_s),
+        ],
     }
 }
 
@@ -627,15 +436,9 @@ impl Outcome for ApiReport {
 /// rendering is good when it parses back to the statement the canonical
 /// text is; a DDL rendering when it parses and, in the two dialects whose
 /// type names this engine takes, builds the schema in declaration order.
-pub struct DialectReport {
-    pub benchmark: String,
-    pub statements: usize,
-    pub dialects_ok: usize,
-    pub total_renderings: usize,
-}
-
-pub fn run_dialects() -> Vec<DialectReport> {
-    let mut out = Vec::new();
+pub fn run_dialects() -> Outcome {
+    let mut text = format!("{:<18}{:>12}{:>16}\n", "benchmark", "statements", "renderings OK");
+    let (mut with_statements, mut bad_renderings) = (0, 0);
     for b in &BENCHMARKS {
         let cat = b.catalog();
         let mut engines = [Dialect::MySql, Dialect::Postgres]
@@ -656,41 +459,16 @@ pub fn run_dialects() -> Vec<DialectReport> {
                 ok += good as usize;
             }
         }
-        out.push(DialectReport {
-            benchmark: b.name.to_string(),
-            statements: cat.len(),
-            dialects_ok: ok,
-            total_renderings: total,
-        });
+        let _ = writeln!(text, "{:<18}{:>12}{:>13}/{}", b.name, cat.len(), ok, total);
+        with_statements += usize::from(!cat.is_empty());
+        bad_renderings += total - ok;
     }
-    out
-}
-
-impl Outcome for Vec<DialectReport> {
-    fn render(&self) -> String {
-        let mut out = format!("{:<18}{:>12}{:>16}\n", "benchmark", "statements", "renderings OK");
-        for r in self {
-            let _ = writeln!(
-                out,
-                "{:<18}{:>12}{:>13}/{}",
-                r.benchmark, r.statements, r.dialects_ok, r.total_renderings
-            );
-        }
-        out
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            (
-                "all 15 benchmarks carry catalog statements",
-                self.len() == 15 && self.iter().all(|r| r.statements > 0),
-            ),
-            (
-                "every statement renders in every dialect and re-parses to the same statement \
-                 (DDL: re-parses, and builds the schema as MySQL and Postgres render it)",
-                self.iter().all(|r| r.dialects_ok == r.total_renderings),
-            ),
-        ])
+    Outcome {
+        text,
+        measured: vec![
+            ("benchmarks_with_statements", with_statements as f64),
+            ("bad_renderings", bad_renderings as f64),
+        ],
     }
 }
 
@@ -698,18 +476,7 @@ impl Outcome for Vec<DialectReport> {
 /// two-phase workload with span recording in full mode and report the
 /// per-phase stage-latency lines plus the Prometheus exposition the
 /// `/metrics` endpoint would serve.
-#[derive(Default)]
-pub struct ObservabilityReport {
-    pub completed: u64,
-    pub spans_recorded: u64,
-    /// `(phase index, one-line p50/p95/p99 per stage)` per script phase.
-    pub phase_lines: Vec<(u16, String)>,
-    /// Distinct metric families in the exposition.
-    pub metric_families: usize,
-    pub exposition_bytes: usize,
-}
-
-pub fn run_observability(seconds: f64) -> ObservabilityReport {
+pub fn run_observability(seconds: f64) -> Outcome {
     let script = PhaseScript::new(vec![
         Phase::new(Rate::Limited(400.0), seconds / 2.0),
         Phase::new(Rate::Limited(800.0), seconds / 2.0),
@@ -720,51 +487,32 @@ pub fn run_observability(seconds: f64) -> ObservabilityReport {
     let controller = run.join();
 
     let samples = registry.expect("a live run serves a registry").snapshot();
-    let phase_lines = spans
-        .phase_summaries()
-        .into_iter()
-        .map(|(phase, stages)| (phase, bp_obs::format_stage_line(stages[0].count, &stages)))
-        .collect();
     let st = controller.status();
-    ObservabilityReport {
-        completed: st.committed + st.user_aborted + st.failed,
-        spans_recorded: spans.recorded(),
-        phase_lines,
-        metric_families: samples.chunk_by(|a, b| a.name == b.name).count(),
-        exposition_bytes: bp_obs::render_samples(&samples).len(),
-    }
-}
-
-impl Outcome for ObservabilityReport {
-    fn render(&self) -> String {
-        let mut out =
-            format!("completed: {}  spans recorded: {}\n", self.completed, self.spans_recorded);
-        for (phase, line) in &self.phase_lines {
-            let _ = writeln!(out, "phase {phase}: {line}");
-        }
-        let _ = writeln!(
-            out,
-            "/metrics exposition: {} families, {} bytes",
-            self.metric_families, self.exposition_bytes
+    let completed = st.committed + st.user_aborted + st.failed;
+    let mut text = format!("completed: {}  spans recorded: {}\n", completed, spans.recorded());
+    let phases = spans.phase_summaries();
+    let mut with_percentiles = 0;
+    for (phase, stages) in &phases {
+        let line = bp_obs::format_stage_line(stages[0].count, stages);
+        let _ = writeln!(text, "phase {phase}: {line}");
+        with_percentiles += usize::from(
+            line.contains("queue p50/p95/p99=") && line.contains("commit p50/p95/p99="),
         );
-        out
     }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            (
-                "full mode records one span per completed request",
-                self.completed > 0 && self.spans_recorded == self.completed,
-            ),
-            (
-                "every phase reports queue and commit percentiles",
-                !self.phase_lines.is_empty()
-                    && self.phase_lines.iter().all(|(_, l)| {
-                        l.contains("queue p50/p95/p99=") && l.contains("commit p50/p95/p99=")
-                    }),
-            ),
-            ("the registry exposes at least 10 metric families", self.metric_families >= 10),
-        ])
+    let metric_families = samples.chunk_by(|a, b| a.name == b.name).count();
+    let _ = writeln!(
+        text,
+        "/metrics exposition: {} families, {} bytes",
+        metric_families,
+        bp_obs::render_samples(&samples).len()
+    );
+    Outcome {
+        text,
+        measured: vec![
+            ("spans_per_request", spans.recorded() as f64 / completed as f64),
+            ("phases_with_percentiles_share", with_percentiles as f64 / phases.len() as f64),
+            ("metric_families", metric_families as f64),
+        ],
     }
 }
 
@@ -772,23 +520,7 @@ impl Outcome for ObservabilityReport {
 /// scenario armed over the live HTTP control API mid-run, with the circuit
 /// breaker shedding load while the engine is sick and re-closing after the
 /// faults are disarmed.
-#[derive(Default)]
-pub struct ResilienceReport {
-    /// Committed tx/s before, during, and after the fault window.
-    pub baseline_tps: f64,
-    pub faulted_tps: f64,
-    pub recovered_tps: f64,
-    /// Faults injected by the chaos layer (`bp_chaos_injected_total`).
-    pub injected: u64,
-    /// Requests fast-failed by the breaker (`bp_resilience_shed_total`).
-    pub shed: u64,
-    pub breaker_opened: bool,
-    pub breaker_reclosed: bool,
-    /// `/metrics` exposes chaos + resilience series above zero.
-    pub metrics_ok: bool,
-}
-
-pub fn run_resilience(seconds: f64) -> ResilienceReport {
+pub fn run_resilience(seconds: f64) -> Outcome {
     let cfg = RunConfig {
         max_retries: 2,
         breaker: true,
@@ -814,53 +546,29 @@ pub fn run_resilience(seconds: f64) -> ResilienceReport {
 
     let metrics = run.http.scrape("/metrics");
     let controller = run.stop();
-    ResilienceReport {
-        baseline_tps: c1 as f64 / third,
-        faulted_tps: (c2 - c1) as f64 / third,
-        recovered_tps: (c3 - c2) as f64 / third,
-        injected: controller.chaos().injected_total(bp_chaos::FaultKind::InjectedError),
-        shed: controller.breaker().map_or(0, |b| b.shed_total()),
-        breaker_opened,
-        breaker_reclosed: breaker_reclosed(&controller),
-        metrics_ok: metrics.value("bp_chaos_injected_total", &[]) > 0.0
-            && metrics.value("bp_resilience_shed_total", &[]) > 0.0
-            && metrics.has("bp_resilience_breaker_state"),
-    }
-}
-
-impl Outcome for ResilienceReport {
-    fn render(&self) -> String {
-        format!(
-            "committed tx/s: baseline {:.0} → faulted {:.0} → recovered {:.0}\n\
-             faults injected: {}   requests shed: {}\n\
-             breaker opened: {}   re-closed after disarm: {}   /metrics ok: {}\n",
-            self.baseline_tps,
-            self.faulted_tps,
-            self.recovered_tps,
-            self.injected,
-            self.shed,
-            self.breaker_opened,
-            self.breaker_reclosed,
-            self.metrics_ok
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            ("chaos injects faults", self.injected > 0),
-            ("breaker opens under the error burst", self.breaker_opened),
-            ("open breaker sheds load", self.shed > 0),
-            ("breaker re-closes after disarm", self.breaker_reclosed),
-            ("/metrics shows live chaos and resilience series", self.metrics_ok),
-            (
-                "faulted throughput below 80 % of baseline",
-                self.faulted_tps < self.baseline_tps * 0.8,
-            ),
-            (
-                "recovered throughput above 1.5x faulted",
-                self.recovered_tps > self.faulted_tps * 1.5,
-            ),
-        ])
+    let (baseline_tps, faulted_tps, recovered_tps) =
+        (c1 as f64 / third, (c2 - c1) as f64 / third, (c3 - c2) as f64 / third);
+    let injected = controller.chaos().injected_total(bp_chaos::FaultKind::InjectedError);
+    let shed = controller.breaker().map_or(0, |b| b.shed_total());
+    let breaker_reclosed = breaker_reclosed(&controller);
+    let metrics_ok = metrics.value("bp_chaos_injected_total", &[]) > 0.0
+        && metrics.value("bp_resilience_shed_total", &[]) > 0.0
+        && metrics.has("bp_resilience_breaker_state");
+    Outcome {
+        text: format!(
+            "committed tx/s: baseline {baseline_tps:.0} → faulted {faulted_tps:.0} → recovered {recovered_tps:.0}\n\
+             faults injected: {injected}   requests shed: {shed}\n\
+             breaker opened: {breaker_opened}   re-closed after disarm: {breaker_reclosed}   /metrics ok: {metrics_ok}\n"
+        ),
+        measured: vec![
+            ("injected", injected as f64),
+            ("breaker_opened", f64::from(breaker_opened)),
+            ("shed", shed as f64),
+            ("breaker_reclosed", f64::from(breaker_reclosed)),
+            ("metrics_ok", f64::from(metrics_ok)),
+            ("faulted_over_baseline", faulted_tps / baseline_tps),
+            ("recovered_over_faulted", recovered_tps / faulted_tps),
+        ],
     }
 }
 
@@ -870,33 +578,7 @@ impl Outcome for ResilienceReport {
 /// loop find it on its own. Part (b): arm a chaos latency-spike +
 /// error-burst plan mid-run; the breaker opens, the loop backs the
 /// offered rate off hard, and both recover after disarm.
-#[derive(Default)]
-pub struct SloReport {
-    /// Delivered throughput at unlimited offered rate (tx/s).
-    pub capacity_tps: f64,
-    /// The p99 limit handed to the controller (ms).
-    pub limit_ms: f64,
-    /// Hand-found max rate whose windowed p99 stays under the limit.
-    pub reference_rate: f64,
-    /// Mean commanded rate once the SLO loop settled.
-    pub converged_rate: f64,
-    /// `converged_rate / reference_rate`.
-    pub converged_ratio: f64,
-    /// Delivered throughput at the converged operating point.
-    pub converged_tps: f64,
-    /// Commanded rate before / during / after the chaos window.
-    pub healthy_rate: f64,
-    pub spike_rate: f64,
-    pub recovered_rate: f64,
-    pub breaker_opened: bool,
-    pub breaker_reclosed: bool,
-    /// `bp_slo_breaker_backoffs_total` at the end of the run.
-    pub breaker_backoffs: u64,
-    /// `/metrics` exposes live `bp_slo_*` series above zero.
-    pub metrics_ok: bool,
-}
-
-pub fn run_slo(seconds: f64) -> SloReport {
+pub fn run_slo(seconds: f64) -> Outcome {
     // ---- part (a): convergence to the hand-found operating point ----
     // The mysql-like personality pays lock waits and IO in the cost model,
     // so with 8 terminals the p99-vs-rate curve climbs steadily and then
@@ -1043,80 +725,39 @@ pub fn run_slo(seconds: f64) -> SloReport {
     run.http.delete("/slo");
     let controller = run.stop();
 
-    SloReport {
-        capacity_tps: capacity,
-        limit_ms,
-        reference_rate,
-        converged_rate,
-        converged_ratio: converged_rate / reference_rate.max(1.0),
-        converged_tps,
-        healthy_rate,
-        spike_rate,
-        recovered_rate,
-        breaker_opened,
-        breaker_reclosed: breaker_reclosed(&controller),
-        breaker_backoffs,
-        metrics_ok: metrics.has("bp_slo_current_rate")
-            && metrics.value("bp_slo_ticks_total", &[]) > 0.0
-            && metrics.value("bp_slo_breaker_backoffs_total", &[]) > 0.0,
-    }
-}
-
-impl Outcome for SloReport {
-    fn render(&self) -> String {
-        format!(
-            "capacity ~{:.0} tx/s, p99 limit {:.2} ms, hand-found operating point {:.0} tx/s\n\
-             SLO loop converged to {:.0} tx/s (x{:.2} of reference), delivering {:.0} tx/s\n\
-             chaos spike: rate {:.0} -> {:.0} -> {:.0} tx/s (healthy/spike/recovered)\n\
-             breaker opened: {}, re-closed: {}, SLO breaker backoffs: {}\n\
-             /metrics exposes live bp_slo_* series: {}\n",
-            self.capacity_tps,
-            self.limit_ms,
-            self.reference_rate,
-            self.converged_rate,
-            self.converged_ratio,
-            self.converged_tps,
-            self.healthy_rate,
-            self.spike_rate,
-            self.recovered_rate,
-            self.breaker_opened,
-            self.breaker_reclosed,
-            self.breaker_backoffs,
-            self.metrics_ok,
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            (
-                "probe and scan find an operating point",
-                self.capacity_tps > 100.0 && self.reference_rate > 0.0,
-            ),
-            (
-                "loop converges to 0.6x-1.45x the hand-found rate",
-                (0.6..=1.45).contains(&self.converged_ratio),
-            ),
-            ("breaker opens under the chaos spike", self.breaker_opened),
-            ("open breaker forces SLO backoffs", self.breaker_backoffs > 0),
-            ("spike rate below 60 % of healthy rate", self.spike_rate < self.healthy_rate * 0.6),
-            ("recovered rate above 1.4x spike rate", self.recovered_rate > self.spike_rate * 1.4),
-            ("breaker re-closes after disarm", self.breaker_reclosed),
-            ("bp_slo_* series live on /metrics", self.metrics_ok),
-        ])
+    let converged_ratio = converged_rate / reference_rate.max(1.0);
+    let breaker_reclosed = breaker_reclosed(&controller);
+    let metrics_ok = metrics.has("bp_slo_current_rate")
+        && metrics.value("bp_slo_ticks_total", &[]) > 0.0
+        && metrics.value("bp_slo_breaker_backoffs_total", &[]) > 0.0;
+    Outcome {
+        text: format!(
+            "capacity ~{capacity:.0} tx/s, p99 limit {limit_ms:.2} ms, hand-found operating point {reference_rate:.0} tx/s\n\
+             SLO loop converged to {converged_rate:.0} tx/s (x{converged_ratio:.2} of reference), delivering {converged_tps:.0} tx/s\n\
+             chaos spike: rate {healthy_rate:.0} -> {spike_rate:.0} -> {recovered_rate:.0} tx/s (healthy/spike/recovered)\n\
+             breaker opened: {breaker_opened}, re-closed: {breaker_reclosed}, SLO breaker backoffs: {breaker_backoffs}\n\
+             /metrics exposes live bp_slo_* series: {metrics_ok}\n"
+        ),
+        measured: vec![
+            // The scan's operating point is at least 0.3x capacity, so it is
+            // found whenever capacity is.
+            ("capacity_tps", capacity),
+            // How far the ratio lies outside [0.6, 1.45]; negative inside.
+            ("converged_ratio_outside_band", (0.6 - converged_ratio).max(converged_ratio - 1.45)),
+            ("breaker_opened", f64::from(breaker_opened)),
+            ("breaker_backoffs", breaker_backoffs as f64),
+            ("spike_over_healthy", spike_rate / healthy_rate),
+            ("recovered_over_spike", recovered_rate / spike_rate),
+            ("breaker_reclosed", f64::from(breaker_reclosed)),
+            ("metrics_ok", f64::from(metrics_ok)),
+        ],
     }
 }
 
 /// Ablation: centralized-queue gating on/off — how much the delivered rate
 /// overshoots the target while draining a backlog (why the central queue
 /// gates dispatches, §2.2.1).
-#[derive(Default)]
-pub struct QueueAblationReport {
-    pub gated_overshoot_seconds: usize,
-    pub ungated_burst_tps: f64,
-    pub target_tps: f64,
-}
-
-pub fn run_queue_ablation() -> QueueAblationReport {
+pub fn run_queue_ablation() -> Outcome {
     use bp_core::RequestQueue;
     use bp_util::clock::sim_clock;
 
@@ -1143,54 +784,21 @@ pub fn run_queue_ablation() -> QueueAblationReport {
     };
     let gated = drain(true);
     let ungated = drain(false);
-    QueueAblationReport {
-        gated_overshoot_seconds: if gated > target * 1.05 { 1 } else { 0 },
-        ungated_burst_tps: ungated,
-        target_tps: target,
-    }
-}
-
-impl Outcome for QueueAblationReport {
-    fn render(&self) -> String {
-        format!(
-            "target: {} tx/s with a 2s backlog\ngated drain overshoot seconds:  {}\n\
-             ungated drain burst: {:.0} tx/s\n",
-            self.target_tps, self.gated_overshoot_seconds, self.ungated_burst_tps
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            ("gated drain never exceeds the target", self.gated_overshoot_seconds == 0),
-            (
-                "ungated drain bursts above 1.5x the target",
-                self.ungated_burst_tps > self.target_tps * 1.5,
-            ),
-        ])
+    let gated_overshoot_seconds = if gated > target * 1.05 { 1 } else { 0 };
+    Outcome {
+        text: format!(
+            "target: {target} tx/s with a 2s backlog\ngated drain overshoot seconds:  {gated_overshoot_seconds}\n\
+             ungated drain burst: {ungated:.0} tx/s\n"
+        ),
+        measured: vec![
+            ("gated_overshoot_seconds", f64::from(gated_overshoot_seconds)),
+            ("ungated_over_target", ungated / target),
+        ],
     }
 }
 
 /// E13 — record → replay → divergence, over the live HTTP control surface.
-#[derive(Default)]
-pub struct ReplayReport {
-    pub recorded_requests: usize,
-    /// Same seed twice ⇒ byte-identical schedule sections.
-    pub deterministic: bool,
-    /// Composite divergence of the as-recorded replay (from /replay/status).
-    pub replay_divergence: f64,
-    pub divergence_ok: bool,
-    /// Wall time of the original recording and of the ×4 warp replay.
-    pub recorded_wall_s: f64,
-    pub warp_wall_s: f64,
-    pub warp_ok: bool,
-    pub synth_phases: usize,
-    /// Max per-type share error between the fitted mixtures and the
-    /// scripted weights.
-    pub synth_mixture_err: f64,
-    pub metrics_ok: bool,
-}
-
-pub fn run_replay() -> ReplayReport {
+pub fn run_replay() -> Outcome {
     use bp_replay::{
         capture_artifact, fit, start_recorded, start_replay, synthesize, ReplaySurface, ReplayTiming,
     };
@@ -1285,52 +893,24 @@ pub fn run_replay() -> ReplayReport {
         .flat_map(|(p, e)| p.mixture.iter().zip(e.iter()).map(|(m, e)| (m - e).abs()))
         .fold(0.0, f64::max);
 
-    ReplayReport {
-        recorded_requests: artifact.schedule.len(),
-        deterministic,
-        replay_divergence,
-        divergence_ok,
-        recorded_wall_s,
-        warp_wall_s,
-        warp_ok,
-        synth_phases: synth.phases.len(),
-        synth_mixture_err,
-        metrics_ok,
-    }
-}
-
-impl Outcome for ReplayReport {
-    fn render(&self) -> String {
-        format!(
-            "recorded {} requests in {:.1}s; same-seed schedule byte-identical: {}\n\
-             as-recorded replay divergence: {:.4} (within 0.15: {})\n\
-             warp x4 wall time: {:.1}s vs {:.1}s recorded (ok: {})\n\
-             synthesized {} phases, max mixture error {:.4}   bp_replay_* metrics: {}\n",
-            self.recorded_requests,
-            self.recorded_wall_s,
-            self.deterministic,
-            self.replay_divergence,
-            self.divergence_ok,
-            self.warp_wall_s,
-            self.recorded_wall_s,
-            self.warp_ok,
-            self.synth_phases,
-            self.synth_mixture_err,
-            self.metrics_ok
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            ("two same-seed recordings have byte-identical schedules", self.deterministic),
-            ("the as-recorded replay diverges by at most 0.15", self.divergence_ok),
-            ("warp x4 replays in under 60 % of the recorded wall time", self.warp_ok),
-            (
-                "fitted mixtures within 2 % of scripted weights",
-                self.synth_phases > 0 && self.synth_mixture_err < 0.02,
-            ),
-            ("bp_replay_* series are exposed on /metrics", self.metrics_ok),
-        ])
+    // No fitted phase leaves nothing to compare: the error is unmeasured.
+    let mixture_error = if synth.phases.is_empty() { f64::NAN } else { synth_mixture_err };
+    Outcome {
+        text: format!(
+            "recorded {} requests in {recorded_wall_s:.1}s; same-seed schedule byte-identical: {deterministic}\n\
+             as-recorded replay divergence: {replay_divergence:.4} (within 0.15: {divergence_ok})\n\
+             warp x4 wall time: {warp_wall_s:.1}s vs {recorded_wall_s:.1}s recorded (ok: {warp_ok})\n\
+             synthesized {} phases, max mixture error {synth_mixture_err:.4}   bp_replay_* metrics: {metrics_ok}\n",
+            artifact.schedule.len(),
+            synth.phases.len(),
+        ),
+        measured: vec![
+            ("deterministic", f64::from(deterministic)),
+            ("divergence", replay_divergence),
+            ("warp_over_recorded", warp_wall_s / recorded_wall_s),
+            ("mixture_error", mixture_error),
+            ("metrics_ok", f64::from(metrics_ok)),
+        ],
     }
 }
 
@@ -1338,27 +918,7 @@ impl Outcome for ReplayReport {
 /// two chaos-induced bottlenecks (a lock storm, then an fsync stall) and
 /// bp-doctor must name each one correctly, citing the journal event that
 /// caused it. Also checks the `#bp-report v2` artifact round-trips.
-#[derive(Default)]
-pub struct DoctorReport {
-    /// Telemetry samples and journal events in the downloaded report.
-    pub samples: usize,
-    pub events: usize,
-    /// `GET /report` text parses and re-renders byte-identically.
-    pub report_round_trip: bool,
-    /// Both chaos arms show up in `GET /events`.
-    pub chaos_events_journaled: bool,
-    /// All findings, ranked: `(bottleneck, score, causal_kind)`.
-    pub findings: Vec<(String, f64, String)>,
-    /// The lock-storm window was classified as lock contention, with the
-    /// doctor's evidence line; empty causal kind means no event was cited.
-    pub lock_evidence: Option<String>,
-    pub lock_causal_kind: String,
-    /// Same for the fsync-stall window / IO saturation.
-    pub io_evidence: Option<String>,
-    pub io_causal_kind: String,
-}
-
-pub fn run_doctor(phase_s: f64) -> DoctorReport {
+pub fn run_doctor(phase_s: f64) -> Outcome {
     // Fine-grained telemetry so each chaos window spans several samples.
     let cfg = RunConfig {
         telemetry_interval_us: 250_000,
@@ -1395,71 +955,41 @@ pub fn run_doctor(phase_s: f64) -> DoctorReport {
     let report_round_trip = parsed.as_ref().is_ok_and(|r| r.to_text() == report_text);
     let (samples, events) = parsed.map(|r| (r.samples.len(), r.events.len())).unwrap_or((0, 0));
 
-    let findings: Vec<(String, f64, String)> = doctor_body
-        .get("findings")
-        .and_then(Json::as_arr)
-        .map(|fs| {
-            fs.iter()
-                .filter_map(|f| {
-                    Some((
-                        f.get("bottleneck")?.as_str()?.to_string(),
-                        f.get("score").and_then(Json::as_f64).unwrap_or(0.0),
-                        f.get("causal_kind").and_then(Json::as_str).unwrap_or("").to_string(),
-                    ))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    let chaos_arms_journaled = journaled(&events_body, "chaos_armed");
+    let mut text = format!(
+        "report: {samples} samples, {events} events, round-trip ok: {report_round_trip}   chaos arms journaled: {}\n",
+        chaos_arms_journaled >= 2
+    );
+    for f in doctor_body.get("findings").and_then(Json::as_arr).unwrap_or_default() {
+        let Some(bottleneck) = f.get("bottleneck").and_then(Json::as_str) else { continue };
+        let score = f.get("score").and_then(Json::as_f64).unwrap_or(0.0);
+        let causal = f.get("causal_kind").and_then(Json::as_str).unwrap_or("");
+        let _ =
+            writeln!(text, "finding: {bottleneck:<18} score {score:>6.1}   caused by: {causal}");
+    }
     let (lock_evidence, lock_causal_kind) = finding(&doctor_body, "lock_contention").unzip();
     let (io_evidence, io_causal_kind) = finding(&doctor_body, "io_saturation").unzip();
-
-    DoctorReport {
-        samples,
-        events,
-        report_round_trip,
-        chaos_events_journaled: journaled(&events_body, "chaos_armed") >= 2,
-        findings,
-        lock_evidence,
-        lock_causal_kind: lock_causal_kind.unwrap_or_default(),
-        io_evidence,
-        io_causal_kind: io_causal_kind.unwrap_or_default(),
-    }
-}
-
-impl Outcome for DoctorReport {
-    fn render(&self) -> String {
-        let mut out = format!(
-            "report: {} samples, {} events, round-trip ok: {}   chaos arms journaled: {}\n",
-            self.samples, self.events, self.report_round_trip, self.chaos_events_journaled
-        );
-        for (bottleneck, score, causal) in &self.findings {
-            let _ =
-                writeln!(out, "finding: {bottleneck:<18} score {score:>6.1}   caused by: {causal}");
-        }
-        let _ = writeln!(
-            out,
-            "lock storm  -> {}\nfsync stall -> {}",
-            self.lock_evidence.as_deref().unwrap_or("NOT CLASSIFIED"),
-            self.io_evidence.as_deref().unwrap_or("NOT CLASSIFIED")
-        );
-        out
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            ("telemetry covers the run with more than 10 samples", self.samples > 10),
-            (
-                "the #bp-report v2 text parses and re-renders byte-identically",
-                self.report_round_trip,
-            ),
-            ("both chaos arms are journaled", self.chaos_events_journaled),
-            ("the lock storm is classified as lock_contention", self.lock_evidence.is_some()),
-            ("the fsync stall is classified as io_saturation", self.io_evidence.is_some()),
-            // The io peak can land just after disarm, so either edge of the
-            // chaos window counts as the cause.
-            ("lock finding cites a chaos event", self.lock_causal_kind.starts_with("chaos_")),
-            ("io finding cites a chaos event", self.io_causal_kind.starts_with("chaos_")),
-        ])
+    let _ = writeln!(
+        text,
+        "lock storm  -> {}\nfsync stall -> {}",
+        lock_evidence.as_deref().unwrap_or("NOT CLASSIFIED"),
+        io_evidence.as_deref().unwrap_or("NOT CLASSIFIED")
+    );
+    // The io peak can land just after disarm, so either edge of the chaos
+    // window counts as the cause.
+    let cites_chaos =
+        |kind: Option<String>| f64::from(kind.is_some_and(|k| k.starts_with("chaos_")));
+    Outcome {
+        text,
+        measured: vec![
+            ("samples", samples as f64),
+            ("report_round_trip", f64::from(report_round_trip)),
+            ("chaos_arms_journaled", chaos_arms_journaled as f64),
+            ("lock_classified", f64::from(lock_evidence.is_some())),
+            ("io_classified", f64::from(io_evidence.is_some())),
+            ("lock_cites_chaos", cites_chaos(lock_causal_kind)),
+            ("io_cites_chaos", cites_chaos(io_causal_kind)),
+        ],
     }
 }
 
@@ -1467,32 +997,7 @@ impl Outcome for DoctorReport {
 /// bring it back, and verify the workload resumes at its pre-crash rate —
 /// all observed through the HTTP control surface (`/recovery`, `/readyz`,
 /// `/doctor`, `/metrics`, `/events`).
-#[derive(Default)]
-pub struct RecoveryExperimentReport {
-    /// Committed tx/s in the healthy window before the crash.
-    pub pre_tps: f64,
-    /// Committed tx/s after the supervisor recovered the engine.
-    pub post_tps: f64,
-    /// `post_tps / pre_tps`.
-    pub ratio: f64,
-    /// Engine-side crash / recovery counters at the end of the run.
-    pub crashes: u64,
-    pub recoveries: u64,
-    /// Recoveries executed by the armed supervisor (vs manual).
-    pub supervisor_recoveries: u64,
-    /// `GET /readyz` answered 503 while the engine was down.
-    pub not_ready_during_outage: bool,
-    /// `GET /readyz` answered 200 once recovered.
-    pub ready_after_recovery: bool,
-    /// The doctor's `crash_recovery` evidence line, if classified.
-    pub doctor_evidence: Option<String>,
-    /// `bp_recovery_*` series live on `/metrics`.
-    pub metrics_ok: bool,
-    /// `server_crash` + `recovery_complete` both journaled.
-    pub journal_ok: bool,
-}
-
-pub fn run_recovery(phase_s: f64) -> RecoveryExperimentReport {
+pub fn run_recovery(phase_s: f64) -> Outcome {
     let cfg = RunConfig {
         telemetry_interval_us: 250_000,
         ..steady(4, Rate::Limited(300.0), phase_s * 3.0 + 10.0)
@@ -1532,64 +1037,38 @@ pub fn run_recovery(phase_s: f64) -> RecoveryExperimentReport {
     run.stop();
 
     let counter = |name: &str| rec_status.get(name).and_then(Json::as_u64).unwrap_or(0);
-    RecoveryExperimentReport {
-        pre_tps,
-        post_tps,
-        ratio: if pre_tps > 0.0 { post_tps / pre_tps } else { 0.0 },
-        crashes: counter("crashes"),
-        recoveries: counter("recoveries"),
-        supervisor_recoveries: rec_status
-            .get("supervisor")
-            .and_then(|s| s.get("recoveries_run"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
-        not_ready_during_outage,
-        ready_after_recovery,
-        doctor_evidence: finding(&doctor_body, "crash_recovery").map(|(evidence, _)| evidence),
-        metrics_ok: ["crashes_total", "recoveries_total", "replayed_records_total"]
-            .iter()
-            .all(|series| metrics.has(&format!("bp_recovery_{series}"))),
-        journal_ok: journaled(&events_body, "server_crash") > 0
-            && journaled(&events_body, "recovery_complete") > 0,
-    }
-}
-
-impl Outcome for RecoveryExperimentReport {
-    fn render(&self) -> String {
-        format!(
-            "throughput: {:.0} tx/s before crash, {:.0} tx/s after recovery (x{:.2})\n\
-             crashes: {}   recoveries: {} ({} by supervisor)   readyz 503 during outage: {}   200 after: {}\n\
+    let (crashes, recoveries) = (counter("crashes"), counter("recoveries"));
+    let supervisor_recoveries = rec_status
+        .get("supervisor")
+        .and_then(|s| s.get("recoveries_run"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    let ratio = if pre_tps > 0.0 { post_tps / pre_tps } else { 0.0 };
+    let doctor_evidence = finding(&doctor_body, "crash_recovery").map(|(evidence, _)| evidence);
+    let metrics_ok = ["crashes_total", "recoveries_total", "replayed_records_total"]
+        .iter()
+        .all(|series| metrics.has(&format!("bp_recovery_{series}")));
+    let journal_ok = journaled(&events_body, "server_crash") > 0
+        && journaled(&events_body, "recovery_complete") > 0;
+    Outcome {
+        text: format!(
+            "throughput: {pre_tps:.0} tx/s before crash, {post_tps:.0} tx/s after recovery (x{ratio:.2})\n\
+             crashes: {crashes}   recoveries: {recoveries} ({supervisor_recoveries} by supervisor)   readyz 503 during outage: {not_ready_during_outage}   200 after: {ready_after_recovery}\n\
              doctor: {}\n\
-             bp_recovery_* on /metrics: {}   crash+recovery journaled: {}\n",
-            self.pre_tps,
-            self.post_tps,
-            self.ratio,
-            self.crashes,
-            self.recoveries,
-            self.supervisor_recoveries,
-            self.not_ready_during_outage,
-            self.ready_after_recovery,
-            self.doctor_evidence.as_deref().unwrap_or("NOT CLASSIFIED"),
-            self.metrics_ok,
-            self.journal_ok
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            ("the healthy window commits work", self.pre_tps > 0.0),
-            ("the ServerCrash fault fires", self.crashes >= 1),
-            (
-                "the armed supervisor runs the recovery",
-                self.recoveries >= 1 && self.supervisor_recoveries >= 1,
-            ),
-            ("/readyz answers 503 while the engine is down", self.not_ready_during_outage),
-            ("/readyz answers 200 once recovered", self.ready_after_recovery),
-            ("post-crash throughput is within 10 % of pre-crash", self.ratio >= 0.9),
-            ("the doctor names crash_recovery", self.doctor_evidence.is_some()),
-            ("bp_recovery_* series are exposed on /metrics", self.metrics_ok),
-            ("server_crash and recovery_complete are journaled", self.journal_ok),
-        ])
+             bp_recovery_* on /metrics: {metrics_ok}   crash+recovery journaled: {journal_ok}\n",
+            doctor_evidence.as_deref().unwrap_or("NOT CLASSIFIED"),
+        ),
+        measured: vec![
+            ("pre_tps", pre_tps),
+            ("crashes", crashes as f64),
+            ("supervised_recoveries", recoveries.min(supervisor_recoveries) as f64),
+            ("not_ready_in_outage", f64::from(not_ready_during_outage)),
+            ("ready_after_recovery", f64::from(ready_after_recovery)),
+            ("post_over_pre", ratio),
+            ("doctor_classified", f64::from(doctor_evidence.is_some())),
+            ("metrics_ok", f64::from(metrics_ok)),
+            ("journal_ok", f64::from(journal_ok)),
+        ],
     }
 }
 
@@ -1598,29 +1077,7 @@ impl Outcome for RecoveryExperimentReport {
 /// via a chaos `ServerCrash`, the missed-heartbeat detector declares it
 /// dead, traffic re-splits to the survivors, and aggregate throughput
 /// recovers.
-#[derive(Default)]
-pub struct ClusterReport {
-    pub nodes_joined: u64,
-    pub global_rate: f64,
-    /// (node, assigned rate) at the initial split.
-    pub split: Vec<(String, f64)>,
-    /// Aggregate committed tx/s across the fleet before the kill.
-    pub pre_kill_tps: f64,
-    /// Kill → dead-in-membership latency, in heartbeat intervals.
-    pub dead_after_intervals: f64,
-    /// Sum of survivor rate shares after the death re-split.
-    pub survivor_rate_sum: f64,
-    /// Aggregate committed tx/s across the survivors after re-split.
-    pub post_kill_tps: f64,
-    /// post / pre.
-    pub recovery_ratio: f64,
-    /// Merged `/cluster/metrics`: dead-node gauge up, families deduped.
-    pub merged_metrics_ok: bool,
-    /// node_join / node_suspect / node_dead / rate_resplit all journaled.
-    pub journal_ok: bool,
-}
-
-pub fn run_cluster() -> ClusterReport {
+pub fn run_cluster() -> Outcome {
     const GLOBAL_RATE: f64 = 3_000.0;
     const NODES: usize = 3;
 
@@ -1708,58 +1165,26 @@ pub fn run_cluster() -> ClusterReport {
         .all(|kind| events.iter().any(|e| e.kind == *kind));
     fleet.stop();
 
-    ClusterReport {
-        nodes_joined: NODES as u64,
-        global_rate: GLOBAL_RATE,
-        split,
-        pre_kill_tps,
-        dead_after_intervals,
-        survivor_rate_sum,
-        post_kill_tps,
-        recovery_ratio: post_kill_tps / pre_kill_tps.max(1.0),
-        merged_metrics_ok,
-        journal_ok,
-    }
-}
-
-impl Outcome for ClusterReport {
-    fn render(&self) -> String {
-        let split =
-            self.split.iter().map(|(n, x)| format!("{n}={x:.0}")).collect::<Vec<_>>().join(" ");
-        format!(
-            "joined: {} nodes   global rate {:.0} tx/s split {split}\n\
-             kill n2 -> dead in {:.2} heartbeat intervals; survivors re-split to {:.0} tx/s\n\
-             aggregate throughput: {:.0} tx/s pre-kill -> {:.0} tx/s post-kill (x{:.2})\n\
-             merged /cluster/metrics ok: {}   membership journaled: {}\n",
-            self.nodes_joined,
-            self.global_rate,
-            self.dead_after_intervals,
-            self.survivor_rate_sum,
-            self.pre_kill_tps,
-            self.post_kill_tps,
-            self.recovery_ratio,
-            self.merged_metrics_ok,
-            self.journal_ok
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        let split_sum: f64 = self.split.iter().map(|(_, x)| x).sum();
-        failed(&[
-            (
-                "initial split gives three nodes the whole global rate",
-                self.split.len() == 3 && (split_sum - self.global_rate).abs() < 1e-6,
-            ),
-            ("the fleet commits work before the kill", self.pre_kill_tps > 0.0),
-            ("killed node dead within 2.6 heartbeat intervals", self.dead_after_intervals <= 2.6),
-            (
-                "survivors carry the whole global rate",
-                (self.survivor_rate_sum - self.global_rate).abs() < 1.0,
-            ),
-            ("post-kill throughput is within 10 % of pre-kill", self.recovery_ratio >= 0.9),
-            ("merged metrics: 1 dead, 2 joined, families deduplicated", self.merged_metrics_ok),
-            ("node_join, node_suspect, node_dead and rate_resplit are journaled", self.journal_ok),
-        ])
+    let recovery_ratio = post_kill_tps / pre_kill_tps.max(1.0);
+    let split_sum: f64 = split.iter().map(|(_, x)| x).sum();
+    let split_error = if split.len() == NODES { (split_sum - GLOBAL_RATE).abs() } else { f64::NAN };
+    let split = split.iter().map(|(n, x)| format!("{n}={x:.0}")).collect::<Vec<_>>().join(" ");
+    Outcome {
+        text: format!(
+            "joined: {NODES} nodes   global rate {GLOBAL_RATE:.0} tx/s split {split}\n\
+             kill n2 -> dead in {dead_after_intervals:.2} heartbeat intervals; survivors re-split to {survivor_rate_sum:.0} tx/s\n\
+             aggregate throughput: {pre_kill_tps:.0} tx/s pre-kill -> {post_kill_tps:.0} tx/s post-kill (x{recovery_ratio:.2})\n\
+             merged /cluster/metrics ok: {merged_metrics_ok}   membership journaled: {journal_ok}\n"
+        ),
+        measured: vec![
+            ("split_error_tps", split_error),
+            ("pre_kill_tps", pre_kill_tps),
+            ("dead_after_intervals", dead_after_intervals),
+            ("survivor_rate_error", (survivor_rate_sum - GLOBAL_RATE).abs()),
+            ("post_over_pre", recovery_ratio),
+            ("merged_metrics_ok", f64::from(merged_metrics_ok)),
+            ("journal_ok", f64::from(journal_ok)),
+        ],
     }
 }
 
@@ -1769,30 +1194,7 @@ impl Outcome for ClusterReport {
 /// an exemplar trace id scraped from the node's `/metrics` resolves
 /// through the coordinator's `GET /cluster/trace/{id}` to a merged stage
 /// breakdown naming the dominant stage. All measurements over live HTTP.
-#[derive(Default)]
-pub struct TraceReport {
-    /// Ground truth: requests slower than the floor on the spiked node,
-    /// from its own latency histogram (`/metrics` bucket counts).
-    pub slow_requests: u64,
-    /// Of those, how many the tail sampler retained
-    /// (`/trace/spans?min_us=`).
-    pub retained_slow: u64,
-    /// retained_slow / slow_requests (capped at 1.0).
-    pub retention: f64,
-    /// Every retained span on the spiked node, vs the configured budget.
-    pub retained_total: u64,
-    pub span_budget: u64,
-    /// Exemplar trace id scraped from a `/metrics` histogram bucket.
-    pub exemplar: String,
-    /// `GET /cluster/trace/{exemplar}` returned a merged breakdown.
-    pub cluster_trace_ok: bool,
-    /// The merged breakdown's dominant stage.
-    pub dominant_stage: String,
-    /// Every retained span's id re-derives from (run seed, seq).
-    pub ids_deterministic: bool,
-}
-
-pub fn run_trace() -> TraceReport {
+pub fn run_trace() -> Outcome {
     use bp_obs::{ObsConfig, SpanMode};
 
     /// A request slower than this is "slow" ground truth; a histogram
@@ -1875,51 +1277,24 @@ pub fn run_trace() -> TraceReport {
     let cluster_trace_ok = st == 200 && !dominant_stage.is_empty();
     fleet.stop();
 
-    TraceReport {
-        slow_requests,
-        retained_slow,
-        retention: if slow_requests == 0 {
-            1.0
-        } else {
-            (retained_slow as f64 / slow_requests as f64).min(1.0)
-        },
-        retained_total,
-        span_budget: SPAN_BUDGET as u64,
-        exemplar,
-        cluster_trace_ok,
-        dominant_stage,
-        ids_deterministic,
-    }
-}
-
-impl Outcome for TraceReport {
-    fn render(&self) -> String {
-        format!(
-            "slow requests (>100ms) on spiked node: {}   retained by tail sampler: {} ({:.1}%)\n\
-             retained spans total: {} (budget {})   trace ids deterministic: {}\n\
-             exemplar {} -> /cluster/trace: ok={} dominant stage {}\n",
-            self.slow_requests,
-            self.retained_slow,
-            self.retention * 100.0,
-            self.retained_total,
-            self.span_budget,
-            self.ids_deterministic,
-            self.exemplar,
-            self.cluster_trace_ok,
-            self.dominant_stage
-        )
-    }
-
-    fn check(&self) -> Vec<&'static str> {
-        failed(&[
-            ("the latency spike slows some requests past 100 ms", self.slow_requests > 0),
-            ("the tail sampler retains at least 99 % of the slow requests", self.retention >= 0.99),
-            ("retained spans within the span budget", self.retained_total <= self.span_budget),
-            (
-                "a /metrics exemplar resolves via /cluster/trace",
-                !self.exemplar.is_empty() && self.cluster_trace_ok,
-            ),
-            ("every retained trace id re-derives from (seed, seq)", self.ids_deterministic),
-        ])
+    let retention = if slow_requests == 0 {
+        1.0
+    } else {
+        (retained_slow as f64 / slow_requests as f64).min(1.0)
+    };
+    Outcome {
+        text: format!(
+            "slow requests (>100ms) on spiked node: {slow_requests}   retained by tail sampler: {retained_slow} ({:.1}%)\n\
+             retained spans total: {retained_total} (budget {SPAN_BUDGET})   trace ids deterministic: {ids_deterministic}\n\
+             exemplar {exemplar} -> /cluster/trace: ok={cluster_trace_ok} dominant stage {dominant_stage}\n",
+            retention * 100.0,
+        ),
+        measured: vec![
+            ("slow_requests", slow_requests as f64),
+            ("retention", retention),
+            ("retained_over_budget", retained_total as f64 / SPAN_BUDGET as f64),
+            ("exemplar_resolves", f64::from(!exemplar.is_empty() && cluster_trace_ok)),
+            ("ids_deterministic", f64::from(ids_deterministic)),
+        ],
     }
 }

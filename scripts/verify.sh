@@ -4,7 +4,8 @@
 #   scripts/verify.sh          # build + tests, offline
 #
 # Every `harness <name>...` stage exits non-zero when an experiment fails one
-# of its pass criteria (`check()` in crates/bench/src/experiments.rs).
+# of its pass criteria (the `criteria` of its row of `EXPERIMENTS` in
+# crates/bench/src/lib.rs), and prints each criterion's measured margin.
 #
 # The workspace has zero external dependencies, so --offline must always
 # succeed; if it does not, a registry dependency has crept back in.
@@ -20,7 +21,7 @@ trap 'cp "$lock_copy" perf/Cargo.lock; rm -f "$lock_copy"' EXIT
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-echo "== cargo test -q --offline (tier-1; its fingerprint test holds every benchmark's transactions and catalog statements to tests/golden/fingerprint.txt, byte for byte) =="
+echo "== cargo test -q --offline (tier-1; its fingerprint test holds every benchmark's transactions and catalog statements to tests/golden/fingerprint.txt, and its experiments test the deterministic harness rows, criterion margins included, to tests/golden/experiments.txt, byte for byte) =="
 cargo test -q --offline
 
 echo "== cargo test -q --offline --workspace (bp-workloads' closure test: each benchmark's loader and transactions send exactly its statement table, nothing undeclared and nothing unsent) =="
@@ -102,8 +103,8 @@ cargo run -q --release --offline --manifest-path perf/Cargo.toml -- check
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- counts --twice
 
 if command -v cargo-clippy >/dev/null 2>&1 || cargo clippy --version >/dev/null 2>&1; then
-    echo "== cargo clippy --all-targets -- -D warnings =="
-    cargo clippy --offline --all-targets -- -D warnings
+    echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+    cargo clippy --offline --workspace --all-targets -- -D warnings
 else
     echo "== clippy not installed; skipping lint step =="
 fi
