@@ -119,7 +119,7 @@ impl Database {
             crashed: AtomicBool::new(false),
             generation: AtomicU64::new(1),
             schema_version: AtomicU64::new(NEXT_SCHEMA_VERSION.fetch_add(1, Ordering::Relaxed)),
-            recovery: Box::new(RecoveryStats::new()),
+            recovery: Box::default(),
         })
     }
 
@@ -245,8 +245,8 @@ impl Database {
 
     /// Empty every table, keeping schemas and indexes (the game's crash
     /// semantics reset the database, §4.1.1). The WAL is fully rewound —
-    /// LSN, rotation counters and the redo store — so back-to-back runs
-    /// start from a clean log.
+    /// LSN, segment count and the redo store — so back-to-back runs start
+    /// from a clean log.
     pub fn truncate_all(&self) {
         let cat = self.catalog.read();
         for t in cat.by_name.values() {
@@ -254,7 +254,6 @@ impl Database {
         }
         self.pool.clear();
         self.wal.reset_full();
-        self.recovery.reset();
     }
 
     /// Drop all tables entirely.
@@ -265,7 +264,6 @@ impl Database {
         self.bump_schema_version();
         self.pool.clear();
         self.wal.reset_full();
-        self.recovery.reset();
     }
 
     // ---- Crash & recovery ----
@@ -285,9 +283,13 @@ impl Database {
         &self.recovery
     }
 
-    /// Snapshot for `/recovery/status` and the `bp_recovery_*` series.
+    /// Snapshot for `/recovery/status` and the `bp_recovery_*` series. The
+    /// watermarks and redo bytes are the redo store's own, read under its
+    /// lock, which a running checkpoint does not hold through its fold.
     pub fn recovery_status(&self) -> RecoveryStatus {
-        self.recovery.status(self.is_crashed(), self.generation(), self.wal.redo_bytes())
+        let mut status = self.recovery.status(self.is_crashed(), self.generation());
+        self.wal.report(&mut status);
+        status
     }
 
     /// Kill the engine at `point` (injected by the `ServerCrash` fault).
@@ -296,7 +298,10 @@ impl Database {
         if self.crashed.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.recovery.note_crash(point);
+        self.recovery.count(|s| {
+            s.crashes += 1;
+            s.last_crashpoint = Some(point);
+        });
         self.journal.emit_with(Severity::Error, "storage", "server_crash", || {
             let mut fields =
                 vec![("crashpoint", point.name().to_string()), ("lsn", lsn.to_string())];
@@ -325,25 +330,27 @@ impl Database {
         self.journal.emit_with(Severity::Warn, "storage", "recovery_begin", || {
             ("replaying redo log after crash".to_string(), Vec::new())
         });
-        let image = self.wal.recovered_image();
+        let (tables, replayed) = self.wal.recovered_image();
         {
             let cat = self.catalog.read();
             let empty = std::collections::BTreeMap::new();
             for t in cat.by_name.values() {
-                t.rebuild_from(image.tables.get(&t.id).unwrap_or(&empty));
+                t.rebuild_from(tables.get(&t.id).unwrap_or(&empty));
             }
         }
         self.pool.clear();
         let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         let report = RecoveryReport {
-            replayed_records: image.replayed_records,
-            torn_truncated: image.torn_truncated,
-            checkpoint_lsn: image.checkpoint_lsn,
-            durable_lsn: image.durable_lsn,
             duration_us: self.clock().now().saturating_sub(start),
             generation,
+            ..replayed
         };
-        self.recovery.note_recovery(&report);
+        self.recovery.count(|s| {
+            s.recoveries += 1;
+            s.replayed_records += report.replayed_records;
+            s.torn_truncations += report.torn_truncated;
+            s.last_recovery_us = report.duration_us;
+        });
         self.crashed.store(false, Ordering::Release);
         self.journal.emit_with(Severity::Warn, "storage", "recovery_complete", || {
             (
@@ -411,16 +418,18 @@ impl Database {
         });
     }
 
-    /// Snapshot committed state at the current stable LSN and truncate the
-    /// consumed redo segments. Returns `None` while crashed (the
-    /// checkpointer must not run against a dead engine).
+    /// Fold the redo log into the checkpoint image and truncate the folded
+    /// segments; commits keep appending while it folds. Returns `None`
+    /// while crashed (the checkpointer must not run against a dead engine).
     pub fn checkpoint(&self) -> Option<CheckpointStats> {
         if self.is_crashed() {
             return None;
         }
         let stats = self.wal.take_checkpoint();
-        self.recovery.note_checkpoint(&stats);
-        self.recovery.note_durable(self.wal.durable_lsn());
+        self.recovery.count(|s| {
+            s.checkpoints += 1;
+            s.segments_truncated += stats.segments_truncated;
+        });
         self.journal.emit_with(Severity::Info, "storage", "checkpoint", || {
             (
                 format!(
@@ -595,9 +604,6 @@ impl Session {
             if !self.redo.is_empty() {
                 let torn = crashpoint == Some(CrashPoint::AfterAppendBeforeFsync);
                 self.db.wal.append_redo(lsn, txn.id, &self.redo, torn);
-                if !torn {
-                    self.db.recovery.note_durable(lsn);
-                }
             }
             if let Some(point) = crashpoint {
                 return Err(self.die_in_commit(txn, point, lsn));

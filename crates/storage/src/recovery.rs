@@ -14,7 +14,6 @@
 //! the database's clock.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bp_util::clock::Micros;
@@ -342,15 +341,10 @@ fn decode_complete(buf: &[u8], at: usize) -> Option<(RedoRecord, usize)> {
 /// A materialized table image: committed rows keyed by `(table id, rowid)`.
 pub type TableImage = BTreeMap<u32, BTreeMap<RowId, SharedRow>>;
 
-/// A checkpoint: the committed state as of `lsn`, as a physical image.
-#[derive(Debug, Clone, Default)]
-pub struct Checkpoint {
-    pub lsn: u64,
-    pub tables: TableImage,
-}
-
-/// Apply one redo record to an image (checkpoint build and recovery share
-/// this).
+/// Apply one redo record to an image (checkpoint and recovery share this).
+/// Every op writes after-images — a whole row, some columns or the row's
+/// absence — so replaying a log over an image that already holds a prefix
+/// of it yields what replaying it over the image without that prefix does.
 pub fn apply_record(image: &mut TableImage, rec: &RedoRecord) {
     for op in &rec.ops {
         match op {
@@ -419,34 +413,26 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Recovery bookkeeping, exposed as `bp_recovery_*` metrics, the lock that
-/// serializes recovery, and the database's one supervisor
-/// ([`Database::supervise`]) with its counters.
+/// Recovery bookkeeping: the counters behind `/recovery/status` and the
+/// `bp_recovery_*` series, kept as the status they report; the lock that
+/// serializes recovery; and the database's one supervisor
+/// ([`Database::supervise`]).
 #[derive(Default)]
-pub struct RecoveryStats {
-    crashes: AtomicU64,
-    recoveries: AtomicU64,
-    replayed_records: AtomicU64,
-    torn_truncations: AtomicU64,
-    checkpoints: AtomicU64,
-    segments_truncated: AtomicU64,
-    last_recovery_us: AtomicU64,
-    /// Crashpoint index + 1 of the most recent crash; 0 = never crashed.
-    last_crashpoint: AtomicU64,
-    checkpoint_lsn: AtomicU64,
-    durable_lsn: AtomicU64,
+pub(crate) struct RecoveryStats {
+    /// Written only on cold paths: a crash, a recovery, a checkpoint, a
+    /// supervisor tick. [`Database::recovery_status`] fills in the fields
+    /// the engine and the redo store own.
+    counters: Mutex<RecoveryStatus>,
     /// Held through [`Database::recover`]'s rebuild, so a crash is
     /// rebuilt once.
     pub(crate) rebuild: Mutex<()>,
     /// The `bp-recovery` thread and its config; `None` while unsupervised.
     pub(crate) supervisor: Mutex<Option<(RecoveryConfig, Periodic)>>,
-    recoveries_run: AtomicU64,
-    checkpoints_run: AtomicU64,
-    ticks: AtomicU64,
 }
 
-/// A point-in-time copy of [`RecoveryStats`] plus the engine's crashed flag
-/// and generation, consumed by `/recovery/status`.
+/// A point-in-time copy of the recovery counters, the engine's crashed flag
+/// and generation and the redo store's watermarks, consumed by
+/// `/recovery/status`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecoveryStatus {
     pub crashed: bool,
@@ -474,61 +460,16 @@ pub struct RecoveryStatus {
 }
 
 impl RecoveryStats {
-    pub fn new() -> RecoveryStats {
-        RecoveryStats::default()
+    /// Update the counters under their one lock.
+    pub(crate) fn count(&self, note: impl FnOnce(&mut RecoveryStatus)) {
+        note(&mut self.counters.lock());
     }
 
-    pub fn note_crash(&self, point: CrashPoint) {
-        self.crashes.fetch_add(1, Ordering::Relaxed);
-        self.last_crashpoint.store(point.index() + 1, Ordering::Relaxed);
-    }
-
-    pub fn note_recovery(&self, rep: &RecoveryReport) {
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.replayed_records.fetch_add(rep.replayed_records, Ordering::Relaxed);
-        self.torn_truncations.fetch_add(rep.torn_truncated, Ordering::Relaxed);
-        self.last_recovery_us.store(rep.duration_us, Ordering::Relaxed);
-        self.durable_lsn.store(rep.durable_lsn, Ordering::Relaxed);
-    }
-
-    pub fn note_checkpoint(&self, s: &CheckpointStats) {
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.segments_truncated.fetch_add(s.segments_truncated, Ordering::Relaxed);
-        self.checkpoint_lsn.store(s.lsn, Ordering::Relaxed);
-    }
-
-    pub fn note_durable(&self, lsn: u64) {
-        self.durable_lsn.store(lsn, Ordering::Relaxed);
-    }
-
-    pub fn reset(&self) {
-        self.checkpoint_lsn.store(0, Ordering::Relaxed);
-        self.durable_lsn.store(0, Ordering::Relaxed);
-    }
-
-    /// A snapshot; the crashed flag, the generation and the redo bytes are
-    /// the engine's.
-    pub fn status(&self, crashed: bool, generation: u64, redo_bytes: u64) -> RecoveryStatus {
-        let cp = self.last_crashpoint.load(Ordering::Relaxed);
-        RecoveryStatus {
-            crashed,
-            crashes: self.crashes.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            replayed_records: self.replayed_records.load(Ordering::Relaxed),
-            torn_truncations: self.torn_truncations.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            segments_truncated: self.segments_truncated.load(Ordering::Relaxed),
-            last_recovery_us: self.last_recovery_us.load(Ordering::Relaxed),
-            last_crashpoint: cp.checked_sub(1).map(CrashPoint::from_magnitude),
-            checkpoint_lsn: self.checkpoint_lsn.load(Ordering::Relaxed),
-            durable_lsn: self.durable_lsn.load(Ordering::Relaxed),
-            redo_bytes,
-            generation,
-            supervisor: self.supervisor.lock().as_ref().map(|(cfg, _)| *cfg),
-            recoveries_run: self.recoveries_run.load(Ordering::Relaxed),
-            checkpoints_run: self.checkpoints_run.load(Ordering::Relaxed),
-            ticks: self.ticks.load(Ordering::Relaxed),
-        }
+    /// The counters with the engine's crashed flag and generation and the
+    /// supervisor's config; the redo store's fields are left at zero.
+    pub(crate) fn status(&self, crashed: bool, generation: u64) -> RecoveryStatus {
+        let supervisor = self.supervisor.lock().as_ref().map(|(cfg, _)| *cfg);
+        RecoveryStatus { crashed, generation, supervisor, ..*self.counters.lock() }
     }
 }
 
@@ -540,14 +481,14 @@ pub(crate) fn recovery_tick(db: &Database, cfg: &RecoveryConfig, last_checkpoint
     let stats = db.recovery_stats();
     let checkpoint = || {
         if db.checkpoint().is_some() {
-            stats.checkpoints_run.fetch_add(1, Ordering::Relaxed);
+            stats.count(|s| s.checkpoints_run += 1);
         }
     };
     if db.is_crashed() {
         // `recover()` journals recovery_begin/recovery_complete and counts
         // `recoveries`; `recoveries_run` counts the ones the supervisor ran.
         if db.recover().is_some() {
-            stats.recoveries_run.fetch_add(1, Ordering::Relaxed);
+            stats.count(|s| s.recoveries_run += 1);
         }
         // A fresh checkpoint right after recovery bounds the next replay
         // to the post-crash tail.
@@ -559,7 +500,7 @@ pub(crate) fn recovery_tick(db: &Database, cfg: &RecoveryConfig, last_checkpoint
         checkpoint();
         *last_checkpoint = db.clock().now();
     }
-    stats.ticks.fetch_add(1, Ordering::Relaxed);
+    stats.count(|s| s.ticks += 1);
 }
 
 /// The engine's `bp_recovery_*` series, read from one
@@ -767,25 +708,49 @@ mod tests {
         }
     }
 
+    /// The counters, the engine's flag and generation and the store's
+    /// watermarks come from one `recovery_status` through a crash with a
+    /// torn record and its recovery.
     #[test]
     fn stats_lifecycle() {
-        let s = RecoveryStats::new();
-        s.note_crash(CrashPoint::AfterFsync);
-        let st = s.status(true, 1, 0);
-        assert_eq!(st.crashes, 1);
-        assert_eq!(st.last_crashpoint, Some(CrashPoint::AfterFsync));
-        s.note_recovery(&RecoveryReport {
-            replayed_records: 12,
-            torn_truncated: 1,
-            durable_lsn: 40,
-            duration_us: 900,
-            ..Default::default()
-        });
-        let st = s.status(false, 2, 0);
-        assert_eq!(st.recoveries, 1);
-        assert_eq!(st.replayed_records, 12);
-        assert_eq!(st.torn_truncations, 1);
-        assert_eq!(st.generation, 2);
+        use crate::schema::{Column, TableSchema};
+        use crate::value::DataType;
+        use bp_chaos::{FaultKind, FaultPlan, FaultWindow};
+        let db = Database::new(crate::Personality::test());
+        let cols = vec![Column::new("id", DataType::Int), Column::new("v", DataType::Int)];
+        db.create_table(TableSchema::new("t", cols, &["id"]).unwrap()).unwrap();
+        let t = db.table("t").unwrap();
+        let mut s = db.session();
+        let mut insert = |i| {
+            s.begin()?;
+            s.insert(&t, vec![Value::Int(i), Value::Int(i)])?;
+            s.commit()
+        };
+        insert(0).unwrap();
+        insert(1).unwrap();
+        db.chaos().arm(FaultPlan::new("crash", 1).with_window(FaultWindow::always(
+            FaultKind::ServerCrash,
+            1.0,
+            CrashPoint::AfterAppendBeforeFsync.index(),
+        )));
+        assert_eq!(insert(2), Err(crate::StorageError::Crashed));
+        db.chaos().disarm();
+        let st = db.recovery_status();
+        assert!(st.crashed);
+        assert_eq!((st.crashes, st.last_crashpoint), (1, Some(CrashPoint::AfterAppendBeforeFsync)));
+        assert_eq!((st.durable_lsn, st.checkpoint_lsn), (2, 0), "the torn record is not durable");
+        let redo_bytes = st.redo_bytes;
+
+        let report = db.recover().expect("a crashed engine recovers");
+        let st = db.recovery_status();
+        assert!(!st.crashed);
+        assert_eq!((st.recoveries, st.replayed_records, st.torn_truncations), (1, 2, 1));
+        assert_eq!((st.generation, st.last_recovery_us), (report.generation, report.duration_us));
+        assert_eq!(st.durable_lsn, 2);
+        assert!(st.redo_bytes < redo_bytes, "the torn tail is truncated");
+        db.checkpoint().unwrap();
+        let st = db.recovery_status();
+        assert_eq!((st.checkpoints, st.checkpoint_lsn, st.redo_bytes), (1, 2, 0));
     }
 
     #[test]

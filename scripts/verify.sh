@@ -79,8 +79,9 @@ cargo bench -q --offline -p bp-bench --bench event_overhead
 echo "== doctor (E15 gates: lock storm and fsync stall each named, each citing its chaos event; report round-trips) =="
 cargo run -q --release --offline -p bp-bench --bin harness doctor
 
-echo "== recovery: the database's one supervisor (re-arm in place, ends with its database, checkpoints due on its clock), a crash rebuilt once and a live engine left alone; crashpoint matrix, workloads sharing a database share its supervisor + (E16 gates) supervised restart, /readyz 503 then 200, throughput back within 10 % =="
+echo "== recovery: the database's one supervisor (re-arm in place, ends with its database, checkpoints due on its clock), a crash rebuilt once and a live engine left alone; the WAL's redo store (one wal_rotate per segment it opens after the first, no extra fsync in a group-commit window, a durable LSN that never moves back, a recovery at every phase of a checkpoint rebuilds the committed prefix); crashpoint matrix, workloads sharing a database share its supervisor + (E16 gates) supervised restart, /readyz 503 then 200, throughput back within 10 % =="
 cargo test -q --offline -p bp-storage recover
+cargo test -q --offline -p bp-storage wal::
 cargo test -q --offline --test recovery
 cargo run -q --release --offline -p bp-bench --bin harness recovery
 
