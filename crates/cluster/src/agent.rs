@@ -85,20 +85,12 @@ fn heartbeat_once(cfg: &AgentConfig, controller: &Controller) {
     if controller.database().is_crashed() {
         return;
     }
-    let w = controller.stats().window_snapshot(cfg.window_s);
+    let mut window = controller.stats().window_snapshot(cfg.window_s).to_json();
     // Slowest recently retained trace: the exemplar the coordinator can
     // cite if this node turns out to be the fleet's straggler.
-    let slow_trace = (controller.spans().recent(64).into_iter())
-        .filter(|s| s.trace_id != 0)
-        .max_by_key(|s| s.total_us())
-        .map(|s| s.trace_id);
-    let mut window = Json::obj()
-        .set("count", w.count)
-        .set("p50_us", w.p50_us)
-        .set("p99_us", w.p99_us)
-        .set("throughput", w.throughput);
-    if let Some(tid) = slow_trace {
-        window = window.set("slow_trace", bp_obs::format_trace_id(tid).as_str());
+    let spans = controller.spans().recent(64);
+    if let Some(s) = spans.iter().filter(|s| s.trace_id != 0).max_by_key(|s| s.total_us()) {
+        window = window.set("slow_trace", bp_obs::format_trace_id(s.trace_id).as_str());
     }
     let body = Json::obj()
         .set("node", cfg.node.as_str())

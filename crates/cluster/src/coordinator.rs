@@ -29,7 +29,7 @@ use std::time::Duration;
 use bp_api::http::{http_request_text_timeout, http_request_timeout};
 use bp_api::router::{query_param, RouteExtension};
 use bp_api::{ApiServer, Method, Request, Response, PROMETHEUS_CONTENT_TYPE};
-use bp_core::{Adjustment, Rate, SloConfig, SloHandle, SloObservation};
+use bp_core::{Adjustment, BreakerState, Rate, SloConfig, SloHandle, WindowSnapshot};
 use bp_obs::{
     merge_samples, parse_samples, render_samples, EventJournal, MetricsBuf, MetricsSource, Sample,
     Severity, Stage,
@@ -39,7 +39,7 @@ use bp_util::json::Json;
 use bp_util::sync::Mutex;
 use bp_util::Periodic;
 
-use crate::member::{Admission, MembershipTable, NodeState, NodeWindow};
+use crate::member::{Admission, Member, MembershipTable, NodeState};
 
 /// How long one call between coordinator and agent may take: an agent's
 /// heartbeat, or one node's part of an operator fan-out.
@@ -94,30 +94,14 @@ pub struct ClusterCoordinator {
     stragglers_total: AtomicU64,
 }
 
-/// A heartbeat's `window`, strictly: each numeric field must be present
-/// and parse, or the beat is refused naming it — a garbled `p99_us` read as
-/// 0 would report a healthy node and steer the fleet loop up.
-fn window_from_json(j: &Json) -> Result<NodeWindow, String> {
-    let refuse = |name: &str, what: &str| format!("window.{name} must be {what}");
-    let int = |name: &str| {
-        j.get(name).and_then(Json::as_u64).ok_or_else(|| refuse(name, "an integer >= 0"))
-    };
-    let slow_trace = match j.get("slow_trace") {
-        None => 0,
-        Some(v) => v
-            .as_str()
-            .and_then(bp_obs::parse_trace_id)
-            .ok_or_else(|| refuse("slow_trace", "a trace id of 1-16 hex digits"))?,
-    };
-    Ok(NodeWindow {
-        count: int("count")?,
-        p50_us: int("p50_us")?,
-        p99_us: int("p99_us")?,
-        throughput: (j.get("throughput").and_then(Json::as_f64))
-            .filter(|t| t.is_finite() && *t >= 0.0)
-            .ok_or_else(|| refuse("throughput", "a finite number >= 0"))?,
-        slow_trace,
-    })
+/// A heartbeat's `window`, strictly: the node's `WindowSnapshot` and the
+/// trace id of its slowest retained span (`slow_trace`, 0 when absent).
+fn heartbeat_window(j: &Json) -> Result<(WindowSnapshot, u64), String> {
+    let slow_trace = j.get("slow_trace").map(|v| {
+        (v.as_str().and_then(bp_obs::parse_trace_id))
+            .ok_or("window.slow_trace must be a trace id of 1-16 hex digits")
+    });
+    Ok((WindowSnapshot::from_json(j)?, slow_trace.transpose()?.unwrap_or(0)))
 }
 
 impl ClusterCoordinator {
@@ -265,24 +249,18 @@ impl ClusterCoordinator {
     /// median of its peers. bp-doctor folds the resulting event run into a
     /// `straggler_node` finding.
     fn straggler_check(&self) {
-        let stats: Vec<(String, u64, u64)> = {
-            let table = self.membership.lock();
-            table
-                .live()
-                .iter()
-                .filter(|m| m.window.count >= STRAGGLER_MIN_COUNT)
-                .map(|m| (m.id.clone(), m.window.p99_us, m.window.slow_trace))
-                .collect()
-        };
-        if stats.len() < 2 {
+        let table = self.membership.lock();
+        let nodes: Vec<&Member> =
+            table.live().into_iter().filter(|m| m.window.count >= STRAGGLER_MIN_COUNT).collect();
+        if nodes.len() < 2 {
             return;
         }
-        for (id, p99, slow_trace) in &stats {
+        for m in &nodes {
             let mut others: Vec<u64> =
-                stats.iter().filter(|(oid, _, _)| oid != id).map(|(_, p, _)| *p).collect();
+                nodes.iter().filter(|o| o.id != m.id).map(|o| o.window.p99_us).collect();
             others.sort_unstable();
-            let median = others[others.len() / 2];
-            if *p99 >= STRAGGLER_FLOOR_US && *p99 as f64 >= STRAGGLER_FACTOR * median as f64 {
+            let (id, p99, median) = (&m.id, m.window.p99_us, others[others.len() / 2]);
+            if p99 >= STRAGGLER_FLOOR_US && p99 as f64 >= STRAGGLER_FACTOR * median as f64 {
                 self.stragglers_total.fetch_add(1, Ordering::Relaxed);
                 self.journal.emit_with(Severity::Warn, "cluster", "node_straggler", || {
                     let mut fields = vec![
@@ -290,46 +268,27 @@ impl ClusterCoordinator {
                         ("p99_us", format!("{p99}")),
                         ("cluster_p99_us", format!("{median}")),
                     ];
-                    if *slow_trace != 0 {
-                        fields.push(("trace_id", bp_obs::format_trace_id(*slow_trace)));
+                    if m.slow_trace != 0 {
+                        fields.push(("trace_id", bp_obs::format_trace_id(m.slow_trace)));
                     }
-                    (
-                        format!("node {id} window p99 {p99}us vs cluster median {median}us"),
-                        fields,
-                    )
+                    (format!("node {id} window p99 {p99}us vs cluster median {median}us"), fields)
                 });
             }
         }
     }
 
     /// One SLO control step once a tick period has passed: fold the live
-    /// nodes' heartbeat windows into one observation, let the law decide,
-    /// and re-split a changed rate.
+    /// nodes' heartbeat windows into one, let the law decide, and re-split a
+    /// changed rate.
     fn slo_tick(&self, now: u64) {
         let Some(cfg) = self.slo.config() else { return };
         if now.saturating_sub(self.slo_last_tick_us.load(Ordering::Relaxed)) < cfg.tick_us {
             return;
         }
         self.slo_last_tick_us.store(now, Ordering::Relaxed);
-        // Count-weighted means of the nodes' percentiles: an approximation
-        // of the merged percentile, but monotone in every node's latency —
-        // exactly what a control loop needs.
-        let (mut count, mut p50_sum, mut p99_sum, mut throughput) = (0u64, 0.0, 0.0, 0.0);
-        for m in self.membership.lock().live() {
-            count += m.window.count;
-            p50_sum += m.window.count as f64 * m.window.p50_us as f64;
-            p99_sum += m.window.count as f64 * m.window.p99_us as f64;
-            throughput += m.window.throughput;
-        }
-        let obs = SloObservation {
-            p50_us: (p50_sum / count.max(1) as f64) as u64,
-            p99_us: (p99_sum / count.max(1) as f64) as u64,
-            throughput,
-            sample_count: count,
-            breaker_open: false,
-            breaker_half_open: false,
-        };
-        let Some((before, d)) = self.slo.tick(&obs) else { return };
+        let fleet = WindowSnapshot::merge(self.membership.lock().live().iter().map(|m| &m.window));
+        // The fleet has no breaker of its own.
+        let Some((before, d)) = self.slo.tick(&fleet, BreakerState::Closed) else { return };
         if d.adjustment != Adjustment::Hold {
             self.journal.emit_with(Severity::Debug, "cluster", "cluster_slo", || {
                 let observed = self.slo.status().observed_us;
@@ -379,12 +338,14 @@ impl ClusterCoordinator {
         let Ok(addr) = addr.parse::<SocketAddr>() else {
             return Response::error(400, &format!("invalid addr {addr}"));
         };
-        let window = match body.get("window").map(window_from_json).transpose() {
+        // A beat without a window is a liveness-only beat.
+        let (window, slow_trace) = match body.get("window").map(heartbeat_window).transpose() {
             Ok(window) => window.unwrap_or_default(),
             Err(e) => return Response::error(400, &e),
         };
         self.heartbeats_total.fetch_add(1, Ordering::Relaxed);
-        let admission = self.membership.lock().heartbeat(node, addr, window, self.now_us());
+        let now = self.now_us();
+        let admission = self.membership.lock().heartbeat(node, addr, window, slow_trace, now);
         let joined = match admission {
             Admission::New => Some(("joined", "node_join")),
             Admission::Rejoined => Some(("rejoined", "node_rejoin")),
@@ -410,14 +371,9 @@ impl ClusterCoordinator {
             .members()
             .iter()
             .map(|m| {
-                let mut window = Json::obj()
-                    .set("count", m.window.count)
-                    .set("p50_us", m.window.p50_us)
-                    .set("p99_us", m.window.p99_us)
-                    .set("throughput", m.window.throughput);
-                if m.window.slow_trace != 0 {
-                    window = window
-                        .set("slow_trace", bp_obs::format_trace_id(m.window.slow_trace).as_str());
+                let mut window = m.window.to_json();
+                if m.slow_trace != 0 {
+                    window = window.set("slow_trace", bp_obs::format_trace_id(m.slow_trace).as_str());
                 }
                 Json::obj()
                     .set("node", m.id.as_str())

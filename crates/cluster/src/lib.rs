@@ -33,4 +33,4 @@ pub mod member;
 
 pub use agent::{start_agent, AgentConfig};
 pub use coordinator::{ClusterCoordinator, CoordinatorConfig, FANOUT_TIMEOUT};
-pub use member::{Admission, Member, MembershipTable, NodeState, NodeWindow};
+pub use member::{Admission, Member, MembershipTable, NodeState};

@@ -20,6 +20,8 @@
 
 use std::net::SocketAddr;
 
+use bp_core::WindowSnapshot;
+
 /// Failure-detector state of one agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
@@ -43,19 +45,6 @@ impl NodeState {
     }
 }
 
-/// Latest windowed statistics an agent reported in a heartbeat.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NodeWindow {
-    pub count: u64,
-    pub p50_us: u64,
-    pub p99_us: u64,
-    pub throughput: f64,
-    /// Trace id of the slowest recently retained span on that node (0 when
-    /// the agent has no span recorder or nothing retained yet). Lets
-    /// straggler findings cite a concrete exemplar request.
-    pub slow_trace: u64,
-}
-
 /// One agent as the coordinator sees it.
 #[derive(Debug, Clone)]
 pub struct Member {
@@ -70,7 +59,12 @@ pub struct Member {
     /// Capacity estimate: EMA of reported window throughput. Zero until
     /// the first heartbeat carries completions.
     pub weight: f64,
-    pub window: NodeWindow,
+    /// The window the node's last heartbeat reported.
+    pub window: WindowSnapshot,
+    /// Trace id of the slowest recently retained span on that node (0 when
+    /// the agent has no span recorder or nothing retained yet). Lets
+    /// straggler findings cite a concrete exemplar request.
+    pub slow_trace: u64,
     pub heartbeats: u64,
 }
 
@@ -106,14 +100,16 @@ impl MembershipTable {
 
     /// Record a heartbeat — the only message an agent sends. The first one
     /// from an unknown id admits the node; every one refreshes its address
-    /// (an agent restarted on a new port is found there) and its capacity
-    /// weight, the EMA of the reported window throughput. Members stay
-    /// sorted by id so status output and splits are deterministic.
+    /// (an agent restarted on a new port is found there), its window and
+    /// slowest trace, and its capacity weight, the EMA of the reported
+    /// window throughput. Members stay sorted by id so status output and
+    /// splits are deterministic.
     pub fn heartbeat(
         &mut self,
         id: &str,
         addr: SocketAddr,
-        window: NodeWindow,
+        window: WindowSnapshot,
+        slow_trace: u64,
         now_us: u64,
     ) -> Admission {
         let admission = match self.members.iter_mut().find(|m| m.id == id) {
@@ -127,7 +123,8 @@ impl MembershipTable {
                     last_seen_us: now_us,
                     assigned_rate: 0.0,
                     weight: 0.0,
-                    window: NodeWindow::default(),
+                    window: WindowSnapshot::default(),
+                    slow_trace: 0,
                     heartbeats: 0,
                 });
                 self.members.sort_by(|a, b| a.id.cmp(&b.id));
@@ -140,6 +137,7 @@ impl MembershipTable {
         m.last_seen_us = now_us;
         m.heartbeats += 1;
         m.window = window;
+        m.slow_trace = slow_trace;
         if window.count > 0 {
             m.weight = if m.weight == 0.0 {
                 window.throughput
@@ -238,7 +236,7 @@ mod tests {
     const HB: u64 = 100_000; // 100ms heartbeat interval
 
     fn beat(t: &mut MembershipTable, id: &str, port: u16, now_us: u64) -> Admission {
-        t.heartbeat(id, addr(port), NodeWindow::default(), now_us)
+        t.heartbeat(id, addr(port), WindowSnapshot::default(), 0, now_us)
     }
 
     #[test]
@@ -309,12 +307,10 @@ mod tests {
         beat(&mut t, "a", 1, 0);
         beat(&mut t, "b", 2, 0);
         // a reports 3x the throughput of b.
-        let wa =
-            NodeWindow { count: 300, p50_us: 500, p99_us: 2_000, throughput: 300.0, slow_trace: 0 };
-        let wb =
-            NodeWindow { count: 100, p50_us: 900, p99_us: 9_000, throughput: 100.0, slow_trace: 0 };
-        t.heartbeat("a", addr(1), wa, 10);
-        t.heartbeat("b", addr(2), wb, 10);
+        let wa = WindowSnapshot { count: 300, p50_us: 500, p99_us: 2_000, throughput: 300.0 };
+        let wb = WindowSnapshot { count: 100, p50_us: 900, p99_us: 9_000, throughput: 100.0 };
+        t.heartbeat("a", addr(1), wa, 0, 10);
+        t.heartbeat("b", addr(2), wb, 0, 10);
         let split: Vec<f64> = t.split_rate(1_000.0).into_iter().map(|(_, r)| r).collect();
         assert!((split[0] - 750.0).abs() < 1e-6, "{split:?}");
         assert!((split[1] - 250.0).abs() < 1e-6, "{split:?}");
@@ -337,10 +333,10 @@ mod tests {
     fn weight_ema_smooths_noise() {
         let mut t = MembershipTable::new(HB);
         beat(&mut t, "a", 1, 0);
-        let w = |tp: f64| NodeWindow { count: 10, p50_us: 1, p99_us: 1, throughput: tp, ..NodeWindow::default() };
-        t.heartbeat("a", addr(1), w(100.0), 1);
+        let w = |tp: f64| WindowSnapshot { count: 10, p50_us: 1, p99_us: 1, throughput: tp };
+        t.heartbeat("a", addr(1), w(100.0), 0, 1);
         assert_eq!(t.get("a").unwrap().weight, 100.0);
-        t.heartbeat("a", addr(1), w(200.0), 2);
+        t.heartbeat("a", addr(1), w(200.0), 0, 2);
         let after = t.get("a").unwrap().weight;
         assert!(after > 100.0 && after < 200.0, "{after}");
         // Empty windows don't poison the estimate.
@@ -354,9 +350,9 @@ mod tests {
     #[test]
     fn a_node_joining_an_experienced_fleet_gets_the_mean_share() {
         let mut t = MembershipTable::new(HB);
-        let w = |tp: f64| NodeWindow { count: 10, throughput: tp, ..NodeWindow::default() };
-        t.heartbeat("a", addr(1), w(100.0), 0);
-        t.heartbeat("b", addr(2), w(300.0), 0);
+        let w = |tp: f64| WindowSnapshot { count: 10, throughput: tp, ..WindowSnapshot::default() };
+        t.heartbeat("a", addr(1), w(100.0), 0, 0);
+        t.heartbeat("b", addr(2), w(300.0), 0, 0);
         beat(&mut t, "c", 3, 0);
         let split: Vec<f64> = t.split_rate(600.0).into_iter().map(|(_, r)| r).collect();
         assert_eq!(split.len(), 3);

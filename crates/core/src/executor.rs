@@ -315,8 +315,8 @@ fn manager_loop(controller: &Controller, clock: SharedClock, mut source: Box<dyn
         let behind = clock.now().saturating_sub(boundary);
         if manager_step(&mut *source, second, boundary, behind, state, queue, stats) {
             if source.drain_on_done() {
-                // Replay: let the already-enqueued tail dispatch instead of
-                // dropping it with the close.
+                // A recording or a replay: let the already-enqueued tail
+                // dispatch instead of dropping it with the close.
                 while !state.is_stopped() && queue.backlog() > 0 {
                     clock.sleep(20_000);
                 }

@@ -32,10 +32,7 @@ pub use mixture::{Mixture, MixtureError, MixturePreset};
 pub use queue::{Request, RequestQueue, ScheduledRequest};
 pub use rate::{ArrivalDist, Phase, PhaseScript, Rate};
 pub use schedule::{ScheduleSource, ScriptSchedule, Window};
-pub use slo::{
-    Adjustment, SloConfig, SloCore, SloDecision, SloHandle, SloObservation, SloStatus,
-    SloTarget,
-};
+pub use slo::{Adjustment, SloConfig, SloCore, SloDecision, SloHandle, SloStatus, SloTarget};
 pub use stats::{
     RequestOutcome, Sample, StatsCollector, StatusSnapshot, TypeSummary, WindowSnapshot,
 };

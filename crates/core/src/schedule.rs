@@ -42,8 +42,8 @@ pub trait ScheduleSource: Send {
 
     /// Whether the manager should wait for the queue backlog to drain before
     /// closing when the source reports `done`. Live scripts keep the
-    /// historical close-immediately semantics; replay waits so the recorded
-    /// tail is not dropped.
+    /// historical close-immediately semantics; a recording and its replay
+    /// wait, so that neither drops the tail the other runs.
     fn drain_on_done(&self) -> bool {
         false
     }

@@ -21,12 +21,13 @@
 //! probing resumes from the backed-off rate.
 //!
 //! [`SloCore`] is deliberately pure — no clock, no RNG, no I/O — so the
-//! adjustment sequence is a function of the observation sequence alone
+//! adjustment sequence is a function of the window sequence alone
 //! (same seed + same config ⇒ identical adjustments, the replay-style
 //! purity guarantee). The impure shells live at the edge: a node's
 //! `bp-slo` thread ([`slo_tick`]) and the cluster coordinator's detector
-//! both feed one [`SloHandle`], which holds the armed law beside the live
-//! status `GET /slo/status`, `GET /cluster/slo` and `bp_slo_*` read.
+//! both feed one [`SloHandle`] a [`WindowSnapshot`]; the handle holds the
+//! armed law beside the live status `GET /slo/status`, `GET /cluster/slo`
+//! and `bp_slo_*` read.
 //! Settings reach it one way as well: [`SloConfig::with_settings`].
 
 use std::str::FromStr;
@@ -39,6 +40,7 @@ use bp_util::Periodic;
 
 use crate::controller::Controller;
 use crate::rate::Rate;
+use crate::stats::WindowSnapshot;
 
 /// What the control loop steers toward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,19 +217,6 @@ impl SloConfig {
     }
 }
 
-/// One sensor reading fed into [`SloCore::tick`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloObservation {
-    pub p50_us: u64,
-    pub p99_us: u64,
-    /// Delivered throughput over the window, tx/s.
-    pub throughput: f64,
-    /// Completions inside the window.
-    pub sample_count: u64,
-    pub breaker_open: bool,
-    pub breaker_half_open: bool,
-}
-
 /// What a tick decided to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Adjustment {
@@ -259,8 +248,8 @@ pub struct SloDecision {
     pub error: f64,
 }
 
-/// The pure control law. Feed observations in, get rate decisions out;
-/// identical observation sequences produce identical decision sequences.
+/// The pure control law. Feed windows in, get rate decisions out;
+/// identical window sequences produce identical decision sequences.
 #[derive(Debug, Clone)]
 pub struct SloCore {
     cfg: SloConfig,
@@ -294,9 +283,10 @@ impl SloCore {
         &self.cfg
     }
 
-    /// Run one control tick against an observation.
-    pub fn tick(&mut self, obs: &SloObservation) -> SloDecision {
-        if obs.breaker_open {
+    /// Run one control tick against a window and the breaker's state
+    /// (`Closed` where there is no breaker).
+    pub fn tick(&mut self, window: &WindowSnapshot, breaker: BreakerState) -> SloDecision {
+        if breaker == BreakerState::Open {
             // The engine is sick enough that the admission controller
             // tripped: back off hard. When the breaker closes again the
             // window will still show the incident's tail; hold through it
@@ -309,19 +299,16 @@ impl SloCore {
                 error: -1.0,
             };
         }
-        if obs.breaker_half_open {
-            // Hold steady while recovery probes are in flight so their
-            // outcome reflects a stable offered load.
-            return SloDecision { rate: self.rate, adjustment: Adjustment::Hold, error: 0.0 };
-        }
-        if obs.sample_count < self.cfg.min_samples {
+        // Hold steady while recovery probes are in flight, so that their
+        // outcome reflects a stable offered load, and on a sparse window.
+        if breaker == BreakerState::HalfOpen || window.count < self.cfg.min_samples {
             return SloDecision { rate: self.rate, adjustment: Adjustment::Hold, error: 0.0 };
         }
 
         let decision = match self.cfg.target {
-            SloTarget::P99BelowUs(limit) => self.latency_step(limit, obs.p99_us),
-            SloTarget::P50BelowUs(limit) => self.latency_step(limit, obs.p50_us),
-            SloTarget::MaxThroughput => self.throughput_step(obs.throughput),
+            SloTarget::P99BelowUs(limit) => self.latency_step(limit, window.p99_us),
+            SloTarget::P50BelowUs(limit) => self.latency_step(limit, window.p50_us),
+            SloTarget::MaxThroughput => self.throughput_step(window.throughput),
         };
         self.rate = decision.rate.clamp(self.cfg.min_rate, self.cfg.max_rate);
         SloDecision { rate: self.rate, ..decision }
@@ -383,9 +370,8 @@ pub struct SloStatus {
     pub error: f64,
     /// Last windowed latency the loop steered on, µs.
     pub observed_us: u64,
-    /// Last windowed throughput the loop observed, tx/s.
-    pub observed_throughput: f64,
-    pub window_samples: u64,
+    /// The window the loop last steered on.
+    pub window: WindowSnapshot,
     pub increases: u64,
     pub decreases: u64,
     pub holds: u64,
@@ -460,21 +446,25 @@ impl SloHandle {
         self.state.lock().0 = None;
     }
 
-    /// One control step of the armed law against `obs`: the rate before
-    /// and the decision, which the caller applies; `None` while disarmed.
-    pub fn tick(&self, obs: &SloObservation) -> Option<(f64, SloDecision)> {
+    /// One control step of the armed law against `window` and the breaker's
+    /// state: the rate before and the decision, which the caller applies;
+    /// `None` while disarmed.
+    pub fn tick(
+        &self,
+        window: &WindowSnapshot,
+        breaker: BreakerState,
+    ) -> Option<(f64, SloDecision)> {
         let mut state = self.state.lock();
         let (Some(core), status) = &mut *state else { return None };
         let before = core.rate();
-        let d = core.tick(obs);
+        let d = core.tick(window, breaker);
         status.rate = d.rate;
         status.error = d.error;
         status.observed_us = match core.config().target {
-            SloTarget::P50BelowUs(_) => obs.p50_us,
-            _ => obs.p99_us,
+            SloTarget::P50BelowUs(_) => window.p50_us,
+            _ => window.p99_us,
         };
-        status.observed_throughput = obs.throughput;
-        status.window_samples = obs.sample_count;
+        status.window = *window;
         *match d.adjustment {
             Adjustment::Increase => &mut status.increases,
             Adjustment::Decrease => &mut status.decreases,
@@ -502,8 +492,8 @@ impl SloHandle {
             .set("rate", st.rate)
             .set("error", st.error)
             .set("observed_us", st.observed_us)
-            .set("observed_throughput", st.observed_throughput)
-            .set("window_samples", st.window_samples)
+            .set("observed_throughput", st.window.throughput)
+            .set("window_samples", st.window.count)
             .set("ticks", st.ticks)
             .set(
                 "adjustments",
@@ -548,7 +538,7 @@ impl MetricsSource for SloHandle {
             (
                 "bp_slo_observed_throughput",
                 "Windowed delivered throughput the loop last observed, tx/s.",
-                st.observed_throughput,
+                st.window.throughput,
             ),
         ] {
             buf.gauge(name, help, &[workload], v);
@@ -584,17 +574,9 @@ pub(crate) fn slo_tick(controller: &Controller, window_s: usize) -> bool {
     if controller.is_stopped() {
         return false;
     }
-    let snap = controller.stats().window_snapshot(window_s);
-    let breaker = controller.breaker().map(|b| b.state());
-    let obs = SloObservation {
-        p50_us: snap.p50_us,
-        p99_us: snap.p99_us,
-        throughput: snap.throughput,
-        sample_count: snap.count,
-        breaker_open: breaker == Some(BreakerState::Open),
-        breaker_half_open: breaker == Some(BreakerState::HalfOpen),
-    };
-    let Some((before, d)) = controller.slo().tick(&obs) else { return false };
+    let window = controller.stats().window_snapshot(window_s);
+    let breaker = controller.breaker().map_or(BreakerState::Closed, |b| b.state());
+    let Some((before, d)) = controller.slo().tick(&window, breaker) else { return false };
     if d.adjustment != Adjustment::Hold {
         // Holds are the steady state; journaling only the actual rate
         // decisions keeps the ring about *changes* (the doctor matches
@@ -626,18 +608,12 @@ pub(crate) fn slo_tick(controller: &Controller, window_s: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_chaos::BreakerState::{Closed, HalfOpen, Open};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    fn obs(p99: u64, tput: f64, n: u64) -> SloObservation {
-        SloObservation {
-            p50_us: p99 / 2,
-            p99_us: p99,
-            throughput: tput,
-            sample_count: n,
-            breaker_open: false,
-            breaker_half_open: false,
-        }
+    fn obs(p99: u64, tput: f64, n: u64) -> WindowSnapshot {
+        WindowSnapshot { count: n, p50_us: p99 / 2, p99_us: p99, throughput: tput }
     }
 
     #[test]
@@ -661,25 +637,25 @@ mod tests {
         };
         let mut core = SloCore::new(cfg);
         // Well under the limit: additive increase.
-        let d = core.tick(&obs(5_000, 900.0, 500));
+        let d = core.tick(&obs(5_000, 900.0, 500), Closed);
         assert_eq!(d.adjustment, Adjustment::Increase);
         assert!((d.rate - 1_100.0).abs() < 1e-9);
         assert!(d.error > 0.0);
         // 2× violation: proportional multiplicative decrease (halve),
         // floored at `backoff`.
-        let d = core.tick(&obs(20_000, 900.0, 500));
+        let d = core.tick(&obs(20_000, 900.0, 500), Closed);
         assert_eq!(d.adjustment, Adjustment::Decrease);
         assert!(d.error < 0.0);
         assert!((d.rate - 1_100.0 * 0.7).abs() < 1e-9, "floored at backoff: {}", d.rate);
         // A further violation right away is stale-window data: hold.
-        let d2 = core.tick(&obs(11_000, 900.0, 500));
+        let d2 = core.tick(&obs(11_000, 900.0, 500), Closed);
         assert_eq!(d2.adjustment, Adjustment::Hold);
         assert!((d2.rate - d.rate).abs() < 1e-9);
         // Headroom clears the cooldown and probing resumes at once.
-        let d3 = core.tick(&obs(5_000, 900.0, 500));
+        let d3 = core.tick(&obs(5_000, 900.0, 500), Closed);
         assert_eq!(d3.adjustment, Adjustment::Increase);
         // ...and after the hold the next genuine violation decreases again.
-        let d4 = core.tick(&obs(11_000, 900.0, 500));
+        let d4 = core.tick(&obs(11_000, 900.0, 500), Closed);
         assert_eq!(d4.adjustment, Adjustment::Decrease);
         assert!((d4.rate - d3.rate * (10_000.0 / 11_000.0)).abs() < 1e-9);
     }
@@ -697,11 +673,11 @@ mod tests {
         };
         let mut core = SloCore::new(cfg);
         let violation = obs(20_000, 900.0, 500);
-        assert_eq!(core.tick(&violation).adjustment, Adjustment::Decrease);
+        assert_eq!(core.tick(&violation, Closed).adjustment, Adjustment::Decrease);
         for i in 0..10 {
-            assert_eq!(core.tick(&violation).adjustment, Adjustment::Hold, "tick {i}");
+            assert_eq!(core.tick(&violation, Closed).adjustment, Adjustment::Hold, "tick {i}");
         }
-        assert_eq!(core.tick(&violation).adjustment, Adjustment::Decrease);
+        assert_eq!(core.tick(&violation, Closed).adjustment, Adjustment::Decrease);
     }
 
     #[test]
@@ -718,10 +694,10 @@ mod tests {
             ..SloConfig::default()
         };
         let mut core = SloCore::new(cfg);
-        let d = core.tick(&obs(100, 10.0, 100));
+        let d = core.tick(&obs(100, 10.0, 100), Closed);
         assert_eq!(d.rate, 30.0, "capped at max_rate");
         for _ in 0..10 {
-            core.tick(&obs(100_000, 10.0, 100));
+            core.tick(&obs(100_000, 10.0, 100), Closed);
         }
         assert_eq!(core.rate(), 15.0, "floored at min_rate");
     }
@@ -737,19 +713,18 @@ mod tests {
         let mut core = SloCore::new(cfg);
         // Even with a perfectly healthy latency observation, an open
         // breaker overrides everything with a hard backoff.
-        let healthy_but_open = SloObservation { breaker_open: true, ..obs(1_000, 900.0, 500) };
-        let d = core.tick(&healthy_but_open);
+        let healthy = obs(1_000, 900.0, 500);
+        let d = core.tick(&healthy, Open);
         assert_eq!(d.adjustment, Adjustment::BreakerBackoff);
         assert!((d.rate - 500.0).abs() < 1e-9);
-        let d = core.tick(&healthy_but_open);
+        let d = core.tick(&healthy, Open);
         assert!((d.rate - 250.0).abs() < 1e-9, "backoff compounds while open");
         // Half-open: hold for the probes.
-        let half = SloObservation { breaker_half_open: true, ..obs(1_000, 900.0, 500) };
-        let d = core.tick(&half);
+        let d = core.tick(&healthy, HalfOpen);
         assert_eq!(d.adjustment, Adjustment::Hold);
         assert!((d.rate - 250.0).abs() < 1e-9);
         // Re-closed: additive probing resumes from the backed-off rate.
-        let d = core.tick(&obs(1_000, 240.0, 500));
+        let d = core.tick(&obs(1_000, 240.0, 500), Closed);
         assert_eq!(d.adjustment, Adjustment::Increase);
         assert!(d.rate > 250.0);
     }
@@ -761,10 +736,10 @@ mod tests {
             initial_rate: 500.0,
             ..SloConfig::default()
         });
-        let d = core.tick(&obs(1, 10.0, 49));
+        let d = core.tick(&obs(1, 10.0, 49), Closed);
         assert_eq!(d.adjustment, Adjustment::Hold);
         assert_eq!(d.rate, 500.0);
-        assert_eq!(core.tick(&obs(1, 10.0, 50)).adjustment, Adjustment::Increase);
+        assert_eq!(core.tick(&obs(1, 10.0, 50), Closed).adjustment, Adjustment::Increase);
     }
 
     #[test]
@@ -777,11 +752,11 @@ mod tests {
         };
         let mut core = SloCore::new(cfg);
         // Engine keeps up: probe upward.
-        let d = core.tick(&obs(1_000, 990.0, 500));
+        let d = core.tick(&obs(1_000, 990.0, 500), Closed);
         assert_eq!(d.adjustment, Adjustment::Increase);
         assert!((d.rate - 1_100.0).abs() < 1e-9);
         // Engine saturated at 800: pull back proportionally.
-        let d = core.tick(&obs(1_000, 800.0, 500));
+        let d = core.tick(&obs(1_000, 800.0, 500), Closed);
         assert_eq!(d.adjustment, Adjustment::Decrease);
         assert!((d.rate - 1_100.0 * (800.0 / 1_100.0)).abs() < 1e-9);
     }
@@ -803,13 +778,15 @@ mod tests {
             // A deterministic, wiggly synthetic trace: latency swings
             // above and below the limit, breaker opens mid-sequence.
             let p99 = 4_000 + (i * 997) % 9_000;
-            let mut o = obs(p99, 300.0 + (i % 7) as f64 * 20.0, 100 + i);
-            o.breaker_open = (60..65).contains(&i);
-            o.breaker_half_open = (65..67).contains(&i);
-            seq.push(o);
+            let breaker = match i {
+                60..65 => Open,
+                65..67 => HalfOpen,
+                _ => Closed,
+            };
+            seq.push((obs(p99, 300.0 + (i % 7) as f64 * 20.0, 100 + i), breaker));
         }
-        let da: Vec<SloDecision> = seq.iter().map(|o| a.tick(o)).collect();
-        let db: Vec<SloDecision> = seq.iter().map(|o| b.tick(o)).collect();
+        let da: Vec<SloDecision> = seq.iter().map(|(w, br)| a.tick(w, *br)).collect();
+        let db: Vec<SloDecision> = seq.iter().map(|(w, br)| b.tick(w, *br)).collect();
         assert_eq!(da, db, "same config + observations ⇒ identical adjustment sequence");
         assert!(da.iter().any(|d| d.adjustment == Adjustment::BreakerBackoff));
         assert!(da.iter().any(|d| d.adjustment == Adjustment::Increase));
@@ -829,13 +806,13 @@ mod tests {
     fn handle_rearm_resets_and_leaves_one_loop() {
         let h = SloHandle::new("w");
         assert!(!h.is_active());
-        assert_eq!(h.tick(&obs(1_000, 100.0, 50)), None, "a disarmed loop decides nothing");
+        assert_eq!(h.tick(&obs(1_000, 100.0, 50), Closed), None, "a disarmed loop decides nothing");
         let (first, second) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
         h.arm(SloConfig::default());
         h.run_on(counting_task(&first));
         assert!(h.is_active());
         assert!((h.current_rate() - SloConfig::default().initial_rate).abs() < 1e-9);
-        let (before, d) = h.tick(&obs(1_000, 100.0, 50)).unwrap();
+        let (before, d) = h.tick(&obs(1_000, 100.0, 50), Closed).unwrap();
         assert_eq!((before, d.adjustment), (100.0, Adjustment::Increase));
         assert_eq!((h.status().increases, h.status().ticks), (1, 1));
         assert!((h.current_rate() - 150.0).abs() < 1e-9);
@@ -866,8 +843,8 @@ mod tests {
             initial_rate: 100.0,
             ..SloConfig::default()
         });
-        let o = SloObservation { breaker_open: true, ..obs(9_000, 50.0, 100) };
-        assert_eq!(h.tick(&o).unwrap().1.adjustment, Adjustment::BreakerBackoff);
+        let o = obs(9_000, 50.0, 100);
+        assert_eq!(h.tick(&o, Open).unwrap().1.adjustment, Adjustment::BreakerBackoff);
         let mut buf = MetricsBuf::new();
         h.collect(&mut buf);
         let samples = buf.into_samples();

@@ -13,6 +13,7 @@
 
 use bp_util::clock::{Micros, SharedClock, MICROS_PER_SEC};
 use bp_util::histogram::{Histogram, WindowedHistogram};
+use bp_util::json::Json;
 use bp_util::sync::{thread_slot, CachePadded, Mutex};
 use bp_util::timeseries::TimeSeries;
 
@@ -346,35 +347,82 @@ impl StatsCollector {
         acc
     }
 
-    /// Sliding-window view for feedback control: latency percentiles over
-    /// the window plus throughput over the same horizon.
+    /// The last `window_s` seconds in one pass: one lock per shard folds its
+    /// ring slice and its completion series, whose `recent_rate` is
+    /// [`StatsCollector::status`]'s throughput.
     pub fn window_snapshot(&self, window_s: usize) -> WindowSnapshot {
-        let hist = self.window_histogram(window_s);
         let now = self.since_start(self.clock.now());
-        let throughput = self.merged().all_completions.recent_rate(now, window_s.max(1));
-        WindowSnapshot {
-            count: hist.count(),
-            mean_us: hist.mean(),
-            p50_us: hist.p50(),
-            p95_us: hist.p95(),
-            p99_us: hist.p99(),
-            throughput,
+        let (mut hist, mut completions) = (Histogram::latency(), TimeSeries::per_second());
+        for shard in &self.shards {
+            let shard = shard.lock();
+            hist.merge(&shard.windowed.window(now, window_s));
+            completions.merge(&shard.all_completions);
         }
+        let throughput = completions.recent_rate(now, window_s.max(1));
+        WindowSnapshot { count: hist.count(), p50_us: hist.p50(), p99_us: hist.p99(), throughput }
     }
 }
 
-/// Sliding-window latency/throughput snapshot (the SLO controller's
-/// sensor reading).
-#[derive(Debug, Clone, PartialEq)]
+/// The last `w` seconds: what the node's SLO loop, the heartbeat, the fleet
+/// loop and the telemetry sensor read. `count` and the percentiles cover
+/// seconds `now_sec - w + 1 ..= now_sec`, the current partial second
+/// included ([`WindowedHistogram::window`]); `throughput` covers the `w`
+/// complete seconds before it ([`TimeSeries::recent_rate`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowSnapshot {
     /// Completions inside the window.
     pub count: u64,
-    pub mean_us: f64,
     pub p50_us: u64,
-    pub p95_us: u64,
     pub p99_us: u64,
-    /// Throughput over the same window (tx/s, complete seconds).
+    /// Completions per second over the window's complete seconds.
     pub throughput: f64,
+}
+
+impl WindowSnapshot {
+    /// A fleet's windows folded into one: summed count and throughput, and
+    /// count-weighted means of the p50s and p99s. The means approximate the
+    /// merged percentile, but are monotone in every node's latency —
+    /// exactly what a control loop needs.
+    pub fn merge<'a>(windows: impl IntoIterator<Item = &'a WindowSnapshot>) -> WindowSnapshot {
+        let (mut count, mut p50_sum, mut p99_sum, mut throughput) = (0u64, 0.0, 0.0, 0.0);
+        for w in windows {
+            count += w.count;
+            p50_sum += w.count as f64 * w.p50_us as f64;
+            p99_sum += w.count as f64 * w.p99_us as f64;
+            throughput += w.throughput;
+        }
+        let mean = |sum: f64| (sum / count.max(1) as f64) as u64;
+        WindowSnapshot { count, p50_us: mean(p50_sum), p99_us: mean(p99_sum), throughput }
+    }
+
+    /// `{count, p50_us, p99_us, throughput}`: a heartbeat's `window` and
+    /// each node's in `/cluster/status`.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .set("count", self.count)
+            .set("p50_us", self.p50_us)
+            .set("p99_us", self.p99_us)
+            .set("throughput", self.throughput)
+    }
+
+    /// The inverse of [`WindowSnapshot::to_json`], strictly: each field must
+    /// be present and parse, or the window is refused naming it — a garbled
+    /// `p99_us` read as 0 would report a healthy node and steer the fleet
+    /// loop up. Other keys are the caller's.
+    pub fn from_json(j: &Json) -> Result<WindowSnapshot, String> {
+        let refuse = |name: &str, what: &str| format!("window.{name} must be {what}");
+        let int = |name: &str| {
+            j.get(name).and_then(Json::as_u64).ok_or_else(|| refuse(name, "an integer >= 0"))
+        };
+        Ok(WindowSnapshot {
+            count: int("count")?,
+            p50_us: int("p50_us")?,
+            p99_us: int("p99_us")?,
+            throughput: (j.get("throughput").and_then(Json::as_f64))
+                .filter(|t| t.is_finite() && *t >= 0.0)
+                .ok_or_else(|| refuse("throughput", "a finite number >= 0"))?,
+        })
+    }
 }
 
 impl bp_obs::MetricsSource for StatsCollector {
@@ -705,7 +753,81 @@ mod tests {
         let w = c.window_snapshot(5);
         assert_eq!(w.count, 0);
         assert_eq!(w.p99_us, 0);
-        assert_eq!(w.mean_us, 0.0);
+    }
+
+    /// One snapshot, two horizons: `count` and the percentiles cover the `w`
+    /// seconds up to and including the current partial one, `throughput`
+    /// the `w` complete seconds before it.
+    #[test]
+    fn a_window_counts_the_partial_second_and_its_throughput_the_complete_ones() {
+        let (sim, clock) = sim_clock();
+        let c = StatsCollector::new(clock, &["t"]);
+        for (second, n) in [(1, 10), (2, 20), (3, 30), (4, 4)] {
+            for i in 0..n {
+                c.record(sample(0, second * MICROS_PER_SEC + i * 1_000, 100));
+            }
+        }
+        sim.advance_to(4 * MICROS_PER_SEC + 500_000);
+        let read = |w| (c.window_snapshot(w).count, c.window_snapshot(w).throughput);
+        assert_eq!(read(1), (4, 30.0), "second 4 so far; second 3");
+        assert_eq!(read(2), (34, 25.0), "seconds 3-4; seconds 2-3");
+        assert_eq!(read(3), (54, 20.0), "seconds 2-4; seconds 1-3");
+    }
+
+    /// On a sharded collector the one-pass snapshot reads what the separate
+    /// reads do: the ring's count and percentiles and the status throughput,
+    /// also once the run has gone quiet and the series stops short of now.
+    #[test]
+    fn a_sharded_snapshot_equals_the_window_histogram_and_the_status_throughput() {
+        let (sim, clock) = sim_clock();
+        let c = StatsCollector::with_shards(clock, &["t"], 3);
+        for i in 0..2_800u64 {
+            bp_util::sync::set_thread_slot((i % 3) as usize);
+            c.record(sample(0, i * 1_500, 100 + (i * 37) % 5_000));
+        }
+        bp_util::sync::set_thread_slot(0);
+        for now in [4 * MICROS_PER_SEC + 250_000, 9 * MICROS_PER_SEC] {
+            sim.advance_to(now);
+            for w in [1, 2, 3, 10, usize::MAX] {
+                let (snap, hist) = (c.window_snapshot(w), c.window_histogram(w));
+                assert_eq!(
+                    (snap.count, snap.p50_us, snap.p99_us),
+                    (hist.count(), hist.p50(), hist.p99()),
+                    "window {w} at {now}"
+                );
+                assert_eq!(snap.throughput, c.status(w).throughput, "window {w} at {now}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_round_trips_through_its_json() {
+        let w = WindowSnapshot { count: 1_234, p50_us: 480, p99_us: 9_100, throughput: 617.25 };
+        let text = w.to_json().to_string();
+        assert_eq!(WindowSnapshot::from_json(&Json::parse(&text).unwrap()), Ok(w));
+        let quiet = WindowSnapshot::default();
+        assert_eq!(WindowSnapshot::from_json(&quiet.to_json()), Ok(quiet));
+        let Json::Obj(fields) = w.to_json() else { panic!("{text}") };
+        let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["count", "p50_us", "p99_us", "throughput"]);
+    }
+
+    /// The fleet's window: counts and throughputs add, and the percentiles
+    /// are count-weighted means, so a member with no samples adds its
+    /// throughput and no latency.
+    #[test]
+    fn a_fleet_window_weights_each_members_percentiles_by_its_count() {
+        let nodes = [
+            WindowSnapshot { count: 300, p50_us: 500, p99_us: 2_000, throughput: 310.5 },
+            WindowSnapshot { count: 0, p50_us: 7_000, p99_us: 50_000, throughput: 12.0 },
+            WindowSnapshot { count: 100, p50_us: 900, p99_us: 9_001, throughput: 99.5 },
+        ];
+        // p50: (300·500 + 100·900) / 400; p99: (300·2,000 + 100·9,001) / 400
+        // = 3,750.25, truncated.
+        let fleet = WindowSnapshot { count: 400, p50_us: 600, p99_us: 3_750, throughput: 422.0 };
+        assert_eq!(WindowSnapshot::merge(&nodes), fleet);
+        let idle = [WindowSnapshot::default(); 2];
+        assert_eq!(WindowSnapshot::merge(&idle), WindowSnapshot::default(), "no division by zero");
     }
 
     #[test]

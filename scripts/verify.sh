@@ -69,7 +69,7 @@ echo "== replay (E13 gates: same seed ⇒ byte-identical schedule, divergence <=
 cargo test -q --offline --test replay
 cargo run -q --release --offline -p bp-bench --bin harness replay
 
-echo "== slo (one law, one settings parser, one status for a node and for a fleet: -p bp-core slo covers both; E14 gates: converges to 0.6x-1.45x the hand-found rate; backs off under chaos, re-probes after) =="
+echo "== slo (one law, one settings parser, one status for a node and for a fleet, and one WindowSnapshot that the node loop, the fleet loop and the heartbeat read: -p bp-core slo covers both; E14 gates: converges to 0.6x-1.45x the hand-found rate; backs off under chaos, re-probes after) =="
 cargo test -q --offline -p bp-core slo
 cargo run -q --release --offline -p bp-bench --bin harness slo
 
@@ -85,7 +85,7 @@ cargo test -q --offline -p bp-storage wal::
 cargo test -q --offline --test recovery
 cargo run -q --release --offline -p bp-bench --bin harness recovery
 
-echo "== cluster (fleet SLO: the same settings table read from <slo>, POST /slo and POST /cluster/slo, which all refuse law/kp/ki/kd; one decrease until the agents' window has flushed; 1,000 -> 1,050 -> 525. E17 gates: killed node dead within 2.6 heartbeats, survivors carry the whole rate, throughput within 10 %) =="
+echo "== cluster (the heartbeat carries the node's WindowSnapshot through its one JSON codec and the fleet loop steers on their merge, the same WindowSnapshot the node loop reads; fleet SLO: the same settings table read from <slo>, POST /slo and POST /cluster/slo, which all refuse law/kp/ki/kd; one decrease until the agents' window has flushed; 1,000 -> 1,050 -> 525. E17 gates: killed node dead within 2.6 heartbeats, survivors carry the whole rate, throughput within 10 %) =="
 cargo test -q --offline -p bp-cluster
 cargo run -q --release --offline -p bp-bench --bin harness cluster
 

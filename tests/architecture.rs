@@ -312,14 +312,17 @@ fn hasher_rule_flags_a_planted_fixture() {
 /// handle, its `Controller`: no testbed wraps runs into tenants. And a
 /// database has one recovery supervisor, its own: no run arms another. And
 /// an experiment's pass criteria are rows of one table: no per-row report
-/// type states them again.
+/// type states them again. And the last seconds are one `WindowSnapshot`:
+/// in bp-core and bp-cluster only its codec spells the window's JSON.
 #[test]
 fn background_threads_go_through_periodic() {
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
     const MAY_READ_SLOT: [&str; 3] = ["util/src/sync.rs", "core/src/stats.rs", "obs/src/span.rs"];
     const RING_ARITHMETIC: [&str; 2] = ["written %", "fn ordered("];
     const EXPOSITION_SYNTAX: [&str; 2] = ["\"# TYPE", "_bucket\""];
-    const RETIRED: [&str; 68] = [
+    const WINDOW_JSON: [&str; 4] =
+        [".set(\"p50_us\"", ".set(\"p99_us\"", "get(\"p50_us\")", "get(\"p99_us\")"];
+    const RETIRED: [&str; 71] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
@@ -361,6 +364,9 @@ fn background_threads_go_through_periodic() {
         // The redo store is the one record of durability: segments rotate by
         // the bytes it stores, and its watermarks have no second copy.
         "note_durable", "segment_bytes", "segments_rotated", "base_lsn", "RedoSegment",
+        // One window: the SLO law, the heartbeat and the fleet loop read one
+        // `WindowSnapshot`, and only its `to_json`/`from_json` spell its JSON.
+        "SloObservation", "NodeWindow", "window_from_json",
     ];
     const NO_AMBIENT_TIME: [&str; 2] = ["Instant::now", "SystemTime::now"];
     const MAY_READ_TIME: [&str; 2] = ["util/src/clock.rs", "util/src/periodic.rs"];
@@ -396,6 +402,14 @@ fn background_threads_go_through_periodic() {
                 rel == "obs/src/registry.rs" || !code.contains(syntax),
                 "{rel} reads or writes the exposition (`{syntax}`) instead of using bp_obs's codec"
             );
+        }
+        if rel.starts_with("cluster/") || (rel.starts_with("core/") && rel != "core/src/stats.rs") {
+            for key in WINDOW_JSON {
+                assert!(
+                    !code.contains(key),
+                    "{rel} spells the window's JSON (`{key}`) outside WindowSnapshot's codec"
+                );
+            }
         }
         for now in NO_AMBIENT_TIME {
             assert!(

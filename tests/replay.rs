@@ -87,6 +87,8 @@ fn replay_surface(db: Arc<Database>, w: Arc<dyn Workload>, artifact: &Artifact) 
 #[test]
 fn http_replay_stays_within_divergence_tolerance() {
     let artifact = record(&two_phase_cfg());
+    // The capture is consistent with itself: every scheduled request ran.
+    assert_eq!(artifact.trace.len(), artifact.schedule.len());
 
     let (db, w) = setup("smallbank");
     let api = Arc::new(ApiServer::new().with_registry(Arc::new(MetricsRegistry::new())));
