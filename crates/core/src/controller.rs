@@ -7,19 +7,21 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use bp_obs::{EventJournal, Severity};
+use bp_chaos::CircuitBreaker;
+use bp_obs::{EventJournal, Severity, SpanRecorder};
 use bp_util::sync::RwLock;
 use bp_util::Periodic;
 
 use bp_storage::Database;
-use bp_util::clock::Micros;
+use bp_util::clock::{Micros, SharedClock};
 
+use crate::executor::RunConfig;
 use crate::mixture::{Mixture, MixtureError, MixturePreset};
 use crate::queue::RequestQueue;
 use crate::rate::{ArrivalDist, Rate};
 use crate::slo::{slo_tick, SloConfig, SloHandle};
 use crate::stats::{StatsCollector, StatusSnapshot};
-use crate::workload::TransactionType;
+use crate::workload::{TransactionType, Workload};
 
 /// Shared mutable control state read by the manager and workers.
 pub struct ControlState {
@@ -196,8 +198,8 @@ pub struct Controller {
     workload_name: String,
     /// Node identity in a bp-cluster fleet ("local" outside one).
     node: String,
-    spans: Arc<bp_obs::SpanRecorder>,
-    breaker: Option<Arc<bp_chaos::CircuitBreaker>>,
+    spans: Arc<SpanRecorder>,
+    breaker: Option<Arc<CircuitBreaker>>,
     recorder: Option<Arc<bp_obs::TelemetryRecorder>>,
     /// Persistent SLO-controller state, shared by all clones of this
     /// controller so API servers and the executor see one loop.
@@ -209,7 +211,7 @@ impl Controller {
         state: Arc<ControlState>,
         queue: Arc<RequestQueue>,
         stats: Arc<StatsCollector>,
-        spans: Arc<bp_obs::SpanRecorder>,
+        spans: Arc<SpanRecorder>,
         db: Arc<Database>,
         types: Vec<TransactionType>,
         workload_name: &str,
@@ -230,11 +232,34 @@ impl Controller {
         }
     }
 
-    /// Stamp the cluster node identity (builder-style; the executor does
-    /// this from `RunConfig.node`).
-    pub fn with_node(mut self, node: &str) -> Controller {
-        self.node = node.to_string();
-        self
+    /// A run's controller, the one way both drivers build a tenant: its own
+    /// control state and queue (the first phase's rate, gate and mixture,
+    /// the benchmark's default when the phase sets none), a collector and a
+    /// span recorder with a shard per terminal, the spans on the database's
+    /// journal, `cfg.node`, and a breaker when `cfg.breaker`.
+    pub(crate) fn for_run(
+        db: Arc<Database>,
+        workload: &dyn Workload,
+        clock: SharedClock,
+        cfg: &RunConfig,
+    ) -> Controller {
+        let types = workload.transaction_types();
+        let first = cfg.script.phases.first();
+        let rate = first.map_or(Rate::Disabled, |p| p.rate);
+        let weights = first.and_then(|p| p.weights.clone()).and_then(|w| Mixture::new(w).ok());
+        let mixture = weights.unwrap_or_else(|| Mixture::default_of(&types));
+        let state = ControlState::new(rate, mixture, cfg.unlimited_rate);
+        let queue = Arc::new(RequestQueue::new(clock.clone()));
+        queue.set_rate(rate.arrivals_per_second(cfg.unlimited_rate));
+        let type_names: Vec<&str> = types.iter().map(|t| t.name).collect();
+        let stats = Arc::new(StatsCollector::with_shards(clock, &type_names, cfg.terminals));
+        let journal = db.journal().clone();
+        let spans = Arc::new(SpanRecorder::with_writers(cfg.obs, cfg.terminals).with_journal(journal.clone()));
+        stats.set_span_source(spans.clone());
+        let name = workload.name();
+        let breaker = cfg.breaker.then(|| Arc::new(CircuitBreaker::new(name).with_journal(journal)));
+        let node = cfg.node.clone();
+        Controller { node, breaker, ..Controller::new(state, queue, stats, spans, db, types, name) }
     }
 
     /// The cluster node this run belongs to ("local" outside a cluster).
@@ -243,19 +268,12 @@ impl Controller {
     }
 
     /// The run's span recorder (`/trace`; `SpanMode::Off` records nothing).
-    pub fn spans(&self) -> &Arc<bp_obs::SpanRecorder> {
+    pub fn spans(&self) -> &Arc<SpanRecorder> {
         &self.spans
     }
 
-    /// Attach the run's circuit breaker (builder-style; the executor does
-    /// this when `RunConfig.breaker` is set).
-    pub fn with_breaker(mut self, breaker: Arc<bp_chaos::CircuitBreaker>) -> Controller {
-        self.breaker = Some(breaker);
-        self
-    }
-
     /// The run's admission controller, if one is configured.
-    pub fn breaker(&self) -> Option<&Arc<bp_chaos::CircuitBreaker>> {
+    pub fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
         self.breaker.as_ref()
     }
 
@@ -557,7 +575,7 @@ mod tests {
     #[test]
     fn register_metrics_includes_breaker_when_present() {
         let reg = bp_obs::MetricsRegistry::new();
-        let c = controller().with_breaker(Arc::new(bp_chaos::CircuitBreaker::new("test")));
+        let c = Controller { breaker: Some(Arc::new(CircuitBreaker::new("test"))), ..controller() };
         c.register_metrics(&reg);
         assert_eq!(
             reg.source_count(),

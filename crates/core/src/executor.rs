@@ -15,7 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use bp_chaos::{Admission, CircuitBreaker, FaultKind};
+use bp_chaos::{Admission, FaultKind};
 use bp_obs::{ObsConfig, Severity, Span, SpanRecorder, TelemetryRecorder, TelemetrySample};
 use bp_sql::Connection;
 use bp_storage::Database;
@@ -23,39 +23,42 @@ use bp_util::clock::{Micros, SharedClock, MICROS_PER_SEC};
 use bp_util::rng::{next_backoff, Rng};
 use bp_util::Periodic;
 
-use crate::controller::{ControlState, Controller};
-use crate::mixture::Mixture;
-use crate::queue::RequestQueue;
+use crate::controller::Controller;
+use crate::queue::Request;
 use crate::rate::{PhaseScript, Rate};
 use crate::schedule::{ScheduleSource, ScriptSchedule};
 use crate::slo::SloConfig;
-use crate::stats::{RequestOutcome, Sample, StatsCollector};
+use crate::stats::{RequestOutcome, Sample};
 use crate::trace::{Trace, TraceRecord};
-use crate::workload::{TransactionType, TxnOutcome, Workload};
+use crate::workload::{TxnOutcome, Workload};
 
-/// Configuration for one workload run.
+/// Configuration for one workload run. A virtual tenant
+/// ([`VirtualRun::add_tenant`](crate::VirtualRun::add_tenant)) honours the
+/// fields marked *virtual too*; the others are a live run's.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Number of worker threads (terminals).
     pub terminals: usize,
-    /// The phase script to execute.
+    /// The phase script to execute; virtual too.
     pub script: PhaseScript,
-    /// RNG seed for workers.
+    /// RNG seed for workers; virtual too, for the backoff jitter and trace
+    /// ids (the stage's seed draws a virtual tenant's arrivals and keys).
     pub seed: u64,
     /// Collect a full trace (trace.txt) in memory.
     pub collect_trace: bool,
     /// Retries for retryable (lock-conflict) aborts before counting a
-    /// request as failed.
+    /// request as failed; virtual too.
     pub max_retries: u32,
     /// Arrival rate used for `Rate::Unlimited` (the "large configurable
-    /// constant" of §2.2.1).
+    /// constant" of §2.2.1); virtual too.
     pub unlimited_rate: f64,
-    /// Request-lifecycle span recording (`observability.spans`).
+    /// Request-lifecycle span recording (`observability.spans`); virtual too.
     pub obs: ObsConfig,
-    /// Tenant id stamped on spans (multi-tenant testbeds set this per run).
+    /// Tenant id stamped on spans and matched by a blackout (multi-tenant
+    /// testbeds set this per run); virtual too.
     pub tenant: u16,
     /// Run behind a circuit breaker (`bp_chaos::CircuitBreaker`), which
-    /// sheds requests while the engine keeps failing them.
+    /// sheds requests while the engine keeps failing them; virtual too.
     pub breaker: bool,
     /// Closed-loop SLO admission control; `None` runs open-loop.
     pub slo: Option<SloConfig>,
@@ -64,7 +67,7 @@ pub struct RunConfig {
     pub telemetry_interval_us: u64,
     /// Node identity in a bp-cluster fleet; single-process runs keep the
     /// default. Stamped on the controller so the agent layer and merged
-    /// cluster views can attribute this run to a node.
+    /// cluster views can attribute this run to a node; virtual too.
     pub node: String,
 }
 
@@ -138,38 +141,18 @@ pub fn start_with_source(
     cfg: RunConfig,
     source: Box<dyn ScheduleSource>,
 ) -> RunHandle {
-    let types = workload.transaction_types();
-    let type_names: Vec<&str> = types.iter().map(|t| t.name).collect();
-    let (state, queue) = initial_control(&cfg.script, &types, cfg.unlimited_rate, clock.clone());
-    // One shard of each per-request store per terminal: worker `w` takes
-    // thread slot `w` (below), so it owns shard `w` of both.
-    let stats = Arc::new(StatsCollector::with_shards(clock.clone(), &type_names, cfg.terminals));
-    let trace = if cfg.collect_trace { Some(Arc::new(Trace::new())) } else { None };
-    let spans = Arc::new(
-        SpanRecorder::with_writers(cfg.obs, cfg.terminals).with_journal(db.journal().clone()),
-    );
-    stats.set_span_source(spans.clone());
-    let breaker = cfg.breaker.then(|| {
-        Arc::new(CircuitBreaker::new(workload.name()).with_journal(db.journal().clone()))
-    });
-
-    let mut controller = Controller::new(state, queue, stats, spans.clone(), db, types, workload.name())
-        .with_node(&cfg.node);
-    if let Some(b) = breaker {
-        controller = controller.with_breaker(b);
-    }
+    let mut step = RequestStep::new(db, workload, clock.clone(), &cfg);
 
     // Continuous telemetry: a background thread samples the client window
     // stats and per-interval engine-counter deltas into a flight-recorder
     // ring (`GET /report`, `bp-doctor`).
-    let telemetry = if cfg.telemetry_interval_us > 0 {
+    let telemetry = (cfg.telemetry_interval_us > 0).then(|| {
         let recorder = Arc::new(TelemetryRecorder::new(cfg.telemetry_interval_us));
-        let guard = recorder.spawn(sensor(controller.clone()));
-        controller = controller.with_recorder(recorder);
-        Some(guard)
-    } else {
-        None
-    };
+        let guard = recorder.spawn(sensor(step.controller.clone()));
+        step.controller = step.controller.clone().with_recorder(recorder);
+        guard
+    });
+    let controller = step.controller.clone();
 
     // Closed-loop SLO control: the loop thread belongs to the controller's
     // SLO handle (it polls stats, not the queue) and ends when the run stops.
@@ -191,47 +174,22 @@ pub fn start_with_source(
         );
     }
 
-    // Worker threads.
+    // Worker threads: worker `w` takes thread slot `w`, so it owns shard `w`
+    // of the collector and of the span recorder.
     for w in 0..cfg.terminals {
-        let ctx = WorkerCtx {
-            slot: w,
-            controller: controller.clone(),
-            workload: workload.clone(),
-            clock: clock.clone(),
-            trace: trace.clone(),
-            max_retries: cfg.max_retries,
-            tenant: cfg.tenant,
-            seed: cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1)),
-            run_seed: cfg.seed,
-        };
+        let seed = cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1));
+        let step = RequestStep { seed, ..step.clone() };
+        let clock = clock.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("bp-worker-{w}"))
-                .spawn(move || worker_loop(ctx))
+                .spawn(move || worker_loop(w, step, clock))
                 .expect("spawn worker"),
         );
     }
 
+    let (trace, spans) = (step.trace, controller.spans().clone());
     RunHandle { controller, trace, spans, threads, _telemetry: telemetry }
-}
-
-/// A run's starting control state and queue: the first phase's rate, gate
-/// and mixture (the benchmark's default when the phase sets none).
-pub(crate) fn initial_control(
-    script: &PhaseScript,
-    types: &[TransactionType],
-    unlimited_rate: f64,
-    clock: SharedClock,
-) -> (Arc<ControlState>, Arc<RequestQueue>) {
-    let first = script.phases.first();
-    let rate = first.map(|p| p.rate).unwrap_or(Rate::Disabled);
-    let mixture = first
-        .and_then(|p| p.weights.clone())
-        .and_then(|w| Mixture::new(w).ok())
-        .unwrap_or_else(|| Mixture::default_of(types));
-    let queue = Arc::new(RequestQueue::new(clock));
-    queue.set_rate(rate.arrivals_per_second(unlimited_rate));
-    (ControlState::new(rate, mixture, unlimited_rate), queue)
 }
 
 /// Build the telemetry sensor closure: one call = one [`TelemetrySample`].
@@ -305,7 +263,7 @@ fn sensor(controller: Controller) -> Box<dyn FnMut() -> TelemetrySample + Send> 
 /// The Workload Manager: one iteration per second, window contents decided
 /// by the schedule source.
 fn manager_loop(controller: &Controller, clock: SharedClock, mut source: Box<dyn ScheduleSource>) {
-    let (state, queue, stats) = (controller.state(), controller.queue(), controller.stats());
+    let (state, queue) = (controller.state(), controller.queue());
     let start = clock.now();
     for second in 0.. {
         if state.is_stopped() {
@@ -313,7 +271,7 @@ fn manager_loop(controller: &Controller, clock: SharedClock, mut source: Box<dyn
         }
         let boundary = start + second * MICROS_PER_SEC;
         let behind = clock.now().saturating_sub(boundary);
-        if manager_step(&mut *source, second, boundary, behind, state, queue, stats) {
+        if manager_step(&mut *source, second, boundary, behind, controller) {
             if source.drain_on_done() {
                 // A recording or a replay: let the already-enqueued tail
                 // dispatch instead of dropping it with the close.
@@ -337,61 +295,33 @@ pub(crate) fn manager_step(
     second: u64,
     boundary: Micros,
     behind_us: Micros,
-    state: &ControlState,
-    queue: &RequestQueue,
-    stats: &StatsCollector,
+    run: &Controller,
 ) -> bool {
-    let window = source.plan(second, behind_us, state);
+    let window = source.plan(second, behind_us, run.state());
     if let Some(tps) = window.gate_tps {
-        queue.set_rate(tps);
+        run.queue().set_rate(tps);
     }
     if !window.requests.is_empty() {
         let n = window.requests.len();
-        queue.push_scheduled(boundary, window.requests);
-        stats.record_requested(boundary, n);
+        run.queue().push_scheduled(boundary, window.requests);
+        run.stats().record_requested(boundary, n);
     }
     window.done
 }
 
-/// An attempt's outcome as a terminal counts it, the session left idle; `Err`
-/// says whether a failed attempt (`None`: one chaos stopped) may be retried.
-pub(crate) fn settle(attempt: Option<bp_sql::Result<TxnOutcome>>, conn: &mut Connection) -> Result<RequestOutcome, bool> {
-    let retryable = match attempt {
-        Some(Ok(TxnOutcome::Committed)) => return Ok(RequestOutcome::Committed),
-        Some(Ok(TxnOutcome::UserAborted)) => return Ok(RequestOutcome::UserAborted),
-        Some(Err(e)) => e.is_retryable(),
-        None => true,
-    };
-    // Defensive: the workload must leave the session idle.
-    if conn.in_transaction() {
-        let _ = conn.rollback();
-    }
-    Err(retryable)
-}
-
-/// Best-effort panic payload text for the `worker_panic` journal event.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Everything one client worker needs: the run's controller (its database,
-/// control state, queue, stats, spans and breaker) and what is the worker's
-/// own.
-struct WorkerCtx {
-    /// The worker's index: its shard of the stats and span stores.
-    slot: usize,
-    controller: Controller,
+/// A run's request step, the one code that serves a request: each threaded
+/// terminal holds a copy with its own seed and `VirtualRun` one per tenant.
+/// [`serve`](RequestStep::serve) runs a request up to its end and
+/// [`finish`](RequestStep::finish) records that end; a driver decides when
+/// the end is.
+#[derive(Clone)]
+pub(crate) struct RequestStep {
+    pub(crate) controller: Controller,
     workload: Arc<dyn Workload>,
-    clock: SharedClock,
-    trace: Option<Arc<Trace>>,
+    pub(crate) trace: Option<Arc<Trace>>,
     max_retries: u32,
     tenant: u16,
+    /// Seeds this terminal's backoff jitter.
     seed: u64,
     /// The unperturbed run seed: trace ids must be a function of
     /// (run seed, seq) alone so every worker — and every node replaying
@@ -399,18 +329,184 @@ struct WorkerCtx {
     run_seed: u64,
 }
 
-/// One client worker ("terminal").
-fn worker_loop(ctx: WorkerCtx) {
-    let WorkerCtx { slot, controller, workload, clock, trace, max_retries, tenant, seed, run_seed } = ctx;
-    let db: &Database = controller.database();
-    let state: &ControlState = controller.state();
-    let queue: &RequestQueue = controller.queue();
-    let stats: &StatsCollector = controller.stats();
-    let spans: &SpanRecorder = controller.spans();
-    let breaker: Option<&CircuitBreaker> = controller.breaker().map(|b| &**b);
+/// A request served up to its end: its outcome, its span's trace id (0 when
+/// spans are off) and stage µs, taken as its execution ended so no later
+/// request's lock or commit time leaks into them, and the µs it backed off
+/// between attempts, outside the engine.
+#[derive(Clone, Copy)]
+pub(crate) struct Served {
+    req: Request,
+    pub(crate) outcome: RequestOutcome,
+    retries: u32,
+    trace_id: u64,
+    stages: (Micros, Micros),
+    pub(crate) backoff_us: Micros,
+}
+
+impl RequestStep {
+    /// A run's tenant and request step, for a live run and a virtual
+    /// tenant alike: [`Controller::for_run`] and, when `cfg.collect_trace`,
+    /// the trace.
+    pub(crate) fn new(
+        db: Arc<Database>,
+        workload: Arc<dyn Workload>,
+        clock: SharedClock,
+        cfg: &RunConfig,
+    ) -> RequestStep {
+        let controller = Controller::for_run(db, &*workload, clock, cfg);
+        let trace = cfg.collect_trace.then(|| Arc::new(Trace::new()));
+        let (max_retries, tenant, seed) = (cfg.max_retries, cfg.tenant, cfg.seed);
+        RequestStep { controller, workload, trace, max_retries, tenant, seed, run_seed: seed }
+    }
+
+    /// Serve `req` on `conn` up to its end: breaker admission (a shed
+    /// request ends where it started), the tenant's blackout, the
+    /// `PanicStorm` roll with the panic caught, and up to `max_retries`
+    /// retries of a retryable failure, each after a backoff handed to
+    /// `back_off` (a thread sleeps it; virtual time adds it to the end).
+    pub(crate) fn serve(
+        &self,
+        req: Request,
+        conn: &mut Connection,
+        rng: &mut Rng,
+        mut back_off: impl FnMut(Micros),
+    ) -> Served {
+        let db = self.controller.database();
+        // The type was pinned at generation time (see `schedule`): no
+        // worker-side sampling, so replay is exact and schedules are a pure
+        // function of the seed.
+        let txn_idx = req.txn_type as usize;
+        // One mode check per request. The storage layer's stage accumulator
+        // is drained before execution, so an unrecorded request's lock-wait
+        // and commit time can't leak into a recorded one. Every completed
+        // span is *offered*: the recorder keeps slow/errored/shed/
+        // crash-straddling ones unconditionally.
+        let trace_id = if self.controller.spans().enabled() { bp_obs::trace_id(self.run_seed, req.seq) } else { 0 };
+        bp_obs::take_stage_acc();
+        let mut served =
+            Served { req, outcome: RequestOutcome::Shed, retries: 0, trace_id, stages: (0, 0), backoff_us: 0 };
+
+        // Admission control: an Open breaker fast-fails the request before
+        // it touches the engine. Shed is its own bucket — never an error,
+        // never throughput. Service starts at dispatch.
+        if self.controller.breaker().is_some_and(|b| b.admit(req.dispatched) == Admission::Shed) {
+            return served;
+        }
+
+        // Mark this thread's in-flight trace so deep storage events
+        // (deadlock victims, crashes) can cite the request that was
+        // on-CPU when they fired, and the engine times its commit stage.
+        if trace_id != 0 {
+            bp_obs::set_current_trace(trace_id);
+        }
+        served.outcome = loop {
+            // A tenant blackout invalidates the attempt before it reaches
+            // the engine; it behaves like any retryable transient fault.
+            let attempt = if db.chaos().blackout(self.tenant) {
+                None
+            } else {
+                // Panic isolation: a panicking transaction (workload bug or
+                // an injected `PanicStorm` fault) must not take the worker
+                // thread down with it — OLTP-Bench terminals similarly
+                // survive benchmark-code exceptions. The panic is caught,
+                // the open transaction rolled back (releasing its locks),
+                // and the request counted as a plain failure.
+                match catch_unwind(AssertUnwindSafe(|| {
+                    if db.chaos().roll(FaultKind::PanicStorm).is_some() {
+                        panic!("injected worker panic (panic_storm)");
+                    }
+                    self.workload.execute(txn_idx, conn, rng)
+                })) {
+                    Ok(r) => Some(r),
+                    Err(payload) => {
+                        if conn.in_transaction() {
+                            let _ = conn.rollback();
+                        }
+                        let msg = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string panic payload".to_string());
+                        db.journal().emit_with(Severity::Error, "core", "worker_panic", || {
+                            (
+                                format!("worker survived transaction panic: {msg}"),
+                                vec![("txn_type", txn_idx.to_string()), ("panic", msg.clone())],
+                            )
+                        });
+                        break RequestOutcome::Failed;
+                    }
+                }
+            };
+            let retryable = match attempt {
+                Some(Ok(TxnOutcome::Committed)) => break RequestOutcome::Committed,
+                Some(Ok(TxnOutcome::UserAborted)) => break RequestOutcome::UserAborted,
+                Some(Err(e)) => e.is_retryable(),
+                None => true,
+            };
+            // Defensive: the workload must leave the session idle.
+            if conn.in_transaction() {
+                let _ = conn.rollback();
+            }
+            if !retryable || served.retries >= self.max_retries {
+                break RequestOutcome::Failed;
+            }
+            served.retries += 1;
+            // Capped exponential backoff with deterministic jitter replaces
+            // the old tight retry loop: contending workers spread out
+            // instead of re-colliding in lockstep. The first retry waits up
+            // to 100 µs, each later one up to twice that, capped at 10 ms.
+            const BACKOFF_BASE_US: u64 = 100;
+            const BACKOFF_CAP_US: u64 = 10_000;
+            let wait = next_backoff(served.retries - 1, BACKOFF_BASE_US, BACKOFF_CAP_US, self.seed ^ req.seq);
+            served.backoff_us += wait;
+            back_off(wait);
+        };
+        if trace_id != 0 {
+            bp_obs::set_current_trace(0);
+            served.stages = bp_obs::take_stage_acc();
+        }
+        served
+    }
+
+    /// Everything done at a request's end, by either driver: the breaker's
+    /// accounting, the stats sample, the span offer and the trace line.
+    /// Returns the think time the terminal then holds for (none after a shed).
+    pub(crate) fn finish(&self, served: &Served, end: Micros) -> Micros {
+        let Served { req, outcome, retries, trace_id, stages: (lock_wait_us, commit_us), .. } = *served;
+        let (stats, start, txn_type) = (self.controller.stats(), req.dispatched, req.txn_type as usize);
+        match (self.controller.breaker(), outcome) {
+            (Some(b), RequestOutcome::Failed) => b.on_failure(end),
+            (Some(b), RequestOutcome::Committed | RequestOutcome::UserAborted) => b.on_success(),
+            _ => {}
+        }
+        stats.record(Sample { txn_type, arrival: req.arrival, start, end, outcome, retries });
+        if trace_id != 0 {
+            self.controller.spans().offer(Span {
+                trace_id,
+                seq: req.seq,
+                submitted_us: req.arrival,
+                dequeued_us: start,
+                end_us: end,
+                lock_wait_us,
+                commit_us,
+                tenant: self.tenant,
+                phase: req.phase,
+                txn_type: req.txn_type,
+                retries: retries.min(u16::MAX as u32) as u16,
+                outcome,
+            });
+        }
+        if let Some(t) = &self.trace {
+            t.append(TraceRecord { start_us: stats.since_start(start), latency_us: end - start, txn_type, outcome });
+        }
+        if outcome == RequestOutcome::Shed { 0 } else { self.controller.state().think_time_us() }
+    }
+}
+
+/// One client worker ("terminal") in thread slot `slot`.
+fn worker_loop(slot: usize, step: RequestStep, clock: SharedClock) {
+    let (state, queue) = (step.controller.state(), step.controller.queue());
     bp_util::sync::set_thread_slot(slot);
-    let mut conn = Connection::open(controller.database());
-    let mut rng = Rng::new(seed);
+    let mut conn = Connection::open(step.controller.database());
+    let mut rng = Rng::new(step.seed);
     // The gate is waited on in steps of a few µs to a few ms.
     bp_util::clock::exact_timers();
 
@@ -430,146 +526,10 @@ fn worker_loop(ctx: WorkerCtx) {
         let Some(req) = queue.pull(20_000) else {
             return; // queue closed
         };
-
-        // The type was pinned at generation time (see `schedule`): no
-        // worker-side sampling, so replay is exact and schedules are a pure
-        // function of the seed.
-        let txn_idx = req.txn_type as usize;
-        // Service starts at dispatch: the queue's reading of the run's clock.
-        let start = req.dispatched;
-        // One mode check per request; the storage layer's stage accumulator
-        // is always drained (here, pre-execution) so lock-wait/commit time
-        // from an unrecorded request can't leak into a recorded one. The
-        // retain/drop decision itself is tail-based: every completed span
-        // is *offered* to the recorder, which keeps slow/errored/shed/
-        // crash-straddling ones unconditionally.
-        let record_span = spans.enabled();
-        let tid = if record_span { bp_obs::trace_id(run_seed, req.seq) } else { 0 };
-        bp_obs::take_stage_acc();
-
-        // The one place a request's end is recorded, shed or executed: the
-        // stats sample, the span offer and the trace line.
-        let finish = |end: Micros, outcome: RequestOutcome, retries: u32| {
-            stats.record(Sample {
-                txn_type: txn_idx,
-                arrival: req.arrival,
-                start,
-                end,
-                outcome,
-                retries,
-            });
-            if record_span {
-                let (lock_wait_us, commit_us) = bp_obs::take_stage_acc();
-                spans.offer(Span {
-                    trace_id: tid,
-                    seq: req.seq,
-                    submitted_us: req.arrival,
-                    dequeued_us: start,
-                    end_us: end,
-                    lock_wait_us,
-                    commit_us,
-                    tenant,
-                    phase: req.phase,
-                    txn_type: req.txn_type,
-                    retries: retries.min(u16::MAX as u32) as u16,
-                    outcome,
-                });
-            }
-            if let Some(t) = &trace {
-                t.append(TraceRecord {
-                    start_us: stats.since_start(start),
-                    latency_us: end - start,
-                    txn_type: txn_idx,
-                    outcome,
-                });
-            }
-        };
-
-        // Admission control: an Open breaker fast-fails the request before
-        // it touches the engine. Shed is its own bucket — never an error,
-        // never throughput.
-        let admission = match breaker {
-            Some(b) => b.admit(start),
-            None => Admission::Allow,
-        };
-        if admission == Admission::Shed {
-            finish(start, RequestOutcome::Shed, 0);
-            continue;
-        }
-
-        // Mark this thread's in-flight trace so deep storage events
-        // (deadlock victims, crashes) can cite the request that was
-        // on-CPU when they fired, and the engine times its commit stage.
-        if record_span {
-            bp_obs::set_current_trace(tid);
-        }
-        let mut retries = 0u32;
-        let outcome = loop {
-            // A tenant blackout invalidates the attempt before it reaches
-            // the engine; it behaves like any retryable transient fault.
-            let attempt = if db.chaos().blackout(tenant) {
-                None
-            } else {
-                // Panic isolation: a panicking transaction (workload bug or
-                // an injected `PanicStorm` fault) must not take the worker
-                // thread down with it — OLTP-Bench terminals similarly
-                // survive benchmark-code exceptions. The panic is caught,
-                // the open transaction rolled back (releasing its locks),
-                // and the request counted as a plain failure.
-                match catch_unwind(AssertUnwindSafe(|| {
-                    if db.chaos().roll(FaultKind::PanicStorm).is_some() {
-                        panic!("injected worker panic (panic_storm)");
-                    }
-                    workload.execute(txn_idx, &mut conn, &mut rng)
-                })) {
-                    Ok(r) => Some(r),
-                    Err(payload) => {
-                        if conn.in_transaction() {
-                            let _ = conn.rollback();
-                        }
-                        let msg = panic_message(payload.as_ref());
-                        db.journal().emit_with(Severity::Error, "core", "worker_panic", || {
-                            (
-                                format!("worker survived transaction panic: {msg}"),
-                                vec![
-                                    ("txn_type", txn_idx.to_string()),
-                                    ("panic", msg.clone()),
-                                ],
-                            )
-                        });
-                        break RequestOutcome::Failed;
-                    }
-                }
-            };
-            match settle(attempt, &mut conn) {
-                Ok(outcome) => break outcome,
-                Err(true) if retries < max_retries => {}
-                Err(_) => break RequestOutcome::Failed,
-            }
-            retries += 1;
-            // Capped exponential backoff with deterministic jitter replaces
-            // the old tight retry loop: contending workers spread out
-            // instead of re-colliding in lockstep. The first retry waits up
-            // to 100 µs, each later one up to twice that, capped at 10 ms.
-            const BACKOFF_BASE_US: u64 = 100;
-            const BACKOFF_CAP_US: u64 = 10_000;
-            clock.sleep(next_backoff(retries - 1, BACKOFF_BASE_US, BACKOFF_CAP_US, seed ^ req.seq));
-        };
-        let end = clock.now();
-        if record_span {
-            bp_obs::set_current_trace(0);
-        }
-
-        if let Some(b) = breaker {
-            match outcome {
-                RequestOutcome::Failed => b.on_failure(end),
-                _ => b.on_success(),
-            }
-        }
-
-        finish(end, outcome, retries);
-
-        let think = state.think_time_us();
+        let served = step.serve(req, &mut conn, &mut rng, |us| clock.sleep(us));
+        // A shed request ends where it started; a served one reads the clock.
+        let end = if served.outcome == RequestOutcome::Shed { req.dispatched } else { clock.now() };
+        let think = step.finish(&served, end);
         if think > 0 {
             clock.sleep(think);
         }

@@ -1,34 +1,37 @@
 //! The driver in virtual time: one thread, no sleeps, a [`SimClock`]. Each
-//! tenant is a live run's [`Controller`], steered through its own methods,
-//! and a [`ScriptSchedule`]; each virtual second the manager thread's own
-//! step (`executor::manager_step`) fills its queue. Four virtual terminals
-//! take requests only through
-//! [`RequestQueue::poll`](crate::RequestQueue::poll) and record each through
-//! [`StatsCollector::record`] when virtual time reaches its end (no think
-//! time). The loop jumps to the next event: a second boundary, a terminal
-//! freeing up, or, while one is free, a due time `poll` returned. A free
-//! terminal takes the tenant whose head fell due first, ties to the lower
-//! index, so tenants interfere only by sharing the terminals. The stage is
-//! the engine: a dispatch runs the transaction at once on a small database
-//! with the DBMS's [`Personality`], on a `SimClock` of its own that only its
-//! charges advance, and holds the terminal for that advance [`SLOWDOWN`]
-//! times over. One transaction runs at a time, so no lock is waited for and
-//! group commit sees the charges back to back. A tenant's controller journals
-//! its control calls on the stage database, stamped on that charge clock.
+//! tenant is a live run's [`Controller`] and request step, built by the live
+//! run's constructor and steered through the controller's own methods, and a
+//! [`ScriptSchedule`]; each virtual second the manager thread's own step
+//! (`executor::manager_step`) fills its queue. Four virtual terminals take
+//! requests only through [`RequestQueue::poll`](crate::RequestQueue::poll)
+//! and serve each through the live terminal's request step, so it meets the
+//! tenant's breaker, the stage's chaos, retries with backoff and spans as a
+//! live one does. Its end is recorded when virtual time reaches it, and the
+//! phase's think time then holds the terminal. The loop jumps to the next
+//! event: a second boundary, a terminal freeing up, or, while one is free, a
+//! due time `poll` returned. A free terminal takes the tenant whose head fell
+//! due first, ties to the lower index, so tenants interfere only by sharing
+//! the terminals. The stage is the engine: a dispatch runs the transaction at
+//! once on a small database with the DBMS's [`Personality`], on a `SimClock`
+//! of its own that only its charges advance, and holds the terminal for that
+//! advance [`SLOWDOWN`] times over plus its backoff, unscaled. One
+//! transaction runs at a time, so no lock is waited for and group commit sees
+//! the charges back to back. A tenant journals its control calls, breaker
+//! transitions and caught panics on the stage database, stamped on that
+//! charge clock.
 
 use std::sync::Arc;
 
-use bp_obs::{ObsConfig, SpanMode, SpanRecorder};
+use bp_obs::{ObsConfig, SpanMode};
 use bp_sql::Connection;
 use bp_storage::{Database, Personality};
 use bp_util::clock::{Clock, Micros, SimClock, MICROS_PER_SEC};
 use bp_util::rng::Rng;
 
 use crate::controller::Controller;
-use crate::executor::{initial_control, manager_step, settle};
+use crate::executor::{manager_step, RequestStep, RunConfig, Served};
 use crate::rate::{Phase, PhaseScript, Rate};
 use crate::schedule::ScriptSchedule;
-use crate::stats::{RequestOutcome, Sample, StatsCollector};
 use crate::workload::Workload;
 
 /// Virtual terminals serving a run.
@@ -52,20 +55,28 @@ pub struct VirtualRun {
     /// A session on the stage's database, whose clock only its charges move.
     conn: Connection,
     tenants: Vec<VirtualTenant>,
-    /// Each busy terminal's tenant and the sample its completion records.
-    terminals: Vec<Option<(usize, Sample)>>,
+    terminals: Vec<Option<Busy>>,
     /// Manager seconds stepped so far.
     seconds: u64,
     rng: Rng,
 }
 
 struct VirtualTenant {
-    controller: Controller,
+    step: RequestStep,
     source: ScriptSchedule,
     /// When the head falls due as `poll` last said (`None`: empty); a
     /// dispatch, a manager step or entering `run_until` lowers it to then,
     /// so the tenant is polled again first.
     due: Option<Micros>,
+}
+
+/// A busy terminal: the tenant it serves, and until `until` the request it
+/// serves (`Some`) or the think time after it (`None`).
+#[derive(Clone)]
+struct Busy {
+    tenant: usize,
+    served: Option<Served>,
+    until: Micros,
 }
 
 impl VirtualRun {
@@ -99,26 +110,30 @@ impl VirtualRun {
         let mut phase = Phase::new(Rate::Unlimited, 6.0);
         phase.weights = weights;
         let mut run = VirtualRun::new(personality, workload, seed);
-        let tenant = run.add_tenant(PhaseScript::new(vec![phase]), 20_000.0);
+        let obs = ObsConfig { mode: SpanMode::Off, ..ObsConfig::default() };
+        let script = PhaseScript::new(vec![phase]);
+        let tenant = run.add_tenant(RunConfig { script, unlimited_rate: 20_000.0, obs, ..RunConfig::default() });
         run.run_until(6 * MICROS_PER_SEC - 1);
         tenant.stats().throughput_series()[2..].iter().sum::<f64>() / 4.0
     }
 
-    /// Add a tenant driven by `script` before the run starts: a live run's
-    /// controller, with spans off, on the stage's database. Its control
-    /// calls act from the instant they are made between two `run_until`s.
-    pub fn add_tenant(&mut self, script: PhaseScript, unlimited_rate: f64) -> Controller {
+    /// Add a tenant before the run starts, built by the live run's
+    /// constructor on the stage's database. It honours `cfg`'s `script`,
+    /// `unlimited_rate`, `max_retries`, `obs`, `tenant`, `breaker` and
+    /// `node`; `seed` seeds its backoff jitter and trace ids, while the
+    /// stage's seed draws its arrivals and keys. The stage fixes
+    /// `terminals` (its four, shared by every tenant) and keeps no trace
+    /// (`collect_trace`); `slo` and `telemetry_interval_us`, which need a
+    /// thread, are not run. The tenant's control calls act from the instant
+    /// they are made between two `run_until`s.
+    pub fn add_tenant(&mut self, cfg: RunConfig) -> Controller {
         assert_eq!(self.seconds, 0, "tenants join before the run starts");
-        let types = self.workload.transaction_types();
-        let names: Vec<&str> = types.iter().map(|t| t.name).collect();
-        let stats = Arc::new(StatsCollector::new(self.clock.clone(), &names));
-        let (state, queue) = initial_control(&script, &types, unlimited_rate, self.clock.clone());
-        let spans_off = ObsConfig { mode: SpanMode::Off, ring_capacity: 1, sample_ratio: 0.0 };
-        let spans = Arc::new(SpanRecorder::new(spans_off));
+        let cfg = RunConfig { terminals: TERMINALS, collect_trace: false, ..cfg };
         let db = self.conn.database().clone();
-        let controller = Controller::new(state, queue, stats, spans, db, types, self.workload.name());
-        let source = ScriptSchedule::new(script, unlimited_rate, self.rng.next_u64());
-        self.tenants.push(VirtualTenant { controller: controller.clone(), source, due: None });
+        let step = RequestStep::new(db, self.workload.clone(), self.clock.clone(), &cfg);
+        let source = ScriptSchedule::new(cfg.script, cfg.unlimited_rate, self.rng.next_u64());
+        let controller = step.controller.clone();
+        self.tenants.push(VirtualTenant { step, source, due: None });
         controller
     }
 
@@ -126,10 +141,10 @@ impl VirtualRun {
     /// drop its backlog. The stage's database, which every tenant shares, is
     /// not reset.
     pub fn halt_and_reset(&mut self, tenant: &Controller) {
-        let index = self.tenants.iter().position(|t| Arc::ptr_eq(t.controller.state(), tenant.state()));
-        let index = index.expect("a tenant of this stage");
+        let same = |t: &VirtualTenant| Arc::ptr_eq(t.step.controller.state(), tenant.state());
+        let index = self.tenants.iter().position(same).expect("a tenant of this stage");
         for slot in &mut self.terminals {
-            slot.take_if(|(busy, _)| *busy == index);
+            slot.take_if(|busy| busy.tenant == index);
         }
         tenant.stop();
         tenant.queue().drain();
@@ -151,7 +166,7 @@ impl VirtualRun {
         }
         loop {
             let free = self.terminals.iter().any(Option::is_none);
-            let ends = self.terminals.iter().flatten().map(|(_, sample)| sample.end);
+            let ends = self.terminals.iter().flatten().map(|busy| busy.until);
             let dues = self.tenants.iter().filter(|t| free && t.serving()).filter_map(|t| t.due);
             let next = ends.chain(dues).fold(self.seconds * MICROS_PER_SEC, Micros::min);
             if next > until {
@@ -160,8 +175,11 @@ impl VirtualRun {
             self.clock.advance_to(next);
             let now = self.clock.now();
             for slot in &mut self.terminals {
-                if let Some((tenant, sample)) = slot.take_if(|(_, sample)| sample.end <= now) {
-                    self.tenants[tenant].controller.stats().record(sample);
+                let Some(busy) = slot.as_mut().filter(|busy| busy.until <= now) else { continue };
+                let step = &self.tenants[busy.tenant].step;
+                match busy.served.take().map_or(0, |served| step.finish(&served, busy.until)) {
+                    0 => *slot = None,
+                    think => busy.until += think,
                 }
             }
             if now >= self.seconds * MICROS_PER_SEC {
@@ -175,9 +193,8 @@ impl VirtualRun {
     fn step_manager(&mut self) {
         let boundary = self.seconds * MICROS_PER_SEC;
         for t in &mut self.tenants {
-            let c = &t.controller;
-            let (state, queue, stats) = (c.state(), c.queue(), c.stats());
-            if !c.is_stopped() && manager_step(&mut t.source, self.seconds, boundary, 0, state, queue, stats) {
+            let c = &t.step.controller;
+            if !c.is_stopped() && manager_step(&mut t.source, self.seconds, boundary, 0, c) {
                 c.stop();
             }
             t.due = Some(boundary);
@@ -186,7 +203,8 @@ impl VirtualRun {
     }
 
     /// Give each free terminal the request of the tenant whose head fell due
-    /// first, and run its transaction on the stage.
+    /// first, and serve it on the stage: it ends when its charges,
+    /// `SLOWDOWN` times over, and its backoff, unscaled, have passed.
     fn dispatch(&mut self, now: Micros) {
         while let Some(slot) = self.terminals.iter().position(Option::is_none) {
             let Some((tenant, _)) = (self.tenants.iter().enumerate())
@@ -196,18 +214,15 @@ impl VirtualRun {
                 return;
             };
             let t = &mut self.tenants[tenant];
-            match t.controller.queue().poll() {
+            match t.step.controller.queue().poll() {
                 Err(due) => t.due = due,
                 Ok(req) => {
                     t.due = Some(now);
-                    let txn_type = req.txn_type as usize;
                     let charged_from = self.conn.database().clock().now();
-                    let attempt = self.workload.execute(txn_type, &mut self.conn, &mut self.rng);
-                    let outcome = settle(Some(attempt), &mut self.conn).unwrap_or(RequestOutcome::Failed);
+                    let served = t.step.serve(req, &mut self.conn, &mut self.rng, |_| {});
                     let charged = self.conn.database().clock().now() - charged_from;
-                    let end = now + (charged as f64 * SLOWDOWN).round() as Micros;
-                    let sample = Sample { txn_type, arrival: req.arrival, start: req.dispatched, end, outcome, retries: 0 };
-                    self.terminals[slot] = Some((tenant, sample));
+                    let until = req.dispatched + (charged as f64 * SLOWDOWN).round() as Micros + served.backoff_us;
+                    self.terminals[slot] = Some(Busy { tenant, served: Some(served), until });
                 }
             }
         }
@@ -216,7 +231,7 @@ impl VirtualRun {
 
 impl VirtualTenant {
     fn serving(&self) -> bool {
-        !self.controller.is_paused() && !self.controller.is_stopped()
+        !self.step.controller.is_paused() && !self.step.controller.is_stopped()
     }
 }
 
@@ -224,6 +239,7 @@ impl VirtualTenant {
 mod tests {
     use super::*;
     use crate::rate::ArrivalDist;
+    use crate::stats::StatsCollector;
     use crate::workload::{BenchmarkClass, LoadSummary, TransactionType, TxnOutcome};
     use bp_sql::Result as SqlResult;
     use bp_storage::Value;
@@ -282,12 +298,19 @@ mod tests {
         VirtualRun::saturated_tps(personality, Arc::new(ReadWrite), Some(weights), 1)
     }
 
+    /// A tenant driven by `script`, `Rate::Unlimited` at `unlimited_rate`,
+    /// with spans off.
+    fn config(script: PhaseScript, unlimited_rate: f64) -> RunConfig {
+        let obs = ObsConfig { mode: SpanMode::Off, ..ObsConfig::default() };
+        RunConfig { script, unlimited_rate, obs, ..RunConfig::default() }
+    }
+
     /// One tenant on `personality`'s stage driven by `script` for its whole
     /// length: its statistics.
     fn solo(personality: Personality, script: PhaseScript, unlimited_rate: f64, seed: u64) -> Arc<StatsCollector> {
         let end = script.total_duration_us();
         let mut run = VirtualRun::new(personality, Arc::new(ReadWrite), seed);
-        let tenant = run.add_tenant(script, unlimited_rate);
+        let tenant = run.add_tenant(config(script, unlimited_rate));
         run.run_until(end);
         tenant.stats().clone()
     }
@@ -357,7 +380,7 @@ mod tests {
             let script = PhaseScript::new(vec![
                 Phase::new(Rate::Limited(rate), 10.0).with_weights(vec![100.0, 0.0])
             ]);
-            run.add_tenant(script, 1e5)
+            run.add_tenant(config(script, 1e5))
         });
         run.run_until(10 * MICROS_PER_SEC);
         tenants.map(|t| t.stats().throughput_series().get(5..9).map_or(0.0, mean))
@@ -393,7 +416,7 @@ mod tests {
     #[test]
     fn a_paused_tenant_is_served_nothing_and_generates_nothing() {
         let mut run = VirtualRun::new(quiet("mysql"), Arc::new(ReadWrite), 1);
-        let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5);
+        let tenant = run.add_tenant(config(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5));
         run.run_until(2 * MICROS_PER_SEC - 1);
         tenant.pause();
         run.run_until(4 * MICROS_PER_SEC - 1);
@@ -410,7 +433,7 @@ mod tests {
     fn halt_and_reset_stops_one_tenant() {
         let mut run = VirtualRun::new(quiet("mysql"), Arc::new(ReadWrite), 1);
         let [neighbor, halted] =
-            [(); 2].map(|()| run.add_tenant(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5));
+            [(); 2].map(|()| run.add_tenant(config(PhaseScript::constant(Rate::Limited(500.0), 10.0), 1e5)));
         run.run_until(3 * MICROS_PER_SEC + 500_000);
         run.halt_and_reset(&halted);
         let (completed, requested) = (halted.stats().total_completed(), halted.stats().requested_series());
@@ -428,7 +451,7 @@ mod tests {
         // `Personality::test()` charges nothing, so a request completes in
         // the µs it is dispatched and the completed count is the dispatched.
         let mut run = VirtualRun::new(Personality::test(), Arc::new(ReadWrite), 1);
-        let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(1_000.0), 10.0), 1e5);
+        let tenant = run.add_tenant(config(PhaseScript::constant(Rate::Limited(1_000.0), 10.0), 1e5));
         let done = || tenant.stats().total_completed();
         run.advance(100_000);
         assert_eq!(done(), 101, "one a ms, at 0 and at 100 ms too");
@@ -444,5 +467,52 @@ mod tests {
         let paused_at = done();
         run.advance(100_000);
         assert_eq!(done(), paused_at, "nothing is dispatched while paused");
+    }
+
+    #[test]
+    fn chaos_on_the_stage_fails_requests_and_the_run_goes_on() {
+        use bp_chaos::{FaultKind, FaultPlan, FaultWindow};
+        let mut run = VirtualRun::new(Personality::test(), Arc::new(ReadWrite), 1);
+        let script = || PhaseScript::constant(Rate::Limited(50.0), 10.0);
+        let [healthy, blacked_out] =
+            [0, 1].map(|tenant| run.add_tenant(RunConfig { tenant, ..config(script(), 1e5) }));
+        let panics = |c: &Controller| c.journal().all().iter().filter(|e| e.kind == "worker_panic").count() as u64;
+
+        // Every transaction panics: each request fails, once, and journals
+        // its panic, and the stage serves on.
+        let storm = FaultWindow::always(FaultKind::PanicStorm, 1.0, 0);
+        healthy.chaos().arm(FaultPlan::new("storm", 7).with_window(storm));
+        run.run_until(MICROS_PER_SEC - 1);
+        for tenant in [&healthy, &blacked_out] {
+            let status = tenant.stats().status(1);
+            assert_eq!((status.committed, status.failed, status.retries), (0, 50, 0), "{status:?}");
+        }
+        assert_eq!(panics(&healthy), 100, "one worker_panic a request");
+
+        // Tenant 1 blacks out: it fails after its retries, tenant 0 commits.
+        healthy.chaos().arm(FaultPlan::new("blackout-t1", 5).with_window(FaultWindow {
+            kind: FaultKind::Blackout,
+            start_us: 0,
+            end_us: u64::MAX,
+            intensity: 1.0,
+            magnitude: 0,
+            tenant: Some(1),
+        }));
+        run.run_until(2 * MICROS_PER_SEC - 1);
+        let [ok, out] = [&healthy, &blacked_out].map(|t| t.stats().status(1));
+        assert_eq!((ok.committed, ok.failed), (50, 50), "{ok:?}");
+        assert_eq!((out.committed, out.failed, out.retries), (0, 100, 150), "{out:?}");
+        assert_eq!(panics(&healthy), 100, "no panic rolled under the blackout plan");
+    }
+
+    #[test]
+    fn think_time_holds_a_terminal_past_its_end() {
+        // Nothing is charged, so each terminal serves one request every 10 ms
+        // of think time: four serve 400 of the 1,000 offered a second.
+        let mut run = VirtualRun::new(Personality::test(), Arc::new(ReadWrite), 1);
+        let phase = Phase::new(Rate::Limited(1_000.0), 10.0).with_think_time(10_000);
+        let tenant = run.add_tenant(config(PhaseScript::new(vec![phase]), 1e5));
+        run.run_until(10 * MICROS_PER_SEC - 1);
+        assert_eq!(tenant.stats().throughput_series()[1..9], [400.0; 8]);
     }
 }

@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use bp_api::{ApiServer, Request};
 use bp_core::{Controller, MixturePreset, Phase, PhaseScript, Rate, RunConfig, VirtualRun, Workload};
+use bp_obs::{ObsConfig, SpanMode};
 use bp_replay::{Artifact, ARTIFACT_VERSION};
 use bp_storage::Personality;
 use bp_util::clock::Micros;
@@ -73,7 +74,8 @@ impl SimBackend {
     /// A player's tenant on `stage`, whose rate the game sets every tick.
     fn join(stage: &Rc<RefCell<VirtualRun>>) -> SimBackend {
         let script = PhaseScript::repeating(vec![Phase::new(Rate::Disabled, 1.0)]);
-        let controller = stage.borrow_mut().add_tenant(script, RunConfig::default().unlimited_rate);
+        let obs = ObsConfig { mode: SpanMode::Off, ..ObsConfig::default() };
+        let controller = stage.borrow_mut().add_tenant(RunConfig { script, obs, ..RunConfig::default() });
         SimBackend { stage: stage.clone(), controller }
     }
 

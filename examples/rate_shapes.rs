@@ -7,7 +7,7 @@
 //! cargo run --release --example rate_shapes
 //! ```
 
-use benchpress::core::{Phase, PhaseScript, Rate, VirtualRun};
+use benchpress::core::{Phase, PhaseScript, Rate, RunConfig, VirtualRun};
 use benchpress::storage::Personality;
 use benchpress::workloads::by_name;
 
@@ -57,7 +57,7 @@ fn main() {
             let script = shape_script(shape, cap, 60.0);
             let seconds = script.total_duration_us();
             let mut run = VirtualRun::new(personality, by_name("ycsb").unwrap(), 42);
-            let tenant = run.add_tenant(script, 1e5);
+            let tenant = run.add_tenant(RunConfig { script, ..RunConfig::default() });
             run.run_until(seconds);
             let stats = tenant.stats();
             let max = cap * 1.25;

@@ -49,7 +49,7 @@ cargo test -q --release --offline --test read_path_allocs
 echo "== paced gate, optimised: no catch-up credit before the first dispatch, a dispatch late by up to the credit keeps the schedule, an older backlog drains at one spacing; four wall-clock terminals behind a 2k tx/s gate take <= 1.3 timed gate waits per dispatch, and with each request held for 3 slots a parked terminal is woken for a burst's next slot (median dispatch <= 250 us behind its slot; ~1.1 ms without the wake) =="
 cargo test -q --release --offline -p bp-core queue::
 
-echo "== paper §2.2 and §4 claims (E3-E9): never above the target rate and within 10 % of it; read-only out-runs write mixtures lock-free; a neighbor slows a tenant; on the driver in virtual time, each stage the engine with its personality, oracle passes at least as many courses as derby, derby crashes in the tunnel, the same seed replays the same trajectory and a crash halts the tenant with its work dropped, all four stages' sixteen games in under 2 s; derby slowest live, others fail nothing, and in virtual time oracle > mysql > postgres > derby; API rate change lands in 3 s =="
+echo "== paper §2.2 and §4 claims (E3-E9): never above the target rate and within 10 % of it; read-only out-runs write mixtures lock-free; a neighbor slows a tenant; on the driver in virtual time, each stage the engine with its personality serving every request through the live terminal's request step (breaker, chaos, retries, spans, think time), oracle passes at least as many courses as derby, derby crashes in the tunnel, the same seed replays the same trajectory and a crash halts the tenant with its work dropped, all four stages' sixteen games in under 2 s; derby slowest live, others fail nothing, and in virtual time oracle > mysql > postgres > derby; API rate change lands in 3 s =="
 cargo build -q --release --offline -p bp-bench --bin harness
 start_ns=$(date +%s%N)
 "${CARGO_TARGET_DIR:-target}/release/harness" challenges
@@ -61,7 +61,7 @@ if (( challenges_ms >= 2000 )); then
 fi
 cargo run -q --release --offline -p bp-bench --bin harness rate mixture tenancy physics dbms api
 
-echo "== resilience (E12 gates: faults injected, breaker opens, sheds, re-closes; dip < 80 % of baseline, recovery > 1.5x the dip) =="
+echo "== resilience (E12 gates: faults injected, breaker opens, sheds, re-closes; dip < 80 % of baseline, recovery > 1.5x the dip; live, and exactly on a virtual stage in tests/resilience.rs) =="
 cargo test -q --offline --test resilience
 cargo run -q --release --offline -p bp-bench --bin harness resilience
 

@@ -313,7 +313,10 @@ fn hasher_rule_flags_a_planted_fixture() {
 /// database has one recovery supervisor, its own: no run arms another. And
 /// an experiment's pass criteria are rows of one table: no per-row report
 /// type states them again. And the last seconds are one `WindowSnapshot`:
-/// in bp-core and bp-cluster only its codec spells the window's JSON.
+/// in bp-core and bp-cluster only its codec spells the window's JSON. And a
+/// request is served by one step, the threaded terminal's and the virtual
+/// stage's alike: in bp-core only the executor records a sample, catches a
+/// panic or backs off, and only `Controller::for_run` builds a `Controller`.
 #[test]
 fn background_threads_go_through_periodic() {
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
@@ -322,7 +325,8 @@ fn background_threads_go_through_periodic() {
     const EXPOSITION_SYNTAX: [&str; 2] = ["\"# TYPE", "_bucket\""];
     const WINDOW_JSON: [&str; 4] =
         [".set(\"p50_us\"", ".set(\"p99_us\"", "get(\"p50_us\")", "get(\"p99_us\")"];
-    const RETIRED: [&str; 71] = [
+    const ONE_REQUEST_STEP: [&str; 3] = [".record(Sample", "catch_unwind(", "next_backoff("];
+    const RETIRED: [&str; 72] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
@@ -367,6 +371,8 @@ fn background_threads_go_through_periodic() {
         // One window: the SLO law, the heartbeat and the fleet loop read one
         // `WindowSnapshot`, and only its `to_json`/`from_json` spell its JSON.
         "SloObservation", "NodeWindow", "window_from_json",
+        // One request step: the virtual stage serves through the worker's.
+        "fn settle",
     ];
     const NO_AMBIENT_TIME: [&str; 2] = ["Instant::now", "SystemTime::now"];
     const MAY_READ_TIME: [&str; 2] = ["util/src/clock.rs", "util/src/periodic.rs"];
@@ -383,6 +389,7 @@ fn background_threads_go_through_periodic() {
         }
     }
     assert!(files.len() > 50, "walked only {} files under {crates:?}", files.len());
+    let mut builds_controller = Vec::new();
     for path in files {
         let text = std::fs::read_to_string(&path).expect("source is utf-8");
         // The test module, if any, starts at the first column-0 `#[cfg(test)]`.
@@ -390,6 +397,15 @@ fn background_threads_go_through_periodic() {
         let rel = path.strip_prefix(&crates).expect("under crates/").to_string_lossy();
         for name in RETIRED {
             assert!(!code.contains(name), "{rel} mentions the retired {name}");
+        }
+        if rel.starts_with("core/") && rel != "core/src/executor.rs" {
+            for step in ONE_REQUEST_STEP {
+                assert!(!code.contains(step), "{rel} serves a request (`{step}`) outside the request step");
+            }
+        }
+        let not_word = |(at, _): &(usize, &str)| !code[..*at].ends_with(is_word);
+        for _ in code.match_indices("Controller::new(").filter(not_word) {
+            builds_controller.push(rel.to_string());
         }
         if code.contains("thread::Builder") || code.contains("thread::spawn") {
             assert!(MAY_SPAWN.contains(&&*rel), "{rel} spawns a thread outside its test module");
@@ -424,4 +440,5 @@ fn background_threads_go_through_periodic() {
             );
         }
     }
+    assert_eq!(builds_controller, ["core/src/controller.rs"], "a Controller is built by the one tenant constructor");
 }

@@ -3,7 +3,8 @@
 //! a high-contention workload are broken without starvation, per-tenant
 //! blackouts fail only the targeted tenant, and the circuit breaker opens
 //! under an error burst, sheds load, and re-closes after disarm — all
-//! visible through `/chaos/status` and `/metrics`.
+//! visible through `/chaos/status` and `/metrics`, and exactly so on a
+//! virtual stage.
 
 use std::sync::Arc;
 
@@ -11,13 +12,14 @@ use benchpress::api::{http_request, http_request_text, ApiServer};
 use benchpress::chaos::{FaultKind, FaultPlan, FaultWindow};
 use benchpress::core::{
     BreakerState, ControlState, Controller, Mixture, Phase, PhaseScript, Rate, RequestQueue,
-    RunConfig, StatsCollector, TransactionType,
+    RequestOutcome, RunConfig, StatsCollector, TransactionType, VirtualRun,
 };
 use benchpress::obs::{parse_samples, MetricValue, MetricsRegistry, ObsConfig, SpanRecorder};
 use benchpress::sql::Connection;
 use benchpress::storage::{Database, Personality, Value};
+use benchpress::util::clock::MICROS_PER_SEC;
 use benchpress::util::json::Json;
-use benchpress::util::rng::Rng;
+use benchpress::util::rng::{next_backoff, Rng};
 use benchpress::workloads::by_name;
 
 /// A registered workload that never runs: its controller is built, not
@@ -319,4 +321,74 @@ fn breaker_opens_sheds_and_recloses_over_http() {
         "breaker gauge missing"
     );
     assert!(samples.iter().any(|s| s.name == "bp_chaos_armed"), "armed gauge missing");
+}
+
+/// E12's dip-and-recovery, exactly, on a virtual stage: a voter tenant
+/// behind a breaker with two retries, offered 400 tx/s for six virtual
+/// seconds, with `error-burst` armed at second 2 and disarmed at 4. Each
+/// run returns what it saw: committed per third, the journal's kinds and
+/// fields, the throughput and requested series.
+fn virtual_dip_and_recovery() -> ([u64; 3], Vec<String>, Vec<f64>, Vec<f64>) {
+    const SEED: u64 = 7;
+    let mut stage = VirtualRun::new(Personality::test(), by_name("voter").unwrap(), 13);
+    let tenant = stage.add_tenant(RunConfig {
+        script: PhaseScript::constant(Rate::Limited(400.0), 6.0),
+        seed: SEED,
+        max_retries: 2,
+        breaker: true,
+        ..Default::default()
+    });
+    let breaker = tenant.breaker().cloned().expect("the virtual tenant has its breaker");
+    let committed = || tenant.stats().status(1).committed;
+
+    stage.run_until(2 * MICROS_PER_SEC - 1);
+    let c1 = committed();
+    assert_eq!(breaker.transitions_to(BreakerState::Open), 0, "a healthy baseline");
+    tenant.chaos().arm(FaultPlan::scenario("error-burst", 7).unwrap());
+    stage.run_until(4 * MICROS_PER_SEC - 1);
+    let c2 = committed();
+    assert!(breaker.transitions_to(BreakerState::Open) > 0, "the burst opens the breaker");
+    assert!(breaker.shed_total() > 0, "an open breaker sheds");
+    tenant.chaos().disarm();
+    stage.run_until(6 * MICROS_PER_SEC - 1);
+    let c3 = committed();
+    assert!(breaker.transitions_to(BreakerState::Closed) > 0, "the breaker re-closes after disarm");
+    assert_eq!(breaker.state(), BreakerState::Closed);
+
+    let (faulted, recovered) = (c2 - c1, c3 - c2);
+    assert!(c1 > 790, "baseline committed {c1} of 800 offered");
+    assert!(faulted * 10 < c1 * 8, "committed dips under the burst: {c1} -> {faulted}");
+    assert!(recovered * 2 > faulted * 3, "and recovers after disarm: {faulted} -> {recovered}");
+    assert!(recovered * 10 > c1 * 8, "to within 20 % of the baseline: {c1} -> {recovered}");
+    let status = tenant.stats().status(1);
+    assert!(status.shed > 0 && status.retries > 0, "{status:?}");
+    assert_eq!(
+        tenant.stats().total_completed(),
+        status.committed + status.user_aborted + status.failed,
+        "sheds stay out of the completion count"
+    );
+
+    // A retried request ends its backoff after its dispatch, unscaled: the
+    // stage charges nothing on `Personality::test()`, so its span's service
+    // time is exactly the backoff drawn for each retry (base 100 µs, cap
+    // 10 ms, seeded by the run seed and the request's sequence number).
+    let spans = tenant.spans().recent(usize::MAX);
+    let retried = spans.iter().find(|s| s.retries > 0).expect("a retried request's span");
+    let backoff: u64 = (0..u32::from(retried.retries)).map(|k| next_backoff(k, 100, 10_000, SEED ^ retried.seq)).sum();
+    assert!(backoff > 0);
+    assert_eq!(retried.end_us, retried.dequeued_us + backoff, "{retried:?}");
+    assert!(spans.iter().any(|s| s.outcome == RequestOutcome::Shed), "a shed request's span");
+
+    let journal = tenant.journal().all().iter().map(|e| format!("{} {:?}", e.kind, e.fields)).collect();
+    let stats = tenant.stats();
+    ([c1, faulted, recovered], journal, stats.throughput_series(), stats.requested_series())
+}
+
+/// The breaker opens, sheds and re-closes on the virtual stage as it does
+/// live, and one seed gives one journal and one series.
+#[test]
+fn breaker_dips_and_recovers_exactly_on_a_virtual_stage() {
+    let first = virtual_dip_and_recovery();
+    assert!(first.1.iter().any(|e| e.starts_with("breaker_transition ")), "{:?}", first.1);
+    assert_eq!(first, virtual_dip_and_recovery());
 }

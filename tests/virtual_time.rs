@@ -6,7 +6,10 @@
 
 use std::sync::Arc;
 
-use benchpress::core::{BenchmarkClass, LoadSummary, PhaseScript, Rate, TransactionType, TxnOutcome, VirtualRun, Workload};
+use benchpress::core::{
+    BenchmarkClass, LoadSummary, PhaseScript, Rate, RunConfig, TransactionType, TxnOutcome, VirtualRun, Workload,
+};
+use benchpress::obs::{ObsConfig, SpanMode};
 use benchpress::sql::{Connection, Result as SqlResult};
 use benchpress::storage::Personality;
 use benchpress::util::clock::MICROS_PER_SEC;
@@ -56,10 +59,16 @@ fn unbound() -> VirtualRun {
     VirtualRun::new(Personality::test(), Arc::new(Unbound), 7)
 }
 
+/// A tenant offered `rate` for a minute, with spans off.
+fn constant(rate: f64) -> RunConfig {
+    let obs = ObsConfig { mode: SpanMode::Off, ..ObsConfig::default() };
+    RunConfig { script: PhaseScript::constant(Rate::Limited(rate), 60.0), obs, ..RunConfig::default() }
+}
+
 /// `(requested, dispatched)` per whole second of a run offered `rate`.
 fn per_second(rate: f64) -> Vec<(u64, u64)> {
     let mut run = unbound();
-    let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(rate), 60.0), 1e5);
+    let tenant = run.add_tenant(constant(rate));
     run.run_until(SECONDS * MICROS_PER_SEC - 1);
     let stats = tenant.stats();
     let requested = stats.requested_series();
@@ -95,7 +104,7 @@ fn a_rate_cut_mid_second_is_paced_by_the_gate_not_burst() {
     // is left of its window becomes a backlog that only the gate holds to
     // the new rate, since its arrival times have all passed.
     let mut run = unbound();
-    let tenant = run.add_tenant(PhaseScript::constant(Rate::Limited(600.0), 60.0), 1e5);
+    let tenant = run.add_tenant(constant(600.0));
     run.run_until(MICROS_PER_SEC / 2);
     tenant.set_rate(Rate::Limited(300.0));
     run.run_until(4 * MICROS_PER_SEC - 1);
