@@ -507,7 +507,8 @@ fn cluster_slo_loop_steers_global_rate_on_merged_latency() {
 fn cluster_slo_decreases_once_until_the_window_has_flushed() {
     let (coordinator, sim) = sim_coordinator(Duration::from_secs(60));
     beat(&coordinator, "a", None);
-    // A one-second window read every 250 ms has flushed after four ticks.
+    // A one-second window read every 250 ms has flushed after eight ticks:
+    // its whole second, and the one the cut fell in.
     let r = post(
         &coordinator,
         "/cluster/slo",
@@ -524,15 +525,15 @@ fn cluster_slo_decreases_once_until_the_window_has_flushed() {
         status.body.get("adjustments").unwrap().get("decrease").and_then(Json::as_u64).unwrap()
     };
     let mut seen = Vec::new();
-    for _ in 0..6 {
+    for _ in 0..10 {
         beat(&coordinator, "a", Some(window(50, 10_000, 40_000)));
         sim.advance(250_000);
         coordinator.tick();
         seen.push((decreases(), coordinator.global_rate().unwrap()));
     }
-    let expected: Vec<(u64, f64)> =
-        [(1, 500.0), (1, 500.0), (1, 500.0), (1, 500.0), (1, 500.0), (2, 250.0)].into();
-    assert_eq!(seen, expected, "one cut, four holds while the window flushes, then the next cut");
+    let mut expected = vec![(1, 500.0); 9];
+    expected.push((2, 250.0));
+    assert_eq!(seen, expected, "one cut, eight holds while the window flushes, then the next cut");
 }
 
 /// A node's controller with no run behind it: enough to arm `POST /slo` on.

@@ -40,7 +40,7 @@ use bp_util::Periodic;
 
 use crate::controller::Controller;
 use crate::rate::Rate;
-use crate::stats::WindowSnapshot;
+use crate::stats::{WindowSnapshot, MAX_WINDOW_S};
 
 /// What the control loop steers toward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,6 +173,9 @@ impl SloConfig {
             return Err(format!("{key} is not a setting: the loop is AIMD (step, backoff)"));
         }
         if let Some(w) = count("window_s")? {
+            if w > MAX_WINDOW_S as u64 {
+                return Err(format!("window_s must be at most {MAX_WINDOW_S}: the ring holds that many whole seconds"));
+            }
             self.window_s = (w as usize).max(1);
         }
         if let Some(t) = count("tick_ms")? {
@@ -255,10 +258,10 @@ pub struct SloCore {
     cfg: SloConfig,
     rate: f64,
     /// AIMD decrease cooldown: after a multiplicative decrease the sliding
-    /// window keeps showing the pre-decrease tail for up to `window_s`,
-    /// and reacting to that stale data again every tick would compound one
-    /// violation into a geometric collapse. Violations observed while this
-    /// is nonzero hold instead of decreasing.
+    /// window keeps showing the pre-decrease tail for up to `window_s + 1`
+    /// s, and reacting to that stale data again every tick would compound
+    /// one violation into a geometric collapse. Violations observed while
+    /// this is nonzero hold instead of decreasing.
     hold_ticks: u32,
 }
 
@@ -268,10 +271,10 @@ impl SloCore {
         SloCore { cfg, rate, hold_ticks: 0 }
     }
 
-    /// Ticks until the sliding window no longer contains samples from
-    /// before the last decrease.
+    /// Ticks until the window's whole seconds no longer hold a sample from
+    /// before the last decrease: `window_s` and the second it fell in.
     fn window_flush_ticks(&self) -> u32 {
-        let window_us = self.cfg.window_s as u64 * 1_000_000;
+        let window_us = (self.cfg.window_s as u64 + 1) * 1_000_000;
         window_us.div_ceil(self.cfg.tick_us.max(1)).min(u32::MAX as u64) as u32
     }
 
@@ -662,8 +665,9 @@ mod tests {
 
     #[test]
     fn decrease_cooldown_covers_window_flush() {
-        // window 2s / tick 200ms: a decrease must be followed by 10 holds
-        // (one full window flush) before the next decrease can fire.
+        // window 2s / tick 200ms: a decrease must be followed by 15 holds
+        // (the window's 2 whole seconds and the one the decrease fell in)
+        // before the next decrease can fire.
         let cfg = SloConfig {
             target: SloTarget::P99BelowUs(10_000),
             window_s: 2,
@@ -674,7 +678,7 @@ mod tests {
         let mut core = SloCore::new(cfg);
         let violation = obs(20_000, 900.0, 500);
         assert_eq!(core.tick(&violation, Closed).adjustment, Adjustment::Decrease);
-        for i in 0..10 {
+        for i in 0..15 {
             assert_eq!(core.tick(&violation, Closed).adjustment, Adjustment::Hold, "tick {i}");
         }
         assert_eq!(core.tick(&violation, Closed).adjustment, Adjustment::Decrease);
@@ -684,7 +688,8 @@ mod tests {
     fn rate_clamped_to_bounds() {
         let cfg = SloConfig {
             target: SloTarget::P99BelowUs(1_000),
-            // window == tick so the decrease cooldown is a single tick.
+            // A one-second window read every second: the decrease cooldown
+            // is two ticks.
             window_s: 1,
             tick_us: 1_000_000,
             initial_rate: 20.0,
@@ -898,6 +903,13 @@ mod tests {
             let got = base.clone().with_settings(|k| (k == key).then(|| bad.to_string()));
             assert!(got.as_ref().is_err_and(|e| e.contains(key)), "{key}={bad}: {got:?}");
         }
+        // The longest window is the whole seconds the ring holds; one more
+        // is refused, naming the key.
+        let window =
+            |w: usize| base.clone().with_settings(|k| (k == "window_s").then(|| w.to_string()));
+        assert_eq!(window(MAX_WINDOW_S).map(|cfg| cfg.window_s), Ok(MAX_WINDOW_S));
+        let past = window(MAX_WINDOW_S + 1);
+        assert!(past.as_ref().is_err_and(|e| e.contains("window_s")), "{past:?}");
         // The loop has one law: asking for another, or for its gains, is
         // refused rather than quietly answered with AIMD.
         let retired = [("law", "pid"), ("law", "aimd"), ("kp", "0.5"), ("ki", "0.1"), ("kd", "0")];

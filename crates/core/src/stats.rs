@@ -17,16 +17,19 @@ use bp_util::json::Json;
 use bp_util::sync::{thread_slot, CachePadded, Mutex};
 use bp_util::timeseries::TimeSeries;
 
-/// Seconds of per-second latency history each shard keeps for sliding
-/// windows. Two minutes comfortably covers any control-loop window while
-/// bounding memory per shard.
+/// Seconds of per-second latency history each shard keeps: the second
+/// being written and [`MAX_WINDOW_S`] whole seconds before it. Two minutes
+/// covers any control-loop window while bounding memory per shard.
 const WINDOW_RING_S: usize = 120;
+
+/// The longest window in whole seconds: a snapshot's and an SLO loop's.
+pub(crate) const MAX_WINDOW_S: usize = WINDOW_RING_S - 1;
 
 /// How a dispatched request ended: the span's outcome under the driver's
 /// name for it.
 pub use bp_obs::SpanOutcome as RequestOutcome;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PerType {
     latency: Histogram,
     committed: u64,
@@ -37,17 +40,6 @@ struct PerType {
 }
 
 impl PerType {
-    fn new() -> PerType {
-        PerType {
-            latency: Histogram::latency(),
-            committed: 0,
-            user_aborted: 0,
-            failed: 0,
-            retries: 0,
-            shed: 0,
-        }
-    }
-
     fn merge(&mut self, other: &PerType) {
         self.latency.merge(&other.latency);
         self.committed += other.committed;
@@ -62,7 +54,7 @@ impl PerType {
 #[derive(Debug)]
 struct Shard {
     per_type: Vec<PerType>,
-    /// All completions regardless of type.
+    /// Completions per second, regardless of type.
     all_completions: TimeSeries,
     queue_delay: Histogram,
     /// Scheduled arrival → end: what a paced client saw, queueing included
@@ -78,19 +70,18 @@ struct Shard {
 impl Shard {
     fn new(num_types: usize) -> Shard {
         Shard {
-            per_type: (0..num_types).map(|_| PerType::new()).collect(),
-            all_completions: TimeSeries::per_second(),
+            per_type: vec![PerType::default(); num_types],
+            all_completions: TimeSeries::default(),
             queue_delay: Histogram::latency(),
             response: Histogram::latency(),
-            requested: TimeSeries::per_second(),
+            requested: TimeSeries::default(),
             windowed: WindowedHistogram::new(WINDOW_RING_S),
         }
     }
 
-    /// Cumulative merge. The windowed ring is deliberately excluded:
-    /// window views are folded across shards by
-    /// [`StatsCollector::window_histogram`], which merges each shard's
-    /// ring slice for one specific window instead of the whole ring.
+    /// Cumulative merge. The windowed ring is deliberately excluded: a
+    /// window folds each shard's ring slice for its seconds alone
+    /// ([`StatsCollector::window_snapshot`]).
     fn merge(&mut self, other: &Shard) {
         for (pt, o) in self.per_type.iter_mut().zip(&other.per_type) {
             pt.merge(o);
@@ -134,7 +125,7 @@ pub struct Sample {
 /// A point-in-time view used by the control API and the game.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatusSnapshot {
-    /// Throughput over the last few complete seconds (tx/s).
+    /// [`StatsCollector::window_snapshot`]'s: a quiet second counts 0.
     pub throughput: f64,
     /// Mean latency (µs) per transaction type over the whole run.
     pub latency_by_type: Vec<(String, f64)>,
@@ -220,7 +211,7 @@ impl StatsCollector {
         shard.windowed.record(end, latency);
         shard.queue_delay.record(delay);
         shard.response.record(s.end.saturating_sub(s.arrival));
-        shard.all_completions.record(end, latency);
+        shard.all_completions.add(end, 1);
         if let Some(pt) = shard.per_type.get_mut(s.txn_type) {
             pt.latency.record(latency);
             pt.retries += s.retries as u64;
@@ -236,17 +227,15 @@ impl StatsCollector {
     /// Record that `n` requests were generated at time `t` (target side).
     pub fn record_requested(&self, t: Micros, n: usize) {
         let t = self.since_start(t);
-        let mut shard = self.my_shard().lock();
-        for _ in 0..n {
-            shard.requested.tick(t);
-        }
+        self.my_shard().lock().requested.add(t, n as u64);
     }
 
-    /// Instantaneous status (sliding window of `window_s` complete seconds).
+    /// Instantaneous status: the run's totals, and the throughput of the
+    /// last `window_s` whole seconds.
     pub fn status(&self, window_s: usize) -> StatusSnapshot {
+        let throughput = self.window_snapshot(window_s).throughput;
         let merged = self.merged();
         let now = self.since_start(self.clock.now());
-        let throughput = merged.all_completions.recent_rate(now, window_s.max(1));
         let latency_by_type = self
             .type_names
             .iter()
@@ -278,11 +267,6 @@ impl StatsCollector {
     /// Per-second requested (target) series.
     pub fn requested_series(&self) -> Vec<f64> {
         self.merged().requested.rates()
-    }
-
-    /// Mean latency per second (µs).
-    pub fn latency_series(&self) -> Vec<f64> {
-        self.merged().all_completions.means()
     }
 
     /// Per-type summary: (name, count, mean µs, p95 µs, committed, aborted).
@@ -336,45 +320,49 @@ impl StatsCollector {
         t.saturating_sub(self.start)
     }
 
-    /// Latency histogram over the last `window_s` seconds (including the
-    /// current partial second), folded across all shards on demand.
+    /// Latency histogram over the last `window_s` seconds, the current
+    /// partial second included: a second later than
+    /// [`StatsCollector::window_snapshot`], as the benchmark reads second `s`
+    /// as the difference of two of these windows, both ending now.
     pub fn window_histogram(&self, window_s: usize) -> Histogram {
-        let now = self.since_start(self.clock.now());
-        let mut acc = Histogram::latency();
-        for shard in &self.shards {
-            acc.merge(&shard.lock().windowed.window(now, window_s));
-        }
-        acc
+        self.fold_window(window_s.max(1) as u64, 1).0
     }
 
-    /// The last `window_s` seconds in one pass: one lock per shard folds its
-    /// ring slice and its completion series, whose `recent_rate` is
-    /// [`StatsCollector::status`]'s throughput.
+    /// The last `window_s` whole seconds, `now_sec - w ..= now_sec - 1`
+    /// with `w` clamped to `1..=MAX_WINDOW_S`: one lock per shard folds its
+    /// ring slice, so a snapshot costs the same late in a run as early.
     pub fn window_snapshot(&self, window_s: usize) -> WindowSnapshot {
-        let now = self.since_start(self.clock.now());
-        let (mut hist, mut completions) = (Histogram::latency(), TimeSeries::per_second());
-        for shard in &self.shards {
-            let shard = shard.lock();
-            hist.merge(&shard.windowed.window(now, window_s));
-            completions.merge(&shard.all_completions);
-        }
-        let throughput = completions.recent_rate(now, window_s.max(1));
+        let (hist, seconds) = self.fold_window(window_s.clamp(1, MAX_WINDOW_S) as u64, 0);
+        let throughput = hist.count() as f64 / seconds.max(1) as f64;
         WindowSnapshot { count: hist.count(), p50_us: hist.p50(), p99_us: hist.p99(), throughput }
+    }
+
+    /// Every shard's ring slice over the `window_s` seconds before second
+    /// `now_sec + ahead`, folded, and how many of them the run has had.
+    fn fold_window(&self, window_s: u64, ahead: u64) -> (Histogram, u64) {
+        let end = self.since_start(self.clock.now()) / MICROS_PER_SEC + ahead;
+        let seconds = end.saturating_sub(window_s)..end;
+        let mut acc = Histogram::latency();
+        for shard in &self.shards {
+            acc.merge(&shard.lock().windowed.window(seconds.clone()));
+        }
+        (acc, seconds.end - seconds.start)
     }
 }
 
-/// The last `w` seconds: what the node's SLO loop, the heartbeat, the fleet
-/// loop and the telemetry sensor read. `count` and the percentiles cover
-/// seconds `now_sec - w + 1 ..= now_sec`, the current partial second
-/// included ([`WindowedHistogram::window`]); `throughput` covers the `w`
-/// complete seconds before it ([`TimeSeries::recent_rate`]).
+/// The last `w` whole seconds, `now_sec - w ..= now_sec - 1`: what the
+/// node's SLO loop, the heartbeat, the fleet loop, the telemetry sensor,
+/// `/status` and `bp_client_throughput_tps` read. All four fields cover
+/// that one range of the per-second ring, and a second with no completions
+/// counts 0, so a stage that goes quiet reads 0 once `w` seconds pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowSnapshot {
     /// Completions inside the window.
     pub count: u64,
     pub p50_us: u64,
     pub p99_us: u64,
-    /// Completions per second over the window's complete seconds.
+    /// `count` over the window's seconds since the run started,
+    /// `min(w, now_sec)`.
     pub throughput: f64,
 }
 
@@ -493,12 +481,11 @@ impl bp_obs::MetricsSource for StatsCollector {
             &[],
             &merged.response,
         );
-        let now = self.since_start(self.clock.now());
         buf.gauge(
             "bp_client_throughput_tps",
-            "Delivered throughput over the last 3 complete seconds",
+            "Completions per second over the last 3 whole seconds, a quiet second counting 0",
             &[],
-            merged.all_completions.recent_rate(now, 3),
+            self.window_snapshot(3).throughput,
         );
     }
 }
@@ -755,30 +742,72 @@ mod tests {
         assert_eq!(w.p99_us, 0);
     }
 
-    /// One snapshot, two horizons: `count` and the percentiles cover the `w`
-    /// seconds up to and including the current partial one, `throughput`
-    /// the `w` complete seconds before it.
+    /// One range of whole seconds for all four fields: with 10, 20, 30 and
+    /// 4 completions in seconds 1–4, read at 4.5 s, a window of `w` reads
+    /// seconds `4 - w ..= 3`, and the partial second 4 is in none of them.
     #[test]
-    fn a_window_counts_the_partial_second_and_its_throughput_the_complete_ones() {
+    fn a_window_is_one_range_of_whole_seconds() {
         let (sim, clock) = sim_clock();
         let c = StatsCollector::new(clock, &["t"]);
+        let mut by_second = vec![Histogram::latency(); 5];
         for (second, n) in [(1, 10), (2, 20), (3, 30), (4, 4)] {
             for i in 0..n {
-                c.record(sample(0, second * MICROS_PER_SEC + i * 1_000, 100));
+                let latency = 1_000 * second + 37 * i;
+                c.record(sample(0, second * MICROS_PER_SEC + i * 1_000, latency));
+                by_second[second as usize].record(latency);
             }
         }
+        sim.advance_to(MICROS_PER_SEC - 1);
+        for w in [1, 2, 3] {
+            assert_eq!(
+                c.window_snapshot(w),
+                WindowSnapshot::default(),
+                "no whole second before 1 s"
+            );
+        }
         sim.advance_to(4 * MICROS_PER_SEC + 500_000);
-        let read = |w| (c.window_snapshot(w).count, c.window_snapshot(w).throughput);
-        assert_eq!(read(1), (4, 30.0), "second 4 so far; second 3");
-        assert_eq!(read(2), (34, 25.0), "seconds 3-4; seconds 2-3");
-        assert_eq!(read(3), (54, 20.0), "seconds 2-4; seconds 1-3");
+        for (w, count, throughput) in [(1, 30, 30.0), (2, 50, 25.0), (3, 60, 20.0)] {
+            let mut seconds = Histogram::latency();
+            by_second[4 - w..4].iter().for_each(|h| seconds.merge(h));
+            let want =
+                WindowSnapshot { count, p50_us: seconds.p50(), p99_us: seconds.p99(), throughput };
+            assert_eq!(c.window_snapshot(w), want, "window {w}");
+        }
     }
 
-    /// On a sharded collector the one-pass snapshot reads what the separate
-    /// reads do: the ring's count and percentiles and the status throughput,
-    /// also once the run has gone quiet and the series stops short of now.
+    /// A collector that goes quiet reads 0 once its window has passed the
+    /// last completion: the snapshot, the status and the gauge alike. The
+    /// gauge's 3 s window still holds second 0 at 2 s: 500 over 2 seconds.
     #[test]
-    fn a_sharded_snapshot_equals_the_window_histogram_and_the_status_throughput() {
+    fn a_quiet_collector_reads_no_throughput() {
+        let (sim, clock) = sim_clock();
+        let c = StatsCollector::new(clock, &["t"]);
+        for i in 0..500u64 {
+            c.record(sample(0, i * 1_000, 100));
+        }
+        for (now, gauge) in [(2, 250.0), (5, 0.0), (30, 0.0)] {
+            sim.advance_to(now * MICROS_PER_SEC);
+            let w = c.window_snapshot(1);
+            assert_eq!((w.count, w.throughput), (0, 0.0), "snapshot at {now} s");
+            assert_eq!(c.status(1).throughput, 0.0, "status at {now} s");
+            let mut buf = bp_obs::MetricsBuf::new();
+            bp_obs::MetricsSource::collect(&c, &mut buf);
+            let read =
+                buf.into_samples().into_iter().find(|s| s.name == "bp_client_throughput_tps");
+            assert_eq!(
+                read.map(|s| s.value),
+                Some(bp_obs::MetricValue::Gauge(gauge)),
+                "gauge at {now} s"
+            );
+        }
+    }
+
+    /// On a sharded collector the snapshot at `now` reads what the ring
+    /// read one second back reads, and `status(w)`'s throughput. While a
+    /// completion fell in the current or the previous second, its throughput
+    /// is also the full series' last `w` whole seconds over `min(w, now)`.
+    #[test]
+    fn a_sharded_snapshot_equals_the_ring_read_a_second_back_and_the_status_throughput() {
         let (sim, clock) = sim_clock();
         let c = StatsCollector::with_shards(clock, &["t"], 3);
         for i in 0..2_800u64 {
@@ -786,18 +815,53 @@ mod tests {
             c.record(sample(0, i * 1_500, 100 + (i * 37) % 5_000));
         }
         bp_util::sync::set_thread_slot(0);
-        for now in [4 * MICROS_PER_SEC + 250_000, 9 * MICROS_PER_SEC] {
+        let windows = [1, 2, 3, 10, usize::MAX];
+        for now in [
+            MICROS_PER_SEC + 1,
+            2 * MICROS_PER_SEC + 500_000,
+            4 * MICROS_PER_SEC + 250_000,
+            9 * MICROS_PER_SEC,
+        ] {
+            sim.advance_to(now - MICROS_PER_SEC);
+            let back: Vec<Histogram> = windows.iter().map(|&w| c.window_histogram(w)).collect();
             sim.advance_to(now);
-            for w in [1, 2, 3, 10, usize::MAX] {
-                let (snap, hist) = (c.window_snapshot(w), c.window_histogram(w));
+            let series = c.throughput_series();
+            let now_sec = (now / MICROS_PER_SEC) as usize;
+            for (&w, hist) in windows.iter().zip(&back) {
+                let snap = c.window_snapshot(w);
                 assert_eq!(
                     (snap.count, snap.p50_us, snap.p99_us),
                     (hist.count(), hist.p50(), hist.p99()),
-                    "window {w} at {now}"
+                    "{w} at {now}"
                 );
                 assert_eq!(snap.throughput, c.status(w).throughput, "window {w} at {now}");
+                if series.len() >= now_sec {
+                    let seconds = now_sec.saturating_sub(w)..now_sec;
+                    let whole =
+                        series[seconds.clone()].iter().sum::<f64>() / seconds.len().max(1) as f64;
+                    assert_eq!(snap.throughput, whole, "window {w} at {now}");
+                }
             }
         }
+    }
+
+    /// The longest window reads every completion of its seconds: all the
+    /// whole seconds the ring holds beside the one being written.
+    #[test]
+    fn the_longest_window_reads_every_whole_second_the_ring_holds() {
+        let (sim, clock) = sim_clock();
+        let c = StatsCollector::new(clock, &["t"]);
+        for second in 0..=300 {
+            c.record(sample(0, second * MICROS_PER_SEC, 100));
+        }
+        sim.advance_to(300 * MICROS_PER_SEC + 1);
+        let w = c.window_snapshot(MAX_WINDOW_S);
+        assert_eq!((w.count, w.throughput), (MAX_WINDOW_S as u64, 1.0));
+        assert_eq!(
+            c.window_snapshot(MAX_WINDOW_S + 1),
+            w,
+            "a longer window reads the same seconds"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use bp_util::artifact::{significant, Writer};
 use bp_util::sync::Mutex;
 
 use bp_util::clock::{Micros, MICROS_PER_SEC};
-use bp_util::timeseries::{mean_abs_error, Summary, TimeSeries};
+use bp_util::timeseries::{mean_abs_error, TimeSeries};
 
 use crate::rate::PhaseScript;
 use crate::stats::RequestOutcome;
@@ -148,10 +148,6 @@ impl Trace {
 pub struct TraceAnalysis {
     /// Delivered throughput per second.
     pub throughput: Vec<f64>,
-    /// Mean latency per second (µs).
-    pub latency_mean_us: Vec<f64>,
-    /// Summary over the delivered throughput.
-    pub throughput_summary: Summary,
     /// Count per transaction type.
     pub per_type_counts: Vec<u64>,
     /// Records whose `txn_type >= num_types` (e.g. a trace analyzed against
@@ -163,7 +159,7 @@ pub struct TraceAnalysis {
     pub user_aborted: u64,
     pub failed: u64,
     /// Requests shed by the admission controller; excluded from the
-    /// throughput/latency series like every other never-executed request.
+    /// throughput series like every other never-executed request.
     pub shed: u64,
 }
 
@@ -187,7 +183,7 @@ impl TraceAnalyzer {
     /// Per-second roll-up of a trace.
     pub fn analyze(trace: &Trace, num_types: usize) -> TraceAnalysis {
         let records = trace.records();
-        let mut completions = TimeSeries::per_second();
+        let mut completions = TimeSeries::default();
         let mut per_type_counts = vec![0u64; num_types];
         let mut unknown_type = 0u64;
         let mut committed = 0;
@@ -199,7 +195,7 @@ impl TraceAnalyzer {
                 shed += 1;
                 continue;
             }
-            completions.record(r.start_us + r.latency_us, r.latency_us);
+            completions.add(r.start_us + r.latency_us, 1);
             match per_type_counts.get_mut(r.txn_type) {
                 Some(c) => *c += 1,
                 None => unknown_type += 1,
@@ -211,11 +207,8 @@ impl TraceAnalyzer {
                 RequestOutcome::Shed => unreachable!("shed skipped above"),
             }
         }
-        let throughput = completions.rates();
         TraceAnalysis {
-            throughput_summary: Summary::of(&throughput),
-            latency_mean_us: completions.means(),
-            throughput,
+            throughput: completions.rates(),
             per_type_counts,
             unknown_type,
             committed,

@@ -7,6 +7,8 @@
 //! is split into `1 << sub_bucket_bits` linear sub-buckets, giving a worst
 //! case relative error of `2^-sub_bucket_bits`.
 
+use std::ops::Range;
+
 /// A histogram of non-negative integer values (e.g. latencies in µs).
 #[derive(Debug, Clone)]
 pub struct Histogram {
@@ -211,9 +213,10 @@ impl Default for Histogram {
 /// `record(t, v)` lands `v` in the slot for `t`'s wall second, lazily
 /// clearing the slot the first time a new second reuses it — no timer
 /// thread, no extra locking (callers already hold their stats-shard
-/// lock). `window(now, w)` merges the last `w` seconds (including the
-/// current, partial one) into a plain [`Histogram`] on demand, so the
-/// read cost stays on the cold path.
+/// lock). `window(seconds)` merges a range of seconds into a plain
+/// [`Histogram`] on demand, so the read cost stays on the cold path. A
+/// ring of `n` slots holds the second being written and the `n - 1`
+/// before it.
 #[derive(Debug, Clone)]
 pub struct WindowedHistogram {
     slots: Vec<WindowSlot>,
@@ -260,18 +263,14 @@ impl WindowedHistogram {
         slot.hist.record(value);
     }
 
-    /// Merge the last `window_s` seconds (ending at `now_us`'s second,
-    /// inclusive) into one histogram. A window larger than the recorded
-    /// history simply returns everything still in the ring, so
-    /// `window(now, huge)` equals the cumulative histogram for runs no
+    /// Merge every second of `seconds` still in the ring into one
+    /// histogram. A range reaching back past the ring returns everything
+    /// in it, so a range from 0 equals the cumulative histogram for runs no
     /// longer than the ring capacity.
-    pub fn window(&self, now_us: u64, window_s: usize) -> Histogram {
-        let window_s = window_s.max(1) as u64;
-        let now_sec = now_us / 1_000_000;
-        let lo = now_sec.saturating_sub(window_s - 1);
+    pub fn window(&self, seconds: Range<u64>) -> Histogram {
         let mut acc = Histogram::latency();
         for slot in &self.slots {
-            if slot.second >= lo && slot.second <= now_sec && !slot.hist.is_empty() {
+            if seconds.contains(&slot.second) && !slot.hist.is_empty() {
                 acc.merge(&slot.hist);
             }
         }
@@ -470,17 +469,17 @@ mod tests {
     #[test]
     fn windowed_empty_window_is_zero() {
         let w = WindowedHistogram::new(10);
-        let h = w.window(5 * SEC, 3);
+        let h = w.window(3..6);
         assert!(h.is_empty());
         assert_eq!(h.p99(), 0);
         assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
-    fn windowed_includes_current_partial_second() {
+    fn windowed_reads_a_second_while_it_is_written() {
         let mut w = WindowedHistogram::new(10);
         w.record(2 * SEC + 500_000, 777);
-        let h = w.window(2 * SEC + 600_000, 1);
+        let h = w.window(2..3);
         assert_eq!(h.count(), 1);
         assert_eq!(h.p50(), 777);
     }
@@ -491,12 +490,12 @@ mod tests {
         w.record(0, 100); // second 0
         w.record(SEC, 200); // second 1
         w.record(4 * SEC, 300); // second 4
-        // Window of 2s ending in second 4 covers seconds 3..=4 only.
-        let h = w.window(4 * SEC + 1, 2);
+        // Seconds 3..=4 hold only second 4's sample.
+        let h = w.window(3..5);
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 300);
-        // Widen to 5s: everything.
-        let h = w.window(4 * SEC + 1, 5);
+        // Widen to seconds 0..=4: everything.
+        let h = w.window(0..5);
         assert_eq!(h.count(), 3);
     }
 
@@ -509,12 +508,12 @@ mod tests {
             w.record(sec * SEC, 1_000 + sec);
         }
         // Ring capacity is 4: only seconds 2..=5 survive.
-        let h = w.window(5 * SEC, 100);
+        let h = w.window(0..6);
         assert_eq!(h.count(), 4);
         assert_eq!(h.min(), 1_002);
         assert_eq!(h.max(), 1_005);
-        // A 1s window sees only second 5.
-        let h = w.window(5 * SEC, 1);
+        // Second 5 alone.
+        let h = w.window(5..6);
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 1_005);
     }
@@ -529,7 +528,7 @@ mod tests {
             w.record(t, v);
             cumulative.record(v);
         }
-        let h = w.window(35 * SEC, usize::MAX);
+        let h = w.window(0..36);
         assert_eq!(h.count(), cumulative.count());
         assert_eq!(h.mean(), cumulative.mean());
         assert_eq!(h.p50(), cumulative.p50());
@@ -544,12 +543,12 @@ mod tests {
         w.record(0, 50);
         // Long silence, then activity far beyond one ring revolution.
         w.record(100 * SEC, 60);
-        let h = w.window(100 * SEC, 2);
+        let h = w.window(99..101);
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 60);
         // The stale second-0 slot must not leak into wide windows either:
-        // second 0 is outside [99, 100] regardless of ring position.
-        let h = w.window(100 * SEC, 8);
+        // second 0 is outside [93, 100] regardless of ring position.
+        let h = w.window(93..101);
         assert_eq!(h.count(), 1);
     }
 }

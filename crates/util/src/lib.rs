@@ -7,7 +7,7 @@
 //!   (uniform, zipfian, scrambled-zipfian, exponential, normal, TPC-C NURand,
 //!   weighted discrete mixtures);
 //! - [`histogram`]: HDR-style log-linear latency histograms;
-//! - [`timeseries`]: per-second throughput/latency windows and summary
+//! - [`timeseries`]: per-second counts and summary
 //!   statistics;
 //! - [`clock`]: the wall/virtual clock abstraction that lets the same
 //!   workload-control logic run in real time or in deterministic simulation;

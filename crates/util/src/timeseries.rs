@@ -1,165 +1,41 @@
-//! Per-interval aggregation of timestamped samples.
+//! Per-second counts and summary statistics.
 //!
-//! The statistics collector bins completed requests into fixed-width windows
-//! (one second by default) to produce the throughput and latency series that
-//! the monitoring view and the game's status updates consume.
+//! The statistics collector counts completed and requested requests per
+//! whole second of the run, the series the monitoring view plots and the
+//! rate-tracking checks compare.
 
 use crate::clock::{Micros, MICROS_PER_SEC};
 
-/// One aggregated window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Window {
-    /// Window start, in µs since epoch.
-    pub start: Micros,
-    /// Number of samples in the window.
-    pub count: u64,
-    /// Sum of sample values (e.g. latencies, µs).
-    pub sum: u128,
-    pub min: u64,
-    pub max: u64,
-}
-
-impl Window {
-    fn empty(start: Micros) -> Window {
-        Window { start, count: 0, sum: 0, min: u64::MAX, max: 0 }
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-/// A series of fixed-width windows, extended on demand.
-#[derive(Debug, Clone)]
+/// Events per whole second since the run started: slot `s` counts the
+/// events of `[s, s + 1)` s, and a second with none reads 0.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
-    width: Micros,
-    origin: Micros,
-    windows: Vec<Window>,
+    counts: Vec<u64>,
 }
 
 impl TimeSeries {
-    pub fn new(width: Micros) -> TimeSeries {
-        assert!(width > 0);
-        TimeSeries { width, origin: 0, windows: Vec::new() }
-    }
-
-    /// Per-second series (the default used for throughput plots).
-    pub fn per_second() -> TimeSeries {
-        TimeSeries::new(MICROS_PER_SEC)
-    }
-
-    pub fn width(&self) -> Micros {
-        self.width
-    }
-
-    /// Record a sample with value `value` at time `t`.
-    pub fn record(&mut self, t: Micros, value: u64) {
-        let idx = ((t.saturating_sub(self.origin)) / self.width) as usize;
-        if idx >= self.windows.len() {
-            let mut start = self.origin + self.windows.len() as u64 * self.width;
-            while self.windows.len() <= idx {
-                self.windows.push(Window::empty(start));
-                start += self.width;
-            }
+    /// Count `n` events at time `t` (µs since run start).
+    pub fn add(&mut self, t: Micros, n: u64) {
+        let second = (t / MICROS_PER_SEC) as usize;
+        if second >= self.counts.len() {
+            self.counts.resize(second + 1, 0);
         }
-        let w = &mut self.windows[idx];
-        w.count += 1;
-        w.sum += value as u128;
-        w.min = w.min.min(value);
-        w.max = w.max.max(value);
+        self.counts[second] += n;
     }
 
-    /// Count-only sample (throughput accounting).
-    pub fn tick(&mut self, t: Micros) {
-        self.record(t, 0);
-    }
-
-    pub fn windows(&self) -> &[Window] {
-        &self.windows
-    }
-
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> u64 {
-        self.windows.iter().map(|w| w.count).sum()
-    }
-
-    /// Rate (samples per second) for each window.
+    /// Events per second for each second, oldest first.
     pub fn rates(&self) -> Vec<f64> {
-        let per_window_to_per_sec = MICROS_PER_SEC as f64 / self.width as f64;
-        self.windows.iter().map(|w| w.count as f64 * per_window_to_per_sec).collect()
+        self.counts.iter().map(|&n| n as f64).collect()
     }
 
-    /// Mean value per window (0.0 where empty).
-    pub fn means(&self) -> Vec<f64> {
-        self.windows.iter().map(|w| w.mean()).collect()
-    }
-
-    /// Merge another series into this one. Same width and origin (the
-    /// sharded-stats path) merges window-for-window, losslessly. A
-    /// mismatched layout — a cluster peer binning at a different width or
-    /// origin — re-bins each of the other's non-empty windows into the slot
-    /// covering its start time, so aggregate count/sum/min/max are exact
-    /// and only sub-window timing is coarsened; nothing panics.
+    /// Add another series' counts, second for second.
     pub fn merge(&mut self, other: &TimeSeries) {
-        if self.width == other.width && self.origin == other.origin {
-            if other.windows.len() > self.windows.len() {
-                let mut start = self.origin + self.windows.len() as u64 * self.width;
-                while self.windows.len() < other.windows.len() {
-                    self.windows.push(Window::empty(start));
-                    start += self.width;
-                }
-            }
-            for (w, o) in self.windows.iter_mut().zip(&other.windows) {
-                w.count += o.count;
-                w.sum += o.sum;
-                w.min = w.min.min(o.min);
-                w.max = w.max.max(o.max);
-            }
-            return;
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
         }
-        for o in &other.windows {
-            if o.count == 0 {
-                continue;
-            }
-            let idx = ((o.start.saturating_sub(self.origin)) / self.width) as usize;
-            if idx >= self.windows.len() {
-                let mut start = self.origin + self.windows.len() as u64 * self.width;
-                while self.windows.len() <= idx {
-                    self.windows.push(Window::empty(start));
-                    start += self.width;
-                }
-            }
-            let w = &mut self.windows[idx];
-            w.count += o.count;
-            w.sum += o.sum;
-            w.min = w.min.min(o.min);
-            w.max = w.max.max(o.max);
+        for (n, o) in self.counts.iter_mut().zip(&other.counts) {
+            *n += o;
         }
-    }
-
-    /// Sum of counts in the last `n` complete windows before `now`.
-    pub fn recent_rate(&self, now: Micros, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let current = ((now.saturating_sub(self.origin)) / self.width) as usize;
-        let end = current.min(self.windows.len());
-        let start = end.saturating_sub(n);
-        let count: u64 = self.windows[start..end].iter().map(|w| w.count).sum();
-        let span = (end - start).max(1) as f64 * self.width as f64 / MICROS_PER_SEC as f64;
-        count as f64 / span
     }
 }
 
@@ -211,132 +87,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bins_per_second() {
-        let mut ts = TimeSeries::per_second();
+    fn counts_per_second() {
+        let mut ts = TimeSeries::default();
         for i in 0..2_000u64 {
-            ts.tick(i * 1_000); // 1 event per ms for 2 seconds
+            ts.add(i * 1_000, 1); // 1 event per ms for 2 seconds
         }
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts.windows()[0].count, 1_000);
-        assert_eq!(ts.windows()[1].count, 1_000);
-        assert_eq!(ts.rates(), vec![1_000.0, 1_000.0]);
+        assert_eq!(ts.rates(), [1_000.0, 1_000.0]);
     }
 
     #[test]
-    fn gaps_are_zero_windows() {
-        let mut ts = TimeSeries::per_second();
-        ts.tick(100);
-        ts.tick(3 * MICROS_PER_SEC + 5);
-        assert_eq!(ts.len(), 4);
-        assert_eq!(ts.windows()[1].count, 0);
-        assert_eq!(ts.windows()[2].count, 0);
-        assert_eq!(ts.total(), 2);
+    fn gaps_are_zero_seconds() {
+        let mut ts = TimeSeries::default();
+        ts.add(100, 1);
+        ts.add(3 * MICROS_PER_SEC + 5, 1);
+        assert_eq!(ts.rates(), [1.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
-    fn window_stats() {
-        let mut ts = TimeSeries::per_second();
-        ts.record(10, 100);
-        ts.record(20, 300);
-        let w = ts.windows()[0];
-        assert_eq!(w.count, 2);
-        assert_eq!(w.mean(), 200.0);
-        assert_eq!(w.min, 100);
-        assert_eq!(w.max, 300);
+    fn add_counts_n_events_at_once() {
+        let mut ts = TimeSeries::default();
+        ts.add(MICROS_PER_SEC + 7, 70);
+        ts.add(0, 50);
+        ts.add(MICROS_PER_SEC, 0);
+        assert_eq!(ts.rates(), [50.0, 70.0]);
     }
 
     #[test]
-    fn recent_rate_window() {
-        let mut ts = TimeSeries::per_second();
-        // 100/s in seconds 0..5
-        for s in 0..5u64 {
-            for i in 0..100u64 {
-                ts.tick(s * MICROS_PER_SEC + i * 10_000);
-            }
-        }
-        let now = 5 * MICROS_PER_SEC;
-        assert!((ts.recent_rate(now, 3) - 100.0).abs() < 1e-9);
-        // Partial current window excluded.
-        ts.tick(now + 1);
-        assert!((ts.recent_rate(now + 2, 3) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_combines_windows() {
-        let mut a = TimeSeries::per_second();
-        a.record(10, 100);
-        a.record(MICROS_PER_SEC + 10, 200);
-        let mut b = TimeSeries::per_second();
-        b.record(20, 300);
-        b.record(2 * MICROS_PER_SEC + 20, 400);
+    fn merge_adds_second_for_second() {
+        let mut a = TimeSeries::default();
+        a.add(10, 1);
+        a.add(MICROS_PER_SEC + 10, 1);
+        let mut b = TimeSeries::default();
+        b.add(20, 1);
+        b.add(2 * MICROS_PER_SEC + 20, 1);
         a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.windows()[0].count, 2);
-        assert_eq!(a.windows()[0].min, 100);
-        assert_eq!(a.windows()[0].max, 300);
-        assert_eq!(a.windows()[1].count, 1);
-        assert_eq!(a.windows()[2].count, 1);
-        assert_eq!(a.total(), 4);
-        // Merging an empty series is a no-op.
-        let before = a.windows().to_vec();
-        a.merge(&TimeSeries::per_second());
-        assert_eq!(a.windows(), &before[..]);
-    }
-
-    #[test]
-    fn merge_empty_operands() {
-        // Empty into empty stays empty.
-        let mut a = TimeSeries::per_second();
-        a.merge(&TimeSeries::per_second());
-        assert!(a.is_empty());
-        assert_eq!(a.total(), 0);
-        // Populated into empty adopts the windows verbatim.
-        let mut b = TimeSeries::per_second();
-        b.record(10, 100);
-        b.record(2 * MICROS_PER_SEC, 300);
-        let mut empty = TimeSeries::per_second();
-        empty.merge(&b);
-        assert_eq!(empty.windows(), b.windows());
-        // Empty-but-mismatched-width into populated is a no-op.
-        let before = b.windows().to_vec();
-        b.merge(&TimeSeries::new(250_000));
-        assert_eq!(b.windows(), &before[..]);
-    }
-
-    #[test]
-    fn merge_mismatched_width_rebins() {
-        // A peer binning at 250ms folded into a per-second series: each
-        // fine window lands in the second covering its start; totals,
-        // sums and extrema are preserved exactly.
-        let mut coarse = TimeSeries::per_second();
-        coarse.record(100, 500);
-        let mut fine = TimeSeries::new(250_000);
-        fine.record(300_000, 10); // second 0
-        fine.record(750_000, 90); // second 0
-        fine.record(MICROS_PER_SEC + 10, 40); // second 1
-        coarse.merge(&fine);
-        assert_eq!(coarse.len(), 2);
-        assert_eq!(coarse.windows()[0].count, 3);
-        assert_eq!(coarse.windows()[0].min, 10);
-        assert_eq!(coarse.windows()[0].max, 500);
-        assert_eq!(coarse.windows()[0].sum, 600);
-        assert_eq!(coarse.windows()[1].count, 1);
-        assert_eq!(coarse.total(), 4);
-    }
-
-    #[test]
-    fn merge_mismatched_origin_rebins() {
-        let mut a = TimeSeries::per_second();
-        a.record(10, 1);
-        // Same width, shifted origin: re-binned by window start time.
-        let mut b = TimeSeries { width: MICROS_PER_SEC, origin: 500_000, windows: Vec::new() };
-        b.record(500_000, 7); // b's window 0 starts at 0.5s -> a's second 0
-        b.record(1_600_000, 9); // b's window 1 starts at 1.5s -> a's second 1
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.windows()[0].count, 2);
-        assert_eq!(a.windows()[1].count, 1);
-        assert_eq!(a.total(), 3);
+        assert_eq!(a.rates(), [2.0, 1.0, 1.0]);
+        // Merging an empty series, or into one, changes nothing else.
+        let before = a.clone();
+        a.merge(&TimeSeries::default());
+        assert_eq!(a, before);
+        let mut empty = TimeSeries::default();
+        empty.merge(&before);
+        assert_eq!(empty, before);
     }
 
     #[test]

@@ -69,7 +69,7 @@ echo "== replay (E13 gates: same seed ⇒ byte-identical schedule, divergence <=
 cargo test -q --offline --test replay
 cargo run -q --release --offline -p bp-bench --bin harness replay
 
-echo "== slo (one law, one settings parser, one status for a node and for a fleet, and one WindowSnapshot that the node loop, the fleet loop and the heartbeat read: -p bp-core slo covers both; E14 gates: converges to 0.6x-1.45x the hand-found rate; backs off under chaos, re-probes after) =="
+echo "== slo (one law, one settings parser, one status for a node and for a fleet, and one WindowSnapshot of w whole seconds read from the per-second ring that the node loop, the fleet loop and the heartbeat read, window_s <= 119 and a decrease held for w + 1 seconds: -p bp-core slo covers both; E14 gates: converges to 0.6x-1.45x the hand-found rate; backs off under chaos, re-probes after) =="
 cargo test -q --offline -p bp-core slo
 cargo run -q --release --offline -p bp-bench --bin harness slo
 

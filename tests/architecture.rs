@@ -317,6 +317,8 @@ fn hasher_rule_flags_a_planted_fixture() {
 /// request is served by one step, the threaded terminal's and the virtual
 /// stage's alike: in bp-core only the executor records a sample, catches a
 /// panic or backs off, and only `Controller::for_run` builds a `Controller`.
+/// And a window is one range of whole seconds, read from the per-second ring:
+/// the second horizon (`recent_rate`) and the unread latency series stay gone.
 #[test]
 fn background_threads_go_through_periodic() {
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
@@ -326,7 +328,7 @@ fn background_threads_go_through_periodic() {
     const WINDOW_JSON: [&str; 4] =
         [".set(\"p50_us\"", ".set(\"p99_us\"", "get(\"p50_us\")", "get(\"p99_us\")"];
     const ONE_REQUEST_STEP: [&str; 3] = [".record(Sample", "catch_unwind(", "next_backoff("];
-    const RETIRED: [&str; 72] = [
+    const RETIRED: [&str; 76] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
@@ -373,6 +375,9 @@ fn background_threads_go_through_periodic() {
         "SloObservation", "NodeWindow", "window_from_json",
         // One request step: the virtual stage serves through the worker's.
         "fn settle",
+        // One range per window: a snapshot reads the per-second ring alone,
+        // and the per-second series is a count with no latency beside it.
+        "recent_rate", "latency_series", "latency_mean_us", "throughput_summary",
     ];
     const NO_AMBIENT_TIME: [&str; 2] = ["Instant::now", "SystemTime::now"];
     const MAY_READ_TIME: [&str; 2] = ["util/src/clock.rs", "util/src/periodic.rs"];
@@ -441,4 +446,58 @@ fn background_threads_go_through_periodic() {
         }
     }
     assert_eq!(builds_controller, ["core/src/controller.rs"], "a Controller is built by the one tenant constructor");
+}
+
+/// The body of the first `fn name` in `code`: from its name to the closing
+/// brace at its signature's indentation.
+fn fn_body<'a>(code: &'a str, name: &str) -> Option<&'a str> {
+    let at = code.find(&format!("fn {name}("))?;
+    let line = code[..at].rfind('\n').map_or(0, |i| i + 1);
+    let indent: String = code[line..at].chars().take_while(|c| *c == ' ').collect();
+    let close = format!("\n{indent}}}\n");
+    let end = at + code[at..].find(&close)? + close.len();
+    Some(&code[at..end])
+}
+
+/// What a window snapshot reads beyond the per-second ring: `name: read` for
+/// each body among `window_snapshot`'s and the `self.` methods it calls,
+/// transitively, that reads the completion series or the merged shards that
+/// hold it.
+fn snapshot_reads_beyond_the_ring(stats: &str) -> Vec<String> {
+    let (mut todo, mut seen, mut found) =
+        (vec!["window_snapshot".to_string()], Vec::new(), Vec::new());
+    while let Some(name) = todo.pop() {
+        let Some(body) = fn_body(stats, &name).filter(|_| !seen.contains(&name)) else { continue };
+        for read in ["all_completions", "merged()"] {
+            if body.contains(read) {
+                found.push(format!("{name}: {read}"));
+            }
+        }
+        for (at, _) in body.match_indices("self.") {
+            let callee: String = body[at + 5..].chars().take_while(|c| is_word(*c)).collect();
+            if body[at + 5 + callee.len()..].starts_with('(') {
+                todo.push(callee);
+            }
+        }
+        seen.push(name);
+    }
+    found
+}
+
+/// A window snapshot reads each shard's per-second ring and nothing of the
+/// run before the window, so its cost does not grow with the run. The rule
+/// can fail: it flags a planted snapshot whose helper reads the series.
+#[test]
+fn a_window_snapshot_reads_the_ring_alone() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/stats.rs");
+    let text = std::fs::read_to_string(path).expect("stats.rs");
+    let code = text.split("\n#[cfg(test)]").next().unwrap_or(&text);
+    assert!(fn_body(code, "window_snapshot").is_some(), "stats.rs has no window_snapshot");
+    assert_eq!(snapshot_reads_beyond_the_ring(code), Vec::<String>::new());
+    let planted = "impl S {\n    pub fn window_snapshot(&self) -> f64 {\n        self.rate(3)\n    }\n\n    \
+                   fn rate(&self, w: u64) -> f64 {\n        self.merged().all_completions.total() as f64\n    }\n}\n";
+    assert_eq!(
+        snapshot_reads_beyond_the_ring(planted),
+        ["rate: all_completions", "rate: merged()"]
+    );
 }

@@ -372,7 +372,12 @@ fn virtual_dip_and_recovery() -> ([u64; 3], Vec<String>, Vec<f64>, Vec<f64>) {
     // stage charges nothing on `Personality::test()`, so its span's service
     // time is exactly the backoff drawn for each retry (base 100 µs, cap
     // 10 ms, seeded by the run seed and the request's sequence number).
+    // One thread writes the tenant: one shard each for its collector and
+    // its span ring, which keeps every request's span at the default size.
+    assert_eq!(tenant.stats().shard_count(), 1);
     let spans = tenant.spans().recent(usize::MAX);
+    assert!(spans.len() < ObsConfig::default().ring_capacity, "{} spans", spans.len());
+    assert_eq!(spans.len() as u64, tenant.stats().total_completed() + status.shed, "every request's span is kept");
     let retried = spans.iter().find(|s| s.retries > 0).expect("a retried request's span");
     let backoff: u64 = (0..u32::from(retried.retries)).map(|k| next_backoff(k, 100, 10_000, SEED ^ retried.seq)).sum();
     assert!(backoff > 0);

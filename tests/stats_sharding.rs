@@ -7,6 +7,10 @@
 //! log-linear histogram is 5-bit, ≈3% relative error, and the merge is
 //! exact bucket-wise addition — so in practice they are equal).
 
+#[path = "support/counting.rs"]
+mod counting;
+
+use std::cell::Cell;
 use std::sync::Arc;
 
 use benchpress::core::{RequestOutcome, Sample, StatsCollector};
@@ -131,14 +135,6 @@ fn sharded_stats_match_single_shard_totals() {
     // Throughput series identical second by second (windowed counts are
     // integers; merge adds them exactly).
     assert_eq!(sharded.throughput_series(), single.throughput_series());
-    // Mean-latency series identical: each window's (sum, count) pair is
-    // merged exactly.
-    let lat_a = sharded.latency_series();
-    let lat_b = single.latency_series();
-    assert_eq!(lat_a.len(), lat_b.len());
-    for (a, b) in lat_a.iter().zip(&lat_b) {
-        assert!((a - b).abs() < 1e-9);
-    }
 }
 
 /// The sliding-window histogram (the SLO controller's sensor) must merge
@@ -200,8 +196,8 @@ fn sharded_window_histogram_matches_single_shard() {
     assert_eq!(sharded.window_histogram(usize::MAX).count(), total);
     assert_eq!(sharded.window_histogram(usize::MAX).count(), sharded.total_completed());
 
-    // The controller-facing snapshot agrees too (throughput merges the
-    // same per-second completion counters).
+    // The controller-facing snapshot agrees too (its throughput is the
+    // count of the same ring slice over the window's seconds).
     let snap_a = sharded.window_snapshot(4);
     let snap_b = single.window_snapshot(4);
     assert_eq!(snap_a.count, snap_b.count);
@@ -239,4 +235,44 @@ fn sharded_requested_series_matches_single_shard() {
     assert_eq!(sharded.requested_series(), single.requested_series());
     // 10+20+30+40 = 100 per second.
     assert_eq!(sharded.requested_series(), vec![100.0, 100.0, 100.0]);
+}
+
+/// A snapshot reads the window's seconds from each shard's ring and nothing
+/// of the run before them: one `window_snapshot(3)` on three shards
+/// allocates as many bytes at virtual second 10,000 as at second 100.
+#[test]
+fn a_snapshot_costs_the_same_late_in_a_run() {
+    let (sim, clock) = sim_clock();
+    let stats = StatsCollector::with_shards(clock, &["t"], 3);
+    let record_until = |end: u64, from: u64| {
+        for second in from..end {
+            for slot in 0..3 {
+                set_thread_slot(slot);
+                let start = second * MICROS_PER_SEC + 1_000 * slot as u64;
+                stats.record(Sample {
+                    txn_type: 0,
+                    arrival: start,
+                    start,
+                    end: start + 250,
+                    outcome: RequestOutcome::Committed,
+                    retries: 0,
+                });
+            }
+        }
+        set_thread_slot(0);
+        sim.advance_to(end * MICROS_PER_SEC + 500_000);
+    };
+    let snapshot_bytes = || {
+        let before = counting::BYTES.with(Cell::get);
+        let window = stats.window_snapshot(3);
+        (counting::BYTES.with(Cell::get) - before, window)
+    };
+    record_until(100, 0);
+    let (early, window) = snapshot_bytes();
+    assert_eq!((window.count, window.throughput), (9, 3.0));
+    record_until(10_000, 100);
+    let (late, window) = snapshot_bytes();
+    assert_eq!((window.count, window.throughput), (9, 3.0));
+    assert!(early > 0, "the snapshot's histograms allocate");
+    assert_eq!(late, early, "bytes allocated by one snapshot at second 10,000 and at second 100");
 }
