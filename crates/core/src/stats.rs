@@ -50,16 +50,42 @@ impl PerType {
     }
 }
 
-/// One worker's private slice of the statistics.
+/// The run's totals: what `status`, the per-type summary, the delay
+/// distributions and a scrape read, each the same size however long the
+/// run.
 #[derive(Debug)]
-struct Shard {
+struct Totals {
     per_type: Vec<PerType>,
-    /// Completions per second, regardless of type.
-    all_completions: TimeSeries,
     queue_delay: Histogram,
     /// Scheduled arrival → end: what a paced client saw, queueing included
     /// (the latency histograms time dequeue → end).
     response: Histogram,
+}
+
+impl Totals {
+    fn new(num_types: usize) -> Totals {
+        Totals {
+            per_type: vec![PerType::default(); num_types],
+            queue_delay: Histogram::latency(),
+            response: Histogram::latency(),
+        }
+    }
+
+    fn merge(&mut self, other: &Totals) {
+        for (pt, o) in self.per_type.iter_mut().zip(&other.per_type) {
+            pt.merge(o);
+        }
+        self.queue_delay.merge(&other.queue_delay);
+        self.response.merge(&other.response);
+    }
+}
+
+/// One worker's private slice of the statistics.
+#[derive(Debug)]
+struct Shard {
+    totals: Totals,
+    /// Completions per second, regardless of type.
+    all_completions: TimeSeries,
     requested: TimeSeries,
     /// Per-second latency ring for sliding-window percentiles. Recorded
     /// under the same shard lock as everything else: no new locking on
@@ -70,26 +96,11 @@ struct Shard {
 impl Shard {
     fn new(num_types: usize) -> Shard {
         Shard {
-            per_type: vec![PerType::default(); num_types],
+            totals: Totals::new(num_types),
             all_completions: TimeSeries::default(),
-            queue_delay: Histogram::latency(),
-            response: Histogram::latency(),
             requested: TimeSeries::default(),
             windowed: WindowedHistogram::new(WINDOW_RING_S),
         }
-    }
-
-    /// Cumulative merge. The windowed ring is deliberately excluded: a
-    /// window folds each shard's ring slice for its seconds alone
-    /// ([`StatsCollector::window_snapshot`]).
-    fn merge(&mut self, other: &Shard) {
-        for (pt, o) in self.per_type.iter_mut().zip(&other.per_type) {
-            pt.merge(o);
-        }
-        self.all_completions.merge(&other.all_completions);
-        self.queue_delay.merge(&other.queue_delay);
-        self.response.merge(&other.response);
-        self.requested.merge(&other.requested);
     }
 }
 
@@ -183,13 +194,23 @@ impl StatsCollector {
         &self.shards[thread_slot() % self.shards.len()]
     }
 
-    /// Fold every shard into one merged view (cold path).
-    fn merged(&self) -> Shard {
-        let mut acc = Shard::new(self.type_names.len());
+    /// Every shard's totals folded into one (cold path): the per-second
+    /// series and the window ring are each read on their own.
+    fn merged(&self) -> Totals {
+        let mut acc = Totals::new(self.type_names.len());
         for shard in &self.shards {
-            acc.merge(&shard.lock());
+            acc.merge(&shard.lock().totals);
         }
         acc
+    }
+
+    /// One per-second series, `pick`ed from every shard and folded.
+    fn series(&self, pick: impl Fn(&Shard) -> &TimeSeries) -> Vec<f64> {
+        let mut acc = TimeSeries::default();
+        for shard in &self.shards {
+            acc.merge(pick(&shard.lock()));
+        }
+        acc.rates()
     }
 
     /// Record a completed request. Touches only the calling worker's shard.
@@ -202,17 +223,17 @@ impl StatsCollector {
             // histogram and no completion (throughput) series — only their
             // own counter. Graceful degradation must not be reported as
             // either work done or work failed.
-            if let Some(pt) = shard.per_type.get_mut(s.txn_type) {
+            if let Some(pt) = shard.totals.per_type.get_mut(s.txn_type) {
                 pt.shed += 1;
             }
             return;
         }
         let end = self.since_start(s.end);
         shard.windowed.record(end, latency);
-        shard.queue_delay.record(delay);
-        shard.response.record(s.end.saturating_sub(s.arrival));
+        shard.totals.queue_delay.record(delay);
+        shard.totals.response.record(s.end.saturating_sub(s.arrival));
         shard.all_completions.add(end, 1);
-        if let Some(pt) = shard.per_type.get_mut(s.txn_type) {
+        if let Some(pt) = shard.totals.per_type.get_mut(s.txn_type) {
             pt.latency.record(latency);
             pt.retries += s.retries as u64;
             match s.outcome {
@@ -261,12 +282,12 @@ impl StatsCollector {
 
     /// Per-second delivered throughput series.
     pub fn throughput_series(&self) -> Vec<f64> {
-        self.merged().all_completions.rates()
+        self.series(|s| &s.all_completions)
     }
 
     /// Per-second requested (target) series.
     pub fn requested_series(&self) -> Vec<f64> {
-        self.merged().requested.rates()
+        self.series(|s| &s.requested)
     }
 
     /// Per-type summary: (name, count, mean µs, p95 µs, committed, aborted).
@@ -306,7 +327,7 @@ impl StatsCollector {
 
     /// Completions recorded into each shard, in shard order.
     pub(crate) fn completed_by_shard(&self) -> impl Iterator<Item = u64> + '_ {
-        self.shards.iter().map(|s| s.lock().per_type.iter().map(|p| p.latency.count()).sum())
+        self.shards.iter().map(|s| s.lock().totals.per_type.iter().map(|p| p.latency.count()).sum())
     }
 
     /// The clock this collector stamps and windows against.

@@ -484,7 +484,6 @@ struct Txn {
     /// Engine generation at `begin`; a recovery in between makes the txn
     /// stale (its undo must not touch the rebuilt tables).
     gen: u64,
-    wal_bytes: u64,
     rows_read: u64,
     rows_written: u64,
 }
@@ -556,7 +555,7 @@ impl Session {
         }
         let id = self.db.next_txn.fetch_add(1, Ordering::Relaxed);
         self.db.metrics.txn_started();
-        self.txn = Some(Txn { id, gen: self.db.generation(), wal_bytes: 0, rows_read: 0, rows_written: 0 });
+        self.txn = Some(Txn { id, gen: self.db.generation(), rows_read: 0, rows_written: 0 });
         Ok(())
     }
 
@@ -598,13 +597,11 @@ impl Session {
             return Err(self.die_in_commit(txn, CrashPoint::BeforeAppend, self.db.wal.current_lsn()));
         }
         let mut cost = 0.0;
-        if txn.wal_bytes > 0 {
-            let (lsn, wal_cost) = self.db.wal.commit(txn.wal_bytes, &self.db.metrics);
-            cost += wal_cost;
-            if !self.redo.is_empty() {
-                let torn = crashpoint == Some(CrashPoint::AfterAppendBeforeFsync);
-                self.db.wal.append_redo(lsn, txn.id, &self.redo, torn);
-            }
+        if !self.redo.is_empty() {
+            // The log is charged and metered by the bytes the record holds.
+            let torn = crashpoint == Some(CrashPoint::AfterAppendBeforeFsync);
+            let (lsn, len) = self.db.wal.append_redo(txn.id, &self.redo, torn);
+            cost += self.db.wal.commit(len, &self.db.metrics);
             if let Some(point) = crashpoint {
                 return Err(self.die_in_commit(txn, point, lsn));
             }
@@ -867,12 +864,10 @@ impl Session {
         }
     }
 
-    /// Account one row written, `bytes` of it logged, to the transaction
-    /// whose undo and redo entries the caller is about to record.
-    fn wrote(&mut self, bytes: u64) -> Result<()> {
-        let txn = self.txn_mut()?;
-        txn.wal_bytes += bytes;
-        txn.rows_written += 1;
+    /// Account one row written to the transaction whose undo and redo
+    /// entries the caller is about to record.
+    fn wrote(&mut self) -> Result<()> {
+        self.txn_mut()?.rows_written += 1;
         Ok(())
     }
 
@@ -882,12 +877,11 @@ impl Session {
         let row = table.schema.check_row(row)?;
         let (table_mode, _) = self.write_modes(table);
         self.lock(LockTarget::Table(table.id), table_mode)?;
-        let bytes = table.schema.row_bytes(&row) as u64;
         // The table and the redo record hold one row between them.
         let rowid = table.insert(Arc::clone(&row))?;
         // The row is in the table: rollback must know before anything that
         // can fail (the row lock below, under chaos) gets to ask for one.
-        self.wrote(bytes)?;
+        self.wrote()?;
         self.undo.push(Undo::Insert { table: table.clone(), rowid });
         self.redo.push(RedoOp::Insert { table: table.id, rowid, row });
         if self.db.personality.row_locking {
@@ -924,7 +918,7 @@ impl Session {
         self.touch_page(table, rowid, true);
         let written = table.write(rowid, Change::Cols(sets))?;
         self.charge(self.db.personality.write_us);
-        self.wrote(written.bytes as u64)?;
+        self.wrote()?;
         self.redo.push(RedoOp::Update { table: table.id, rowid, cols: written.redo });
         self.undo.push(Undo::Update { table: table.clone(), rowid, before: written.undo });
         Ok(())
@@ -940,9 +934,8 @@ impl Session {
         }
         self.touch_page(table, rowid, true);
         let before = table.delete(rowid)?;
-        let bytes = table.schema.row_bytes(&before) as u64;
         self.charge(self.db.personality.write_us);
-        self.wrote(bytes)?;
+        self.wrote()?;
         self.undo.push(Undo::Delete { table: table.clone(), rowid, before });
         self.redo.push(RedoOp::Delete { table: table.id, rowid });
         Ok(())
@@ -1684,6 +1677,26 @@ mod tests {
         assert_eq!(m.rows_written, 2);
         assert_eq!(m.rows_read, 1);
         assert!(m.wal_bytes > 0);
+        assert_eq!(m.wal_bytes, db.recovery_status().redo_bytes, "the log meters what it stores");
+    }
+
+    /// At 1,024 µs per KB a committed insert is charged its encoded redo
+    /// record's length in µs, and nothing else.
+    #[test]
+    fn a_commit_is_charged_the_bytes_its_record_holds() {
+        let personality = Personality { wal_us_per_kb: 1024.0, commit_us: 0.0, ..Personality::test() };
+        let db = with_acct(Database::with_clock(personality, bp_util::clock::sim_clock().1));
+        let t = acct(&db);
+        let mut s = db.session();
+        let (lsn, txn) = (db.wal.current_lsn(), db.next_txn.load(Ordering::Relaxed));
+        let before = db.metrics().snapshot();
+        let row = vec![Value::Int(1), Value::Int(10)];
+        let rowid = s.with_txn(|s| s.insert(&t, row.clone())).unwrap();
+        let ops = [RedoOp::Insert { table: t.id, rowid, row: row.into() }];
+        let len = crate::recovery::encode_record(&mut Vec::new(), lsn, txn, &ops) as u64;
+        let m = db.metrics().snapshot().delta(&before);
+        assert_eq!((m.busy_micros, m.wal_bytes), (len, len));
+        assert_eq!(db.clock().now(), len);
     }
 
     // ---- The write path: in place when the table holds the only handle ----

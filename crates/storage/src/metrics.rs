@@ -47,6 +47,7 @@ pub struct MetricsSnapshot {
     pub io_writes: u64,
     pub buf_hits: u64,
     pub buf_misses: u64,
+    /// Encoded redo bytes the committed transactions appended to the log.
     pub wal_bytes: u64,
     pub wal_fsyncs: u64,
     pub fsync_micros: u64,

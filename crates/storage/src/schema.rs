@@ -137,11 +137,6 @@ impl TableSchema {
         }
         Ok(())
     }
-
-    /// Approximate row byte size for the cost model.
-    pub fn row_bytes(&self, row: &[Value]) -> usize {
-        row.iter().map(Value::byte_size).sum::<usize>() + 8
-    }
 }
 
 /// A secondary-index definition.

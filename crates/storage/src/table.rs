@@ -46,8 +46,6 @@ pub(crate) struct Written {
     /// (floats bitwise), once, in column order, with its new value. A
     /// [`Change::Row`] is rollback's and logs nothing.
     pub redo: Vec<(u32, Value)>,
-    /// [`TableSchema::row_bytes`] of the row as written.
-    pub bytes: usize,
 }
 
 /// The redo of a column write, from what it `overwrote` (a column's first
@@ -306,7 +304,7 @@ impl Table {
         for (pos, (key, _)) in rekeyed {
             d.indexes[pos].entries.insert((key, rowid));
         }
-        Ok(Written { undo, redo, bytes: self.schema.row_bytes(slot) })
+        Ok(Written { undo, redo })
     }
 
     /// Delete a row, returning its before-image.

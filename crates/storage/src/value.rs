@@ -150,18 +150,6 @@ impl Value {
             _ => self == other,
         }
     }
-
-    /// Approximate in-memory size, used by the WAL and buffer-pool models.
-    pub fn byte_size(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 8,
-            Value::Float(_) => 8,
-            Value::Str(s) => s.len() + 4,
-            Value::Bytes(b) => b.len() + 4,
-        }
-    }
 }
 
 impl Eq for Value {}
@@ -340,11 +328,5 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&Value::Int(42)), h(&Value::Float(42.0)));
-    }
-
-    #[test]
-    fn byte_sizes() {
-        assert_eq!(Value::Int(1).byte_size(), 8);
-        assert_eq!(Value::Str("abcd".into()).byte_size(), 8);
     }
 }

@@ -40,6 +40,8 @@ struct RedoState {
     /// The segments a running checkpoint folds. They stay part of the log
     /// until it is installed, so a recovery meanwhile replays them.
     sealed: Arc<Vec<Vec<u8>>>,
+    /// The LSN the last appended record took; the next takes one more.
+    last_lsn: u64,
     /// The LSN of the last installed checkpoint.
     checkpoint_lsn: u64,
     /// Highest LSN whose redo record is fully appended.
@@ -85,7 +87,6 @@ pub struct Wal {
     /// Clock time of the fsync that opened the current group-commit window;
     /// untouched without a window.
     last_fsync_us: AtomicU64,
-    next_lsn: AtomicU64,
     group_window_us: u64,
     us_per_kb: f64,
     fsync_us: f64,
@@ -106,7 +107,6 @@ impl Wal {
         Wal {
             clock: wall_clock(),
             last_fsync_us: AtomicU64::new(u64::MAX), // force first fsync
-            next_lsn: AtomicU64::new(1),
             group_window_us,
             us_per_kb,
             fsync_us,
@@ -125,13 +125,11 @@ impl Wal {
         self
     }
 
-    /// Record a transaction commit writing `bytes` of redo by the cost
-    /// model's count.
-    ///
-    /// Returns `(lsn, cost_us)` — the service cost the committer must pay
-    /// (log write + possibly an fsync).
-    pub fn commit(&self, bytes: u64, metrics: &ServerMetrics) -> (u64, f64) {
-        let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
+    /// Meter and price a commit that appended `bytes` of redo
+    /// ([`Wal::append_redo`]'s length): the log write at `us_per_kb`, plus
+    /// an fsync unless a group-commit window already paid one. Returns the
+    /// service cost the committer must pay.
+    pub fn commit(&self, bytes: u64, metrics: &ServerMetrics) -> f64 {
         metrics.add_wal_bytes(bytes);
         let mut cost = self.us_per_kb * bytes as f64 / 1024.0;
         if self.fsync_due() {
@@ -140,7 +138,7 @@ impl Wal {
             metrics.add_io_writes(1);
         }
         metrics.add_fsync_micros(cost as u64);
-        (lsn, cost)
+        cost
     }
 
     /// Whether this commit pays an fsync. Without a window every commit
@@ -161,27 +159,31 @@ impl Wal {
                 .is_ok()
     }
 
+    /// The LSN the next record takes.
     pub fn current_lsn(&self) -> u64 {
-        self.next_lsn.load(Ordering::Relaxed)
+        self.redo.lock().last_lsn + 1
     }
 
-    /// Encode one commit's redo record for `lsn` straight into the open
-    /// segment. With `torn` the record is cut mid-payload — the shape a
-    /// crash between append and fsync leaves behind — and the durable
-    /// watermark does not advance. A segment opened after the first since
-    /// the last reset is journaled as a `wal_rotate` event.
-    pub fn append_redo(&self, lsn: u64, txn: u64, ops: &[RedoOp], torn: bool) {
+    /// Encode one commit's redo record under the next LSN straight into the
+    /// open segment, so records land in LSN order. With `torn` the record is
+    /// cut mid-payload — the shape a crash between append and fsync leaves
+    /// behind — and the durable watermark does not advance. A segment opened
+    /// after the first since the last reset is journaled as a `wal_rotate`
+    /// event. Returns the record's LSN and the bytes it holds in the log.
+    pub fn append_redo(&self, txn: u64, ops: &[RedoOp], torn: bool) -> (u64, u64) {
         let mut redo = self.redo.lock();
-        let opened = redo.opened;
+        redo.last_lsn += 1;
+        let (lsn, opened) = (redo.last_lsn, redo.opened);
         if redo.segments.is_empty() {
             redo.segments.push(Vec::new());
             redo.opened += 1;
         }
         let seg = redo.segments.last_mut().expect("segment just ensured");
         let start = seg.len();
-        let len = encode_record(seg, lsn, txn, ops);
+        let mut len = encode_record(seg, lsn, txn, ops);
         if torn {
-            seg.truncate(start + len / 2);
+            len /= 2;
+            seg.truncate(start + len);
         }
         // A record that would overflow a segment already holding others
         // opens the next one instead.
@@ -191,8 +193,6 @@ impl Wal {
             redo.opened += 1;
         }
         if !torn {
-            // Committers take their LSNs before this lock, so records can
-            // arrive out of LSN order; the watermark never moves back.
             redo.durable_lsn = redo.durable_lsn.max(lsn);
         }
         // The first segment since a reset opens the log; a later one is a
@@ -213,6 +213,7 @@ impl Wal {
                 });
             }
         }
+        (lsn, len as u64)
     }
 
     /// The store's part of a recovery status, read under one lock: the
@@ -296,14 +297,13 @@ impl Wal {
         (tables, report)
     }
 
-    /// Rewind for `truncate_all`/`reset_schema`: the group-commit window,
-    /// the LSN counter and the redo store, so back-to-back runs do not
+    /// Rewind for `truncate_all`/`reset_schema`: the group-commit window
+    /// and the redo store with its LSN counter, so back-to-back runs do not
     /// inherit the previous run's log. Waits for a running checkpoint, which
     /// would fold the old log into the cleared image.
     pub fn reset_full(&self) {
         let _one = self.checkpointing.lock();
         self.last_fsync_us.store(u64::MAX, Ordering::Relaxed);
-        self.next_lsn.store(1, Ordering::Relaxed);
         *self.redo.lock() = RedoState::default();
         self.image.lock().clear();
     }
@@ -334,13 +334,12 @@ mod tests {
         }
     }
 
-    /// Commit and append transaction `i`, which inserts a 40-byte string
+    /// Append and commit transaction `i`, which inserts a 40-byte string
     /// as row `i`; returns the commit's cost.
     fn commit_insert(wal: &Wal, m: &ServerMetrics, i: u64) -> f64 {
-        let (lsn, cost) = wal.commit(64, m);
         let ops = [RedoOp::Insert { table: 1, rowid: i, row: [Value::Str("x".repeat(40))].into() }];
-        wal.append_redo(lsn, i, &ops, false);
-        cost
+        let (_, len) = wal.append_redo(i, &ops, false);
+        wal.commit(len, m)
     }
 
     /// The `segment` field of each `wal_rotate` event, in order.
@@ -352,10 +351,10 @@ mod tests {
 
     #[test]
     fn lsn_monotonic() {
-        let m = ServerMetrics::new();
         let wal = Wal::new(0, 5.0, 100.0);
-        let (a, _) = wal.commit(100, &m);
-        let (b, _) = wal.commit(100, &m);
+        let delete = [RedoOp::Delete { table: 1, rowid: 0 }];
+        let (a, _) = wal.append_redo(1, &delete, false);
+        let (b, _) = wal.append_redo(2, &delete, false);
         assert!(b > a);
     }
 
@@ -364,8 +363,7 @@ mod tests {
         let m = ServerMetrics::new();
         let wal = Wal::new(0, 0.0, 100.0);
         for _ in 0..5 {
-            let (_, cost) = wal.commit(0, &m);
-            assert_eq!(cost, 100.0);
+            assert_eq!(wal.commit(0, &m), 100.0);
         }
         assert_eq!(m.snapshot().wal_fsyncs, 5);
     }
@@ -379,7 +377,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..10_000 {
-                        if wal.commit(0, &m).1 == 100.0 {
+                        if wal.commit(0, &m) == 100.0 {
                             paid.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -395,11 +393,9 @@ mod tests {
         let m = ServerMetrics::new();
         // Huge window: only the first commit should fsync.
         let wal = Wal::new(60_000_000, 0.0, 100.0);
-        let (_, first) = wal.commit(0, &m);
-        assert_eq!(first, 100.0);
+        assert_eq!(wal.commit(0, &m), 100.0);
         for _ in 0..10 {
-            let (_, cost) = wal.commit(0, &m);
-            assert_eq!(cost, 0.0);
+            assert_eq!(wal.commit(0, &m), 0.0);
         }
         assert_eq!(m.snapshot().wal_fsyncs, 1);
     }
@@ -408,8 +404,8 @@ mod tests {
     fn bytes_cost_scales() {
         let m = ServerMetrics::new();
         let wal = Wal::new(60_000_000, 10.0, 0.0);
-        let (_, c1) = wal.commit(1024, &m);
-        let (_, c2) = wal.commit(4096, &m);
+        let c1 = wal.commit(1024, &m);
+        let c2 = wal.commit(4096, &m);
         assert!((c1 - 10.0).abs() < 1e-9);
         assert!((c2 - 40.0).abs() < 1e-9);
         assert_eq!(m.snapshot().wal_bytes, 5120);
@@ -440,11 +436,9 @@ mod tests {
         for window in [1, 1_000, 60_000_000] {
             let m = ServerMetrics::new();
             let wal = Wal::new(window, 0.0, 75.0);
-            let (_, c) = wal.commit(10, &m);
-            assert_eq!(c, 75.0, "window {window}: first commit must pay the fsync");
+            assert_eq!(wal.commit(10, &m), 75.0, "window {window}: first commit must pay the fsync");
             wal.reset_full();
-            let (_, c) = wal.commit(10, &m);
-            assert_eq!(c, 75.0, "window {window}: first commit after reset_full");
+            assert_eq!(wal.commit(10, &m), 75.0, "window {window}: first commit after reset_full");
         }
     }
 
@@ -454,17 +448,14 @@ mod tests {
         let (sim, clock) = bp_util::clock::sim_clock();
         let wal = Wal { clock, ..Wal::new(1_000, 0.0, 100.0) };
         sim.advance_to(5_000);
-        let (_, c) = wal.commit(0, &m);
-        assert_eq!(c, 100.0);
+        assert_eq!(wal.commit(0, &m), 100.0);
         // The boundary is inclusive (elapsed >= window): exactly one window
         // after the last fsync, this commit must fsync.
         sim.advance_to(6_000);
-        let (_, c) = wal.commit(0, &m);
-        assert_eq!(c, 100.0, "elapsed == window must start a new group");
+        assert_eq!(wal.commit(0, &m), 100.0, "elapsed == window must start a new group");
         // One µs short of the next window: the follower rides for free.
         sim.advance_to(6_999);
-        let (_, c) = wal.commit(0, &m);
-        assert_eq!(c, 0.0, "inside the window no fsync is due");
+        assert_eq!(wal.commit(0, &m), 0.0, "inside the window no fsync is due");
     }
 
     #[test]
@@ -512,15 +503,16 @@ mod tests {
 
     #[test]
     fn the_durable_lsn_never_moves_backwards() {
-        // Committers take their LSNs before the redo lock, so LSN 6 can be
-        // appended before LSN 5.
         let wal = Wal::new(0, 0.0, 0.0);
         let delete = |rowid| [RedoOp::Delete { table: 1, rowid }];
-        wal.append_redo(6, 2, &delete(2), false);
-        wal.append_redo(5, 1, &delete(1), false);
-        assert_eq!(wal.status().durable_lsn, 6);
-        wal.append_redo(7, 3, &delete(3), true);
-        assert_eq!(wal.status().durable_lsn, 6, "a torn record is not durable");
+        wal.append_redo(1, &delete(1), false);
+        let (lsn, _) = wal.append_redo(2, &delete(2), false);
+        assert_eq!(wal.status().durable_lsn, lsn);
+        let (torn, _) = wal.append_redo(3, &delete(3), true);
+        assert!(torn > lsn);
+        assert_eq!(wal.status().durable_lsn, lsn, "a torn record is not durable");
+        wal.recovered_image();
+        assert_eq!(wal.status().durable_lsn, lsn, "truncating the torn record keeps the watermark");
     }
 
     /// Commit transaction `i` of a mixed history and apply it to
@@ -535,8 +527,8 @@ mod tests {
         if i % 5 == 4 {
             ops.push(RedoOp::Delete { table: 1, rowid: i - 2 });
         }
-        let (lsn, _) = wal.commit(32, m);
-        wal.append_redo(lsn, i, &ops, false);
+        let (lsn, len) = wal.append_redo(i, &ops, false);
+        wal.commit(len, m);
         apply_record(committed, &RedoRecord { lsn, txn: i, ops });
     }
 
@@ -589,8 +581,7 @@ mod tests {
         assert_eq!(wal.status().redo_bytes, appended, "the install drops the folded segments");
 
         // A torn record after the install ends the log there.
-        let (lsn, _) = wal.commit(32, &m);
-        wal.append_redo(lsn, 24, &[RedoOp::Delete { table: 1, rowid: 0 }], true);
+        wal.append_redo(24, &[RedoOp::Delete { table: 1, rowid: 0 }], true);
         let (tables, r) = wal.recovered_image();
         assert!(tables == committed, "the torn delete does not apply");
         assert_eq!((r.replayed_records, r.torn_truncated), (12, 1));
@@ -601,19 +592,17 @@ mod tests {
         let m = ServerMetrics::new();
         let wal = Wal::new(0, 0.0, 0.0);
         for i in 0..4u64 {
-            let (lsn, _) = wal.commit(32, &m);
             let ops = [RedoOp::Insert { table: 1, rowid: i, row: [Value::Int(i as i64)].into() }];
-            wal.append_redo(lsn, i, &ops, false);
+            let (_, len) = wal.append_redo(i, &ops, false);
+            wal.commit(len, &m);
         }
         let cp = wal.take_checkpoint();
         assert_eq!(cp.records_applied, 4);
         assert_eq!(cp.segments_truncated, 1);
         assert_eq!(cp.lsn, 4);
         // Two more commits after the checkpoint, the last one torn.
-        let (lsn, _) = wal.commit(32, &m);
-        wal.append_redo(lsn, 10, &[RedoOp::Delete { table: 1, rowid: 0 }], false);
-        let (lsn2, _) = wal.commit(32, &m);
-        wal.append_redo(lsn2, 11, &[RedoOp::Delete { table: 1, rowid: 1 }], true);
+        let (lsn, _) = wal.append_redo(10, &[RedoOp::Delete { table: 1, rowid: 0 }], false);
+        wal.append_redo(11, &[RedoOp::Delete { table: 1, rowid: 1 }], true);
         let (tables, image) = wal.recovered_image();
         assert_eq!(image.checkpoint_lsn, 4);
         assert_eq!(image.replayed_records, 1, "only the complete tail record replays");

@@ -21,7 +21,7 @@ trap 'cp "$lock_copy" perf/Cargo.lock; rm -f "$lock_copy"' EXIT
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
-echo "== cargo test -q --offline (tier-1; its fingerprint test holds every benchmark's transactions and catalog statements to tests/golden/fingerprint.txt, and its experiments test the deterministic harness rows, criterion margins included, to tests/golden/experiments.txt, byte for byte) =="
+echo "== cargo test -q --offline (tier-1; its fingerprint test holds every benchmark's transactions and catalog statements to tests/golden/fingerprint.txt, with the WAL bytes each line meters equal to the redo it stored, and its experiments test the deterministic harness rows, criterion margins included, to tests/golden/experiments.txt, byte for byte) =="
 cargo test -q --offline
 
 echo "== cargo test -q --offline --workspace (bp-workloads' closure test: each benchmark's loader and transactions send exactly its statement table, nothing undeclared and nothing unsent) =="
@@ -98,7 +98,7 @@ echo "== access paths, optimised: a planned statement returns what its scan retu
 cargo test -q --release --offline --test access_paths
 cargo test -q --release --offline --test tpcc_slope
 
-echo "== repo benchmark: perf/ builds against the crates unmodified, its tests and output checks pass, and exact counts repeat (what an engine change may move is workloads.allocs_per_tx: 2.00 / 8.75 / 143.54 / 19.31 on ycsb_read_sat / smallbank_sat / tpcc_sat / voter_paced, tpcc_sat from 156.70 since a range is read through the session's chunk; storage.wal_bytes_per_tx and storage.rows_written_per_tx must repeat exactly, and so must storage.rows_read_per_tx: 1.00 / 2.54 / 38.80 / 2.00, which a read that stops at its LIMIT moved on tpcc_sat only, from 42.29 — Delivery no longer reads every undelivered order to find the oldest) =="
+echo "== repo benchmark: perf/ builds against the crates unmodified, its tests and output checks pass, and exact counts repeat (what an engine change may move is workloads.allocs_per_tx: 2.00 / 8.75 / 143.54 / 19.31 on ycsb_read_sat / smallbank_sat / tpcc_sat / voter_paced, tpcc_sat from 156.70 since a range is read through the session's chunk; storage.wal_bytes_per_tx, the encoded redo per transaction, and storage.rows_written_per_tx must repeat exactly, and so must storage.rows_read_per_tx: 1.00 / 2.54 / 38.80 / 2.00, which a read that stops at its LIMIT moved on tpcc_sat only, from 42.29 — Delivery no longer reads every undelivered order to find the oldest) =="
 cargo test -q --release --offline --manifest-path perf/Cargo.toml
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- check
 cargo run -q --release --offline --manifest-path perf/Cargo.toml -- counts --twice

@@ -319,6 +319,8 @@ fn hasher_rule_flags_a_planted_fixture() {
 /// panic or backs off, and only `Controller::for_run` builds a `Controller`.
 /// And a window is one range of whole seconds, read from the per-second ring:
 /// the second horizon (`recent_rate`) and the unread latency series stay gone.
+/// And the log has one byte count, the redo record it stores: the row-size
+/// estimate stays gone, and only the WAL meters log bytes.
 #[test]
 fn background_threads_go_through_periodic() {
     const MAY_SPAWN: [&str; 3] = ["util/src/periodic.rs", "core/src/executor.rs", "api/src/http.rs"];
@@ -328,7 +330,7 @@ fn background_threads_go_through_periodic() {
     const WINDOW_JSON: [&str; 4] =
         [".set(\"p50_us\"", ".set(\"p99_us\"", "get(\"p50_us\")", "get(\"p99_us\")"];
     const ONE_REQUEST_STEP: [&str; 3] = [".record(Sample", "catch_unwind(", "next_backoff("];
-    const RETIRED: [&str; 76] = [
+    const RETIRED: [&str; 78] = [
         "TelemetryGuard", "MonitorGuard", "DetectorGuard", "AgentGuard",
         // One SLO controller, one sampler of the engine's counters.
         "ClusterSloConfig", "slo_config_from_json", "bp_monitor",
@@ -378,6 +380,9 @@ fn background_threads_go_through_periodic() {
         // One range per window: a snapshot reads the per-second ring alone,
         // and the per-second series is a count with no latency beside it.
         "recent_rate", "latency_series", "latency_mean_us", "throughput_summary",
+        // One byte count for the log: a commit is charged and metered by the
+        // encoded redo record, not by an estimate of the rows it wrote.
+        "row_bytes", "byte_size",
     ];
     const NO_AMBIENT_TIME: [&str; 2] = ["Instant::now", "SystemTime::now"];
     const MAY_READ_TIME: [&str; 2] = ["util/src/clock.rs", "util/src/periodic.rs"];
@@ -438,6 +443,10 @@ fn background_threads_go_through_periodic() {
                 "{rel} calls {now} instead of reading its injected clock"
             );
         }
+        assert!(
+            rel == "storage/src/wal.rs" || !code.contains(".add_wal_bytes("),
+            "{rel} meters WAL bytes outside the WAL, which meters the record it stored"
+        );
         for arithmetic in RING_ARITHMETIC {
             assert!(
                 rel == "util/src/ring.rs" || !code.contains(arithmetic),

@@ -4,7 +4,8 @@
 //!
 //! An engine change either leaves `tests/golden/fingerprint.txt` byte-equal
 //! or explains each line it changes. Per line: commits, aborts, rows read,
-//! rows written and WAL bytes of 64 seeded rounds; for a statement also how
+//! rows written and WAL bytes of 64 seeded rounds, the last asserted equal
+//! to the bytes the redo store grew by; for a statement also how
 //! many draws failed and a hash of every outcome (result rows, affected
 //! count or error text) both as returned and with each result's rows
 //! sorted, so a change of order alone reads as one; and a hash of
@@ -49,9 +50,18 @@ impl Hash {
     }
 }
 
-/// The counters of one line, since `before`, and the state they left.
-fn counters(db: &Database, before: &MetricsSnapshot) -> String {
+/// The engine's counters and the bytes its redo store holds.
+fn mark(db: &Database) -> (MetricsSnapshot, u64) {
+    (db.metrics().snapshot(), db.recovery_status().redo_bytes)
+}
+
+/// The counters of `line` since `before`, and the state they left. The log
+/// meters the bytes it stores, and nothing checkpoints here, so the WAL
+/// bytes counted are the redo store's growth.
+fn counters(db: &Database, (before, redo_before): &(MetricsSnapshot, u64), line: &str) -> String {
     let m = db.metrics().snapshot().delta(before);
+    let stored = db.recovery_status().redo_bytes - redo_before;
+    assert_eq!(m.wal_bytes, stored, "{line}: WAL bytes metered against redo bytes stored");
     let mut state = Hash::new();
     state.bytes(&db.state_digest());
     format!(
@@ -68,7 +78,7 @@ fn fingerprint() -> String {
         let mut conn = Connection::open(&db);
         let mut rng = Rng::new(0xF1_6E57);
         for (idx, ty) in w.transaction_types().iter().enumerate() {
-            let before = db.metrics().snapshot();
+            let before = mark(&db);
             let (mut committed, mut user_aborted, mut failed) = (0, 0, 0);
             for _ in 0..ROUNDS {
                 match w.execute(idx, &mut conn, &mut rng) {
@@ -77,14 +87,10 @@ fn fingerprint() -> String {
                     Err(_) => failed += 1,
                 }
             }
-            writeln!(
-                out,
-                "{} txn {}: committed={committed} user_aborted={user_aborted} failed={failed} {}",
-                w.name(),
-                ty.name,
-                counters(&db, &before)
-            )
-            .unwrap();
+            let line = format!("{} txn {}", w.name(), ty.name);
+            let counts = counters(&db, &before, &line);
+            writeln!(out, "{line}: committed={committed} user_aborted={user_aborted} failed={failed} {counts}")
+                .unwrap();
         }
 
         // Catalog statements, each autocommitted, on a database of their own.
@@ -94,7 +100,7 @@ fn fingerprint() -> String {
             let prepared = conn.prepare(&sql).expect("prepare");
             let types = param_types(&db, &stmt, prepared.param_count());
             let mut rng = Rng::new(0x5747_E000 + nth as u64);
-            let before = db.metrics().snapshot();
+            let before = mark(&db);
             let (mut exact, mut sorted, mut errors) = (Hash::new(), Hash::new(), 0);
             for _ in 0..ROUNDS {
                 let params: Vec<Value> = types.iter().map(|ty| draw(*ty, &mut rng)).collect();
@@ -120,15 +126,10 @@ fn fingerprint() -> String {
                 exact.bytes(b"|");
                 sorted.bytes(b"|");
             }
-            writeln!(
-                out,
-                "{} stmt {name}: errors={errors} results={:016x} sorted={:016x} {}",
-                w.name(),
-                exact.0,
-                sorted.0,
-                counters(&db, &before)
-            )
-            .unwrap();
+            let line = format!("{} stmt {name}", w.name());
+            let counts = counters(&db, &before, &line);
+            writeln!(out, "{line}: errors={errors} results={:016x} sorted={:016x} {counts}", exact.0, sorted.0)
+                .unwrap();
         }
     }
     out

@@ -14,7 +14,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use benchpress::core::{RequestOutcome, Sample, StatsCollector};
-use benchpress::util::clock::{sim_clock, MICROS_PER_SEC};
+use benchpress::util::clock::{sim_clock, SimClock, MICROS_PER_SEC};
 use benchpress::util::rng::Rng;
 use benchpress::util::sync::set_thread_slot;
 
@@ -237,6 +237,34 @@ fn sharded_requested_series_matches_single_shard() {
     assert_eq!(sharded.requested_series(), vec![100.0, 100.0, 100.0]);
 }
 
+/// One completion per shard in each second of `from..end` on a three-shard
+/// collector, then the clock half a second into second `end`.
+fn one_per_shard_per_second(stats: &StatsCollector, sim: &SimClock, from: u64, end: u64) {
+    for second in from..end {
+        for slot in 0..3 {
+            set_thread_slot(slot);
+            let start = second * MICROS_PER_SEC + 1_000 * slot as u64;
+            stats.record(Sample {
+                txn_type: 0,
+                arrival: start,
+                start,
+                end: start + 250,
+                outcome: RequestOutcome::Committed,
+                retries: 0,
+            });
+        }
+    }
+    set_thread_slot(0);
+    sim.advance_to(end * MICROS_PER_SEC + 500_000);
+}
+
+/// The bytes `read` asks of the allocator on this thread, and its answer.
+fn allocated<T>(read: impl FnOnce() -> T) -> (u64, T) {
+    let before = counting::BYTES.with(Cell::get);
+    let answer = read();
+    (counting::BYTES.with(Cell::get) - before, answer)
+}
+
 /// A snapshot reads the window's seconds from each shard's ring and nothing
 /// of the run before them: one `window_snapshot(3)` on three shards
 /// allocates as many bytes at virtual second 10,000 as at second 100.
@@ -244,35 +272,31 @@ fn sharded_requested_series_matches_single_shard() {
 fn a_snapshot_costs_the_same_late_in_a_run() {
     let (sim, clock) = sim_clock();
     let stats = StatsCollector::with_shards(clock, &["t"], 3);
-    let record_until = |end: u64, from: u64| {
-        for second in from..end {
-            for slot in 0..3 {
-                set_thread_slot(slot);
-                let start = second * MICROS_PER_SEC + 1_000 * slot as u64;
-                stats.record(Sample {
-                    txn_type: 0,
-                    arrival: start,
-                    start,
-                    end: start + 250,
-                    outcome: RequestOutcome::Committed,
-                    retries: 0,
-                });
-            }
-        }
-        set_thread_slot(0);
-        sim.advance_to(end * MICROS_PER_SEC + 500_000);
-    };
-    let snapshot_bytes = || {
-        let before = counting::BYTES.with(Cell::get);
-        let window = stats.window_snapshot(3);
-        (counting::BYTES.with(Cell::get) - before, window)
-    };
-    record_until(100, 0);
-    let (early, window) = snapshot_bytes();
+    one_per_shard_per_second(&stats, &sim, 0, 100);
+    let (early, window) = allocated(|| stats.window_snapshot(3));
     assert_eq!((window.count, window.throughput), (9, 3.0));
-    record_until(10_000, 100);
-    let (late, window) = snapshot_bytes();
+    one_per_shard_per_second(&stats, &sim, 100, 10_000);
+    let (late, window) = allocated(|| stats.window_snapshot(3));
     assert_eq!((window.count, window.throughput), (9, 3.0));
     assert!(early > 0, "the snapshot's histograms allocate");
     assert_eq!(late, early, "bytes allocated by one snapshot at second 10,000 and at second 100");
+}
+
+/// The run's totals are folded without its per-second series: `status(3)`
+/// and the per-type summary on three shards allocate as many bytes at
+/// virtual second 10,000 as at second 100.
+#[test]
+fn a_status_and_a_summary_cost_the_same_late_in_a_run() {
+    let (sim, clock) = sim_clock();
+    let stats = StatsCollector::with_shards(clock, &["t"], 3);
+    one_per_shard_per_second(&stats, &sim, 0, 100);
+    let (status_early, status) = allocated(|| stats.status(3));
+    let (summary_early, summary) = allocated(|| stats.per_type_summary());
+    assert_eq!((status.committed, summary[0].count), (300, 300));
+    one_per_shard_per_second(&stats, &sim, 100, 10_000);
+    let (status_late, status) = allocated(|| stats.status(3));
+    let (summary_late, summary) = allocated(|| stats.per_type_summary());
+    assert_eq!((status.committed, summary[0].count), (30_000, 30_000));
+    assert_eq!(status_late, status_early, "bytes allocated by status(3) at second 10,000 and at second 100");
+    assert_eq!(summary_late, summary_early, "bytes allocated by per_type_summary at second 10,000 and at 100");
 }
